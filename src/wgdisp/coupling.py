@@ -45,7 +45,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import bessel_k0
 from .errors import InputError, QuadratureError, TightConfinementWarning
@@ -261,6 +260,8 @@ def _tm_kernel_odd(weighted: bool, u_e: float):
 
 
 def _quad_checked(func, a, b, spec: QuadratureSpec, scale_hint: float, **kw):
+    from scipy.integrate import quad
+
     # Request well below the target so the (often pessimistic) reported
     # error certifies the caller's tolerance.
     with warnings.catch_warnings():
@@ -274,6 +275,8 @@ def _quad_checked(func, a, b, spec: QuadratureSpec, scale_hint: float, **kw):
 
 def _fourier_cos(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[float, float]:
     """2 * integral_0^inf g(u) cos(zeta u) du via weighted quadrature."""
+    from scipy.integrate import quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, err = quad(g, 0.0, np.inf, weight="cos", wvar=zeta,
@@ -284,6 +287,8 @@ def _fourier_cos(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[floa
 
 
 def _fourier_sin(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[float, float]:
+    from scipy.integrate import quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, err = quad(g, 0.0, np.inf, weight="sin", wvar=zeta,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import k0 as _scipy_k0
@@ -120,7 +121,14 @@ class PairConfiguration:
 
 @dataclass
 class FTensorResult:
-    """Mode-summed coupling tensor for one transition energy."""
+    """Mode-summed coupling tensor for one transition energy.
+
+    ``per_mode`` maps each summed mode to its own 3x3 coupling, or is
+    ``None`` when the sum used more than ``detail_cap`` modes or came from
+    an explicit mode list.  The map is built on first read from the mode
+    tables and per-mode arrays that :func:`f_tensor` keeps, so callers
+    that only need the sums never pay for it.
+    """
 
     tensor: np.ndarray
     tm_tensor: np.ndarray
@@ -128,7 +136,20 @@ class FTensorResult:
     modes_used: int
     tail_bound: float
     max_cutoff: float
-    per_mode: dict[ModeIndex, np.ndarray] | None = None
+    _detail: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
+        if self._detail is None:
+            return None
+        tables, tensors = self._detail
+        per_mode = {}
+        for pol in (TM, TE):
+            table, tens = tables[pol], tensors[pol]
+            for idx in range(table["k"].size):
+                mode = ModeIndex(pol, int(table["m"][idx]), int(table["n"][idx]))
+                per_mode[mode] = tens[:, :, idx].copy()
+        return per_mode
 
 
 @dataclass
@@ -236,6 +257,16 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
+def _append_shell(done: np.ndarray, table: dict, kernel) -> np.ndarray:
+    """Append the kernel's columns for the modes of ``table`` past ``done``."""
+    start = done.shape[2]
+    if table["k"].size == start:
+        return done
+    shell = kernel(table["m"][start:].astype(float),
+                   table["n"][start:].astype(float), table["k"][start:])
+    return np.concatenate((done, shell), axis=2)
+
+
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -247,61 +278,56 @@ def f_tensor(
     """Mode-summed 3x3 coupling tensor for one transition energy.
 
     Exactly one of ``max_cutoff`` and ``tail_tol`` selects the truncation:
-    a fixed cutoff wavenumber, or growth of the cutoff in ascending order
+    a fixed cutoff wavenumber, or growth of the cutoff by factors of 1.3
     until the analytic continuum tail bound drops below ``tail_tol``
     times the accumulated tensor scale.
+
+    Each growth step evaluates the coupling kernels only on the new shell
+    of modes between the previous cutoff and the current one, and appends
+    those columns to the per-mode arrays.  ``mode_arrays`` lists modes in
+    ascending cutoff with a stable tie order, so the accumulated arrays
+    are exactly the arrays of one fixed-cutoff sum at the final cutoff and
+    the two truncations give bit-identical results.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
-    geom, z = config.geom, config.z
-    k_low = math.pi / max(geom.a, geom.b)
+    for name, value in (("max_cutoff", max_cutoff), ("tail_tol", tail_tol)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be positive and finite, got {value!r}")
+    geom, z, conv = config.geom, config.z, config.conventions
+    p1, p2 = config.p1, config.p2
 
-    def build(K):
-        if mode_count(geom, K) > mode_cap:
-            raise ModeCapError(mode_count(geom, K), mode_cap)
-        tables = mode_arrays(geom, K)
-        tm = tables["TM"]
-        te = tables["TE"]
-        tm_t = _tm_mode_tensors(geom, tm["m"].astype(float), tm["n"].astype(float),
-                                tm["k"], config.p1, config.p2, z,
-                                config.conventions) \
-            if tm["k"].size else np.zeros((3, 3, 0))
-        te_t = _te_mode_tensors(geom, te["m"].astype(float), te["n"].astype(float),
-                                te["k"], config.p1, config.p2, z, energy,
-                                config.conventions) \
-            if te["k"].size else np.zeros((3, 3, 0))
-        return tables, tm_t, te_t
+    def tm_kernel(m, n, k):
+        return _tm_mode_tensors(geom, m, n, k, p1, p2, z, conv)
+
+    def te_kernel(m, n, k):
+        return _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conv)
 
     if max_cutoff is not None:
         K = max_cutoff
-        tables, tm_t, te_t = build(K)
     else:
-        K = max(3.0 * k_low, 8.0 / z)
-        while True:
-            tables, tm_t, te_t = build(K)
-            scale = max(np.abs(tm_t.sum(axis=2)).max(),
-                        np.abs(te_t.sum(axis=2)).max(), 1e-300)
-            bound = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
-            if bound <= tail_tol * scale:
-                break
-            K *= 1.3
-    tm_sum = tm_t.sum(axis=2)
-    te_sum = te_t.sum(axis=2)
-    n_modes = tm_t.shape[2] + te_t.shape[2]
-    tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
-
-    per_mode = None
-    if n_modes <= detail_cap:
-        per_mode = {}
-        for pol, tens in (("TM", tm_t), ("TE", te_t)):
-            tb = tables[pol]
-            for idx in range(tb["k"].size):
-                mode = ModeIndex(pol, int(tb["m"][idx]), int(tb["n"][idx]))
-                per_mode[mode] = tens[:, :, idx].copy()
-
+        K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    tensors = {TM: np.zeros((3, 3, 0)), TE: np.zeros((3, 3, 0))}
+    while True:
+        if mode_count(geom, K) > mode_cap:
+            raise ModeCapError(mode_count(geom, K), mode_cap)
+        tables = mode_arrays(geom, K)
+        tensors[TM] = _append_shell(tensors[TM], tables[TM], tm_kernel)
+        tensors[TE] = _append_shell(tensors[TE], tables[TE], te_kernel)
+        tm_sum = tensors[TM].sum(axis=2)
+        te_sum = tensors[TE].sum(axis=2)
+        tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
+        if max_cutoff is not None:
+            break
+        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        if tail <= tail_tol * scale:
+            break
+        K *= 1.3
+    n_modes = tensors[TM].shape[2] + tensors[TE].shape[2]
+    detail = (tables, tensors) if n_modes <= detail_cap else None
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, modes_used=n_modes,
-                         tail_bound=tail, max_cutoff=K, per_mode=per_mode)
+                         tail_bound=tail, max_cutoff=K, _detail=detail)
 
 
 def f_tensor_from_modes(config: PairConfiguration, energy: float,
@@ -328,7 +354,7 @@ def f_tensor_from_modes(config: PairConfiguration, energy: float,
                     te[i_ax, j_ax] += val
     return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
                          modes_used=len(modes), tail_bound=0.0,
-                         max_cutoff=float("nan"), per_mode=None)
+                         max_cutoff=float("nan"))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
@@ -405,8 +431,11 @@ def dispersion_energy(
             tm_only += w * quadratic_contraction(p2m, p1m, f2.tm_tensor, f1.tm_tensor)
             te_only += w * quadratic_contraction(p2m, p1m, f2.te_tensor, f1.te_tensor)
             t_hi = max(f1.tail_bound, f2.tail_bound)
-            cross = quadratic_contraction(p2m, p1m, np.abs(f2.tensor), ones) \
-                + quadratic_contraction(p2m, p1m, ones, np.abs(f1.tensor))
+            # |P| keeps the fixed-vector bound from cancelling between
+            # dipole components of opposite sign.
+            abs2, abs1 = np.abs(p2m), np.abs(p1m)
+            cross = quadratic_contraction(abs2, abs1, np.abs(f2.tensor), ones) \
+                + quadratic_contraction(abs2, abs1, ones, np.abs(f1.tensor))
             tail_total += abs(w) * (t_hi * cross + 9.0 * t_hi * t_hi
                                     * p2m.trace() * p1m.trace())
     modes_used = max((f.modes_used for f in f_cache.values()), default=0)

@@ -84,6 +84,15 @@ class TestEnergy:
         assert res.returncode == 4
         assert "cap" in res.stderr
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tail-tol", "nan"), ("--tail-tol", "0"), ("--max-cutoff", "inf"),
+    ])
+    def test_bad_truncation_exit_2(self, species_file, flag, value):
+        res = run_cli("energy", "--z", "0.5", "--species1", species_file,
+                      flag, value)
+        assert res.returncode == 2
+        assert "must be positive and finite" in res.stderr
+
     def test_config_file_with_flag_override(self, species_file, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text(f"z = 0.8\ntail_tol = 1e-8\n"
@@ -134,10 +143,41 @@ class TestSweep:
         slope = np.polyfit(z, np.log(z * np.abs(u)), 1)[0]
         assert abs(slope + 2.0 * math.pi) / (2.0 * math.pi) < 0.01
 
+    @pytest.mark.parametrize("tail_tol", ["nan", "0", "inf"])
+    def test_bad_tail_tol_exit_2(self, species_file, tail_tol):
+        res = run_cli("sweep", "--z-min", "0.5", "--z-max", "1", "--points",
+                      "2", "--species1", species_file, "--tail-tol", tail_tol)
+        assert res.returncode == 2
+        assert "tail_tol must be positive and finite" in res.stderr
+
+    def test_never_builds_per_mode(self, species_file, monkeypatch, capsys):
+        from wgdisp import cli, energy
+
+        def forbidden(self):
+            raise AssertionError("sweep read FTensorResult.per_mode")
+        monkeypatch.setattr(energy.FTensorResult, "per_mode",
+                            property(forbidden))
+        assert cli.main(["sweep", "--z-min", "0.5", "--z-max", "1",
+                         "--points", "3", "--species1", species_file]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
     def test_single_point_exit_2(self, species_file):
         res = run_cli("sweep", "--z-min", "3", "--z-max", "6", "--points",
                       "1", "--species1", species_file)
         assert res.returncode == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_quadrature_unloaded(self):
+        # Only the quadrature oracle needs scipy.integrate, and importing
+        # it costs a large share of every CLI start-up.
+        code = ("import sys, wgdisp.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={"PYTHONPATH": str(SRC),
+                                             "PATH": "/usr/bin:/bin"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
 
 class TestReproduce:

@@ -112,6 +112,57 @@ class TestFTensor:
             f_tensor(cfg, E100, tail_tol=1e-6, mode_cap=100_000)
         assert "asymptotics" in str(err.value)
 
+    @pytest.mark.parametrize("b, p1, p2, z, convention, tol", [
+        (0.75, (0.4, 0.3), (0.4, 0.3), 0.02, "oracle-consistent", 1e-6),
+        (0.6, (0.31, 0.22), (0.72, 0.41), 0.07, "paper-literal", 1e-6),
+        (1.0, (0.5, 0.5), (0.5, 0.5), 0.3, "oracle-consistent", 1e-8),
+        (0.5, (0.12, 0.33), (0.85, 0.07), 1.1, "paper-literal", 1e-10),
+        (0.9, (0.63, 0.18), (0.27, 0.71), 5.0, "oracle-consistent", 1e-9),
+    ])
+    def test_growth_equals_fixed_cutoff_bitwise(self, b, p1, p2, z,
+                                                convention, tol):
+        # The cutoff search appends each new shell of modes to the
+        # k-sorted arrays; that must be exactly one sum at the final cutoff.
+        cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
+                                TransversePoint(*p2), z, ISO, ISO,
+                                conventions=Conventions.from_name(convention))
+        grown = f_tensor(cfg, E100, tail_tol=tol)
+        fixed = f_tensor(cfg, E100, max_cutoff=grown.max_cutoff)
+        for name in ("tensor", "tm_tensor", "te_tensor"):
+            assert np.array_equal(getattr(grown, name), getattr(fixed, name))
+        assert grown.modes_used == fixed.modes_used
+        assert grown.tail_bound == fixed.tail_bound
+        if grown.per_mode is None:
+            assert fixed.per_mode is None
+        else:
+            assert list(grown.per_mode) == list(fixed.per_mode)
+            for mode, value in grown.per_mode.items():
+                assert np.array_equal(value, fixed.per_mode[mode])
+
+    def test_each_mode_kernel_runs_once(self, monkeypatch):
+        import wgdisp.energy as energy_mod
+        calls = []
+        for name in ("_tm_mode_tensors", "_te_mode_tensors"):
+            kernel = getattr(energy_mod, name)
+
+            def counted(geom, m, n, k, *rest, _kernel=kernel):
+                calls.append(k.size)
+                return _kernel(geom, m, n, k, *rest)
+            monkeypatch.setattr(energy_mod, name, counted)
+        ft = f_tensor(_config(0.05, geom=Geometry(1.0, 0.7)), E100,
+                      tail_tol=1e-6)
+        assert len(calls) > 2  # the cutoff grew at least once
+        assert sum(calls) == ft.modes_used
+
+    @pytest.mark.parametrize("truncation", [
+        {"tail_tol": float("nan")}, {"tail_tol": 0.0}, {"tail_tol": -1e-6},
+        {"tail_tol": float("inf")}, {"max_cutoff": float("inf")},
+        {"max_cutoff": float("nan")}, {"max_cutoff": 0.0},
+    ])
+    def test_rejects_bad_truncation(self, truncation):
+        with pytest.raises(InputError):
+            f_tensor(_config(0.5), E100, **truncation)
+
     def test_per_mode_map_sums_to_total(self):
         cfg = _config(0.8)
         ft = f_tensor(cfg, E100, tail_tol=1e-8)
@@ -173,6 +224,27 @@ class TestDispersionEnergy:
         u1 = dispersion_energy(cfg, tail_tol=1e-8).total
         u2 = dispersion_energy(cfg.swapped(), tail_tol=1e-8).total
         assert u1 == pytest.approx(u2, rel=1e-12)
+
+    @pytest.mark.parametrize("b, p1, p2, z, levels", [
+        (0.5, (0.62, 0.34), (0.77, 0.16), 0.49,
+         [(140.0, (0.76, -1.65, 0.25))]),
+        (0.7, (0.64, 0.18), (0.38, 0.37), 0.8,
+         [(60.0, (-1.68, -0.54, 1.33)), (97.0, (-1.2, 0.52, 1.02))]),
+        (0.53, (0.17, 0.46), (0.70, 0.20), 0.41,
+         [(100.0, (0.9, -0.91, -0.63))]),
+    ])
+    def test_fixed_vector_tail_bounds_mixed_sign(self, b, p1, p2, z, levels):
+        # Dipole components of mixed sign give second moments of mixed
+        # sign; the tail estimate must still bound the truncation error.
+        sp = DipoleSpecies(tuple(DipoleTransition(2.0 * math.pi / lam, d)
+                                 for lam, d in levels), "fixed-vector")
+        cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
+                                TransversePoint(*p2), z, sp, sp)
+        u = dispersion_energy(cfg, tail_tol=1e-6)
+        cutoff = max(f.max_cutoff for f in u.f_by_level.values())
+        ref = dispersion_energy(cfg, max_cutoff=2.0 * cutoff)
+        assert u.tail_estimate > 0.0
+        assert abs(u.total - ref.total) <= u.tail_estimate + ref.tail_estimate
 
     def test_per_level_pairs_sum_to_total(self):
         sp1 = DipoleSpecies(
