@@ -212,12 +212,17 @@ def cmd_coupling(args) -> int:
     return EXIT_OK
 
 
+def _truncation(args) -> dict:
+    """Keyword for dispersion_energy: --max-cutoff if given, else --tail-tol."""
+    max_cutoff = _resolve(args, "max_cutoff")
+    if max_cutoff is not None:
+        return {"max_cutoff": float(max_cutoff)}
+    return {"tail_tol": float(_resolve(args, "tail_tol", 1e-6))}
+
+
 def _energy_report(args, z: float) -> dict:
     config = _pair_configuration(args, z)
-    tail_tol = float(_resolve(args, "tail_tol", 1e-6))
-    max_cutoff = _resolve(args, "max_cutoff")
-    kwargs = {"max_cutoff": float(max_cutoff)} if max_cutoff is not None \
-        else {"tail_tol": tail_tol}
+    kwargs = _truncation(args)
     breakdown = dispersion_energy(config, **kwargs)
 
     sp1, sp2 = config.species1, config.species2
@@ -306,12 +311,12 @@ def cmd_sweep(args) -> int:
 
     sp1, sp2 = _species_pair(args)
     eps = float(_resolve(args, "epsilon", 1.0))
-    tail_tol = float(_resolve(args, "tail_tol", 1e-6))
+    truncation = _truncation(args)
     rows = []
     import warnings as _w
     for z in grid:
         config = _pair_configuration(args, float(z), species=(sp1, sp2))
-        breakdown = dispersion_energy(config, tail_tol=tail_tol)
+        breakdown = dispersion_energy(config, **truncation)
         fs_vdw = u_freespace_vdw(sp1, sp2, float(z), form="tensor", epsilon=eps)
         with _w.catch_warnings():
             _w.simplefilter("ignore")

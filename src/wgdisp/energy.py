@@ -124,10 +124,11 @@ class FTensorResult:
     """Mode-summed coupling tensor for one transition energy.
 
     ``per_mode`` maps each summed mode to its own 3x3 coupling, or is
-    ``None`` when the sum used more than ``detail_cap`` modes or came from
-    an explicit mode list.  The map is built on first read from the mode
-    tables and per-mode arrays that :func:`f_tensor` keeps, so callers
-    that only need the sums never pay for it.
+    ``None`` when the sum used more than ``detail_cap`` modes, came from
+    an explicit mode list, or had a dipole at a corner.  The map is built
+    on first read from the mode shells and per-mode arrays that
+    :func:`f_tensor` keeps, so callers that only need the sums never pay
+    for it.
     """
 
     tensor: np.ndarray
@@ -142,13 +143,13 @@ class FTensorResult:
     def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
         if self._detail is None:
             return None
-        tables, tensors = self._detail
+        shells, tensors = self._detail
         per_mode = {}
         for pol in (TM, TE):
-            table, tens = tables[pol], tensors[pol]
-            for idx in range(table["k"].size):
-                mode = ModeIndex(pol, int(table["m"][idx]), int(table["n"][idx]))
-                per_mode[mode] = tens[:, :, idx].copy()
+            m = np.concatenate([table["m"] for table in shells[pol]]).tolist()
+            n = np.concatenate([table["n"] for table in shells[pol]]).tolist()
+            for idx, mn in enumerate(zip(m, n)):
+                per_mode[ModeIndex(pol, *mn)] = tensors[pol][:, :, idx].copy()
         return per_mode
 
 
@@ -186,34 +187,50 @@ def _tm_sign_matrix(conventions: Conventions) -> np.ndarray:
     return _PAPER_SIGNS
 
 
+def _axis_trig(geom, m, n, p2, p1):
+    """Per-mode sin and cos of (m pi/a) x and (n pi/b) y at p2 and p1.
+
+    Returns arrays sx, cx, sy, cy of shape (2, n_modes), row 0 at p2 and
+    row 1 at p1.  The transcendentals are taken once per distinct index on
+    per-axis tables and gathered with the integer m and n; each table entry
+    is the same float operation as the per-mode one, so the values match
+    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.
+    """
+    tx = np.multiply.outer((p2.x, p1.x), np.arange(m.max(initial=0) + 1) * np.pi / geom.a)
+    ty = np.multiply.outer((p2.y, p1.y), np.arange(n.max(initial=0) + 1) * np.pi / geom.b)
+    return (np.sin(tx).take(m, axis=1), np.cos(tx).take(m, axis=1),
+            np.sin(ty).take(n, axis=1), np.cos(ty).take(n, axis=1))
+
+
 def _tm_mode_tensors(geom, m, n, k, p1, p2, z, conventions):
-    """Per-mode 3x3 TM coupling arrays, vectorized over the mode list."""
+    """Per-mode 3x3 TM coupling arrays, vectorized over the mode list.
+
+    ``m`` and ``n`` are integer index arrays; the trig factors come from
+    :func:`_axis_trig`.
+    """
     signs = _tm_sign_matrix(conventions)
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     decay = np.exp(-k * z)
     base = (4.0 * np.pi / geom.area) * k * decay
-
-    def factors(p):
-        sx, cx = np.sin(ax * p.x), np.cos(ax * p.x)
-        sy, cy = np.sin(ay * p.y), np.cos(ay * p.y)
-        return np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy])
-
-    f2 = factors(p2)  # index i at p2
-    f1 = factors(p1)  # index j at p1
-    # shape (3, 3, n_modes)
-    out = signs[:, :, None] * base[None, None, :] * f2[:, None, :] * f1[None, :, :]
-    if conventions.tm_sign == "paper-literal":
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
+    # Row 0 (index i) at p2, row 1 (index j) at p1.
+    f = np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy], axis=1)
+    paper = conventions.tm_sign == "paper-literal"
+    if paper:
         # Printed transverse-cross prefactor replaces the structural one.
         pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
-        out[0, 1, :] = pref * np.cos(ax * p2.x) * np.sin(ay * p2.y) \
-            * np.sin(ax * p1.x) * np.cos(ay * p1.y)
-        out[1, 0, :] = pref * np.sin(ax * p2.x) * np.cos(ay * p2.y) \
-            * np.cos(ax * p1.x) * np.sin(ay * p1.y)
+        cross = (pref * cx[0] * sy[0] * sx[1] * cy[1],
+                 pref * sx[0] * cy[0] * cx[1] * sy[1])
+    del sx, cx, sy, cy  # free the gathers before the (3, 3, N) product
+    out = signs[:, :, None] * base[None, None, :] * f[0][:, None, :] * f[1][None, :, :]
+    if paper:
+        out[0, 1, :], out[1, 0, :] = cross
     return out
 
 
 def _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conventions):
+    """Per-mode 3x3 TE coupling arrays; ``m``, ``n`` as in the TM kernel."""
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
@@ -221,16 +238,13 @@ def _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conventions):
         nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
     factor = -2.0 if conventions.te_factor == "derivation-consistent" else 1.0
     root_a = 2.0 / math.sqrt(geom.area)
-
-    def profile(p):
-        ex = -root_a * nf * (ay / k) * np.cos(ax * p.x) * np.sin(ay * p.y)
-        ey = root_a * nf * (ax / k) * np.sin(ax * p.x) * np.cos(ay * p.y)
-        return np.stack([ex, ey, np.zeros_like(ex)])
-
-    e2 = profile(p2)
-    e1 = profile(p1)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
+    ex = -root_a * nf * (ay / k) * cx * sy
+    ey = root_a * nf * (ax / k) * sx * cy
+    e = np.stack([ex, ey, np.zeros_like(ex)], axis=1)
+    del sx, cx, sy, cy, ex, ey  # free before the (3, 3, N) product
     radial = factor * energy * _scipy_k0(k * z)
-    return radial[None, None, :] * e2[:, None, :] * e1[None, :, :]
+    return radial[None, None, :] * e[0][:, None, :] * e[1][None, :, :]
 
 
 def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
@@ -257,16 +271,6 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
-def _append_shell(done: np.ndarray, table: dict, kernel) -> np.ndarray:
-    """Append the kernel's columns for the modes of ``table`` past ``done``."""
-    start = done.shape[2]
-    if table["k"].size == start:
-        return done
-    shell = kernel(table["m"][start:].astype(float),
-                   table["n"][start:].astype(float), table["k"][start:])
-    return np.concatenate((done, shell), axis=2)
-
-
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -282,12 +286,17 @@ def f_tensor(
     until the analytic continuum tail bound drops below ``tail_tol``
     times the accumulated tensor scale.
 
-    Each growth step evaluates the coupling kernels only on the new shell
-    of modes between the previous cutoff and the current one, and appends
-    those columns to the per-mode arrays.  ``mode_arrays`` lists modes in
-    ascending cutoff with a stable tie order, so the accumulated arrays
-    are exactly the arrays of one fixed-cutoff sum at the final cutoff and
-    the two truncations give bit-identical results.
+    Each growth step lists only the new shell of modes between the
+    previous cutoff and the current one (``mode_arrays`` with a lower
+    edge), evaluates the coupling kernels on it, and appends its columns
+    to the per-mode arrays.  Shells come sorted by cutoff with a stable
+    tie order, so the accumulated arrays are exactly the arrays of one
+    fixed-cutoff sum at the final cutoff and the two truncations give
+    bit-identical results.
+
+    With either dipole at a corner of the cross-section every mode
+    profile vanishes there, so the tensor is exactly zero and no mode is
+    listed.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -296,24 +305,35 @@ def f_tensor(
             raise InputError(f"{name} must be positive and finite, got {value!r}")
     geom, z, conv = config.geom, config.z, config.conventions
     p1, p2 = config.p1, config.p2
-
-    def tm_kernel(m, n, k):
-        return _tm_mode_tensors(geom, m, n, k, p1, p2, z, conv)
-
-    def te_kernel(m, n, k):
-        return _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conv)
-
     if max_cutoff is not None:
         K = max_cutoff
     else:
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    if geom.is_corner(p1) or geom.is_corner(p2):
+        return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
+                             te_tensor=np.zeros((3, 3)), modes_used=0,
+                             tail_bound=0.0, max_cutoff=K)
+    kernels = {
+        TM: lambda t: _tm_mode_tensors(geom, t["m"], t["n"], t["k"],
+                                       p1, p2, z, conv),
+        TE: lambda t: _te_mode_tensors(geom, t["m"], t["n"], t["k"],
+                                       p1, p2, z, energy, conv),
+    }
+    shells = {TM: [], TE: []}
     tensors = {TM: np.zeros((3, 3, 0)), TE: np.zeros((3, 3, 0))}
+    K_prev = None
     while True:
         if mode_count(geom, K) > mode_cap:
             raise ModeCapError(mode_count(geom, K), mode_cap)
-        tables = mode_arrays(geom, K)
-        tensors[TM] = _append_shell(tensors[TM], tables[TM], tm_kernel)
-        tensors[TE] = _append_shell(tensors[TE], tables[TE], te_kernel)
+        shell = mode_arrays(geom, K, K_prev)
+        for pol, table in shell.items():
+            if table["k"].size:
+                tensors[pol] = np.concatenate(
+                    (tensors[pol], kernels[pol](table)), axis=2)
+        n_modes = tensors[TM].shape[2] + tensors[TE].shape[2]
+        if n_modes <= detail_cap:  # past the cap no detail is kept
+            for pol, table in shell.items():
+                shells[pol].append(table)
         tm_sum = tensors[TM].sum(axis=2)
         te_sum = tensors[TE].sum(axis=2)
         tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
@@ -322,9 +342,9 @@ def f_tensor(
         scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
         if tail <= tail_tol * scale:
             break
+        K_prev = K
         K *= 1.3
-    n_modes = tensors[TM].shape[2] + tensors[TE].shape[2]
-    detail = (tables, tensors) if n_modes <= detail_cap else None
+    detail = (shells, tensors) if n_modes <= detail_cap else None
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, modes_used=n_modes,
                          tail_bound=tail, max_cutoff=K, _detail=detail)
@@ -395,6 +415,11 @@ def dispersion_energy(
     or ``max_cutoff`` as in :func:`f_tensor`.
     """
     notes = _confinement_guard(config)
+    for label, p in (("species1", config.p1), ("species2", config.p2)):
+        if config.geom.is_corner(p):
+            notes.append(f"{label} dipole sits at the corner ({p.x:g}, {p.y:g}) "
+                         f"of the cross-section, where every TE and TM mode "
+                         f"profile vanishes; the pair energy is zero")
     eps = config.epsilon
     pref = -1.0 / (TWO_PI * eps) ** 2
 

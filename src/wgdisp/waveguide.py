@@ -68,6 +68,10 @@ class Geometry:
     def contains(self, p: "TransversePoint") -> bool:
         return 0.0 <= p.x <= self.a and 0.0 <= p.y <= self.b
 
+    def is_corner(self, p: "TransversePoint") -> bool:
+        """True at the four corners, where every mode profile vanishes."""
+        return p.x in (0.0, self.a) and p.y in (0.0, self.b)
+
 
 @dataclass(frozen=True)
 class TransversePoint:
@@ -202,56 +206,68 @@ def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
 
     Degenerate cutoffs are ordered TM before TE, then by descending m,
     then ascending n (so the square-guide fundamental pair lists as
-    TE10, TE01).
+    TE10, TE01).  The modes are those of :func:`mode_arrays`; the sort
+    key uses :func:`cutoff_wavenumber`, the value the ``modes`` table prints.
     """
-    if not (max_cutoff > 0.0):
-        raise InputError(f"max_cutoff must be positive, got {max_cutoff!r}")
-    limit = max_cutoff * (1.0 + 1e-12)
-    m_max = int(limit * geom.a / math.pi) + 1
-    n_max = int(limit * geom.b / math.pi) + 1
+    tables = mode_arrays(geom, max_cutoff)
     found: list[tuple[float, int, int, int, ModeIndex]] = []
-    for m in range(0, m_max + 1):
-        for n in range(0, n_max + 1):
-            if m == 0 and n == 0:
-                continue
-            kmn = math.hypot(m * math.pi / geom.a, n * math.pi / geom.b)
-            if kmn > limit:
-                continue
-            found.append((kmn, 1, -m, n, ModeIndex(TE, m, n)))
-            if m >= 1 and n >= 1:
-                found.append((kmn, 0, -m, n, ModeIndex(TM, m, n)))
+    for rank, pol in ((0, TM), (1, TE)):
+        for m, n in zip(tables[pol]["m"].tolist(), tables[pol]["n"].tolist()):
+            mode = ModeIndex(pol, m, n)
+            found.append((cutoff_wavenumber(geom, mode), rank, -m, n, mode))
     found.sort(key=lambda row: row[:4])
     return [row[4] for row in found]
 
 
-def mode_arrays(geom: Geometry, max_cutoff: float):
+def mode_arrays(geom: Geometry, max_cutoff: float,
+                lower_cutoff: float | None = None):
     """Vectorized mode tables for bulk summation.
 
     Returns a dict with, per polarization, integer arrays m, n and the
-    cutoff array k.  TE entries include the zero-index families.
-    """
-    if not (max_cutoff > 0.0):
-        raise InputError(f"max_cutoff must be positive, got {max_cutoff!r}")
-    limit = max_cutoff * (1.0 + 1e-12)
-    m_max = int(limit * geom.a / math.pi) + 1
-    n_max = int(limit * geom.b / math.pi) + 1
-    m = np.arange(0, m_max + 1)
-    n = np.arange(0, n_max + 1)
-    mm, nn = np.meshgrid(m, n, indexing="ij")
-    kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
-    inside = kk <= limit
+    cutoff array k, sorted by k with ties in row-major (m, n) order.  TE
+    entries include the zero-index families.  Without ``lower_cutoff`` the
+    tables hold every mode with k <= max_cutoff; with it, only the shell
+    lower_cutoff < k <= max_cutoff.  Both edges carry the same 1e-12
+    relative slack, so the shells listed between successive cutoffs,
+    concatenated, are exactly the table at the last cutoff.
 
-    tm_mask = inside & (mm >= 1) & (nn >= 1)
-    te_mask = inside & ~((mm == 0) & (nn == 0))
-    out = {}
-    for name, mask in (("TM", tm_mask), ("TE", te_mask)):
-        order = np.argsort(kk[mask], kind="stable")
-        out[name] = {
-            "m": mm[mask][order],
-            "n": nn[mask][order],
-            "k": kk[mask][order],
-        }
-    return out
+    Candidates are built row by row over m, each row holding only the n
+    that can reach the shell, so a call costs about as many modes as it
+    returns.
+    """
+    if not 0.0 < max_cutoff < math.inf:
+        raise InputError(f"max_cutoff must be positive and finite, "
+                         f"got {max_cutoff!r}")
+    if lower_cutoff is None:
+        floor = 0.0  # k > 0 drops only the (0, 0) pair
+    elif 0.0 <= lower_cutoff < math.inf:
+        floor = lower_cutoff * (1.0 + 1e-12)
+    else:
+        raise InputError(f"lower_cutoff must be non-negative and finite, "
+                         f"got {lower_cutoff!r}")
+    limit = max_cutoff * (1.0 + 1e-12)
+    # Per row m, the n range [n_lo, n_hi] that can hold floor < k <= limit,
+    # padded by one index on each side against rounding; the exact test
+    # below decides.
+    m = np.arange(0, int(limit * geom.a / math.pi) + 2)
+    kx2 = (m * np.pi / geom.a) ** 2
+    per_n = geom.b / np.pi
+    n_hi = (np.sqrt(np.maximum(limit * limit - kx2, 0.0)) * per_n).astype(int) + 1
+    n_lo = np.maximum(
+        (np.sqrt(np.maximum(floor * floor - kx2, 0.0)) * per_n).astype(int) - 1, 0)
+    counts = np.maximum(n_hi - n_lo + 1, 0)
+    mm = np.repeat(m, counts)
+    nn = np.arange(mm.size) - np.repeat(np.cumsum(counts) - counts - n_lo, counts)
+    kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
+    keep = (kk > floor) & (kk <= limit)
+    mm, nn, kk = mm[keep], nn[keep], kk[keep]
+    order = np.argsort(kk, kind="stable")
+    mm, nn, kk = mm[order], nn[order], kk[order]
+    tm = (mm >= 1) & (nn >= 1)
+    return {
+        TM: {"m": mm[tm], "n": nn[tm], "k": kk[tm]},
+        TE: {"m": mm, "n": nn, "k": kk},
+    }
 
 
 def mode_count(geom: Geometry, max_cutoff: float) -> int:

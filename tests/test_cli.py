@@ -51,6 +51,13 @@ class TestModes:
         assert res.returncode == 2
         assert "a > 0" in res.stderr
 
+    def test_infinite_cutoff_exit_2(self):
+        res = run_cli("modes", "--max-cutoff", "inf")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: max_cutoff must be positive and finite, "
+                              "got inf\n")
+
 
 class TestEnergy:
     def test_near_field_report_matches_free_space(self, species_file):
@@ -160,6 +167,22 @@ class TestSweep:
         assert cli.main(["sweep", "--z-min", "0.5", "--z-max", "1",
                          "--points", "3", "--species1", species_file]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_max_cutoff_matches_energy(self, species_file, capsys):
+        from wgdisp import cli
+        truncation = ["--species1", species_file, "--max-cutoff", "5",
+                      "--tail-tol", "1e-12"]
+        assert cli.main(["sweep", "--z-min", "0.5", "--z-max", "1",
+                         "--points", "2", *truncation]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert cli.main(["energy", "--z", row[0], *truncation]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["inputs"]["truncation"] == {"max_cutoff": 5.0}
+            assert float(row[1]) == report["total"]
+            assert float(row[5]) == report["tail_estimate"]
 
     def test_single_point_exit_2(self, species_file):
         res = run_cli("sweep", "--z-min", "3", "--z-max", "6", "--points",

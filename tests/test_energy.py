@@ -188,6 +188,148 @@ class TestFTensor:
                                rtol=1e-11, atol=1e-13)
 
 
+def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
+    """Reference TM kernel: np.sin/np.cos evaluated per mode."""
+    signs = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
+    if conventions.tm_sign == "paper-literal":
+        signs = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    ax = m * np.pi / geom.a
+    ay = n * np.pi / geom.b
+    decay = np.exp(-k * z)
+    base = (4.0 * np.pi / geom.area) * k * decay
+
+    def factors(p):
+        sx, cx = np.sin(ax * p.x), np.cos(ax * p.x)
+        sy, cy = np.sin(ay * p.y), np.cos(ay * p.y)
+        return np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy])
+
+    f2 = factors(p2)
+    f1 = factors(p1)
+    out = signs[:, :, None] * base[None, None, :] * f2[:, None, :] * f1[None, :, :]
+    if conventions.tm_sign == "paper-literal":
+        pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
+        out[0, 1, :] = pref * np.cos(ax * p2.x) * np.sin(ay * p2.y) \
+            * np.sin(ax * p1.x) * np.cos(ay * p1.y)
+        out[1, 0, :] = pref * np.sin(ax * p2.x) * np.cos(ay * p2.y) \
+            * np.cos(ax * p1.x) * np.sin(ay * p1.y)
+    return out
+
+
+def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
+    """Reference TE kernel: np.sin/np.cos evaluated per mode."""
+    from scipy.special import k0
+    ax = m * np.pi / geom.a
+    ay = n * np.pi / geom.b
+    nf = np.ones_like(k)
+    if conventions.normalization == "unit-normalized":
+        nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
+    factor = -2.0 if conventions.te_factor == "derivation-consistent" else 1.0
+    root_a = 2.0 / math.sqrt(geom.area)
+
+    def profile(p):
+        ex = -root_a * nf * (ay / k) * np.cos(ax * p.x) * np.sin(ay * p.y)
+        ey = root_a * nf * (ax / k) * np.sin(ax * p.x) * np.cos(ay * p.y)
+        return np.stack([ex, ey, np.zeros_like(ex)])
+
+    e2 = profile(p2)
+    e1 = profile(p1)
+    radial = factor * energy * k0(k * z)
+    return radial[None, None, :] * e2[:, None, :] * e1[None, :, :]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("b, p1, p2, z, lower", [
+        (1.0, (0.5, 0.5), (0.5, 0.5), 0.3, None),
+        (0.7, (0.31, 0.22), (0.68, 0.41), 0.05, None),
+        (0.55, (0.93, 0.07), (0.12, 0.5), 1.3, 40.0),
+        (0.85, (0.0, 0.4), (0.77, 0.85), 0.02, 150.0),
+    ])
+    def test_match_per_mode_trig_bitwise(self, convention, b, p1, p2, z, lower):
+        # The per-axis sin/cos tables must give exactly the per-mode values.
+        from wgdisp.energy import _te_mode_tensors, _tm_mode_tensors
+        from wgdisp.waveguide import mode_arrays
+        geom = Geometry(1.0, b)
+        p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
+        conv = Conventions.from_name(convention)
+        tables = mode_arrays(geom, 200.0, lower)
+        tm, te = tables["TM"], tables["TE"]
+        got = _tm_mode_tensors(geom, tm["m"], tm["n"], tm["k"], p1, p2, z, conv)
+        want = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
+                          tm["k"], p1, p2, z, conv)
+        assert np.array_equal(got, want)
+        got = _te_mode_tensors(geom, te["m"], te["n"], te["k"], p1, p2, z,
+                               E100, conv)
+        want = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
+                          te["k"], p1, p2, z, E100, conv)
+        assert np.array_equal(got, want)
+
+
+class TestCornerDipole:
+    @pytest.mark.parametrize("p1, p2", [
+        ((0.0, 0.0), (1.0, 0.6)), ((1.0, 0.0), (0.4, 0.3)),
+        ((0.4, 0.3), (0.0, 0.6)),
+    ])
+    def test_exact_zero_without_growth(self, monkeypatch, p1, p2):
+        import wgdisp.energy as energy_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mode listing at a corner")
+        monkeypatch.setattr(energy_mod, "mode_arrays", forbidden)
+        geom = Geometry(1.0, 0.6)
+        cfg = PairConfiguration(geom, TransversePoint(*p1),
+                                TransversePoint(*p2), 0.5, ISO, ISO)
+        u = dispersion_energy(cfg, tail_tol=1e-6)
+        assert u.total == 0.0 and u.u_tm_only == 0.0 and u.u_te_only == 0.0
+        assert u.tail_estimate == 0.0
+        assert u.modes_used == 0
+        corners = [p for p in (p1, p2) if p[0] in (0.0, 1.0) and p[1] in (0.0, 0.6)]
+        assert len(u.warnings) == len(corners)
+        for note, (x, y) in zip(u.warnings, corners):
+            assert f"corner ({x:g}, {y:g})" in note
+        fixed = f_tensor(cfg, E100, max_cutoff=50.0)
+        assert not np.any(fixed.tensor) and fixed.modes_used == 0
+
+    def test_edge_is_not_a_corner(self):
+        cfg = PairConfiguration(SQ, TransversePoint(0.0, 0.4),
+                                TransversePoint(0.6, 0.5), 0.5, ISO, ISO)
+        u = dispersion_energy(cfg, tail_tol=1e-6)
+        assert u.total < 0.0 and u.modes_used > 0 and u.warnings == []
+
+
+_ONE_SIGN = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 2.0),
+                      st.floats(0.0, 2.0))
+
+
+@st.composite
+def _tail_cases(draw):
+    b = draw(st.floats(0.5, 1.0))
+    points = [TransversePoint(draw(st.floats(0.05, 0.95)),
+                              draw(st.floats(0.05, 0.95)) * b) for _ in range(2)]
+    orientation = draw(st.sampled_from(["isotropic-average", "fixed-vector"]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    levels = draw(st.lists(st.tuples(st.floats(20.0, 200.0), _ONE_SIGN),
+                           min_size=1, max_size=3,
+                           unique_by=lambda level: level[0]))
+    species = DipoleSpecies(tuple(
+        DipoleTransition(2.0 * math.pi / lam, tuple(sign * c for c in d))
+        for lam, d in levels), orientation)
+    z = draw(st.floats(0.05, 5.0))
+    return PairConfiguration(Geometry(1.0, b), points[0], points[1], z,
+                             species, species)
+
+
+class TestTailBoundProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(cfg=_tail_cases())
+    def test_tail_bounds_truncation_error(self, cfg):
+        # Reference: the same sum at twice the largest chosen cutoff.
+        u = dispersion_energy(cfg, tail_tol=1e-6)
+        cutoff = max(f.max_cutoff for f in u.f_by_level.values())
+        ref = dispersion_energy(cfg, max_cutoff=2.0 * cutoff)
+        assert abs(u.total - ref.total) <= u.tail_estimate + ref.tail_estimate
+
+
 class TestDispersionEnergy:
     def test_free_space_recovery(self):
         cfg = _config(0.01)

@@ -197,3 +197,113 @@ class TestEnumeration:
         tables = mode_arrays(SQ, 12.0)
         n_total = tables["TM"]["k"].size + tables["TE"]["k"].size
         assert n_total == len(enumerate_modes(SQ, 12.0))
+
+
+def _box_listing(geom, max_cutoff):
+    """Reference table: mask a meshgrid over the whole index box, then sort
+    each polarization with its own stable argsort."""
+    limit = max_cutoff * (1.0 + 1e-12)
+    m = np.arange(0, int(limit * geom.a / math.pi) + 2)
+    n = np.arange(0, int(limit * geom.b / math.pi) + 2)
+    mm, nn = np.meshgrid(m, n, indexing="ij")
+    kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
+    inside = kk <= limit
+    out = {}
+    for name, mask in (("TM", inside & (mm >= 1) & (nn >= 1)),
+                       ("TE", inside & ~((mm == 0) & (nn == 0)))):
+        order = np.argsort(kk[mask], kind="stable")
+        out[name] = {"m": mm[mask][order], "n": nn[mask][order],
+                     "k": kk[mask][order]}
+    return out
+
+
+def _loop_enumeration(geom, max_cutoff):
+    """Reference enumeration: a double loop with the documented sort key."""
+    limit = max_cutoff * (1.0 + 1e-12)
+    found = []
+    for m in range(0, int(limit * geom.a / math.pi) + 2):
+        for n in range(0, int(limit * geom.b / math.pi) + 2):
+            if m == 0 and n == 0:
+                continue
+            kmn = math.hypot(m * math.pi / geom.a, n * math.pi / geom.b)
+            if kmn > limit:
+                continue
+            found.append((kmn, 1, -m, n, ModeIndex("TE", m, n)))
+            if m >= 1 and n >= 1:
+                found.append((kmn, 0, -m, n, ModeIndex("TM", m, n)))
+    found.sort(key=lambda row: row[:4])
+    return [row[4] for row in found]
+
+
+def _assert_tables_equal(got, want):
+    for pol in ("TM", "TE"):
+        for key in ("m", "n", "k"):
+            assert got[pol][key].dtype == want[pol][key].dtype
+            assert np.array_equal(got[pol][key], want[pol][key]), (pol, key)
+
+
+class TestModeShells:
+    def test_full_table_matches_box_listing(self):
+        for geom, cutoff in ((SQ, 12.0), (Geometry(1.0, 0.7), 40.0),
+                             (Geometry(2.3, 0.4), 55.5), (SQ, 3.2)):
+            _assert_tables_equal(mode_arrays(geom, cutoff),
+                                 _box_listing(geom, cutoff))
+
+    def test_concatenated_shells_equal_one_shot_table(self):
+        # Random guides and growing cutoff sequences; every third sequence
+        # has its cutoffs placed exactly on lattice points.
+        rng = np.random.default_rng(2024)
+        for trial in range(60):
+            geom = Geometry(float(rng.uniform(0.3, 2.0)),
+                            float(rng.uniform(0.3, 2.0)))
+            cutoff = float(rng.uniform(0.5, 15.0)) * math.pi / min(geom.a, geom.b)
+            cutoffs = [cutoff * 1.3 ** step for step in range(5)]
+            if trial % 3 == 0:
+                cutoffs = [cutoff_wavenumber(geom, ModeIndex("TE", int(m), int(n)))
+                           for m, n in sorted(rng.integers(1, 30, size=(5, 2)),
+                                              key=lambda mn: tuple(mn))]
+                cutoffs = sorted(set(cutoffs))
+            lower = None
+            shells = []
+            for k in cutoffs:
+                shells.append(mode_arrays(geom, k, lower))
+                lower = k
+            joined = {pol: {key: np.concatenate([s[pol][key] for s in shells])
+                            for key in ("m", "n", "k")} for pol in ("TM", "TE")}
+            _assert_tables_equal(joined, _box_listing(geom, cutoffs[-1]))
+
+    def test_shell_edges_on_lattice_points(self):
+        # TE10 and TM11 of the square guide sit exactly on the edges.
+        k10 = cutoff_wavenumber(SQ, ModeIndex("TE", 1, 0))
+        k11 = cutoff_wavenumber(SQ, ModeIndex("TM", 1, 1))
+        shell = mode_arrays(SQ, k11, k10)
+        assert list(zip(shell["TE"]["m"], shell["TE"]["n"])) == [(1, 1)]
+        assert list(zip(shell["TM"]["m"], shell["TM"]["n"])) == [(1, 1)]
+        assert mode_arrays(SQ, k11, k11)["TE"]["k"].size == 0
+
+    def test_enumeration_matches_loop_reference(self):
+        for geom, cutoff in ((SQ, 25.0), (Geometry(1.0, 0.7), 30.0),
+                             (Geometry(1.7, 0.9), 21.0)):
+            assert enumerate_modes(geom, cutoff) == _loop_enumeration(geom, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_cutoff(self, cutoff):
+        with pytest.raises(InputError, match="positive and finite"):
+            mode_arrays(SQ, cutoff)
+        with pytest.raises(InputError, match="positive and finite"):
+            enumerate_modes(SQ, cutoff)
+
+    @pytest.mark.parametrize("lower", [math.inf, math.nan, -1.0])
+    def test_rejects_bad_lower_cutoff(self, lower):
+        with pytest.raises(InputError, match="lower_cutoff"):
+            mode_arrays(SQ, 10.0, lower)
+
+
+class TestCorner:
+    def test_only_the_four_corners(self):
+        g = Geometry(1.0, 0.6)
+        corners = [TransversePoint(x, y) for x in (0.0, 1.0) for y in (0.0, 0.6)]
+        assert all(g.is_corner(p) for p in corners)
+        for p in (TransversePoint(0.0, 0.3), TransversePoint(0.5, 0.6),
+                  TransversePoint(0.5, 0.3)):
+            assert not g.is_corner(p)
