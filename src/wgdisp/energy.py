@@ -202,11 +202,13 @@ def _axis_trig(geom, m, n, p2, p1):
             np.sin(ty).take(n, axis=1), np.cos(ty).take(n, axis=1))
 
 
-def _tm_mode_tensors(geom, m, n, k, p1, p2, z, conventions):
+def _tm_mode_tensors(geom, m, n, k, p1, p2, z, conventions, out=None):
     """Per-mode 3x3 TM coupling arrays, vectorized over the mode list.
 
     ``m`` and ``n`` are integer index arrays; the trig factors come from
-    :func:`_axis_trig`.
+    :func:`_axis_trig`.  The (3, 3, N) result is written into ``out``
+    when given (a slice of the caller's per-mode array), with the
+    products in the same order as a fresh array would get them.
     """
     signs = _tm_sign_matrix(conventions)
     ax = m * np.pi / geom.a
@@ -223,14 +225,18 @@ def _tm_mode_tensors(geom, m, n, k, p1, p2, z, conventions):
         cross = (pref * cx[0] * sy[0] * sx[1] * cy[1],
                  pref * sx[0] * cy[0] * cx[1] * sy[1])
     del sx, cx, sy, cy  # free the gathers before the (3, 3, N) product
-    out = signs[:, :, None] * base[None, None, :] * f[0][:, None, :] * f[1][None, :, :]
+    if out is None:
+        out = np.empty((3, 3, k.size))
+    np.multiply(signs[:, :, None], base[None, None, :], out=out)
+    out *= f[0][:, None, :]
+    out *= f[1][None, :, :]
     if paper:
         out[0, 1, :], out[1, 0, :] = cross
     return out
 
 
-def _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conventions):
-    """Per-mode 3x3 TE coupling arrays; ``m``, ``n`` as in the TM kernel."""
+def _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conventions, out=None):
+    """Per-mode 3x3 TE coupling arrays; ``m``, ``n`` and ``out`` as in the TM kernel."""
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
@@ -244,7 +250,11 @@ def _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conventions):
     e = np.stack([ex, ey, np.zeros_like(ex)], axis=1)
     del sx, cx, sy, cy, ex, ey  # free before the (3, 3, N) product
     radial = factor * energy * _scipy_k0(k * z)
-    return radial[None, None, :] * e[0][:, None, :] * e[1][None, :, :]
+    if out is None:
+        out = np.empty((3, 3, k.size))
+    np.multiply(radial[None, None, :], e[0][:, None, :], out=out)
+    out *= e[1][None, :, :]
+    return out
 
 
 def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
@@ -288,10 +298,13 @@ def f_tensor(
 
     Each growth step lists only the new shell of modes between the
     previous cutoff and the current one (``mode_arrays`` with a lower
-    edge), evaluates the coupling kernels on it, and appends its columns
-    to the per-mode arrays.  Shells come sorted by cutoff with a stable
-    tie order, so the accumulated arrays are exactly the arrays of one
-    fixed-cutoff sum at the final cutoff and the two truncations give
+    edge), grows the per-mode arrays to the new mode count, and has the
+    coupling kernels write the shell's columns straight into them.  No
+    shell-sized (3, 3, N) temporary or concatenation comes and goes on
+    the heap; with them, the peak memory of a process depended on how
+    earlier calls had left the heap.  Shells come sorted by cutoff with a
+    stable tie order, so the accumulated arrays are exactly the arrays of
+    one fixed-cutoff sum at the final cutoff and the two truncations give
     bit-identical results.
 
     With either dipole at a corner of the cross-section every mode
@@ -314,10 +327,10 @@ def f_tensor(
                              te_tensor=np.zeros((3, 3)), modes_used=0,
                              tail_bound=0.0, max_cutoff=K)
     kernels = {
-        TM: lambda t: _tm_mode_tensors(geom, t["m"], t["n"], t["k"],
-                                       p1, p2, z, conv),
-        TE: lambda t: _te_mode_tensors(geom, t["m"], t["n"], t["k"],
-                                       p1, p2, z, energy, conv),
+        TM: lambda t, out: _tm_mode_tensors(geom, t["m"], t["n"], t["k"],
+                                            p1, p2, z, conv, out),
+        TE: lambda t, out: _te_mode_tensors(geom, t["m"], t["n"], t["k"],
+                                            p1, p2, z, energy, conv, out),
     }
     shells = {TM: [], TE: []}
     tensors = {TM: np.zeros((3, 3, 0)), TE: np.zeros((3, 3, 0))}
@@ -328,8 +341,11 @@ def f_tensor(
         shell = mode_arrays(geom, K, K_prev)
         for pol, table in shell.items():
             if table["k"].size:
-                tensors[pol] = np.concatenate(
-                    (tensors[pol], kernels[pol](table)), axis=2)
+                start = tensors[pol].shape[2]
+                grown = np.empty((3, 3, start + table["k"].size))
+                grown[:, :, :start] = tensors[pol]
+                tensors[pol] = grown
+                kernels[pol](table, grown[:, :, start:])
         n_modes = tensors[TM].shape[2] + tensors[TE].shape[2]
         if n_modes <= detail_cap:  # past the cap no detail is kept
             for pol, table in shell.items():

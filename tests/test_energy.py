@@ -264,6 +264,28 @@ class TestKernels:
                           te["k"], p1, p2, z, E100, conv)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_write_into_slice_of_larger_array(self, convention):
+        # f_tensor has the kernels fill a column range of its grown per-mode
+        # arrays; that must give the same bits as a fresh array and leave
+        # the other columns alone.
+        from wgdisp.energy import _te_mode_tensors, _tm_mode_tensors
+        from wgdisp.waveguide import mode_arrays
+        geom = Geometry(1.0, 0.7)
+        p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
+        conv = Conventions.from_name(convention)
+        tables = mode_arrays(geom, 120.0, 60.0)
+        for pol, kernel, extra in (("TM", _tm_mode_tensors, ()),
+                                   ("TE", _te_mode_tensors, (E100,))):
+            t = tables[pol]
+            fresh = kernel(geom, t["m"], t["n"], t["k"], p1, p2, 0.05,
+                           *extra, conv)
+            grown = np.full((3, 3, t["k"].size + 7), 3.5)
+            kernel(geom, t["m"], t["n"], t["k"], p1, p2, 0.05, *extra, conv,
+                   grown[:, :, 7:])
+            assert np.array_equal(grown[:, :, 7:], fresh)
+            assert np.all(grown[:, :, :7] == 3.5)
+
 
 class TestCornerDipole:
     @pytest.mark.parametrize("p1, p2", [
