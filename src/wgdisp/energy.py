@@ -207,7 +207,7 @@ def _tm_mode_tensors(geom, m, n, k, p1, p2, z, conventions, out=None):
 
     ``m`` and ``n`` are integer index arrays; the trig factors come from
     :func:`_axis_trig`.  The (3, 3, N) result is written into ``out``
-    when given (a slice of the caller's per-mode array), with the
+    when given (one of :func:`f_tensor`'s column blocks), with the
     products in the same order as a fresh array would get them.
     """
     signs = _tm_sign_matrix(conventions)
@@ -281,6 +281,33 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
+# Per-mode kernel columns are computed and kept in blocks of at most this
+# many modes (2.4 MB per (3, 3, n) block).  Growing one array per
+# polarization by a copy at every cutoff step left holes in the malloc heap
+# that later calls reused or not depending on earlier ones, so the peak
+# memory of a long-running process changed from run to run by up to 10 MB.
+_BLOCK = 1 << 15
+
+
+def _column_sum(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Sum over the mode axis of (3, 3, n_b) blocks holding n columns in all.
+
+    Bit for bit ``np.concatenate(blocks, axis=2).sum(axis=2)``: each
+    component's columns are gathered into one contiguous row, so numpy's
+    pairwise summation sees the same sequence, and only one row is held
+    at a time.
+    """
+    if len(blocks) <= 1:
+        return blocks[0].sum(axis=2) if blocks else np.zeros((3, 3))
+    row = np.empty(n)
+    out = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            np.concatenate([b[i, j] for b in blocks], out=row)
+            out[i, j] = row.sum()
+    return out
+
+
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -298,14 +325,13 @@ def f_tensor(
 
     Each growth step lists only the new shell of modes between the
     previous cutoff and the current one (``mode_arrays`` with a lower
-    edge), grows the per-mode arrays to the new mode count, and has the
-    coupling kernels write the shell's columns straight into them.  No
-    shell-sized (3, 3, N) temporary or concatenation comes and goes on
-    the heap; with them, the peak memory of a process depended on how
-    earlier calls had left the heap.  Shells come sorted by cutoff with a
-    stable tie order, so the accumulated arrays are exactly the arrays of
-    one fixed-cutoff sum at the final cutoff and the two truncations give
-    bit-identical results.
+    edge) and has the coupling kernels write its columns into new blocks
+    of at most ``_BLOCK`` modes; blocks are never grown or copied, except
+    that a polarization's blocks are merged while they hold no more than
+    one block's worth.  Shells come sorted by cutoff with a stable tie
+    order and :func:`_column_sum` sums the blocks as one array, so the
+    sums are exactly those of one fixed-cutoff sum at the final cutoff
+    and the two truncations give bit-identical results.
 
     With either dipole at a corner of the cross-section every mode
     profile vanishes there, so the tensor is exactly zero and no mode is
@@ -333,25 +359,27 @@ def f_tensor(
                                             p1, p2, z, energy, conv, out),
     }
     shells = {TM: [], TE: []}
-    tensors = {TM: np.zeros((3, 3, 0)), TE: np.zeros((3, 3, 0))}
+    blocks = {TM: [], TE: []}
+    n_cols = {TM: 0, TE: 0}
     K_prev = None
     while True:
         if mode_count(geom, K) > mode_cap:
             raise ModeCapError(mode_count(geom, K), mode_cap)
         shell = mode_arrays(geom, K, K_prev)
         for pol, table in shell.items():
-            if table["k"].size:
-                start = tensors[pol].shape[2]
-                grown = np.empty((3, 3, start + table["k"].size))
-                grown[:, :, :start] = tensors[pol]
-                tensors[pol] = grown
-                kernels[pol](table, grown[:, :, start:])
-        n_modes = tensors[TM].shape[2] + tensors[TE].shape[2]
+            for c0 in range(0, table["k"].size, _BLOCK):
+                chunk = {key: v[c0:c0 + _BLOCK] for key, v in table.items()}
+                blocks[pol].append(
+                    kernels[pol](chunk, np.empty((3, 3, chunk["k"].size))))
+            n_cols[pol] += table["k"].size
+            if len(blocks[pol]) > 1 and n_cols[pol] <= _BLOCK:
+                blocks[pol] = [np.concatenate(blocks[pol], axis=2)]
+        n_modes = n_cols[TM] + n_cols[TE]
         if n_modes <= detail_cap:  # past the cap no detail is kept
             for pol, table in shell.items():
                 shells[pol].append(table)
-        tm_sum = tensors[TM].sum(axis=2)
-        te_sum = tensors[TE].sum(axis=2)
+        tm_sum = _column_sum(blocks[TM], n_cols[TM])
+        te_sum = _column_sum(blocks[TE], n_cols[TE])
         tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
         if max_cutoff is not None:
             break
@@ -360,7 +388,10 @@ def f_tensor(
             break
         K_prev = K
         K *= 1.3
-    detail = (shells, tensors) if n_modes <= detail_cap else None
+    detail = None
+    if n_modes <= detail_cap:
+        detail = (shells, {pol: np.concatenate(b, axis=2) if b else np.zeros((3, 3, 0))
+                           for pol, b in blocks.items()})
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, modes_used=n_modes,
                          tail_bound=tail, max_cutoff=K, _detail=detail)

@@ -287,6 +287,39 @@ class TestKernels:
             assert np.all(grown[:, :, :7] == 3.5)
 
 
+class TestColumnBlocks:
+    def test_block_sum_is_one_array_sum_bitwise(self):
+        from wgdisp.energy import _column_sum
+        rng = np.random.default_rng(3)
+        for sizes in ([5], [32768, 32768, 20001], [1, 300, 7], [40000, 9, 1234]):
+            blocks = [rng.normal(size=(3, 3, s)) * 10.0 ** rng.uniform(-3, 3, size=(3, 3, 1))
+                      for s in sizes]
+            whole = np.concatenate(blocks, axis=2)
+            assert np.array_equal(_column_sum(blocks, sum(sizes)), whole.sum(axis=2))
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_many_blocks_match_one_kernel_call(self, convention):
+        # Over 3 blocks per polarization: the sums must equal those of one
+        # kernel call over the whole cutoff-sorted table, bit for bit.
+        from wgdisp.energy import _BLOCK, _te_mode_tensors, _tm_mode_tensors
+        from wgdisp.waveguide import mode_arrays
+        geom = Geometry(1.0, 0.8)
+        p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
+        conv = Conventions.from_name(convention)
+        K, z = 1300.0, 0.02
+        tables = mode_arrays(geom, K)
+        assert tables["TM"]["k"].size > 3 * _BLOCK
+        tm, te = tables["TM"], tables["TE"]
+        want_tm = _tm_mode_tensors(geom, tm["m"], tm["n"], tm["k"], p1, p2, z,
+                                   conv).sum(axis=2)
+        want_te = _te_mode_tensors(geom, te["m"], te["n"], te["k"], p1, p2, z,
+                                   E100, conv).sum(axis=2)
+        cfg = _config(z, p1=p1, p2=p2, geom=geom, conventions=conv)
+        ft = f_tensor(cfg, E100, max_cutoff=K)
+        assert np.array_equal(ft.tm_tensor, want_tm)
+        assert np.array_equal(ft.te_tensor, want_te)
+
+
 class TestCornerDipole:
     @pytest.mark.parametrize("p1, p2", [
         ((0.0, 0.0), (1.0, 0.6)), ((1.0, 0.0), (0.4, 0.3)),
