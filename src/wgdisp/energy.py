@@ -281,11 +281,12 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
-# Per-mode kernel columns are computed and kept in blocks of at most this
-# many modes (2.4 MB per (3, 3, n) block).  Growing one array per
-# polarization by a copy at every cutoff step left holes in the malloc heap
-# that later calls reused or not depending on earlier ones, so the peak
-# memory of a long-running process changed from run to run by up to 10 MB.
+# f_tensor keeps per-mode kernel columns in blocks of at most this many
+# modes (2.4 MB per (3, 3, n) block) that are never grown or copied.  An
+# array grown at every cutoff step leaves holes in the malloc heap that
+# later calls reuse or not, depending on earlier ones, and the peak memory
+# of a long-running process then changes from run to run (by up to 10 MB
+# over the benchmark's oracle workload).
 _BLOCK = 1 << 15
 
 
