@@ -20,7 +20,7 @@ from .coupling import (CouplingValue, QuadratureSpec, f_quadrature,
                        f_te_closed, f_tm_closed)
 from .energy import (DipoleSpecies, DipoleTransition, EnergyBreakdown,
                      FTensorResult, PairConfiguration, dispersion_energy,
-                     f_tensor, polarizability, ratio_to_freespace,
+                     dispersion_sweep, f_tensor, polarizability, ratio_to_freespace,
                      u_freespace_cp, u_freespace_vdw,
                      u_near_field_assembled, u_retarded_closed,
                      u_retarded_polarizability_form)
@@ -42,7 +42,7 @@ __all__ = [
     "cutoff_wavenumber", "mode_frequency", "transverse_profile",
     "normalization_integral", "enumerate_modes",
     "f_tm_closed", "f_te_closed", "f_quadrature",
-    "f_tensor", "dispersion_energy", "polarizability",
+    "f_tensor", "dispersion_energy", "dispersion_sweep", "polarizability",
     "u_retarded_closed", "u_retarded_polarizability_form",
     "u_freespace_vdw", "u_freespace_cp", "u_near_field_assembled",
     "ratio_to_freespace",

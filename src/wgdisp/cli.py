@@ -24,7 +24,8 @@ from .waveguide import (Geometry, ModeIndex, TransversePoint,
 from .coupling import (ORIENTATIONS, QuadratureSpec, f_quadrature,
                        f_te_closed, f_tm_closed)
 from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
-                     ratio_to_freespace, u_freespace_cp, u_freespace_vdw)
+                     dispersion_sweep, ratio_to_freespace, u_freespace_cp,
+                     u_freespace_vdw)
 from .asymptotics import SumSpec, reduced_zz_sum_direct, reduced_zz_sum_integral
 from .species_io import parse_species_file
 
@@ -213,14 +214,22 @@ def cmd_coupling(args) -> int:
 
 
 def _truncation(args) -> dict:
-    """Keyword for dispersion_energy: --max-cutoff if given, else --tail-tol."""
+    """Truncation keyword: --max-cutoff if given, else --tail-tol."""
     max_cutoff = _resolve(args, "max_cutoff")
     if max_cutoff is not None:
         return {"max_cutoff": float(max_cutoff)}
     return {"tail_tol": float(_resolve(args, "tail_tol", 1e-6))}
 
 
+def _ratio(u: float, reference: float) -> float:
+    # Adding 0.0 prints a zero energy's ratio as 0.0, not -0.0.
+    return u / reference + 0.0 if reference else math.nan
+
+
 def _energy_report(args, z: float) -> dict:
+    top_n = int(_resolve(args, "top_modes", 8))
+    if top_n < 0:
+        raise InputError(f"top_modes must be non-negative, got {top_n}")
     config = _pair_configuration(args, z)
     kwargs = _truncation(args)
     breakdown = dispersion_energy(config, **kwargs)
@@ -232,7 +241,6 @@ def _energy_report(args, z: float) -> dict:
         _w.simplefilter("ignore")
         fs_cp = u_freespace_cp(sp1, sp2, z, epsilon=config.epsilon)
 
-    top_n = int(_resolve(args, "top_modes", 8))
     lowest_e = min(t.energy for t in sp1.transitions)
     top_modes = []
     f_res = breakdown.f_by_level.get(lowest_e)
@@ -269,7 +277,7 @@ def _energy_report(args, z: float) -> dict:
         "top_modes": top_modes,
         "freespace_vdw_tensor": fs_vdw,
         "freespace_cp": fs_cp,
-        "ratio_to_freespace_vdw": breakdown.total / fs_vdw if fs_vdw else math.nan,
+        "ratio_to_freespace_vdw": _ratio(breakdown.total, fs_vdw),
         "warnings": breakdown.warnings,
     }
     si_a = _resolve(args, "si_a_meters")
@@ -309,21 +317,19 @@ def cmd_sweep(args) -> int:
     else:
         raise InputError(f"spacing must be 'log' or 'linear', got {spacing!r}")
 
+    zs = [float(z) for z in grid]
     sp1, sp2 = _species_pair(args)
-    eps = float(_resolve(args, "epsilon", 1.0))
-    truncation = _truncation(args)
+    config = _pair_configuration(args, zs[0], species=(sp1, sp2))
+    eps = config.epsilon
     rows = []
     import warnings as _w
-    for z in grid:
-        config = _pair_configuration(args, float(z), species=(sp1, sp2))
-        breakdown = dispersion_energy(config, **truncation)
-        fs_vdw = u_freespace_vdw(sp1, sp2, float(z), form="tensor", epsilon=eps)
+    for z, breakdown in zip(zs, dispersion_sweep(config, zs, **_truncation(args))):
+        fs_vdw = u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=eps)
         with _w.catch_warnings():
             _w.simplefilter("ignore")
-            fs_cp = u_freespace_cp(sp1, sp2, float(z), epsilon=eps)
-        ratio = breakdown.total / fs_vdw if fs_vdw else math.nan
-        rows.append([float(z), breakdown.total, fs_vdw, fs_cp, ratio,
-                     breakdown.tail_estimate])
+            fs_cp = u_freespace_cp(sp1, sp2, z, epsilon=eps)
+        rows.append([z, breakdown.total, fs_vdw, fs_cp,
+                     _ratio(breakdown.total, fs_vdw), breakdown.tail_estimate])
     _emit(args, _csv(["z_over_a", "U", "U_freespace_vdw", "U_freespace_cp",
                       "ratio", "tail_estimate"], rows))
     return EXIT_OK

@@ -20,8 +20,9 @@ hbar c / length.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -108,8 +109,9 @@ class PairConfiguration:
     def __post_init__(self):
         if not (self.z > 0.0 and math.isfinite(self.z)):
             raise InputError(f"axial separation must be positive, got z={self.z!r}")
-        if not (self.epsilon > 0.0):
-            raise InputError(f"permittivity must be positive, got {self.epsilon!r}")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise InputError(f"permittivity must be positive and finite, "
+                             f"got {self.epsilon!r}")
         if not (self.geom.contains(self.p1) and self.geom.contains(self.p2)):
             raise InputError("both dipoles must sit inside the cross-section")
 
@@ -126,9 +128,8 @@ class FTensorResult:
     ``per_mode`` maps each summed mode to its own 3x3 coupling, or is
     ``None`` when the sum used more than ``detail_cap`` modes, came from
     an explicit mode list, or had a dipole at a corner.  The map is built
-    on first read from the mode shells and per-mode arrays that
-    :func:`f_tensor` keeps, so callers that only need the sums never pay
-    for it.
+    on first read from the factor rows of the :class:`ModeTable` the sum
+    came from, so callers that only need the sums never pay for it.
     """
 
     tensor: np.ndarray
@@ -143,14 +144,8 @@ class FTensorResult:
     def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
         if self._detail is None:
             return None
-        shells, tensors = self._detail
-        per_mode = {}
-        for pol in (TM, TE):
-            m = np.concatenate([table["m"] for table in shells[pol]]).tolist()
-            n = np.concatenate([table["n"] for table in shells[pol]]).tolist()
-            for idx, mn in enumerate(zip(m, n)):
-                per_mode[ModeIndex(pol, *mn)] = tensors[pol][:, :, idx].copy()
-        return per_mode
+        table, counts, z, energy = self._detail
+        return table.per_mode(counts, z, energy)
 
 
 @dataclass
@@ -202,58 +197,84 @@ def _axis_trig(geom, m, n, p2, p1):
             np.sin(ty).take(n, axis=1), np.cos(ty).take(n, axis=1))
 
 
-def _tm_mode_tensors(geom, m, n, k, p1, p2, z, conventions, out=None):
-    """Per-mode 3x3 TM coupling arrays, vectorized over the mode list.
+def _te_factor(conventions: Conventions) -> float:
+    return -2.0 if conventions.te_factor == "derivation-consistent" else 1.0
 
-    ``m`` and ``n`` are integer index arrays; the trig factors come from
-    :func:`_axis_trig`.  The (3, 3, N) result is written into ``out``
-    when given (one of :func:`f_tensor`'s column blocks), with the
-    products in the same order as a fresh array would get them.
+
+def _paper_cross(geom, k, trig, decay):
+    """Printed paper-literal TM xy and yx couplings per mode.
+
+    ``trig`` is the output of :func:`_axis_trig` and ``decay`` the radial
+    factor e^{-kz} (1.0 for the z-independent rows of a mode table).
     """
-    signs = _tm_sign_matrix(conventions)
+    sx, cx, sy, cy = trig
+    pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
+    return (pref * cx[0] * sy[0] * sx[1] * cy[1],
+            pref * sx[0] * cy[0] * cx[1] * sy[1])
+
+
+def _tm_rows(geom, m, n, k, p1, p2, conventions):
+    """z-independent TM factor rows of a mode list, shape (6, N) or (8, N).
+
+    Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
+    at p1, so mode by mode the TM coupling is
+    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j].  Under paper-literal
+    signs rows 6 and 7 hold the printed xy and yx couplings without their
+    e^{-kz}.  ``m`` and ``n`` are integer index arrays; the trig factors
+    come from :func:`_axis_trig`.
+    """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
-    decay = np.exp(-k * z)
-    base = (4.0 * np.pi / geom.area) * k * decay
-    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
-    # Row 0 (index i) at p2, row 1 (index j) at p1.
-    f = np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy], axis=1)
-    paper = conventions.tm_sign == "paper-literal"
-    if paper:
-        # Printed transverse-cross prefactor replaces the structural one.
-        pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
-        cross = (pref * cx[0] * sy[0] * sx[1] * cy[1],
-                 pref * sx[0] * cy[0] * cx[1] * sy[1])
-    del sx, cx, sy, cy  # free the gathers before the (3, 3, N) product
-    if out is None:
-        out = np.empty((3, 3, k.size))
-    np.multiply(signs[:, :, None], base[None, None, :], out=out)
-    out *= f[0][:, None, :]
-    out *= f[1][None, :, :]
-    if paper:
-        out[0, 1, :], out[1, 0, :] = cross
-    return out
+    trig = _axis_trig(geom, m, n, p2, p1)
+    sx, cx, sy, cy = trig
+    rows = np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
+                    axis=1).reshape(6, k.size)
+    if conventions.tm_sign == "paper-literal":
+        rows = np.vstack([rows, *_paper_cross(geom, k, trig, 1.0)])
+    return rows
 
 
-def _te_mode_tensors(geom, m, n, k, p1, p2, z, energy, conventions, out=None):
-    """Per-mode 3x3 TE coupling arrays; ``m``, ``n`` and ``out`` as in the TM kernel."""
+def _te_rows(geom, m, n, k, p1, p2, conventions):
+    """z-independent TE profile rows of a mode list, shape (4, N).
+
+    Rows 0-1 hold the x and y profile components at p2 and rows 2-3 those
+    at p1, so mode by mode the TE coupling is
+    factor E K0(kz) rows[i] rows[2 + j]; the z components vanish.
+    """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
     if conventions.normalization == "unit-normalized":
         nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
-    factor = -2.0 if conventions.te_factor == "derivation-consistent" else 1.0
     root_a = 2.0 / math.sqrt(geom.area)
     sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
     ex = -root_a * nf * (ay / k) * cx * sy
     ey = root_a * nf * (ax / k) * sx * cy
-    e = np.stack([ex, ey, np.zeros_like(ex)], axis=1)
-    del sx, cx, sy, cy, ex, ey  # free before the (3, 3, N) product
-    radial = factor * energy * _scipy_k0(k * z)
-    if out is None:
-        out = np.empty((3, 3, k.size))
-    np.multiply(radial[None, None, :], e[0][:, None, :], out=out)
-    out *= e[1][None, :, :]
+    return np.stack([ex, ey], axis=1).reshape(4, k.size)
+
+
+def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
+    """Per-mode 3x3 TM couplings, shape (3, 3, N), from :func:`_tm_rows` rows."""
+    decay = np.exp(-k * z)
+    base = (4.0 * np.pi / geom.area) * k * decay
+    out = _tm_sign_matrix(conventions)[:, :, None] * base[None, None, :]
+    out *= rows[0:3, None, :]
+    out *= rows[None, 3:6, :]
+    if conventions.tm_sign == "paper-literal":
+        # The table's cross rows lack e^{-kz}; multiplying it in afterwards
+        # would round differently from the printed product order.
+        out[0, 1, :], out[1, 0, :] = _paper_cross(
+            geom, k, _axis_trig(geom, m, n, p2, p1), decay)
+    return out
+
+
+def _te_mode_tensors(k, rows, z, energy, conventions):
+    """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows."""
+    radial = _te_factor(conventions) * energy * _scipy_k0(k * z)
+    zero = np.zeros((1, k.size))
+    out = np.empty((3, 3, k.size))
+    np.multiply(radial[None, None, :], np.vstack([rows[0:2], zero])[:, None, :], out=out)
+    out *= np.vstack([rows[2:4], zero])[None, :, :]
     return out
 
 
@@ -281,32 +302,205 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
-# f_tensor keeps per-mode kernel columns in blocks of at most this many
-# modes (2.4 MB per (3, 3, n) block) that are never grown or copied.  An
-# array grown at every cutoff step leaves holes in the malloc heap that
-# later calls reuse or not, depending on earlier ones, and the peak memory
-# of a long-running process then changes from run to run (by up to 10 MB
-# over the benchmark's oracle workload).
-_BLOCK = 1 << 15
+# A mode table keeps its modes in blocks at fixed table positions.  The
+# first block holds _FIRST_BLOCK modes and each next one twice as many as
+# the one before, up to _TABLE_BLOCK modes (about 0.4 MB per TM block), so
+# a small table allocates little.  Blocks are never grown or copied: arrays
+# grown at every cutoff step leave holes in the malloc heap that later
+# calls reuse or not, and the peak memory of a long-running process then
+# changes from run to run.  A block is also the unit of contraction, so
+# the order of a sum depends only on how many modes it covers, not on how
+# the table was filled.
+_FIRST_BLOCK = 1024
+_TABLE_BLOCK = 8192
+_GROWING_BLOCKS = (_TABLE_BLOCK // _FIRST_BLOCK).bit_length()
 
 
-def _column_sum(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """Sum over the mode axis of (3, 3, n_b) blocks holding n columns in all.
+def _block_start(j: int) -> int:
+    """Table position of the first mode of block j."""
+    if j <= _GROWING_BLOCKS:
+        return _FIRST_BLOCK << (j - 1) if j else 0
+    return _TABLE_BLOCK * (j + 1 - _GROWING_BLOCKS)
 
-    Bit for bit ``np.concatenate(blocks, axis=2).sum(axis=2)``: each
-    component's columns are gathered into one contiguous row, so numpy's
-    pairwise summation sees the same sequence, and only one row is held
-    at a time.
+
+def _block_index(position: int) -> int:
+    """Index of the block that holds table position ``position``."""
+    if position < _TABLE_BLOCK:
+        return (position // _FIRST_BLOCK).bit_length()
+    return position // _TABLE_BLOCK + _GROWING_BLOCKS - 1
+
+
+class _Block:
+    """Cutoffs, indices and factor rows of one block of a mode table."""
+
+    __slots__ = ("k", "mn", "rows")
+
+    def __init__(self, n_modes: int, n_rows: int):
+        self.k = np.empty(n_modes)
+        self.mn = np.empty((2, n_modes), dtype=np.int32)
+        self.rows = np.empty((n_modes, n_rows))  # one mode per row
+
+
+class ModeTable:
+    """Cutoff-sorted modes of one guide, pair of points and conventions.
+
+    Per polarization the table holds each mode's cutoff k, its indices
+    (m, n) and its z-independent transverse factor rows (:func:`_tm_rows`,
+    :func:`_te_rows`), listed shell by shell as :meth:`extend` raises the
+    cutoff.  Only the radial factors depend on the separation, so one
+    table serves every separation and transition level of a sweep:
+    :meth:`sums` weights the rows with (4 pi / A) k e^{-kz} (TM) and
+    K0(kz) (TE) and contracts them block by block.
     """
-    if len(blocks) <= 1:
-        return blocks[0].sum(axis=2) if blocks else np.zeros((3, 3))
-    row = np.empty(n)
-    out = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            np.concatenate([b[i, j] for b in blocks], out=row)
-            out[i, j] = row.sum()
-    return out
+
+    def __init__(self, geom: Geometry, p1: TransversePoint,
+                 p2: TransversePoint, conventions: Conventions):
+        self.key = (geom, p1, p2, conventions)
+        self.cutoff: float | None = None
+        self._blocks: dict[str, list[_Block]] = {TM: [], TE: []}
+        self._size = {TM: 0, TE: 0}
+        # Per separation: sums over whole blocks, sums by mode counts, and
+        # the radial factors of the block contracted last.
+        self._z = None
+        self._cumulative: dict[str, list[np.ndarray]] = {}
+        self._memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
+
+    def extend(self, K: float) -> None:
+        """List the modes with k <= K (1 + 1e-12) that the table lacks."""
+        if self.cutoff is not None and K <= self.cutoff:
+            return
+        geom, p1, p2, conv = self.key
+        shell = mode_arrays(geom, K, self.cutoff)
+        for pol, rows_of in ((TM, _tm_rows), (TE, _te_rows)):
+            m, n, k = shell[pol]["m"], shell[pol]["n"], shell[pol]["k"]
+            start = 0
+            while start < k.size:
+                j = _block_index(self._size[pol])
+                off = self._size[pol] - _block_start(j)
+                stop = min(k.size, start + _block_start(j + 1) - self._size[pol])
+                part = slice(start, stop)
+                rows = rows_of(geom, m[part], n[part], k[part], p1, p2, conv)
+                if off == 0:
+                    self._blocks[pol].append(
+                        _Block(_block_start(j + 1) - _block_start(j), rows.shape[0]))
+                block = self._blocks[pol][j]
+                put = slice(off, off + stop - start)
+                block.k[put] = k[part]
+                block.mn[:, put] = m[part], n[part]
+                block.rows[put] = rows.T
+                self._size[pol] += stop - start
+                start = stop
+        self.cutoff = K
+
+    def _filled(self, pol: str, count: int):
+        """(block, modes used) pairs covering the first ``count`` modes."""
+        for j, block in enumerate(self._blocks[pol]):
+            used = min(block.k.size, count - _block_start(j))
+            if used <= 0:
+                return
+            yield block, used
+
+    def counts(self, K: float) -> tuple[int, int]:
+        """Numbers of TM and TE modes with k <= K (1 + 1e-12).
+
+        With the table extended to K these are the sizes of
+        ``mode_arrays(geom, K)``, whose modes are the table's first ones.
+        """
+        limit = K * (1.0 + 1e-12)
+        out = []
+        for pol in (TM, TE):
+            n = 0
+            for block, used in self._filled(pol, self._size[pol]):
+                if block.k[used - 1] > limit:
+                    n += int(np.searchsorted(block.k[:used], limit, side="right"))
+                    break
+                n += used
+            out.append(n)
+        return tuple(out)
+
+    def sums(self, z: float, counts: tuple[int, int]):
+        """TM tensor and unit-weight TE tensor over the first ``counts`` modes.
+
+        The TE tensor still lacks its factor * E.  Each full block is
+        contracted once per separation and added in table order; a final
+        partial block is added last.  The result is therefore a function
+        of z and ``counts`` alone, whatever else the table holds, and the
+        levels and growth steps at one z share the full blocks' sums.
+        """
+        if z != self._z:
+            self._z, self._memo = z, {}
+            self._cumulative = {pol: [np.zeros((3, 3))] for pol in (TM, TE)}
+            for cache in self._radial.values():
+                cache[0] = -1
+        if counts not in self._memo:
+            out = []
+            for pol, count in zip((TM, TE), counts):
+                full = _block_index(count)
+                part = count - _block_start(full)
+                cumulative = self._cumulative[pol]
+                while len(cumulative) <= full:
+                    j = len(cumulative) - 1
+                    cumulative.append(cumulative[j] + self._contract(
+                        pol, j, self._blocks[pol][j].k.size, z))
+                total = cumulative[full]
+                if part:
+                    total = total + self._contract(pol, full, part, z)
+                out.append(total)
+            self._memo[counts] = tuple(out)
+        return self._memo[counts]
+
+    def _radial_factor(self, pol: str, j: int, used: int, z: float) -> np.ndarray:
+        """e^{-kz} (TM) or K0(kz) (TE) over the first ``used`` modes of block j.
+
+        Growth steps and levels contract the last block again with more
+        modes; the factors already taken for it are kept, so each mode's
+        exp or K0 is evaluated once per separation.
+        """
+        cache = self._radial[pol]  # [block, modes done, values]
+        if cache[0] != j:
+            cache[:] = j, 0, np.empty(self._blocks[pol][j].k.size)
+        if used > cache[1]:
+            kz = self._blocks[pol][j].k[cache[1]:used] * z
+            cache[2][cache[1]:used] = np.exp(-kz) if pol == TM else _scipy_k0(kz)
+            cache[1] = used
+        return cache[2][:used]
+
+    def _contract(self, pol: str, j: int, used: int, z: float) -> np.ndarray:
+        """3x3 sum over the first ``used`` modes of block j at separation z."""
+        geom, _, _, conv = self.key
+        block = self._blocks[pol][j]
+        k, rows = block.k[:used], block.rows[:used]
+        radial = self._radial_factor(pol, j, used, z)
+        out = np.zeros((3, 3))
+        if pol == TE:
+            out[:2, :2] = (rows[:, 0:2] * radial[:, None]).T @ rows[:, 2:4]
+            return out
+        out[:] = (rows[:, 0:3] * (radial * k)[:, None]).T @ rows[:, 3:6]
+        out *= (4.0 * np.pi / geom.area) * _tm_sign_matrix(conv)
+        if conv.tm_sign == "paper-literal":
+            out[0, 1], out[1, 0] = radial @ rows[:, 6:8]
+        return out
+
+    def per_mode(self, counts: tuple[int, int], z: float,
+                 energy: float) -> dict[ModeIndex, np.ndarray]:
+        """Each of the first ``counts`` modes mapped to its 3x3 coupling."""
+        geom, p1, p2, conv = self.key
+        out = {}
+        for pol, count in zip((TM, TE), counts):
+            if count == 0:
+                continue
+            parts = [(b.k[:used], b.mn[:, :used], b.rows[:used].T)
+                     for b, used in self._filled(pol, count)]
+            k, mn, rows = (np.concatenate(p, axis=-1) for p in zip(*parts))
+            if pol == TM:
+                tensors = _tm_mode_tensors(geom, mn[0], mn[1], k, rows, p1, p2,
+                                           z, conv)
+            else:
+                tensors = _te_mode_tensors(k, rows, z, energy, conv)
+            for idx, (m, n) in enumerate(zip(*mn.tolist())):
+                out[ModeIndex(pol, m, n)] = tensors[:, :, idx].copy()
+        return out
 
 
 def f_tensor(
@@ -316,6 +510,7 @@ def f_tensor(
     tail_tol: float | None = None,
     mode_cap: int = 1_000_000,
     detail_cap: int = 20_000,
+    table: ModeTable | None = None,
 ) -> FTensorResult:
     """Mode-summed 3x3 coupling tensor for one transition energy.
 
@@ -324,15 +519,13 @@ def f_tensor(
     until the analytic continuum tail bound drops below ``tail_tol``
     times the accumulated tensor scale.
 
-    Each growth step lists only the new shell of modes between the
-    previous cutoff and the current one (``mode_arrays`` with a lower
-    edge) and has the coupling kernels write its columns into new blocks
-    of at most ``_BLOCK`` modes; blocks are never grown or copied, except
-    that a polarization's blocks are merged while they hold no more than
-    one block's worth.  Shells come sorted by cutoff with a stable tie
-    order and :func:`_column_sum` sums the blocks as one array, so the
-    sums are exactly those of one fixed-cutoff sum at the final cutoff
-    and the two truncations give bit-identical results.
+    The modes come from ``table``, a :class:`ModeTable` of config's guide,
+    points and conventions, or from a table of the call's own.  A growth
+    step extends the table only past its present cutoff, so each mode is
+    listed and its transverse factors built once per table.  The sums are
+    those of :meth:`ModeTable.sums` over the modes below the cutoff: they
+    depend only on (config, energy, cutoff), so growth and a fixed cutoff
+    give bit-identical results, with a shared table or without.
 
     With either dipole at a corner of the cross-section every mode
     profile vanishes there, so the tensor is exactly zero and no mode is
@@ -353,46 +546,28 @@ def f_tensor(
         return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), modes_used=0,
                              tail_bound=0.0, max_cutoff=K)
-    kernels = {
-        TM: lambda t, out: _tm_mode_tensors(geom, t["m"], t["n"], t["k"],
-                                            p1, p2, z, conv, out),
-        TE: lambda t, out: _te_mode_tensors(geom, t["m"], t["n"], t["k"],
-                                            p1, p2, z, energy, conv, out),
-    }
-    shells = {TM: [], TE: []}
-    blocks = {TM: [], TE: []}
-    n_cols = {TM: 0, TE: 0}
-    K_prev = None
+    if table is None:
+        table = ModeTable(geom, p1, p2, conv)
+    elif table.key != (geom, p1, p2, conv):
+        raise InputError("the mode table belongs to another guide, pair of "
+                         "points or set of conventions")
+    te_weight = _te_factor(conv) * energy
     while True:
         if mode_count(geom, K) > mode_cap:
             raise ModeCapError(mode_count(geom, K), mode_cap)
-        shell = mode_arrays(geom, K, K_prev)
-        for pol, table in shell.items():
-            for c0 in range(0, table["k"].size, _BLOCK):
-                chunk = {key: v[c0:c0 + _BLOCK] for key, v in table.items()}
-                blocks[pol].append(
-                    kernels[pol](chunk, np.empty((3, 3, chunk["k"].size))))
-            n_cols[pol] += table["k"].size
-            if len(blocks[pol]) > 1 and n_cols[pol] <= _BLOCK:
-                blocks[pol] = [np.concatenate(blocks[pol], axis=2)]
-        n_modes = n_cols[TM] + n_cols[TE]
-        if n_modes <= detail_cap:  # past the cap no detail is kept
-            for pol, table in shell.items():
-                shells[pol].append(table)
-        tm_sum = _column_sum(blocks[TM], n_cols[TM])
-        te_sum = _column_sum(blocks[TE], n_cols[TE])
+        table.extend(K)
+        counts = table.counts(K)
+        tm_sum, te_unit = table.sums(z, counts)
+        te_sum = te_weight * te_unit
         tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
         if max_cutoff is not None:
             break
         scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
         if tail <= tail_tol * scale:
             break
-        K_prev = K
         K *= 1.3
-    detail = None
-    if n_modes <= detail_cap:
-        detail = (shells, {pol: np.concatenate(b, axis=2) if b else np.zeros((3, 3, 0))
-                           for pol, b in blocks.items()})
+    n_modes = counts[0] + counts[1]
+    detail = (table, counts, z, energy) if n_modes <= detail_cap else None
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, modes_used=n_modes,
                          tail_bound=tail, max_cutoff=K, _detail=detail)
@@ -448,21 +623,8 @@ def _confinement_guard(config: PairConfiguration) -> list[str]:
     return notes
 
 
-def dispersion_energy(
-    config: PairConfiguration,
-    tail_tol: float = 1e-6,
-    max_cutoff: float | None = None,
-    mode_cap: int = 1_000_000,
-    detail_cap: int = 20_000,
-    mode_list: list[ModeIndex] | None = None,
-) -> EnergyBreakdown:
-    """Assembled pair dispersion energy with per-part bookkeeping.
-
-    ``mode_list`` restricts the mode sum to an explicit set (used by the
-    oracle cross-checks); otherwise the sum is truncated by ``tail_tol``
-    or ``max_cutoff`` as in :func:`f_tensor`.
-    """
-    notes = _confinement_guard(config)
+def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> EnergyBreakdown:
+    """Pair energy from the coupling tensor ``make_tensor(E)`` of each level."""
     for label, p in (("species1", config.p1), ("species2", config.p2)):
         if config.geom.is_corner(p):
             notes.append(f"{label} dipole sits at the corner ({p.x:g}, {p.y:g}) "
@@ -475,14 +637,7 @@ def dispersion_energy(
 
     def tensor_for(energy: float) -> FTensorResult:
         if energy not in f_cache:
-            if mode_list is not None:
-                f_cache[energy] = f_tensor_from_modes(config, energy, mode_list)
-            elif max_cutoff is not None:
-                f_cache[energy] = f_tensor(config, energy, max_cutoff=max_cutoff,
-                                           mode_cap=mode_cap, detail_cap=detail_cap)
-            else:
-                f_cache[energy] = f_tensor(config, energy, tail_tol=tail_tol,
-                                           mode_cap=mode_cap, detail_cap=detail_cap)
+            f_cache[energy] = make_tensor(energy)
         return f_cache[energy]
 
     total = 0.0
@@ -498,7 +653,9 @@ def dispersion_energy(
             p1m = config.species1.second_moment(t1)
             p2m = config.species2.second_moment(t2)
             w = pref / (t1.energy + t2.energy)
-            u_pair = w * quadratic_contraction(p2m, p1m, f2.tensor, f1.tensor)
+            # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
+            # leaves every other value as it is.
+            u_pair = w * quadratic_contraction(p2m, p1m, f2.tensor, f1.tensor) + 0.0
             per_pair[(i1, i2)] = u_pair
             total += u_pair
             tm_only += w * quadratic_contraction(p2m, p1m, f2.tm_tensor, f1.tm_tensor)
@@ -517,6 +674,101 @@ def dispersion_energy(
                            tail_estimate=tail_total, modes_used=modes_used,
                            warnings=notes, conventions=config.conventions,
                            f_by_level=f_cache)
+
+
+_TINY = sys.float_info.min
+
+
+def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
+    """True when an exact 0.0 energy stands for a non-zero one that underflowed.
+
+    The contraction is repeated on tensors scaled to unit size; a tensor
+    that is zero away from the corners has underflowed as a whole.
+    """
+    for t1 in config.species1.transitions:
+        for t2 in config.species2.transitions:
+            f1 = u.f_by_level[t1.energy].tensor
+            f2 = u.f_by_level[t2.energy].tensor
+            s1, s2 = np.abs(f1).max(), np.abs(f2).max()
+            if s1 == 0.0 or s2 == 0.0 or quadratic_contraction(
+                    config.species2.second_moment(t2),
+                    config.species1.second_moment(t1), f2 / s2, f1 / s1) != 0.0:
+                return True
+    return False
+
+
+def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | None,
+           mode_cap: int, detail_cap: int, notes: list[str]) -> list[EnergyBreakdown]:
+    truncation = ({"max_cutoff": max_cutoff} if max_cutoff is not None
+                  else {"tail_tol": tail_tol})
+    table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
+    corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
+    out = []
+    for z in zs:
+        point = replace(config, z=z)
+        u = _assemble(point, lambda e: f_tensor(point, e, mode_cap=mode_cap,
+                                                detail_cap=detail_cap,
+                                                table=table, **truncation),
+                      list(notes))
+        # Below the smallest normal double a value keeps fewer digits, and
+        # from the smallest subnormal on it reads 0.
+        if not corner:
+            if u.tail_estimate < _TINY:
+                u.warnings.append(
+                    f"tail_estimate underflows at z={z:g}: the truncation error "
+                    f"bound {float(u.tail_estimate)!r} is below the smallest normal "
+                    f"double")
+            if abs(u.total) < _TINY and (u.total != 0.0
+                                         or _energy_underflows(point, u)):
+                u.warnings.append(
+                    f"total underflows at z={z:g}: the pair energy "
+                    f"{float(u.total)!r} is below the smallest normal double")
+        out.append(u)
+    return out
+
+
+def dispersion_sweep(
+    config: PairConfiguration,
+    zs,
+    tail_tol: float = 1e-6,
+    max_cutoff: float | None = None,
+    mode_cap: int = 1_000_000,
+    detail_cap: int = 20_000,
+) -> list[EnergyBreakdown]:
+    """Pair energy at each axial separation in ``zs``, in order.
+
+    Each point is ``config`` with its z replaced, truncated by ``tail_tol``
+    or ``max_cutoff`` as in :func:`f_tensor`.  Every point and level sums
+    from one :class:`ModeTable`, so each mode is listed and its transverse
+    factors are built once per sweep; a point costs its radial weights and
+    contractions.  Each breakdown equals that of :func:`dispersion_energy`
+    at its z bit for bit.
+    """
+    return _sweep(config, zs, tail_tol, max_cutoff, mode_cap, detail_cap,
+                  _confinement_guard(config))
+
+
+def dispersion_energy(
+    config: PairConfiguration,
+    tail_tol: float = 1e-6,
+    max_cutoff: float | None = None,
+    mode_cap: int = 1_000_000,
+    detail_cap: int = 20_000,
+    mode_list: list[ModeIndex] | None = None,
+) -> EnergyBreakdown:
+    """Assembled pair dispersion energy with per-part bookkeeping.
+
+    ``mode_list`` restricts the mode sum to an explicit set (used by the
+    oracle cross-checks); otherwise the sum is truncated by ``tail_tol``
+    or ``max_cutoff`` as in :func:`f_tensor`, and the result is the
+    one-point case of :func:`dispersion_sweep`.
+    """
+    notes = _confinement_guard(config)
+    if mode_list is not None:
+        return _assemble(config, lambda e: f_tensor_from_modes(config, e, mode_list),
+                         notes)
+    return _sweep(config, [config.z], tail_tol, max_cutoff, mode_cap,
+                  detail_cap, notes)[0]
 
 
 def polarizability(species: DipoleSpecies, u: float) -> float:

@@ -118,6 +118,46 @@ class TestEnergy:
                       "--species1", species_file)
         assert res.returncode == 2
 
+    def test_corner_prints_positive_zeros(self, species_file, capsys):
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.5", "--x1", "0", "--y1", "0",
+                         "--x2", "1", "--y2", "1", "--species1", species_file]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out
+        report = json.loads(out)
+        for value in (report["total"], report["per_level_pair"]["0,0"],
+                      report["ratio_to_freespace_vdw"]):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("command", [
+        ["energy", "--z", "0.5"],
+        ["sweep", "--z-min", "0.5", "--z-max", "1", "--points", "2"],
+    ])
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_permittivity_exit_2(self, species_file, capsys,
+                                            command, epsilon):
+        from wgdisp import cli
+        assert cli.main([*command, "--species1", species_file,
+                         "--epsilon", epsilon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: permittivity must be positive and "
+                                f"finite, got {epsilon}\n")
+
+    def test_negative_top_modes_exit_2(self, species_file, tmp_path, capsys):
+        from wgdisp import cli
+        conf = tmp_path / "run.conf"
+        conf.write_text("top_modes = -3\n")
+        for extra in (["--top-modes", "-3"], ["--config", str(conf)]):
+            assert cli.main(["energy", "--z", "0.5", "--species1", species_file,
+                             *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: top_modes must be non-negative, got -3\n"
+        assert cli.main(["energy", "--z", "0.5", "--species1", species_file,
+                         "--top-modes", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["top_modes"] == []
+
     def test_si_annotation_block(self, species_file):
         res = run_cli("energy", "--z", "0.5", "--species1", species_file,
                       "--tail-tol", "1e-6", "--si-a-meters", "1e-6")
@@ -182,6 +222,28 @@ class TestSweep:
             report = json.loads(capsys.readouterr().out)
             assert report["inputs"]["truncation"] == {"max_cutoff": 5.0}
             assert float(row[1]) == report["total"]
+            assert float(row[5]) == report["tail_estimate"]
+
+    def test_tail_tol_rows_match_energy(self, tmp_path, capsys):
+        # Every sweep row is the energy report at its z, bit for bit, with
+        # the cutoff chosen per point from one shared mode table.
+        from wgdisp import cli
+        species = tmp_path / "two.txt"
+        species.write_text("E=0.0628 d=(1,0.5,0.2)\nE=0.09 d=(0.3,1,0.7)\n")
+        pair = ["--species1", str(species), "--b", "0.7", "--x1", "0.31",
+                "--y1", "0.22", "--x2", "0.68", "--y2", "0.41",
+                "--tail-tol", "1e-7"]
+        assert cli.main(["sweep", "--z-min", "0.05", "--z-max", "2",
+                         "--points", "4", *pair]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4
+        for row in rows:
+            assert cli.main(["energy", "--z", row[0], *pair]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["inputs"]["truncation"] == {"tail_tol": 1e-7}
+            assert float(row[1]) == report["total"]
+            assert float(row[4]) == report["ratio_to_freespace_vdw"]
             assert float(row[5]) == report["tail_estimate"]
 
     def test_single_point_exit_2(self, species_file):

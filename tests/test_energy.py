@@ -1,25 +1,35 @@
 import math
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgdisp.conventions import Conventions
-from wgdisp.energy import (DipoleSpecies, DipoleTransition, PairConfiguration,
-                           dispersion_energy, f_tensor, polarizability,
-                           ratio_to_freespace, u_freespace_cp, u_freespace_vdw,
+from wgdisp.energy import (DipoleSpecies, DipoleTransition, ModeTable,
+                           PairConfiguration, dispersion_energy,
+                           dispersion_sweep, f_tensor, polarizability,
+                           quadratic_contraction, ratio_to_freespace,
+                           u_freespace_cp, u_freespace_vdw,
                            u_near_field_assembled, u_retarded_closed,
                            u_retarded_polarizability_form)
 from wgdisp.errors import (InputError, ModeCapError, TightConfinementWarning,
                            ValidityDomainWarning)
-from wgdisp.waveguide import Geometry, TransversePoint
+from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint, mode_arrays
 
 SQ = Geometry(1.0, 1.0)
 CENTER = SQ.center()
 E100 = 2.0 * math.pi / 100.0  # wavelength 100 a
 
 ISO = DipoleSpecies.single(E100, (1.0, 1.0, 1.0), "isotropic-average")
+
+# Stated tolerances of the blocked mode sum against a per-mode pairwise
+# sum (README, "How the mode sum is truncated"): tensor entries within
+# SUM_TOL of the tensor scale, printed energies within ENERGY_TOL of |U|.
+SUM_TOL = 1e-10
+ENERGY_TOL = 1e-9
 
 # mpmath-frozen evaluations of the regime-ratio formulas
 RATIO_VDW_10_100 = 1.0718428943712478e-23
@@ -140,9 +150,11 @@ class TestFTensor:
                 assert np.array_equal(value, fixed.per_mode[mode])
 
     def test_each_mode_kernel_runs_once(self, monkeypatch):
+        # The transverse factor rows of each mode are built once per
+        # cutoff search, however often the cutoff grows.
         import wgdisp.energy as energy_mod
         calls = []
-        for name in ("_tm_mode_tensors", "_te_mode_tensors"):
+        for name in ("_tm_rows", "_te_rows"):
             kernel = getattr(energy_mod, name)
 
             def counted(geom, m, n, k, *rest, _kernel=kernel):
@@ -237,6 +249,12 @@ def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
     return radial[None, None, :] * e2[:, None, :] * e1[None, :, :]
 
 
+def _table_rows(table, pol):
+    """The factor rows a ModeTable holds for one polarization, in table order."""
+    return np.concatenate([block.rows[:used].T for block, used
+                           in table._filled(pol, table._size[pol])], axis=1)
+
+
 class TestKernels:
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     @pytest.mark.parametrize("b, p1, p2, z, lower", [
@@ -246,78 +264,167 @@ class TestKernels:
         (0.85, (0.0, 0.4), (0.77, 0.85), 0.02, 150.0),
     ])
     def test_match_per_mode_trig_bitwise(self, convention, b, p1, p2, z, lower):
-        # The per-axis sin/cos tables must give exactly the per-mode values.
-        from wgdisp.energy import _te_mode_tensors, _tm_mode_tensors
-        from wgdisp.waveguide import mode_arrays
+        # Per-mode couplings built from a table's factor rows, whose trig
+        # factors come from per-axis tables, must be exactly the per-mode
+        # np.sin/np.cos values, also for the modes of a later shell.
         geom = Geometry(1.0, b)
         p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
         conv = Conventions.from_name(convention)
-        tables = mode_arrays(geom, 200.0, lower)
-        tm, te = tables["TM"], tables["TE"]
-        got = _tm_mode_tensors(geom, tm["m"], tm["n"], tm["k"], p1, p2, z, conv)
-        want = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
-                          tm["k"], p1, p2, z, conv)
-        assert np.array_equal(got, want)
-        got = _te_mode_tensors(geom, te["m"], te["n"], te["k"], p1, p2, z,
-                               E100, conv)
-        want = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
-                          te["k"], p1, p2, z, E100, conv)
-        assert np.array_equal(got, want)
+        table = ModeTable(geom, p1, p2, conv)
+        if lower is not None:
+            table.extend(lower)
+        table.extend(200.0)
+        per_mode = table.per_mode(table.counts(200.0), z, E100)
+        tables = mode_arrays(geom, 200.0)
+        keys = []
+        for pol, direct, extra in (("TM", _direct_tm, ()),
+                                   ("TE", _direct_te, (E100,))):
+            t = tables[pol]
+            want = direct(geom, t["m"].astype(float), t["n"].astype(float),
+                          t["k"], p1, p2, z, *extra, conv)
+            modes = [ModeIndex(pol, m, n)
+                     for m, n in zip(t["m"].tolist(), t["n"].tolist())]
+            got = np.stack([per_mode[mode] for mode in modes], axis=2)
+            assert got.tobytes() == want.tobytes()
+            keys += modes
+        assert list(per_mode) == keys
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_write_into_slice_of_larger_array(self, convention):
-        # f_tensor has the kernels fill a column range of its grown per-mode
-        # arrays; that must give the same bits as a fresh array and leave
-        # the other columns alone.
-        from wgdisp.energy import _te_mode_tensors, _tm_mode_tensors
-        from wgdisp.waveguide import mode_arrays
+        # A table writes each shell's rows into fixed blocks at absolute
+        # positions, across block boundaries.  The rows must be the bits a
+        # fresh call gives, and rows written earlier must stay as they were.
+        from wgdisp.energy import _TABLE_BLOCK, _te_rows, _tm_rows
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
         conv = Conventions.from_name(convention)
-        tables = mode_arrays(geom, 120.0, 60.0)
-        for pol, kernel, extra in (("TM", _tm_mode_tensors, ()),
-                                   ("TE", _te_mode_tensors, (E100,))):
-            t = tables[pol]
-            fresh = kernel(geom, t["m"], t["n"], t["k"], p1, p2, 0.05,
-                           *extra, conv)
-            grown = np.full((3, 3, t["k"].size + 7), 3.5)
-            kernel(geom, t["m"], t["n"], t["k"], p1, p2, 0.05, *extra, conv,
-                   grown[:, :, 7:])
-            assert np.array_equal(grown[:, :, 7:], fresh)
-            assert np.all(grown[:, :, :7] == 3.5)
+        table = ModeTable(geom, p1, p2, conv)
+        fresh = {"TM": [], "TE": []}
+        lower = None
+        for K in (60.0, 400.0, 520.0):
+            before = {pol: _table_rows(table, pol).copy() if lower else None
+                      for pol in fresh}
+            table.extend(K)
+            shell = mode_arrays(geom, K, lower)
+            for pol, rows_of in (("TM", _tm_rows), ("TE", _te_rows)):
+                t = shell[pol]
+                fresh[pol].append(rows_of(geom, t["m"], t["n"], t["k"], p1, p2, conv))
+                held = _table_rows(table, pol)
+                assert held.tobytes() == np.concatenate(fresh[pol], axis=1).tobytes()
+                if before[pol] is not None:
+                    assert np.array_equal(held[:, :before[pol].shape[1]], before[pol])
+            lower = K
+        assert min(table.counts(400.0)) > _TABLE_BLOCK
 
 
 class TestColumnBlocks:
     def test_block_sum_is_one_array_sum_bitwise(self):
-        from wgdisp.energy import _column_sum
+        # The sums read from a table depend on the modes summed alone: a
+        # table filled at once and one filled in random shells, asked in
+        # different orders, give the same bits at every cutoff.
         rng = np.random.default_rng(3)
-        for sizes in ([5], [32768, 32768, 20001], [1, 300, 7], [40000, 9, 1234]):
-            blocks = [rng.normal(size=(3, 3, s)) * 10.0 ** rng.uniform(-3, 3, size=(3, 3, 1))
-                      for s in sizes]
-            whole = np.concatenate(blocks, axis=2)
-            assert np.array_equal(_column_sum(blocks, sum(sizes)), whole.sum(axis=2))
+        geom = Geometry(1.0, 0.8)
+        p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
+        for convention in ("oracle-consistent", "paper-literal"):
+            conv = Conventions.from_name(convention)
+            whole = ModeTable(geom, p1, p2, conv)
+            whole.extend(700.0)
+            edges = np.sort(rng.uniform(5.0, 700.0, size=6))
+            pieces = ModeTable(geom, p1, p2, conv)
+            for z in (0.02, 0.3):
+                for K in (*edges, 700.0, *edges[::-1]):
+                    pieces.extend(K)
+                    assert pieces.counts(K) == whole.counts(K)
+                    got = pieces.sums(z, pieces.counts(K))
+                    want = whole.sums(z, whole.counts(K))
+                    for g, w in zip(got, want):
+                        assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_many_blocks_match_one_kernel_call(self, convention):
-        # Over 3 blocks per polarization: the sums must equal those of one
-        # kernel call over the whole cutoff-sorted table, bit for bit.
-        from wgdisp.energy import _BLOCK, _te_mode_tensors, _tm_mode_tensors
-        from wgdisp.waveguide import mode_arrays
+        # Over 3 blocks per polarization: the blocked contraction must
+        # agree with the pairwise sum of one per-mode kernel call over the
+        # whole cutoff-sorted table to the stated tolerance.
+        from wgdisp.energy import _TABLE_BLOCK
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         conv = Conventions.from_name(convention)
         K, z = 1300.0, 0.02
         tables = mode_arrays(geom, K)
-        assert tables["TM"]["k"].size > 3 * _BLOCK
+        assert tables["TM"]["k"].size > 3 * _TABLE_BLOCK
         tm, te = tables["TM"], tables["TE"]
-        want_tm = _tm_mode_tensors(geom, tm["m"], tm["n"], tm["k"], p1, p2, z,
-                                   conv).sum(axis=2)
-        want_te = _te_mode_tensors(geom, te["m"], te["n"], te["k"], p1, p2, z,
-                                   E100, conv).sum(axis=2)
+        want_tm = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
+                             tm["k"], p1, p2, z, conv).sum(axis=2)
+        want_te = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
+                             te["k"], p1, p2, z, E100, conv).sum(axis=2)
         cfg = _config(z, p1=p1, p2=p2, geom=geom, conventions=conv)
         ft = f_tensor(cfg, E100, max_cutoff=K)
-        assert np.array_equal(ft.tm_tensor, want_tm)
-        assert np.array_equal(ft.te_tensor, want_te)
+        scale = max(np.abs(want_tm).max(), np.abs(want_te).max())
+        assert np.abs(ft.tm_tensor - want_tm).max() <= SUM_TOL * scale
+        assert np.abs(ft.te_tensor - want_te).max() <= SUM_TOL * scale
+
+
+def _reference_f_tensor(cfg, energy, tail_tol):
+    """Cutoff search with the per-mode pairwise sums of the column-block code.
+
+    Every growth step sums the per-mode couplings of the whole table along
+    the mode axis with numpy's pairwise summation, which is bit for bit
+    what the earlier column-block implementation of f_tensor returned;
+    the stopping rule is f_tensor's.  Returns (tm, te, modes, cutoff, tail).
+    """
+    from wgdisp.energy import _te_tail_bound, _tm_tail_bound
+    geom, z, conv = cfg.geom, cfg.z, cfg.conventions
+    K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    while True:
+        t = mode_arrays(geom, K)
+        tm, te = t["TM"], t["TE"]
+        tm_sum = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
+                            tm["k"], cfg.p1, cfg.p2, z, conv).sum(axis=2)
+        te_sum = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
+                            te["k"], cfg.p1, cfg.p2, z, energy, conv).sum(axis=2)
+        tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
+        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        if tail <= tail_tol * scale:
+            return tm_sum, te_sum, tm["k"].size + te["k"].size, K, tail
+        K *= 1.3
+
+
+def _seeded_cases(n):
+    rng = np.random.default_rng(2024)
+    for i in range(n):
+        b = rng.uniform(0.5, 1.0)
+        p1 = TransversePoint(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * b)
+        p2 = TransversePoint(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * b)
+        z = 0.02 * 250.0 ** (i / (n - 1))  # log-spaced over [0.02a, 5a]
+        conv = Conventions.from_name(("oracle-consistent", "paper-literal")[i % 2])
+        yield PairConfiguration(Geometry(1.0, b), p1, p2, z, ISO, ISO,
+                                conventions=conv)
+
+
+class TestAgainstPairwiseSum:
+    @pytest.mark.parametrize("cfg", list(_seeded_cases(8)),
+                             ids=lambda cfg: f"z={cfg.z:.3g}")
+    def test_same_cutoff_and_sums_within_tolerance(self, cfg):
+        tm, te, modes, K, tail = _reference_f_tensor(cfg, E100, 1e-6)
+        ft = f_tensor(cfg, E100, tail_tol=1e-6)
+        assert ft.max_cutoff == K and ft.modes_used == modes
+        assert ft.tail_bound == tail
+        scale = max(np.abs(tm).max(), np.abs(te).max())
+        assert np.abs(ft.tm_tensor - tm).max() <= SUM_TOL * scale
+        assert np.abs(ft.te_tensor - te).max() <= SUM_TOL * scale
+        assert np.abs(ft.tensor - (tm + te)).max() <= SUM_TOL * scale
+        # The printed energies, assembled as dispersion_energy does.
+        u = dispersion_energy(cfg, tail_tol=1e-6)
+        p = ISO.second_moment(ISO.transitions[0])
+        w = -1.0 / (2.0 * math.pi) ** 2 / (2.0 * E100)
+        want = {"total": w * quadratic_contraction(p, p, tm + te, tm + te),
+                "u_tm_only": w * quadratic_contraction(p, p, tm, tm),
+                "u_te_only": w * quadratic_contraction(p, p, te, te)}
+        for name, value in want.items():
+            assert abs(getattr(u, name) - value) <= ENERGY_TOL * abs(u.total)
+        cross = 2.0 * quadratic_contraction(p, p, np.abs(tm + te), np.ones((3, 3)))
+        want_tail = abs(w) * (tail * cross + 9.0 * tail * tail * p.trace() ** 2)
+        assert abs(u.tail_estimate - want_tail) <= ENERGY_TOL * want_tail
 
 
 class TestCornerDipole:
@@ -383,6 +490,101 @@ class TestTailBoundProperty:
         cutoff = max(f.max_cutoff for f in u.f_by_level.values())
         ref = dispersion_energy(cfg, max_cutoff=2.0 * cutoff)
         assert abs(u.total - ref.total) <= u.tail_estimate + ref.tail_estimate
+
+
+_TWO_LEVELS = DipoleSpecies(
+    (DipoleTransition(E100, (0.3, 1.0, 0.6)),
+     DipoleTransition(1.7 * E100, (0.9, 0.2, 0.4))), "fixed-vector")
+
+
+class TestSweep:
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("truncation", [{"tail_tol": 1e-7},
+                                            {"max_cutoff": 60.0}])
+    def test_points_equal_single_energies_bitwise(self, convention, truncation):
+        # A shared table must not change any number: each point equals a
+        # one-point call, in ascending and in descending z order.
+        cfg = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.31, 0.22),
+                                TransversePoint(0.68, 0.41), 0.05, _TWO_LEVELS,
+                                ISO, conventions=Conventions.from_name(convention))
+        zs = np.geomspace(0.05, 2.0, 5).tolist()
+        for order in (zs, zs[::-1]):
+            for z, u in zip(order, dispersion_sweep(cfg, order, **truncation)):
+                one = dispersion_energy(replace(cfg, z=z), **truncation)
+                for name in ("total", "u_tm_only", "u_te_only", "tail_estimate",
+                             "modes_used", "per_level_pair", "warnings"):
+                    assert getattr(u, name) == getattr(one, name)
+                assert list(u.f_by_level) == list(one.f_by_level)
+                for e, f in u.f_by_level.items():
+                    g = one.f_by_level[e]
+                    assert f.tensor.tobytes() == g.tensor.tobytes()
+                    assert (f.max_cutoff, f.modes_used) == (g.max_cutoff, g.modes_used)
+
+    def test_sweep_lists_each_mode_once(self, monkeypatch):
+        import wgdisp.energy as energy_mod
+        listing = energy_mod.mode_arrays
+        built = []
+
+        def counted(geom, K, lower=None):
+            out = listing(geom, K, lower)
+            built.append(out["TM"]["k"].size + out["TE"]["k"].size)
+            return out
+        monkeypatch.setattr(energy_mod, "mode_arrays", counted)
+        cfg = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.31, 0.22),
+                                TransversePoint(0.68, 0.41), 0.04, _TWO_LEVELS,
+                                _TWO_LEVELS)
+        sweep = dispersion_sweep(cfg, np.geomspace(0.04, 0.4, 6).tolist(),
+                                 tail_tol=1e-7)
+        largest = max(f.max_cutoff for u in sweep for f in u.f_by_level.values())
+        table = listing(cfg.geom, largest)
+        assert len(built) > 2  # the first point grew the table in shells
+        assert sum(built) == table["TM"]["k"].size + table["TE"]["k"].size
+
+
+class TestUnderflow:
+    def test_tail_bound_underflow_is_named(self):
+        u = dispersion_energy(_config(60.0), tail_tol=1e-6)
+        assert u.total < 0.0 and u.tail_estimate == 0.0
+        assert u.warnings == ["tail_estimate underflows at z=60: the truncation "
+                              "error bound 0.0 is below the smallest normal double"]
+
+    def test_energy_underflow_is_named(self):
+        u = dispersion_energy(_config(200.0), tail_tol=1e-6)
+        assert u.total == 0.0 and u.tail_estimate == 0.0
+        assert len(u.warnings) == 2
+        assert u.warnings[1] == ("total underflows at z=200: the pair energy 0.0 "
+                                 "is below the smallest normal double")
+
+    def test_subnormal_energy_is_named(self):
+        u = dispersion_energy(_config(115.0), tail_tol=1e-6)
+        assert 0.0 < abs(u.total) < sys.float_info.min
+        assert u.warnings[1].startswith("total underflows at z=115: the pair "
+                                        f"energy {u.total!r}")
+
+    def test_structural_zero_is_not_underflow(self):
+        # An axial dipole on a wall couples to no mode: U is exactly zero.
+        axial = DipoleSpecies.single(E100, (0.0, 0.0, 1.0), "fixed-vector")
+        cfg = PairConfiguration(SQ, TransversePoint(0.0, 0.4),
+                                TransversePoint(0.6, 0.5), 0.5, axial, axial)
+        u = dispersion_energy(cfg, tail_tol=1e-6)
+        assert u.total == 0.0 and u.tail_estimate > 0.0
+        assert u.warnings == []
+
+    def test_no_warning_in_point_far_range(self):
+        rng = np.random.default_rng(11)
+        for z in (0.3, 0.9, 2.5, 6.0, 8.0):
+            b = rng.uniform(0.5, 1.0)
+            levels = tuple(DipoleTransition(2.0 * math.pi / rng.uniform(40.0, 200.0),
+                                            tuple(np.abs(rng.normal(size=3))))
+                           for _ in range(rng.integers(2, 5)))
+            for orientation in ("fixed-vector", "isotropic-average"):
+                sp = DipoleSpecies(levels, orientation)
+                cfg = PairConfiguration(
+                    Geometry(1.0, b),
+                    TransversePoint(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * b),
+                    TransversePoint(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * b),
+                    z, sp, sp)
+                assert dispersion_energy(cfg, tail_tol=1e-8).warnings == []
 
 
 class TestDispersionEnergy:
