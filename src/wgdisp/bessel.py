@@ -1,89 +1,28 @@
 """Modified Bessel function K0 of the second kind, order zero.
 
-Two regimes are combined:
-
-* ``x <= 2``: the ascending series
-      K0(x) = -(ln(x/2) + gamma) I0(x) + sum_{k>=1} (x^2/4)^k / (k!)^2 H_k
-  with H_k the harmonic numbers.  Cancellation between the two parts is
-  mild on this range, so double precision keeps ~1e-15 relative accuracy.
-
-* ``x > 2``: the integral representation
-      K0(x) = integral_0^inf exp(-x cosh t) dt
-  evaluated with the trapezoidal rule.  The integrand is entire and
-  decays double-exponentially, so the trapezoid converges faster than
-  any power of the step; a step of ~0.05 (refined for large x to resolve
-  the Gaussian peak of width 1/sqrt(x)) reaches ~1e-14.
-
-The supported domain is x in [1e-6, 700]; outside it the function still
-evaluates but the accuracy statement is only made for that interval.
+``bessel_k0`` checks its argument and evaluates ``scipy.special.k0``, the
+K0 that every mode sum uses.  ``k0_small_argument`` is the leading
+logarithmic expansion the near-field diagnostics compare against.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.special import k0
 
 from .errors import InputError
 
 _EULER_GAMMA = 0.5772156649015328606
 
-_SERIES_KMAX = 30
-
-
-def _k0_series(x: np.ndarray) -> np.ndarray:
-    """Ascending series, adequate for 0 < x <= 2."""
-    q = 0.25 * x * x
-    log_term = -(np.log(0.5 * x) + _EULER_GAMMA)
-    i0 = np.ones_like(x)
-    acc = np.zeros_like(x)
-    term = np.ones_like(x)
-    harmonic = 0.0
-    for k in range(1, _SERIES_KMAX + 1):
-        term = term * q / (k * k)
-        harmonic += 1.0 / k
-        i0 = i0 + term
-        acc = acc + term * harmonic
-    return log_term * i0 + acc
-
-
-def _k0_integral(x: np.ndarray) -> np.ndarray:
-    """Trapezoidal cosh-integral representation, adequate for x >= 2."""
-    xmin = float(np.min(x))
-    xmax = float(np.max(x))
-    # Resolve the peak (width ~1/sqrt(x)) and truncate once the integrand
-    # has dropped by e^-45 relative to its maximum.
-    h = min(0.05, 0.25 / math.sqrt(xmax))
-    t_max = math.acosh(1.0 + 45.0 / xmin)
-    n = int(t_max / h) + 1
-    t = h * np.arange(n + 1)
-    w = np.full(n + 1, h)
-    w[0] = 0.5 * h
-    return np.exp(-np.outer(x, np.cosh(t))) @ w
-
 
 def bessel_k0(x):
-    """K0(x) for scalar or array ``x`` with x > 0.
-
-    Relative accuracy is at or below 1e-12 across [1e-6, 700].
-    """
+    """K0(x) for scalar or array ``x`` with finite x > 0."""
     arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        return arr.copy()
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InputError("bessel_k0 requires finite x > 0 "
                          "(logarithmic singularity at 0)")
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).astype(float)
-    out = np.empty_like(flat)
-    small = flat <= 2.0
-    if np.any(small):
-        out[small] = _k0_series(flat[small])
-    if np.any(~small):
-        out[~small] = _k0_integral(flat[~small])
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    out = k0(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def k0_small_argument(x):

@@ -323,7 +323,18 @@ def cmd_sweep(args) -> int:
     eps = config.epsilon
     rows = []
     import warnings as _w
-    for z, breakdown in zip(zs, dispersion_sweep(config, zs, **_truncation(args))):
+    # Python prints the warnings it is given; the notes that only reach
+    # the breakdowns (corners, underflow) are written here, each once.
+    with _w.catch_warnings(record=True) as raised:
+        breakdowns = dispersion_sweep(config, zs, **_truncation(args))
+    for w in raised:
+        _w.showwarning(w.message, w.category, w.filename, w.lineno)
+    written = {str(w.message) for w in raised}
+    for note in (note for b in breakdowns for note in b.warnings):
+        if note not in written:
+            print(f"warning: {note}", file=sys.stderr)
+            written.add(note)
+    for z, breakdown in zip(zs, breakdowns):
         fs_vdw = u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=eps)
         with _w.catch_warnings():
             _w.simplefilter("ignore")
@@ -377,7 +388,7 @@ def cmd_oracle_check(args) -> int:
 
     seed = int(_resolve(args, "seed", 12345))
     convention = _resolve(args, "convention", "oracle-consistent")
-    cases = int(_resolve(args, "cases", 20) or 20)
+    cases = int(_resolve(args, "cases", 20))
     report, ok = run_oracle_checks(seed=seed, convention=convention,
                                    cases=cases)
     _emit(args, report)

@@ -28,6 +28,13 @@ exchanging the roles of the two points; both orders are provided and the
 assembled pair energy is insensitive to the antisymmetry because the
 contraction runs over both index orders.
 
+Both closed forms have one formula, shared with every mode sum: per mode,
+z-independent transverse factor rows (``_tm_rows``, ``_te_rows``) times a
+radial weight, (4 pi / A) k_mn exp(-k_mn z) or the TE factor times
+energy * K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
+rows for many modes at once; ``f_tm_closed`` and ``f_te_closed`` are
+their one-mode views.
+
 ``f_quadrature`` evaluates the same couplings by direct numerical
 integration of the defining wavenumber integrals and is the oracle the
 closed forms are validated against.  Two independent regularization
@@ -45,32 +52,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import k0
 
-from .bessel import bessel_k0
+from .conventions import Conventions
 from .errors import InputError, QuadratureError, TightConfinementWarning
-from .waveguide import (TE, TM, Geometry, ModeIndex, TransversePoint,
-                        cutoff_wavenumber, transverse_profile)
+from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 ORIENTATIONS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 
 SCHEMES = ("real-axis-subtracted", "branch-cut-rotated")
-
-# Sign of each TM closed-form component relative to the common positive
-# magnitude (4 pi / A) k_mn P_i(p2) P_j(p1) exp(-k_mn z).
-_TM_SIGN_ORACLE = {
-    "zz": 1.0,
-    "xx": -1.0, "yy": -1.0, "xy": -1.0, "yx": -1.0,
-    "xz": -1.0, "yz": -1.0,
-    "zx": 1.0, "zy": 1.0,
-}
-# Printed prefactors keep transverse-transverse couplings positive and the
-# mixed couplings symmetric.
-_TM_SIGN_PAPER = {
-    "zz": 1.0,
-    "xx": 1.0, "yy": 1.0,
-    "xz": -1.0, "yz": -1.0, "zx": -1.0, "zy": -1.0,
-}
 
 
 @dataclass(frozen=True)
@@ -116,24 +107,136 @@ def _check_separation(z: float) -> None:
         raise InputError(f"axial separation must be positive, got z={z!r}")
 
 
-def tm_profile_factor(geom: Geometry, mode: ModeIndex, axis: str,
-                      p: TransversePoint) -> float:
-    """Real transverse factor of the TM profile along one axis.
+def _check_points(geom: Geometry, p1: TransversePoint, p2: TransversePoint) -> None:
+    if not (geom.contains(p1) and geom.contains(p2)):
+        raise InputError("dipole points must lie inside the cross-section")
 
-    The z factor is sin*sin; x and y carry the (index pi / k_mn length)
-    ratio of the gradient components.
+
+# ---------------------------------------------------------------------------
+# per-mode factor rows: the one per-mode coupling formula
+# ---------------------------------------------------------------------------
+
+# Sign S[i][j] of each TM coupling relative to the common positive magnitude
+# (4 pi / A) k_mn P_i(p2) P_j(p1) exp(-k_mn z), row i the component at p2 and
+# column j the one at p1, axes ordered x, y, z.  Printed prefactors keep the
+# transverse-transverse couplings positive and the mixed ones symmetric;
+# their xy and yx couplings are the printed cross terms (:func:`_paper_cross`).
+_TM_SIGNS = {
+    "oracle-consistent": np.array([[-1.0, -1.0, -1.0],
+                                   [-1.0, -1.0, -1.0],
+                                   [1.0, 1.0, 1.0]]),
+    "paper-literal": np.array([[1.0, 1.0, -1.0],
+                               [1.0, 1.0, -1.0],
+                               [-1.0, -1.0, 1.0]]),
+}
+
+# Overall factor of the TE coupling, by ``Conventions.te_factor``.
+_TE_FACTORS = {"derivation-consistent": -2.0, "paper-literal": 1.0}
+
+
+def _axis_trig(geom, m, n, p2, p1):
+    """Per-mode sin and cos of (m pi/a) x and (n pi/b) y at p2 and p1.
+
+    Returns arrays sx, cx, sy, cy of shape (2, n_modes), row 0 at p2 and
+    row 1 at p1.  The transcendentals are taken once per distinct index on
+    per-axis tables and gathered with the integer m and n; each table entry
+    is the same float operation as the per-mode one, so the values match
+    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.
     """
-    kmn = cutoff_wavenumber(geom, mode)
-    ax = mode.m * math.pi / geom.a
-    ay = mode.n * math.pi / geom.b
-    if axis == "z":
-        return math.sin(ax * p.x) * math.sin(ay * p.y)
-    if axis == "x":
-        return (ax / kmn) * math.cos(ax * p.x) * math.sin(ay * p.y)
-    if axis == "y":
-        return (ay / kmn) * math.sin(ax * p.x) * math.cos(ay * p.y)
-    raise InputError(f"unknown axis {axis!r}")
+    tx = np.multiply.outer((p2.x, p1.x), np.arange(m.max(initial=0) + 1) * np.pi / geom.a)
+    ty = np.multiply.outer((p2.y, p1.y), np.arange(n.max(initial=0) + 1) * np.pi / geom.b)
+    return (np.sin(tx).take(m, axis=1), np.cos(tx).take(m, axis=1),
+            np.sin(ty).take(n, axis=1), np.cos(ty).take(n, axis=1))
 
+
+def _paper_cross(geom, k, trig, decay):
+    """Printed paper-literal TM xy and yx couplings per mode.
+
+    The printed xy prefactor, generalized off the diagonal by splitting
+    the double-angle factors per point.  ``trig`` is the output of
+    :func:`_axis_trig` and ``decay`` the radial factor e^{-kz} (1.0 for
+    the z-independent rows of a mode table).
+    """
+    sx, cx, sy, cy = trig
+    pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
+    return (pref * cx[0] * sy[0] * sx[1] * cy[1],
+            pref * sx[0] * cy[0] * cx[1] * sy[1])
+
+
+def _tm_rows(geom, m, n, k, p1, p2, conventions):
+    """z-independent TM factor rows of a mode list, shape (6, N) or (8, N).
+
+    Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
+    at p1, so mode by mode the TM coupling is
+    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j].  Under paper-literal
+    signs rows 6 and 7 hold the printed xy and yx couplings without their
+    e^{-kz}.  ``m`` and ``n`` are integer index arrays; the trig factors
+    come from :func:`_axis_trig`.
+    """
+    ax = m * np.pi / geom.a
+    ay = n * np.pi / geom.b
+    trig = _axis_trig(geom, m, n, p2, p1)
+    sx, cx, sy, cy = trig
+    rows = np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
+                    axis=1).reshape(6, k.size)
+    if conventions.tm_sign == "paper-literal":
+        rows = np.vstack([rows, *_paper_cross(geom, k, trig, 1.0)])
+    return rows
+
+
+def _te_rows(geom, m, n, k, p1, p2, conventions):
+    """z-independent TE profile rows of a mode list, shape (4, N).
+
+    Rows 0-1 hold the x and y profile components at p2 and rows 2-3 those
+    at p1, so mode by mode the TE coupling is
+    factor E K0(kz) rows[i] rows[2 + j]; the z components vanish.
+    """
+    ax = m * np.pi / geom.a
+    ay = n * np.pi / geom.b
+    nf = np.ones_like(k)
+    if conventions.normalization == "unit-normalized":
+        nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
+    root_a = 2.0 / math.sqrt(geom.area)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
+    ex = -root_a * nf * (ay / k) * cx * sy
+    ey = root_a * nf * (ax / k) * sx * cy
+    return np.stack([ex, ey], axis=1).reshape(4, k.size)
+
+
+def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
+    """Per-mode 3x3 TM couplings, shape (3, 3, N), from :func:`_tm_rows` rows."""
+    decay = np.exp(-k * z)
+    base = (4.0 * np.pi / geom.area) * k * decay
+    out = _TM_SIGNS[conventions.tm_sign][:, :, None] * base[None, None, :]
+    out *= rows[0:3, None, :]
+    out *= rows[None, 3:6, :]
+    if conventions.tm_sign == "paper-literal":
+        # The table's cross rows lack e^{-kz}; multiplying it in afterwards
+        # would round differently from the printed product order.
+        out[0, 1, :], out[1, 0, :] = _paper_cross(
+            geom, k, _axis_trig(geom, m, n, p2, p1), decay)
+    return out
+
+
+def _te_mode_tensors(k, rows, z, energy, conventions):
+    """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows."""
+    radial = _TE_FACTORS[conventions.te_factor] * energy * k0(k * z)
+    zero = np.zeros((1, k.size))
+    out = np.empty((3, 3, k.size))
+    np.multiply(radial[None, None, :], np.vstack([rows[0:2], zero])[:, None, :], out=out)
+    out *= np.vstack([rows[2:4], zero])[None, :, :]
+    return out
+
+
+def _one_mode(geom: Geometry, mode: ModeIndex):
+    """Index arrays m, n and cutoff array k of one mode, as in ``mode_arrays``."""
+    m, n = np.array([mode.m]), np.array([mode.n])
+    return m, n, np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: one-mode views of the factor rows
+# ---------------------------------------------------------------------------
 
 def f_tm_closed(
     geom: Geometry,
@@ -149,35 +252,12 @@ def f_tm_closed(
     _check_separation(z)
     if mode.polarization != TM:
         raise InputError(f"f_tm_closed requires a TM mode, got {mode.label()}")
-    if not (geom.contains(p1) and geom.contains(p2)):
-        raise InputError("dipole points must lie inside the cross-section")
-    kmn = cutoff_wavenumber(geom, mode)
-    decay = math.exp(-kmn * z)
-
-    if sign_convention == "oracle-consistent":
-        sign = _TM_SIGN_ORACLE[orient]
-    elif sign_convention == "paper-literal":
-        if orient in ("xy", "yx"):
-            # Printed prefactor for the xy coupling, generalized off the
-            # diagonal by splitting the double-angle factors per point.
-            ax = mode.m * math.pi / geom.a
-            ay = mode.n * math.pi / geom.b
-            if orient == "xy":
-                trig = (math.cos(ax * p2.x) * math.sin(ay * p2.y)
-                        * math.sin(ax * p1.x) * math.cos(ay * p1.y))
-            else:
-                trig = (math.sin(ax * p2.x) * math.cos(ay * p2.y)
-                        * math.cos(ax * p1.x) * math.sin(ay * p1.y))
-            value = -(math.pi ** 2 / (2.0 * geom.area ** 2 * kmn)) * 4.0 * trig * decay
-            return CouplingValue(value, mode, orient, "closed-form")
-        sign = _TM_SIGN_PAPER[orient]
-    else:
-        raise InputError(f"unknown sign_convention {sign_convention!r}")
-
-    base = (4.0 * math.pi / geom.area) * kmn * decay
-    value = sign * base * tm_profile_factor(geom, mode, i, p2) \
-        * tm_profile_factor(geom, mode, j, p1)
-    return CouplingValue(value, mode, orient, "closed-form")
+    _check_points(geom, p1, p2)
+    conv = Conventions(tm_sign=sign_convention)
+    m, n, k = _one_mode(geom, mode)
+    rows = _tm_rows(geom, m, n, k, p1, p2, conv)
+    value = _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)[_AXES[i], _AXES[j], 0]
+    return CouplingValue(float(value), mode, orient, "closed-form")
 
 
 def f_te_closed(
@@ -203,25 +283,20 @@ def f_te_closed(
         raise InputError(f"f_te_closed requires a TE mode, got {mode.label()}")
     if not (energy > 0.0):
         raise InputError(f"transition energy must be positive, got {energy!r}")
+    _check_points(geom, p1, p2)
+    conv = Conventions(te_factor=factor_convention, normalization=normalization)
     if "z" in orient:
         return CouplingValue(0.0, mode, orient, "closed-form")
-    kmn = cutoff_wavenumber(geom, mode)
-    u_e = energy / kmn
+    m, n, k = _one_mode(geom, mode)
+    u_e = energy / k[0]
     if u_e > 0.1:
         warnings.warn(
             f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
             f"{mode.label()}; the closed form drops O(u_e^2) corrections",
             TightConfinementWarning, stacklevel=2)
-    if factor_convention == "derivation-consistent":
-        factor = -2.0
-    elif factor_convention == "paper-literal":
-        factor = 1.0
-    else:
-        raise InputError(f"unknown factor_convention {factor_convention!r}")
-    e2 = transverse_profile(geom, mode, 0.0, p2, normalization).real
-    e1 = transverse_profile(geom, mode, 0.0, p1, normalization).real
-    value = factor * energy * e2[_AXES[i]] * e1[_AXES[j]] * bessel_k0(kmn * z)
-    return CouplingValue(value, mode, orient, "closed-form")
+    rows = _te_rows(geom, m, n, k, p1, p2, conv)
+    value = _te_mode_tensors(k, rows, z, energy, conv)[_AXES[i], _AXES[j], 0]
+    return CouplingValue(float(value), mode, orient, "closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -384,30 +459,26 @@ def f_quadrature(
     """
     i, j = _check_orientation(orient)
     _check_separation(z)
+    _check_points(geom, p1, p2)
     spec = spec or QuadratureSpec()
     if include_energy_factor and not (energy > 0.0):
         raise InputError("include_energy_factor requires a positive energy")
-    kmn = cutoff_wavenumber(geom, mode)
+    m, n, k = _one_mode(geom, mode)
+    kmn = float(k[0])
     zeta = kmn * z
     u_e = energy / kmn if include_energy_factor else 0.0
 
     if mode.polarization == TE:
-        if "z" in orient:
-            return CouplingValue(0.0, mode, orient, "quadrature")
-        if not include_energy_factor:
+        if "z" in orient or not include_energy_factor:
             return CouplingValue(0.0, mode, orient, "quadrature")
         kernel, err = _te_kernel_value(u_e, zeta, spec)
-        e2 = transverse_profile(geom, mode, 0.0, p2, normalization).real
-        e1 = transverse_profile(geom, mode, 0.0, p1, normalization).real
-        pref = e2[_AXES[i]] * e1[_AXES[j]] * kmn
-        value = pref * kernel
-        _enforce_tolerance(value, abs(pref) * err, spec)
-        return CouplingValue(value, mode, orient, "quadrature")
-
-    kernel, err = _tm_kernel_value(orient, include_energy_factor, u_e, zeta, spec)
-    pref = (4.0 / geom.area) * kmn * tm_profile_factor(geom, mode, i, p2) \
-        * tm_profile_factor(geom, mode, j, p1)
-    value = pref * kernel
+        rows = _te_rows(geom, m, n, k, p1, p2, Conventions(normalization=normalization))
+        pref = rows[_AXES[i], 0] * rows[2 + _AXES[j], 0] * kmn
+    else:
+        kernel, err = _tm_kernel_value(orient, include_energy_factor, u_e, zeta, spec)
+        rows = _tm_rows(geom, m, n, k, p1, p2, Conventions())
+        pref = (4.0 / geom.area) * kmn * rows[_AXES[i], 0] * rows[3 + _AXES[j], 0]
+    value = float(pref * kernel)
     _enforce_tolerance(value, abs(pref) * err, spec)
     return CouplingValue(value, mode, orient, "quadrature")
 

@@ -32,8 +32,8 @@ from .asymptotics import near_field_components
 from .conventions import Conventions
 from .errors import (InputError, ModeCapError, TightConfinementWarning,
                      ValidityDomainWarning)
-from .waveguide import (TE, TM, Geometry, ModeIndex, TransversePoint,
-                        mode_arrays, mode_count)
+from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex,
+                        TransversePoint, mode_arrays, mode_count)
 from . import coupling as _coupling
 
 TWO_PI = 2.0 * math.pi
@@ -126,10 +126,10 @@ class FTensorResult:
     """Mode-summed coupling tensor for one transition energy.
 
     ``per_mode`` maps each summed mode to its own 3x3 coupling, or is
-    ``None`` when the sum used more than ``detail_cap`` modes, came from
-    an explicit mode list, or had a dipole at a corner.  The map is built
-    on first read from the factor rows of the :class:`ModeTable` the sum
-    came from, so callers that only need the sums never pay for it.
+    ``None`` when the sum used more than ``detail_cap`` modes or had a
+    dipole at a corner.  The map is built on first read from the factor
+    rows of the :class:`ModeTable` the sum came from, so callers that only
+    need the sums never pay for it.
     """
 
     tensor: np.ndarray
@@ -159,123 +159,6 @@ class EnergyBreakdown:
     warnings: list[str]
     conventions: Conventions
     f_by_level: dict[float, FTensorResult]
-
-
-# Sign tables S[i][j] with row index i (component at p2) and column j
-# (component at p1), axes ordered x, y, z.
-_ORACLE_SIGNS = np.array([
-    [-1.0, -1.0, -1.0],
-    [-1.0, -1.0, -1.0],
-    [1.0, 1.0, 1.0],
-])
-
-_PAPER_SIGNS = np.array([
-    [1.0, 1.0, -1.0],
-    [1.0, 1.0, -1.0],
-    [-1.0, -1.0, 1.0],
-])
-
-
-def _tm_sign_matrix(conventions: Conventions) -> np.ndarray:
-    if conventions.tm_sign == "oracle-consistent":
-        return _ORACLE_SIGNS
-    return _PAPER_SIGNS
-
-
-def _axis_trig(geom, m, n, p2, p1):
-    """Per-mode sin and cos of (m pi/a) x and (n pi/b) y at p2 and p1.
-
-    Returns arrays sx, cx, sy, cy of shape (2, n_modes), row 0 at p2 and
-    row 1 at p1.  The transcendentals are taken once per distinct index on
-    per-axis tables and gathered with the integer m and n; each table entry
-    is the same float operation as the per-mode one, so the values match
-    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.
-    """
-    tx = np.multiply.outer((p2.x, p1.x), np.arange(m.max(initial=0) + 1) * np.pi / geom.a)
-    ty = np.multiply.outer((p2.y, p1.y), np.arange(n.max(initial=0) + 1) * np.pi / geom.b)
-    return (np.sin(tx).take(m, axis=1), np.cos(tx).take(m, axis=1),
-            np.sin(ty).take(n, axis=1), np.cos(ty).take(n, axis=1))
-
-
-def _te_factor(conventions: Conventions) -> float:
-    return -2.0 if conventions.te_factor == "derivation-consistent" else 1.0
-
-
-def _paper_cross(geom, k, trig, decay):
-    """Printed paper-literal TM xy and yx couplings per mode.
-
-    ``trig`` is the output of :func:`_axis_trig` and ``decay`` the radial
-    factor e^{-kz} (1.0 for the z-independent rows of a mode table).
-    """
-    sx, cx, sy, cy = trig
-    pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
-    return (pref * cx[0] * sy[0] * sx[1] * cy[1],
-            pref * sx[0] * cy[0] * cx[1] * sy[1])
-
-
-def _tm_rows(geom, m, n, k, p1, p2, conventions):
-    """z-independent TM factor rows of a mode list, shape (6, N) or (8, N).
-
-    Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
-    at p1, so mode by mode the TM coupling is
-    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j].  Under paper-literal
-    signs rows 6 and 7 hold the printed xy and yx couplings without their
-    e^{-kz}.  ``m`` and ``n`` are integer index arrays; the trig factors
-    come from :func:`_axis_trig`.
-    """
-    ax = m * np.pi / geom.a
-    ay = n * np.pi / geom.b
-    trig = _axis_trig(geom, m, n, p2, p1)
-    sx, cx, sy, cy = trig
-    rows = np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
-                    axis=1).reshape(6, k.size)
-    if conventions.tm_sign == "paper-literal":
-        rows = np.vstack([rows, *_paper_cross(geom, k, trig, 1.0)])
-    return rows
-
-
-def _te_rows(geom, m, n, k, p1, p2, conventions):
-    """z-independent TE profile rows of a mode list, shape (4, N).
-
-    Rows 0-1 hold the x and y profile components at p2 and rows 2-3 those
-    at p1, so mode by mode the TE coupling is
-    factor E K0(kz) rows[i] rows[2 + j]; the z components vanish.
-    """
-    ax = m * np.pi / geom.a
-    ay = n * np.pi / geom.b
-    nf = np.ones_like(k)
-    if conventions.normalization == "unit-normalized":
-        nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
-    root_a = 2.0 / math.sqrt(geom.area)
-    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
-    ex = -root_a * nf * (ay / k) * cx * sy
-    ey = root_a * nf * (ax / k) * sx * cy
-    return np.stack([ex, ey], axis=1).reshape(4, k.size)
-
-
-def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
-    """Per-mode 3x3 TM couplings, shape (3, 3, N), from :func:`_tm_rows` rows."""
-    decay = np.exp(-k * z)
-    base = (4.0 * np.pi / geom.area) * k * decay
-    out = _tm_sign_matrix(conventions)[:, :, None] * base[None, None, :]
-    out *= rows[0:3, None, :]
-    out *= rows[None, 3:6, :]
-    if conventions.tm_sign == "paper-literal":
-        # The table's cross rows lack e^{-kz}; multiplying it in afterwards
-        # would round differently from the printed product order.
-        out[0, 1, :], out[1, 0, :] = _paper_cross(
-            geom, k, _axis_trig(geom, m, n, p2, p1), decay)
-    return out
-
-
-def _te_mode_tensors(k, rows, z, energy, conventions):
-    """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows."""
-    radial = _te_factor(conventions) * energy * _scipy_k0(k * z)
-    zero = np.zeros((1, k.size))
-    out = np.empty((3, 3, k.size))
-    np.multiply(radial[None, None, :], np.vstack([rows[0:2], zero])[:, None, :], out=out)
-    out *= np.vstack([rows[2:4], zero])[None, :, :]
-    return out
 
 
 def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
@@ -345,9 +228,9 @@ class ModeTable:
     """Cutoff-sorted modes of one guide, pair of points and conventions.
 
     Per polarization the table holds each mode's cutoff k, its indices
-    (m, n) and its z-independent transverse factor rows (:func:`_tm_rows`,
-    :func:`_te_rows`), listed shell by shell as :meth:`extend` raises the
-    cutoff.  Only the radial factors depend on the separation, so one
+    (m, n) and its z-independent transverse factor rows (``_tm_rows`` and
+    ``_te_rows`` of :mod:`wgdisp.coupling`), listed shell by shell as
+    :meth:`extend` raises the cutoff.  Only the radial factors depend on the separation, so one
     table serves every separation and transition level of a sweep:
     :meth:`sums` weights the rows with (4 pi / A) k e^{-kz} (TM) and
     K0(kz) (TE) and contracts them block by block.
@@ -372,7 +255,7 @@ class ModeTable:
             return
         geom, p1, p2, conv = self.key
         shell = mode_arrays(geom, K, self.cutoff)
-        for pol, rows_of in ((TM, _tm_rows), (TE, _te_rows)):
+        for pol, rows_of in ((TM, _coupling._tm_rows), (TE, _coupling._te_rows)):
             m, n, k = shell[pol]["m"], shell[pol]["n"], shell[pol]["k"]
             start = 0
             while start < k.size:
@@ -477,7 +360,7 @@ class ModeTable:
             out[:2, :2] = (rows[:, 0:2] * radial[:, None]).T @ rows[:, 2:4]
             return out
         out[:] = (rows[:, 0:3] * (radial * k)[:, None]).T @ rows[:, 3:6]
-        out *= (4.0 * np.pi / geom.area) * _tm_sign_matrix(conv)
+        out *= (4.0 * np.pi / geom.area) * _coupling._TM_SIGNS[conv.tm_sign]
         if conv.tm_sign == "paper-literal":
             out[0, 1], out[1, 0] = radial @ rows[:, 6:8]
         return out
@@ -494,10 +377,10 @@ class ModeTable:
                      for b, used in self._filled(pol, count)]
             k, mn, rows = (np.concatenate(p, axis=-1) for p in zip(*parts))
             if pol == TM:
-                tensors = _tm_mode_tensors(geom, mn[0], mn[1], k, rows, p1, p2,
-                                           z, conv)
+                tensors = _coupling._tm_mode_tensors(geom, mn[0], mn[1], k, rows,
+                                                     p1, p2, z, conv)
             else:
-                tensors = _te_mode_tensors(k, rows, z, energy, conv)
+                tensors = _coupling._te_mode_tensors(k, rows, z, energy, conv)
             for idx, (m, n) in enumerate(zip(*mn.tolist())):
                 out[ModeIndex(pol, m, n)] = tensors[:, :, idx].copy()
         return out
@@ -508,7 +391,7 @@ def f_tensor(
     energy: float,
     max_cutoff: float | None = None,
     tail_tol: float | None = None,
-    mode_cap: int = 1_000_000,
+    mode_cap: int = MODE_CAP,
     detail_cap: int = 20_000,
     table: ModeTable | None = None,
 ) -> FTensorResult:
@@ -551,7 +434,7 @@ def f_tensor(
     elif table.key != (geom, p1, p2, conv):
         raise InputError("the mode table belongs to another guide, pair of "
                          "points or set of conventions")
-    te_weight = _te_factor(conv) * energy
+    te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
     while True:
         if mode_count(geom, K) > mode_cap:
             raise ModeCapError(mode_count(geom, K), mode_cap)
@@ -571,33 +454,6 @@ def f_tensor(
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, modes_used=n_modes,
                          tail_bound=tail, max_cutoff=K, _detail=detail)
-
-
-def f_tensor_from_modes(config: PairConfiguration, energy: float,
-                        modes: list[ModeIndex]) -> FTensorResult:
-    """Coupling tensor restricted to an explicit mode list (closed forms)."""
-    tm = np.zeros((3, 3))
-    te = np.zeros((3, 3))
-    conv = config.conventions
-    for mode in modes:
-        for i_ax, i in enumerate("xyz"):
-            for j_ax, j in enumerate("xyz"):
-                if mode.polarization == TM:
-                    val = _coupling.f_tm_closed(
-                        config.geom, mode, i + j, config.p1, config.p2,
-                        config.z, conv.tm_sign).value
-                    tm[i_ax, j_ax] += val
-                else:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", TightConfinementWarning)
-                        val = _coupling.f_te_closed(
-                            config.geom, mode, i + j, config.p1, config.p2,
-                            config.z, energy, conv.te_factor,
-                            conv.normalization).value
-                    te[i_ax, j_ax] += val
-    return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
-                         modes_used=len(modes), tail_bound=0.0,
-                         max_cutoff=float("nan"))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
@@ -732,7 +588,7 @@ def dispersion_sweep(
     zs,
     tail_tol: float = 1e-6,
     max_cutoff: float | None = None,
-    mode_cap: int = 1_000_000,
+    mode_cap: int = MODE_CAP,
     detail_cap: int = 20_000,
 ) -> list[EnergyBreakdown]:
     """Pair energy at each axial separation in ``zs``, in order.
@@ -752,23 +608,17 @@ def dispersion_energy(
     config: PairConfiguration,
     tail_tol: float = 1e-6,
     max_cutoff: float | None = None,
-    mode_cap: int = 1_000_000,
+    mode_cap: int = MODE_CAP,
     detail_cap: int = 20_000,
-    mode_list: list[ModeIndex] | None = None,
 ) -> EnergyBreakdown:
     """Assembled pair dispersion energy with per-part bookkeeping.
 
-    ``mode_list`` restricts the mode sum to an explicit set (used by the
-    oracle cross-checks); otherwise the sum is truncated by ``tail_tol``
-    or ``max_cutoff`` as in :func:`f_tensor`, and the result is the
-    one-point case of :func:`dispersion_sweep`.
+    The sum is truncated by ``tail_tol`` or ``max_cutoff`` as in
+    :func:`f_tensor`, and the result is the one-point case of
+    :func:`dispersion_sweep`.
     """
-    notes = _confinement_guard(config)
-    if mode_list is not None:
-        return _assemble(config, lambda e: f_tensor_from_modes(config, e, mode_list),
-                         notes)
     return _sweep(config, [config.z], tail_tol, max_cutoff, mode_cap,
-                  detail_cap, notes)[0]
+                  detail_cap, _confinement_guard(config))[0]
 
 
 def polarizability(species: DipoleSpecies, u: float) -> float:

@@ -21,13 +21,13 @@ class SpeciesFileError(InputError):
 
 
 class ModeCapError(WgdispError, RuntimeError):
-    """Mode summation would exceed the configured hard cap."""
+    """A mode sum or mode listing would exceed the configured hard cap."""
 
     def __init__(self, needed: int, cap: int):
         super().__init__(
-            f"mode summation needs ~{needed} modes, exceeding the hard cap of {cap}; "
-            "for separations this small use the near-field closed forms in "
-            "wgdisp.asymptotics instead"
+            f"the cutoff needs ~{needed} modes, exceeding the hard cap of {cap}; "
+            "use a lower cutoff or, at very small separations, the near-field "
+            "closed forms in wgdisp.asymptotics"
         )
         self.needed = needed
         self.cap = cap

@@ -38,10 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import PairConfiguration, dispersion_energy, quadratic_contraction
+from .coupling import (_one_mode, _te_mode_tensors, _te_rows, _tm_mode_tensors,
+                       _tm_rows)
+from .energy import (FTensorResult, PairConfiguration, _assemble,
+                     _confinement_guard, quadratic_contraction)
 from .errors import InputError
-from .waveguide import TE, ModeIndex, cutoff_wavenumber, transverse_profile
-from .coupling import tm_profile_factor
+from .waveguide import TE, ModeIndex, cutoff_wavenumber
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,20 +182,16 @@ class _PhotonTable:
 def _w_tensors(geom, mode, p1, p2, epsilon, table: _PhotonTable,
                conventions) -> np.ndarray:
     """Per-tau 3x3 photon-exchange tensors (index i at p2, j at p1)."""
-    n_tau = table.rh.size if table.is_te else table.r0.size
-    out = np.zeros((n_tau, 3, 3))
+    m, n, k = _one_mode(geom, mode)
     if table.is_te:
-        e2 = transverse_profile(geom, mode, 0.0, p2,
-                                conventions.normalization).real
-        e1 = transverse_profile(geom, mode, 0.0, p1,
-                                conventions.normalization).real
-        out += table.rh[:, None, None] * np.outer(e2, e1)[None, :, :] \
-            / (2.0 * epsilon)
-        return out
+        ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
+        prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))
+        return table.rh[:, None, None] * prof[None, :, :] / (2.0 * epsilon)
+    out = np.zeros((table.r0.size, 3, 3))
     kmn = table.kmn
     pref = 2.0 / (epsilon * geom.area)
-    t2 = np.array([tm_profile_factor(geom, mode, ax, p2) for ax in "xyz"])
-    t1 = np.array([tm_profile_factor(geom, mode, ax, p1) for ax in "xyz"])
+    rows = _tm_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
+    t2, t1 = rows[0:3], rows[3:6]
     for i in range(3):
         for j in range(3):
             prof = t2[i] * t1[j]
@@ -349,5 +347,27 @@ def weighted_reference_energy(config: PairConfiguration,
 
 def closed_form_reference_energy(config: PairConfiguration,
                                  modes: list[ModeIndex]) -> float:
-    """Closed-form pair energy restricted to the same mode set."""
-    return dispersion_energy(config, mode_list=modes).total
+    """Closed-form pair energy restricted to the same mode set.
+
+    Each level's coupling tensor adds up the per-mode closed-form tensors
+    of ``modes`` in list order; these are the one-mode views of the factor
+    rows that every mode sum is built from.
+    """
+    geom, p1, p2, z = config.geom, config.p1, config.p2, config.z
+    conv = config.conventions
+
+    def tensor_for(energy: float) -> FTensorResult:
+        tm, te = np.zeros((3, 3)), np.zeros((3, 3))
+        for mode in modes:
+            m, n, k = _one_mode(geom, mode)
+            if mode.polarization == TE:
+                rows = _te_rows(geom, m, n, k, p1, p2, conv)
+                te += _te_mode_tensors(k, rows, z, energy, conv)[:, :, 0]
+            else:
+                rows = _tm_rows(geom, m, n, k, p1, p2, conv)
+                tm += _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)[:, :, 0]
+        return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
+                             modes_used=len(modes), tail_bound=0.0,
+                             max_cutoff=math.nan)
+
+    return _assemble(config, tensor_for, _confinement_guard(config)).total

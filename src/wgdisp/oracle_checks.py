@@ -24,6 +24,7 @@ from .conventions import Conventions
 from .coupling import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
 from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                      u_freespace_vdw)
+from .errors import InputError
 from .fourth_order import (closed_form_reference_energy, fourth_order_oracle,
                            weighted_reference_energy)
 from .waveguide import Geometry, ModeIndex, TransversePoint
@@ -45,6 +46,8 @@ def _sample_tm_case(rng, geom):
 
 def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
                       cases: int = 20) -> tuple[str, bool]:
+    if cases < 1:
+        raise InputError(f"cases must be at least 1, got {cases}")
     rng = np.random.default_rng(seed)
     geom = Geometry(1.0, 1.0)
     conv = Conventions.from_name(convention)

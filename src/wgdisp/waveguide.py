@@ -34,11 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ModeCapError
 from .quad2d import integrate2d
 
 TE = "TE"
 TM = "TM"
+
+# Most modes a mode sum or a mode listing may hold.
+MODE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,11 @@ def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
     then ascending n (so the square-guide fundamental pair lists as
     TE10, TE01).  The modes are those of :func:`mode_arrays`; the sort
     key uses :func:`cutoff_wavenumber`, the value the ``modes`` table prints.
+    A cutoff with more than ``MODE_CAP`` modes by :func:`mode_count` raises
+    ModeCapError before any mode is listed.
     """
+    if 0.0 < max_cutoff < math.inf and mode_count(geom, max_cutoff) > MODE_CAP:
+        raise ModeCapError(mode_count(geom, max_cutoff), MODE_CAP)
     tables = mode_arrays(geom, max_cutoff)
     found: list[tuple[float, int, int, int, ModeIndex]] = []
     for rank, pol in ((0, TM), (1, TE)):

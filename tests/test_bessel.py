@@ -1,4 +1,4 @@
-"""K0 implementation against independent references.
+"""K0 wrapper against independent references and its input checks.
 
 Frozen constants below were computed with mpmath at 40 digits.
 """
@@ -30,12 +30,6 @@ def test_reference_value_at_pi():
 
 def test_accuracy_against_scipy_full_domain():
     x = np.geomspace(1e-6, 700.0, 6000)
-    rel = np.abs(bessel_k0(x) / scipy_k0(x) - 1.0)
-    assert rel.max() <= 1e-12
-
-
-def test_branch_seam_is_smooth():
-    x = np.linspace(1.999999, 2.000001, 41)
     rel = np.abs(bessel_k0(x) / scipy_k0(x) - 1.0)
     assert rel.max() <= 1e-12
 

@@ -51,6 +51,21 @@ class TestModes:
         assert res.returncode == 2
         assert "a > 0" in res.stderr
 
+    def test_mode_cap_exit_4_before_listing(self, monkeypatch, capsys):
+        # About 1.6e9 modes lie below k = 1e5 in the unit square; the cap
+        # must refuse the cutoff before a single mode is listed.
+        from wgdisp import cli, waveguide
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("modes listed past the cap")
+        monkeypatch.setattr(waveguide, "mode_arrays", forbidden)
+        assert cli.main(["modes", "--max-cutoff", "1e5"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: the cutoff needs ~{waveguide.mode_count(waveguide.Geometry(), 1e5)} "
+            f"modes, exceeding the hard cap of {waveguide.MODE_CAP};")
+
     def test_infinite_cutoff_exit_2(self):
         res = run_cli("modes", "--max-cutoff", "inf")
         assert res.returncode == 2
@@ -246,6 +261,36 @@ class TestSweep:
             assert float(row[4]) == report["ratio_to_freespace_vdw"]
             assert float(row[5]) == report["tail_estimate"]
 
+    def test_underflow_warnings_on_stderr(self, species_file):
+        # At 141a and 200a the pair energy underflows to 0 and every tail
+        # bound to 0; each point's notes reach stderr once, stdout keeps
+        # its rows.
+        res = run_cli("sweep", "--z-min", "100", "--z-max", "200", "--points",
+                      "3", "--species1", species_file)
+        assert res.returncode == 0
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert [row[1] for row in rows[1:]] == ["0", "0"]
+        assert [row[5] for row in rows] == ["0", "0", "0"]
+        tail = ("warning: tail_estimate underflows at z={}: the truncation "
+                "error bound 0.0 is below the smallest normal double")
+        total = ("warning: total underflows at z={}: the pair energy 0.0 is "
+                 "below the smallest normal double")
+        assert res.stderr.splitlines() == [
+            tail.format("100"), tail.format("141.421"), total.format("141.421"),
+            tail.format("200"), total.format("200")]
+
+    def test_each_note_written_once(self, tmp_path):
+        # The corner note of every point is written once; the confinement
+        # warnings Python prints itself are not repeated.
+        species = tmp_path / "wide.txt"
+        species.write_text("E=0.9 d=(1,1,1)\n")
+        res = run_cli("sweep", "--z-min", "0.5", "--z-max", "1", "--points",
+                      "3", "--species1", str(species), "--x1", "0", "--y1", "0")
+        assert res.returncode == 0
+        assert res.stderr.count("sits at the corner (0, 0)") == 1
+        assert res.stderr.count("wavelength/confinement ratio 6.98 < 10") == 2
+        assert "warning: species1 transition" not in res.stderr
+
     def test_single_point_exit_2(self, species_file):
         res = run_cli("sweep", "--z-min", "3", "--z-max", "6", "--points",
                       "1", "--species1", species_file)
@@ -320,6 +365,13 @@ class TestOracleCheck:
         res = run_cli("oracle-check", "--seed", "7", "--cases", "4")
         assert res.returncode == 0
         assert "overall: PASS" in res.stdout
+
+    @pytest.mark.parametrize("cases", ["-1", "0"])
+    def test_cases_below_one_exit_2(self, cases):
+        res = run_cli("oracle-check", "--cases", cases)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: cases must be at least 1, got {cases}\n"
 
     def test_paper_literal_informational(self):
         res = run_cli("oracle-check", "--seed", "7", "--cases", "4",

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import (QuadratureSpec, _tm_kernel_value, f_quadrature,
-                             f_te_closed, f_tm_closed)
+from wgdisp.coupling import (ORIENTATIONS, QuadratureSpec, _tm_kernel_value,
+                             f_quadrature, f_te_closed, f_tm_closed)
+from wgdisp.energy import ModeTable
 from wgdisp.errors import InputError, TightConfinementWarning
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
@@ -23,6 +24,26 @@ TE10 = ModeIndex("TE", 1, 0)
 TM11_ZZ_CENTER_Z1 = 0.6566821187788882
 TE10_YY_PAPER = 1.1803473452268697e-3
 TE10_YY_DERIVATION = -2.3606946904537394e-3
+
+# Closed-form values of an earlier implementation of this package (its own
+# K0: ascending series below 2, trapezoid rule above; cutoffs from
+# math.hypot), in a 1 x 0.7 guide at p1 = (0.31, 0.22), p2 = (0.68, 0.41),
+# TE at E = 0.0628.  The one-mode views of the factor rows moved such values
+# by at most 1.5e-14 relative over 9,000 random cases per polarization (an
+# ulp of k_mn scaled by k_mn z); the stated tolerance is CLOSED_FORM_TOL.
+CLOSED_FORM_TOL = 1e-13
+CLOSED_FORM_FROZEN = [  # (mode, orientation, z, convention bundle, value)
+    (("TE", 1, 0), "yy", 0.05, "oracle-consistent", -0.4975077030605675),
+    (("TE", 0, 1), "xx", 0.4, "paper-literal", 0.042384473223851325),
+    (("TE", 2, 1), "xy", 0.9, "oracle-consistent", -3.200483614244671e-05),
+    (("TE", 1, 3), "yx", 0.25, "paper-literal", -0.00010016308852500555),
+    (("TE", 3, 2), "yy", 1.7, "oracle-consistent", -2.2627629567676096e-13),
+    (("TE", 2, 0), "yy", 2.5, "oracle-consistent", 1.4276814303236094e-08),
+    (("TM", 2, 1), "xy", 0.3, "paper-literal", 0.10817266900669568),
+    (("TM", 1, 3), "yx", 0.45, "paper-literal", -0.0003544659948238439),
+    (("TM", 3, 2), "xz", 0.8, "oracle-consistent", 0.0005192188825321425),
+    (("TM", 2, 5), "zy", 1.3, "oracle-consistent", -1.170436112813242e-12),
+]
 
 
 def _rand_point(rng, geom):
@@ -133,6 +154,52 @@ class TestTeClosed:
     def test_rejects_bad_energy(self):
         with pytest.raises(InputError):
             f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, -0.1)
+
+
+class TestOneModeViews:
+    """The closed forms are one-mode views of the mode-table factor rows."""
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("b, p1, p2", [
+        (0.7, (0.31, 0.22), (0.68, 0.41)),
+        (1.6, (0.12, 1.05), (0.83, 0.3)),
+    ])
+    def test_equal_mode_table_entries_bitwise(self, convention, b, p1, p2):
+        geom = Geometry(1.0, b)
+        p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
+        conv = Conventions.from_name(convention)
+        z, energy, K = 0.37, 0.0628, 20.0
+        table = ModeTable(geom, p1, p2, conv)
+        table.extend(K)
+        per_mode = table.per_mode(table.counts(K), z, energy)
+        assert {mode.polarization for mode in per_mode} == {"TM", "TE"}
+        for mode, tensor in per_mode.items():
+            for orient in ORIENTATIONS:
+                want = tensor["xyz".index(orient[0]), "xyz".index(orient[1])]
+                if mode.polarization == "TM":
+                    got = f_tm_closed(geom, mode, orient, p1, p2, z,
+                                      conv.tm_sign).value
+                else:
+                    got = f_te_closed(geom, mode, orient, p1, p2, z, energy,
+                                      conv.te_factor, conv.normalization).value
+                # Non-zero floats compare equal only bit for bit; a TE z
+                # orientation returns 0.0 where the table may hold -0.0.
+                assert got == want, (mode, orient)
+
+    @pytest.mark.parametrize("mode, orient, z, convention, value",
+                             CLOSED_FORM_FROZEN)
+    def test_earlier_values_within_tolerance(self, mode, orient, z, convention,
+                                             value):
+        geom = Geometry(1.0, 0.7)
+        p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
+        conv = Conventions.from_name(convention)
+        mode = ModeIndex(*mode)
+        if mode.polarization == "TM":
+            got = f_tm_closed(geom, mode, orient, p1, p2, z, conv.tm_sign).value
+        else:
+            got = f_te_closed(geom, mode, orient, p1, p2, z, 0.0628,
+                              conv.te_factor, conv.normalization).value
+        assert got == pytest.approx(value, rel=CLOSED_FORM_TOL, abs=0.0)
 
 
 class TestQuadratureOracle:

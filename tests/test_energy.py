@@ -152,15 +152,15 @@ class TestFTensor:
     def test_each_mode_kernel_runs_once(self, monkeypatch):
         # The transverse factor rows of each mode are built once per
         # cutoff search, however often the cutoff grows.
-        import wgdisp.energy as energy_mod
+        import wgdisp.coupling as coupling_mod
         calls = []
         for name in ("_tm_rows", "_te_rows"):
-            kernel = getattr(energy_mod, name)
+            kernel = getattr(coupling_mod, name)
 
             def counted(geom, m, n, k, *rest, _kernel=kernel):
                 calls.append(k.size)
                 return _kernel(geom, m, n, k, *rest)
-            monkeypatch.setattr(energy_mod, name, counted)
+            monkeypatch.setattr(coupling_mod, name, counted)
         ft = f_tensor(_config(0.05, geom=Geometry(1.0, 0.7)), E100,
                       tail_tol=1e-6)
         assert len(calls) > 2  # the cutoff grew at least once
@@ -183,21 +183,22 @@ class TestFTensor:
         assert np.allclose(acc, ft.tensor, rtol=1e-12, atol=1e-300)
 
     def test_vectorized_path_matches_scalar_closed_forms(self):
-        # The bulk mode-sum path and the per-mode closed forms must agree
-        # exactly, under both sign conventions, at off-center points.
-        from wgdisp.energy import f_tensor_from_modes
-        from wgdisp.waveguide import enumerate_modes
+        # The bulk mode-sum path must agree with the independent per-mode
+        # references, under both sign conventions, at off-center points.
         p1 = TransversePoint(0.31, 0.67)
         p2 = TransversePoint(0.52, 0.18)
-        modes = enumerate_modes(SQ, 11.0)
+        tables = mode_arrays(SQ, 11.0)
+        tm, te = tables["TM"], tables["TE"]
         for name in ("oracle-consistent", "paper-literal"):
-            cfg = PairConfiguration(SQ, p1, p2, 0.7, ISO, ISO,
-                                    conventions=Conventions.from_name(name))
+            conv = Conventions.from_name(name)
+            cfg = PairConfiguration(SQ, p1, p2, 0.7, ISO, ISO, conventions=conv)
             bulk = f_tensor(cfg, E100, max_cutoff=11.0)
-            scalar = f_tensor_from_modes(cfg, E100, modes)
-            assert bulk.modes_used == len(modes)
-            assert np.allclose(bulk.tensor, scalar.tensor,
-                               rtol=1e-11, atol=1e-13)
+            direct = _direct_tm(SQ, tm["m"].astype(float), tm["n"].astype(float),
+                                tm["k"], p1, p2, 0.7, conv).sum(axis=2) \
+                + _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
+                             te["k"], p1, p2, 0.7, E100, conv).sum(axis=2)
+            assert bulk.modes_used == tm["k"].size + te["k"].size
+            assert np.allclose(bulk.tensor, direct, rtol=1e-11, atol=1e-13)
 
 
 def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
@@ -294,7 +295,8 @@ class TestKernels:
         # A table writes each shell's rows into fixed blocks at absolute
         # positions, across block boundaries.  The rows must be the bits a
         # fresh call gives, and rows written earlier must stay as they were.
-        from wgdisp.energy import _TABLE_BLOCK, _te_rows, _tm_rows
+        from wgdisp.coupling import _te_rows, _tm_rows
+        from wgdisp.energy import _TABLE_BLOCK
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
         conv = Conventions.from_name(convention)
