@@ -14,19 +14,15 @@ from .errors import (ConvergenceError, InputError, ModeCapError,
                      TightConfinementWarning, ValidityDomainWarning,
                      WgdispError)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
-                        cutoff_wavenumber, enumerate_modes, mode_frequency,
-                        normalization_integral, transverse_profile)
+                        cutoff_wavenumber, enumerate_modes, mode_frequency)
 from .coupling import (CouplingValue, QuadratureSpec, f_quadrature,
-                       f_te_closed, f_tm_closed)
+                       f_te_closed, f_tm_closed, transverse_profile)
 from .energy import (DipoleSpecies, DipoleTransition, EnergyBreakdown,
                      FTensorResult, PairConfiguration, dispersion_energy,
                      dispersion_sweep, f_tensor, polarizability, ratio_to_freespace,
-                     u_freespace_cp, u_freespace_vdw,
-                     u_near_field_assembled, u_retarded_closed,
-                     u_retarded_polarizability_form)
-from .asymptotics import (SumSpec, TeNearFieldReport, near_field_components,
-                          reduced_zz_sum_direct, reduced_zz_sum_integral,
-                          te_near_field_report)
+                     u_freespace_cp, u_freespace_vdw, u_retarded_closed)
+from .asymptotics import (SumSpec, near_field_components,
+                          reduced_zz_sum_direct, reduced_zz_sum_integral)
 from .fourth_order import (Diagram, enumerate_diagrams, fourth_order_oracle,
                            weighted_reference_energy)
 from .species_io import parse_species_file
@@ -37,17 +33,16 @@ __all__ = [
     "Conventions", "Geometry", "ModeIndex", "TransversePoint",
     "DipoleSpecies", "DipoleTransition", "PairConfiguration",
     "EnergyBreakdown", "FTensorResult", "CouplingValue", "QuadratureSpec",
-    "SumSpec", "TeNearFieldReport", "Diagram",
+    "SumSpec", "Diagram",
     "bessel_k0", "k0_small_argument",
     "cutoff_wavenumber", "mode_frequency", "transverse_profile",
-    "normalization_integral", "enumerate_modes",
+    "enumerate_modes",
     "f_tm_closed", "f_te_closed", "f_quadrature",
     "f_tensor", "dispersion_energy", "dispersion_sweep", "polarizability",
-    "u_retarded_closed", "u_retarded_polarizability_form",
-    "u_freespace_vdw", "u_freespace_cp", "u_near_field_assembled",
+    "u_retarded_closed", "u_freespace_vdw", "u_freespace_cp",
     "ratio_to_freespace",
     "reduced_zz_sum_direct", "reduced_zz_sum_integral",
-    "near_field_components", "te_near_field_report",
+    "near_field_components",
     "enumerate_diagrams", "fourth_order_oracle", "weighted_reference_energy",
     "parse_species_file",
     "WgdispError", "InputError", "SpeciesFileError", "ModeCapError",

@@ -9,21 +9,18 @@ whose continuum approximation is 1 / (4 pi^2 (z/a)^3).  Contracting the
 full component table gives the near-field tensor {zz: 1/z^3,
 xx = yy: -1/(2 z^3), off-diagonals: 0}, i.e. the free-space quasistatic
 dipole tensor.  TE modes only grow logarithmically per mode in the same
-limit, so their aggregate stays subdominant; the diagnostic report here
-quantifies that.
+limit, so their aggregate stays subdominant there, as the separate TM
+and TE tensors of :func:`wgdisp.energy.f_tensor` show.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0 as _scipy_k0
 
-from .bessel import bessel_k0, k0_small_argument
 from .errors import ConvergenceError, InputError
-from .waveguide import ModeIndex
 
 _PARITIES = ("odd", "even", "all")
 
@@ -130,92 +127,3 @@ def near_field_components(z: float) -> dict[str, float]:
     inv = 1.0 / z ** 3
     return {"zz": inv, "xx": -0.5 * inv, "yy": -0.5 * inv,
             "xy": 0.0, "xz": 0.0, "yz": 0.0}
-
-
-@dataclass
-class TeNearFieldReport:
-    """Diagnostics of the TE aggregate at short separation."""
-
-    z_over_a: float
-    per_mode: list[tuple[ModeIndex, float, float, float]]
-    aggregate_xx: float
-    aggregate_scale: float
-    local_exponent: float
-    tm_te_energy_ratio: float
-    notes: list[str] = field(default_factory=list)
-
-
-def _te_aggregate_xx(z_over_a: float, max_index: int, energy: float,
-                     chunk: int = 256) -> float:
-    """Transverse-transverse TE mode sum at the center of a square guide.
-
-    Center parity keeps m even (including 0) and n odd for the xx
-    component; the unit-normalized zero-index factor 1/2 and the contour
-    factor -2 are included.  Units of 1/a^3 with a = 1.
-    """
-    total = 0.0
-    n = np.arange(1.0, max_index + 1, 2.0)
-    for m0 in range(0, max_index + 1, 2 * chunk):
-        m = np.arange(m0, min(m0 + 2 * chunk, max_index + 1), 2, dtype=float)
-        if not m.size:
-            continue
-        mm, nn = np.meshgrid(m, n, indexing="ij")
-        k2 = mm * mm + nn * nn
-        kz = np.pi * z_over_a * np.sqrt(k2)
-        nf2 = np.where(mm == 0, 0.5, 1.0)
-        total += float(np.sum(nf2 * (nn * nn / k2) * _scipy_k0(kz)))
-    return -2.0 * energy * 4.0 * total
-
-
-def te_near_field_report(z_over_a: float, max_index: int,
-                         energy: float) -> TeNearFieldReport:
-    """Short-separation TE diagnostics at the center of a square guide.
-
-    Reports, per low mode, the exact K0 value against its logarithmic
-    small-argument expansion, the aggregate transverse TE coupling, a
-    local scaling exponent d ln|sum| / d ln z, and the energy-level
-    dominance ratio of the TM modes over the TE ones.
-    """
-    if not (0.0 < z_over_a < 0.3):
-        raise InputError("near-field diagnostics assume z/a < 0.3")
-    if not (energy > 0.0):
-        raise InputError("transition energy must be positive")
-
-    per_mode = []
-    for mode in (ModeIndex("TE", 0, 1), ModeIndex("TE", 1, 0),
-                 ModeIndex("TE", 1, 1), ModeIndex("TE", 2, 1)):
-        kmn = math.pi * math.hypot(mode.m, mode.n)
-        x = kmn * z_over_a
-        exact = float(bessel_k0(x))
-        approx = float(k0_small_argument(x))
-        per_mode.append((mode, exact, approx, abs(exact - approx)))
-
-    agg = _te_aggregate_xx(z_over_a, max_index, energy)
-    step = 1.12
-    lo = _te_aggregate_xx(z_over_a / step, max_index, energy)
-    hi = _te_aggregate_xx(z_over_a * step, max_index, energy)
-    local_exp = (math.log(abs(hi)) - math.log(abs(lo))) / (2.0 * math.log(step))
-
-    # Energy-level dominance: isotropic contraction uses sum_ij F_ij^2.
-    zz = reduced_zz_sum_direct(SumSpec(z_over_a, tol=1e-10,
-                                       max_index=max(max_index, 20001)))
-    f_tm_zz = 4.0 * math.pi ** 2 * zz
-    # xx sum: even m >= 2, odd n, weight m^2/(m^2+n^2).
-    n = np.arange(1.0, max_index + 1, 2.0)
-    m = np.arange(2.0, max_index + 1, 2.0)
-    mm, nn = np.meshgrid(m, n, indexing="ij")
-    k2 = mm * mm + nn * nn
-    r = np.sqrt(k2)
-    f_tm_xx = -4.0 * math.pi ** 2 * float(
-        np.sum((mm * mm / k2) * r * np.exp(-np.pi * z_over_a * r)))
-    tm_sq = f_tm_zz ** 2 + 2.0 * f_tm_xx ** 2
-    te_sq = 2.0 * agg ** 2
-    ratio = tm_sq / te_sq if te_sq > 0 else math.inf
-
-    return TeNearFieldReport(
-        z_over_a=z_over_a, per_mode=per_mode, aggregate_xx=agg,
-        aggregate_scale=abs(agg), local_exponent=local_exp,
-        tm_te_energy_ratio=ratio,
-        notes=[f"fitted local exponent of the TE aggregate at "
-               f"z/a={z_over_a:g} is {local_exp:.3f}; far weaker than the "
-               f"free-space 1/z^3 divergence of the axial mode sum"])

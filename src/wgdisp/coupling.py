@@ -33,7 +33,8 @@ z-independent transverse factor rows (``_tm_rows``, ``_te_rows``) times a
 radial weight, (4 pi / A) k_mn exp(-k_mn z) or the TE factor times
 energy * K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
 rows for many modes at once; ``f_tm_closed`` and ``f_te_closed`` are
-their one-mode views.
+their one-mode views, and so is ``transverse_profile``, the normalized
+mode profile at one point.
 
 ``f_quadrature`` evaluates the same couplings by direct numerical
 integration of the defining wavenumber integrals and is the oracle the
@@ -215,6 +216,9 @@ def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
         # would round differently from the printed product order.
         out[0, 1, :], out[1, 0, :] = _paper_cross(
             geom, k, _axis_trig(geom, m, n, p2, p1), decay)
+    # Adding 0.0 turns the -0.0 of a negative factor times an exact zero
+    # into 0.0 and leaves every other value as it is.
+    out += 0.0
     return out
 
 
@@ -225,6 +229,7 @@ def _te_mode_tensors(k, rows, z, energy, conventions):
     out = np.empty((3, 3, k.size))
     np.multiply(radial[None, None, :], np.vstack([rows[0:2], zero])[:, None, :], out=out)
     out *= np.vstack([rows[2:4], zero])[None, :, :]
+    out += 0.0  # -0.0 to 0.0, as in _tm_mode_tensors
     return out
 
 
@@ -235,8 +240,38 @@ def _one_mode(geom: Geometry, mode: ModeIndex):
 
 
 # ---------------------------------------------------------------------------
-# closed forms: one-mode views of the factor rows
+# profiles and closed forms: one-mode views of the factor rows
 # ---------------------------------------------------------------------------
+
+def transverse_profile(
+    geom: Geometry,
+    mode: ModeIndex,
+    k: float,
+    p: TransversePoint,
+    convention: str = "unit-normalized",
+) -> np.ndarray:
+    """Cartesian components [E_x, E_y, E_z] of the transverse profile.
+
+    The profiles printed in :mod:`wgdisp.waveguide`, with ``convention``
+    the TE normalization.  TM components along x and y are imaginary
+    (proportional to i*k); TE profiles are real and independent of k.
+    The TE components are the ``_te_rows`` entries at ``p``; the TM ones
+    scale the ``_tm_rows`` factors by (2/sqrt(A)) (i k, i k, k_mn)/kappa.
+    """
+    if not geom.contains(p):
+        raise InputError(f"point ({p.x}, {p.y}) lies outside the cross-section")
+    m, n, kmn = _one_mode(geom, mode)
+    out = np.zeros(3, dtype=complex)
+    if mode.polarization == TM:
+        rows = _tm_rows(geom, m, n, kmn, p, p, Conventions())[0:3, 0]
+        kappa = math.hypot(kmn[0], k)
+        out[:] = (2.0 / math.sqrt(geom.area)) * np.array(
+            [1j * k, 1j * k, kmn[0]]) / kappa * rows
+    else:
+        conv = Conventions(normalization=convention)
+        out[0:2] = _te_rows(geom, m, n, kmn, p, p, conv)[0:2, 0]
+    return out
+
 
 def f_tm_closed(
     geom: Geometry,

@@ -10,11 +10,14 @@ E_e, index i living at the second dipole's transverse point and j at the
 first.  Isotropic orientation averaging replaces the dipole products by
 their second moments <d_i d_j> = delta_ij |d|^2 / 3 before contraction.
 
-The module also carries the free-space reference energies (quasistatic
-1/r^6 and retarded 1/r^7 forms), the retarded in-guide closed form, the
-regime ratio formulas, and the dynamic polarizability at imaginary
-frequency.  Natural units hbar = c = 1; energies are in units of
-hbar c / length.
+That level-pair sum lives in one place, ``_assemble``: the mode-summed
+energies and the mode-set reference energies of :mod:`wgdisp.fourth_order`
+all go through it.  The module also carries the free-space reference
+energies (quasistatic 1/r^6, whose tensor form is the one contraction of
+the free-space near-field tensor, and retarded 1/r^7), the retarded
+in-guide closed form, the regime ratio formulas, and the dynamic
+polarizability at imaginary frequency.  Natural units hbar = c = 1;
+energies are in units of hbar c / length.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from functools import cached_property
 import numpy as np
 from scipy.special import k0 as _scipy_k0
 
-from .asymptotics import near_field_components
 from .conventions import Conventions
 from .errors import (InputError, ModeCapError, TightConfinementWarning,
                      ValidityDomainWarning)
@@ -668,36 +670,6 @@ def u_retarded_closed(config: PairConfiguration) -> float:
             * acc / a ** 3 * math.exp(-TWO_PI * config.z / a) / config.z)
 
 
-def u_retarded_polarizability_form(config: PairConfiguration) -> float:
-    """Retarded closed form rewritten through alpha(i u); report use only.
-
-    Implemented for single-transition species, integrating the product of
-    the two polarizabilities over the whole imaginary-frequency axis, which
-    reproduces the printed discrete-sum form exactly.
-    """
-    if (len(config.species1.transitions) != 1
-            or len(config.species2.transitions) != 1):
-        raise InputError("polarizability form implemented for single-transition "
-                         "species only")
-    from scipy.integrate import quad as _quad
-
-    t1 = config.species1.transitions[0]
-    t2 = config.species2.transitions[0]
-    geom = config.geom
-    if not math.isclose(geom.a, geom.b, rel_tol=1e-12):
-        raise InputError("retarded closed form requires a square guide (a == b)")
-    a = geom.a
-    s4 = 0.5 * (math.sin(math.pi * config.p1.x / a) ** 4
-                + math.sin(math.pi * config.p1.y / a) ** 4)
-    integral, _ = _quad(lambda u: polarizability(config.species1, u)
-                        * polarizability(config.species2, u),
-                        0.0, np.inf, limit=200)
-    integral *= 2.0  # even integrand, full axis
-    return (-TWO_PI * s4 / config.epsilon ** 2 * integral
-            / (t1.wavelength * t2.wavelength * a ** 3)
-            * math.exp(-TWO_PI * config.z / a) / config.z)
-
-
 _NEAR_FIELD_M = np.diag([1.0, 1.0, -2.0])
 
 
@@ -726,27 +698,6 @@ def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
             p2m = species2.second_moment(t2)
             total += pref / (t1.energy + t2.energy) * 0.25 \
                 * quadratic_contraction(p2m, p1m, _NEAR_FIELD_M, _NEAR_FIELD_M)
-    return total
-
-
-def u_near_field_assembled(species1: DipoleSpecies, species2: DipoleSpecies,
-                           z: float, epsilon: float = 1.0) -> float:
-    """Pair energy assembled from the small-z mode-sum component table.
-
-    Independent route to the same quantity as the tensor free-space form:
-    the center-guide near-field components (zz -> 1/z^3, xx = yy ->
-    -1/(2 z^3)) are contracted through the generic quadratic form.
-    """
-    comps = near_field_components(z)
-    f = np.diag([comps["xx"], comps["yy"], comps["zz"]])
-    pref = -1.0 / (TWO_PI * epsilon) ** 2
-    total = 0.0
-    for t1 in species1.transitions:
-        for t2 in species2.transitions:
-            p1m = species1.second_moment(t1)
-            p2m = species2.second_moment(t2)
-            total += pref / (t1.energy + t2.energy) \
-                * quadratic_contraction(p2m, p1m, f, f)
     return total
 
 

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_one_mode, _te_mode_tensors, _te_rows, _tm_mode_tensors,
-                       _tm_rows)
+from .coupling import (QuadratureSpec, _one_mode, _te_mode_tensors, _te_rows,
+                       _tm_mode_tensors, _tm_rows, f_quadrature)
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError
-from .waveguide import TE, ModeIndex, cutoff_wavenumber
+from .waveguide import TE, ModeIndex
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,13 +148,18 @@ def _denominator_factor(w: np.ndarray, Ws: tuple[float, ...],
     return val.real
 
 
+def _cutoff(geom, mode: ModeIndex) -> float:
+    """k_mn of ``mode`` as the factor rows and mode sums take it."""
+    return float(_one_mode(geom, mode)[2][0])
+
+
 class _PhotonTable:
     """Cached rotated-contour integrals for one mode and denominator set."""
 
     def __init__(self, geom, mode: ModeIndex, z: float,
                  Ws: tuple[float, ...], taus: np.ndarray):
         self.mode = mode
-        kmn = cutoff_wavenumber(geom, mode)
+        kmn = _cutoff(geom, mode)
         zeta = kmn * z
         self.kmn = kmn
         self.is_te = mode.polarization == TE
@@ -267,8 +272,8 @@ def fourth_order_oracle(
 
                 for mp in modes:
                     for mq in modes:
-                        k_p = cutoff_wavenumber(geom, mp)
-                        k_q = cutoff_wavenumber(geom, mq)
+                        k_p = _cutoff(geom, mp)
+                        k_q = _cutoff(geom, mq)
                         if not mixes:
                             taus = np.array([0.0])
                             wp = _w_tensors(geom, mp, config.p1, config.p2, eps,
@@ -304,6 +309,29 @@ def diag_key(ws: list[float]) -> tuple:
     return tuple(sorted(round(w, 14) for w in ws))
 
 
+def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
+                     mode_tensor) -> float:
+    """Pair energy with each level's couplings summed over ``modes`` only.
+
+    ``mode_tensor(mode, energy)`` is one mode's 3x3 coupling; the TM and
+    TE ones are added up in list order and assembled by
+    :func:`wgdisp.energy._assemble`.
+    """
+
+    def tensor_for(energy: float) -> FTensorResult:
+        tm, te = np.zeros((3, 3)), np.zeros((3, 3))
+        for mode in modes:
+            if mode.polarization == TE:
+                te += mode_tensor(mode, energy)
+            else:
+                tm += mode_tensor(mode, energy)
+        return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
+                             modes_used=len(modes), tail_bound=0.0,
+                             max_cutoff=math.nan)
+
+    return _assemble(config, tensor_for, _confinement_guard(config)).total
+
+
 def weighted_reference_energy(config: PairConfiguration,
                               modes: list[ModeIndex]) -> float:
     """Pair energy from the frequency-weighted coupling integrals.
@@ -312,62 +340,34 @@ def weighted_reference_energy(config: PairConfiguration,
     quadrature couplings that keep the omega/(omega + E) weight, for
     comparison against the dominant-diagram restriction of the oracle.
     """
-    from .coupling import QuadratureSpec, f_quadrature
-
-    eps = config.epsilon
-    pref = -1.0 / (TWO_PI * eps) ** 2
     spec = QuadratureSpec(rel_tol=1e-9)
-    cache: dict[float, np.ndarray] = {}
 
-    def tensor_for(energy: float) -> np.ndarray:
-        if energy not in cache:
-            f = np.zeros((3, 3))
-            for mode in modes:
-                for i_ax, i in enumerate("xyz"):
-                    for j_ax, j in enumerate("xyz"):
-                        f[i_ax, j_ax] += f_quadrature(
-                            config.geom, mode, i + j, config.p1, config.p2,
-                            config.z, energy=energy,
-                            include_energy_factor=True, spec=spec,
-                            normalization=config.conventions.normalization).value
-            cache[energy] = f
-        return cache[energy]
+    def quadrature(mode: ModeIndex, energy: float) -> np.ndarray:
+        return np.array([[f_quadrature(
+            config.geom, mode, i + j, config.p1, config.p2, config.z,
+            energy=energy, include_energy_factor=True, spec=spec,
+            normalization=config.conventions.normalization).value
+            for j in "xyz"] for i in "xyz"])
 
-    total = 0.0
-    for t1 in config.species1.transitions:
-        for t2 in config.species2.transitions:
-            f1 = tensor_for(t1.energy)
-            f2 = tensor_for(t2.energy)
-            p1m = config.species1.second_moment(t1)
-            p2m = config.species2.second_moment(t2)
-            total += pref / (t1.energy + t2.energy) \
-                * quadratic_contraction(p2m, p1m, f2, f1)
-    return total
+    return _mode_set_energy(config, modes, quadrature)
 
 
 def closed_form_reference_energy(config: PairConfiguration,
                                  modes: list[ModeIndex]) -> float:
     """Closed-form pair energy restricted to the same mode set.
 
-    Each level's coupling tensor adds up the per-mode closed-form tensors
-    of ``modes`` in list order; these are the one-mode views of the factor
-    rows that every mode sum is built from.
+    Each mode's coupling is its closed-form tensor, the one-mode view of
+    the factor rows that every mode sum is built from.
     """
     geom, p1, p2, z = config.geom, config.p1, config.p2, config.z
     conv = config.conventions
 
-    def tensor_for(energy: float) -> FTensorResult:
-        tm, te = np.zeros((3, 3)), np.zeros((3, 3))
-        for mode in modes:
-            m, n, k = _one_mode(geom, mode)
-            if mode.polarization == TE:
-                rows = _te_rows(geom, m, n, k, p1, p2, conv)
-                te += _te_mode_tensors(k, rows, z, energy, conv)[:, :, 0]
-            else:
-                rows = _tm_rows(geom, m, n, k, p1, p2, conv)
-                tm += _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)[:, :, 0]
-        return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
-                             modes_used=len(modes), tail_bound=0.0,
-                             max_cutoff=math.nan)
+    def closed(mode: ModeIndex, energy: float) -> np.ndarray:
+        m, n, k = _one_mode(geom, mode)
+        if mode.polarization == TE:
+            rows = _te_rows(geom, m, n, k, p1, p2, conv)
+            return _te_mode_tensors(k, rows, z, energy, conv)[:, :, 0]
+        rows = _tm_rows(geom, m, n, k, p1, p2, conv)
+        return _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)[:, :, 0]
 
-    return _assemble(config, tensor_for, _confinement_guard(config)).total
+    return _mode_set_energy(config, modes, closed)

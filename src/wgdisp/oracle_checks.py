@@ -27,7 +27,7 @@ from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
 from .errors import InputError
 from .fourth_order import (closed_form_reference_energy, fourth_order_oracle,
                            weighted_reference_energy)
-from .waveguide import Geometry, ModeIndex, TransversePoint
+from .waveguide import Geometry, ModeIndex, TransversePoint, cutoff_wavenumber
 
 _TM_COMPONENTS = ("zz", "xx", "yy", "xy", "xz", "yz")
 
@@ -35,7 +35,7 @@ _TM_COMPONENTS = ("zz", "xx", "yy", "xy", "xz", "yz")
 def _sample_tm_case(rng, geom):
     m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     mode = ModeIndex("TM", m, n)
-    kmn = math.hypot(m * math.pi / geom.a, n * math.pi / geom.b)
+    kmn = cutoff_wavenumber(geom, mode)
     p1 = TransversePoint(rng.uniform(0.05, 0.95) * geom.a,
                          rng.uniform(0.05, 0.95) * geom.b)
     p2 = TransversePoint(rng.uniform(0.05, 0.95) * geom.a,
@@ -95,7 +95,7 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
     for _ in range(cases):
         mn = [(1, 0), (0, 1), (1, 1), (2, 1)][int(rng.integers(0, 4))]
         mode = ModeIndex("TE", *mn)
-        kmn = math.hypot(mn[0] * math.pi, mn[1] * math.pi)
+        kmn = cutoff_wavenumber(geom, mode)
         p1 = TransversePoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         p2 = TransversePoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         z = rng.uniform(0.5, 8.0) / kmn

@@ -1,6 +1,5 @@
 """Rectangular hollow perfectly-conducting waveguide: geometry, guided-mode
-index bookkeeping, cutoff spectrum, dispersion relation and normalized
-transverse electric-field profiles.
+index bookkeeping, cutoff spectrum and dispersion relation.
 
 Conventions. The cross-section occupies 0 <= x <= a, 0 <= y <= b; the guide
 axis is z.  A mode is TE_mn or TM_mn with cutoff wavenumber
@@ -22,6 +21,8 @@ printed profiles verbatim ("paper-literal"); under the default
 "unit-normalized" convention N = 1/sqrt(2) whenever m or n is zero, which
 makes the cross-section integral of |E|^2 exactly 1 for every mode (the
 verbatim zero-index TE profiles integrate to 2 instead).
+:func:`wgdisp.coupling.transverse_profile` evaluates them from the
+per-mode factor rows that every coupling is built from.
 
 Everything here works in natural units hbar = c = 1 with lengths in
 units of your choice; the default geometry uses a = 1.
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ModeCapError
-from .quad2d import integrate2d
 
 TE = "TE"
 TM = "TM"
@@ -112,7 +112,14 @@ class ModeIndex:
 
 
 def cutoff_wavenumber(geom: Geometry, mode: ModeIndex) -> float:
-    """Cutoff wavenumber k_mn; strictly positive for every valid mode."""
+    """Cutoff wavenumber k_mn; strictly positive for every valid mode.
+
+    This is the value the ``modes`` table prints and sorts by.  Mode sums,
+    closed forms and the fourth-order oracle take k_mn from the vectorized
+    ``np.hypot`` of :func:`mode_arrays` instead, which differs from this
+    ``math.hypot`` by one ulp on about half a percent of modes, square
+    guides included.
+    """
     return math.hypot(mode.m * math.pi / geom.a, mode.n * math.pi / geom.b)
 
 
@@ -121,87 +128,6 @@ def mode_frequency(geom: Geometry, mode: ModeIndex, k: float, c: float = 1.0) ->
     if not (c > 0.0):
         raise InputError(f"wave speed must be positive, got c={c!r}")
     return c * math.hypot(cutoff_wavenumber(geom, mode), k)
-
-
-def neumann_factor(mode: ModeIndex, convention: str) -> float:
-    """Zero-index normalization factor for TE profiles (1 or 1/sqrt(2))."""
-    if convention == "paper-literal":
-        return 1.0
-    if convention == "unit-normalized":
-        if mode.polarization == TE and (mode.m == 0 or mode.n == 0):
-            return 1.0 / math.sqrt(2.0)
-        return 1.0
-    raise InputError(f"unknown profile convention {convention!r}")
-
-
-def transverse_profile(
-    geom: Geometry,
-    mode: ModeIndex,
-    k: float,
-    p: TransversePoint,
-    convention: str = "unit-normalized",
-) -> np.ndarray:
-    """Cartesian components [E_x, E_y, E_z] of the transverse profile.
-
-    TM components along x and y are imaginary (proportional to i*k); TE
-    profiles are real and independent of k.
-    """
-    if not geom.contains(p):
-        raise InputError(f"point ({p.x}, {p.y}) lies outside the cross-section")
-    kmn = cutoff_wavenumber(geom, mode)
-    root_a = 2.0 / math.sqrt(geom.area)
-    ax = mode.m * math.pi / geom.a
-    ay = mode.n * math.pi / geom.b
-    sx, cx = math.sin(ax * p.x), math.cos(ax * p.x)
-    sy, cy = math.sin(ay * p.y), math.cos(ay * p.y)
-    out = np.zeros(3, dtype=complex)
-    if mode.polarization == TM:
-        kappa = math.hypot(kmn, k)
-        out[2] = root_a * (kmn / kappa) * sx * sy
-        out[0] = root_a * (1j * k / kappa) * (ax / kmn) * cx * sy
-        out[1] = root_a * (1j * k / kappa) * (ay / kmn) * sx * cy
-    else:
-        nf = neumann_factor(mode, convention)
-        out[0] = -root_a * nf * (ay / kmn) * cx * sy
-        out[1] = root_a * nf * (ax / kmn) * sx * cy
-    return out
-
-
-def normalization_integral(
-    geom: Geometry,
-    mode: ModeIndex,
-    k: float,
-    convention: str = "unit-normalized",
-    tol: float = 1e-11,
-) -> float:
-    """Cross-section integral of |E|^2 by adaptive 2-D quadrature.
-
-    Equals 1 for every mode under the unit-normalized convention and 2
-    for zero-index TE modes under the paper-literal one.
-    """
-
-    def integrand(x, y):
-        kmn = cutoff_wavenumber(geom, mode)
-        ax = mode.m * math.pi / geom.a
-        ay = mode.n * math.pi / geom.b
-        pref = 4.0 / geom.area
-        if mode.polarization == TM:
-            kap2 = kmn * kmn + k * k
-            ez2 = (kmn * kmn / kap2) * np.sin(ax * x) ** 2 * np.sin(ay * y) ** 2
-            ex2 = (k * k / kap2) * (ax / kmn) ** 2 * np.cos(ax * x) ** 2 * np.sin(ay * y) ** 2
-            ey2 = (k * k / kap2) * (ay / kmn) ** 2 * np.sin(ax * x) ** 2 * np.cos(ay * y) ** 2
-            return pref * (ez2 + ex2 + ey2)
-        nf = neumann_factor(mode, convention)
-        ex2 = (ay / kmn) ** 2 * np.cos(ax * x) ** 2 * np.sin(ay * y) ** 2
-        ey2 = (ax / kmn) ** 2 * np.sin(ax * x) ** 2 * np.cos(ay * y) ** 2
-        return pref * nf * nf * (ex2 + ey2)
-
-    value, _ = integrate2d(
-        integrand, 0.0, geom.a, 0.0, geom.b,
-        tol=tol,
-        initial=(max(mode.m, 1), max(mode.n, 1)),
-    )
-    return value
 
 
 def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:

@@ -1,0 +1,36 @@
+"""Reference computations shared by several test modules."""
+
+import math
+
+import numpy as np
+
+from wgdisp.asymptotics import near_field_components
+from wgdisp.coupling import transverse_profile
+from wgdisp.energy import quadratic_contraction
+from wgdisp.waveguide import TransversePoint
+
+
+def profile_norm(geom, mode, k, convention="unit-normalized"):
+    """Cross-section integral of |E|^2 on an 8 x 8 midpoint grid.
+
+    The midpoint rule over N points sums cos(2 pi j (i + 1/2) / N) to zero
+    for 0 < j < N, so it integrates every squared profile exactly (up to
+    rounding) while both mode indices stay below N = 8.
+    """
+    points = 8
+    xs = (np.arange(points) + 0.5) * geom.a / points
+    ys = (np.arange(points) + 0.5) * geom.b / points
+    total = sum(np.sum(np.abs(transverse_profile(
+        geom, mode, k, TransversePoint(x, y), convention)) ** 2)
+        for x in xs for y in ys)
+    return float(total) * geom.area / points ** 2
+
+
+def near_field_energy(species1, species2, z, epsilon=1.0):
+    """Pair energy contracted from the near-field component table."""
+    c = near_field_components(z)
+    f = np.diag([c["xx"], c["yy"], c["zz"]])
+    pref = -1.0 / (2.0 * math.pi * epsilon) ** 2
+    return sum(pref / (t1.energy + t2.energy) * quadratic_contraction(
+        species2.second_moment(t2), species1.second_moment(t1), f, f)
+        for t1 in species1.transitions for t2 in species2.transitions)

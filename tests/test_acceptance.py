@@ -24,15 +24,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import near_field_energy, profile_norm
 from wgdisp.asymptotics import SumSpec, reduced_zz_sum_direct, reduced_zz_sum_integral
 from wgdisp.coupling import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
 from wgdisp.energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
-                           f_tensor, ratio_to_freespace, u_freespace_vdw,
-                           u_near_field_assembled)
+                           f_tensor, ratio_to_freespace, u_freespace_vdw)
 from wgdisp.fourth_order import (closed_form_reference_energy,
                                  fourth_order_oracle, weighted_reference_energy)
-from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint,
-                              normalization_integral)
+from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SQ = Geometry(1.0, 1.0)
@@ -55,25 +54,26 @@ def _report(tag: str, ok: bool, detail: str) -> str:
 
 def test_criterion_1_mode_normalization():
     worst_unit = 0.0
-    for m in range(1, 6):
-        for n in range(1, 6):
-            for k in (0.0, 7.3, 20.0):
-                val = normalization_integral(SQ, ModeIndex("TM", m, n), k)
-                worst_unit = max(worst_unit, abs(val - 1.0))
+    worst_literal = 0.0
     te_modes = [ModeIndex("TE", m, n) for m in range(0, 6) for n in range(0, 6)
                 if (m, n) != (0, 0)]
-    for mode in te_modes:
-        for k in (0.0, 20.0):
-            val = normalization_integral(SQ, mode, k)
-            worst_unit = max(worst_unit, abs(val - 1.0))
-    worst_literal = 0.0
-    for mode in te_modes:
-        if mode.m == 0 or mode.n == 0:
-            val = normalization_integral(SQ, mode, 0.0, "paper-literal")
-            worst_literal = max(worst_literal, abs(val - 2.0))
+    for geom in (SQ, Geometry(1.0, 1.4)):
+        for m in range(1, 6):
+            for n in range(1, 6):
+                for k in (0.0, 7.3, 20.0):
+                    val = profile_norm(geom, ModeIndex("TM", m, n), k)
+                    worst_unit = max(worst_unit, abs(val - 1.0))
+        for mode in te_modes:
+            for k in (0.0, 20.0):
+                val = profile_norm(geom, mode, k)
+                worst_unit = max(worst_unit, abs(val - 1.0))
+            if mode.m == 0 or mode.n == 0:
+                val = profile_norm(geom, mode, 0.0, "paper-literal")
+                worst_literal = max(worst_literal, abs(val - 2.0))
     ok = worst_unit <= 1e-9 and worst_literal <= 1e-9
     line = _report("1", ok, f"unit-normalized dev {worst_unit:.2e} (<=1e-9); "
-                            f"zero-index literal dev {worst_literal:.2e} (<=1e-9)")
+                            f"zero-index literal dev {worst_literal:.2e} (<=1e-9); "
+                            f"square and b/a = 1.4 guides")
     assert ok, line
 
 
@@ -147,7 +147,7 @@ def test_criterion_4_free_space_recovery():
     dev_u = abs(u / u_fs - 1.0)
     sp1 = DipoleSpecies.single(E100, (0.3, -0.2, 0.8), "fixed-vector")
     sp2 = DipoleSpecies.single(1.3 * E100, (-0.5, 0.1, 0.4), "fixed-vector")
-    machine = abs(u_near_field_assembled(sp1, sp2, 0.37)
+    machine = abs(near_field_energy(sp1, sp2, 0.37)
                   / u_freespace_vdw(sp1, sp2, 0.37, form="tensor") - 1.0)
     ok = (dev_zz <= 0.02 and dev_xx <= 0.01 and off <= 1e-3
           and dev_u <= 0.02 and machine <= 1e-14)

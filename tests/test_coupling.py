@@ -163,6 +163,8 @@ class TestOneModeViews:
     @pytest.mark.parametrize("b, p1, p2", [
         (0.7, (0.31, 0.22), (0.68, 0.41)),
         (1.6, (0.12, 1.05), (0.83, 0.3)),
+        (1.0, (0.5, 0.5), (0.5, 0.5)),   # centred: many exact zeros
+        (1.0, (0.0, 0.37), (0.5, 0.5)),  # p1 on a wall
     ])
     def test_equal_mode_table_entries_bitwise(self, convention, b, p1, p2):
         geom = Geometry(1.0, b)
@@ -174,6 +176,8 @@ class TestOneModeViews:
         per_mode = table.per_mode(table.counts(K), z, energy)
         assert {mode.polarization for mode in per_mode} == {"TM", "TE"}
         for mode, tensor in per_mode.items():
+            # An exact zero prints as 0.0, never as -0.0.
+            assert not np.signbit(tensor[tensor == 0.0]).any(), mode
             for orient in ORIENTATIONS:
                 want = tensor["xyz".index(orient[0]), "xyz".index(orient[1])]
                 if mode.polarization == "TM":
@@ -182,9 +186,7 @@ class TestOneModeViews:
                 else:
                     got = f_te_closed(geom, mode, orient, p1, p2, z, energy,
                                       conv.te_factor, conv.normalization).value
-                # Non-zero floats compare equal only bit for bit; a TE z
-                # orientation returns 0.0 where the table may hold -0.0.
-                assert got == want, (mode, orient)
+                assert np.float64(got).tobytes() == want.tobytes(), (mode, orient)
 
     @pytest.mark.parametrize("mode, orient, z, convention, value",
                              CLOSED_FORM_FROZEN)

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import near_field_energy
 from wgdisp.conventions import Conventions
 from wgdisp.energy import (DipoleSpecies, DipoleTransition, ModeTable,
                            PairConfiguration, dispersion_energy,
                            dispersion_sweep, f_tensor, polarizability,
                            quadratic_contraction, ratio_to_freespace,
-                           u_freespace_cp, u_freespace_vdw,
-                           u_near_field_assembled, u_retarded_closed,
-                           u_retarded_polarizability_form)
+                           u_freespace_cp, u_freespace_vdw, u_retarded_closed)
 from wgdisp.errors import (InputError, ModeCapError, TightConfinementWarning,
                            ValidityDomainWarning)
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint, mode_arrays
@@ -225,7 +224,7 @@ def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
             * np.sin(ax * p1.x) * np.cos(ay * p1.y)
         out[1, 0, :] = pref * np.sin(ax * p2.x) * np.cos(ay * p2.y) \
             * np.cos(ax * p1.x) * np.sin(ay * p1.y)
-    return out
+    return out + 0.0  # exact zeros as 0.0, never -0.0
 
 
 def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
@@ -247,7 +246,7 @@ def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
     e2 = profile(p2)
     e1 = profile(p1)
     radial = factor * energy * k0(k * z)
-    return radial[None, None, :] * e2[:, None, :] * e1[None, :, :]
+    return radial[None, None, :] * e2[:, None, :] * e1[None, :, :] + 0.0
 
 
 def _table_rows(table, pol):
@@ -760,9 +759,19 @@ class TestClosedForms:
             u_retarded_closed(_config(1.0))
 
     def test_polarizability_form_matches_discrete_sum(self):
+        # The retarded closed form rewritten through alpha(i u): the
+        # discrete level sum becomes the full-axis integral of the product
+        # of the two polarizabilities.
+        from scipy.integrate import quad
         cfg = _config(5.0)
-        assert u_retarded_polarizability_form(cfg) \
-            == pytest.approx(u_retarded_closed(cfg), rel=1e-9)
+        (t1,), (t2,) = cfg.species1.transitions, cfg.species2.transitions
+        half, _ = quad(lambda u: polarizability(cfg.species1, u)
+                       * polarizability(cfg.species2, u), 0.0, np.inf, limit=200)
+        s4 = 0.5 * (math.sin(math.pi * cfg.p1.x) ** 4
+                    + math.sin(math.pi * cfg.p1.y) ** 4)
+        form = (-2.0 * math.pi * s4 * 2.0 * half / (t1.wavelength * t2.wavelength)
+                * math.exp(-2.0 * math.pi * cfg.z) / cfg.z)
+        assert form == pytest.approx(u_retarded_closed(cfg), rel=1e-9)
 
 
 class TestFreeSpaceReferences:
@@ -825,7 +834,7 @@ class TestFreeSpaceReferences:
     def test_assembled_equals_tensor_for_arbitrary_dipoles(self):
         sp1 = DipoleSpecies.single(E100, (0.3, -0.2, 0.8), "fixed-vector")
         sp2 = DipoleSpecies.single(1.3 * E100, (-0.5, 0.1, 0.4), "fixed-vector")
-        a = u_near_field_assembled(sp1, sp2, 0.37)
+        a = near_field_energy(sp1, sp2, 0.37)
         b = u_freespace_vdw(sp1, sp2, 0.37, form="tensor")
         assert a == pytest.approx(b, rel=5e-16)
 

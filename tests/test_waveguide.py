@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wgdisp
+from helpers import profile_norm
+from wgdisp.conventions import Conventions
+from wgdisp.coupling import _one_mode, _te_rows, transverse_profile
 from wgdisp.errors import InputError
 from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint,
                               cutoff_wavenumber, enumerate_modes,
-                              mode_arrays, mode_frequency,
-                              normalization_integral, transverse_profile)
+                              mode_arrays, mode_frequency)
 
 SQ = Geometry(1.0, 1.0)
 
@@ -130,49 +133,76 @@ class TestProfiles:
             transverse_profile(SQ, ModeIndex("TE", 1, 0), 0.0,
                                TransversePoint(1.5, 0.5))
 
+    def test_view_matches_printed_formula(self):
+        # The profile formulas of the waveguide module docstring, evaluated
+        # here term by term; TE components are the factor-row entries.
+        assert wgdisp.transverse_profile is transverse_profile
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            g = Geometry(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            p = TransversePoint(rng.uniform(0.0, g.a), rng.uniform(0.0, g.b))
+            m, n = int(rng.integers(0, 6)), int(rng.integers(0, 6))
+            k = rng.uniform(-20.0, 20.0)
+            ax, ay = m * math.pi / g.a, n * math.pi / g.b
+            kmn = math.hypot(ax, ay)
+            root_a = 2.0 / math.sqrt(g.area)
+            sx, cx = math.sin(ax * p.x), math.cos(ax * p.x)
+            sy, cy = math.sin(ay * p.y), math.cos(ay * p.y)
+            if m and n:
+                kappa = math.hypot(kmn, k)
+                tm = [root_a * (1j * k / kappa) * (ax / kmn) * cx * sy,
+                      root_a * (1j * k / kappa) * (ay / kmn) * sx * cy,
+                      root_a * (kmn / kappa) * sx * sy]
+                got = transverse_profile(g, ModeIndex("TM", m, n), k, p)
+                assert np.abs(got - tm).max() < 1e-14
+            if m or n:
+                mode = ModeIndex("TE", m, n)
+                for conv, nf in (("paper-literal", 1.0),
+                                 ("unit-normalized",
+                                  math.sqrt(0.5) if m * n == 0 else 1.0)):
+                    te = [-root_a * nf * (ay / kmn) * cx * sy,
+                          root_a * nf * (ax / kmn) * sx * cy, 0.0]
+                    got = transverse_profile(g, mode, k, p, conv)
+                    assert np.abs(got - te).max() < 1e-14
+                    rows = _te_rows(g, *_one_mode(g, mode), p, p,
+                                    Conventions(normalization=conv))
+                    assert got[0].real == rows[0, 0]
+                    assert got[1].real == rows[1, 0]
+
 
 class TestNormalization:
     def test_tm_unit_for_any_k(self):
         for k in (0.0, 3.7, 20.0):
-            val = normalization_integral(SQ, ModeIndex("TM", 1, 1), k)
+            val = profile_norm(SQ, ModeIndex("TM", 1, 1), k)
             assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_te10_paper_literal_doubles(self):
-        val = normalization_integral(SQ, ModeIndex("TE", 1, 0), 0.0,
-                                     "paper-literal")
+        val = profile_norm(SQ, ModeIndex("TE", 1, 0), 0.0, "paper-literal")
         assert val == pytest.approx(2.0, abs=1e-9)
 
     def test_te10_unit_normalized(self):
-        val = normalization_integral(SQ, ModeIndex("TE", 1, 0), 0.0)
+        val = profile_norm(SQ, ModeIndex("TE", 1, 0), 0.0)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_axial_part_matches_exact_trigonometric_integral(self):
         # The squared axial component alone integrates to k_mn^2/kappa^2
         # (mean square of sin*sin is a quarter of the area).
-        from wgdisp.quad2d import integrate2d
         g = Geometry(1.0, 1.4)
         mode = ModeIndex("TM", 2, 3)
         k = 4.2
         kmn = cutoff_wavenumber(g, mode)
-        kappa2 = kmn ** 2 + k ** 2
-
-        def ez_squared(x, y):
-            e = (4.0 / g.area) * (kmn ** 2 / kappa2) \
-                * np.sin(2 * np.pi * x / g.a) ** 2 \
-                * np.sin(3 * np.pi * y / g.b) ** 2
-            return e
-
-        val, err = integrate2d(ez_squared, 0, g.a, 0, g.b, tol=1e-12,
-                               initial=(2, 3))
-        assert val == pytest.approx(kmn ** 2 / kappa2, abs=1e-11)
-        assert err < 1e-11
+        points = 8
+        ez2 = sum(abs(transverse_profile(g, mode, k, TransversePoint(
+            (i + 0.5) * g.a / points, (j + 0.5) * g.b / points))[2]) ** 2
+            for i in range(points) for j in range(points))
+        val = ez2 * g.area / points ** 2
+        assert val == pytest.approx(kmn ** 2 / (kmn ** 2 + k ** 2), abs=1e-14)
 
     def test_rectangular_guide_all_low_modes_unit(self):
         g = Geometry(1.0, 1.7)
         for mode in (ModeIndex("TM", 2, 1), ModeIndex("TE", 0, 2),
                      ModeIndex("TE", 3, 1)):
-            assert normalization_integral(g, mode, 5.5) \
-                == pytest.approx(1.0, abs=1e-9)
+            assert profile_norm(g, mode, 5.5) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEnumeration:
