@@ -7,9 +7,10 @@ from scipy.special import k0
 from wgdisp.asymptotics import (SumSpec, near_field_components,
                                 reduced_zz_sum_direct,
                                 reduced_zz_sum_integral)
+from wgdisp.bessel import bessel_k0, k0_small_argument
 from wgdisp.energy import DipoleSpecies, PairConfiguration, f_tensor
 from wgdisp.errors import ConvergenceError, InputError
-from wgdisp.waveguide import Geometry
+from wgdisp.waveguide import Geometry, cutoff_wavenumber, enumerate_modes
 
 # mpmath-frozen direct sums
 SUM_AT_1 = 0.016948660836466332
@@ -148,6 +149,17 @@ def _te_aggregate_xx(z_over_a, max_index, energy):
 
 
 class TestTeNearField:
+    def test_per_mode_expansion_accuracy(self):
+        z_over_a = 0.01 / math.pi
+        geom = Geometry(1.0, 1.0)
+        mode = enumerate_modes(geom, 4.0)[0]
+        assert mode.label() in ("TE01", "TE10")
+        # Lowest mode has k_mn z = 0.01; frozen remainder 1.43e-4.
+        x = cutoff_wavenumber(geom, mode) * z_over_a
+        assert x == pytest.approx(0.01, rel=1e-14)
+        diff = abs(bessel_k0(x) - k0_small_argument(x))
+        assert diff == pytest.approx(1.4302851459114829e-4, rel=1e-5)
+
     def test_local_exponent_far_from_free_space(self):
         # The measured aggregate exponent is -2 (the per-mode logarithm
         # integrates away over the 2-D mode lattice); the load-bearing
