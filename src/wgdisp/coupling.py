@@ -513,7 +513,9 @@ def f_quadrature(
         kernel, err = _tm_kernel_value(orient, include_energy_factor, u_e, zeta, spec)
         rows = _tm_rows(geom, m, n, k, p1, p2, Conventions())
         pref = (4.0 / geom.area) * kmn * rows[_AXES[i], 0] * rows[3 + _AXES[j], 0]
-    value = float(pref * kernel)
+    # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
+    # into 0.0, as the closed forms give, and leaves every other value as it is.
+    value = float(pref * kernel) + 0.0
     _enforce_tolerance(value, abs(pref) * err, spec)
     return CouplingValue(value, mode, orient, "quadrature")
 

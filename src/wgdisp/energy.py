@@ -127,6 +127,12 @@ class PairConfiguration:
 class FTensorResult:
     """Mode-summed coupling tensor for one transition energy.
 
+    The TM sum covers the ``tm_modes`` modes with k <= ``tm_cutoff`` and
+    the TE sum the ``te_modes`` modes with k <= ``te_cutoff``;
+    ``modes_used`` is their total and ``max_cutoff`` the larger cutoff,
+    the one the mode listing reached.  ``tail_bound`` bounds what both
+    truncations drop from any tensor entry.
+
     ``per_mode`` maps each summed mode to its own 3x3 coupling, or is
     ``None`` when the sum used more than ``detail_cap`` modes or had a
     dipole at a corner.  The map is built on first read from the factor
@@ -137,10 +143,20 @@ class FTensorResult:
     tensor: np.ndarray
     tm_tensor: np.ndarray
     te_tensor: np.ndarray
-    modes_used: int
     tail_bound: float
-    max_cutoff: float
+    tm_cutoff: float
+    te_cutoff: float
+    tm_modes: int
+    te_modes: int
     _detail: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def max_cutoff(self) -> float:
+        return max(self.tm_cutoff, self.te_cutoff)
+
+    @property
+    def modes_used(self) -> int:
+        return self.tm_modes + self.te_modes
 
     @cached_property
     def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
@@ -216,26 +232,31 @@ def _block_index(position: int) -> int:
 
 
 class _Block:
-    """Cutoffs, indices and factor rows of one block of a mode table."""
+    """Cutoffs, indices and factor rows of one block of a mode table.
+
+    ``rows`` is allocated when the first of its modes gets factor rows.
+    """
 
     __slots__ = ("k", "mn", "rows")
 
-    def __init__(self, n_modes: int, n_rows: int):
+    def __init__(self, n_modes: int):
         self.k = np.empty(n_modes)
         self.mn = np.empty((2, n_modes), dtype=np.int32)
-        self.rows = np.empty((n_modes, n_rows))  # one mode per row
+        self.rows = None  # one mode per row once built
 
 
 class ModeTable:
     """Cutoff-sorted modes of one guide, pair of points and conventions.
 
-    Per polarization the table holds each mode's cutoff k, its indices
-    (m, n) and its z-independent transverse factor rows (``_tm_rows`` and
-    ``_te_rows`` of :mod:`wgdisp.coupling`), listed shell by shell as
-    :meth:`extend` raises the cutoff.  Only the radial factors depend on the separation, so one
-    table serves every separation and transition level of a sweep:
-    :meth:`sums` weights the rows with (4 pi / A) k e^{-kz} (TM) and
-    K0(kz) (TE) and contracts them block by block.
+    Per polarization the table holds each mode's cutoff k and indices
+    (m, n), listed shell by shell as :meth:`extend` raises the cutoff, and
+    the z-independent transverse factor rows (``_tm_rows`` and
+    ``_te_rows`` of :mod:`wgdisp.coupling`) of the modes up to that
+    polarization's own cutoff, each built once.  Only the radial factors
+    depend on the separation, so one table serves every separation and
+    transition level of a sweep: :meth:`sums` weights the rows with
+    (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them block by
+    block.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
@@ -244,39 +265,61 @@ class ModeTable:
         self.cutoff: float | None = None
         self._blocks: dict[str, list[_Block]] = {TM: [], TE: []}
         self._size = {TM: 0, TE: 0}
-        # Per separation: sums over whole blocks, sums by mode counts, and
-        # the radial factors of the block contracted last.
+        self._built = {TM: 0, TE: 0}  # modes with factor rows
+        # Per separation: sums over whole blocks, sums by polarization and
+        # mode count, and the radial factors of the block contracted last.
         self._z = None
         self._cumulative: dict[str, list[np.ndarray]] = {}
-        self._memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._memo: dict[tuple[str, int], np.ndarray] = {}
         self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
 
-    def extend(self, K: float) -> None:
-        """List the modes with k <= K (1 + 1e-12) that the table lacks."""
-        if self.cutoff is not None and K <= self.cutoff:
-            return
+    def extend(self, K: float, te_cutoff: float | None = None) -> None:
+        """List the modes with k <= K (1 + 1e-12) that the table lacks.
+
+        The new shell takes one ``mode_arrays`` call.  The TM modes up to K
+        and the TE modes up to ``te_cutoff`` (at most K; K when omitted) get
+        factor rows, each mode's built once.
+        """
+        if self.cutoff is None or K > self.cutoff:
+            shell = mode_arrays(self.key[0], K, self.cutoff)
+            for pol in (TM, TE):
+                self._append(pol, shell[pol])
+            self.cutoff = K
+        for pol, count in zip((TM, TE), self.counts(K, te_cutoff)):
+            self._build_rows(pol, count)
+
+    def _append(self, pol: str, shell: dict) -> None:
+        """Store the cutoffs and indices of a listed shell, block by block."""
+        m, n, k = shell["m"], shell["n"], shell["k"]
+        start = 0
+        while start < k.size:
+            j = _block_index(self._size[pol])
+            off = self._size[pol] - _block_start(j)
+            stop = min(k.size, start + _block_start(j + 1) - self._size[pol])
+            if off == 0:
+                self._blocks[pol].append(_Block(_block_start(j + 1) - _block_start(j)))
+            block = self._blocks[pol][j]
+            put, part = slice(off, off + stop - start), slice(start, stop)
+            block.k[put] = k[part]
+            block.mn[:, put] = m[part], n[part]
+            self._size[pol] += stop - start
+            start = stop
+
+    def _build_rows(self, pol: str, count: int) -> None:
+        """Build the factor rows of the first ``count`` modes that lack them."""
         geom, p1, p2, conv = self.key
-        shell = mode_arrays(geom, K, self.cutoff)
-        for pol, rows_of in ((TM, _coupling._tm_rows), (TE, _coupling._te_rows)):
-            m, n, k = shell[pol]["m"], shell[pol]["n"], shell[pol]["k"]
-            start = 0
-            while start < k.size:
-                j = _block_index(self._size[pol])
-                off = self._size[pol] - _block_start(j)
-                stop = min(k.size, start + _block_start(j + 1) - self._size[pol])
-                part = slice(start, stop)
-                rows = rows_of(geom, m[part], n[part], k[part], p1, p2, conv)
-                if off == 0:
-                    self._blocks[pol].append(
-                        _Block(_block_start(j + 1) - _block_start(j), rows.shape[0]))
-                block = self._blocks[pol][j]
-                put = slice(off, off + stop - start)
-                block.k[put] = k[part]
-                block.mn[:, put] = m[part], n[part]
-                block.rows[put] = rows.T
-                self._size[pol] += stop - start
-                start = stop
-        self.cutoff = K
+        rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
+        while self._built[pol] < count:
+            j = _block_index(self._built[pol])
+            block = self._blocks[pol][j]
+            put = slice(self._built[pol] - _block_start(j),
+                        min(count, _block_start(j + 1)) - _block_start(j))
+            rows = rows_of(geom, block.mn[0, put], block.mn[1, put],
+                           block.k[put], p1, p2, conv)
+            if block.rows is None:
+                block.rows = np.empty((block.k.size, rows.shape[0]))
+            block.rows[put] = rows.T
+            self._built[pol] = _block_start(j) + put.stop
 
     def _filled(self, pol: str, count: int):
         """(block, modes used) pairs covering the first ``count`` modes."""
@@ -286,23 +329,23 @@ class ModeTable:
                 return
             yield block, used
 
-    def counts(self, K: float) -> tuple[int, int]:
-        """Numbers of TM and TE modes with k <= K (1 + 1e-12).
+    def counts(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
+        """Numbers of TM modes with k <= K and TE modes with k <= ``te_cutoff``.
 
-        With the table extended to K these are the sizes of
-        ``mode_arrays(geom, K)``, whose modes are the table's first ones.
+        Both edges carry a 1e-12 relative slack and ``te_cutoff`` defaults to
+        K.  With the table listed to a cutoff these are the sizes of the
+        ``mode_arrays`` tables at it, whose modes are the table's first ones.
         """
+        return self._count(TM, K), self._count(TE, K if te_cutoff is None else te_cutoff)
+
+    def _count(self, pol: str, K: float) -> int:
         limit = K * (1.0 + 1e-12)
-        out = []
-        for pol in (TM, TE):
-            n = 0
-            for block, used in self._filled(pol, self._size[pol]):
-                if block.k[used - 1] > limit:
-                    n += int(np.searchsorted(block.k[:used], limit, side="right"))
-                    break
-                n += used
-            out.append(n)
-        return tuple(out)
+        n = 0
+        for block, used in self._filled(pol, self._size[pol]):
+            if block.k[used - 1] > limit:
+                return n + int(np.searchsorted(block.k[:used], limit, side="right"))
+            n += used
+        return n
 
     def sums(self, z: float, counts: tuple[int, int]):
         """TM tensor and unit-weight TE tensor over the first ``counts`` modes.
@@ -310,17 +353,19 @@ class ModeTable:
         The TE tensor still lacks its factor * E.  Each full block is
         contracted once per separation and added in table order; a final
         partial block is added last.  The result is therefore a function
-        of z and ``counts`` alone, whatever else the table holds, and the
-        levels and growth steps at one z share the full blocks' sums.
+        of z and ``counts`` alone, whatever else the table holds.  Each
+        polarization's sum is kept per count, so the levels and growth steps
+        at one z share it: a step that grows one polarization's cutoff
+        leaves the other's sum as it was.
         """
         if z != self._z:
             self._z, self._memo = z, {}
             self._cumulative = {pol: [np.zeros((3, 3))] for pol in (TM, TE)}
             for cache in self._radial.values():
                 cache[0] = -1
-        if counts not in self._memo:
-            out = []
-            for pol, count in zip((TM, TE), counts):
+        out = []
+        for pol, count in zip((TM, TE), counts):
+            if (pol, count) not in self._memo:
                 full = _block_index(count)
                 part = count - _block_start(full)
                 cumulative = self._cumulative[pol]
@@ -331,9 +376,9 @@ class ModeTable:
                 total = cumulative[full]
                 if part:
                     total = total + self._contract(pol, full, part, z)
-                out.append(total)
-            self._memo[counts] = tuple(out)
-        return self._memo[counts]
+                self._memo[pol, count] = total
+            out.append(self._memo[pol, count])
+        return tuple(out)
 
     def _radial_factor(self, pol: str, j: int, used: int, z: float) -> np.ndarray:
         """e^{-kz} (TM) or K0(kz) (TE) over the first ``used`` modes of block j.
@@ -400,17 +445,25 @@ def f_tensor(
     """Mode-summed 3x3 coupling tensor for one transition energy.
 
     Exactly one of ``max_cutoff`` and ``tail_tol`` selects the truncation:
-    a fixed cutoff wavenumber, or growth of the cutoff by factors of 1.3
-    until the analytic continuum tail bound drops below ``tail_tol``
-    times the accumulated tensor scale.
+    one fixed cutoff wavenumber for both polarizations, or a TM cutoff
+    K_TM and a TE cutoff K_TE, each grown by factors of 1.3 from a common
+    start, until tail_TM(K_TM) + tail_TE(K_TE), the analytic continuum
+    tail bounds, is at most ``tail_tol`` times the tensor scale.  K_TM
+    grows while tail_TM(K_TM) + tail_TE(K_TM) exceeds that budget; after
+    that K_TE grows until the sum of the two tails fits.  So K_TE <= K_TM,
+    and TE, whose K0 is the dearer weight and whose tail falls faster at
+    short separations, is summed only as far as the tolerance needs.
 
     The modes come from ``table``, a :class:`ModeTable` of config's guide,
     points and conventions, or from a table of the call's own.  A growth
-    step extends the table only past its present cutoff, so each mode is
-    listed and its transverse factors built once per table.  The sums are
-    those of :meth:`ModeTable.sums` over the modes below the cutoff: they
-    depend only on (config, energy, cutoff), so growth and a fixed cutoff
-    give bit-identical results, with a shared table or without.
+    step lists modes only past the table's present cutoff and builds each
+    polarization's factor rows only up to its own cutoff, so each mode is
+    listed and its transverse factors built at most once per table.  The
+    sums are those of :meth:`ModeTable.sums` over the modes below each
+    polarization's cutoff: they depend only on (config, energy, cutoff),
+    so ``tm_tensor`` and ``te_tensor`` equal, bit for bit, the sums of a
+    fixed cutoff at ``tm_cutoff`` and at ``te_cutoff``, with a shared
+    table or without.
 
     With either dipole at a corner of the cross-section every mode
     profile vanishes there, so the tensor is exactly zero and no mode is
@@ -424,13 +477,14 @@ def f_tensor(
     geom, z, conv = config.geom, config.z, config.conventions
     p1, p2 = config.p1, config.p2
     if max_cutoff is not None:
-        K = max_cutoff
+        K_tm = max_cutoff
     else:
-        K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+        K_tm = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    K_te = K_tm
     if geom.is_corner(p1) or geom.is_corner(p2):
         return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
-                             te_tensor=np.zeros((3, 3)), modes_used=0,
-                             tail_bound=0.0, max_cutoff=K)
+                             te_tensor=np.zeros((3, 3)), tail_bound=0.0,
+                             tm_cutoff=K_tm, te_cutoff=K_te, tm_modes=0, te_modes=0)
     if table is None:
         table = ModeTable(geom, p1, p2, conv)
     elif table.key != (geom, p1, p2, conv):
@@ -438,24 +492,29 @@ def f_tensor(
                          "points or set of conventions")
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
     while True:
-        if mode_count(geom, K) > mode_cap:
-            raise ModeCapError(mode_count(geom, K), mode_cap)
-        table.extend(K)
-        counts = table.counts(K)
+        if mode_count(geom, K_tm) > mode_cap:
+            raise ModeCapError(mode_count(geom, K_tm), mode_cap)
+        table.extend(K_tm, K_te)
+        counts = table.counts(K_tm, K_te)
         tm_sum, te_unit = table.sums(z, counts)
         te_sum = te_weight * te_unit
-        tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
+        tm_tail = _tm_tail_bound(K_tm, z, geom)
+        tail = tm_tail + _te_tail_bound(K_te, z, geom, energy)
         if max_cutoff is not None:
             break
-        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
-        if tail <= tail_tol * scale:
+        budget = tail_tol * max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        if tail <= budget:
             break
-        K *= 1.3
-    n_modes = counts[0] + counts[1]
-    detail = (table, counts, z, energy) if n_modes <= detail_cap else None
+        # At K_TE = K_TM this is the test just failed, so K_TE stays <= K_TM.
+        if tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
+            K_tm *= 1.3
+        else:
+            K_te *= 1.3
+    detail = (table, counts, z, energy) if sum(counts) <= detail_cap else None
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
-                         te_tensor=te_sum, modes_used=n_modes,
-                         tail_bound=tail, max_cutoff=K, _detail=detail)
+                         te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_tm,
+                         te_cutoff=K_te, tm_modes=counts[0], te_modes=counts[1],
+                         _detail=detail)
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,

@@ -317,6 +317,7 @@ def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
     TE ones are added up in list order and assembled by
     :func:`wgdisp.energy._assemble`.
     """
+    n_te = sum(mode.polarization == TE for mode in modes)
 
     def tensor_for(energy: float) -> FTensorResult:
         tm, te = np.zeros((3, 3)), np.zeros((3, 3))
@@ -326,8 +327,8 @@ def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
             else:
                 tm += mode_tensor(mode, energy)
         return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
-                             modes_used=len(modes), tail_bound=0.0,
-                             max_cutoff=math.nan)
+                             tail_bound=0.0, tm_cutoff=math.nan, te_cutoff=math.nan,
+                             tm_modes=len(modes) - n_te, te_modes=n_te)
 
     return _assemble(config, tensor_for, _confinement_guard(config)).total
 

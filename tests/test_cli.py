@@ -359,6 +359,16 @@ class TestCoupling:
                                                        rel=1e-12)
         assert payload["rel_difference"] < 1e-9
 
+    def test_exact_zero_prints_positive_zero(self):
+        # TE10 has no x component on the guide's midline y = b/2.
+        res = run_cli("coupling", "--pol", "TE", "--m", "1", "--n", "0",
+                      "--orient", "xx", "--z", "0.4", "--energy", "0.0628",
+                      "--check-quadrature")
+        assert res.returncode == 0
+        assert '"closed_form": 0.0,' in res.stdout
+        assert '"quadrature": 0.0,' in res.stdout
+        assert "-0.0" not in res.stdout
+
 
 class TestOracleCheck:
     def test_default_run_passes(self):

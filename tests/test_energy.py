@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from helpers import near_field_energy
 from wgdisp.conventions import Conventions
@@ -131,22 +131,32 @@ class TestFTensor:
     def test_growth_equals_fixed_cutoff_bitwise(self, b, p1, p2, z,
                                                 convention, tol):
         # The cutoff search appends each new shell of modes to the
-        # k-sorted arrays; that must be exactly one sum at the final cutoff.
+        # k-sorted arrays; per polarization that must be exactly one sum at
+        # its final cutoff.
+        from wgdisp.energy import _te_tail_bound, _tm_tail_bound
         cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
                                 TransversePoint(*p2), z, ISO, ISO,
                                 conventions=Conventions.from_name(convention))
         grown = f_tensor(cfg, E100, tail_tol=tol)
-        fixed = f_tensor(cfg, E100, max_cutoff=grown.max_cutoff)
-        for name in ("tensor", "tm_tensor", "te_tensor"):
-            assert np.array_equal(getattr(grown, name), getattr(fixed, name))
-        assert grown.modes_used == fixed.modes_used
-        assert grown.tail_bound == fixed.tail_bound
+        at_tm = f_tensor(cfg, E100, max_cutoff=grown.tm_cutoff, detail_cap=math.inf)
+        at_te = f_tensor(cfg, E100, max_cutoff=grown.te_cutoff, detail_cap=math.inf)
+        assert grown.max_cutoff == grown.tm_cutoff >= grown.te_cutoff
+        assert np.array_equal(grown.tm_tensor, at_tm.tm_tensor)
+        assert np.array_equal(grown.te_tensor, at_te.te_tensor)
+        assert np.array_equal(grown.tensor, at_tm.tm_tensor + at_te.te_tensor)
+        assert (grown.tm_modes, grown.te_modes) == (at_tm.tm_modes, at_te.te_modes)
+        assert grown.modes_used == grown.tm_modes + grown.te_modes
+        assert grown.tail_bound == (_tm_tail_bound(grown.tm_cutoff, z, cfg.geom)
+                                    + _te_tail_bound(grown.te_cutoff, z, cfg.geom, E100))
         if grown.per_mode is None:
-            assert fixed.per_mode is None
+            assert grown.modes_used > 20_000
         else:
-            assert list(grown.per_mode) == list(fixed.per_mode)
-            for mode, value in grown.per_mode.items():
-                assert np.array_equal(value, fixed.per_mode[mode])
+            want = [(mode, value) for fixed, pol in ((at_tm, "TM"), (at_te, "TE"))
+                    for mode, value in fixed.per_mode.items()
+                    if mode.polarization == pol]
+            assert list(grown.per_mode) == [mode for mode, _ in want]
+            for mode, value in want:
+                assert np.array_equal(grown.per_mode[mode], value)
 
     def test_each_mode_kernel_runs_once(self, monkeypatch):
         # The transverse factor rows of each mode are built once per
@@ -368,26 +378,33 @@ class TestColumnBlocks:
 def _reference_f_tensor(cfg, energy, tail_tol):
     """Cutoff search with the per-mode pairwise sums of the column-block code.
 
-    Every growth step sums the per-mode couplings of the whole table along
-    the mode axis with numpy's pairwise summation, which is bit for bit
-    what the earlier column-block implementation of f_tensor returned;
-    the stopping rule is f_tensor's.  Returns (tm, te, modes, cutoff, tail).
+    Every growth step sums the per-mode couplings of each polarization's
+    whole table along the mode axis with numpy's pairwise summation, which
+    is bit for bit what the earlier column-block implementation of
+    f_tensor returned.  The stopping rule is f_tensor's: K_TM grows while
+    tail_TM(K_TM) + tail_TE(K_TM) exceeds tail_tol times the scale, and
+    then K_TE until tail_TM(K_TM) + tail_TE(K_TE) fits.  Returns
+    (tm, te, (TM modes, TE modes), (K_TM, K_TE), tail).
     """
     from wgdisp.energy import _te_tail_bound, _tm_tail_bound
     geom, z, conv = cfg.geom, cfg.z, cfg.conventions
-    K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    K_tm = K_te = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     while True:
-        t = mode_arrays(geom, K)
-        tm, te = t["TM"], t["TE"]
+        tm, te = mode_arrays(geom, K_tm)["TM"], mode_arrays(geom, K_te)["TE"]
         tm_sum = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
                             tm["k"], cfg.p1, cfg.p2, z, conv).sum(axis=2)
         te_sum = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
                             te["k"], cfg.p1, cfg.p2, z, energy, conv).sum(axis=2)
-        tail = _tm_tail_bound(K, z, geom) + _te_tail_bound(K, z, geom, energy)
-        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
-        if tail <= tail_tol * scale:
-            return tm_sum, te_sum, tm["k"].size + te["k"].size, K, tail
-        K *= 1.3
+        tm_tail = _tm_tail_bound(K_tm, z, geom)
+        tail = tm_tail + _te_tail_bound(K_te, z, geom, energy)
+        budget = tail_tol * max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        if tail <= budget:
+            return (tm_sum, te_sum, (tm["k"].size, te["k"].size), (K_tm, K_te),
+                    tail)
+        if tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
+            K_tm *= 1.3
+        else:
+            K_te *= 1.3
 
 
 def _seeded_cases(n):
@@ -406,9 +423,11 @@ class TestAgainstPairwiseSum:
     @pytest.mark.parametrize("cfg", list(_seeded_cases(8)),
                              ids=lambda cfg: f"z={cfg.z:.3g}")
     def test_same_cutoff_and_sums_within_tolerance(self, cfg):
-        tm, te, modes, K, tail = _reference_f_tensor(cfg, E100, 1e-6)
+        tm, te, modes, cutoffs, tail = _reference_f_tensor(cfg, E100, 1e-6)
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
-        assert ft.max_cutoff == K and ft.modes_used == modes
+        assert (ft.tm_cutoff, ft.te_cutoff) == cutoffs
+        assert (ft.tm_modes, ft.te_modes) == modes
+        assert ft.max_cutoff == cutoffs[0] and ft.modes_used == sum(modes)
         assert ft.tail_bound == tail
         scale = max(np.abs(tm).max(), np.abs(te).max())
         assert np.abs(ft.tm_tensor - tm).max() <= SUM_TOL * scale
@@ -496,6 +515,76 @@ class TestTailBoundProperty:
 _TWO_LEVELS = DipoleSpecies(
     (DipoleTransition(E100, (0.3, 1.0, 0.6)),
      DipoleTransition(1.7 * E100, (0.9, 0.2, 0.4))), "fixed-vector")
+
+
+@st.composite
+def _split_cases(draw):
+    # Off-centre pairs, p2 offset from p1 by at most the axial separation
+    # (and 0.4a) per axis: further apart, the smallest separations pass the
+    # mode cap at every tolerance.
+    b = draw(st.floats(0.5, 1.0))
+    z = 0.01 * 500.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.01a, 5a]
+    x1, y1 = draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9)) * b
+    dx, dy = (draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+              * min(z, 0.4) for _ in range(2))
+    p1 = TransversePoint(x1, y1)
+    p2 = TransversePoint(min(max(x1 + dx, 0.05), 0.95),
+                         min(max(y1 + dy, 0.05 * b), 0.95 * b))
+    orientation = draw(st.sampled_from(["isotropic-average", "fixed-vector"]))
+    levels = draw(st.lists(st.tuples(st.floats(20.0, 200.0), _ONE_SIGN),
+                           min_size=1, max_size=3,
+                           unique_by=lambda level: level[0]))
+    species = DipoleSpecies(tuple(DipoleTransition(2.0 * math.pi / lam, d)
+                                  for lam, d in levels), orientation)
+    conv = Conventions.from_name(draw(st.sampled_from(["oracle-consistent",
+                                                       "paper-literal"])))
+    cfg = PairConfiguration(Geometry(1.0, b), p1, p2, z, species, species,
+                            conventions=conv)
+    return cfg, 10.0 ** draw(st.floats(-8.0, -4.0))
+
+
+class TestPolarizationCutoffs:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_split_cases())
+    def test_within_tail_of_common_cutoff(self, case):
+        # Each level's TE sum stops at its own cutoff, at most the TM one.
+        # Against the sum of both polarizations to the TM cutoff, the
+        # energy moves by no more than the two tail estimates, and the TM
+        # part does not move at all.
+        from wgdisp.energy import _assemble
+        cfg, tol = case
+        try:
+            u = dispersion_energy(cfg, tail_tol=tol)
+        except ModeCapError:
+            reject()  # the TM cutoff, the same under both rules, passes the cap
+        for f in u.f_by_level.values():
+            assert f.te_cutoff <= f.tm_cutoff == f.max_cutoff
+        fixed = _assemble(cfg, lambda e: f_tensor(
+            cfg, e, max_cutoff=u.f_by_level[e].tm_cutoff), [])
+        assert abs(u.total - fixed.total) <= u.tail_estimate + fixed.tail_estimate
+        assert u.u_tm_only == fixed.u_tm_only
+
+    def test_sweep_builds_rows_to_each_cutoff(self, monkeypatch):
+        # Over a sweep each polarization's factor rows are built once, and
+        # only as far as the largest count of that polarization summed.
+        import wgdisp.coupling as coupling_mod
+        built = {"TM": 0, "TE": 0}
+        for pol, name in (("TM", "_tm_rows"), ("TE", "_te_rows")):
+            kernel = getattr(coupling_mod, name)
+
+            def counted(geom, m, n, k, *rest, _kernel=kernel, _pol=pol):
+                built[_pol] += k.size
+                return _kernel(geom, m, n, k, *rest)
+            monkeypatch.setattr(coupling_mod, name, counted)
+        cfg = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.31, 0.22),
+                                TransversePoint(0.68, 0.41), 0.04, _TWO_LEVELS,
+                                _TWO_LEVELS)
+        sweep = dispersion_sweep(cfg, np.geomspace(0.04, 0.4, 6).tolist(),
+                                 tail_tol=1e-7)
+        levels = [f for u in sweep for f in u.f_by_level.values()]
+        assert built["TE"] == max(f.te_modes for f in levels)
+        assert built["TM"] == max(f.tm_modes for f in levels)
+        assert max(f.te_cutoff for f in levels) < max(f.tm_cutoff for f in levels)
 
 
 class TestSweep:
