@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,12 @@ EXIT_USAGE = 2
 EXIT_INPUT_FILE = 3
 EXIT_RESOURCE = 4
 
-FIG3A_LAMBDA = 100.0
-FIG3A_GRID = (2.0, 90.0, 25)
-FIG3B_LAMBDA = 10.0
-FIG3B_GRID = (10.0, 40.0, 25)
-FIG4_GRID = (0.01, 1.0, 25)
+# Geometric z grid (first, last, points) of each reproduced figure, and the
+# lambda/a, free-space reference and its label of the two ratio figures.
+FIGURE_GRIDS = {"fig3a": (2.0, 90.0, 25), "fig3b": (10.0, 40.0, 25),
+                "fig4": (0.01, 1.0, 25)}
+FIG3_RATIOS = {"fig3a": (100.0, "vdw-reference", "quasistatic"),
+               "fig3b": (10.0, "cp-reference", "retarded")}
 
 # Configuration keys accepted in a flat "key = value" file, with casts.
 _CONFIG_TYPES = {
@@ -130,14 +132,19 @@ def _species_pair(args) -> tuple[DipoleSpecies, DipoleSpecies]:
     return sp1, sp2
 
 
+def _points(args, geom: Geometry) -> tuple[TransversePoint, TransversePoint]:
+    """Dipole points from --x1/--y1/--x2/--y2, each defaulting to the centre."""
+    cx, cy = 0.5 * geom.a, 0.5 * geom.b
+    return (TransversePoint(float(_resolve(args, "x1", cx)),
+                            float(_resolve(args, "y1", cy))),
+            TransversePoint(float(_resolve(args, "x2", cx)),
+                            float(_resolve(args, "y2", cy))))
+
+
 def _pair_configuration(args, z: float, species=None) -> PairConfiguration:
     geom = _geometry(args)
     sp1, sp2 = species if species is not None else _species_pair(args)
-    cx, cy = 0.5 * geom.a, 0.5 * geom.b
-    p1 = TransversePoint(float(_resolve(args, "x1", cx)),
-                         float(_resolve(args, "y1", cy)))
-    p2 = TransversePoint(float(_resolve(args, "x2", cx)),
-                         float(_resolve(args, "y2", cy)))
+    p1, p2 = _points(args, geom)
     return PairConfiguration(geom, p1, p2, z, sp1, sp2,
                              epsilon=float(_resolve(args, "epsilon", 1.0)),
                              conventions=_conventions(args))
@@ -165,7 +172,6 @@ def cmd_modes(args) -> int:
                    for m in modes]
         _emit(args, _json_dump(payload))
     else:
-        rows = []
         lines = ["polarization,m,n,k_mn,omega_cutoff"]
         for m in modes:
             k = cutoff_wavenumber(geom, m)
@@ -180,11 +186,7 @@ def cmd_coupling(args) -> int:
     orient = args.orient
     if orient not in ORIENTATIONS:
         raise InputError(f"--orient must be one of {ORIENTATIONS}")
-    cx, cy = 0.5 * geom.a, 0.5 * geom.b
-    p1 = TransversePoint(float(_resolve(args, "x1", cx)),
-                         float(_resolve(args, "y1", cy)))
-    p2 = TransversePoint(float(_resolve(args, "x2", cx)),
-                         float(_resolve(args, "y2", cy)))
+    p1, p2 = _points(args, geom)
     z = float(_resolve(args, "z"))
     conv = _conventions(args)
     if mode.polarization == "TM":
@@ -226,6 +228,17 @@ def _ratio(u: float, reference: float) -> float:
     return u / reference + 0.0 if reference else math.nan
 
 
+def _freespace(sp1, sp2, z: float, epsilon: float) -> tuple[float, float]:
+    """Free-space van der Waals (tensor form) and Casimir-Polder energies.
+
+    The Casimir-Polder formula's validity warnings are not printed.
+    """
+    fs_vdw = u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=epsilon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fs_vdw, u_freespace_cp(sp1, sp2, z, epsilon=epsilon)
+
+
 def _energy_report(args, z: float) -> dict:
     top_n = int(_resolve(args, "top_modes", 8))
     if top_n < 0:
@@ -235,11 +248,7 @@ def _energy_report(args, z: float) -> dict:
     breakdown = dispersion_energy(config, **kwargs)
 
     sp1, sp2 = config.species1, config.species2
-    fs_vdw = u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=config.epsilon)
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        fs_cp = u_freespace_cp(sp1, sp2, z, epsilon=config.epsilon)
+    fs_vdw, fs_cp = _freespace(sp1, sp2, z, config.epsilon)
 
     lowest_e = min(t.energy for t in sp1.transitions)
     top_modes = []
@@ -320,25 +329,20 @@ def cmd_sweep(args) -> int:
     zs = [float(z) for z in grid]
     sp1, sp2 = _species_pair(args)
     config = _pair_configuration(args, zs[0], species=(sp1, sp2))
-    eps = config.epsilon
     rows = []
-    import warnings as _w
     # Python prints the warnings it is given; the notes that only reach
     # the breakdowns (corners, underflow) are written here, each once.
-    with _w.catch_warnings(record=True) as raised:
+    with warnings.catch_warnings(record=True) as raised:
         breakdowns = dispersion_sweep(config, zs, **_truncation(args))
     for w in raised:
-        _w.showwarning(w.message, w.category, w.filename, w.lineno)
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     written = {str(w.message) for w in raised}
     for note in (note for b in breakdowns for note in b.warnings):
         if note not in written:
             print(f"warning: {note}", file=sys.stderr)
             written.add(note)
     for z, breakdown in zip(zs, breakdowns):
-        fs_vdw = u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=eps)
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            fs_cp = u_freespace_cp(sp1, sp2, z, epsilon=eps)
+        fs_vdw, fs_cp = _freespace(sp1, sp2, z, config.epsilon)
         rows.append([z, breakdown.total, fs_vdw, fs_cp,
                      _ratio(breakdown.total, fs_vdw), breakdown.tail_estimate])
     _emit(args, _csv(["z_over_a", "U", "U_freespace_vdw", "U_freespace_cp",
@@ -348,38 +352,22 @@ def cmd_sweep(args) -> int:
 
 def cmd_reproduce(args) -> int:
     fig = args.figure
-    if fig == "fig3a":
-        lo, hi, n = FIG3A_GRID
-        grid = np.geomspace(lo, hi, n)
-        rows = [[z, ratio_to_freespace(z, FIG3A_LAMBDA, 1.0, "vdw-reference")]
-                for z in grid]
-        pre = [f"# figure fig3a: in-guide to free-space (quasistatic reference)"
-               f" ratio; lambda_over_a={_fmt(FIG3A_LAMBDA)}",
-               f"# grid: geometric, {n} points, z_over_a in [{_fmt(lo)}, {_fmt(hi)}]"]
-        _emit(args, _csv(["z_over_a", "ratio"], rows, pre))
-    elif fig == "fig3b":
-        lo, hi, n = FIG3B_GRID
-        grid = np.geomspace(lo, hi, n)
-        rows = [[z, ratio_to_freespace(z, FIG3B_LAMBDA, 1.0, "cp-reference")]
-                for z in grid]
-        pre = [f"# figure fig3b: in-guide to free-space (retarded reference)"
-               f" ratio; lambda_over_a={_fmt(FIG3B_LAMBDA)}",
-               f"# grid: geometric, {n} points, z_over_a in [{_fmt(lo)}, {_fmt(hi)}]"]
-        _emit(args, _csv(["z_over_a", "ratio"], rows, pre))
-    elif fig == "fig4":
-        lo, hi, n = FIG4_GRID
-        grid = np.geomspace(lo, hi, n)
-        rows = []
-        for z in grid:
-            direct = reduced_zz_sum_direct(SumSpec(z_over_a=float(z), tol=1e-10))
-            approx = reduced_zz_sum_integral(float(z))
-            rows.append([z, direct, approx])
-        pre = ["# figure fig4: direct axial-axial mode sum vs continuum"
-               " approximation",
-               f"# grid: geometric, {n} points, z_over_a in [{_fmt(lo)}, {_fmt(hi)}]"]
-        _emit(args, _csv(["z_over_a", "direct_sum", "integral_approx"], rows, pre))
+    lo, hi, n = FIGURE_GRIDS[fig]
+    grid = np.geomspace(lo, hi, n)
+    if fig == "fig4":
+        header = ["z_over_a", "direct_sum", "integral_approx"]
+        title = "direct axial-axial mode sum vs continuum approximation"
+        rows = [[z, reduced_zz_sum_direct(SumSpec(z_over_a=float(z), tol=1e-10)),
+                 reduced_zz_sum_integral(float(z))] for z in grid]
     else:
-        raise InputError(f"unknown figure {fig!r}; pick fig3a, fig3b or fig4")
+        lam, reference, label = FIG3_RATIOS[fig]
+        header = ["z_over_a", "ratio"]
+        title = (f"in-guide to free-space ({label} reference) ratio; "
+                 f"lambda_over_a={_fmt(lam)}")
+        rows = [[z, ratio_to_freespace(z, lam, 1.0, reference)] for z in grid]
+    pre = [f"# figure {fig}: {title}",
+           f"# grid: geometric, {n} points, z_over_a in [{_fmt(lo)}, {_fmt(hi)}]"]
+    _emit(args, _csv(header, rows, pre))
     return EXIT_OK
 
 
@@ -407,20 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--convention",
-                        choices=("oracle-consistent", "paper-literal"))
-    common.add_argument("--seed", type=int)
+
+    convention = argparse.ArgumentParser(add_help=False)
+    convention.add_argument("--convention",
+                            choices=("oracle-consistent", "paper-literal"))
 
     geo = argparse.ArgumentParser(add_help=False)
     geo.add_argument("--a", type=float)
     geo.add_argument("--b", type=float)
 
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--x1", type=float)
-    pair.add_argument("--y1", type=float)
-    pair.add_argument("--x2", type=float)
-    pair.add_argument("--y2", type=float)
+    points = argparse.ArgumentParser(add_help=False)
+    for name in ("--x1", "--y1", "--x2", "--y2"):
+        points.add_argument(name, type=float)
+
+    pair = argparse.ArgumentParser(add_help=False, parents=[points])
     pair.add_argument("--species1")
     pair.add_argument("--species2")
     pair.add_argument("--orientation",
@@ -428,25 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--epsilon", type=float)
     pair.add_argument("--tail-tol", dest="tail_tol", type=float)
     pair.add_argument("--max-cutoff", dest="max_cutoff", type=float)
-    pair.add_argument("--si-a-meters", dest="si_a_meters", type=float)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("modes", parents=[common, geo],
                        help="cutoff table of guided modes")
     p.add_argument("--max-cutoff", dest="max_cutoff", type=float)
+    p.add_argument("--format", choices=("csv", "json"))
     p.set_defaults(func=cmd_modes)
 
-    p = sub.add_parser("coupling", parents=[common, geo],
+    p = sub.add_parser("coupling", parents=[common, convention, geo, points],
                        help="single per-mode coupling value")
     p.add_argument("--pol", choices=("TE", "TM"), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--orient", required=True)
-    p.add_argument("--x1", type=float)
-    p.add_argument("--y1", type=float)
-    p.add_argument("--x2", type=float)
-    p.add_argument("--y2", type=float)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--energy", type=float)
     p.add_argument("--check-quadrature", action="store_true")
@@ -455,13 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="branch-cut-rotated")
     p.set_defaults(func=cmd_coupling)
 
-    p = sub.add_parser("energy", parents=[common, geo, pair],
+    p = sub.add_parser("energy", parents=[common, convention, geo, pair],
                        help="single-point dispersion energy report")
     p.add_argument("--z", type=float)
     p.add_argument("--top-modes", dest="top_modes", type=int)
+    p.add_argument("--si-a-meters", dest="si_a_meters", type=float)
     p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser("sweep", parents=[common, geo, pair],
+    p = sub.add_parser("sweep", parents=[common, convention, geo, pair],
                        help="CSV sweep of the energy over a z range")
     p.add_argument("--z-min", dest="z_min", type=float)
     p.add_argument("--z-max", dest="z_max", type=float)
@@ -474,8 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure", choices=("fig3a", "fig3b", "fig4"))
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("oracle-check", parents=[common],
+    p = sub.add_parser("oracle-check", parents=[common, convention],
                        help="cross-validation suite: closed forms vs oracles")
+    p.add_argument("--seed", type=int)
     p.add_argument("--cases", type=int)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -338,74 +338,53 @@ def f_te_closed(
 # numerical kernels
 # ---------------------------------------------------------------------------
 
-def _tm_kernel_even(orient_class: str, weighted: bool, u_e: float):
-    """Even part of the dimensionless TM integrand, after subtraction.
+def _tm_kernel(kind: str, weighted: bool, u_e: float, on_ray: bool):
+    """Dimensionless TM integrand g(u) of one orientation class.
 
-    ``orient_class`` is "zz" or "tt" (any transverse-transverse pair); for
-    "tt" the non-decaying unit constant has already been removed.
+    ``kind`` is "zz", "tt" (any transverse-transverse pair, with the
+    non-decaying unit constant already removed) or "odd" (the mixed
+    transverse-axial pairs).  The denominator is u^2 + 1, or with
+    ``weighted`` omega (omega + u_e) for omega = sqrt(u^2 + 1), taken in
+    complex arithmetic when ``on_ray`` (u on the rotated ray).
     """
     if not weighted:
-        if orient_class == "zz":
-            return lambda u: 1.0 / (u * u + 1.0)
-        return lambda u: -1.0 / (u * u + 1.0)
-    if orient_class == "zz":
-        def g(u):
-            om = np.sqrt(u * u + 1.0 + 0j) if np.iscomplexobj(u) else math.sqrt(u * u + 1.0)
-            return 1.0 / (om * (om + u_e))
+        def den(u):
+            return u * u + 1.0
+    elif on_ray:
+        def den(u):
+            om = np.sqrt(u * u + 1.0 + 0j)
+            return om * (om + u_e)
     else:
-        def g(u):
-            om = np.sqrt(u * u + 1.0 + 0j) if np.iscomplexobj(u) else math.sqrt(u * u + 1.0)
-            return u * u / (om * (om + u_e)) - 1.0
-    return g
+        def den(u):
+            om = math.sqrt(u * u + 1.0)
+            return om * (om + u_e)
+    if kind == "zz":
+        return lambda u: 1.0 / den(u)
+    if kind == "odd":
+        return lambda u: u / den(u)
+    if weighted:
+        return lambda u: u * u / den(u) - 1.0
+    return lambda u: -1.0 / den(u)
 
 
-def _tm_kernel_odd(weighted: bool, u_e: float):
-    if not weighted:
-        return lambda u: u / (u * u + 1.0)
+def _quad(g, spec: QuadratureSpec, scale_hint: float, **weight) -> tuple[float, float]:
+    """integral_0^inf g(u) du, or with ``weight="cos"`` or ``"sin"`` and
+    ``wvar=zeta`` the Fourier integral of g against cos or sin(zeta u).
 
-    def g(u):
-        om = np.sqrt(u * u + 1.0 + 0j) if np.iscomplexobj(u) else math.sqrt(u * u + 1.0)
-        return u / (om * (om + u_e))
-    return g
-
-
-def _quad_checked(func, a, b, spec: QuadratureSpec, scale_hint: float, **kw):
+    Requests well below the target so the (often pessimistic) reported
+    error certifies the caller's tolerance; the Fourier route (QAWF) reads
+    only the absolute request.
+    """
     from scipy.integrate import quad
 
-    # Request well below the target so the (often pessimistic) reported
-    # error certifies the caller's tolerance.
+    factor = 1e-2 if weight else 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        value, err = quad(func, a, b,
-                          epsabs=max(spec.rel_tol * scale_hint * 1e-3, 1e-300),
-                          epsrel=min(spec.rel_tol * 1e-2, 1e-11),
-                          limit=spec.max_subdivisions, **kw)
-    return value, err
-
-
-def _fourier_cos(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[float, float]:
-    """2 * integral_0^inf g(u) cos(zeta u) du via weighted quadrature."""
-    from scipy.integrate import quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        value, err = quad(g, 0.0, np.inf, weight="cos", wvar=zeta,
-                          epsabs=max(spec.rel_tol * scale_hint * 1e-2, 1e-300),
-                          limit=spec.max_subdivisions,
-                          limlst=spec.max_subdivisions)
-    return 2.0 * value, 2.0 * err
-
-
-def _fourier_sin(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[float, float]:
-    from scipy.integrate import quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        value, err = quad(g, 0.0, np.inf, weight="sin", wvar=zeta,
-                          epsabs=max(spec.rel_tol * scale_hint * 1e-2, 1e-300),
-                          limit=spec.max_subdivisions,
-                          limlst=spec.max_subdivisions)
-    return 2.0 * value, 2.0 * err
+        return quad(g, 0.0, np.inf,
+                    epsabs=max(spec.rel_tol * scale_hint * factor, 1e-300),
+                    epsrel=min(spec.rel_tol * 1e-2, 1e-11),
+                    limit=spec.max_subdivisions, limlst=spec.max_subdivisions,
+                    **weight)
 
 
 _ROT = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
@@ -423,52 +402,46 @@ def _wedge_half(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[compl
         u = _ROT * t
         return _ROT * g(np.asarray(u)) * np.exp(1j * zeta * u)
 
-    re, re_err = _quad_checked(lambda t: integrand(t).real, 0.0, np.inf, spec, scale_hint)
-    im, im_err = _quad_checked(lambda t: integrand(t).imag, 0.0, np.inf, spec, scale_hint)
+    re, re_err = _quad(lambda t: integrand(t).real, spec, scale_hint)
+    im, im_err = _quad(lambda t: integrand(t).imag, spec, scale_hint)
     return complex(re, im), re_err + im_err
 
 
 def _te_kernel_value(u_e: float, zeta: float, spec: QuadratureSpec) -> tuple[float, float]:
     """Leading tight-confinement TE kernel integral (equals -2 u_e K0)."""
     if spec.scheme == "real-axis-subtracted":
-        val, err = _fourier_cos(lambda u: 1.0 / math.sqrt(u * u + 1.0),
-                                zeta, spec, math.exp(-zeta))
-        return -u_e * val, u_e * err
-    # Decaying contour: substitute u = 1 + v^2 in the cut integral
-    # integral_1^inf exp(-zeta u)/sqrt(u^2-1) du.
-    def g(v):
-        return 2.0 * math.exp(-zeta * (1.0 + v * v)) / math.sqrt(v * v + 2.0)
-
-    val, err = _quad_checked(g, 0.0, np.inf, spec, math.exp(-zeta))
+        val, err = _quad(lambda u: 1.0 / math.sqrt(u * u + 1.0), spec,
+                         math.exp(-zeta), weight="cos", wvar=zeta)
+    else:
+        # Decaying contour: substitute u = 1 + v^2 in the cut integral
+        # integral_1^inf exp(-zeta u)/sqrt(u^2-1) du.
+        val, err = _quad(lambda v: 2.0 * math.exp(-zeta * (1.0 + v * v))
+                         / math.sqrt(v * v + 2.0), spec, math.exp(-zeta))
     return -2.0 * u_e * val, 2.0 * u_e * err
 
 
 def _tm_kernel_value(orient: str, weighted: bool, u_e: float, zeta: float,
                      spec: QuadratureSpec) -> tuple[float, float]:
-    """Dimensionless TM kernel integral for one orientation pair."""
-    scale = math.exp(-zeta)
-    if orient == "zz":
-        g = _tm_kernel_even("zz", weighted, u_e)
-        if spec.scheme == "real-axis-subtracted":
-            return _fourier_cos(g, zeta, spec, scale)
-        w, err = _wedge_half(g, zeta, spec, scale)
-        return 2.0 * w.real, err
-    if orient in ("xx", "yy", "xy", "yx"):
-        g = _tm_kernel_even("tt", weighted, u_e)
-        if spec.scheme == "real-axis-subtracted":
-            return _fourier_cos(g, zeta, spec, scale)
-        w, err = _wedge_half(g, zeta, spec, scale)
-        return 2.0 * w.real, err
-    # Mixed transverse-axial pairs: the integrand is odd in the axial
-    # wavenumber, so K_xz = -2 integral_0^inf g sin(zeta u) du = -2 Im W
-    # and the reversed index order flips the sign.
-    g = _tm_kernel_odd(weighted, u_e)
+    """Dimensionless TM kernel integral for one orientation pair.
+
+    zz and the transverse pairs are even in the axial wavenumber: twice
+    the cosine transform, 2 Re W on the ray.  The mixed transverse-axial
+    pairs are odd, so K_xz = -2 integral_0^inf g sin(zeta u) du = -2 Im W
+    and the reversed index order flips the sign.
+    """
+    real_axis = spec.scheme == "real-axis-subtracted"
+    even = orient == "zz" or "z" not in orient
+    kind = orient if orient == "zz" else "tt" if even else "odd"
+    g = _tm_kernel(kind, weighted, u_e, on_ray=not real_axis)
+    if real_axis:
+        val, err = _quad(g, spec, math.exp(-zeta), weight="cos" if even else "sin",
+                         wvar=zeta)
+        val, err = 2.0 * val, 2.0 * err
+    else:
+        w, err = _wedge_half(g, zeta, spec, math.exp(-zeta))
+        val = 2.0 * (w.real if even else w.imag)
     sign = -1.0 if orient in ("xz", "yz") else 1.0
-    if spec.scheme == "real-axis-subtracted":
-        val, err = _fourier_sin(g, zeta, spec, scale)
-        return sign * val, err
-    w, err = _wedge_half(g, zeta, spec, scale)
-    return sign * 2.0 * w.imag, err
+    return sign * val, err
 
 
 def f_quadrature(

@@ -41,6 +41,7 @@ class QuadratureError(WgdispError, RuntimeError):
     """
 
     def __init__(self, message: str, best_estimate: float, achieved_error: float):
+        best_estimate, achieved_error = float(best_estimate), float(achieved_error)
         super().__init__(f"{message} (best estimate {best_estimate!r}, "
                          f"achieved error {achieved_error!r})")
         self.best_estimate = best_estimate

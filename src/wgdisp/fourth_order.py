@@ -158,7 +158,6 @@ class _PhotonTable:
 
     def __init__(self, geom, mode: ModeIndex, z: float,
                  Ws: tuple[float, ...], taus: np.ndarray):
-        self.mode = mode
         kmn = _cutoff(geom, mode)
         zeta = kmn * z
         self.kmn = kmn
@@ -184,6 +183,11 @@ class _PhotonTable:
                 self.r2[it] = 2.0 * np.sum(base * (kmn * cosh) ** 2)
 
 
+# Which tau integral of :class:`_PhotonTable` (0: r0, 1: r1, 2: r2) each TM
+# component takes, row i at p2 and column j at p1.
+_TM_RADIAL = np.array([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
+
+
 def _w_tensors(geom, mode, p1, p2, epsilon, table: _PhotonTable,
                conventions) -> np.ndarray:
     """Per-tau 3x3 photon-exchange tensors (index i at p2, j at p1)."""
@@ -192,27 +196,14 @@ def _w_tensors(geom, mode, p1, p2, epsilon, table: _PhotonTable,
         ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
         prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))
         return table.rh[:, None, None] * prof[None, :, :] / (2.0 * epsilon)
-    out = np.zeros((table.r0.size, 3, 3))
     kmn = table.kmn
     pref = 2.0 / (epsilon * geom.area)
+    coef = np.array([[-pref, -pref, -pref * kmn],
+                     [-pref, -pref, -pref * kmn],
+                     [pref * kmn, pref * kmn, pref * kmn ** 2]])
     rows = _tm_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
-    t2, t1 = rows[0:3], rows[3:6]
-    for i in range(3):
-        for j in range(3):
-            prof = t2[i] * t1[j]
-            if i == 2 and j == 2:
-                out[:, i, j] = pref * kmn ** 2 * prof * table.r0
-            elif i < 2 and j < 2:
-                out[:, i, j] = -pref * prof * table.r2
-            elif i < 2:  # transverse at p2, axial at p1
-                out[:, i, j] = -pref * kmn * prof * table.r1
-            else:        # axial at p2, transverse at p1
-                out[:, i, j] = pref * kmn * prof * table.r1
-    return out
-
-
-def _gauss_laguerre(n: int):
-    return np.polynomial.laguerre.laggauss(n)
+    radial = np.stack((table.r0, table.r1, table.r2), axis=-1)[:, _TM_RADIAL]
+    return coef * np.outer(rows[0:3], rows[3:6]) * radial
 
 
 def fourth_order_oracle(
@@ -243,7 +234,7 @@ def fourth_order_oracle(
     if diagrams == "dominant":
         diags = [d for d in diags if d.is_dominant]
 
-    lag_x, lag_w = _gauss_laguerre(n_tau)
+    lag_x, lag_w = np.polynomial.laguerre.laggauss(n_tau)
 
     total = 0.0
     for t1 in config.species1.transitions:
@@ -251,12 +242,20 @@ def fourth_order_oracle(
             E = {1: t1.energy, 2: t2.energy}
             p1m = config.species1.second_moment(t1)
             p2m = config.species2.second_moment(t2)
-            tables: dict = {}
+            photons: dict = {}
 
-            def table_for(mode, Ws, taus, key):
-                if key not in tables:
-                    tables[key] = _PhotonTable(geom, mode, config.z, Ws, taus)
-                return tables[key]
+            def photon(mode, Ws, lam):
+                """Per-tau exchange tensors of one photon, on the single
+                tau = 0 point (``lam`` None) or the Laguerre grid scaled by
+                1/lam.  Each (mode, energies, grid) is built once, with the
+                energies in the order of the first diagram that asks."""
+                key = (mode, tuple(sorted(Ws)), lam)
+                if key not in photons:
+                    taus = np.array([0.0]) if lam is None else lag_x / lam
+                    table = _PhotonTable(geom, mode, config.z, tuple(Ws), taus)
+                    photons[key] = _w_tensors(geom, mode, config.p1, config.p2,
+                                              eps, table, config.conventions)
+                return photons[key]
 
             for diag in diags:
                 d1, mid, d3 = diag.denominators
@@ -264,49 +263,27 @@ def fourth_order_oracle(
                 # transition energy it carries.
                 ws_by_photon = {"P": [], "Q": []}
                 for den in (d1, d3):
-                    photon = "P" if den[0] == 1 else "Q"
-                    energy = E[1] if den[2] == 1 else E[2]
-                    ws_by_photon[photon].append(energy)
+                    photon_name = "P" if den[0] == 1 else "Q"
+                    ws_by_photon[photon_name].append(E[1] if den[2] == 1 else E[2])
                 e_mid = mid[2] * E[1] + mid[3] * E[2]
                 mixes = mid[0] == 1  # middle contains both photon frequencies
 
                 for mp in modes:
                     for mq in modes:
-                        k_p = _cutoff(geom, mp)
-                        k_q = _cutoff(geom, mq)
+                        lam = (_cutoff(geom, mp) + _cutoff(geom, mq) + e_mid
+                               if mixes else None)
+                        wp = photon(mp, ws_by_photon["P"], lam)
+                        wq = photon(mq, ws_by_photon["Q"], lam)
                         if not mixes:
-                            taus = np.array([0.0])
-                            wp = _w_tensors(geom, mp, config.p1, config.p2, eps,
-                                            table_for(mp, tuple(ws_by_photon["P"]),
-                                                      taus, (mp, "P0", diag_key(ws_by_photon["P"]))),
-                                            config.conventions)[0]
-                            wq_t = _w_tensors(geom, mq, config.p1, config.p2, eps,
-                                              table_for(mq, tuple(ws_by_photon["Q"]),
-                                                        taus, (mq, "Q0", diag_key(ws_by_photon["Q"]))),
-                                              config.conventions)[0]
-                            val = quadratic_contraction(p2m, p1m, wp, wq_t) / e_mid
+                            val = quadratic_contraction(p2m, p1m, wp[0], wq[0]) / e_mid
                         else:
-                            lam = k_p + k_q + e_mid
-                            taus = lag_x / lam
-                            wp_t = _w_tensors(geom, mp, config.p1, config.p2, eps,
-                                              table_for(mp, tuple(ws_by_photon["P"]),
-                                                        taus, (mp, "tau", lam, diag_key(ws_by_photon["P"]))),
-                                              config.conventions)
-                            wq_t = _w_tensors(geom, mq, config.p1, config.p2, eps,
-                                              table_for(mq, tuple(ws_by_photon["Q"]),
-                                                        taus, (mq, "tau", lam, diag_key(ws_by_photon["Q"]))),
-                                              config.conventions)
                             n_tau_vals = np.einsum("il,jq,tij,tlq->t",
-                                                   p2m, p1m, wp_t, wq_t)
+                                                   p2m, p1m, wp, wq)
                             val = float(np.sum(
                                 lag_w * np.exp(lag_x) * n_tau_vals
-                                * np.exp(-e_mid * taus)) / lam)
+                                * np.exp(-e_mid * (lag_x / lam))) / lam)
                         total += val
     return -total / TWO_PI ** 2
-
-
-def diag_key(ws: list[float]) -> tuple:
-    return tuple(sorted(round(w, 14) for w in ws))
 
 
 def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],

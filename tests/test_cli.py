@@ -370,7 +370,61 @@ class TestCoupling:
         assert "-0.0" not in res.stdout
 
 
+ORACLE_CHECK_12345 = {
+    "oracle-consistent": """\
+oracle-check report (seed=12345, convention=oracle-consistent, cases=20)
+[closed-vs-quadrature] max_dev=1.305646e-14 threshold=1.0e-06 -> PASS
+[scheme-agreement] max_dev=1.836058e-12 threshold=1.0e-08 -> PASS
+[twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
+[twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
+[free-space-recovery/components] max_dev=9.557552e-05 threshold=2.0e-02 -> PASS
+[free-space-recovery/energy] max_dev=1.238366e-04 threshold=2.0e-02 -> PASS
+overall: PASS
+""",
+    "paper-literal": """\
+oracle-check report (seed=12345, convention=paper-literal, cases=20)
+[closed-vs-quadrature] max_dev=8.828890e-15 threshold=1.0e-06 -> PASS
+[scheme-agreement] max_dev=1.836058e-12 threshold=1.0e-08 -> PASS
+[sign-convention] expected-mismatch of printed prefactors vs oracle: max_dev=2.000e+00 (informational)
+[twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
+[twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
+[free-space-recovery/components] max_dev=9.557552e-05 threshold=2.0e-02 -> PASS
+[free-space-recovery/energy] max_dev=1.238366e-04 threshold=2.0e-02 -> PASS
+overall: PASS
+""",
+}
+
+
 class TestOracleCheck:
+    @pytest.mark.parametrize("convention", sorted(ORACLE_CHECK_12345))
+    def test_default_seed_report_text(self, convention):
+        res = run_cli("oracle-check", "--seed", "12345", "--convention", convention)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == ORACLE_CHECK_12345[convention]
+
+    @pytest.mark.parametrize("seed, case", [
+        ("11", "TM11 xx z=1.12962 scheme=real-axis-subtracted "
+               "achieved error 1.2578e-06"),
+        ("88", "TM22 yz z=0.596827 scheme=real-axis-subtracted "
+               "achieved error 4.0580e-01"),
+    ])
+    def test_uncertified_quadrature_is_a_fail_line(self, seed, case):
+        # The real-axis route cannot certify one case on these seeds; the
+        # report names it on the scheme-agreement line and prints the rest.
+        res = run_cli("oracle-check", "--seed", seed)
+        assert (res.returncode, res.stderr) == (1, "")
+        lines = res.stdout.splitlines()
+        assert lines[0].startswith(f"oracle-check report (seed={seed},")
+        assert lines[2].startswith("[scheme-agreement] max_dev=")
+        assert lines[2].endswith(f"-> FAIL (uncertified quadrature: {case})")
+        others = lines[1:2] + lines[3:-1]
+        assert [line.split("]")[0] for line in others] == [
+            "[closed-vs-quadrature", "[twelve-diagram/dominant-consistency",
+            "[twelve-diagram/full-vs-dominant-form",
+            "[free-space-recovery/components", "[free-space-recovery/energy"]
+        assert all("-> PASS" in line for line in others)
+        assert lines[-1] == "overall: FAIL"
+
     def test_default_run_passes(self):
         res = run_cli("oracle-check", "--seed", "7", "--cases", "4")
         assert res.returncode == 0
@@ -388,6 +442,43 @@ class TestOracleCheck:
                       "--convention", "paper-literal")
         assert res.returncode == 0
         assert "expected-mismatch" in res.stdout
+
+
+class TestIgnoredOptionsRefused:
+    """Options a subcommand would only accept and ignore exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--max-cutoff", "5", "--seed", "1"],
+        ["modes", "--max-cutoff", "5", "--convention", "paper-literal"],
+        ["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+         "--z", "1", "--format", "csv"],
+        ["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+         "--z", "1", "--seed", "1"],
+        ["energy", "--z", "0.5", "--format", "csv"],
+        ["energy", "--z", "0.5", "--seed", "1"],
+        ["sweep", "--z-min", "1", "--z-max", "2", "--points", "2", "--format", "csv"],
+        ["sweep", "--z-min", "1", "--z-max", "2", "--points", "2", "--seed", "1"],
+        ["sweep", "--z-min", "1", "--z-max", "2", "--points", "2",
+         "--si-a-meters", "1e-6"],
+        ["reproduce", "fig4", "--convention", "paper-literal"],
+        ["reproduce", "fig4", "--format", "json"],
+        ["reproduce", "fig4", "--seed", "1"],
+        ["oracle-check", "--format", "json"],
+    ])
+    def test_exit_2(self, argv, capsys):
+        from wgdisp import cli
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_coupling_points(self, capsys):
+        from wgdisp import cli
+        assert cli.main(["coupling", "--pol", "TM", "--m", "1", "--n", "2",
+                         "--orient", "xz", "--z", "0.4", "--x1", "0.3",
+                         "--y2", "0.7"]) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert (inputs["p1"], inputs["p2"]) == ([0.3, 0.5], [0.5, 0.7])
 
 
 class TestDeterminism:

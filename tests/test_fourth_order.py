@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from wgdisp.energy import DipoleSpecies, PairConfiguration
+from wgdisp.conventions import Conventions
+from wgdisp.energy import DipoleSpecies, DipoleTransition, PairConfiguration
 from wgdisp.errors import InputError
 from wgdisp.fourth_order import (Diagram, _PhotonTable,
                                  closed_form_reference_energy,
                                  enumerate_diagrams, fourth_order_oracle,
                                  weighted_reference_energy)
-from wgdisp.waveguide import Geometry, ModeIndex
+from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
 SQ = Geometry(1.0, 1.0)
 CENTER = SQ.center()
@@ -104,7 +105,6 @@ class TestFrequencyMixingKernel:
         # parameter and the rotated contour.
         import warnings
         from scipy.integrate import quad
-        from wgdisp.fourth_order import _gauss_laguerre
 
         kmn = math.pi * math.sqrt(2.0)
         z, energy = 0.6, E100
@@ -130,7 +130,7 @@ class TestFrequencyMixingKernel:
         brute *= 4.0
 
         lam = 2.0 * kmn
-        lag_x, lag_w = _gauss_laguerre(48)
+        lag_x, lag_w = np.polynomial.laguerre.laggauss(48)
         table = _PhotonTable(SQ, ModeIndex("TM", 1, 1), z, (energy,),
                              lag_x / lam)
         mach = float(np.sum(lag_w * np.exp(lag_x) * table.r0 ** 2) / lam)
@@ -199,3 +199,46 @@ class TestOracle:
 
     def test_attractive(self):
         assert fourth_order_oracle(_cfg(), TM11, diagrams="all") < 0.0
+
+
+class TestGoldenValues:
+    """Exact values on an off-centre pair in a rectangular guide, with two
+    levels at atom 1 (so the diagrams see E1 != E2) and a TE mode between
+    two TM modes: the photon tables, their tensors and the level-pair
+    assembly must keep every bit."""
+
+    SPECIES1 = DipoleSpecies((DipoleTransition(2.0 * math.pi / 100.0, (0.3, 0.4, 1.0)),
+                              DipoleTransition(2.0 * math.pi / 60.0, (1.0, 0.2, 0.5))),
+                             "fixed-vector")
+    SPECIES2 = DipoleSpecies.single(2.0 * math.pi / 80.0, (1.0, 1.0, 1.0))
+    MODES = [ModeIndex("TM", 1, 1), ModeIndex("TE", 1, 0), ModeIndex("TM", 2, 1)]
+    VALUES = {
+        "oracle-consistent": {"dominant": -5.795726996742624,
+                              "all": -5.989609020339344,
+                              "closed": -6.0248928613521615,
+                              "weighted": -5.796959797813196},
+        "paper-literal": {"dominant": -5.8268814067903225,
+                          "all": -5.990815987278593,
+                          "closed": -3.778892037122964,
+                          "weighted": -5.829401618223201},
+    }
+
+    def _config(self, convention):
+        return PairConfiguration(Geometry(1.0, 0.8), TransversePoint(0.3, 0.5),
+                                 TransversePoint(0.62, 0.21), 0.45, self.SPECIES1,
+                                 self.SPECIES2,
+                                 conventions=Conventions.from_name(convention))
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("diagrams", ["dominant", "all"])
+    def test_fourth_order_oracle(self, convention, diagrams):
+        value = fourth_order_oracle(self._config(convention), self.MODES,
+                                    diagrams=diagrams)
+        assert value == self.VALUES[convention][diagrams]
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_reference_energies(self, convention):
+        config = self._config(convention)
+        expected = self.VALUES[convention]
+        assert closed_form_reference_energy(config, self.MODES) == expected["closed"]
+        assert weighted_reference_energy(config, self.MODES) == expected["weighted"]
