@@ -9,6 +9,7 @@ unless --a is given).  Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -58,7 +59,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, command: str, options) -> dict:
+    """Typed values of a flat config file for ``command``.
+
+    A key must be one of ``_CONFIG_TYPES`` and one of ``options``, the
+    option names the subcommand takes; any other key is refused, naming it.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -74,6 +80,9 @@ def _load_config(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_TYPES:
             raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in options:
+            raise InputError(f"{path}:{lineno}: config key {key!r} is not an "
+                             f"option of {command}")
         try:
             out[key] = _CONFIG_TYPES[key](value.strip())
         except ValueError:
@@ -468,15 +477,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building one costs far more than a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         if args.config:
-            args._config = _load_config(args.config)
+            args._config = _load_config(args.config, args.command, vars(args))
         else:
             args._config = {}
         return args.func(args)

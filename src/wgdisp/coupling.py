@@ -34,7 +34,9 @@ radial weight, (4 pi / A) k_mn exp(-k_mn z) or the TE factor times
 energy * K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
 rows for many modes at once; ``f_tm_closed`` and ``f_te_closed`` are
 their one-mode views, and so is ``transverse_profile``, the normalized
-mode profile at one point.
+mode profile at one point.  ``_tm_split`` sums the oracle-consistent TM
+couplings of all modes at once, from the same rows, by an Ewald split of
+the tube's Green function.
 
 ``f_quadrature`` evaluates the same couplings by direct numerical
 integration of the defining wavenumber integrals and is the oracle the
@@ -53,7 +55,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0
+from scipy.special import erfc, erfcx, k0
 
 from .conventions import Conventions
 from .errors import InputError, QuadratureError, TightConfinementWarning
@@ -183,6 +185,170 @@ def _tm_rows(geom, m, n, k, p1, p2, conventions):
     if conventions.tm_sign == "paper-literal":
         rows = np.vstack([rows, *_paper_cross(geom, k, trig, 1.0)])
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Ewald split of the oracle-consistent TM channel
+# ---------------------------------------------------------------------------
+#
+# Under oracle-consistent signs the TM mode sum is a Green-function
+# derivative, F_TM,ij = -2 pi d_{r2,i} d_{r1,j} G_D(r2, r1), with G_D the
+# Dirichlet Green function of the Laplacian in the tube: the images
+# (1/4 pi) sigma_x sigma_y / R of r1 at (sigma_x x1 + 2ja, sigma_y y1 + 2lb),
+# over sigma = +-1 and integer j, l.  Each image 1/R splits into
+# erfc(R/eta)/R, summed over the images near r2, plus erf(R/eta)/R, summed
+# over the modes with Gaussian-screened radial weights (P. P. Ewald, Ann.
+# Phys. 64 (1921) 253; C. M. Linton, SIAM Rev. 52 (2010) 630).  Both sums
+# converge like exp(-(.)^2), so the cost per separation does not depend on z
+# and the direct image carries the free-space 1/z^3 tensor exactly.  Both
+# sides drop terms below about _SPLIT_EPS of their leading scale.
+
+_SPLIT_EPS = 1e-17
+_SPLIT_REACH = math.sqrt(-math.log(_SPLIT_EPS))  # image reach in units of eta
+# Weight class of each TM entry: 0 transverse-transverse, 1 mixed, 2 zz.
+_SPLIT_CLASS = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2]])
+
+
+def _split_width(geom: Geometry) -> float:
+    """Screening length eta of the split, 0.55 sqrt(A)."""
+    return 0.55 * math.sqrt(geom.area)
+
+
+def _split_cutoff(geom: Geometry) -> float:
+    """Cutoff of the screened mode sum.
+
+    Past 2 _SPLIT_REACH / eta the screening factor exp(-k^2 eta^2 / 4) is
+    below _SPLIT_EPS; the extra k_11 keeps it there for every cell of the
+    lattice-to-integral comparison in :func:`_tm_split_bound`.
+    """
+    return 2.0 * _SPLIT_REACH / _split_width(geom) + math.hypot(
+        math.pi / geom.a, math.pi / geom.b)
+
+
+def _tm_split_spectral(geom, k, rows, z):
+    """Screened-mode part of the split over the modes of ``k`` and ``rows``.
+
+    ``rows`` holds the :func:`_tm_rows` rows, one mode per row.  The radial
+    weight k e^{-kz} of the mode sum becomes k (A + B) / 2 for the
+    transverse-transverse entries, k (A - B) / 2 for the mixed ones and
+    k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
+    A = e^{-kz} erfc(k eta / 2 - z / eta), g = e^{-k^2 eta^2 / 4 - z^2 / eta^2}
+    and B = erfcx(k eta / 2 + z / eta) g (= e^{kz} erfc(k eta / 2 + z / eta),
+    without its overflow).
+    """
+    eta = _split_width(geom)
+    g = np.exp(-(0.5 * eta * k) ** 2 - (z / eta) ** 2)
+    a_part = np.exp(-k * z) * erfc(0.5 * eta * k - z / eta)
+    b_part = erfcx(0.5 * eta * k + z / eta) * g
+    tt = 0.5 * k * (a_part + b_part)
+    weights = (tt, 0.5 * k * (a_part - b_part),
+               tt - (2.0 / (math.sqrt(math.pi) * eta)) * g)
+    sums = [(rows[:, 0:3] * w[:, None]).T @ rows[:, 3:6] for w in weights]
+    return (4.0 * np.pi / geom.area) * _TM_SIGNS["oracle-consistent"] \
+        * np.choose(_SPLIT_CLASS, sums)
+
+
+def _image_offsets(c2: float, c1: float, period: float, reach: float) -> np.ndarray:
+    """Offsets c2 - sigma c1 - j period of the images along one axis.
+
+    Row 0 holds sigma = +1 and row 1 sigma = -1, each over one symmetric
+    j range that covers every offset within ``reach``.
+    """
+    J = int(reach // period) + 1
+    return np.array([[c2 - c1], [c2 + c1]]) - period * np.arange(-J, J + 1)
+
+
+def _tm_split_images(geom, p1, p2, z):
+    """Image part of the split: 1/2 sum sigma_x sigma_y s_j H_ij(d).
+
+    Over the images within the reach of each axis, with s = (sigma_x,
+    sigma_y, 1), d = (x2 - sigma_x x1 - 2ja, y2 - sigma_y y1 - 2lb, z) and
+    H the Hessian of erfc(r/eta)/r:
+    H = f'' d^ d^ + (f'/r)(I - d^ d^), with f' = -G/r - E/r^2,
+    f'' = 2G/eta^2 + 2G/r^2 + 2E/r^3, E = erfc(r/eta) and
+    G = (2 / (sqrt(pi) eta)) e^{-r^2/eta^2}.
+    """
+    eta = _split_width(geom)
+    reach = _SPLIT_REACH * eta
+    x = _image_offsets(p2.x, p1.x, 2.0 * geom.a, reach)[:, None, :, None]
+    y = _image_offsets(p2.y, p1.y, 2.0 * geom.b, reach)[None, :, None, :]
+    r2 = x * x + y * y + z * z
+    r = np.sqrt(r2)
+    e = erfc(r / eta)
+    g = (2.0 / (math.sqrt(math.pi) * eta)) * np.exp(-r2 / eta ** 2)
+    transverse = -(g * r + e) / (r2 * r)  # f'/r
+    along = 2.0 * g / eta ** 2 + 2.0 * g / r2 + 2.0 * e / (r2 * r)  # f''
+    # Per image: d, and sigma_x sigma_y s_j for each column j.
+    sign = np.array([1.0, -1.0])
+    sx, sy = sign[:, None, None, None], sign[None, :, None, None]
+    d = np.stack(np.broadcast_arrays(x, y, z)).reshape(3, -1)
+    w = np.stack(np.broadcast_arrays(sy, sx, sx * sy, r)[:3]).reshape(3, -1)
+    c = ((along - transverse) / r2).reshape(-1)
+    out = 0.5 * (d * c) @ (d * w).T
+    out[np.diag_indices(3)] += 0.5 * w @ transverse.reshape(-1)
+    return out
+
+
+def _tm_split(geom, k, rows, p1, p2, z):
+    """Oracle-consistent TM tensor at separation z from the Ewald split.
+
+    ``k`` and ``rows`` are the cutoffs and :func:`_tm_rows` rows (one mode
+    per row) of the modes up to :func:`_split_cutoff`.  An entry whose
+    profile factor vanishes for every mode (a dipole on the wall x = 0 or
+    y = 0) is the exact zero the mode sum gives there.
+    """
+    out = _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, p1, p2, z)
+    live = np.any(rows != 0.0, axis=0)
+    return np.where(live[0:3, None] & live[None, 3:6], out, 0.0) + 0.0
+
+
+def _tm_split_bound(geom: Geometry, z: float) -> float:
+    """Bound on what the split's truncations drop from any TM entry.
+
+    Screened modes (k > K = :func:`_split_cutoff`): each dropped mode
+    contributes at most (4 pi / A) w(k) with w <= (k + c) g, c = 2/(sqrt(pi)
+    eta), where k eta / 2 >= z / eta, and else w <= k e^{-kz} + (k + c) g
+    (erfc <= e^{-x^2} for x >= 0, erfc <= 2, erfcx <= 1).  Every
+    lattice cell of area pi^2 / A lies within k_11 below its mode's k, so
+    for decreasing weights the sum over modes past K is below
+    (A / 2 pi) integral_{K - k_11}^inf (4 pi / A) w(k) k dk.
+
+    Images beyond the reach X = _SPLIT_REACH eta of an axis: each adds at
+    most f''/2 <= e^{-r^2/eta^2} P(r) / 2, P(r) = (4 / (sqrt(pi) eta))
+    (1/eta^2 + 1/r^2) + 2/r^3, with r >= r_c = sqrt(X^2 + z^2).  The
+    Gaussian factorizes over the axes, and a 1D sum over offsets spaced by
+    the period L is bounded by its first term plus 1/L times the integral.
+    """
+    eta = _split_width(geom)
+    alpha = 0.25 * eta * eta
+    c = 2.0 / (math.sqrt(math.pi) * eta)
+    cutoff = _split_cutoff(geom)
+    low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
+    screen = math.exp(-(z / eta) ** 2)
+    # 2 integral_low^inf (k^2 + c k) e^{-alpha k^2} dk
+    spectral = 2.0 * screen * ((low + c) * math.exp(-alpha * low * low) / (2.0 * alpha)
+                               + math.sqrt(math.pi) * erfc(math.sqrt(alpha) * low)
+                               / (4.0 * alpha ** 1.5))
+    if 2.0 * z / eta ** 2 > cutoff:
+        # 2 integral_low^inf k^2 e^{-kz} dk
+        spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / z ** 2
+                                                + 2.0 / z ** 3)
+    reach = _SPLIT_REACH * eta
+    rc2 = reach * reach + z * z
+    poly = (4.0 / (math.sqrt(math.pi) * eta)) * (1.0 / eta ** 2 + 1.0 / rc2) \
+        + 2.0 / (rc2 * math.sqrt(rc2))
+
+    def beyond(period):  # offsets past the reach, both sides
+        return 2.0 * (_SPLIT_EPS + math.sqrt(math.pi) * eta / (2.0 * period)
+                      * erfc(_SPLIT_REACH))
+
+    def every(period):  # all offsets
+        return 2.0 + math.sqrt(math.pi) * eta / period
+
+    ax, ay = 2.0 * geom.a, 2.0 * geom.b
+    # Four image lattices, half an f'' each.
+    images = 2.0 * screen * poly * (beyond(ax) * every(ay) + every(ax) * beyond(ay))
+    return spectral + images
 
 
 def _te_rows(geom, m, n, k, p1, p2, conventions):

@@ -7,7 +7,9 @@ The pair energy is assembled from per-mode couplings as
 
 where F^{(e)} sums every TE and TM mode coupling for transition energy
 E_e, index i living at the second dipole's transverse point and j at the
-first.  Isotropic orientation averaging replaces the dipole products by
+first.  Under oracle-consistent signs the TM part of that sum is taken
+from its Ewald split (:mod:`wgdisp.coupling`), which needs a few dozen
+modes at any separation.  Isotropic orientation averaging replaces the dipole products by
 their second moments <d_i d_j> = delta_ij |d|^2 / 3 before contraction.
 
 That level-pair sum lives in one place, ``_assemble``: the mode-summed
@@ -125,19 +127,24 @@ class PairConfiguration:
 
 @dataclass
 class FTensorResult:
-    """Mode-summed coupling tensor for one transition energy.
+    """Coupling tensor for one transition energy.
 
-    The TM sum covers the ``tm_modes`` modes with k <= ``tm_cutoff`` and
-    the TE sum the ``te_modes`` modes with k <= ``te_cutoff``;
+    The TE sum covers the ``te_modes`` modes with k <= ``te_cutoff``.
+    Under paper-literal signs the TM sum covers the ``tm_modes`` modes with
+    k <= ``tm_cutoff``; under oracle-consistent signs the TM tensor is the
+    Ewald split, and ``tm_cutoff`` and ``tm_modes`` are the cutoff and
+    count of its screened mode sum (fixed by the guide's shape).
     ``modes_used`` is their total and ``max_cutoff`` the larger cutoff,
-    the one the mode listing reached.  ``tail_bound`` bounds what both
+    the one the mode listing reached.  ``tail_bound`` bounds what the
     truncations drop from any tensor entry.
 
-    ``per_mode`` maps each summed mode to its own 3x3 coupling, or is
-    ``None`` when the sum used more than ``detail_cap`` modes or had a
-    dipole at a corner.  The map is built on first read from the factor
-    rows of the :class:`ModeTable` the sum came from, so callers that only
-    need the sums never pay for it.
+    ``per_mode`` maps each mode of the plain mode sum that meets the same
+    truncation (see :func:`f_tensor`) to its own 3x3 coupling, or is
+    ``None`` when that sum has more than ``detail_cap`` modes or a dipole
+    sits at a corner.  The map is built on first read from the
+    :class:`ModeTable` the tensor came from, which then lists and builds
+    the modes it lacks, so callers that only need the tensor never pay for
+    it.
     """
 
     tensor: np.ndarray
@@ -162,8 +169,12 @@ class FTensorResult:
     def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
         if self._detail is None:
             return None
-        table, counts, z, energy = self._detail
-        return table.per_mode(counts, z, energy)
+        table, cutoffs, budget, z, energy, detail_cap = self._detail
+        while budget is not None and (step := _next_cutoffs(
+                *cutoffs, z, table.key[0], energy, budget)) is not None:
+            cutoffs = step
+        counts = table.listed_counts(cutoffs, detail_cap)
+        return None if counts is None else table.per_mode(counts, z, energy)
 
 
 @dataclass
@@ -256,7 +267,8 @@ class ModeTable:
     depend on the separation, so one table serves every separation and
     transition level of a sweep: :meth:`sums` weights the rows with
     (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them block by
-    block.
+    block, and :meth:`tm_split` takes the screened TM weights of the first
+    rows.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
@@ -272,19 +284,22 @@ class ModeTable:
         self._cumulative: dict[str, list[np.ndarray]] = {}
         self._memo: dict[tuple[str, int], np.ndarray] = {}
         self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
+        self._split = None  # (z, TM tensor, bound) of the last tm_split
 
     def extend(self, K: float, te_cutoff: float | None = None) -> None:
-        """List the modes with k <= K (1 + 1e-12) that the table lacks.
+        """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) that
+        the table lacks.
 
         The new shell takes one ``mode_arrays`` call.  The TM modes up to K
-        and the TE modes up to ``te_cutoff`` (at most K; K when omitted) get
-        factor rows, each mode's built once.
+        and the TE modes up to ``te_cutoff`` (K when omitted) get factor
+        rows, each mode's built once.
         """
-        if self.cutoff is None or K > self.cutoff:
-            shell = mode_arrays(self.key[0], K, self.cutoff)
+        top = K if te_cutoff is None else max(K, te_cutoff)
+        if self.cutoff is None or top > self.cutoff:
+            shell = mode_arrays(self.key[0], top, self.cutoff)
             for pol in (TM, TE):
                 self._append(pol, shell[pol])
-            self.cutoff = K
+            self.cutoff = top
         for pol, count in zip((TM, TE), self.counts(K, te_cutoff)):
             self._build_rows(pol, count)
 
@@ -412,6 +427,44 @@ class ModeTable:
             out[0, 1], out[1, 0] = radial @ rows[:, 6:8]
         return out
 
+    def tm_split(self, z: float) -> tuple[np.ndarray, float]:
+        """Oracle-consistent TM tensor at separation z and its truncation bound.
+
+        The Ewald split of :func:`wgdisp.coupling._tm_split`, whose screened
+        modes are the table's first TM modes, up to
+        :func:`wgdisp.coupling._split_cutoff`.  It does not depend on the
+        transition energy, so it is kept for the last z asked and the levels
+        at one separation share it.
+        """
+        if self._split is None or self._split[0] != z:
+            geom, p1, p2, _ = self.key
+            K = _coupling._split_cutoff(geom)
+            self.extend(K, 0.0)
+            parts = [(b.k[:used], b.rows[:used])
+                     for b, used in self._filled(TM, self._count(TM, K))]
+            k, rows = (np.concatenate(p) for p in zip(*parts))
+            self._split = (z, _coupling._tm_split(geom, k, rows, p1, p2, z),
+                           _coupling._tm_split_bound(geom, z))
+        return self._split[1], self._split[2]
+
+    def listed_counts(self, cutoffs: tuple[float, float],
+                      cap: float) -> tuple[int, int] | None:
+        """Counts of the TM modes up to cutoffs[0] and TE modes up to
+        cutoffs[1], listed and built, or None when they pass ``cap`` in all.
+
+        At least A (K - k_11)^2 / (4 pi) modes of each polarization lie
+        below a cutoff K, so a count past the cap by that alone lists
+        nothing.
+        """
+        geom = self.key[0]
+        k11 = math.hypot(math.pi / geom.a, math.pi / geom.b)
+        if sum(geom.area * max(K - k11, 0.0) ** 2 / (4.0 * math.pi)
+               for K in cutoffs) > cap:
+            return None
+        self.extend(*cutoffs)
+        counts = self.counts(*cutoffs)
+        return counts if sum(counts) <= cap else None
+
     def per_mode(self, counts: tuple[int, int], z: float,
                  energy: float) -> dict[ModeIndex, np.ndarray]:
         """Each of the first ``counts`` modes mapped to its 3x3 coupling."""
@@ -433,6 +486,22 @@ class ModeTable:
         return out
 
 
+def _next_cutoffs(K_tm: float, K_te: float, z: float, geom: Geometry,
+                  energy: float, budget: float) -> tuple[float, float] | None:
+    """One step of the common-cutoff growth rule of a plain mode sum.
+
+    None when tail_TM(K_TM) + tail_TE(K_TE) fits ``budget``; else K_TM
+    grows by 1.3 while tail_TM(K_TM) + tail_TE(K_TM) exceeds it, and after
+    that K_TE.  From K_TM = K_TE this keeps K_TE <= K_TM.
+    """
+    tm_tail = _tm_tail_bound(K_tm, z, geom)
+    if tm_tail + _te_tail_bound(K_te, z, geom, energy) <= budget:
+        return None
+    if tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
+        return K_tm * 1.3, K_te
+    return K_tm, K_te * 1.3
+
+
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -442,28 +511,40 @@ def f_tensor(
     detail_cap: int = 20_000,
     table: ModeTable | None = None,
 ) -> FTensorResult:
-    """Mode-summed 3x3 coupling tensor for one transition energy.
+    """Coupling tensor for one transition energy.
 
-    Exactly one of ``max_cutoff`` and ``tail_tol`` selects the truncation:
-    one fixed cutoff wavenumber for both polarizations, or a TM cutoff
-    K_TM and a TE cutoff K_TE, each grown by factors of 1.3 from a common
-    start, until tail_TM(K_TM) + tail_TE(K_TE), the analytic continuum
-    tail bounds, is at most ``tail_tol`` times the tensor scale.  K_TM
-    grows while tail_TM(K_TM) + tail_TE(K_TM) exceeds that budget; after
-    that K_TE grows until the sum of the two tails fits.  So K_TE <= K_TM,
-    and TE, whose K0 is the dearer weight and whose tail falls faster at
-    short separations, is summed only as far as the tolerance needs.
+    Under oracle-consistent signs the TM tensor is the Ewald split of
+    :meth:`ModeTable.tm_split`, the same at every truncation, and only the
+    TE mode sum is truncated: at ``max_cutoff``, or at a cutoff K_TE grown
+    by factors of 1.3 from max(3 pi / max(a, b), 8 / z) until tail_TE(K_TE)
+    plus the split's truncation bound is at most ``tail_tol`` times the
+    tensor scale.  A ``tail_tol`` below the split's own bound raises
+    :class:`InputError`.
+
+    Under paper-literal signs, whose printed cross terms are not
+    Green-function derivatives, both polarizations are mode sums: one
+    fixed cutoff wavenumber for both, or a TM cutoff K_TM and a TE cutoff
+    K_TE grown from the same start by :func:`_next_cutoffs` until
+    tail_TM(K_TM) + tail_TE(K_TE), the analytic continuum tail bounds,
+    fits the budget.  So K_TE <= K_TM, and TE, whose K0 is the dearer
+    weight and whose tail falls faster at short separations, is summed
+    only as far as the tolerance needs.
 
     The modes come from ``table``, a :class:`ModeTable` of config's guide,
     points and conventions, or from a table of the call's own.  A growth
     step lists modes only past the table's present cutoff and builds each
     polarization's factor rows only up to its own cutoff, so each mode is
     listed and its transverse factors built at most once per table.  The
-    sums are those of :meth:`ModeTable.sums` over the modes below each
+    mode sums are those of :meth:`ModeTable.sums` over the modes below each
     polarization's cutoff: they depend only on (config, energy, cutoff),
-    so ``tm_tensor`` and ``te_tensor`` equal, bit for bit, the sums of a
-    fixed cutoff at ``tm_cutoff`` and at ``te_cutoff``, with a shared
-    table or without.
+    so ``tm_tensor`` and ``te_tensor`` equal, bit for bit, those of a
+    fixed cutoff at ``tm_cutoff`` (paper-literal) and at ``te_cutoff``,
+    with a shared table or without.  The mode cap applies to the listing
+    cutoff, the larger of the two.
+
+    ``per_mode`` shows the modes of the plain mode sum that meets the
+    truncation: with ``tail_tol``, the cutoffs :func:`_next_cutoffs` reaches
+    with the final budget (under paper-literal, the summed cutoffs).
 
     With either dipole at a corner of the cross-section every mode
     profile vanishes there, so the tensor is exactly zero and no mode is
@@ -477,10 +558,12 @@ def f_tensor(
     geom, z, conv = config.geom, config.z, config.conventions
     p1, p2 = config.p1, config.p2
     if max_cutoff is not None:
-        K_tm = max_cutoff
+        start = max_cutoff
     else:
-        K_tm = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-    K_te = K_tm
+        start = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    split = conv.tm_sign == "oracle-consistent"
+    K_tm = _coupling._split_cutoff(geom) if split else start
+    K_te = start
     if geom.is_corner(p1) or geom.is_corner(p2):
         return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
@@ -492,29 +575,44 @@ def f_tensor(
                          "points or set of conventions")
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
     while True:
-        if mode_count(geom, K_tm) > mode_cap:
-            raise ModeCapError(mode_count(geom, K_tm), mode_cap)
+        listed = max(K_tm, K_te)
+        if mode_count(geom, listed) > mode_cap:
+            raise ModeCapError(mode_count(geom, listed), mode_cap)
         table.extend(K_tm, K_te)
         counts = table.counts(K_tm, K_te)
-        tm_sum, te_unit = table.sums(z, counts)
+        if split:
+            tm_sum, tm_tail = table.tm_split(z)
+            te_unit = table.sums(z, (0, counts[1]))[1]
+        else:
+            tm_sum, te_unit = table.sums(z, counts)
+            tm_tail = _tm_tail_bound(K_tm, z, geom)
         te_sum = te_weight * te_unit
-        tm_tail = _tm_tail_bound(K_tm, z, geom)
         tail = tm_tail + _te_tail_bound(K_te, z, geom, energy)
         if max_cutoff is not None:
             break
-        budget = tail_tol * max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
-        if tail <= budget:
+        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        budget = tail_tol * scale
+        if not split:
+            step = _next_cutoffs(K_tm, K_te, z, geom, energy, budget)
+            if step is None:
+                break
+            K_tm, K_te = step
+        elif tail <= budget:
             break
-        # At K_TE = K_TM this is the test just failed, so K_TE stays <= K_TM.
-        if tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
-            K_tm *= 1.3
+        elif tm_tail > budget:
+            raise InputError(
+                f"tail_tol={tail_tol!r} is below the truncation bound of the "
+                f"screened TM sum, {tm_tail / scale:.2g} of the tensor scale")
         else:
             K_te *= 1.3
-    detail = (table, counts, z, energy) if sum(counts) <= detail_cap else None
+    # per_mode's cutoffs; under the split with tail_tol, grown from the
+    # start by _next_cutoffs when first read.
+    shown = (start, start) if split else (K_tm, K_te)
+    growth = None if max_cutoff is not None or not split else budget
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_tm,
                          te_cutoff=K_te, tm_modes=counts[0], te_modes=counts[1],
-                         _detail=detail)
+                         _detail=(table, shown, growth, z, energy, detail_cap))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,

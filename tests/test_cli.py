@@ -377,8 +377,8 @@ oracle-check report (seed=12345, convention=oracle-consistent, cases=20)
 [scheme-agreement] max_dev=1.836058e-12 threshold=1.0e-08 -> PASS
 [twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
 [twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
-[free-space-recovery/components] max_dev=9.557552e-05 threshold=2.0e-02 -> PASS
-[free-space-recovery/energy] max_dev=1.238366e-04 threshold=2.0e-02 -> PASS
+[free-space-recovery/components] max_dev=9.759094e-05 threshold=2.0e-02 -> PASS
+[free-space-recovery/energy] max_dev=1.318969e-04 threshold=2.0e-02 -> PASS
 overall: PASS
 """,
     "paper-literal": """\
@@ -388,8 +388,8 @@ oracle-check report (seed=12345, convention=paper-literal, cases=20)
 [sign-convention] expected-mismatch of printed prefactors vs oracle: max_dev=2.000e+00 (informational)
 [twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
 [twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
-[free-space-recovery/components] max_dev=9.557552e-05 threshold=2.0e-02 -> PASS
-[free-space-recovery/energy] max_dev=1.238366e-04 threshold=2.0e-02 -> PASS
+[free-space-recovery/components] max_dev=9.759094e-05 threshold=2.0e-02 -> PASS
+[free-space-recovery/energy] max_dev=1.318969e-04 threshold=2.0e-02 -> PASS
 overall: PASS
 """,
 }
@@ -479,6 +479,87 @@ class TestIgnoredOptionsRefused:
                          "--y2", "0.7"]) == 0
         inputs = json.loads(capsys.readouterr().out)["inputs"]
         assert (inputs["p1"], inputs["p2"]) == ([0.3, 0.5], [0.5, 0.7])
+
+
+class TestConfigKeysPerSubcommand:
+    """A config key a subcommand does not take exits 2 and names the key."""
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["energy", "--z", "0.5"], "format", "csv"),
+        (["energy", "--z", "0.5"], "seed", "3"),
+        (["energy", "--z", "0.5"], "points", "3"),
+        (["sweep", "--z-min", "1", "--z-max", "2", "--points", "2"], "top_modes", "3"),
+        (["sweep", "--z-min", "1", "--z-max", "2", "--points", "2"], "z", "0.5"),
+        (["modes", "--max-cutoff", "5"], "convention", "paper-literal"),
+        (["modes", "--max-cutoff", "5"], "species1", "x.txt"),
+        (["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+          "--z", "1"], "tail_tol", "1e-6"),
+        (["reproduce", "fig4"], "a", "2"),
+        (["oracle-check", "--cases", "1"], "z", "0.5"),
+    ])
+    def test_refused(self, argv, key, value, tmp_path, capsys):
+        from wgdisp import cli
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        assert cli.main([*argv, "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {conf}:1: config key {key!r} is not an "
+                                f"option of {argv[0]}\n")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["modes"], "max_cutoff = 5\nformat = json\na = 2\n"),
+        (["sweep", "--points", "2"], "z_min = 3\nz_max = 4\nspacing = linear\n"),
+        (["oracle-check", "--cases", "1"], "seed = 7\nconvention = paper-literal\n"),
+    ])
+    def test_own_keys_accepted(self, argv, text, species_file, tmp_path, capsys):
+        from wgdisp import cli
+        conf = tmp_path / "run.conf"
+        conf.write_text(text + (f"species1 = {species_file}\n"
+                                if argv[0] == "sweep" else ""))
+        assert cli.main([*argv, "--config", str(conf)]) == 0
+        assert capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_sequence_prints_as_fresh_processes(self, species_file, capsys):
+        # main builds its parser once per process; a run of different
+        # subcommands, an unknown flag among them, prints what separate
+        # processes print.
+        from wgdisp import cli
+        runs = [["energy", "--z", "0.8", "--species1", species_file],
+                ["sweep", "--z-min", "3", "--z-max", "4", "--points", "3",
+                 "--species1", species_file],
+                ["energy", "--z", "0.8", "--no-such-flag"],
+                ["modes", "--max-cutoff", "7"],
+                ["energy", "--z", "0.8", "--species1", species_file]]
+        for argv in runs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestReach:
+    def test_five_thousandths_of_a_returns(self, species_file, capsys):
+        # The TM channel no longer needs ~1/z^2 modes; only TE is summed.
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.005", "--species1", species_file,
+                         "--tail-tol", "1e-4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_one_thousandth_meets_the_cap(self, species_file, capsys):
+        # Near 0.003a the TE sum itself needs more than 1e6 modes.
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.001", "--species1", species_file,
+                         "--tail-tol", "1e-4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "cap" in captured.err
 
 
 class TestDeterminism:

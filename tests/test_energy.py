@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from helpers import near_field_energy
 from wgdisp.conventions import Conventions
@@ -131,29 +131,47 @@ class TestFTensor:
     def test_growth_equals_fixed_cutoff_bitwise(self, b, p1, p2, z,
                                                 convention, tol):
         # The cutoff search appends each new shell of modes to the
-        # k-sorted arrays; per polarization that must be exactly one sum at
-        # its final cutoff.
-        from wgdisp.energy import _te_tail_bound, _tm_tail_bound
-        cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
+        # k-sorted arrays; per polarization each mode sum must be exactly
+        # one sum at its final cutoff, and the split TM tensor is the same
+        # at every truncation.
+        from wgdisp.coupling import _tm_split_bound
+        from wgdisp.energy import _next_cutoffs, _te_tail_bound, _tm_tail_bound
+        geom = Geometry(1.0, b)
+        cfg = PairConfiguration(geom, TransversePoint(*p1),
                                 TransversePoint(*p2), z, ISO, ISO,
                                 conventions=Conventions.from_name(convention))
+        split = convention == "oracle-consistent"
         grown = f_tensor(cfg, E100, tail_tol=tol)
         at_tm = f_tensor(cfg, E100, max_cutoff=grown.tm_cutoff, detail_cap=math.inf)
         at_te = f_tensor(cfg, E100, max_cutoff=grown.te_cutoff, detail_cap=math.inf)
-        assert grown.max_cutoff == grown.tm_cutoff >= grown.te_cutoff
+        assert grown.max_cutoff == max(grown.tm_cutoff, grown.te_cutoff)
+        if not split:
+            assert grown.tm_cutoff >= grown.te_cutoff
         assert np.array_equal(grown.tm_tensor, at_tm.tm_tensor)
+        assert split == np.array_equal(grown.tm_tensor, at_te.tm_tensor)
         assert np.array_equal(grown.te_tensor, at_te.te_tensor)
         assert np.array_equal(grown.tensor, at_tm.tm_tensor + at_te.te_tensor)
         assert (grown.tm_modes, grown.te_modes) == (at_tm.tm_modes, at_te.te_modes)
         assert grown.modes_used == grown.tm_modes + grown.te_modes
-        assert grown.tail_bound == (_tm_tail_bound(grown.tm_cutoff, z, cfg.geom)
-                                    + _te_tail_bound(grown.te_cutoff, z, cfg.geom, E100))
+        tm_tail = (_tm_split_bound(geom, z) if split
+                   else _tm_tail_bound(grown.tm_cutoff, z, geom))
+        assert grown.tail_bound == tm_tail + _te_tail_bound(grown.te_cutoff, z, geom, E100)
+        # per_mode shows the plain mode sum: under the split, at the cutoffs
+        # the common-cutoff rule reaches with the final budget.
+        shown = (grown.tm_cutoff, grown.te_cutoff)
+        if split:
+            budget = tol * max(np.abs(grown.tm_tensor).max(),
+                               np.abs(grown.te_tensor).max())
+            shown = (max(3.0 * math.pi, 8.0 / z),) * 2
+            while (step := _next_cutoffs(*shown, z, geom, E100, budget)) is not None:
+                shown = step
+        want = [(mode, value) for K, pol in zip(shown, ("TM", "TE"))
+                for mode, value in f_tensor(cfg, E100, max_cutoff=K,
+                                            detail_cap=math.inf).per_mode.items()
+                if mode.polarization == pol]
         if grown.per_mode is None:
-            assert grown.modes_used > 20_000
+            assert len(want) > 20_000
         else:
-            want = [(mode, value) for fixed, pol in ((at_tm, "TM"), (at_te, "TE"))
-                    for mode, value in fixed.per_mode.items()
-                    if mode.polarization == pol]
             assert list(grown.per_mode) == [mode for mode, _ in want]
             for mode, value in want:
                 assert np.array_equal(grown.per_mode[mode], value)
@@ -185,11 +203,19 @@ class TestFTensor:
             f_tensor(_config(0.5), E100, **truncation)
 
     def test_per_mode_map_sums_to_total(self):
-        cfg = _config(0.8)
-        ft = f_tensor(cfg, E100, tail_tol=1e-8)
-        assert ft.per_mode is not None
-        acc = sum(ft.per_mode.values())
-        assert np.allclose(acc, ft.tensor, rtol=1e-12, atol=1e-300)
+        # The per-mode map is the plain mode sum that meets the budget, so
+        # it sums to the tensor within the budget and the tensor's tail,
+        # and exactly where the tensor is that mode sum.
+        for convention in ("oracle-consistent", "paper-literal"):
+            cfg = _config(0.8, conventions=Conventions.from_name(convention))
+            ft = f_tensor(cfg, E100, tail_tol=1e-8)
+            assert ft.per_mode is not None
+            acc = sum(ft.per_mode.values())
+            if convention == "paper-literal":
+                assert np.allclose(acc, ft.tensor, rtol=1e-12, atol=1e-300)
+            else:
+                budget = 1e-8 * np.abs(ft.tensor).max()
+                assert np.abs(acc - ft.tensor).max() <= budget + ft.tail_bound
 
     def test_vectorized_path_matches_scalar_closed_forms(self):
         # The bulk mode-sum path must agree with the independent per-mode
@@ -202,12 +228,18 @@ class TestFTensor:
             conv = Conventions.from_name(name)
             cfg = PairConfiguration(SQ, p1, p2, 0.7, ISO, ISO, conventions=conv)
             bulk = f_tensor(cfg, E100, max_cutoff=11.0)
-            direct = _direct_tm(SQ, tm["m"].astype(float), tm["n"].astype(float),
-                                tm["k"], p1, p2, 0.7, conv).sum(axis=2) \
-                + _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
-                             te["k"], p1, p2, 0.7, E100, conv).sum(axis=2)
-            assert bulk.modes_used == tm["k"].size + te["k"].size
-            assert np.allclose(bulk.tensor, direct, rtol=1e-11, atol=1e-13)
+            direct_tm = _direct_tm(SQ, tm["m"].astype(float), tm["n"].astype(float),
+                                   tm["k"], p1, p2, 0.7, conv).sum(axis=2)
+            direct_te = _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
+                                   te["k"], p1, p2, 0.7, E100, conv).sum(axis=2)
+            assert len(bulk.per_mode) == tm["k"].size + te["k"].size
+            assert np.allclose(sum(bulk.per_mode.values()), direct_tm + direct_te,
+                               rtol=1e-11, atol=1e-13)
+            assert np.allclose(bulk.te_tensor, direct_te, rtol=1e-11, atol=1e-13)
+            if name == "paper-literal":  # both polarizations are mode sums
+                assert bulk.modes_used == tm["k"].size + te["k"].size
+                assert np.allclose(bulk.tensor, direct_tm + direct_te,
+                                   rtol=1e-11, atol=1e-13)
 
 
 def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
@@ -368,40 +400,51 @@ class TestColumnBlocks:
                              tm["k"], p1, p2, z, conv).sum(axis=2)
         want_te = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
                              te["k"], p1, p2, z, E100, conv).sum(axis=2)
-        cfg = _config(z, p1=p1, p2=p2, geom=geom, conventions=conv)
-        ft = f_tensor(cfg, E100, max_cutoff=K)
+        table = ModeTable(geom, p1, p2, conv)
+        table.extend(K)
+        tm, te_unit = table.sums(z, table.counts(K))
+        te = (-2.0 if conv.te_factor == "derivation-consistent" else 1.0) * E100 * te_unit
         scale = max(np.abs(want_tm).max(), np.abs(want_te).max())
-        assert np.abs(ft.tm_tensor - want_tm).max() <= SUM_TOL * scale
-        assert np.abs(ft.te_tensor - want_te).max() <= SUM_TOL * scale
+        assert np.abs(tm - want_tm).max() <= SUM_TOL * scale
+        assert np.abs(te - want_te).max() <= SUM_TOL * scale
 
 
 def _reference_f_tensor(cfg, energy, tail_tol):
     """Cutoff search with the per-mode pairwise sums of the column-block code.
 
-    Every growth step sums the per-mode couplings of each polarization's
-    whole table along the mode axis with numpy's pairwise summation, which
-    is bit for bit what the earlier column-block implementation of
-    f_tensor returned.  The stopping rule is f_tensor's: K_TM grows while
-    tail_TM(K_TM) + tail_TE(K_TM) exceeds tail_tol times the scale, and
-    then K_TE until tail_TM(K_TM) + tail_TE(K_TE) fits.  Returns
+    Every growth step sums the per-mode couplings of each mode-summed
+    polarization's whole table along the mode axis with numpy's pairwise
+    summation, which is bit for bit what the earlier column-block
+    implementation of f_tensor returned.  The stopping rule is f_tensor's.
+    Under paper-literal signs K_TM grows while tail_TM(K_TM) + tail_TE(K_TM)
+    exceeds tail_tol times the scale, and then K_TE until
+    tail_TM(K_TM) + tail_TE(K_TE) fits.  Under oracle-consistent signs the
+    TM tensor and its bound come from the split of a fresh mode table, and
+    K_TE grows until tail_TE(K_TE) plus that bound fits.  Returns
     (tm, te, (TM modes, TE modes), (K_TM, K_TE), tail).
     """
+    from wgdisp.coupling import _split_cutoff
     from wgdisp.energy import _te_tail_bound, _tm_tail_bound
     geom, z, conv = cfg.geom, cfg.z, cfg.conventions
+    split = conv.tm_sign == "oracle-consistent"
     K_tm = K_te = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    if split:
+        K_tm = _split_cutoff(geom)
+        tm_sum, tm_tail = ModeTable(geom, cfg.p1, cfg.p2, conv).tm_split(z)
     while True:
         tm, te = mode_arrays(geom, K_tm)["TM"], mode_arrays(geom, K_te)["TE"]
-        tm_sum = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
-                            tm["k"], cfg.p1, cfg.p2, z, conv).sum(axis=2)
+        if not split:
+            tm_sum = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
+                                tm["k"], cfg.p1, cfg.p2, z, conv).sum(axis=2)
+            tm_tail = _tm_tail_bound(K_tm, z, geom)
         te_sum = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
                             te["k"], cfg.p1, cfg.p2, z, energy, conv).sum(axis=2)
-        tm_tail = _tm_tail_bound(K_tm, z, geom)
         tail = tm_tail + _te_tail_bound(K_te, z, geom, energy)
         budget = tail_tol * max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
         if tail <= budget:
             return (tm_sum, te_sum, (tm["k"].size, te["k"].size), (K_tm, K_te),
                     tail)
-        if tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
+        if not split and tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
             K_tm *= 1.3
         else:
             K_te *= 1.3
@@ -427,7 +470,7 @@ class TestAgainstPairwiseSum:
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
         assert (ft.tm_cutoff, ft.te_cutoff) == cutoffs
         assert (ft.tm_modes, ft.te_modes) == modes
-        assert ft.max_cutoff == cutoffs[0] and ft.modes_used == sum(modes)
+        assert ft.max_cutoff == max(cutoffs) and ft.modes_used == sum(modes)
         assert ft.tail_bound == tail
         scale = max(np.abs(tm).max(), np.abs(te).max())
         assert np.abs(ft.tm_tensor - tm).max() <= SUM_TOL * scale
@@ -505,11 +548,23 @@ class TestTailBoundProperty:
     @settings(max_examples=20, deadline=None)
     @given(cfg=_tail_cases())
     def test_tail_bounds_truncation_error(self, cfg):
-        # Reference: the same sum at twice the largest chosen cutoff.
+        # TE reference: the same sum at twice the largest chosen cutoff,
+        # whose own tail is added.
         u = dispersion_energy(cfg, tail_tol=1e-6)
         cutoff = max(f.max_cutoff for f in u.f_by_level.values())
         ref = dispersion_energy(cfg, max_cutoff=2.0 * cutoff)
         assert abs(u.total - ref.total) <= u.tail_estimate + ref.tail_estimate
+        # TM reference: the split, independent of the mode sum whose tail
+        # bound paper-literal signs rely on.  Checked at the cutoff the
+        # growth starts from, where that tail is largest.
+        from wgdisp.energy import _tm_tail_bound
+        geom, z = cfg.geom, cfg.z
+        table = ModeTable(geom, cfg.p1, cfg.p2, cfg.conventions)
+        split, split_tail = table.tm_split(z)
+        K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+        table.extend(K)
+        tm = table.sums(z, table.counts(K))[0]
+        assert np.abs(tm - split).max() <= _tm_tail_bound(K, z, geom) + split_tail
 
 
 _TWO_LEVELS = DipoleSpecies(
@@ -547,26 +602,29 @@ class TestPolarizationCutoffs:
     @settings(max_examples=25, deadline=None)
     @given(case=_split_cases())
     def test_within_tail_of_common_cutoff(self, case):
-        # Each level's TE sum stops at its own cutoff, at most the TM one.
-        # Against the sum of both polarizations to the TM cutoff, the
-        # energy moves by no more than the two tail estimates, and the TM
-        # part does not move at all.
+        # Each level's TE sum stops at its own cutoff: under paper-literal
+        # signs at most the TM one, under the split wherever the tolerance
+        # needs.  Against the sum of both polarizations to the larger
+        # cutoff, the energy moves by no more than the two tail estimates,
+        # and the TM part does not move at all.
         from wgdisp.energy import _assemble
         cfg, tol = case
         try:
             u = dispersion_energy(cfg, tail_tol=tol)
         except ModeCapError:
-            reject()  # the TM cutoff, the same under both rules, passes the cap
+            reject()  # the listing cutoff passes the cap
         for f in u.f_by_level.values():
-            assert f.te_cutoff <= f.tm_cutoff == f.max_cutoff
+            if cfg.conventions.tm_sign == "paper-literal":
+                assert f.te_cutoff <= f.tm_cutoff == f.max_cutoff
         fixed = _assemble(cfg, lambda e: f_tensor(
-            cfg, e, max_cutoff=u.f_by_level[e].tm_cutoff), [])
+            cfg, e, max_cutoff=u.f_by_level[e].max_cutoff), [])
         assert abs(u.total - fixed.total) <= u.tail_estimate + fixed.tail_estimate
         assert u.u_tm_only == fixed.u_tm_only
 
     def test_sweep_builds_rows_to_each_cutoff(self, monkeypatch):
         # Over a sweep each polarization's factor rows are built once, and
-        # only as far as the largest count of that polarization summed.
+        # only as far as the largest count of that polarization summed: TM
+        # rows only for the screened modes of the split.
         import wgdisp.coupling as coupling_mod
         built = {"TM": 0, "TE": 0}
         for pol, name in (("TM", "_tm_rows"), ("TE", "_te_rows")):
@@ -584,7 +642,109 @@ class TestPolarizationCutoffs:
         levels = [f for u in sweep for f in u.f_by_level.values()]
         assert built["TE"] == max(f.te_modes for f in levels)
         assert built["TM"] == max(f.tm_modes for f in levels)
-        assert max(f.te_cutoff for f in levels) < max(f.tm_cutoff for f in levels)
+        assert max(f.tm_cutoff for f in levels) < max(f.te_cutoff for f in levels)
+        assert built["TM"] < built["TE"] / 10
+
+
+def _split_coordinate(draw, length):
+    """A wall, a nodal centre line or an inside coordinate along one side."""
+    kind = draw(st.sampled_from(["wall", "centre", "inside", "inside"]))
+    if kind == "wall":
+        return draw(st.sampled_from([0.0, length]))
+    if kind == "centre":
+        return 0.5 * length
+    return draw(st.floats(0.02, 0.98)) * length
+
+
+@st.composite
+def _split_points(draw):
+    # p2 lies within half the shorter side of p1 along each axis: further
+    # apart in an elongated guide, the tensor falls below the rounding of
+    # the mode sums it is held against.
+    geom = Geometry(1.0, 10.0 ** draw(st.floats(-1.0, 1.0)))  # b/a in [0.1, 10]
+    short = min(geom.a, geom.b)
+    x1, y1 = _split_coordinate(draw, geom.a), _split_coordinate(draw, geom.b)
+    x2 = min(max(x1 + draw(st.floats(-0.5, 0.5)) * short, 0.0), geom.a)
+    y2 = min(max(y1 + draw(st.floats(-0.5, 0.5)) * short, 0.0), geom.b)
+    z = 0.05 * 40.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.05a, 2a]
+    p1, p2 = TransversePoint(x1, y1), TransversePoint(x2, y2)
+    # At a corner f_tensor returns zero; next to one every profile, and the
+    # tensor, is at the rounding floor of the mode sum.
+    for p in (p1, p2):
+        assume(min(p.x, geom.a - p.x) > 1e-3 * geom.a
+               or min(p.y, geom.b - p.y) > 1e-3 * geom.b)
+    return geom, p1, p2, z
+
+
+class TestEwaldSplit:
+    @settings(max_examples=25, deadline=None)
+    @given(case=_split_points())
+    def test_matches_converged_mode_sum(self, case):
+        # Against the oracle-consistent TM mode sum grown until its tail
+        # bound is at most 1e-11 of the scale, within 1e-10 of the scale;
+        # entries the mode sum gives as exact zeros are exact zeros.
+        from wgdisp.energy import _tm_tail_bound
+        geom, p1, p2, z = case
+        table = ModeTable(geom, p1, p2, Conventions())
+        split, _ = table.tm_split(z)
+        scale = np.abs(split).max()
+        K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+        while _tm_tail_bound(K, z, geom) > 1e-11 * scale:
+            K *= 1.3
+        table.extend(K, 0.0)
+        summed = table.sums(z, (table.counts(K)[0], 0))[0]
+        assert np.abs(split - summed).max() <= 1e-10 * scale
+        assert np.array_equal(split == 0.0, summed == 0.0)
+
+    @pytest.mark.parametrize("b, x, y", [(0.7, 0.3, 0.2), (1.0, 0.4, 0.65),
+                                         (0.5, 0.55, 0.3), (2.0, 0.35, 1.2)])
+    @pytest.mark.parametrize("z, tol", [(1e-3, 1e-6), (1e-4, 1e-9)])
+    def test_free_space_recovery_off_centre(self, b, x, y, z, tol):
+        # The direct image carries the free-space tensor, so z^3 F tends to
+        # diag(-1/2, -1/2, 1) like z^3 at any interior point.
+        p = TransversePoint(x, y)
+        F, _ = ModeTable(Geometry(1.0, b), p, p, Conventions()).tm_split(z)
+        assert np.abs(z ** 3 * F - np.diag([-0.5, -0.5, 1.0])).max() <= tol
+
+    @pytest.mark.parametrize("b, p1, p2, z, truncation, frozen", [
+        (0.6, (0.31, 0.22), (0.72, 0.41), 0.07, {"tail_tol": 1e-6},
+         ("-5.731113424209e+00", "-6.372521575382e+00", "1.452615117763e-04",
+          11557, (424.3348571428572, 251.0857142857143, 8489, 3068))),
+        (0.5, (0.12, 0.33), (0.85, 0.07), 1.1, {"tail_tol": 1e-10},
+         ("-9.540601276506e-06", "-1.367800717614e-05", "4.785186540636e-15",
+          76, (34.99354083387946, 26.918108333753427, 40, 36))),
+        (0.8, (0.0, 0.4), (0.5, 0.5), 0.3, {"max_cutoff": 60.0},
+         ("-8.047750636356e+00", "-8.323502304736e+00", "5.170700749988e-03",
+          460, (60.0, 60.0, 213, 247))),
+    ])
+    def test_paper_literal_keeps_the_mode_sums(self, b, p1, p2, z, truncation,
+                                               frozen):
+        # Paper-literal cross terms are no Green-function derivatives: both
+        # polarizations stay mode sums, with the cutoffs and values frozen
+        # from the common-cutoff rule.
+        cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
+                                TransversePoint(*p2), z, _TWO_LEVELS, _TWO_LEVELS,
+                                conventions=Conventions.paper_literal())
+        u = dispersion_energy(cfg, **truncation)
+        assert (f"{u.total:.12e}", f"{u.u_tm_only:.12e}", f"{u.tail_estimate:.12e}",
+                u.modes_used) == frozen[:4]
+        for f in u.f_by_level.values():
+            assert (f.tm_cutoff, f.te_cutoff, f.tm_modes, f.te_modes) == frozen[4]
+
+    def test_reaches_small_separations(self):
+        # TM no longer needs ~1/z^2 modes: at 0.005a only TE is summed, and
+        # the cap is met where TE itself needs too many modes.
+        cfg = _config(0.005, p1=TransversePoint(0.3, 0.2), p2=TransversePoint(0.3, 0.2),
+                      geom=Geometry(1.0, 0.7))
+        u = dispersion_energy(cfg, tail_tol=1e-4)
+        f = u.f_by_level[E100]
+        assert f.tm_modes < 100 and u.tail_estimate <= 1e-3 * abs(u.total)
+        with pytest.raises(ModeCapError):
+            dispersion_energy(replace(cfg, z=0.001), tail_tol=1e-4)
+
+    def test_tolerance_below_split_accuracy_is_refused(self):
+        with pytest.raises(InputError, match="screened TM sum"):
+            f_tensor(_config(0.5), E100, tail_tol=1e-17)
 
 
 class TestSweep:
