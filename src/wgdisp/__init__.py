@@ -7,12 +7,11 @@ Natural units: hbar = c = 1, permittivity as a parameter, lengths in
 units of the guide width a.
 """
 
-from .bessel import bessel_k0, k0_small_argument
+from .bessel import bessel_k0
 from .conventions import Conventions
-from .errors import (ConvergenceError, InputError, ModeCapError,
-                     QuadratureError, SpeciesFileError,
-                     TightConfinementWarning, ValidityDomainWarning,
-                     WgdispError)
+from .errors import (InputError, ModeCapError, QuadratureError,
+                     SpeciesFileError, TightConfinementWarning,
+                     ValidityDomainWarning, WgdispError)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes, mode_frequency)
 from .coupling import (CouplingValue, QuadratureSpec, f_quadrature,
@@ -21,8 +20,7 @@ from .energy import (DipoleSpecies, DipoleTransition, EnergyBreakdown,
                      FTensorResult, PairConfiguration, dispersion_energy,
                      dispersion_sweep, f_tensor, polarizability, ratio_to_freespace,
                      u_freespace_cp, u_freespace_vdw, u_retarded_closed)
-from .asymptotics import (SumSpec, near_field_components,
-                          reduced_zz_sum_direct, reduced_zz_sum_integral)
+from .asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
 from .fourth_order import (Diagram, enumerate_diagrams, fourth_order_oracle,
                            weighted_reference_energy)
 from .species_io import parse_species_file
@@ -33,8 +31,7 @@ __all__ = [
     "Conventions", "Geometry", "ModeIndex", "TransversePoint",
     "DipoleSpecies", "DipoleTransition", "PairConfiguration",
     "EnergyBreakdown", "FTensorResult", "CouplingValue", "QuadratureSpec",
-    "SumSpec", "Diagram",
-    "bessel_k0", "k0_small_argument",
+    "Diagram", "bessel_k0",
     "cutoff_wavenumber", "mode_frequency", "transverse_profile",
     "enumerate_modes",
     "f_tm_closed", "f_te_closed", "f_quadrature",
@@ -42,11 +39,10 @@ __all__ = [
     "u_retarded_closed", "u_freespace_vdw", "u_freespace_cp",
     "ratio_to_freespace",
     "reduced_zz_sum_direct", "reduced_zz_sum_integral",
-    "near_field_components",
     "enumerate_diagrams", "fourth_order_oracle", "weighted_reference_energy",
     "parse_species_file",
     "WgdispError", "InputError", "SpeciesFileError", "ModeCapError",
-    "QuadratureError", "ConvergenceError",
+    "QuadratureError",
     "TightConfinementWarning", "ValidityDomainWarning",
     "__version__",
 ]

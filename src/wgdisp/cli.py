@@ -28,7 +28,7 @@ from .coupling import (ORIENTATIONS, QuadratureSpec, f_quadrature,
 from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                      dispersion_sweep, ratio_to_freespace, u_freespace_cp,
                      u_freespace_vdw)
-from .asymptotics import SumSpec, reduced_zz_sum_direct, reduced_zz_sum_integral
+from .asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
 from .species_io import parse_species_file
 
 EXIT_OK = 0
@@ -366,7 +366,7 @@ def cmd_reproduce(args) -> int:
     if fig == "fig4":
         header = ["z_over_a", "direct_sum", "integral_approx"]
         title = "direct axial-axial mode sum vs continuum approximation"
-        rows = [[z, reduced_zz_sum_direct(SumSpec(z_over_a=float(z), tol=1e-10)),
+        rows = [[z, reduced_zz_sum_direct(float(z)),
                  reduced_zz_sum_integral(float(z))] for z in grid]
     else:
         lam, reference, label = FIG3_RATIOS[fig]

@@ -26,8 +26,8 @@ class ModeCapError(WgdispError, RuntimeError):
     def __init__(self, needed: int, cap: int):
         super().__init__(
             f"the cutoff needs ~{needed} modes, exceeding the hard cap of {cap}; "
-            "use a lower cutoff or, at very small separations, the near-field "
-            "closed forms in wgdisp.asymptotics"
+            "use a lower cutoff or, at very small separations, the free-space "
+            "quasistatic form wgdisp.u_freespace_vdw"
         )
         self.needed = needed
         self.cap = cap
@@ -46,16 +46,6 @@ class QuadratureError(WgdispError, RuntimeError):
                          f"achieved error {achieved_error!r})")
         self.best_estimate = best_estimate
         self.achieved_error = achieved_error
-
-
-class ConvergenceError(WgdispError, RuntimeError):
-    """Series summation did not converge within the allowed index range."""
-
-    def __init__(self, message: str, partial_sum: float, tail_bound: float):
-        super().__init__(f"{message} (partial sum {partial_sum!r}, "
-                         f"tail bound {tail_bound!r})")
-        self.partial_sum = partial_sum
-        self.tail_bound = tail_bound
 
 
 class TightConfinementWarning(UserWarning):

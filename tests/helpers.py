@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from wgdisp.asymptotics import near_field_components
 from wgdisp.coupling import transverse_profile
 from wgdisp.energy import quadratic_contraction
 from wgdisp.waveguide import TransversePoint
@@ -26,10 +25,18 @@ def profile_norm(geom, mode, k, convention="unit-normalized"):
     return float(total) * geom.area / points ** 2
 
 
+def k0_small_argument(x):
+    """Leading small-argument expansion -ln(x/2) - gamma of K0, to O(x^2 ln x)."""
+    return -(np.log(0.5 * np.asarray(x, dtype=float)) + np.euler_gamma)
+
+
 def near_field_energy(species1, species2, z, epsilon=1.0):
-    """Pair energy contracted from the near-field component table."""
-    c = near_field_components(z)
-    f = np.diag([c["xx"], c["yy"], c["zz"]])
+    """Pair energy contracted from the near-field component table.
+
+    At short separations the mode sums collapse to the free-space
+    quasistatic dipole tensor diag(-1/2, -1/2, 1) / z^3.
+    """
+    f = np.diag([-0.5, -0.5, 1.0]) / z ** 3
     pref = -1.0 / (2.0 * math.pi * epsilon) ** 2
     return sum(pref / (t1.energy + t2.energy) * quadratic_contraction(
         species2.second_moment(t2), species1.second_moment(t1), f, f)

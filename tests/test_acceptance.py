@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from helpers import near_field_energy, profile_norm
-from wgdisp.asymptotics import SumSpec, reduced_zz_sum_direct, reduced_zz_sum_integral
+from wgdisp.asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
 from wgdisp.coupling import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
 from wgdisp.energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                            f_tensor, ratio_to_freespace, u_freespace_vdw)
@@ -123,7 +123,7 @@ def test_criterion_2_closed_vs_quadrature():
 def test_criterion_3_sum_vs_integral():
     devs = []
     for z in (0.1, 0.05, 0.02, 0.01):
-        direct = reduced_zz_sum_direct(SumSpec(z, tol=1e-10))
+        direct = reduced_zz_sum_direct(z)
         devs.append(abs(direct / reduced_zz_sum_integral(z) - 1.0))
     ok = all(d <= 0.05 for d in devs) and all(a > b for a, b in
                                               zip(devs, devs[1:]))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import k0
 
-from wgdisp.asymptotics import (SumSpec, near_field_components,
-                                reduced_zz_sum_direct,
-                                reduced_zz_sum_integral)
-from wgdisp.bessel import bessel_k0, k0_small_argument
+from helpers import k0_small_argument
+from wgdisp.asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
+from wgdisp.bessel import bessel_k0
 from wgdisp.energy import DipoleSpecies, PairConfiguration, f_tensor
-from wgdisp.errors import ConvergenceError, InputError
+from wgdisp.errors import InputError
 from wgdisp.waveguide import Geometry, cutoff_wavenumber, enumerate_modes
 
 # mpmath-frozen direct sums
@@ -20,7 +19,7 @@ INTEGRAL_AT_01 = 25.330295910584443
 
 class TestDirectSum:
     def test_value_at_unit_separation(self):
-        assert reduced_zz_sum_direct(SumSpec(1.0)) \
+        assert reduced_zz_sum_direct(1.0) \
             == pytest.approx(SUM_AT_1, rel=1e-10)
 
     def test_leading_term_dominates_at_unit_separation(self):
@@ -29,27 +28,15 @@ class TestDirectSum:
         assert SUM_AT_1 > lead
 
     def test_value_at_tenth(self):
-        assert reduced_zz_sum_direct(SumSpec(0.1)) \
+        assert reduced_zz_sum_direct(0.1) \
             == pytest.approx(SUM_AT_01, rel=1e-10)
-        assert reduced_zz_sum_direct(SumSpec(0.1)) \
+        assert reduced_zz_sum_direct(0.1) \
             == pytest.approx(reduced_zz_sum_integral(0.1), rel=0.05)
 
     def test_strictly_decreasing_in_z(self):
-        values = [reduced_zz_sum_direct(SumSpec(z))
+        values = [reduced_zz_sum_direct(z)
                   for z in (0.3, 0.5, 0.8, 1.3)]
         assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_nonconvergence_reports_partial(self):
-        with pytest.raises(ConvergenceError) as err:
-            reduced_zz_sum_direct(SumSpec(0.01, max_index=21))
-        assert err.value.partial_sum > 0.0
-        assert err.value.tail_bound > 0.0
-
-    def test_spec_validation(self):
-        with pytest.raises(InputError):
-            SumSpec(-1.0)
-        with pytest.raises(InputError):
-            SumSpec(1.0, parity_m="prime")
 
 
 class TestIntegralApproximation:
@@ -64,33 +51,10 @@ class TestIntegralApproximation:
     def test_agreement_improves_towards_zero(self):
         devs = []
         for z in (0.1, 0.05, 0.02, 0.01):
-            direct = reduced_zz_sum_direct(SumSpec(z, tol=1e-10))
+            direct = reduced_zz_sum_direct(z)
             devs.append(abs(direct / reduced_zz_sum_integral(z) - 1.0))
         assert all(d <= 0.05 for d in devs)
         assert all(a > b for a, b in zip(devs, devs[1:]))
-
-
-class TestNearFieldTable:
-    def test_values_at_unit_z(self):
-        c = near_field_components(1.0)
-        assert c["zz"] == 1.0
-        assert c["xx"] == -0.5 and c["yy"] == -0.5
-        assert c["xy"] == c["xz"] == c["yz"] == 0.0
-
-    def test_traceless(self):
-        c = near_field_components(0.37)
-        assert c["zz"] + c["xx"] + c["yy"] == pytest.approx(0.0, abs=1e-18)
-
-    def test_matches_full_mode_sum(self):
-        geom = Geometry(1.0, 1.0)
-        iso = DipoleSpecies.single(2 * math.pi / 100.0, (1, 1, 1))
-        cfg = PairConfiguration(geom, geom.center(), geom.center(), 0.01,
-                                iso, iso)
-        ft = f_tensor(cfg, 2 * math.pi / 100.0, tail_tol=1e-4)
-        c = near_field_components(0.01)
-        assert ft.tensor[2, 2] == pytest.approx(c["zz"], rel=0.02)
-        assert ft.tensor[0, 0] == pytest.approx(c["xx"], rel=0.02)
-        assert ft.tensor[1, 1] == pytest.approx(c["yy"], rel=0.02)
 
 
 class TestConsistencyWithCouplings:
@@ -107,7 +71,7 @@ class TestConsistencyWithCouplings:
             for n in range(1, 26):
                 acc += f_tm_closed(geom, ModeIndex("TM", m, n), "zz",
                                    center, center, z).value
-        reduced = reduced_zz_sum_direct(SumSpec(z, tol=1e-13))
+        reduced = reduced_zz_sum_direct(z)
         assert acc / (4.0 * math.pi ** 2) == pytest.approx(reduced, abs=1e-10)
 
     def test_even_parity_terms_vanish_at_center(self):
@@ -179,3 +143,10 @@ class TestTeNearField:
                                 iso, iso)
         ft = f_tensor(cfg, 0.0628, tail_tol=1e-4)
         assert np.sum(ft.tm_tensor ** 2) / np.sum(ft.te_tensor ** 2) >= 100.0
+
+
+@pytest.mark.parametrize("fn", [reduced_zz_sum_direct, reduced_zz_sum_integral])
+@pytest.mark.parametrize("z_over_a", [0.0, -1.0, math.nan, math.inf])
+def test_refuses_nonpositive_or_nonfinite(fn, z_over_a):
+    with pytest.raises(InputError):
+        fn(z_over_a)

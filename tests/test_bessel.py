@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import k0 as scipy_k0
 
-from wgdisp.bessel import bessel_k0, k0_small_argument
+from helpers import k0_small_argument
+from wgdisp.bessel import bessel_k0
 from wgdisp.errors import InputError
 
 K0_AT_1 = 0.4210244382407083

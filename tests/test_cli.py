@@ -14,6 +14,39 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SPECIES_100A = "# single transition, wavelength 100 a\n" \
     "E=0.06283185307179587 d=(1,1,1)\n"
 
+# `reproduce fig4` as printed when direct_sum came from a block-summed odd
+# lattice sum whose certified tail was below 1e-10 of the partial sum.
+FIG4_LATTICE_SUM = """\
+# figure fig4: direct axial-axial mode sum vs continuum approximation
+# grid: geometric, 25 points, z_over_a in [0.01, 1]
+z_over_a,direct_sum,integral_approx
+0.01,25330.329402336742,25330.295910584442
+0.012115276586285882,14244.305652826743,14244.272169821745
+0.014677992676220698,8010.1763584952287,8010.1428883495591
+0.017782794100389229,4504.4678180731526,4504.4343667985431
+0.021544346900318832,2533.0630146441717,2533.0295910584464
+0.026101572156825358,1424.4605999546709,1424.4272169821752
+0.031622776601683791,801.04761226948278,801.01428883495657
+0.038311868495572873,450.47667288100916,450.44343667985453
+0.046415888336127774,253.33606760541994,253.30295910584471
+0.056234132519034905,142.47564348715846,142.44272169821741
+0.068129206905796116,80.134078182476145,80.101428883495686
+0.082540418526801815,45.076596348824914,45.044343667985487
+0.10000000000000001,25.361973553209353,25.330295910584439
+0.12115276586285882,14.275120846966157,14.244272169821743
+0.14677992676220691,8.0398064886352838,8.0101428883495718
+0.17782794100389229,4.5324243191339368,4.5044343667985434
+0.21544346900318834,2.5586974157667077,2.5330295910584457
+0.26101572156825359,1.4469548261739937,1.4244272169821752
+0.31622776601683794,0.81944970155824848,0.80101428883495629
+0.38311868495572871,0.4638219051989122,0.4504434366798547
+0.46415888336127775,0.26088919853886883,0.25330295910584466
+0.56234132519034907,0.14407914953499035,0.14244272169821737
+0.68129206905796114,0.076531546487981425,0.080101428883495696
+0.82540418526801818,0.037960749108638683,0.045044343667985487
+1,0.016948660836466331,0.025330295910584444
+"""
+
 
 def run_cli(*argv, cwd=None):
     env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
@@ -323,6 +356,21 @@ class TestReproduce:
             if z <= 0.1:
                 worst = max(worst, abs(direct / approx - 1.0))
         assert worst <= 0.05
+
+    def test_fig4_pinned(self):
+        # direct_sum within 1e-10 relative of the frozen lattice sum; every
+        # other character, the integral_approx column included, unchanged.
+        res = run_cli("reproduce", "fig4")
+        assert res.returncode == 0
+        got = res.stdout.splitlines()
+        want = FIG4_LATTICE_SUM.splitlines()
+        assert len(got) == len(want) == 3 + 25
+        assert got[:3] == want[:3]
+        for line, frozen in zip(got[3:], want[3:]):
+            z, direct, approx = line.split(",")
+            z0, direct0, approx0 = frozen.split(",")
+            assert (z, approx) == (z0, approx0)
+            assert float(direct) == pytest.approx(float(direct0), rel=1e-10)
 
     def test_fig3a_semilog_linearity(self):
         res = run_cli("reproduce", "fig3a")

@@ -119,7 +119,7 @@ class TestFTensor:
         cfg = _config(0.002)
         with pytest.raises(ModeCapError) as err:
             f_tensor(cfg, E100, tail_tol=1e-6, mode_cap=100_000)
-        assert "asymptotics" in str(err.value)
+        assert "u_freespace_vdw" in str(err.value)
 
     @pytest.mark.parametrize("b, p1, p2, z, convention, tol", [
         (0.75, (0.4, 0.3), (0.4, 0.3), 0.02, "oracle-consistent", 1e-6),
