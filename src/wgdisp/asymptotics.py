@@ -25,6 +25,12 @@ def _check(z_over_a: float) -> None:
         raise InputError(f"z_over_a must be positive and finite, got {z_over_a!r}")
 
 
+# One table serves every call: its screened modes are listed and built once,
+# and a split depends only on z, not on what the table already holds.
+_CENTER = Geometry(1.0, 1.0).center()
+_TABLE = ModeTable(Geometry(1.0, 1.0), _CENTER, _CENTER, Conventions())
+
+
 def reduced_zz_sum_direct(z_over_a: float) -> float:
     """The reduced axial-axial mode sum S(z/a) itself.
 
@@ -34,9 +40,7 @@ def reduced_zz_sum_direct(z_over_a: float) -> float:
     center, whose truncation bound is far below 1e-10 of S.
     """
     _check(z_over_a)
-    geom = Geometry(1.0, 1.0)
-    center = geom.center()
-    tensor, _ = ModeTable(geom, center, center, Conventions()).tm_split(z_over_a)
+    tensor, _ = _TABLE.tm_split(z_over_a)
     return float(tensor[2, 2]) / (4.0 * math.pi ** 2)
 
 

@@ -36,7 +36,11 @@ rows for many modes at once; ``f_tm_closed`` and ``f_te_closed`` are
 their one-mode views, and so is ``transverse_profile``, the normalized
 mode profile at one point.  ``_tm_split`` sums the oracle-consistent TM
 couplings of all modes at once, from the same rows, by an Ewald split of
-the tube's Green function.
+the tube's Green function, and ``_te_split`` sums the unit-normalized TE
+couplings the same way, by a split in time of the tube's heat kernel.
+Both need the rows of a few dozen screened modes and about a hundred
+images at any separation, and each has a derived truncation bound
+(``_tm_split_bound``, ``_te_split_bound``).
 
 ``f_quadrature`` evaluates the same couplings by direct numerical
 integration of the defining wavenumber integrals and is the oracle the
@@ -50,12 +54,13 @@ Natural units hbar = c = 1 throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx, k0
+from scipy.special import erfc, erfcx, exp1, k0
 
 from .conventions import Conventions
 from .errors import InputError, QuadratureError, TightConfinementWarning
@@ -258,48 +263,70 @@ def _image_offsets(c2: float, c1: float, period: float, reach: float) -> np.ndar
     return np.array([[c2 - c1], [c2 + c1]]) - period * np.arange(-J, J + 1)
 
 
-def _tm_split_images(geom, p1, p2, z):
+def _split_images(geom: Geometry, p1: TransversePoint, p2: TransversePoint):
+    """The z-independent image data both splits share.
+
+    Over the images (sigma_x x1 + 2ja, sigma_y y1 + 2lb) of p1 within the
+    reach _SPLIT_REACH eta of p2 along each axis, returns the transverse
+    offsets d = (x2 - sigma_x x1 - 2ja, y2 - sigma_y y1 - 2lb), shape (2, n),
+    the signs s = (sigma_x, sigma_y), shape (2, n), and rho^2 = |d|^2.
+    """
+    reach = _SPLIT_REACH * _split_width(geom)
+    x = _image_offsets(p2.x, p1.x, 2.0 * geom.a, reach)[:, None, :, None]
+    y = _image_offsets(p2.y, p1.y, 2.0 * geom.b, reach)[None, :, None, :]
+    # Images ordered by (sigma_x, sigma_y, j, l).
+    d = np.empty((2, 2, 2, x.shape[2], y.shape[3]))
+    s = np.empty_like(d)
+    d[0], d[1] = x, y
+    sign = np.array([1.0, -1.0])
+    s[0], s[1] = sign[:, None, None, None], sign[None, :, None, None]
+    return d.reshape(2, -1), s.reshape(2, -1), (x * x + y * y).reshape(-1)
+
+
+def _tm_split_images(geom, images, z):
     """Image part of the split: 1/2 sum sigma_x sigma_y s_j H_ij(d).
 
-    Over the images within the reach of each axis, with s = (sigma_x,
-    sigma_y, 1), d = (x2 - sigma_x x1 - 2ja, y2 - sigma_y y1 - 2lb, z) and
-    H the Hessian of erfc(r/eta)/r:
+    Over the :func:`_split_images` ``images``, with s = (sigma_x, sigma_y,
+    1), d = (x2 - sigma_x x1 - 2ja, y2 - sigma_y y1 - 2lb, z) and H the
+    Hessian of erfc(r/eta)/r:
     H = f'' d^ d^ + (f'/r)(I - d^ d^), with f' = -G/r - E/r^2,
     f'' = 2G/eta^2 + 2G/r^2 + 2E/r^3, E = erfc(r/eta) and
     G = (2 / (sqrt(pi) eta)) e^{-r^2/eta^2}.
     """
     eta = _split_width(geom)
-    reach = _SPLIT_REACH * eta
-    x = _image_offsets(p2.x, p1.x, 2.0 * geom.a, reach)[:, None, :, None]
-    y = _image_offsets(p2.y, p1.y, 2.0 * geom.b, reach)[None, :, None, :]
-    r2 = x * x + y * y + z * z
+    offsets, (sx, sy), rho2 = images
+    r2 = rho2 + z * z
     r = np.sqrt(r2)
     e = erfc(r / eta)
     g = (2.0 / (math.sqrt(math.pi) * eta)) * np.exp(-r2 / eta ** 2)
     transverse = -(g * r + e) / (r2 * r)  # f'/r
     along = 2.0 * g / eta ** 2 + 2.0 * g / r2 + 2.0 * e / (r2 * r)  # f''
     # Per image: d, and sigma_x sigma_y s_j for each column j.
-    sign = np.array([1.0, -1.0])
-    sx, sy = sign[:, None, None, None], sign[None, :, None, None]
-    d = np.stack(np.broadcast_arrays(x, y, z)).reshape(3, -1)
-    w = np.stack(np.broadcast_arrays(sy, sx, sx * sy, r)[:3]).reshape(3, -1)
-    c = ((along - transverse) / r2).reshape(-1)
+    d = np.vstack([offsets, np.full(r.size, z)])
+    w = np.stack([sy, sx, sx * sy])
+    c = (along - transverse) / r2
     out = 0.5 * (d * c) @ (d * w).T
-    out[np.diag_indices(3)] += 0.5 * w @ transverse.reshape(-1)
+    out[np.diag_indices(3)] += 0.5 * w @ transverse
     return out
 
 
-def _tm_split(geom, k, rows, p1, p2, z):
+def _live(rows, width):
+    """Entries whose profile factors at p2 and at p1 do not vanish for every mode."""
+    live = np.any(rows != 0.0, axis=0)
+    return live[0:width, None] & live[None, width:2 * width]
+
+
+def _tm_split(geom, k, rows, images, z):
     """Oracle-consistent TM tensor at separation z from the Ewald split.
 
     ``k`` and ``rows`` are the cutoffs and :func:`_tm_rows` rows (one mode
-    per row) of the modes up to :func:`_split_cutoff`.  An entry whose
-    profile factor vanishes for every mode (a dipole on the wall x = 0 or
-    y = 0) is the exact zero the mode sum gives there.
+    per row) of the modes up to :func:`_split_cutoff`, and ``images`` the
+    :func:`_split_images` of the pair.  An entry whose profile factor
+    vanishes for every mode (a dipole on the wall x = 0 or y = 0) is the
+    exact zero the mode sum gives there.
     """
-    out = _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, p1, p2, z)
-    live = np.any(rows != 0.0, axis=0)
-    return np.where(live[0:3, None] & live[None, 3:6], out, 0.0) + 0.0
+    out = _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, images, z)
+    return np.where(_live(rows, 3), out, 0.0) + 0.0
 
 
 def _tm_split_bound(geom: Geometry, z: float) -> float:
@@ -337,18 +364,211 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     rc2 = reach * reach + z * z
     poly = (4.0 / (math.sqrt(math.pi) * eta)) * (1.0 / eta ** 2 + 1.0 / rc2) \
         + 2.0 / (rc2 * math.sqrt(rc2))
-
-    def beyond(period):  # offsets past the reach, both sides
-        return 2.0 * (_SPLIT_EPS + math.sqrt(math.pi) * eta / (2.0 * period)
-                      * erfc(_SPLIT_REACH))
-
-    def every(period):  # all offsets
-        return 2.0 + math.sqrt(math.pi) * eta / period
-
     ax, ay = 2.0 * geom.a, 2.0 * geom.b
     # Four image lattices, half an f'' each.
-    images = 2.0 * screen * poly * (beyond(ax) * every(ay) + every(ax) * beyond(ay))
+    images = 2.0 * screen * poly * (_beyond_reach(ax, eta) * _every_offset(ay, eta)
+                                    + _every_offset(ax, eta) * _beyond_reach(ay, eta))
     return spectral + images
+
+
+def _beyond_reach(period: float, eta: float) -> float:
+    """Bound on sum e^{-d^2/eta^2} over the offsets d past the reach, both sides."""
+    return 2.0 * (_SPLIT_EPS + math.sqrt(math.pi) * eta / (2.0 * period)
+                  * erfc(_SPLIT_REACH))
+
+
+def _every_offset(period: float, eta: float) -> float:
+    """Bound on sum e^{-d^2/eta^2} over all offsets d spaced by ``period``."""
+    return 2.0 + math.sqrt(math.pi) * eta / period
+
+
+# ---------------------------------------------------------------------------
+# heat-kernel Ewald split of the TE channel
+# ---------------------------------------------------------------------------
+#
+# The unit-normalized TE rows are e = (d_y psi, -d_x psi) / k, with psi the
+# L^2-normalized Neumann eigenfunctions, so the unit TE tensor (the mode sum
+# without its factor * E) is T = R M R^T, with R the 90-degree rotation and
+# M_ij = sum d_i psi(r2) d_j psi(r1) K0(kz) / k^2.  Since
+# K0(kz) / k^2 = integral_0^inf e^{-k^2 t} E1(z^2 / 4t) / 2 dt, M is that time
+# integral over d_{r2,i} d_{r1,j} of the Neumann heat kernel, whose images
+# e^{-|d|^2 / 4t} / (4 pi t) of r1 at (sigma_x x1 + 2ja, sigma_y y1 + 2lb) all
+# carry the sign +1.  The time integral splits at tau = eta^2 / 4, with the
+# TM split's eta: past tau it is the mode sum with weights k^2 W screened like
+# e^{-k^2 tau}; up to tau it is the image sum, in closed form through E1 and
+# screened like e^{-rho^2 / eta^2}.  Both use the TM split's cutoff and reach.
+
+# Short times s with z^2 / 4s above _TE_SKIP add below E1(45) ~ 6e-22 per unit
+# of time; the rule runs over at most _TE_SPAN e-folds of s below tau.
+_TE_SKIP = 45.0
+_TE_SPAN = 24.0
+_TE_NODES = 80
+# Accuracy of the short-time rule relative to each mode's K0(kz), over at
+# most 16 e-folds of s and beyond: a factor 3 to 5 above the largest error
+# found against adaptive quadrature (z from 1e-6 to 10 widths, k up to twice
+# the split's cutoff).
+_TE_RULE_TOL = (1e-14, 1e-12)
+# Images with rho^2 at most _TE_SERIES times min(eta^2, z^2) take the Taylor
+# series in rho^2 of their time integrals; the terms fall like 0.1^n.
+_TE_SERIES = 0.1
+_TE_TERMS = 20
+_ROTATE = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@functools.cache
+def _legendre_rule():
+    """Nodes and weights of the Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(_TE_NODES)
+
+
+def _te_short_times(geom, z):
+    """Edges lo and tau of the short times the rule sums, in that order.
+
+    The rule covers ln s from ln lo to ln tau, lo = max(z^2 / (4 _TE_SKIP),
+    tau e^{-_TE_SPAN}); with lo >= tau nothing is summed.
+    """
+    tau = 0.25 * _split_width(geom) ** 2
+    lo = max(z * z / (4.0 * _TE_SKIP), tau * math.exp(-_TE_SPAN))
+    return lo, tau
+
+
+def _te_split_spectral(geom, k, z):
+    """Long-time weights k^2 W = K0(kz) - (k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds.
+
+    One Gauss-Legendre rule in ln s serves every mode, so its E1 values
+    are taken once per z.
+    """
+    lo, tau = _te_short_times(geom, z)
+    weight = k0(k * z)
+    if lo < tau:
+        x, w = _legendre_rule()
+        half = 0.5 * math.log(tau / lo)
+        s = np.exp(math.log(lo) + half * (x + 1.0))
+        f = half * w * s * exp1(z * z / (4.0 * s))
+        weight -= 0.5 * k * k * (np.exp(-np.multiply.outer(k * k, s)) @ f)
+    return weight
+
+
+def _te_series(rho2, z, u0, e1):
+    """Integrals J0 and J1 of :func:`_te_split_images` as series in rho^2.
+
+    With m_n = integral_{u0}^inf u^n E1(z^2 u) du
+    = [Gamma(n + 1, z^2 u0) / z^{2n+2} - u0^{n+1} E1(z^2 u0)] / (n + 1),
+    J0 = sum_n (-rho^2)^n m_n / n! and J1 = sum_n (-rho^2)^n m_{n+1} / n!.
+    Gamma(n + 1, x) / n! = sum_{j <= n} e^{-x} x^j / j!, each term taken
+    from its logarithm, keeps every term finite at small and at large z.
+    """
+    x = z * z * u0
+    n = np.arange(_TE_TERMS + 1)
+    gamma = np.cumsum(np.exp(np.cumsum(np.r_[-x, np.log(x / n[1:])])))
+    fact = np.cumprod(np.r_[1.0, n[1:_TE_TERMS]])[:, None]
+    n = n[:_TE_TERMS, None]
+    by_z = (-rho2 / (z * z)) ** n
+    by_u = u0 * e1 * (-rho2 * u0) ** n / fact
+    j0 = ((by_z * gamma[:-1, None] / (z * z) - by_u) / (n + 1)).sum(axis=0)
+    j1 = (((n + 1) * by_z * gamma[1:, None] / z ** 4 - u0 * by_u) / (n + 2)).sum(axis=0)
+    return j0, j1
+
+
+def _te_split_images(geom, images, z):
+    """Short-time part of M: sum s_j (delta_ij J0 / 4 pi - d_i d_j J1 / 2 pi).
+
+    Over the :func:`_split_images` ``images`` with u0 = 1/eta^2 and
+    R^2 = rho^2 + z^2, the time integrals are
+    J0 = integral_{u0}^inf E1(z^2 u) e^{-rho^2 u} du
+       = [e^{-rho^2 u0} E1(z^2 u0) - E1(R^2 u0)] / rho^2 and
+    J1 = integral_{u0}^inf u E1(z^2 u) e^{-rho^2 u} du
+       = [J0 + u0 e^{-rho^2 u0} E1(z^2 u0) - e^{-R^2 u0} / R^2] / rho^2.
+    Near-coincident images, whose closed forms cancel, take
+    :func:`_te_series` instead; that covers the direct image at p1 = p2.
+    """
+    eta = _split_width(geom)
+    u0 = 1.0 / (eta * eta)
+    d, s, rho2 = images
+    e1 = exp1(z * z * u0)
+    near = rho2 <= _TE_SERIES * min(eta * eta, z * z)
+    q = np.where(near, 1.0, rho2)
+    r2 = q + z * z
+    a_part = np.exp(-q * u0) * e1
+    j0 = (a_part - exp1(r2 * u0)) / q
+    j1 = (j0 + u0 * a_part - np.exp(-r2 * u0) / r2) / q
+    if near.any():
+        j0[near], j1[near] = _te_series(rho2[near], z, u0, e1)
+    out = -(d * (j1 / (2.0 * np.pi))) @ (d * s).T
+    out[np.diag_indices(2)] += s @ j0 / (4.0 * np.pi)
+    return out
+
+
+def _te_split(geom, k, rows, images, z):
+    """Unit TE tensor at separation z (the TE mode sum without factor * E).
+
+    From the heat-kernel split: ``k`` and ``rows`` are the cutoffs and
+    unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
+    to :func:`_split_cutoff`, and ``images`` the :func:`_split_images` of the
+    pair.  Entries whose profile components vanish for every mode are
+    exact zeros, as in :func:`_tm_split`.
+    """
+    weight = _te_split_spectral(geom, k, z)
+    out = np.zeros((3, 3))
+    out[:2, :2] = (rows[:, 0:2] * weight[:, None]).T @ rows[:, 2:4] \
+        + _ROTATE @ _te_split_images(geom, images, z) @ _ROTATE.T
+    out[:2, :2] = np.where(_live(rows, 2), out[:2, :2], 0.0)
+    return out + 0.0
+
+
+def _te_split_bound(geom: Geometry, k: np.ndarray, z: float) -> float:
+    """Bound on what the TE split drops from any entry of the unit tensor.
+
+    ``k`` holds the cutoffs of the screened modes.  Each profile product is
+    at most 4 / A.
+
+    Screened modes past K = :func:`_split_cutoff`: k^2 W is at most
+    K0(kz) <= sqrt(pi / 2kz) e^{-kz}, and, with E1(x) <= e^{-x} ln(1 + 1/x)
+    and ln(1 + 4t/z^2) <= L + ln(t / tau) for t >= tau,
+    L = ln(1 + 4 tau / z^2), also (1/2) e^{-k^2 tau} (L + 1 / (K^2 tau)).
+    The lattice cells of the modes with both indices non-zero lie within
+    k_11 below their modes, so their sum is below (A / 2 pi) times the
+    integral of w(k) k from K - k_11; the modes with one zero index are two
+    rows spaced by pi/a and pi/b, each below the integral of w(k) / spacing.
+
+    Short times: below lo (or below tau where no short time is summed)
+    each mode drops at most (k^2 / 2) m E1(z^2 / 4m), m = min(lo, tau), and
+    the rule errs by at most _TE_RULE_TOL K0(kz).
+
+    Images beyond the reach X: each adds at most
+    E1(z^2 u0) e^{-rho^2 u0} P, P = 1 / (4 pi X^2) + (u0 + 1/X^2) / (2 pi),
+    and the Gaussian factorizes over the axes as in :func:`_tm_split_bound`.
+    """
+    eta = _split_width(geom)
+    tau, u0 = 0.25 * eta * eta, 1.0 / (eta * eta)
+    rows = 4.0 / geom.area
+    cutoff = _split_cutoff(geom)
+    low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
+    plane, lines = geom.area / (2.0 * math.pi), (geom.a + geom.b) / math.pi
+    level = math.log1p(4.0 * tau / (z * z)) + 1.0 / (cutoff * cutoff * tau)
+    gauss = 0.5 * level * (plane * math.exp(-tau * low * low) / (2.0 * tau)
+                           + lines * 0.5 * math.sqrt(math.pi / tau)
+                           * math.erfc(math.sqrt(tau) * low))
+    x = low * z
+    half_gamma = 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))  # Gamma(1/2, x) / 2
+    tail = math.sqrt(math.pi / (2.0 * z)) * (
+        plane * (math.sqrt(x) * math.exp(-x) + half_gamma) / z ** 1.5
+        + lines * 2.0 * half_gamma / math.sqrt(z))
+    spectral = rows * min(gauss, tail)
+    lo, tau = _te_short_times(geom, z)
+    m = min(lo, tau)
+    short = rows * 0.5 * float(k @ k) * m * float(exp1(z * z / (4.0 * m)))
+    if lo < tau:  # k is sorted, so K0(k_0 z) is the largest K0
+        tol = _TE_RULE_TOL[math.log(tau / lo) > 16.0]
+        short += rows * tol * k.size * float(k0(k[0] * z))
+    reach = _SPLIT_REACH * eta
+    p = float(exp1(z * z * u0)) * (1.0 / (4.0 * math.pi * reach ** 2)
+                                   + (u0 + 1.0 / reach ** 2) / (2.0 * math.pi))
+    ax, ay = 2.0 * geom.a, 2.0 * geom.b
+    # Four image lattices, each image with weight one.
+    images = 4.0 * p * (_beyond_reach(ax, eta) * _every_offset(ay, eta)
+                        + _every_offset(ax, eta) * _beyond_reach(ay, eta))
+    return spectral + short + images
 
 
 def _te_rows(geom, m, n, k, p1, p2, conventions):

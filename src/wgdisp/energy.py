@@ -8,8 +8,10 @@ The pair energy is assembled from per-mode couplings as
 where F^{(e)} sums every TE and TM mode coupling for transition energy
 E_e, index i living at the second dipole's transverse point and j at the
 first.  Under oracle-consistent signs the TM part of that sum is taken
-from its Ewald split (:mod:`wgdisp.coupling`), which needs a few dozen
-modes at any separation.  Isotropic orientation averaging replaces the dipole products by
+from its Ewald split and, for unit-normalized profiles truncated by a
+tail tolerance, the TE part from its heat-kernel split
+(:mod:`wgdisp.coupling`); each needs a few dozen modes at any
+separation.  Isotropic orientation averaging replaces the dipole products by
 their second moments <d_i d_j> = delta_ij |d|^2 / 3 before contraction.
 
 That level-pair sum lives in one place, ``_assemble``: the mode-summed
@@ -129,14 +131,20 @@ class PairConfiguration:
 class FTensorResult:
     """Coupling tensor for one transition energy.
 
-    The TE sum covers the ``te_modes`` modes with k <= ``te_cutoff``.
-    Under paper-literal signs the TM sum covers the ``tm_modes`` modes with
-    k <= ``tm_cutoff``; under oracle-consistent signs the TM tensor is the
-    Ewald split, and ``tm_cutoff`` and ``tm_modes`` are the cutoff and
-    count of its screened mode sum (fixed by the guide's shape).
-    ``modes_used`` is their total and ``max_cutoff`` the larger cutoff,
-    the one the mode listing reached.  ``tail_bound`` bounds what the
-    truncations drop from any tensor entry.
+    Where a polarization is a mode sum, it covers the ``tm_modes`` or
+    ``te_modes`` modes with k <= ``tm_cutoff`` or ``te_cutoff``.  Under
+    oracle-consistent signs the TM tensor is the Ewald split, and
+    ``tm_cutoff`` and ``tm_modes`` are the cutoff and count of its screened
+    modes (fixed by the guide's shape).  Where the TE tensor is its split
+    too (``tail_tol`` with unit-normalized profiles), ``te_modes`` counts
+    its screened modes, below the same cutoff, and ``te_cutoff`` is the
+    cutoff a plain TE mode sum would need to meet the budget by its
+    continuum tail, found without listing a mode: the one the split is
+    held against.
+    ``modes_used`` is ``tm_modes + te_modes`` and ``max_cutoff`` the larger
+    cutoff.  ``tail_bound`` bounds what the truncations drop from any
+    tensor entry: the continuum tails of mode sums and the derived bounds
+    of the splits.
 
     ``per_mode`` maps each mode of the plain mode sum that meets the same
     truncation (see :func:`f_tensor`) to its own 3x3 coupling, or is
@@ -267,8 +275,9 @@ class ModeTable:
     depend on the separation, so one table serves every separation and
     transition level of a sweep: :meth:`sums` weights the rows with
     (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them block by
-    block, and :meth:`tm_split` takes the screened TM weights of the first
-    rows.
+    block, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
+    first, screened modes and add the image sums, over image offsets, signs
+    and rho^2 that the table takes once.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
@@ -284,7 +293,10 @@ class ModeTable:
         self._cumulative: dict[str, list[np.ndarray]] = {}
         self._memo: dict[tuple[str, int], np.ndarray] = {}
         self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
-        self._split = None  # (z, TM tensor, bound) of the last tm_split
+        # Per polarization: (z, tensor, bound) of the last split, and the
+        # cutoffs and rows of the split's screened modes.
+        self._splits = {pol: (None,) for pol in (TM, TE)}
+        self._screen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def extend(self, K: float, te_cutoff: float | None = None) -> None:
         """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) that
@@ -436,16 +448,44 @@ class ModeTable:
         transition energy, so it is kept for the last z asked and the levels
         at one separation share it.
         """
-        if self._split is None or self._split[0] != z:
-            geom, p1, p2, _ = self.key
-            K = _coupling._split_cutoff(geom)
-            self.extend(K, 0.0)
+        if self._splits[TM][0] != z:
+            geom = self.key[0]
+            k, rows = self._screened(TM)
+            self._splits[TM] = (z, _coupling._tm_split(geom, k, rows, self._images, z),
+                                _coupling._tm_split_bound(geom, z))
+        return self._splits[TM][1:]
+
+    def te_split(self, z: float) -> tuple[np.ndarray, float]:
+        """Unit TE tensor at separation z and its truncation bound.
+
+        The heat-kernel split of :func:`wgdisp.coupling._te_split` (the TE
+        mode sum without its factor * E, for unit-normalized profiles), over
+        the table's first TE modes up to :func:`wgdisp.coupling._split_cutoff`
+        and the images of the TM split.  Kept for the last z asked, as
+        :meth:`tm_split` is.
+        """
+        if self._splits[TE][0] != z:
+            geom = self.key[0]
+            k, rows = self._screened(TE)
+            self._splits[TE] = (z, _coupling._te_split(geom, k, rows, self._images, z),
+                                _coupling._te_split_bound(geom, k, z))
+        return self._splits[TE][1:]
+
+    def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray]:
+        """Cutoffs and factor rows of the split's screened modes, built once."""
+        if pol not in self._screen:
+            K = _coupling._split_cutoff(self.key[0])
+            self.extend(*((K, 0.0) if pol == TM else (0.0, K)))
             parts = [(b.k[:used], b.rows[:used])
-                     for b, used in self._filled(TM, self._count(TM, K))]
-            k, rows = (np.concatenate(p) for p in zip(*parts))
-            self._split = (z, _coupling._tm_split(geom, k, rows, p1, p2, z),
-                           _coupling._tm_split_bound(geom, z))
-        return self._split[1], self._split[2]
+                     for b, used in self._filled(pol, self._count(pol, K))]
+            self._screen[pol] = tuple(np.concatenate(p) for p in zip(*parts))
+        return self._screen[pol]
+
+    @cached_property
+    def _images(self):
+        """The split's image offsets, signs and rho^2, built once."""
+        geom, p1, p2, _ = self.key
+        return _coupling._split_images(geom, p1, p2)
 
     def listed_counts(self, cutoffs: tuple[float, float],
                       cap: float) -> tuple[int, int] | None:
@@ -514,12 +554,20 @@ def f_tensor(
     """Coupling tensor for one transition energy.
 
     Under oracle-consistent signs the TM tensor is the Ewald split of
-    :meth:`ModeTable.tm_split`, the same at every truncation, and only the
-    TE mode sum is truncated: at ``max_cutoff``, or at a cutoff K_TE grown
-    by factors of 1.3 from max(3 pi / max(a, b), 8 / z) until tail_TE(K_TE)
-    plus the split's truncation bound is at most ``tail_tol`` times the
-    tensor scale.  A ``tail_tol`` below the split's own bound raises
-    :class:`InputError`.
+    :meth:`ModeTable.tm_split`, the same at every truncation.  With
+    ``tail_tol`` and unit-normalized profiles the TE tensor is the
+    heat-kernel split of :meth:`ModeTable.te_split`, so neither channel
+    is truncated by a cutoff search: the table lists the screened modes of
+    the splits and nothing more, and the mode cap never applies.
+    ``tail_bound`` is the two splits' derived bounds, and a ``tail_tol``
+    below them (over the tensor scale) raises :class:`InputError`.
+    ``te_cutoff`` is then the cutoff K_TE grown by factors of 1.3 from
+    max(3 pi / max(a, b), 8 / z) until tail_TE(K_TE) plus the TM split's
+    bound is at most ``tail_tol`` times the tensor scale: the cutoff a
+    plain TE mode sum would need, found from the continuum tail alone.
+    With ``max_cutoff``, or with paper-literal TE normalization, the TE
+    channel stays a mode sum, truncated at ``max_cutoff`` or at that
+    grown K_TE.
 
     Under paper-literal signs, whose printed cross terms are not
     Green-function derivatives, both polarizations are mode sums: one
@@ -537,10 +585,10 @@ def f_tensor(
     listed and its transverse factors built at most once per table.  The
     mode sums are those of :meth:`ModeTable.sums` over the modes below each
     polarization's cutoff: they depend only on (config, energy, cutoff),
-    so ``tm_tensor`` and ``te_tensor`` equal, bit for bit, those of a
-    fixed cutoff at ``tm_cutoff`` (paper-literal) and at ``te_cutoff``,
-    with a shared table or without.  The mode cap applies to the listing
-    cutoff, the larger of the two.
+    so a mode-summed ``tm_tensor`` or ``te_tensor`` equals, bit for bit,
+    that of a fixed cutoff at ``tm_cutoff`` or ``te_cutoff``, with a shared
+    table or without.  The mode cap applies to the listing cutoff of the
+    mode sums, the larger of the two.
 
     ``per_mode`` shows the modes of the plain mode sum that meets the
     truncation: with ``tail_tol``, the cutoffs :func:`_next_cutoffs` reaches
@@ -574,6 +622,28 @@ def f_tensor(
         raise InputError("the mode table belongs to another guide, pair of "
                          "points or set of conventions")
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
+    if split and tail_tol is not None and conv.normalization == "unit-normalized":
+        tm_sum, tm_tail = table.tm_split(z)
+        te_unit, te_tail = table.te_split(z)
+        te_sum = te_weight * te_unit
+        tail = tm_tail + abs(te_weight) * te_tail
+        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        budget = tail_tol * scale
+        if tail > budget:
+            raise InputError(
+                f"tail_tol={tail_tol!r} is below the truncation bound of the "
+                f"screened TM sum and the TE split, {tail / scale:.2g} of the "
+                f"tensor scale")
+        # The cutoff a plain TE mode sum would need: the one the split is
+        # held against.  No mode past the split's cutoff is listed.
+        while tm_tail + _te_tail_bound(K_te, z, geom, energy) > budget:
+            K_te *= 1.3
+        counts = table.counts(K_tm)
+        return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
+                             te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_tm,
+                             te_cutoff=K_te, tm_modes=counts[0], te_modes=counts[1],
+                             _detail=(table, (start, start), budget, z, energy,
+                                      detail_cap))
     while True:
         listed = max(K_tm, K_te)
         if mode_count(geom, listed) > mode_cap:

@@ -134,8 +134,9 @@ class TestEnergy:
         assert res.returncode == 3
 
     def test_mode_cap_exit_4(self, species_file):
+        # Paper-literal mode sums need ~1/z^2 modes.
         res = run_cli("energy", "--z", "0.002", "--species1", species_file,
-                      "--tail-tol", "1e-6")
+                      "--tail-tol", "1e-6", "--convention", "paper-literal")
         assert res.returncode == 4
         assert "cap" in res.stderr
 
@@ -425,8 +426,8 @@ oracle-check report (seed=12345, convention=oracle-consistent, cases=20)
 [scheme-agreement] max_dev=1.836058e-12 threshold=1.0e-08 -> PASS
 [twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
 [twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
-[free-space-recovery/components] max_dev=9.759094e-05 threshold=2.0e-02 -> PASS
-[free-space-recovery/energy] max_dev=1.318969e-04 threshold=2.0e-02 -> PASS
+[free-space-recovery/components] max_dev=9.771535e-05 threshold=2.0e-02 -> PASS
+[free-space-recovery/energy] max_dev=1.320628e-04 threshold=2.0e-02 -> PASS
 overall: PASS
 """,
     "paper-literal": """\
@@ -436,8 +437,8 @@ oracle-check report (seed=12345, convention=paper-literal, cases=20)
 [sign-convention] expected-mismatch of printed prefactors vs oracle: max_dev=2.000e+00 (informational)
 [twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
 [twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
-[free-space-recovery/components] max_dev=9.759094e-05 threshold=2.0e-02 -> PASS
-[free-space-recovery/energy] max_dev=1.318969e-04 threshold=2.0e-02 -> PASS
+[free-space-recovery/components] max_dev=9.771535e-05 threshold=2.0e-02 -> PASS
+[free-space-recovery/energy] max_dev=1.320628e-04 threshold=2.0e-02 -> PASS
 overall: PASS
 """,
 }
@@ -600,14 +601,23 @@ class TestReach:
         assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-4)
 
     def test_one_thousandth_meets_the_cap(self, species_file, capsys):
-        # Near 0.003a the TE sum itself needs more than 1e6 modes.
+        # Paper-literal mode sums pass 1e6 modes well above 0.001a.
         from wgdisp import cli
         assert cli.main(["energy", "--z", "0.001", "--species1", species_file,
-                         "--tail-tol", "1e-4"]) == 4
+                         "--tail-tol", "1e-4", "--convention", "paper-literal"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "cap" in captured.err
+
+    def test_ten_thousandth_of_a_returns(self, species_file, capsys):
+        # Both default channels are splits over a fixed screened mode set,
+        # so no separation meets the mode cap.
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "1e-4", "--species1", species_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-5)
+        assert report["modes_used"] < 200
 
 
 class TestDeterminism:
