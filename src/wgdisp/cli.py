@@ -262,14 +262,15 @@ def _energy_report(args, z: float) -> dict:
     lowest_e = min(t.energy for t in sp1.transitions)
     top_modes = []
     f_res = breakdown.f_by_level.get(lowest_e)
-    if f_res is not None and f_res.per_mode:
-        ranked = sorted(f_res.per_mode.items(),
-                        key=lambda kv: (-float(np.abs(kv[1]).max()),
-                                        kv[0].polarization, kv[0].m, kv[0].n))
-        for mode, tensor in ranked[:top_n]:
-            top_modes.append({"mode": mode.label(),
-                              "max_abs_f": float(np.abs(tensor).max()),
-                              "f": [[float(v) for v in row] for row in tensor]})
+    per_mode = f_res.per_mode if top_n > 0 and f_res is not None else None
+    if per_mode:
+        modes, tensors = list(per_mode), list(per_mode.values())
+        peaks = np.abs(np.array(tensors)).max(axis=(1, 2)).tolist()
+        ranked = sorted(range(len(modes)), key=lambda i: (
+            -peaks[i], modes[i].polarization, modes[i].m, modes[i].n))
+        for i in ranked[:top_n]:
+            top_modes.append({"mode": modes[i].label(), "max_abs_f": peaks[i],
+                              "f": tensors[i].tolist()})
 
     report = {
         "inputs": {

@@ -311,7 +311,11 @@ def _tm_split_images(geom, images, z):
 
 
 def _live(rows, width):
-    """Entries whose profile factors at p2 and at p1 do not vanish for every mode."""
+    """Entries whose profile factors at p2 and at p1 do not vanish for every mode.
+
+    The splits' sums leave rounding residue in such an entry (a dipole on
+    the wall x = 0 or y = 0); the mode tables zero it, as the mode sum does.
+    """
     live = np.any(rows != 0.0, axis=0)
     return live[0:width, None] & live[None, width:2 * width]
 
@@ -321,12 +325,10 @@ def _tm_split(geom, k, rows, images, z):
 
     ``k`` and ``rows`` are the cutoffs and :func:`_tm_rows` rows (one mode
     per row) of the modes up to :func:`_split_cutoff`, and ``images`` the
-    :func:`_split_images` of the pair.  An entry whose profile factor
-    vanishes for every mode (a dipole on the wall x = 0 or y = 0) is the
-    exact zero the mode sum gives there.
+    :func:`_split_images` of the pair.  Entries outside :func:`_live` are
+    left as summed.
     """
-    out = _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, images, z)
-    return np.where(_live(rows, 3), out, 0.0) + 0.0
+    return _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, images, z)
 
 
 def _tm_split_bound(geom: Geometry, z: float) -> float:
@@ -347,15 +349,9 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     the period L is bounded by its first term plus 1/L times the integral.
     """
     eta = _split_width(geom)
-    alpha = 0.25 * eta * eta
-    c = 2.0 / (math.sqrt(math.pi) * eta)
-    cutoff = _split_cutoff(geom)
-    low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
+    cutoff, low, gauss, lattice = _tm_bound_parts(geom)
     screen = math.exp(-(z / eta) ** 2)
-    # 2 integral_low^inf (k^2 + c k) e^{-alpha k^2} dk
-    spectral = 2.0 * screen * ((low + c) * math.exp(-alpha * low * low) / (2.0 * alpha)
-                               + math.sqrt(math.pi) * erfc(math.sqrt(alpha) * low)
-                               / (4.0 * alpha ** 1.5))
+    spectral = 2.0 * screen * gauss
     if 2.0 * z / eta ** 2 > cutoff:
         # 2 integral_low^inf k^2 e^{-kz} dk
         spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / z ** 2
@@ -364,11 +360,35 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     rc2 = reach * reach + z * z
     poly = (4.0 / (math.sqrt(math.pi) * eta)) * (1.0 / eta ** 2 + 1.0 / rc2) \
         + 2.0 / (rc2 * math.sqrt(rc2))
-    ax, ay = 2.0 * geom.a, 2.0 * geom.b
     # Four image lattices, half an f'' each.
-    images = 2.0 * screen * poly * (_beyond_reach(ax, eta) * _every_offset(ay, eta)
-                                    + _every_offset(ax, eta) * _beyond_reach(ay, eta))
+    images = 2.0 * screen * poly * lattice
     return spectral + images
+
+
+@functools.cache
+def _tm_bound_parts(geom: Geometry) -> tuple[float, float, float, float]:
+    """The z-independent parts of :func:`_tm_split_bound`.
+
+    The cutoff K, low = K - k_11, integral_low^inf (k^2 + c k) e^{-alpha k^2}
+    dk and the image-lattice factor :func:`_image_lattices`.
+    """
+    eta = _split_width(geom)
+    alpha = 0.25 * eta * eta
+    c = 2.0 / (math.sqrt(math.pi) * eta)
+    cutoff = _split_cutoff(geom)
+    low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
+    gauss = ((low + c) * math.exp(-alpha * low * low) / (2.0 * alpha)
+             + math.sqrt(math.pi) * erfc(math.sqrt(alpha) * low) / (4.0 * alpha ** 1.5))
+    return cutoff, low, gauss, _image_lattices(geom)
+
+
+def _image_lattices(geom: Geometry) -> float:
+    """Bound on sum e^{-|d|^2/eta^2} over one image lattice's offsets d past
+    the reach along either axis: the Gaussian factorizes over the axes."""
+    eta = _split_width(geom)
+    ax, ay = 2.0 * geom.a, 2.0 * geom.b
+    return (_beyond_reach(ax, eta) * _every_offset(ay, eta)
+            + _every_offset(ax, eta) * _beyond_reach(ay, eta))
 
 
 def _beyond_reach(period: float, eta: float) -> float:
@@ -432,21 +452,29 @@ def _te_short_times(geom, z):
     return lo, tau
 
 
-def _te_split_spectral(geom, k, z):
-    """Long-time weights k^2 W = K0(kz) - (k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds.
+def _te_short_time_part(geom, k, z):
+    """(k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds, which the long-time
+    weights k^2 W = K0(kz) - (this) of the screened modes lack.
 
     One Gauss-Legendre rule in ln s serves every mode, so its E1 values
     are taken once per z.
     """
     lo, tau = _te_short_times(geom, z)
-    weight = k0(k * z)
-    if lo < tau:
-        x, w = _legendre_rule()
-        half = 0.5 * math.log(tau / lo)
-        s = np.exp(math.log(lo) + half * (x + 1.0))
-        f = half * w * s * exp1(z * z / (4.0 * s))
-        weight -= 0.5 * k * k * (np.exp(-np.multiply.outer(k * k, s)) @ f)
-    return weight
+    if lo >= tau:
+        return np.zeros_like(k)
+    x, w = _legendre_rule()
+    half = 0.5 * math.log(tau / lo)
+    s = np.exp(math.log(lo) + half * (x + 1.0))
+    f = half * w * s * exp1(z * z / (4.0 * s))
+    return 0.5 * k * k * (np.exp(-np.multiply.outer(k * k, s)) @ f)
+
+
+# Term numbers n of the series, their n + 1 and n + 2, the n in 1..N that
+# divide x in the incomplete gamma terms, and the factorials n!.
+_SERIES_N = np.arange(_TE_TERMS)[:, None]
+_SERIES_N1, _SERIES_N2 = _SERIES_N + 1, _SERIES_N + 2
+_GAMMA_N = np.arange(1, _TE_TERMS + 1)
+_SERIES_FACT = np.cumprod(np.r_[1.0, _GAMMA_N[:-1]])[:, None]
 
 
 def _te_series(rho2, z, u0, e1):
@@ -459,14 +487,15 @@ def _te_series(rho2, z, u0, e1):
     from its logarithm, keeps every term finite at small and at large z.
     """
     x = z * z * u0
-    n = np.arange(_TE_TERMS + 1)
-    gamma = np.cumsum(np.exp(np.cumsum(np.r_[-x, np.log(x / n[1:])])))
-    fact = np.cumprod(np.r_[1.0, n[1:_TE_TERMS]])[:, None]
-    n = n[:_TE_TERMS, None]
+    logs = np.empty(_TE_TERMS + 1)
+    logs[0] = -x
+    logs[1:] = np.log(x / _GAMMA_N)
+    gamma = np.cumsum(np.exp(np.cumsum(logs)))
+    n, n1 = _SERIES_N, _SERIES_N1
     by_z = (-rho2 / (z * z)) ** n
-    by_u = u0 * e1 * (-rho2 * u0) ** n / fact
-    j0 = ((by_z * gamma[:-1, None] / (z * z) - by_u) / (n + 1)).sum(axis=0)
-    j1 = (((n + 1) * by_z * gamma[1:, None] / z ** 4 - u0 * by_u) / (n + 2)).sum(axis=0)
+    by_u = u0 * e1 * (-rho2 * u0) ** n / _SERIES_FACT
+    j0 = ((by_z * gamma[:-1, None] / (z * z) - by_u) / n1).sum(axis=0)
+    j1 = ((n1 * by_z * gamma[1:, None] / z ** 4 - u0 * by_u) / _SERIES_N2).sum(axis=0)
     return j0, j1
 
 
@@ -485,7 +514,7 @@ def _te_split_images(geom, images, z):
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)
     d, s, rho2 = images
-    e1 = exp1(z * z * u0)
+    e1 = float(exp1(z * z * u0))
     near = rho2 <= _TE_SERIES * min(eta * eta, z * z)
     q = np.where(near, 1.0, rho2)
     r2 = q + z * z
@@ -496,31 +525,35 @@ def _te_split_images(geom, images, z):
         j0[near], j1[near] = _te_series(rho2[near], z, u0, e1)
     out = -(d * (j1 / (2.0 * np.pi))) @ (d * s).T
     out[np.diag_indices(2)] += s @ j0 / (4.0 * np.pi)
-    return out
+    return out, e1
 
 
 def _te_split(geom, k, rows, images, z):
-    """Unit TE tensor at separation z (the TE mode sum without factor * E).
+    """Unit TE tensor at separation z (the TE mode sum without factor * E)
+    and :func:`_te_split_bound`.
 
     From the heat-kernel split: ``k`` and ``rows`` are the cutoffs and
     unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
     to :func:`_split_cutoff`, and ``images`` the :func:`_split_images` of the
-    pair.  Entries whose profile components vanish for every mode are
-    exact zeros, as in :func:`_tm_split`.
+    pair.  Entries outside :func:`_live` are left as summed.  The bound
+    shares the split's K0(k_0 z) and E1(z^2 / eta^2).
     """
-    weight = _te_split_spectral(geom, k, z)
+    radial = k0(k * z)
+    weight = radial - _te_short_time_part(geom, k, z)
+    near, e1 = _te_split_images(geom, images, z)
     out = np.zeros((3, 3))
     out[:2, :2] = (rows[:, 0:2] * weight[:, None]).T @ rows[:, 2:4] \
-        + _ROTATE @ _te_split_images(geom, images, z) @ _ROTATE.T
-    out[:2, :2] = np.where(_live(rows, 2), out[:2, :2], 0.0)
-    return out + 0.0
+        + _ROTATE @ near @ _ROTATE.T
+    return out + 0.0, _te_split_bound(geom, k, z, float(radial[0]), e1)
 
 
-def _te_split_bound(geom: Geometry, k: np.ndarray, z: float) -> float:
+def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
+                    e1: float) -> float:
     """Bound on what the TE split drops from any entry of the unit tensor.
 
-    ``k`` holds the cutoffs of the screened modes.  Each profile product is
-    at most 4 / A.
+    ``k`` holds the cutoffs of the screened modes, in increasing order,
+    ``k0_first`` is K0(k[0] z) and ``e1`` is E1(z^2 / eta^2).  Each profile
+    product is at most 4 / A.
 
     Screened modes past K = :func:`_split_cutoff`: k^2 W is at most
     K0(kz) <= sqrt(pi / 2kz) e^{-kz}, and, with E1(x) <= e^{-x} ln(1 + 1/x)
@@ -542,13 +575,10 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float) -> float:
     eta = _split_width(geom)
     tau, u0 = 0.25 * eta * eta, 1.0 / (eta * eta)
     rows = 4.0 / geom.area
-    cutoff = _split_cutoff(geom)
-    low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
+    cutoff, low, _, lattice = _tm_bound_parts(geom)
     plane, lines = geom.area / (2.0 * math.pi), (geom.a + geom.b) / math.pi
     level = math.log1p(4.0 * tau / (z * z)) + 1.0 / (cutoff * cutoff * tau)
-    gauss = 0.5 * level * (plane * math.exp(-tau * low * low) / (2.0 * tau)
-                           + lines * 0.5 * math.sqrt(math.pi / tau)
-                           * math.erfc(math.sqrt(tau) * low))
+    gauss = 0.5 * level * _te_bound_gauss(geom)
     x = low * z
     half_gamma = 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))  # Gamma(1/2, x) / 2
     tail = math.sqrt(math.pi / (2.0 * z)) * (
@@ -560,15 +590,24 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float) -> float:
     short = rows * 0.5 * float(k @ k) * m * float(exp1(z * z / (4.0 * m)))
     if lo < tau:  # k is sorted, so K0(k_0 z) is the largest K0
         tol = _TE_RULE_TOL[math.log(tau / lo) > 16.0]
-        short += rows * tol * k.size * float(k0(k[0] * z))
+        short += rows * tol * k.size * k0_first
     reach = _SPLIT_REACH * eta
-    p = float(exp1(z * z * u0)) * (1.0 / (4.0 * math.pi * reach ** 2)
-                                   + (u0 + 1.0 / reach ** 2) / (2.0 * math.pi))
-    ax, ay = 2.0 * geom.a, 2.0 * geom.b
+    p = e1 * (1.0 / (4.0 * math.pi * reach ** 2)
+              + (u0 + 1.0 / reach ** 2) / (2.0 * math.pi))
     # Four image lattices, each image with weight one.
-    images = 4.0 * p * (_beyond_reach(ax, eta) * _every_offset(ay, eta)
-                        + _every_offset(ax, eta) * _beyond_reach(ay, eta))
+    images = 4.0 * p * lattice
     return spectral + short + images
+
+
+@functools.cache
+def _te_bound_gauss(geom: Geometry) -> float:
+    """The z-independent factor of the Gaussian bound in :func:`_te_split_bound`."""
+    eta = _split_width(geom)
+    tau = 0.25 * eta * eta
+    low = _tm_bound_parts(geom)[1]
+    plane, lines = geom.area / (2.0 * math.pi), (geom.a + geom.b) / math.pi
+    return (plane * math.exp(-tau * low * low) / (2.0 * tau)
+            + lines * 0.5 * math.sqrt(math.pi / tau) * math.erfc(math.sqrt(tau) * low))
 
 
 def _te_rows(geom, m, n, k, p1, p2, conventions):

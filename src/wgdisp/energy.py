@@ -296,7 +296,7 @@ class ModeTable:
         # Per polarization: (z, tensor, bound) of the last split, and the
         # cutoffs and rows of the split's screened modes.
         self._splits = {pol: (None,) for pol in (TM, TE)}
-        self._screen: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def extend(self, K: float, te_cutoff: float | None = None) -> None:
         """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) that
@@ -450,8 +450,9 @@ class ModeTable:
         """
         if self._splits[TM][0] != z:
             geom = self.key[0]
-            k, rows = self._screened(TM)
-            self._splits[TM] = (z, _coupling._tm_split(geom, k, rows, self._images, z),
+            k, rows, live = self._screened(TM)
+            out = _coupling._tm_split(geom, k, rows, self._images, z)
+            self._splits[TM] = (z, np.where(live, out, 0.0) + 0.0,
                                 _coupling._tm_split_bound(geom, z))
         return self._splits[TM][1:]
 
@@ -466,19 +467,22 @@ class ModeTable:
         """
         if self._splits[TE][0] != z:
             geom = self.key[0]
-            k, rows = self._screened(TE)
-            self._splits[TE] = (z, _coupling._te_split(geom, k, rows, self._images, z),
-                                _coupling._te_split_bound(geom, k, z))
+            k, rows, live = self._screened(TE)
+            out, bound = _coupling._te_split(geom, k, rows, self._images, z)
+            out[:2, :2] = np.where(live, out[:2, :2], 0.0)
+            self._splits[TE] = (z, out, bound)
         return self._splits[TE][1:]
 
-    def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray]:
-        """Cutoffs and factor rows of the split's screened modes, built once."""
+    def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cutoffs and factor rows of the split's screened modes, and the
+        :func:`wgdisp.coupling._live` entries of its tensor, built once."""
         if pol not in self._screen:
             K = _coupling._split_cutoff(self.key[0])
             self.extend(*((K, 0.0) if pol == TM else (0.0, K)))
             parts = [(b.k[:used], b.rows[:used])
                      for b, used in self._filled(pol, self._count(pol, K))]
-            self._screen[pol] = tuple(np.concatenate(p) for p in zip(*parts))
+            k, rows = (np.concatenate(p) for p in zip(*parts))
+            self._screen[pol] = k, rows, _coupling._live(rows, 3 if pol == TM else 2)
         return self._screen[pol]
 
     @cached_property
@@ -731,12 +735,11 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
     tail_total = 0.0
     per_pair: dict[tuple[int, int], float] = {}
     ones = np.ones((3, 3))
-    for i1, t1 in enumerate(config.species1.transitions):
-        for i2, t2 in enumerate(config.species2.transitions):
+    moments2 = _second_moments(config.species2)
+    for i1, (t1, p1m) in enumerate(_second_moments(config.species1)):
+        for i2, (t2, p2m) in enumerate(moments2):
             f1 = tensor_for(t1.energy)
             f2 = tensor_for(t2.energy)
-            p1m = config.species1.second_moment(t1)
-            p2m = config.species2.second_moment(t2)
             w = pref / (t1.energy + t2.energy)
             # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
             # leaves every other value as it is.
@@ -761,6 +764,11 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
                            f_by_level=f_cache)
 
 
+def _second_moments(species: DipoleSpecies) -> list[tuple[DipoleTransition, np.ndarray]]:
+    """Each transition of ``species`` with its second moment."""
+    return [(t, species.second_moment(t)) for t in species.transitions]
+
+
 _TINY = sys.float_info.min
 
 
@@ -770,14 +778,14 @@ def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
     The contraction is repeated on tensors scaled to unit size; a tensor
     that is zero away from the corners has underflowed as a whole.
     """
-    for t1 in config.species1.transitions:
-        for t2 in config.species2.transitions:
+    moments2 = _second_moments(config.species2)
+    for t1, p1m in _second_moments(config.species1):
+        for t2, p2m in moments2:
             f1 = u.f_by_level[t1.energy].tensor
             f2 = u.f_by_level[t2.energy].tensor
             s1, s2 = np.abs(f1).max(), np.abs(f2).max()
             if s1 == 0.0 or s2 == 0.0 or quadratic_contraction(
-                    config.species2.second_moment(t2),
-                    config.species1.second_moment(t1), f2 / s2, f1 / s1) != 0.0:
+                    p2m, p1m, f2 / s2, f1 / s1) != 0.0:
                 return True
     return False
 
