@@ -1,13 +1,13 @@
 """Modified Bessel function K0 of the second kind, order zero.
 
-``bessel_k0`` checks its argument and evaluates ``scipy.special.k0``, the
-K0 that every mode sum uses.
+``bessel_k0`` checks its argument and evaluates :func:`wgdisp._special.k0`,
+the K0 that every mode sum and the TE split use.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import k0
+from ._special import k0
 
 from .errors import InputError
 

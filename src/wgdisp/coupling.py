@@ -60,7 +60,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx, exp1, k0
+from ._special import erfc, erfcx, exp1, k0
 
 from .conventions import Conventions
 from .errors import InputError, QuadratureError, TightConfinementWarning
@@ -230,13 +230,13 @@ def _split_cutoff(geom: Geometry) -> float:
         math.pi / geom.a, math.pi / geom.b)
 
 
-def _tm_split_spectral(geom, k, rows, z):
-    """Screened-mode part of the split over the modes of ``k`` and ``rows``.
+def _tm_split_spectral(geom, k, products, z):
+    """Screened-mode part of the split over the modes of ``k`` and ``products``.
 
-    ``rows`` holds the :func:`_tm_rows` rows, one mode per row.  The radial
-    weight k e^{-kz} of the mode sum becomes k (A + B) / 2 for the
-    transverse-transverse entries, k (A - B) / 2 for the mixed ones and
-    k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
+    ``products`` holds the :func:`_pair_products` of the :func:`_tm_rows`
+    rows.  The radial weight k e^{-kz} of the mode sum becomes k (A + B) / 2
+    for the transverse-transverse entries, k (A - B) / 2 for the mixed ones
+    and k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
     A = e^{-kz} erfc(k eta / 2 - z / eta), g = e^{-k^2 eta^2 / 4 - z^2 / eta^2}
     and B = erfcx(k eta / 2 + z / eta) g (= e^{kz} erfc(k eta / 2 + z / eta),
     without its overflow).
@@ -246,11 +246,10 @@ def _tm_split_spectral(geom, k, rows, z):
     a_part = np.exp(-k * z) * erfc(0.5 * eta * k - z / eta)
     b_part = erfcx(0.5 * eta * k + z / eta) * g
     tt = 0.5 * k * (a_part + b_part)
-    weights = (tt, 0.5 * k * (a_part - b_part),
-               tt - (2.0 / (math.sqrt(math.pi) * eta)) * g)
-    sums = [(rows[:, 0:3] * w[:, None]).T @ rows[:, 3:6] for w in weights]
+    weights = np.stack([tt, 0.5 * k * (a_part - b_part),
+                        tt - (2.0 / (math.sqrt(math.pi) * eta)) * g])
     return (4.0 * np.pi / geom.area) * _TM_SIGNS["oracle-consistent"] \
-        * np.choose(_SPLIT_CLASS, sums)
+        * (weights[_SPLIT_CLASS] * products).sum(axis=2)
 
 
 def _image_offsets(c2: float, c1: float, period: float, reach: float) -> np.ndarray:
@@ -310,6 +309,12 @@ def _tm_split_images(geom, images, z):
     return out
 
 
+def _pair_products(rows, width):
+    """Per-mode products rows[:, i] rows[:, width + j] of the factors at p2
+    and at p1, shape (width, width, N), for rows with one mode per row."""
+    return rows[:, :width].T[:, None, :] * rows[:, width:2 * width].T[None, :, :]
+
+
 def _live(rows, width):
     """Entries whose profile factors at p2 and at p1 do not vanish for every mode.
 
@@ -320,15 +325,15 @@ def _live(rows, width):
     return live[0:width, None] & live[None, width:2 * width]
 
 
-def _tm_split(geom, k, rows, images, z):
+def _tm_split(geom, k, products, images, z):
     """Oracle-consistent TM tensor at separation z from the Ewald split.
 
-    ``k`` and ``rows`` are the cutoffs and :func:`_tm_rows` rows (one mode
-    per row) of the modes up to :func:`_split_cutoff`, and ``images`` the
-    :func:`_split_images` of the pair.  Entries outside :func:`_live` are
-    left as summed.
+    ``k`` and ``products`` are the cutoffs and the :func:`_pair_products` of
+    the :func:`_tm_rows` rows of the modes up to :func:`_split_cutoff`, and
+    ``images`` the :func:`_split_images` of the pair.  Entries outside
+    :func:`_live` are left as summed.
     """
-    return _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, images, z)
+    return _tm_split_spectral(geom, k, products, z) + _tm_split_images(geom, images, z)
 
 
 def _tm_split_bound(geom: Geometry, z: float) -> float:
@@ -452,20 +457,23 @@ def _te_short_times(geom, z):
     return lo, tau
 
 
-def _te_short_time_part(geom, k, z):
-    """(k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds, which the long-time
-    weights k^2 W = K0(kz) - (this) of the screened modes lack.
-
-    One Gauss-Legendre rule in ln s serves every mode, so its E1 values
-    are taken once per z.
-    """
-    lo, tau = _te_short_times(geom, z)
+def _te_short_time_rule(lo, tau):
+    """Nodes s and weights of the Gauss-Legendre rule in ln s from lo to tau
+    (none when lo >= tau): int_lo^tau g(s) ds ~ sum weights g(s)."""
     if lo >= tau:
-        return np.zeros_like(k)
+        return np.empty(0), np.empty(0)
     x, w = _legendre_rule()
     half = 0.5 * math.log(tau / lo)
     s = np.exp(math.log(lo) + half * (x + 1.0))
-    f = half * w * s * exp1(z * z / (4.0 * s))
+    return s, half * w * s
+
+
+def _te_short_time_part(k, s, f):
+    """(k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds, which the long-time
+    weights k^2 W = K0(kz) - (this) of the screened modes lack, from the
+    :func:`_te_short_time_rule` nodes ``s`` and its weights times E1(z^2/4s),
+    ``f``.  One rule serves every mode, so its E1 values are taken once per z.
+    """
     return 0.5 * k * k * (np.exp(-np.multiply.outer(k * k, s)) @ f)
 
 
@@ -499,11 +507,12 @@ def _te_series(rho2, z, u0, e1):
     return j0, j1
 
 
-def _te_split_images(geom, images, z):
+def _te_split_images(geom, images, z, e1, e_images):
     """Short-time part of M: sum s_j (delta_ij J0 / 4 pi - d_i d_j J1 / 2 pi).
 
     Over the :func:`_split_images` ``images`` with u0 = 1/eta^2 and
-    R^2 = rho^2 + z^2, the time integrals are
+    R^2 = rho^2 + z^2, given e1 = E1(z^2 u0) and ``e_images`` = E1(R^2 u0)
+    image by image, the time integrals are
     J0 = integral_{u0}^inf E1(z^2 u) e^{-rho^2 u} du
        = [e^{-rho^2 u0} E1(z^2 u0) - E1(R^2 u0)] / rho^2 and
     J1 = integral_{u0}^inf u E1(z^2 u) e^{-rho^2 u} du
@@ -514,18 +523,17 @@ def _te_split_images(geom, images, z):
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)
     d, s, rho2 = images
-    e1 = float(exp1(z * z * u0))
     near = rho2 <= _TE_SERIES * min(eta * eta, z * z)
     q = np.where(near, 1.0, rho2)
     r2 = q + z * z
     a_part = np.exp(-q * u0) * e1
-    j0 = (a_part - exp1(r2 * u0)) / q
+    j0 = (a_part - e_images) / q
     j1 = (j0 + u0 * a_part - np.exp(-r2 * u0) / r2) / q
     if near.any():
         j0[near], j1[near] = _te_series(rho2[near], z, u0, e1)
     out = -(d * (j1 / (2.0 * np.pi))) @ (d * s).T
     out[np.diag_indices(2)] += s @ j0 / (4.0 * np.pi)
-    return out, e1
+    return out
 
 
 def _te_split(geom, k, rows, images, z):
@@ -535,25 +543,36 @@ def _te_split(geom, k, rows, images, z):
     From the heat-kernel split: ``k`` and ``rows`` are the cutoffs and
     unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
     to :func:`_split_cutoff`, and ``images`` the :func:`_split_images` of the
-    pair.  Entries outside :func:`_live` are left as summed.  The bound
-    shares the split's K0(k_0 z) and E1(z^2 / eta^2).
+    pair.  The screened modes are contracted as the mode tables contract a
+    block, so where the images and short times add nothing the split and a
+    TE mode sum agree to the last bit.  Entries outside :func:`_live` are left as summed.  Every E1 of
+    the split and its bound is taken in one call, and the bound shares the
+    split's K0(k_0 z).
     """
+    eta = _split_width(geom)
+    u0 = 1.0 / (eta * eta)
+    lo, tau = _te_short_times(geom, z)
+    s, w = _te_short_time_rule(lo, tau)
+    rho2 = images[2]
+    e = exp1(np.concatenate([z * z / (4.0 * s), (rho2 + z * z) * u0,
+                             [z * z * u0, z * z / (4.0 * min(lo, tau))]]))
     radial = k0(k * z)
-    weight = radial - _te_short_time_part(geom, k, z)
-    near, e1 = _te_split_images(geom, images, z)
+    weight = radial - _te_short_time_part(k, s, w * e[:s.size])
+    near = _te_split_images(geom, images, z, e[-2], e[s.size:-2])
     out = np.zeros((3, 3))
     out[:2, :2] = (rows[:, 0:2] * weight[:, None]).T @ rows[:, 2:4] \
         + _ROTATE @ near @ _ROTATE.T
-    return out + 0.0, _te_split_bound(geom, k, z, float(radial[0]), e1)
+    return out + 0.0, _te_split_bound(geom, k, z, radial[0], e[-2], e[-1])
 
 
 def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
-                    e1: float) -> float:
+                    e1: float, e_edge: float) -> float:
     """Bound on what the TE split drops from any entry of the unit tensor.
 
     ``k`` holds the cutoffs of the screened modes, in increasing order,
-    ``k0_first`` is K0(k[0] z) and ``e1`` is E1(z^2 / eta^2).  Each profile
-    product is at most 4 / A.
+    ``k0_first`` is K0(k[0] z), ``e1`` is E1(z^2 / eta^2) and ``e_edge`` is
+    E1(z^2 / 4m) (see below), as the split took them.  Each profile product
+    is at most 4 / A.
 
     Screened modes past K = :func:`_split_cutoff`: k^2 W is at most
     K0(kz) <= sqrt(pi / 2kz) e^{-kz}, and, with E1(x) <= e^{-x} ln(1 + 1/x)
@@ -587,7 +606,7 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
     spectral = rows * min(gauss, tail)
     lo, tau = _te_short_times(geom, z)
     m = min(lo, tau)
-    short = rows * 0.5 * float(k @ k) * m * float(exp1(z * z / (4.0 * m)))
+    short = rows * 0.5 * float(k @ k) * m * e_edge
     if lo < tau:  # k is sorted, so K0(k_0 z) is the largest K0
         tol = _TE_RULE_TOL[math.log(tau / lo) > 16.0]
         short += rows * tol * k.size * k0_first

@@ -26,6 +26,7 @@ energies are in units of hbar c / length.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import k0 as _scipy_k0
+from ._special import k0 as _k0
 
 from .conventions import Conventions
 from .errors import (InputError, ModeCapError, TightConfinementWarning,
@@ -92,13 +93,23 @@ class DipoleSpecies:
                              f"'isotropic-average', got {self.orientation!r}")
 
     def second_moment(self, t: DipoleTransition) -> np.ndarray:
-        if self.orientation == "fixed-vector":
-            return np.outer(t.d_vec, t.d_vec)
-        return np.eye(3) * (t.d_squared / 3.0)
+        """<d_i d_j> of transition ``t``, a read-only array shared between calls."""
+        return _second_moment(self.orientation, t.d)
 
     @classmethod
     def single(cls, energy: float, d, orientation: str = "isotropic-average"):
         return cls((DipoleTransition(energy, tuple(d)),), orientation)
+
+
+@functools.lru_cache(maxsize=256)
+def _second_moment(orientation: str, d: tuple[float, float, float]) -> np.ndarray:
+    vec = np.asarray(d, dtype=float)
+    if orientation == "fixed-vector":
+        out = np.outer(vec, vec)
+    else:
+        out = np.eye(3) * (float(np.dot(vec, vec)) / 3.0)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -419,7 +430,7 @@ class ModeTable:
             cache[:] = j, 0, np.empty(self._blocks[pol][j].k.size)
         if used > cache[1]:
             kz = self._blocks[pol][j].k[cache[1]:used] * z
-            cache[2][cache[1]:used] = np.exp(-kz) if pol == TM else _scipy_k0(kz)
+            cache[2][cache[1]:used] = np.exp(-kz) if pol == TM else _k0(kz)
             cache[1] = used
         return cache[2][:used]
 
@@ -450,8 +461,8 @@ class ModeTable:
         """
         if self._splits[TM][0] != z:
             geom = self.key[0]
-            k, rows, live = self._screened(TM)
-            out = _coupling._tm_split(geom, k, rows, self._images, z)
+            k, products, live = self._screened(TM)
+            out = _coupling._tm_split(geom, k, products, self._images, z)
             self._splits[TM] = (z, np.where(live, out, 0.0) + 0.0,
                                 _coupling._tm_split_bound(geom, z))
         return self._splits[TM][1:]
@@ -474,15 +485,19 @@ class ModeTable:
         return self._splits[TE][1:]
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cutoffs and factor rows of the split's screened modes, and the
-        :func:`wgdisp.coupling._live` entries of its tensor, built once."""
+        """Cutoffs of the split's screened modes, their TM
+        :func:`wgdisp.coupling._pair_products` or TE factor rows, and the
+        :func:`wgdisp.coupling._live` entries of the split's tensor, built
+        once."""
         if pol not in self._screen:
             K = _coupling._split_cutoff(self.key[0])
             self.extend(*((K, 0.0) if pol == TM else (0.0, K)))
             parts = [(b.k[:used], b.rows[:used])
                      for b, used in self._filled(pol, self._count(pol, K))]
             k, rows = (np.concatenate(p) for p in zip(*parts))
-            self._screen[pol] = k, rows, _coupling._live(rows, 3 if pol == TM else 2)
+            width = 3 if pol == TM else 2
+            self._screen[pol] = (k, _coupling._pair_products(rows, 3) if pol == TM
+                                 else rows, _coupling._live(rows, width))
         return self._screen[pol]
 
     @cached_property
@@ -735,11 +750,12 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
     tail_total = 0.0
     per_pair: dict[tuple[int, int], float] = {}
     ones = np.ones((3, 3))
-    moments2 = _second_moments(config.species2)
-    for i1, (t1, p1m) in enumerate(_second_moments(config.species1)):
-        for i2, (t2, p2m) in enumerate(moments2):
+    for i1, t1 in enumerate(config.species1.transitions):
+        for i2, t2 in enumerate(config.species2.transitions):
             f1 = tensor_for(t1.energy)
             f2 = tensor_for(t2.energy)
+            p1m = config.species1.second_moment(t1)
+            p2m = config.species2.second_moment(t2)
             w = pref / (t1.energy + t2.energy)
             # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
             # leaves every other value as it is.
@@ -764,11 +780,6 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
                            f_by_level=f_cache)
 
 
-def _second_moments(species: DipoleSpecies) -> list[tuple[DipoleTransition, np.ndarray]]:
-    """Each transition of ``species`` with its second moment."""
-    return [(t, species.second_moment(t)) for t in species.transitions]
-
-
 _TINY = sys.float_info.min
 
 
@@ -778,14 +789,14 @@ def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
     The contraction is repeated on tensors scaled to unit size; a tensor
     that is zero away from the corners has underflowed as a whole.
     """
-    moments2 = _second_moments(config.species2)
-    for t1, p1m in _second_moments(config.species1):
-        for t2, p2m in moments2:
+    for t1 in config.species1.transitions:
+        for t2 in config.species2.transitions:
             f1 = u.f_by_level[t1.energy].tensor
             f2 = u.f_by_level[t2.energy].tensor
             s1, s2 = np.abs(f1).max(), np.abs(f2).max()
             if s1 == 0.0 or s2 == 0.0 or quadratic_contraction(
-                    p2m, p1m, f2 / s2, f1 / s1) != 0.0:
+                    config.species2.second_moment(t2),
+                    config.species1.second_moment(t1), f2 / s2, f1 / s1) != 0.0:
                 return True
     return False
 

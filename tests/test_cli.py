@@ -343,6 +343,109 @@ class TestImport:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
+    def test_subcommands_load_no_scipy(self, species_file):
+        # K0, E1, erfc and erfcx come from wgdisp._special: energy, sweep,
+        # modes and coupling (without --check-quadrature) import no scipy
+        # module at all, scipy.special included.
+        runs = [["energy", "--z", "0.05", "--species1", species_file],
+                ["energy", "--z", "0.8", "--convention", "paper-literal",
+                 "--species1", species_file],
+                ["sweep", "--z-min", "0.02", "--z-max", "3", "--points", "3",
+                 "--species1", species_file],
+                ["modes", "--max-cutoff", "9"],
+                ["coupling", "--pol", "TE", "--m", "1", "--n", "0", "--orient", "xx",
+                 "--z", "0.4", "--energy", "0.06"],
+                ["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+                 "--z", "0.4"]]
+        code = ("import contextlib, io, sys, wgdisp.cli\n"
+                f"for argv in {runs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert wgdisp.cli.main(argv) == 0, argv\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={"PYTHONPATH": str(SRC),
+                                             "PATH": "/usr/bin:/bin"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+
+# Values printed before K0, E1, erfc and erfcx moved from scipy.special to
+# wgdisp._special, for a two-level species (the first level that of
+# SPECIES_100A, the second at lambda = 60a with d = (0.3, 0.5, 1)): energy's
+# total, u_tm_only, u_te_only and tail_estimate at three separations, and
+# sweep's z, U, ratio and tail_estimate rows.  The kernels' last bits moved,
+# so these are held at a stated 1e-13 relative.
+PINNED_RTOL = 1e-13
+PINNED_ENERGY = {
+    ("oracle-consistent", 0.05): (-34653423.2227955, -34625387.78269559,
+                                  -17.03508564937822, 1.0214474531238777e-08),
+    ("oracle-consistent", 0.8): (-0.047992557523013936, -0.04867545448747833,
+                                 -5.932143065691946e-05, 3.095499662254693e-14),
+    ("oracle-consistent", 3.0): (-4.050226347295931e-09, -5.151131273093387e-09,
+                                 -7.805741341990751e-11, 1.1949115860122536e-20),
+    ("paper-literal", 0.05): (-34643346.54345458, -34625385.42824798,
+                              -6.994968959889575, 19.276058248057115),
+    ("paper-literal", 0.8): (-0.03381504656583204, -0.03437146317367255,
+                             -5.9671743674190946e-05, 1.6236198470591462e-08),
+    ("paper-literal", 3.0): (-6.4223080816563105e-09, -5.163522184045426e-09,
+                             -7.805723005491385e-11, 3.7214186702733776e-14),
+}
+PINNED_SWEEP = {
+    "oracle-consistent": [
+        (0.03, -742614456.4574137, 1.0004316287155515, 5.9119306134023376e-08),
+        (0.15326188647871059, -41626.48267207586, 0.9969450080100621,
+         1.7105189354983695e-10),
+        (0.7829735282337724, -1.2871180168802858, 0.5480211631436704,
+         5.315766107167112e-14),
+        (4.0, -5.049478478479895e-13, 3.822108041554279e-09, 1.5861081518184148e-28)],
+    "paper-literal": [
+        (0.03, -742469140.4950503, 1.0002358626842798, 1807.1053895308985),
+        (0.15326188647871059, -41605.67446740195, 0.9964466561329957,
+         0.03440793298116737),
+        (0.7829735282337724, -1.2870538951549375, 0.5479938617913102,
+         2.6488392801668495e-06),
+        (4.0, -5.049478422943166e-13, 3.822107999516793e-09, 3.6220600888996365e-21)],
+}
+# Per separation: extra flags of the energy runs.
+PINNED_GEOMETRY = {
+    0.05: [],
+    0.8: ["--a", "1", "--b", "0.6", "--x1", "0.2", "--y1", "0.35", "--x2", "0.7",
+          "--y2", "0.1"],
+    3.0: ["--orientation", "fixed-vector"],
+}
+
+
+class TestPinnedValues:
+    @pytest.fixture(scope="class")
+    def two_levels(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("species") / "two.species"
+        path.write_text("E=0.06283185307179587 d=(1,1,1)\n"
+                        "E=0.10471975511965977 d=(0.3,0.5,1)\n")
+        return str(path)
+
+    @pytest.mark.parametrize("convention, z", sorted(PINNED_ENERGY))
+    def test_energy(self, two_levels, capsys, convention, z):
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", repr(z), "--convention", convention,
+                         "--species1", two_levels, *PINNED_GEOMETRY[z]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        got = [report[key] for key in ("total", "u_tm_only", "u_te_only",
+                                       "tail_estimate")]
+        assert got == pytest.approx(PINNED_ENERGY[convention, z], rel=PINNED_RTOL,
+                                    abs=0.0)
+
+    @pytest.mark.parametrize("convention", sorted(PINNED_SWEEP))
+    def test_sweep(self, two_levels, capsys, convention):
+        from wgdisp import cli
+        assert cli.main(["sweep", "--z-min", "0.03", "--z-max", "4", "--points", "4",
+                         "--convention", convention, "--species1", two_levels]) == 0
+        rows = [[float(v) for v in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        got = [(row[0], row[1], row[4], row[5]) for row in rows]
+        assert len(got) == 4
+        for have, want in zip(got, PINNED_SWEEP[convention]):
+            assert have == pytest.approx(want, rel=PINNED_RTOL, abs=0.0)
+
 
 class TestReproduce:
     def test_fig4_columns_and_agreement(self):

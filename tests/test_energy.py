@@ -280,7 +280,7 @@ def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
 
 def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
     """Reference TE kernel: np.sin/np.cos evaluated per mode."""
-    from scipy.special import k0
+    from wgdisp._special import k0
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
@@ -817,6 +817,7 @@ class TestTeSplit:
     def test_continuous_across_series_switch(self, monkeypatch, b, z):
         # At the rho^2 where images leave the closed forms for the Taylor
         # series, _TE_SERIES min(eta^2, z^2), both branches agree.
+        from scipy.special import exp1
         import wgdisp.coupling as coupling_mod
         geom = Geometry(1.0, b)
         switch = coupling_mod._TE_SERIES
@@ -824,9 +825,11 @@ class TestTeSplit:
         d = np.array([[math.sqrt(0.6 * rho2)], [-math.sqrt(0.4 * rho2)]])
         images = (d, np.array([[1.0], [-1.0]]), np.array([rho2]))
         out = []
+        u0 = 1.0 / coupling_mod._split_width(geom) ** 2
+        e1, e_images = exp1(z * z * u0), exp1((rho2 + z * z) * u0)
         for edge in (switch * (1.0 + 1e-6), switch * (1.0 - 1e-6)):  # series, closed
             monkeypatch.setattr(coupling_mod, "_TE_SERIES", edge)
-            out.append(coupling_mod._te_split_images(geom, images, z)[0])
+            out.append(coupling_mod._te_split_images(geom, images, z, e1, e_images))
         assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[0]).max()
 
     @pytest.mark.parametrize("b, p1, p2, z", [
@@ -869,7 +872,8 @@ class TestTeSplit:
         geom = Geometry(1.0, b)
         lo, tau = coupling_mod._te_short_times(geom, z)
         k = np.geomspace(math.pi, 2.0 * coupling_mod._split_cutoff(geom), 9)
-        rule = coupling_mod._te_short_time_part(geom, k, z)
+        s, w = coupling_mod._te_short_time_rule(lo, tau)
+        rule = coupling_mod._te_short_time_part(k, s, w * exp1(z * z / (4.0 * s)))
         if lo >= tau:  # no short time is summed
             assert np.array_equal(rule, np.zeros_like(k))
             return
