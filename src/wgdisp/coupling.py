@@ -233,10 +233,11 @@ def _split_cutoff(geom: Geometry) -> float:
 def _tm_split_spectral(geom, k, products, z):
     """Screened-mode part of the split over the modes of ``k`` and ``products``.
 
-    ``products`` holds the :func:`_pair_products` of the :func:`_tm_rows`
-    rows.  The radial weight k e^{-kz} of the mode sum becomes k (A + B) / 2
-    for the transverse-transverse entries, k (A - B) / 2 for the mixed ones
-    and k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
+    ``products[i, j]`` holds the per-mode products of the :func:`_tm_rows`
+    factors i at p2 and j at p1, shape (3, 3, N).  The radial weight
+    k e^{-kz} of the mode sum becomes k (A + B) / 2 for the
+    transverse-transverse entries, k (A - B) / 2 for the mixed ones and
+    k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
     A = e^{-kz} erfc(k eta / 2 - z / eta), g = e^{-k^2 eta^2 / 4 - z^2 / eta^2}
     and B = erfcx(k eta / 2 + z / eta) g (= e^{kz} erfc(k eta / 2 + z / eta),
     without its overflow).
@@ -309,18 +310,9 @@ def _tm_split_images(geom, images, z):
     return out
 
 
-def _pair_products(rows, width):
-    """Per-mode products rows[:, i] rows[:, width + j] of the factors at p2
-    and at p1, shape (width, width, N), for rows with one mode per row."""
-    return rows[:, :width].T[:, None, :] * rows[:, width:2 * width].T[None, :, :]
-
-
 def _live(rows, width):
-    """Entries whose profile factors at p2 and at p1 do not vanish for every mode.
-
-    The splits' sums leave rounding residue in such an entry (a dipole on
-    the wall x = 0 or y = 0); the mode tables zero it, as the mode sum does.
-    """
+    """Entries whose profile factors at p2 and at p1 do not vanish for every
+    mode; the mode tables zero the splits' rounding residue in the others."""
     live = np.any(rows != 0.0, axis=0)
     return live[0:width, None] & live[None, width:2 * width]
 
@@ -328,8 +320,8 @@ def _live(rows, width):
 def _tm_split(geom, k, products, images, z):
     """Oracle-consistent TM tensor at separation z from the Ewald split.
 
-    ``k`` and ``products`` are the cutoffs and the :func:`_pair_products` of
-    the :func:`_tm_rows` rows of the modes up to :func:`_split_cutoff`, and
+    ``k`` and ``products`` are the cutoffs and the :func:`_tm_split_spectral`
+    products of the modes up to :func:`_split_cutoff`, and
     ``images`` the :func:`_split_images` of the pair.  Entries outside
     :func:`_live` are left as summed.
     """
@@ -354,7 +346,7 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     the period L is bounded by its first term plus 1/L times the integral.
     """
     eta = _split_width(geom)
-    cutoff, low, gauss, lattice = _tm_bound_parts(geom)
+    cutoff, low, gauss, _, lattice = _bound_parts(geom)
     screen = math.exp(-(z / eta) ** 2)
     spectral = 2.0 * screen * gauss
     if 2.0 * z / eta ** 2 > cutoff:
@@ -371,40 +363,33 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
 
 
 @functools.cache
-def _tm_bound_parts(geom: Geometry) -> tuple[float, float, float, float]:
-    """The z-independent parts of :func:`_tm_split_bound`.
-
-    The cutoff K, low = K - k_11, integral_low^inf (k^2 + c k) e^{-alpha k^2}
-    dk and the image-lattice factor :func:`_image_lattices`.
-    """
+def _bound_parts(geom: Geometry) -> tuple[float, float, float, float, float]:
+    """The z-independent parts of :func:`_tm_split_bound` and
+    :func:`_te_split_bound`: the cutoff K, low = K - k_11, the TM and TE
+    Gaussian integrals from low, and the bound on sum e^{-|d|^2/eta^2} over
+    one image lattice's offsets past the reach along either axis."""
     eta = _split_width(geom)
     alpha = 0.25 * eta * eta
     c = 2.0 / (math.sqrt(math.pi) * eta)
     cutoff = _split_cutoff(geom)
     low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
-    gauss = ((low + c) * math.exp(-alpha * low * low) / (2.0 * alpha)
-             + math.sqrt(math.pi) * erfc(math.sqrt(alpha) * low) / (4.0 * alpha ** 1.5))
-    return cutoff, low, gauss, _image_lattices(geom)
+    # integral_low^inf (k^2 + c k) e^{-alpha k^2} dk
+    tm_gauss = ((low + c) * math.exp(-alpha * low * low) / (2.0 * alpha)
+                + math.sqrt(math.pi) * math.erfc(math.sqrt(alpha) * low) / (4.0 * alpha ** 1.5))
+    tau = 0.25 * eta * eta
+    plane, lines = geom.area / (2.0 * math.pi), (geom.a + geom.b) / math.pi
+    te_gauss = (plane * math.exp(-tau * low * low) / (2.0 * tau)
+                + lines * 0.5 * math.sqrt(math.pi / tau) * math.erfc(math.sqrt(tau) * low))
 
+    def beyond(period):  # offsets past the reach, both sides
+        return 2.0 * (_SPLIT_EPS + math.sqrt(math.pi) * eta / (2.0 * period)
+                      * math.erfc(_SPLIT_REACH))
 
-def _image_lattices(geom: Geometry) -> float:
-    """Bound on sum e^{-|d|^2/eta^2} over one image lattice's offsets d past
-    the reach along either axis: the Gaussian factorizes over the axes."""
-    eta = _split_width(geom)
+    def every(period):
+        return 2.0 + math.sqrt(math.pi) * eta / period
+
     ax, ay = 2.0 * geom.a, 2.0 * geom.b
-    return (_beyond_reach(ax, eta) * _every_offset(ay, eta)
-            + _every_offset(ax, eta) * _beyond_reach(ay, eta))
-
-
-def _beyond_reach(period: float, eta: float) -> float:
-    """Bound on sum e^{-d^2/eta^2} over the offsets d past the reach, both sides."""
-    return 2.0 * (_SPLIT_EPS + math.sqrt(math.pi) * eta / (2.0 * period)
-                  * erfc(_SPLIT_REACH))
-
-
-def _every_offset(period: float, eta: float) -> float:
-    """Bound on sum e^{-d^2/eta^2} over all offsets d spaced by ``period``."""
-    return 2.0 + math.sqrt(math.pi) * eta / period
+    return cutoff, low, tm_gauss, te_gauss, beyond(ax) * every(ay) + every(ax) * beyond(ay)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +455,8 @@ def _te_short_time_rule(lo, tau):
 
 def _te_short_time_part(k, s, f):
     """(k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds, which the long-time
-    weights k^2 W = K0(kz) - (this) of the screened modes lack, from the
-    :func:`_te_short_time_rule` nodes ``s`` and its weights times E1(z^2/4s),
-    ``f``.  One rule serves every mode, so its E1 values are taken once per z.
+    weights k^2 W = K0(kz) - (this) lack, from the :func:`_te_short_time_rule`
+    nodes ``s`` and ``f``, its weights times E1(z^2/4s), shared by every mode.
     """
     return 0.5 * k * k * (np.exp(-np.multiply.outer(k * k, s)) @ f)
 
@@ -543,11 +527,10 @@ def _te_split(geom, k, rows, images, z):
     From the heat-kernel split: ``k`` and ``rows`` are the cutoffs and
     unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
     to :func:`_split_cutoff`, and ``images`` the :func:`_split_images` of the
-    pair.  The screened modes are contracted as the mode tables contract a
-    block, so where the images and short times add nothing the split and a
-    TE mode sum agree to the last bit.  Entries outside :func:`_live` are left as summed.  Every E1 of
-    the split and its bound is taken in one call, and the bound shares the
-    split's K0(k_0 z).
+    pair.  Entries outside :func:`_live` are left as summed.  The modes are
+    contracted as a mode table contracts a block, so where images and short
+    times add nothing the split equals a TE mode sum bit for bit.  All E1 of
+    the split and its bound come from one call; the bound shares K0(k_0 z).
     """
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)
@@ -569,10 +552,9 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
                     e1: float, e_edge: float) -> float:
     """Bound on what the TE split drops from any entry of the unit tensor.
 
-    ``k`` holds the cutoffs of the screened modes, in increasing order,
-    ``k0_first`` is K0(k[0] z), ``e1`` is E1(z^2 / eta^2) and ``e_edge`` is
-    E1(z^2 / 4m) (see below), as the split took them.  Each profile product
-    is at most 4 / A.
+    ``k`` holds the sorted cutoffs of the screened modes; ``k0_first``,
+    ``e1`` and ``e_edge`` are the split's K0(k[0] z), E1(z^2 / eta^2) and
+    E1(z^2 / 4m) (see below).  Each profile product is at most 4 / A.
 
     Screened modes past K = :func:`_split_cutoff`: k^2 W is at most
     K0(kz) <= sqrt(pi / 2kz) e^{-kz}, and, with E1(x) <= e^{-x} ln(1 + 1/x)
@@ -594,10 +576,10 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
     eta = _split_width(geom)
     tau, u0 = 0.25 * eta * eta, 1.0 / (eta * eta)
     rows = 4.0 / geom.area
-    cutoff, low, _, lattice = _tm_bound_parts(geom)
+    cutoff, low, _, gauss, lattice = _bound_parts(geom)
     plane, lines = geom.area / (2.0 * math.pi), (geom.a + geom.b) / math.pi
     level = math.log1p(4.0 * tau / (z * z)) + 1.0 / (cutoff * cutoff * tau)
-    gauss = 0.5 * level * _te_bound_gauss(geom)
+    gauss = 0.5 * level * gauss
     x = low * z
     half_gamma = 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))  # Gamma(1/2, x) / 2
     tail = math.sqrt(math.pi / (2.0 * z)) * (
@@ -616,17 +598,6 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
     # Four image lattices, each image with weight one.
     images = 4.0 * p * lattice
     return spectral + short + images
-
-
-@functools.cache
-def _te_bound_gauss(geom: Geometry) -> float:
-    """The z-independent factor of the Gaussian bound in :func:`_te_split_bound`."""
-    eta = _split_width(geom)
-    tau = 0.25 * eta * eta
-    low = _tm_bound_parts(geom)[1]
-    plane, lines = geom.area / (2.0 * math.pi), (geom.a + geom.b) / math.pi
-    return (plane * math.exp(-tau * low * low) / (2.0 * tau)
-            + lines * 0.5 * math.sqrt(math.pi / tau) * math.erfc(math.sqrt(tau) * low))
 
 
 def _te_rows(geom, m, n, k, p1, p2, conventions):

@@ -104,10 +104,8 @@ class DipoleSpecies:
 @functools.lru_cache(maxsize=256)
 def _second_moment(orientation: str, d: tuple[float, float, float]) -> np.ndarray:
     vec = np.asarray(d, dtype=float)
-    if orientation == "fixed-vector":
-        out = np.outer(vec, vec)
-    else:
-        out = np.eye(3) * (float(np.dot(vec, vec)) / 3.0)
+    out = np.outer(vec, vec) if orientation == "fixed-vector" \
+        else np.eye(3) * (float(np.dot(vec, vec)) / 3.0)
     out.flags.writeable = False
     return out
 
@@ -485,8 +483,8 @@ class ModeTable:
         return self._splits[TE][1:]
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cutoffs of the split's screened modes, their TM
-        :func:`wgdisp.coupling._pair_products` or TE factor rows, and the
+        """Cutoffs of the split's screened modes, the products of their TM
+        factors at p2 and at p1 or their TE factor rows, and the
         :func:`wgdisp.coupling._live` entries of the split's tensor, built
         once."""
         if pol not in self._screen:
@@ -495,9 +493,11 @@ class ModeTable:
             parts = [(b.k[:used], b.rows[:used])
                      for b, used in self._filled(pol, self._count(pol, K))]
             k, rows = (np.concatenate(p) for p in zip(*parts))
-            width = 3 if pol == TM else 2
-            self._screen[pol] = (k, _coupling._pair_products(rows, 3) if pol == TM
-                                 else rows, _coupling._live(rows, width))
+            if pol == TM:  # the products of the factors at p2 and at p1
+                self._screen[pol] = (k, rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
+                                     _coupling._live(rows, 3))
+            else:
+                self._screen[pol] = k, rows, _coupling._live(rows, 2)
         return self._screen[pol]
 
     @cached_property
