@@ -237,15 +237,16 @@ def _ratio(u: float, reference: float) -> float:
     return u / reference + 0.0 if reference else math.nan
 
 
-def _freespace(sp1, sp2, z: float, epsilon: float) -> tuple[float, float]:
-    """Free-space van der Waals (tensor form) and Casimir-Polder energies.
+def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float]]:
+    """Free-space van der Waals (tensor form) and Casimir-Polder energies at
+    each z of ``zs``.
 
     The Casimir-Polder formula's validity warnings are not printed.
     """
-    fs_vdw = u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=epsilon)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return fs_vdw, u_freespace_cp(sp1, sp2, z, epsilon=epsilon)
+        return [(u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=epsilon),
+                 u_freespace_cp(sp1, sp2, z, epsilon=epsilon)) for z in zs]
 
 
 def _energy_report(args, z: float) -> dict:
@@ -257,7 +258,7 @@ def _energy_report(args, z: float) -> dict:
     breakdown = dispersion_energy(config, **kwargs)
 
     sp1, sp2 = config.species1, config.species2
-    fs_vdw, fs_cp = _freespace(sp1, sp2, z, config.epsilon)
+    (fs_vdw, fs_cp), = _freespace(sp1, sp2, [z], config.epsilon)
 
     lowest_e = min(t.energy for t in sp1.transitions)
     top_modes = []
@@ -351,8 +352,8 @@ def cmd_sweep(args) -> int:
         if note not in written:
             print(f"warning: {note}", file=sys.stderr)
             written.add(note)
-    for z, breakdown in zip(zs, breakdowns):
-        fs_vdw, fs_cp = _freespace(sp1, sp2, z, config.epsilon)
+    for z, breakdown, (fs_vdw, fs_cp) in zip(zs, breakdowns,
+                                            _freespace(sp1, sp2, zs, config.epsilon)):
         rows.append([z, breakdown.total, fs_vdw, fs_cp,
                      _ratio(breakdown.total, fs_vdw), breakdown.tail_estimate])
     _emit(args, _csv(["z_over_a", "U", "U_freespace_vdw", "U_freespace_cp",

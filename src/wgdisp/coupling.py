@@ -247,7 +247,7 @@ def _tm_split_spectral(geom, k, products, z):
     a_part = np.exp(-k * z) * erfc(0.5 * eta * k - z / eta)
     b_part = erfcx(0.5 * eta * k + z / eta) * g
     tt = 0.5 * k * (a_part + b_part)
-    weights = np.stack([tt, 0.5 * k * (a_part - b_part),
+    weights = np.array([tt, 0.5 * k * (a_part - b_part),
                         tt - (2.0 / (math.sqrt(math.pi) * eta)) * g])
     return (4.0 * np.pi / geom.area) * _TM_SIGNS["oracle-consistent"] \
         * (weights[_SPLIT_CLASS] * products).sum(axis=2)
@@ -302,8 +302,8 @@ def _tm_split_images(geom, images, z):
     transverse = -(g * r + e) / (r2 * r)  # f'/r
     along = 2.0 * g / eta ** 2 + 2.0 * g / r2 + 2.0 * e / (r2 * r)  # f''
     # Per image: d, and sigma_x sigma_y s_j for each column j.
-    d = np.vstack([offsets, np.full(r.size, z)])
-    w = np.stack([sy, sx, sx * sy])
+    d = np.concatenate([offsets, np.full((1, r.size), z)])
+    w = np.array([sy, sx, sx * sy])
     c = (along - transverse) / r2
     out = 0.5 * (d * c) @ (d * w).T
     out[np.diag_indices(3)] += 0.5 * w @ transverse
