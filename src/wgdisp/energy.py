@@ -26,12 +26,11 @@ energies are in units of hbar c / length.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from ._special import k0 as _k0
@@ -101,7 +100,7 @@ class DipoleSpecies:
         return cls((DipoleTransition(energy, tuple(d)),), orientation)
 
 
-@functools.lru_cache(maxsize=256)
+@lru_cache(maxsize=256)
 def _second_moment(orientation: str, d: tuple[float, float, float]) -> np.ndarray:
     vec = np.asarray(d, dtype=float)
     out = np.outer(vec, vec) if orientation == "fixed-vector" \
@@ -303,7 +302,7 @@ class ModeTable:
         self._memo: dict[tuple[str, int], np.ndarray] = {}
         self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
         # Per polarization: (z, tensor, bound) of the last split, and the
-        # cutoffs and rows of the split's screened modes.
+        # screened modes' data of :meth:`_screened`.
         self._splits = {pol: (None,) for pol in (TM, TE)}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
