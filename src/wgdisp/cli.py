@@ -253,6 +253,9 @@ def _energy_report(args, z: float) -> dict:
     top_n = int(_resolve(args, "top_modes", 8))
     if top_n < 0:
         raise InputError(f"top_modes must be non-negative, got {top_n}")
+    si_a = _resolve(args, "si_a_meters")
+    if si_a is not None and not (float(si_a) > 0.0 and math.isfinite(float(si_a))):
+        raise InputError(f"si_a_meters must be positive and finite, got {float(si_a)!r}")
     config = _pair_configuration(args, z)
     kwargs = _truncation(args)
     breakdown = dispersion_energy(config, **kwargs)
@@ -300,7 +303,6 @@ def _energy_report(args, z: float) -> dict:
         "ratio_to_freespace_vdw": _ratio(breakdown.total, fs_vdw),
         "warnings": breakdown.warnings,
     }
-    si_a = _resolve(args, "si_a_meters")
     if si_a is not None:
         report["si_annotation"] = {
             "a_meters": float(si_a),
@@ -327,6 +329,9 @@ def cmd_sweep(args) -> int:
     z_min, z_max = float(z_min), float(z_max)
     if points < 2:
         raise InputError("sweep needs at least 2 points")
+    if not (math.isfinite(z_min) and math.isfinite(z_max)):
+        raise InputError(f"z-min and z-max must be finite, got z-min={z_min!r}, "
+                         f"z-max={z_max!r}")
     if not (0.0 < z_min < z_max):
         raise InputError("need 0 < z-min < z-max")
     spacing = _resolve(args, "spacing", "log")

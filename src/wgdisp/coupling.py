@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -112,7 +113,7 @@ def _check_orientation(orient: str) -> tuple[str, str]:
 
 def _check_separation(z: float) -> None:
     if not (z > 0.0 and math.isfinite(z)):
-        raise InputError(f"axial separation must be positive, got z={z!r}")
+        raise InputError(f"axial separation must be positive and finite, got z={z!r}")
 
 
 def _check_points(geom: Geometry, p1: TransversePoint, p2: TransversePoint) -> None:
@@ -212,6 +213,7 @@ _SPLIT_EPS = 1e-17
 _SPLIT_REACH = math.sqrt(-math.log(_SPLIT_EPS))  # image reach in units of eta
 # Weight class of each TM entry: 0 transverse-transverse, 1 mixed, 2 zz.
 _SPLIT_CLASS = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2]])
+_DIAGONAL = np.arange(3)
 
 
 def _split_width(geom: Geometry) -> float:
@@ -230,8 +232,27 @@ def _split_cutoff(geom: Geometry) -> float:
         math.pi / geom.a, math.pi / geom.b)
 
 
+def _power(x: float, n: float) -> float:
+    """x ** n as Python's float power takes it, or inf where that overflows.
+
+    The splits raise separations to powers one at a time through this:
+    numpy's array power rounds some values differently from the C library's
+    pow, and a value must not depend on how many separations share a call.
+    """
+    try:
+        return x ** n
+    except OverflowError:
+        return math.inf
+
+
+def _powers(x: np.ndarray, n: float) -> np.ndarray:
+    """:func:`_power` of each element of the 1-D array ``x``."""
+    return np.fromiter((_power(v, n) for v in x.tolist()), float, x.size)
+
+
 def _tm_split_spectral(geom, k, products, z):
-    """Screened-mode part of the split over the modes of ``k`` and ``products``.
+    """Screened-mode part of the split over the modes of ``k`` and ``products``,
+    shape (nz, 3, 3) for the 1-D array of separations ``z``.
 
     ``products[i, j]`` holds the per-mode products of the :func:`_tm_rows`
     factors i at p2 and j at p1, shape (3, 3, N).  The radial weight
@@ -240,17 +261,20 @@ def _tm_split_spectral(geom, k, products, z):
     k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
     A = e^{-kz} erfc(k eta / 2 - z / eta), g = e^{-k^2 eta^2 / 4 - z^2 / eta^2}
     and B = erfcx(k eta / 2 + z / eta) g (= e^{kz} erfc(k eta / 2 + z / eta),
-    without its overflow).
+    without its overflow).  Each entry is one sum over the modes of a row of
+    weights, so it does not depend on the other separations.
     """
     eta = _split_width(geom)
-    g = np.exp(-(0.5 * eta * k) ** 2 - (z / eta) ** 2)
-    a_part = np.exp(-k * z) * erfc(0.5 * eta * k - z / eta)
-    b_part = erfcx(0.5 * eta * k + z / eta) * g
+    zc = z[:, None]
+    g = np.exp(-(0.5 * eta * k) ** 2 - _powers(z / eta, 2)[:, None])
+    a_part = np.exp(-k * zc) * erfc(0.5 * eta * k - zc / eta)
+    b_part = erfcx(0.5 * eta * k + zc / eta) * g
     tt = 0.5 * k * (a_part + b_part)
     weights = np.array([tt, 0.5 * k * (a_part - b_part),
                         tt - (2.0 / (math.sqrt(math.pi) * eta)) * g])
-    return (4.0 * np.pi / geom.area) * _TM_SIGNS["oracle-consistent"] \
-        * (weights[_SPLIT_CLASS] * products).sum(axis=2)
+    sums = (weights[_SPLIT_CLASS] * products[:, :, None, :]).sum(axis=3)
+    return ((4.0 * np.pi / geom.area) * _TM_SIGNS["oracle-consistent"][:, :, None]
+            * sums).transpose(2, 0, 1)
 
 
 def _image_offsets(c2: float, c1: float, period: float, reach: float) -> np.ndarray:
@@ -284,7 +308,8 @@ def _split_images(geom: Geometry, p1: TransversePoint, p2: TransversePoint):
 
 
 def _tm_split_images(geom, images, z):
-    """Image part of the split: 1/2 sum sigma_x sigma_y s_j H_ij(d).
+    """Image part of the split: 1/2 sum sigma_x sigma_y s_j H_ij(d), shape
+    (nz, 3, 3) for the 1-D array of separations ``z``.
 
     Over the :func:`_split_images` ``images``, with s = (sigma_x, sigma_y,
     1), d = (x2 - sigma_x x1 - 2ja, y2 - sigma_y y1 - 2lb, z) and H the
@@ -295,18 +320,23 @@ def _tm_split_images(geom, images, z):
     """
     eta = _split_width(geom)
     offsets, (sx, sy), rho2 = images
-    r2 = rho2 + z * z
+    zc = z[:, None]
+    # Past z ~ 1e154 z^2 overflows; a finite r^2 keeps the image terms, all
+    # zero there, from turning into inf times zero.
+    r2 = np.minimum(rho2 + zc * zc, sys.float_info.max)
     r = np.sqrt(r2)
     e = erfc(r / eta)
     g = (2.0 / (math.sqrt(math.pi) * eta)) * np.exp(-r2 / eta ** 2)
     transverse = -(g * r + e) / (r2 * r)  # f'/r
     along = 2.0 * g / eta ** 2 + 2.0 * g / r2 + 2.0 * e / (r2 * r)  # f''
     # Per image: d, and sigma_x sigma_y s_j for each column j.
-    d = np.concatenate([offsets, np.full((1, r.size), z)])
+    d = np.empty((z.size, 3, rho2.size))
+    d[:, :2], d[:, 2] = offsets, zc
     w = np.array([sy, sx, sx * sy])
     c = (along - transverse) / r2
-    out = 0.5 * (d * c) @ (d * w).T
-    out[np.diag_indices(3)] += 0.5 * w @ transverse
+    # One product of a (3, n) and an (n, 3) matrix per separation.
+    out = 0.5 * (d * c[:, None, :]) @ (d * w).transpose(0, 2, 1)
+    out[:, _DIAGONAL, _DIAGONAL] += (0.5 * w @ transverse[:, :, None])[:, :, 0]
     return out
 
 
@@ -318,14 +348,19 @@ def _live(rows, width):
 
 
 def _tm_split(geom, k, products, images, z):
-    """Oracle-consistent TM tensor at separation z from the Ewald split.
+    """Oracle-consistent TM tensors at the separations of the 1-D array ``z``
+    from the Ewald split, shape (nz, 3, 3).
 
     ``k`` and ``products`` are the cutoffs and the :func:`_tm_split_spectral`
     products of the modes up to :func:`_split_cutoff`, and
     ``images`` the :func:`_split_images` of the pair.  Entries outside
-    :func:`_live` are left as summed.
+    :func:`_live` are left as summed.  Each tensor is the same whichever
+    separations share the call; overflows past z ~ 1e154 stand for the zero
+    terms they multiply.
     """
-    return _tm_split_spectral(geom, k, products, z) + _tm_split_images(geom, images, z)
+    with np.errstate(over="ignore"):
+        return (_tm_split_spectral(geom, k, products, z)
+                + _tm_split_images(geom, images, z))
 
 
 def _tm_split_bound(geom: Geometry, z: float) -> float:
@@ -347,12 +382,12 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     """
     eta = _split_width(geom)
     cutoff, low, gauss, _, lattice = _bound_parts(geom)
-    screen = math.exp(-(z / eta) ** 2)
+    screen = math.exp(-_power(z / eta, 2))
     spectral = 2.0 * screen * gauss
     if 2.0 * z / eta ** 2 > cutoff:
         # 2 integral_low^inf k^2 e^{-kz} dk
-        spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / z ** 2
-                                                + 2.0 / z ** 3)
+        spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / _power(z, 2)
+                                                + 2.0 / _power(z, 3))
     reach = _SPLIT_REACH * eta
     rc2 = reach * reach + z * z
     poly = (4.0 / (math.sqrt(math.pi) * eta)) * (1.0 / eta ** 2 + 1.0 / rc2) \
@@ -435,68 +470,82 @@ def _te_short_times(geom, z):
     """Edges lo and tau of the short times the rule sums, in that order.
 
     The rule covers ln s from ln lo to ln tau, lo = max(z^2 / (4 _TE_SKIP),
-    tau e^{-_TE_SPAN}); with lo >= tau nothing is summed.
+    tau e^{-_TE_SPAN}), one lo per separation of ``z``; with lo >= tau
+    nothing is summed.
     """
     tau = 0.25 * _split_width(geom) ** 2
-    lo = max(z * z / (4.0 * _TE_SKIP), tau * math.exp(-_TE_SPAN))
+    lo = np.maximum(z * z / (4.0 * _TE_SKIP), tau * math.exp(-_TE_SPAN))
     return lo, tau
 
 
 def _te_short_time_rule(lo, tau):
-    """Nodes s and weights of the Gauss-Legendre rule in ln s from lo to tau
-    (none when lo >= tau): int_lo^tau g(s) ds ~ sum weights g(s)."""
-    if lo >= tau:
-        return np.empty(0), np.empty(0)
+    """Nodes s and weights of the Gauss-Legendre rule in ln s from lo to tau,
+    one row per edge of the 1-D array ``lo``, each below tau:
+    int_lo^tau g(s) ds ~ sum weights g(s).
+
+    The logarithms are the C library's, one edge at a time (numpy's log
+    rounds some arguments differently).
+    """
     x, w = _legendre_rule()
-    half = 0.5 * math.log(tau / lo)
-    s = np.exp(math.log(lo) + half * (x + 1.0))
+    log_lo, half = np.array([(math.log(v), 0.5 * math.log(tau / v))
+                             for v in lo.tolist()]).reshape(-1, 2, 1).transpose(1, 0, 2)
+    s = np.exp(log_lo + half * (x + 1.0))
     return s, half * w * s
 
 
 def _te_short_time_part(k, s, f):
     """(k^2 / 2) int_lo^tau e^{-k^2 s} E1(z^2/4s) ds, which the long-time
     weights k^2 W = K0(kz) - (this) lack, from the :func:`_te_short_time_rule`
-    nodes ``s`` and ``f``, its weights times E1(z^2/4s), shared by every mode.
+    nodes ``s`` and ``f``, its weights times E1(z^2/4s), shared by every mode:
+    one row per row of ``s``, one column per mode.
     """
-    return 0.5 * k * k * (np.exp(-np.multiply.outer(k * k, s)) @ f)
+    decay = (-k * k)[:, None] * s[:, None, :]
+    np.exp(decay, out=decay)  # in place: one temporary of the chunk's size
+    return 0.5 * k * k * (decay @ f[:, :, None])[:, :, 0]
 
 
 # Term numbers n of the series, their n + 1 and n + 2, the n in 1..N that
 # divide x in the incomplete gamma terms, and the factorials n!.
-_SERIES_N = np.arange(_TE_TERMS)[:, None]
+_SERIES_N = np.arange(_TE_TERMS)
 _SERIES_N1, _SERIES_N2 = _SERIES_N + 1, _SERIES_N + 2
 _GAMMA_N = np.arange(1, _TE_TERMS + 1)
-_SERIES_FACT = np.cumprod(np.r_[1.0, _GAMMA_N[:-1]])[:, None]
+_SERIES_FACT = np.cumprod(np.r_[1.0, _GAMMA_N[:-1]])
 
 
 def _te_series(rho2, z, u0, e1):
-    """Integrals J0 and J1 of :func:`_te_split_images` as series in rho^2.
+    """Integrals J0 and J1 of :func:`_te_split_images` as series in rho^2,
+    one per element of the 1-D arrays ``rho2``, ``z`` and ``e1``.
 
     With m_n = integral_{u0}^inf u^n E1(z^2 u) du
     = [Gamma(n + 1, z^2 u0) / z^{2n+2} - u0^{n+1} E1(z^2 u0)] / (n + 1),
     J0 = sum_n (-rho^2)^n m_n / n! and J1 = sum_n (-rho^2)^n m_{n+1} / n!.
     Gamma(n + 1, x) / n! = sum_{j <= n} e^{-x} x^j / j!, each term taken
     from its logarithm, keeps every term finite at small and at large z.
+    The terms of one integral lie in one row and are summed along it, so
+    each value depends on its own arguments alone.
     """
-    x = z * z * u0
-    logs = np.empty(_TE_TERMS + 1)
-    logs[0] = -x
-    logs[1:] = np.log(x / _GAMMA_N)
-    gamma = np.cumsum(np.exp(np.cumsum(logs)))
+    zz = (z * z)[:, None]
+    x = np.minimum(zz * u0, sys.float_info.max)  # finite past z ~ 1e154
+    logs = np.empty((x.size, _TE_TERMS + 1))
+    logs[:, :1] = -x
+    logs[:, 1:] = np.log(x / _GAMMA_N)
+    gamma = np.cumsum(np.exp(np.cumsum(logs, axis=1)), axis=1)
     n, n1 = _SERIES_N, _SERIES_N1
-    by_z = (-rho2 / (z * z)) ** n
-    by_u = u0 * e1 * (-rho2 * u0) ** n / _SERIES_FACT
-    j0 = ((by_z * gamma[:-1, None] / (z * z) - by_u) / n1).sum(axis=0)
-    j1 = ((n1 * by_z * gamma[1:, None] / z ** 4 - u0 * by_u) / _SERIES_N2).sum(axis=0)
+    by_z = (-rho2[:, None] / zz) ** n
+    by_u = u0 * e1[:, None] * (-rho2[:, None] * u0) ** n / _SERIES_FACT
+    j0 = ((by_z * gamma[:, :-1] / zz - by_u) / n1).sum(axis=1)
+    j1 = ((n1 * by_z * gamma[:, 1:] / _powers(z, 4)[:, None] - u0 * by_u)
+          / _SERIES_N2).sum(axis=1)
     return j0, j1
 
 
 def _te_split_images(geom, images, z, e1, e_images):
-    """Short-time part of M: sum s_j (delta_ij J0 / 4 pi - d_i d_j J1 / 2 pi).
+    """Short-time part of M: sum s_j (delta_ij J0 / 4 pi - d_i d_j J1 / 2 pi),
+    shape (nz, 2, 2) for the 1-D array of separations ``z``.
 
     Over the :func:`_split_images` ``images`` with u0 = 1/eta^2 and
-    R^2 = rho^2 + z^2, given e1 = E1(z^2 u0) and ``e_images`` = E1(R^2 u0)
-    image by image, the time integrals are
+    R^2 = rho^2 + z^2, given e1 = E1(z^2 u0) per separation and
+    ``e_images`` = E1(R^2 u0) per separation and image, the time integrals are
     J0 = integral_{u0}^inf E1(z^2 u) e^{-rho^2 u} du
        = [e^{-rho^2 u0} E1(z^2 u0) - E1(R^2 u0)] / rho^2 and
     J1 = integral_{u0}^inf u E1(z^2 u) e^{-rho^2 u} du
@@ -507,22 +556,25 @@ def _te_split_images(geom, images, z, e1, e_images):
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)
     d, s, rho2 = images
-    near = rho2 <= _TE_SERIES * min(eta * eta, z * z)
+    zz = (z * z)[:, None]
+    near = rho2 <= _TE_SERIES * np.minimum(eta * eta, zz)
     q = np.where(near, 1.0, rho2)
-    r2 = q + z * z
-    a_part = np.exp(-q * u0) * e1
+    r2 = q + zz
+    a_part = np.exp(-q * u0) * e1[:, None]
     j0 = (a_part - e_images) / q
     j1 = (j0 + u0 * a_part - np.exp(-r2 * u0) / r2) / q
-    if near.any():
-        j0[near], j1[near] = _te_series(rho2[near], z, u0, e1)
-    out = -(d * (j1 / (2.0 * np.pi))) @ (d * s).T
-    out[np.diag_indices(2)] += s @ j0 / (4.0 * np.pi)
+    at, image = np.nonzero(near)
+    if at.size:
+        j0[near], j1[near] = _te_series(rho2[image], z[at], u0, e1[at])
+    out = -(d * (j1 / (2.0 * np.pi))[:, None, :]) @ (d * s).T
+    out[:, _DIAGONAL[:2], _DIAGONAL[:2]] += (s @ j0[:, :, None])[:, :, 0] / (4.0 * np.pi)
     return out
 
 
 def _te_split(geom, k, rows, images, z):
-    """Unit TE tensor at separation z (the TE mode sum without factor * E)
-    and :func:`_te_split_bound`.
+    """Unit TE tensors at the separations of the 1-D array ``z`` (the TE mode
+    sum without factor * E), shape (nz, 3, 3), and their
+    :func:`_te_split_bound` values, shape (nz,).
 
     From the heat-kernel split: ``k`` and ``rows`` are the cutoffs and
     unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
@@ -530,22 +582,31 @@ def _te_split(geom, k, rows, images, z):
     pair.  Entries outside :func:`_live` are left as summed.  The modes are
     contracted as a mode table contracts a block, so where images and short
     times add nothing the split equals a TE mode sum bit for bit.  All E1 of
-    the split and its bound come from one call; the bound shares K0(k_0 z).
+    the splits and their bounds come from one call and all K0 from another;
+    the bounds share K0(k_0 z).  Each tensor is the same whichever
+    separations share the call.
     """
-    eta = _split_width(geom)
-    u0 = 1.0 / (eta * eta)
-    lo, tau = _te_short_times(geom, z)
-    s, w = _te_short_time_rule(lo, tau)
-    rho2 = images[2]
-    e = exp1(np.concatenate([z * z / (4.0 * s), (rho2 + z * z) * u0,
-                             [z * z * u0, z * z / (4.0 * min(lo, tau))]]))
-    radial = k0(k * z)
-    weight = radial - _te_short_time_part(k, s, w * e[:s.size])
-    near = _te_split_images(geom, images, z, e[-2], e[s.size:-2])
-    out = np.zeros((3, 3))
-    out[:2, :2] = (rows[:, 0:2] * weight[:, None]).T @ rows[:, 2:4] \
-        + _ROTATE @ near @ _ROTATE.T
-    return out + 0.0, _te_split_bound(geom, k, z, radial[0], e[-2], e[-1])
+    with np.errstate(over="ignore"):  # past z ~ 1e154 only zero terms overflow
+        eta = _split_width(geom)
+        u0 = 1.0 / (eta * eta)
+        zz = z * z
+        lo, tau = _te_short_times(geom, z)
+        ruled = lo < tau
+        s, w = _te_short_time_rule(lo[ruled], tau)
+        e = exp1(np.concatenate([(zz[ruled, None] / (4.0 * s)).ravel(),
+                                 ((images[2] + zz[:, None]) * u0).ravel(),
+                                 zz * u0, zz / (4.0 * np.minimum(lo, tau))]))
+        radial = k0(np.multiply.outer(z, k))
+        weight = radial.copy()
+        weight[ruled] -= _te_short_time_part(k, s, w * e[:s.size].reshape(s.shape))
+        e_images, e1, e_edge = np.split(e[s.size:], [-2 * z.size, -z.size])
+        near = _te_split_images(geom, images, z, e1, e_images.reshape(z.size, -1))
+    out = np.zeros((z.size, 3, 3))
+    out[:, :2, :2] = (rows[:, 0:2] * weight[:, :, None]).transpose(0, 2, 1) \
+        @ rows[:, 2:4] + _ROTATE @ near @ _ROTATE.T
+    bounds = [_te_split_bound(geom, k, *args) for args in zip(
+        z.tolist(), radial[:, 0].tolist(), e1.tolist(), e_edge.tolist())]
+    return out + 0.0, np.array(bounds)
 
 
 def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
@@ -582,8 +643,10 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
     gauss = 0.5 * level * gauss
     x = low * z
     half_gamma = 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))  # Gamma(1/2, x) / 2
+    decay = math.exp(-x)
+    head = math.sqrt(x) * decay if decay else 0.0  # also where x overflows
     tail = math.sqrt(math.pi / (2.0 * z)) * (
-        plane * (math.sqrt(x) * math.exp(-x) + half_gamma) / z ** 1.5
+        plane * (head + half_gamma) / _power(z, 1.5)
         + lines * 2.0 * half_gamma / math.sqrt(z))
     spectral = rows * min(gauss, tail)
     lo, tau = _te_short_times(geom, z)
@@ -621,7 +684,8 @@ def _te_rows(geom, m, n, k, p1, p2, conventions):
 
 def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
     """Per-mode 3x3 TM couplings, shape (3, 3, N), from :func:`_tm_rows` rows."""
-    decay = np.exp(-k * z)
+    with np.errstate(over="ignore"):  # k z past the largest double: e^{-kz} = 0
+        decay = np.exp(-k * z)
     base = (4.0 * np.pi / geom.area) * k * decay
     out = _TM_SIGNS[conventions.tm_sign][:, :, None] * base[None, None, :]
     out *= rows[0:3, None, :]
@@ -639,7 +703,8 @@ def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
 
 def _te_mode_tensors(k, rows, z, energy, conventions):
     """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows."""
-    radial = _TE_FACTORS[conventions.te_factor] * energy * k0(k * z)
+    with np.errstate(over="ignore"):  # k z past the largest double: K0 = 0
+        radial = _TE_FACTORS[conventions.te_factor] * energy * k0(k * z)
     zero = np.zeros((1, k.size))
     out = np.empty((3, 3, k.size))
     np.multiply(radial[None, None, :], np.vstack([rows[0:2], zero])[:, None, :], out=out)

@@ -41,6 +41,7 @@ from .errors import (InputError, ModeCapError, TightConfinementWarning,
 from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex,
                         TransversePoint, mode_arrays, mode_count)
 from . import coupling as _coupling
+from .coupling import _power
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,7 +55,8 @@ class DipoleTransition:
 
     def __post_init__(self):
         if not (self.energy > 0.0 and math.isfinite(self.energy)):
-            raise InputError(f"transition energy must be positive, got {self.energy!r}")
+            raise InputError(f"transition energy must be positive and finite, "
+                             f"got {self.energy!r}")
         vec = np.asarray(self.d, dtype=float)
         if vec.shape != (3,) or not np.all(np.isfinite(vec)):
             raise InputError("dipole vector must be three finite components")
@@ -122,7 +124,8 @@ class PairConfiguration:
 
     def __post_init__(self):
         if not (self.z > 0.0 and math.isfinite(self.z)):
-            raise InputError(f"axial separation must be positive, got z={self.z!r}")
+            raise InputError(f"axial separation must be positive and finite, "
+                             f"got z={self.z!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InputError(f"permittivity must be positive and finite, "
                              f"got {self.epsilon!r}")
@@ -214,7 +217,7 @@ def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
     2 * integral_K^inf k^2 exp(-k z) dk, plus an axis-row allowance.
     """
     ez = math.exp(-K * z)
-    integral = 2.0 * ez * (K * K / z + 2.0 * K / z ** 2 + 2.0 / z ** 3)
+    integral = 2.0 * ez * (K * K / z + 2.0 * K / _power(z, 2) + 2.0 / _power(z, 3))
     axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
         * ez * (K + 1.0 / z) / z
     return integral + axis
@@ -224,7 +227,8 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     # |F_TE| <= 2 E (4/A) K0(kz) and K0(x) < sqrt(pi/2x) e^-x.
     ez = math.exp(-K * z)
     pref = 2.0 * energy * (4.0 / geom.area) * (geom.area / TWO_PI)
-    integral = pref * math.sqrt(math.pi / (2.0 * z)) * ez * (math.sqrt(K) / z + 1.0 / z ** 2)
+    integral = pref * math.sqrt(math.pi / (2.0 * z)) * ez * (math.sqrt(K) / z
+                                                              + 1.0 / _power(z, 2))
     axis = 2.0 * energy * (4.0 / geom.area) * (geom.a + geom.b) / math.pi \
         * math.sqrt(math.pi / (2.0 * K * z)) * ez / z
     return integral + axis
@@ -242,6 +246,9 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
 _FIRST_BLOCK = 1024
 _TABLE_BLOCK = 8192
 _GROWING_BLOCKS = (_TABLE_BLOCK // _FIRST_BLOCK).bit_length()
+# Separations per pass of the splits' kernels: the TE short-time rule's
+# temporaries hold _SPLIT_CHUNK x (about 70 modes) x 80 nodes doubles.
+_SPLIT_CHUNK = 32
 
 
 def _block_start(j: int) -> int:
@@ -285,7 +292,9 @@ class ModeTable:
     (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them block by
     block, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
     first, screened modes and add the image sums, over image offsets, signs
-    and rho^2 that the table takes once.
+    and rho^2 that the table takes once.  :meth:`compute_splits` evaluates
+    the splits at a whole sweep's separations, a chunk of them per kernel
+    call.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
@@ -301,9 +310,9 @@ class ModeTable:
         self._cumulative: dict[str, list[np.ndarray]] = {}
         self._memo: dict[tuple[str, int], np.ndarray] = {}
         self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
-        # Per polarization: (z, tensor, bound) of the last split, and the
-        # screened modes' data of :meth:`_screened`.
-        self._splits = {pol: (None,) for pol in (TM, TE)}
+        # Per polarization: (tensor, bound) of the splits of the last batch,
+        # keyed by z, and the screened modes' data of :meth:`_screened`.
+        self._splits: dict[str, dict[float, tuple[np.ndarray, float]]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def extend(self, K: float, te_cutoff: float | None = None) -> None:
@@ -426,8 +435,9 @@ class ModeTable:
         if cache[0] != j:
             cache[:] = j, 0, np.empty(self._blocks[pol][j].k.size)
         if used > cache[1]:
-            kz = self._blocks[pol][j].k[cache[1]:used] * z
-            cache[2][cache[1]:used] = np.exp(-kz) if pol == TM else _k0(kz)
+            with np.errstate(over="ignore"):  # k z past the largest double: 0
+                kz = self._blocks[pol][j].k[cache[1]:used] * z
+                cache[2][cache[1]:used] = np.exp(-kz) if pol == TM else _k0(kz)
             cache[1] = used
         return cache[2][:used]
 
@@ -447,22 +457,46 @@ class ModeTable:
             out[0, 1], out[1, 0] = radial @ rows[:, 6:8]
         return out
 
+    def compute_splits(self, zs, pols=(TM, TE)) -> None:
+        """Evaluate the splits of the polarizations ``pols`` at every
+        separation of ``zs`` and keep them, keyed by z, in place of the last
+        batch's.
+
+        The separations go through the kernels of :mod:`wgdisp.coupling`
+        _SPLIT_CHUNK at a time; a split does not depend on which
+        separations share its chunk.
+        """
+        geom = self.key[0]
+        z = np.array(list(dict.fromkeys(zs)), dtype=float)
+        for pol in pols:
+            k, factors, live = self._screened(pol)
+            store = {}
+            for start in range(0, z.size, _SPLIT_CHUNK):
+                part = z[start:start + _SPLIT_CHUNK]
+                if pol == TM:
+                    out = _coupling._tm_split(geom, k, factors, self._images, part)
+                    out = np.where(live, out, 0.0) + 0.0
+                    bounds = [_coupling._tm_split_bound(geom, v) for v in part.tolist()]
+                else:
+                    out, bounds = _coupling._te_split(geom, k, factors, self._images, part)
+                    out[:, :2, :2] = np.where(live, out[:, :2, :2], 0.0)
+                    bounds = bounds.tolist()
+                store.update(zip(part.tolist(), zip(out, bounds)))
+            self._splits[pol] = store
+
     def tm_split(self, z: float) -> tuple[np.ndarray, float]:
         """Oracle-consistent TM tensor at separation z and its truncation bound.
 
         The Ewald split of :func:`wgdisp.coupling._tm_split`, whose screened
         modes are the table's first TM modes, up to
         :func:`wgdisp.coupling._split_cutoff`.  It does not depend on the
-        transition energy, so it is kept for the last z asked and the levels
-        at one separation share it.
+        transition energy, so the levels at one separation share it.  Read
+        from the batch of :meth:`compute_splits`; a z outside it is
+        computed as a batch of its own.
         """
-        if self._splits[TM][0] != z:
-            geom = self.key[0]
-            k, products, live = self._screened(TM)
-            out = _coupling._tm_split(geom, k, products, self._images, z)
-            self._splits[TM] = (z, np.where(live, out, 0.0) + 0.0,
-                                _coupling._tm_split_bound(geom, z))
-        return self._splits[TM][1:]
+        if z not in self._splits[TM]:
+            self.compute_splits([z], (TM,))
+        return self._splits[TM][z]
 
     def te_split(self, z: float) -> tuple[np.ndarray, float]:
         """Unit TE tensor at separation z and its truncation bound.
@@ -470,16 +504,12 @@ class ModeTable:
         The heat-kernel split of :func:`wgdisp.coupling._te_split` (the TE
         mode sum without its factor * E, for unit-normalized profiles), over
         the table's first TE modes up to :func:`wgdisp.coupling._split_cutoff`
-        and the images of the TM split.  Kept for the last z asked, as
+        and the images of the TM split.  Read and computed as
         :meth:`tm_split` is.
         """
-        if self._splits[TE][0] != z:
-            geom = self.key[0]
-            k, rows, live = self._screened(TE)
-            out, bound = _coupling._te_split(geom, k, rows, self._images, z)
-            out[:2, :2] = np.where(live, out[:2, :2], 0.0)
-            self._splits[TE] = (z, out, bound)
-        return self._splits[TE][1:]
+        if z not in self._splits[TE]:
+            self.compute_splits([z], (TE,))
+        return self._splits[TE][z]
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs of the split's screened modes, the products of their TM
@@ -560,6 +590,17 @@ def _next_cutoffs(K_tm: float, K_te: float, z: float, geom: Geometry,
     return K_tm, K_te * 1.3
 
 
+def _split_channels(conventions: Conventions, tail_tol: float | None) -> tuple[str, ...]:
+    """The polarizations whose tensors :func:`f_tensor` reads off the mode
+    table's splits: TM under oracle-consistent signs, and TE as well with
+    ``tail_tol`` and unit-normalized profiles."""
+    if conventions.tm_sign != "oracle-consistent":
+        return ()
+    if tail_tol is not None and conventions.normalization == "unit-normalized":
+        return (TM, TE)
+    return (TM,)
+
+
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -627,7 +668,8 @@ def f_tensor(
         start = max_cutoff
     else:
         start = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-    split = conv.tm_sign == "oracle-consistent"
+    channels = _split_channels(conv, tail_tol)
+    split = TM in channels
     K_tm = _coupling._split_cutoff(geom) if split else start
     K_te = start
     if geom.is_corner(p1) or geom.is_corner(p2):
@@ -640,7 +682,7 @@ def f_tensor(
         raise InputError("the mode table belongs to another guide, pair of "
                          "points or set of conventions")
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
-    if split and tail_tol is not None and conv.normalization == "unit-normalized":
+    if TE in channels:
         tm_sum, tm_tail = table.tm_split(z)
         te_unit, te_tail = table.te_split(z)
         te_sum = te_weight * te_unit
@@ -804,11 +846,15 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
            mode_cap: int, detail_cap: int, notes: list[str]) -> list[EnergyBreakdown]:
     truncation = ({"max_cutoff": max_cutoff} if max_cutoff is not None
                   else {"tail_tol": tail_tol})
+    points = [replace(config, z=z) for z in zs]
     table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
+    if not corner:
+        table.compute_splits([point.z for point in points], _split_channels(
+            config.conventions, truncation.get("tail_tol")))
     out = []
-    for z in zs:
-        point = replace(config, z=z)
+    for point in points:
+        z = point.z
         u = _assemble(point, lambda e: f_tensor(point, e, mode_cap=mode_cap,
                                                 detail_cap=detail_cap,
                                                 table=table, **truncation),
@@ -918,6 +964,16 @@ def u_retarded_closed(config: PairConfiguration) -> float:
 _NEAR_FIELD_M = np.diag([1.0, 1.0, -2.0])
 
 
+def _over_power(x: float, c: float, r: float, n: int) -> float:
+    """x / (c r^n), also where c r^n passes the largest double: then through
+    the binary exponent of r, r = m 2^e, as x / (c m^n) 2^{-ne}."""
+    den = c * _power(r, n)
+    if math.isfinite(den):
+        return x / den
+    m, e = math.frexp(r)
+    return math.ldexp(x / (c * m ** n), -n * e)
+
+
 def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
                     form: str = "isotropic", epsilon: float = 1.0) -> float:
     """Free-space quasistatic (1/r^6) reference energy.
@@ -932,10 +988,10 @@ def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
     if form == "isotropic":
         acc = sum(t1.d_squared * t2.d_squared / (t1.energy + t2.energy)
                   for t1 in species1.transitions for t2 in species2.transitions)
-        return -acc / (24.0 * math.pi ** 2 * epsilon ** 2 * r ** 6)
+        return _over_power(-acc, 24.0 * math.pi ** 2 * epsilon ** 2, r, 6)
     if form != "tensor":
         raise InputError(f"form must be 'isotropic' or 'tensor', got {form!r}")
-    pref = -1.0 / (TWO_PI * epsilon) ** 2 / r ** 6
+    pref = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6)
     total = 0.0
     for t1 in species1.transitions:
         for t2 in species2.transitions:
@@ -958,7 +1014,7 @@ def u_freespace_cp(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
                       "wavelength", ValidityDomainWarning, stacklevel=2)
     acc = sum(t1.d_squared * t2.d_squared / (t1.energy * t2.energy)
               for t1 in species1.transitions for t2 in species2.transitions)
-    return 23.0 / (144.0 * math.pi ** 3) * acc / (epsilon ** 2 * r ** 7)
+    return _over_power(23.0 / (144.0 * math.pi ** 3) * acc, epsilon ** 2, r, 7)
 
 
 def ratio_to_freespace(z: float, lambda_e: float, a: float,

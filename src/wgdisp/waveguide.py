@@ -53,9 +53,9 @@ class Geometry:
 
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise InputError(f"geometry requires a > 0, got a={self.a!r}")
+            raise InputError(f"geometry requires a positive and finite a, got a={self.a!r}")
         if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise InputError(f"geometry requires b > 0, got b={self.b!r}")
+            raise InputError(f"geometry requires a positive and finite b, got b={self.b!r}")
 
     @property
     def area(self) -> float:

@@ -82,7 +82,7 @@ class TestModes:
     def test_invalid_geometry_exit_2(self):
         res = run_cli("modes", "--a", "0", "--max-cutoff", "3")
         assert res.returncode == 2
-        assert "a > 0" in res.stderr
+        assert res.stderr == "error: geometry requires a positive and finite a, got a=0.0\n"
 
     def test_mode_cap_exit_4_before_listing(self, monkeypatch, capsys):
         # About 1.6e9 modes lie below k = 1e5 in the unit square; the cap
@@ -213,6 +213,32 @@ class TestEnergy:
         payload = json.loads(res.stdout)
         assert payload["si_annotation"]["z_meters"] == pytest.approx(5e-7)
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_si_a_meters_exit_2(self, species_file, tmp_path, capsys, value):
+        from wgdisp import cli
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"si_a_meters = {value}\n")
+        for extra in (["--si-a-meters", value], ["--config", str(conf)]):
+            assert cli.main(["energy", "--z", "0.5", "--species1", species_file,
+                             *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: si_a_meters must be positive and "
+                                    f"finite, got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--z", "inf", "axial separation must be positive and finite, got z=inf"),
+        ("--a", "inf", "geometry requires a positive and finite a, got a=inf"),
+        ("--b", "nan", "geometry requires a positive and finite b, got b=nan"),
+    ])
+    def test_non_finite_input_is_named(self, species_file, flag, value, message):
+        args = {"--z": "0.5", flag: value}
+        res = run_cli("energy", "--species1", species_file,
+                      *(item for pair in args.items() for item in pair))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
 
 class TestSweep:
     def test_header_and_ratio_column(self, species_file):
@@ -329,6 +355,56 @@ class TestSweep:
         res = run_cli("sweep", "--z-min", "3", "--z-max", "6", "--points",
                       "1", "--species1", species_file)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("z_min, z_max", [("1", "inf"), ("nan", "2"), ("inf", "inf")])
+    def test_non_finite_range_exit_2(self, species_file, z_min, z_max):
+        # Refused before the grid is built: one error line, no numpy warning.
+        res = run_cli("sweep", "--z-min", z_min, "--z-max", z_max, "--points",
+                      "3", "--species1", species_file)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (f"error: z-min and z-max must be finite, got "
+                              f"z-min={float(z_min)!r}, z-max={float(z_max)!r}\n")
+
+
+class TestHugeSeparations:
+    # Far past the guide width every energy and bound underflows: the runs
+    # print zeros and name the underflow, under either convention.
+    tail = ("tail_estimate underflows at z={}: the truncation error bound 0.0 "
+            "is below the smallest normal double")
+    total = ("total underflows at z={}: the pair energy 0.0 is below the "
+             "smallest normal double")
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("z", ["1e45", "1e100", "1e300"])
+    def test_energy(self, species_file, convention, z):
+        res = run_cli("energy", "--z", z, "--species1", species_file,
+                      "--convention", convention)
+        assert (res.returncode, res.stderr) == (0, "")
+        report = json.loads(res.stdout)
+        assert report["total"] == 0.0 and report["tail_estimate"] == 0.0
+        assert report["warnings"] == [self.tail.format(f"{float(z):g}"),
+                                      self.total.format(f"{float(z):g}")]
+        # The free-space references keep their value where it is a double.
+        vdw, cp = report["freespace_vdw_tensor"], report["freespace_cp"]
+        if z == "1e45":
+            assert vdw == pytest.approx(-0.30235813531124522e-270, rel=1e-14)
+            assert cp == pytest.approx(11.743525592223106e-315, rel=1e-8)
+        else:
+            assert vdw == 0.0 and cp == 0.0
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("z_max", ["1e45", "1e100", "1e300"])
+    def test_sweep(self, species_file, convention, z_max):
+        res = run_cli("sweep", "--z-min", "1", "--z-max", z_max, "--points", "3",
+                      "--species1", species_file, "--convention", convention)
+        assert res.returncode == 0
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert float(rows[0][1]) < 0.0
+        assert [row[1] for row in rows[1:]] == ["0", "0"]
+        assert [row[5] for row in rows[1:]] == ["0", "0"]
+        lines = res.stderr.splitlines()
+        assert len(lines) == 4 and all(line.startswith("warning: ") for line in lines)
 
 
 class TestImport:

@@ -829,7 +829,8 @@ class TestTeSplit:
         e1, e_images = exp1(z * z * u0), exp1((rho2 + z * z) * u0)
         for edge in (switch * (1.0 + 1e-6), switch * (1.0 - 1e-6)):  # series, closed
             monkeypatch.setattr(coupling_mod, "_TE_SERIES", edge)
-            out.append(coupling_mod._te_split_images(geom, images, z, e1, e_images))
+            out.append(coupling_mod._te_split_images(
+                geom, images, np.array([z]), np.array([e1]), np.array([[e_images]]))[0])
         assert np.abs(out[0] - out[1]).max() <= 1e-12 * np.abs(out[0]).max()
 
     @pytest.mark.parametrize("b, p1, p2, z", [
@@ -846,7 +847,8 @@ class TestTeSplit:
         K = coupling_mod._split_cutoff(geom)
         k, rows = _te_screened(geom, p1, p2, K)
         base, bound = coupling_mod._te_split(geom, k, rows,
-                                             coupling_mod._split_images(geom, p1, p2), z)
+                                             coupling_mod._split_images(geom, p1, p2),
+                                             np.array([z]))
         monkeypatch.setattr(coupling_mod, "_SPLIT_REACH", 2.0 * coupling_mod._SPLIT_REACH)
         images = coupling_mod._split_images(geom, p1, p2)
         monkeypatch.undo()
@@ -854,11 +856,11 @@ class TestTeSplit:
         coupling_mod._legendre_rule.cache_clear()
         try:
             wide = coupling_mod._te_split(geom, *_te_screened(geom, p1, p2, 2.0 * K),
-                                          images, z)[0]
+                                          images, np.array([z]))[0]
         finally:
             monkeypatch.undo()
             coupling_mod._legendre_rule.cache_clear()
-        assert 0.0 < np.abs(wide - base).max() <= bound
+        assert 0.0 < np.abs(wide - base).max() <= bound[0]
 
     @pytest.mark.parametrize("b", [1.0, 0.1])
     @pytest.mark.parametrize("z", [1e-6, 1e-4, 1e-2, 0.3, 3.0, 10.0])
@@ -870,13 +872,15 @@ class TestTeSplit:
         from scipy.special import exp1, k0
         import wgdisp.coupling as coupling_mod
         geom = Geometry(1.0, b)
-        lo, tau = coupling_mod._te_short_times(geom, z)
+        lo, tau = coupling_mod._te_short_times(geom, np.array([z]))
         k = np.geomspace(math.pi, 2.0 * coupling_mod._split_cutoff(geom), 9)
-        s, w = coupling_mod._te_short_time_rule(lo, tau)
+        s, w = coupling_mod._te_short_time_rule(lo[lo < tau], tau)
         rule = coupling_mod._te_short_time_part(k, s, w * exp1(z * z / (4.0 * s)))
+        (lo,) = lo
         if lo >= tau:  # no short time is summed
-            assert np.array_equal(rule, np.zeros_like(k))
+            assert rule.shape == (0, k.size)
             return
+        (rule,) = rule
         tol = coupling_mod._TE_RULE_TOL[math.log(tau / lo) > 16.0]
         for kk, got in zip(k, rule):
             def f(v):
@@ -934,23 +938,60 @@ class TestSweep:
     @pytest.mark.parametrize("truncation", [{"tail_tol": 1e-7},
                                             {"max_cutoff": 60.0}])
     def test_points_equal_single_energies_bitwise(self, convention, truncation):
-        # A shared table must not change any number: each point equals a
-        # one-point call, in ascending and in descending z order.
+        # A shared table and splits batched over a sweep's separations must
+        # not change any number: each point equals a one-point call, in
+        # ascending, descending and shuffled z order.  The cases: off-centre
+        # points; p1 = p2, where every z sums the direct image as a series;
+        # p2 near p1, where that series has no zero term; z on both sides of
+        # sqrt(45) eta ~ 3.1a, past which the TE split sums no short time;
+        # and a sweep longer than one chunk.
+        from wgdisp.coupling import _split_width
+        from wgdisp.energy import _SPLIT_CHUNK
+        geom = Geometry(1.0, 0.7)
+        p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
+        edge = math.sqrt(45.0) * _split_width(geom)
+        across = [edge * f for f in (0.5, 0.98, 0.9999, 1.0001, 1.02, 1.5)]
+        longer = np.geomspace(0.05, 6.0, _SPLIT_CHUNK + 5).tolist()
+        rng = np.random.default_rng(7)
+        for second, zs in ((p2, np.geomspace(0.05, 2.0, 5).tolist()),
+                           (p1, np.geomspace(0.05, 2.0, 5).tolist()),
+                           (TransversePoint(0.33, 0.23), np.geomspace(0.08, 2.0, 9).tolist()),
+                           (p2, across), (p1, across), (p2, longer)):
+            cfg = PairConfiguration(geom, p1, second, 0.05, _TWO_LEVELS, ISO,
+                                    conventions=Conventions.from_name(convention))
+            ones = {z: dispersion_energy(replace(cfg, z=z), **truncation) for z in zs}
+            for order in (zs, zs[::-1], rng.permutation(zs).tolist()):
+                for z, u in zip(order, dispersion_sweep(cfg, order, **truncation)):
+                    one = ones[z]
+                    for name in ("total", "u_tm_only", "u_te_only", "tail_estimate",
+                                 "modes_used", "per_level_pair", "warnings"):
+                        assert getattr(u, name) == getattr(one, name)
+                    assert list(u.f_by_level) == list(one.f_by_level)
+                    for e, f in u.f_by_level.items():
+                        g = one.f_by_level[e]
+                        assert f.tensor.tobytes() == g.tensor.tobytes()
+                        assert (f.max_cutoff, f.modes_used) == (g.max_cutoff, g.modes_used)
+
+    def test_splits_call_each_kernel_once_per_chunk(self, monkeypatch):
+        # The default conventions take both channels from the splits; their
+        # E1 and K0 values come from one call per chunk of separations.
+        import wgdisp.coupling as coupling_mod
+        from wgdisp.energy import _SPLIT_CHUNK
+        calls = []
+        for name in ("exp1", "k0"):
+            def counted(x, _kernel=getattr(coupling_mod, name), _name=name):
+                calls.append(_name)
+                return _kernel(x)
+            monkeypatch.setattr(coupling_mod, name, counted)
         cfg = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.31, 0.22),
-                                TransversePoint(0.68, 0.41), 0.05, _TWO_LEVELS,
-                                ISO, conventions=Conventions.from_name(convention))
-        zs = np.geomspace(0.05, 2.0, 5).tolist()
-        for order in (zs, zs[::-1]):
-            for z, u in zip(order, dispersion_sweep(cfg, order, **truncation)):
-                one = dispersion_energy(replace(cfg, z=z), **truncation)
-                for name in ("total", "u_tm_only", "u_te_only", "tail_estimate",
-                             "modes_used", "per_level_pair", "warnings"):
-                    assert getattr(u, name) == getattr(one, name)
-                assert list(u.f_by_level) == list(one.f_by_level)
-                for e, f in u.f_by_level.items():
-                    g = one.f_by_level[e]
-                    assert f.tensor.tobytes() == g.tensor.tobytes()
-                    assert (f.max_cutoff, f.modes_used) == (g.max_cutoff, g.modes_used)
+                                TransversePoint(0.68, 0.41), 0.05, _TWO_LEVELS, ISO)
+        for n in (1, 5, 2 * _SPLIT_CHUNK + 3):
+            calls.clear()
+            sweep = dispersion_sweep(cfg, np.geomspace(0.05, 5.0, n).tolist(),
+                                     tail_tol=1e-7)
+            chunks = -(-n // _SPLIT_CHUNK)
+            assert len(sweep) == n
+            assert (calls.count("exp1"), calls.count("k0")) == (chunks, chunks)
 
     def test_sweep_lists_each_mode_once(self, monkeypatch):
         import wgdisp.energy as energy_mod
