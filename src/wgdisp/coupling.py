@@ -213,7 +213,11 @@ _SPLIT_EPS = 1e-17
 _SPLIT_REACH = math.sqrt(-math.log(_SPLIT_EPS))  # image reach in units of eta
 # Weight class of each TM entry: 0 transverse-transverse, 1 mixed, 2 zz.
 _SPLIT_CLASS = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2]])
-_DIAGONAL = np.arange(3)
+
+
+def _diagonals(out: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-ordered stack of square matrices."""
+    return out.reshape(out.shape[0], -1)[:, ::out.shape[-1] + 1]
 
 
 def _split_width(geom: Geometry) -> float:
@@ -336,7 +340,7 @@ def _tm_split_images(geom, images, z):
     c = (along - transverse) / r2
     # One product of a (3, n) and an (n, 3) matrix per separation.
     out = 0.5 * (d * c[:, None, :]) @ (d * w).transpose(0, 2, 1)
-    out[:, _DIAGONAL, _DIAGONAL] += (0.5 * w @ transverse[:, :, None])[:, :, 0]
+    _diagonals(out)[:] += (0.5 * w @ transverse[:, :, None])[:, :, 0]
     return out
 
 
@@ -487,9 +491,9 @@ def _te_short_time_rule(lo, tau):
     rounds some arguments differently).
     """
     x, w = _legendre_rule()
-    log_lo, half = np.array([(math.log(v), 0.5 * math.log(tau / v))
-                             for v in lo.tolist()]).reshape(-1, 2, 1).transpose(1, 0, 2)
-    s = np.exp(log_lo + half * (x + 1.0))
+    logs = np.array([(math.log(v), math.log(tau / v)) for v in lo.tolist()]).reshape(-1, 2)
+    half = 0.5 * logs[:, 1:]
+    s = np.exp(logs[:, :1] + half * (x + 1.0))
     return s, half * w * s
 
 
@@ -563,11 +567,11 @@ def _te_split_images(geom, images, z, e1, e_images):
     a_part = np.exp(-q * u0) * e1[:, None]
     j0 = (a_part - e_images) / q
     j1 = (j0 + u0 * a_part - np.exp(-r2 * u0) / r2) / q
-    at, image = np.nonzero(near)
-    if at.size:
+    if near.any():
+        at, image = np.nonzero(near)
         j0[near], j1[near] = _te_series(rho2[image], z[at], u0, e1[at])
     out = -(d * (j1 / (2.0 * np.pi))[:, None, :]) @ (d * s).T
-    out[:, _DIAGONAL[:2], _DIAGONAL[:2]] += (s @ j0[:, :, None])[:, :, 0] / (4.0 * np.pi)
+    _diagonals(out)[:] += (s @ j0[:, :, None])[:, :, 0] / (4.0 * np.pi)
     return out
 
 
@@ -596,11 +600,13 @@ def _te_split(geom, k, rows, images, z):
         e = exp1(np.concatenate([(zz[ruled, None] / (4.0 * s)).ravel(),
                                  ((images[2] + zz[:, None]) * u0).ravel(),
                                  zz * u0, zz / (4.0 * np.minimum(lo, tau))]))
-        radial = k0(np.multiply.outer(z, k))
-        weight = radial.copy()
-        weight[ruled] -= _te_short_time_part(k, s, w * e[:s.size].reshape(s.shape))
-        e_images, e1, e_edge = np.split(e[s.size:], [-2 * z.size, -z.size])
-        near = _te_split_images(geom, images, z, e1, e_images.reshape(z.size, -1))
+        radial = weight = k0(np.multiply.outer(z, k))
+        if s.size:
+            weight = radial.copy()
+            weight[ruled] -= _te_short_time_part(k, s, w * e[:s.size].reshape(s.shape))
+        e1, e_edge = e[-2 * z.size:-z.size], e[-z.size:]
+        near = _te_split_images(geom, images, z, e1,
+                                e[s.size:-2 * z.size].reshape(z.size, -1))
     out = np.zeros((z.size, 3, 3))
     out[:, :2, :2] = (rows[:, 0:2] * weight[:, :, None]).transpose(0, 2, 1) \
         @ rows[:, 2:4] + _ROTATE @ near @ _ROTATE.T

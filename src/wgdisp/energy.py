@@ -890,8 +890,10 @@ def dispersion_sweep(
     or ``max_cutoff`` as in :func:`f_tensor`.  Every point and level sums
     from one :class:`ModeTable`, so each mode is listed and its transverse
     factors are built once per sweep; a point costs its radial weights and
-    contractions.  Each breakdown equals that of :func:`dispersion_energy`
-    at its z bit for bit.
+    contractions.  The splits :func:`f_tensor` reads are evaluated for
+    every z of the sweep up front, by :meth:`ModeTable.compute_splits`.
+    Each breakdown equals that of :func:`dispersion_energy` at its z bit
+    for bit.
     """
     return _sweep(config, zs, tail_tol, max_cutoff, mode_cap, detail_cap,
                   _confinement_guard(config))
