@@ -468,20 +468,25 @@ class ModeTable:
         """
         geom = self.key[0]
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
+        # From z = 1e6 (a + b) on, every term of both splits and of the TE
+        # bound is below the smallest double (z / eta and k z both pass 3e6),
+        # so the kernels take such z there, where no square overflows.
+        near = np.minimum(z, 1e6 * (geom.a + geom.b))
         for pol in pols:
             k, factors, live = self._screened(pol)
             store = {}
             for start in range(0, z.size, _SPLIT_CHUNK):
-                part = z[start:start + _SPLIT_CHUNK]
+                part = slice(start, start + _SPLIT_CHUNK)
                 if pol == TM:
-                    out = _coupling._tm_split(geom, k, factors, self._images, part)
+                    out = _coupling._tm_split(geom, k, factors, self._images, near[part])
                     out = np.where(live, out, 0.0) + 0.0
-                    bounds = [_coupling._tm_split_bound(geom, v) for v in part.tolist()]
+                    bounds = [_coupling._tm_split_bound(geom, v) for v in z[part].tolist()]
                 else:
-                    out, bounds = _coupling._te_split(geom, k, factors, self._images, part)
+                    out, bounds = _coupling._te_split(geom, k, factors, self._images,
+                                                      near[part])
                     out[:, :2, :2] = np.where(live, out[:, :2, :2], 0.0)
                     bounds = bounds.tolist()
-                store.update(zip(part.tolist(), zip(out, bounds)))
+                store.update(zip(z[part].tolist(), zip(out, bounds)))
             self._splits[pol] = store
 
     def tm_split(self, z: float) -> tuple[np.ndarray, float]:

@@ -972,6 +972,21 @@ class TestSweep:
                         assert f.tensor.tobytes() == g.tensor.tobytes()
                         assert (f.max_cutoff, f.modes_used) == (g.max_cutoff, g.modes_used)
 
+    @pytest.mark.parametrize("b", [1.0, 0.1, 1e-4])
+    def test_splits_vanish_before_the_far_edge(self, b):
+        # compute_splits evaluates every z past 1e6 (a + b) at that edge;
+        # below it, where no square overflows, both splits and their bounds
+        # are already exact zeros.
+        geom = Geometry(1.0, b)
+        for p2 in (TransversePoint(0.3, 0.4 * b), TransversePoint(0.8, 0.1 * b)):
+            table = ModeTable(geom, TransversePoint(0.3, 0.4 * b), p2, Conventions())
+            edge = 1e6 * (geom.a + geom.b)
+            zs = [0.999 * edge, edge, 2.0 * edge, 1e300]
+            table.compute_splits(zs)
+            for z in zs:
+                for split in (table.tm_split(z), table.te_split(z)):
+                    assert not split[0].any() and split[1] == 0.0
+
     def test_splits_call_each_kernel_once_per_chunk(self, monkeypatch):
         # The default conventions take both channels from the splits; their
         # E1 and K0 values come from one call per chunk of separations.
