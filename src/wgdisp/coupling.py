@@ -380,12 +380,12 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     """
     eta = _split_width(geom)
     cutoff, low, gauss, _, lattice = _bound_parts(geom)
-    screen = math.exp(-_power(z / eta, 2))
+    screen = math.exp(-(z / eta) ** 2)
     spectral = 2.0 * screen * gauss
     if 2.0 * z / eta ** 2 > cutoff:
         # 2 integral_low^inf k^2 e^{-kz} dk
-        spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / _power(z, 2)
-                                                + 2.0 / _power(z, 3))
+        spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / z ** 2
+                                                + 2.0 / z ** 3)
     reach = _SPLIT_REACH * eta
     rc2 = reach * reach + z * z
     poly = (4.0 / (math.sqrt(math.pi) * eta)) * (1.0 / eta ** 2 + 1.0 / rc2) \
@@ -641,10 +641,8 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
     gauss = 0.5 * level * gauss
     x = low * z
     half_gamma = 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x))  # Gamma(1/2, x) / 2
-    decay = math.exp(-x)
-    head = math.sqrt(x) * decay if decay else 0.0  # also where x overflows
     tail = math.sqrt(math.pi / (2.0 * z)) * (
-        plane * (head + half_gamma) / _power(z, 1.5)
+        plane * (math.sqrt(x) * math.exp(-x) + half_gamma) / z ** 1.5
         + lines * 2.0 * half_gamma / math.sqrt(z))
     spectral = rows * min(gauss, tail)
     lo, tau = _te_short_times(geom, z)

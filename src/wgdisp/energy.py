@@ -468,9 +468,10 @@ class ModeTable:
         """
         geom = self.key[0]
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
-        # From z = 1e6 (a + b) on, every term of both splits and of the TE
-        # bound is below the smallest double (z / eta and k z both pass 3e6),
-        # so the kernels take such z there, where no square overflows.
+        # From z = 1e6 (a + b) on, every term of both splits and of their
+        # bounds is below the smallest double (z / eta and k z both pass
+        # 3e6), so the kernels take such z there, where no power of z
+        # overflows.
         near = np.minimum(z, 1e6 * (geom.a + geom.b))
         for pol in pols:
             k, factors, live = self._screened(pol)
@@ -480,7 +481,7 @@ class ModeTable:
                 if pol == TM:
                     out = _coupling._tm_split(geom, k, factors, self._images, near[part])
                     out = np.where(live, out, 0.0) + 0.0
-                    bounds = [_coupling._tm_split_bound(geom, v) for v in z[part].tolist()]
+                    bounds = [_coupling._tm_split_bound(geom, v) for v in near[part].tolist()]
                 else:
                     out, bounds = _coupling._te_split(geom, k, factors, self._images,
                                                       near[part])
