@@ -12,7 +12,8 @@ mode table.
   e^x K0(x) = int_0^inf e^{-s} (s (2x + s))^{-1/2} ds and
   e^x E1(x) = int_0^inf e^{-s} / (x + s) ds.
 * erfcx: exp(x^2) erfc(x) below x = 26, with x^2 split exactly; above,
-  sqrt(pi) erfcx(x) = int_0^inf e^{-s} (x^2 + s)^{-1/2} ds.
+  sqrt(pi) erfcx(x) = int_0^inf e^{-s} (x^2 + s)^{-1/2} ds, and from
+  x = 1e150 on, where x^2 would overflow, its limit 1 / x.
 * erfc: the C library's, through :func:`math.erfc` element by element.
 
 The integrals take the trapezoidal rule after the double-exponential
@@ -25,7 +26,7 @@ constant is fitted.
 
 Accuracy against mpmath at 30 digits (``tools/check_special.py``): within
 1.1e-15 relative for K0 and E1 on [1e-300, 700] and for erfcx on
-[-26, 1e4], and 3.6e-16 for erfc on [-30, 26.5], where scipy's own erfc is
+[-26, 1e300], and 3.6e-16 for erfc on [-30, 26.5], where scipy's own erfc is
 off by up to 5.6e-14 (about x^2 ulps past x = 8).  K0 and E1 underflow to
 0 past about 745, as scipy's do.
 """
@@ -37,6 +38,7 @@ import math
 import numpy as np
 
 _EULER = 0.57721566490153286061
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 def _rule(step, first, count, power):
@@ -129,7 +131,14 @@ def _erfcx_product(x):
     return np.exp(hi * hi) * np.exp((x - hi) * (x + hi)) * erfc(x)
 
 
+def _erfcx_large(x):
+    """erfcx(x), x >= 26: the rule, and from x = 1e150 on, where the rule's
+    x^2 nears the largest double, 1 / (x sqrt(pi)), whose relative
+    correction -1 / (2 x^2) is below 1e-300 there."""
+    return _piecewise(x, 1e150, lambda x: _sums(
+        x, lambda c: _W / np.sqrt(c * c + _S)) * _INV_SQRT_PI, lambda x: _INV_SQRT_PI / x)
+
+
 def erfcx(x):
     """Scaled complementary error function exp(x^2) erfc(x), x > -26."""
-    return _piecewise(x, 26.0, _erfcx_product, lambda x: _sums(
-        x, lambda c: _W / np.sqrt(c * c + _S)) * (1.0 / math.sqrt(math.pi)))
+    return _piecewise(x, 26.0, _erfcx_product, _erfcx_large)

@@ -264,17 +264,11 @@ def _energy_report(args, z: float) -> dict:
     (fs_vdw, fs_cp), = _freespace(sp1, sp2, [z], config.epsilon)
 
     lowest_e = min(t.energy for t in sp1.transitions)
-    top_modes = []
-    f_res = breakdown.f_by_level.get(lowest_e)
-    per_mode = f_res.per_mode if top_n > 0 and f_res is not None else None
-    if per_mode:
-        modes, tensors = list(per_mode), list(per_mode.values())
-        peaks = np.abs(np.array(tensors)).max(axis=(1, 2)).tolist()
-        ranked = sorted(range(len(modes)), key=lambda i: (
-            -peaks[i], modes[i].polarization, modes[i].m, modes[i].n))
-        for i in ranked[:top_n]:
-            top_modes.append({"mode": modes[i].label(), "max_abs_f": peaks[i],
-                              "f": tensors[i].tolist()})
+    top_modes = [{"mode": mode.label(), "max_abs_f": peak, "f": f.tolist()}
+                 for mode, peak, f in breakdown.f_by_level[lowest_e].top_modes(top_n)]
+    # RFC 8259 has no NaN: the ratio to a reference that underflowed to 0
+    # is written as null.
+    ratio = _ratio(breakdown.total, fs_vdw)
 
     report = {
         "inputs": {
@@ -300,7 +294,7 @@ def _energy_report(args, z: float) -> dict:
         "top_modes": top_modes,
         "freespace_vdw_tensor": fs_vdw,
         "freespace_cp": fs_cp,
-        "ratio_to_freespace_vdw": _ratio(breakdown.total, fs_vdw),
+        "ratio_to_freespace_vdw": None if math.isnan(ratio) else ratio,
         "warnings": breakdown.warnings,
     }
     if si_a is not None:

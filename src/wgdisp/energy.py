@@ -160,10 +160,12 @@ class FTensorResult:
     ``per_mode`` maps each mode of the plain mode sum that meets the same
     truncation (see :func:`f_tensor`) to its own 3x3 coupling, or is
     ``None`` when that sum has more than ``detail_cap`` modes or a dipole
-    sits at a corner.  The map is built on first read from the
-    :class:`ModeTable` the tensor came from, which then lists and builds
-    the modes it lacks, so callers that only need the tensor never pay for
-    it.
+    sits at a corner.  :meth:`top_modes` ranks the same modes and builds a
+    :class:`ModeIndex` and a 3x3 copy only for those it returns.  Both read
+    one set of stacked arrays (:meth:`ModeTable.mode_tensors`), built on
+    first read from the table the tensor came from, which then lists and
+    builds the modes it lacks, so callers that only need the tensor never
+    pay for them.
     """
 
     tensor: np.ndarray
@@ -185,7 +187,9 @@ class FTensorResult:
         return self.tm_modes + self.te_modes
 
     @cached_property
-    def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
+    def _stacked(self):
+        """:meth:`ModeTable.mode_tensors` of the modes ``per_mode`` shows,
+        or None."""
         if self._detail is None:
             return None
         table, cutoffs, budget, z, energy, detail_cap = self._detail
@@ -193,7 +197,28 @@ class FTensorResult:
                 *cutoffs, z, table.key[0], energy, budget)) is not None:
             cutoffs = step
         counts = table.listed_counts(cutoffs, detail_cap)
-        return None if counts is None else table.per_mode(counts, z, energy)
+        return None if counts is None else table.mode_tensors(counts, z, energy)
+
+    @cached_property
+    def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
+        if self._stacked is None:
+            return None
+        pol, ms, ns, tensors = self._stacked
+        return {ModeIndex(*key): tensors[:, :, i].copy()
+                for i, key in enumerate(zip(pol.tolist(), ms.tolist(), ns.tolist()))}
+
+    def top_modes(self, n: int) -> list[tuple[ModeIndex, float, np.ndarray]]:
+        """The ``n`` modes of ``per_mode`` with the largest max |F|, as
+        (mode, max |F|, 3x3 coupling), ranked by (-max |F|, polarization,
+        m, n); empty where ``per_mode`` is None."""
+        if n <= 0 or self._stacked is None:
+            return []
+        pol, ms, ns, tensors = self._stacked
+        peaks = np.abs(tensors).max(axis=(0, 1))
+        top = np.lexsort((ns, ms, pol, -peaks))[:n]
+        keys = zip(pol[top].tolist(), ms[top].tolist(), ns[top].tolist())
+        return [(ModeIndex(*key), peak, tensors[:, :, i].copy())
+                for key, peak, i in zip(keys, peaks[top].tolist(), top.tolist())]
 
 
 @dataclass
@@ -559,11 +584,15 @@ class ModeTable:
         counts = self.counts(*cutoffs)
         return counts if sum(counts) <= cap else None
 
-    def per_mode(self, counts: tuple[int, int], z: float,
-                 energy: float) -> dict[ModeIndex, np.ndarray]:
-        """Each of the first ``counts`` modes mapped to its 3x3 coupling."""
+    def mode_tensors(self, counts: tuple[int, int], z: float,
+                     energy: float) -> tuple[np.ndarray, ...]:
+        """Polarizations, indices m and n, and (3, 3, N) couplings of the
+        first ``counts`` modes: the TM modes, then the TE modes, each in
+        table order."""
         geom, p1, p2, conv = self.key
-        out = {}
+        pols = [np.empty(0, dtype="<U2")]
+        mns = [np.empty((2, 0), dtype=np.int32)]
+        tensors = [np.empty((3, 3, 0))]
         for pol, count in zip((TM, TE), counts):
             if count == 0:
                 continue
@@ -571,13 +600,14 @@ class ModeTable:
                      for b, used in self._filled(pol, count)]
             k, mn, rows = (np.concatenate(p, axis=-1) for p in zip(*parts))
             if pol == TM:
-                tensors = _coupling._tm_mode_tensors(geom, mn[0], mn[1], k, rows,
-                                                     p1, p2, z, conv)
+                tensors.append(_coupling._tm_mode_tensors(geom, mn[0], mn[1], k, rows,
+                                                          p1, p2, z, conv))
             else:
-                tensors = _coupling._te_mode_tensors(k, rows, z, energy, conv)
-            for idx, (m, n) in enumerate(zip(*mn.tolist())):
-                out[ModeIndex(pol, m, n)] = tensors[:, :, idx].copy()
-        return out
+                tensors.append(_coupling._te_mode_tensors(k, rows, z, energy, conv))
+            pols.append(np.full(count, pol))
+            mns.append(mn)
+        m, n = np.concatenate(mns, axis=1)
+        return np.concatenate(pols), m, n, np.concatenate(tensors, axis=2)
 
 
 def _next_cutoffs(K_tm: float, K_te: float, z: float, geom: Geometry,

@@ -41,3 +41,17 @@ def near_field_energy(species1, species2, z, epsilon=1.0):
     return sum(pref / (t1.energy + t2.energy) * quadratic_contraction(
         species2.second_moment(t2), species1.second_moment(t1), f, f)
         for t1 in species1.transitions for t2 in species2.transitions)
+
+
+def ranked_modes(per_mode, n):
+    """The ``n`` largest per-mode couplings of a ``per_mode`` map, as
+    (mode, max |F|, 3x3 coupling), sorted in Python on
+    (-max |F|, polarization, m, n): the ranking ``energy`` printed as
+    ``top_modes`` before it ranked stacked arrays."""
+    if not per_mode or n <= 0:
+        return []
+    modes, tensors = list(per_mode), list(per_mode.values())
+    peaks = np.abs(np.array(tensors)).max(axis=(1, 2)).tolist()
+    ranked = sorted(range(len(modes)), key=lambda i: (
+        -peaks[i], modes[i].polarization, modes[i].m, modes[i].n))
+    return [(modes[i], peaks[i], tensors[i]) for i in ranked[:n]]

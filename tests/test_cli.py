@@ -48,6 +48,10 @@ z_over_a,direct_sum,integral_approx
 """
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run_cli(*argv, cwd=None):
     env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
            "PYTHONHASHSEED": "0"}
@@ -177,6 +181,60 @@ class TestEnergy:
         for value in (report["total"], report["per_level_pair"]["0,0"],
                       report["ratio_to_freespace_vdw"]):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    # top_modes of the report below as printed when energy sorted the whole
+    # per_mode map in Python.
+    TOP_MODES_GOLDEN = [("TM11", 0.3297700469654598), ("TM21", 0.11948470162374838),
+                        ("TM31", 0.015479574712016511), ("TM12", 0.012439116564339815),
+                        ("TE10", 0.01222516681376103)]
+
+    def test_top_modes_without_per_mode(self, tmp_path, monkeypatch, capsys):
+        # energy ranks the stacked couplings: it never builds the per_mode
+        # map, and prints what the sort over that map printed.
+        from helpers import ranked_modes
+        from wgdisp import cli, energy
+        species = tmp_path / "two.species"
+        species.write_text("E=0.06283185307179587 d=(1,1,1)\n"
+                           "E=0.10471975511965977 d=(0.3,0.5,1)\n")
+        argv = ["energy", "--z", "0.8", "--species1", str(species), "--a", "1",
+                "--b", "0.6", "--x1", "0.2", "--y1", "0.35", "--x2", "0.7",
+                "--y2", "0.1", "--top-modes", "5"]
+        per_mode = energy.FTensorResult.per_mode
+
+        def forbidden(self):
+            raise AssertionError("energy read FTensorResult.per_mode")
+        monkeypatch.setattr(energy.FTensorResult, "per_mode", property(forbidden))
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert [entry["mode"] for entry in report["top_modes"]] \
+            == [mode for mode, _ in self.TOP_MODES_GOLDEN]
+        assert [entry["max_abs_f"] for entry in report["top_modes"]] == pytest.approx(
+            [peak for _, peak in self.TOP_MODES_GOLDEN], rel=PINNED_RTOL, abs=0.0)
+        # The same bytes as the report with top_modes from the old sort.
+        monkeypatch.setattr(energy.FTensorResult, "per_mode", per_mode)
+        config = cli._pair_configuration(cli._parser().parse_args(argv), 0.8)
+        lowest = energy.dispersion_energy(config).f_by_level[0.06283185307179587]
+        report["top_modes"] = [{"mode": mode.label(), "max_abs_f": peak, "f": f.tolist()}
+                               for mode, peak, f in ranked_modes(lowest.per_mode, 5)]
+        assert cli._json_dump(report) == out
+
+    def test_builds_mode_indices_for_printed_modes_only(self, species_file,
+                                                        monkeypatch, capsys):
+        from wgdisp import cli, energy
+        built = []
+
+        class Counted(energy.ModeIndex):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+        monkeypatch.setattr(energy, "ModeIndex", Counted)
+        assert cli.main(["energy", "--z", "0.3", "--species1", species_file,
+                         "--top-modes", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [mode.label() for mode in built] \
+            == [entry["mode"] for entry in report["top_modes"]]
+        assert len(built) == 3 and report["modes_used"] > 3
 
     @pytest.mark.parametrize("command", [
         ["energy", "--z", "0.5"],
@@ -381,7 +439,7 @@ class TestHugeSeparations:
         res = run_cli("energy", "--z", z, "--species1", species_file,
                       "--convention", convention)
         assert (res.returncode, res.stderr) == (0, "")
-        report = json.loads(res.stdout)
+        report = json.loads(res.stdout, parse_constant=_refuse_constant)
         assert report["total"] == 0.0 and report["tail_estimate"] == 0.0
         assert report["warnings"] == [self.tail.format(f"{float(z):g}"),
                                       self.total.format(f"{float(z):g}")]
@@ -390,8 +448,11 @@ class TestHugeSeparations:
         if z == "1e45":
             assert vdw == pytest.approx(-0.30235813531124522e-270, rel=1e-14)
             assert cp == pytest.approx(11.743525592223106e-315, rel=1e-8)
+            assert report["ratio_to_freespace_vdw"] == 0.0
         else:
+            # A ratio to a zero reference is null: RFC 8259 has no NaN.
             assert vdw == 0.0 and cp == 0.0
+            assert report["ratio_to_freespace_vdw"] is None
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     @pytest.mark.parametrize("z_max", ["1e45", "1e100", "1e300"])

@@ -173,9 +173,10 @@ class TestOneModeViews:
         z, energy, K = 0.37, 0.0628, 20.0
         table = ModeTable(geom, p1, p2, conv)
         table.extend(K)
-        per_mode = table.per_mode(table.counts(K), z, energy)
-        assert {mode.polarization for mode in per_mode} == {"TM", "TE"}
-        for mode, tensor in per_mode.items():
+        pol, ms, ns, tensors = table.mode_tensors(table.counts(K), z, energy)
+        assert set(pol.tolist()) == {"TM", "TE"}
+        modes = map(ModeIndex, pol.tolist(), ms.tolist(), ns.tolist())
+        for mode, tensor in zip(modes, np.moveaxis(tensors, 2, 0)):
             # An exact zero prints as 0.0, never as -0.0.
             assert not np.signbit(tensor[tensor == 0.0]).any(), mode
             for orient in ORIENTATIONS:

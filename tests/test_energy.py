@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from helpers import near_field_energy
+from helpers import near_field_energy, ranked_modes
 from wgdisp.conventions import Conventions
 from wgdisp.energy import (DipoleSpecies, DipoleTransition, ModeTable,
                            PairConfiguration, dispersion_energy,
@@ -325,20 +325,20 @@ class TestKernels:
         if lower is not None:
             table.extend(lower)
         table.extend(200.0)
-        per_mode = table.per_mode(table.counts(200.0), z, E100)
+        pol, ms, ns, tensors = table.mode_tensors(table.counts(200.0), z, E100)
         tables = mode_arrays(geom, 200.0)
-        keys = []
-        for pol, direct, extra in (("TM", _direct_tm, ()),
-                                   ("TE", _direct_te, (E100,))):
-            t = tables[pol]
+        start = 0
+        for name, direct, extra in (("TM", _direct_tm, ()),
+                                    ("TE", _direct_te, (E100,))):
+            t = tables[name]
             want = direct(geom, t["m"].astype(float), t["n"].astype(float),
                           t["k"], p1, p2, z, *extra, conv)
-            modes = [ModeIndex(pol, m, n)
-                     for m, n in zip(t["m"].tolist(), t["n"].tolist())]
-            got = np.stack([per_mode[mode] for mode in modes], axis=2)
-            assert got.tobytes() == want.tobytes()
-            keys += modes
-        assert list(per_mode) == keys
+            part = slice(start, start + t["k"].size)
+            assert np.all(pol[part] == name)
+            assert np.array_equal(ms[part], t["m"]) and np.array_equal(ns[part], t["n"])
+            assert np.ascontiguousarray(tensors[:, :, part]).tobytes() == want.tobytes()
+            start = part.stop
+        assert pol.size == ms.size == ns.size == tensors.shape[2] == start
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_write_into_slice_of_larger_array(self, convention):
@@ -532,6 +532,73 @@ class TestCornerDipole:
                                 TransversePoint(0.6, 0.5), 0.5, ISO, ISO)
         u = dispersion_energy(cfg, tail_tol=1e-6)
         assert u.total < 0.0 and u.modes_used > 0 and u.warnings == []
+
+
+@st.composite
+def _top_mode_cases(draw):
+    # Rectangular guides with any two interior points, and square guides
+    # with mirrored or diagonal points, where TMmn and TMnm (and TE10 and
+    # TE01) can tie in max |F|.
+    x, y = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+    shape = draw(st.sampled_from(["rectangle", "mirrored", "diagonal", "centre"]))
+    if shape == "rectangle":
+        b = draw(st.floats(0.5, 1.0))
+        points = (x, y * b), (draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95)) * b)
+    else:
+        b = 1.0
+        points = {"mirrored": ((x, y), (y, x)), "diagonal": ((x, x), (y, y)),
+                  "centre": ((0.5, 0.5), (0.5, 0.5))}[shape]
+    conv = Conventions.from_name(draw(st.sampled_from(["oracle-consistent",
+                                                       "paper-literal"])))
+    z = 0.1 * 50.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.1a, 5a]
+    cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*points[0]),
+                            TransversePoint(*points[1]), z, ISO, ISO,
+                            conventions=conv)
+    truncation = draw(st.sampled_from([
+        {"tail_tol": 10.0 ** draw(st.floats(-10.0, -4.0))},
+        {"max_cutoff": draw(st.floats(2.0, 40.0))}]))
+    return cfg, truncation, draw(st.sampled_from([0, 1, 8, 10 ** 6]))
+
+
+def _assert_same_ranking(got, want):
+    assert [(mode, type(peak)) for mode, peak, _ in got] \
+        == [(mode, type(peak)) for mode, peak, _ in want]
+    for (_, peak, f), (_, ref_peak, ref_f) in zip(got, want):
+        assert np.float64(peak).tobytes() == np.float64(ref_peak).tobytes()
+        assert f.tobytes() == ref_f.tobytes() and f.tolist() == ref_f.tolist()
+
+
+class TestTopModes:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_top_mode_cases())
+    def test_equals_sorted_per_mode(self, case):
+        # The ranking of the stacked arrays is, label, peak and tensor bit
+        # for bit, the Python sort over per_mode that energy once made.
+        cfg, truncation, n = case
+        ft = f_tensor(cfg, E100, **truncation)
+        _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
+
+    def test_ties_follow_polarization_and_indices(self):
+        # Centred in a square guide, TMmn and TMnm, and TE01 and TE10, have
+        # the same peak to the bit; the smaller indices rank first.
+        ft = f_tensor(_config(0.8), E100, max_cutoff=20.0)
+        got = ft.top_modes(10 ** 6)
+        _assert_same_ranking(got, ranked_modes(ft.per_mode, 10 ** 6))
+        assert len(got) == len(ft.per_mode)
+        labels = [mode.label() for mode, _, _ in got]
+        assert labels[:7] == ["TM11", "TM12", "TM21", "TM13", "TM31", "TE01", "TE10"]
+        assert got[1][1] == got[2][1] and got[3][1] == got[4][1] \
+            and got[5][1] == got[6][1]
+
+    def test_corner_dipole_lists_nothing(self):
+        cfg = _config(0.5, p1=TransversePoint(0.0, 0.0))
+        ft = f_tensor(cfg, E100, tail_tol=1e-6)
+        assert ft.per_mode is None and ft.top_modes(8) == []
+
+    def test_past_detail_cap_lists_nothing(self):
+        ft = f_tensor(_config(0.5), E100, tail_tol=1e-6, detail_cap=10)
+        assert ft.per_mode is None and ft.top_modes(8) == []
+        assert f_tensor(_config(0.5), E100, tail_tol=1e-6).top_modes(8) != []
 
 
 _ONE_SIGN = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 2.0),

@@ -8,6 +8,7 @@ exp(-x^2) erfcx(x) from scipy's erfcx, with x^2 split exactly.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ def test_erfcx_does_not_overflow():
     got = _special.erfcx(x)
     assert np.all(np.isfinite(got)) and np.all(got > 0.0)
     assert _rel(got, sc.erfcx(x)) <= TOL
+
+
+@pytest.mark.parametrize("x", [1e154, 1e200, 1e300])
+def test_erfcx_past_the_square_of_the_largest_double(x):
+    # Past about 1.3e154 x^2 overflows; there erfcx(x) = 1 / (x sqrt(pi))
+    # to double precision, and no warning is raised.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _special.erfcx(x)
+        both = _special.erfcx(np.array([30.0, x]))
+    want = 1.0 / (x * math.sqrt(math.pi))
+    assert abs(got / want - 1.0) <= 1e-15
+    assert both[1] == got and both[0] == _special.erfcx(30.0)
 
 
 def test_value_does_not_depend_on_the_array():

@@ -20,18 +20,36 @@ from wgdisp import _special
 
 mp.mp.dps = 30
 
+
+def erfcx(x):
+    """exp(x^2) erfc(x).  From x = 1e4 on, where x^2 rounded to 30 digits
+    leaves exp(x^2) too few of them, by the asymptotic series
+    sum_k (-1)^k (2k - 1)!! / (2 x^2)^k / (x sqrt(pi)), summed until a term
+    is below 1e-40: its error is below the first term it drops."""
+    if x < 1e4:
+        return mp.erfc(x) * mp.exp(x * x)
+    term = total = mp.mpf(1)
+    k = 0
+    while abs(term) > mp.mpf("1e-40"):
+        k += 1
+        term *= -(2 * k - 1) / (2 * x * x)
+        total += term
+    return total / (x * mp.sqrt(mp.pi))
+
+
 EXACT = {
     "k0": lambda x: mp.besselk(0, x),
     "exp1": mp.e1,
     "erfc": mp.erfc,
-    "erfcx": lambda x: mp.erfc(x) * mp.exp(x * x),
+    "erfcx": erfcx,
 }
 RANGES = {
     "k0": [(1e-300, 1e-14), (1e-14, 0.1), (0.1, 0.5), (0.5, 2.0), (2.0, 20.0),
            (20.0, 700.0)],
     "exp1": [(1e-300, 1e-14), (1e-14, 0.5), (0.5, 2.0), (2.0, 20.0), (20.0, 700.0)],
     "erfc": [(-30.0, -1.0), (-1.0, 1.0), (1.0, 8.0), (8.0, 26.5)],
-    "erfcx": [(-26.0, 0.0), (0.0, 0.5), (0.5, 26.0), (26.0, 100.0), (100.0, 1e4)],
+    "erfcx": [(-26.0, 0.0), (0.0, 0.5), (0.5, 26.0), (26.0, 100.0), (100.0, 1e4),
+              (1e4, 1e300)],
 }
 
 
