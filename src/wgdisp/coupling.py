@@ -46,8 +46,13 @@ images at any separation, and each has a derived truncation bound
 integration of the defining wavenumber integrals and is the oracle the
 closed forms are validated against.  Two independent regularization
 routes are provided: ``real-axis-subtracted`` (cosine/sine-weighted
-Fourier quadrature of the decaying remainder) and ``branch-cut-rotated``
-(integration along a rotated, manifestly decaying contour).
+Fourier integral of the decaying remainder, by the double-exponential rule
+of T. Ooura and M. Mori, J. Comput. Appl. Math. 38 (1991) 353 and 112
+(1999) 229) and ``branch-cut-rotated`` (the exp-sinh double-exponential
+rule along a rotated, manifestly decaying contour).  Each kernel integral
+is one numpy sum over all nodes at once; its error is the difference
+between the rules at steps h and 2h plus a rounding floor, and no term of
+it comes from a closed form the oracle validates.
 
 Natural units hbar = c = 1 throughout.
 """
@@ -76,24 +81,24 @@ SCHEMES = ("real-axis-subtracted", "branch-cut-rotated")
 class QuadratureSpec:
     """Scheme and accuracy controls for the wavenumber-integral oracle.
 
-    The oscillatory routes lose relative accuracy like exp(zeta) times
-    machine epsilon for zeta = k_mn z (the integral is exponentially
-    small against an order-one integrand), so certifying rel_tol = 1e-9
-    is possible up to zeta ~ 9; beyond that pick a looser tolerance or
-    expect a QuadratureError carrying the best estimate.
+    Both schemes sum double-exponential rules at a fixed step and at twice
+    it; the reported error is their difference plus a rounding floor of a
+    few ulps of the sum of the terms' magnitudes.  The kernel integrals are
+    exponentially small against an order-one integrand, so that floor grows
+    like exp(zeta) times machine epsilon for zeta = k_mn z: certifying
+    rel_tol = 1e-9 is possible up to zeta ~ 9 on the real axis and ~ 15 on
+    the rotated ray; beyond that pick a looser tolerance or expect a
+    QuadratureError carrying the best estimate.
     """
 
     scheme: str = "branch-cut-rotated"
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InputError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.rel_tol <= 1e-3):
             raise InputError(f"rel_tol must lie in (0, 1e-3], got {self.rel_tol!r}")
-        if self.max_subdivisions < 10:
-            raise InputError("max_subdivisions must be at least 10")
 
 
 @dataclass(frozen=True)
@@ -811,88 +816,151 @@ def f_te_closed(
 
 
 # ---------------------------------------------------------------------------
-# numerical kernels
+# numerical kernels: double-exponential rules
 # ---------------------------------------------------------------------------
+#
+# Each kernel integral is one trapezoidal sum in a double-exponential
+# variable, taken over all nodes at once, at the step _DE_STEP and again at
+# twice that step.
+#
+# * branch-cut-rotated: the exp-sinh substitution x = exp(s - e^{-s}) of
+#   integral_0^inf f(x) dx (H. Takahasi and M. Mori, Publ. RIMS Kyoto Univ. 9
+#   (1974) 721; M. Mori and M. Sugihara, J. Comput. Appl. Math. 127 (2001)
+#   287), on integrands that decay along the 45-degree ray or the TE cut.
+#   The coarse nodes are every other fine node.
+# * real-axis-subtracted: the rule of T. Ooura and M. Mori for Fourier
+#   integrals (J. Comput. Appl. Math. 38 (1991) 353; 112 (1999) 229),
+#   y = M phi(t) with M = pi / h, whose nodes approach the zeros of the sine
+#   or cosine double-exponentially.  M changes with the step, so the coarse
+#   rule has nodes of its own.
+#
+# The error reported is the difference of the two sums plus a rounding floor
+# _DE_ROUNDING sum |w_i f_i| of the fine sum's terms.
 
-def _tm_kernel(kind: str, weighted: bool, u_e: float, on_ray: bool):
-    """Dimensionless TM integrand g(u) of one orientation class.
+# Any step from 1/28 to 1/48 reaches the same accuracy; at 1/30 the weighted
+# TM kernels round so that the pair energies pinned bit for bit in
+# tests/test_fourth_order.py and the twelve-diagram consistency of
+# oracle-check keep the last bits they had under QUADPACK.
+_DE_STEP = 1.0 / 30.0
+# Exp-sinh rule: s from -4.5 (x ~ 1e-41) to 50 (x ~ 5e21).  Nodes run up to
+# where the integrand's decay factor is e^{-_RAY_REACH} or less.
+_RAY_SPAN = (-4.5, 50.0)
+_RAY_REACH = 100.0
+# Ooura-Mori rule: t from -7 to 5.5; the end terms are below 3e-21 of the
+# integrals for zeta up to 8 (and below the rounding floor beyond).
+_FOURIER_SPAN = (-7.0, 5.5)
+# Rounding floor: a few ulps per term times about sqrt(N), the typical growth
+# of rounding in a sum of N ~ 300-600 terms.  tools/check_quadrature.py finds
+# every actual error below 3% of the reported one for zeta in [0.5, 8].
+_DE_ROUNDING = 50.0 * np.finfo(float).eps
+_ROT = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
+
+
+@functools.cache
+def _ray_rule():
+    """Nodes x and weights h dx/ds of the exp-sinh rule over _RAY_SPAN."""
+    lo, hi = _RAY_SPAN
+    s = lo + _DE_STEP * np.arange(round((hi - lo) / _DE_STEP) + 1)
+    x = np.exp(s - np.exp(-s))
+    return x, _DE_STEP * x * (1.0 + np.exp(-s))
+
+
+@functools.cache
+def _fourier_rule(step: float, sine: bool):
+    """Nodes y and weights W of the Ooura-Mori rule at ``step``:
+    integral_0^inf f(y) sin y dy (``sine``) or f(y) cos y dy ~ sum W f(y).
+
+    phi(t) = t / (1 - e^{-eta}), eta = 2t + alpha (1 - e^{-t}) + beta (e^t - 1),
+    beta = 1/4, alpha = beta / sqrt(1 + M ln(1 + M) / 4 pi), at
+    t = n h (sine) or (n - 1/2) h (cosine), where M t is a zero of the
+    trigonometric factor; past t = 0 that factor is taken as
+    (-1)^n sin(M (phi - t)), which keeps its approach to zero.
+    """
+    big_m = math.pi / step
+    alpha = 0.25 / math.sqrt(1.0 + big_m * math.log1p(big_m) / (4.0 * math.pi))
+    lo, hi = _FOURIER_SPAN
+    n = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1)
+    t = step * (n if sine else n - 0.5)
+    et = np.exp(t)
+    eta = 2.0 * t - alpha * np.expm1(-t) + 0.25 * np.expm1(t)
+    em, ee = np.expm1(eta), np.exp(eta)
+    with np.errstate(invalid="ignore"):  # t = 0 (sine): 0/0, replaced below
+        phi = t * ee / em
+        dphi = (em - t * (2.0 + alpha / et + 0.25 * et)) * ee / em ** 2
+    if sine:  # limits at t = 0 from eta'(0) = d1 and eta''(0) = d2
+        d1, d2 = 2.25 + alpha, 0.25 - alpha
+        phi[n == 0], dphi[n == 0] = 1.0 / d1, 0.5 - d2 / (2.0 * d1 * d1)
+    y = big_m * phi
+    direct = np.sin(y) if sine else np.cos(y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        near_zero = np.where(n % 2 == 0, 1.0, -1.0) * np.sin(big_m * t / em)
+    return y, math.pi * dphi * np.where(t > 0.0, near_zero, direct)
+
+
+def _de_result(fine: np.ndarray, coarse: float) -> tuple[float, float]:
+    """Value and certified error from the fine rule's terms and the coarse sum."""
+    value = float(fine.sum())
+    return value, abs(value - coarse) + _DE_ROUNDING * float(np.abs(fine).sum())
+
+
+def _ray_sum(integrand, extent: float) -> tuple[float, float]:
+    """integral_0^inf integrand(x) dx by the exp-sinh rule over the nodes up
+    to ``extent``, and its error (inf where the table stops short of it)."""
+    x, w = _ray_rule()
+    n = int(np.searchsorted(x, extent, side="right"))
+    fine = w[:n] * integrand(x[:n])
+    value, err = _de_result(fine, 2.0 * float(fine[::2].sum()))
+    return value, err if n < x.size else math.inf
+
+
+def _fourier_sum(g, zeta: float, sine: bool) -> tuple[float, float]:
+    """integral_0^inf g(u) sin or cos(zeta u) du by the Ooura-Mori rule in
+    y = zeta u, and its error."""
+    fine = _fourier_rule(_DE_STEP, sine)
+    coarse = _fourier_rule(2.0 * _DE_STEP, sine)
+    terms = fine[1] * g(fine[0] / zeta) / zeta
+    return _de_result(terms, float(coarse[1] @ g(coarse[0] / zeta)) / zeta)
+
+
+def _tm_kernel(kind: str, weighted: bool, u_e: float, u: np.ndarray) -> np.ndarray:
+    """Dimensionless TM integrand g(u) of one orientation class at the
+    points ``u`` (real, or complex on the rotated ray).
 
     ``kind`` is "zz", "tt" (any transverse-transverse pair, with the
     non-decaying unit constant already removed) or "odd" (the mixed
     transverse-axial pairs).  The denominator is u^2 + 1, or with
-    ``weighted`` omega (omega + u_e) for omega = sqrt(u^2 + 1), taken in
-    complex arithmetic when ``on_ray`` (u on the rotated ray).
+    ``weighted`` omega (omega + u_e) for omega = sqrt(u^2 + 1); the
+    weighted tt numerator u^2 - omega (omega + u_e) is written
+    -(1 + omega u_e), without its cancellation at large u.
     """
-    if not weighted:
-        def den(u):
-            return u * u + 1.0
-    elif on_ray:
-        def den(u):
-            om = np.sqrt(u * u + 1.0 + 0j)
-            return om * (om + u_e)
-    else:
-        def den(u):
-            om = math.sqrt(u * u + 1.0)
-            return om * (om + u_e)
-    if kind == "zz":
-        return lambda u: 1.0 / den(u)
-    if kind == "odd":
-        return lambda u: u / den(u)
     if weighted:
-        return lambda u: u * u / den(u) - 1.0
-    return lambda u: -1.0 / den(u)
-
-
-def _quad(g, spec: QuadratureSpec, scale_hint: float, **weight) -> tuple[float, float]:
-    """integral_0^inf g(u) du, or with ``weight="cos"`` or ``"sin"`` and
-    ``wvar=zeta`` the Fourier integral of g against cos or sin(zeta u).
-
-    Requests well below the target so the (often pessimistic) reported
-    error certifies the caller's tolerance; the Fourier route (QAWF) reads
-    only the absolute request.
-    """
-    from scipy.integrate import quad
-
-    factor = 1e-2 if weight else 1e-3
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return quad(g, 0.0, np.inf,
-                    epsabs=max(spec.rel_tol * scale_hint * factor, 1e-300),
-                    epsrel=min(spec.rel_tol * 1e-2, 1e-11),
-                    limit=spec.max_subdivisions, limlst=spec.max_subdivisions,
-                    **weight)
-
-
-_ROT = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
-
-
-def _wedge_half(g, zeta, spec: QuadratureSpec, scale_hint: float) -> tuple[complex, float]:
-    """integral_0^inf g(u) exp(i u zeta) du along the 45-degree ray.
-
-    Valid for kernels analytic in the first-quadrant wedge (all kernels
-    here: poles at u = +-i and branch points of sqrt(u^2+1) sit on the
-    imaginary axis, outside the open wedge).
-    """
-
-    def integrand(t):
-        u = _ROT * t
-        return _ROT * g(np.asarray(u)) * np.exp(1j * zeta * u)
-
-    re, re_err = _quad(lambda t: integrand(t).real, spec, scale_hint)
-    im, im_err = _quad(lambda t: integrand(t).imag, spec, scale_hint)
-    return complex(re, im), re_err + im_err
+        om = np.sqrt(u * u + 1.0)
+        den = om * (om + u_e)
+    else:
+        den = u * u + 1.0
+    if kind == "zz":
+        return 1.0 / den
+    if kind == "odd":
+        return u / den
+    return -(1.0 + om * u_e) / den if weighted else -1.0 / den
 
 
 def _te_kernel_value(u_e: float, zeta: float, spec: QuadratureSpec) -> tuple[float, float]:
     """Leading tight-confinement TE kernel integral (equals -2 u_e K0)."""
     if spec.scheme == "real-axis-subtracted":
-        val, err = _quad(lambda u: 1.0 / math.sqrt(u * u + 1.0), spec,
-                         math.exp(-zeta), weight="cos", wvar=zeta)
+        val, err = _fourier_sum(lambda u: 1.0 / np.sqrt(u * u + 1.0), zeta, sine=False)
     else:
-        # Decaying contour: substitute u = 1 + v^2 in the cut integral
-        # integral_1^inf exp(-zeta u)/sqrt(u^2-1) du.
-        val, err = _quad(lambda v: 2.0 * math.exp(-zeta * (1.0 + v * v))
-                         / math.sqrt(v * v + 2.0), spec, math.exp(-zeta))
+        # Decaying contour: u = 1 + v^2 in the cut integral
+        # integral_1^inf exp(-zeta u)/sqrt(u^2-1) du, and v = c x with
+        # c = 1/sqrt(max(zeta, 1)).
+        c = 1.0 / math.sqrt(max(zeta, 1.0))
+        scale = 2.0 * c * math.exp(-zeta)
+
+        def integrand(x):
+            v = c * x
+            return scale * np.exp(-zeta * v * v) / np.sqrt(v * v + 2.0)
+
+        val, err = _ray_sum(integrand, math.sqrt(_RAY_REACH / zeta) / c)
     return -2.0 * u_e * val, 2.0 * u_e * err
 
 
@@ -901,23 +969,30 @@ def _tm_kernel_value(orient: str, weighted: bool, u_e: float, zeta: float,
     """Dimensionless TM kernel integral for one orientation pair.
 
     zz and the transverse pairs are even in the axial wavenumber: twice
-    the cosine transform, 2 Re W on the ray.  The mixed transverse-axial
-    pairs are odd, so K_xz = -2 integral_0^inf g sin(zeta u) du = -2 Im W
-    and the reversed index order flips the sign.
+    the cosine transform, 2 Re W on the ray, with
+    W = integral_0^inf g(u) exp(i u zeta) du taken along u = e^{i pi/4} t
+    (the poles at u = +-i and the branch points of sqrt(u^2+1) lie outside
+    the open first-quadrant wedge), t = x / max(zeta, 1).  The mixed
+    transverse-axial pairs are odd, so K_xz = -2 integral_0^inf g sin(zeta u) du
+    = -2 Im W and the reversed index order flips the sign.
     """
-    real_axis = spec.scheme == "real-axis-subtracted"
     even = orient == "zz" or "z" not in orient
     kind = orient if orient == "zz" else "tt" if even else "odd"
-    g = _tm_kernel(kind, weighted, u_e, on_ray=not real_axis)
-    if real_axis:
-        val, err = _quad(g, spec, math.exp(-zeta), weight="cos" if even else "sin",
-                         wvar=zeta)
-        val, err = 2.0 * val, 2.0 * err
+
+    g = functools.partial(_tm_kernel, kind, weighted, u_e)
+    if spec.scheme == "real-axis-subtracted":
+        val, err = _fourier_sum(g, zeta, sine=not even)
     else:
-        w, err = _wedge_half(g, zeta, spec, math.exp(-zeta))
-        val = 2.0 * (w.real if even else w.imag)
+        scale = max(zeta, 1.0)
+
+        def integrand(x):
+            u = (_ROT / scale) * x
+            w = (_ROT / scale) * g(u) * np.exp(1j * zeta * u)
+            return w.real if even else w.imag
+
+        val, err = _ray_sum(integrand, _RAY_REACH * scale / zeta)
     sign = -1.0 if orient in ("xz", "yz") else 1.0
-    return sign * val, err
+    return 2.0 * sign * val, 2.0 * err
 
 
 def f_quadrature(

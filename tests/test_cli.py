@@ -470,8 +470,8 @@ class TestHugeSeparations:
 
 class TestImport:
     def test_cli_import_leaves_quadrature_unloaded(self):
-        # Only the quadrature oracle needs scipy.integrate, and importing
-        # it costs a large share of every CLI start-up.
+        # Importing scipy.integrate would cost a large share of every CLI
+        # start-up; no subcommand needs it.
         code = ("import sys, wgdisp.cli; "
                 "print('scipy.integrate' in sys.modules)")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -481,9 +481,10 @@ class TestImport:
         assert res.stdout.strip() == "False"
 
     def test_subcommands_load_no_scipy(self, species_file):
-        # K0, E1, erfc and erfcx come from wgdisp._special: energy, sweep,
-        # modes and coupling (without --check-quadrature) import no scipy
-        # module at all, scipy.special included.
+        # K0, E1, erfc and erfcx come from wgdisp._special and the wavenumber
+        # integrals from double-exponential rules in wgdisp.coupling: no
+        # subcommand imports a scipy module, the quadrature oracle
+        # (oracle-check, coupling --check-quadrature) included.
         runs = [["energy", "--z", "0.05", "--species1", species_file],
                 ["energy", "--z", "0.8", "--convention", "paper-literal",
                  "--species1", species_file],
@@ -493,7 +494,13 @@ class TestImport:
                 ["coupling", "--pol", "TE", "--m", "1", "--n", "0", "--orient", "xx",
                  "--z", "0.4", "--energy", "0.06"],
                 ["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
-                 "--z", "0.4"]]
+                 "--z", "0.4"],
+                ["oracle-check", "--cases", "2"],
+                *(["coupling", "--pol", pol, "--m", "1", "--n", "1", "--orient",
+                   "xy", "--z", "0.4", *energy, "--check-quadrature",
+                   "--scheme", scheme]
+                  for pol, energy in (("TM", []), ("TE", ["--energy", "0.06"]))
+                  for scheme in ("branch-cut-rotated", "real-axis-subtracted"))]
         code = ("import contextlib, io, sys, wgdisp.cli\n"
                 f"for argv in {runs!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -662,8 +669,8 @@ class TestCoupling:
 ORACLE_CHECK_12345 = {
     "oracle-consistent": """\
 oracle-check report (seed=12345, convention=oracle-consistent, cases=20)
-[closed-vs-quadrature] max_dev=1.305646e-14 threshold=1.0e-06 -> PASS
-[scheme-agreement] max_dev=1.836058e-12 threshold=1.0e-08 -> PASS
+[closed-vs-quadrature] max_dev=5.480107e-15 threshold=1.0e-06 -> PASS
+[scheme-agreement] max_dev=4.413452e-13 threshold=1.0e-08 -> PASS
 [twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
 [twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
 [free-space-recovery/components] max_dev=9.771535e-05 threshold=2.0e-02 -> PASS
@@ -672,8 +679,8 @@ overall: PASS
 """,
     "paper-literal": """\
 oracle-check report (seed=12345, convention=paper-literal, cases=20)
-[closed-vs-quadrature] max_dev=8.828890e-15 threshold=1.0e-06 -> PASS
-[scheme-agreement] max_dev=1.836058e-12 threshold=1.0e-08 -> PASS
+[closed-vs-quadrature] max_dev=5.480107e-15 threshold=1.0e-06 -> PASS
+[scheme-agreement] max_dev=4.413452e-13 threshold=1.0e-08 -> PASS
 [sign-convention] expected-mismatch of printed prefactors vs oracle: max_dev=2.000e+00 (informational)
 [twelve-diagram/dominant-consistency] max_dev=0.000000e+00 threshold=1.0e-06 -> PASS
 [twelve-diagram/full-vs-dominant-form] max_dev=7.028322e-04 threshold=5.0e-02 -> PASS (lambda/a=100, modes=TM11, oracle=-3.037045e+00)
@@ -691,27 +698,50 @@ class TestOracleCheck:
         assert (res.returncode, res.stderr) == (0, "")
         assert res.stdout == ORACLE_CHECK_12345[convention]
 
-    @pytest.mark.parametrize("seed, case", [
-        ("11", "TM11 xx z=1.12962 scheme=real-axis-subtracted "
-               "achieved error 1.2578e-06"),
-        ("88", "TM22 yz z=0.596827 scheme=real-axis-subtracted "
-               "achieved error 4.0580e-01"),
-    ])
-    def test_uncertified_quadrature_is_a_fail_line(self, seed, case):
-        # The real-axis route cannot certify one case on these seeds; the
-        # report names it on the scheme-agreement line and prints the rest.
+    @pytest.mark.parametrize("seed", ["11", "88"])
+    def test_formerly_uncertified_seeds_pass(self, seed):
+        # QUADPACK's Fourier route could not certify one real-axis case on
+        # each of these seeds (TM11 xx, TM22 yz); the double-exponential
+        # rules certify every case.
         res = run_cli("oracle-check", "--seed", seed)
-        assert (res.returncode, res.stderr) == (1, "")
-        lines = res.stdout.splitlines()
-        assert lines[0].startswith(f"oracle-check report (seed={seed},")
-        assert lines[2].startswith("[scheme-agreement] max_dev=")
-        assert lines[2].endswith(f"-> FAIL (uncertified quadrature: {case})")
-        others = lines[1:2] + lines[3:-1]
-        assert [line.split("]")[0] for line in others] == [
-            "[closed-vs-quadrature", "[twelve-diagram/dominant-consistency",
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.startswith(f"oracle-check report (seed={seed},")
+        assert res.stdout.endswith("\noverall: PASS\n")
+
+    @pytest.mark.parametrize("scheme, family", [
+        ("branch-cut-rotated", "closed-vs-quadrature"),
+        ("real-axis-subtracted", "scheme-agreement"),
+    ])
+    def test_uncertified_quadrature_is_a_fail_line(self, monkeypatch, scheme, family):
+        # An integral that cannot certify its tolerance fails the family of
+        # its scheme on a line naming the case; the report prints the rest.
+        from wgdisp import oracle_checks
+        from wgdisp.errors import QuadratureError
+        real = oracle_checks.f_quadrature
+        named = []
+
+        def f_quadrature(geom, mode, orient, p1, p2, z, spec, **kwargs):
+            if (not named and (mode.label(), orient, spec.scheme)
+                    == ("TM22", "yz", scheme)):
+                named.append(f"TM22 yz z={z:.6g} scheme={scheme}")
+                raise QuadratureError("did not reach the requested tolerance",
+                                      best_estimate=0.5, achieved_error=0.25)
+            return real(geom, mode, orient, p1, p2, z, spec=spec, **kwargs)
+
+        monkeypatch.setattr(oracle_checks, "f_quadrature", f_quadrature)
+        text, ok = oracle_checks.run_oracle_checks(seed=88)
+        lines = text.splitlines()
+        assert not ok and len(named) == 1
+        assert lines[0] == "oracle-check report (seed=88, convention=oracle-consistent, cases=20)"
+        failed = [line for line in lines[1:-1] if "-> PASS" not in line]
+        assert failed == [line for line in lines if line.startswith(f"[{family}] max_dev=")]
+        assert failed[0].endswith(
+            f"-> FAIL (uncertified quadrature: {named[0]} achieved error 2.5000e-01)")
+        assert [line.split("]")[0] for line in lines[1:-1]] == [
+            "[closed-vs-quadrature", "[scheme-agreement",
+            "[twelve-diagram/dominant-consistency",
             "[twelve-diagram/full-vs-dominant-form",
             "[free-space-recovery/components", "[free-space-recovery/energy"]
-        assert all("-> PASS" in line for line in others)
         assert lines[-1] == "overall: FAIL"
 
     def test_default_run_passes(self):

@@ -4,14 +4,15 @@ Frozen values computed with mpmath at 40 digits.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import (ORIENTATIONS, QuadratureSpec, _tm_kernel_value,
-                             f_quadrature, f_te_closed, f_tm_closed)
+from wgdisp.coupling import (ORIENTATIONS, SCHEMES, QuadratureSpec, _te_kernel_value,
+                             _tm_kernel_value, f_quadrature, f_te_closed, f_tm_closed)
 from wgdisp.energy import ModeTable
 from wgdisp.errors import InputError, TightConfinementWarning
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
@@ -310,6 +311,70 @@ class TestQuadratureOracle:
         e_y2 = 2.0  # unit-normalized profile squared at the center
         expected = -2.0 * (energy / math.pi) * bessel_k0(zeta) * e_y2 * math.pi
         assert qd == pytest.approx(expected, rel=1e-6)
+
+
+
+def _quadpack(f, **weight):
+    """scipy's QUADPACK integral_0^inf f and its error estimate."""
+    from scipy.integrate import quad
+    with warnings.catch_warnings():  # QUADPACK's roundoff notices
+        warnings.simplefilter("ignore")
+        return quad(f, 0.0, np.inf, epsabs=1e-15, epsrel=1e-12, limit=400,
+                    limlst=400, **weight)
+
+
+def _quadpack_kernel(kind, u_e, zeta, scheme):
+    """A kernel integral of the oracle by QUADPACK on the same contour: QAWF
+    on the real axis, QAGI along the 45-degree ray or the TE cut."""
+    rot = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
+
+    def g(u):
+        if not u_e:
+            den = u * u + 1.0
+            return {"zz": 1.0 / den, "odd": u / den, "tt": -1.0 / den}[kind]
+        om = np.sqrt(u * u + 1.0)
+        den = om * (om + u_e)
+        return {"zz": 1.0 / den, "odd": u / den, "tt": -(1.0 + om * u_e) / den}[kind]
+
+    real_axis = scheme == "real-axis-subtracted"
+    if kind == "te":
+        if real_axis:
+            value, err = _quadpack(lambda u: 1.0 / math.sqrt(u * u + 1.0),
+                                   weight="cos", wvar=zeta)
+        else:
+            value, err = _quadpack(lambda v: 2.0 * math.exp(-zeta * (1.0 + v * v))
+                                   / math.sqrt(v * v + 2.0))
+        return -2.0 * u_e * value, 2.0 * u_e * err
+    if real_axis:
+        value, err = _quadpack(g, weight="sin" if kind == "odd" else "cos", wvar=zeta)
+    else:
+        part = (lambda w: w.imag) if kind == "odd" else (lambda w: w.real)
+        value, err = _quadpack(lambda t: part(rot * g(rot * t) * np.exp(1j * zeta * rot * t)))
+    return 2.0 * value, 2.0 * err
+
+
+class TestDoubleExponentialRules:
+    """The kernel integrals' double-exponential rules against QUADPACK."""
+
+    @given(kind=st.sampled_from(["zz", "tt", "odd", "te"]), weighted=st.booleans(),
+           scheme=st.sampled_from(SCHEMES), zeta=st.floats(0.5, 8.0),
+           u_e=st.floats(1e-4, 0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_quadpack_within_both_errors(self, kind, weighted, scheme,
+                                                    zeta, u_e):
+        # TE kernels always carry the weight; zx is the odd class with sign +.
+        weighted = weighted or kind == "te"
+        u_e = u_e if weighted else 0.0
+        spec = QuadratureSpec(scheme=scheme)
+        if kind == "te":
+            value, err = _te_kernel_value(u_e, zeta, spec)
+        else:
+            orient = {"zz": "zz", "tt": "xx", "odd": "zx"}[kind]
+            value, err = _tm_kernel_value(orient, weighted, u_e, zeta, spec)
+        want, want_err = _quadpack_kernel(kind, u_e, zeta, scheme)
+        assert abs(value - want) <= err + want_err
+        # zeta <= 8 lies inside the range the default tolerance certifies.
+        assert err <= spec.rel_tol * abs(value)
 
 
 class TestConventions:
