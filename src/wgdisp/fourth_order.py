@@ -27,6 +27,12 @@ Denominators mixing the two photon frequencies are decoupled with a
 Schwinger parameter, 1/M = integral dtau exp(-M tau), leaving smooth
 per-photon integrals on a Gauss-Laguerre tau grid.
 
+Each photon's integrals for a whole tau grid form one table
+(:class:`_PhotonTable`): a graded head of Gauss-Legendre panels in psi near
+the branch point, shared by every tau, then a tail in w = k_mn sinh psi on
+panels of a whole period of e^{i w tau} (or an equal fraction of one), so
+that the phases at the tail nodes repeat the first panel's.
+
 Natural units hbar = c = 1.
 """
 
@@ -110,42 +116,15 @@ def enumerate_diagrams() -> list[Diagram]:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _psi_grid(zeta: float, kmn: float, Ws: tuple[float, ...], tau: float):
-    """Graded composite Gauss-Legendre mesh on [0, psi_max].
-
-    The denominator factors 1/(W - i w) peak at the branch point with
-    width W/k_mn in psi, and exp(i w tau) oscillates with local frequency
-    k_mn cosh(psi) tau, so panel widths start at a fraction of the
-    narrowest feature and grow geometrically, capped by the oscillation
-    wavelength.
-    """
-    psi_max = math.acosh(1.0 + 46.0 / zeta)
-    scale = min([w / kmn for w in Ws] + [1.0])
-    edges = [0.0]
-    width = max(scale / 8.0, psi_max * 1e-13)
-    while edges[-1] < psi_max:
-        local_freq = kmn * math.cosh(min(edges[-1], psi_max)) * tau
-        cap = (math.pi / local_freq) if local_freq > 0 else math.inf
-        step = min(width, max(cap, psi_max * 1e-13))
-        edges.append(min(edges[-1] + step, psi_max))
-        width *= 1.7
-    e = np.asarray(edges)
-    half = 0.5 * (e[1:] - e[:-1])
-    mid = 0.5 * (e[1:] + e[:-1])
-    psi = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return psi, w
-
-
-def _denominator_factor(w: np.ndarray, Ws: tuple[float, ...],
-                        tau: float) -> np.ndarray:
-    """Re[exp(i w tau) / prod_r (W_r - i w)] on the rotated contour."""
-    val = np.exp(1j * w * tau)
-    for W in Ws:
-        val = val / (W - 1j * w)
-    return val.real
+# Where the nodes sit in a panel, as fractions of its width.
+_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
+# Head panels start at 1/8 of the narrowest feature and grow by this factor.
+_HEAD_GROWTH = 1.7
+# Nodes evaluated per numpy pass, about one tau's mesh: a table of a whole
+# tau grid never holds all its nodes at once.
+_BLOCK_NODES = 2048
+# Largest decay of e^{-z w}, in e-folds, over one tail panel.
+_TAIL_DECAY = 8.0
 
 
 def _cutoff(geom, mode: ModeIndex) -> float:
@@ -153,34 +132,130 @@ def _cutoff(geom, mode: ModeIndex) -> float:
     return float(_one_mode(geom, mode)[2][0])
 
 
+def _lorentzian(w, kappa, measure, z, Ws):
+    """``measure`` e^{-z kappa} times the real and the imaginary part of
+    1 / prod_r (W_r - i w), in real arithmetic."""
+    re, im, den = 1.0, 0.0, 1.0
+    for W in Ws:
+        re, im = re * W - im * w, re * w + im * W
+        den = den * (W * W + w * w)
+    base = measure * np.exp(-z * kappa) / den
+    return base * re, base * im
+
+
+def _columns(w, kappa, te):
+    """The factor of each table entry, one row each: -w^2 for TE, and
+    kappa^0, kappa^1, kappa^2 for TM."""
+    return np.stack((-w * w,) if te else (np.ones_like(w), kappa, kappa * kappa))
+
+
+def _photon_integrals(kmn: float, z: float, Ws: tuple[float, ...],
+                      taus: np.ndarray, te: bool) -> np.ndarray:
+    """The entries of :class:`_PhotonTable`, one row per tau and one column
+    per entry (TE: rh; TM: r0, r1, r2)."""
+    psi_max = math.acosh(1.0 + 46.0 / (kmn * z))
+    w_max = kmn * math.sinh(psi_max)
+
+    # Head: panels in psi growing geometrically to psi_max, the same for
+    # every tau; each tau takes those before its first panel wider than half
+    # a period of e^{i w tau} at the panel's start.
+    scale = min([w / kmn for w in Ws] + [1.0])
+    width = max(scale / 8.0, psi_max * 1e-13)
+    n_head = max(1, math.ceil(math.log1p((_HEAD_GROWTH - 1.0) * psi_max / width)
+                              / math.log(_HEAD_GROWTH)))
+    widths = width * _HEAD_GROWTH ** np.arange(n_head)
+    edges = np.minimum(np.concatenate(([0.0], np.cumsum(widths))), psi_max)
+    edges[-1] = psi_max
+    binds = np.outer(taus, widths * kmn * np.cosh(edges[:-1])) > math.pi
+    first = np.where(binds.any(axis=1), binds.argmax(axis=1), n_head)
+    half = 0.5 * np.diff(edges)
+    psi = (edges[:-1, None] + 2.0 * half[:, None] * _GL_FRACTIONS).ravel()
+    w, kappa = kmn * np.sinh(psi), kmn * np.cosh(psi)
+    re, im = _lorentzian(w, kappa, (half[:, None] * _GL_WEIGHTS).ravel(), z, Ws)
+    # One contiguous row per entry, so the sums over nodes are pairwise.
+    cols = _columns(w, kappa, te)
+    re, im = re * cols, im * cols
+    panel = np.repeat(np.arange(n_head), _GL_NODES.size)
+    sums = np.zeros((taus.size, cols.shape[0]))
+    rows = max(1, _BLOCK_NODES // psi.size)
+    for lo in range(0, taus.size, rows):
+        block = slice(lo, lo + rows)
+        used = _GL_NODES.size * int(first[block].max())
+        phase = np.outer(taus[block], w[:used])
+        live = panel[:used] < first[block, None]
+        cos, sin = np.where(live, np.cos(phase), 0.0), np.where(live, np.sin(phase), 0.0)
+        for c in range(cols.shape[0]):
+            sums[block, c] = (cos * re[c, :used] - sin * im[c, :used]).sum(axis=-1)
+
+    # Tail: from there on, panels in w of 1/m of a period 2 pi / tau, m the
+    # fewest that keep the decay of e^{-z w} over a panel within
+    # _TAIL_DECAY e-folds, up to the first panel ending past w_max.
+    # e^{i w tau} takes one of m sets of 16 values on every panel: one table
+    # row each, rows offsets[t] to offsets[t] + m[t] - 1 for tau t.
+    tail = first < n_head
+    period = 2.0 * math.pi / np.where(tail, taus, 1.0)
+    m = np.maximum(np.ceil(z * period / _TAIL_DECAY), 1).astype(int)
+    sub = period / m
+    w_start = kmn * np.sinh(edges[first])
+    counts = np.where(tail, np.ceil((w_max - w_start) / sub), 0).astype(int)
+    offsets = np.cumsum(m) - m
+    row_tau = np.repeat(np.arange(taus.size), m)
+    r = np.arange(row_tau.size) - offsets[row_tau]
+    phase = ((w_start * taus)[row_tau, None]
+             + 2.0 * math.pi * (r[:, None] + _GL_FRACTIONS) / m[row_tau, None])
+    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    ends = np.cumsum(counts)
+    per_block = _BLOCK_NODES // _GL_NODES.size
+    for lo in range(0, int(ends[-1]), per_block):
+        index = np.arange(lo, min(lo + per_block, int(ends[-1])))
+        t = np.searchsorted(ends, index, side="right")
+        j = index - ends[t] + counts[t]
+        w = w_start[t, None] + sub[t, None] * (j[:, None] + _GL_FRACTIONS)
+        kappa = np.sqrt(kmn * kmn + w * w)
+        re, im = _lorentzian(w, kappa, 0.5 * sub[t, None] * _GL_WEIGHTS / kappa, z, Ws)
+        row = offsets[t] + j % m[t]
+        values = cos_tab[row] * re - sin_tab[row] * im
+        np.add.at(sums, t, np.einsum("pk,cpk->pc", values, _columns(w, kappa, te)))
+    return 2.0 * sums
+
+
 class _PhotonTable:
-    """Cached rotated-contour integrals for one mode and denominator set."""
+    """Rotated-contour photon integrals for one mode and denominator set.
+
+    On the contour k = i kappa, kappa = k_mn cosh psi, w = k_mn sinh psi,
+    for every tau of ``taus`` (TM, then TE):
+
+        r0, r1, r2 = 2 int_0^psi_max dpsi kappa^(0, 1, 2) e^{-z kappa} D
+        rh = -2 int_0^psi_max dpsi w^2 e^{-z kappa} D
+
+    with D = Re[e^{i w tau} / prod_r (W_r - i w)] and psi_max where the
+    damping has fallen by a further e^{-46}.  All panels carry 16
+    Gauss-Legendre nodes.  The factors 1/(W - i w) peak at the branch point
+    with width W/k_mn in psi, so the mesh begins with a head of panels in
+    psi, the first 1/8 of the narrowest feature wide and each 1.7 times the
+    last, the same for every tau.  From the first head panel wider than
+    half a period of e^{i w tau} at its start (one comparison over the
+    tau-by-panel array), the rest is integrated in w, dpsi = dw / kappa, on
+    panels of exactly one period 2 pi / tau, or of 1/m of one where
+    e^{-z w} would fall by more than e^{-8} over a period.  e^{i w tau} at
+    the nodes of every tail panel thus repeats one of m sets of 16 values,
+    and 1/prod_r (W_r - i w) is taken in real arithmetic.  The last panel
+    may end past psi_max, where the integrand has fallen by e^{-46}.  At
+    tau = 0 the head covers the whole range.  The meshes of all taus are
+    built in one pass and evaluated in blocks of about 2k nodes.
+    """
 
     def __init__(self, geom, mode: ModeIndex, z: float,
                  Ws: tuple[float, ...], taus: np.ndarray):
-        kmn = _cutoff(geom, mode)
-        zeta = kmn * z
-        self.kmn = kmn
+        self.kmn = _cutoff(geom, mode)
         self.is_te = mode.polarization == TE
-        n_tau = taus.size
-        self.r0 = np.zeros(n_tau)
-        self.r1 = np.zeros(n_tau)
-        self.r2 = np.zeros(n_tau)
-        self.rh = np.zeros(n_tau)
-        for it, tau in enumerate(taus):
-            psi, wq = _psi_grid(zeta, kmn, Ws, tau)
-            cosh = np.cosh(psi)
-            w = kmn * np.sinh(psi)
-            damp = np.exp(-zeta * cosh)
-            den = _denominator_factor(w, Ws, tau)
-            if self.is_te:
-                self.rh[it] = -2.0 * kmn ** 2 * np.sum(
-                    wq * np.sinh(psi) ** 2 * damp * den)
-            else:
-                base = wq * damp * den
-                self.r0[it] = 2.0 * np.sum(base)
-                self.r1[it] = 2.0 * np.sum(base * (kmn * cosh))
-                self.r2[it] = 2.0 * np.sum(base * (kmn * cosh) ** 2)
+        taus = np.asarray(taus, dtype=float)
+        sums = _photon_integrals(self.kmn, z, tuple(Ws), taus, self.is_te)
+        self.r0 = self.r1 = self.r2 = self.rh = np.zeros(taus.size)
+        if self.is_te:
+            self.rh = sums[:, 0]
+        else:
+            self.r0, self.r1, self.r2 = sums.T
 
 
 # Which tau integral of :class:`_PhotonTable` (0: r0, 1: r1, 2: r2) each TM
@@ -235,6 +310,7 @@ def fourth_order_oracle(
         diags = [d for d in diags if d.is_dominant]
 
     lag_x, lag_w = np.polynomial.laguerre.laggauss(n_tau)
+    kmn = {mode: _cutoff(geom, mode) for mode in modes}
 
     total = 0.0
     for t1 in config.species1.transitions:
@@ -270,8 +346,7 @@ def fourth_order_oracle(
 
                 for mp in modes:
                     for mq in modes:
-                        lam = (_cutoff(geom, mp) + _cutoff(geom, mq) + e_mid
-                               if mixes else None)
+                        lam = kmn[mp] + kmn[mq] + e_mid if mixes else None
                         wp = photon(mp, ws_by_photon["P"], lam)
                         wq = photon(mq, ws_by_photon["Q"], lam)
                         if not mixes:
