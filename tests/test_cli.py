@@ -919,3 +919,100 @@ class TestDeterminism:
     def test_oracle_check_byte_identical(self):
         argv = ("oracle-check", "--seed", "99", "--cases", "3")
         assert run_cli(*argv).stdout == run_cli(*argv).stdout
+
+
+# Species files of the golden reports: 2 to 4 levels, lambda from 40a to 200a.
+GOLDEN_SPECIES = {
+    "four": "E=0.15707963267948966 d=(0.7,0.2,1.1)\nE=0.08975979010256552 d=(1,0.5,0.3)\n"
+            "E=0.05235987755982988 d=(0.4,1.3,0.9)\nE=0.031415926535897934 d=(1.2,0.8,0.6)\n",
+    "three": "E=0.12566370614359174 d=(0.3,0.9,0.5)\nE=0.06981317007977318 d=(1.1,0.4,0.8)\n"
+             "E=0.041887902047863905 d=(0.6,0.6,1.4)\n",
+    "two": "E=0.06283185307179587 d=(1,1,1)\nE=0.10471975511965977 d=(0.3,0.5,1)\n",
+    "x": "E=0.06283185307179587 d=(1,0,0)\nE=0.10471975511965977 d=(2,0,0)\n",
+    "y": "E=0.06283185307179587 d=(0,1,0)\n",
+}
+
+# sha256 of the stdout of each command; "@name" stands for the path of
+# GOLDEN_SPECIES[name], which the output does not contain.
+GOLDEN_STDOUT = [
+    (["energy", "--z", "0.3", "--species1", "@four", "--tail-tol", "1e-8"],
+     "28be22603ba10cc6de6f4323936ec78e2ab2f2ee8d89c9e2ae27470e15c6f62f"),
+    (["energy", "--z", "0.45", "--species1", "@three", "--orientation", "fixed-vector",
+      "--b", "0.7", "--x1", "0.2", "--y1", "0.3", "--x2", "0.65", "--y2", "0.5"],
+     "a87357c057fe6cd4316ba7c1ff3003ffc856643d28c334d8cca8577c76f89aa5"),
+    (["energy", "--z", "0.8", "--species1", "@two", "--b", "0.6", "--x1", "0.2",
+      "--y1", "0.35", "--x2", "0.7", "--y2", "0.1", "--tail-tol", "1e-8"],
+     "044db9df966440e4d2798f246d67885d8c673552de3889db12d1521dcf40e3fd"),
+    (["energy", "--z", "1.3", "--species1", "@four", "--orientation", "fixed-vector",
+      "--b", "0.55", "--x1", "0.8", "--y1", "0.1", "--x2", "0.3", "--y2", "0.4",
+      "--tail-tol", "1e-8"],
+     "9d50079261678b6c8027dec6434cdb7040e826e0ce3a3727cf3a3c7de5d6f4bc"),
+    (["energy", "--z", "2.0", "--species1", "@three", "--species2", "@two",
+      "--b", "0.9", "--x1", "0.15", "--y1", "0.7", "--x2", "0.5", "--y2", "0.2"],
+     "a3c4ce669a24ccdebcb09b716854b1eb72486806347c2520136a6720a69fbaa7"),
+    (["energy", "--z", "3.5", "--species1", "@two", "--orientation", "fixed-vector",
+      "--b", "0.75", "--x1", "0.6", "--y1", "0.6", "--x2", "0.25", "--y2", "0.15",
+      "--tail-tol", "1e-8"],
+     "3946ecc27603f036653ebcce4f5d6d81ba49ddce3c875b576df57244da1222f6"),
+    (["energy", "--z", "5.0", "--species1", "@four", "--b", "0.8", "--x1", "0.45",
+      "--y1", "0.2", "--x2", "0.9", "--y2", "0.65", "--top-modes", "12"],
+     "8a1a86ed4dac5ea453bc478a213528fbb246dc59d65b6d7df98bf88e7d2196ea"),
+    (["energy", "--z", "8.0", "--species1", "@three", "--orientation", "fixed-vector",
+      "--b", "0.5", "--x1", "0.3", "--y1", "0.25", "--x2", "0.7", "--y2", "0.3",
+      "--tail-tol", "1e-8"],
+     "e70443f213ef5a1109d51adf637ae95b36b6f03f95bef9e9b254910aa05d69fd"),
+    (["energy", "--z", "1.0", "--species1", "@two", "--si-a-meters", "1e-6",
+      "--x1", "0.35", "--y1", "0.55"],
+     "726bda772645ac9d261a961ae065dd15e081429ba1f8d03a1ae3be210f19b67c"),
+    (["energy", "--z", "0.6", "--species1", "@three", "--convention", "paper-literal",
+      "--orientation", "fixed-vector", "--b", "0.65", "--x1", "0.25", "--y1", "0.2",
+      "--x2", "0.55", "--y2", "0.45", "--tail-tol", "1e-8"],
+     "3daf271316fe74d11c56ba9f5e5f058ae1a1a76f1c7eec28ab071497afd20f00"),
+    # A corner dipole and crossed dipoles: zero energy, zero free-space
+    # reference, ratio null.
+    (["energy", "--z", "0.7", "--species1", "@x", "--species2", "@y",
+      "--orientation", "fixed-vector", "--x1", "0", "--y1", "0", "--x2", "0.4",
+      "--y2", "0.6"],
+     "fb72e808665b25e956d6b80357a6b1023d28a3a006a4f39653a43374def1d2e3"),
+    (["energy", "--z", "0.35", "--species1", "@four", "--species2", "@three",
+      "--orientation", "fixed-vector", "--a", "1.5", "--b", "1", "--x1", "0.9",
+      "--y1", "0.3", "--x2", "0.4", "--y2", "0.75", "--top-modes", "0",
+      "--epsilon", "1.7"],
+     "162e629d3bf43f1f8c08d5cfddd13288be8efdd00b9cfa8a0abbb09a489c2146"),
+    # The other subcommands that print JSON.
+    (["modes", "--max-cutoff", "14", "--a", "1", "--b", "0.7", "--format", "json"],
+     "7aa14011ce3b3ea1786b63cdf0bee19fa38acf487ebec7ee828a8d2e5ff40894"),
+    (["coupling", "--pol", "TM", "--m", "2", "--n", "1", "--orient", "xz", "--z", "0.7",
+      "--b", "0.8", "--x1", "0.3", "--y1", "0.2", "--x2", "0.6", "--y2", "0.5",
+      "--check-quadrature"],
+     "c8434f6f5e5fb24f258ca23cb5d7345b18c2b93b1be2a6cc9e523a048073b2ea"),
+    (["coupling", "--pol", "TE", "--m", "1", "--n", "0", "--orient", "xx", "--z", "0.4",
+      "--energy", "0.0628", "--check-quadrature"],
+     "20969768c1f6f2e950642e781613b5916b8c38160d0cd4321bcae1ade8a81976"),
+    (["coupling", "--pol", "TE", "--m", "1", "--n", "2", "--orient", "yx", "--z", "1.1",
+      "--energy", "0.09", "--convention", "paper-literal"],
+     "a2ee81145ce0424f4bf72d3499be519afadf3669a00361b905650c1d144c57ca"),
+]
+
+
+class TestGoldenStdout:
+    """Byte-identical JSON output: the sha256 of each command's stdout."""
+
+    @pytest.fixture(scope="class")
+    def species(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        paths = {}
+        for name, text in GOLDEN_SPECIES.items():
+            paths[name] = root / f"{name}.species"
+            paths[name].write_text(text)
+        return {f"@{name}": str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
+                             ids=[f"{i:02d}-{argv[0]}" for i, (argv, _) in
+                                  enumerate(GOLDEN_STDOUT)])
+    def test_stdout_sha256(self, species, capsys, argv, digest):
+        import hashlib
+        from wgdisp import cli
+        assert cli.main([species.get(arg, arg) for arg in argv]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
