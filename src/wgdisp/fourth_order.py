@@ -38,6 +38,7 @@ Natural units hbar = c = 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -281,6 +282,15 @@ def _w_tensors(geom, mode, p1, p2, epsilon, table: _PhotonTable,
     return coef * np.outer(rows[0:3], rows[3:6]) * radial
 
 
+@functools.cache
+def _laguerre_rule(n_tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n_tau-point Gauss-Laguerre rule, read-only
+    arrays shared by every call."""
+    nodes, weights = np.polynomial.laguerre.laggauss(n_tau)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def fourth_order_oracle(
     config: PairConfiguration,
     modes: list[ModeIndex],
@@ -309,7 +319,7 @@ def fourth_order_oracle(
     if diagrams == "dominant":
         diags = [d for d in diags if d.is_dominant]
 
-    lag_x, lag_w = np.polynomial.laguerre.laggauss(n_tau)
+    lag_x, lag_w = _laguerre_rule(n_tau)
     kmn = {mode: _cutoff(geom, mode) for mode in modes}
 
     total = 0.0

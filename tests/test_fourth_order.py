@@ -310,3 +310,30 @@ class TestGoldenValues:
             expected["closed"], rel=1e-13)
         assert weighted_reference_energy(config, self.MODES) == pytest.approx(
             expected["weighted"], rel=1e-13)
+
+
+class TestLaguerreRule:
+    def test_nodes_built_once_per_count(self, monkeypatch):
+        # The Gauss-Laguerre rule depends on n_tau alone: every oracle call
+        # with the same n_tau shares one read-only pair of arrays.
+        import wgdisp.fourth_order as fo
+        calls = []
+        laggauss = np.polynomial.laguerre.laggauss
+
+        def counted(n):
+            calls.append(n)
+            return laggauss(n)
+
+        monkeypatch.setattr(np.polynomial.laguerre, "laggauss", counted)
+        fo._laguerre_rule.cache_clear()
+        try:
+            first = fourth_order_oracle(_cfg(), TM11, diagrams="all", n_tau=40)
+            assert fourth_order_oracle(_cfg(), TM11, diagrams="all", n_tau=40) == first
+            assert calls == [40]
+            nodes, weights = fo._laguerre_rule(40)
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            want_nodes, want_weights = laggauss(40)
+            assert nodes.tobytes() == want_nodes.tobytes()
+            assert weights.tobytes() == want_weights.tobytes()
+        finally:
+            fo._laguerre_rule.cache_clear()
