@@ -465,8 +465,9 @@ _ROTATE = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 @functools.cache
 def _legendre_rule():
-    """Nodes and weights of the Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(_TE_NODES)
+    """Nodes plus one and weights of the Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_TE_NODES)
+    return x + 1.0, w
 
 
 def _te_short_times(geom, z):
@@ -489,10 +490,10 @@ def _te_short_time_rule(lo, tau):
     The logarithms are the C library's, one edge at a time (numpy's log
     rounds some arguments differently).
     """
-    x, w = _legendre_rule()
+    x1, w = _legendre_rule()
     logs = np.array([(math.log(v), math.log(tau / v)) for v in lo.tolist()]).reshape(-1, 2)
     half = 0.5 * logs[:, 1:]
-    s = np.exp(logs[:, :1] + half * (x + 1.0))
+    s = np.exp(logs[:, :1] + half * x1)
     return s, half * w * s
 
 
@@ -607,16 +608,17 @@ def _te_split(geom, k, rows, images, z):
     out = np.zeros((z.size, 3, 3))
     out[:, :2, :2] = (rows[:, 0:2] * weight[:, :, None]).transpose(0, 2, 1) \
         @ rows[:, 2:4] + _ROTATE @ near @ _ROTATE.T
-    bounds = [_te_split_bound(geom, k, *args) for args in zip(
-        z.tolist(), radial[:, 0].tolist(), e1.tolist(), e_edge.tolist())]
+    bounds = [_te_split_bound(geom, k, v, (edge, tau), *args) for v, edge, *args in zip(
+        z.tolist(), lo.tolist(), radial[:, 0].tolist(), e1.tolist(), e_edge.tolist())]
     return out + 0.0, np.array(bounds)
 
 
-def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
-                    e1: float, e_edge: float) -> float:
+def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, edges: tuple[float, float],
+                    k0_first: float, e1: float, e_edge: float) -> float:
     """Bound on what the TE split drops from any entry of the unit tensor.
 
-    ``k`` holds the sorted cutoffs of the screened modes; ``k0_first``,
+    ``k`` holds the sorted cutoffs of the screened modes; ``edges`` are
+    the :func:`_te_short_times` edges lo and tau at z, and ``k0_first``,
     ``e1`` and ``e_edge`` are the split's K0(k[0] z), E1(z^2 / eta^2) and
     E1(z^2 / 4m) (see below).  Each profile product is at most 4 / A.
 
@@ -650,7 +652,7 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, k0_first: float,
         plane * (math.sqrt(x) * math.exp(-x) + half_gamma) / z ** 1.5
         + lines * 2.0 * half_gamma / math.sqrt(z))
     spectral = rows * min(gauss, tail)
-    lo, tau = _te_short_times(geom, z)
+    lo, tau = edges
     m = min(lo, tau)
     short = rows * 0.5 * float(k @ k) * m * e_edge
     if lo < tau:  # k is sorted, so K0(k_0 z) is the largest K0
@@ -706,10 +708,8 @@ def _te_mode_tensors(k, rows, z, energy, conventions):
     """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows."""
     with np.errstate(over="ignore"):  # k z past the largest double: K0 = 0
         radial = _TE_FACTORS[conventions.te_factor] * energy * k0(k * z)
-    zero = np.zeros((1, k.size))
-    out = np.empty((3, 3, k.size))
-    np.multiply(radial[None, None, :], np.vstack([rows[0:2], zero])[:, None, :], out=out)
-    out *= np.vstack([rows[2:4], zero])[None, :, :]
+    out = np.zeros((3, 3, k.size))
+    out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
     out += 0.0  # -0.0 to 0.0, as in _tm_mode_tensors
     return out
 

@@ -71,7 +71,7 @@ class DipoleTransition:
     def d_vec(self) -> np.ndarray:
         return np.asarray(self.d, dtype=float)
 
-    @property
+    @cached_property
     def d_squared(self) -> float:
         return float(np.dot(self.d_vec, self.d_vec))
 
@@ -96,6 +96,13 @@ class DipoleSpecies:
     def second_moment(self, t: DipoleTransition) -> np.ndarray:
         """<d_i d_j> of transition ``t``, a read-only array shared between calls."""
         return _second_moment(self.orientation, t.d)
+
+    @cached_property
+    def second_moments(self) -> np.ndarray:
+        """:meth:`second_moment` of every transition, stacked (L, 3, 3), read-only."""
+        out = np.array([self.second_moment(t) for t in self.transitions])
+        out.flags.writeable = False
+        return out
 
     @classmethod
     def single(cls, energy: float, d, orientation: str = "isotropic-average"):
@@ -160,12 +167,13 @@ class FTensorResult:
     ``per_mode`` maps each mode of the plain mode sum that meets the same
     truncation (see :func:`f_tensor`) to its own 3x3 coupling, or is
     ``None`` when that sum has more than ``detail_cap`` modes or a dipole
-    sits at a corner.  :meth:`top_modes` ranks the same modes and builds a
-    :class:`ModeIndex` and a 3x3 copy only for those it returns.  Both read
-    one set of stacked arrays (:meth:`ModeTable.mode_tensors`), built on
-    first read from the table the tensor came from, which then lists and
-    builds the modes it lacks, so callers that only need the tensor never
-    pay for them.
+    sits at a corner.  It reads one set of stacked arrays
+    (:meth:`ModeTable.mode_tensors`), built on first read from the table
+    the tensor came from, which then lists and builds the modes it lacks,
+    so callers that only need the tensor never pay for them.
+    :meth:`top_modes` ranks the same modes, but builds only those
+    :meth:`ModeTable.leading_modes` cannot leave out, and a
+    :class:`ModeIndex` and a 3x3 copy only for those it returns.
     """
 
     tensor: np.ndarray
@@ -187,16 +195,24 @@ class FTensorResult:
         return self.tm_modes + self.te_modes
 
     @cached_property
+    def _shown_cutoffs(self) -> tuple[float, float]:
+        """TM and TE cutoffs of the modes ``per_mode`` shows: those
+        :func:`f_tensor` recorded, grown by :func:`_next_cutoffs` where it
+        recorded a budget."""
+        table, cutoffs, budget, z, energy, _ = self._detail
+        while budget is not None and (step := _next_cutoffs(
+                *cutoffs, z, table.key[0], energy, budget)) is not None:
+            cutoffs = step
+        return cutoffs
+
+    @cached_property
     def _stacked(self):
         """:meth:`ModeTable.mode_tensors` of the modes ``per_mode`` shows,
         or None."""
         if self._detail is None:
             return None
-        table, cutoffs, budget, z, energy, detail_cap = self._detail
-        while budget is not None and (step := _next_cutoffs(
-                *cutoffs, z, table.key[0], energy, budget)) is not None:
-            cutoffs = step
-        counts = table.listed_counts(cutoffs, detail_cap)
+        table, _, _, z, energy, detail_cap = self._detail
+        counts = table.listed_counts(self._shown_cutoffs, detail_cap)
         return None if counts is None else table.mode_tensors(counts, z, energy)
 
     @cached_property
@@ -210,10 +226,18 @@ class FTensorResult:
     def top_modes(self, n: int) -> list[tuple[ModeIndex, float, np.ndarray]]:
         """The ``n`` modes of ``per_mode`` with the largest max |F|, as
         (mode, max |F|, 3x3 coupling), ranked by (-max |F|, polarization,
-        m, n); empty where ``per_mode`` is None."""
-        if n <= 0 or self._stacked is None:
+        m, n); empty where ``per_mode`` is None.
+
+        Ranks the modes of :meth:`ModeTable.leading_modes`, which holds
+        those ``n`` without building the rest of ``per_mode``.
+        """
+        if n <= 0 or self._detail is None:
             return []
-        pol, ms, ns, tensors = self._stacked
+        table, _, _, z, energy, detail_cap = self._detail
+        found = table.leading_modes(self._shown_cutoffs, detail_cap, n, z, energy)
+        if found is None:
+            return []
+        pol, ms, ns, tensors = found
         peaks = np.abs(tensors).max(axis=(0, 1))
         top = np.lexsort((ns, ms, pol, -peaks))[:n]
         keys = zip(pol[top].tolist(), ms[top].tolist(), ns[top].tolist())
@@ -550,9 +574,8 @@ class ModeTable:
         if pol not in self._screen:
             K = _coupling._split_cutoff(self.key[0])
             self.extend(*((K, 0.0) if pol == TM else (0.0, K)))
-            parts = [(b.k[:used], b.rows[:used])
-                     for b, used in self._filled(pol, self._count(pol, K))]
-            k, rows = (np.concatenate(p) for p in zip(*parts))
+            k, _, rows = self._columns(pol, self._count(pol, K))
+            rows = rows.T
             if pol == TM:  # the products of the factors at p2 and at p1
                 self._screen[pol] = (k, rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
                                      _coupling._live(rows, 3))
@@ -584,30 +607,124 @@ class ModeTable:
         counts = self.counts(*cutoffs)
         return counts if sum(counts) <= cap else None
 
-    def mode_tensors(self, counts: tuple[int, int], z: float,
-                     energy: float) -> tuple[np.ndarray, ...]:
+    def mode_tensors(self, counts: tuple[int, int], z: float, energy: float,
+                     first: tuple[int, int] = (0, 0)) -> tuple[np.ndarray, ...]:
         """Polarizations, indices m and n, and (3, 3, N) couplings of the
-        first ``counts`` modes: the TM modes, then the TE modes, each in
-        table order."""
+        TM modes at table positions ``first[0]`` up to ``counts[0]``, then
+        the TE modes from ``first[1]`` up to ``counts[1]``, each in table
+        order.  A mode's coupling does not depend on which others share
+        the call."""
         geom, p1, p2, conv = self.key
         pols = [np.empty(0, dtype="<U2")]
         mns = [np.empty((2, 0), dtype=np.int32)]
         tensors = [np.empty((3, 3, 0))]
-        for pol, count in zip((TM, TE), counts):
-            if count == 0:
+        for pol, start, count in zip((TM, TE), first, counts):
+            if count <= start:
                 continue
-            parts = [(b.k[:used], b.mn[:, :used], b.rows[:used].T)
-                     for b, used in self._filled(pol, count)]
-            k, mn, rows = (np.concatenate(p, axis=-1) for p in zip(*parts))
+            k, mn, rows = (part[..., start:] for part in self._columns(pol, count))
             if pol == TM:
                 tensors.append(_coupling._tm_mode_tensors(geom, mn[0], mn[1], k, rows,
                                                           p1, p2, z, conv))
             else:
                 tensors.append(_coupling._te_mode_tensors(k, rows, z, energy, conv))
-            pols.append(np.full(count, pol))
+            pols.append(np.full(count - start, pol))
             mns.append(mn)
         m, n = np.concatenate(mns, axis=1)
         return np.concatenate(pols), m, n, np.concatenate(tensors, axis=2)
+
+    def _columns(self, pol: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cutoffs (N,), indices (2, N) and factor rows (R, N) of the first
+        ``count`` modes of a polarization: views of one block, or copies
+        joined from several."""
+        parts = [(b.k[:used], b.mn[:, :used], b.rows[:used].T)
+                 for b, used in self._filled(pol, count)]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+
+    def leading_modes(self, cutoffs: tuple[float, float], cap: float, n: int,
+                      z: float, energy: float) -> tuple[np.ndarray, ...] | None:
+        """:meth:`mode_tensors` of modes among the TM modes up to
+        cutoffs[0] and TE modes up to cutoffs[1] (the detail set) that
+        include the ``n`` with the largest max |F|, ties included, or None
+        where :meth:`listed_counts` finds the set past ``cap``.
+
+        Each polarization's modes are taken in table (cutoff) order: first
+        those with factor rows, then, listing more, only as far as an
+        envelope on every later mode's max |F| stays at or above the n-th
+        largest found so far, so every mode left out ranks strictly below
+        the n-th.  The envelope at cutoff k, decreasing in k, is
+        (4 pi / A) k' e^{-k' z} with k' = max(k, 1/z) for TM, whose rows are
+        at most 1 (the paper-literal cross terms, 2 pi^2 e^{-kz} / (A^2 k),
+        are at most 1/(4 pi) of it, as k^2 >= 2 pi^2 / A), and
+        |factor| E (4/A) sqrt(pi / 2kz) e^{-kz} > |factor| E (4/A) K0(kz)
+        for TE, whose rows are at most 2 / sqrt(A) under either
+        normalization.
+        """
+        geom, _, _, conv = self.key
+        if _count_bound(geom, cutoffs) > cap:  # may pass the cap: list it all
+            counts = self.listed_counts(cutoffs, cap)
+            return None if counts is None else self.mode_tensors(counts, z, energy)
+        first = tuple(min(self._built[pol], self._count(pol, K))
+                      for pol, K in zip((TM, TE), cutoffs))
+        found = self.mode_tensors(first, z, energy)
+        peaks = np.abs(found[3]).max(axis=(0, 1))
+        # The n-th largest max |F| so far; with fewer modes or a zero n-th,
+        # no mode can be left out.
+        floor = float(np.partition(peaks, -n)[-n]) if peaks.size >= n else 0.0
+        te_weight = abs(_coupling._TE_FACTORS[conv.te_factor]) * energy
+        stops = []  # per polarization, the cutoff to take modes up to, or None
+        for pol, count, K in zip((TM, TE), first, cutoffs):
+            if self._count(pol, K) == count and (self.cutoff or 0.0) >= K:
+                stops.append(None)  # every mode of the set is taken
+                continue
+            if floor <= 0.0:
+                stops.append(K)
+                continue
+            # Every mode not yet taken has a cutoff of at least k.
+            k = self._mode_k(pol, count - 1) if count else math.pi / max(geom.a, geom.b)
+            if _envelope(pol, k, z, geom, te_weight) < floor:
+                stops.append(None)
+                continue
+            while k < K and _envelope(pol, k, z, geom, te_weight) >= floor:
+                k *= 1.05
+            stops.append(min(k, K))
+        if stops == [None, None]:
+            return found
+        self.extend(*(0.0 if stop is None else stop for stop in stops))
+        counts = tuple(count if stop is None else self._count(pol, stop)
+                       for pol, count, stop in zip((TM, TE), first, stops))
+        rest = self.mode_tensors(counts, z, energy, first)
+        return tuple(np.concatenate(pair, axis=-1) for pair in zip(found, rest))
+
+    def _mode_k(self, pol: str, position: int) -> float:
+        """Cutoff of the mode at table position ``position``."""
+        j = _block_index(position)
+        return float(self._blocks[pol][j].k[position - _block_start(j)])
+
+
+_ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings
+
+
+def _envelope(pol: str, k: float, z: float, geom: Geometry, te_weight: float) -> float:
+    """Bound on max |F| of every mode of polarization ``pol`` with cutoff at
+    least k (see :meth:`ModeTable.leading_modes`); ``te_weight`` is
+    |factor| E."""
+    if pol == TM:
+        k = max(k, 1.0 / z)
+        return _ENVELOPE_SLACK * (4.0 * math.pi / geom.area) * k * math.exp(-k * z)
+    return _ENVELOPE_SLACK * te_weight * (4.0 / geom.area) \
+        * math.sqrt(math.pi / (2.0 * k * z)) * math.exp(-k * z)
+
+
+def _count_bound(geom: Geometry, cutoffs: tuple[float, float]) -> float:
+    """Upper bound on the number of TM modes up to cutoffs[0] and TE modes
+    up to cutoffs[1]: each mode with both indices non-zero owns the lattice
+    cell of area pi^2 / A below it, inside the quarter disc, and each
+    axis row holds at most K a / pi or K b / pi modes."""
+    K_tm, K_te = (K * (1.0 + 1e-9) for K in cutoffs)
+    disc = geom.area / (4.0 * math.pi)
+    return disc * (K_tm * K_tm + K_te * K_te) + K_te * (geom.a + geom.b) / math.pi
 
 
 def _next_cutoffs(K_tm: float, K_te: float, z: float, geom: Geometry,
@@ -787,6 +904,21 @@ def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
     return float(np.einsum("il,jq,ij,lq->", P2, P1, F2, F1))
 
 
+def _level_pairs(P2: np.ndarray, P1: np.ndarray, F2: np.ndarray,
+                 F1: np.ndarray) -> np.ndarray:
+    """:func:`quadratic_contraction` of every level pair in one call.
+
+    P1 and F1 stack the second moments and tensors of species1's L1 levels,
+    P2 and F2 those of species2's L2 levels, each (L, 3, 3); a 3x3 F2 or F1
+    serves every level.  Entry [a, b] is quadratic_contraction(P2[b], P1[a],
+    F2[b], F1[a]), bit for bit: without ``optimize`` einsum sums each entry
+    over the same indices in the same order as the one-pair call.
+    """
+    f2 = "bij" if F2.ndim == 3 else "ij"
+    f1 = "alq" if F1.ndim == 3 else "lq"
+    return np.einsum(f"bil,ajq,{f2},{f1}->ab", P2, P1, F2, F1)
+
+
 def _confinement_guard(config: PairConfiguration) -> list[str]:
     notes = []
     for label, sp in (("species1", config.species1), ("species2", config.species2)):
@@ -811,44 +943,49 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
             notes.append(f"{label} dipole sits at the corner ({p.x:g}, {p.y:g}) "
                          f"of the cross-section, where every TE and TM mode "
                          f"profile vanishes; the pair energy is zero")
-    eps = config.epsilon
-    pref = -1.0 / (TWO_PI * eps) ** 2
-
+    pref = -1.0 / (TWO_PI * config.epsilon) ** 2
+    sp1, sp2 = config.species1, config.species2
+    # Each level's tensor, made in the order the level pairs first need them.
     f_cache: dict[float, FTensorResult] = {}
-
-    def tensor_for(energy: float) -> FTensorResult:
-        if energy not in f_cache:
-            f_cache[energy] = make_tensor(energy)
-        return f_cache[energy]
+    for t1 in sp1.transitions:
+        for t in (t1, *sp2.transitions):
+            if t.energy not in f_cache:
+                f_cache[t.energy] = make_tensor(t.energy)
+    f1s = [f_cache[t.energy] for t in sp1.transitions]
+    f2s = [f_cache[t.energy] for t in sp2.transitions]
+    P1, P2 = sp1.second_moments, sp2.second_moments
+    sums = {part: _level_pairs(P2, P1, np.array([getattr(f, part) for f in f2s]),
+                               np.array([getattr(f, part) for f in f1s])).tolist()
+            for part in ("tensor", "tm_tensor", "te_tensor")}
+    # |P| keeps the fixed-vector bound from cancelling between dipole
+    # components of opposite sign.
+    abs1, abs2 = np.abs(P1), np.abs(P2)
+    abs_f1 = np.abs(np.array([f.tensor for f in f1s]))
+    abs_f2 = np.abs(np.array([f.tensor for f in f2s]))
+    ones = np.ones((3, 3))
+    cross = (_level_pairs(abs2, abs1, abs_f2, ones)
+             + _level_pairs(abs2, abs1, ones, abs_f1)).tolist()
+    traces1 = np.trace(P1, axis1=1, axis2=2).tolist()
+    traces2 = np.trace(P2, axis1=1, axis2=2).tolist()
 
     total = 0.0
     tm_only = 0.0
     te_only = 0.0
     tail_total = 0.0
     per_pair: dict[tuple[int, int], float] = {}
-    ones = np.ones((3, 3))
-    for i1, t1 in enumerate(config.species1.transitions):
-        for i2, t2 in enumerate(config.species2.transitions):
-            f1 = tensor_for(t1.energy)
-            f2 = tensor_for(t2.energy)
-            p1m = config.species1.second_moment(t1)
-            p2m = config.species2.second_moment(t2)
+    for i1, (t1, f1) in enumerate(zip(sp1.transitions, f1s)):
+        for i2, (t2, f2) in enumerate(zip(sp2.transitions, f2s)):
             w = pref / (t1.energy + t2.energy)
             # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
             # leaves every other value as it is.
-            u_pair = w * quadratic_contraction(p2m, p1m, f2.tensor, f1.tensor) + 0.0
+            u_pair = w * sums["tensor"][i1][i2] + 0.0
             per_pair[(i1, i2)] = u_pair
             total += u_pair
-            tm_only += w * quadratic_contraction(p2m, p1m, f2.tm_tensor, f1.tm_tensor)
-            te_only += w * quadratic_contraction(p2m, p1m, f2.te_tensor, f1.te_tensor)
+            tm_only += w * sums["tm_tensor"][i1][i2]
+            te_only += w * sums["te_tensor"][i1][i2]
             t_hi = max(f1.tail_bound, f2.tail_bound)
-            # |P| keeps the fixed-vector bound from cancelling between
-            # dipole components of opposite sign.
-            abs2, abs1 = np.abs(p2m), np.abs(p1m)
-            cross = quadratic_contraction(abs2, abs1, np.abs(f2.tensor), ones) \
-                + quadratic_contraction(abs2, abs1, ones, np.abs(f1.tensor))
-            tail_total += abs(w) * (t_hi * cross + 9.0 * t_hi * t_hi
-                                    * p2m.trace() * p1m.trace())
+            tail_total += abs(w) * (t_hi * cross[i1][i2] + 9.0 * t_hi * t_hi
+                                    * traces2[i2] * traces1[i1])
     modes_used = max((f.modes_used for f in f_cache.values()), default=0)
     return EnergyBreakdown(total=total, per_level_pair=per_pair,
                            u_tm_only=tm_only, u_te_only=te_only,
@@ -1030,13 +1167,12 @@ def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
     if form != "tensor":
         raise InputError(f"form must be 'isotropic' or 'tensor', got {form!r}")
     pref = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6)
+    P1, P2 = species1.second_moments, species2.second_moments
+    sums = _level_pairs(P2, P1, _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
     total = 0.0
-    for t1 in species1.transitions:
-        for t2 in species2.transitions:
-            p1m = species1.second_moment(t1)
-            p2m = species2.second_moment(t2)
-            total += pref / (t1.energy + t2.energy) * 0.25 \
-                * quadratic_contraction(p2m, p1m, _NEAR_FIELD_M, _NEAR_FIELD_M)
+    for t1, row in zip(species1.transitions, sums):
+        for t2, value in zip(species2.transitions, row):
+            total += pref / (t1.energy + t2.energy) * 0.25 * value
     return total
 
 

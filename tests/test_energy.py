@@ -560,6 +560,34 @@ def _top_mode_cases(draw):
     return cfg, truncation, draw(st.sampled_from([0, 1, 8, 10 ** 6]))
 
 
+@st.composite
+def _envelope_cases(draw):
+    # Guides with b/a in [0.05, 1], z in [0.05a, 8a], and in the square
+    # guide mirrored, diagonal or centred points, where peaks tie.
+    shape = draw(st.sampled_from(["rectangle", "rectangle", "mirrored", "diagonal",
+                                  "centre"]))
+    x, y = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    if shape == "rectangle":
+        b = draw(st.floats(0.05, 1.0))
+        points = (x, y * b), (draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)) * b)
+    else:
+        b = 1.0
+        points = {"mirrored": ((x, y), (y, x)), "diagonal": ((x, x), (y, y)),
+                  "centre": ((0.5, 0.5), (0.5, 0.5))}[shape]
+    conv = Conventions.from_name(draw(st.sampled_from(["oracle-consistent",
+                                                       "paper-literal"])))
+    z = 0.05 * 160.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.05a, 8a]
+    cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*points[0]),
+                            TransversePoint(*points[1]), z, ISO, ISO,
+                            conventions=conv)
+    energy = 2.0 * math.pi / draw(st.floats(20.0, 200.0))
+    truncation = draw(st.sampled_from([
+        {"tail_tol": 10.0 ** draw(st.floats(-10.0, -4.0))},
+        {"max_cutoff": draw(st.floats(2.0, 40.0))}]))
+    n = draw(st.one_of(st.integers(0, 50), st.just(10 ** 6)))
+    return cfg, energy, truncation, n
+
+
 def _assert_same_ranking(got, want):
     assert [(mode, type(peak)) for mode, peak, _ in got] \
         == [(mode, type(peak)) for mode, peak, _ in want]
@@ -589,6 +617,41 @@ class TestTopModes:
         assert labels[:7] == ["TM11", "TM12", "TM21", "TM13", "TM31", "TE01", "TE10"]
         assert got[1][1] == got[2][1] and got[3][1] == got[4][1] \
             and got[5][1] == got[6][1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_envelope_cases())
+    def test_envelope_stop_ranks_every_detail_mode(self, case):
+        # top_modes stops listing where the per-mode envelope falls below
+        # the n-th largest peak; read first, on a fresh result and table, it
+        # returns what ranking every mode of per_mode returns, bit for bit.
+        cfg, energy, truncation, n = case
+        try:
+            ft = f_tensor(cfg, energy, **truncation)
+        except (InputError, ModeCapError):  # tail_tol below the splits' bounds
+            reject()
+        _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
+
+    def test_envelope_stop_lists_fewer_modes(self):
+        # At z = 0.3a the detail set runs to about a thousand modes; the
+        # eight largest are found among the screened modes of the splits.
+        ft = f_tensor(_config(0.3, p1=TransversePoint(0.3, 0.4)), E100, tail_tol=1e-8)
+        table = ft._detail[0]
+        listed = table.cutoff
+        top = ft.top_modes(8)
+        assert table.cutoff == listed
+        assert len(ft.per_mode) > 500 and table.cutoff > listed
+        _assert_same_ranking(top, ranked_modes(ft.per_mode, 8))
+
+    @pytest.mark.parametrize("n", [8, 50])
+    def test_envelope_stop_below_one_over_z(self, n):
+        # At z = 0.02a the screened modes end near k = 27, where the TM
+        # envelope k e^{-kz} still rises (up to k = 1/z = 50): the listing
+        # must go on past its peak.
+        cfg = _config(0.02, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.45, 0.7))
+        ft = f_tensor(cfg, E100, max_cutoff=120.0)
+        table = ft._detail[0]
+        assert table._mode_k("TM", table._built["TM"] - 1) < 30.0
+        _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
 
     def test_corner_dipole_lists_nothing(self):
         cfg = _config(0.5, p1=TransversePoint(0.0, 0.0))
