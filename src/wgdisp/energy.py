@@ -104,6 +104,13 @@ class DipoleSpecies:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _abs_moments(self) -> tuple[np.ndarray, list[float]]:
+        """|second_moments| and the trace of each moment, for tail bounds."""
+        out = np.abs(self.second_moments)
+        out.flags.writeable = False
+        return out, [float(p.trace()) for p in self.second_moments]
+
     @classmethod
     def single(cls, energy: float, d, orientation: str = "isotropic-average"):
         return cls((DipoleTransition(energy, tuple(d)),), orientation)
@@ -912,11 +919,14 @@ def _level_pairs(P2: np.ndarray, P1: np.ndarray, F2: np.ndarray,
     P2 and F2 those of species2's L2 levels, each (L, 3, 3); a 3x3 F2 or F1
     serves every level.  Entry [a, b] is quadratic_contraction(P2[b], P1[a],
     F2[b], F1[a]), bit for bit: without ``optimize`` einsum sums each entry
-    over the same indices in the same order as the one-pair call.
+    over the same indices in the same order as the one-pair call.  With
+    several tensors per level, F2 and F1 of shape (L, parts, 3, 3), entry
+    [p, a, b] contracts part p, again bit for bit.
     """
-    f2 = "bij" if F2.ndim == 3 else "ij"
-    f1 = "alq" if F1.ndim == 3 else "lq"
-    return np.einsum(f"bil,ajq,{f2},{f1}->ab", P2, P1, F2, F1)
+    f2 = {2: "ij", 3: "bij", 4: "bpij"}[F2.ndim]
+    f1 = {2: "lq", 3: "alq", 4: "aplq"}[F1.ndim]
+    return np.einsum(f"bil,ajq,{f2},{f1}->{'pab' if F1.ndim == 4 else 'ab'}",
+                     P2, P1, F2, F1)
 
 
 def _confinement_guard(config: PairConfiguration) -> list[str]:
@@ -953,20 +963,20 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
                 f_cache[t.energy] = make_tensor(t.energy)
     f1s = [f_cache[t.energy] for t in sp1.transitions]
     f2s = [f_cache[t.energy] for t in sp2.transitions]
-    P1, P2 = sp1.second_moments, sp2.second_moments
-    sums = {part: _level_pairs(P2, P1, np.array([getattr(f, part) for f in f2s]),
-                               np.array([getattr(f, part) for f in f1s])).tolist()
-            for part in ("tensor", "tm_tensor", "te_tensor")}
+    # Per level, the total, TM and TE tensors.
+    F1 = np.array([(f.tensor, f.tm_tensor, f.te_tensor) for f in f1s])
+    F2 = F1 if sp2 is sp1 else np.array([(f.tensor, f.tm_tensor, f.te_tensor)
+                                         for f in f2s])
+    sums, tm_sums, te_sums = _level_pairs(sp2.second_moments, sp1.second_moments,
+                                          F2, F1).tolist()
     # |P| keeps the fixed-vector bound from cancelling between dipole
     # components of opposite sign.
-    abs1, abs2 = np.abs(P1), np.abs(P2)
-    abs_f1 = np.abs(np.array([f.tensor for f in f1s]))
-    abs_f2 = np.abs(np.array([f.tensor for f in f2s]))
+    (abs1, traces1), (abs2, traces2) = sp1._abs_moments, sp2._abs_moments
+    abs_f1 = np.abs(F1[:, 0])
+    abs_f2 = abs_f1 if sp2 is sp1 else np.abs(F2[:, 0])
     ones = np.ones((3, 3))
     cross = (_level_pairs(abs2, abs1, abs_f2, ones)
              + _level_pairs(abs2, abs1, ones, abs_f1)).tolist()
-    traces1 = np.trace(P1, axis1=1, axis2=2).tolist()
-    traces2 = np.trace(P2, axis1=1, axis2=2).tolist()
 
     total = 0.0
     tm_only = 0.0
@@ -978,11 +988,11 @@ def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> Energ
             w = pref / (t1.energy + t2.energy)
             # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
             # leaves every other value as it is.
-            u_pair = w * sums["tensor"][i1][i2] + 0.0
+            u_pair = w * sums[i1][i2] + 0.0
             per_pair[(i1, i2)] = u_pair
             total += u_pair
-            tm_only += w * sums["tm_tensor"][i1][i2]
-            te_only += w * sums["te_tensor"][i1][i2]
+            tm_only += w * tm_sums[i1][i2]
+            te_only += w * te_sums[i1][i2]
             t_hi = max(f1.tail_bound, f2.tail_bound)
             tail_total += abs(w) * (t_hi * cross[i1][i2] + 9.0 * t_hi * t_hi
                                     * traces2[i2] * traces1[i1])
