@@ -777,6 +777,37 @@ class TestOracleCheck:
         assert "expected-mismatch" in res.stdout
 
 
+# sha256 of the whole oracle-check stdout, the dominant-diagram consistency
+# line included, for each (seed, convention, cases).
+ORACLE_CHECK_SHA256 = {
+    (1, "oracle-consistent", 20): "fdd15f7d80361c9b60a84d7ebcc86f2ba0a5415baaef3ba6630409276dbead12",
+    (1, "paper-literal", 20): "c697fe7bc0afff0b3b76c5f002edfc03ab048cc4bc6189b54b2161acc40fd56b",
+    (11, "oracle-consistent", 20): "038fbb34caddce8411f088d166b193434c30b077e8fd2148a165fba1195cdad5",
+    (11, "paper-literal", 20): "fb9a0d3b4872ea4622865d097cf35b606a9df47e2af325abc6af2e066d9e5689",
+    (42, "oracle-consistent", 20): "72b3f2ecb0dcb214323cdc0a6df34fbc4762c4f506e3bf82a5fc06c708c48a5b",
+    (42, "paper-literal", 20): "239be521c94b31a659e00d7803df37f1abbc6d615c2c4744294d79161b11e1b2",
+    (88, "oracle-consistent", 20): "2b7355c0cf5c33bf14837bea4781b51d555929917d8ae06ca171dad86c291a3d",
+    (88, "paper-literal", 20): "c8fe72723c6086557224488b2f32c70ff4f2f05587dbd59a6e7e8bf19ccc79bb",
+    (96, "oracle-consistent", 20): "d60a1e03a31c46b5cb386add742b89766a8f185c51cff82be2bbb6130ede715c",
+    (96, "paper-literal", 20): "94913fe3b790ba1780c688b13942844c034749682c9824b85dd53563172f7e25",
+    (12345, "oracle-consistent", 20): "aade25941b11e95f1483970fe7e838f1089a3d0ec42f2eea861d282bc4f30376",
+    (12345, "paper-literal", 20): "ad4cbde28a4f143a09567df3bc0e059bac74d9391385de5d0e59da4da691af0a",
+    (7, "oracle-consistent", 1): "cacc145b2822af6043577e49f2d3e25b73426d3a565251b0affcd463b1406ee5",
+    (7, "oracle-consistent", 50): "a96f49fe88a5efb5b05a353efbf551884db41df44f3ed37764793e2df55b9d41",
+}
+
+
+@pytest.mark.parametrize("seed, convention, cases", sorted(ORACLE_CHECK_SHA256))
+def test_oracle_check_sha256(capsys, seed, convention, cases):
+    import hashlib
+    from wgdisp import cli
+    assert cli.main(["oracle-check", "--seed", str(seed), "--convention", convention,
+                     "--cases", str(cases)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ORACLE_CHECK_SHA256[seed, convention, cases]
+
+
 class TestIgnoredOptionsRefused:
     """Options a subcommand would only accept and ignore exit 2."""
 
