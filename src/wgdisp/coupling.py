@@ -32,9 +32,10 @@ Both closed forms have one formula, shared with every mode sum: per mode,
 z-independent transverse factor rows (``_tm_rows``, ``_te_rows``) times a
 radial weight, (4 pi / A) k_mn exp(-k_mn z) or the TE factor times
 energy * K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
-rows for many modes at once; ``f_tm_closed`` and ``f_te_closed`` are
-their one-mode views, and so is ``transverse_profile``, the normalized
-mode profile at one point.  ``_tm_split`` sums the oracle-consistent TM
+rows for many modes at once, ``_closed_forms`` for a batch of cases at
+points of their own; ``f_tm_closed`` and ``f_te_closed`` are its one-case
+calls, and ``transverse_profile`` is the normalized mode profile at one
+point.  ``_tm_split`` sums the oracle-consistent TM
 couplings of all modes at once, from the same rows, by an Ewald split of
 the tube's Green function, and ``_te_split`` sums the unit-normalized TE
 couplings the same way, by a split in time of the tube's heat kernel.
@@ -42,17 +43,16 @@ Both need the rows of a few dozen screened modes and about a hundred
 images at any separation, and each has a derived truncation bound
 (``_tm_split_bound``, ``_te_split_bound``).
 
-``f_quadrature`` evaluates the same couplings by direct numerical
-integration of the defining wavenumber integrals and is the oracle the
-closed forms are validated against.  Two independent regularization
-routes are provided: ``real-axis-subtracted`` (cosine/sine-weighted
-Fourier integral of the decaying remainder, by the double-exponential rule
-of T. Ooura and M. Mori, J. Comput. Appl. Math. 38 (1991) 353 and 112
-(1999) 229) and ``branch-cut-rotated`` (the exp-sinh double-exponential
-rule along a rotated, manifestly decaying contour).  Each kernel integral
-is one numpy sum over all nodes at once; its error is the difference
-between the rules at steps h and 2h plus a rounding floor, and no term of
-it comes from a closed form the oracle validates.
+``_quadratures`` evaluates the same couplings for a batch of cases by
+direct numerical integration of the defining wavenumber integrals, the
+oracle the closed forms are validated against; ``f_quadrature`` is its
+one-case call.  Two independent regularization routes are provided:
+``real-axis-subtracted`` (the Fourier integral of the decaying remainder)
+and ``branch-cut-rotated`` (a rotated, manifestly decaying contour), each
+by double-exponential rules, one numpy pass per kernel class and block of
+cases.  An integral's error is the difference between the rules at steps
+h and 2h plus a rounding floor; no term of it comes from a closed form the
+oracle validates.
 
 Natural units hbar = c = 1 throughout.
 """
@@ -109,10 +109,9 @@ class CouplingValue:
     method: str
 
 
-def _check_orientation(orient: str) -> tuple[str, str]:
+def _check_orientation(orient: str) -> None:
     if len(orient) != 2 or orient[0] not in _AXES or orient[1] not in _AXES:
         raise InputError(f"orientation must be two of 'xyz', got {orient!r}")
-    return orient[0], orient[1]
 
 
 def _check_separation(z: float) -> None:
@@ -154,12 +153,18 @@ def _axis_trig(geom, m, n, p2, p1):
     row 1 at p1.  The transcendentals are taken once per distinct index on
     per-axis tables and gathered with the integer m and n; each table entry
     is the same float operation as the per-mode one, so the values match
-    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.
+    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.  The
+    points' coordinates are floats, or arrays with one entry per mode
+    (a table per mode, as :func:`_cases` builds them).
     """
-    tx = np.multiply.outer((p2.x, p1.x), np.arange(m.max(initial=0) + 1) * np.pi / geom.a)
-    ty = np.multiply.outer((p2.y, p1.y), np.arange(n.max(initial=0) + 1) * np.pi / geom.b)
-    return (np.sin(tx).take(m, axis=1), np.cos(tx).take(m, axis=1),
-            np.sin(ty).take(n, axis=1), np.cos(ty).take(n, axis=1))
+    def axis(c2, c1, index, length):
+        t = np.multiply.outer((c2, c1), np.arange(index.max(initial=0) + 1) * np.pi / length)
+        if t.ndim == 3:  # one table per mode: its own index's entry
+            t = t[:, np.arange(index.size), index]
+            return np.sin(t), np.cos(t)
+        return np.sin(t).take(index, axis=1), np.cos(t).take(index, axis=1)
+
+    return (*axis(p2.x, p1.x, m, geom.a), *axis(p2.y, p1.y, n, geom.b))
 
 
 def _paper_cross(geom, k, trig, decay):
@@ -714,23 +719,48 @@ def _te_mode_tensors(k, rows, z, energy, conventions):
     return out
 
 
-def _one_mode(geom: Geometry, mode: ModeIndex):
-    """Index arrays m, n and cutoff array k of one mode, as in ``mode_arrays``."""
-    m, n = np.array([mode.m]), np.array([mode.n])
+def _one_mode(geom: Geometry, *modes: ModeIndex):
+    """Index arrays m, n and cutoff array k of one mode (or of each of
+    ``modes``), as in ``mode_arrays``."""
+    m, n = (np.array([getattr(mode, c) for mode in modes]) for c in "mn")
     return m, n, np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
+
+
+def _cases(geom: Geometry, cases):
+    """Arrays m, n, k (:func:`_one_mode`), points p1 and p2 with one coordinate
+    per case, z and axis indices i, j of (orient, mode, p1, p2, z) cases."""
+    orients, modes, *points, z = zip(*cases)
+    p1, p2 = (TransversePoint(np.array([p.x for p in ps]), np.array([p.y for p in ps]))
+              for ps in points)
+    i, j = np.array([[_AXES[o[0]], _AXES[o[1]]] for o in orients]).T
+    return (*_one_mode(geom, *modes), p1, p2, np.array(z), i, j)
+
+
+def _closed_forms(geom: Geometry, cases, energy: float, conventions) -> np.ndarray:
+    """Closed-form couplings of (orient, mode, p1, p2, z) cases, TE ones at the
+    transition energy ``energy``: one build of factor rows per polarization,
+    each value its mode's tensor entry as a mode table at its points gives it."""
+    out = np.zeros(len(cases))
+    te = np.array([case[1].polarization == TE for case in cases])
+    for at in (np.flatnonzero(~te), np.flatnonzero(te)):
+        if at.size:
+            m, n, k, p1, p2, z, i, j = _cases(geom, [cases[c] for c in at])
+            if te[at[0]]:
+                rows = _te_rows(geom, m, n, k, p1, p2, conventions)
+                tensors = _te_mode_tensors(k, rows, z, energy, conventions)
+            else:
+                rows = _tm_rows(geom, m, n, k, p1, p2, conventions)
+                tensors = _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions)
+            out[at] = tensors[i, j, np.arange(at.size)]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # profiles and closed forms: one-mode views of the factor rows
 # ---------------------------------------------------------------------------
 
-def transverse_profile(
-    geom: Geometry,
-    mode: ModeIndex,
-    k: float,
-    p: TransversePoint,
-    convention: str = "unit-normalized",
-) -> np.ndarray:
+def transverse_profile(geom: Geometry, mode: ModeIndex, k: float, p: TransversePoint,
+                       convention: str = "unit-normalized") -> np.ndarray:
     """Cartesian components [E_x, E_y, E_z] of the transverse profile.
 
     The profiles printed in :mod:`wgdisp.waveguide`, with ``convention``
@@ -754,46 +784,31 @@ def transverse_profile(
     return out
 
 
-def f_tm_closed(
-    geom: Geometry,
-    mode: ModeIndex,
-    orient: str,
-    p1: TransversePoint,
-    p2: TransversePoint,
-    z: float,
-    sign_convention: str = "oracle-consistent",
-) -> CouplingValue:
+def f_tm_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
+                p2: TransversePoint, z: float,
+                sign_convention: str = "oracle-consistent") -> CouplingValue:
     """Closed-form TM coupling; index order is (i at p2, j at p1)."""
-    i, j = _check_orientation(orient)
+    _check_orientation(orient)
     _check_separation(z)
     if mode.polarization != TM:
         raise InputError(f"f_tm_closed requires a TM mode, got {mode.label()}")
     _check_points(geom, p1, p2)
-    conv = Conventions(tm_sign=sign_convention)
-    m, n, k = _one_mode(geom, mode)
-    rows = _tm_rows(geom, m, n, k, p1, p2, conv)
-    value = _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)[_AXES[i], _AXES[j], 0]
+    value = _closed_forms(geom, [(orient, mode, p1, p2, z)], 0.0,
+                          Conventions(tm_sign=sign_convention))[0]
     return CouplingValue(float(value), mode, orient, "closed-form")
 
 
-def f_te_closed(
-    geom: Geometry,
-    mode: ModeIndex,
-    orient: str,
-    p1: TransversePoint,
-    p2: TransversePoint,
-    z: float,
-    energy: float,
-    factor_convention: str = "derivation-consistent",
-    normalization: str = "unit-normalized",
-) -> CouplingValue:
+def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
+                p2: TransversePoint, z: float, energy: float,
+                factor_convention: str = "derivation-consistent",
+                normalization: str = "unit-normalized") -> CouplingValue:
     """Closed-form TE coupling E_i(p2) E_j(p1) * C * energy * K0(k_mn z).
 
     Orientations involving z return exactly 0 (no longitudinal TE
     electric field).  ``energy`` is the transition energy in units of
     hbar c / length.
     """
-    i, j = _check_orientation(orient)
+    _check_orientation(orient)
     _check_separation(z)
     if mode.polarization != TE:
         raise InputError(f"f_te_closed requires a TE mode, got {mode.label()}")
@@ -801,17 +816,12 @@ def f_te_closed(
         raise InputError(f"transition energy must be positive, got {energy!r}")
     _check_points(geom, p1, p2)
     conv = Conventions(te_factor=factor_convention, normalization=normalization)
-    if "z" in orient:
-        return CouplingValue(0.0, mode, orient, "closed-form")
-    m, n, k = _one_mode(geom, mode)
-    u_e = energy / k[0]
-    if u_e > 0.1:
-        warnings.warn(
-            f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
-            f"{mode.label()}; the closed form drops O(u_e^2) corrections",
-            TightConfinementWarning, stacklevel=2)
-    rows = _te_rows(geom, m, n, k, p1, p2, conv)
-    value = _te_mode_tensors(k, rows, z, energy, conv)[_AXES[i], _AXES[j], 0]
+    u_e = energy / _one_mode(geom, mode)[2][0]
+    if u_e > 0.1 and "z" not in orient:
+        warnings.warn(f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
+                      f"{mode.label()}; the closed form drops O(u_e^2) corrections",
+                      TightConfinementWarning, stacklevel=2)
+    value = _closed_forms(geom, [(orient, mode, p1, p2, z)], energy, conv)[0]
     return CouplingValue(float(value), mode, orient, "closed-form")
 
 
@@ -819,9 +829,9 @@ def f_te_closed(
 # numerical kernels: double-exponential rules
 # ---------------------------------------------------------------------------
 #
-# Each kernel integral is one trapezoidal sum in a double-exponential
-# variable, taken over all nodes at once, at the step _DE_STEP and again at
-# twice that step.
+# Each kernel integral is one trapezoidal sum in a double-exponential variable
+# at the step _DE_STEP and at twice it; the error reported is their difference
+# plus a rounding floor _DE_ROUNDING sum |w_i f_i| of the fine sum's terms.
 #
 # * branch-cut-rotated: the exp-sinh substitution x = exp(s - e^{-s}) of
 #   integral_0^inf f(x) dx (H. Takahasi and M. Mori, Publ. RIMS Kyoto Univ. 9
@@ -834,8 +844,8 @@ def f_te_closed(
 #   or cosine double-exponentially.  M changes with the step, so the coarse
 #   rule has nodes of its own.
 #
-# The error reported is the difference of the two sums plus a rounding floor
-# _DE_ROUNDING sum |w_i f_i| of the fine sum's terms.
+# Many cases share one numpy pass, one row of nodes each; each row is summed
+# over its own nodes alone, so a value has the same bits in any batch.
 
 # Any step from 1/28 to 1/48 reaches the same accuracy; at 1/30 the weighted
 # TM kernels round so that the pair energies pinned bit for bit in
@@ -854,6 +864,10 @@ _FOURIER_SPAN = (-7.0, 5.5)
 # every actual error below 3% of the reported one for zeta in [0.5, 8].
 _DE_ROUNDING = 50.0 * np.finfo(float).eps
 _ROT = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
+# Nodes per pass of a batch of kernel integrals, complex temporaries of 128 KiB:
+# numpy takes a * (b + c) of 256 KiB or more in place as (b + c) * a, whose
+# complex product rounds differently, so larger passes would move values.
+_CASE_NODES = 8192
 
 
 @functools.cache
@@ -897,116 +911,125 @@ def _fourier_rule(step: float, sine: bool):
     return y, math.pi * dphi * np.where(t > 0.0, near_zero, direct)
 
 
-def _de_result(fine: np.ndarray, coarse: float) -> tuple[float, float]:
-    """Value and certified error from the fine rule's terms and the coarse sum."""
-    value = float(fine.sum())
-    return value, abs(value - coarse) + _DE_ROUNDING * float(np.abs(fine).sum())
+def _kernel_integrals(kind: str, weighted: bool, u_e: np.ndarray, zeta: np.ndarray,
+                      scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """Dimensionless kernel integrals of one class and their errors, one per
+    element of the 1-D arrays ``u_e`` and ``zeta``.
 
-
-def _ray_sum(integrand, extent: float) -> tuple[float, float]:
-    """integral_0^inf integrand(x) dx by the exp-sinh rule over the nodes up
-    to ``extent``, and its error (inf where the table stops short of it)."""
+    "te": -2 u_e integral_0^inf cos(zeta u) / sqrt(u^2 + 1) du (= -2 u_e K0),
+    on the ray as the cut integral of exp(-zeta u)/sqrt(u^2-1) from 1, with
+    u = 1 + v^2, v = x / sqrt(max(zeta, 1)).  TM: twice the cosine transform
+    of 1/den ("zz") or -1/den ("tt", the unit constant removed), or twice
+    the sine transform of u/den ("odd", with the sign of zx and zy); den is
+    u^2 + 1, or with ``weighted`` omega (omega + u_e), omega = sqrt(u^2 + 1),
+    whose tt numerator u^2 - omega (omega + u_e) is written -(1 + omega u_e).
+    On the ray: 2 Re or Im of integral_0^inf g(u) exp(i u zeta) du along
+    u = e^{i pi/4} t, t = x / max(zeta, 1) (the poles at u = +-i and the
+    branch points of omega lie outside the open first-quadrant wedge), on
+    the nodes up to each case's extent, with an inf error past the rule.
+    """
+    ray = scheme == "branch-cut-rotated"
     x, w = _ray_rule()
-    n = int(np.searchsorted(x, extent, side="right"))
-    fine = w[:n] * integrand(x[:n])
-    value, err = _de_result(fine, 2.0 * float(fine[::2].sum()))
-    return value, err if n < x.size else math.inf
-
-
-def _fourier_sum(g, zeta: float, sine: bool) -> tuple[float, float]:
-    """integral_0^inf g(u) sin or cos(zeta u) du by the Ooura-Mori rule in
-    y = zeta u, and its error."""
-    fine = _fourier_rule(_DE_STEP, sine)
-    coarse = _fourier_rule(2.0 * _DE_STEP, sine)
-    terms = fine[1] * g(fine[0] / zeta) / zeta
-    return _de_result(terms, float(coarse[1] @ g(coarse[0] / zeta)) / zeta)
-
-
-def _tm_kernel(kind: str, weighted: bool, u_e: float, u: np.ndarray) -> np.ndarray:
-    """Dimensionless TM integrand g(u) of one orientation class at the
-    points ``u`` (real, or complex on the rotated ray).
-
-    ``kind`` is "zz", "tt" (any transverse-transverse pair, with the
-    non-decaying unit constant already removed) or "odd" (the mixed
-    transverse-axial pairs).  The denominator is u^2 + 1, or with
-    ``weighted`` omega (omega + u_e) for omega = sqrt(u^2 + 1); the
-    weighted tt numerator u^2 - omega (omega + u_e) is written
-    -(1 + omega u_e), without its cancellation at large u.
-    """
-    if weighted:
-        om = np.sqrt(u * u + 1.0)
-        den = om * (om + u_e)
+    if not ray:
+        counts = np.full(zeta.size, _fourier_rule(_DE_STEP, kind == "odd")[0].size)
+    elif kind == "te":
+        c = 1.0 / np.sqrt(np.maximum(zeta, 1.0))
+        counts = np.searchsorted(x, np.sqrt(_RAY_REACH / zeta) / c, side="right")
     else:
-        den = u * u + 1.0
-    if kind == "zz":
-        return 1.0 / den
-    if kind == "odd":
-        return u / den
-    return -(1.0 + om * u_e) / den if weighted else -1.0 / den
+        scale = np.maximum(zeta, 1.0)
+        counts = np.searchsorted(x, _RAY_REACH * scale / zeta, side="right")
+    block = max(1, _CASE_NODES // int(counts.max()))
+    if zeta.size > block:
+        parts = [_kernel_integrals(kind, weighted, u_e[lo:lo + block], zeta[lo:lo + block],
+                                   scheme) for lo in range(0, zeta.size, block)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    zc, ue, nodes = zeta[:, None], u_e[:, None], int(counts.max())
 
+    def g(u):
+        om = np.sqrt(u * u + 1.0) if weighted or kind == "te" else None
+        if kind == "te":
+            return 1.0 / om
+        den = om * (om + ue) if weighted else u * u + 1.0
+        if kind == "tt":
+            return -(1.0 + om * ue) / den if weighted else -1.0 / den
+        return u / den if kind == "odd" else 1.0 / den
 
-def _te_kernel_value(u_e: float, zeta: float, spec: QuadratureSpec) -> tuple[float, float]:
-    """Leading tight-confinement TE kernel integral (equals -2 u_e K0)."""
-    if spec.scheme == "real-axis-subtracted":
-        val, err = _fourier_sum(lambda u: 1.0 / np.sqrt(u * u + 1.0), zeta, sine=False)
+    if not ray:
+        (y, w), (yc, wc) = (_fourier_rule(step, kind == "odd")
+                            for step in (_DE_STEP, 2.0 * _DE_STEP))
+        terms = w * g(y / zc) / zc
+        coarse = np.array([float(wc @ row) for row in g(yc / zc)]) / zeta
+    elif kind == "te":
+        v = c[:, None] * x[:nodes]
+        scale = 2.0 * c * np.array([math.exp(-t) for t in zeta.tolist()])
+        terms = w[:nodes] * (scale[:, None] * np.exp(-zc * v * v) / np.sqrt(v * v + 2.0))
     else:
-        # Decaying contour: u = 1 + v^2 in the cut integral
-        # integral_1^inf exp(-zeta u)/sqrt(u^2-1) du, and v = c x with
-        # c = 1/sqrt(max(zeta, 1)).
-        c = 1.0 / math.sqrt(max(zeta, 1.0))
-        scale = 2.0 * c * math.exp(-zeta)
-
-        def integrand(x):
-            v = c * x
-            return scale * np.exp(-zeta * v * v) / np.sqrt(v * v + 2.0)
-
-        val, err = _ray_sum(integrand, math.sqrt(_RAY_REACH / zeta) / c)
-    return -2.0 * u_e * val, 2.0 * u_e * err
-
-
-def _tm_kernel_value(orient: str, weighted: bool, u_e: float, zeta: float,
-                     spec: QuadratureSpec) -> tuple[float, float]:
-    """Dimensionless TM kernel integral for one orientation pair.
-
-    zz and the transverse pairs are even in the axial wavenumber: twice
-    the cosine transform, 2 Re W on the ray, with
-    W = integral_0^inf g(u) exp(i u zeta) du taken along u = e^{i pi/4} t
-    (the poles at u = +-i and the branch points of sqrt(u^2+1) lie outside
-    the open first-quadrant wedge), t = x / max(zeta, 1).  The mixed
-    transverse-axial pairs are odd, so K_xz = -2 integral_0^inf g sin(zeta u) du
-    = -2 Im W and the reversed index order flips the sign.
-    """
-    even = orient == "zz" or "z" not in orient
-    kind = orient if orient == "zz" else "tt" if even else "odd"
-
-    g = functools.partial(_tm_kernel, kind, weighted, u_e)
-    if spec.scheme == "real-axis-subtracted":
-        val, err = _fourier_sum(g, zeta, sine=not even)
-    else:
-        scale = max(zeta, 1.0)
-
-        def integrand(x):
-            u = (_ROT / scale) * x
-            w = (_ROT / scale) * g(u) * np.exp(1j * zeta * u)
-            return w.real if even else w.imag
-
-        val, err = _ray_sum(integrand, _RAY_REACH * scale / zeta)
-    sign = -1.0 if orient in ("xz", "yz") else 1.0
-    return 2.0 * sign * val, 2.0 * err
+        # Python's complex division: numpy's rounds some quotients differently.
+        rot = np.array([_ROT / s for s in scale.tolist()])[:, None]
+        u = rot * x[:nodes]
+        f = rot * g(u) * np.exp(1j * zc * u)
+        terms = w[:nodes] * (f.imag if kind == "odd" else f.real)
+    # Each row summed over its own nodes alone: padding moves numpy's pairwise blocks.
+    value, total, half = (np.empty(zeta.size) for _ in range(3))
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        fine = terms[rows, :count]
+        value[rows], total[rows], half[rows] = (
+            fine.sum(axis=1), np.abs(fine).sum(axis=1), fine[:, ::2].sum(axis=1))
+    err = np.abs(value - (2.0 * half if ray else coarse)) + _DE_ROUNDING * total
+    err[(counts == x.size) & ray] = math.inf  # the ray's extent past its last node
+    factor = -2.0 * u_e if kind == "te" else 2.0
+    return factor * value, np.abs(factor) * err
 
 
-def f_quadrature(
-    geom: Geometry,
-    mode: ModeIndex,
-    orient: str,
-    p1: TransversePoint,
-    p2: TransversePoint,
-    z: float,
-    energy: float = 0.0,
-    include_energy_factor: bool = False,
-    spec: QuadratureSpec | None = None,
-    normalization: str = "unit-normalized",
-) -> CouplingValue:
+def _quadratures(geom: Geometry, cases, energies, spec: QuadratureSpec,
+                 normalization: str) -> list:
+    """Wavenumber integrals of (orient, mode, p1, p2, z) cases, each a float
+    or the QuadratureError of a value that misses ``spec.rel_tol``;
+    ``energies[c]`` is case c's transition energy, 0.0 for the integrand
+    without the weight omega/(omega + E).  One :func:`_kernel_integrals` call
+    per kernel class takes each distinct (u_e, zeta) once (a TE draw's
+    components share theirs); the prefactors come from one build of rows."""
+    m, n, k, p1, p2, z, i, j = _cases(geom, cases)
+    energies = np.asarray(energies, dtype=float)
+    args = np.stack([energies / k, k * z]).T.tolist()  # u_e and zeta
+    te = np.array([mode.polarization == TE for _, mode, *_ in cases])
+    classes = {}
+    for c, orient in enumerate(case[0] for case in cases):
+        weighted = energies[c] > 0.0
+        kind = "te" if te[c] else "zz" if orient == "zz" else "odd" if "z" in orient else "tt"
+        if not te[c] or ("z" not in orient and weighted):  # else exactly 0
+            classes.setdefault((kind, weighted), {}).setdefault(tuple(args[c]), []).append(c)
+    kernel, err = np.zeros(len(cases)), np.zeros(len(cases))
+    for (kind, weighted), members in classes.items():
+        u_e, zeta = np.array(list(members)).T
+        values, errors = _kernel_integrals(kind, weighted, u_e, zeta, spec.scheme)
+        for value, error, at in zip(values.tolist(), errors.tolist(), members.values()):
+            kernel[at], err[at] = value, error
+    kernel[(j == 2) & (i < 2)] *= -1.0  # xz and yz: the odd kernel reversed
+    cols = np.arange(len(cases))
+    rows = np.zeros((6, k.size))  # TE rows in the TM rows' places; z rows zero
+    if te.any():
+        rows[[0, 1, 3, 4]] = _te_rows(geom, m, n, k, p1, p2, Conventions(normalization=normalization))
+    pref = rows[i, cols] * rows[3 + j, cols] * k
+    if not te.all():
+        tm = _tm_rows(geom, m, n, k, p1, p2, Conventions())
+        pref = np.where(te, pref, (4.0 / geom.area) * k * tm[i, cols] * tm[3 + j, cols])
+    # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
+    # into 0.0, as the closed forms give, and leaves every other value as it is.
+    return [QuadratureError("wavenumber integral did not reach the requested tolerance",
+                            best_estimate=value, achieved_error=error)
+            # A zero prefactor legitimately produces value == error == 0.
+            if error != 0.0 and error > spec.rel_tol * max(abs(value), 1e-280 / spec.rel_tol)
+            else value
+            for value, error in zip((pref * kernel + 0.0).tolist(),
+                                    (np.abs(pref) * err).tolist())]
+
+
+def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
+                 p2: TransversePoint, z: float, energy: float = 0.0,
+                 include_energy_factor: bool = False, spec: QuadratureSpec | None = None,
+                 normalization: str = "unit-normalized") -> CouplingValue:
     """Numerical oracle for the per-mode coupling wavenumber integral.
 
     With ``include_energy_factor`` the integrand carries the weight
@@ -1016,39 +1039,14 @@ def f_quadrature(
     to ``spec.scheme``; for TE modes the kernels keep the leading
     tight-confinement order, matching the closed-form pipeline.
     """
-    i, j = _check_orientation(orient)
+    _check_orientation(orient)
     _check_separation(z)
     _check_points(geom, p1, p2)
     spec = spec or QuadratureSpec()
     if include_energy_factor and not (energy > 0.0):
         raise InputError("include_energy_factor requires a positive energy")
-    m, n, k = _one_mode(geom, mode)
-    kmn = float(k[0])
-    zeta = kmn * z
-    u_e = energy / kmn if include_energy_factor else 0.0
-
-    if mode.polarization == TE:
-        if "z" in orient or not include_energy_factor:
-            return CouplingValue(0.0, mode, orient, "quadrature")
-        kernel, err = _te_kernel_value(u_e, zeta, spec)
-        rows = _te_rows(geom, m, n, k, p1, p2, Conventions(normalization=normalization))
-        pref = rows[_AXES[i], 0] * rows[2 + _AXES[j], 0] * kmn
-    else:
-        kernel, err = _tm_kernel_value(orient, include_energy_factor, u_e, zeta, spec)
-        rows = _tm_rows(geom, m, n, k, p1, p2, Conventions())
-        pref = (4.0 / geom.area) * kmn * rows[_AXES[i], 0] * rows[3 + _AXES[j], 0]
-    # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
-    # into 0.0, as the closed forms give, and leaves every other value as it is.
-    value = float(pref * kernel) + 0.0
-    _enforce_tolerance(value, abs(pref) * err, spec)
+    value = _quadratures(geom, [(orient, mode, p1, p2, z)],
+                         [energy if include_energy_factor else 0.0], spec, normalization)[0]
+    if isinstance(value, QuadratureError):
+        raise value
     return CouplingValue(value, mode, orient, "quadrature")
-
-
-def _enforce_tolerance(value: float, err: float, spec: QuadratureSpec) -> None:
-    # A zero prefactor legitimately produces value == err == 0.
-    if err == 0.0:
-        return
-    if err > spec.rel_tol * max(abs(value), 1e-280 / spec.rel_tol):
-        raise QuadratureError(
-            "wavenumber integral did not reach the requested tolerance",
-            best_estimate=value, achieved_error=err)

@@ -45,11 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (QuadratureSpec, _one_mode, _te_mode_tensors, _te_rows,
-                       _tm_mode_tensors, _tm_rows, f_quadrature)
+from .coupling import (QuadratureSpec, _closed_forms, _one_mode, _quadratures, _te_rows,
+                       _tm_rows)
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
-from .errors import InputError
+from .errors import InputError, QuadratureError
 from .waveguide import TE, ModeIndex
 
 TWO_PI = 2.0 * math.pi
@@ -395,6 +395,11 @@ def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
     return _assemble(config, tensor_for, _confinement_guard(config)).total
 
 
+def _orientation_cases(config: PairConfiguration, mode: ModeIndex):
+    """The nine (orient, mode, p1, p2, z) cases of one mode's 3x3 tensor."""
+    return [(i + j, mode, config.p1, config.p2, config.z) for i in "xyz" for j in "xyz"]
+
+
 def weighted_reference_energy(config: PairConfiguration,
                               modes: list[ModeIndex]) -> float:
     """Pair energy from the frequency-weighted coupling integrals.
@@ -402,15 +407,18 @@ def weighted_reference_energy(config: PairConfiguration,
     Assembles the dominant-denominator energy formula using the
     quadrature couplings that keep the omega/(omega + E) weight, for
     comparison against the dominant-diagram restriction of the oracle.
+    Each mode's tensor is one batch of integrals; an uncertified one raises
+    its QuadratureError.
     """
     spec = QuadratureSpec(rel_tol=1e-9)
 
     def quadrature(mode: ModeIndex, energy: float) -> np.ndarray:
-        return np.array([[f_quadrature(
-            config.geom, mode, i + j, config.p1, config.p2, config.z,
-            energy=energy, include_energy_factor=True, spec=spec,
-            normalization=config.conventions.normalization).value
-            for j in "xyz"] for i in "xyz"])
+        values = _quadratures(config.geom, _orientation_cases(config, mode), [energy] * 9,
+                              spec, config.conventions.normalization)
+        for value in values:
+            if isinstance(value, QuadratureError):
+                raise value
+        return np.array(values).reshape(3, 3)
 
     return _mode_set_energy(config, modes, quadrature)
 
@@ -419,18 +427,11 @@ def closed_form_reference_energy(config: PairConfiguration,
                                  modes: list[ModeIndex]) -> float:
     """Closed-form pair energy restricted to the same mode set.
 
-    Each mode's coupling is its closed-form tensor, the one-mode view of
-    the factor rows that every mode sum is built from.
+    Each mode's coupling is its closed-form tensor, one batch of the
+    one-mode views of the factor rows that every mode sum is built from.
     """
-    geom, p1, p2, z = config.geom, config.p1, config.p2, config.z
-    conv = config.conventions
-
     def closed(mode: ModeIndex, energy: float) -> np.ndarray:
-        m, n, k = _one_mode(geom, mode)
-        if mode.polarization == TE:
-            rows = _te_rows(geom, m, n, k, p1, p2, conv)
-            return _te_mode_tensors(k, rows, z, energy, conv)[:, :, 0]
-        rows = _tm_rows(geom, m, n, k, p1, p2, conv)
-        return _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)[:, :, 0]
+        return _closed_forms(config.geom, _orientation_cases(config, mode), energy,
+                             config.conventions).reshape(3, 3)
 
     return _mode_set_energy(config, modes, closed)

@@ -4,7 +4,9 @@ Three check families, each printed with its measured deviation and the
 threshold it is held to:
 
 1. closed forms against the wavenumber-integral oracle on randomized
-   inputs, plus agreement between the two regularization schemes;
+   inputs, plus agreement between the two regularization schemes: every
+   case is drawn first, then each scheme's integrals and the closed forms
+   are taken as batches, bit for bit the one-case values;
 2. the twelve-diagram fourth-order sum against the dominant-diagram
    energy formula (construction consistency of the dominant subset, then
    the full sum at tight confinement);
@@ -13,7 +15,8 @@ threshold it is held to:
 Under the paper-literal convention the transverse-transverse sign
 mismatch against the oracle is reported as informational, not a failure.
 A wavenumber integral that cannot certify its tolerance fails its family
-on a line naming the case, and the remaining families still run.
+on a line naming the first such case in draw order, and the remaining
+families still run.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .conventions import Conventions
-from .coupling import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
+from .coupling import QuadratureSpec, _closed_forms, _quadratures
 from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                      u_freespace_vdw)
 from .errors import InputError, QuadratureError
@@ -88,39 +91,33 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
     spec_bc = QuadratureSpec(scheme="branch-cut-rotated")
     spec_ra = QuadratureSpec(scheme="real-axis-subtracted")
     e_test = 2.0 * math.pi / 100.0
+    drawn = list(_closed_vs_quadrature_cases(rng, geom, cases))
+    energies = [e_test if mode.polarization == "TE" else 0.0 for _, mode, *_ in drawn]
+    families = {"closed-vs-quadrature": spec_bc, "scheme-agreement": spec_ra}
+    results = {family: _quadratures(geom, drawn, energies, spec, conv.normalization)
+               for family, spec in families.items()}
+    closed = _closed_forms(geom, drawn, e_test, conv).tolist()
     worst_closed = 0.0
     worst_scheme = 0.0
     worst_sign_mismatch = 0.0
     uncertified: dict[str, str] = {}
-    for comp, mode, p1, p2, z in _closed_vs_quadrature_cases(rng, geom, cases):
-        te = mode.polarization == "TE"
-        weighted = {"energy": e_test, "include_energy_factor": True} if te else {}
-
-        def quadrature(spec, family):
-            try:
-                return f_quadrature(geom, mode, comp, p1, p2, z, spec=spec,
-                                    normalization=conv.normalization,
-                                    **weighted).value
-            except QuadratureError as exc:
+    for c, (comp, mode, _, _, z) in enumerate(drawn):
+        for family, values in results.items():
+            if isinstance(values[c], QuadratureError):
                 uncertified.setdefault(family, (
                     f"(uncertified quadrature: {mode.label()} {comp} z={z:.6g} "
-                    f"scheme={spec.scheme} achieved error {exc.achieved_error:.4e})"))
-                return None
-
-        oracle_val = quadrature(spec_bc, "closed-vs-quadrature")
-        other = quadrature(spec_ra, "scheme-agreement")
-        if not oracle_val:  # zero or uncertified: no relative deviation
-            continue
-        if other is not None:
+                    f"scheme={families[family].scheme} achieved error "
+                    f"{values[c].achieved_error:.4e})"))
+        oracle_val, other = (values[c] for values in results.values())
+        if isinstance(oracle_val, QuadratureError) or not oracle_val:
+            continue  # zero or uncertified: no relative deviation
+        if not isinstance(other, QuadratureError):
             worst_scheme = max(worst_scheme, abs(other - oracle_val) / abs(oracle_val))
-        if te:
-            closed = f_te_closed(geom, mode, comp, p1, p2, z, e_test,
-                                 conv.te_factor, conv.normalization).value
+        if mode.polarization == "TE":
             printed = conv.te_factor == "paper-literal"
         else:
-            closed = f_tm_closed(geom, mode, comp, p1, p2, z, conv.tm_sign).value
             printed = conv.tm_sign == "paper-literal" and comp in _PRINTED_TM
-        rel = abs(closed - oracle_val) / abs(oracle_val)
+        rel = abs(closed[c] - oracle_val) / abs(oracle_val)
         if printed:
             worst_sign_mismatch = max(worst_sign_mismatch, rel)
         else:

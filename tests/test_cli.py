@@ -693,6 +693,29 @@ overall: PASS
 }
 
 
+def _uncertify_tm22_yz(monkeypatch, schemes):
+    """Make every TM22 yz integral of ``schemes`` in oracle-check's batches
+    uncertified; returns the name of the first such case per batch."""
+    from wgdisp import oracle_checks
+    from wgdisp.errors import QuadratureError
+    real = oracle_checks._quadratures
+    named = []
+
+    def quadratures(geom, cases, energies, spec, normalization):
+        values = real(geom, cases, energies, spec, normalization)
+        hits = [c for c, (orient, mode, *_) in enumerate(cases)
+                if (mode.label(), orient) == ("TM22", "yz")]
+        if spec.scheme in schemes and hits:
+            named.append(f"TM22 yz z={cases[hits[0]][4]:.6g} scheme={spec.scheme}")
+            for c in hits:
+                values[c] = QuadratureError("did not reach the requested tolerance",
+                                            best_estimate=0.5, achieved_error=0.25)
+        return values
+
+    monkeypatch.setattr(oracle_checks, "_quadratures", quadratures)
+    return named
+
+
 class TestOracleCheck:
     @pytest.mark.parametrize("convention", sorted(ORACLE_CHECK_12345))
     def test_default_seed_report_text(self, convention):
@@ -730,19 +753,7 @@ class TestOracleCheck:
         # An integral that cannot certify its tolerance fails the family of
         # its scheme on a line naming the case; the report prints the rest.
         from wgdisp import oracle_checks
-        from wgdisp.errors import QuadratureError
-        real = oracle_checks.f_quadrature
-        named = []
-
-        def f_quadrature(geom, mode, orient, p1, p2, z, spec, **kwargs):
-            if (not named and (mode.label(), orient, spec.scheme)
-                    == ("TM22", "yz", scheme)):
-                named.append(f"TM22 yz z={z:.6g} scheme={scheme}")
-                raise QuadratureError("did not reach the requested tolerance",
-                                      best_estimate=0.5, achieved_error=0.25)
-            return real(geom, mode, orient, p1, p2, z, spec=spec, **kwargs)
-
-        monkeypatch.setattr(oracle_checks, "f_quadrature", f_quadrature)
+        named = _uncertify_tm22_yz(monkeypatch, [scheme])
         text, ok = oracle_checks.run_oracle_checks(seed=88)
         lines = text.splitlines()
         assert not ok and len(named) == 1
@@ -756,6 +767,20 @@ class TestOracleCheck:
             "[twelve-diagram/dominant-consistency",
             "[twelve-diagram/full-vs-dominant-form",
             "[free-space-recovery/components", "[free-space-recovery/energy"]
+        assert lines[-1] == "overall: FAIL"
+
+    def test_both_schemes_uncertified_fail_both_families(self, monkeypatch):
+        from wgdisp import oracle_checks
+        named = _uncertify_tm22_yz(monkeypatch, ["branch-cut-rotated", "real-axis-subtracted"])
+        text, ok = oracle_checks.run_oracle_checks(seed=88)
+        lines = text.splitlines()
+        assert not ok and len(named) == 2
+        failed = [line for line in lines[1:-1] if "-> PASS" not in line]
+        assert [line.split("]")[0] for line in failed] == [
+            "[closed-vs-quadrature", "[scheme-agreement"]
+        for line, name in zip(failed, named):
+            assert line.endswith(
+                f"-> FAIL (uncertified quadrature: {name} achieved error 2.5000e-01)")
         assert lines[-1] == "overall: FAIL"
 
     def test_default_run_passes(self):

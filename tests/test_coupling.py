@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import (ORIENTATIONS, SCHEMES, QuadratureSpec, _te_kernel_value,
-                             _tm_kernel_value, f_quadrature, f_te_closed, f_tm_closed)
+from wgdisp.coupling import (_CASE_NODES, ORIENTATIONS, SCHEMES, QuadratureSpec,
+                             _closed_forms, _kernel_integrals, _quadratures, f_quadrature,
+                             f_te_closed, f_tm_closed)
 from wgdisp.energy import ModeTable
-from wgdisp.errors import InputError, TightConfinementWarning
+from wgdisp.errors import InputError, QuadratureError, TightConfinementWarning
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
 SQ = Geometry(1.0, 1.0)
@@ -45,6 +46,12 @@ CLOSED_FORM_FROZEN = [  # (mode, orientation, z, convention bundle, value)
     (("TM", 3, 2), "xz", 0.8, "oracle-consistent", 0.0005192188825321425),
     (("TM", 2, 5), "zy", 1.3, "oracle-consistent", -1.170436112813242e-12),
 ]
+
+
+def _kernel(kind, weighted, u_e, zeta, scheme="branch-cut-rotated"):
+    """One kernel integral of a class and its error."""
+    value, err = _kernel_integrals(kind, weighted, np.array([u_e]), np.array([zeta]), scheme)
+    return value[0], err[0]
 
 
 def _rand_point(rng, geom):
@@ -283,14 +290,14 @@ class TestQuadratureOracle:
         assert err.value.achieved_error > 0.0
 
     def test_lorentzian_kernel_short_distance_limit(self):
-        val, _ = _tm_kernel_value("zz", False, 0.0, 1e-8, QuadratureSpec())
+        val, _ = _kernel("zz", False, 0.0, 1e-8)
         assert val == pytest.approx(math.pi, rel=1e-7)
 
     def test_weighted_converges_to_unweighted(self):
-        base, _ = _tm_kernel_value("zz", False, 0.0, 2.0, QuadratureSpec())
+        base, _ = _kernel("zz", False, 0.0, 2.0)
         prev = None
         for u_e in (1e-3, 1e-4):
-            w, _ = _tm_kernel_value("zz", True, u_e, 2.0, QuadratureSpec())
+            w, _ = _kernel("zz", True, u_e, 2.0)
             rel = abs(w - base) / abs(base)
             assert rel < 2.0 * u_e
             assert rel > 0.1 * u_e
@@ -376,15 +383,90 @@ class TestDoubleExponentialRules:
         weighted = weighted or kind == "te"
         u_e = u_e if weighted else 0.0
         spec = QuadratureSpec(scheme=scheme)
-        if kind == "te":
-            value, err = _te_kernel_value(u_e, zeta, spec)
-        else:
-            orient = {"zz": "zz", "tt": "xx", "odd": "zx"}[kind]
-            value, err = _tm_kernel_value(orient, weighted, u_e, zeta, spec)
+        value, err = _kernel(kind, weighted, u_e, zeta, scheme)
         want, want_err = _quadpack_kernel(kind, u_e, zeta, scheme)
         assert abs(value - want) <= err + want_err
         # zeta <= 8 lies inside the range the default tolerance certifies.
         assert err <= spec.rel_tol * abs(value)
+
+
+_BATCH_MODES = [("TM", m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [
+    ("TE", 1, 0), ("TE", 0, 1), ("TE", 1, 1), ("TE", 2, 1), ("TE", 0, 2)]
+
+
+def _bits(value):
+    """The bits of a value, or the message and figures of its error."""
+    if isinstance(value, QuadratureError):
+        return ("error", value.best_estimate, value.achieved_error)
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def _batch_cases(draw, geom):
+    """(orient, mode, p1, p2, z) cases with k_mn z in [0.5, 8], ends included."""
+    size = draw(st.sampled_from([1, 2, 7, 40]))
+    cases = []
+    for _ in range(size):
+        mode = ModeIndex(*draw(st.sampled_from(_BATCH_MODES)))
+        kmn = math.hypot(mode.m * math.pi / geom.a, mode.n * math.pi / geom.b)
+        points = [TransversePoint(draw(st.floats(0.0, 1.0)) * geom.a,
+                                  draw(st.floats(0.0, 1.0)) * geom.b) for _ in range(2)]
+        zeta = draw(st.one_of(st.sampled_from([0.5, 8.0]), st.floats(0.5, 8.0)))
+        cases.append((draw(st.sampled_from(ORIENTATIONS)), mode, *points, zeta / kmn))
+    return cases
+
+
+class TestBatchedOracle:
+    """The batched integrals and closed forms equal one-case calls bit for
+    bit, whatever cases share a batch."""
+
+    @given(data=st.data(), b=st.sampled_from([1.0, 0.7]),
+           scheme=st.sampled_from(SCHEMES), weighted=st.booleans(),
+           normalization=st.sampled_from(["unit-normalized", "paper-literal"]),
+           convention=st.sampled_from(["oracle-consistent", "paper-literal"]),
+           energy=st.floats(1e-3, 0.3))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_one_case_calls(self, data, b, scheme, weighted, normalization,
+                                         convention, energy):
+        geom = Geometry(1.0, b)
+        cases = data.draw(_batch_cases(geom))
+        spec = QuadratureSpec(scheme=scheme)
+        got = _quadratures(geom, cases, [energy if weighted else 0.0] * len(cases), spec,
+                           normalization)
+        te_factor = "paper-literal" if convention == "paper-literal" else "derivation-consistent"
+        conv = Conventions(tm_sign=convention, te_factor=te_factor,
+                           normalization=normalization)
+        closed = _closed_forms(geom, cases, energy, conv)
+        for value, shut, (orient, mode, p1, p2, z) in zip(got, closed, cases):
+            try:
+                want = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
+                                    include_energy_factor=weighted, spec=spec,
+                                    normalization=normalization).value
+            except QuadratureError as exc:
+                want = exc
+            assert _bits(value) == _bits(want), (orient, mode, z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TightConfinementWarning)
+                one = (f_tm_closed(geom, mode, orient, p1, p2, z, convention)
+                       if mode.polarization == "TM" else
+                       f_te_closed(geom, mode, orient, p1, p2, z, energy, te_factor,
+                                   normalization))
+            assert _bits(shut) == _bits(one.value), (orient, mode, z)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind, weighted", [
+        ("zz", False), ("tt", False), ("odd", False),
+        ("zz", True), ("tt", True), ("odd", True), ("te", True)])
+    def test_kernels_over_several_blocks(self, scheme, kind, weighted):
+        rng = np.random.default_rng(7)
+        size = 3 * _CASE_NODES // 300 + 3  # several passes of about 300 nodes
+        zeta = np.r_[0.5, 8.0, rng.uniform(0.5, 8.0, size - 2)]
+        u_e = rng.uniform(1e-4, 0.1, size) if weighted else np.zeros(size)
+        values, errors = _kernel_integrals(kind, weighted, u_e, zeta, scheme)
+        for c in range(size):
+            one = _kernel(kind, weighted, u_e[c], zeta[c], scheme)
+            assert (values[c].tobytes(), errors[c].tobytes()) == \
+                (one[0].tobytes(), one[1].tobytes())
 
 
 class TestConventions:

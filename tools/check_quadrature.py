@@ -20,13 +20,12 @@ import sys
 import mpmath as mp
 import numpy as np
 
-from wgdisp.coupling import SCHEMES, QuadratureSpec, _te_kernel_value, _tm_kernel_value
+from wgdisp.coupling import SCHEMES, _kernel_integrals
 
 mp.mp.dps = 30
 
-# Class name: an orientation of the class, and the sign of its unweighted
-# value against pi e^{-zeta}.
-TM_CLASSES = {"zz": ("zz", 1), "tt": ("xx", -1), "odd": ("zx", 1)}
+# Class name and the sign of its unweighted value against pi e^{-zeta}.
+TM_CLASSES = {"zz": 1, "tt": -1, "odd": 1}
 WEIGHTS = (1e-4, 1e-3, 1e-2, 0.1)
 
 
@@ -45,26 +44,32 @@ def weighted_exact(kind, u_e, zeta):
 
 def cases(points):
     """(class label, rule, exact) for every class, weighting and zeta; the
-    rule takes a QuadratureSpec and returns (value, reported error)."""
+    rule takes a scheme and returns (value, reported error)."""
     zetas = np.geomspace(0.5, 8.0, points)
-    for kind, (orient, sign) in TM_CLASSES.items():
+    for kind, sign in TM_CLASSES.items():
         for zeta in zetas:
             yield (f"{kind} unweighted", zeta,
-                   lambda spec, o=orient, z=zeta: _tm_kernel_value(o, False, 0.0, z, spec),
+                   lambda scheme, k=kind, z=zeta: kernel(k, False, 0.0, z, scheme),
                    sign * mp.pi * mp.exp(-mp.mpf(zeta)))
         for i, zeta in enumerate(zetas):
             u_e = WEIGHTS[i % len(WEIGHTS)]
             yield (f"{kind} weighted", zeta,
-                   lambda spec, o=orient, u=u_e, z=zeta: _tm_kernel_value(o, True, u, z, spec),
+                   lambda scheme, k=kind, u=u_e, z=zeta: kernel(k, True, u, z, scheme),
                    weighted_exact(kind, u_e, zeta))
     for zeta in zetas:
-        yield "TE", zeta, lambda spec, z=zeta: te_cut(z, spec), mp.besselk(0, mp.mpf(zeta))
+        yield "TE", zeta, lambda scheme, z=zeta: te_cut(z, scheme), mp.besselk(0, mp.mpf(zeta))
 
 
-def te_cut(zeta, spec):
+def kernel(kind, weighted, u_e, zeta, scheme):
+    """One kernel integral of a class and its reported error."""
+    value, err = _kernel_integrals(kind, weighted, np.array([u_e]), np.array([zeta]), scheme)
+    return value[0], err[0]
+
+
+def te_cut(zeta, scheme):
     """The TE cut integral (K0) and its error: the kernel at u_e = 1/2 is
     -1 times it."""
-    value, err = _te_kernel_value(0.5, zeta, spec)
+    value, err = kernel("te", True, 0.5, zeta, scheme)
     return -value, err
 
 
@@ -72,7 +77,7 @@ def main(points=24):
     worst = {}
     for label, zeta, rule, exact in cases(points):
         for scheme in SCHEMES:
-            value, reported = rule(QuadratureSpec(scheme=scheme))
+            value, reported = rule(scheme)
             actual = abs(mp.mpf(value) - exact)
             rel = float(actual / abs(exact))
             ratio = float(actual / reported) if reported else float("inf")
