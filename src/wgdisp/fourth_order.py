@@ -205,7 +205,11 @@ def _photon_integrals(kmn: float, z: float, Ws: tuple[float, ...],
     phase = ((w_start * taus)[row_tau, None]
              + 2.0 * math.pi * (r[:, None] + _GL_FRACTIONS) / m[row_tau, None])
     cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    # The panels of a tau are consecutive; their sums, one row per entry,
+    # are added per tau by reduceat: the first panel plus a pairwise sum of
+    # the rest, not a running sum in panel order.
     ends = np.cumsum(counts)
+    panels = np.empty((sums.shape[1], int(ends[-1])))
     per_block = _BLOCK_NODES // _GL_NODES.size
     for lo in range(0, int(ends[-1]), per_block):
         index = np.arange(lo, min(lo + per_block, int(ends[-1])))
@@ -216,7 +220,9 @@ def _photon_integrals(kmn: float, z: float, Ws: tuple[float, ...],
         re, im = _lorentzian(w, kappa, 0.5 * sub[t, None] * _GL_WEIGHTS / kappa, z, Ws)
         row = offsets[t] + j % m[t]
         values = cos_tab[row] * re - sin_tab[row] * im
-        np.add.at(sums, t, np.einsum("pk,cpk->pc", values, _columns(w, kappa, te)))
+        panels[:, index] = np.einsum("pk,cpk->pc", values, _columns(w, kappa, te)).T
+    if tail.any():
+        sums[tail] += np.add.reduceat(panels, (ends - counts)[tail], axis=1).T
     return 2.0 * sums
 
 
