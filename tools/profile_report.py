@@ -1,23 +1,24 @@
-"""Per-stage time of ``energy`` reports on a seeded ``point-far`` pool.
+"""Per-stage time of the ops of a seeded ``point-far`` or ``oracle`` pool.
 
-    PYTHONPATH=src python tools/profile_report.py [--seed 1] [--passes 5]
+    PYTHONPATH=src python tools/profile_report.py [--workload point-far] [--seed 1] [--passes 5]
 
-Builds the pool of the benchmark's ``point-far`` workload for the seed
+Builds the pool of the benchmark's workload for the seed
 (``bench/workloads.py``, read and never changed; species files go to a
 temporary directory), runs every op once untimed, then runs the pool
 ``--passes`` times in this process through ``wgdisp.cli.main`` with stdout
 captured.  Each stage below is a set of functions wrapped by a timer that
-keeps self time: a stage's time excludes the stages it calls.  The report
-prints each stage's time per op in the fastest pass, the rest of the op as
-``other``, and the mean op time of that pass.  The wrappers add about a
-microsecond per call, so compare runs of this tool, not its total with
-the benchmark's.
+keeps self time: a stage's time excludes the stages it calls, and a
+generator is drained inside its timer.  The report prints each stage's time
+per op in the fastest pass, the rest of the op as ``other``, and the mean op
+time of that pass.  The wrappers add about a microsecond per call, so
+compare runs of this tool, not its total with the benchmark's.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import sys
 import tempfile
@@ -28,28 +29,44 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from wgdisp import cli, coupling, energy  # noqa: E402
+from wgdisp import cli, coupling, energy, fourth_order, oracle_checks  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-# Stage name: (owner, attribute) pairs whose calls make up the stage.
+# Per workload, stage name: (owner, attribute) pairs whose calls make up the
+# stage.
 STAGES = {
-    "parse": [(argparse.ArgumentParser, "parse_args")],
-    "species/config": [(cli, "_pair_configuration")],
-    "screened listing": [(energy.ModeTable, "_screened")],
-    "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
-    "TE split": [(coupling, "_te_split")],
-    "assembly": [(energy, "_assemble")],
-    "top_modes": [(energy.FTensorResult, "top_modes")],
-    "free-space": [(cli, "_freespace")],
-    "JSON": [(cli, "_json_dump")],
+    "point-far": {
+        "parse": [(argparse.ArgumentParser, "parse_args")],
+        "species/config": [(cli, "_pair_configuration")],
+        "screened listing": [(energy.ModeTable, "_screened")],
+        "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
+        "TE split": [(coupling, "_te_split")],
+        "assembly": [(energy, "_assemble")],
+        "top_modes": [(energy.FTensorResult, "top_modes")],
+        "free-space": [(cli, "_freespace")],
+        "JSON": [(cli, "_json_dump")],
+    },
+    "oracle": {
+        "case draw": [(oracle_checks, "_closed_vs_quadrature_cases")],
+        "quadrature": [(oracle_checks, "_quadratures"), (fourth_order, "_quadratures")],
+        "closed forms": [(oracle_checks, "_closed_forms"), (fourth_order, "_closed_forms")],
+        "photon tables": [(fourth_order, "_photon_integrals")],
+        "fourth-order rest": [(oracle_checks, "fourth_order_oracle"),
+                              (oracle_checks, "weighted_reference_energy"),
+                              (oracle_checks, "closed_form_reference_energy")],
+        "free-space recovery": [(oracle_checks, "dispersion_energy"),
+                                (oracle_checks, "u_freespace_vdw")],
+        "fig4": [(cli, "reduced_zz_sum_direct"), (cli, "reduced_zz_sum_integral")],
+    },
 }
 
 
 class StageClock:
     """Self time per stage, with a stack so nested stages are not counted twice."""
 
-    def __init__(self):
-        self.totals = dict.fromkeys(STAGES, 0.0)
+    def __init__(self, stages):
+        self.stages = stages
+        self.totals = dict.fromkeys(stages, 0.0)
         self.stack = []  # [stage, time spent in nested stages]
 
     def wrap(self, stage, func):
@@ -57,7 +74,8 @@ class StageClock:
             self.stack.append([stage, 0.0])
             start = time.perf_counter()
             try:
-                return func(*args, **kwargs)
+                result = func(*args, **kwargs)
+                return list(result) if inspect.isgenerator(result) else result
             finally:
                 spent = time.perf_counter() - start
                 _, nested = self.stack.pop()
@@ -69,7 +87,7 @@ class StageClock:
     @contextlib.contextmanager
     def installed(self):
         saved = []
-        for stage, targets in STAGES.items():
+        for stage, targets in self.stages.items():
             for owner, name in targets:
                 func = owner.__dict__[name]
                 saved.append((owner, name, func))
@@ -97,27 +115,28 @@ def run_pool(ops) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(STAGES), default="point-far")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--passes", type=int, default=5)
     args = parser.parse_args(argv)
-    workload = WORKLOADS["point-far"]
+    workload = WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as work:
         ops = workload.generate(args.seed, Path(work))
         run_pool(ops)  # warm-up: imports, caches, first allocations
         best = None
         for _ in range(args.passes):
-            with StageClock().installed() as clock:
+            with StageClock(STAGES[args.workload]).installed() as clock:
                 wall = run_pool(ops)
             if best is None or wall < best[0]:
                 best = (wall, clock.totals)
     wall, totals = best
     per_op = 1e3 / len(ops)
-    print(f"point-far seed {args.seed}: {len(ops)} reports, fastest of "
+    print(f"{args.workload} seed {args.seed}: {len(ops)} ops, fastest of "
           f"{args.passes} passes, ms per op")
     for stage, seconds in totals.items():
-        print(f"  {stage:<18} {seconds * per_op:7.3f}")
-    print(f"  {'other':<18} {(wall - sum(totals.values())) * per_op:7.3f}")
-    print(f"  {'total':<18} {wall * per_op:7.3f}")
+        print(f"  {stage:<20} {seconds * per_op:7.3f}")
+    print(f"  {'other':<20} {(wall - sum(totals.values())) * per_op:7.3f}")
+    print(f"  {'total':<20} {wall * per_op:7.3f}")
     return 0
 
 
