@@ -433,8 +433,8 @@ def closed_form_reference_energy(config: PairConfiguration,
                                  modes: list[ModeIndex]) -> float:
     """Closed-form pair energy restricted to the same mode set.
 
-    Each mode's coupling is its closed-form tensor, one batch of the
-    one-mode views of the factor rows that every mode sum is built from.
+    Each mode's coupling is its closed-form tensor, one batch of nine
+    closed forms from the factor rows that every mode sum is built from.
     """
     def closed(mode: ModeIndex, energy: float) -> np.ndarray:
         return _closed_forms(config.geom, _orientation_cases(config, mode), energy,
