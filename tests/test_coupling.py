@@ -416,6 +416,43 @@ def _batch_cases(draw, geom):
     return cases
 
 
+# f_quadrature values of the per-case code before batching, as float.hex,
+# in the order of TestBatchedOracle.test_values_pinned_bitwise: both schemes,
+# seven mode/orientation pairs, six k_mn z each, in a 1 x 0.8 guide.  A
+# batch must keep their last bits (numpy's complex division of the ray's
+# rotation, for one, moves two of them).
+QUADRATURE_BITS = [
+    "0x1.82ed5bbdb8c0ap+4", "0x1.e7a795cff7c0dp+2", "0x1.2735161f3e62ep+1",
+    "0x1.04ebe7312be22p+0", "0x1.ac7d5f1f5b678p-3", "0x1.e421d7543cfc6p-7",
+    "-0x1.700be35453945p+2", "-0x1.d1507ad056fa7p+0", "-0x1.18cd5fcfd4b0dp-1",
+    "-0x1.f45f3dfc98283p-3", "-0x1.9794b4534f8f1p-5", "-0x1.d5ddfe760eac5p-9",
+    "0x1.8b4b26b8b4866p+3", "0x1.f3df960585c07p+1", "0x1.2d972ca3250bep+0",
+    "0x1.0cfe614c31718p-1", "0x1.b5c13aba0f30fp-4", "0x1.fa8ad3a84e79ep-8",
+    "-0x1.bf33cc6206cd3p+0", "-0x1.1aa6761686825p-1", "-0x1.5531ca9ff0a6cp-3",
+    "-0x1.305c7782fe50bp-4", "-0x1.ef3d4d8d5039cp-7", "-0x1.1f4ac23642e79p-10",
+    "0x1.434cb57d161f1p-1", "0x1.98b06c967560ep-3", "0x1.ed53371a167ecp-5",
+    "0x1.b81df28b05b85p-6", "0x1.66070b65c0871p-8", "0x1.9f89429c9659bp-12",
+    "-0x1.6b38d5395bcd2p-4", "-0x1.7ab3a210e3055p-7", "-0x1.0bc57a93964b0p-8",
+    "-0x1.65ac4d484575ap-9", "-0x1.2411be6e194b6p-12", "-0x1.065f1232d263ap-14",
+    "-0x1.23e0b55c52cbdp-5", "-0x1.3051222f8b3a0p-8", "-0x1.ae59ea85e9e72p-10",
+    "-0x1.1f6b32e3b1f63p-10", "-0x1.d566df17cbde3p-14", "-0x1.a5ac2ac085250p-16",
+    "0x1.82ed5bbdb8c0ap+4", "0x1.e7a795cff7c0cp+2", "0x1.2735161f3e62fp+1",
+    "0x1.04ebe7312be25p+0", "0x1.ac7d5f1f5b6bcp-3", "0x1.e421d7543d531p-7",
+    "-0x1.700be35453945p+2", "-0x1.d1507ad056fa8p+0", "-0x1.18cd5fcfd4b0ep-1",
+    "-0x1.f45f3dfc98289p-3", "-0x1.9794b4534f932p-5", "-0x1.d5ddfe760f1e9p-9",
+    "0x1.8b4b26b8b4866p+3", "0x1.f3df960585c07p+1", "0x1.2d972ca3250bfp+0",
+    "0x1.0cfe614c3171bp-1", "0x1.b5c13aba0f355p-4", "0x1.fa8ad3a84ee1cp-8",
+    "-0x1.bf33cc6206cd4p+0", "-0x1.1aa6761686826p-1", "-0x1.5531ca9ff0a70p-3",
+    "-0x1.305c7782fe509p-4", "-0x1.ef3d4d8d503edp-7", "-0x1.1f4ac23642daep-10",
+    "0x1.434cb57d161f2p-1", "0x1.98b06c967560ep-3", "0x1.ed53371a167f1p-5",
+    "0x1.b81df28b05b7bp-6", "0x1.66070b65c08acp-8", "0x1.9f89429c96791p-12",
+    "-0x1.6b38d5395bcd2p-4", "-0x1.7ab3a210e304fp-7", "-0x1.0bc57a93964afp-8",
+    "-0x1.65ac4d4845743p-9", "-0x1.2411be6e1948ep-12", "-0x1.065f1232d1de3p-14",
+    "-0x1.23e0b55c52cbdp-5", "-0x1.3051222f8b3a0p-8", "-0x1.ae59ea85e9e71p-10",
+    "-0x1.1f6b32e3b1f5ap-10", "-0x1.d566df17cbda3p-14", "-0x1.a5ac2ac0844e8p-16",
+]
+
+
 class TestBatchedOracle:
     """The batched integrals and closed forms equal one-case calls bit for
     bit, whatever cases share a batch."""
@@ -452,6 +489,23 @@ class TestBatchedOracle:
                        f_te_closed(geom, mode, orient, p1, p2, z, energy, te_factor,
                                    normalization))
             assert _bits(shut) == _bits(one.value), (orient, mode, z)
+
+    def test_values_pinned_bitwise(self):
+        geom = Geometry(1.0, 0.8)
+        p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
+        got = []
+        for scheme in SCHEMES:
+            for label, orient in (("TM11", "zz"), ("TM21", "xx"), ("TM12", "yx"), ("TM22", "xz"),
+                                  ("TM31", "zy"), ("TE10", "yy"), ("TE11", "xy")):
+                mode = ModeIndex(label[:2], int(label[2]), int(label[3]))
+                kmn = math.hypot(mode.m * math.pi / geom.a, mode.n * math.pi / geom.b)
+                for zeta, energy in ((0.55, 0.0), (1.7, 0.02), (2.9, 0.0), (3.7, 0.05),
+                                     (5.3, 0.0), (7.9, 0.11)):
+                    energy = energy or (0.03 if mode.polarization == "TE" else 0.0)
+                    got.append(f_quadrature(geom, mode, orient, p1, p2, zeta / kmn, energy=energy,
+                                            include_energy_factor=energy > 0,
+                                            spec=QuadratureSpec(scheme=scheme)).value.hex())
+        assert got == QUADRATURE_BITS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("kind, weighted", [
