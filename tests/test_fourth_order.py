@@ -312,6 +312,25 @@ class TestGoldenValues:
             expected["weighted"], rel=1e-13)
 
 
+class TestPinnedBits:
+    """Values pinned bit for bit: tau = 0 tables of one energy set have no
+    tail, so they keep the head's operations exactly, and so does the
+    dominant-diagram value of oracle-check's axial configuration, which
+    reads only such tables."""
+
+    def test_tau_zero_table(self):
+        table = _PhotonTable(SQ, TM11[0], 0.6, (E100,), [0.0])
+        assert [table.r0[0].hex(), table.r1[0].hex(), table.r2[0].hex()] == [
+            "0x1.8aa482b11d251p-5", "0x1.b7ac9273db80bp-3", "0x1.ea1292476c31cp-1"]
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_oracle_check_dominant_value(self, convention):
+        config = PairConfiguration(SQ, CENTER, CENTER, 0.6, AXIAL, AXIAL,
+                                   conventions=Conventions.from_name(convention))
+        value = fourth_order_oracle(config, TM11, diagrams="dominant")
+        assert value.hex() == "-0x1.754a9553e61dep+1"
+
+
 class TestLaguerreRule:
     def test_nodes_built_once_per_count(self, monkeypatch):
         # The Gauss-Laguerre rule depends on n_tau alone: every oracle call
