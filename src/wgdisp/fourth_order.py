@@ -27,11 +27,11 @@ Denominators mixing the two photon frequencies are decoupled with a
 Schwinger parameter, 1/M = integral dtau exp(-M tau), leaving smooth
 per-photon integrals on a Gauss-Laguerre tau grid.
 
-Each photon's integrals for a whole tau grid form one table
-(:class:`_PhotonTable`): a graded head of Gauss-Legendre panels in psi near
-the branch point, shared by every tau, then a tail in w = k_mn sinh psi on
-panels of a whole period of e^{i w tau} (or an equal fraction of one), so
-that the phases at the tail nodes repeat the first panel's.
+The photon tables (:class:`_PhotonTable`) of one mode and tau grid, one per
+set of transition energies, share one mesh: a graded head of Gauss-Legendre
+panels in psi near the branch point, then one panel grid in w = k_mn sinh psi
+on which e^{i w tau} factors into a phase per panel and one per node, so the
+phase sums are matrix products.
 
 Natural units hbar = c = 1.
 """
@@ -145,22 +145,30 @@ def _lorentzian(w, kappa, measure, z, Ws):
 
 
 def _columns(w, kappa, te):
-    """The factor of each table entry, one row each: -w^2 for TE, and
-    kappa^0, kappa^1, kappa^2 for TM."""
+    """Each table entry's factor, one row each: -w^2 (TE); 1, kappa, kappa^2 (TM)."""
     return np.stack((-w * w,) if te else (np.ones_like(w), kappa, kappa * kappa))
 
 
-def _photon_integrals(kmn: float, z: float, Ws: tuple[float, ...],
-                      taus: np.ndarray, te: bool) -> np.ndarray:
-    """The entries of :class:`_PhotonTable`, one row per tau and one column
-    per entry (TE: rh; TM: r0, r1, r2)."""
+def _exp_i_product(a, b):
+    """e^{i a b}, the product a b taken exactly by Dekker's splitting."""
+    p = a * b
+    ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
+    error = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    return np.exp(1j * p) * (1.0 + 1j * error)
+
+
+def _photon_integrals(kmn: float, z: float, energy_sets, taus: np.ndarray,
+                      te: bool) -> np.ndarray:
+    """The entries of :class:`_PhotonTable` for each set of energies in
+    ``energy_sets``, all on one mesh: one table per set, one row per tau and
+    one column per entry (TE: rh; TM: r0, r1, r2)."""
     psi_max = math.acosh(1.0 + 46.0 / (kmn * z))
     w_max = kmn * math.sinh(psi_max)
 
-    # Head: panels in psi growing geometrically to psi_max, the same for
-    # every tau; each tau takes those before its first panel wider than half
-    # a period of e^{i w tau} at the panel's start.
-    scale = min([w / kmn for w in Ws] + [1.0])
+    # Head: panels in psi growing geometrically to psi_max, from the narrowest
+    # energy of every set; each tau takes those before its first panel wider
+    # than half a period of e^{i w tau} at the panel's start.
+    scale = min([W / kmn for Ws in energy_sets for W in Ws] + [1.0])
     width = max(scale / 8.0, psi_max * 1e-13)
     n_head = max(1, math.ceil(math.log1p((_HEAD_GROWTH - 1.0) * psi_max / width)
                               / math.log(_HEAD_GROWTH)))
@@ -172,12 +180,14 @@ def _photon_integrals(kmn: float, z: float, Ws: tuple[float, ...],
     half = 0.5 * np.diff(edges)
     psi = (edges[:-1, None] + 2.0 * half[:, None] * _GL_FRACTIONS).ravel()
     w, kappa = kmn * np.sinh(psi), kmn * np.cosh(psi)
-    re, im = _lorentzian(w, kappa, (half[:, None] * _GL_WEIGHTS).ravel(), z, Ws)
-    # One contiguous row per entry, so the sums over nodes are pairwise.
+    # One contiguous row per set and entry, so the sums over nodes are pairwise;
+    # cos and sin of every block are shared by all of them.
     cols = _columns(w, kappa, te)
-    re, im = re * cols, im * cols
+    re, im = (np.array(part)[:, None] * cols for part in zip(*(
+        _lorentzian(w, kappa, (half[:, None] * _GL_WEIGHTS).ravel(), z, Ws)
+        for Ws in energy_sets)))
     panel = np.repeat(np.arange(n_head), _GL_NODES.size)
-    sums = np.zeros((taus.size, cols.shape[0]))
+    sums = np.zeros((len(energy_sets), taus.size, cols.shape[0]))
     rows = max(1, _BLOCK_NODES // psi.size)
     for lo in range(0, taus.size, rows):
         block = slice(lo, lo + rows)
@@ -185,44 +195,42 @@ def _photon_integrals(kmn: float, z: float, Ws: tuple[float, ...],
         phase = np.outer(taus[block], w[:used])
         live = panel[:used] < first[block, None]
         cos, sin = np.where(live, np.cos(phase), 0.0), np.where(live, np.sin(phase), 0.0)
-        for c in range(cols.shape[0]):
-            sums[block, c] = (cos * re[c, :used] - sin * im[c, :used]).sum(axis=-1)
+        sums[:, block] = (cos * re[:, :, None, :used] - sin * im[:, :, None, :used]
+                          ).sum(axis=-1).transpose(0, 2, 1)
 
-    # Tail: from there on, panels in w of 1/m of a period 2 pi / tau, m the
-    # fewest that keep the decay of e^{-z w} over a panel within
-    # _TAIL_DECAY e-folds, up to the first panel ending past w_max.
-    # e^{i w tau} takes one of m sets of 16 values on every panel: one table
-    # row each, rows offsets[t] to offsets[t] + m[t] - 1 for tau t.
-    tail = first < n_head
-    period = 2.0 * math.pi / np.where(tail, taus, 1.0)
-    m = np.maximum(np.ceil(z * period / _TAIL_DECAY), 1).astype(int)
-    sub = period / m
-    w_start = kmn * np.sinh(edges[first])
-    counts = np.where(tail, np.ceil((w_max - w_start) / sub), 0).astype(int)
-    offsets = np.cumsum(m) - m
-    row_tau = np.repeat(np.arange(taus.size), m)
-    r = np.arange(row_tau.size) - offsets[row_tau]
-    phase = ((w_start * taus)[row_tau, None]
-             + 2.0 * math.pi * (r[:, None] + _GL_FRACTIONS) / m[row_tau, None])
-    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
-    # The panels of a tau are consecutive; their sums, one row per entry,
-    # are added per tau by reduceat: the first panel plus a pairwise sum of
-    # the rest, not a running sum in panel order.
-    ends = np.cumsum(counts)
-    panels = np.empty((sums.shape[1], int(ends[-1])))
-    per_block = _BLOCK_NODES // _GL_NODES.size
-    for lo in range(0, int(ends[-1]), per_block):
-        index = np.arange(lo, min(lo + per_block, int(ends[-1])))
-        t = np.searchsorted(ends, index, side="right")
-        j = index - ends[t] + counts[t]
-        w = w_start[t, None] + sub[t, None] * (j[:, None] + _GL_FRACTIONS)
+    # Tail: a partial panel per tau, then the shared grid from w_lo in panels of
+    # width P (see _PhotonTable), on which e^{i tau w} = e^{i tau (w_lo + P j)}
+    # e^{i tau P f} at fraction f of panel j; the first factor is taken exactly.
+    tail = np.flatnonzero(first < n_head)
+    if tail.size == 0:
+        return 2.0 * sums
+    taus, w_start = taus[tail, None], kmn * np.sinh(edges[first[tail], None])
+    period = 2.0 * math.pi / taus
+    width = float(np.min(period / np.maximum(np.ceil(z * period / _TAIL_DECAY), 1)))
+    w_lo = float(w_start.min())
+    j0 = np.ceil((w_start - w_lo) / width)  # each tau's first whole panel
+
+    def terms(w, measure):
+        """Per set, the Lorentzian times each entry at nodes ``w``."""
         kappa = np.sqrt(kmn * kmn + w * w)
-        re, im = _lorentzian(w, kappa, 0.5 * sub[t, None] * _GL_WEIGHTS / kappa, z, Ws)
-        row = offsets[t] + j % m[t]
-        values = cos_tab[row] * re - sin_tab[row] * im
-        panels[:, index] = np.einsum("pk,cpk->pc", values, _columns(w, kappa, te)).T
-    if tail.any():
-        sums[tail] += np.add.reduceat(panels, (ends - counts)[tail], axis=1).T
+        cols = _columns(w, kappa, te) * (measure / kappa * np.exp(-z * kappa))
+        return (cols / np.prod([W - 1j * w for W in Ws], axis=0) for Ws in energy_sets)
+
+    gap = w_lo + width * j0 - w_start
+    nodes = w_start + gap * _GL_FRACTIONS
+    partial = np.exp(1j * taus * nodes) * np.array(list(terms(nodes, 0.5 * gap * _GL_WEIGHTS)))
+    sums[:, tail] += partial.sum(axis=-1).real.transpose(0, 2, 1)
+    phases = np.exp(1j * taus * width * _GL_FRACTIONS)
+    n_panels, per_block = math.ceil((w_max - w_lo) / width), _BLOCK_NODES // _GL_NODES.size
+    for lo in range(0, n_panels, per_block):
+        j = np.arange(lo, min(lo + per_block, n_panels))
+        origin = w_lo + width * j
+        shift = np.where(j >= j0, _exp_i_product(taus, origin), 0.0)
+        # Each panel's sum first, then a pairwise sum of the panels'.
+        for s, entries in enumerate(terms(origin[:, None] + width * _GL_FRACTIONS,
+                                          0.5 * width * _GL_WEIGHTS)):
+            for c, entry in enumerate(entries):
+                sums[s, tail, c] += (phases @ entry.T * shift).sum(axis=-1).real
     return 2.0 * sums
 
 
@@ -240,16 +248,13 @@ class _PhotonTable:
     Gauss-Legendre nodes.  The factors 1/(W - i w) peak at the branch point
     with width W/k_mn in psi, so the mesh begins with a head of panels in
     psi, the first 1/8 of the narrowest feature wide and each 1.7 times the
-    last, the same for every tau.  From the first head panel wider than
-    half a period of e^{i w tau} at its start (one comparison over the
-    tau-by-panel array), the rest is integrated in w, dpsi = dw / kappa, on
-    panels of exactly one period 2 pi / tau, or of 1/m of one where
-    e^{-z w} would fall by more than e^{-8} over a period.  e^{i w tau} at
-    the nodes of every tail panel thus repeats one of m sets of 16 values,
-    and 1/prod_r (W_r - i w) is taken in real arithmetic.  The last panel
-    may end past psi_max, where the integrand has fallen by e^{-46}.  At
-    tau = 0 the head covers the whole range.  The meshes of all taus are
-    built in one pass and evaluated in blocks of about 2k nodes.
+    last.  From its first head panel wider than half a period of e^{i w tau},
+    each tau integrates in w, dpsi = dw / kappa: a partial panel up to the
+    next edge of one grid shared by every tau, then that grid's panels, the
+    narrowest period 2 pi / tau wide, or 1/m of it where e^{-z w} would fall
+    by more than e^{-8} over a period.  The last panel may end past psi_max.
+    At tau = 0 the head covers the whole range.  This is the one-set call of
+    :func:`_photon_integrals`, which puts several sets on one mesh.
     """
 
     def __init__(self, geom, mode: ModeIndex, z: float,
@@ -257,12 +262,9 @@ class _PhotonTable:
         self.kmn = _cutoff(geom, mode)
         self.is_te = mode.polarization == TE
         taus = np.asarray(taus, dtype=float)
-        sums = _photon_integrals(self.kmn, z, tuple(Ws), taus, self.is_te)
-        self.r0 = self.r1 = self.r2 = self.rh = np.zeros(taus.size)
-        if self.is_te:
-            self.rh = sums[:, 0]
-        else:
-            self.r0, self.r1, self.r2 = sums.T
+        sums = list(_photon_integrals(self.kmn, z, [tuple(Ws)], taus, self.is_te)[0].T)
+        zero = [np.zeros(taus.size)]
+        self.r0, self.r1, self.r2, self.rh = zero * 3 + sums if self.is_te else sums + zero
 
 
 # Which tau integral of :class:`_PhotonTable` (0: r0, 1: r1, 2: r2) each TM
@@ -270,22 +272,22 @@ class _PhotonTable:
 _TM_RADIAL = np.array([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
 
 
-def _w_tensors(geom, mode, p1, p2, epsilon, table: _PhotonTable,
-               conventions) -> np.ndarray:
-    """Per-tau 3x3 photon-exchange tensors (index i at p2, j at p1)."""
+def _w_tensors(config: PairConfiguration, mode, entries: np.ndarray) -> np.ndarray:
+    """Per-tau 3x3 photon-exchange tensors (index i at p2, j at p1) from the
+    ``entries`` of one photon table."""
+    geom, p1, p2, conventions = config.geom, config.p1, config.p2, config.conventions
     m, n, k = _one_mode(geom, mode)
-    if table.is_te:
+    if mode.polarization == TE:
         ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
         prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))
-        return table.rh[:, None, None] * prof[None, :, :] / (2.0 * epsilon)
-    kmn = table.kmn
-    pref = 2.0 / (epsilon * geom.area)
+        return entries[:, 0, None, None] * prof[None, :, :] / (2.0 * config.epsilon)
+    kmn = float(k[0])
+    pref = 2.0 / (config.epsilon * geom.area)
     coef = np.array([[-pref, -pref, -pref * kmn],
                      [-pref, -pref, -pref * kmn],
                      [pref * kmn, pref * kmn, pref * kmn ** 2]])
     rows = _tm_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
-    radial = np.stack((table.r0, table.r1, table.r2), axis=-1)[:, _TM_RADIAL]
-    return coef * np.outer(rows[0:3], rows[3:6]) * radial
+    return coef * np.outer(rows[0:3], rows[3:6]) * entries[:, _TM_RADIAL]
 
 
 @functools.cache
@@ -320,13 +322,12 @@ def fourth_order_oracle(
     if not (4 <= n_tau <= 170):
         # Gauss-Laguerre weights underflow past ~180 points.
         raise InputError(f"n_tau must lie in [4, 170], got {n_tau}")
-    geom, eps = config.geom, config.epsilon
     diags = enumerate_diagrams()
     if diagrams == "dominant":
         diags = [d for d in diags if d.is_dominant]
 
     lag_x, lag_w = _laguerre_rule(n_tau)
-    kmn = {mode: _cutoff(geom, mode) for mode in modes}
+    kmn = {mode: _cutoff(config.geom, mode) for mode in modes}
 
     total = 0.0
     for t1 in config.species1.transitions:
@@ -334,46 +335,44 @@ def fourth_order_oracle(
             E = {1: t1.energy, 2: t2.energy}
             p1m = config.species1.second_moment(t1)
             p2m = config.species2.second_moment(t2)
-            photons: dict = {}
-
-            def photon(mode, Ws, lam):
-                """Per-tau exchange tensors of one photon, on the single
-                tau = 0 point (``lam`` None) or the Laguerre grid scaled by
-                1/lam.  Each (mode, energies, grid) is built once, with the
-                energies in the order of the first diagram that asks."""
-                key = (mode, tuple(sorted(Ws)), lam)
-                if key not in photons:
-                    taus = np.array([0.0]) if lam is None else lag_x / lam
-                    table = _PhotonTable(geom, mode, config.z, tuple(Ws), taus)
-                    photons[key] = _w_tensors(geom, mode, config.p1, config.p2,
-                                              eps, table, config.conventions)
-                return photons[key]
-
+            # Every photon key (mode, energies, grid: tau = 0 if lam is None, else
+            # the Laguerre grid over lam), grouped by mode and grid, with the
+            # energies in the order of the first diagram that asks.
+            groups: dict = {}
+            terms = []
             for diag in diags:
                 d1, mid, d3 = diag.denominators
                 # Which photon each outer denominator rides on, and the
                 # transition energy it carries.
                 ws_by_photon = {"P": [], "Q": []}
                 for den in (d1, d3):
-                    photon_name = "P" if den[0] == 1 else "Q"
-                    ws_by_photon[photon_name].append(E[1] if den[2] == 1 else E[2])
+                    ws_by_photon["P" if den[0] == 1 else "Q"].append(E[1] if den[2] == 1 else E[2])
                 e_mid = mid[2] * E[1] + mid[3] * E[2]
                 mixes = mid[0] == 1  # middle contains both photon frequencies
+                for mp, mq in itertools.product(modes, modes):
+                    lam = kmn[mp] + kmn[mq] + e_mid if mixes else None
+                    keys = [(mode, tuple(sorted(Ws)), lam) for mode, Ws
+                            in ((mp, ws_by_photon["P"]), (mq, ws_by_photon["Q"]))]
+                    for key, Ws in zip(keys, (ws_by_photon["P"], ws_by_photon["Q"])):
+                        groups.setdefault((key[0], lam), {}).setdefault(key, tuple(Ws))
+                    terms.append((e_mid, lam, *keys))
+            # One table call per mode and grid, for all its sets of energies.
+            photons = {}
+            for (mode, lam), sets in groups.items():
+                taus = np.array([0.0]) if lam is None else lag_x / lam
+                tables = _photon_integrals(kmn[mode], config.z, list(sets.values()), taus,
+                                           mode.polarization == TE)
+                photons.update(zip(sets, (_w_tensors(config, mode, t) for t in tables)))
 
-                for mp in modes:
-                    for mq in modes:
-                        lam = kmn[mp] + kmn[mq] + e_mid if mixes else None
-                        wp = photon(mp, ws_by_photon["P"], lam)
-                        wq = photon(mq, ws_by_photon["Q"], lam)
-                        if not mixes:
-                            val = quadratic_contraction(p2m, p1m, wp[0], wq[0]) / e_mid
-                        else:
-                            n_tau_vals = np.einsum("il,jq,tij,tlq->t",
-                                                   p2m, p1m, wp, wq)
-                            val = float(np.sum(
-                                lag_w * np.exp(lag_x) * n_tau_vals
-                                * np.exp(-e_mid * (lag_x / lam))) / lam)
-                        total += val
+            for e_mid, lam, key_p, key_q in terms:
+                wp, wq = photons[key_p], photons[key_q]
+                if lam is None:
+                    val = quadratic_contraction(p2m, p1m, wp[0], wq[0]) / e_mid
+                else:
+                    n_tau_vals = np.einsum("il,jq,tij,tlq->t", p2m, p1m, wp, wq)
+                    val = float(np.sum(lag_w * np.exp(lag_x) * n_tau_vals
+                                       * np.exp(-e_mid * (lag_x / lam))) / lam)
+                total += val
     return -total / TWO_PI ** 2
 
 

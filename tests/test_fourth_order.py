@@ -6,7 +6,7 @@ import pytest
 from wgdisp.conventions import Conventions
 from wgdisp.energy import DipoleSpecies, DipoleTransition, PairConfiguration
 from wgdisp.errors import InputError
-from wgdisp.fourth_order import (Diagram, _PhotonTable,
+from wgdisp.fourth_order import (Diagram, _cutoff, _photon_integrals, _PhotonTable,
                                  closed_form_reference_energy,
                                  enumerate_diagrams, fourth_order_oracle,
                                  weighted_reference_energy)
@@ -143,21 +143,77 @@ class TestPhotonTable:
                 assert err <= 1e-10 * np.max(np.abs(ref)), (name, taus.size)
 
     def test_table_evaluated_in_blocks(self):
-        # The heaviest table of an oracle-check run (TM11 at z = 0.6a on the
-        # 48-point grid over 2 k_mn, about 53k tail nodes).  With all its
-        # nodes at once its traced peak is about 4.6 MB; in blocks of about
-        # 2k nodes it is about 0.25 MB.
+        # The heaviest call of an oracle-check run: TM11 at z = 0.6a on the
+        # 48-point grid over 2 k_mn, with the three sets of energies its
+        # diagrams take.  Its shared tail grid has about 4k nodes; evaluated
+        # in blocks of about 2k nodes its traced peak is about 0.77 MB.
         import tracemalloc
         kmn = math.pi * math.sqrt(2.0)
         taus = np.polynomial.laguerre.laggauss(48)[0] / (2.0 * kmn)
-        _PhotonTable(SQ, TM11[0], 0.6, (E100,), taus)
+        sets = [(E100,), (E100, E100), ()]
+        _photon_integrals(kmn, 0.6, sets, taus, False)
         tracemalloc.start()
         try:
-            _PhotonTable(SQ, TM11[0], 0.6, (E100,), taus)
+            _photon_integrals(kmn, 0.6, sets, taus, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+GUIDE = Geometry(1.0, 0.8)
+E60 = 2.0 * math.pi / 60.0
+SHARED_MODES = [ModeIndex("TM", 1, 1), ModeIndex("TM", 2, 1), ModeIndex("TE", 1, 0),
+                ModeIndex("TE", 1, 1)]
+
+
+def _grid(mode, n_tau):
+    """k_mn of ``mode`` in GUIDE and the n_tau-point Laguerre grid over 2 k_mn."""
+    kmn = _cutoff(GUIDE, mode)
+    return kmn, np.polynomial.laguerre.laggauss(n_tau)[0] / (2.0 * kmn)
+
+
+def _relative(got, want):
+    """Largest deviation per entry, relative to the entry's table scale (the
+    largest |want| over the taus)."""
+    return np.max(np.abs(got - want) / np.abs(want).max(axis=0))
+
+
+class TestSharedMesh:
+    """Tables that share a call share one mesh: its head comes from the
+    narrowest energy of every set, and its tail grid from the largest tau.
+    A tau alone gets its own panel width and no partial panel, the layout
+    of a table built tau by tau; a set alone gets its own head.  Both agree
+    with the shared mesh to rounding, in the classes that
+    tools/check_photon_table.py sweeps, on 48- and 96-point grids."""
+
+    @pytest.mark.parametrize("n_tau", [48, 96])
+    @pytest.mark.parametrize("z", [0.3, 0.6])
+    @pytest.mark.parametrize("energies", [(E100,), (E100, E60)],
+                             ids=["one-energy", "two-energies"])
+    @pytest.mark.parametrize("mode", SHARED_MODES, ids=lambda mode: mode.label())
+    def test_tau_alone_matches_grid(self, mode, energies, z, n_tau):
+        # 2e-14 of the table scale: against a 30-digit reference, the 96-point
+        # grid at z = 0.3a with two energies is up to 1.8e-14 of the scale off
+        # when built tau by tau (TM11), and up to 1.2e-14 when shared (TM21).
+        kmn, taus = _grid(mode, n_tau)
+        te = mode.polarization == "TE"
+        grid = _photon_integrals(kmn, z, [energies], taus, te)[0]
+        alone = np.array([_photon_integrals(kmn, z, [energies], taus[i:i + 1], te)[0][0]
+                          for i in range(n_tau)])
+        assert _relative(alone, grid) <= 2e-14
+
+    @pytest.mark.parametrize("n_tau", [48, 96])
+    @pytest.mark.parametrize("z", [0.3, 0.6])
+    @pytest.mark.parametrize("mode", SHARED_MODES, ids=lambda mode: mode.label())
+    def test_set_alone_matches_batch(self, mode, z, n_tau):
+        kmn, taus = _grid(mode, n_tau)
+        te = mode.polarization == "TE"
+        sets = [(E100,), (E100, E100), (), (E100, E60)]
+        batch = _photon_integrals(kmn, z, sets, taus, te)
+        for energies, batched in zip(sets, batch):
+            alone = _photon_integrals(kmn, z, [energies], taus, te)[0]
+            assert _relative(batched, alone) <= 1e-14, energies
 
 
 class TestFrequencyMixingKernel:
