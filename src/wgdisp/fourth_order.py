@@ -150,7 +150,8 @@ def _columns(w, kappa, te):
 
 
 def _exp_i_product(a, b):
-    """e^{i a b}, the product a b taken exactly by Dekker's splitting."""
+    """e^{i a b}, the product a b taken exactly: Dekker's splitting by 2^27 + 1
+    leaves halves whose products are exact."""
     p = a * b
     ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
     error = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
