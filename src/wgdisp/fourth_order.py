@@ -121,11 +121,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
 # Head panels start at 1/8 of the narrowest feature and grow by this factor.
 _HEAD_GROWTH = 1.7
-# Nodes evaluated per numpy pass, about one tau's mesh: a table of a whole
-# tau grid never holds all its nodes at once.
+# Head nodes per numpy pass, about one tau's head: never a whole grid's at once.
 _BLOCK_NODES = 2048
 # Largest decay of e^{-z w}, in e-folds, over one tail panel.
 _TAIL_DECAY = 8.0
+# Most multiply-adds per product of the tail's phase sums: OpenBLAS puts larger
+# ones on several threads, which made a report up to three times slower.
+_PRODUCT_SIZE = 2 ** 16
 
 
 def _cutoff(geom, mode: ModeIndex) -> float:
@@ -164,7 +166,6 @@ def _photon_integrals(kmn: float, z: float, energy_sets, taus: np.ndarray,
     ``energy_sets``, all on one mesh: one table per set, one row per tau and
     one column per entry (TE: rh; TM: r0, r1, r2)."""
     psi_max = math.acosh(1.0 + 46.0 / (kmn * z))
-    w_max = kmn * math.sinh(psi_max)
 
     # Head: panels in psi growing geometrically to psi_max, from the narrowest
     # energy of every set; each tau takes those before its first panel wider
@@ -181,8 +182,7 @@ def _photon_integrals(kmn: float, z: float, energy_sets, taus: np.ndarray,
     half = 0.5 * np.diff(edges)
     psi = (edges[:-1, None] + 2.0 * half[:, None] * _GL_FRACTIONS).ravel()
     w, kappa = kmn * np.sinh(psi), kmn * np.cosh(psi)
-    # One contiguous row per set and entry, so the sums over nodes are pairwise;
-    # cos and sin of every block are shared by all of them.
+    # One contiguous row per set and entry, so the sums over nodes are pairwise.
     cols = _columns(w, kappa, te)
     re, im = (np.array(part)[:, None] * cols for part in zip(*(
         _lorentzian(w, kappa, (half[:, None] * _GL_WEIGHTS).ravel(), z, Ws)
@@ -206,7 +206,7 @@ def _photon_integrals(kmn: float, z: float, energy_sets, taus: np.ndarray,
     if tail.size == 0:
         return 2.0 * sums
     taus, w_start = taus[tail, None], kmn * np.sinh(edges[first[tail], None])
-    period = 2.0 * math.pi / taus
+    period = TWO_PI / taus
     width = float(np.min(period / np.maximum(np.ceil(z * period / _TAIL_DECAY), 1)))
     w_lo = float(w_start.min())
     j0 = np.ceil((w_start - w_lo) / width)  # each tau's first whole panel
@@ -222,7 +222,8 @@ def _photon_integrals(kmn: float, z: float, energy_sets, taus: np.ndarray,
     partial = np.exp(1j * taus * nodes) * np.array(list(terms(nodes, 0.5 * gap * _GL_WEIGHTS)))
     sums[:, tail] += partial.sum(axis=-1).real.transpose(0, 2, 1)
     phases = np.exp(1j * taus * width * _GL_FRACTIONS)
-    n_panels, per_block = math.ceil((w_max - w_lo) / width), _BLOCK_NODES // _GL_NODES.size
+    n_panels = math.ceil((kmn * math.sinh(psi_max) - w_lo) / width)
+    per_block = max(1, _PRODUCT_SIZE // (_GL_NODES.size * tail.size))
     for lo in range(0, n_panels, per_block):
         j = np.arange(lo, min(lo + per_block, n_panels))
         origin = w_lo + width * j
@@ -258,8 +259,7 @@ class _PhotonTable:
     :func:`_photon_integrals`, which puts several sets on one mesh.
     """
 
-    def __init__(self, geom, mode: ModeIndex, z: float,
-                 Ws: tuple[float, ...], taus: np.ndarray):
+    def __init__(self, geom, mode: ModeIndex, z: float, Ws: tuple[float, ...], taus: np.ndarray):
         self.kmn = _cutoff(geom, mode)
         self.is_te = mode.polarization == TE
         taus = np.asarray(taus, dtype=float)

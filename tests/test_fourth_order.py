@@ -145,8 +145,8 @@ class TestPhotonTable:
     def test_table_evaluated_in_blocks(self):
         # The heaviest call of an oracle-check run: TM11 at z = 0.6a on the
         # 48-point grid over 2 k_mn, with the three sets of energies its
-        # diagrams take.  Its shared tail grid has about 4k nodes; evaluated
-        # in blocks of about 2k nodes its traced peak is about 0.77 MB.
+        # diagrams take.  Its shared tail grid has about 4k nodes; in blocks
+        # of at most 2^16 node-tau products its traced peak is about 0.6 MB.
         import tracemalloc
         kmn = math.pi * math.sqrt(2.0)
         taus = np.polynomial.laguerre.laggauss(48)[0] / (2.0 * kmn)
