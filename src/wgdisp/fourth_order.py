@@ -160,8 +160,8 @@ def _exp_i_product(a, b):
     return np.exp(1j * p) * (1.0 + 1j * error)
 
 
-def _photon_integrals(kmn: float, z: float, energy_sets, taus: np.ndarray,
-                      te: bool) -> np.ndarray:
+def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
+                      taus: np.ndarray, te: bool) -> np.ndarray:
     """The entries of :class:`_PhotonTable` for each set of energies in
     ``energy_sets``, all on one mesh: one table per set, one row per tau and
     one column per entry (TE: rh; TM: r0, r1, r2)."""
