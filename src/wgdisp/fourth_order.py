@@ -352,10 +352,10 @@ def fourth_order_oracle(
                 mixes = mid[0] == 1  # middle contains both photon frequencies
                 for mp, mq in itertools.product(modes, modes):
                     lam = kmn[mp] + kmn[mq] + e_mid if mixes else None
-                    keys = [(mode, tuple(sorted(Ws)), lam) for mode, Ws
-                            in ((mp, ws_by_photon["P"]), (mq, ws_by_photon["Q"]))]
-                    for key, Ws in zip(keys, (ws_by_photon["P"], ws_by_photon["Q"])):
-                        groups.setdefault((key[0], lam), {}).setdefault(key, tuple(Ws))
+                    pair = ((mp, ws_by_photon["P"]), (mq, ws_by_photon["Q"]))
+                    keys = [(mode, tuple(sorted(Ws)), lam) for mode, Ws in pair]
+                    for key, (mode, Ws) in zip(keys, pair):
+                        groups.setdefault((mode, lam), {}).setdefault(key, tuple(Ws))
                     terms.append((e_mid, lam, *keys))
             # One table call per mode and grid, for all its sets of energies.
             photons = {}
