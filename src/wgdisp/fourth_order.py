@@ -125,8 +125,8 @@ _HEAD_GROWTH = 1.7
 _BLOCK_NODES = 2048
 # Largest decay of e^{-z w}, in e-folds, over one tail panel.
 _TAIL_DECAY = 8.0
-# Most multiply-adds per product of the tail's phase sums: OpenBLAS puts larger
-# ones on several threads, which made a report up to three times slower.
+# Most multiply-adds per product of the tail's phase sums: OpenBLAS threads
+# larger ones, which made a report three times slower on a busy machine.
 _PRODUCT_SIZE = 2 ** 16
 
 
