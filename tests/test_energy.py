@@ -251,6 +251,104 @@ class TestFTensor:
                                    rtol=1e-11, atol=1e-13)
 
 
+# float.hex of default-convention f_tensor results: tensor, tm_tensor and
+# te_tensor (row-major), tail_bound, tm_cutoff, te_cutoff, tm_modes and
+# te_modes, first under tail_tol and then under max_cutoff at 1.5 times the
+# max_cutoff chosen, the reference bench/workloads.py's _certified sums.
+# Keyed by (b, p1, p2, z, wavelength, tail_tol) in a guide of width 1.
+PINNED_F_TENSOR = {
+    (0.7, (0.3, 0.2), (0.6, 0.5), 0.3, 100.0, 1e-08): (
+        (
+         "0x1.39a37debb7c05p+0 0x1.9aab75d95e751p+1 0x1.66d61d09d9c50p+1"
+         " 0x1.c1d7be55d8fdep+1 0x1.74c4f6f1aa40dp+1 0x1.a36192d18afaap+1"
+         " 0x1.7d23b722cddfcp+1 0x1.a36192d18afa8p+1 0x1.bbb374e90f774p-1",
+         "0x1.432c913054c9cp+0 0x1.9cdae0e26d06cp+1 0x1.66d61d09d9c50p+1"
+         " 0x1.c488188a92c5cp+1 0x1.80ad04080a98fp+1 0x1.a36192d18afaap+1"
+         " 0x1.7d23b722cddfcp+1 0x1.a36192d18afa8p+1 0x1.bbb374e90f774p-1",
+         "-0x1.31226893a12d5p-5 -0x1.17b5848748d48p-6 -0x0.0p+0"
+         " -0x1.582d1a5ce3f31p-6 -0x1.7d01a2cc0b03bp-4 -0x0.0p+0"
+         " -0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+         '0x1.ff1d483113a69p-43', '0x1.055df689935aap+5', '0x1.30a6921735ee5p+6', 50, 67),
+        (
+         "0x1.39a37debb7c05p+0 0x1.9aab75d95e751p+1 0x1.66d61d09d9c50p+1"
+         " 0x1.c1d7be55d8fdep+1 0x1.74c4f6f1aa40dp+1 0x1.a36192d18afaap+1"
+         " 0x1.7d23b722cddfcp+1 0x1.a36192d18afa8p+1 0x1.bbb374e90f774p-1",
+         "0x1.432c913054c9cp+0 0x1.9cdae0e26d06cp+1 0x1.66d61d09d9c50p+1"
+         " 0x1.c488188a92c5cp+1 0x1.80ad04080a98fp+1 0x1.a36192d18afaap+1"
+         " 0x1.7d23b722cddfcp+1 0x1.a36192d18afa8p+1 0x1.bbb374e90f774p-1",
+         "-0x1.31226893a12dap-5 -0x1.17b5848748d56p-6 -0x0.0p+0"
+         " -0x1.582d1a5ce3f26p-6 -0x1.7d01a2cc0b047p-4 -0x0.0p+0"
+         " -0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+         '0x1.4b7d2f2035c07p-46', '0x1.055df689935aap+5', '0x1.c8f9db22d0e58p+6', 50, 760),
+    ),
+    (0.1, (0.0, 0.03), (0.7, 0.05), 0.05, 100.0, 1e-05): (
+        (
+         "0x1.38465504d2ea2p-19 0x0.0p+0 0x0.0p+0"
+         " 0x1.24f5f198fe09ep-49 0x0.0p+0 0x0.0p+0"
+         " 0x1.78373435f21f8p-23 0x0.0p+0 0x0.0p+0",
+         "0x1.3b25a8b7c07d4p-19 0x0.0p+0 0x0.0p+0"
+         " 0x1.22f2b5e0c9ffep-49 0x0.0p+0 0x0.0p+0"
+         " 0x1.78373435f21f8p-23 0x0.0p+0 0x0.0p+0",
+         "-0x1.6fa9d976c9904p-26 -0x0.0p+0 -0x0.0p+0"
+         " 0x1.019ddc1a04ffbp-56 -0x0.0p+0 -0x0.0p+0"
+         " -0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+         '0x1.777136ec89c99p-37', '0x1.9e11de1a1b4fbp+6', '0x1.82250c5eb313ep+9', 70, 105),
+        (
+         "0x1.3846550418f9cp-19 0x0.0p+0 0x0.0p+0"
+         " 0x1.3381dde6c23a8p-49 0x0.0p+0 0x0.0p+0"
+         " 0x1.78373435f21f8p-23 0x0.0p+0 0x0.0p+0",
+         "0x1.3b25a8b7c07d4p-19 0x0.0p+0 0x0.0p+0"
+         " 0x1.22f2b5e0c9ffep-49 0x0.0p+0 0x0.0p+0"
+         " 0x1.78373435f21f8p-23 0x0.0p+0 0x0.0p+0",
+         "-0x1.6fa9d9d3c1c19p-26 -0x0.0p+0 -0x0.0p+0"
+         " 0x1.08f2805f83a9cp-53 -0x0.0p+0 -0x0.0p+0"
+         " -0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+         '0x1.b04baddd772bap-43', '0x1.9e11de1a1b4fbp+6', '0x1.219bc947064eep+10', 70, 10870),
+    ),
+    (0.8, (0.45, 0.35), (0.52, 0.41), 0.06, 60.0, 1e-06): (
+        (
+         "0x1.4779e3487c357p+6 0x1.864153b3ab307p+8 0x1.8720bd92fe569p+8"
+         " 0x1.861aa22163b48p+8 -0x1.2a713ae30f52ep+5 0x1.4f34589efa05fp+8"
+         " 0x1.87285c9b10a4bp+8 0x1.4f5da434ba059p+8 -0x1.3318d09cbc35bp+5",
+         "0x1.4e74fe92e62fep+6 0x1.873ec25c00044p+8 0x1.8720bd92fe569p+8"
+         " 0x1.87163fe3b09ebp+8 -0x1.1dc681f6d98edp+5 0x1.4f34589efa05fp+8"
+         " 0x1.87285c9b10a4bp+8 0x1.4f5da434ba059p+8 -0x1.3318d09cbc35bp+5",
+         "-0x1.bec6d29a7e9a7p+0 -0x1.fadd50a9a7aa9p-1 -0x0.0p+0"
+         " -0x1.f73b8499d46c0p-1 -0x1.95571d86b8825p+0 -0x0.0p+0"
+         " -0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+         '0x1.67cb3cb091fe5p-40', '0x1.e7720a3dbfe89p+4', '0x1.24eeeeeeeeeefp+8', 51, 67),
+        (
+         "0x1.4779e3487c1b6p+6 0x1.864153b3ab38ap+8 0x1.8720bd92fe569p+8"
+         " 0x1.861aa22163bbep+8 -0x1.2a713ae30f9bep+5 0x1.4f34589efa05fp+8"
+         " 0x1.87285c9b10a4bp+8 0x1.4f5da434ba059p+8 -0x1.3318d09cbc35bp+5",
+         "0x1.4e74fe92e62fep+6 0x1.873ec25c00044p+8 0x1.8720bd92fe569p+8"
+         " 0x1.87163fe3b09ebp+8 -0x1.1dc681f6d98edp+5 0x1.4f34589efa05fp+8"
+         " 0x1.87285c9b10a4bp+8 0x1.4f5da434ba059p+8 -0x1.3318d09cbc35bp+5",
+         "-0x1.bec6d29a851eap+0 -0x1.fadd50a997340p-1 -0x0.0p+0"
+         " -0x1.f73b8499c5923p-1 -0x1.95571d86c1a22p+0 -0x0.0p+0"
+         " -0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+         '0x1.a3ea786a6b14ap-30', '0x1.e7720a3dbfe89p+4', '0x1.b766666666666p+8', 51, 12412),
+    ),
+}
+
+
+class TestPinnedTensors:
+    @pytest.mark.parametrize("case", sorted(PINNED_F_TENSOR))
+    def test_default_conventions_bitwise(self, case):
+        b, p1, p2, z, lam, tol = case
+        cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
+                                TransversePoint(*p2), z, ISO, ISO)
+        energy = 2.0 * math.pi / lam
+        chosen = f_tensor(cfg, energy, tail_tol=tol)
+        ref = f_tensor(cfg, energy, max_cutoff=1.5 * chosen.max_cutoff)
+        for f, want in zip((chosen, ref), PINNED_F_TENSOR[case]):
+            got = tuple(" ".join(float(v).hex() for v in t.ravel())
+                        for t in (f.tensor, f.tm_tensor, f.te_tensor))
+            got += (f.tail_bound.hex(), f.tm_cutoff.hex(), f.te_cutoff.hex(),
+                    f.tm_modes, f.te_modes)
+            assert got == want
+
+
 def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
     """Reference TM kernel: np.sin/np.cos evaluated per mode."""
     signs = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
