@@ -7,12 +7,12 @@ The pair energy is assembled from per-mode couplings as
 
 where F^{(e)} sums every TE and TM mode coupling for transition energy
 E_e, index i living at the second dipole's transverse point and j at the
-first.  Under oracle-consistent signs the TM part of that sum is taken
-from its Ewald split and, for unit-normalized profiles truncated by a
-tail tolerance, the TE part from its heat-kernel split
-(:mod:`wgdisp.coupling`); each needs a few dozen modes at any
-separation.  Isotropic orientation averaging replaces the dipole products by
-their second moments <d_i d_j> = delta_ij |d|^2 / 3 before contraction.
+first.  Its TM part is taken from an Ewald split and, under a tail
+tolerance, its TE part from a heat-kernel split (:mod:`wgdisp.coupling`),
+each over a few dozen modes at any separation; only the paper-literal
+additions are mode sums.  Isotropic orientation averaging replaces the
+dipole products by their second moments <d_i d_j> = delta_ij |d|^2 / 3
+before contraction.
 
 That level-pair sum lives in one place, ``_assemble``: the mode-summed
 energies and the mode-set reference energies of :mod:`wgdisp.fourth_order`
@@ -156,20 +156,17 @@ class PairConfiguration:
 class FTensorResult:
     """Coupling tensor for one transition energy.
 
-    Where a polarization is a mode sum, it covers the ``tm_modes`` or
-    ``te_modes`` modes with k <= ``tm_cutoff`` or ``te_cutoff``.  Under
-    oracle-consistent signs the TM tensor is the Ewald split, and
-    ``tm_cutoff`` and ``tm_modes`` are the cutoff and count of its screened
-    modes (fixed by the guide's shape).  Where the TE tensor is its split
-    too (``tail_tol`` with unit-normalized profiles), ``te_modes`` counts
-    its screened modes, below the same cutoff, and ``te_cutoff`` is the
-    cutoff a plain TE mode sum would need to meet the budget by its
-    continuum tail, found without listing a mode: the one the split is
-    held against.
+    The TM tensor is the Ewald split; ``tm_cutoff`` and ``tm_modes`` are
+    the cutoff and count of its screened modes, or of the paper-literal
+    cross terms' sum where that reaches further.  Under ``max_cutoff`` the
+    TE tensor sums the ``te_modes`` modes with k <= ``te_cutoff``; under
+    ``tail_tol`` it is the split, ``te_modes`` counts its screened modes
+    and the zero-index modes summed past them, and ``te_cutoff`` is the
+    cutoff a plain TE mode sum would need by its continuum tail (the one
+    the split is held against), or the zero-index sum's where larger.
     ``modes_used`` is ``tm_modes + te_modes`` and ``max_cutoff`` the larger
     cutoff.  ``tail_bound`` bounds what the truncations drop from any
-    tensor entry: the continuum tails of mode sums and the derived bounds
-    of the splits.
+    tensor entry: the splits' bounds and the mode sums' continuum tails.
 
     ``per_mode`` maps each mode of the plain mode sum that meets the same
     truncation (see :func:`f_tensor`) to its own 3x3 coupling, or is
@@ -290,6 +287,23 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
+def _cross_tail_bound(K: float, z: float, geom: Geometry) -> float:
+    """Bound on the paper-literal TM xy and yx couplings past K: each is at
+    most w(k) = 2 pi^2 e^{-kz} / (A^2 k), and with every lattice cell within
+    k_11 below its mode they add at most (A / 2 pi) int_{K - k_11} w(k) k dk."""
+    low = max(K - math.hypot(math.pi / geom.a, math.pi / geom.b), 0.0)
+    return math.pi / geom.area * math.exp(-low * z) / z
+
+
+def _axis_tail_bound(K: float, z: float, geom: Geometry, weight: float) -> float:
+    """Bound on the :func:`_zero_index_sum` terms past K, times ``weight``:
+    each is at most |weight| (2 / A) K0(kz) < |weight| (2 / A) sqrt(pi / 2kz)
+    e^{-kz}, so a row spaced by pi / L drops its first term plus L / pi times
+    the integral from K."""
+    return abs(weight) * (2.0 / geom.area) * math.sqrt(math.pi / (2.0 * K * z)) \
+        * math.exp(-K * z) * (2.0 + (geom.a + geom.b) / (math.pi * z))
+
+
 # A mode table keeps its modes in blocks at fixed table positions.  The
 # first block holds _FIRST_BLOCK modes and each next one twice as many as
 # the one before, up to _TABLE_BLOCK modes (about 0.4 MB per TM block), so
@@ -348,9 +362,9 @@ class ModeTable:
     (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them block by
     block, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
     first, screened modes and add the image sums, over image offsets, signs
-    and rho^2 that the table takes once.  :meth:`compute_splits` evaluates
-    the splits at a whole sweep's separations, a chunk of them per kernel
-    call.
+    and rho^2 that the table takes once, whatever the table's conventions.
+    :meth:`compute_splits` evaluates the splits at a whole sweep's
+    separations, a chunk of them per kernel call.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
@@ -454,9 +468,8 @@ class ModeTable:
         contracted once per separation and added in table order; a final
         partial block is added last.  The result is therefore a function
         of z and ``counts`` alone, whatever else the table holds.  Each
-        polarization's sum is kept per count, so the levels and growth steps
-        at one z share it: a step that grows one polarization's cutoff
-        leaves the other's sum as it was.
+        polarization's sum is kept per count, so the levels at one z share
+        it.
         """
         if z != self._z:
             self._z, self._memo = z, {}
@@ -483,9 +496,9 @@ class ModeTable:
     def _radial_factor(self, pol: str, j: int, used: int, z: float) -> np.ndarray:
         """e^{-kz} (TM) or K0(kz) (TE) over the first ``used`` modes of block j.
 
-        Growth steps and levels contract the last block again with more
-        modes; the factors already taken for it are kept, so each mode's
-        exp or K0 is evaluated once per separation.
+        Later sums contract the last block again with more modes; the
+        factors already taken for it are kept, so each mode's exp or K0 is
+        evaluated once per separation.
         """
         cache = self._radial[pol]  # [block, modes done, values]
         if cache[0] != j:
@@ -564,10 +577,10 @@ class ModeTable:
         """Unit TE tensor at separation z and its truncation bound.
 
         The heat-kernel split of :func:`wgdisp.coupling._te_split` (the TE
-        mode sum without its factor * E, for unit-normalized profiles), over
-        the table's first TE modes up to :func:`wgdisp.coupling._split_cutoff`
-        and the images of the TM split.  Read and computed as
-        :meth:`tm_split` is.
+        mode sum without its factor * E, for unit-normalized profiles
+        whatever the table's normalization), over the table's first TE modes
+        up to :func:`wgdisp.coupling._split_cutoff` and the images of the TM
+        split.  Read and computed as :meth:`tm_split` is.
         """
         if z not in self._splits[TE]:
             self.compute_splits([z], (TE,))
@@ -575,14 +588,18 @@ class ModeTable:
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs of the split's screened modes, the products of their TM
-        factors at p2 and at p1 or their TE factor rows, and the
-        :func:`wgdisp.coupling._live` entries of the split's tensor, built
-        once."""
+        factors at p2 and at p1 or their unit-normalized TE factor rows, and
+        the :func:`wgdisp.coupling._live` entries of the split's tensor,
+        built once."""
         if pol not in self._screen:
-            K = _coupling._split_cutoff(self.key[0])
+            geom, p1, p2, conv = self.key
+            K = _coupling._split_cutoff(geom)
             self.extend(*((K, 0.0) if pol == TM else (0.0, K)))
-            k, _, rows = self._columns(pol, self._count(pol, K))
+            k, mn, rows = self._columns(pol, self._count(pol, K))
             rows = rows.T
+            if pol == TE and conv.normalization != "unit-normalized":  # same layout
+                rows = np.ascontiguousarray(
+                    _coupling._te_rows(geom, mn[0], mn[1], k, p1, p2, Conventions()).T)
             if pol == TM:  # the products of the factors at p2 and at p1
                 self._screen[pol] = (k, rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
                                      _coupling._live(rows, 3))
@@ -750,15 +767,19 @@ def _next_cutoffs(K_tm: float, K_te: float, z: float, geom: Geometry,
     return K_tm, K_te * 1.3
 
 
-def _split_channels(conventions: Conventions, tail_tol: float | None) -> tuple[str, ...]:
-    """The polarizations whose tensors :func:`f_tensor` reads off the mode
-    table's splits: TM under oracle-consistent signs, and TE as well with
-    ``tail_tol`` and unit-normalized profiles."""
-    if conventions.tm_sign != "oracle-consistent":
-        return ()
-    if tail_tol is not None and conventions.normalization == "unit-normalized":
-        return (TM, TE)
-    return (TM,)
+def _zero_index_sum(geom: Geometry, p1: TransversePoint, p2: TransversePoint,
+                    z: float, K: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit TE tensor of the zero-index modes up to about K, and their
+    cutoffs: (m, 0) adds to yy and (0, n) to xx, one 1-D sum of about
+    a K / pi or b K / pi terms along each axis."""
+    m = np.arange(1, int(K * geom.a / math.pi) + 1)
+    n = np.arange(1, int(K * geom.b / math.pi) + 1)
+    m, n = np.r_[m, 0 * n], np.r_[0 * m, n]
+    k = np.hypot(m * math.pi / geom.a, n * math.pi / geom.b)
+    rows = _coupling._te_rows(geom, m, n, k, p1, p2, Conventions())
+    out = np.zeros((3, 3))
+    out[:2, :2] = (rows[0:2] * _k0(k * z)) @ rows[2:4].T
+    return out, k
 
 
 def f_tensor(
@@ -772,137 +793,115 @@ def f_tensor(
 ) -> FTensorResult:
     """Coupling tensor for one transition energy.
 
-    Under oracle-consistent signs the TM tensor is the Ewald split of
-    :meth:`ModeTable.tm_split`, the same at every truncation.  With
-    ``tail_tol`` and unit-normalized profiles the TE tensor is the
-    heat-kernel split of :meth:`ModeTable.te_split`, so neither channel
-    is truncated by a cutoff search: the table lists the screened modes of
-    the splits and nothing more, and the mode cap never applies.
-    ``tail_bound`` is the two splits' derived bounds, and a ``tail_tol``
-    below them (over the tensor scale) raises :class:`InputError`.
-    ``te_cutoff`` is then the cutoff K_TE grown by factors of 1.3 from
-    max(3 pi / max(a, b), 8 / z) until tail_TE(K_TE) plus the TM split's
-    bound is at most ``tail_tol`` times the tensor scale: the cutoff a
-    plain TE mode sum would need, found from the continuum tail alone.
-    With ``max_cutoff``, or with paper-literal TE normalization, the TE
-    channel stays a mode sum, truncated at ``max_cutoff`` or at that
-    grown K_TE.
-
-    Under paper-literal signs, whose printed cross terms are not
-    Green-function derivatives, both polarizations are mode sums: one
-    fixed cutoff wavenumber for both, or a TM cutoff K_TM and a TE cutoff
-    K_TE grown from the same start by :func:`_next_cutoffs` until
-    tail_TM(K_TM) + tail_TE(K_TE), the analytic continuum tail bounds,
-    fits the budget.  So K_TE <= K_TM, and TE, whose K0 is the dearer
-    weight and whose tail falls faster at short separations, is summed
-    only as far as the tolerance needs.
+    The TM tensor is the Ewald split of :meth:`ModeTable.tm_split`; under
+    paper-literal signs xx, yy, zx and zy change sign, and xy and yx are
+    the printed cross terms, no Green-function derivatives: one sum over
+    the TM modes below a cutoff K (tail :func:`_cross_tail_bound`).  With
+    ``max_cutoff`` the TE tensor is the plain mode sum below it, and K is
+    ``max_cutoff``.  With ``tail_tol`` it is the unit-normalized split of
+    :meth:`ModeTable.te_split`, plus, under paper-literal normalization,
+    the zero-index modes once more (:func:`_zero_index_sum` to K, tail
+    :func:`_axis_tail_bound`).  The budget is ``tail_tol`` times a lower
+    bound on the tensor scale, the largest split entry or cross term less
+    its tail; K grows by 1.3 from pi / max(a, b), listing no mode, until
+    the splits' bounds and the sums' tails fit it.  A budget below the
+    splits' bounds raises :class:`InputError`.  ``te_cutoff`` is K_TE grown
+    by 1.3 from max(3 pi / max(a, b), 8 / z) until tail_TE(K_TE) plus the
+    TM split's bound fits the budget (or K where larger).
 
     The modes come from ``table``, a :class:`ModeTable` of config's guide,
-    points and conventions, or from a table of the call's own.  A growth
-    step lists modes only past the table's present cutoff and builds each
-    polarization's factor rows only up to its own cutoff, so each mode is
-    listed and its transverse factors built at most once per table.  The
-    mode sums are those of :meth:`ModeTable.sums` over the modes below each
-    polarization's cutoff: they depend only on (config, energy, cutoff),
-    so a mode-summed ``tm_tensor`` or ``te_tensor`` equals, bit for bit,
-    that of a fixed cutoff at ``tm_cutoff`` or ``te_cutoff``, with a shared
-    table or without.  The mode cap applies to the listing cutoff of the
-    mode sums, the larger of the two.
-
-    ``per_mode`` shows the modes of the plain mode sum that meets the
-    truncation: with ``tail_tol``, the cutoffs :func:`_next_cutoffs` reaches
-    with the final budget (under paper-literal, the summed cutoffs).
-
-    With either dipole at a corner of the cross-section every mode
-    profile vanishes there, so the tensor is exactly zero and no mode is
-    listed.
+    points and conventions, or from a table of the call's own, each listed
+    and built at most once per table; the mode cap applies to each listing
+    and to the zero-index terms.  ``per_mode`` shows the modes below
+    ``max_cutoff`` or the cutoffs :func:`_next_cutoffs` reaches with the
+    budget.  At a corner every profile vanishes: the tensor is zero and no
+    mode is listed.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
     for name, value in (("max_cutoff", max_cutoff), ("tail_tol", tail_tol)):
         if value is not None and not 0.0 < value < math.inf:
             raise InputError(f"{name} must be positive and finite, got {value!r}")
-    geom, z, conv = config.geom, config.z, config.conventions
-    p1, p2 = config.p1, config.p2
-    if max_cutoff is not None:
-        start = max_cutoff
-    else:
-        start = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-    channels = _split_channels(conv, tail_tol)
-    split = TM in channels
-    K_tm = _coupling._split_cutoff(geom) if split else start
-    K_te = start
+    geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
+    K = K_te = start = max_cutoff if max_cutoff is not None \
+        else max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    K_split = _coupling._split_cutoff(geom)
     if geom.is_corner(p1) or geom.is_corner(p2):
         return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
-                             tm_cutoff=K_tm, te_cutoff=K_te, tm_modes=0, te_modes=0)
+                             tm_cutoff=K_split, te_cutoff=K_te, tm_modes=0, te_modes=0)
     if table is None:
         table = ModeTable(geom, p1, p2, conv)
     elif table.key != (geom, p1, p2, conv):
         raise InputError("the mode table belongs to another guide, pair of "
                          "points or set of conventions")
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
-    if TE in channels:
-        tm_sum, tm_tail = table.tm_split(z)
+    cross = conv.tm_sign == "paper-literal"
+    axis = tail_tol is not None and conv.normalization == "paper-literal"
+
+    def listed(K):  # K, where the modes up to it and the split's pass no cap
+        if mode_count(geom, max(K, K_split)) > mode_cap:
+            raise ModeCapError(mode_count(geom, max(K, K_split)), mode_cap)
+        return K
+
+    def cross_terms(K):
+        table.extend(listed(K), 0.0)
+        return table.sums(z, (table.counts(K, 0.0)[0], 0))[0][[0, 1], [1, 0]]
+
+    split, tm_tail = table.tm_split(z)
+    signs = _coupling._TM_SIGNS
+    tm_sum = signs[conv.tm_sign] * signs["oracle-consistent"] * split
+    if cross:
+        tm_sum[0, 1] = tm_sum[1, 0] = 0.0
+    budget = None
+    if max_cutoff is not None:
+        table.extend(K_split, listed(K))
+        te_sum = te_weight * table.sums(z, (0, table.counts(0.0, K)[1]))[1]
+        tail = tm_tail + _te_tail_bound(K, z, geom, energy)
+    else:
         te_unit, te_tail = table.te_split(z)
-        te_sum = te_weight * te_unit
-        tail = tm_tail + abs(te_weight) * te_tail
+        te_sum, tail = te_weight * te_unit, tm_tail + abs(te_weight) * te_tail
+
+        def summed_cutoff(room):  # where the summed parts' tails fit ``room``
+            K = math.pi / max(geom.a, geom.b)
+            while ((_cross_tail_bound(K, z, geom) if cross else 0.0)
+                   + (_axis_tail_bound(K, z, geom, te_weight) if axis else 0.0)) > room:
+                K *= 1.3
+            return K
+
         scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
+        if cross:
+            K = summed_cutoff(tail_tol * scale)
+            scale = max(scale, float(np.abs(cross_terms(K)).max())
+                        - _cross_tail_bound(K, z, geom))
         budget = tail_tol * scale
         if tail > budget:
             raise InputError(
                 f"tail_tol={tail_tol!r} is below the truncation bound of the "
                 f"screened TM sum and the TE split, {tail / scale:.2g} of the "
                 f"tensor scale")
-        # The cutoff a plain TE mode sum would need: the one the split is
-        # held against.  No mode past the split's cutoff is listed.
+        # The cutoff a plain TE mode sum would need, found listing no mode.
         while tm_tail + _te_tail_bound(K_te, z, geom, energy) > budget:
             K_te *= 1.3
-        counts = table.counts(K_tm)
-        return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
-                             te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_tm,
-                             te_cutoff=K_te, tm_modes=counts[0], te_modes=counts[1],
-                             _detail=(table, (start, start), budget, z, energy,
-                                      detail_cap))
-    while True:
-        listed = max(K_tm, K_te)
-        if mode_count(geom, listed) > mode_cap:
-            raise ModeCapError(mode_count(geom, listed), mode_cap)
-        table.extend(K_tm, K_te)
-        counts = table.counts(K_tm, K_te)
-        if split:
-            tm_sum, tm_tail = table.tm_split(z)
-            te_unit = table.sums(z, (0, counts[1]))[1]
-        else:
-            tm_sum, te_unit = table.sums(z, counts)
-            tm_tail = _tm_tail_bound(K_tm, z, geom)
-        te_sum = te_weight * te_unit
-        tail = tm_tail + _te_tail_bound(K_te, z, geom, energy)
-        if max_cutoff is not None:
-            break
-        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
-        budget = tail_tol * scale
-        if not split:
-            step = _next_cutoffs(K_tm, K_te, z, geom, energy, budget)
-            if step is None:
-                break
-            K_tm, K_te = step
-        elif tail <= budget:
-            break
-        elif tm_tail > budget:
-            raise InputError(
-                f"tail_tol={tail_tol!r} is below the truncation bound of the "
-                f"screened TM sum, {tm_tail / scale:.2g} of the tensor scale")
-        else:
-            K_te *= 1.3
-    # per_mode's cutoffs; under the split with tail_tol, grown from the
-    # start by _next_cutoffs when first read.
-    shown = (start, start) if split else (K_tm, K_te)
-    growth = None if max_cutoff is not None or not split else budget
+        K = summed_cutoff(budget - tail)
+    tm_cutoff = max(K_split, K) if cross else K_split
+    tm_modes, te_modes = table.counts(tm_cutoff, K_te if budget is None else K_split)
+    if cross:
+        tm_sum[0, 1], tm_sum[1, 0] = cross_terms(K)
+        tail += _cross_tail_bound(K, z, geom)
+    if axis:
+        if (terms := int(K * (geom.a + geom.b) / math.pi)) > mode_cap:
+            raise ModeCapError(terms, mode_cap)
+        unit, k = _zero_index_sum(geom, p1, p2, z, K)
+        te_sum = te_sum + te_weight * unit
+        tail += _axis_tail_bound(K, z, geom, te_weight)
+        te_modes += int(np.count_nonzero(k > K_split * (1.0 + 1e-12)))
+        K_te = max(K_te, K)
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
-                         te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_tm,
-                         te_cutoff=K_te, tm_modes=counts[0], te_modes=counts[1],
-                         _detail=(table, shown, growth, z, energy, detail_cap))
+                         te_tensor=te_sum, tail_bound=tail, tm_cutoff=tm_cutoff,
+                         te_cutoff=K_te, tm_modes=tm_modes, te_modes=te_modes,
+                         _detail=(table, (start, start), budget, z, energy,
+                                  detail_cap))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
@@ -1033,8 +1032,8 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
     if not corner:
-        table.compute_splits([point.z for point in points], _split_channels(
-            config.conventions, truncation.get("tail_tol")))
+        table.compute_splits([point.z for point in points],
+                             (TM, TE) if max_cutoff is None else (TM,))
     out = []
     for point in points:
         z = point.z

@@ -140,9 +140,10 @@ class TestEnergy:
         assert res.returncode == 3
 
     def test_mode_cap_exit_4(self, species_file):
-        # Paper-literal mode sums need ~1/z^2 modes.
+        # Off the centre lines the paper-literal cross terms need ~1/z^2 modes.
         res = run_cli("energy", "--z", "0.002", "--species1", species_file,
-                      "--tail-tol", "1e-6", "--convention", "paper-literal")
+                      "--tail-tol", "1e-6", "--convention", "paper-literal",
+                      "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55")
         assert res.returncode == 4
         assert "cap" in res.stderr
 
@@ -520,7 +521,10 @@ class TestImport:
 # SPECIES_100A, the second at lambda = 60a with d = (0.3, 0.5, 1)): energy's
 # total, u_tm_only, u_te_only and tail_estimate at three separations, and
 # sweep's z, U, ratio and tail_estimate rows.  The kernels' last bits moved,
-# so these are held at a stated 1e-13 relative.
+# so these are held at a stated 1e-13 relative.  The paper-literal rows were
+# pinned again when the paper-literal tensor moved from plain mode sums of
+# both polarizations onto the splits; PAPER_LITERAL_MODE_SUMS keeps the mode
+# sums' rows, which every new value meets within the two tail estimates.
 PINNED_RTOL = 1e-13
 PINNED_ENERGY = {
     ("oracle-consistent", 0.05): (-34653423.2227955, -34625387.78269559,
@@ -529,12 +533,12 @@ PINNED_ENERGY = {
                                  -5.932143065691946e-05, 3.095499662254693e-14),
     ("oracle-consistent", 3.0): (-4.050226347295931e-09, -5.151131273093387e-09,
                                  -7.805741341990751e-11, 1.1949115860122536e-20),
-    ("paper-literal", 0.05): (-34643346.54345458, -34625385.42824798,
-                              -6.994968959889575, 19.276058248057115),
-    ("paper-literal", 0.8): (-0.03381504656583204, -0.03437146317367255,
-                             -5.9671743674190946e-05, 1.6236198470591462e-08),
-    ("paper-literal", 3.0): (-6.4223080816563105e-09, -5.163522184045426e-09,
-                             -7.805723005491385e-11, 3.7214186702733776e-14),
+    ("paper-literal", 0.05): (-34643348.95308164, -34625387.78269559,
+                              -6.995011451186274, 26.473113391111582),
+    ("paper-literal", 0.8): (-0.033815046597080387, -0.034371463181195314,
+                             -5.967173759802139e-05, 1.2325354274170238e-09),
+    ("paper-literal", 3.0): (-6.422311691991028e-09, -5.1635254237417305e-09,
+                             -7.805723005615711e-11, 8.901035272337439e-18),
 }
 PINNED_SWEEP = {
     "oracle-consistent": [
@@ -545,6 +549,20 @@ PINNED_SWEEP = {
          5.315766107167112e-14),
         (4.0, -5.049478478479895e-13, 3.822108041554279e-09, 1.5861081518184148e-28)],
     "paper-literal": [
+        (0.03, -742469202.9548415, 1.0002359468285489, 1867.0182677218104),
+        (0.15326188647871059, -41605.67748645183, 0.9964467284385693,
+         0.007559565395645502),
+        (0.7829735282337724, -1.2870540174146956, 0.5479939138463151,
+         4.49011176719817e-07),
+        (4.0, -5.0494784335718e-13, 3.822108007561939e-09, 2.884497235562111e-19)],
+}
+PAPER_LITERAL_MODE_SUMS = {
+    0.05: (-34643346.54345458, -34625385.42824798, -6.994968959889575, 19.276058248057115),
+    0.8: (-0.03381504656583204, -0.03437146317367255, -5.9671743674190946e-05,
+          1.6236198470591462e-08),
+    3.0: (-6.4223080816563105e-09, -5.163522184045426e-09, -7.805723005491385e-11,
+          3.7214186702733776e-14),
+    "sweep": [
         (0.03, -742469140.4950503, 1.0002358626842798, 1807.1053895308985),
         (0.15326188647871059, -41605.67446740195, 0.9964466561329957,
          0.03440793298116737),
@@ -579,6 +597,10 @@ class TestPinnedValues:
                                        "tail_estimate")]
         assert got == pytest.approx(PINNED_ENERGY[convention, z], rel=PINNED_RTOL,
                                     abs=0.0)
+        if convention == "paper-literal":
+            *old, old_tail = PAPER_LITERAL_MODE_SUMS[z]
+            for have, want in zip(got, old):
+                assert abs(have - want) <= got[3] + old_tail
 
     @pytest.mark.parametrize("convention", sorted(PINNED_SWEEP))
     def test_sweep(self, two_levels, capsys, convention):
@@ -591,6 +613,11 @@ class TestPinnedValues:
         assert len(got) == 4
         for have, want in zip(got, PINNED_SWEEP[convention]):
             assert have == pytest.approx(want, rel=PINNED_RTOL, abs=0.0)
+        if convention == "paper-literal":  # the ratio's tail is U's over |U_vdw|
+            for (_, u, ratio, tail), (_, old_u, old_ratio, old_tail) in zip(
+                    got, PAPER_LITERAL_MODE_SUMS["sweep"]):
+                assert abs(u - old_u) <= tail + old_tail
+                assert abs(ratio - old_ratio) <= (tail + old_tail) * abs(ratio / u)
 
 
 class TestReproduce:
@@ -941,14 +968,26 @@ class TestReach:
         assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-4)
 
     def test_one_thousandth_meets_the_cap(self, species_file, capsys):
-        # Paper-literal mode sums pass 1e6 modes well above 0.001a.
+        # Off the centre lines the paper-literal cross terms pass 1e6 modes
+        # well above 0.001a.
         from wgdisp import cli
         assert cli.main(["energy", "--z", "0.001", "--species1", species_file,
-                         "--tail-tol", "1e-4", "--convention", "paper-literal"]) == 4
+                         "--tail-tol", "1e-4", "--convention", "paper-literal",
+                         "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ") and "cap" in captured.err
+
+    def test_paper_literal_three_thousandths_of_a_returns(self, species_file, capsys):
+        # At the centre the cross terms vanish and every other part is a
+        # split: the cross-term sum stops where its tail fits the budget.
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.003", "--species1", species_file,
+                         "--convention", "paper-literal"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-4)
+        assert report["tail_estimate"] <= 1e-5 * abs(report["total"])
 
     def test_ten_thousandth_of_a_returns(self, species_file, capsys):
         # Both default channels are splits over a fixed screened mode set,
@@ -1024,7 +1063,7 @@ GOLDEN_STDOUT = [
     (["energy", "--z", "0.6", "--species1", "@three", "--convention", "paper-literal",
       "--orientation", "fixed-vector", "--b", "0.65", "--x1", "0.25", "--y1", "0.2",
       "--x2", "0.55", "--y2", "0.45", "--tail-tol", "1e-8"],
-     "3daf271316fe74d11c56ba9f5e5f058ae1a1a76f1c7eec28ab071497afd20f00"),
+     "4cc28f2ca1b875666192e68a19e8dfa2919b5a13a106494924510ab7559c63d4"),
     # A corner dipole and crossed dipoles: zero energy, zero free-space
     # reference, ratio null.
     (["energy", "--z", "0.7", "--species1", "@x", "--species2", "@y",
