@@ -1,12 +1,12 @@
 """Sweep wgdisp.fourth_order's photon tables against mpmath.
 
-    PYTHONPATH=src python tools/check_photon_table.py [taus per table]
+    PYTHONPATH=src python tools/check_photon_table.py
 
 For TM11, TM21, TE10 and TE11 in a 1 x 0.8 guide, at z = 0.3a and 0.6a and
 with one and two transition energies, builds the ``_PhotonTable`` that
-``fourth_order_oracle`` builds: on tau = 0 and on ``taus`` points of the
-48-point Gauss-Laguerre grid scaled by 1 / (2 k_mn) (its largest tau, about
-86 / k_mn, included).  Each entry is compared with
+``fourth_order_oracle`` builds: on tau = 0 and on every point of the
+48-point Gauss-Laguerre grid scaled by 1 / (2 k_mn) (up to about
+86 / k_mn).  Each entry is compared with
 
     r0, r1, r2 = 2 int_0^w_max dw / kappa kappa^(0, 1, 2) e^{-z kappa} D
     rh = -2 int_0^w_max dw / kappa w^2 e^{-z kappa} D
@@ -17,13 +17,13 @@ Gauss-Legendre on pieces split at powers of two of the narrowest energy up
 to 16 times it, then in steps no longer than half a period of e^{i w tau},
 one decay length 1/z or the distance from w = 0, so every piece is smooth.
 The reference's own error is the change from 16-point rules on the same
-pieces.  Prints, per class and grid, the largest error relative to the
-table scale (the largest |reference| over the table's taus) and where it
-occurs.  Needs mpmath, which is not a declared dependency of wgdisp.
+pieces.  Prints, per class (mode), entry and grid, the largest error
+relative to the table scale (the largest |reference| over the table's
+taus) and where it occurs.  Needs mpmath, which is not a declared
+dependency of wgdisp.
 """
 
 import math
-import sys
 
 import mpmath as mp
 import numpy as np
@@ -102,13 +102,12 @@ def reference(kmn, z, Ws, tau, is_te, points):
     return [2 * s for s in sums]
 
 
-def main(n_taus=6):
+def main():
     lag_x = np.polynomial.laguerre.laggauss(48)[0]
     worst, ref_err = {}, 0.0
     for mode in MODES:
         kmn = _cutoff(GEOM, mode)
-        picks = np.unique(np.linspace(0, lag_x.size - 1, n_taus).round().astype(int))
-        grids = {"tau = 0": np.array([0.0]), "48-point grid": lag_x[picks] / (2.0 * kmn)}
+        grids = {"tau = 0": np.array([0.0]), "48-point grid": lag_x / (2.0 * kmn)}
         for z in ZS:
             for Ws in ENERGIES:
                 for grid, taus in grids.items():
@@ -123,15 +122,16 @@ def main(n_taus=6):
                         for i, tau in enumerate(taus):
                             err = float(abs(got[c][i] - exact[i][c]) / scale)
                             ref_err = max(ref_err, float(abs(coarse[i][c] - exact[i][c]) / scale))
-                            key = (name, grid)
+                            key = (mode.label(), name, grid)
                             if err >= worst.get(key, (-1.0,))[0]:
-                                worst[key] = (err, f"{mode.label()} z={z} "
-                                              f"energies={len(Ws)} tau={tau:.4g}")
-    for (name, grid), (err, where) in sorted(worst.items()):
-        print(f"{name} {grid:13s}: max error / table scale {err:.2e} at {where}")
+                                worst[key] = (err, f"z={z} energies={len(Ws)} "
+                                              f"tau={tau:.4g}")
+    for (label, name, grid), (err, where) in worst.items():
+        print(f"{label} {name} {grid:13s}: max error / table scale {err:.2e} "
+              f"at {where}")
     print(f"reference: 16- against 24-point rules differ by at most "
           f"{ref_err:.2e} of the table scale")
 
 
 if __name__ == "__main__":
-    main(*(int(a) for a in sys.argv[1:]))
+    main()
