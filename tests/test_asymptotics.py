@@ -7,6 +7,7 @@ from scipy.special import k0
 from helpers import k0_small_argument
 from wgdisp.asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
 from wgdisp.bessel import bessel_k0
+from wgdisp.cli import FIGURE_GRIDS
 from wgdisp.energy import DipoleSpecies, PairConfiguration, f_tensor
 from wgdisp.errors import InputError
 from wgdisp.waveguide import Geometry, cutoff_wavenumber, enumerate_modes
@@ -15,6 +16,20 @@ from wgdisp.waveguide import Geometry, cutoff_wavenumber, enumerate_modes
 SUM_AT_1 = 0.016948660836466332
 SUM_AT_01 = 25.361973553235171
 INTEGRAL_AT_01 = 25.330295910584443
+
+# The `reproduce fig4` grid and its direct sums, as float.hex.
+FIG4_GRID = np.geomspace(*FIGURE_GRIDS["fig4"])
+FIG4_DIRECT_HEX = [
+    "0x1.8bc9514edb760p+14", "0x1.bd2271fa1ed9ep+13", "0x1.f4a2d25d4cf42p+12",
+    "0x1.19877c2ecfcbbp+12", "0x1.3ca204374b29bp+11", "0x1.641d7a783e150p+10",
+    "0x1.90861828ac170p+9", "0x1.c27a073be4b35p+8", "0x1.faac110d9f4f8p+7",
+    "0x1.1cf3878b0d477p+7", "0x1.40894bca84fbcp+6", "0x1.689cde8bea888p+5",
+    "0x1.95caa4c7d2978p+4", "0x1.c8cdca3c0642ep+3", "0x1.01461841db72bp+3",
+    "0x1.22133d73919ebp+2", "0x1.4783659c89f30p+1", "0x1.726ba1a936341p+0",
+    "0x1.a38ee949d1bc9p-1", "0x1.daf42127fdaf9p-2", "0x1.0b2689be6a976p-2",
+    "0x1.2712f81a4e750p-3", "0x1.3979249473712p-4", "0x1.36f975fe81241p-5",
+    "0x1.15afd6003b4acp-6",
+]
 
 
 class TestDirectSum:
@@ -37,6 +52,11 @@ class TestDirectSum:
         values = [reduced_zz_sum_direct(z)
                   for z in (0.3, 0.5, 0.8, 1.3)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_fig4_grid_pinned(self):
+        # The direct sums `reproduce fig4` prints, bit for bit.
+        got = [reduced_zz_sum_direct(float(z)).hex() for z in FIG4_GRID]
+        assert got == FIG4_DIRECT_HEX
 
 
 class TestIntegralApproximation:
