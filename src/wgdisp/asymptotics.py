@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .conventions import Conventions
 from .energy import ModeTable
 from .errors import InputError
-from .waveguide import Geometry
+from .waveguide import TM, Geometry
 
 
 def _check(z_over_a: float) -> None:
@@ -25,23 +27,28 @@ def _check(z_over_a: float) -> None:
         raise InputError(f"z_over_a must be positive and finite, got {z_over_a!r}")
 
 
-# One table serves every call: its screened modes are listed and built once,
-# and a split depends only on z, not on what the table already holds.
+# One table serves every call: its screened modes are listed and built once.
+# Each call takes its separations' splits afresh, as one batch.
 _CENTER = Geometry(1.0, 1.0).center()
 _TABLE = ModeTable(Geometry(1.0, 1.0), _CENTER, _CENTER, Conventions())
 
 
-def reduced_zz_sum_direct(z_over_a: float) -> float:
+def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:
     """The reduced axial-axial mode sum S(z/a) itself.
 
     "Direct" means the mode sum, as opposed to its continuum
     approximation :func:`reduced_zz_sum_integral`.  It is evaluated as the
     TM Ewald split of a unit square guide with both dipoles at the
-    center, whose truncation bound is far below 1e-10 of S.
+    center, whose truncation bound is far below 1e-10 of S.  A 1-D array
+    takes one :meth:`ModeTable.compute_splits` call, and each of its sums
+    is bit for bit that of its float.
     """
-    _check(z_over_a)
-    tensor, _ = _TABLE.tm_split(z_over_a)
-    return float(tensor[2, 2]) / (4.0 * math.pi ** 2)
+    zs = np.ravel(z_over_a).tolist()
+    for z in zs if np.ndim(z_over_a) else [z_over_a]:
+        _check(z)
+    _TABLE.compute_splits(zs, (TM,))
+    sums = np.array([_TABLE.tm_split(z)[0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
+    return sums.reshape(np.shape(z_over_a)) if np.ndim(z_over_a) else float(sums[0])
 
 
 def reduced_zz_sum_integral(z_over_a: float) -> float:

@@ -423,8 +423,8 @@ def cmd_reproduce(args) -> int:
     if fig == "fig4":
         header = ["z_over_a", "direct_sum", "integral_approx"]
         title = "direct axial-axial mode sum vs continuum approximation"
-        rows = [[z, reduced_zz_sum_direct(float(z)),
-                 reduced_zz_sum_integral(float(z))] for z in grid]
+        rows = [[z, direct, reduced_zz_sum_integral(float(z))]
+                for z, direct in zip(grid, reduced_zz_sum_direct(grid).tolist())]
     else:
         lam, reference, label = FIG3_RATIOS[fig]
         header = ["z_over_a", "ratio"]

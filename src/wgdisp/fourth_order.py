@@ -112,6 +112,10 @@ def enumerate_diagrams() -> list[Diagram]:
     return diagrams
 
 
+# The diagrams every oracle call reads, built once.
+_DIAGRAMS = tuple(enumerate_diagrams())
+
+
 # ---------------------------------------------------------------------------
 # rotated-contour photon integrals
 # ---------------------------------------------------------------------------
@@ -273,22 +277,23 @@ class _PhotonTable:
 _TM_RADIAL = np.array([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
 
 
-def _w_tensors(config: PairConfiguration, mode, entries: np.ndarray) -> np.ndarray:
-    """Per-tau 3x3 photon-exchange tensors (index i at p2, j at p1) from the
-    ``entries`` of one photon table."""
+def _photon_factor(config: PairConfiguration, mode):
+    """Map from the entries of a photon table of ``mode`` to its per-tau 3x3
+    photon-exchange tensors (index i at p2, j at p1)."""
     geom, p1, p2, conventions = config.geom, config.p1, config.p2, config.conventions
     m, n, k = _one_mode(geom, mode)
     if mode.polarization == TE:
         ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
-        prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))
-        return entries[:, 0, None, None] * prof[None, :, :] / (2.0 * config.epsilon)
+        prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))[None, :, :]
+        return lambda entries: entries[:, 0, None, None] * prof / (2.0 * config.epsilon)
     kmn = float(k[0])
     pref = 2.0 / (config.epsilon * geom.area)
     coef = np.array([[-pref, -pref, -pref * kmn],
                      [-pref, -pref, -pref * kmn],
                      [pref * kmn, pref * kmn, pref * kmn ** 2]])
     rows = _tm_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
-    return coef * np.outer(rows[0:3], rows[3:6]) * entries[:, _TM_RADIAL]
+    factor = coef * np.outer(rows[0:3], rows[3:6])
+    return lambda entries: factor * entries[:, _TM_RADIAL]
 
 
 @functools.cache
@@ -311,7 +316,8 @@ def fourth_order_oracle(
 
     ``diagrams="dominant"`` keeps only the four orderings with the small
     denominator; ``"all"`` sums every ordering.  The double mode sum is
-    quadratic in ``len(modes)``, capped at ``mode_cap``.
+    quadratic in ``len(modes)``, capped at ``mode_cap``.  The diagrams are
+    built once per process, each mode's :func:`_photon_factor` once per call.
     """
     if len(modes) == 0:
         raise InputError("oracle needs at least one mode")
@@ -323,12 +329,13 @@ def fourth_order_oracle(
     if not (4 <= n_tau <= 170):
         # Gauss-Laguerre weights underflow past ~180 points.
         raise InputError(f"n_tau must lie in [4, 170], got {n_tau}")
-    diags = enumerate_diagrams()
+    diags = _DIAGRAMS
     if diagrams == "dominant":
         diags = [d for d in diags if d.is_dominant]
 
     lag_x, lag_w = _laguerre_rule(n_tau)
     kmn = {mode: _cutoff(config.geom, mode) for mode in modes}
+    factors = {mode: _photon_factor(config, mode) for mode in modes}
 
     total = 0.0
     for t1 in config.species1.transitions:
@@ -363,7 +370,7 @@ def fourth_order_oracle(
                 taus = np.array([0.0]) if lam is None else lag_x / lam
                 tables = _photon_integrals(kmn[mode], config.z, list(sets.values()), taus,
                                            mode.polarization == TE)
-                photons.update(zip(sets, (_w_tensors(config, mode, t) for t in tables)))
+                photons.update(zip(sets, map(factors[mode], tables)))
 
             for e_mid, lam, key_p, key_q in terms:
                 wp, wq = photons[key_p], photons[key_q]

@@ -59,6 +59,43 @@ class TestDirectSum:
         assert got == FIG4_DIRECT_HEX
 
 
+class TestBatch:
+    def test_array_equals_float_calls_bit_for_bit(self):
+        # Unsorted, with a repeat and a separation far past the guide.
+        zs = np.concatenate([FIG4_GRID[::-1], [0.3, 0.3, 2.5, 1e7]])
+        batch = reduced_zz_sum_direct(zs)
+        assert isinstance(batch, np.ndarray) and batch.shape == zs.shape
+        singles = [reduced_zz_sum_direct(float(z)) for z in zs]
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in singles]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_element_refused_as_its_float_is(self, bad):
+        with pytest.raises(InputError) as alone:
+            reduced_zz_sum_direct(bad)
+        with pytest.raises(InputError) as batch:
+            reduced_zz_sum_direct(np.array([0.5, bad, 0.2]))
+        assert str(batch.value) == str(alone.value)
+
+    def test_reproduce_fig4_is_one_split_batch(self, monkeypatch, capsys):
+        # Every run takes the whole grid's splits in one kernel call, the
+        # second too, although the first left them in the table.
+        import wgdisp.coupling as coupling
+        from wgdisp.cli import main
+        sizes = []
+        split = coupling._tm_split
+
+        def counted(geom, k, products, images, z):
+            sizes.append(z.size)
+            return split(geom, k, products, images, z)
+
+        monkeypatch.setattr(coupling, "_tm_split", counted)
+        for _ in range(2):
+            sizes.clear()
+            assert main(["reproduce", "fig4"]) == 0
+            assert sizes == [FIG4_GRID.size]
+        capsys.readouterr()
+
+
 class TestIntegralApproximation:
     def test_value_at_tenth(self):
         assert reduced_zz_sum_integral(0.1) \

@@ -30,6 +30,16 @@ class TestDiagramGenerator:
         diags = enumerate_diagrams()
         assert len(diags) == 12
 
+    def test_new_list_on_every_call(self):
+        # The oracle reads diagrams built once; what a caller does to its
+        # list does not reach them.
+        mine = enumerate_diagrams()
+        mine.clear()
+        first, second = enumerate_diagrams(), enumerate_diagrams()
+        assert len(first) == 12 and first == second and first is not second
+        value = fourth_order_oracle(_cfg(), TM11, diagrams="dominant")
+        assert value.hex() == "-0x1.754a9553e61dep+1"
+
     def test_four_dominant(self):
         assert sum(d.is_dominant for d in enumerate_diagrams()) == 4
 
