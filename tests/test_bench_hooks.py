@@ -1,7 +1,9 @@
 """The benchmark's tracer and the profile tool patch wgdisp functions by name."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -10,10 +12,28 @@ TRACER = ROOT / "bench" / "tracer.py"
 PROFILE = ROOT / "tools" / "profile_report.py"
 
 
-def test_tracer_targets_resolve():
+# The tracer's targets that an ``oracle`` op (``oracle-check``, then
+# ``reproduce fig4``) must call, so that their spans carry the op's time.
+ORACLE_OP_CALLS = ("asymptotics.reduced_zz_sum_direct",
+                   "fourth_order.fourth_order_oracle",
+                   "fourth_order.weighted_reference_energy",
+                   "oracle_checks.run_oracle_checks",
+                   "energy.dispersion_energy")
+# Targets that no op calls any more: their per-layer metrics read 0, and
+# their former time lands in their callers' self time.
+KNOWN_UNCALLED = ("coupling.f_quadrature", "coupling.f_tm_closed",
+                  "coupling.f_te_closed", "bessel.bessel_k0")
+
+
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("wgdisp_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    tracer = _load_tracer()
     for module, function, _ in tracer.TARGETS:
         home = importlib.import_module(f"{tracer.PACKAGE}.{module}")
         assert callable(getattr(home, function, None)), f"{module}.{function}"
@@ -33,3 +53,18 @@ def test_profile_stages_resolve():
         for stage, targets in stages.items():
             for owner, name in targets:
                 assert callable(owner.__dict__.get(name)), f"{workload}/{stage}: {name}"
+
+
+def test_oracle_op_calls_its_traced_layers():
+    from wgdisp import cli
+
+    tracer = _load_tracer()
+    names = {f"{module}.{function}" for module, function, _ in tracer.TARGETS}
+    assert names >= set(ORACLE_OP_CALLS) | set(KNOWN_UNCALLED)
+    spans = tracer.Tracer()
+    with spans.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["oracle-check", "--seed", "1"]) == 0
+        assert cli.main(["reproduce", "fig4"]) == 0
+    called = {span["name"] for span in spans.dump()}
+    for name in ORACLE_OP_CALLS:
+        assert name in called, f"{name} is traced but an oracle op does not call it"

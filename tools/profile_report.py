@@ -1,4 +1,4 @@
-"""Per-stage time of the ops of a seeded ``point-far`` or ``oracle`` pool.
+"""Per-stage time of the ops of a seeded benchmark workload's pool.
 
     PYTHONPATH=src python tools/profile_report.py [--workload point-far] [--seed 1] [--passes 5]
 
@@ -35,6 +35,17 @@ from workloads import WORKLOADS  # noqa: E402
 # Per workload, stage name: (owner, attribute) pairs whose calls make up the
 # stage.
 STAGES = {
+    "sweep-near": {
+        "parse": [(argparse.ArgumentParser, "parse_args")],
+        "species/config": [(cli, "_species_pair"), (cli, "_pair_configuration")],
+        "screened listing": [(energy.ModeTable, "_screened")],
+        "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
+        "TE split": [(coupling, "_te_split")],
+        "f_tensor": [(energy, "f_tensor")],
+        "assembly": [(energy, "_assemble")],
+        "free-space": [(cli, "_freespace")],
+        "CSV": [(cli, "_csv")],
+    },
     "point-far": {
         "parse": [(argparse.ArgumentParser, "parse_args")],
         "species/config": [(cli, "_pair_configuration")],
