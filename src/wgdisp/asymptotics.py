@@ -48,7 +48,7 @@ def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:
         _check(z)
     _TABLE.compute_splits(zs, (TM,))
     sums = np.array([_TABLE.tm_split(z)[0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
-    return sums.reshape(np.shape(z_over_a)) if np.ndim(z_over_a) else float(sums[0])
+    return sums if np.ndim(z_over_a) else float(sums[0])
 
 
 def reduced_zz_sum_integral(z_over_a: float) -> float:

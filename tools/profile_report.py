@@ -1,8 +1,9 @@
 """Per-stage time of the ops of a seeded benchmark workload's pool.
 
-    PYTHONPATH=src python tools/profile_report.py [--workload point-far] [--seed 1] [--passes 5]
+    PYTHONPATH=src python tools/profile_report.py [--workload W] [--seed 1] [--passes 5]
 
-Builds the pool of the benchmark's workload for the seed
+W is ``point-far`` (the default), ``sweep-near`` or ``oracle``.  Builds the
+pool of the benchmark's workload for the seed
 (``bench/workloads.py``, read and never changed; species files go to a
 temporary directory), runs every op once untimed, then runs the pool
 ``--passes`` times in this process through ``wgdisp.cli.main`` with stdout
