@@ -61,10 +61,10 @@ def test_oracle_op_calls_its_traced_layers():
     tracer = _load_tracer()
     names = {f"{module}.{function}" for module, function, _ in tracer.TARGETS}
     assert names >= set(ORACLE_OP_CALLS) | set(KNOWN_UNCALLED)
-    spans = tracer.Tracer()
-    with spans.installed(), contextlib.redirect_stdout(io.StringIO()):
+    run = tracer.Tracer()
+    with run.installed(), contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["oracle-check", "--seed", "1"]) == 0
         assert cli.main(["reproduce", "fig4"]) == 0
-    called = {span["name"] for span in spans.dump()}
+    called = {span["name"] for span in run.dump()}
     for name in ORACLE_OP_CALLS:
         assert name in called, f"{name} is traced but an oracle op does not call it"
