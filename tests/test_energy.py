@@ -471,6 +471,85 @@ class TestKernels:
         assert min(table.counts(400.0)) > _TABLE_BLOCK
 
 
+# float.hex of ModeTable.sums at z = 0.02 in the 1 x 0.8 guide listed to
+# K = 1300, p1 = (0.37, 0.23), p2 = (0.61, 0.44): the TM tensor and the unit
+# TE tensor (row-major) over the first `count` modes of each polarization,
+# or over the whole table (count None).  The counts sit on both sides of the
+# edges at which the contraction is split, 1024 and 8192.
+PINNED_SUMS = {
+    ("oracle-consistent", 1024): (
+        "-0x1.4e38480b2c0cfp+7 0x1.ba817ed12de3ep+3 0x1.f2b337f1abcd4p+6"
+        " -0x1.2d395d3b7e834p+3 0x1.53b5493e2ecedp+2 0x1.95a48863daa2fp+6"
+        " 0x1.cf86a56661b88p+6 0x1.02602e6939cb4p+8 0x1.57a06df76aab0p+6",
+        "0x1.4443ab2fccb12p+1 0x1.cc6f54af368c6p+1 0x0.0p+0"
+        " 0x1.788a2a24ab14fp+1 0x1.7076a2a43dff8p+1 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("oracle-consistent", 1025): (
+        "-0x1.d9cb0860fd6c6p+6 0x1.03cc422f73946p+3 0x1.3325a9ca52eddp+7"
+        " -0x1.2f81307d438afp+3 0x1.543e4a4976dc7p+2 0x1.95793186ef5d5p+6"
+        " 0x1.c962275387a82p+6 0x1.028e4ec2ae719p+8 0x1.53fa940e6439fp+6",
+        "0x1.446a8312c19abp+1 0x1.cf731a83dfb05p+1 0x0.0p+0"
+        " 0x1.78fbff096dedcp+1 0x1.794c5763d3481p+1 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("oracle-consistent", 8192): (
+        "0x1.9060182e88204p+3 0x1.5d1131414b9e3p+4 -0x1.d6c1ff07e1240p-2"
+        " 0x1.f8d334c273ca6p+3 0x1.8695227a25810p+2 -0x1.1efcde979c2f5p+2"
+        " 0x1.4ee1d5641179cp+0 0x1.18274a36eaca0p+2 -0x1.5985073c2ad57p+1",
+        "0x1.3f7260a6c324ep+1 0x1.e2e08c25c3398p+1 0x0.0p+0"
+        " 0x1.91c0228744729p+1 0x1.4352c712c0ce6p+1 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("oracle-consistent", 8193): (
+        "0x1.942a431e26546p+3 0x1.5c399faed2a17p+4 -0x1.b617921b5df03p-3"
+        " 0x1.dd08ba8972eddp+3 0x1.9f4867bac4788p+2 -0x1.925ab1716d62ap+2"
+        " 0x1.9fe2954d01d32p+0 0x1.0f27770f55b16p+2 -0x1.057447b851c1ap+1",
+        "0x1.3f7c5b8d2f2ffp+1 0x1.e2e2e0bbed888p+1 0x0.0p+0"
+        " 0x1.91bb2ce9477f9p+1 0x1.43519e9be75b6p+1 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("oracle-consistent", None): (
+        "0x1.973f772ccf27bp+3 0x1.77b75465c2c00p+4 0x1.0e5b11b5160e1p+1"
+        " 0x1.5bd97297a3f12p+4 0x1.1251d07db175dp+3 0x1.ce7db38522ee8p+0"
+        " 0x1.0f02e5ed925a3p+1 0x1.f323d6362493cp+0 -0x1.a69c2c8ec7b0ep+3",
+        "0x1.3fdc5ddd286e3p+1 0x1.e2c6ec867b7e2p+1 0x0.0p+0"
+        " 0x1.9180de8d86036p+1 0x1.4380bc1083ef7p+1 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("paper-literal", 1024): (
+        "0x1.4e38480b2c0cfp+7 0x1.625232448e28dp+1 0x1.f2b337f1abcd4p+6"
+        " 0x1.080d34d638264p+1 -0x1.53b5493e2ecedp+2 0x1.95a48863daa2fp+6"
+        " -0x1.cf86a56661b88p+6 -0x1.02602e6939cb4p+8 0x1.57a06df76aab0p+6",
+        "0x1.02ca776eb1922p+2 0x1.cc6f54af368c6p+1 0x0.0p+0"
+        " 0x1.788a2a24ab14fp+1 0x1.1ebd07ecb1b96p+2 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("paper-literal", 1025): (
+        "0x1.d9cb0860fd6c6p+6 0x1.61601bdb8c869p+1 0x1.3325a9ca52eddp+7"
+        " 0x1.080a2f451d6e7p+1 -0x1.543e4a4976dc7p+2 0x1.95793186ef5d5p+6"
+        " -0x1.c962275387a82p+6 -0x1.028e4ec2ae719p+8 0x1.53fa940e6439fp+6",
+        "0x1.02dde3602c06ep+2 0x1.cf731a83dfb05p+1 0x0.0p+0"
+        " 0x1.78fbff096dedcp+1 0x1.2327e24c7c5dap+2 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("paper-literal", 8192): (
+        "-0x1.9060182e88204p+3 0x1.6463c2e1dce18p+1 -0x1.d6c1ff07e1240p-2"
+        " 0x1.09f59bfe4980dp+1 -0x1.8695227a25810p+2 -0x1.1efcde979c2f5p+2"
+        " -0x1.4ee1d5641179cp+0 -0x1.18274a36eaca0p+2 -0x1.5985073c2ad57p+1",
+        "0x1.fd11ea7489931p+1 0x1.e2e08c25c3398p+1 0x0.0p+0"
+        " 0x1.91c0228744729p+1 0x1.10f7b06075f99p+2 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("paper-literal", 8193): (
+        "-0x1.942a431e26546p+3 0x1.6463b2675bed0p+1 -0x1.b617921b5df03p-3"
+        " 0x1.09f48c12019b2p+1 -0x1.9f4867bac4788p+2 -0x1.925ab1716d62ap+2"
+        " -0x1.9fe2954d01d32p+0 -0x1.0f27770f55b16p+2 -0x1.057447b851c1ap+1",
+        "0x1.fd1be55af59e2p+1 0x1.e2e2e0bbed888p+1 0x0.0p+0"
+        " 0x1.91bb2ce9477f9p+1 0x1.10f71c2509401p+2 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+    ("paper-literal", None): (
+        "-0x1.973f772ccf27bp+3 0x1.64639b83b3f26p+1 0x1.0e5b11b5160e1p+1"
+        " 0x1.09fdf44261929p+1 -0x1.1251d07db175dp+3 0x1.ce7db38522ee8p+0"
+        " -0x1.0f02e5ed925a3p+1 -0x1.f323d6362493cp+0 -0x1.a69c2c8ec7b0ep+3",
+        "0x1.fd8599b35f78ap+1 0x1.e2c6ec867b7e2p+1 0x0.0p+0"
+        " 0x1.9180de8d86036p+1 0x1.1112843ce935ep+2 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
+}
+
+
 class TestColumnBlocks:
     def test_block_sum_is_one_array_sum_bitwise(self):
         # The sums read from a table depend on the modes summed alone: a
@@ -518,6 +597,21 @@ class TestColumnBlocks:
         scale = max(np.abs(want_tm).max(), np.abs(want_te).max())
         assert np.abs(tm - want_tm).max() <= SUM_TOL * scale
         assert np.abs(te - want_te).max() <= SUM_TOL * scale
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_sums_pinned(self, convention):
+        # The order in which a sum adds its modes is part of its value: the
+        # sums at both conventions' counts (the paper-literal cross rows
+        # included) must keep their bits.
+        geom = Geometry(1.0, 0.8)
+        p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
+        table = ModeTable(geom, p1, p2, Conventions.from_name(convention))
+        table.extend(1300.0)
+        for count in (1024, 1025, 8192, 8193, None):
+            counts = table.counts(1300.0) if count is None else (count, count)
+            got = tuple(" ".join(float(v).hex() for v in t.ravel())
+                        for t in table.sums(0.02, counts))
+            assert got == PINNED_SUMS[convention, count]
 
 
 def _reference_f_tensor(cfg, energy, tail_tol):
