@@ -589,11 +589,12 @@ def _te_split(geom, k, rows, images, z):
     unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
     to :func:`_split_cutoff`, and ``images`` the :func:`_split_images` of the
     pair.  Entries outside :func:`_live` are left as summed.  The modes are
-    contracted as a mode table contracts a block, so where images and short
-    times add nothing the split equals a TE mode sum bit for bit.  All E1 of
-    the splits and their bounds come from one call and all K0 from another;
-    the bounds share K0(k_0 z).  Each tensor is the same whichever
-    separations share the call.
+    contracted as :meth:`wgdisp.energy.ModeTable.sums` contracts its first
+    1024 modes, so where images and short times add nothing the split
+    equals a TE mode sum bit for bit.  All E1 of the splits and their
+    bounds come from one call and all K0 from another; the bounds share
+    K0(k_0 z).  Each tensor is the same whichever separations share the
+    call.
     """
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)

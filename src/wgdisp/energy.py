@@ -173,8 +173,8 @@ class FTensorResult:
     ``None`` when that sum has more than ``detail_cap`` modes or a dipole
     sits at a corner.  It reads one set of stacked arrays
     (:meth:`ModeTable.mode_tensors`), built on first read from the table
-    the tensor came from, which then lists and builds the modes it lacks,
-    so callers that only need the tensor never pay for them.
+    the tensor came from, which then appends the modes it lacks to its
+    arrays, so callers that only need the tensor never pay for them.
     :meth:`top_modes` ranks the same modes, but builds only those
     :meth:`ModeTable.leading_modes` cannot leave out, and a
     :class:`ModeIndex` and a 3x3 copy only for those it returns.
@@ -304,65 +304,25 @@ def _axis_tail_bound(K: float, z: float, geom: Geometry, weight: float) -> float
         * math.exp(-K * z) * (2.0 + (geom.a + geom.b) / (math.pi * z))
 
 
-# A mode table keeps its modes in blocks at fixed table positions.  The
-# first block holds _FIRST_BLOCK modes and each next one twice as many as
-# the one before, up to _TABLE_BLOCK modes (about 0.4 MB per TM block), so
-# a small table allocates little.  Blocks are never grown or copied: arrays
-# grown at every cutoff step leave holes in the malloc heap that later
-# calls reuse or not, and the peak memory of a long-running process then
-# changes from run to run.  A block is also the unit of contraction, so
-# the order of a sum depends only on how many modes it covers, not on how
-# the table was filled.
-_FIRST_BLOCK = 1024
-_TABLE_BLOCK = 8192
-_GROWING_BLOCKS = (_TABLE_BLOCK // _FIRST_BLOCK).bit_length()
 # Separations per pass of the splits' kernels: the TE short-time rule's
 # temporaries hold _SPLIT_CHUNK x (about 70 modes) x 80 nodes doubles.
 _SPLIT_CHUNK = 32
 
 
-def _block_start(j: int) -> int:
-    """Table position of the first mode of block j."""
-    if j <= _GROWING_BLOCKS:
-        return _FIRST_BLOCK << (j - 1) if j else 0
-    return _TABLE_BLOCK * (j + 1 - _GROWING_BLOCKS)
-
-
-def _block_index(position: int) -> int:
-    """Index of the block that holds table position ``position``."""
-    if position < _TABLE_BLOCK:
-        return (position // _FIRST_BLOCK).bit_length()
-    return position // _TABLE_BLOCK + _GROWING_BLOCKS - 1
-
-
-class _Block:
-    """Cutoffs, indices and factor rows of one block of a mode table.
-
-    ``rows`` is allocated when the first of its modes gets factor rows.
-    """
-
-    __slots__ = ("k", "mn", "rows")
-
-    def __init__(self, n_modes: int):
-        self.k = np.empty(n_modes)
-        self.mn = np.empty((2, n_modes), dtype=np.int32)
-        self.rows = None  # one mode per row once built
-
-
 class ModeTable:
     """Cutoff-sorted modes of one guide, pair of points and conventions.
 
-    Per polarization the table holds each mode's cutoff k and indices
-    (m, n), listed shell by shell as :meth:`extend` raises the cutoff, and
-    the z-independent transverse factor rows (``_tm_rows`` and
-    ``_te_rows`` of :mod:`wgdisp.coupling`) of the modes up to that
-    polarization's own cutoff, each built once.  Only the radial factors
-    depend on the separation, so one table serves every separation and
-    transition level of a sweep: :meth:`sums` weights the rows with
-    (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them block by
-    block, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
-    first, screened modes and add the image sums, over image offsets, signs
-    and rho^2 that the table takes once, whatever the table's conventions.
+    Per polarization the table holds flat arrays of each mode's cutoff k
+    and indices (m, n), listed shell by shell as :meth:`extend` raises the
+    cutoff, and the z-independent transverse factor rows (``_tm_rows`` and
+    ``_te_rows`` of :mod:`wgdisp.coupling`, one mode per row) of the modes
+    up to that polarization's own cutoff, each built once.  Only the radial
+    factors depend on the separation, so one table serves every separation
+    and transition level of a sweep: :meth:`sums` weights the rows with
+    (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them, and
+    :meth:`tm_split` and :meth:`te_split` weight the rows of the first,
+    screened modes and add the image sums, over image offsets, signs and
+    rho^2 that the table takes once, whatever the table's conventions.
     :meth:`compute_splits` evaluates the splits at a whole sweep's
     separations, a chunk of them per kernel call.
     """
@@ -371,15 +331,9 @@ class ModeTable:
                  p2: TransversePoint, conventions: Conventions):
         self.key = (geom, p1, p2, conventions)
         self.cutoff: float | None = None
-        self._blocks: dict[str, list[_Block]] = {TM: [], TE: []}
-        self._size = {TM: 0, TE: 0}
-        self._built = {TM: 0, TE: 0}  # modes with factor rows
-        # Per separation: sums over whole blocks, sums by polarization and
-        # mode count, and the radial factors of the block contracted last.
-        self._z = None
-        self._cumulative: dict[str, list[np.ndarray]] = {}
-        self._memo: dict[tuple[str, int], np.ndarray] = {}
-        self._radial = {pol: [-1, 0, None] for pol in (TM, TE)}
+        self._k = {pol: np.empty(0) for pol in (TM, TE)}
+        self._mn = {pol: np.empty((2, 0), dtype=np.int32) for pol in (TM, TE)}
+        self._rows = {pol: np.empty((0, 0)) for pol in (TM, TE)}  # built modes
         # Per polarization: (tensor, bound) of the splits of the last batch,
         # keyed by z, and the screened modes' data of :meth:`_screened`.
         self._splits: dict[str, dict[float, tuple[np.ndarray, float]]] = {TM: {}, TE: {}}
@@ -397,51 +351,19 @@ class ModeTable:
         if self.cutoff is None or top > self.cutoff:
             shell = mode_arrays(self.key[0], top, self.cutoff)
             for pol in (TM, TE):
-                self._append(pol, shell[pol])
+                self._k[pol] = np.concatenate((self._k[pol], shell[pol]["k"]))
+                self._mn[pol] = np.concatenate(
+                    (self._mn[pol], np.stack((shell[pol]["m"], shell[pol]["n"]))),
+                    axis=1, dtype=np.int32)
             self.cutoff = top
-        for pol, count in zip((TM, TE), self.counts(K, te_cutoff)):
-            self._build_rows(pol, count)
-
-    def _append(self, pol: str, shell: dict) -> None:
-        """Store the cutoffs and indices of a listed shell, block by block."""
-        m, n, k = shell["m"], shell["n"], shell["k"]
-        start = 0
-        while start < k.size:
-            j = _block_index(self._size[pol])
-            off = self._size[pol] - _block_start(j)
-            stop = min(k.size, start + _block_start(j + 1) - self._size[pol])
-            if off == 0:
-                self._blocks[pol].append(_Block(_block_start(j + 1) - _block_start(j)))
-            block = self._blocks[pol][j]
-            put, part = slice(off, off + stop - start), slice(start, stop)
-            block.k[put] = k[part]
-            block.mn[:, put] = m[part], n[part]
-            self._size[pol] += stop - start
-            start = stop
-
-    def _build_rows(self, pol: str, count: int) -> None:
-        """Build the factor rows of the first ``count`` modes that lack them."""
         geom, p1, p2, conv = self.key
-        rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
-        while self._built[pol] < count:
-            j = _block_index(self._built[pol])
-            block = self._blocks[pol][j]
-            put = slice(self._built[pol] - _block_start(j),
-                        min(count, _block_start(j + 1)) - _block_start(j))
-            rows = rows_of(geom, block.mn[0, put], block.mn[1, put],
-                           block.k[put], p1, p2, conv)
-            if block.rows is None:
-                block.rows = np.empty((block.k.size, rows.shape[0]))
-            block.rows[put] = rows.T
-            self._built[pol] = _block_start(j) + put.stop
-
-    def _filled(self, pol: str, count: int):
-        """(block, modes used) pairs covering the first ``count`` modes."""
-        for j, block in enumerate(self._blocks[pol]):
-            used = min(block.k.size, count - _block_start(j))
-            if used <= 0:
-                return
-            yield block, used
+        for pol, count in zip((TM, TE), self.counts(K, te_cutoff)):
+            built = len(self._rows[pol])
+            if count > built:
+                rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
+                mn, k = self._mn[pol][:, built:count], self._k[pol][built:count]
+                rows = np.ascontiguousarray(rows_of(geom, mn[0], mn[1], k, p1, p2, conv).T)
+                self._rows[pol] = np.concatenate((self._rows[pol], rows)) if built else rows
 
     def counts(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
         """Numbers of TM modes with k <= K and TE modes with k <= ``te_cutoff``.
@@ -453,69 +375,34 @@ class ModeTable:
         return self._count(TM, K), self._count(TE, K if te_cutoff is None else te_cutoff)
 
     def _count(self, pol: str, K: float) -> int:
-        limit = K * (1.0 + 1e-12)
-        n = 0
-        for block, used in self._filled(pol, self._size[pol]):
-            if block.k[used - 1] > limit:
-                return n + int(np.searchsorted(block.k[:used], limit, side="right"))
-            n += used
-        return n
+        return int(np.searchsorted(self._k[pol], K * (1.0 + 1e-12), side="right"))
 
     def sums(self, z: float, counts: tuple[int, int]):
         """TM tensor and unit-weight TE tensor over the first ``counts`` modes.
 
-        The TE tensor still lacks its factor * E.  Each full block is
-        contracted once per separation and added in table order; a final
-        partial block is added last.  The result is therefore a function
-        of z and ``counts`` alone, whatever else the table holds.  Each
-        polarization's sum is kept per count, so the levels at one z share
-        it.
+        The TE tensor still lacks its factor * E.  The contraction is split
+        at table positions 1024, 2048 and 4096 and then every 8192, and the
+        parts are added in table order from zero: the bits of a sum depend
+        on that order (the pinned sums keep it), and on z and ``counts``
+        alone, whatever else the table holds.
         """
-        if z != self._z:
-            self._z, self._memo = z, {}
-            self._cumulative = {pol: [np.zeros((3, 3))] for pol in (TM, TE)}
-            for cache in self._radial.values():
-                cache[0] = -1
         out = []
         for pol, count in zip((TM, TE), counts):
-            if (pol, count) not in self._memo:
-                full = _block_index(count)
-                part = count - _block_start(full)
-                cumulative = self._cumulative[pol]
-                while len(cumulative) <= full:
-                    j = len(cumulative) - 1
-                    cumulative.append(cumulative[j] + self._contract(
-                        pol, j, self._blocks[pol][j].k.size, z))
-                total = cumulative[full]
-                if part:
-                    total = total + self._contract(pol, full, part, z)
-                self._memo[pol, count] = total
-            out.append(self._memo[pol, count])
+            k, rows = self._k[pol][:count], self._rows[pol][:count]
+            with np.errstate(over="ignore"):  # k z past the largest double: 0
+                radial = np.exp(-(k * z)) if pol == TM else _k0(k * z)
+            edges = [e for e in (0, 1024, 2048, 4096, *range(8192, count, 8192))
+                     if e < count] + [count]
+            total = np.zeros((3, 3))
+            for part in map(slice, edges[:-1], edges[1:]):
+                total = total + self._contract(pol, k[part], rows[part], radial[part])
+            out.append(total)
         return tuple(out)
 
-    def _radial_factor(self, pol: str, j: int, used: int, z: float) -> np.ndarray:
-        """e^{-kz} (TM) or K0(kz) (TE) over the first ``used`` modes of block j.
-
-        Later sums contract the last block again with more modes; the
-        factors already taken for it are kept, so each mode's exp or K0 is
-        evaluated once per separation.
-        """
-        cache = self._radial[pol]  # [block, modes done, values]
-        if cache[0] != j:
-            cache[:] = j, 0, np.empty(self._blocks[pol][j].k.size)
-        if used > cache[1]:
-            with np.errstate(over="ignore"):  # k z past the largest double: 0
-                kz = self._blocks[pol][j].k[cache[1]:used] * z
-                cache[2][cache[1]:used] = np.exp(-kz) if pol == TM else _k0(kz)
-            cache[1] = used
-        return cache[2][:used]
-
-    def _contract(self, pol: str, j: int, used: int, z: float) -> np.ndarray:
-        """3x3 sum over the first ``used`` modes of block j at separation z."""
+    def _contract(self, pol: str, k: np.ndarray, rows: np.ndarray,
+                  radial: np.ndarray) -> np.ndarray:
+        """3x3 sum over modes with cutoffs k, factor rows and radial factors."""
         geom, _, _, conv = self.key
-        block = self._blocks[pol][j]
-        k, rows = block.k[:used], block.rows[:used]
-        radial = self._radial_factor(pol, j, used, z)
         out = np.zeros((3, 3))
         if pol == TE:
             out[:2, :2] = (rows[:, 0:2] * radial[:, None]).T @ rows[:, 2:4]
@@ -658,13 +545,8 @@ class ModeTable:
 
     def _columns(self, pol: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs (N,), indices (2, N) and factor rows (R, N) of the first
-        ``count`` modes of a polarization: views of one block, or copies
-        joined from several."""
-        parts = [(b.k[:used], b.mn[:, :used], b.rows[:used].T)
-                 for b, used in self._filled(pol, count)]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+        ``count`` modes of a polarization, as views."""
+        return self._k[pol][:count], self._mn[pol][:, :count], self._rows[pol][:count].T
 
     def leading_modes(self, cutoffs: tuple[float, float], cap: float, n: int,
                       z: float, energy: float) -> tuple[np.ndarray, ...] | None:
@@ -689,7 +571,7 @@ class ModeTable:
         if _count_bound(geom, cutoffs) > cap:  # may pass the cap: list it all
             counts = self.listed_counts(cutoffs, cap)
             return None if counts is None else self.mode_tensors(counts, z, energy)
-        first = tuple(min(self._built[pol], self._count(pol, K))
+        first = tuple(min(len(self._rows[pol]), self._count(pol, K))
                       for pol, K in zip((TM, TE), cutoffs))
         found = self.mode_tensors(first, z, energy)
         peaks = np.abs(found[3]).max(axis=(0, 1))
@@ -723,8 +605,7 @@ class ModeTable:
 
     def _mode_k(self, pol: str, position: int) -> float:
         """Cutoff of the mode at table position ``position``."""
-        j = _block_index(position)
-        return float(self._blocks[pol][j].k[position - _block_start(j)])
+        return float(self._k[pol][position])
 
 
 _ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings

@@ -428,6 +428,27 @@ class TestSweep:
                               f"z-min={float(z_min)!r}, z-max={float(z_max)!r}\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["energy", "--z", "0.5"],
+    ["sweep", "--z-min", "0.05", "--z-max", "1", "--points", "8"],
+])
+def test_one_mode_listing_per_run(species_file, monkeypatch, capsys, command):
+    # A report or a sweep lists its mode table once: the table appends
+    # shells to flat arrays, which stays cheap only while that holds.
+    from wgdisp import cli, energy, waveguide
+    calls = []
+    listing = waveguide.mode_arrays
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return listing(*args, **kwargs)
+    monkeypatch.setattr(waveguide, "mode_arrays", counted)
+    monkeypatch.setattr(energy, "mode_arrays", counted)
+    assert cli.main([*command, "--species1", species_file]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 class TestHugeSeparations:
     # Far past the guide width every energy and bound underflows: the runs
     # print zeros and name the underflow, under either convention.

@@ -403,9 +403,9 @@ def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
 
 
 def _table_rows(table, pol):
-    """The factor rows a ModeTable holds for one polarization, in table order."""
-    return np.concatenate([block.rows[:used].T for block, used
-                           in table._filled(pol, table._size[pol])], axis=1)
+    """The factor rows a ModeTable holds for one polarization, in table order,
+    one mode per column."""
+    return table._rows[pol].T
 
 
 class TestKernels:
@@ -444,11 +444,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_write_into_slice_of_larger_array(self, convention):
-        # A table writes each shell's rows into fixed blocks at absolute
-        # positions, across block boundaries.  The rows must be the bits a
-        # fresh call gives, and rows written earlier must stay as they were.
+        # A table appends each shell's rows to its flat arrays, past the
+        # positions at which sums split their contraction.  The rows must
+        # be the bits a fresh call gives, and rows written earlier must stay
+        # as they were.
         from wgdisp.coupling import _te_rows, _tm_rows
-        from wgdisp.energy import _TABLE_BLOCK
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
         conv = Conventions.from_name(convention)
@@ -468,7 +468,7 @@ class TestKernels:
                 if before[pol] is not None:
                     assert np.array_equal(held[:, :before[pol].shape[1]], before[pol])
             lower = K
-        assert min(table.counts(400.0)) > _TABLE_BLOCK
+        assert min(table.counts(400.0)) > 8192
 
 
 # float.hex of ModeTable.sums at z = 0.02 in the 1 x 0.8 guide listed to
@@ -550,7 +550,7 @@ PINNED_SUMS = {
 }
 
 
-class TestColumnBlocks:
+class TestSummationOrder:
     def test_block_sum_is_one_array_sum_bitwise(self):
         # The sums read from a table depend on the modes summed alone: a
         # table filled at once and one filled in random shells, asked in
@@ -575,16 +575,15 @@ class TestColumnBlocks:
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_many_blocks_match_one_kernel_call(self, convention):
-        # Over 3 blocks per polarization: the blocked contraction must
+        # Over 3 x 8192 modes per polarization: the split contraction must
         # agree with the pairwise sum of one per-mode kernel call over the
         # whole cutoff-sorted table to the stated tolerance.
-        from wgdisp.energy import _TABLE_BLOCK
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         conv = Conventions.from_name(convention)
         K, z = 1300.0, 0.02
         tables = mode_arrays(geom, K)
-        assert tables["TM"]["k"].size > 3 * _TABLE_BLOCK
+        assert tables["TM"]["k"].size > 3 * 8192
         tm, te = tables["TM"], tables["TE"]
         want_tm = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
                              tm["k"], p1, p2, z, conv).sum(axis=2)
@@ -876,7 +875,7 @@ class TestTopModes:
         cfg = _config(0.02, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.45, 0.7))
         ft = f_tensor(cfg, E100, max_cutoff=120.0)
         table = ft._detail[0]
-        assert table._mode_k("TM", table._built["TM"] - 1) < 30.0
+        assert table._mode_k("TM", len(table._rows["TM"]) - 1) < 30.0
         _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
 
     def test_corner_dipole_lists_nothing(self):
@@ -1234,8 +1233,7 @@ def _te_screened(geom, p1, p2, K):
     table = ModeTable(geom, p1, p2, Conventions())
     table.extend(0.0, K)
     count = table.counts(0.0, K)[1]
-    return (np.concatenate([b.k[:used] for b, used in table._filled("TE", count)]),
-            np.concatenate([b.rows[:used] for b, used in table._filled("TE", count)]))
+    return table._k["TE"][:count], table._rows["TE"][:count]
 
 
 class TestTeSplit:
