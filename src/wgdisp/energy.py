@@ -333,7 +333,9 @@ class ModeTable:
         self.cutoff: float | None = None
         self._k = {pol: np.empty(0) for pol in (TM, TE)}
         self._mn = {pol: np.empty((2, 0), dtype=np.int32) for pol in (TM, TE)}
-        self._rows = {pol: np.empty((0, 0)) for pol in (TM, TE)}  # built modes
+        # Factor rows of the modes built so far (see _tm_rows and _te_rows).
+        width = {TM: 8 if conventions.tm_sign == "paper-literal" else 6, TE: 4}
+        self._rows = {pol: np.empty((0, width[pol])) for pol in (TM, TE)}
         # Per polarization: (tensor, bound) of the splits of the last batch,
         # keyed by z, and the screened modes' data of :meth:`_screened`.
         self._splits: dict[str, dict[float, tuple[np.ndarray, float]]] = {TM: {}, TE: {}}
@@ -361,9 +363,13 @@ class ModeTable:
             built = len(self._rows[pol])
             if count > built:
                 rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
-                mn, k = self._mn[pol][:, built:count], self._k[pol][built:count]
-                rows = np.ascontiguousarray(rows_of(geom, mn[0], mn[1], k, p1, p2, conv).T)
-                self._rows[pol] = np.concatenate((self._rows[pol], rows)) if built else rows
+                rows = np.empty((count, self._rows[pol].shape[1]))
+                rows[:built] = self._rows[pol]
+                for start in range(built, count, 8192):  # bounds rows_of's temporaries
+                    part = slice(start, min(start + 8192, count))
+                    rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
+                                         p1, p2, conv).T
+                self._rows[pol] = rows
 
     def counts(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
         """Numbers of TM modes with k <= K and TE modes with k <= ``te_cutoff``.
@@ -388,21 +394,20 @@ class ModeTable:
         """
         out = []
         for pol, count in zip((TM, TE), counts):
-            k, rows = self._k[pol][:count], self._rows[pol][:count]
-            with np.errstate(over="ignore"):  # k z past the largest double: 0
-                radial = np.exp(-(k * z)) if pol == TM else _k0(k * z)
             edges = [e for e in (0, 1024, 2048, 4096, *range(8192, count, 8192))
                      if e < count] + [count]
             total = np.zeros((3, 3))
             for part in map(slice, edges[:-1], edges[1:]):
-                total = total + self._contract(pol, k[part], rows[part], radial[part])
+                total = total + self._contract(pol, part, z)
             out.append(total)
         return tuple(out)
 
-    def _contract(self, pol: str, k: np.ndarray, rows: np.ndarray,
-                  radial: np.ndarray) -> np.ndarray:
-        """3x3 sum over modes with cutoffs k, factor rows and radial factors."""
+    def _contract(self, pol: str, part: slice, z: float) -> np.ndarray:
+        """3x3 sum over the modes at table positions ``part`` at separation z."""
         geom, _, _, conv = self.key
+        k, rows = self._k[pol][part], self._rows[pol][part]
+        with np.errstate(over="ignore"):  # k z past the largest double: 0
+            radial = np.exp(-(k * z)) if pol == TM else _k0(k * z)
         out = np.zeros((3, 3))
         if pol == TE:
             out[:2, :2] = (rows[:, 0:2] * radial[:, None]).T @ rows[:, 2:4]
