@@ -7,7 +7,8 @@ indices only) to
 
 whose continuum approximation is 1 / (4 pi^2 (z/a)^3), the free-space
 quasistatic 1/z^3.  S is a^3 F_TM,zz / (4 pi^2), read off the TM Ewald
-split of :meth:`wgdisp.energy.ModeTable.tm_split`.
+splits of :meth:`wgdisp.energy.ModeTable.compute_splits`, without their
+bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:
     for z in zs if np.ndim(z_over_a) else [z_over_a]:
         _check(z)
     _TABLE.compute_splits(zs, (TM,))
-    sums = np.array([_TABLE.tm_split(z)[0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
+    sums = np.array([_TABLE._splits[TM][z][0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
     return sums if np.ndim(z_over_a) else float(sums[0])
 
 

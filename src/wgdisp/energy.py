@@ -41,7 +41,7 @@ from .errors import (InputError, ModeCapError, TightConfinementWarning,
 from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex,
                         TransversePoint, mode_arrays, mode_count)
 from . import coupling as _coupling
-from .coupling import _power
+from .coupling import _power, _tm_continuum_tail
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,6 +152,10 @@ class PairConfiguration:
                                  self.epsilon, self.conventions)
 
 
+# Most modes ``FTensorResult.per_mode`` and ``top_modes`` list.
+_DETAIL_CAP = 20_000
+
+
 @dataclass
 class FTensorResult:
     """Coupling tensor for one transition energy.
@@ -169,9 +173,9 @@ class FTensorResult:
     tensor entry: the splits' bounds and the mode sums' continuum tails.
 
     ``per_mode`` maps each mode of the plain mode sum that meets the same
-    truncation (see :func:`f_tensor`) to its own 3x3 coupling, or is
-    ``None`` when that sum has more than ``detail_cap`` modes or a dipole
-    sits at a corner.  It reads one set of stacked arrays
+    truncation (the modes up to :attr:`_shown_cutoffs`) to its own 3x3
+    coupling, or is ``None`` when that sum has more than ``_DETAIL_CAP``
+    modes or a dipole sits at a corner.  It reads one set of stacked arrays
     (:meth:`ModeTable.mode_tensors`), built on first read from the table
     the tensor came from, which then appends the modes it lacks to its
     arrays, so callers that only need the tensor never pay for them.
@@ -200,14 +204,18 @@ class FTensorResult:
 
     @cached_property
     def _shown_cutoffs(self) -> tuple[float, float]:
-        """TM and TE cutoffs of the modes ``per_mode`` shows: those
-        :func:`f_tensor` recorded, grown by :func:`_next_cutoffs` where it
-        recorded a budget."""
-        table, cutoffs, budget, z, energy, _ = self._detail
-        while budget is not None and (step := _next_cutoffs(
-                *cutoffs, z, table.key[0], energy, budget)) is not None:
-            cutoffs = step
-        return cutoffs
+        """TM and TE cutoffs of the modes ``per_mode`` shows: the recorded
+        start, or with a budget, K_TM where tail_TM(K) + tail_TE(K) fits it
+        and then K_TE <= K_TM where tail_TM(K_TM) + tail_TE(K) does."""
+        table, start, budget, z, energy = self._detail
+        if budget is None:
+            return start, start
+        geom = table.key[0]
+        K_tm = _grown(start, lambda K: _tm_tail_bound(K, z, geom)
+                      + _te_tail_bound(K, z, geom, energy) > budget)
+        tm_tail = _tm_tail_bound(K_tm, z, geom)
+        return K_tm, _grown(start, lambda K: tm_tail
+                            + _te_tail_bound(K, z, geom, energy) > budget)
 
     @cached_property
     def _stacked(self):
@@ -215,8 +223,8 @@ class FTensorResult:
         or None."""
         if self._detail is None:
             return None
-        table, _, _, z, energy, detail_cap = self._detail
-        counts = table.listed_counts(self._shown_cutoffs, detail_cap)
+        table, _, _, z, energy = self._detail
+        counts = table.listed_counts(self._shown_cutoffs, _DETAIL_CAP)
         return None if counts is None else table.mode_tensors(counts, z, energy)
 
     @cached_property
@@ -237,8 +245,8 @@ class FTensorResult:
         """
         if n <= 0 or self._detail is None:
             return []
-        table, _, _, z, energy, detail_cap = self._detail
-        found = table.leading_modes(self._shown_cutoffs, detail_cap, n, z, energy)
+        table, _, _, z, energy = self._detail
+        found = table.leading_modes(self._shown_cutoffs, _DETAIL_CAP, n, z, energy)
         if found is None:
             return []
         pol, ms, ns, tensors = found
@@ -269,11 +277,9 @@ def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
     density per polarization is ~ A k / (2 pi), so the tail is below
     2 * integral_K^inf k^2 exp(-k z) dk, plus an axis-row allowance.
     """
-    ez = math.exp(-K * z)
-    integral = 2.0 * ez * (K * K / z + 2.0 * K / _power(z, 2) + 2.0 / _power(z, 3))
     axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
-        * ez * (K + 1.0 / z) / z
-    return integral + axis
+        * math.exp(-K * z) * (K + 1.0 / z) / z
+    return _tm_continuum_tail(K, z) + axis
 
 
 def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
@@ -307,6 +313,10 @@ def _axis_tail_bound(K: float, z: float, geom: Geometry, weight: float) -> float
 # Separations per pass of the splits' kernels: the TE short-time rule's
 # temporaries hold _SPLIT_CHUNK x (about 70 modes) x 80 nodes doubles.
 _SPLIT_CHUNK = 32
+# From z = _FAR (a + b) on, every term of both splits and of their bounds
+# is below the smallest double (z / eta and k z both pass 3e6), so the
+# kernels and bounds take such z there, where no power of z overflows.
+_FAR = 1e6
 
 
 class ModeTable:
@@ -337,8 +347,9 @@ class ModeTable:
         width = {TM: 8 if conventions.tm_sign == "paper-literal" else 6, TE: 4}
         self._rows = {pol: np.empty((0, width[pol])) for pol in (TM, TE)}
         # Per polarization: (tensor, bound) of the splits of the last batch,
-        # keyed by z, and the screened modes' data of :meth:`_screened`.
-        self._splits: dict[str, dict[float, tuple[np.ndarray, float]]] = {TM: {}, TE: {}}
+        # keyed by z (a TM bound is None until :meth:`tm_split` reads it),
+        # and the screened modes' data of :meth:`_screened`.
+        self._splits: dict[str, dict[float, tuple[np.ndarray, float | None]]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def extend(self, K: float, te_cutoff: float | None = None) -> None:
@@ -425,15 +436,12 @@ class ModeTable:
 
         The separations go through the kernels of :mod:`wgdisp.coupling`
         _SPLIT_CHUNK at a time; a split does not depend on which
-        separations share its chunk.
+        separations share its chunk.  A TM bound is taken when
+        :meth:`tm_split` first reads it.
         """
         geom = self.key[0]
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
-        # From z = 1e6 (a + b) on, every term of both splits and of their
-        # bounds is below the smallest double (z / eta and k z both pass
-        # 3e6), so the kernels take such z there, where no power of z
-        # overflows.
-        near = np.minimum(z, 1e6 * (geom.a + geom.b))
+        near = np.minimum(z, _FAR * (geom.a + geom.b))
         for pol in pols:
             k, factors, live = self._screened(pol)
             store = {}
@@ -442,7 +450,7 @@ class ModeTable:
                 if pol == TM:
                     out = _coupling._tm_split(geom, k, factors, self._images, near[part])
                     out = np.where(live, out, 0.0) + 0.0
-                    bounds = [_coupling._tm_split_bound(geom, v) for v in near[part].tolist()]
+                    bounds = [None] * len(out)
                 else:
                     out, bounds = _coupling._te_split(geom, k, factors, self._images,
                                                       near[part])
@@ -463,7 +471,12 @@ class ModeTable:
         """
         if z not in self._splits[TM]:
             self.compute_splits([z], (TM,))
-        return self._splits[TM][z]
+        tensor, bound = self._splits[TM][z]
+        if bound is None:
+            geom = self.key[0]
+            bound = _coupling._tm_split_bound(geom, min(float(z), _FAR * (geom.a + geom.b)))
+            self._splits[TM][z] = tensor, bound
+        return tensor, bound
 
     def te_split(self, z: float) -> tuple[np.ndarray, float]:
         """Unit TE tensor at separation z and its truncation bound.
@@ -593,13 +606,12 @@ class ModeTable:
                 stops.append(K)
                 continue
             # Every mode not yet taken has a cutoff of at least k.
-            k = self._mode_k(pol, count - 1) if count else math.pi / max(geom.a, geom.b)
+            k = float(self._k[pol][count - 1]) if count else math.pi / max(geom.a, geom.b)
             if _envelope(pol, k, z, geom, te_weight) < floor:
                 stops.append(None)
                 continue
-            while k < K and _envelope(pol, k, z, geom, te_weight) >= floor:
-                k *= 1.05
-            stops.append(min(k, K))
+            stops.append(min(K, _grown(
+                k, lambda k: k < K and _envelope(pol, k, z, geom, te_weight) >= floor, 1.05)))
         if stops == [None, None]:
             return found
         self.extend(*(0.0 if stop is None else stop for stop in stops))
@@ -607,10 +619,6 @@ class ModeTable:
                        for pol, count, stop in zip((TM, TE), first, stops))
         rest = self.mode_tensors(counts, z, energy, first)
         return tuple(np.concatenate(pair, axis=-1) for pair in zip(found, rest))
-
-    def _mode_k(self, pol: str, position: int) -> float:
-        """Cutoff of the mode at table position ``position``."""
-        return float(self._k[pol][position])
 
 
 _ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings
@@ -637,20 +645,12 @@ def _count_bound(geom: Geometry, cutoffs: tuple[float, float]) -> float:
     return disc * (K_tm * K_tm + K_te * K_te) + K_te * (geom.a + geom.b) / math.pi
 
 
-def _next_cutoffs(K_tm: float, K_te: float, z: float, geom: Geometry,
-                  energy: float, budget: float) -> tuple[float, float] | None:
-    """One step of the common-cutoff growth rule of a plain mode sum.
-
-    None when tail_TM(K_TM) + tail_TE(K_TE) fits ``budget``; else K_TM
-    grows by 1.3 while tail_TM(K_TM) + tail_TE(K_TM) exceeds it, and after
-    that K_TE.  From K_TM = K_TE this keeps K_TE <= K_TM.
-    """
-    tm_tail = _tm_tail_bound(K_tm, z, geom)
-    if tm_tail + _te_tail_bound(K_te, z, geom, energy) <= budget:
-        return None
-    if tm_tail + _te_tail_bound(K_tm, z, geom, energy) > budget:
-        return K_tm * 1.3, K_te
-    return K_tm, K_te * 1.3
+def _grown(K: float, short, factor: float = 1.3) -> float:
+    """K times the least power of ``factor`` at which ``short(K)`` is
+    false, multiplied up one factor at a time."""
+    while short(K):
+        K *= factor
+    return K
 
 
 def _zero_index_sum(geom: Geometry, p1: TransversePoint, p2: TransversePoint,
@@ -674,7 +674,6 @@ def f_tensor(
     max_cutoff: float | None = None,
     tail_tol: float | None = None,
     mode_cap: int = MODE_CAP,
-    detail_cap: int = 20_000,
     table: ModeTable | None = None,
 ) -> FTensorResult:
     """Coupling tensor for one transition energy.
@@ -689,20 +688,30 @@ def f_tensor(
     the zero-index modes once more (:func:`_zero_index_sum` to K, tail
     :func:`_axis_tail_bound`).  The budget is ``tail_tol`` times a lower
     bound on the tensor scale, the largest split entry or cross term less
-    its tail; K grows by 1.3 from pi / max(a, b), listing no mode, until
-    the splits' bounds and the sums' tails fit it.  A budget below the
-    splits' bounds raises :class:`InputError`.  ``te_cutoff`` is K_TE grown
-    by 1.3 from max(3 pi / max(a, b), 8 / z) until tail_TE(K_TE) plus the
+    its tail; K, found listing no mode, is the least pi / max(a, b) times a
+    power of 1.3 (:func:`_grown`) at which the splits' bounds and the sums'
+    tails fit it.  A budget below the splits' bounds raises
+    :class:`InputError`.  ``te_cutoff`` is K_TE, the least max(3 pi /
+    max(a, b), 8 / z) times a power of 1.3 at which tail_TE(K_TE) plus the
     TM split's bound fits the budget (or K where larger).
 
     The modes come from ``table``, a :class:`ModeTable` of config's guide,
     points and conventions, or from a table of the call's own, each listed
     and built at most once per table; the mode cap applies to each listing
     and to the zero-index terms.  ``per_mode`` shows the modes below
-    ``max_cutoff`` or the cutoffs :func:`_next_cutoffs` reaches with the
-    budget.  At a corner every profile vanishes: the tensor is zero and no
-    mode is listed.
+    ``max_cutoff``, or those of the common-cutoff rule that the budget
+    fixes (:attr:`FTensorResult._shown_cutoffs`).  At a corner every
+    profile vanishes: the tensor is zero and no mode is listed.
     """
+    return _f_tensor(config, energy, max_cutoff, tail_tol, mode_cap, table, {})
+
+
+def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None,
+              tail_tol: float | None, mode_cap: int, table: ModeTable | None,
+              fixed: dict) -> FTensorResult:
+    """:func:`f_tensor`, taking the ``max_cutoff`` mode sums, which no level
+    changes, into ``fixed`` where it is empty and reading them where not, so
+    the levels of one separation and table can share one dict."""
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
     for name, value in (("max_cutoff", max_cutoff), ("tail_tol", tail_tol)):
@@ -741,23 +750,24 @@ def f_tensor(
         tm_sum[0, 1] = tm_sum[1, 0] = 0.0
     budget = None
     if max_cutoff is not None:
-        table.extend(K_split, listed(K))
-        te_sum = te_weight * table.sums(z, (0, table.counts(0.0, K)[1]))[1]
+        if not fixed:  # the TM sum (for the cross terms) and the unit TE sum
+            K_cross = K if cross else 0.0
+            table.extend(K_cross, listed(K))
+            fixed.update(zip((TM, TE), table.sums(z, table.counts(K_cross, K))))
+        te_sum = te_weight * fixed[TE]
         tail = tm_tail + _te_tail_bound(K, z, geom, energy)
     else:
         te_unit, te_tail = table.te_split(z)
         te_sum, tail = te_weight * te_unit, tm_tail + abs(te_weight) * te_tail
 
-        def summed_cutoff(room):  # where the summed parts' tails fit ``room``
-            K = math.pi / max(geom.a, geom.b)
-            while ((_cross_tail_bound(K, z, geom) if cross else 0.0)
-                   + (_axis_tail_bound(K, z, geom, te_weight) if axis else 0.0)) > room:
-                K *= 1.3
-            return K
+        def summed_tail(K):  # the tails of the summed parts at cutoff K
+            return ((_cross_tail_bound(K, z, geom) if cross else 0.0)
+                    + (_axis_tail_bound(K, z, geom, te_weight) if axis else 0.0))
 
+        low = math.pi / max(geom.a, geom.b)
         scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
         if cross:
-            K = summed_cutoff(tail_tol * scale)
+            K = _grown(low, lambda K: summed_tail(K) > tail_tol * scale)
             scale = max(scale, float(np.abs(cross_terms(K)).max())
                         - _cross_tail_bound(K, z, geom))
         budget = tail_tol * scale
@@ -767,13 +777,12 @@ def f_tensor(
                 f"screened TM sum and the TE split, {tail / scale:.2g} of the "
                 f"tensor scale")
         # The cutoff a plain TE mode sum would need, found listing no mode.
-        while tm_tail + _te_tail_bound(K_te, z, geom, energy) > budget:
-            K_te *= 1.3
-        K = summed_cutoff(budget - tail)
+        K_te = _grown(start, lambda K: tm_tail + _te_tail_bound(K, z, geom, energy) > budget)
+        K = _grown(low, lambda K: summed_tail(K) > budget - tail)
     tm_cutoff = max(K_split, K) if cross else K_split
     tm_modes, te_modes = table.counts(tm_cutoff, K_te if budget is None else K_split)
     if cross:
-        tm_sum[0, 1], tm_sum[1, 0] = cross_terms(K)
+        tm_sum[0, 1], tm_sum[1, 0] = fixed[TM][[0, 1], [1, 0]] if fixed else cross_terms(K)
         tail += _cross_tail_bound(K, z, geom)
     if axis:
         if (terms := int(K * (geom.a + geom.b) / math.pi)) > mode_cap:
@@ -786,8 +795,7 @@ def f_tensor(
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, tail_bound=tail, tm_cutoff=tm_cutoff,
                          te_cutoff=K_te, tm_modes=tm_modes, te_modes=te_modes,
-                         _detail=(table, (start, start), budget, z, energy,
-                                  detail_cap))
+                         _detail=(table, start, budget, z, energy))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
@@ -911,9 +919,9 @@ def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
 
 
 def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | None,
-           mode_cap: int, detail_cap: int, notes: list[str]) -> list[EnergyBreakdown]:
-    truncation = ({"max_cutoff": max_cutoff} if max_cutoff is not None
-                  else {"tail_tol": tail_tol})
+           mode_cap: int, notes: list[str]) -> list[EnergyBreakdown]:
+    if max_cutoff is not None:
+        tail_tol = None
     points = [replace(config, z=z) for z in zs]
     table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
@@ -923,10 +931,9 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     out = []
     for point in points:
         z = point.z
-        u = _assemble(point, lambda e: f_tensor(point, e, mode_cap=mode_cap,
-                                                detail_cap=detail_cap,
-                                                table=table, **truncation),
-                      list(notes))
+        fixed = {}  # the max_cutoff mode sums at z, taken once for every level
+        u = _assemble(point, lambda e: _f_tensor(point, e, max_cutoff, tail_tol,
+                                                 mode_cap, table, fixed), list(notes))
         # Below the smallest normal double a value keeps fewer digits, and
         # from the smallest subnormal on it reads 0.
         if not corner:
@@ -950,7 +957,6 @@ def dispersion_sweep(
     tail_tol: float = 1e-6,
     max_cutoff: float | None = None,
     mode_cap: int = MODE_CAP,
-    detail_cap: int = 20_000,
 ) -> list[EnergyBreakdown]:
     """Pair energy at each axial separation in ``zs``, in order.
 
@@ -963,8 +969,7 @@ def dispersion_sweep(
     Each breakdown equals that of :func:`dispersion_energy` at its z bit
     for bit.
     """
-    return _sweep(config, zs, tail_tol, max_cutoff, mode_cap, detail_cap,
-                  _confinement_guard(config))
+    return _sweep(config, zs, tail_tol, max_cutoff, mode_cap, _confinement_guard(config))
 
 
 def dispersion_energy(
@@ -972,7 +977,6 @@ def dispersion_energy(
     tail_tol: float = 1e-6,
     max_cutoff: float | None = None,
     mode_cap: int = MODE_CAP,
-    detail_cap: int = 20_000,
 ) -> EnergyBreakdown:
     """Assembled pair dispersion energy with per-part bookkeeping.
 
@@ -981,7 +985,7 @@ def dispersion_energy(
     :func:`dispersion_sweep`.
     """
     return _sweep(config, [config.z], tail_tol, max_cutoff, mode_cap,
-                  detail_cap, _confinement_guard(config))[0]
+                  _confinement_guard(config))[0]
 
 
 def polarizability(species: DipoleSpecies, u: float) -> float:

@@ -27,11 +27,11 @@ Denominators mixing the two photon frequencies are decoupled with a
 Schwinger parameter, 1/M = integral dtau exp(-M tau), leaving smooth
 per-photon integrals on a Gauss-Laguerre tau grid.
 
-The photon tables (:class:`_PhotonTable`) of one mode and tau grid, one per
-set of transition energies, share one mesh: a graded head of Gauss-Legendre
-panels in psi near the branch point, then one panel grid in w = k_mn sinh psi
-on which e^{i w tau} factors into a phase per panel and one per node, so the
-phase sums are matrix products.
+The photon tables (:func:`_photon_integrals`) of one mode and tau grid, one
+per set of transition energies, share one mesh: a graded head of
+Gauss-Legendre panels in psi near the branch point, then one panel grid in
+w = k_mn sinh psi on which e^{i w tau} factors into a phase per panel and one
+per node, so the phase sums are matrix products.
 
 Natural units hbar = c = 1.
 """
@@ -45,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (QuadratureSpec, _closed_forms, _one_mode, _quadratures, _te_rows,
-                       _tm_rows)
+from .coupling import (_TM_SIGNS, QuadratureSpec, _closed_forms, _one_mode, _quadratures,
+                       _te_rows, _tm_rows)
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError, QuadratureError
@@ -166,9 +166,28 @@ def _exp_i_product(a, b):
 
 def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
                       taus: np.ndarray, te: bool) -> np.ndarray:
-    """The entries of :class:`_PhotonTable` for each set of energies in
-    ``energy_sets``, all on one mesh: one table per set, one row per tau and
-    one column per entry (TE: rh; TM: r0, r1, r2)."""
+    """Rotated-contour photon integrals of one mode (cutoff ``kmn``) for
+    each set of energies in ``energy_sets``, all on one mesh: one table per
+    set, one row per tau of ``taus`` and one column per entry (TE: rh; TM:
+    r0, r1, r2).
+
+    On the contour k = i kappa, kappa = k_mn cosh psi, w = k_mn sinh psi:
+
+        r0, r1, r2 = 2 int_0^psi_max dpsi kappa^(0, 1, 2) e^{-z kappa} D
+        rh = -2 int_0^psi_max dpsi w^2 e^{-z kappa} D
+
+    with D = Re[e^{i w tau} / prod_r (W_r - i w)] over a set's energies W_r
+    and psi_max where the damping has fallen by a further e^{-46}.  All
+    panels carry 16 Gauss-Legendre nodes.  The factors 1/(W - i w) peak at
+    the branch point with width W/k_mn in psi, so the mesh begins with a
+    head of panels in psi, the first 1/8 of the narrowest feature wide and
+    each 1.7 times the last.  From its first head panel wider than half a
+    period of e^{i w tau}, each tau integrates in w, dpsi = dw / kappa: a
+    partial panel up to the next edge of one grid shared by every tau, then
+    that grid's panels, the narrowest period 2 pi / tau wide, or 1/m of it
+    where e^{-z w} would fall by more than e^{-8} over a period.  The last
+    panel may end past psi_max.  At tau = 0 the head covers the whole range.
+    """
     psi_max = math.acosh(1.0 + 46.0 / (kmn * z))
 
     # Head: panels in psi growing geometrically to psi_max, from the narrowest
@@ -204,7 +223,7 @@ def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]]
                           ).sum(axis=-1).transpose(0, 2, 1)
 
     # Tail: a partial panel per tau, then the shared grid from w_lo in panels of
-    # width P (see _PhotonTable), on which e^{i tau w} = e^{i tau (w_lo + P j)}
+    # width P (see the docstring), on which e^{i tau w} = e^{i tau (w_lo + P j)}
     # e^{i tau P f} at fraction f of panel j; the first factor is taken exactly.
     tail = np.flatnonzero(first < n_head)
     if tail.size == 0:
@@ -240,39 +259,7 @@ def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]]
     return 2.0 * sums
 
 
-class _PhotonTable:
-    """Rotated-contour photon integrals for one mode and denominator set.
-
-    On the contour k = i kappa, kappa = k_mn cosh psi, w = k_mn sinh psi,
-    for every tau of ``taus`` (TM, then TE):
-
-        r0, r1, r2 = 2 int_0^psi_max dpsi kappa^(0, 1, 2) e^{-z kappa} D
-        rh = -2 int_0^psi_max dpsi w^2 e^{-z kappa} D
-
-    with D = Re[e^{i w tau} / prod_r (W_r - i w)] and psi_max where the
-    damping has fallen by a further e^{-46}.  All panels carry 16
-    Gauss-Legendre nodes.  The factors 1/(W - i w) peak at the branch point
-    with width W/k_mn in psi, so the mesh begins with a head of panels in
-    psi, the first 1/8 of the narrowest feature wide and each 1.7 times the
-    last.  From its first head panel wider than half a period of e^{i w tau},
-    each tau integrates in w, dpsi = dw / kappa: a partial panel up to the
-    next edge of one grid shared by every tau, then that grid's panels, the
-    narrowest period 2 pi / tau wide, or 1/m of it where e^{-z w} would fall
-    by more than e^{-8} over a period.  The last panel may end past psi_max.
-    At tau = 0 the head covers the whole range.  This is the one-set call of
-    :func:`_photon_integrals`, which puts several sets on one mesh.
-    """
-
-    def __init__(self, geom, mode: ModeIndex, z: float, Ws: tuple[float, ...], taus: np.ndarray):
-        self.kmn = _cutoff(geom, mode)
-        self.is_te = mode.polarization == TE
-        taus = np.asarray(taus, dtype=float)
-        sums = list(_photon_integrals(self.kmn, z, [tuple(Ws)], taus, self.is_te)[0].T)
-        zero = [np.zeros(taus.size)]
-        self.r0, self.r1, self.r2, self.rh = zero * 3 + sums if self.is_te else sums + zero
-
-
-# Which tau integral of :class:`_PhotonTable` (0: r0, 1: r1, 2: r2) each TM
+# Which tau integral of :func:`_photon_integrals` (0: r0, 1: r1, 2: r2) each TM
 # component takes, row i at p2 and column j at p1.
 _TM_RADIAL = np.array([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
 
@@ -288,12 +275,16 @@ def _photon_factor(config: PairConfiguration, mode):
         return lambda entries: entries[:, 0, None, None] * prof / (2.0 * config.epsilon)
     kmn = float(k[0])
     pref = 2.0 / (config.epsilon * geom.area)
-    coef = np.array([[-pref, -pref, -pref * kmn],
-                     [-pref, -pref, -pref * kmn],
-                     [pref * kmn, pref * kmn, pref * kmn ** 2]])
+    coef = _TM_SIGNS["oracle-consistent"] * pref * np.array([[1.0, 1.0, kmn],
+                                                            [1.0, 1.0, kmn],
+                                                            [kmn, kmn, kmn ** 2]])
     rows = _tm_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
     factor = coef * np.outer(rows[0:3], rows[3:6])
     return lambda entries: factor * entries[:, _TM_RADIAL]
+
+
+# Most modes one oracle call takes: its cost grows as their number squared.
+_MODE_CAP = 8
 
 
 @functools.cache
@@ -310,19 +301,18 @@ def fourth_order_oracle(
     modes: list[ModeIndex],
     diagrams: str = "all",
     n_tau: int = 48,
-    mode_cap: int = 8,
 ) -> float:
     """Full fourth-order energy restricted to an explicit mode set.
 
     ``diagrams="dominant"`` keeps only the four orderings with the small
     denominator; ``"all"`` sums every ordering.  The double mode sum is
-    quadratic in ``len(modes)``, capped at ``mode_cap``.  The diagrams are
+    quadratic in ``len(modes)``, capped at ``_MODE_CAP``.  The diagrams are
     built once per process, each mode's :func:`_photon_factor` once per call.
     """
     if len(modes) == 0:
         raise InputError("oracle needs at least one mode")
-    if len(modes) > mode_cap:
-        raise InputError(f"oracle restricted to at most {mode_cap} modes, "
+    if len(modes) > _MODE_CAP:
+        raise InputError(f"oracle restricted to at most {_MODE_CAP} modes, "
                          f"got {len(modes)}")
     if diagrams not in ("all", "dominant"):
         raise InputError(f"diagrams must be 'all' or 'dominant', got {diagrams!r}")

@@ -51,8 +51,3 @@ def parse_species_file(path: str | Path,
                                str(path), 0)
     return DipoleSpecies(tuple(transitions), orientation)
 
-
-def format_species(species: DipoleSpecies) -> str:
-    lines = [f"E={t.energy:.17g} d=({t.d[0]:.17g},{t.d[1]:.17g},{t.d[2]:.17g})"
-             for t in species.transitions]
-    return "\n".join(lines) + "\n"

@@ -61,10 +61,6 @@ class Geometry:
     def area(self) -> float:
         return self.a * self.b
 
-    @property
-    def b_over_a(self) -> float:
-        return self.b / self.a
-
     def center(self) -> "TransversePoint":
         return TransversePoint(0.5 * self.a, 0.5 * self.b)
 

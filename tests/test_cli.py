@@ -449,6 +449,54 @@ def test_one_mode_listing_per_run(species_file, monkeypatch, capsys, command):
     assert len(calls) == 1
 
 
+@pytest.fixture(scope="module")
+def four_levels(tmp_path_factory):
+    path = tmp_path_factory.mktemp("species") / "four.txt"
+    path.write_text("E=0.0628 d=(1,0,0)\nE=0.09 d=(0,1,0.5)\n"
+                    "E=0.12 d=(0.3,0.2,1)\nE=0.2 d=(1,1,1)\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
+                                               convention):
+    # Under --max-cutoff the unit TE mode sum and the paper-literal cross
+    # terms do not depend on the transition level: a sweep of a 4-level
+    # species takes them in one ModeTable.sums call per separation.
+    from wgdisp import cli, energy
+    calls = []
+    sums = energy.ModeTable.sums
+
+    def counted(self, z, counts):
+        calls.append(z)
+        return sums(self, z, counts)
+    monkeypatch.setattr(energy.ModeTable, "sums", counted)
+    assert cli.main(["sweep", "--z-min", "0.02", "--z-max", "0.06", "--points", "8",
+                     "--max-cutoff", "800", "--convention", convention,
+                     "--species1", four_levels]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 8
+
+
+def test_tm_split_bound_only_where_read(four_levels, monkeypatch, capsys):
+    # reproduce fig4 reads the TM split's tensors alone and takes none of
+    # its bounds; an energy report takes its separation's bound once for
+    # all four levels.
+    from wgdisp import cli, coupling
+    calls = []
+    bound = coupling._tm_split_bound
+
+    def counted(geom, z):
+        calls.append(z)
+        return bound(geom, z)
+    monkeypatch.setattr(coupling, "_tm_split_bound", counted)
+    assert cli.main(["reproduce", "fig4"]) == 0
+    assert calls == []
+    assert cli.main(["energy", "--z", "0.5", "--species1", four_levels]) == 0
+    capsys.readouterr()
+    assert calls == [0.5]
+
+
 class TestHugeSeparations:
     # Far past the guide width every energy and bound underflows: the runs
     # print zeros and name the underflow, under either convention.

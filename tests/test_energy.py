@@ -136,7 +136,7 @@ class TestFTensor:
         (0.9, (0.63, 0.18), (0.27, 0.71), 5.0, "paper-literal", 1e-9),
         (0.75, (0.4, 0.3), (0.45, 0.28), 0.05, "tm-split", 1e-6),
     ])
-    def test_growth_equals_fixed_cutoff_bitwise(self, b, p1, p2, z,
+    def test_growth_equals_fixed_cutoff_bitwise(self, monkeypatch, b, p1, p2, z,
                                                 convention, tol):
         # The TM tensor is the split under every convention: under
         # paper-literal signs its seven entries other than xy and yx are the
@@ -145,8 +145,9 @@ class TestFTensor:
         # of a fixed cutoff there.  Under paper-literal normalization alone
         # ("tm-split") the TM tensor is the default one.  The TE tensor is
         # the TE split, with the zero-index modes added once more.
+        from wgdisp import energy
         from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _split_cutoff
-        from wgdisp.energy import _next_cutoffs
+        from wgdisp.energy import _te_tail_bound, _tm_tail_bound
         geom = Geometry(1.0, b)
         conventions = (Conventions(normalization="paper-literal")
                        if convention == "tm-split" else Conventions.paper_literal())
@@ -173,15 +174,23 @@ class TestFTensor:
         assert grown.modes_used == grown.tm_modes + grown.te_modes
         assert grown.max_cutoff == max(grown.tm_cutoff, grown.te_cutoff)
         # per_mode shows the plain mode sum at the cutoffs the common-cutoff
-        # rule reaches with the final budget.
+        # rule reaches with the final budget: stepping by 1.3 from a common
+        # start, K_TM grows while tail_TM(K_TM) + tail_TE(K_TM) exceeds the
+        # budget, and after that K_TE, until tail_TM(K_TM) + tail_TE(K_TE)
+        # fits it.
         budget = grown._detail[2]
-        shown = (max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z),) * 2
-        while (step := _next_cutoffs(*shown, z, geom, E100, budget)) is not None:
-            shown = step
-        want = [(mode, value) for K, pol in zip(shown, ("TM", "TE"))
-                for mode, value in f_tensor(cfg, E100, max_cutoff=K,
-                                            detail_cap=math.inf).per_mode.items()
-                if mode.polarization == pol]
+        K_tm = K_te = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+        while (tm_tail := _tm_tail_bound(K_tm, z, geom)) \
+                + _te_tail_bound(K_te, z, geom, E100) > budget:
+            if tm_tail + _te_tail_bound(K_tm, z, geom, E100) > budget:
+                K_tm *= 1.3
+            else:
+                K_te *= 1.3
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "_DETAIL_CAP", math.inf)
+            want = [(mode, value) for K, pol in zip((K_tm, K_te), ("TM", "TE"))
+                    for mode, value in f_tensor(cfg, E100, max_cutoff=K).per_mode.items()
+                    if mode.polarization == pol]
         if grown.per_mode is None:
             assert len(want) > 20_000
         else:
@@ -875,7 +884,7 @@ class TestTopModes:
         cfg = _config(0.02, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.45, 0.7))
         ft = f_tensor(cfg, E100, max_cutoff=120.0)
         table = ft._detail[0]
-        assert table._mode_k("TM", len(table._rows["TM"]) - 1) < 30.0
+        assert table._k["TM"][len(table._rows["TM"]) - 1] < 30.0
         _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
 
     def test_corner_dipole_lists_nothing(self):
@@ -883,9 +892,12 @@ class TestTopModes:
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
         assert ft.per_mode is None and ft.top_modes(8) == []
 
-    def test_past_detail_cap_lists_nothing(self):
-        ft = f_tensor(_config(0.5), E100, tail_tol=1e-6, detail_cap=10)
-        assert ft.per_mode is None and ft.top_modes(8) == []
+    def test_past_detail_cap_lists_nothing(self, monkeypatch):
+        from wgdisp import energy
+        ft = f_tensor(_config(0.5), E100, tail_tol=1e-6)
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "_DETAIL_CAP", 10)
+            assert ft.per_mode is None and ft.top_modes(8) == []
         assert f_tensor(_config(0.5), E100, tail_tol=1e-6).top_modes(8) != []
 
 
