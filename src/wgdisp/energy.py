@@ -224,7 +224,7 @@ class FTensorResult:
         if self._detail is None:
             return None
         table, _, _, z, energy = self._detail
-        counts = table.listed_counts(self._shown_cutoffs, _DETAIL_CAP)
+        counts = table.listed_counts(self._shown_cutoffs)
         return None if counts is None else table.mode_tensors(counts, z, energy)
 
     @cached_property
@@ -246,7 +246,7 @@ class FTensorResult:
         if n <= 0 or self._detail is None:
             return []
         table, _, _, z, energy = self._detail
-        found = table.leading_modes(self._shown_cutoffs, _DETAIL_CAP, n, z, energy)
+        found = table.leading_modes(self._shown_cutoffs, n, z, energy)
         if found is None:
             return []
         pol, ms, ns, tensors = found
@@ -518,10 +518,10 @@ class ModeTable:
         geom, p1, p2, _ = self.key
         return _coupling._split_images(geom, p1, p2)
 
-    def listed_counts(self, cutoffs: tuple[float, float],
-                      cap: float) -> tuple[int, int] | None:
+    def listed_counts(self, cutoffs: tuple[float, float]) -> tuple[int, int] | None:
         """Counts of the TM modes up to cutoffs[0] and TE modes up to
-        cutoffs[1], listed and built, or None when they pass ``cap`` in all.
+        cutoffs[1], listed and built, or None when they pass ``_DETAIL_CAP``
+        in all.
 
         At least A (K - k_11)^2 / (4 pi) modes of each polarization lie
         below a cutoff K, so a count past the cap by that alone lists
@@ -530,11 +530,11 @@ class ModeTable:
         geom = self.key[0]
         k11 = math.hypot(math.pi / geom.a, math.pi / geom.b)
         if sum(geom.area * max(K - k11, 0.0) ** 2 / (4.0 * math.pi)
-               for K in cutoffs) > cap:
+               for K in cutoffs) > _DETAIL_CAP:
             return None
         self.extend(*cutoffs)
         counts = self.counts(*cutoffs)
-        return counts if sum(counts) <= cap else None
+        return counts if sum(counts) <= _DETAIL_CAP else None
 
     def mode_tensors(self, counts: tuple[int, int], z: float, energy: float,
                      first: tuple[int, int] = (0, 0)) -> tuple[np.ndarray, ...]:
@@ -566,12 +566,12 @@ class ModeTable:
         ``count`` modes of a polarization, as views."""
         return self._k[pol][:count], self._mn[pol][:, :count], self._rows[pol][:count].T
 
-    def leading_modes(self, cutoffs: tuple[float, float], cap: float, n: int,
+    def leading_modes(self, cutoffs: tuple[float, float], n: int,
                       z: float, energy: float) -> tuple[np.ndarray, ...] | None:
         """:meth:`mode_tensors` of modes among the TM modes up to
         cutoffs[0] and TE modes up to cutoffs[1] (the detail set) that
         include the ``n`` with the largest max |F|, ties included, or None
-        where :meth:`listed_counts` finds the set past ``cap``.
+        where :meth:`listed_counts` finds the set past ``_DETAIL_CAP``.
 
         Each polarization's modes are taken in table (cutoff) order: first
         those with factor rows, then, listing more, only as far as an
@@ -586,8 +586,8 @@ class ModeTable:
         normalization.
         """
         geom, _, _, conv = self.key
-        if _count_bound(geom, cutoffs) > cap:  # may pass the cap: list it all
-            counts = self.listed_counts(cutoffs, cap)
+        if _count_bound(geom, cutoffs) > _DETAIL_CAP:  # may pass the cap: list it all
+            counts = self.listed_counts(cutoffs)
             return None if counts is None else self.mode_tensors(counts, z, energy)
         first = tuple(min(len(self._rows[pol]), self._count(pol, K))
                       for pol, K in zip((TM, TE), cutoffs))
