@@ -876,12 +876,12 @@ _CASE_NODES = 8192
 
 
 @functools.cache
-def _ray_rule():
-    """Nodes x and weights h dx/ds of the exp-sinh rule over _RAY_SPAN."""
-    lo, hi = _RAY_SPAN
-    s = lo + _DE_STEP * np.arange(round((hi - lo) / _DE_STEP) + 1)
+def _ray_rule(step: float = _DE_STEP, end: float = _RAY_SPAN[1]):
+    """Nodes x and weights h dx/ds of the exp-sinh rule, s from _RAY_SPAN[0] to ``end``."""
+    lo = _RAY_SPAN[0]
+    s = lo + step * np.arange(round((end - lo) / step) + 1)
     x = np.exp(s - np.exp(-s))
-    return x, _DE_STEP * x * (1.0 + np.exp(-s))
+    return x, step * x * (1.0 + np.exp(-s))
 
 
 @functools.cache

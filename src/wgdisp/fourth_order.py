@@ -28,10 +28,10 @@ Schwinger parameter, 1/M = integral dtau exp(-M tau), leaving smooth
 per-photon integrals on a Gauss-Laguerre tau grid.
 
 The photon tables (:func:`_photon_integrals`) of one mode and tau grid, one
-per set of transition energies, share one mesh: a graded head of
-Gauss-Legendre panels in psi near the branch point, then one panel grid in
-w = k_mn sinh psi on which e^{i w tau} factors into a phase per panel and one
-per node, so the phase sums are matrix products.
+per set of transition energies, share a graded head of Gauss-Legendre panels
+in psi near the branch point; past it each tau's tail leaves the real axis of
+w = k_mn sinh psi along a ray on which e^{i w tau - z kappa} decays without
+oscillating, taken by the exp-sinh rule of the wavenumber oracle.
 
 Natural units hbar = c = 1.
 """
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import (_TM_SIGNS, QuadratureSpec, _closed_forms, _one_mode, _quadratures,
-                       _te_rows, _tm_rows)
+                       _ray_rule, _te_rows, _tm_rows)
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError, QuadratureError
@@ -127,11 +127,13 @@ _GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
 _HEAD_GROWTH = 1.7
 # Head nodes per numpy pass, about one tau's head: never a whole grid's at once.
 _BLOCK_NODES = 2048
-# Largest decay of e^{-z w}, in e-folds, over one tail panel.
-_TAIL_DECAY = 8.0
-# Most multiply-adds per product of the tail's phase sums: OpenBLAS threads
-# larger ones, which made a report three times slower on a busy machine.
-_PRODUCT_SIZE = 2 ** 16
+# Exp-sinh rule of the tails: step 1/12, s up to ln 42 + 0.1 (x ~ 45, where
+# e^{-x} ~ 2e-20), 101 nodes.
+_TAIL_STEP = 1.0 / 12.0
+_TAIL_END = math.log(42.0) + 0.1
+# Closest approach of a ray to the branch point i k_mn, in k_mn: the rule's error
+# from it is then about e^{-2 pi 0.3 / step} = e^{-22} of the integrand there.
+_BRANCH_GAP = 0.3
 
 
 def _cutoff(geom, mode: ModeIndex) -> float:
@@ -155,38 +157,24 @@ def _columns(w, kappa, te):
     return np.stack((-w * w,) if te else (np.ones_like(w), kappa, kappa * kappa))
 
 
-def _exp_i_product(a, b):
-    """e^{i a b}, the product a b taken exactly: Dekker's splitting by 2^27 + 1
-    leaves halves whose products are exact."""
-    p = a * b
-    ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))
-    error = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
-    return np.exp(1j * p) * (1.0 + 1j * error)
-
-
 def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
                       taus: np.ndarray, te: bool) -> np.ndarray:
     """Rotated-contour photon integrals of one mode (cutoff ``kmn``) for
-    each set of energies in ``energy_sets``, all on one mesh: one table per
-    set, one row per tau of ``taus`` and one column per entry (TE: rh; TM:
-    r0, r1, r2).
+    each set of energies in ``energy_sets``: one table per set, one row per
+    tau of ``taus`` and one column per entry (TE: rh; TM: r0, r1, r2).
 
     On the contour k = i kappa, kappa = k_mn cosh psi, w = k_mn sinh psi:
 
-        r0, r1, r2 = 2 int_0^psi_max dpsi kappa^(0, 1, 2) e^{-z kappa} D
-        rh = -2 int_0^psi_max dpsi w^2 e^{-z kappa} D
+        r0, r1, r2 = 2 Re int_0^inf dpsi kappa^(0, 1, 2) e^{-z kappa} D
+        rh = -2 Re int_0^inf dpsi w^2 e^{-z kappa} D
 
-    with D = Re[e^{i w tau} / prod_r (W_r - i w)] over a set's energies W_r
-    and psi_max where the damping has fallen by a further e^{-46}.  All
-    panels carry 16 Gauss-Legendre nodes.  The factors 1/(W - i w) peak at
-    the branch point with width W/k_mn in psi, so the mesh begins with a
-    head of panels in psi, the first 1/8 of the narrowest feature wide and
-    each 1.7 times the last.  From its first head panel wider than half a
-    period of e^{i w tau}, each tau integrates in w, dpsi = dw / kappa: a
-    partial panel up to the next edge of one grid shared by every tau, then
-    that grid's panels, the narrowest period 2 pi / tau wide, or 1/m of it
-    where e^{-z w} would fall by more than e^{-8} over a period.  The last
-    panel may end past psi_max.  At tau = 0 the head covers the whole range.
+    with D = e^{i w tau} / prod_r (W_r - i w) over a set's energies W_r.
+    The factors 1/(W - i w) peak at the branch point with width W/k_mn in
+    psi, so every set and tau shares one head of 16-point Gauss-Legendre
+    panels in psi, the first 1/8 of the narrowest feature wide and each 1.7
+    times the last, up to psi_max where the damping has fallen by a further
+    e^{-46}.  Each tau > 0 stops at its first panel wider than half a
+    period of e^{i w tau}, at w_s, where :func:`_ray_tail` takes over.
     """
     psi_max = math.acosh(1.0 + 46.0 / (kmn * z))
 
@@ -222,41 +210,40 @@ def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]]
         sums[:, block] = (cos * re[:, :, None, :used] - sin * im[:, :, None, :used]
                           ).sum(axis=-1).transpose(0, 2, 1)
 
-    # Tail: a partial panel per tau, then the shared grid from w_lo in panels of
-    # width P (see the docstring), on which e^{i tau w} = e^{i tau (w_lo + P j)}
-    # e^{i tau P f} at fraction f of panel j; the first factor is taken exactly.
-    tail = np.flatnonzero(first < n_head)
-    if tail.size == 0:
-        return 2.0 * sums
-    taus, w_start = taus[tail, None], kmn * np.sinh(edges[first[tail], None])
-    period = TWO_PI / taus
-    width = float(np.min(period / np.maximum(np.ceil(z * period / _TAIL_DECAY), 1)))
-    w_lo = float(w_start.min())
-    j0 = np.ceil((w_start - w_lo) / width)  # each tau's first whole panel
-
-    def terms(w, measure):
-        """Per set, the Lorentzian times each entry at nodes ``w``."""
-        kappa = np.sqrt(kmn * kmn + w * w)
-        cols = _columns(w, kappa, te) * (measure / kappa * np.exp(-z * kappa))
-        return (cols / np.prod([W - 1j * w for W in Ws], axis=0) for Ws in energy_sets)
-
-    gap = w_lo + width * j0 - w_start
-    nodes = w_start + gap * _GL_FRACTIONS
-    partial = np.exp(1j * taus * nodes) * np.array(list(terms(nodes, 0.5 * gap * _GL_WEIGHTS)))
-    sums[:, tail] += partial.sum(axis=-1).real.transpose(0, 2, 1)
-    phases = np.exp(1j * taus * width * _GL_FRACTIONS)
-    n_panels = math.ceil((kmn * math.sinh(psi_max) - w_lo) / width)
-    per_block = max(1, _PRODUCT_SIZE // (_GL_NODES.size * tail.size))
-    for lo in range(0, n_panels, per_block):
-        j = np.arange(lo, min(lo + per_block, n_panels))
-        origin = w_lo + width * j
-        shift = np.where(j >= j0, _exp_i_product(taus, origin), 0.0)
-        # Each panel's sum first, then a pairwise sum of the panels'.
-        for s, entries in enumerate(terms(origin[:, None] + width * _GL_FRACTIONS,
-                                          0.5 * width * _GL_WEIGHTS)):
-            for c, entry in enumerate(entries):
-                sums[s, tail, c] += (phases @ entry.T * shift).sum(axis=-1).real
+    tail = first < n_head
+    if tail.any():
+        sums[:, tail] += _ray_tail(kmn, z, energy_sets, taus[tail],
+                                   kmn * np.sinh(edges[first[tail]]), te)
     return 2.0 * sums
+
+
+def _ray_tail(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
+              taus: np.ndarray, w_start: np.ndarray, te: bool) -> np.ndarray:
+    """Re of the integrals of :func:`_photon_integrals` from w_start on, per
+    set, tau and entry, along the rays w = w_s + r e^{i theta}.
+
+    In w, dpsi = dw / kappa; the integrand's poles sit at w = -i W_r and its
+    branch points at +-i k_mn with cuts along the imaginary axis, so it is
+    analytic in the open first quadrant, and the arc at infinity vanishes.
+    Far out e^{i w tau - z kappa} falls as e^{-r sqrt(z^2 + tau^2)} without
+    oscillating at tan theta = tau / z; theta is turned down where that ray
+    would pass i k_mn closer than _BRANCH_GAP k_mn.  The exp-sinh rule
+    (:func:`wgdisp.coupling._ray_rule`) takes r = x / q, q the decay rate at
+    w_s, tau sin theta + z cos theta w_s / kappa_s, which is slower than far
+    out where |w| < k_mn and k_mn z is large.
+    """
+    u = w_start / kmn
+    theta = np.minimum(np.arctan2(taus, z),
+                       np.arctan(u) + np.arccos(_BRANCH_GAP / np.hypot(1.0, u)))
+    rate = taus * np.sin(theta) + z * np.cos(theta) * w_start / np.hypot(kmn, w_start)
+    step = (np.exp(1j * theta) / rate)[:, None]  # dw / dx
+    x, weights = _ray_rule(_TAIL_STEP, _TAIL_END)
+    w = w_start[:, None] + step * x
+    kappa = np.sqrt(kmn * kmn + w * w)
+    base = _columns(w, kappa, te) * (step * weights * np.exp(1j * taus[:, None] * w
+                                                             - z * kappa) / kappa)
+    return np.stack([(base / np.prod([W - 1j * w for W in Ws], axis=0)).sum(axis=-1).real.T
+                     for Ws in energy_sets])
 
 
 # Which tau integral of :func:`_photon_integrals` (0: r0, 1: r1, 2: r2) each TM

@@ -39,9 +39,11 @@ def test_tracer_targets_resolve():
         assert callable(getattr(home, function, None)), f"{module}.{function}"
 
 
-def test_profile_stages_resolve():
+def test_profile_stages_resolve(tmp_path):
     # tools/profile_report.py times a stage by replacing owner.__dict__[name];
-    # a renamed target would fail there, or drop out of its stage unnoticed.
+    # a renamed target would fail there, or drop out of its stage unnoticed:
+    # a stage whose targets an op no longer calls reads 0 (sweep-near's
+    # f_tensor stage did while it wrapped the public f_tensor).
     saved = list(sys.path)
     try:
         spec = importlib.util.spec_from_file_location("wgdisp_profile_report", PROFILE)
@@ -53,6 +55,18 @@ def test_profile_stages_resolve():
         for stage, targets in stages.items():
             for owner, name in targets:
                 assert callable(owner.__dict__.get(name)), f"{workload}/{stage}: {name}"
+    species = tmp_path / "species.txt"
+    species.write_text("E=0.06283185307179587 d=(1,1,1)\n")
+    ops = {"sweep-near": [["sweep", "--z-min", "0.05", "--z-max", "0.1", "--points", "2",
+                           "--tail-tol", "1e-6", "--species1", str(species)]],
+           "oracle": [["oracle-check", "--seed", "1"], ["reproduce", "fig4"]]}
+    for workload, commands in ops.items():
+        with report.StageClock(report.STAGES[workload]).installed() as clock, \
+                contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                assert report.cli.main(argv) == 0
+        idle = [stage for stage, seconds in clock.totals.items() if not seconds > 0.0]
+        assert idle == [], f"{workload}: {idle}"
 
 
 def test_oracle_op_calls_its_traced_layers():

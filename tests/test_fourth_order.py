@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +76,7 @@ class TestDiagramGenerator:
                 assert {emitter, absorber} == {1, 2}
 
 
-def _split_quad(kmn, z, Ws, tau, weight):
+def _split_quad(kmn, z, Ws, tau, weight, epsabs=1e-13):
     """2 int_0^w_max dw / kappa weight(w, kappa) e^{-z kappa}
     Re[e^{i w tau} / prod_r (W_r - i w)] by scipy's quad, with breakpoints
     at powers of two of the narrowest energy from 1/16 to 16 times it and
@@ -93,7 +96,7 @@ def _split_quad(kmn, z, Ws, tau, weight):
         points += list(np.arange(1, math.ceil(w_max * tau / math.pi)) * math.pi / tau)
     points = sorted(p for p in points if p < w_max)
     value, _ = quad(integrand, 0.0, w_max, points=points, limit=len(points) + 200,
-                    epsabs=1e-13, epsrel=1e-12)
+                    epsabs=epsabs, epsrel=1e-12)
     return 2.0 * value
 
 
@@ -153,11 +156,27 @@ class TestPhotonTable:
                 err = np.max(np.abs(table[:, column] - ref))
                 assert err <= 1e-10 * np.max(np.abs(ref)), (name, taus.size)
 
+    @pytest.mark.parametrize("energies", [(E100,), (5.0,)], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("polarization", ["TM", "TE"])
+    def test_tail_at_large_cutoff_times_separation(self, polarization, energies):
+        # At k_mn z = 90 the damping e^{-z kappa} is nearly Gaussian in w over
+        # |w| < k_mn, and much slower there than along the rays far out, so
+        # each ray's rule is scaled by the decay rate at its start.
+        kmn, z = 30.0, 3.0
+        taus = np.polynomial.laguerre.laggauss(48)[0] / (2.0 * kmn)
+        names = ("rh",) if polarization == "TE" else ("r0", "r1", "r2")
+        table = _photon_integrals(kmn, z, [energies], taus, polarization == "TE")[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quad's roundoff notes at epsabs = 0
+            ref = np.array([[_split_quad(kmn, z, energies, tau, self.WEIGHTS[name], epsabs=0.0)
+                             for name in names] for tau in taus])
+        assert _relative(table, ref) <= 1e-13
+
     def test_table_evaluated_in_blocks(self):
         # The heaviest call of an oracle-check run: TM11 at z = 0.6a on the
         # 48-point grid over 2 k_mn, with the three sets of energies its
-        # diagrams take.  Its shared tail grid has about 4k nodes; in blocks
-        # of at most 2^16 node-tau products its traced peak is about 0.6 MB.
+        # diagrams take: a head of 224 nodes, and a ray of 101 nodes for each
+        # of 45 taus; its traced peak is about 0.8 MB.
         import tracemalloc
         kmn = math.pi * math.sqrt(2.0)
         taus = np.polynomial.laguerre.laggauss(48)[0] / (2.0 * kmn)
@@ -191,12 +210,12 @@ def _relative(got, want):
 
 
 class TestSharedMesh:
-    """Tables that share a call share one mesh: its head comes from the
-    narrowest energy of every set, and its tail grid from the largest tau.
-    A tau alone gets its own panel width and no partial panel, the layout
-    of a table built tau by tau; a set alone gets its own head.  Both agree
-    with the shared mesh to rounding, in the classes that
-    tools/check_photon_table.py sweeps, on 48- and 96-point grids."""
+    """Tables that share a call share one head, from the narrowest energy of
+    every set; each tau's tail is a ray of its own.  A set alone gets its own
+    head, and with it another start for each ray (a set with no energy, the
+    coarsest head, starts some rays at w = 0).  Both agree with the shared
+    mesh to rounding, in the classes that tools/check_photon_table.py
+    sweeps, on 48- and 96-point grids."""
 
     @pytest.mark.parametrize("n_tau", [48, 96])
     @pytest.mark.parametrize("z", [0.3, 0.6])
@@ -225,6 +244,28 @@ class TestSharedMesh:
         for energies, batched in zip(sets, batch):
             alone = _photon_integrals(kmn, z, [energies], taus, te)[0]
             assert _relative(batched, alone) <= 1e-14, energies
+
+
+class TestPanelTailFixture:
+    """The tables of oracle-check's heaviest call, TM11 at z = 0.6a on both of
+    its 48-point grids with the energy sets (E,), (E, E) and (), as the
+    real-axis panel tails built them (tests/data/photon_tables_tm11.json;
+    those were within 7.5e-15 of the scale of a 30-digit reference).  The
+    ray tails must stay within 1e-14 of each table's scale, entry by entry."""
+
+    FIXTURE = Path(__file__).with_name("data") / "photon_tables_tm11.json"
+
+    def test_ray_tails_match_panel_tails(self):
+        doc = json.loads(self.FIXTURE.read_text())
+        kmn = float.fromhex(doc["kmn"])
+        sets = [tuple(map(float.fromhex, energies)) for energies in doc["energies"]]
+        assert kmn == _cutoff(SQ, TM11[0]) and sets == [(E100,), (E100, E100), ()]
+        for grid in doc["grids"]:
+            taus = np.array([float.fromhex(tau) for tau in grid["taus"]])
+            tables = _photon_integrals(kmn, doc["z"], sets, taus, False)
+            for table, want in zip(tables, grid["tables"]):
+                want = np.array([[float.fromhex(v) for v in row] for row in want])
+                assert _relative(table, want) <= 1e-14
 
 
 class TestFrequencyMixingKernel:

@@ -42,7 +42,7 @@ STAGES = {
         "screened listing": [(energy.ModeTable, "_screened")],
         "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
         "TE split": [(coupling, "_te_split")],
-        "f_tensor": [(energy, "f_tensor")],
+        "f_tensor": [(energy, "_f_tensor")],
         "assembly": [(energy, "_assemble")],
         "free-space": [(cli, "_freespace")],
         "CSV": [(cli, "_csv")],
@@ -63,6 +63,7 @@ STAGES = {
         "quadrature": [(oracle_checks, "_quadratures"), (fourth_order, "_quadratures")],
         "closed forms": [(oracle_checks, "_closed_forms"), (fourth_order, "_closed_forms")],
         "photon tables": [(fourth_order, "_photon_integrals")],
+        "photon tails": [(fourth_order, "_ray_tail")],
         "fourth-order rest": [(oracle_checks, "fourth_order_oracle"),
                               (oracle_checks, "weighted_reference_energy"),
                               (oracle_checks, "closed_form_reference_energy")],
