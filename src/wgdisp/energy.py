@@ -1039,13 +1039,17 @@ _NEAR_FIELD_M = np.diag([1.0, 1.0, -2.0])
 
 
 def _over_power(x: float, c: float, r: float, n: int) -> float:
-    """x / (c r^n), also where c r^n passes the largest double: then through
-    the binary exponent of r, r = m 2^e, as x / (c m^n) 2^{-ne}."""
+    """x / (c r^n), also where c r^n passes the largest double or falls below
+    the smallest normal one: then through the binary exponent of r, r = m 2^e,
+    as x / (c m^n) 2^{-ne}, and +-inf where that passes the largest double."""
     den = c * _power(r, n)
-    if math.isfinite(den):
+    if sys.float_info.min <= den < math.inf:
         return x / den
     m, e = math.frexp(r)
-    return math.ldexp(x / (c * m ** n), -n * e)
+    try:
+        return math.ldexp(x / (c * m ** n), -n * e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,

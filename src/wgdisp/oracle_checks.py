@@ -41,14 +41,18 @@ _TE_MODES = [(1, 0), (0, 1), (1, 1), (2, 1)]
 _PRINTED_TM = ("xx", "yy", "xy", "yx", "zx", "zy")
 
 
+# Ranges of a case's draws: p1.x / a, p1.y / b, p2.x / a, p2.y / b, k_mn z.
+_CASE_LOW = np.array([0.05, 0.05, 0.05, 0.05, 0.5])
+_CASE_RANGE = np.array([0.95, 0.95, 0.95, 0.95, 8.0]) - _CASE_LOW
+
+
 def _sample_case(rng, geom, mode):
-    """Random points and a separation with k_mn z in [0.5, 8] for ``mode``."""
+    """Random points and a separation with k_mn z in [0.5, 8] for ``mode``, from
+    one ``rng.random(5)`` mapped to low + (high - low) u as ``rng.uniform`` maps."""
     kmn = cutoff_wavenumber(geom, mode)
-    p1 = TransversePoint(rng.uniform(0.05, 0.95) * geom.a,
-                         rng.uniform(0.05, 0.95) * geom.b)
-    p2 = TransversePoint(rng.uniform(0.05, 0.95) * geom.a,
-                         rng.uniform(0.05, 0.95) * geom.b)
-    return p1, p2, rng.uniform(0.5, 8.0) / kmn
+    x1, y1, x2, y2, u = (_CASE_LOW + _CASE_RANGE * rng.random(5)).tolist()
+    return (TransversePoint(x1 * geom.a, y1 * geom.b),
+            TransversePoint(x2 * geom.a, y2 * geom.b), u / kmn)
 
 
 def _closed_vs_quadrature_cases(rng, geom, cases: int):

@@ -199,10 +199,14 @@ def mode_arrays(geom: Geometry, max_cutoff: float,
     }
 
 
-def mode_count(geom: Geometry, max_cutoff: float) -> int:
-    """Cheap upper estimate of the number of modes below a cutoff."""
+def mode_count(geom: Geometry, max_cutoff: float) -> int | float:
+    """Cheap upper estimate of the number of modes below a cutoff: an
+    integer, or inf where the estimate passes the largest double."""
     # Quarter-disc lattice-point count per polarization, plus axis rows.
     area_density = geom.area / math.pi ** 2
-    per_pol = 0.25 * math.pi * max_cutoff ** 2 * area_density
-    axis = max_cutoff * (geom.a + geom.b) / math.pi
-    return int(2 * per_pol + axis) + 4
+    try:
+        per_pol = 0.25 * math.pi * max_cutoff ** 2 * area_density
+    except OverflowError:
+        return math.inf
+    count = 2 * per_pol + max_cutoff * (geom.a + geom.b) / math.pi
+    return int(count) + 4 if count < math.inf else math.inf

@@ -540,6 +540,51 @@ class TestHugeSeparations:
         assert len(lines) == 4 and all(line.startswith("warning: ") for line in lines)
 
 
+class TestTinySeparations:
+    # Below about 6e-47 the retarded reference's z^7 underflows to zero; it is
+    # then taken through the binary exponent of z, and past the largest
+    # double it prints as Infinity, as where z^7 is subnormal (1e-45).
+    @pytest.mark.parametrize("z", ["1e-45", "1e-47"])
+    def test_energy(self, species_file, capsys, z):
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", z, "--species1", species_file]) == 0
+        out = capsys.readouterr().out
+        assert '"freespace_cp": Infinity' in out
+        report = json.loads(out)
+        assert report["freespace_cp"] == math.inf
+        assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sweep(self, species_file, capsys):
+        from wgdisp import cli
+        assert cli.main(["sweep", "--z-min", "1e-48", "--z-max", "1e-46", "--points", "3",
+                         "--species1", species_file]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[3] for row in rows] == ["inf"] * 3
+        assert all(float(row[4]) == pytest.approx(1.0, abs=1e-12) for row in rows)
+
+
+class TestHugeCutoffs:
+    # The mode count is taken in floats: a cutoff whose count passes the
+    # largest double needs ~inf modes, and a count past 1e15 prints in
+    # exponent form instead of as an integer of up to 300 digits.
+    @pytest.mark.parametrize("cutoff, count", [("1e200", "inf"),
+                                               ("1e100", "1.59154943091895e+199"),
+                                               ("1e5", "1591613096")])
+    def test_energy_exit_4(self, species_file, capsys, cutoff, count):
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.5", "--max-cutoff", cutoff,
+                         "--species1", species_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: the cutoff needs ~{count} modes, "
+                                       "exceeding the hard cap of 1000000;")
+
+    def test_mode_count(self):
+        from wgdisp.waveguide import Geometry, mode_count
+        assert mode_count(Geometry(), 1e5) == 1591613096
+        assert mode_count(Geometry(), 1e200) == math.inf
+
+
 class TestImport:
     def test_cli_import_leaves_quadrature_unloaded(self):
         # Importing scipy.integrate would cost a large share of every CLI
@@ -830,6 +875,37 @@ class TestOracleCheck:
                 assert match and float(match.group(1)) <= 1e-14, line
             else:
                 assert line == want
+
+    @pytest.mark.parametrize("cases", [1, 20, 50])
+    def test_case_draw_keeps_the_random_stream(self, cases):
+        # One rng.random(5) per case draws what five rng.uniform calls drew.
+        from wgdisp import oracle_checks
+        from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint,
+                                      cutoff_wavenumber)
+
+        def per_scalar(rng, geom, cases):
+            def sample(mode):
+                kmn = cutoff_wavenumber(geom, mode)
+                p1 = TransversePoint(rng.uniform(0.05, 0.95) * geom.a,
+                                     rng.uniform(0.05, 0.95) * geom.b)
+                p2 = TransversePoint(rng.uniform(0.05, 0.95) * geom.a,
+                                     rng.uniform(0.05, 0.95) * geom.b)
+                return p1, p2, rng.uniform(0.5, 8.0) / kmn
+            for comp in ("zz", "xx", "yy", "xy", "xz", "yz"):
+                for _ in range(cases):
+                    mode = ModeIndex("TM", int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                    yield (comp, mode, *sample(mode))
+            for _ in range(cases):
+                mode = ModeIndex("TE", *[(1, 0), (0, 1), (1, 1), (2, 1)][int(rng.integers(0, 4))])
+                case = sample(mode)
+                for comp in ("xx", "xy", "yx", "yy"):
+                    yield (comp, mode, *case)
+
+        geom = Geometry(1.0, 1.0)
+        for seed in (1, 7, 11, 88, 96, 12345):
+            drawn = list(oracle_checks._closed_vs_quadrature_cases(
+                np.random.default_rng(seed), geom, cases))
+            assert drawn == list(per_scalar(np.random.default_rng(seed), geom, cases))
 
     @pytest.mark.parametrize("seed", ["11", "88"])
     def test_formerly_uncertified_seeds_pass(self, seed):
