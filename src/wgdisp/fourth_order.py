@@ -173,8 +173,9 @@ def _photon_integrals(kmn: float, z: float, energy_sets: list[tuple[float, ...]]
     psi, so every set and tau shares one head of 16-point Gauss-Legendre
     panels in psi, the first 1/8 of the narrowest feature wide and each 1.7
     times the last, up to psi_max where the damping has fallen by a further
-    e^{-46}.  Each tau > 0 stops at its first panel wider than half a
-    period of e^{i w tau}, at w_s, where :func:`_ray_tail` takes over.
+    e^{-46}.  A tau whose half period of e^{i w tau} is narrower than some
+    panel stops at the first such panel, at w_s, where :func:`_ray_tail`
+    takes over; at tau = 0 the head covers the whole range.
     """
     psi_max = math.acosh(1.0 + 46.0 / (kmn * z))
 
@@ -222,15 +223,14 @@ def _ray_tail(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
     """Re of the integrals of :func:`_photon_integrals` from w_start on, per
     set, tau and entry, along the rays w = w_s + r e^{i theta}.
 
-    In w, dpsi = dw / kappa; the integrand's poles sit at w = -i W_r and its
-    branch points at +-i k_mn with cuts along the imaginary axis, so it is
-    analytic in the open first quadrant, and the arc at infinity vanishes.
-    Far out e^{i w tau - z kappa} falls as e^{-r sqrt(z^2 + tau^2)} without
-    oscillating at tan theta = tau / z; theta is turned down where that ray
-    would pass i k_mn closer than _BRANCH_GAP k_mn.  The exp-sinh rule
-    (:func:`wgdisp.coupling._ray_rule`) takes r = x / q, q the decay rate at
-    w_s, tau sin theta + z cos theta w_s / kappa_s, which is slower than far
-    out where |w| < k_mn and k_mn z is large.
+    In w, dpsi = dw / kappa; with poles at w = -i W_r and branch cuts on the
+    imaginary axis from +-i k_mn, the integrand is analytic in the open first
+    quadrant, and the arc at infinity vanishes.  At tan theta = tau / z,
+    e^{i w tau - z kappa} falls far out as e^{-r sqrt(z^2 + tau^2)} without
+    oscillating; theta is turned down where that ray would pass i k_mn
+    closer than _BRANCH_GAP k_mn.  The exp-sinh rule (:func:`_ray_rule`)
+    takes r = x / q, q = tau sin theta + z cos theta w_s / kappa_s the decay
+    rate at w_s, slower than far out where |w| < k_mn and k_mn z is large.
     """
     u = w_start / kmn
     theta = np.minimum(np.arctan2(taus, z),

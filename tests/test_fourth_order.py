@@ -223,9 +223,10 @@ class TestSharedMesh:
                              ids=["one-energy", "two-energies"])
     @pytest.mark.parametrize("mode", SHARED_MODES, ids=lambda mode: mode.label())
     def test_tau_alone_matches_grid(self, mode, energies, z, n_tau):
-        # 2e-14 of the table scale: against a 30-digit reference, the 96-point
-        # grid at z = 0.3a with two energies is up to 1.8e-14 of the scale off
-        # when built tau by tau (TM11), and up to 1.2e-14 when shared (TM21).
+        # 2e-14 of the table scale, the bound the real-axis panel tails needed
+        # (their shared tail grid depended on the largest tau); a ray depends
+        # on its own tau alone, and the two now differ by at most 4.6e-15,
+        # the rounding of the head's blocks.
         kmn, taus = _grid(mode, n_tau)
         te = mode.polarization == "TE"
         grid = _photon_integrals(kmn, z, [energies], taus, te)[0]
