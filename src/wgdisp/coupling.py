@@ -49,10 +49,12 @@ oracle the closed forms are validated against; ``f_quadrature`` is its
 one-case call.  Two independent regularization routes are provided:
 ``real-axis-subtracted`` (the Fourier integral of the decaying remainder)
 and ``branch-cut-rotated`` (a rotated, manifestly decaying contour), each
-by double-exponential rules, one numpy pass per kernel class and block of
-cases.  An integral's error is the difference between the rules at steps
-h and 2h plus a rounding floor; no term of it comes from a closed form the
-oracle validates.
+by double-exponential rules.  One call takes any number of specs: the
+kernel classes, distinct (u_e, zeta) and prefactors are built once, and
+each spec takes one numpy pass per kernel class and block of cases.  An
+integral's error is the difference between the rules at steps h and 2h
+plus a rounding floor; no term of it comes from a closed form the oracle
+validates.  A batch is one ``_Cases`` record, an array per field.
 
 Natural units hbar = c = 1 throughout.
 """
@@ -63,6 +65,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from ._special import erfc, erfcx, exp1, k0
@@ -109,21 +112,6 @@ class CouplingValue:
     method: str
 
 
-def _check_orientation(orient: str) -> None:
-    if len(orient) != 2 or orient[0] not in _AXES or orient[1] not in _AXES:
-        raise InputError(f"orientation must be two of 'xyz', got {orient!r}")
-
-
-def _check_separation(z: float) -> None:
-    if not (z > 0.0 and math.isfinite(z)):
-        raise InputError(f"axial separation must be positive and finite, got z={z!r}")
-
-
-def _check_points(geom: Geometry, p1: TransversePoint, p2: TransversePoint) -> None:
-    if not (geom.contains(p1) and geom.contains(p2)):
-        raise InputError("dipole points must lie inside the cross-section")
-
-
 # ---------------------------------------------------------------------------
 # per-mode factor rows: the one per-mode coupling formula
 # ---------------------------------------------------------------------------
@@ -155,7 +143,7 @@ def _axis_trig(geom, m, n, p2, p1):
     is the same float operation as the per-mode one, so the values match
     ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.  The
     points' coordinates are floats, or arrays with one entry per mode
-    (a table per mode, as :func:`_cases` builds them).
+    (a table per mode, as :class:`_Cases` holds them).
     """
     def axis(c2, c1, index, length):
         t = np.multiply.outer((c2, c1), np.arange(index.max(initial=0) + 1) * np.pi / length)
@@ -724,39 +712,76 @@ def _te_mode_tensors(k, rows, z, energy, conventions):
     return out
 
 
-def _one_mode(geom: Geometry, *modes: ModeIndex):
-    """Index arrays m, n and cutoff array k of one mode (or of each of
-    ``modes``), as in ``mode_arrays``."""
-    m, n = (np.array([getattr(mode, c) for mode in modes]) for c in "mn")
-    return m, n, np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
+class _Cases(NamedTuple):
+    """A batch of coupling cases, one entry per case in each array: the TE
+    mask, the indices m and n and cutoff k (:func:`_cutoffs`) of its mode,
+    its points p1 and p2 (each a :class:`TransversePoint` of arrays), its
+    separation z and the axes i (at p2) and j (at p1) of its F_ij."""
+    te: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    k: np.ndarray
+    p1: TransversePoint
+    p2: TransversePoint
+    z: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
 
 
-def _cases(geom: Geometry, cases):
-    """Arrays m, n, k (:func:`_one_mode`), points p1 and p2 with one coordinate
-    per case, z and axis indices i, j of (orient, mode, p1, p2, z) cases."""
-    orients, modes, *points, z = zip(*cases)
-    p1, p2 = (TransversePoint(np.array([p.x for p in ps]), np.array([p.y for p in ps]))
-              for ps in points)
-    i, j = np.array([[_AXES[o[0]], _AXES[o[1]]] for o in orients]).T
-    return (*_one_mode(geom, *modes), p1, p2, np.array(z), i, j)
+def _cutoffs(geom: Geometry, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Cutoffs k_mn of the index arrays m and n, as ``mode_arrays`` takes them."""
+    return np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
 
 
-def _closed_forms(geom: Geometry, cases, energy: float, conventions) -> np.ndarray:
-    """Closed-form couplings of (orient, mode, p1, p2, z) cases, TE ones at the
-    transition energy ``energy``: one build of factor rows per polarization,
-    each value its mode's tensor entry as a mode table at its points gives it."""
-    out = np.zeros(len(cases))
-    te = np.array([case[1].polarization == TE for case in cases])
-    for at in (np.flatnonzero(~te), np.flatnonzero(te)):
-        if at.size:
-            m, n, k, p1, p2, z, i, j = _cases(geom, [cases[c] for c in at])
-            if te[at[0]]:
-                rows = _te_rows(geom, m, n, k, p1, p2, conventions)
-                tensors = _te_mode_tensors(k, rows, z, energy, conventions)
-            else:
-                rows = _tm_rows(geom, m, n, k, p1, p2, conventions)
-                tensors = _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions)
-            out[at] = tensors[i, j, np.arange(at.size)]
+def _one_mode(geom: Geometry, mode: ModeIndex):
+    """Index arrays m, n and cutoff array k of one mode."""
+    m, n = np.array([mode.m]), np.array([mode.n])
+    return m, n, _cutoffs(geom, m, n)
+
+
+def _case_batch(geom: Geometry, te, m, n, p1: TransversePoint, p2: TransversePoint, z,
+                orients) -> _Cases:
+    """:class:`_Cases` of one case per orientation in ``orients``, from the
+    sequences ``te``, ``m``, ``n``, the coordinates of ``p1`` and ``p2``, and
+    ``z`` with one entry per case."""
+    i, j = np.array([[_AXES[o[0]], _AXES[o[1]]] for o in orients]).reshape(-1, 2).T
+    m, n = np.asarray(m), np.asarray(n)
+    return _Cases(np.asarray(te), m, n, _cutoffs(geom, m, n),
+                  *(TransversePoint(np.asarray(p.x), np.asarray(p.y)) for p in (p1, p2)),
+                  np.asarray(z), i, j)
+
+
+def _mode_cases(geom: Geometry, mode: ModeIndex, p1: TransversePoint, p2: TransversePoint,
+                z: float, orients) -> _Cases:
+    """The cases of one mode, pair of points and separation, one per
+    orientation in ``orients``, once the arguments are checked."""
+    for orient in orients:
+        if len(orient) != 2 or orient[0] not in _AXES or orient[1] not in _AXES:
+            raise InputError(f"orientation must be two of 'xyz', got {orient!r}")
+    if not (z > 0.0 and math.isfinite(z)):
+        raise InputError(f"axial separation must be positive and finite, got z={z!r}")
+    if not (geom.contains(p1) and geom.contains(p2)):
+        raise InputError("dipole points must lie inside the cross-section")
+    size = len(orients)
+    return _case_batch(geom, [mode.polarization == TE] * size, [mode.m] * size, [mode.n] * size,
+                       *(TransversePoint([p.x] * size, [p.y] * size) for p in (p1, p2)),
+                       [z] * size, orients)
+
+
+def _closed_forms(geom: Geometry, cases: _Cases, energy: float, conventions) -> np.ndarray:
+    """Closed-form couplings of a batch of cases, TE ones at the transition
+    energy ``energy``: one build of factor rows per polarization, each value
+    its mode's tensor entry as a mode table at its points gives it."""
+    te, m, n, k, p1, p2, z, i, j = cases
+    cols = np.arange(k.size)
+    out = np.zeros(k.size)
+    if te.any():
+        rows = _te_rows(geom, m, n, k, p1, p2, conventions)
+        out = _te_mode_tensors(k, rows, z, energy, conventions)[i, j, cols]
+    if not te.all():
+        rows = _tm_rows(geom, m, n, k, p1, p2, conventions)
+        out = np.where(te, out, _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z,
+                                                 conventions)[i, j, cols])
     return out
 
 
@@ -793,13 +818,10 @@ def f_tm_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
                 p2: TransversePoint, z: float,
                 sign_convention: str = "oracle-consistent") -> CouplingValue:
     """Closed-form TM coupling; index order is (i at p2, j at p1)."""
-    _check_orientation(orient)
-    _check_separation(z)
+    cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     if mode.polarization != TM:
         raise InputError(f"f_tm_closed requires a TM mode, got {mode.label()}")
-    _check_points(geom, p1, p2)
-    value = _closed_forms(geom, [(orient, mode, p1, p2, z)], 0.0,
-                          Conventions(tm_sign=sign_convention))[0]
+    value = _closed_forms(geom, cases, 0.0, Conventions(tm_sign=sign_convention))[0]
     return CouplingValue(float(value), mode, orient, "closed-form")
 
 
@@ -813,20 +835,18 @@ def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
     electric field).  ``energy`` is the transition energy in units of
     hbar c / length.
     """
-    _check_orientation(orient)
-    _check_separation(z)
+    cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     if mode.polarization != TE:
         raise InputError(f"f_te_closed requires a TE mode, got {mode.label()}")
     if not (energy > 0.0):
         raise InputError(f"transition energy must be positive, got {energy!r}")
-    _check_points(geom, p1, p2)
     conv = Conventions(te_factor=factor_convention, normalization=normalization)
-    u_e = energy / _one_mode(geom, mode)[2][0]
+    u_e = energy / cases.k[0]
     if u_e > 0.1 and "z" not in orient:
         warnings.warn(f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
                       f"{mode.label()}; the closed form drops O(u_e^2) corrections",
                       TightConfinementWarning, stacklevel=2)
-    value = _closed_forms(geom, [(orient, mode, p1, p2, z)], energy, conv)[0]
+    value = _closed_forms(geom, cases, energy, conv)[0]
     return CouplingValue(float(value), mode, orient, "closed-form")
 
 
@@ -987,32 +1007,36 @@ def _kernel_integrals(kind: str, weighted: bool, u_e: np.ndarray, zeta: np.ndarr
     return factor * value, np.abs(factor) * err
 
 
-def _quadratures(geom: Geometry, cases, energies, spec: QuadratureSpec,
-                 normalization: str) -> list:
-    """Wavenumber integrals of (orient, mode, p1, p2, z) cases, each a float
-    or the QuadratureError of a value that misses ``spec.rel_tol``;
-    ``energies[c]`` is case c's transition energy, 0.0 for the integrand
-    without the weight omega/(omega + E).  One :func:`_kernel_integrals` call
-    per kernel class takes each distinct (u_e, zeta) once (a TE draw's
-    components share theirs); the prefactors come from one build of rows."""
-    m, n, k, p1, p2, z, i, j = _cases(geom, cases)
+# Kernel classes of :func:`_quadratures` by code, the TM code of each entry
+# (i, j) (a case's class code is 2 code + weighted), and the sign of its
+# kernel: xz and yz take the odd kernel reversed.
+_KINDS = ("te", "zz", "odd", "tt")
+_TM_KIND = np.array([[3, 3, 2], [3, 3, 2], [2, 2, 1]])
+_KERNEL_SIGN = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+
+
+def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
+                 normalization: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wavenumber integrals of a batch of cases under each of ``specs``:
+    arrays of values, errors and uncertified flags (the values that miss their
+    spec's rel_tol), shape (len(specs), number of cases).  ``energies[c]`` is
+    case c's transition energy, 0.0 for the integrand without the weight
+    omega/(omega + E).  The kernel classes, each class's distinct (u_e, zeta)
+    in order of first use (a TE draw's components share theirs) and the
+    prefactors are built once; each spec takes one :func:`_kernel_integrals`
+    call per class."""
+    te, m, n, k, p1, p2, z, i, j = cases
     energies = np.asarray(energies, dtype=float)
-    args = np.stack([energies / k, k * z]).T.tolist()  # u_e and zeta
-    te = np.array([mode.polarization == TE for _, mode, *_ in cases])
-    classes = {}
-    for c, orient in enumerate(case[0] for case in cases):
-        weighted = energies[c] > 0.0
-        kind = "te" if te[c] else "zz" if orient == "zz" else "odd" if "z" in orient else "tt"
-        if not te[c] or ("z" not in orient and weighted):  # else exactly 0
-            classes.setdefault((kind, weighted), {}).setdefault(tuple(args[c]), []).append(c)
-    kernel, err = np.zeros(len(cases)), np.zeros(len(cases))
-    for (kind, weighted), members in classes.items():
-        u_e, zeta = np.array(list(members)).T
-        values, errors = _kernel_integrals(kind, weighted, u_e, zeta, spec.scheme)
-        for value, error, at in zip(values.tolist(), errors.tolist(), members.values()):
-            kernel[at], err[at] = value, error
-    kernel[(j == 2) & (i < 2)] *= -1.0  # xz and yz: the odd kernel reversed
-    cols = np.arange(len(cases))
+    weighted = energies > 0.0
+    kind = _TM_KIND[i, j]
+    live = np.flatnonzero(~te | ((kind == 3) & weighted))  # TE cases: else exactly 0
+    index = {}
+    slot = [index.setdefault(key, len(index)) for key in zip(
+        (2 * np.where(te, 0, kind) + weighted)[live].tolist(), (energies / k)[live].tolist(),
+        (k * z)[live].tolist())]
+    code, u_e, zeta = np.array(list(index)).reshape(-1, 3).T
+    members = {c: np.flatnonzero(code == c) for c in dict.fromkeys(code.tolist())}
+    cols = np.arange(k.size)
     rows = np.zeros((6, k.size))  # TE rows in the TM rows' places; z rows zero
     if te.any():
         rows[[0, 1, 3, 4]] = _te_rows(geom, m, n, k, p1, p2, Conventions(normalization=normalization))
@@ -1020,15 +1044,31 @@ def _quadratures(geom: Geometry, cases, energies, spec: QuadratureSpec,
     if not te.all():
         tm = _tm_rows(geom, m, n, k, p1, p2, Conventions())
         pref = np.where(te, pref, (4.0 / geom.area) * k * tm[i, cols] * tm[3 + j, cols])
+    pref *= _KERNEL_SIGN[i, j]  # exact: the kernel's sign moved onto its factor
+    value, error = np.zeros((2, len(specs), k.size))
+    for s, spec in enumerate(specs):
+        kernel, err = np.zeros((2, code.size))
+        for c, at in members.items():
+            kernel[at], err[at] = _kernel_integrals(_KINDS[int(c) // 2], c % 2 == 1, u_e[at],
+                                                    zeta[at], spec.scheme)
+        value[s, live], error[s, live] = kernel[slot], err[slot]
     # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
     # into 0.0, as the closed forms give, and leaves every other value as it is.
-    return [QuadratureError("wavenumber integral did not reach the requested tolerance",
-                            best_estimate=value, achieved_error=error)
-            # A zero prefactor legitimately produces value == error == 0.
-            if error != 0.0 and error > spec.rel_tol * max(abs(value), 1e-280 / spec.rel_tol)
-            else value
-            for value, error in zip((pref * kernel + 0.0).tolist(),
-                                    (np.abs(pref) * err).tolist())]
+    value = pref * value + 0.0
+    error *= np.abs(pref)
+    tol = np.array([[spec.rel_tol] for spec in specs])
+    # A zero prefactor legitimately produces value == error == 0.
+    return value, error, (error != 0.0) & (error > tol * np.maximum(np.abs(value), 1e-280 / tol))
+
+
+def _certified(values: np.ndarray, errors: np.ndarray, uncertified: np.ndarray) -> np.ndarray:
+    """The values of a one-spec :func:`_quadratures` call, or the
+    QuadratureError of its first uncertified one."""
+    if uncertified.any():
+        c = int(np.argmax(uncertified[0]))
+        raise QuadratureError("wavenumber integral did not reach the requested tolerance",
+                              best_estimate=values[0, c], achieved_error=errors[0, c])
+    return values[0]
 
 
 def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
@@ -1044,14 +1084,10 @@ def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoi
     to ``spec.scheme``; for TE modes the kernels keep the leading
     tight-confinement order, matching the closed-form pipeline.
     """
-    _check_orientation(orient)
-    _check_separation(z)
-    _check_points(geom, p1, p2)
+    cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     spec = spec or QuadratureSpec()
     if include_energy_factor and not (energy > 0.0):
         raise InputError("include_energy_factor requires a positive energy")
-    value = _quadratures(geom, [(orient, mode, p1, p2, z)],
-                         [energy if include_energy_factor else 0.0], spec, normalization)[0]
-    if isinstance(value, QuadratureError):
-        raise value
-    return CouplingValue(value, mode, orient, "quadrature")
+    value = _certified(*_quadratures(geom, cases, [energy if include_energy_factor else 0.0],
+                                     [spec], normalization))[0]
+    return CouplingValue(float(value), mode, orient, "quadrature")

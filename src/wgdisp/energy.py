@@ -44,6 +44,7 @@ from . import coupling as _coupling
 from .coupling import _power, _tm_continuum_tail
 
 TWO_PI = 2.0 * math.pi
+_Z_FLOOR = 1e-60  # the splits' z^-5 image terms pass the largest double below ~6e-62
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,9 @@ class PairConfiguration:
         if not (self.z > 0.0 and math.isfinite(self.z)):
             raise InputError(f"axial separation must be positive and finite, "
                              f"got z={self.z!r}")
+        if self.z < _Z_FLOOR:
+            raise InputError(f"axial separation z={self.z!r} is below {_Z_FLOOR:g}; the "
+                             f"splits' z^-5 near-field terms overflow from about 6e-62")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InputError(f"permittivity must be positive and finite, "
                              f"got {self.epsilon!r}")
@@ -734,9 +738,11 @@ def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None
     cross = conv.tm_sign == "paper-literal"
     axis = tail_tol is not None and conv.normalization == "paper-literal"
 
+    remedy = "use a lower cutoff" if tail_tol is None else "use a larger --tail-tol"
+
     def listed(K):  # K, where the modes up to it and the split's pass no cap
         if mode_count(geom, max(K, K_split)) > mode_cap:
-            raise ModeCapError(mode_count(geom, max(K, K_split)), mode_cap)
+            raise ModeCapError(mode_count(geom, max(K, K_split)), mode_cap, remedy)
         return K
 
     def cross_terms(K):
@@ -786,7 +792,7 @@ def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None
         tail += _cross_tail_bound(K, z, geom)
     if axis:
         if (terms := int(K * (geom.a + geom.b) / math.pi)) > mode_cap:
-            raise ModeCapError(terms, mode_cap)
+            raise ModeCapError(terms, mode_cap, remedy)
         unit, k = _zero_index_sum(geom, p1, p2, z, K)
         te_sum = te_sum + te_weight * unit
         tail += _axis_tail_bound(K, z, geom, te_weight)
@@ -942,6 +948,10 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
                     f"tail_estimate underflows at z={z:g}: the truncation error "
                     f"bound {float(u.tail_estimate)!r} is below the smallest normal "
                     f"double")
+            for name, value in (("total", u.total), ("tail_estimate", u.tail_estimate)):
+                if not math.isfinite(value):
+                    u.warnings.append(f"{name} is not finite at z={z:g}: {float(value)!r}, "
+                                      f"its terms pass the largest double")
             if abs(u.total) < _TINY and (u.total != 0.0
                                          or _energy_underflows(point, u)):
                 u.warnings.append(

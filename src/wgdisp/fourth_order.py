@@ -45,11 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_TM_SIGNS, QuadratureSpec, _closed_forms, _one_mode, _quadratures,
-                       _ray_rule, _te_rows, _tm_rows)
+from .coupling import (_TM_SIGNS, ORIENTATIONS, QuadratureSpec, _certified, _closed_forms,
+                       _mode_cases, _one_mode, _quadratures, _ray_rule, _te_rows, _tm_rows)
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
-from .errors import InputError, QuadratureError
+from .errors import InputError
 from .waveguide import TE, ModeIndex
 
 TWO_PI = 2.0 * math.pi
@@ -385,11 +385,6 @@ def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
     return _assemble(config, tensor_for, _confinement_guard(config)).total
 
 
-def _orientation_cases(config: PairConfiguration, mode: ModeIndex):
-    """The nine (orient, mode, p1, p2, z) cases of one mode's 3x3 tensor."""
-    return [(i + j, mode, config.p1, config.p2, config.z) for i in "xyz" for j in "xyz"]
-
-
 def weighted_reference_energy(config: PairConfiguration,
                               modes: list[ModeIndex]) -> float:
     """Pair energy from the frequency-weighted coupling integrals.
@@ -403,12 +398,9 @@ def weighted_reference_energy(config: PairConfiguration,
     spec = QuadratureSpec(rel_tol=1e-9)
 
     def quadrature(mode: ModeIndex, energy: float) -> np.ndarray:
-        values = _quadratures(config.geom, _orientation_cases(config, mode), [energy] * 9,
-                              spec, config.conventions.normalization)
-        for value in values:
-            if isinstance(value, QuadratureError):
-                raise value
-        return np.array(values).reshape(3, 3)
+        cases = _mode_cases(config.geom, mode, config.p1, config.p2, config.z, ORIENTATIONS)
+        return _certified(*_quadratures(config.geom, cases, [energy] * 9, [spec],
+                                        config.conventions.normalization)).reshape(3, 3)
 
     return _mode_set_energy(config, modes, quadrature)
 
@@ -421,7 +413,7 @@ def closed_form_reference_energy(config: PairConfiguration,
     closed forms from the factor rows that every mode sum is built from.
     """
     def closed(mode: ModeIndex, energy: float) -> np.ndarray:
-        return _closed_forms(config.geom, _orientation_cases(config, mode), energy,
-                             config.conventions).reshape(3, 3)
+        cases = _mode_cases(config.geom, mode, config.p1, config.p2, config.z, ORIENTATIONS)
+        return _closed_forms(config.geom, cases, energy, config.conventions).reshape(3, 3)
 
     return _mode_set_energy(config, modes, closed)

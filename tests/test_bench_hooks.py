@@ -59,6 +59,8 @@ def test_profile_stages_resolve(tmp_path):
     species.write_text("E=0.06283185307179587 d=(1,1,1)\n")
     ops = {"sweep-near": [["sweep", "--z-min", "0.05", "--z-max", "0.1", "--points", "2",
                            "--tail-tol", "1e-6", "--species1", str(species)]],
+           "point-far": [["energy", "--z", "0.5", "--tail-tol", "1e-6",
+                          "--species1", str(species)]],
            "oracle": [["oracle-check", "--seed", "1"], ["reproduce", "fig4"]]}
     for workload, commands in ops.items():
         with report.StageClock(report.STAGES[workload]).installed() as clock, \

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,20 @@ class TestEnergy:
                       "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55")
         assert res.returncode == 4
         assert "cap" in res.stderr
+
+    @pytest.mark.parametrize("truncation, remedy", [
+        ([], "use a larger --tail-tol"),
+        (["--max-cutoff", "1e5"], "use a lower cutoff"),
+    ])
+    def test_mode_cap_names_the_option(self, species_file, capsys, truncation, remedy):
+        # The cap message points to the option that set the cutoff.
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.002", "--species1", species_file,
+                         "--convention", "paper-literal", "--x1", "0.3", "--y1", "0.4",
+                         "--x2", "0.6", "--y2", "0.55", *truncation]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: the cutoff needs ~") and err.count("\n") == 1
+        assert f"1000000; {remedy} or, at very small separations," in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--tail-tol", "nan"), ("--tail-tol", "0"), ("--max-cutoff", "inf"),
@@ -563,6 +578,42 @@ class TestTinySeparations:
         assert all(float(row[4]) == pytest.approx(1.0, abs=1e-12) for row in rows)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--z", "1e-60"], ["energy", "--z", "1e-60", "--max-cutoff", "20"],
+        ["energy", "--z", "1e-60", "--convention", "paper-literal"],
+        ["energy", "--z", "1e-100"], ["energy", "--z", "1e-110"], ["energy", "--z", "1e-160"],
+        ["energy", "--z", "5e-324"],
+        ["sweep", "--z-min", "1e-60", "--z-max", "1e-40", "--points", "3"],
+        ["sweep", "--z-min", "1e-160", "--z-max", "1e-150", "--points", "2"],
+    ])
+    def test_finite_warned_or_refused(self, species_file, capsys, argv):
+        # Exit 0 with finite values or a warning naming each non-finite one,
+        # or exit 2 with one error line; never a traceback or a RuntimeWarning.
+        from wgdisp import cli
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--species1", species_file])
+        out, err = capsys.readouterr()
+        assert [w for w in raised if issubclass(w.category, RuntimeWarning)] == []
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: axial separation z=")
+            assert err.count("\n") == 1
+            return
+        assert code == 0
+        if argv[0] == "energy":
+            report = json.loads(out)
+            for name in ("total", "tail_estimate"):
+                assert math.isfinite(report[name]) or any(
+                    note.startswith(f"{name} is not finite") for note in report["warnings"])
+        else:
+            for row in out.splitlines()[1:]:
+                z, u, *_, tail = map(float, row.split(","))
+                for name, value in (("total", u), ("tail_estimate", tail)):
+                    assert math.isfinite(value) or \
+                        f"warning: {name} is not finite at z={z:g}:" in err
+
+
 class TestHugeCutoffs:
     # The mode count is taken in floats: a cutoff whose count passes the
     # largest double needs ~inf modes, and a count past 1e15 prints in
@@ -838,20 +889,18 @@ def _uncertify_tm22_yz(monkeypatch, schemes):
     """Make every TM22 yz integral of ``schemes`` in oracle-check's batches
     uncertified; returns the name of the first such case per batch."""
     from wgdisp import oracle_checks
-    from wgdisp.errors import QuadratureError
     real = oracle_checks._quadratures
     named = []
 
-    def quadratures(geom, cases, energies, spec, normalization):
-        values = real(geom, cases, energies, spec, normalization)
-        hits = [c for c, (orient, mode, *_) in enumerate(cases)
-                if (mode.label(), orient) == ("TM22", "yz")]
-        if spec.scheme in schemes and hits:
-            named.append(f"TM22 yz z={cases[hits[0]][4]:.6g} scheme={spec.scheme}")
-            for c in hits:
-                values[c] = QuadratureError("did not reach the requested tolerance",
-                                            best_estimate=0.5, achieved_error=0.25)
-        return values
+    def quadratures(geom, cases, energies, specs, normalization):
+        values, errors, uncertified = real(geom, cases, energies, specs, normalization)
+        hits = np.flatnonzero(~cases.te & (cases.m == 2) & (cases.n == 2)
+                              & (cases.i == 1) & (cases.j == 2))
+        for s, spec in enumerate(specs):
+            if spec.scheme in schemes and hits.size:
+                named.append(f"TM22 yz z={cases.z[hits[0]]:.6g} scheme={spec.scheme}")
+                values[s, hits], errors[s, hits], uncertified[s, hits] = 0.5, 0.25, True
+        return values, errors, uncertified
 
     monkeypatch.setattr(oracle_checks, "_quadratures", quadratures)
     return named
@@ -903,9 +952,20 @@ class TestOracleCheck:
 
         geom = Geometry(1.0, 1.0)
         for seed in (1, 7, 11, 88, 96, 12345):
-            drawn = list(oracle_checks._closed_vs_quadrature_cases(
-                np.random.default_rng(seed), geom, cases))
-            assert drawn == list(per_scalar(np.random.default_rng(seed), geom, cases))
+            drawn = oracle_checks._draw_cases(np.random.default_rng(seed), geom, cases)
+            orients, modes, p1, p2, z = zip(*per_scalar(np.random.default_rng(seed), geom,
+                                                        cases))
+            want = {"te": [mode.polarization == "TE" for mode in modes],
+                    "m": [mode.m for mode in modes], "n": [mode.n for mode in modes],
+                    "p1.x": [p.x for p in p1], "p1.y": [p.y for p in p1],
+                    "p2.x": [p.x for p in p2], "p2.y": [p.y for p in p2], "z": z,
+                    "i": ["xyz".index(o[0]) for o in orients],
+                    "j": ["xyz".index(o[1]) for o in orients]}
+            got = {"te": drawn.te, "m": drawn.m, "n": drawn.n, "p1.x": drawn.p1.x,
+                   "p1.y": drawn.p1.y, "p2.x": drawn.p2.x, "p2.y": drawn.p2.y, "z": drawn.z,
+                   "i": drawn.i, "j": drawn.j}
+            assert {key: value.tolist() for key, value in got.items()} == \
+                {key: list(value) for key, value in want.items()}
 
     @pytest.mark.parametrize("seed", ["11", "88"])
     def test_formerly_uncertified_seeds_pass(self, seed):
@@ -1003,6 +1063,22 @@ def test_oracle_check_sha256(capsys, seed, convention, cases):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         ORACLE_CHECK_SHA256[seed, convention, cases]
+
+
+# sha256 of the oracle-check stdout of seeds 1 to 96 in turn (every seed the
+# benchmark's oracle workload can draw), default conventions and cases.
+ORACLE_CHECK_SEEDS_1_96_SHA256 = \
+    "4175da984bb5b8d083d2897282b386ab1e8621667bcc0cf2a740dbf9880d233e"
+
+
+def test_oracle_check_seeds_1_to_96_sha256(capsys):
+    import hashlib
+    from wgdisp import cli
+    digest = hashlib.sha256()
+    for seed in range(1, 97):
+        assert cli.main(["oracle-check", "--seed", str(seed)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == ORACLE_CHECK_SEEDS_1_96_SHA256
 
 
 class TestIgnoredOptionsRefused:

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from wgdisp.conventions import Conventions
 from wgdisp.coupling import (_CASE_NODES, ORIENTATIONS, SCHEMES, QuadratureSpec,
-                             _closed_forms, _kernel_integrals, _quadratures, f_quadrature,
-                             f_te_closed, f_tm_closed)
+                             _case_batch, _closed_forms, _kernel_integrals, _quadratures,
+                             f_quadrature, f_te_closed, f_tm_closed)
 from wgdisp.energy import ModeTable
 from wgdisp.errors import InputError, QuadratureError, TightConfinementWarning
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
@@ -401,6 +401,27 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
+def _batch_bits(geom, cases, energies, spec, normalization):
+    """:func:`_bits` of each value of one batch of ``cases`` (tuples as
+    :func:`_batch_cases` draws them), with the figures of an uncertified one."""
+    values, errors, uncertified = (row[0] for row in _quadratures(
+        geom, _record(geom, cases), energies, [spec], normalization))
+    return [("error", value, error) if bad else _bits(value)
+            for value, error, bad in zip(values.tolist(), errors.tolist(), uncertified)]
+
+
+def _record(geom, cases):
+    """The batch record of (orient, mode, p1, p2, z) cases."""
+    orients, modes, p1, p2, z = zip(*cases)
+
+    def points(ps):
+        return TransversePoint(np.array([p.x for p in ps]), np.array([p.y for p in ps]))
+
+    return _case_batch(geom, np.array([mode.polarization == "TE" for mode in modes]),
+                       np.array([mode.m for mode in modes]), np.array([mode.n for mode in modes]),
+                       points(p1), points(p2), np.array(z), orients)
+
+
 @st.composite
 def _batch_cases(draw, geom):
     """(orient, mode, p1, p2, z) cases with k_mn z in [0.5, 8], ends included."""
@@ -468,12 +489,12 @@ class TestBatchedOracle:
         geom = Geometry(1.0, b)
         cases = data.draw(_batch_cases(geom))
         spec = QuadratureSpec(scheme=scheme)
-        got = _quadratures(geom, cases, [energy if weighted else 0.0] * len(cases), spec,
-                           normalization)
+        got = _batch_bits(geom, cases, [energy if weighted else 0.0] * len(cases), spec,
+                          normalization)
         te_factor = "paper-literal" if convention == "paper-literal" else "derivation-consistent"
         conv = Conventions(tm_sign=convention, te_factor=te_factor,
                            normalization=normalization)
-        closed = _closed_forms(geom, cases, energy, conv)
+        closed = _closed_forms(geom, _record(geom, cases), energy, conv)
         for value, shut, (orient, mode, p1, p2, z) in zip(got, closed, cases):
             try:
                 want = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
@@ -481,7 +502,7 @@ class TestBatchedOracle:
                                     normalization=normalization).value
             except QuadratureError as exc:
                 want = exc
-            assert _bits(value) == _bits(want), (orient, mode, z)
+            assert value == _bits(want), (orient, mode, z)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TightConfinementWarning)
                 one = (f_tm_closed(geom, mode, orient, p1, p2, z, convention)
@@ -489,6 +510,35 @@ class TestBatchedOracle:
                        f_te_closed(geom, mode, orient, p1, p2, z, energy, te_factor,
                                    normalization))
             assert _bits(shut) == _bits(one.value), (orient, mode, z)
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_one_case_calls_equal_an_oracle_check_batch(self, convention):
+        # Each of the 200 cases of oracle-check's default report: its
+        # f_quadrature under either scheme and its closed form equal its
+        # entries in the one batch the report takes.
+        from wgdisp.oracle_checks import _draw_cases
+        geom, energy = Geometry(1.0, 1.0), 2.0 * math.pi / 100.0
+        conv = Conventions.from_name(convention)
+        drawn = _draw_cases(np.random.default_rng(12345), geom, 20)
+        specs = [QuadratureSpec(scheme=scheme) for scheme in SCHEMES]
+        values, _, uncertified = _quadratures(geom, drawn, np.where(drawn.te, energy, 0.0),
+                                              specs, conv.normalization)
+        closed = _closed_forms(geom, drawn, energy, conv)
+        assert drawn.z.size == 200 and not uncertified.any()
+        for c in range(drawn.z.size):
+            mode = ModeIndex("TE" if drawn.te[c] else "TM", int(drawn.m[c]), int(drawn.n[c]))
+            orient = ORIENTATIONS[3 * drawn.i[c] + drawn.j[c]]
+            p1, p2 = (TransversePoint(float(p.x[c]), float(p.y[c])) for p in (drawn.p1, drawn.p2))
+            z = float(drawn.z[c])
+            for spec, value in zip(specs, values[:, c].tolist()):
+                one = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
+                                   include_energy_factor=bool(drawn.te[c]), spec=spec,
+                                   normalization=conv.normalization)
+                assert one.value.hex() == value.hex(), (c, spec.scheme)
+            one = (f_te_closed(geom, mode, orient, p1, p2, z, energy, conv.te_factor,
+                               conv.normalization) if drawn.te[c] else
+                   f_tm_closed(geom, mode, orient, p1, p2, z, conv.tm_sign))
+            assert one.value.hex() == float(closed[c]).hex(), c
 
     def test_values_pinned_bitwise(self):
         geom = Geometry(1.0, 0.8)

@@ -59,7 +59,7 @@ STAGES = {
         "JSON": [(cli, "_json_dump")],
     },
     "oracle": {
-        "case draw": [(oracle_checks, "_closed_vs_quadrature_cases")],
+        "case draw": [(oracle_checks, "_draw_cases")],
         "quadrature": [(oracle_checks, "_quadratures"), (fourth_order, "_quadratures")],
         "closed forms": [(oracle_checks, "_closed_forms"), (fourth_order, "_closed_forms")],
         "photon tables": [(fourth_order, "_photon_integrals")],
