@@ -138,18 +138,19 @@ def _axis_trig(geom, m, n, p2, p1):
     """Per-mode sin and cos of (m pi/a) x and (n pi/b) y at p2 and p1.
 
     Returns arrays sx, cx, sy, cy of shape (2, n_modes), row 0 at p2 and
-    row 1 at p1.  The transcendentals are taken once per distinct index on
-    per-axis tables and gathered with the integer m and n; each table entry
-    is the same float operation as the per-mode one, so the values match
-    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.  The
-    points' coordinates are floats, or arrays with one entry per mode
-    (a table per mode, as :class:`_Cases` holds them).
+    row 1 at p1.  At points with float coordinates the transcendentals are
+    taken once per distinct index on per-axis tables and gathered with the
+    integer m and n; each table entry is the same float operation as the
+    per-mode one, so the values match ``np.sin(m * np.pi / geom.a * p.x)``
+    and its kin bit for bit.  Points may instead hold arrays with one
+    coordinate per mode (as :class:`_Cases` holds them), each taken with
+    its own mode's index.
     """
     def axis(c2, c1, index, length):
-        t = np.multiply.outer((c2, c1), np.arange(index.max(initial=0) + 1) * np.pi / length)
-        if t.ndim == 3:  # one table per mode: its own index's entry
-            t = t[:, np.arange(index.size), index]
+        if np.ndim(c2):  # one coordinate per mode
+            t = np.array([c2, c1]) * (index * np.pi / length)
             return np.sin(t), np.cos(t)
+        t = np.multiply.outer((c2, c1), np.arange(index.max(initial=0) + 1) * np.pi / length)
         return np.sin(t).take(index, axis=1), np.cos(t).take(index, axis=1)
 
     return (*axis(p2.x, p1.x, m, geom.a), *axis(p2.y, p1.y, n, geom.b))
@@ -1045,13 +1046,13 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
         tm = _tm_rows(geom, m, n, k, p1, p2, Conventions())
         pref = np.where(te, pref, (4.0 / geom.area) * k * tm[i, cols] * tm[3 + j, cols])
     pref *= _KERNEL_SIGN[i, j]  # exact: the kernel's sign moved onto its factor
-    value, error = np.zeros((2, len(specs), k.size))
+    kernel = np.zeros((2, len(specs), code.size))  # values and errors per distinct case
     for s, spec in enumerate(specs):
-        kernel, err = np.zeros((2, code.size))
         for c, at in members.items():
-            kernel[at], err[at] = _kernel_integrals(_KINDS[int(c) // 2], c % 2 == 1, u_e[at],
-                                                    zeta[at], spec.scheme)
-        value[s, live], error[s, live] = kernel[slot], err[slot]
+            kernel[:, s, at] = _kernel_integrals(_KINDS[int(c) // 2], c % 2 == 1, u_e[at],
+                                                 zeta[at], spec.scheme)
+    value, error = np.zeros((2, len(specs), k.size))
+    value[:, live], error[:, live] = kernel[:, :, slot]
     # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
     # into 0.0, as the closed forms give, and leaves every other value as it is.
     value = pref * value + 0.0
