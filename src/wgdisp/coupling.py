@@ -1008,9 +1008,9 @@ def _kernel_integrals(kind: str, weighted: bool, u_e: np.ndarray, zeta: np.ndarr
     return factor * value, np.abs(factor) * err
 
 
-# Kernel classes of :func:`_quadratures` by code, the TM code of each entry
-# (i, j) (a case's class code is 2 code + weighted), and the sign of its
-# kernel: xz and yz take the odd kernel reversed.
+# :func:`_quadratures` keys a case's kernel class by 2 c + weighted, with c
+# the index in _KINDS: 0 for TE, _TM_KIND[i, j] for TM.  _KERNEL_SIGN[i, j]
+# is the sign of a kernel: xz and yz take the odd kernel reversed.
 _KINDS = ("te", "zz", "odd", "tt")
 _TM_KIND = np.array([[3, 3, 2], [3, 3, 2], [2, 2, 1]])
 _KERNEL_SIGN = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
