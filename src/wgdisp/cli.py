@@ -51,7 +51,7 @@ _CONFIG_TYPES = {
     "spacing": str, "species1": str, "species2": str, "orientation": str,
     "epsilon": float, "tail_tol": float, "max_cutoff": float,
     "top_modes": int, "convention": str, "format": str, "out": str,
-    "seed": int, "si_a_meters": float,
+    "seed": int, "cases": int, "si_a_meters": float,
 }
 
 

@@ -147,6 +147,11 @@ class PairConfiguration:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InputError(f"permittivity must be positive and finite, "
                              f"got {self.epsilon!r}")
+        a, b = self.geom.a, self.geom.b
+        if not (a * b > 0.0 and _FAR * (a + b) >= _Z_FLOOR):
+            raise InputError(f"guide a={a!r}, b={b!r} is too small for the splits: they need "
+                             f"a*b > 0, and {_FAR:g} (a + b), the largest z they take, "
+                             f"at least {_Z_FLOOR:g}")
         if not (self.geom.contains(self.p1) and self.geom.contains(self.p2)):
             raise InputError("both dipoles must sit inside the cross-section")
 
@@ -355,6 +360,7 @@ class ModeTable:
         # and the screened modes' data of :meth:`_screened`.
         self._splits: dict[str, dict[float, tuple[np.ndarray, float | None]]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # see :meth:`sums`
 
     def extend(self, K: float, te_cutoff: float | None = None) -> None:
         """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) that
@@ -405,17 +411,22 @@ class ModeTable:
         at table positions 1024, 2048 and 4096 and then every 8192, and the
         parts are added in table order from zero: the bits of a sum depend
         on that order (the pinned sums keep it), and on z and ``counts``
-        alone, whatever else the table holds.
+        alone, whatever else the table holds.  So the levels at a separation
+        share them: the table keeps each pair, read-only, keyed by (z,
+        ``counts``), until :meth:`compute_splits` starts a new batch.
         """
-        out = []
-        for pol, count in zip((TM, TE), counts):
-            edges = [e for e in (0, 1024, 2048, 4096, *range(8192, count, 8192))
-                     if e < count] + [count]
-            total = np.zeros((3, 3))
-            for part in map(slice, edges[:-1], edges[1:]):
-                total = total + self._contract(pol, part, z)
-            out.append(total)
-        return tuple(out)
+        if (z, counts) not in self._sums:
+            out = []
+            for pol, count in zip((TM, TE), counts):
+                edges = [e for e in (0, 1024, 2048, 4096, *range(8192, count, 8192))
+                         if e < count] + [count]
+                total = np.zeros((3, 3))
+                for part in map(slice, edges[:-1], edges[1:]):
+                    total = total + self._contract(pol, part, z)
+                total.flags.writeable = False
+                out.append(total)
+            self._sums[z, counts] = tuple(out)
+        return self._sums[z, counts]
 
     def _contract(self, pol: str, part: slice, z: float) -> np.ndarray:
         """3x3 sum over the modes at table positions ``part`` at separation z."""
@@ -436,7 +447,7 @@ class ModeTable:
     def compute_splits(self, zs, pols=(TM, TE)) -> None:
         """Evaluate the splits of the polarizations ``pols`` at every
         separation of ``zs`` and keep them, keyed by z, in place of the last
-        batch's.
+        batch's splits and :meth:`sums`.
 
         The separations go through the kernels of :mod:`wgdisp.coupling`
         _SPLIT_CHUNK at a time; a split does not depend on which
@@ -446,6 +457,7 @@ class ModeTable:
         geom = self.key[0]
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
         near = np.minimum(z, _FAR * (geom.a + geom.b))
+        self._sums = {}
         for pol in pols:
             k, factors, live = self._screened(pol)
             store = {}
@@ -590,7 +602,7 @@ class ModeTable:
         normalization.
         """
         geom, _, _, conv = self.key
-        if _count_bound(geom, cutoffs) > _DETAIL_CAP:  # may pass the cap: list it all
+        if mode_count(geom, max(cutoffs)) > _DETAIL_CAP:  # may pass the cap: list it all
             counts = self.listed_counts(cutoffs)
             return None if counts is None else self.mode_tensors(counts, z, energy)
         first = tuple(min(len(self._rows[pol]), self._count(pol, K))
@@ -639,21 +651,21 @@ def _envelope(pol: str, k: float, z: float, geom: Geometry, te_weight: float) ->
         * math.sqrt(math.pi / (2.0 * k * z)) * math.exp(-k * z)
 
 
-def _count_bound(geom: Geometry, cutoffs: tuple[float, float]) -> float:
-    """Upper bound on the number of TM modes up to cutoffs[0] and TE modes
-    up to cutoffs[1]: each mode with both indices non-zero owns the lattice
-    cell of area pi^2 / A below it, inside the quarter disc, and each
-    axis row holds at most K a / pi or K b / pi modes."""
-    K_tm, K_te = (K * (1.0 + 1e-9) for K in cutoffs)
-    disc = geom.area / (4.0 * math.pi)
-    return disc * (K_tm * K_tm + K_te * K_te) + K_te * (geom.a + geom.b) / math.pi
-
-
 def _grown(K: float, short, factor: float = 1.3) -> float:
     """K times the least power of ``factor`` at which ``short(K)`` is
     false, multiplied up one factor at a time."""
     while short(K):
         K *= factor
+    return K
+
+
+def _listed(geom: Geometry, K: float, mode_cap: int,
+            remedy: str = "the splits list them at any separation, so use a/b nearer 1"
+            ) -> float:
+    """K, where the modes up to it pass no cap, checked before any listing;
+    by default K is the splits' cutoff, whose count grows with a/b and b/a."""
+    if (count := mode_count(geom, K)) > mode_cap:
+        raise ModeCapError(count, mode_cap, remedy)
     return K
 
 
@@ -701,21 +713,13 @@ def f_tensor(
 
     The modes come from ``table``, a :class:`ModeTable` of config's guide,
     points and conventions, or from a table of the call's own, each listed
-    and built at most once per table; the mode cap applies to each listing
-    and to the zero-index terms.  ``per_mode`` shows the modes below
-    ``max_cutoff``, or those of the common-cutoff rule that the budget
-    fixes (:attr:`FTensorResult._shown_cutoffs`).  At a corner every
+    and built at most once per table, whose :meth:`ModeTable.sums` the
+    levels share; the mode cap applies to the splits' screened modes, to
+    each listing and to the zero-index terms.  ``per_mode`` shows the modes
+    below ``max_cutoff``, or those of the common-cutoff rule that the
+    budget fixes (:attr:`FTensorResult._shown_cutoffs`).  At a corner every
     profile vanishes: the tensor is zero and no mode is listed.
     """
-    return _f_tensor(config, energy, max_cutoff, tail_tol, mode_cap, table, {})
-
-
-def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None,
-              tail_tol: float | None, mode_cap: int, table: ModeTable | None,
-              fixed: dict) -> FTensorResult:
-    """:func:`f_tensor`, taking the ``max_cutoff`` mode sums, which no level
-    changes, into ``fixed`` where it is empty and reading them where not, so
-    the levels of one separation and table can share one dict."""
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
     for name, value in (("max_cutoff", max_cutoff), ("tail_tol", tail_tol)):
@@ -729,6 +733,7 @@ def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None
         return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
                              tm_cutoff=K_split, te_cutoff=K_te, tm_modes=0, te_modes=0)
+    _listed(geom, K_split, mode_cap)
     if table is None:
         table = ModeTable(geom, p1, p2, conv)
     elif table.key != (geom, p1, p2, conv):
@@ -737,17 +742,11 @@ def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
     cross = conv.tm_sign == "paper-literal"
     axis = tail_tol is not None and conv.normalization == "paper-literal"
-
     remedy = "use a lower cutoff" if tail_tol is None else "use a larger --tail-tol"
 
-    def listed(K):  # K, where the modes up to it and the split's pass no cap
-        if mode_count(geom, max(K, K_split)) > mode_cap:
-            raise ModeCapError(mode_count(geom, max(K, K_split)), mode_cap, remedy)
-        return K
-
     def cross_terms(K):
-        table.extend(listed(K), 0.0)
-        return table.sums(z, (table.counts(K, 0.0)[0], 0))[0][[0, 1], [1, 0]]
+        table.extend(_listed(geom, K, mode_cap, remedy), 0.0)
+        return table.sums(z, table.counts(K, 0.0))[0][[0, 1], [1, 0]]
 
     split, tm_tail = table.tm_split(z)
     signs = _coupling._TM_SIGNS
@@ -756,11 +755,8 @@ def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None
         tm_sum[0, 1] = tm_sum[1, 0] = 0.0
     budget = None
     if max_cutoff is not None:
-        if not fixed:  # the TM sum (for the cross terms) and the unit TE sum
-            K_cross = K if cross else 0.0
-            table.extend(K_cross, listed(K))
-            fixed.update(zip((TM, TE), table.sums(z, table.counts(K_cross, K))))
-        te_sum = te_weight * fixed[TE]
+        table.extend(0.0, _listed(geom, K, mode_cap, remedy))
+        te_sum = te_weight * table.sums(z, table.counts(0.0, K))[1]
         tail = tm_tail + _te_tail_bound(K, z, geom, energy)
     else:
         te_unit, te_tail = table.te_split(z)
@@ -788,7 +784,7 @@ def _f_tensor(config: PairConfiguration, energy: float, max_cutoff: float | None
     tm_cutoff = max(K_split, K) if cross else K_split
     tm_modes, te_modes = table.counts(tm_cutoff, K_te if budget is None else K_split)
     if cross:
-        tm_sum[0, 1], tm_sum[1, 0] = fixed[TM][[0, 1], [1, 0]] if fixed else cross_terms(K)
+        tm_sum[0, 1], tm_sum[1, 0] = cross_terms(K)
         tail += _cross_tail_bound(K, z, geom)
     if axis:
         if (terms := int(K * (geom.a + geom.b) / math.pi)) > mode_cap:
@@ -932,14 +928,15 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
     if not corner:
+        _listed(config.geom, _coupling._split_cutoff(config.geom), mode_cap)
         table.compute_splits([point.z for point in points],
                              (TM, TE) if max_cutoff is None else (TM,))
     out = []
     for point in points:
         z = point.z
-        fixed = {}  # the max_cutoff mode sums at z, taken once for every level
-        u = _assemble(point, lambda e: _f_tensor(point, e, max_cutoff, tail_tol,
-                                                 mode_cap, table, fixed), list(notes))
+        # The levels at z share the table's splits and mode sums.
+        u = _assemble(point, lambda e: f_tensor(point, e, max_cutoff, tail_tol,
+                                                mode_cap, table), list(notes))
         # Below the smallest normal double a value keeps fewer digits, and
         # from the smallest subnormal on it reads 0.
         if not corner:

@@ -42,8 +42,8 @@ def test_tracer_targets_resolve():
 def test_profile_stages_resolve(tmp_path):
     # tools/profile_report.py times a stage by replacing owner.__dict__[name];
     # a renamed target would fail there, or drop out of its stage unnoticed:
-    # a stage whose targets an op no longer calls reads 0 (sweep-near's
-    # f_tensor stage did while it wrapped the public f_tensor).
+    # a stage whose targets an op no longer calls reads 0 (the f_tensor
+    # stage did while the ops reached f_tensor through a private twin).
     saved = list(sys.path)
     try:
         spec = importlib.util.spec_from_file_location("wgdisp_profile_report", PROFILE)
@@ -69,6 +69,37 @@ def test_profile_stages_resolve(tmp_path):
                 assert report.cli.main(argv) == 0
         idle = [stage for stage, seconds in clock.totals.items() if not seconds > 0.0]
         assert idle == [], f"{workload}: {idle}"
+
+
+def test_energy_and_sweep_ops_call_their_traced_layers(tmp_path):
+    # A point-far op (an energy report, here of three levels) and a
+    # sweep-near op (an 8-point sweep) reach the tracer's f_tensor layer:
+    # once per distinct level, and once per separation.
+    from wgdisp import cli, oracle_checks  # noqa: F401 (the tracer wraps every module)
+
+    tracer = _load_tracer()
+    three = tmp_path / "three.species"
+    three.write_text("E=0.06 d=(1,0.5,0.2)\nE=0.09 d=(0.3,1,0.7)\n"
+                     "E=0.12 d=(0.4,0.2,1)\n")
+    one = tmp_path / "one.species"
+    one.write_text("E=0.06283185307179587 d=(0,0,1)\n")
+    ops = {"point-far": (["energy", "--b", "0.8", "--x1", "0.3", "--y1", "0.5",
+                          "--x2", "0.7", "--y2", "0.2", "--z", "0.5", "--tail-tol", "1e-8",
+                          "--orientation", "fixed-vector", "--species1", str(three)],
+                         {"energy.dispersion_energy": 1, "energy.f_tensor": 3}),
+           "sweep-near": (["sweep", "--b", "0.7", "--x1", "0.4", "--y1", "0.3",
+                           "--x2", "0.4", "--y2", "0.3", "--z-min", "0.03",
+                           "--z-max", "0.2", "--points", "8", "--tail-tol", "1e-6",
+                           "--species1", str(one)],
+                          {"energy.f_tensor": 8})}
+    for workload, (argv, counts) in ops.items():
+        run = tracer.Tracer()
+        with run.installed(), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        called = [span["name"] for span in run.dump()]
+        assert "waveguide.mode_arrays" in called, workload
+        for name, count in counts.items():
+            assert called.count(name) == count, f"{workload}: {name}"
 
 
 def test_oracle_op_calls_its_traced_layers():

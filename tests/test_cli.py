@@ -472,25 +472,46 @@ def four_levels(tmp_path_factory):
     return str(path)
 
 
+def _contractions(monkeypatch) -> list:
+    """(polarization, first, stop, z) of each ModeTable._contract call."""
+    from wgdisp import energy
+    calls = []
+    contract = energy.ModeTable._contract
+
+    def counted(self, pol, part, z):
+        calls.append((pol, part.start, part.stop, z))
+        return contract(self, pol, part, z)
+    monkeypatch.setattr(energy.ModeTable, "_contract", counted)
+    return calls
+
+
 @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
 def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
                                                convention):
     # Under --max-cutoff the unit TE mode sum and the paper-literal cross
     # terms do not depend on the transition level: a sweep of a 4-level
-    # species takes them in one ModeTable.sums call per separation.
-    from wgdisp import cli, energy
-    calls = []
-    sums = energy.ModeTable.sums
-
-    def counted(self, z, counts):
-        calls.append(z)
-        return sums(self, z, counts)
-    monkeypatch.setattr(energy.ModeTable, "sums", counted)
+    # species contracts each part of them once per separation.
+    from wgdisp import cli
+    calls = _contractions(monkeypatch)
     assert cli.main(["sweep", "--z-min", "0.02", "--z-max", "0.06", "--points", "8",
                      "--max-cutoff", "800", "--convention", convention,
                      "--species1", four_levels]) == 0
     capsys.readouterr()
-    assert len(calls) == len(set(calls)) == 8
+    assert len(calls) == len(set(calls))
+    assert len({z for *_, z in calls}) == 8
+
+
+def test_levels_share_the_cross_terms(four_levels, monkeypatch, capsys):
+    # Under --tail-tol the paper-literal cross terms off the centre lines
+    # are a TM mode sum that the four levels share at one cutoff: each part
+    # is contracted once, not once per level and step.
+    from wgdisp import cli
+    calls = _contractions(monkeypatch)
+    assert cli.main(["energy", "--z", "0.05", "--convention", "paper-literal",
+                     "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55",
+                     "--species1", four_levels]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 5
 
 
 def test_tm_split_bound_only_where_read(four_levels, monkeypatch, capsys):
@@ -612,6 +633,71 @@ class TestTinySeparations:
                 for name, value in (("total", u), ("tail_estimate", tail)):
                     assert math.isfinite(value) or \
                         f"warning: {name} is not finite at z={z:g}:" in err
+
+
+class TestExtremeGuides:
+    # Centred points and one level at lambda = 100 a.  Guides too small for
+    # the splits' constants are refused; a guide whose splits alone list
+    # more modes than the cap (an extreme aspect ratio) meets the cap before
+    # any listing; thin guides within it return as before.
+    # sha256 of the stdout of the thin guides that return.
+    RETURNED = {
+        ("1e-5", "1"): "c3b31f431dcff66fb993520844fcf3fbc60ef642a45711435f3d2b547f79e59d",
+        ("1e-5", "1e-50"): "935fa7ed0ca3d43fc2a411248c66fc7a76e3337b4114a2ca365b52d2807e1be4",
+        ("1e-4", "1"): "0c1344608fb5d4d7f2dbb023e80a21d85b239e0cdbeefacabb79b2486db689f8",
+        ("1e-4", "1e-50"): "b2ab209e5f29e107610cd6edc65ea26937050dd869765d1ef6edfa8dabb2f828",
+    }
+
+    def _run(self, tmp_path, capsys, a, b, z, *extra):
+        from wgdisp import cli
+        species = tmp_path / "species.txt"
+        species.write_text(f"E={2.0 * math.pi / (100.0 * float(a))!r} d=(1,1,1)\n")
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code = cli.main(["energy", "--a", a, "--b", b, "--z", z,
+                             "--species1", str(species), *extra])
+        out, err = capsys.readouterr()
+        assert [w for w in raised if issubclass(w.category, RuntimeWarning)] == []
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return code, out, err
+
+    @pytest.mark.parametrize("z", ["1", "1e-50"])
+    @pytest.mark.parametrize("size", ["1e-300", "1e-200", "1e-155", "1e-150", "1e-140",
+                                      "1e-130", "1e-120", "1e-100"])
+    def test_too_small_refused(self, tmp_path, capsys, size, z):
+        code, _, err = self._run(tmp_path, capsys, size, size, z)
+        assert code == 2
+        assert err.startswith(f"error: guide a={size}, b={size} is too small for the splits")
+
+    def test_underflowing_area_refused(self, tmp_path, capsys):
+        code, _, err = self._run(tmp_path, capsys, "1e-30", "1e-300", "1")
+        assert code == 2 and "need a*b > 0" in err
+
+    @pytest.mark.parametrize("z", ["1", "1e-50"])
+    @pytest.mark.parametrize("b, extra", [
+        ("1e-8", ()), ("1e-8", ("--max-cutoff", "10")),
+        ("1e-8", ("--convention", "paper-literal")),
+        ("1e-12", ()), ("1e-40", ()), ("1e-6", ()), ("1e-300", ()),
+    ])
+    def test_thin_meets_the_cap_first(self, tmp_path, capsys, monkeypatch, b, extra, z):
+        from wgdisp import energy
+
+        def unlisted(*args):
+            raise AssertionError("listed modes past the cap")
+        monkeypatch.setattr(energy, "mode_arrays", unlisted)
+        code, _, err = self._run(tmp_path, capsys, "1", b, z, *extra)
+        assert code == 4
+        assert err.startswith("error: the cutoff needs ~")
+        assert "the splits list them at any separation, so use a/b nearer 1" in err
+
+    @pytest.mark.parametrize("z", ["1", "1e-50"])
+    @pytest.mark.parametrize("b", ["1e-5", "1e-4"])
+    def test_thin_within_the_cap_returns(self, tmp_path, capsys, b, z):
+        import hashlib
+        code, out, _ = self._run(tmp_path, capsys, "1", b, z)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.RETURNED[b, z]
 
 
 class TestHugeCutoffs:
@@ -1156,6 +1242,17 @@ class TestConfigKeysPerSubcommand:
                                 if argv[0] == "sweep" else ""))
         assert cli.main([*argv, "--config", str(conf)]) == 0
         assert capsys.readouterr().out
+
+    def test_oracle_check_cases_from_config(self, tmp_path, capsys):
+        from wgdisp import cli
+        conf = tmp_path / "run.conf"
+        conf.write_text("cases = 3\n")
+        assert cli.main(["oracle-check", "--seed", "7", "--config", str(conf)]) == 0
+        from_config = capsys.readouterr()
+        assert from_config.out.startswith(
+            "oracle-check report (seed=7, convention=oracle-consistent, cases=3)\n")
+        assert cli.main(["oracle-check", "--seed", "7", "--cases", "3"]) == 0
+        assert capsys.readouterr() == from_config
 
 
 class TestParserReuse:

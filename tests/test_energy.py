@@ -621,6 +621,22 @@ class TestSummationOrder:
                         for t in table.sums(0.02, counts))
             assert got == PINNED_SUMS[convention, count]
 
+    def test_sums_kept_read_only_for_the_batch(self):
+        # The levels at a separation share one pair of sums, so no caller
+        # may write to it; a new batch of splits starts a new set.
+        table = ModeTable(SQ, TransversePoint(0.3, 0.4), TransversePoint(0.6, 0.55),
+                          Conventions.paper_literal())
+        table.extend(60.0)
+        counts = table.counts(60.0)
+        tm, te = table.sums(0.3, counts)
+        assert not tm.flags.writeable and not te.flags.writeable
+        with pytest.raises(ValueError):
+            tm[0, 1] = 0.0
+        assert table.sums(0.3, counts)[1] is te
+        table.compute_splits([0.3])
+        again = table.sums(0.3, counts)
+        assert again[1] is not te and again[1].tobytes() == te.tobytes()
+
 
 def _reference_f_tensor(cfg, energy, tail_tol):
     """f_tensor's truncation rule, with the per-mode pairwise sums of the

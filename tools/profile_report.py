@@ -42,7 +42,7 @@ STAGES = {
         "screened listing": [(energy.ModeTable, "_screened")],
         "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
         "TE split": [(coupling, "_te_split")],
-        "f_tensor": [(energy, "_f_tensor")],
+        "f_tensor": [(energy, "f_tensor")],
         "assembly": [(energy, "_assemble")],
         "free-space": [(cli, "_freespace")],
         "CSV": [(cli, "_csv")],
@@ -53,6 +53,7 @@ STAGES = {
         "screened listing": [(energy.ModeTable, "_screened")],
         "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
         "TE split": [(coupling, "_te_split")],
+        "f_tensor": [(energy, "f_tensor")],
         "assembly": [(energy, "_assemble")],
         "top_modes": [(energy.FTensorResult, "top_modes")],
         "free-space": [(cli, "_freespace")],
