@@ -43,6 +43,7 @@ FIGURE_GRIDS = {"fig3a": (2.0, 90.0, 25), "fig3b": (10.0, 40.0, 25),
                 "fig4": (0.01, 1.0, 25)}
 FIG3_RATIOS = {"fig3a": (100.0, "vdw-reference", "quasistatic"),
                "fig3b": (10.0, "cp-reference", "retarded")}
+_FREESPACE_KEYS = ("freespace_vdw_tensor", "freespace_cp")  # as the energy report names them
 
 # Configuration keys accepted in a flat "key = value" file, with casts.
 _CONFIG_TYPES = {
@@ -293,16 +294,19 @@ def _ratio(u: float, reference: float) -> float:
     return u / reference + 0.0 if reference else math.nan
 
 
-def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float]]:
+def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float, list[str]]]:
     """Free-space van der Waals (tensor form) and Casimir-Polder energies at
-    each z of ``zs``.
+    each z of ``zs``, with a warning for each that is not finite.
 
     The Casimir-Polder formula's validity warnings are not printed.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return [(u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=epsilon),
-                 u_freespace_cp(sp1, sp2, z, epsilon=epsilon)) for z in zs]
+        pairs = [(u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=epsilon),
+                  u_freespace_cp(sp1, sp2, z, epsilon=epsilon)) for z in zs]
+    return [(*pair, [f"{name} is not finite at z={z:g}: {value!r}, its terms pass the "
+                     f"largest double" for name, value in zip(_FREESPACE_KEYS, pair)
+                     if not math.isfinite(value)]) for z, pair in zip(zs, pairs)]
 
 
 def _energy_report(args, z: float) -> dict:
@@ -317,7 +321,7 @@ def _energy_report(args, z: float) -> dict:
     breakdown = dispersion_energy(config, **kwargs)
 
     sp1, sp2 = config.species1, config.species2
-    (fs_vdw, fs_cp), = _freespace(sp1, sp2, [z], config.epsilon)
+    (fs_vdw, fs_cp, fs_notes), = _freespace(sp1, sp2, [z], config.epsilon)
 
     lowest_e = min(t.energy for t in sp1.transitions)
     top_modes = [{"mode": mode.label(), "max_abs_f": peak, "f": f.tolist()}
@@ -351,7 +355,7 @@ def _energy_report(args, z: float) -> dict:
         "freespace_vdw_tensor": fs_vdw,
         "freespace_cp": fs_cp,
         "ratio_to_freespace_vdw": None if math.isnan(ratio) else ratio,
-        "warnings": breakdown.warnings,
+        "warnings": breakdown.warnings + fs_notes,
     }
     if si_a is not None:
         report["si_annotation"] = {
@@ -403,12 +407,12 @@ def cmd_sweep(args) -> int:
     for w in raised:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     written = {str(w.message) for w in raised}
-    for note in (note for b in breakdowns for note in b.warnings):
+    freespace = _freespace(sp1, sp2, zs, config.epsilon)
+    for note in (note for b, fs in zip(breakdowns, freespace) for note in b.warnings + fs[2]):
         if note not in written:
             print(f"warning: {note}", file=sys.stderr)
             written.add(note)
-    for z, breakdown, (fs_vdw, fs_cp) in zip(zs, breakdowns,
-                                            _freespace(sp1, sp2, zs, config.epsilon)):
+    for z, breakdown, (fs_vdw, fs_cp, _) in zip(zs, breakdowns, freespace):
         rows.append([z, breakdown.total, fs_vdw, fs_cp,
                      _ratio(breakdown.total, fs_vdw), breakdown.tail_estimate])
     _emit(args, _csv(["z_over_a", "U", "U_freespace_vdw", "U_freespace_cp",

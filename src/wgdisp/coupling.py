@@ -41,7 +41,8 @@ the tube's Green function, and ``_te_split`` sums the unit-normalized TE
 couplings the same way, by a split in time of the tube's heat kernel.
 Both need the rows of a few dozen screened modes and about a hundred
 images at any separation, and each has a derived truncation bound
-(``_tm_split_bound``, ``_te_split_bound``).
+(``_tm_split_bound``, ``_te_split_bound``); ``_printed_sums`` takes the
+paper-literal sums no split covers by a rule in ln t, with its own bound.
 
 ``_quadratures`` evaluates the same couplings for a batch of cases by
 direct numerical integration of the defining wavenumber integrals, the
@@ -161,34 +162,33 @@ def _paper_cross(geom, k, trig, decay):
 
     The printed xy prefactor, generalized off the diagonal by splitting
     the double-angle factors per point.  ``trig`` is the output of
-    :func:`_axis_trig` and ``decay`` the radial factor e^{-kz} (1.0 for
-    the z-independent rows of a mode table).
+    :func:`_axis_trig` and ``decay`` the radial factor e^{-kz}.  Their
+    sums over every mode are :func:`_printed_sums`.
     """
     sx, cx, sy, cy = trig
-    pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
+    try:
+        pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
+    except OverflowError:  # A^2 past the largest double
+        pref = -(np.pi ** 2 / (2.0 * geom.area) / (geom.area * k)) * 4.0 * decay
     return (pref * cx[0] * sy[0] * sx[1] * cy[1],
             pref * sx[0] * cy[0] * cx[1] * sy[1])
 
 
-def _tm_rows(geom, m, n, k, p1, p2, conventions):
-    """z-independent TM factor rows of a mode list, shape (6, N) or (8, N).
+def _tm_rows(geom, m, n, k, p1, p2):
+    """z-independent TM factor rows of a mode list, shape (6, N).
 
     Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
     at p1, so mode by mode the TM coupling is
-    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j].  Under paper-literal
-    signs rows 6 and 7 hold the printed xy and yx couplings without their
-    e^{-kz}.  ``m`` and ``n`` are integer index arrays; the trig factors
-    come from :func:`_axis_trig`.
+    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j], except the printed
+    paper-literal xy and yx couplings (:func:`_paper_cross`).  ``m`` and
+    ``n`` are integer index arrays; the trig factors come from
+    :func:`_axis_trig`.
     """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
-    trig = _axis_trig(geom, m, n, p2, p1)
-    sx, cx, sy, cy = trig
-    rows = np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
+    return np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
                     axis=1).reshape(6, k.size)
-    if conventions.tm_sign == "paper-literal":
-        rows = np.vstack([rows, *_paper_cross(geom, k, trig, 1.0)])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +693,6 @@ def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
     out *= rows[0:3, None, :]
     out *= rows[None, 3:6, :]
     if conventions.tm_sign == "paper-literal":
-        # The table's cross rows lack e^{-kz}; multiplying it in afterwards
-        # would round differently from the printed product order.
         out[0, 1, :], out[1, 0, :] = _paper_cross(
             geom, k, _axis_trig(geom, m, n, p2, p1), decay)
     # Adding 0.0 turns the -0.0 of a negative factor times an exact zero
@@ -711,6 +709,83 @@ def _te_mode_tensors(k, rows, z, energy, conventions):
     out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
     out += 0.0  # -0.0 to 0.0, as in _tm_mode_tensors
     return out
+
+
+# ---------------------------------------------------------------------------
+# the printed paper-literal sums: one trapezoidal rule in ln t
+# ---------------------------------------------------------------------------
+
+_PRINTED_STEP, _PRINTED_WIDTH = 0.1, 0.3  # step h = min(0.1, 0.3 / sqrt(k_11 z))
+_PRINTED_REACH = 42.0  # Gaussian exponents past this plus k_11 z are dropped: e^{-42} = 6e-19
+_PRINTED_BLOCK = 65536  # terms of a 1-D sum per pass
+_STRIP = np.arange(1, 64) * (math.pi / 256.0)  # strip half-widths d < pi/4 tried
+
+
+@functools.lru_cache(maxsize=64)  # every level at a separation shares one evaluation
+def _printed_sums(geom, p1, p2, z, mode_cap):
+    """The printed TM cross terms (xy, yx) of :func:`_paper_cross` and the
+    unit zero-index TE terms (xx, yy), (2/A) K0(alpha z) sin(alpha x2)
+    sin(alpha x1) along y and along x, each summed over every mode, and
+    bounds on their errors: (cross, zero, cross_bound, zero_bound).
+
+    By e^{-kz}/k = (2/sqrt(pi)) int e^{-k^2 t^2 - z^2/4t^2} dt and
+    K0(kz) = int e^{-k^2 t^2 - z^2/4t^2} dt/t, each is a trapezoidal rule
+    in u = ln t over Gaussian-damped 1-D sums, from t0 = max(z / 2q, where
+    a 1-D sum passes ``mode_cap`` terms) past q / k_min, q^2 = _PRINTED_REACH
+    + k_11 z.  README ("How the mode sum is truncated") derives the bound:
+    the rule's error on a strip |Im u| <= d (L. N. Trefethen and J. A. C.
+    Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), the 1-D cuts, both ends
+    and rounding.
+    """
+    a, b, area = geom.a, geom.b, geom.area
+    k11, lengths = math.hypot(math.pi / a, math.pi / b), np.array([a, b])
+
+    def absolute(zs):  # bounds on |cross| and |zero| at the separations zs
+        with np.errstate(over="ignore"):  # k z past the largest double: 0
+            x = np.multiply.outer(zs, np.pi / lengths)
+            return ((np.pi / area) * np.exp(-k11 * zs) * (0.5 * k11 + 1.0 / zs),
+                    (2.0 / area) * np.minimum(np.pi / (2.0 * x), np.sqrt(np.pi / (2.0 * x))
+                                              * np.exp(-x) / -np.expm1(-x)).max(axis=-1))
+
+    if not np.any(absolute(np.array([z]))):
+        return (0.0, 0.0), (0.0, 0.0), 0.0, 0.0
+    q = math.sqrt(_PRINTED_REACH + k11 * z)
+    t0 = max(z / (2.0 * q), lengths.max() * q / (math.pi * mode_cap))
+    h = min(_PRINTED_STEP, _PRINTED_WIDTH / math.sqrt(k11 * z))
+    t = t0 * np.exp(h * np.arange(math.ceil(math.log(lengths.max() * q / (math.pi * t0)) / h) + 1))
+    # Per axis and node: the 1-D sums of cos sin, sin cos, sin sin and 1.
+    sums, terms = np.zeros((2, t.size, 4)), t.size
+    for total, length, at2, at1 in zip(sums, lengths.tolist(), (p2.x, p2.y), (p1.x, p1.y)):
+        counts = np.ceil(length * q / (np.pi * t)).astype(int).tolist()  # decreasing
+        terms += counts[0]
+        for lo in range(0, counts[0], _PRINTED_BLOCK):  # bounds the temporaries
+            alpha = np.arange(lo + 1, min(lo + _PRINTED_BLOCK, counts[0]) + 1) * (np.pi / length)
+            (s2, s1), (c2, c1) = (f(np.outer((at2, at1), alpha)) for f in (np.sin, np.cos))
+            rows = np.stack([c2 * s1, s2 * c1, s2 * s1, np.ones_like(alpha)], axis=1)
+            live = sum(n > lo for n in counts)  # the nodes whose sums reach this block
+            total[:live] += [np.exp(-(alpha[:n - lo] * tj) ** 2) @ rows[:n - lo]
+                             for n, tj in zip(counts[:live], t.tolist())]
+    (x, y), damp = sums, h * np.exp(-(z / (2.0 * t)) ** 2)
+    pc, tdamp = 4.0 * math.pi ** 1.5 / area, t * damp  # pc = (2 pi^2 / A^2) (2 / sqrt(pi)) A
+    cross = -pc * np.array([tdamp @ (x[:, 0] * y[:, 1]), tdamp @ (x[:, 1] * y[:, 0])]) / area
+    zero = (2.0 / area) * (sums[::-1, :, 2] @ damp)  # xx along y, yy along x
+    # The bounds: discretization on the best strip, cuts and rounding, the two ends.
+    strip_cross, strip_zero = absolute(z * (width := np.cos(2.0 * _STRIP)))
+    rule = 2.0 * np.exp(-2.0 * np.pi * _STRIP / h) / -np.expm1(-2.0 * np.pi * _STRIP / h)
+    cut, e = np.outer(lengths, math.erfc(q) / (2.0 * math.sqrt(math.pi) * t)), sums[:, :, 3]
+    gamma = (terms + 8) * np.finfo(float).eps
+    below = math.erfc(z / (2.0 * t0)) / (area * z)
+    peak = h * math.sqrt(2.0 / math.e) / (area * z) if t0 > z / math.sqrt(2.0) else 0.0
+    grow = 1.0 + 0.5 / (s := (np.pi * t[-1] / lengths) ** 2)  # past t[-1]: 1-D sums <= e^{-s} grow
+    cross_bound = (np.min(strip_cross / np.sqrt(width) * rule)
+                   + math.pi * below + math.sqrt(math.pi) * peak
+                   + pc * (tdamp @ (cut[0] * (e[1] + cut[1]) + e[0] * (cut[1] + gamma * e[1])))
+                   / area + 2.0 * math.pi ** 2 / (area * k11) / area * grow.prod()
+                   * math.erfc(k11 * t[-1]))
+    zero_bound = (np.min(strip_zero * rule) + lengths.max() * (below + peak / math.sqrt(math.pi))
+                  + (2.0 / area) * np.max((cut + gamma * e) @ damp)
+                  + np.max(grow * np.exp(-s) / s) / area)
+    return tuple(cross.tolist()), tuple(zero.tolist()), float(cross_bound), float(zero_bound)
 
 
 class _Cases(NamedTuple):
@@ -780,7 +855,7 @@ def _closed_forms(geom: Geometry, cases: _Cases, energy: float, conventions) -> 
         rows = _te_rows(geom, m, n, k, p1, p2, conventions)
         out = _te_mode_tensors(k, rows, z, energy, conventions)[i, j, cols]
     if not te.all():
-        rows = _tm_rows(geom, m, n, k, p1, p2, conventions)
+        rows = _tm_rows(geom, m, n, k, p1, p2)
         out = np.where(te, out, _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z,
                                                  conventions)[i, j, cols])
     return out
@@ -805,7 +880,7 @@ def transverse_profile(geom: Geometry, mode: ModeIndex, k: float, p: TransverseP
     m, n, kmn = _one_mode(geom, mode)
     out = np.zeros(3, dtype=complex)
     if mode.polarization == TM:
-        rows = _tm_rows(geom, m, n, kmn, p, p, Conventions())[0:3, 0]
+        rows = _tm_rows(geom, m, n, kmn, p, p)[0:3, 0]
         kappa = math.hypot(kmn[0], k)
         out[:] = (2.0 / math.sqrt(geom.area)) * np.array(
             [1j * k, 1j * k, kmn[0]]) / kappa * rows
@@ -1043,7 +1118,7 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
         rows[[0, 1, 3, 4]] = _te_rows(geom, m, n, k, p1, p2, Conventions(normalization=normalization))
     pref = rows[i, cols] * rows[3 + j, cols] * k
     if not te.all():
-        tm = _tm_rows(geom, m, n, k, p1, p2, Conventions())
+        tm = _tm_rows(geom, m, n, k, p1, p2)
         pref = np.where(te, pref, (4.0 / geom.area) * k * tm[i, cols] * tm[3 + j, cols])
     pref *= _KERNEL_SIGN[i, j]  # exact: the kernel's sign moved onto its factor
     kernel = np.zeros((2, len(specs), code.size))  # values and errors per distinct case

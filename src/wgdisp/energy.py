@@ -9,8 +9,8 @@ where F^{(e)} sums every TE and TM mode coupling for transition energy
 E_e, index i living at the second dipole's transverse point and j at the
 first.  Its TM part is taken from an Ewald split and, under a tail
 tolerance, its TE part from a heat-kernel split (:mod:`wgdisp.coupling`),
-each over a few dozen modes at any separation; only the paper-literal
-additions are mode sums.  Isotropic orientation averaging replaces the
+each over a few dozen modes at any separation; the paper-literal
+additions are 1-D sums under a rule in ln t.  Isotropic orientation averaging replaces the
 dipole products by their second moments <d_i d_j> = delta_ij |d|^2 / 3
 before contraction.
 
@@ -147,18 +147,19 @@ class PairConfiguration:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise InputError(f"permittivity must be positive and finite, "
                              f"got {self.epsilon!r}")
+        if not sys.float_info.min <= _power(TWO_PI * self.epsilon, 2) < math.inf:
+            raise InputError(f"permittivity {self.epsilon!r} is out of range: the energies' "
+                             f"prefactor needs (2 pi epsilon)^2 to be a normal double")
         a, b = self.geom.a, self.geom.b
         if not (a * b > 0.0 and _FAR * (a + b) >= _Z_FLOOR):
             raise InputError(f"guide a={a!r}, b={b!r} is too small for the splits: they need "
                              f"a*b > 0, and {_FAR:g} (a + b), the largest z they take, "
                              f"at least {_Z_FLOOR:g}")
+        if _power(_FAR * (a + b), 3) == math.inf:
+            raise InputError(f"guide a={a!r}, b={b!r} is too large for the splits: the cube "
+                             f"of {_FAR:g} (a + b), the largest z they take, is not a double")
         if not (self.geom.contains(self.p1) and self.geom.contains(self.p2)):
             raise InputError("both dipoles must sit inside the cross-section")
-
-    def swapped(self) -> "PairConfiguration":
-        return PairConfiguration(self.geom, self.p2, self.p1, self.z,
-                                 self.species2, self.species1,
-                                 self.epsilon, self.conventions)
 
 
 # Most modes ``FTensorResult.per_mode`` and ``top_modes`` list.
@@ -170,27 +171,22 @@ class FTensorResult:
     """Coupling tensor for one transition energy.
 
     The TM tensor is the Ewald split; ``tm_cutoff`` and ``tm_modes`` are
-    the cutoff and count of its screened modes, or of the paper-literal
-    cross terms' sum where that reaches further.  Under ``max_cutoff`` the
+    the cutoff and count of its screened modes.  Under ``max_cutoff`` the
     TE tensor sums the ``te_modes`` modes with k <= ``te_cutoff``; under
-    ``tail_tol`` it is the split, ``te_modes`` counts its screened modes
-    and the zero-index modes summed past them, and ``te_cutoff`` is the
-    cutoff a plain TE mode sum would need by its continuum tail (the one
-    the split is held against), or the zero-index sum's where larger.
-    ``modes_used`` is ``tm_modes + te_modes`` and ``max_cutoff`` the larger
-    cutoff.  ``tail_bound`` bounds what the truncations drop from any
-    tensor entry: the splits' bounds and the mode sums' continuum tails.
+    ``tail_tol`` it is the split, ``te_modes`` counts its screened modes,
+    and ``te_cutoff`` is the cutoff a plain TE mode sum would need by its
+    continuum tail (the one the split is held against).  The paper-literal
+    printed sums list no mode.  ``modes_used`` is ``tm_modes + te_modes``
+    and ``max_cutoff`` the larger cutoff.  ``tail_bound`` bounds what the
+    truncations drop from any tensor entry.
 
     ``per_mode`` maps each mode of the plain mode sum that meets the same
     truncation (the modes up to :attr:`_shown_cutoffs`) to its own 3x3
-    coupling, or is ``None`` when that sum has more than ``_DETAIL_CAP``
-    modes or a dipole sits at a corner.  It reads one set of stacked arrays
-    (:meth:`ModeTable.mode_tensors`), built on first read from the table
-    the tensor came from, which then appends the modes it lacks to its
-    arrays, so callers that only need the tensor never pay for them.
-    :meth:`top_modes` ranks the same modes, but builds only those
-    :meth:`ModeTable.leading_modes` cannot leave out, and a
-    :class:`ModeIndex` and a 3x3 copy only for those it returns.
+    coupling, or is ``None`` past ``_DETAIL_CAP`` modes or at a corner.  It
+    is built on first read from the table the tensor came from
+    (:meth:`ModeTable.mode_tensors`), so callers that only need the tensor
+    never pay for it.  :meth:`top_modes` ranks the same modes, but builds
+    only those :meth:`ModeTable.leading_modes` cannot leave out.
     """
 
     tensor: np.ndarray
@@ -227,20 +223,13 @@ class FTensorResult:
                             + _te_tail_bound(K, z, geom, energy) > budget)
 
     @cached_property
-    def _stacked(self):
-        """:meth:`ModeTable.mode_tensors` of the modes ``per_mode`` shows,
-        or None."""
+    def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
         if self._detail is None:
             return None
         table, _, _, z, energy = self._detail
-        counts = table.listed_counts(self._shown_cutoffs)
-        return None if counts is None else table.mode_tensors(counts, z, energy)
-
-    @cached_property
-    def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
-        if self._stacked is None:
+        if (counts := table.listed_counts(self._shown_cutoffs)) is None:
             return None
-        pol, ms, ns, tensors = self._stacked
+        pol, ms, ns, tensors = table.mode_tensors(counts, z, energy)
         return {ModeIndex(*key): tensors[:, :, i].copy()
                 for i, key in enumerate(zip(pol.tolist(), ms.tolist(), ns.tolist()))}
 
@@ -302,23 +291,6 @@ def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     return integral + axis
 
 
-def _cross_tail_bound(K: float, z: float, geom: Geometry) -> float:
-    """Bound on the paper-literal TM xy and yx couplings past K: each is at
-    most w(k) = 2 pi^2 e^{-kz} / (A^2 k), and with every lattice cell within
-    k_11 below its mode they add at most (A / 2 pi) int_{K - k_11} w(k) k dk."""
-    low = max(K - math.hypot(math.pi / geom.a, math.pi / geom.b), 0.0)
-    return math.pi / geom.area * math.exp(-low * z) / z
-
-
-def _axis_tail_bound(K: float, z: float, geom: Geometry, weight: float) -> float:
-    """Bound on the :func:`_zero_index_sum` terms past K, times ``weight``:
-    each is at most |weight| (2 / A) K0(kz) < |weight| (2 / A) sqrt(pi / 2kz)
-    e^{-kz}, so a row spaced by pi / L drops its first term plus L / pi times
-    the integral from K."""
-    return abs(weight) * (2.0 / geom.area) * math.sqrt(math.pi / (2.0 * K * z)) \
-        * math.exp(-K * z) * (2.0 + (geom.a + geom.b) / (math.pi * z))
-
-
 # Separations per pass of the splits' kernels: the TE short-time rule's
 # temporaries hold _SPLIT_CHUNK x (about 70 modes) x 80 nodes doubles.
 _SPLIT_CHUNK = 32
@@ -333,9 +305,8 @@ class ModeTable:
 
     Per polarization the table holds flat arrays of each mode's cutoff k
     and indices (m, n), listed shell by shell as :meth:`extend` raises the
-    cutoff, and the z-independent transverse factor rows (``_tm_rows`` and
-    ``_te_rows`` of :mod:`wgdisp.coupling`, one mode per row) of the modes
-    up to that polarization's own cutoff, each built once.  Only the radial
+    cutoff, and the z-independent factor rows (``_tm_rows``, ``_te_rows``,
+    one mode per row) up to that polarization's own cutoff.  Only the radial
     factors depend on the separation, so one table serves every separation
     and transition level of a sweep: :meth:`sums` weights the rows with
     (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them, and
@@ -353,8 +324,7 @@ class ModeTable:
         self._k = {pol: np.empty(0) for pol in (TM, TE)}
         self._mn = {pol: np.empty((2, 0), dtype=np.int32) for pol in (TM, TE)}
         # Factor rows of the modes built so far (see _tm_rows and _te_rows).
-        width = {TM: 8 if conventions.tm_sign == "paper-literal" else 6, TE: 4}
-        self._rows = {pol: np.empty((0, width[pol])) for pol in (TM, TE)}
+        self._rows = {TM: np.empty((0, 6)), TE: np.empty((0, 4))}
         # Per polarization: (tensor, bound) of the splits of the last batch,
         # keyed by z (a TM bound is None until :meth:`tm_split` reads it),
         # and the screened modes' data of :meth:`_screened`.
@@ -383,13 +353,13 @@ class ModeTable:
         for pol, count in zip((TM, TE), self.counts(K, te_cutoff)):
             built = len(self._rows[pol])
             if count > built:
-                rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
+                rows_of, *extra = (_coupling._tm_rows,) if pol == TM else (_coupling._te_rows, conv)
                 rows = np.empty((count, self._rows[pol].shape[1]))
                 rows[:built] = self._rows[pol]
                 for start in range(built, count, 8192):  # bounds rows_of's temporaries
                     part = slice(start, min(start + 8192, count))
                     rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
-                                         p1, p2, conv).T
+                                         p1, p2, *extra).T
                 self._rows[pol] = rows
 
     def counts(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
@@ -405,15 +375,15 @@ class ModeTable:
         return int(np.searchsorted(self._k[pol], K * (1.0 + 1e-12), side="right"))
 
     def sums(self, z: float, counts: tuple[int, int]):
-        """TM tensor and unit-weight TE tensor over the first ``counts`` modes.
+        """TM tensor and unit-weight TE tensor (without its factor * E) over
+        the first ``counts`` modes.
 
-        The TE tensor still lacks its factor * E.  The contraction is split
-        at table positions 1024, 2048 and 4096 and then every 8192, and the
-        parts are added in table order from zero: the bits of a sum depend
-        on that order (the pinned sums keep it), and on z and ``counts``
-        alone, whatever else the table holds.  So the levels at a separation
-        share them: the table keeps each pair, read-only, keyed by (z,
-        ``counts``), until :meth:`compute_splits` starts a new batch.
+        The contraction is split at table positions 1024, 2048 and 4096 and
+        then every 8192, and the parts are added in table order from zero:
+        the bits of a sum depend on that order (the pinned sums keep it), and
+        on z and ``counts`` alone.  So the levels at a separation share them:
+        the table keeps each pair, read-only, keyed by (z, ``counts``), until
+        :meth:`compute_splits` starts a new batch.
         """
         if (z, counts) not in self._sums:
             out = []
@@ -440,8 +410,6 @@ class ModeTable:
             return out
         out[:] = (rows[:, 0:3] * (radial * k)[:, None]).T @ rows[:, 3:6]
         out *= (4.0 * np.pi / geom.area) * _coupling._TM_SIGNS[conv.tm_sign]
-        if conv.tm_sign == "paper-literal":
-            out[0, 1], out[1, 0] = radial @ rows[:, 6:8]
         return out
 
     def compute_splits(self, zs, pols=(TM, TE)) -> None:
@@ -669,21 +637,6 @@ def _listed(geom: Geometry, K: float, mode_cap: int,
     return K
 
 
-def _zero_index_sum(geom: Geometry, p1: TransversePoint, p2: TransversePoint,
-                    z: float, K: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit TE tensor of the zero-index modes up to about K, and their
-    cutoffs: (m, 0) adds to yy and (0, n) to xx, one 1-D sum of about
-    a K / pi or b K / pi terms along each axis."""
-    m = np.arange(1, int(K * geom.a / math.pi) + 1)
-    n = np.arange(1, int(K * geom.b / math.pi) + 1)
-    m, n = np.r_[m, 0 * n], np.r_[0 * m, n]
-    k = np.hypot(m * math.pi / geom.a, n * math.pi / geom.b)
-    rows = _coupling._te_rows(geom, m, n, k, p1, p2, Conventions())
-    out = np.zeros((3, 3))
-    out[:2, :2] = (rows[0:2] * _k0(k * z)) @ rows[2:4].T
-    return out, k
-
-
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -696,29 +649,17 @@ def f_tensor(
 
     The TM tensor is the Ewald split of :meth:`ModeTable.tm_split`; under
     paper-literal signs xx, yy, zx and zy change sign, and xy and yx are
-    the printed cross terms, no Green-function derivatives: one sum over
-    the TM modes below a cutoff K (tail :func:`_cross_tail_bound`).  With
-    ``max_cutoff`` the TE tensor is the plain mode sum below it, and K is
-    ``max_cutoff``.  With ``tail_tol`` it is the unit-normalized split of
-    :meth:`ModeTable.te_split`, plus, under paper-literal normalization,
-    the zero-index modes once more (:func:`_zero_index_sum` to K, tail
-    :func:`_axis_tail_bound`).  The budget is ``tail_tol`` times a lower
-    bound on the tensor scale, the largest split entry or cross term less
-    its tail; K, found listing no mode, is the least pi / max(a, b) times a
-    power of 1.3 (:func:`_grown`) at which the splits' bounds and the sums'
-    tails fit it.  A budget below the splits' bounds raises
-    :class:`InputError`.  ``te_cutoff`` is K_TE, the least max(3 pi /
-    max(a, b), 8 / z) times a power of 1.3 at which tail_TE(K_TE) plus the
-    TM split's bound fits the budget (or K where larger).
-
-    The modes come from ``table``, a :class:`ModeTable` of config's guide,
-    points and conventions, or from a table of the call's own, each listed
-    and built at most once per table, whose :meth:`ModeTable.sums` the
-    levels share; the mode cap applies to the splits' screened modes, to
-    each listing and to the zero-index terms.  ``per_mode`` shows the modes
-    below ``max_cutoff``, or those of the common-cutoff rule that the
-    budget fixes (:attr:`FTensorResult._shown_cutoffs`).  At a corner every
-    profile vanishes: the tensor is zero and no mode is listed.
+    the printed cross terms of :func:`wgdisp.coupling._printed_sums`.  With
+    ``max_cutoff`` the TE tensor is the plain mode sum below it; with
+    ``tail_tol`` the unit split of :meth:`ModeTable.te_split`, plus the
+    printed zero-index terms under paper-literal normalization.  A budget,
+    ``tail_tol`` times the largest entry, below ``tail_bound`` raises
+    :class:`InputError`; ``te_cutoff`` is then the least max(3 pi / max(a,
+    b), 8 / z) times a power of 1.3 at which tail_TE plus the TM split's
+    bound fits it.  The modes come from ``table``, a :class:`ModeTable` of
+    config's guide, points and conventions (or one of the call's own), whose
+    sums the levels share; the mode cap applies to every listing and 1-D
+    sum.  At a corner every profile vanishes: the tensor is zero.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -726,7 +667,7 @@ def f_tensor(
         if value is not None and not 0.0 < value < math.inf:
             raise InputError(f"{name} must be positive and finite, got {value!r}")
     geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
-    K = K_te = start = max_cutoff if max_cutoff is not None \
+    K_te = start = max_cutoff if max_cutoff is not None \
         else max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     K_split = _coupling._split_cutoff(geom)
     if geom.is_corner(p1) or geom.is_corner(p2):
@@ -742,60 +683,39 @@ def f_tensor(
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
     cross = conv.tm_sign == "paper-literal"
     axis = tail_tol is not None and conv.normalization == "paper-literal"
-    remedy = "use a lower cutoff" if tail_tol is None else "use a larger --tail-tol"
-
-    def cross_terms(K):
-        table.extend(_listed(geom, K, mode_cap, remedy), 0.0)
-        return table.sums(z, table.counts(K, 0.0))[0][[0, 1], [1, 0]]
-
     split, tm_tail = table.tm_split(z)
     signs = _coupling._TM_SIGNS
     tm_sum = signs[conv.tm_sign] * signs["oracle-consistent"] * split
+    tail = tm_tail
+    if printed := cross or axis:
+        (xy, yx), (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
+            geom, p1, p2, z, mode_cap)
     if cross:
-        tm_sum[0, 1] = tm_sum[1, 0] = 0.0
+        tm_sum[0, 1], tm_sum[1, 0] = xy, yx
+        tail += cross_tail
     budget = None
     if max_cutoff is not None:
-        table.extend(0.0, _listed(geom, K, mode_cap, remedy))
-        te_sum = te_weight * table.sums(z, table.counts(0.0, K))[1]
-        tail = tm_tail + _te_tail_bound(K, z, geom, energy)
+        table.extend(0.0, _listed(geom, K_te, mode_cap, "use a lower cutoff"))
+        te_sum = te_weight * table.sums(z, table.counts(0.0, K_te))[1]
+        tail += _te_tail_bound(K_te, z, geom, energy)
     else:
         te_unit, te_tail = table.te_split(z)
-        te_sum, tail = te_weight * te_unit, tm_tail + abs(te_weight) * te_tail
-
-        def summed_tail(K):  # the tails of the summed parts at cutoff K
-            return ((_cross_tail_bound(K, z, geom) if cross else 0.0)
-                    + (_axis_tail_bound(K, z, geom, te_weight) if axis else 0.0))
-
-        low = math.pi / max(geom.a, geom.b)
-        scale = max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300)
-        if cross:
-            K = _grown(low, lambda K: summed_tail(K) > tail_tol * scale)
-            scale = max(scale, float(np.abs(cross_terms(K)).max())
-                        - _cross_tail_bound(K, z, geom))
+        te_sum = te_weight * te_unit
+        tail += abs(te_weight) * te_tail
+        if axis:
+            te_sum[[0, 1], [0, 1]] += te_weight * np.array([xx, yy])
+            tail += abs(te_weight) * axis_tail
+        scale = float(max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300))
         budget = tail_tol * scale
         if tail > budget:
-            raise InputError(
-                f"tail_tol={tail_tol!r} is below the truncation bound of the "
-                f"screened TM sum and the TE split, {tail / scale:.2g} of the "
-                f"tensor scale")
+            raise InputError(f"tail_tol={tail_tol!r} is below the truncation bound of the "
+                             f"screened TM sum and the TE split{' plus the printed sums' * printed}"
+                             f", {tail / scale:.2g} of the tensor scale")
         # The cutoff a plain TE mode sum would need, found listing no mode.
         K_te = _grown(start, lambda K: tm_tail + _te_tail_bound(K, z, geom, energy) > budget)
-        K = _grown(low, lambda K: summed_tail(K) > budget - tail)
-    tm_cutoff = max(K_split, K) if cross else K_split
-    tm_modes, te_modes = table.counts(tm_cutoff, K_te if budget is None else K_split)
-    if cross:
-        tm_sum[0, 1], tm_sum[1, 0] = cross_terms(K)
-        tail += _cross_tail_bound(K, z, geom)
-    if axis:
-        if (terms := int(K * (geom.a + geom.b) / math.pi)) > mode_cap:
-            raise ModeCapError(terms, mode_cap, remedy)
-        unit, k = _zero_index_sum(geom, p1, p2, z, K)
-        te_sum = te_sum + te_weight * unit
-        tail += _axis_tail_bound(K, z, geom, te_weight)
-        te_modes += int(np.count_nonzero(k > K_split * (1.0 + 1e-12)))
-        K_te = max(K_te, K)
+    tm_modes, te_modes = table.counts(K_split, K_te if budget is None else K_split)
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
-                         te_tensor=te_sum, tail_bound=tail, tm_cutoff=tm_cutoff,
+                         te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_split,
                          te_cutoff=K_te, tm_modes=tm_modes, te_modes=te_modes,
                          _detail=(table, start, budget, z, energy))
 

@@ -265,7 +265,7 @@ def _photon_factor(config: PairConfiguration, mode):
     coef = _TM_SIGNS["oracle-consistent"] * pref * np.array([[1.0, 1.0, kmn],
                                                             [1.0, 1.0, kmn],
                                                             [kmn, kmn, kmn ** 2]])
-    rows = _tm_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
+    rows = _tm_rows(geom, m, n, k, p1, p2)[:, 0]
     factor = coef * np.outer(rows[0:3], rows[3:6])
     return lambda entries: factor * entries[:, _TM_RADIAL]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -141,23 +141,23 @@ class TestEnergy:
         assert res.returncode == 3
 
     def test_mode_cap_exit_4(self, species_file):
-        # Off the centre lines the paper-literal cross terms need ~1/z^2 modes.
+        # A fixed cutoff lists the TE modes below it: ~1.6e9 below k = 1e5.
         res = run_cli("energy", "--z", "0.002", "--species1", species_file,
-                      "--tail-tol", "1e-6", "--convention", "paper-literal",
+                      "--max-cutoff", "1e5", "--convention", "paper-literal",
                       "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55")
         assert res.returncode == 4
         assert "cap" in res.stderr
 
     @pytest.mark.parametrize("truncation, remedy", [
-        ([], "use a larger --tail-tol"),
+        (["--b", "1e-6"], "the splits list them at any separation, so use a/b nearer 1"),
         (["--max-cutoff", "1e5"], "use a lower cutoff"),
     ])
     def test_mode_cap_names_the_option(self, species_file, capsys, truncation, remedy):
-        # The cap message points to the option that set the cutoff.
+        # The cap message names what set the cutoff: the splits' screened
+        # modes in a thin guide, or --max-cutoff.
         from wgdisp import cli
         assert cli.main(["energy", "--z", "0.002", "--species1", species_file,
-                         "--convention", "paper-literal", "--x1", "0.3", "--y1", "0.4",
-                         "--x2", "0.6", "--y2", "0.55", *truncation]) == 4
+                         "--convention", "paper-literal", *truncation]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: the cutoff needs ~") and err.count("\n") == 1
         assert f"1000000; {remedy} or, at very small separations," in err
@@ -472,27 +472,20 @@ def four_levels(tmp_path_factory):
     return str(path)
 
 
-def _contractions(monkeypatch) -> list:
-    """(polarization, first, stop, z) of each ModeTable._contract call."""
-    from wgdisp import energy
-    calls = []
+@pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
+                                               convention):
+    # Under --max-cutoff the unit TE mode sum does not depend on the
+    # transition level: a sweep of a 4-level species contracts each part of
+    # it once per separation.
+    from wgdisp import cli, energy
+    calls = []  # (polarization, first, stop, z) of each ModeTable._contract call
     contract = energy.ModeTable._contract
 
     def counted(self, pol, part, z):
         calls.append((pol, part.start, part.stop, z))
         return contract(self, pol, part, z)
     monkeypatch.setattr(energy.ModeTable, "_contract", counted)
-    return calls
-
-
-@pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
-def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
-                                               convention):
-    # Under --max-cutoff the unit TE mode sum and the paper-literal cross
-    # terms do not depend on the transition level: a sweep of a 4-level
-    # species contracts each part of them once per separation.
-    from wgdisp import cli
-    calls = _contractions(monkeypatch)
     assert cli.main(["sweep", "--z-min", "0.02", "--z-max", "0.06", "--points", "8",
                      "--max-cutoff", "800", "--convention", convention,
                      "--species1", four_levels]) == 0
@@ -501,17 +494,22 @@ def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
     assert len({z for *_, z in calls}) == 8
 
 
-def test_levels_share_the_cross_terms(four_levels, monkeypatch, capsys):
-    # Under --tail-tol the paper-literal cross terms off the centre lines
-    # are a TM mode sum that the four levels share at one cutoff: each part
-    # is contracted once, not once per level and step.
-    from wgdisp import cli
-    calls = _contractions(monkeypatch)
-    assert cli.main(["energy", "--z", "0.05", "--convention", "paper-literal",
-                     "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55",
-                     "--species1", four_levels]) == 0
+def test_levels_share_the_cross_terms(four_levels, capsys):
+    # The paper-literal printed sums do not depend on the transition level:
+    # the four levels of a report, and of each point of a sweep, share one
+    # evaluation per separation.
+    from wgdisp import cli, coupling
+    printed = coupling._printed_sums
+    off_centre = ["--convention", "paper-literal", "--x1", "0.3", "--y1", "0.4",
+                  "--x2", "0.6", "--y2", "0.55", "--species1", four_levels]
+    for command, separations in ((["energy", "--z", "0.05"], 1),
+                                 (["sweep", "--z-min", "0.02", "--z-max", "0.06",
+                                   "--points", "8"], 8)):
+        printed.cache_clear()
+        assert cli.main([*command, *off_centre]) == 0
+        info = printed.cache_info()
+        assert (info.misses, info.hits) == (separations, 3 * separations)
     capsys.readouterr()
-    assert len(calls) == len(set(calls)) == 5
 
 
 def test_tm_split_bound_only_where_read(four_levels, monkeypatch, capsys):
@@ -579,7 +577,8 @@ class TestHugeSeparations:
 class TestTinySeparations:
     # Below about 6e-47 the retarded reference's z^7 underflows to zero; it is
     # then taken through the binary exponent of z, and past the largest
-    # double it prints as Infinity, as where z^7 is subnormal (1e-45).
+    # double it prints as Infinity, as where z^7 is subnormal (1e-45), and
+    # a warning names it.
     @pytest.mark.parametrize("z", ["1e-45", "1e-47"])
     def test_energy(self, species_file, capsys, z):
         from wgdisp import cli
@@ -589,12 +588,18 @@ class TestTinySeparations:
         report = json.loads(out)
         assert report["freespace_cp"] == math.inf
         assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-12)
+        assert report["warnings"] == [f"freespace_cp is not finite at z={z}: inf, its "
+                                      f"terms pass the largest double"]
 
     def test_sweep(self, species_file, capsys):
         from wgdisp import cli
         assert cli.main(["sweep", "--z-min", "1e-48", "--z-max", "1e-46", "--points", "3",
                          "--species1", species_file]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"warning: freespace_cp is not finite at z={z}: inf, "
+                                    f"its terms pass the largest double"
+                                    for z in ("1e-48", "1e-47", "1e-46")]
+        rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [row[3] for row in rows] == ["inf"] * 3
         assert all(float(row[4]) == pytest.approx(1.0, abs=1e-12) for row in rows)
 
@@ -640,12 +645,13 @@ class TestExtremeGuides:
     # the splits' constants are refused; a guide whose splits alone list
     # more modes than the cap (an extreme aspect ratio) meets the cap before
     # any listing; thin guides within it return as before.
-    # sha256 of the stdout of the thin guides that return.
+    # sha256 of the stdout of the thin guides that return.  At z = 1e-50 the
+    # report names the retarded reference it prints as Infinity.
     RETURNED = {
         ("1e-5", "1"): "c3b31f431dcff66fb993520844fcf3fbc60ef642a45711435f3d2b547f79e59d",
-        ("1e-5", "1e-50"): "935fa7ed0ca3d43fc2a411248c66fc7a76e3337b4114a2ca365b52d2807e1be4",
+        ("1e-5", "1e-50"): "19c6df0a1ee946e7f96c2ce4858fbe4a1fced89b2c79fa3ea9ae991899d2c293",
         ("1e-4", "1"): "0c1344608fb5d4d7f2dbb023e80a21d85b239e0cdbeefacabb79b2486db689f8",
-        ("1e-4", "1e-50"): "b2ab209e5f29e107610cd6edc65ea26937050dd869765d1ef6edfa8dabb2f828",
+        ("1e-4", "1e-50"): "b17b65bf355ab4ef9bed7a67cfbafc017d4724ccff304e4714e70c20bd63f1d9",
     }
 
     def _run(self, tmp_path, capsys, a, b, z, *extra):
@@ -698,6 +704,101 @@ class TestExtremeGuides:
         code, out, _ = self._run(tmp_path, capsys, "1", b, z)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.RETURNED[b, z]
+
+
+    @pytest.mark.parametrize("a, b", [("1e102", "1e102"), ("1e110", "1e110"),
+                                      ("1e150", "1e150"), ("1e200", "1e200"),
+                                      ("1e300", "1e300"), ("4.7e97", "5.5e94")])
+    def test_too_large_refused(self, tmp_path, capsys, a, b):
+        # The splits take the cube of distances up to 1e6 (a + b): past the
+        # largest double (a + b above about 5.6e96) the guide is refused,
+        # where overflows raised tracebacks, printed RuntimeWarnings or
+        # claimed ~inf modes before.
+        code, _, err = self._run(tmp_path, capsys, a, b, "1")
+        assert code == 2
+        assert err.startswith(f"error: guide a={float(a)!r}, b={float(b)!r} is too "
+                              f"large for the splits")
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("z", ["1", "1e-30", "2.7e102"])
+    def test_largest_guide_returns(self, tmp_path, capsys, convention, z):
+        # Just inside that limit every separation up to 1e6 (a + b) returns,
+        # the printed paper-literal sums included.
+        code, out, _ = self._run(tmp_path, capsys, "2.7e96", "2.7e96", z,
+                                 "--convention", convention)
+        assert code == 0
+        report = _finite_or_warned(out)
+        assert report["total"] <= 0.0 and report["tail_estimate"] >= 0.0
+
+
+def _finite_or_warned(out):
+    """The energy report ``out``, parsed, once it is checked to print only
+    finite values or to carry a warning."""
+    constants = []
+    report = json.loads(out, parse_constant=constants.append)
+    assert not constants or report["warnings"]
+    return report
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _numeric_runs(draw):
+    # An energy report or a 2-3 point sweep with every numeric input drawn:
+    # a log-uniform over the double range, b/a within 1e3 either way, the
+    # wavelength 0.3-3 times the larger side, z from 1e-12 a to 1e6 a, and
+    # optional points, --tail-tol, --max-cutoff and --epsilon.
+    a = draw(_log_uniform(1e-300, 1e300))
+    b = a * draw(_log_uniform(1e-3, 1e3))
+    wavelength = max(a, b) * draw(st.floats(0.3, 3.0))
+    argv = ["--a", repr(a), "--b", repr(b), "--convention",
+            draw(st.sampled_from(["oracle-consistent", "paper-literal"]))]
+    for name, length in (("--x1", a), ("--y1", b), ("--x2", a), ("--y2", b)):
+        if draw(st.booleans()):
+            argv += [name, repr(length * draw(st.floats(0.0, 1.0)))]
+    if draw(st.booleans()):
+        argv += ["--tail-tol", repr(draw(_log_uniform(1e-300, 1e300)))]
+    elif draw(st.booleans()):
+        argv += ["--max-cutoff", repr(draw(_log_uniform(1e-2, 1e8)) / a)]
+    if draw(st.booleans()):
+        argv += ["--epsilon", repr(draw(_log_uniform(1e-300, 1e300)))]
+    z = a * draw(_log_uniform(1e-12, 1e6))
+    if draw(st.booleans()):
+        command = ["energy", "--z", repr(z)]
+    else:
+        command = ["sweep", "--z-min", repr(z), "--z-max",
+                   repr(z * draw(_log_uniform(1.001, 1e6))),
+                   "--points", str(draw(st.integers(2, 3)))]
+    return command + argv, 2.0 * math.pi / wavelength
+
+
+class TestNumericInputs:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=_numeric_runs())
+    def test_exit_code_and_output(self, tmp_path_factory, capsys, run):
+        # Any numeric input exits 0, 2, 3 or 4 with no traceback and no
+        # RuntimeWarning; an error is one error: line, and exit 0 prints
+        # only finite values or carries a warning.
+        from wgdisp import cli
+        argv, energy = run
+        species = tmp_path_factory.mktemp("species") / "one.species"
+        species.write_text(f"E={energy!r} d=(1,1,1)\n")
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--species1", str(species)])
+        out, err = capsys.readouterr()
+        assert [w for w in raised if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (0, 2, 3, 4) and "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        elif argv[0] == "energy":
+            _finite_or_warned(out)
+        elif any(not math.isfinite(float(cell)) for line in out.splitlines()[1:]
+                 for cell in line.split(",")):
+            assert "warning: " in err
 
 
 class TestHugeCutoffs:
@@ -774,8 +875,10 @@ class TestImport:
 # sweep's z, U, ratio and tail_estimate rows.  The kernels' last bits moved,
 # so these are held at a stated 1e-13 relative.  The paper-literal rows were
 # pinned again when the paper-literal tensor moved from plain mode sums of
-# both polarizations onto the splits; PAPER_LITERAL_MODE_SUMS keeps the mode
-# sums' rows, which every new value meets within the two tail estimates.
+# both polarizations onto the splits, and again when the printed cross terms
+# and zero-index modes moved onto the ln t rule, each time within the old
+# plus the new tail estimate; PAPER_LITERAL_MODE_SUMS keeps the mode sums'
+# rows, which every new value meets within the two tail estimates.
 PINNED_RTOL = 1e-13
 PINNED_ENERGY = {
     ("oracle-consistent", 0.05): (-34653423.2227955, -34625387.78269559,
@@ -784,12 +887,12 @@ PINNED_ENERGY = {
                                  -5.932143065691946e-05, 3.095499662254693e-14),
     ("oracle-consistent", 3.0): (-4.050226347295931e-09, -5.151131273093387e-09,
                                  -7.805741341990751e-11, 1.1949115860122536e-20),
-    ("paper-literal", 0.05): (-34643348.95308164, -34625387.78269559,
-                              -6.995011451186274, 26.473113391111582),
-    ("paper-literal", 0.8): (-0.033815046597080387, -0.034371463181195314,
-                             -5.967173759802139e-05, 1.2325354274170238e-09),
+    ("paper-literal", 0.05): (-34643348.984252386, -34625387.78269559,
+                              -6.995035720768412, 1.409597652926844e-07),
+    ("paper-literal", 0.8): (-0.03381504659704643, -0.03437146318116096,
+                             -5.967173759780526e-05, 1.3712691788497138e-14),
     ("paper-literal", 3.0): (-6.422311691991028e-09, -5.1635254237417305e-09,
-                             -7.805723005615711e-11, 8.901035272337439e-18),
+                             -7.805723005615714e-11, 6.1148466325248114e-21),
 }
 PINNED_SWEEP = {
     "oracle-consistent": [
@@ -800,12 +903,10 @@ PINNED_SWEEP = {
          5.315766107167112e-14),
         (4.0, -5.049478478479895e-13, 3.822108041554279e-09, 1.5861081518184148e-28)],
     "paper-literal": [
-        (0.03, -742469202.9548415, 1.0002359468285489, 1867.0182677218104),
-        (0.15326188647871059, -41605.67748645183, 0.9964467284385693,
-         0.007559565395645502),
-        (0.7829735282337724, -1.2870540174146956, 0.5479939138463151,
-         4.49011176719817e-07),
-        (4.0, -5.0494784335718e-13, 3.822108007561939e-09, 2.884497235562111e-19)],
+        (0.03, -742469205.5396757, 1.000235950310773, 1.934688061977962e-06),
+        (0.15326188647871059, -41605.67749134251, 0.9964467285557, 4.321385814698201e-10),
+        (0.7829735282337724, -1.287054017419105, 0.5479939138481925, 3.567119994719335e-14),
+        (4.0, -5.0494784335718e-13, 3.822108007561939e-09, 5.0893238025444656e-27)],
 }
 PAPER_LITERAL_MODE_SUMS = {
     0.05: (-34643346.54345458, -34625385.42824798, -6.994968959889575, 19.276058248057115),
@@ -1285,27 +1386,31 @@ class TestReach:
         report = json.loads(capsys.readouterr().out)
         assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-4)
 
-    def test_one_thousandth_meets_the_cap(self, species_file, capsys):
-        # Off the centre lines the paper-literal cross terms pass 1e6 modes
-        # well above 0.001a.
+    @pytest.mark.parametrize("z", ["0.002", "0.001"])
+    def test_paper_literal_off_centre_returns(self, species_file, capsys, z):
+        # Off the centre lines the printed cross terms are no longer a sum
+        # of ~1/z^2 modes: the ln t rule takes them from 1-D sums.
         from wgdisp import cli
-        assert cli.main(["energy", "--z", "0.001", "--species1", species_file,
-                         "--tail-tol", "1e-4", "--convention", "paper-literal",
-                         "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55"]) == 4
+        assert cli.main(["energy", "--z", z, "--species1", species_file,
+                         "--convention", "paper-literal",
+                         "--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ") and "cap" in captured.err
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert math.isfinite(report["total"]) and report["total"] < 0.0
+        assert 0.0 < report["tail_estimate"] <= 1e-6 * abs(report["total"])
+        assert report["modes_used"] < 200
 
     def test_paper_literal_three_thousandths_of_a_returns(self, species_file, capsys):
         # At the centre the cross terms vanish and every other part is a
-        # split: the cross-term sum stops where its tail fits the budget.
+        # split or a 1-D sum: the report counts only the splits' modes.
         from wgdisp import cli
         assert cli.main(["energy", "--z", "0.003", "--species1", species_file,
                          "--convention", "paper-literal"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ratio_to_freespace_vdw"] == pytest.approx(1.0, abs=1e-4)
         assert report["tail_estimate"] <= 1e-5 * abs(report["total"])
+        assert report["modes_used"] == 120
 
     def test_ten_thousandth_of_a_returns(self, species_file, capsys):
         # Both default channels are splits over a fixed screened mode set,
@@ -1381,7 +1486,7 @@ GOLDEN_STDOUT = [
     (["energy", "--z", "0.6", "--species1", "@three", "--convention", "paper-literal",
       "--orientation", "fixed-vector", "--b", "0.65", "--x1", "0.25", "--y1", "0.2",
       "--x2", "0.55", "--y2", "0.45", "--tail-tol", "1e-8"],
-     "4cc28f2ca1b875666192e68a19e8dfa2919b5a13a106494924510ab7559c63d4"),
+     "c452b9215df0b54a12a2ec0a3c4b21f9b69f3f5f247c055d2426fbb82b13a481"),
     # A corner dipole and crossed dipoles: zero energy, zero free-space
     # reference, ratio null.
     (["energy", "--z", "0.7", "--species1", "@x", "--species2", "@y",

@@ -116,17 +116,19 @@ class TestFTensor:
             assert observed <= coarse.tail_bound
 
     def test_mode_cap(self):
-        # Apart from the screened splits, only the paper-literal cross terms
-        # are summed over modes.  Off the centre lines they need ~1/z^2
-        # modes at small separations; the default split lists a fixed
-        # screened set and meets no cap.
+        # Apart from the screened splits, only a fixed cutoff lists modes:
+        # ~1.6e5 TE modes lie below k = 2000.  Under a tail tolerance the
+        # paper-literal printed sums list none, off the centre lines and at
+        # small separations too.
         cfg = _config(0.002, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.6, 0.55),
                       conventions=Conventions.paper_literal())
         with pytest.raises(ModeCapError) as err:
-            f_tensor(cfg, E100, tail_tol=1e-6, mode_cap=100_000)
+            f_tensor(cfg, E100, max_cutoff=2000.0, mode_cap=100_000)
         assert "u_freespace_vdw" in str(err.value)
-        f_tensor(replace(cfg, conventions=Conventions()), E100, tail_tol=1e-6,
-                 mode_cap=100_000)
+        for conventions in (Conventions(), Conventions.paper_literal()):
+            ft = f_tensor(replace(cfg, conventions=conventions), E100, tail_tol=1e-6,
+                          mode_cap=100_000)
+            assert ft.modes_used < 200
 
     @pytest.mark.parametrize("b, p1, p2, z, convention, tol", [
         (0.75, (0.4, 0.3), (0.4, 0.3), 0.02, "paper-literal", 1e-6),
@@ -140,13 +142,12 @@ class TestFTensor:
                                                 convention, tol):
         # The TM tensor is the split under every convention: under
         # paper-literal signs its seven entries other than xy and yx are the
-        # split's, masked, bit for bit, and xy and yx are one sum over the
-        # TM modes below the cutoff the tolerance fixes, the same as the sum
-        # of a fixed cutoff there.  Under paper-literal normalization alone
-        # ("tm-split") the TM tensor is the default one.  The TE tensor is
-        # the TE split, with the zero-index modes added once more.
+        # split's, masked, bit for bit, and xy and yx are the printed sums,
+        # the same under a fixed cutoff.  Under paper-literal normalization
+        # alone ("tm-split") the TM tensor is the default one.  The TE tensor
+        # is the TE split, with the zero-index modes added once more.
         from wgdisp import energy
-        from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _split_cutoff
+        from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _printed_sums, _split_cutoff
         from wgdisp.energy import _te_tail_bound, _tm_tail_bound
         geom = Geometry(1.0, b)
         conventions = (Conventions(normalization="paper-literal")
@@ -162,11 +163,16 @@ class TestFTensor:
         seven = np.ones((3, 3), dtype=bool)
         seven[0, 1] = seven[1, 0] = convention != "paper-literal"
         assert np.array_equal(grown.tm_tensor[seven], (mask * split)[seven])
-        if grown.tm_cutoff > _split_cutoff(geom):  # the cross terms' own cutoff
-            at_tm = f_tensor(cfg, E100, max_cutoff=grown.tm_cutoff)
-            assert np.array_equal(grown.tm_tensor, at_tm.tm_tensor)
-            assert grown.tm_modes == at_tm.tm_modes
+        assert grown.tm_cutoff == _split_cutoff(geom)
+        (xy, yx), (xx, yy), *_ = _printed_sums(geom, cfg.p1, cfg.p2, z, 1_000_000)
+        if convention == "paper-literal":
+            assert (grown.tm_tensor[0, 1], grown.tm_tensor[1, 0]) == (xy, yx)
+            at_fixed = f_tensor(cfg, E100, max_cutoff=30.0)
+            assert np.array_equal(grown.tm_tensor, at_fixed.tm_tensor)
         weight = _TE_FACTORS[conventions.te_factor] * E100
+        assert np.array_equal(np.diag(grown.te_tensor)[:2],
+                              [weight * te_unit[0, 0] + weight * xx,
+                               weight * te_unit[1, 1] + weight * yy])
         rest = grown.te_tensor - weight * te_unit  # the zero-index modes once more
         assert rest[0, 0] != 0.0 and rest[1, 1] != 0.0
         assert not np.any(rest[[0, 1, 2, 2, 2], [1, 0, 0, 1, 2]])
@@ -258,10 +264,10 @@ class TestFTensor:
             assert np.allclose(sum(bulk.per_mode.values()), direct_tm + direct_te,
                                rtol=1e-11, atol=1e-13)
             assert np.allclose(bulk.te_tensor, direct_te, rtol=1e-11, atol=1e-13)
-            if name == "paper-literal":  # the cross terms are a TM mode sum
-                cross = [0, 1], [1, 0]
-                assert np.allclose(bulk.tm_tensor[cross], direct_tm[cross],
-                                   rtol=1e-11, atol=1e-13)
+            if name == "paper-literal":  # the cross terms sum every mode
+                from wgdisp.coupling import _printed_sums
+                cross = _printed_sums(SQ, p1, p2, 0.7, 1_000_000)[0]
+                assert np.array_equal(bulk.tm_tensor[[0, 1], [1, 0]], cross)
 
 
 # float.hex of default-convention f_tensor results: tensor, tm_tensor and
@@ -469,9 +475,9 @@ class TestKernels:
                       for pol in fresh}
             table.extend(K)
             shell = mode_arrays(geom, K, lower)
-            for pol, rows_of in (("TM", _tm_rows), ("TE", _te_rows)):
+            for pol, rows_of, extra in (("TM", _tm_rows, ()), ("TE", _te_rows, (conv,))):
                 t = shell[pol]
-                fresh[pol].append(rows_of(geom, t["m"], t["n"], t["k"], p1, p2, conv))
+                fresh[pol].append(rows_of(geom, t["m"], t["n"], t["k"], p1, p2, *extra))
                 held = _table_rows(table, pol)
                 assert held.tobytes() == np.concatenate(fresh[pol], axis=1).tobytes()
                 if before[pol] is not None:
@@ -484,7 +490,9 @@ class TestKernels:
 # K = 1300, p1 = (0.37, 0.23), p2 = (0.61, 0.44): the TM tensor and the unit
 # TE tensor (row-major) over the first `count` modes of each polarization,
 # or over the whole table (count None).  The counts sit on both sides of the
-# edges at which the contraction is split, 1024 and 8192.
+# edges at which the contraction is split, 1024 and 8192.  Under
+# paper-literal signs xy and yx are the oracle-consistent entries negated:
+# the table holds no printed cross terms.
 PINNED_SUMS = {
     ("oracle-consistent", 1024): (
         "-0x1.4e38480b2c0cfp+7 0x1.ba817ed12de3ep+3 0x1.f2b337f1abcd4p+6"
@@ -522,36 +530,36 @@ PINNED_SUMS = {
         " 0x1.9180de8d86036p+1 0x1.4380bc1083ef7p+1 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 1024): (
-        "0x1.4e38480b2c0cfp+7 0x1.625232448e28dp+1 0x1.f2b337f1abcd4p+6"
-        " 0x1.080d34d638264p+1 -0x1.53b5493e2ecedp+2 0x1.95a48863daa2fp+6"
+        "0x1.4e38480b2c0cfp+7 -0x1.ba817ed12de3ep+3 0x1.f2b337f1abcd4p+6"
+        " 0x1.2d395d3b7e834p+3 -0x1.53b5493e2ecedp+2 0x1.95a48863daa2fp+6"
         " -0x1.cf86a56661b88p+6 -0x1.02602e6939cb4p+8 0x1.57a06df76aab0p+6",
         "0x1.02ca776eb1922p+2 0x1.cc6f54af368c6p+1 0x0.0p+0"
         " 0x1.788a2a24ab14fp+1 0x1.1ebd07ecb1b96p+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 1025): (
-        "0x1.d9cb0860fd6c6p+6 0x1.61601bdb8c869p+1 0x1.3325a9ca52eddp+7"
-        " 0x1.080a2f451d6e7p+1 -0x1.543e4a4976dc7p+2 0x1.95793186ef5d5p+6"
+        "0x1.d9cb0860fd6c6p+6 -0x1.03cc422f73946p+3 0x1.3325a9ca52eddp+7"
+        " 0x1.2f81307d438afp+3 -0x1.543e4a4976dc7p+2 0x1.95793186ef5d5p+6"
         " -0x1.c962275387a82p+6 -0x1.028e4ec2ae719p+8 0x1.53fa940e6439fp+6",
         "0x1.02dde3602c06ep+2 0x1.cf731a83dfb05p+1 0x0.0p+0"
         " 0x1.78fbff096dedcp+1 0x1.2327e24c7c5dap+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 8192): (
-        "-0x1.9060182e88204p+3 0x1.6463c2e1dce18p+1 -0x1.d6c1ff07e1240p-2"
-        " 0x1.09f59bfe4980dp+1 -0x1.8695227a25810p+2 -0x1.1efcde979c2f5p+2"
+        "-0x1.9060182e88204p+3 -0x1.5d1131414b9e3p+4 -0x1.d6c1ff07e1240p-2"
+        " -0x1.f8d334c273ca6p+3 -0x1.8695227a25810p+2 -0x1.1efcde979c2f5p+2"
         " -0x1.4ee1d5641179cp+0 -0x1.18274a36eaca0p+2 -0x1.5985073c2ad57p+1",
         "0x1.fd11ea7489931p+1 0x1.e2e08c25c3398p+1 0x0.0p+0"
         " 0x1.91c0228744729p+1 0x1.10f7b06075f99p+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 8193): (
-        "-0x1.942a431e26546p+3 0x1.6463b2675bed0p+1 -0x1.b617921b5df03p-3"
-        " 0x1.09f48c12019b2p+1 -0x1.9f4867bac4788p+2 -0x1.925ab1716d62ap+2"
+        "-0x1.942a431e26546p+3 -0x1.5c399faed2a17p+4 -0x1.b617921b5df03p-3"
+        " -0x1.dd08ba8972eddp+3 -0x1.9f4867bac4788p+2 -0x1.925ab1716d62ap+2"
         " -0x1.9fe2954d01d32p+0 -0x1.0f27770f55b16p+2 -0x1.057447b851c1ap+1",
         "0x1.fd1be55af59e2p+1 0x1.e2e2e0bbed888p+1 0x0.0p+0"
         " 0x1.91bb2ce9477f9p+1 0x1.10f71c2509401p+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", None): (
-        "-0x1.973f772ccf27bp+3 0x1.64639b83b3f26p+1 0x1.0e5b11b5160e1p+1"
-        " 0x1.09fdf44261929p+1 -0x1.1251d07db175dp+3 0x1.ce7db38522ee8p+0"
+        "-0x1.973f772ccf27bp+3 -0x1.77b75465c2c00p+4 0x1.0e5b11b5160e1p+1"
+        " -0x1.5bd97297a3f12p+4 -0x1.1251d07db175dp+3 0x1.ce7db38522ee8p+0"
         " -0x1.0f02e5ed925a3p+1 -0x1.f323d6362493cp+0 -0x1.a69c2c8ec7b0ep+3",
         "0x1.fd8599b35f78ap+1 0x1.e2c6ec867b7e2p+1 0x0.0p+0"
         " 0x1.9180de8d86036p+1 0x1.1112843ce935ep+2 0x0.0p+0"
@@ -586,7 +594,10 @@ class TestSummationOrder:
     def test_many_blocks_match_one_kernel_call(self, convention):
         # Over 3 x 8192 modes per polarization: the split contraction must
         # agree with the pairwise sum of one per-mode kernel call over the
-        # whole cutoff-sorted table to the stated tolerance.
+        # whole cutoff-sorted table to the stated tolerance.  The table's TM
+        # sum is the oracle-consistent one with the convention's signs: the
+        # printed cross terms are no table sum.
+        from wgdisp.coupling import _TM_SIGNS
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         conv = Conventions.from_name(convention)
@@ -594,8 +605,9 @@ class TestSummationOrder:
         tables = mode_arrays(geom, K)
         assert tables["TM"]["k"].size > 3 * 8192
         tm, te = tables["TM"], tables["TE"]
-        want_tm = _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float),
-                             tm["k"], p1, p2, z, conv).sum(axis=2)
+        want_tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * _direct_tm(
+            geom, tm["m"].astype(float), tm["n"].astype(float), tm["k"], p1, p2, z,
+            Conventions()).sum(axis=2)
         want_te = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
                              te["k"], p1, p2, z, E100, conv).sum(axis=2)
         table = ModeTable(geom, p1, p2, conv)
@@ -609,8 +621,7 @@ class TestSummationOrder:
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_sums_pinned(self, convention):
         # The order in which a sum adds its modes is part of its value: the
-        # sums at both conventions' counts (the paper-literal cross rows
-        # included) must keep their bits.
+        # sums at both conventions' counts must keep their bits.
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         table = ModeTable(geom, p1, p2, Conventions.from_name(convention))
@@ -639,75 +650,87 @@ class TestSummationOrder:
 
 
 def _reference_f_tensor(cfg, energy, tail_tol):
-    """f_tensor's truncation rule, with the per-mode pairwise sums of the
-    column-block code.
+    """f_tensor's rule under tail_tol, with math.fsum sums of listed terms
+    for the printed parts (:func:`_listed_printed`).
 
-    The TM tensor is the split of a fresh mode table, its signs masked under
-    paper-literal signs, and the TE tensor the TE split.  The parts the
-    conventions sum over modes sum the per-mode reference kernels along the
-    mode axis with numpy's pairwise summation: the paper-literal cross terms
-    over the TM modes below K, and under paper-literal normalization the
-    zero-index TE modes below K once more at unit weight.  K grows by 1.3
-    from pi / max(a, b): first until the summed parts' tails fit tail_tol
-    times the splits' scale, where the cross terms less their tail bound the
-    scale from below, and then until the splits' bounds and those tails fit
-    the budget.  K_TE grows by 1.3 from max(3 pi / max(a, b), 8 / z) until
-    the TM split's bound and tail_TE(K_TE) fit the budget.  Returns
-    (tm, te, (TM modes, TE modes), (K_TM, K_TE), tail).
+    The TM tensor is the split of a fresh mode table, its signs masked and
+    xy and yx the listed cross terms under paper-literal signs; the TE
+    tensor is the TE split plus, under paper-literal normalization, the
+    listed zero-index terms times factor E.  The terms left out of the
+    listings add below 1e-3 SUM_TOL of the splits' scale.  The tail adds
+    the splits' bounds and the bounds of
+    :func:`wgdisp.coupling._printed_sums`, and K_TE grows by 1.3 from
+    max(3 pi / max(a, b), 8 / z) until the TM split's bound and
+    tail_TE(K_TE) fit the budget, tail_tol times the largest entry.
+    Returns (tm, te, (TM modes, TE modes), (K_TM, K_TE), tail).
     """
-    from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _split_cutoff
-    from wgdisp.energy import _axis_tail_bound, _cross_tail_bound, _te_tail_bound
+    from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _printed_sums, _split_cutoff
+    from wgdisp.energy import _te_tail_bound
     geom, z, conv = cfg.geom, cfg.z, cfg.conventions
-    cross = conv.tm_sign == "paper-literal"
-    axis = conv.normalization == "paper-literal"
     weight = _TE_FACTORS[conv.te_factor] * energy
     table = ModeTable(geom, cfg.p1, cfg.p2, Conventions())
     split, tm_tail = table.tm_split(z)
     te_unit, te_tail = table.te_split(z)
     tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * split
-    if cross:
-        tm[0, 1] = tm[1, 0] = 0.0
     te = weight * te_unit
-    tail = tm_tail + abs(weight) * te_tail
-
-    def cutoff(room):
-        K = math.pi / max(geom.a, geom.b)
-        while ((_cross_tail_bound(K, z, geom) if cross else 0.0)
-               + (_axis_tail_bound(K, z, geom, weight) if axis else 0.0)) > room:
-            K *= 1.3
-        return K
-
-    def cross_terms(K):
-        tm = mode_arrays(geom, K)["TM"]
-        return _direct_tm(geom, tm["m"].astype(float), tm["n"].astype(float), tm["k"],
-                          cfg.p1, cfg.p2, z, conv).sum(axis=2)[[0, 1], [1, 0]]
-
-    scale = max(np.abs(tm).max(), np.abs(te).max(), 1e-300)
-    if cross:
-        K = cutoff(tail_tol * scale)
-        scale = max(scale, np.abs(cross_terms(K)).max() - _cross_tail_bound(K, z, geom))
-    budget = tail_tol * scale
+    room = 1e-3 * SUM_TOL * max(np.abs(tm).max(), np.abs(te).max())
+    cross, zero, _, _ = _listed_printed(geom, cfg.p1, cfg.p2, z, room)
+    *_, cross_tail, axis_tail = _printed_sums(geom, cfg.p1, cfg.p2, z, 1_000_000)
+    tail = tm_tail
+    if conv.tm_sign == "paper-literal":
+        tm[0, 1], tm[1, 0] = cross
+        tail += cross_tail
+    tail += abs(weight) * te_tail
+    if conv.normalization == "paper-literal":
+        te[0, 0] += weight * zero[0]
+        te[1, 1] += weight * zero[1]
+        tail += abs(weight) * axis_tail
+    budget = tail_tol * max(np.abs(tm).max(), np.abs(te).max())
     K_te = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     while tm_tail + _te_tail_bound(K_te, z, geom, energy) > budget:
         K_te *= 1.3
-    K = cutoff(budget - tail)
     K_split = _split_cutoff(geom)
-    K_tm = max(K_split, K) if cross else K_split
-    modes = [mode_arrays(geom, K_tm)["TM"]["k"].size,
-             mode_arrays(geom, K_split)["TE"]["k"].size]
-    if cross:
-        tm[0, 1], tm[1, 0] = cross_terms(K)
-        tail += _cross_tail_bound(K, z, geom)
-    if axis:
-        listed = mode_arrays(geom, K)["TE"]
-        zero = (listed["m"] == 0) | (listed["n"] == 0)
-        m, n, k = (listed[c][zero] for c in "mnk")
-        te = te + _direct_te(geom, m.astype(float), n.astype(float), k, cfg.p1, cfg.p2, z,
-                             energy, Conventions(te_factor=conv.te_factor)).sum(axis=2)
-        tail += _axis_tail_bound(K, z, geom, weight)
-        modes[1] += int(np.count_nonzero(k > K_split * (1.0 + 1e-12)))
-        K_te = max(K_te, K)
-    return tm, te, tuple(modes), (K_tm, K_te), tail
+    listed = mode_arrays(geom, K_split)
+    return tm, te, (listed["TM"]["k"].size, listed["TE"]["k"].size), (K_split, K_te), tail
+
+
+def _listed_printed(geom, p1, p2, z, room):
+    """The printed sums as math.fsum sums of listed terms: the paper-literal
+    TM cross terms (xy, yx, :func:`wgdisp.coupling._paper_cross`) over the
+    TM modes and the unit zero-index TE terms (xx, yy), (2/A) K0(kz) times
+    the sines at both points along each axis, below the least cutoff
+    k_11 1.1^j past which the terms' envelopes add at most ``room``.
+    Returns the two pairs and an allowance for the error of each entry:
+    that envelope plus 8 eps of the sum of the |terms|.
+
+    Each cross term is at most 2 pi^2 e^{-kz} / (A^2 k), and with every
+    lattice cell within k_11 below its mode the modes past K add at most
+    (pi / A) e^{-(K - k_11) z} / z.  Each zero-index term is at most
+    (2/A) K0(kz) < (2/A) sqrt(pi / 2kz) e^{-kz}, so a row spaced by pi / L
+    drops at most its first term past K plus L / pi times the integral.
+    """
+    from wgdisp._special import k0
+    from wgdisp.coupling import _axis_trig, _paper_cross
+    a, b, area = geom.a, geom.b, geom.area
+    k11 = math.hypot(math.pi / a, math.pi / b)
+
+    def envelope(K):
+        return max(math.pi / area * math.exp(-(K - k11) * z) / z,
+                   (2.0 / area) * math.sqrt(math.pi / (2.0 * K * z)) * math.exp(-K * z)
+                   * (2.0 + (a + b) / (math.pi * z)))
+    K = k11
+    while envelope(K) > room:
+        K *= 1.1
+    tm = mode_arrays(geom, K)["TM"]
+    rows = list(_paper_cross(geom, tm["k"], _axis_trig(geom, tm["m"], tm["n"], p2, p1),
+                             np.exp(-tm["k"] * z)))
+    for length, at2, at1 in ((b, p2.y, p1.y), (a, p2.x, p1.x)):  # xx, then yy
+        k = np.arange(1, int(K * length / math.pi) + 1) * (math.pi / length)
+        rows.append((2.0 / area) * np.sin(k * at2) * np.sin(k * at1) * k0(k * z))
+    values = np.array([math.fsum(row.tolist()) for row in rows])
+    allowance = envelope(K) + 8.0 * np.finfo(float).eps * np.array(
+        [math.fsum(np.abs(row).tolist()) for row in rows])
+    return values[:2], values[2:], allowance[:2], allowance[2:]
 
 
 def _seeded_cases(n):
@@ -970,8 +993,9 @@ _TWO_LEVELS = DipoleSpecies(
 @st.composite
 def _split_cases(draw):
     # Off-centre pairs, p2 offset from p1 by at most the axial separation
-    # (and 0.4a) per axis: further apart, the smallest separations pass the
-    # mode cap at every tolerance.
+    # (and 0.4a) per axis: further apart, the tensor scale falls, and the
+    # fixed-cutoff reference's TE listing at the smallest separations grows
+    # towards the mode cap.
     b = draw(st.floats(0.5, 1.0))
     z = 0.01 * 500.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.01a, 5a]
     x1, y1 = draw(st.floats(0.1, 0.9)), draw(st.floats(0.1, 0.9)) * b
@@ -998,21 +1022,20 @@ class TestPolarizationCutoffs:
     @given(case=_split_cases())
     def test_within_tail_of_common_cutoff(self, case):
         # Each level's TE split is held against the cutoff a plain TE sum
-        # would need, and the paper-literal cross terms stop at their own
-        # cutoff.  Against the TE mode sum (and cross terms) to the larger
-        # cutoff, the energy moves by no more than the two tail estimates,
-        # and under oracle-consistent signs the TM part does not move at all.
+        # would need.  Against the TE mode sum to that cutoff the energy
+        # moves by no more than the two tail estimates, and the TM part, the
+        # split and the printed cross terms under both truncations, does not
+        # move at all.
         from wgdisp.energy import _assemble
         cfg, tol = case
+        u = dispersion_energy(cfg, tail_tol=tol)
         try:
-            u = dispersion_energy(cfg, tail_tol=tol)
+            fixed = _assemble(cfg, lambda e: f_tensor(
+                cfg, e, max_cutoff=u.f_by_level[e].max_cutoff), [])
         except ModeCapError:
-            reject()  # the cross terms' cutoff passes the cap
-        fixed = _assemble(cfg, lambda e: f_tensor(
-            cfg, e, max_cutoff=u.f_by_level[e].max_cutoff), [])
+            reject()  # the TE listing at that cutoff passes the cap
         assert abs(u.total - fixed.total) <= u.tail_estimate + fixed.tail_estimate
-        if cfg.conventions.tm_sign == "oracle-consistent":
-            assert u.u_tm_only == fixed.u_tm_only
+        assert u.u_tm_only == fixed.u_tm_only
 
     def test_sweep_builds_rows_to_each_cutoff(self, monkeypatch):
         # Over a sweep each polarization's factor rows are built once, and
@@ -1136,7 +1159,7 @@ class TestEwaldSplit:
             assert u.total / u_freespace_vdw(ISO, ISO, z, form="tensor") \
                 == pytest.approx(1.0, abs=0.02)
         # Paper-literal normalization adds the zero-index TE modes once more,
-        # as 1-D sums of about (a + b) K / pi terms.
+        # as the printed sums of the ln t rule.
         u = dispersion_energy(replace(cfg, z=0.001,
                                       conventions=Conventions(normalization="paper-literal")),
                               tail_tol=1e-4)
@@ -1163,38 +1186,28 @@ class TestPaperLiteral:
         (0.7, (0.5, 0.35), (0.5, 0.35), 0.3, 1e-8),
     ])
     def test_within_tail_of_masked_split_and_cross_sum(self, b, p1, p2, z, tol):
-        # Against the masked split plus math.fsum cross terms whose own
-        # tail is at most 1e-3 of the budget, and the TE split plus
-        # math.fsum zero-index modes likewise, every entry is within
-        # tail_bound.
+        # Against the masked split plus math.fsum cross terms, and the TE
+        # split plus math.fsum zero-index terms, each listed until the terms
+        # left out add at most 1e-3 of the printed tail, every entry is
+        # within tail_bound and the listed sums' rounding.
         from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS
-        from wgdisp.energy import _axis_tail_bound, _cross_tail_bound
         geom, conv = Geometry(1.0, b), Conventions.paper_literal()
         cfg = PairConfiguration(geom, TransversePoint(*p1), TransversePoint(*p2), z,
                                 ISO, ISO, conventions=conv)
         ft = f_tensor(cfg, E100, tail_tol=tol)
-        budget = ft._detail[2]
         weight = _TE_FACTORS[conv.te_factor] * E100
-        K = math.pi
-        while max(_cross_tail_bound(K, z, geom),
-                  _axis_tail_bound(K, z, geom, weight)) > 1e-3 * budget:
-            K *= 1.1
+        cross, zero, cross_err, zero_err = _listed_printed(geom, cfg.p1, cfg.p2, z,
+                                                           1e-3 * ft.tail_bound)
         table = ModeTable(geom, cfg.p1, cfg.p2, Conventions())
         tm = _TM_SIGNS["paper-literal"] * _TM_SIGNS["oracle-consistent"] * table.tm_split(z)[0]
-        modes = mode_arrays(geom, K)
-        listed = modes["TM"]
-        direct = _direct_tm(geom, listed["m"].astype(float), listed["n"].astype(float),
-                            listed["k"], cfg.p1, cfg.p2, z, conv)
-        tm[0, 1], tm[1, 0] = _fsum_entries(direct)[[0, 1], [1, 0]]
-        listed = modes["TE"]
-        zero = (listed["m"] == 0) | (listed["n"] == 0)
-        m, n, k = (listed[c][zero] for c in "mnk")
-        te = weight * table.te_split(z)[0] + _fsum_entries(_direct_te(
-            geom, m.astype(float), n.astype(float), k, cfg.p1, cfg.p2, z, E100,
-            Conventions(te_factor=conv.te_factor)))
-        assert np.abs(ft.tm_tensor - tm).max() <= ft.tail_bound
-        assert np.abs(ft.te_tensor - te).max() <= ft.tail_bound
-        assert np.abs(ft.tensor - (tm + te)).max() <= ft.tail_bound
+        tm[0, 1], tm[1, 0] = cross
+        te = weight * table.te_split(z)[0]
+        te[0, 0] += weight * zero[0]
+        te[1, 1] += weight * zero[1]
+        allowed = ft.tail_bound + max(cross_err.max(), abs(weight) * zero_err.max())
+        assert np.abs(ft.tm_tensor - tm).max() <= allowed
+        assert np.abs(ft.te_tensor - te).max() <= allowed
+        assert np.abs(ft.tensor - (tm + te)).max() <= allowed
         cross = abs(tm[0, 1]) + abs(tm[1, 0])
         if b == 0.1:
             assert cross > 1e4 * np.abs(table.tm_split(z)[0]).max()
@@ -1204,23 +1217,35 @@ class TestPaperLiteral:
     @pytest.mark.parametrize("b", [1.0, 0.5, 0.1])
     @pytest.mark.parametrize("z", [0.1, 0.4, 1.5])
     def test_tail_constants_bound_the_dropped_terms(self, b, z):
-        # The per-term envelopes summed over the modes past K, to where the
-        # rest has fallen by e^{-40}, stay below the two tail bounds: the
-        # cross terms' 2 pi^2 e^{-kz} / (A^2 k) over the TM modes and the
-        # zero-index terms' (2 / A) K0(kz) along both axes.
-        from wgdisp._special import k0
-        from wgdisp.energy import _axis_tail_bound, _cross_tail_bound
+        # The printed sums' bounds hold against math.fsum sums of listed
+        # terms, whose own terms left out add at most 1e-3 of the bounds:
+        # off the centre lines, with a dipole on a wall and at the centre.
+        from wgdisp.coupling import _printed_sums
         geom = Geometry(1.0, b)
-        for K in (4.0 / z, 12.0 / z, 40.0 / b):
-            far = K + 40.0 / z
-            tm = mode_arrays(geom, far)["TM"]["k"]
-            tm = tm[tm > K]
-            cross = (2.0 * math.pi ** 2 / geom.area ** 2 * np.exp(-tm * z) / tm).sum()
-            assert cross <= _cross_tail_bound(K, z, geom)
-            k = np.concatenate([np.arange(1, int(far / math.pi) + 1) * math.pi,
-                                np.arange(1, int(far * b / math.pi) + 1) * math.pi / b])
-            axis = (2.0 / geom.area * k0(k[k > K] * z)).sum()
-            assert axis <= _axis_tail_bound(K, z, geom, 1.0)
+        for p1, p2 in (((0.3, 0.2), (0.6, 0.5)), ((0.0, 0.3), (0.45, 0.1)),
+                       ((0.5, 0.5), (0.5, 0.5))):
+            p1, p2 = TransversePoint(p1[0], p1[1] * b), TransversePoint(p2[0], p2[1] * b)
+            cross, zero, cross_bound, zero_bound = _printed_sums(geom, p1, p2, z, 1_000_000)
+            want_cross, want_zero, cross_err, zero_err = _listed_printed(
+                geom, p1, p2, z, 1e-3 * min(cross_bound, zero_bound))
+            assert np.all(np.abs(cross - want_cross) <= cross_bound + cross_err)
+            assert np.all(np.abs(zero - want_zero) <= zero_bound + zero_err)
+
+    @settings(max_examples=20, deadline=None)
+    @given(b=st.floats(0.3, 1.0), x1=st.floats(0.02, 0.98), y1=st.floats(0.02, 0.98),
+           x2=st.floats(0.02, 0.98), y2=st.floats(0.02, 0.98), log_z=st.floats(-1.5, 0.3))
+    def test_printed_sums_within_their_bounds(self, b, x1, y1, x2, y2, log_z):
+        # The ln t rule against math.fsum sums of the listed terms, over
+        # rectangular guides, interior points and z in [0.03a, 2a]: every
+        # entry within the derived bound plus the listed sums' rounding.
+        from wgdisp.coupling import _printed_sums
+        geom, z = Geometry(1.0, b), 10.0 ** log_z
+        p1, p2 = TransversePoint(x1, y1 * b), TransversePoint(x2, y2 * b)
+        cross, zero, cross_bound, zero_bound = _printed_sums(geom, p1, p2, z, 1_000_000)
+        want_cross, want_zero, cross_err, zero_err = _listed_printed(
+            geom, p1, p2, z, 1e-3 * min(cross_bound, zero_bound))
+        assert np.all(np.abs(cross - want_cross) <= cross_bound + cross_err)
+        assert np.all(np.abs(zero - want_zero) <= zero_bound + zero_err)
 
     @pytest.mark.parametrize("b, p1, p2, z", [
         (0.7, (0.3, 0.2), (0.6, 0.5), 0.3), (1.0, (0.5, 0.5), (0.5, 0.5), 0.8),
@@ -1230,7 +1255,8 @@ class TestPaperLiteral:
         # Paper-literal normalization: the TE tensor is the unit split plus
         # the zero-index modes once more; against the math.fsum plain TE
         # mode sum with the printed profiles, whose own tail is at most
-        # 1e-3 of the budget, it is within tail_bound.
+        # 1e-3 of the printed tail, it is within tail_bound and the plain
+        # sum's rounding.
         from wgdisp.energy import _te_tail_bound
         geom = Geometry(1.0, b)
         conv = Conventions(normalization="paper-literal")
@@ -1238,12 +1264,14 @@ class TestPaperLiteral:
                                 ISO, ISO, conventions=conv)
         ft = f_tensor(cfg, E100, tail_tol=1e-9)
         K = math.pi
-        while _te_tail_bound(K, z, geom, E100) > 1e-3 * ft._detail[2]:
+        while _te_tail_bound(K, z, geom, E100) > 1e-3 * ft.tail_bound:
             K *= 1.1
         te = mode_arrays(geom, K)["TE"]
-        plain = _fsum_entries(_direct_te(geom, te["m"].astype(float), te["n"].astype(float),
-                                         te["k"], cfg.p1, cfg.p2, z, E100, conv))
-        assert np.abs(ft.te_tensor - plain).max() <= ft.tail_bound
+        terms = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
+                           te["k"], cfg.p1, cfg.p2, z, E100, conv)
+        rounding = 8.0 * np.finfo(float).eps * _fsum_entries(np.abs(terms)).max()
+        plain = _fsum_entries(terms)
+        assert np.abs(ft.te_tensor - plain).max() <= ft.tail_bound + rounding
         unit = f_tensor(replace(cfg, conventions=Conventions()), E100, tail_tol=1e-9)
         assert np.abs(ft.te_tensor - unit.te_tensor).max() > 1e3 * ft.tail_bound
 
@@ -1498,17 +1526,18 @@ class TestSweep:
             shells.append((K, lower, out["TM"]["k"].size + out["TE"]["k"].size))
             return out
         monkeypatch.setattr(energy_mod, "mode_arrays", counted)
-        # The paper-literal cross terms need a cutoff of their own, past the
-        # splits', so the table grows in shells, each the one past the last.
+        # A fixed cutoff past the splits' needs a shell of its own, past the
+        # splits' screened modes, so the table grows in shells, each the one
+        # past the last.
         cfg = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.31, 0.22),
                                 TransversePoint(0.68, 0.41), 0.04, _TWO_LEVELS,
                                 _TWO_LEVELS, conventions=Conventions.paper_literal())
         sweep = dispersion_sweep(cfg, np.geomspace(0.04, 0.4, 6).tolist(),
-                                 tail_tol=1e-7)
+                                 max_cutoff=60.0)
         assert len(shells) >= 2
         assert [lower for _, lower, _ in shells] == [None] + [K for K, _, _ in shells[:-1]]
         largest = shells[-1][0]
-        assert largest >= max(f.tm_cutoff for u in sweep for f in u.f_by_level.values())
+        assert largest >= max(f.max_cutoff for u in sweep for f in u.f_by_level.values())
         table = listing(cfg.geom, largest)
         assert sum(n for _, _, n in shells) == table["TM"]["k"].size + table["TE"]["k"].size
 
@@ -1582,7 +1611,8 @@ class TestDispersionEnergy:
         cfg = PairConfiguration(SQ, TransversePoint(0.3, 0.4),
                                 TransversePoint(0.7, 0.6), 1.2, ISO, sp2)
         u1 = dispersion_energy(cfg, tail_tol=1e-8).total
-        u2 = dispersion_energy(cfg.swapped(), tail_tol=1e-8).total
+        u2 = dispersion_energy(replace(cfg, p1=cfg.p2, p2=cfg.p1, species1=cfg.species2,
+                                       species2=cfg.species1), tail_tol=1e-8).total
         assert u1 == pytest.approx(u2, rel=1e-12)
 
     def test_species_swap_symmetry_fixed_transverse(self):
@@ -1593,7 +1623,8 @@ class TestDispersionEnergy:
         cfg = PairConfiguration(SQ, TransversePoint(0.3, 0.4),
                                 TransversePoint(0.7, 0.6), 1.0, sp1, sp2)
         u1 = dispersion_energy(cfg, tail_tol=1e-8).total
-        u2 = dispersion_energy(cfg.swapped(), tail_tol=1e-8).total
+        u2 = dispersion_energy(replace(cfg, p1=cfg.p2, p2=cfg.p1, species1=cfg.species2,
+                                       species2=cfg.species1), tail_tol=1e-8).total
         assert u1 == pytest.approx(u2, rel=1e-12)
 
     @pytest.mark.parametrize("b, p1, p2, z, levels", [
