@@ -25,9 +25,8 @@ from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes)
 from .coupling import (ORIENTATIONS, QuadratureSpec, f_quadrature,
                        f_te_closed, f_tm_closed)
-from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
-                     dispersion_sweep, ratio_to_freespace, u_freespace_cp,
-                     u_freespace_vdw)
+from .energy import (DipoleSpecies, PairConfiguration, _vdw_tensor, dispersion_energy,
+                     dispersion_sweep, ratio_to_freespace, u_freespace_cp)
 from .asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
 from .species_io import parse_species_file
 
@@ -295,15 +294,16 @@ def _ratio(u: float, reference: float) -> float:
 
 
 def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float, list[str]]]:
-    """Free-space van der Waals (tensor form) and Casimir-Polder energies at
-    each z of ``zs``, with a warning for each that is not finite.
+    """Free-space van der Waals (tensor form, its contraction taken once) and
+    Casimir-Polder energies at each z of ``zs``, with a warning for each that
+    is not finite.
 
     The Casimir-Polder formula's validity warnings are not printed.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pairs = [(u_freespace_vdw(sp1, sp2, z, form="tensor", epsilon=epsilon),
-                  u_freespace_cp(sp1, sp2, z, epsilon=epsilon)) for z in zs]
+        pairs = [(vdw, u_freespace_cp(sp1, sp2, z, epsilon=epsilon))
+                 for z, vdw in zip(zs, _vdw_tensor(sp1, sp2, zs, epsilon))]
     return [(*pair, [f"{name} is not finite at z={z:g}: {value!r}, its terms pass the "
                      f"largest double" for name, value in zip(_FREESPACE_KEYS, pair)
                      if not math.isfinite(value)]) for z, pair in zip(zs, pairs)]

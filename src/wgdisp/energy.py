@@ -14,14 +14,15 @@ additions are 1-D sums under a rule in ln t.  Isotropic orientation averaging re
 dipole products by their second moments <d_i d_j> = delta_ij |d|^2 / 3
 before contraction.
 
-That level-pair sum lives in one place, ``_assemble``: the mode-summed
-energies and the mode-set reference energies of :mod:`wgdisp.fourth_order`
-all go through it.  The module also carries the free-space reference
+That level-pair sum lives in one place, ``_assemble``, which contracts
+every level pair at every separation of a sweep in one einsum; the
+mode-set reference energies of :mod:`wgdisp.fourth_order` are its
+one-point case.  The module also carries the free-space reference
 energies (quasistatic 1/r^6, whose tensor form is the one contraction of
-the free-space near-field tensor, and retarded 1/r^7), the retarded
-in-guide closed form, the regime ratio formulas, and the dynamic
-polarizability at imaginary frequency.  Natural units hbar = c = 1;
-energies are in units of hbar c / length.
+the free-space near-field tensor, taken once per sweep, and retarded
+1/r^7), the retarded in-guide closed form, the regime ratio formulas,
+and the dynamic polarizability at imaginary frequency.  Natural units
+hbar = c = 1; energies are in units of hbar c / length.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ class DipoleTransition:
         if not (self.energy > 0.0 and math.isfinite(self.energy)):
             raise InputError(f"transition energy must be positive and finite, "
                              f"got {self.energy!r}")
-        vec = np.asarray(self.d, dtype=float)
-        if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+        try:
+            vec = [float(c) for c in self.d]
+        except TypeError:  # not a sequence of numbers
+            vec = []
+        if isinstance(self.d, str) or len(vec) != 3 or not all(map(math.isfinite, vec)):
             raise InputError("dipole vector must be three finite components")
-        if not np.any(vec != 0.0):
+        if not any(vec):
             raise InputError("dipole vector must be non-zero")
 
     @property
@@ -173,12 +177,12 @@ class FTensorResult:
     The TM tensor is the Ewald split; ``tm_cutoff`` and ``tm_modes`` are
     the cutoff and count of its screened modes.  Under ``max_cutoff`` the
     TE tensor sums the ``te_modes`` modes with k <= ``te_cutoff``; under
-    ``tail_tol`` it is the split, ``te_modes`` counts its screened modes,
-    and ``te_cutoff`` is the cutoff a plain TE mode sum would need by its
-    continuum tail (the one the split is held against).  The paper-literal
-    printed sums list no mode.  ``modes_used`` is ``tm_modes + te_modes``
-    and ``max_cutoff`` the larger cutoff.  ``tail_bound`` bounds what the
-    truncations drop from any tensor entry.
+    ``tail_tol`` it is the split, ``te_modes`` counts its screened modes, and
+    ``te_cutoff``, found on first read, is the cutoff a plain TE mode sum
+    would need by its continuum tail (the one the split is held against).
+    The paper-literal printed sums list no mode.  ``modes_used`` is
+    ``tm_modes + te_modes`` and ``max_cutoff`` the larger cutoff.
+    ``tail_bound`` bounds what the truncations drop from any tensor entry.
 
     ``per_mode`` maps each mode of the plain mode sum that meets the same
     truncation (the modes up to :attr:`_shown_cutoffs`) to its own 3x3
@@ -194,7 +198,6 @@ class FTensorResult:
     te_tensor: np.ndarray
     tail_bound: float
     tm_cutoff: float
-    te_cutoff: float
     tm_modes: int
     te_modes: int
     _detail: tuple | None = field(default=None, repr=False, compare=False)
@@ -208,11 +211,20 @@ class FTensorResult:
         return self.tm_modes + self.te_modes
 
     @cached_property
+    def te_cutoff(self) -> float:
+        """``max_cutoff``, or under ``tail_tol`` the cutoff :func:`f_tensor` describes."""
+        if self._detail is None:
+            return math.nan
+        table, start, budget, z, energy, tm_tail = self._detail
+        return start if budget is None else _grown(
+            start, lambda K: tm_tail + _te_tail_bound(K, z, table.key[0], energy) > budget)
+
+    @cached_property
     def _shown_cutoffs(self) -> tuple[float, float]:
         """TM and TE cutoffs of the modes ``per_mode`` shows: the recorded
         start, or with a budget, K_TM where tail_TM(K) + tail_TE(K) fits it
         and then K_TE <= K_TM where tail_TM(K_TM) + tail_TE(K) does."""
-        table, start, budget, z, energy = self._detail
+        table, start, budget, z, energy, _ = self._detail
         if budget is None:
             return start, start
         geom = table.key[0]
@@ -226,7 +238,7 @@ class FTensorResult:
     def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
         if self._detail is None:
             return None
-        table, _, _, z, energy = self._detail
+        table, _, _, z, energy, _ = self._detail
         if (counts := table.listed_counts(self._shown_cutoffs)) is None:
             return None
         pol, ms, ns, tensors = table.mode_tensors(counts, z, energy)
@@ -243,7 +255,7 @@ class FTensorResult:
         """
         if n <= 0 or self._detail is None:
             return []
-        table, _, _, z, energy = self._detail
+        table, _, _, z, energy, _ = self._detail
         found = table.leading_modes(self._shown_cutoffs, n, z, energy)
         if found is None:
             return []
@@ -667,13 +679,15 @@ def f_tensor(
         if value is not None and not 0.0 < value < math.inf:
             raise InputError(f"{name} must be positive and finite, got {value!r}")
     geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
-    K_te = start = max_cutoff if max_cutoff is not None \
+    start = max_cutoff if max_cutoff is not None \
         else max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     K_split = _coupling._split_cutoff(geom)
     if geom.is_corner(p1) or geom.is_corner(p2):
-        return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
+        zero = FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
-                             tm_cutoff=K_split, te_cutoff=K_te, tm_modes=0, te_modes=0)
+                             tm_cutoff=K_split, tm_modes=0, te_modes=0)
+        zero.te_cutoff = start
+        return zero
     _listed(geom, K_split, mode_cap)
     if table is None:
         table = ModeTable(geom, p1, p2, conv)
@@ -695,9 +709,9 @@ def f_tensor(
         tail += cross_tail
     budget = None
     if max_cutoff is not None:
-        table.extend(0.0, _listed(geom, K_te, mode_cap, "use a lower cutoff"))
-        te_sum = te_weight * table.sums(z, table.counts(0.0, K_te))[1]
-        tail += _te_tail_bound(K_te, z, geom, energy)
+        table.extend(0.0, _listed(geom, max_cutoff, mode_cap, "use a lower cutoff"))
+        te_sum = te_weight * table.sums(z, table.counts(0.0, max_cutoff))[1]
+        tail += _te_tail_bound(max_cutoff, z, geom, energy)
     else:
         te_unit, te_tail = table.te_split(z)
         te_sum = te_weight * te_unit
@@ -711,13 +725,12 @@ def f_tensor(
             raise InputError(f"tail_tol={tail_tol!r} is below the truncation bound of the "
                              f"screened TM sum and the TE split{' plus the printed sums' * printed}"
                              f", {tail / scale:.2g} of the tensor scale")
-        # The cutoff a plain TE mode sum would need, found listing no mode.
-        K_te = _grown(start, lambda K: tm_tail + _te_tail_bound(K, z, geom, energy) > budget)
-    tm_modes, te_modes = table.counts(K_split, K_te if budget is None else K_split)
+    tm_modes, te_modes = table.counts(K_split, max_cutoff) if budget is None else (
+        len(table._screened(TM)[0]), len(table._screened(TE)[0]))
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_split,
-                         te_cutoff=K_te, tm_modes=tm_modes, te_modes=te_modes,
-                         _detail=(table, start, budget, z, energy))
+                         tm_modes=tm_modes, te_modes=te_modes,
+                         _detail=(table, start, budget, z, energy, tm_tail))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
@@ -728,20 +741,21 @@ def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
 
 def _level_pairs(P2: np.ndarray, P1: np.ndarray, F2: np.ndarray,
                  F1: np.ndarray) -> np.ndarray:
-    """:func:`quadratic_contraction` of every level pair in one call.
+    """:func:`quadratic_contraction` of every level pair at every separation.
 
-    P1 and F1 stack the second moments and tensors of species1's L1 levels,
-    P2 and F2 those of species2's L2 levels, each (L, 3, 3); a 3x3 F2 or F1
-    serves every level.  Entry [a, b] is quadratic_contraction(P2[b], P1[a],
-    F2[b], F1[a]), bit for bit: without ``optimize`` einsum sums each entry
-    over the same indices in the same order as the one-pair call.  With
-    several tensors per level, F2 and F1 of shape (L, parts, 3, 3), entry
-    [p, a, b] contracts part p, again bit for bit.
+    P1 and P2 stack the second moments of species1's L1 and species2's L2
+    levels, each (L, 3, 3), F1 and F2 the levels' tensors at nz separations,
+    (nz, L, 3, 3); a 3x3 F2 or F1 serves every level and separation.  Entry
+    [z, a, b] is quadratic_contraction(P2[b], P1[a], F2[z, b], F1[z, a]),
+    bit for bit: without ``optimize`` einsum sums each entry over the same
+    indices in the same order as the one-pair call.  With several tensors
+    per level, (nz, L, parts, 3, 3), entry [z, p, a, b] contracts part p;
+    two 3x3 tensors give (L1, L2).
     """
-    f2 = {2: "ij", 3: "bij", 4: "bpij"}[F2.ndim]
-    f1 = {2: "lq", 3: "alq", 4: "aplq"}[F1.ndim]
-    return np.einsum(f"bil,ajq,{f2},{f1}->{'pab' if F1.ndim == 4 else 'ab'}",
-                     P2, P1, F2, F1)
+    f2 = {2: "ij", 4: "zbij", 5: "zbpij"}[F2.ndim]
+    f1 = {2: "lq", 4: "zalq", 5: "zaplq"}[F1.ndim]
+    out = {2: "ab", 4: "zab", 5: "zpab"}[max(F2.ndim, F1.ndim)]
+    return np.einsum(f"bil,ajq,{f2},{f1}->{out}", P2, P1, F2, F1)
 
 
 def _confinement_guard(config: PairConfiguration) -> list[str]:
@@ -761,62 +775,64 @@ def _confinement_guard(config: PairConfiguration) -> list[str]:
     return notes
 
 
-def _assemble(config: PairConfiguration, make_tensor, notes: list[str]) -> EnergyBreakdown:
-    """Pair energy from the coupling tensor ``make_tensor(E)`` of each level."""
-    for label, p in (("species1", config.p1), ("species2", config.p2)):
-        if config.geom.is_corner(p):
-            notes.append(f"{label} dipole sits at the corner ({p.x:g}, {p.y:g}) "
-                         f"of the cross-section, where every TE and TM mode "
-                         f"profile vanishes; the pair energy is zero")
+def _assemble(points: list[PairConfiguration], make_tensor,
+              notes: list[str]) -> list[EnergyBreakdown]:
+    """Pair energy at each of ``points``, configurations that differ in z
+    alone, from the coupling tensor ``make_tensor(point, E)`` of each level.
+
+    One einsum per quantity contracts every level pair at every point; each
+    point's level pairs are then added up in Python floats, in pair order.
+    """
+    config = points[0]
+    notes = notes + [f"{label} dipole sits at the corner ({p.x:g}, {p.y:g}) of the "
+                     f"cross-section, where every TE and TM mode profile vanishes; "
+                     f"the pair energy is zero"
+                     for label, p in (("species1", config.p1), ("species2", config.p2))
+                     if config.geom.is_corner(p)]
     pref = -1.0 / (TWO_PI * config.epsilon) ** 2
     sp1, sp2 = config.species1, config.species2
-    # Each level's tensor, made in the order the level pairs first need them.
-    f_cache: dict[float, FTensorResult] = {}
-    for t1 in sp1.transitions:
-        for t in (t1, *sp2.transitions):
-            if t.energy not in f_cache:
-                f_cache[t.energy] = make_tensor(t.energy)
-    f1s = [f_cache[t.energy] for t in sp1.transitions]
-    f2s = [f_cache[t.energy] for t in sp2.transitions]
-    # Per level, the total, TM and TE tensors.
-    F1 = np.array([(f.tensor, f.tm_tensor, f.te_tensor) for f in f1s])
-    F2 = F1 if sp2 is sp1 else np.array([(f.tensor, f.tm_tensor, f.te_tensor)
-                                         for f in f2s])
-    sums, tm_sums, te_sums = _level_pairs(sp2.second_moments, sp1.second_moments,
-                                          F2, F1).tolist()
+    # Each point's tensors, made in the order the level pairs first need them.
+    energies = list(dict.fromkeys(t.energy for t1 in sp1.transitions
+                                  for t in (t1, *sp2.transitions)))
+    f_caches = [{e: make_tensor(point, e) for e in energies} for point in points]
+    f1s = [[cache[t.energy] for t in sp1.transitions] for cache in f_caches]
+    f2s = f1s if sp2 is sp1 else [[cache[t.energy] for t in sp2.transitions]
+                                  for cache in f_caches]
+    # Per point and level, the total, TM and TE tensors.
+    F1 = np.array([[(f.tensor, f.tm_tensor, f.te_tensor) for f in fs] for fs in f1s])
+    F2 = F1 if sp2 is sp1 else np.array([[(f.tensor, f.tm_tensor, f.te_tensor) for f in fs]
+                                         for fs in f2s])
+    sums = _level_pairs(sp2.second_moments, sp1.second_moments, F2, F1).tolist()
     # |P| keeps the fixed-vector bound from cancelling between dipole
     # components of opposite sign.
     (abs1, traces1), (abs2, traces2) = sp1._abs_moments, sp2._abs_moments
-    abs_f1 = np.abs(F1[:, 0])
-    abs_f2 = abs_f1 if sp2 is sp1 else np.abs(F2[:, 0])
+    abs_f1 = np.abs(F1[:, :, 0])
+    abs_f2 = abs_f1 if sp2 is sp1 else np.abs(F2[:, :, 0])
     ones = np.ones((3, 3))
-    cross = (_level_pairs(abs2, abs1, abs_f2, ones)
-             + _level_pairs(abs2, abs1, ones, abs_f1)).tolist()
-
-    total = 0.0
-    tm_only = 0.0
-    te_only = 0.0
-    tail_total = 0.0
-    per_pair: dict[tuple[int, int], float] = {}
-    for i1, (t1, f1) in enumerate(zip(sp1.transitions, f1s)):
-        for i2, (t2, f2) in enumerate(zip(sp2.transitions, f2s)):
-            w = pref / (t1.energy + t2.energy)
-            # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
-            # leaves every other value as it is.
-            u_pair = w * sums[i1][i2] + 0.0
-            per_pair[(i1, i2)] = u_pair
-            total += u_pair
-            tm_only += w * tm_sums[i1][i2]
-            te_only += w * te_sums[i1][i2]
-            t_hi = max(f1.tail_bound, f2.tail_bound)
-            tail_total += abs(w) * (t_hi * cross[i1][i2] + 9.0 * t_hi * t_hi
-                                    * traces2[i2] * traces1[i1])
-    modes_used = max((f.modes_used for f in f_cache.values()), default=0)
-    return EnergyBreakdown(total=total, per_level_pair=per_pair,
-                           u_tm_only=tm_only, u_te_only=te_only,
-                           tail_estimate=tail_total, modes_used=modes_used,
-                           warnings=notes, conventions=config.conventions,
-                           f_by_level=f_cache)
+    crosses = (_level_pairs(abs2, abs1, abs_f2, ones)
+               + _level_pairs(abs2, abs1, ones, abs_f1)).tolist()
+    out = []
+    for f_cache, fs1, fs2, (u_sums, tm_sums, te_sums), cross in zip(
+            f_caches, f1s, f2s, sums, crosses):
+        total = tm_only = te_only = tail_total = 0.0
+        per_pair: dict[tuple[int, int], float] = {}
+        for i1, (t1, f1) in enumerate(zip(sp1.transitions, fs1)):
+            for i2, (t2, f2) in enumerate(zip(sp2.transitions, fs2)):
+                w = pref / (t1.energy + t2.energy)
+                # Adding 0.0 turns the -0.0 of a zero contraction into 0.0 and
+                # leaves every other value as it is.
+                u_pair = per_pair[i1, i2] = w * u_sums[i1][i2] + 0.0
+                total += u_pair
+                tm_only += w * tm_sums[i1][i2]
+                te_only += w * te_sums[i1][i2]
+                t_hi = max(f1.tail_bound, f2.tail_bound)
+                tail_total += abs(w) * (t_hi * cross[i1][i2] + 9.0 * t_hi * t_hi
+                                        * traces2[i2] * traces1[i1])
+        out.append(EnergyBreakdown(
+            total=total, per_level_pair=per_pair, u_tm_only=tm_only, u_te_only=te_only,
+            tail_estimate=tail_total, modes_used=max(f.modes_used for f in f_cache.values()),
+            warnings=list(notes), conventions=config.conventions, f_by_level=f_cache))
+    return out
 
 
 _TINY = sys.float_info.min
@@ -828,16 +844,11 @@ def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
     The contraction is repeated on tensors scaled to unit size; a tensor
     that is zero away from the corners has underflowed as a whole.
     """
-    for t1 in config.species1.transitions:
-        for t2 in config.species2.transitions:
-            f1 = u.f_by_level[t1.energy].tensor
-            f2 = u.f_by_level[t2.energy].tensor
-            s1, s2 = np.abs(f1).max(), np.abs(f2).max()
-            if s1 == 0.0 or s2 == 0.0 or quadratic_contraction(
-                    config.species2.second_moment(t2),
-                    config.species1.second_moment(t1), f2 / s2, f1 / s1) != 0.0:
-                return True
-    return False
+    F1, F2 = (np.array([[u.f_by_level[t.energy].tensor for t in sp.transitions]])
+              for sp in (config.species1, config.species2))
+    s1, s2 = (np.abs(F).max(axis=(2, 3), keepdims=True) for F in (F1, F2))
+    return not (s1.all() and s2.all()) or bool(_level_pairs(
+        config.species2.second_moments, config.species1.second_moments, F2 / s2, F1 / s1).any())
 
 
 def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | None,
@@ -851,12 +862,11 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
         _listed(config.geom, _coupling._split_cutoff(config.geom), mode_cap)
         table.compute_splits([point.z for point in points],
                              (TM, TE) if max_cutoff is None else (TM,))
-    out = []
-    for point in points:
+    # The levels at each z share the table's splits and mode sums.
+    out = _assemble(points, lambda point, e: f_tensor(point, e, max_cutoff, tail_tol,
+                                                      mode_cap, table), notes)
+    for point, u in zip(points, out):
         z = point.z
-        # The levels at z share the table's splits and mode sums.
-        u = _assemble(point, lambda e: f_tensor(point, e, max_cutoff, tail_tol,
-                                                mode_cap, table), list(notes))
         # Below the smallest normal double a value keeps fewer digits, and
         # from the smallest subnormal on it reads 0.
         if not corner:
@@ -874,7 +884,6 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
                 u.warnings.append(
                     f"total underflows at z={z:g}: the pair energy "
                     f"{float(u.total)!r} is below the smallest normal double")
-        out.append(u)
     return out
 
 
@@ -890,11 +899,12 @@ def dispersion_sweep(
     Each point is ``config`` with its z replaced, truncated by ``tail_tol``
     or ``max_cutoff`` as in :func:`f_tensor`.  Every point and level sums
     from one :class:`ModeTable`, so each mode is listed and its transverse
-    factors are built once per sweep; a point costs its radial weights and
-    contractions.  The splits :func:`f_tensor` reads are evaluated for
-    every z of the sweep up front, by :meth:`ModeTable.compute_splits`.
-    Each breakdown equals that of :func:`dispersion_energy` at its z bit
-    for bit.
+    factors are built once per sweep.  The splits :func:`f_tensor` reads
+    are evaluated for every z of the sweep up front, by
+    :meth:`ModeTable.compute_splits`; after one :func:`f_tensor` call per z
+    and distinct level, every level pair at every z is contracted in one
+    batch (:func:`_assemble`).  Each breakdown equals that of
+    :func:`dispersion_energy` at its z bit for bit.
     """
     return _sweep(config, zs, tail_tol, max_cutoff, mode_cap, _confinement_guard(config))
 
@@ -996,14 +1006,24 @@ def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
         return _over_power(-acc, 24.0 * math.pi ** 2 * epsilon ** 2, r, 6)
     if form != "tensor":
         raise InputError(f"form must be 'isotropic' or 'tensor', got {form!r}")
-    pref = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6)
-    P1, P2 = species1.second_moments, species2.second_moments
-    sums = _level_pairs(P2, P1, _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
-    total = 0.0
-    for t1, row in zip(species1.transitions, sums):
-        for t2, value in zip(species2.transitions, row):
-            total += pref / (t1.energy + t2.energy) * 0.25 * value
-    return total
+    return _vdw_tensor(species1, species2, [r], epsilon)[0]
+
+
+def _vdw_tensor(species1: DipoleSpecies, species2: DipoleSpecies, rs,
+                epsilon: float = 1.0) -> list[float]:
+    """:func:`u_freespace_vdw` in ``tensor`` form at each r of ``rs``, with
+    the near-field contraction, which r does not change, taken once."""
+    sums = _level_pairs(species2.second_moments, species1.second_moments,
+                        _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
+    pairs = [(t1.energy + t2.energy, value) for t1, row in zip(species1.transitions, sums)
+             for t2, value in zip(species2.transitions, row)]
+    out = []
+    for r in rs:
+        pref, total = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6), 0.0
+        for e, value in pairs:
+            total += pref / e * 0.25 * value
+        out.append(total)
+    return out
 
 
 def u_freespace_cp(species1: DipoleSpecies, species2: DipoleSpecies, r: float,

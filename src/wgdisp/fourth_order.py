@@ -371,7 +371,7 @@ def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
     """
     n_te = sum(mode.polarization == TE for mode in modes)
 
-    def tensor_for(energy: float) -> FTensorResult:
+    def tensor_for(_, energy: float) -> FTensorResult:
         tm, te = np.zeros((3, 3)), np.zeros((3, 3))
         for mode in modes:
             if mode.polarization == TE:
@@ -379,10 +379,10 @@ def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
             else:
                 tm += mode_tensor(mode, energy)
         return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
-                             tail_bound=0.0, tm_cutoff=math.nan, te_cutoff=math.nan,
+                             tail_bound=0.0, tm_cutoff=math.nan,
                              tm_modes=len(modes) - n_te, te_modes=n_te)
 
-    return _assemble(config, tensor_for, _confinement_guard(config)).total
+    return _assemble([config], tensor_for, _confinement_guard(config))[0].total
 
 
 def weighted_reference_energy(config: PairConfiguration,

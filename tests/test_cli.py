@@ -748,11 +748,12 @@ def _log_uniform(lo, hi):
 def _numeric_runs(draw):
     # An energy report or a 2-3 point sweep with every numeric input drawn:
     # a log-uniform over the double range, b/a within 1e3 either way, the
-    # wavelength 0.3-3 times the larger side, z from 1e-12 a to 1e6 a, and
-    # optional points, --tail-tol, --max-cutoff and --epsilon.
+    # wavelength log-uniform from 0.3 to 300 times the larger side (past 10
+    # times it a run carries no confinement warning), z from 1e-12 a to
+    # 1e6 a, and optional points, --tail-tol, --max-cutoff and --epsilon.
     a = draw(_log_uniform(1e-300, 1e300))
     b = a * draw(_log_uniform(1e-3, 1e3))
-    wavelength = max(a, b) * draw(st.floats(0.3, 3.0))
+    wavelength = max(a, b) * draw(_log_uniform(0.3, 300.0))
     argv = ["--a", repr(a), "--b", repr(b), "--convention",
             draw(st.sampled_from(["oracle-consistent", "paper-literal"]))]
     for name, length in (("--x1", a), ("--y1", b), ("--x2", a), ("--y2", b)):

@@ -52,6 +52,28 @@ class TestSpecies:
         with pytest.raises(InputError):
             DipoleTransition(1.0, (0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("d, message", [
+        *((d, "three finite components") for d in (
+            (math.nan, 0.0, 1.0), (1.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
+            ("nan", "1", "0"), (None, 1.0, 0.0), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (),
+            5.0, "123")),
+        ((0.0, -0.0, 0.0), "non-zero"),
+        (("0", "-0.0", "0e5"), "non-zero"),
+    ])
+    def test_refuses_bad_dipole(self, d, message):
+        # Each dipole is refused with the class and message that numpy's
+        # float conversion of it met: NaN, +-inf, None, a wrong length, a
+        # number or a string where three components belong, or all zeros.
+        with pytest.raises(InputError) as refused:
+            DipoleTransition(1.0, d)
+        assert str(refused.value) == f"dipole vector must be {message}"
+
+    def test_numeric_strings_are_numbers(self):
+        t = DipoleTransition(1.0, ("1", "0.5", "-2e-1"))
+        assert t.d_squared == DipoleTransition(1.0, (1.0, 0.5, -0.2)).d_squared
+        with pytest.raises(ValueError):
+            DipoleTransition(1.0, ("x", "0", "1"))
+
     def test_isotropic_second_moment(self):
         t = DipoleTransition(1.0, (1.0, 2.0, 2.0))
         m = DipoleSpecies((t,), "isotropic-average").second_moment(t)
@@ -1030,7 +1052,7 @@ class TestPolarizationCutoffs:
         cfg, tol = case
         u = dispersion_energy(cfg, tail_tol=tol)
         try:
-            fixed = _assemble(cfg, lambda e: f_tensor(
+            fixed, = _assemble([cfg], lambda _, e: f_tensor(
                 cfg, e, max_cutoff=u.f_by_level[e].max_cutoff), [])
         except ModeCapError:
             reject()  # the TE listing at that cutoff passes the cap
@@ -1479,6 +1501,82 @@ class TestSweep:
                         g = one.f_by_level[e]
                         assert f.tensor.tobytes() == g.tensor.tobytes()
                         assert (f.max_cutoff, f.modes_used) == (g.max_cutoff, g.modes_used)
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("truncation", [{"tail_tol": 1e-7},
+                                            {"max_cutoff": 60.0}])
+    def test_breakdowns_equal_per_pair_contractions_bitwise(self, convention, truncation):
+        # Every breakdown of a sweep, whose level pairs are contracted in one
+        # batch over its separations, equals bit for bit the sums a loop in
+        # Python floats makes over the level pairs from quadratic_contraction
+        # of the tensors f_tensor gives at that z alone.  The cases: species
+        # of 1-4 levels each, sharing one level; fixed-vector dipoles with
+        # components of both signs, one species isotropic; a dipole at a
+        # corner; and a sweep longer than one chunk of the splits.
+        from wgdisp.energy import _SPLIT_CHUNK
+        rng = np.random.default_rng(30)
+        geom, conv = Geometry(1.0, 0.7), Conventions.from_name(convention)
+
+        def species(n, orientation, shared=()):
+            levels = [*shared, *(2.0 * math.pi / rng.uniform(40.0, 200.0)
+                                 for _ in range(n - len(shared)))]
+            return DipoleSpecies(tuple(DipoleTransition(e, tuple(rng.uniform(-1.0, 1.0, 3)))
+                                       for e in levels), orientation)
+
+        short, longer = np.geomspace(0.05, 2.0, 4).tolist(), \
+            np.geomspace(0.05, 6.0, _SPLIT_CHUNK + 3).tolist()
+        p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
+        cases = []
+        for n1, n2, zs, first in ((1, 1, short, p1), (2, 3, short, p1), (4, 2, longer, p1),
+                                  (3, 4, short, p1), (2, 2, short, TransversePoint(0.0, 0.7))):
+            sp1 = species(n1, "fixed-vector")
+            sp2 = species(n2, ("fixed-vector", "isotropic-average")[n2 % 2],
+                          [sp1.transitions[-1].energy])
+            cases.append((PairConfiguration(geom, first, p2, zs[0], sp1, sp2,
+                                            conventions=conv), zs))
+        ones = np.ones((3, 3))
+        bits = lambda *xs: [float(x).hex() for x in xs]  # noqa: E731
+        for cfg, zs in cases:
+            sp1, sp2 = cfg.species1, cfg.species2
+            for z, u in zip(zs, dispersion_sweep(cfg, zs, **truncation)):
+                point = replace(cfg, z=z)
+                table = ModeTable(geom, cfg.p1, cfg.p2, conv)
+                fs = {}
+                for t1 in sp1.transitions:
+                    for t in (t1, *sp2.transitions):
+                        if t.energy not in fs:
+                            fs[t.energy] = f_tensor(point, t.energy, table=table, **truncation)
+                w0 = -1.0 / (2.0 * math.pi) ** 2
+                total = tm_only = te_only = tail = 0.0
+                pairs = {}
+                for i1, t1 in enumerate(sp1.transitions):
+                    for i2, t2 in enumerate(sp2.transitions):
+                        f1, f2 = fs[t1.energy], fs[t2.energy]
+                        P1, P2 = sp1.second_moment(t1), sp2.second_moment(t2)
+                        w = w0 / (t1.energy + t2.energy)
+                        pairs[i1, i2] = w * quadratic_contraction(P2, P1, f2.tensor,
+                                                                  f1.tensor) + 0.0
+                        total += pairs[i1, i2]
+                        tm_only += w * quadratic_contraction(P2, P1, f2.tm_tensor,
+                                                             f1.tm_tensor)
+                        te_only += w * quadratic_contraction(P2, P1, f2.te_tensor,
+                                                             f1.te_tensor)
+                        t_hi = max(f1.tail_bound, f2.tail_bound)
+                        A1, A2 = np.abs(P1), np.abs(P2)
+                        cross = (quadratic_contraction(A2, A1, np.abs(f2.tensor), ones)
+                                 + quadratic_contraction(A2, A1, ones, np.abs(f1.tensor)))
+                        tail += abs(w) * (t_hi * cross + 9.0 * t_hi * t_hi
+                                          * float(P2.trace()) * float(P1.trace()))
+                assert bits(u.total, u.u_tm_only, u.u_te_only, u.tail_estimate) \
+                    == bits(total, tm_only, te_only, tail)
+                assert list(u.per_level_pair) == list(pairs)
+                assert bits(*u.per_level_pair.values()) == bits(*pairs.values())
+                assert u.modes_used == max(f.modes_used for f in fs.values())
+                assert list(u.f_by_level) == list(fs)
+                for e, f in fs.items():
+                    g = u.f_by_level[e]
+                    assert g.tensor.tobytes() == f.tensor.tobytes()
+                    assert bits(g.tail_bound) == bits(f.tail_bound)
 
     @pytest.mark.parametrize("b", [1.0, 0.1, 1e-4])
     def test_splits_vanish_before_the_far_edge(self, b):

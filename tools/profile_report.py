@@ -34,7 +34,10 @@ from wgdisp import cli, coupling, energy, fourth_order, oracle_checks  # noqa: E
 from workloads import WORKLOADS  # noqa: E402
 
 # Per workload, stage name: (owner, attribute) pairs whose calls make up the
-# stage.
+# stage.  "assembly" (energy._assemble) and "free-space" (cli._freespace,
+# which takes the near-field contraction once) are one call per sweep or
+# report: every separation's level pairs are one batch, and the f_tensor
+# calls made inside the batch count under "f_tensor".
 STAGES = {
     "sweep-near": {
         "parse": [(argparse.ArgumentParser, "parse_args")],
