@@ -14,15 +14,11 @@ from .errors import (InputError, ModeCapError, QuadratureError,
                      ValidityDomainWarning, WgdispError)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes, mode_frequency)
-from .coupling import (CouplingValue, QuadratureSpec, f_quadrature,
-                       f_te_closed, f_tm_closed, transverse_profile)
+from .coupling import transverse_profile
 from .energy import (DipoleSpecies, DipoleTransition, EnergyBreakdown,
                      FTensorResult, PairConfiguration, dispersion_energy,
                      dispersion_sweep, f_tensor, polarizability, ratio_to_freespace,
                      u_freespace_cp, u_freespace_vdw, u_retarded_closed)
-from .asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
-from .fourth_order import (Diagram, enumerate_diagrams, fourth_order_oracle,
-                           weighted_reference_energy)
 from .species_io import parse_species_file
 
 __version__ = "0.1.0"
@@ -30,16 +26,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Conventions", "Geometry", "ModeIndex", "TransversePoint",
     "DipoleSpecies", "DipoleTransition", "PairConfiguration",
-    "EnergyBreakdown", "FTensorResult", "CouplingValue", "QuadratureSpec",
-    "Diagram", "bessel_k0",
+    "EnergyBreakdown", "FTensorResult", "bessel_k0",
     "cutoff_wavenumber", "mode_frequency", "transverse_profile",
     "enumerate_modes",
-    "f_tm_closed", "f_te_closed", "f_quadrature",
     "f_tensor", "dispersion_energy", "dispersion_sweep", "polarizability",
     "u_retarded_closed", "u_freespace_vdw", "u_freespace_cp",
     "ratio_to_freespace",
-    "reduced_zz_sum_direct", "reduced_zz_sum_integral",
-    "enumerate_diagrams", "fourth_order_oracle", "weighted_reference_energy",
     "parse_species_file",
     "WgdispError", "InputError", "SpeciesFileError", "ModeCapError",
     "QuadratureError",

@@ -23,11 +23,9 @@ from .errors import (InputError, ModeCapError, QuadratureError,
                      SpeciesFileError, WgdispError)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes)
-from .coupling import (ORIENTATIONS, QuadratureSpec, f_quadrature,
-                       f_te_closed, f_tm_closed)
+from .coupling import ORIENTATIONS
 from .energy import (DipoleSpecies, PairConfiguration, _vdw_tensor, dispersion_energy,
                      dispersion_sweep, ratio_to_freespace, u_freespace_cp)
-from .asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
 from .species_io import parse_species_file
 
 EXIT_OK = 0
@@ -246,6 +244,8 @@ def cmd_modes(args) -> int:
 
 
 def cmd_coupling(args) -> int:
+    from .quadrature import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
+
     geom = _geometry(args)
     mode = ModeIndex(args.pol, args.m, args.n)
     orient = args.orient
@@ -425,6 +425,8 @@ def cmd_reproduce(args) -> int:
     lo, hi, n = FIGURE_GRIDS[fig]
     grid = np.geomspace(lo, hi, n)
     if fig == "fig4":
+        from .asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
+
         header = ["z_over_a", "direct_sum", "integral_approx"]
         title = "direct axial-axial mode sum vs continuum approximation"
         rows = [[z, direct, reduced_zz_sum_integral(float(z))]

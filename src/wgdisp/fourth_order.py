@@ -45,11 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_TM_SIGNS, ORIENTATIONS, QuadratureSpec, _certified, _closed_forms,
-                       _mode_cases, _one_mode, _quadratures, _ray_rule, _te_rows, _tm_rows)
+from .coupling import _TM_SIGNS, ORIENTATIONS, _one_mode, _te_rows, _tm_rows
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError
+from .quadrature import (QuadratureSpec, _certified, _closed_forms, _mode_cases, _quadratures,
+                         _ray_rule)
 from .waveguide import TE, ModeIndex
 
 TWO_PI = 2.0 * math.pi

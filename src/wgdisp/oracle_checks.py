@@ -27,13 +27,13 @@ import math
 import numpy as np
 
 from .conventions import Conventions
-from .coupling import (ORIENTATIONS, QuadratureSpec, _case_batch, _Cases, _closed_forms,
-                       _quadratures)
+from .coupling import ORIENTATIONS
 from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                      u_freespace_vdw)
 from .errors import InputError
 from .fourth_order import (closed_form_reference_energy, fourth_order_oracle,
                            weighted_reference_energy)
+from .quadrature import QuadratureSpec, _case_batch, _Cases, _closed_forms, _quadratures
 from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint, cutoff_wavenumber
 
 _TM_COMPONENTS = ("zz", "xx", "yy", "xy", "xz", "yz")

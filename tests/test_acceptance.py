@@ -26,11 +26,11 @@ import pytest
 
 from helpers import near_field_energy, profile_norm
 from wgdisp.asymptotics import reduced_zz_sum_direct, reduced_zz_sum_integral
-from wgdisp.coupling import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
 from wgdisp.energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                            f_tensor, ratio_to_freespace, u_freespace_vdw)
 from wgdisp.fourth_order import (closed_form_reference_energy,
                                  fourth_order_oracle, weighted_reference_energy)
+from wgdisp.quadrature import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -118,7 +118,7 @@ class TestConsistencyWithCouplings:
     def test_reduced_sum_equals_coupling_mode_sum(self):
         # The reduced sum times 4 pi^2 / a^3 is the axial-axial TM mode
         # sum at the center of a square guide.
-        from wgdisp.coupling import f_tm_closed
+        from wgdisp.quadrature import f_tm_closed
         from wgdisp.waveguide import ModeIndex
         geom = Geometry(1.0, 1.0)
         center = geom.center()
@@ -132,7 +132,7 @@ class TestConsistencyWithCouplings:
         assert acc / (4.0 * math.pi ** 2) == pytest.approx(reduced, abs=1e-10)
 
     def test_even_parity_terms_vanish_at_center(self):
-        from wgdisp.coupling import f_tm_closed
+        from wgdisp.quadrature import f_tm_closed
         from wgdisp.waveguide import ModeIndex
         geom = Geometry(1.0, 1.0)
         center = geom.center()

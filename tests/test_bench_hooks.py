@@ -32,6 +32,14 @@ def _load_tracer():
     return tracer
 
 
+def _import_targets(tracer):
+    # The tracer wraps the target functions of the modules already imported,
+    # and it finds each target's home in sys.modules; ``import wgdisp.cli``
+    # leaves the oracle modules to the commands that use them.
+    for module, _, _ in tracer.TARGETS:
+        importlib.import_module(f"{tracer.PACKAGE}.{module}")
+
+
 def test_tracer_targets_resolve():
     tracer = _load_tracer()
     for module, function, _ in tracer.TARGETS:
@@ -75,9 +83,10 @@ def test_energy_and_sweep_ops_call_their_traced_layers(tmp_path):
     # A point-far op (an energy report, here of three levels) and a
     # sweep-near op (an 8-point sweep) reach the tracer's f_tensor layer:
     # once per distinct level, and once per separation.
-    from wgdisp import cli, oracle_checks  # noqa: F401 (the tracer wraps every module)
+    from wgdisp import cli
 
     tracer = _load_tracer()
+    _import_targets(tracer)
     three = tmp_path / "three.species"
     three.write_text("E=0.06 d=(1,0.5,0.2)\nE=0.09 d=(0.3,1,0.7)\n"
                      "E=0.12 d=(0.4,0.2,1)\n")
@@ -106,6 +115,7 @@ def test_oracle_op_calls_its_traced_layers():
     from wgdisp import cli
 
     tracer = _load_tracer()
+    _import_targets(tracer)
     names = {f"{module}.{function}" for module, function, _ in tracer.TARGETS}
     assert names >= set(ORACLE_OP_CALLS) | set(KNOWN_UNCALLED)
     run = tracer.Tracer()

@@ -838,7 +838,7 @@ class TestImport:
 
     def test_subcommands_load_no_scipy(self, species_file):
         # K0, E1, erfc and erfcx come from wgdisp._special and the wavenumber
-        # integrals from double-exponential rules in wgdisp.coupling: no
+        # integrals from double-exponential rules in wgdisp.quadrature: no
         # subcommand imports a scipy module, the quadrature oracle
         # (oracle-check, coupling --check-quadrature) included.
         runs = [["energy", "--z", "0.05", "--species1", species_file],
@@ -867,6 +867,40 @@ class TestImport:
                                              "PATH": "/usr/bin:/bin"})
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    def test_commands_load_only_what_they_run(self, species_file):
+        # energy and sweep never reach the per-case oracle, the fourth-order
+        # oracle, the check suite or fig4, so a launch that runs only them
+        # never imports those modules; the commands that use them import them
+        # on first use.  numpy.polynomial is not held out: the first TE split
+        # loads it for its Gauss-Legendre rule.
+        oracle_modules = ["wgdisp.quadrature", "wgdisp.fourth_order",
+                          "wgdisp.oracle_checks", "wgdisp.asymptotics"]
+        reports = [["energy", "--z", "0.5", "--species1", species_file],
+                   ["sweep", "--z-min", "0.05", "--z-max", "0.5", "--points", "8",
+                    "--species1", species_file]]
+        oracles = [["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+                    "--z", "1", "--check-quadrature"],
+                   ["reproduce", "fig4"], ["oracle-check", "--seed", "1"]]
+        code = ("import contextlib, io, json, sys, wgdisp.cli\n"
+                "def run(runs):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        return [wgdisp.cli.main(argv) for argv in runs]\n"
+                f"rcs = run({reports!r})\n"
+                f"loaded = [m for m in {oracle_modules!r} if m in sys.modules]\n"
+                f"rcs += run({oracles!r})\n"
+                "import wgdisp.coupling as coupling, wgdisp.quadrature as quadrature\n"
+                "same = [getattr(coupling, n) is getattr(quadrature, n)\n"
+                "        for n in ('f_quadrature', 'f_tm_closed', 'f_te_closed')]\n"
+                "print(json.dumps([rcs, loaded, same]))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={"PYTHONPATH": str(SRC),
+                                             "PATH": "/usr/bin:/bin"})
+        assert res.returncode == 0, res.stderr
+        rcs, loaded, same = json.loads(res.stdout)
+        assert rcs == [0] * 5
+        assert loaded == []
+        assert same == [True] * 3
 
 
 # Values printed before K0, E1, erfc and erfcx moved from scipy.special to

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import (_CASE_NODES, ORIENTATIONS, SCHEMES, QuadratureSpec,
-                             _case_batch, _closed_forms, _kernel_integrals, _quadratures,
-                             f_quadrature, f_te_closed, f_tm_closed)
+from wgdisp.coupling import ORIENTATIONS
 from wgdisp.energy import ModeTable
 from wgdisp.errors import InputError, QuadratureError, TightConfinementWarning
+from wgdisp.quadrature import (_CASE_NODES, SCHEMES, QuadratureSpec, _case_batch, _closed_forms,
+                               _kernel_integrals, _quadratures, f_quadrature, f_te_closed,
+                               f_tm_closed)
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
 SQ = Geometry(1.0, 1.0)

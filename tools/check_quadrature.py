@@ -1,4 +1,4 @@
-"""Sweep wgdisp.coupling's double-exponential kernel rules against mpmath.
+"""Sweep wgdisp.quadrature's double-exponential kernel rules against mpmath.
 
     PYTHONPATH=src python tools/check_quadrature.py [points per class]
 
@@ -20,7 +20,7 @@ import sys
 import mpmath as mp
 import numpy as np
 
-from wgdisp.coupling import SCHEMES, _kernel_integrals
+from wgdisp.quadrature import SCHEMES, _kernel_integrals
 
 mp.mp.dps = 30
 

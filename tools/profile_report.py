@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from wgdisp import cli, coupling, energy, fourth_order, oracle_checks  # noqa: E402
+from wgdisp import asymptotics, cli, coupling, energy, fourth_order, oracle_checks  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # Per workload, stage name: (owner, attribute) pairs whose calls make up the
@@ -73,7 +73,7 @@ STAGES = {
                               (oracle_checks, "closed_form_reference_energy")],
         "free-space recovery": [(oracle_checks, "dispersion_energy"),
                                 (oracle_checks, "u_freespace_vdw")],
-        "fig4": [(cli, "reduced_zz_sum_direct"), (cli, "reduced_zz_sum_integral")],
+        "fig4": [(asymptotics, "reduced_zz_sum_direct"), (asymptotics, "reduced_zz_sum_integral")],
     },
 }
 
