@@ -13,7 +13,7 @@ from .errors import (InputError, ModeCapError, QuadratureError,
                      SpeciesFileError, TightConfinementWarning,
                      ValidityDomainWarning, WgdispError)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
-                        cutoff_wavenumber, enumerate_modes, mode_frequency)
+                        cutoff_wavenumber, enumerate_modes)
 from .coupling import transverse_profile
 from .energy import (DipoleSpecies, DipoleTransition, EnergyBreakdown,
                      FTensorResult, PairConfiguration, dispersion_energy,
@@ -27,7 +27,7 @@ __all__ = [
     "Conventions", "Geometry", "ModeIndex", "TransversePoint",
     "DipoleSpecies", "DipoleTransition", "PairConfiguration",
     "EnergyBreakdown", "FTensorResult", "bessel_k0",
-    "cutoff_wavenumber", "mode_frequency", "transverse_profile",
+    "cutoff_wavenumber", "transverse_profile",
     "enumerate_modes",
     "f_tensor", "dispersion_energy", "dispersion_sweep", "polarizability",
     "u_retarded_closed", "u_freespace_vdw", "u_freespace_cp",

@@ -166,10 +166,6 @@ class PairConfiguration:
             raise InputError("both dipoles must sit inside the cross-section")
 
 
-# Most modes ``FTensorResult.per_mode`` and ``top_modes`` list.
-_DETAIL_CAP = 20_000
-
-
 @dataclass
 class FTensorResult:
     """Coupling tensor for one transition energy.
@@ -183,14 +179,6 @@ class FTensorResult:
     The paper-literal printed sums list no mode.  ``modes_used`` is
     ``tm_modes + te_modes`` and ``max_cutoff`` the larger cutoff.
     ``tail_bound`` bounds what the truncations drop from any tensor entry.
-
-    ``per_mode`` maps each mode of the plain mode sum that meets the same
-    truncation (the modes up to :attr:`_shown_cutoffs`) to its own 3x3
-    coupling, or is ``None`` past ``_DETAIL_CAP`` modes or at a corner.  It
-    is built on first read from the table the tensor came from
-    (:meth:`ModeTable.mode_tensors`), so callers that only need the tensor
-    never pay for it.  :meth:`top_modes` ranks the same modes, but builds
-    only those :meth:`ModeTable.leading_modes` cannot leave out.
     """
 
     tensor: np.ndarray
@@ -219,49 +207,31 @@ class FTensorResult:
         return start if budget is None else _grown(
             start, lambda K: tm_tail + _te_tail_bound(K, z, table.key[0], energy) > budget)
 
-    @cached_property
-    def _shown_cutoffs(self) -> tuple[float, float]:
-        """TM and TE cutoffs of the modes ``per_mode`` shows: the recorded
-        start, or with a budget, K_TM where tail_TM(K) + tail_TE(K) fits it
-        and then K_TE <= K_TM where tail_TM(K_TM) + tail_TE(K) does."""
-        table, start, budget, z, energy, _ = self._detail
-        if budget is None:
-            return start, start
-        geom = table.key[0]
-        K_tm = _grown(start, lambda K: _tm_tail_bound(K, z, geom)
-                      + _te_tail_bound(K, z, geom, energy) > budget)
-        tm_tail = _tm_tail_bound(K_tm, z, geom)
-        return K_tm, _grown(start, lambda K: tm_tail
-                            + _te_tail_bound(K, z, geom, energy) > budget)
-
-    @cached_property
-    def per_mode(self) -> dict[ModeIndex, np.ndarray] | None:
-        if self._detail is None:
-            return None
-        table, _, _, z, energy, _ = self._detail
-        if (counts := table.listed_counts(self._shown_cutoffs)) is None:
-            return None
-        pol, ms, ns, tensors = table.mode_tensors(counts, z, energy)
-        return {ModeIndex(*key): tensors[:, :, i].copy()
-                for i, key in enumerate(zip(pol.tolist(), ms.tolist(), ns.tolist()))}
-
     def top_modes(self, n: int) -> list[tuple[ModeIndex, float, np.ndarray]]:
-        """The ``n`` modes of ``per_mode`` with the largest max |F|, as
-        (mode, max |F|, 3x3 coupling), ranked by (-max |F|, polarization,
-        m, n); empty where ``per_mode`` is None.
+        """Up to ``n`` of the tensor's listed modes with the largest max |F|,
+        as (mode, max |F|, 3x3 coupling), ranked by (-max |F|, polarization,
+        m, n).
 
-        Ranks the modes of :meth:`ModeTable.leading_modes`, which holds
-        those ``n`` without building the rest of ``per_mode``.
+        The listed modes are the first ``tm_modes`` TM and ``te_modes`` TE
+        modes of the tensor's table, whose factor rows it already holds.
+        Only those whose max |F| lies strictly above :func:`_envelope` at
+        ``tm_cutoff`` are kept: that bounds every TM mode the split takes
+        past them and, under ``tail_tol``, every such TE mode.  So the list
+        is the head of a ranking of every mode the tensor takes; it is short
+        or empty where few or no listed modes clear that bound, and empty at
+        a corner.
         """
         if n <= 0 or self._detail is None:
             return []
-        table, _, _, z, energy, _ = self._detail
-        found = table.leading_modes(self._shown_cutoffs, n, z, energy)
-        if found is None:
-            return []
-        pol, ms, ns, tensors = found
+        table, _, budget, z, energy, _ = self._detail
+        geom, _, _, conv = table.key
+        te_weight = abs(_coupling._TE_FACTORS[conv.te_factor]) * energy
+        floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_weight)
+                    for pol in ((TM,) if budget is None else (TM, TE)))
+        pol, ms, ns, tensors = table.mode_tensors((self.tm_modes, self.te_modes), z, energy)
         peaks = np.abs(tensors).max(axis=(0, 1))
-        top = np.lexsort((ns, ms, pol, -peaks))[:n]
+        kept = min(n, int(np.count_nonzero(peaks > floor)))
+        top = np.lexsort((ns, ms, pol, -peaks))[:kept]
         keys = zip(pol[top].tolist(), ms[top].tolist(), ns[top].tolist())
         return [(ModeIndex(*key), peak, tensors[:, :, i].copy())
                 for key, peak, i in zip(keys, peaks[top].tolist(), top.tolist())]
@@ -281,15 +251,21 @@ class EnergyBreakdown:
 
 
 def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
-    """Continuum-envelope bound on the dropped TM modes beyond cutoff K.
+    """Bound on the TM modes past cutoff K, the mode-sum reference the
+    tests hold the split against.
 
-    Per-mode magnitudes are bounded by (4 pi / A) k exp(-k z); the mode
-    density per polarization is ~ A k / (2 pi), so the tail is below
-    2 * integral_K^inf k^2 exp(-k z) dk, plus an axis-row allowance.
+    Per-mode magnitudes are bounded by (4 pi / A) k e^{-kz}.  The first
+    shell, the modes in (K, K + k_11], is summed mode by mode.  Every
+    lattice cell of area pi^2 / A lies within k_11 below its mode's k, so
+    past the shell the mode density per polarization, ~ A k / (2 pi),
+    gives 2 integral_K^inf k^2 e^{-kz} dk, plus an axis-row allowance.
     """
+    k11 = math.hypot(math.pi / geom.a, math.pi / geom.b)
+    k = mode_arrays(geom, K + k11, K)[TM]["k"]
+    shell = (4.0 * math.pi / geom.area) * float(np.sum(k * np.exp(-k * z)))
     axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
         * math.exp(-K * z) * (K + 1.0 / z) / z
-    return _tm_continuum_tail(K, z) + axis
+    return shell + _tm_continuum_tail(K, z) + axis
 
 
 def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
@@ -514,45 +490,26 @@ class ModeTable:
         geom, p1, p2, _ = self.key
         return _coupling._split_images(geom, p1, p2)
 
-    def listed_counts(self, cutoffs: tuple[float, float]) -> tuple[int, int] | None:
-        """Counts of the TM modes up to cutoffs[0] and TE modes up to
-        cutoffs[1], listed and built, or None when they pass ``_DETAIL_CAP``
-        in all.
-
-        At least A (K - k_11)^2 / (4 pi) modes of each polarization lie
-        below a cutoff K, so a count past the cap by that alone lists
-        nothing.
-        """
-        geom = self.key[0]
-        k11 = math.hypot(math.pi / geom.a, math.pi / geom.b)
-        if sum(geom.area * max(K - k11, 0.0) ** 2 / (4.0 * math.pi)
-               for K in cutoffs) > _DETAIL_CAP:
-            return None
-        self.extend(*cutoffs)
-        counts = self.counts(*cutoffs)
-        return counts if sum(counts) <= _DETAIL_CAP else None
-
-    def mode_tensors(self, counts: tuple[int, int], z: float, energy: float,
-                     first: tuple[int, int] = (0, 0)) -> tuple[np.ndarray, ...]:
+    def mode_tensors(self, counts: tuple[int, int], z: float,
+                     energy: float) -> tuple[np.ndarray, ...]:
         """Polarizations, indices m and n, and (3, 3, N) couplings of the
-        TM modes at table positions ``first[0]`` up to ``counts[0]``, then
-        the TE modes from ``first[1]`` up to ``counts[1]``, each in table
-        order.  A mode's coupling does not depend on which others share
-        the call."""
+        first ``counts[0]`` TM modes, then the first ``counts[1]`` TE modes,
+        each in table order.  A mode's coupling does not depend on which
+        others share the call."""
         geom, p1, p2, conv = self.key
         pols = [np.empty(0, dtype="<U2")]
         mns = [np.empty((2, 0), dtype=np.int32)]
         tensors = [np.empty((3, 3, 0))]
-        for pol, start, count in zip((TM, TE), first, counts):
-            if count <= start:
+        for pol, count in zip((TM, TE), counts):
+            if count <= 0:
                 continue
-            k, mn, rows = (part[..., start:] for part in self._columns(pol, count))
+            k, mn, rows = self._columns(pol, count)
             if pol == TM:
                 tensors.append(_coupling._tm_mode_tensors(geom, mn[0], mn[1], k, rows,
                                                           p1, p2, z, conv))
             else:
                 tensors.append(_coupling._te_mode_tensors(k, rows, z, energy, conv))
-            pols.append(np.full(count - start, pol))
+            pols.append(np.full(count, pol))
             mns.append(mn)
         m, n = np.concatenate(mns, axis=1)
         return np.concatenate(pols), m, n, np.concatenate(tensors, axis=2)
@@ -562,68 +519,21 @@ class ModeTable:
         ``count`` modes of a polarization, as views."""
         return self._k[pol][:count], self._mn[pol][:, :count], self._rows[pol][:count].T
 
-    def leading_modes(self, cutoffs: tuple[float, float], n: int,
-                      z: float, energy: float) -> tuple[np.ndarray, ...] | None:
-        """:meth:`mode_tensors` of modes among the TM modes up to
-        cutoffs[0] and TE modes up to cutoffs[1] (the detail set) that
-        include the ``n`` with the largest max |F|, ties included, or None
-        where :meth:`listed_counts` finds the set past ``_DETAIL_CAP``.
-
-        Each polarization's modes are taken in table (cutoff) order: first
-        those with factor rows, then, listing more, only as far as an
-        envelope on every later mode's max |F| stays at or above the n-th
-        largest found so far, so every mode left out ranks strictly below
-        the n-th.  The envelope at cutoff k, decreasing in k, is
-        (4 pi / A) k' e^{-k' z} with k' = max(k, 1/z) for TM, whose rows are
-        at most 1 (the paper-literal cross terms, 2 pi^2 e^{-kz} / (A^2 k),
-        are at most 1/(4 pi) of it, as k^2 >= 2 pi^2 / A), and
-        |factor| E (4/A) sqrt(pi / 2kz) e^{-kz} > |factor| E (4/A) K0(kz)
-        for TE, whose rows are at most 2 / sqrt(A) under either
-        normalization.
-        """
-        geom, _, _, conv = self.key
-        if mode_count(geom, max(cutoffs)) > _DETAIL_CAP:  # may pass the cap: list it all
-            counts = self.listed_counts(cutoffs)
-            return None if counts is None else self.mode_tensors(counts, z, energy)
-        first = tuple(min(len(self._rows[pol]), self._count(pol, K))
-                      for pol, K in zip((TM, TE), cutoffs))
-        found = self.mode_tensors(first, z, energy)
-        peaks = np.abs(found[3]).max(axis=(0, 1))
-        # The n-th largest max |F| so far; with fewer modes or a zero n-th,
-        # no mode can be left out.
-        floor = float(np.partition(peaks, -n)[-n]) if peaks.size >= n else 0.0
-        te_weight = abs(_coupling._TE_FACTORS[conv.te_factor]) * energy
-        stops = []  # per polarization, the cutoff to take modes up to, or None
-        for pol, count, K in zip((TM, TE), first, cutoffs):
-            if self._count(pol, K) == count and (self.cutoff or 0.0) >= K:
-                stops.append(None)  # every mode of the set is taken
-                continue
-            if floor <= 0.0:
-                stops.append(K)
-                continue
-            # Every mode not yet taken has a cutoff of at least k.
-            k = float(self._k[pol][count - 1]) if count else math.pi / max(geom.a, geom.b)
-            if _envelope(pol, k, z, geom, te_weight) < floor:
-                stops.append(None)
-                continue
-            stops.append(min(K, _grown(
-                k, lambda k: k < K and _envelope(pol, k, z, geom, te_weight) >= floor, 1.05)))
-        if stops == [None, None]:
-            return found
-        self.extend(*(0.0 if stop is None else stop for stop in stops))
-        counts = tuple(count if stop is None else self._count(pol, stop)
-                       for pol, count, stop in zip((TM, TE), first, stops))
-        rest = self.mode_tensors(counts, z, energy, first)
-        return tuple(np.concatenate(pair, axis=-1) for pair in zip(found, rest))
-
 
 _ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings
 
 
 def _envelope(pol: str, k: float, z: float, geom: Geometry, te_weight: float) -> float:
     """Bound on max |F| of every mode of polarization ``pol`` with cutoff at
-    least k (see :meth:`ModeTable.leading_modes`); ``te_weight`` is
-    |factor| E."""
+    least k; ``te_weight`` is |factor| E.
+
+    The bound decreases in k.  For TM it is (4 pi / A) k' e^{-k' z} with
+    k' = max(k, 1/z), as the rows are at most 1; the paper-literal cross
+    terms, 2 pi^2 e^{-kz} / (A^2 k), are at most 1/(4 pi) of it, as
+    k^2 >= 2 pi^2 / A.  For TE it is |factor| E (4/A) sqrt(pi / 2kz)
+    e^{-kz} > |factor| E (4/A) K0(kz), as the rows are at most 2 / sqrt(A)
+    under either normalization.
+    """
     if pol == TM:
         k = max(k, 1.0 / z)
         return _ENVELOPE_SLACK * (4.0 * math.pi / geom.area) * k * math.exp(-k * z)
@@ -631,11 +541,11 @@ def _envelope(pol: str, k: float, z: float, geom: Geometry, te_weight: float) ->
         * math.sqrt(math.pi / (2.0 * k * z)) * math.exp(-k * z)
 
 
-def _grown(K: float, short, factor: float = 1.3) -> float:
-    """K times the least power of ``factor`` at which ``short(K)`` is
-    false, multiplied up one factor at a time."""
+def _grown(K: float, short) -> float:
+    """K times the least power of 1.3 at which ``short(K)`` is false,
+    multiplied up one factor at a time."""
     while short(K):
-        K *= factor
+        K *= 1.3
     return K
 
 

@@ -119,13 +119,6 @@ def cutoff_wavenumber(geom: Geometry, mode: ModeIndex) -> float:
     return math.hypot(mode.m * math.pi / geom.a, mode.n * math.pi / geom.b)
 
 
-def mode_frequency(geom: Geometry, mode: ModeIndex, k: float, c: float = 1.0) -> float:
-    """Angular frequency omega = c sqrt(k_mn^2 + k^2)."""
-    if not (c > 0.0):
-        raise InputError(f"wave speed must be positive, got c={c!r}")
-    return c * math.hypot(cutoff_wavenumber(geom, mode), k)
-
-
 def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
     """All TE and TM modes with k_mn <= max_cutoff, sorted by cutoff.
 

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
-from wgdisp.coupling import transverse_profile
-from wgdisp.energy import quadratic_contraction
-from wgdisp.waveguide import TransversePoint
+from wgdisp.coupling import _split_cutoff, transverse_profile
+from wgdisp.energy import ModeTable, quadratic_contraction
+from wgdisp.waveguide import ModeIndex, TransversePoint
 
 
 def profile_norm(geom, mode, k, convention="unit-normalized"):
@@ -43,15 +43,24 @@ def near_field_energy(species1, species2, z, epsilon=1.0):
         for t1 in species1.transitions for t2 in species2.transitions)
 
 
-def ranked_modes(per_mode, n):
-    """The ``n`` largest per-mode couplings of a ``per_mode`` map, as
-    (mode, max |F|, 3x3 coupling), sorted in Python on
-    (-max |F|, polarization, m, n): the ranking ``energy`` printed as
-    ``top_modes`` before it ranked stacked arrays."""
-    if not per_mode or n <= 0:
-        return []
-    modes, tensors = list(per_mode), list(per_mode.values())
-    peaks = np.abs(np.array(tensors)).max(axis=(1, 2)).tolist()
-    ranked = sorted(range(len(modes)), key=lambda i: (
-        -peaks[i], modes[i].polarization, modes[i].m, modes[i].n))
-    return [(modes[i], peaks[i], tensors[i]) for i in ranked[:n]]
+def ranked_modes(modes, n):
+    """The ``n`` largest couplings of ``ModeTable.mode_tensors`` arrays
+    (polarizations, m, n and (3, 3, N) couplings), as (mode, max |F|, 3x3
+    coupling), sorted in Python on (-max |F|, polarization, m, n)."""
+    pol, ms, ns, tensors = modes
+    peaks = np.abs(tensors).max(axis=(0, 1)).tolist()
+    keys = list(zip(pol.tolist(), ms.tolist(), ns.tolist()))
+    ranked = sorted(range(len(keys)), key=lambda i: (-peaks[i], *keys[i]))
+    return [(ModeIndex(*keys[i]), peaks[i], tensors[:, :, i].copy())
+            for i in ranked[:max(n, 0)]]
+
+
+def full_ranking(config, energy, te_cutoff=None):
+    """``ModeTable.mode_tensors`` of every mode up to max(3 K_split, 6/z),
+    K_split the splits' cutoff, on a fresh table; TE modes only up to
+    ``te_cutoff`` when it is given (a ``max_cutoff`` truncation)."""
+    K = max(3.0 * _split_cutoff(config.geom), 6.0 / config.z)
+    te = K if te_cutoff is None else te_cutoff
+    table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
+    table.extend(K, te)
+    return table.mode_tensors(table.counts(K, te), config.z, energy)

@@ -200,28 +200,23 @@ class TestEnergy:
                       report["ratio_to_freespace_vdw"]):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    # top_modes of the report below as printed when energy sorted the whole
-    # per_mode map in Python.
+    # top_modes of the report below as printed when energy sorted a map of
+    # every mode's coupling in Python.
     TOP_MODES_GOLDEN = [("TM11", 0.3297700469654598), ("TM21", 0.11948470162374838),
                         ("TM31", 0.015479574712016511), ("TM12", 0.012439116564339815),
                         ("TE10", 0.01222516681376103)]
 
-    def test_top_modes_without_per_mode(self, tmp_path, monkeypatch, capsys):
-        # energy ranks the stacked couplings: it never builds the per_mode
-        # map, and prints what the sort over that map printed.
-        from helpers import ranked_modes
-        from wgdisp import cli, energy
+    def test_top_modes_without_per_mode(self, tmp_path, capsys):
+        # energy ranks the stacked couplings, and prints what a Python sort
+        # of every mode's coupling prints.
+        from helpers import full_ranking, ranked_modes
+        from wgdisp import cli
         species = tmp_path / "two.species"
         species.write_text("E=0.06283185307179587 d=(1,1,1)\n"
                            "E=0.10471975511965977 d=(0.3,0.5,1)\n")
         argv = ["energy", "--z", "0.8", "--species1", str(species), "--a", "1",
                 "--b", "0.6", "--x1", "0.2", "--y1", "0.35", "--x2", "0.7",
                 "--y2", "0.1", "--top-modes", "5"]
-        per_mode = energy.FTensorResult.per_mode
-
-        def forbidden(self):
-            raise AssertionError("energy read FTensorResult.per_mode")
-        monkeypatch.setattr(energy.FTensorResult, "per_mode", property(forbidden))
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         report = json.loads(out)
@@ -229,12 +224,11 @@ class TestEnergy:
             == [mode for mode, _ in self.TOP_MODES_GOLDEN]
         assert [entry["max_abs_f"] for entry in report["top_modes"]] == pytest.approx(
             [peak for _, peak in self.TOP_MODES_GOLDEN], rel=PINNED_RTOL, abs=0.0)
-        # The same bytes as the report with top_modes from the old sort.
-        monkeypatch.setattr(energy.FTensorResult, "per_mode", per_mode)
+        # The same bytes as the report with top_modes from the Python sort.
         config = cli._pair_configuration(cli._parser().parse_args(argv), 0.8)
-        lowest = energy.dispersion_energy(config).f_by_level[0.06283185307179587]
+        full = full_ranking(config, 0.06283185307179587)
         report["top_modes"] = [{"mode": mode.label(), "max_abs_f": peak, "f": f.tolist()}
-                               for mode, peak, f in ranked_modes(lowest.per_mode, 5)]
+                               for mode, peak, f in ranked_modes(full, 5)]
         assert cli._json_dump(report) == out
 
     def test_builds_mode_indices_for_printed_modes_only(self, species_file,
@@ -351,10 +345,9 @@ class TestSweep:
     def test_never_builds_per_mode(self, species_file, monkeypatch, capsys):
         from wgdisp import cli, energy
 
-        def forbidden(self):
-            raise AssertionError("sweep read FTensorResult.per_mode")
-        monkeypatch.setattr(energy.FTensorResult, "per_mode",
-                            property(forbidden))
+        def forbidden(*args):
+            raise AssertionError("sweep built per-mode couplings")
+        monkeypatch.setattr(energy.ModeTable, "mode_tensors", forbidden)
         assert cli.main(["sweep", "--z-min", "0.5", "--z-max", "1",
                          "--points", "3", "--species1", species_file]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
@@ -648,9 +641,9 @@ class TestExtremeGuides:
     # sha256 of the stdout of the thin guides that return.  At z = 1e-50 the
     # report names the retarded reference it prints as Infinity.
     RETURNED = {
-        ("1e-5", "1"): "c3b31f431dcff66fb993520844fcf3fbc60ef642a45711435f3d2b547f79e59d",
+        ("1e-5", "1"): "ebf483fdf12a4f1b2eb6781f1ebe7db84d4d3661a246e06fc3bdd4593ce9c35d",
         ("1e-5", "1e-50"): "19c6df0a1ee946e7f96c2ce4858fbe4a1fced89b2c79fa3ea9ae991899d2c293",
-        ("1e-4", "1"): "0c1344608fb5d4d7f2dbb023e80a21d85b239e0cdbeefacabb79b2486db689f8",
+        ("1e-4", "1"): "91b309566f1ca9c0cdb629fb3a19a9b05bd924332b67bd75195735393b397eaa",
         ("1e-4", "1e-50"): "b17b65bf355ab4ef9bed7a67cfbafc017d4724ccff304e4714e70c20bd63f1d9",
     }
 
@@ -1510,7 +1503,7 @@ GOLDEN_STDOUT = [
      "3946ecc27603f036653ebcce4f5d6d81ba49ddce3c875b576df57244da1222f6"),
     (["energy", "--z", "5.0", "--species1", "@four", "--b", "0.8", "--x1", "0.45",
       "--y1", "0.2", "--x2", "0.9", "--y2", "0.65", "--top-modes", "12"],
-     "8a1a86ed4dac5ea453bc478a213528fbb246dc59d65b6d7df98bf88e7d2196ea"),
+     "6c3d27c73eb0967bc5dc624ef0db8df347b84fa33bd357b2ce7dd1657b4b4dc7"),
     (["energy", "--z", "8.0", "--species1", "@three", "--orientation", "fixed-vector",
       "--b", "0.5", "--x1", "0.3", "--y1", "0.25", "--x2", "0.7", "--y2", "0.3",
       "--tail-tol", "1e-8"],
@@ -1570,6 +1563,18 @@ class TestGoldenStdout:
         assert cli.main([species.get(arg, arg) for arg in argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_top_modes_lists_every_mode_asked_for(self, species, capsys):
+        # At z = 5a the twelve modes asked for all clear the envelope of the
+        # unlisted ones; TM22 and TM31, past the common cutoff 3 pi, rank
+        # ahead of TE12.
+        from wgdisp import cli
+        argv = GOLDEN_STDOUT[6][0]
+        assert argv[argv.index("--top-modes") + 1] == "12"
+        assert cli.main([species.get(arg, arg) for arg in argv]) == 0
+        labels = [entry["mode"] for entry in json.loads(capsys.readouterr().out)["top_modes"]]
+        assert len(labels) == 12
+        assert labels.index("TM22") < labels.index("TM31") < labels.index("TE12")
 
 
 # Floats json writes specially or that round-trip oddly, and numpy floats.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from helpers import near_field_energy, ranked_modes
+from helpers import full_ranking, near_field_energy, ranked_modes
 from wgdisp.conventions import Conventions
 from wgdisp.energy import (DipoleSpecies, DipoleTransition, ModeTable,
                            PairConfiguration, dispersion_energy,
@@ -160,17 +160,14 @@ class TestFTensor:
         (0.9, (0.63, 0.18), (0.27, 0.71), 5.0, "paper-literal", 1e-9),
         (0.75, (0.4, 0.3), (0.45, 0.28), 0.05, "tm-split", 1e-6),
     ])
-    def test_growth_equals_fixed_cutoff_bitwise(self, monkeypatch, b, p1, p2, z,
-                                                convention, tol):
+    def test_growth_equals_fixed_cutoff_bitwise(self, b, p1, p2, z, convention, tol):
         # The TM tensor is the split under every convention: under
         # paper-literal signs its seven entries other than xy and yx are the
         # split's, masked, bit for bit, and xy and yx are the printed sums,
         # the same under a fixed cutoff.  Under paper-literal normalization
         # alone ("tm-split") the TM tensor is the default one.  The TE tensor
         # is the TE split, with the zero-index modes added once more.
-        from wgdisp import energy
         from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _printed_sums, _split_cutoff
-        from wgdisp.energy import _te_tail_bound, _tm_tail_bound
         geom = Geometry(1.0, b)
         conventions = (Conventions(normalization="paper-literal")
                        if convention == "tm-split" else Conventions.paper_literal())
@@ -201,30 +198,6 @@ class TestFTensor:
         assert grown.tail_bound > tm_bound + abs(weight) * te_bound
         assert grown.modes_used == grown.tm_modes + grown.te_modes
         assert grown.max_cutoff == max(grown.tm_cutoff, grown.te_cutoff)
-        # per_mode shows the plain mode sum at the cutoffs the common-cutoff
-        # rule reaches with the final budget: stepping by 1.3 from a common
-        # start, K_TM grows while tail_TM(K_TM) + tail_TE(K_TM) exceeds the
-        # budget, and after that K_TE, until tail_TM(K_TM) + tail_TE(K_TE)
-        # fits it.
-        budget = grown._detail[2]
-        K_tm = K_te = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-        while (tm_tail := _tm_tail_bound(K_tm, z, geom)) \
-                + _te_tail_bound(K_te, z, geom, E100) > budget:
-            if tm_tail + _te_tail_bound(K_tm, z, geom, E100) > budget:
-                K_tm *= 1.3
-            else:
-                K_te *= 1.3
-        with monkeypatch.context() as patch:
-            patch.setattr(energy, "_DETAIL_CAP", math.inf)
-            want = [(mode, value) for K, pol in zip((K_tm, K_te), ("TM", "TE"))
-                    for mode, value in f_tensor(cfg, E100, max_cutoff=K).per_mode.items()
-                    if mode.polarization == pol]
-        if grown.per_mode is None:
-            assert len(want) > 20_000
-        else:
-            assert list(grown.per_mode) == [mode for mode, _ in want]
-            for mode, value in want:
-                assert np.array_equal(grown.per_mode[mode], value)
 
     def test_each_mode_kernel_runs_once(self, monkeypatch):
         # The transverse factor rows of each mode are built once per mode
@@ -256,17 +229,6 @@ class TestFTensor:
         with pytest.raises(InputError):
             f_tensor(_config(0.5), E100, **truncation)
 
-    def test_per_mode_map_sums_to_total(self):
-        # The per-mode map is the plain mode sum that meets the budget, so
-        # it sums to the tensor within the budget and the tensor's tail.
-        for convention in ("oracle-consistent", "paper-literal"):
-            cfg = _config(0.8, conventions=Conventions.from_name(convention))
-            ft = f_tensor(cfg, E100, tail_tol=1e-8)
-            assert ft.per_mode is not None
-            acc = sum(ft.per_mode.values())
-            budget = 1e-8 * np.abs(ft.tensor).max()
-            assert np.abs(acc - ft.tensor).max() <= budget + ft.tail_bound
-
     def test_vectorized_path_matches_scalar_closed_forms(self):
         # The bulk mode-sum path must agree with the independent per-mode
         # references, under both sign conventions, at off-center points.
@@ -278,12 +240,15 @@ class TestFTensor:
             conv = Conventions.from_name(name)
             cfg = PairConfiguration(SQ, p1, p2, 0.7, ISO, ISO, conventions=conv)
             bulk = f_tensor(cfg, E100, max_cutoff=11.0)
+            table = ModeTable(SQ, p1, p2, conv)
+            table.extend(11.0)
+            per_mode = table.mode_tensors(table.counts(11.0), 0.7, E100)[3]
             direct_tm = _direct_tm(SQ, tm["m"].astype(float), tm["n"].astype(float),
                                    tm["k"], p1, p2, 0.7, conv).sum(axis=2)
             direct_te = _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
                                    te["k"], p1, p2, 0.7, E100, conv).sum(axis=2)
-            assert len(bulk.per_mode) == tm["k"].size + te["k"].size
-            assert np.allclose(sum(bulk.per_mode.values()), direct_tm + direct_te,
+            assert per_mode.shape[2] == tm["k"].size + te["k"].size
+            assert np.allclose(per_mode.sum(axis=2), direct_tm + direct_te,
                                rtol=1e-11, atol=1e-13)
             assert np.allclose(bulk.te_tensor, direct_te, rtol=1e-11, atol=1e-13)
             if name == "paper-literal":  # the cross terms sum every mode
@@ -891,23 +856,30 @@ def _assert_same_ranking(got, want):
         assert f.tobytes() == ref_f.tobytes() and f.tolist() == ref_f.tolist()
 
 
+def _listed_modes(ft):
+    """mode_tensors of the modes top_modes ranks: those the tensor lists."""
+    table, _, _, z, energy, _ = ft._detail
+    return table.mode_tensors((ft.tm_modes, ft.te_modes), z, energy)
+
+
 class TestTopModes:
     @settings(max_examples=40, deadline=None)
     @given(case=_top_mode_cases())
     def test_equals_sorted_per_mode(self, case):
         # The ranking of the stacked arrays is, label, peak and tensor bit
-        # for bit, the Python sort over per_mode that energy once made.
+        # for bit, a Python sort over the per-mode couplings it ranks.
         cfg, truncation, n = case
         ft = f_tensor(cfg, E100, **truncation)
-        _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
+        got = ft.top_modes(n)
+        assert len(got) <= n
+        _assert_same_ranking(got, ranked_modes(_listed_modes(ft), len(got)))
 
     def test_ties_follow_polarization_and_indices(self):
         # Centred in a square guide, TMmn and TMnm, and TE01 and TE10, have
         # the same peak to the bit; the smaller indices rank first.
         ft = f_tensor(_config(0.8), E100, max_cutoff=20.0)
         got = ft.top_modes(10 ** 6)
-        _assert_same_ranking(got, ranked_modes(ft.per_mode, 10 ** 6))
-        assert len(got) == len(ft.per_mode)
+        _assert_same_ranking(got, ranked_modes(_listed_modes(ft), len(got)))
         labels = [mode.label() for mode, _, _ in got]
         assert labels[:7] == ["TM11", "TM12", "TM21", "TM13", "TM31", "TE01", "TE10"]
         assert got[1][1] == got[2][1] and got[3][1] == got[4][1] \
@@ -915,51 +887,25 @@ class TestTopModes:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_envelope_cases())
-    def test_envelope_stop_ranks_every_detail_mode(self, case):
-        # top_modes stops listing where the per-mode envelope falls below
-        # the n-th largest peak; read first, on a fresh result and table, it
-        # returns what ranking every mode of per_mode returns, bit for bit.
+    def test_head_of_full_ranking(self, case):
+        # Every mode the tensor takes past its listed ones lies below the
+        # envelope the kept modes clear, so the list is, bit for bit, the
+        # head of a ranking of every mode up to max(3 K_split, 6/z) built on
+        # a fresh table (TE only up to a max_cutoff).
         cfg, energy, truncation, n = case
         try:
             ft = f_tensor(cfg, energy, **truncation)
         except (InputError, ModeCapError):  # tail_tol below the splits' bounds
             reject()
-        _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
-
-    def test_envelope_stop_lists_fewer_modes(self):
-        # At z = 0.3a the detail set runs to about a thousand modes; the
-        # eight largest are found among the screened modes of the splits.
-        ft = f_tensor(_config(0.3, p1=TransversePoint(0.3, 0.4)), E100, tail_tol=1e-8)
-        table = ft._detail[0]
-        listed = table.cutoff
-        top = ft.top_modes(8)
-        assert table.cutoff == listed
-        assert len(ft.per_mode) > 500 and table.cutoff > listed
-        _assert_same_ranking(top, ranked_modes(ft.per_mode, 8))
-
-    @pytest.mark.parametrize("n", [8, 50])
-    def test_envelope_stop_below_one_over_z(self, n):
-        # At z = 0.02a the screened modes end near k = 27, where the TM
-        # envelope k e^{-kz} still rises (up to k = 1/z = 50): the listing
-        # must go on past its peak.
-        cfg = _config(0.02, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.45, 0.7))
-        ft = f_tensor(cfg, E100, max_cutoff=120.0)
-        table = ft._detail[0]
-        assert table._k["TM"][len(table._rows["TM"]) - 1] < 30.0
-        _assert_same_ranking(ft.top_modes(n), ranked_modes(ft.per_mode, n))
+        got = ft.top_modes(n)
+        assert len(got) <= n
+        full = full_ranking(cfg, energy, truncation.get("max_cutoff"))
+        _assert_same_ranking(got, ranked_modes(full, len(got)))
 
     def test_corner_dipole_lists_nothing(self):
         cfg = _config(0.5, p1=TransversePoint(0.0, 0.0))
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
-        assert ft.per_mode is None and ft.top_modes(8) == []
-
-    def test_past_detail_cap_lists_nothing(self, monkeypatch):
-        from wgdisp import energy
-        ft = f_tensor(_config(0.5), E100, tail_tol=1e-6)
-        with monkeypatch.context() as patch:
-            patch.setattr(energy, "_DETAIL_CAP", 10)
-            assert ft.per_mode is None and ft.top_modes(8) == []
-        assert f_tensor(_config(0.5), E100, tail_tol=1e-6).top_modes(8) != []
+        assert ft.top_modes(8) == []
 
 
 _ONE_SIGN = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 2.0),

@@ -11,7 +11,7 @@ from wgdisp.coupling import _one_mode, _te_rows, transverse_profile
 from wgdisp.errors import InputError
 from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint,
                               cutoff_wavenumber, enumerate_modes,
-                              mode_arrays, mode_frequency)
+                              mode_arrays)
 
 SQ = Geometry(1.0, 1.0)
 
@@ -55,22 +55,6 @@ class TestModeValidation:
             Geometry(0.0, 1.0)
         with pytest.raises(InputError):
             Geometry(1.0, -2.0)
-
-
-class TestFrequency:
-    def test_on_cutoff(self):
-        assert mode_frequency(SQ, ModeIndex("TM", 1, 1), 0.0) \
-            == pytest.approx(math.pi * math.sqrt(2.0), rel=1e-15)
-
-    def test_dispersion_value(self):
-        assert mode_frequency(SQ, ModeIndex("TM", 1, 1), 3.0) \
-            == pytest.approx(math.sqrt(2.0 * math.pi ** 2 + 9.0), rel=1e-15)
-
-    @given(k=st.floats(-20.0, 20.0))
-    @settings(max_examples=50, deadline=None)
-    def test_even_in_k(self, k):
-        mode = ModeIndex("TE", 1, 1)
-        assert mode_frequency(SQ, mode, k) == mode_frequency(SQ, mode, -k)
 
 
 class TestProfiles:
