@@ -84,26 +84,39 @@ _TM_SIGNS = {
 _TE_FACTORS = {"derivation-consistent": -2.0, "paper-literal": 1.0}
 
 
-def _axis_trig(geom, m, n, p2, p1):
+def _axis_tables(geom, p2, p1, m_max, n_max):
+    """Per-axis tables sx, cx (j = 0..m_max) and sy, cy (j = 0..n_max) of
+    sin and cos of (j pi/a) x and (j pi/b) y, row 0 at p2 and row 1 at p1;
+    an entry does not depend on the length of its table."""
+    def axis(c2, c1, top, length):
+        t = np.multiply.outer((c2, c1), np.arange(top + 1) * np.pi / length)
+        return np.sin(t), np.cos(t)
+
+    return (*axis(p2.x, p1.x, m_max, geom.a), *axis(p2.y, p1.y, n_max, geom.b))
+
+
+def _axis_trig(geom, m, n, p2, p1, tables=None):
     """Per-mode sin and cos of (m pi/a) x and (n pi/b) y at p2 and p1.
 
     Returns arrays sx, cx, sy, cy of shape (2, n_modes), row 0 at p2 and
     row 1 at p1.  At points with float coordinates the transcendentals are
-    taken once per distinct index on per-axis tables and gathered with the
-    integer m and n; each table entry is the same float operation as the
-    per-mode one, so the values match ``np.sin(m * np.pi / geom.a * p.x)``
-    and its kin bit for bit.  Points may instead hold arrays with one
-    coordinate per mode (as :class:`wgdisp.quadrature._Cases` holds them),
-    each taken with its own mode's index.
+    taken once per distinct index on the per-axis :func:`_axis_tables`
+    (``tables``, when given, reach at least the largest m and n) and
+    gathered with the integer m and n; each table entry is the same float
+    operation as the per-mode one, so the values match
+    ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.  Points
+    may instead hold arrays with one coordinate per mode (as
+    :class:`wgdisp.quadrature._Cases` holds them), each taken with its own
+    mode's index.
     """
-    def axis(c2, c1, index, length):
-        if np.ndim(c2):  # one coordinate per mode
-            t = np.array([c2, c1]) * (index * np.pi / length)
-            return np.sin(t), np.cos(t)
-        t = np.multiply.outer((c2, c1), np.arange(index.max(initial=0) + 1) * np.pi / length)
-        return np.sin(t).take(index, axis=1), np.cos(t).take(index, axis=1)
+    def axis(c2, c1, index, length):  # one coordinate per mode
+        t = np.array([c2, c1]) * (index * np.pi / length)
+        return np.sin(t), np.cos(t)
 
-    return (*axis(p2.x, p1.x, m, geom.a), *axis(p2.y, p1.y, n, geom.b))
+    if np.ndim(p2.x):
+        return (*axis(p2.x, p1.x, m, geom.a), *axis(p2.y, p1.y, n, geom.b))
+    sx, cx, sy, cy = tables or _axis_tables(geom, p2, p1, m.max(initial=0), n.max(initial=0))
+    return sx.take(m, axis=1), cx.take(m, axis=1), sy.take(n, axis=1), cy.take(n, axis=1)
 
 
 def _paper_cross(geom, k, trig, decay):
@@ -123,7 +136,7 @@ def _paper_cross(geom, k, trig, decay):
             pref * sx[0] * cy[0] * cx[1] * sy[1])
 
 
-def _tm_rows(geom, m, n, k, p1, p2):
+def _tm_rows(geom, m, n, k, p1, p2, tables=None):
     """z-independent TM factor rows of a mode list, shape (6, N).
 
     Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
@@ -131,11 +144,11 @@ def _tm_rows(geom, m, n, k, p1, p2):
     sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j], except the printed
     paper-literal xy and yx couplings (:func:`_paper_cross`).  ``m`` and
     ``n`` are integer index arrays; the trig factors come from
-    :func:`_axis_trig`.
+    :func:`_axis_trig`, on ``tables`` when given.
     """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
-    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1, tables)
     return np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
                     axis=1).reshape(6, k.size)
 
@@ -298,7 +311,7 @@ def _tm_split_images(geom, images, z):
 def _live(rows, width):
     """Entries whose profile factors at p2 and at p1 do not vanish for every
     mode; the mode tables zero the splits' rounding residue in the others."""
-    live = np.any(rows != 0.0, axis=0)
+    live = (rows != 0.0).any(axis=0)
     return live[0:width, None] & live[None, width:2 * width]
 
 
@@ -413,8 +426,46 @@ _ROTATE = np.array([[0.0, 1.0], [-1.0, 0.0]])
 @functools.cache
 def _legendre_rule():
     """Nodes plus one and weights of the Gauss-Legendre rule on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(_TE_NODES)
+    x, w = _gauss_legendre(_TE_NODES)
     return x + 1.0, w
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n >= 3.
+
+    Step for step as ``numpy.polynomial.legendre.leggauss`` takes them, so
+    bit for bit its values, without importing ``numpy.polynomial``: the
+    eigenvalues of the symmetric companion matrix of P_n, one Newton step,
+    then the weights 1 / (P_{n-1} P_n') scaled to unit peaks, symmetrized and
+    normalized to sum to 2.
+    """
+    c = np.zeros((n + 1, 1))  # P_n in the Legendre basis, one column
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    d, der = c[:, 0].copy(), np.empty((n, 1))  # P_n' in the Legendre basis
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * d[j]
+        d[j - 2] += d[j]
+    der[1], der[0] = 3 * d[2], d[1]
+
+    def series(c):  # Clenshaw's recurrence for a Legendre series at x
+        c0, c1 = c[-2], c[-1]
+        for nd in range(len(c) - 1, 1, -1):
+            c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+
+    dy, df = series(c), series(der)
+    x -= dy / df
+    fm = series(c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def _te_short_times(geom, z):
@@ -522,7 +573,7 @@ def _te_split_images(geom, images, z, e1, e_images):
     return out
 
 
-def _te_split(geom, k, rows, images, z):
+def _te_split(geom, k, rows, images, z, k0_out=None):
     """Unit TE tensors at the separations of the 1-D array ``z`` (the TE mode
     sum without factor * E), shape (nz, 3, 3), and their
     :func:`_te_split_bound` values, shape (nz,).
@@ -536,7 +587,8 @@ def _te_split(geom, k, rows, images, z):
     equals a TE mode sum bit for bit.  All E1 of the splits and their
     bounds come from one call and all K0 from another; the bounds share
     K0(k_0 z).  Each tensor is the same whichever separations share the
-    call.
+    call.  ``k0_out``, an (nz, N) array when given, receives the K0(z k) of
+    each separation and mode.
     """
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)
@@ -548,6 +600,8 @@ def _te_split(geom, k, rows, images, z):
                              ((images[2] + zz[:, None]) * u0).ravel(),
                              zz * u0, zz / (4.0 * np.minimum(lo, tau))]))
     radial = weight = k0(np.multiply.outer(z, k))
+    if k0_out is not None:
+        k0_out[...] = radial
     if s.size:
         weight = radial.copy()
         weight[ruled] -= _te_short_time_part(k, s, w * e[:s.size].reshape(s.shape))
@@ -614,12 +668,13 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, edges: tuple[float,
     return spectral + short + images
 
 
-def _te_rows(geom, m, n, k, p1, p2, conventions):
+def _te_rows(geom, m, n, k, p1, p2, conventions, tables=None):
     """z-independent TE profile rows of a mode list, shape (4, N).
 
     Rows 0-1 hold the x and y profile components at p2 and rows 2-3 those
     at p1, so mode by mode the TE coupling is
-    factor E K0(kz) rows[i] rows[2 + j]; the z components vanish.
+    factor E K0(kz) rows[i] rows[2 + j]; the z components vanish.  The trig
+    factors come from :func:`_axis_trig`, on ``tables`` when given.
     """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
@@ -627,7 +682,7 @@ def _te_rows(geom, m, n, k, p1, p2, conventions):
     if conventions.normalization == "unit-normalized":
         nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
     root_a = 2.0 / math.sqrt(geom.area)
-    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1, tables)
     ex = -root_a * nf * (ay / k) * cx * sy
     ey = root_a * nf * (ax / k) * sx * cy
     return np.stack([ex, ey], axis=1).reshape(4, k.size)
@@ -650,10 +705,12 @@ def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
     return out
 
 
-def _te_mode_tensors(k, rows, z, energy, conventions):
-    """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows."""
+def _te_mode_tensors(k, rows, z, energy, conventions, k0_kz=None):
+    """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows;
+    ``k0_kz``, when given, is K0(k z), as :func:`_te_split` hands it on."""
     with np.errstate(over="ignore"):  # k z past the largest double: K0 = 0
-        radial = _TE_FACTORS[conventions.te_factor] * energy * k0(k * z)
+        radial = _TE_FACTORS[conventions.te_factor] * energy * (
+            k0(k * z) if k0_kz is None else k0_kz)
     out = np.zeros((3, 3, k.size))
     out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
     out += 0.0  # -0.0 to 0.0, as in _tm_mode_tensors

@@ -228,13 +228,21 @@ class FTensorResult:
         te_weight = abs(_coupling._TE_FACTORS[conv.te_factor]) * energy
         floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_weight)
                     for pol in ((TM,) if budget is None else (TM, TE)))
-        pol, ms, ns, tensors = table.mode_tensors((self.tm_modes, self.te_modes), z, energy)
-        peaks = np.abs(tensors).max(axis=(0, 1))
+        counts = (self.tm_modes, self.te_modes)
+        tensors = [table._mode_tensors(pol, count, z, energy)
+                   for pol, count in zip((TM, TE), counts)]
+        peaks = np.concatenate([np.abs(t).max(axis=(0, 1)) for t in tensors])
         kept = min(n, int(np.count_nonzero(peaks > floor)))
-        top = np.lexsort((ns, ms, pol, -peaks))[:kept]
-        keys = zip(pol[top].tolist(), ms[top].tolist(), ns[top].tolist())
-        return [(ModeIndex(*key), peak, tensors[:, :, i].copy())
-                for key, peak, i in zip(keys, peaks[top].tolist(), top.tolist())]
+        ms, ns = np.concatenate((table._mn[TM][:, :counts[0]], table._mn[TE][:, :counts[1]]),
+                                axis=1)
+        # Polarization codes in label order: TE (0) ranks before TM (1).
+        top = np.lexsort((ns, ms, np.repeat((1, 0), counts), -peaks))[:kept]
+        keys = zip(ms[top].tolist(), ns[top].tolist())
+        out = []
+        for i, key, peak in zip(top.tolist(), keys, peaks[top].tolist()):
+            pol, j = (TM, i) if i < counts[0] else (TE, i - counts[0])
+            out.append((ModeIndex(pol, *key), peak, tensors[pol == TE][:, :, j].copy()))
+        return out
 
 
 @dataclass
@@ -292,22 +300,29 @@ class ModeTable:
     """Cutoff-sorted modes of one guide, pair of points and conventions.
 
     Per polarization the table holds flat arrays of each mode's cutoff k
-    and indices (m, n), listed shell by shell as :meth:`extend` raises the
-    cutoff, and the z-independent factor rows (``_tm_rows``, ``_te_rows``,
-    one mode per row) up to that polarization's own cutoff.  Only the radial
-    factors depend on the separation, so one table serves every separation
-    and transition level of a sweep: :meth:`sums` weights the rows with
-    (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts them, and
-    :meth:`tm_split` and :meth:`te_split` weight the rows of the first,
-    screened modes and add the image sums, over image offsets, signs and
-    rho^2 that the table takes once, whatever the table's conventions.
-    :meth:`compute_splits` evaluates the splits at a whole sweep's
-    separations, a chunk of them per kernel call.
+    and indices (m, n), and the z-independent factor rows (``_tm_rows``,
+    ``_te_rows``, one mode per row) of its first modes.  The first time a
+    split asks for them, one pass (:meth:`_screened`) lists every mode up
+    to the splits' cutoff and builds the rows of both polarizations there;
+    past it, :meth:`extend` lists further shells and builds their rows, to
+    each polarization's own cutoff.  Only the radial factors depend on the
+    separation, so one table serves every separation and transition level
+    of a sweep: :meth:`sums` weights the rows with (4 pi / A) k e^{-kz}
+    (TM) and K0(kz) (TE) and contracts them, and :meth:`tm_split` and
+    :meth:`te_split` weight the rows of the first, screened modes and add
+    the image sums, over image offsets, signs and rho^2 that the table
+    takes once, whatever the table's conventions.  :meth:`compute_splits`
+    evaluates the splits at a whole sweep's separations, a chunk of them
+    per kernel call.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
                  p2: TransversePoint, conventions: Conventions):
         self.key = (geom, p1, p2, conventions)
+        # The splits' cutoff and the estimated count of the modes below it,
+        # which the mode cap is held against.
+        self._split_cutoff = _coupling._split_cutoff(geom)
+        self._split_count = mode_count(geom, self._split_cutoff)
         self.cutoff: float | None = None
         self._k = {pol: np.empty(0) for pol in (TM, TE)}
         self._mn = {pol: np.empty((2, 0), dtype=np.int32) for pol in (TM, TE)}
@@ -315,14 +330,16 @@ class ModeTable:
         self._rows = {TM: np.empty((0, 6)), TE: np.empty((0, 4))}
         # Per polarization: (tensor, bound) of the splits of the last batch,
         # keyed by z (a TM bound is None until :meth:`tm_split` reads it),
-        # and the screened modes' data of :meth:`_screened`.
+        # and the screened modes' data of :meth:`_screened`; the TE split's
+        # K0(k z) row of the screened modes, keyed by the z it was taken at.
         self._splits: dict[str, dict[float, tuple[np.ndarray, float | None]]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._te_k0: dict[float, np.ndarray] = {}
         self._sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # see :meth:`sums`
 
-    def extend(self, K: float, te_cutoff: float | None = None) -> None:
+    def extend(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
         """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) that
-        the table lacks.
+        the table lacks, and return :meth:`counts` at K and ``te_cutoff``.
 
         The new shell takes one ``mode_arrays`` call.  The TM modes up to K
         and the TE modes up to ``te_cutoff`` (K when omitted) get factor
@@ -334,21 +351,26 @@ class ModeTable:
             for pol in (TM, TE):
                 self._k[pol] = np.concatenate((self._k[pol], shell[pol]["k"]))
                 self._mn[pol] = np.concatenate(
-                    (self._mn[pol], np.stack((shell[pol]["m"], shell[pol]["n"]))),
-                    axis=1, dtype=np.int32)
+                    (self._mn[pol], (shell[pol]["m"], shell[pol]["n"])), axis=1, dtype=np.int32)
             self.cutoff = top
         geom, p1, p2, conv = self.key
-        for pol, count in zip((TM, TE), self.counts(K, te_cutoff)):
-            built = len(self._rows[pol])
-            if count > built:
-                rows_of, *extra = (_coupling._tm_rows,) if pol == TM else (_coupling._te_rows, conv)
-                rows = np.empty((count, self._rows[pol].shape[1]))
-                rows[:built] = self._rows[pol]
-                for start in range(built, count, 8192):  # bounds rows_of's temporaries
-                    part = slice(start, min(start + 8192, count))
-                    rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
-                                         p1, p2, *extra).T
-                self._rows[pol] = rows
+        counts = self.counts(K, te_cutoff)
+        new = [(pol, len(self._rows[pol]), count) for pol, count in zip((TM, TE), counts)
+               if count > len(self._rows[pol])]
+        if new:  # one set of per-axis trig tables serves both polarizations
+            largest = np.max([self._mn[pol][:, built:count].max(axis=1)
+                              for pol, built, count in new], axis=0)
+            tables = _coupling._axis_tables(geom, p2, p1, *largest.tolist())
+        for pol, built, count in new:
+            rows_of, *extra = (_coupling._tm_rows,) if pol == TM else (_coupling._te_rows, conv)
+            rows = np.empty((count, self._rows[pol].shape[1]))
+            rows[:built] = self._rows[pol]
+            for start in range(built, count, 8192):  # bounds rows_of's temporaries
+                part = slice(start, min(start + 8192, count))
+                rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
+                                     p1, p2, *extra, tables).T
+            self._rows[pol] = rows
+        return counts
 
     def counts(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
         """Numbers of TM modes with k <= K and TE modes with k <= ``te_cutoff``.
@@ -360,7 +382,7 @@ class ModeTable:
         return self._count(TM, K), self._count(TE, K if te_cutoff is None else te_cutoff)
 
     def _count(self, pol: str, K: float) -> int:
-        return int(np.searchsorted(self._k[pol], K * (1.0 + 1e-12), side="right"))
+        return int(self._k[pol].searchsorted(K * (1.0 + 1e-12), side="right"))
 
     def sums(self, z: float, counts: tuple[int, int]):
         """TM tensor and unit-weight TE tensor (without its factor * E) over
@@ -417,6 +439,8 @@ class ModeTable:
         for pol in pols:
             k, factors, live = self._screened(pol)
             store = {}
+            if pol == TE:
+                self._te_k0 = {}
             for start in range(0, z.size, _SPLIT_CHUNK):
                 part = slice(start, start + _SPLIT_CHUNK)
                 if pol == TM:
@@ -424,10 +448,13 @@ class ModeTable:
                     out = np.where(live, out, 0.0) + 0.0
                     bounds = [None] * len(out)
                 else:
+                    k0_kz = np.empty((near[part].size, k.size))
                     out, bounds = _coupling._te_split(geom, k, factors, self._images,
-                                                      near[part])
+                                                      near[part], k0_kz)
                     out[:, :2, :2] = np.where(live, out[:, :2, :2], 0.0)
                     bounds = bounds.tolist()
+                    # Keyed by the z the kernel took: a far z takes its own.
+                    self._te_k0.update(zip(near[part].tolist(), k0_kz))
                 store.update(zip(z[part].tolist(), zip(out, bounds)))
             self._splits[pol] = store
 
@@ -466,22 +493,29 @@ class ModeTable:
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs of the split's screened modes, the products of their TM
         factors at p2 and at p1 or their unit-normalized TE factor rows, and
-        the :func:`wgdisp.coupling._live` entries of the split's tensor,
-        built once."""
+        the :func:`wgdisp.coupling._live` entries of the split's tensor.
+
+        The first call takes one pass: :meth:`extend` to the splits' cutoff
+        lists the screened modes and builds their rows, and both
+        polarizations' data follow from those rows.  Under paper-literal
+        normalization the unit-normalized TE rows are built when the TE
+        split first asks for them.
+        """
+        if not self._screen:
+            tm_count, te_count = self.extend(self._split_cutoff)
+            rows = self._rows[TM][:tm_count]
+            self._screen[TM] = (self._k[TM][:tm_count],  # products of the factors at p2 and p1
+                                rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
+                                _coupling._live(rows, 3))
+            if self.key[3].normalization == "unit-normalized":
+                rows = self._rows[TE][:te_count]
+                self._screen[TE] = self._k[TE][:te_count], rows, _coupling._live(rows, 2)
         if pol not in self._screen:
-            geom, p1, p2, conv = self.key
-            K = _coupling._split_cutoff(geom)
-            self.extend(*((K, 0.0) if pol == TM else (0.0, K)))
-            k, mn, rows = self._columns(pol, self._count(pol, K))
-            rows = rows.T
-            if pol == TE and conv.normalization != "unit-normalized":  # same layout
-                rows = np.ascontiguousarray(
-                    _coupling._te_rows(geom, mn[0], mn[1], k, p1, p2, Conventions()).T)
-            if pol == TM:  # the products of the factors at p2 and at p1
-                self._screen[pol] = (k, rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
-                                     _coupling._live(rows, 3))
-            else:
-                self._screen[pol] = k, rows, _coupling._live(rows, 2)
+            geom, p1, p2, _ = self.key
+            count = self._count(TE, self._split_cutoff)
+            k, (m, n) = self._k[TE][:count], self._mn[TE][:, :count]
+            rows = np.ascontiguousarray(_coupling._te_rows(geom, m, n, k, p1, p2, Conventions()).T)
+            self._screen[TE] = k, rows, _coupling._live(rows, 2)
         return self._screen[pol]
 
     @cached_property
@@ -496,23 +530,29 @@ class ModeTable:
         first ``counts[0]`` TM modes, then the first ``counts[1]`` TE modes,
         each in table order.  A mode's coupling does not depend on which
         others share the call."""
-        geom, p1, p2, conv = self.key
-        pols = [np.empty(0, dtype="<U2")]
-        mns = [np.empty((2, 0), dtype=np.int32)]
-        tensors = [np.empty((3, 3, 0))]
+        pols, mns, tensors = [], [], []
         for pol, count in zip((TM, TE), counts):
-            if count <= 0:
-                continue
-            k, mn, rows = self._columns(pol, count)
-            if pol == TM:
-                tensors.append(_coupling._tm_mode_tensors(geom, mn[0], mn[1], k, rows,
-                                                          p1, p2, z, conv))
-            else:
-                tensors.append(_coupling._te_mode_tensors(k, rows, z, energy, conv))
             pols.append(np.full(count, pol))
-            mns.append(mn)
+            mns.append(self._mn[pol][:, :count])
+            tensors.append(self._mode_tensors(pol, count, z, energy))
         m, n = np.concatenate(mns, axis=1)
         return np.concatenate(pols), m, n, np.concatenate(tensors, axis=2)
+
+    def _mode_tensors(self, pol: str, count: int, z: float, energy: float) -> np.ndarray:
+        """(3, 3, ``count``) couplings of the first ``count`` modes of ``pol``.
+
+        The TE couplings of the screened modes at a z of the last TE batch
+        take the K0(k z) row the split computed there: the same bits, as
+        k z and z k are one product and K0 of an argument does not depend on
+        the array it sits in.
+        """
+        geom, p1, p2, conv = self.key
+        k, (m, n), rows = self._columns(pol, count)
+        if pol == TM:
+            return _coupling._tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)
+        k0_kz = self._te_k0.get(z)
+        return _coupling._te_mode_tensors(
+            k, rows, z, energy, conv, k0_kz if k0_kz is not None and k0_kz.size == count else None)
 
     def _columns(self, pol: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs (N,), indices (2, N) and factor rows (R, N) of the first
@@ -549,14 +589,13 @@ def _grown(K: float, short) -> float:
     return K
 
 
-def _listed(geom: Geometry, K: float, mode_cap: int,
-            remedy: str = "the splits list them at any separation, so use a/b nearer 1"
-            ) -> float:
-    """K, where the modes up to it pass no cap, checked before any listing;
-    by default K is the splits' cutoff, whose count grows with a/b and b/a."""
-    if (count := mode_count(geom, K)) > mode_cap:
+def _check_cap(count: int | float, mode_cap: int,
+               remedy: str = "the splits list them at any separation, so use a/b nearer 1"
+               ) -> None:
+    """Refuse a listing of ``count`` modes past the cap, before it is made;
+    by default the listing is the splits', whose count grows with a/b and b/a."""
+    if count > mode_cap:
         raise ModeCapError(count, mode_cap, remedy)
-    return K
 
 
 def f_tensor(
@@ -591,19 +630,19 @@ def f_tensor(
     geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
     start = max_cutoff if max_cutoff is not None \
         else max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-    K_split = _coupling._split_cutoff(geom)
     if geom.is_corner(p1) or geom.is_corner(p2):
         zero = FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
-                             tm_cutoff=K_split, tm_modes=0, te_modes=0)
+                             tm_cutoff=_coupling._split_cutoff(geom), tm_modes=0, te_modes=0)
         zero.te_cutoff = start
         return zero
-    _listed(geom, K_split, mode_cap)
     if table is None:
         table = ModeTable(geom, p1, p2, conv)
     elif table.key != (geom, p1, p2, conv):
         raise InputError("the mode table belongs to another guide, pair of "
                          "points or set of conventions")
+    K_split = table._split_cutoff
+    _check_cap(table._split_count, mode_cap)
     te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
     cross = conv.tm_sign == "paper-literal"
     axis = tail_tol is not None and conv.normalization == "paper-literal"
@@ -619,8 +658,8 @@ def f_tensor(
         tail += cross_tail
     budget = None
     if max_cutoff is not None:
-        table.extend(0.0, _listed(geom, max_cutoff, mode_cap, "use a lower cutoff"))
-        te_sum = te_weight * table.sums(z, table.counts(0.0, max_cutoff))[1]
+        _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
+        te_sum = te_weight * table.sums(z, table.extend(0.0, max_cutoff))[1]
         tail += _te_tail_bound(max_cutoff, z, geom, energy)
     else:
         te_unit, te_tail = table.te_split(z)
@@ -769,7 +808,7 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
     if not corner:
-        _listed(config.geom, _coupling._split_cutoff(config.geom), mode_cap)
+        _check_cap(table._split_count, mode_cap)
         table.compute_splits([point.z for point in points],
                              (TM, TE) if max_cutoff is None else (TM,))
     # The levels at each z share the table's splits and mode sums.

@@ -865,10 +865,11 @@ class TestImport:
         # energy and sweep never reach the per-case oracle, the fourth-order
         # oracle, the check suite or fig4, so a launch that runs only them
         # never imports those modules; the commands that use them import them
-        # on first use.  numpy.polynomial is not held out: the first TE split
-        # loads it for its Gauss-Legendre rule.
+        # on first use.  Nor do they import numpy.polynomial: the TE split
+        # builds its Gauss-Legendre rule with numpy.linalg, which numpy loads.
         oracle_modules = ["wgdisp.quadrature", "wgdisp.fourth_order",
-                          "wgdisp.oracle_checks", "wgdisp.asymptotics"]
+                          "wgdisp.oracle_checks", "wgdisp.asymptotics",
+                          "numpy.polynomial"]
         reports = [["energy", "--z", "0.5", "--species1", species_file],
                    ["sweep", "--z-min", "0.05", "--z-max", "0.5", "--points", "8",
                     "--species1", species_file]]

@@ -907,6 +907,66 @@ class TestTopModes:
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
         assert ft.top_modes(8) == []
 
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("b, z", [(1.0, 0.8), (0.6, 3.0), (0.85, 0.3)])
+    def test_reuses_split_k0_and_equals_fresh_ranking(self, monkeypatch, convention, b, z):
+        # A report's z is in its table's split batch: the TE couplings take
+        # the split's K0(k z) row, with no K0 call of their own, and the
+        # list is, bit for bit, a ranking of a fresh table's mode_tensors.
+        cfg = _config(z, geom=Geometry(1.0, b), p1=TransversePoint(0.3, 0.2 * b),
+                      p2=TransversePoint(0.7, 0.55 * b),
+                      conventions=Conventions.from_name(convention))
+        ft = dispersion_energy(cfg, tail_tol=1e-8).f_by_level[E100]
+        table = ft._detail[0]
+        assert table._te_k0[z].size == ft.te_modes > 0
+        calls = _count_k0(monkeypatch)
+        got = ft.top_modes(10 ** 6)
+        assert calls == [] and len(got) > 0
+        _assert_same_ranking(got, _fresh_ranking(cfg, ft, len(got)))
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    @pytest.mark.parametrize("truncation", ["max_cutoff", "other batch"])
+    def test_fresh_k0_equals_fresh_ranking(self, monkeypatch, convention, truncation):
+        # Under a fixed cutoff no TE split runs, and a z whose batch the
+        # table has since replaced has no K0 row there: the TE couplings take
+        # one K0 call of their own, with the same ranking bit for bit.
+        cfg = _config(0.9, geom=Geometry(1.0, 0.7), p1=TransversePoint(0.3, 0.2),
+                      p2=TransversePoint(0.65, 0.5),
+                      conventions=Conventions.from_name(convention))
+        max_cutoff = 25.0 if truncation == "max_cutoff" else None
+        if max_cutoff:
+            ft = dispersion_energy(cfg, max_cutoff=max_cutoff).f_by_level[E100]
+        else:
+            table = ModeTable(cfg.geom, cfg.p1, cfg.p2, cfg.conventions)
+            ft = f_tensor(cfg, E100, tail_tol=1e-8, table=table)
+            f_tensor(replace(cfg, z=1.7), E100, tail_tol=1e-8, table=table)
+            assert cfg.z not in table._te_k0
+        calls = _count_k0(monkeypatch)
+        got = ft.top_modes(10 ** 6)
+        assert calls == [ft.te_modes] and len(got) > 0
+        _assert_same_ranking(got, _fresh_ranking(cfg, ft, len(got), max_cutoff))
+
+
+def _count_k0(monkeypatch):
+    """The sizes of the arguments of each K0 call the couplings make from now on."""
+    import wgdisp.coupling as coupling_mod
+    calls = []
+
+    def counted(x, _kernel=coupling_mod.k0):
+        calls.append(x.size)
+        return _kernel(x)
+    monkeypatch.setattr(coupling_mod, "k0", counted)
+    return calls
+
+
+def _fresh_ranking(cfg, ft, n, max_cutoff=None):
+    """The n first modes of a Python ranking of the modes ``ft`` lists, with
+    their couplings from ``mode_tensors`` on a fresh table (TE to
+    ``max_cutoff`` when given, else to the splits' cutoff)."""
+    table = ModeTable(cfg.geom, cfg.p1, cfg.p2, cfg.conventions)
+    assert table.extend(ft.tm_cutoff, max_cutoff) == (ft.tm_modes, ft.te_modes)
+    return ranked_modes(table.mode_tensors((ft.tm_modes, ft.te_modes), cfg.z, E100), n)
+
 
 _ONE_SIGN = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 2.0),
                       st.floats(0.0, 2.0))
@@ -1039,6 +1099,66 @@ def _split_coordinate(draw, length):
     if kind == "centre":
         return 0.5 * length
     return draw(st.floats(0.02, 0.98)) * length
+
+
+@st.composite
+def _table_cases(draw):
+    # Guides with b/a in [0.05, 20]; each coordinate on a wall, a centre
+    # line or inside, so points sit on edges, on centre lines and at
+    # corners.  A fixed cutoff from half to three times the splits'.
+    from wgdisp.coupling import _split_cutoff
+    geom = Geometry(1.0, 0.05 * 400.0 ** draw(st.floats(0.0, 1.0)))
+    p1, p2 = (TransversePoint(_split_coordinate(draw, geom.a), _split_coordinate(draw, geom.b))
+              for _ in range(2))
+    conv = Conventions(normalization=draw(st.sampled_from(["unit-normalized",
+                                                           "paper-literal"])))
+    return geom, p1, p2, conv, draw(st.floats(0.5, 3.0)) * _split_cutoff(geom)
+
+
+def _assert_same_array(got, want):
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_table(got, want):
+    assert got.cutoff == want.cutoff
+    for pol in ("TM", "TE"):
+        for name in ("_k", "_mn", "_rows"):
+            _assert_same_array(getattr(got, name)[pol], getattr(want, name)[pol])
+
+
+class TestScreenedPass:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_table_cases())
+    def test_equals_incremental_build(self, case):
+        # The first split's one pass leaves the table, bit for bit, as the
+        # TM listing to the splits' cutoff and then the TE one leave it, and
+        # its screened data are those of that table's rows; a fixed cutoff
+        # listed afterwards extends both tables alike.
+        from wgdisp.coupling import _live, _split_cutoff, _te_rows
+        geom, p1, p2, conv, max_cutoff = case
+        once = ModeTable(geom, p1, p2, conv)
+        screened = [once._screened(pol) for pol in ("TM", "TE")]
+        K = _split_cutoff(geom)
+        steps = ModeTable(geom, p1, p2, conv)
+        steps.extend(K, 0.0)
+        steps.extend(0.0, K)
+        _assert_same_table(once, steps)
+        tm_count, te_count = steps.counts(K)
+        rows = steps._rows["TM"][:tm_count]
+        want = [(steps._k["TM"][:tm_count], rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
+                 _live(rows, 3))]
+        k, (m, n) = steps._k["TE"][:te_count], steps._mn["TE"][:, :te_count]
+        rows = steps._rows["TE"][:te_count]
+        if conv.normalization != "unit-normalized":
+            rows = _te_rows(geom, m, n, k, p1, p2, Conventions()).T
+        want.append((k, rows, _live(rows, 2)))
+        for got, ref in zip(screened, want):
+            for got_array, ref_array in zip(got, ref):
+                _assert_same_array(got_array, ref_array)
+        once.extend(0.0, max_cutoff)
+        steps.extend(0.0, max_cutoff)
+        _assert_same_table(once, steps)
 
 
 @st.composite
@@ -1337,6 +1457,15 @@ class TestTeSplit:
             monkeypatch.undo()
             coupling_mod._legendre_rule.cache_clear()
         assert 0.0 < np.abs(wide - base).max() <= bound[0]
+
+    @pytest.mark.parametrize("n", [16, 80, 160])
+    def test_rule_equals_leggauss(self, n):
+        # The short-time rule's nodes and weights, built without
+        # numpy.polynomial, are leggauss's bit for bit.
+        from wgdisp.coupling import _gauss_legendre
+        for got, want in zip(_gauss_legendre(n), np.polynomial.legendre.leggauss(n)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [1.0, 0.1])
     @pytest.mark.parametrize("z", [1e-6, 1e-4, 1e-2, 0.3, 3.0, 10.0])

@@ -37,7 +37,10 @@ from workloads import WORKLOADS  # noqa: E402
 # stage.  "assembly" (energy._assemble) and "free-space" (cli._freespace,
 # which takes the near-field contraction once) are one call per sweep or
 # report: every separation's level pairs are one batch, and the f_tensor
-# calls made inside the batch count under "f_tensor".
+# calls made inside the batch count under "f_tensor".  "screened listing" is
+# the table's one pass over the splits' modes (ModeTable._screened, which
+# lists and builds their rows through ModeTable.extend); "top_modes" ranks
+# per-mode couplings that ModeTable._mode_tensors builds.
 STAGES = {
     "sweep-near": {
         "parse": [(argparse.ArgumentParser, "parse_args")],
@@ -58,7 +61,7 @@ STAGES = {
         "TE split": [(coupling, "_te_split")],
         "f_tensor": [(energy, "f_tensor")],
         "assembly": [(energy, "_assemble")],
-        "top_modes": [(energy.FTensorResult, "top_modes")],
+        "top_modes": [(energy.FTensorResult, "top_modes"), (energy.ModeTable, "_mode_tensors")],
         "free-space": [(cli, "_freespace")],
         "JSON": [(cli, "_json_dump")],
     },
