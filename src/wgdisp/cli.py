@@ -24,8 +24,8 @@ from .errors import (InputError, ModeCapError, QuadratureError,
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes)
 from .coupling import ORIENTATIONS
-from .energy import (DipoleSpecies, PairConfiguration, _vdw_tensor, dispersion_energy,
-                     dispersion_sweep, ratio_to_freespace, u_freespace_cp)
+from .energy import (DipoleSpecies, PairConfiguration, _cp_energies, _vdw_tensor,
+                     dispersion_energy, dispersion_sweep, ratio_to_freespace)
 from .species_io import parse_species_file
 
 EXIT_OK = 0
@@ -294,16 +294,13 @@ def _ratio(u: float, reference: float) -> float:
 
 
 def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float, list[str]]]:
-    """Free-space van der Waals (tensor form, its contraction taken once) and
-    Casimir-Polder energies at each z of ``zs``, with a warning for each that
-    is not finite.
+    """Free-space van der Waals (tensor form) and Casimir-Polder energies at
+    each z of ``zs``, each form's level-pair sum taken once, with a warning
+    for each that is not finite.
 
-    The Casimir-Polder formula's validity warnings are not printed.
+    The Casimir-Polder formula's validity warnings are not raised.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pairs = [(vdw, u_freespace_cp(sp1, sp2, z, epsilon=epsilon))
-                 for z, vdw in zip(zs, _vdw_tensor(sp1, sp2, zs, epsilon))]
+    pairs = list(zip(_vdw_tensor(sp1, sp2, zs, epsilon), _cp_energies(sp1, sp2, zs, epsilon)))
     return [(*pair, [f"{name} is not finite at z={z:g}: {value!r}, its terms pass the "
                      f"largest double" for name, value in zip(_FREESPACE_KEYS, pair)
                      if not math.isfinite(value)]) for z, pair in zip(zs, pairs)]

@@ -185,6 +185,11 @@ def _split_width(geom: Geometry) -> float:
     return 0.55 * math.sqrt(geom.area)
 
 
+def _k11(geom: Geometry) -> float:
+    """Cutoff k_11 of the lowest TM mode, the diagonal of a lattice cell."""
+    return math.hypot(math.pi / geom.a, math.pi / geom.b)
+
+
 def _split_cutoff(geom: Geometry) -> float:
     """Cutoff of the screened mode sum.
 
@@ -192,8 +197,7 @@ def _split_cutoff(geom: Geometry) -> float:
     below _SPLIT_EPS; the extra k_11 keeps it there for every cell of the
     lattice-to-integral comparison in :func:`_tm_split_bound`.
     """
-    return 2.0 * _SPLIT_REACH / _split_width(geom) + math.hypot(
-        math.pi / geom.a, math.pi / geom.b)
+    return 2.0 * _SPLIT_REACH / _split_width(geom) + _k11(geom)
 
 
 def _power(x: float, n: float) -> float:
@@ -370,7 +374,7 @@ def _bound_parts(geom: Geometry) -> tuple[float, float, float, float, float]:
     alpha = 0.25 * eta * eta
     c = 2.0 / (math.sqrt(math.pi) * eta)
     cutoff = _split_cutoff(geom)
-    low = cutoff - math.hypot(math.pi / geom.a, math.pi / geom.b)
+    low = cutoff - _k11(geom)
     # integral_low^inf (k^2 + c k) e^{-alpha k^2} dk
     tm_gauss = ((low + c) * math.exp(-alpha * low * low) / (2.0 * alpha)
                 + math.sqrt(math.pi) * math.erfc(math.sqrt(alpha) * low) / (4.0 * alpha ** 1.5))
@@ -744,7 +748,7 @@ def _printed_sums(geom, p1, p2, z, mode_cap):
     and rounding.
     """
     a, b, area = geom.a, geom.b, geom.area
-    k11, lengths = math.hypot(math.pi / a, math.pi / b), np.array([a, b])
+    k11, lengths = _k11(geom), np.array([a, b])
 
     def absolute(zs):  # bounds on |cross| and |zero| at the separations zs
         with np.errstate(over="ignore"):  # k z past the largest double: 0

@@ -268,8 +268,8 @@ def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
     past the shell the mode density per polarization, ~ A k / (2 pi),
     gives 2 integral_K^inf k^2 e^{-kz} dk, plus an axis-row allowance.
     """
-    k11 = math.hypot(math.pi / geom.a, math.pi / geom.b)
-    k = mode_arrays(geom, K + k11, K)[TM]["k"]
+    k = mode_arrays(geom, K + _coupling._k11(geom))[TM]["k"]
+    k = k[k > K * (1.0 + 1e-12)]
     shell = (4.0 * math.pi / geom.area) * float(np.sum(k * np.exp(-k * z)))
     axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
         * math.exp(-K * z) * (K + 1.0 / z) / z
@@ -304,16 +304,16 @@ class ModeTable:
     ``_te_rows``, one mode per row) of its first modes.  The first time a
     split asks for them, one pass (:meth:`_screened`) lists every mode up
     to the splits' cutoff and builds the rows of both polarizations there;
-    past it, :meth:`extend` lists further shells and builds their rows, to
-    each polarization's own cutoff.  Only the radial factors depend on the
-    separation, so one table serves every separation and transition level
-    of a sweep: :meth:`sums` weights the rows with (4 pi / A) k e^{-kz}
-    (TM) and K0(kz) (TE) and contracts them, and :meth:`tm_split` and
-    :meth:`te_split` weight the rows of the first, screened modes and add
-    the image sums, over image offsets, signs and rho^2 that the table
-    takes once, whatever the table's conventions.  :meth:`compute_splits`
-    evaluates the splits at a whole sweep's separations, a chunk of them
-    per kernel call.
+    past it, :meth:`extend` lists the table again to the larger cutoff and
+    builds the rows of the new modes, to each polarization's own cutoff.
+    Only the radial factors depend on the separation, so one table serves
+    every separation and transition level of a sweep: :meth:`sums` weights
+    the rows with (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts
+    them, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
+    first, screened modes and add the image sums, over image offsets, signs
+    and rho^2 that the table takes once, whatever the table's conventions.
+    :meth:`compute_splits` evaluates the splits, with their bounds, at a
+    whole sweep's separations, a chunk of them per kernel call.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint,
@@ -328,30 +328,29 @@ class ModeTable:
         self._mn = {pol: np.empty((2, 0), dtype=np.int32) for pol in (TM, TE)}
         # Factor rows of the modes built so far (see _tm_rows and _te_rows).
         self._rows = {TM: np.empty((0, 6)), TE: np.empty((0, 4))}
-        # Per polarization: (tensor, bound) of the splits of the last batch,
-        # keyed by z (a TM bound is None until :meth:`tm_split` reads it),
-        # and the screened modes' data of :meth:`_screened`; the TE split's
-        # K0(k z) row of the screened modes, keyed by the z it was taken at.
-        self._splits: dict[str, dict[float, tuple[np.ndarray, float | None]]] = {TM: {}, TE: {}}
+        # Per polarization: the splits of the last batch, keyed by z, as
+        # (tensor, bound) for TM and (tensor, bound, K0(k z) row of the
+        # screened modes, or None where the kernel took another z) for TE;
+        # and the screened modes' data of :meth:`_screened`.
+        self._splits: dict[str, dict[float, tuple]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._te_k0: dict[float, np.ndarray] = {}
         self._sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # see :meth:`sums`
 
     def extend(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
-        """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) that
-        the table lacks, and return :meth:`counts` at K and ``te_cutoff``.
+        """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) unless
+        the table holds them, and return :meth:`counts` at K and ``te_cutoff``.
 
-        The new shell takes one ``mode_arrays`` call.  The TM modes up to K
-        and the TE modes up to ``te_cutoff`` (K when omitted) get factor
-        rows, each mode's built once.
+        A larger cutoff takes one ``mode_arrays`` call, whose listing
+        replaces the table's: the modes held so far are, bit for bit, its
+        head.  The TM modes up to K and the TE modes up to ``te_cutoff`` (K
+        when omitted) get factor rows, each mode's built once.
         """
         top = K if te_cutoff is None else max(K, te_cutoff)
         if self.cutoff is None or top > self.cutoff:
-            shell = mode_arrays(self.key[0], top, self.cutoff)
+            listing = mode_arrays(self.key[0], top)
             for pol in (TM, TE):
-                self._k[pol] = np.concatenate((self._k[pol], shell[pol]["k"]))
-                self._mn[pol] = np.concatenate(
-                    (self._mn[pol], (shell[pol]["m"], shell[pol]["n"])), axis=1, dtype=np.int32)
+                self._k[pol] = listing[pol]["k"]
+                self._mn[pol] = np.array((listing[pol]["m"], listing[pol]["n"]), dtype=np.int32)
             self.cutoff = top
         geom, p1, p2, conv = self.key
         counts = self.counts(K, te_cutoff)
@@ -429,8 +428,8 @@ class ModeTable:
 
         The separations go through the kernels of :mod:`wgdisp.coupling`
         _SPLIT_CHUNK at a time; a split does not depend on which
-        separations share its chunk.  A TM bound is taken when
-        :meth:`tm_split` first reads it.
+        separations share its chunk.  Each TM bound is taken with its
+        tensor, at the z the kernel took.
         """
         geom = self.key[0]
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
@@ -439,23 +438,23 @@ class ModeTable:
         for pol in pols:
             k, factors, live = self._screened(pol)
             store = {}
-            if pol == TE:
-                self._te_k0 = {}
             for start in range(0, z.size, _SPLIT_CHUNK):
                 part = slice(start, start + _SPLIT_CHUNK)
+                keys, taken = z[part].tolist(), near[part].tolist()
                 if pol == TM:
                     out = _coupling._tm_split(geom, k, factors, self._images, near[part])
                     out = np.where(live, out, 0.0) + 0.0
-                    bounds = [None] * len(out)
+                    records = zip(out, [_coupling._tm_split_bound(geom, w) for w in taken])
                 else:
-                    k0_kz = np.empty((near[part].size, k.size))
+                    k0_kz = np.empty((len(taken), k.size))
                     out, bounds = _coupling._te_split(geom, k, factors, self._images,
                                                       near[part], k0_kz)
                     out[:, :2, :2] = np.where(live, out[:, :2, :2], 0.0)
-                    bounds = bounds.tolist()
-                    # Keyed by the z the kernel took: a far z takes its own.
-                    self._te_k0.update(zip(near[part].tolist(), k0_kz))
-                store.update(zip(z[part].tolist(), zip(out, bounds)))
+                    # A far z is taken at the far edge, so its row is not K0(k z).
+                    rows = [row if w == v else None
+                            for row, w, v in zip(k0_kz, taken, keys)]
+                    records = zip(out, bounds.tolist(), rows)
+                store.update(zip(keys, records))
             self._splits[pol] = store
 
     def tm_split(self, z: float) -> tuple[np.ndarray, float]:
@@ -470,12 +469,7 @@ class ModeTable:
         """
         if z not in self._splits[TM]:
             self.compute_splits([z], (TM,))
-        tensor, bound = self._splits[TM][z]
-        if bound is None:
-            geom = self.key[0]
-            bound = _coupling._tm_split_bound(geom, min(float(z), _FAR * (geom.a + geom.b)))
-            self._splits[TM][z] = tensor, bound
-        return tensor, bound
+        return self._splits[TM][z]
 
     def te_split(self, z: float) -> tuple[np.ndarray, float]:
         """Unit TE tensor at separation z and its truncation bound.
@@ -488,7 +482,7 @@ class ModeTable:
         """
         if z not in self._splits[TE]:
             self.compute_splits([z], (TE,))
-        return self._splits[TE][z]
+        return self._splits[TE][z][:2]
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs of the split's screened modes, the products of their TM
@@ -542,22 +536,19 @@ class ModeTable:
         """(3, 3, ``count``) couplings of the first ``count`` modes of ``pol``.
 
         The TE couplings of the screened modes at a z of the last TE batch
-        take the K0(k z) row the split computed there: the same bits, as
-        k z and z k are one product and K0 of an argument does not depend on
-        the array it sits in.
+        take the K0(k z) row its record keeps: the same bits, as k z and
+        z k are one product and K0 of an argument does not depend on the
+        array it sits in.
         """
         geom, p1, p2, conv = self.key
-        k, (m, n), rows = self._columns(pol, count)
+        k, rows = self._k[pol][:count], self._rows[pol][:count].T
         if pol == TM:
-            return _coupling._tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conv)
-        k0_kz = self._te_k0.get(z)
+            return _coupling._tm_mode_tensors(geom, *self._mn[pol][:, :count], k, rows,
+                                              p1, p2, z, conv)
+        record = self._splits[TE].get(z)
+        k0_kz = record[2] if record else None
         return _coupling._te_mode_tensors(
             k, rows, z, energy, conv, k0_kz if k0_kz is not None and k0_kz.size == count else None)
-
-    def _columns(self, pol: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cutoffs (N,), indices (2, N) and factor rows (R, N) of the first
-        ``count`` modes of a polarization, as views."""
-        return self._k[pol][:count], self._mn[pol][:, :count], self._rows[pol][:count].T
 
 
 _ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings
@@ -847,8 +838,8 @@ def dispersion_sweep(
 
     Each point is ``config`` with its z replaced, truncated by ``tail_tol``
     or ``max_cutoff`` as in :func:`f_tensor`.  Every point and level sums
-    from one :class:`ModeTable`, so each mode is listed and its transverse
-    factors are built once per sweep.  The splits :func:`f_tensor` reads
+    from one :class:`ModeTable`, so each mode's transverse factors are built
+    once per sweep.  The splits :func:`f_tensor` reads
     are evaluated for every z of the sweep up front, by
     :meth:`ModeTable.compute_splits`; after one :func:`f_tensor` call per z
     and distinct level, every level pair at every z is contracted in one
@@ -985,9 +976,16 @@ def u_freespace_cp(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
     if r < lam_max:
         warnings.warn("retarded free-space form assumes r >> every transition "
                       "wavelength", ValidityDomainWarning, stacklevel=2)
+    return _cp_energies(species1, species2, [r], epsilon)[0]
+
+
+def _cp_energies(species1: DipoleSpecies, species2: DipoleSpecies, rs,
+                 epsilon: float = 1.0) -> list[float]:
+    """:func:`u_freespace_cp` at each r of ``rs``, without its checks, with
+    the level-pair sum, which r does not change, taken once."""
     acc = sum(t1.d_squared * t2.d_squared / (t1.energy * t2.energy)
               for t1 in species1.transitions for t2 in species2.transitions)
-    return _over_power(23.0 / (144.0 * math.pi ** 3) * acc, epsilon ** 2, r, 7)
+    return [_over_power(23.0 / (144.0 * math.pi ** 3) * acc, epsilon ** 2, r, 7) for r in rs]
 
 
 def ratio_to_freespace(z: float, lambda_e: float, a: float,

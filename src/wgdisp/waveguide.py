@@ -141,47 +141,32 @@ def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
     return [row[4] for row in found]
 
 
-def mode_arrays(geom: Geometry, max_cutoff: float,
-                lower_cutoff: float | None = None):
+def mode_arrays(geom: Geometry, max_cutoff: float):
     """Vectorized mode tables for bulk summation.
 
     Returns a dict with, per polarization, integer arrays m, n and the
-    cutoff array k, sorted by k with ties in row-major (m, n) order.  TE
-    entries include the zero-index families.  Without ``lower_cutoff`` the
-    tables hold every mode with k <= max_cutoff; with it, only the shell
-    lower_cutoff < k <= max_cutoff.  Both edges carry the same 1e-12
-    relative slack, so the shells listed between successive cutoffs,
-    concatenated, are exactly the table at the last cutoff.
+    cutoff array k of every mode with k <= max_cutoff (1 + 1e-12), sorted by
+    k with ties in row-major (m, n) order.  TE entries include the
+    zero-index families.  So the tables at a lower cutoff are, bit for bit,
+    the head of those at a higher one.
 
     Candidates are built row by row over m, each row holding only the n
-    that can reach the shell, so a call costs about as many modes as it
+    that can reach the cutoff, so a call costs about as many modes as it
     returns.
     """
     if not 0.0 < max_cutoff < math.inf:
         raise InputError(f"max_cutoff must be positive and finite, "
                          f"got {max_cutoff!r}")
-    if lower_cutoff is None:
-        floor = 0.0  # k > 0 drops only the (0, 0) pair
-    elif 0.0 <= lower_cutoff < math.inf:
-        floor = lower_cutoff * (1.0 + 1e-12)
-    else:
-        raise InputError(f"lower_cutoff must be non-negative and finite, "
-                         f"got {lower_cutoff!r}")
     limit = max_cutoff * (1.0 + 1e-12)
-    # Per row m, the n range [n_lo, n_hi] that can hold floor < k <= limit,
-    # padded by one index on each side against rounding; the exact test
-    # below decides.
+    # Per row m, the counts of the n from 0 on that can hold k <= limit,
+    # padded by one index against rounding; the exact test below decides.
     m = np.arange(0, int(limit * geom.a / math.pi) + 2)
     kx2 = (m * np.pi / geom.a) ** 2
-    per_n = geom.b / np.pi
-    n_hi = (np.sqrt(np.maximum(limit * limit - kx2, 0.0)) * per_n).astype(int) + 1
-    n_lo = np.maximum(
-        (np.sqrt(np.maximum(floor * floor - kx2, 0.0)) * per_n).astype(int) - 1, 0)
-    counts = np.maximum(n_hi - n_lo + 1, 0)
+    counts = (np.sqrt(np.maximum(limit * limit - kx2, 0.0)) * (geom.b / np.pi)).astype(int) + 2
     mm = np.repeat(m, counts)
-    nn = np.arange(mm.size) - np.repeat(np.cumsum(counts) - counts - n_lo, counts)
+    nn = np.arange(mm.size) - np.repeat(np.cumsum(counts) - counts, counts)
     kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
-    keep = (kk > floor) & (kk <= limit)
+    keep = (kk > 0.0) & (kk <= limit)  # k > 0 drops only the (0, 0) pair
     mm, nn, kk = mm[keep], nn[keep], kk[keep]
     order = np.argsort(kk, kind="stable")
     mm, nn, kk = mm[order], nn[order], kk[order]

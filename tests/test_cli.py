@@ -441,8 +441,8 @@ class TestSweep:
     ["sweep", "--z-min", "0.05", "--z-max", "1", "--points", "8"],
 ])
 def test_one_mode_listing_per_run(species_file, monkeypatch, capsys, command):
-    # A report or a sweep lists its mode table once: the table appends
-    # shells to flat arrays, which stays cheap only while that holds.
+    # A report or a sweep lists its mode table once: a larger cutoff lists
+    # the whole table again, which stays cheap only while that holds.
     from wgdisp import cli, energy, waveguide
     calls = []
     listing = waveguide.mode_arrays
@@ -505,10 +505,10 @@ def test_levels_share_the_cross_terms(four_levels, capsys):
     capsys.readouterr()
 
 
-def test_tm_split_bound_only_where_read(four_levels, monkeypatch, capsys):
-    # reproduce fig4 reads the TM split's tensors alone and takes none of
-    # its bounds; an energy report takes its separation's bound once for
-    # all four levels.
+def test_tm_split_bound_once_per_separation(four_levels, monkeypatch, capsys):
+    # A TM bound is taken with its split: reproduce fig4 takes one per
+    # separation of its grid, and an energy report takes its separation's
+    # bound once for all four levels.
     from wgdisp import cli, coupling
     calls = []
     bound = coupling._tm_split_bound
@@ -518,7 +518,8 @@ def test_tm_split_bound_only_where_read(four_levels, monkeypatch, capsys):
         return bound(geom, z)
     monkeypatch.setattr(coupling, "_tm_split_bound", counted)
     assert cli.main(["reproduce", "fig4"]) == 0
-    assert calls == []
+    assert len(calls) == len(set(calls)) == cli.FIGURE_GRIDS["fig4"][2]
+    calls.clear()
     assert cli.main(["energy", "--z", "0.5", "--species1", four_levels]) == 0
     capsys.readouterr()
     assert calls == [0.5]

@@ -446,30 +446,28 @@ class TestKernels:
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_write_into_slice_of_larger_array(self, convention):
-        # A table appends each shell's rows to its flat arrays, past the
-        # positions at which sums split their contraction.  The rows must
-        # be the bits a fresh call gives, and rows written earlier must stay
-        # as they were.
+        # A table appends the rows of the modes past its last listing to its
+        # flat arrays, past the positions at which sums split their
+        # contraction.  The rows must be the bits a fresh call on that part
+        # of the full listing gives, and rows written earlier must stay as
+        # they were.
         from wgdisp.coupling import _te_rows, _tm_rows
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
         conv = Conventions.from_name(convention)
         table = ModeTable(geom, p1, p2, conv)
         fresh = {"TM": [], "TE": []}
-        lower = None
         for K in (60.0, 400.0, 520.0):
-            before = {pol: _table_rows(table, pol).copy() if lower else None
-                      for pol in fresh}
+            before = {pol: _table_rows(table, pol).copy() for pol in fresh}
             table.extend(K)
-            shell = mode_arrays(geom, K, lower)
+            listing = mode_arrays(geom, K)
             for pol, rows_of, extra in (("TM", _tm_rows, ()), ("TE", _te_rows, (conv,))):
-                t = shell[pol]
+                new = slice(before[pol].shape[1], None)
+                t = {key: listing[pol][key][new] for key in ("m", "n", "k")}
                 fresh[pol].append(rows_of(geom, t["m"], t["n"], t["k"], p1, p2, *extra))
                 held = _table_rows(table, pol)
                 assert held.tobytes() == np.concatenate(fresh[pol], axis=1).tobytes()
-                if before[pol] is not None:
-                    assert np.array_equal(held[:, :before[pol].shape[1]], before[pol])
-            lower = K
+                assert np.array_equal(held[:, :before[pol].shape[1]], before[pol])
         assert min(table.counts(400.0)) > 8192
 
 
@@ -918,7 +916,7 @@ class TestTopModes:
                       conventions=Conventions.from_name(convention))
         ft = dispersion_energy(cfg, tail_tol=1e-8).f_by_level[E100]
         table = ft._detail[0]
-        assert table._te_k0[z].size == ft.te_modes > 0
+        assert table._splits["TE"][z][2].size == ft.te_modes > 0
         calls = _count_k0(monkeypatch)
         got = ft.top_modes(10 ** 6)
         assert calls == [] and len(got) > 0
@@ -940,7 +938,7 @@ class TestTopModes:
             table = ModeTable(cfg.geom, cfg.p1, cfg.p2, cfg.conventions)
             ft = f_tensor(cfg, E100, tail_tol=1e-8, table=table)
             f_tensor(replace(cfg, z=1.7), E100, tail_tol=1e-8, table=table)
-            assert cfg.z not in table._te_k0
+            assert cfg.z not in table._splits["TE"]
         calls = _count_k0(monkeypatch)
         got = ft.top_modes(10 ** 6)
         assert calls == [ft.te_modes] and len(got) > 0
@@ -1689,30 +1687,68 @@ class TestSweep:
             assert len(sweep) == n
             assert (calls.count("exp1"), calls.count("k0")) == (chunks, chunks)
 
-    def test_sweep_lists_each_mode_once(self, monkeypatch):
+    def test_records_hold_what_the_kernels_took(self):
+        # compute_splits stores each separation's splits whole: a TM record
+        # holds its bound, taken at the z the kernel took (the far edge past
+        # it), and a TE record the K0(k z) row of its screened modes where
+        # the kernel took z itself, and None past the far edge.
+        from wgdisp._special import k0
+        from wgdisp.coupling import _tm_split_bound
+        from wgdisp.energy import _FAR
+        geom = Geometry(1.0, 0.7)
+        table = ModeTable(geom, TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41),
+                          Conventions())
+        edge = _FAR * (geom.a + geom.b)
+        zs = np.geomspace(0.01, 5.0, 40).tolist() + [edge, 2.0 * edge, 1e300]
+        table.compute_splits(zs)
+        k = table._screened("TE")[0]
+        for z in zs:
+            _, bound = table._splits["TM"][z]
+            assert float(bound).hex() == _tm_split_bound(geom, min(z, edge)).hex()
+            _, _, row = table._splits["TE"][z]
+            if z <= edge:
+                assert row.tobytes() == k0(k * z).tobytes()
+            else:
+                assert row is None
+
+    def test_sweep_builds_each_mode_once(self, monkeypatch):
+        import wgdisp.coupling as coupling_mod
         import wgdisp.energy as energy_mod
         listing = energy_mod.mode_arrays
-        shells = []  # (cutoff, lower cutoff, modes listed) per call
+        cutoffs, tables = [], []
+        built = {"TM": 0, "TE": 0}  # modes whose factor rows were built
 
-        def counted(geom, K, lower=None):
-            out = listing(geom, K, lower)
-            shells.append((K, lower, out["TM"]["k"].size + out["TE"]["k"].size))
-            return out
+        def counted(geom, K):
+            cutoffs.append(K)
+            return listing(geom, K)
         monkeypatch.setattr(energy_mod, "mode_arrays", counted)
-        # A fixed cutoff past the splits' needs a shell of its own, past the
-        # splits' screened modes, so the table grows in shells, each the one
-        # past the last.
+        for pol, name in (("TM", "_tm_rows"), ("TE", "_te_rows")):
+            def rows(geom, m, *args, _rows=getattr(coupling_mod, name), _pol=pol):
+                built[_pol] += m.size
+                return _rows(geom, m, *args)
+            monkeypatch.setattr(coupling_mod, name, rows)
+
+        class Recorded(energy_mod.ModeTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+        monkeypatch.setattr(energy_mod, "ModeTable", Recorded)
+        # A fixed cutoff past the splits' needs a listing of its own, past
+        # the splits' screened modes: the table is listed again to it, and
+        # only the modes past its last listing get factor rows.
         cfg = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.31, 0.22),
                                 TransversePoint(0.68, 0.41), 0.04, _TWO_LEVELS,
-                                _TWO_LEVELS, conventions=Conventions.paper_literal())
+                                _TWO_LEVELS)
         sweep = dispersion_sweep(cfg, np.geomspace(0.04, 0.4, 6).tolist(),
                                  max_cutoff=60.0)
-        assert len(shells) >= 2
-        assert [lower for _, lower, _ in shells] == [None] + [K for K, _, _ in shells[:-1]]
-        largest = shells[-1][0]
-        assert largest >= max(f.max_cutoff for u in sweep for f in u.f_by_level.values())
-        table = listing(cfg.geom, largest)
-        assert sum(n for _, _, n in shells) == table["TM"]["k"].size + table["TE"]["k"].size
+        table, = tables
+        assert len(cutoffs) >= 2 and cutoffs == sorted(set(cutoffs))
+        assert cutoffs[-1] >= max(f.max_cutoff for u in sweep for f in u.f_by_level.values())
+        last = listing(cfg.geom, cutoffs[-1])
+        for pol in ("TM", "TE"):
+            assert table._k[pol].tobytes() == last[pol]["k"].tobytes()
+            assert table._mn[pol].tolist() == [last[pol]["m"].tolist(), last[pol]["n"].tolist()]
+            assert built[pol] == len(table._rows[pol]) > 0
 
 
 class TestUnderflow:

@@ -256,6 +256,18 @@ def _assert_tables_equal(got, want):
             assert np.array_equal(got[pol][key], want[pol][key]), (pol, key)
 
 
+def _head(listing, head):
+    """The first modes of ``listing``, as many per polarization as ``head`` holds."""
+    return {pol: {key: listing[pol][key][:head[pol]["k"].size] for key in ("m", "n", "k")}
+            for pol in ("TM", "TE")}
+
+
+def _past(listing, head):
+    """The modes of ``listing`` past its first ones, as many as ``head`` holds."""
+    return {pol: {key: listing[pol][key][head[pol]["k"].size:] for key in ("m", "n", "k")}
+            for pol in ("TM", "TE")}
+
+
 class TestModeShells:
     def test_full_table_matches_box_listing(self):
         for geom, cutoff in ((SQ, 12.0), (Geometry(1.0, 0.7), 40.0),
@@ -265,7 +277,9 @@ class TestModeShells:
 
     def test_concatenated_shells_equal_one_shot_table(self):
         # Random guides and growing cutoff sequences; every third sequence
-        # has its cutoffs placed exactly on lattice points.
+        # has its cutoffs placed exactly on lattice points.  Each listing is,
+        # bit for bit, the head of the next, so the shells past each head,
+        # concatenated, are the listing at the last cutoff.
         rng = np.random.default_rng(2024)
         for trial in range(60):
             geom = Geometry(float(rng.uniform(0.3, 2.0)),
@@ -277,23 +291,28 @@ class TestModeShells:
                            for m, n in sorted(rng.integers(1, 30, size=(5, 2)),
                                               key=lambda mn: tuple(mn))]
                 cutoffs = sorted(set(cutoffs))
-            lower = None
-            shells = []
-            for k in cutoffs:
-                shells.append(mode_arrays(geom, k, lower))
-                lower = k
+            listings = [mode_arrays(geom, k) for k in cutoffs]
+            shells = [listings[0]]
+            for head, listing in zip(listings, listings[1:]):
+                _assert_tables_equal(_head(listing, head), head)
+                shells.append(_past(listing, head))
             joined = {pol: {key: np.concatenate([s[pol][key] for s in shells])
                             for key in ("m", "n", "k")} for pol in ("TM", "TE")}
             _assert_tables_equal(joined, _box_listing(geom, cutoffs[-1]))
 
     def test_shell_edges_on_lattice_points(self):
-        # TE10 and TM11 of the square guide sit exactly on the edges.
+        # TE10 and TM11 of the square guide sit exactly on the cutoffs: the
+        # listing at k10 holds TE10 and TE01, and the one at k11 adds just
+        # TE11 and TM11 past that head.
         k10 = cutoff_wavenumber(SQ, ModeIndex("TE", 1, 0))
         k11 = cutoff_wavenumber(SQ, ModeIndex("TM", 1, 1))
-        shell = mode_arrays(SQ, k11, k10)
+        low, high = mode_arrays(SQ, k10), mode_arrays(SQ, k11)
+        assert list(zip(low["TE"]["m"], low["TE"]["n"])) == [(0, 1), (1, 0)]
+        assert low["TM"]["k"].size == 0
+        _assert_tables_equal(_head(high, low), low)
+        shell = _past(high, low)
         assert list(zip(shell["TE"]["m"], shell["TE"]["n"])) == [(1, 1)]
         assert list(zip(shell["TM"]["m"], shell["TM"]["n"])) == [(1, 1)]
-        assert mode_arrays(SQ, k11, k11)["TE"]["k"].size == 0
 
     def test_enumeration_matches_loop_reference(self):
         for geom, cutoff in ((SQ, 25.0), (Geometry(1.0, 0.7), 30.0),
@@ -306,11 +325,6 @@ class TestModeShells:
             mode_arrays(SQ, cutoff)
         with pytest.raises(InputError, match="positive and finite"):
             enumerate_modes(SQ, cutoff)
-
-    @pytest.mark.parametrize("lower", [math.inf, math.nan, -1.0])
-    def test_rejects_bad_lower_cutoff(self, lower):
-        with pytest.raises(InputError, match="lower_cutoff"):
-            mode_arrays(SQ, 10.0, lower)
 
 
 class TestCorner:
