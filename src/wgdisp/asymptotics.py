@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from .conventions import Conventions
 from .energy import ModeTable
 from .errors import InputError
 from .waveguide import TM, Geometry
@@ -31,7 +30,7 @@ def _check(z_over_a: float) -> None:
 # One table serves every call: its screened modes are listed and built once.
 # Each call takes its separations' splits afresh, as one batch.
 _CENTER = Geometry(1.0, 1.0).center()
-_TABLE = ModeTable(Geometry(1.0, 1.0), _CENTER, _CENTER, Conventions())
+_TABLE = ModeTable(Geometry(1.0, 1.0), _CENTER, _CENTER)
 
 
 def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:

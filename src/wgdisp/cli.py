@@ -180,8 +180,8 @@ def _geometry(args) -> Geometry:
                     float(_resolve(args, "b", 1.0)))
 
 
-def _conventions(args) -> Conventions:
-    return Conventions.from_name(_resolve(args, "convention", "oracle-consistent"))
+def _bundle(args) -> str:
+    return _resolve(args, "convention", "oracle-consistent")
 
 
 def _species_pair(args) -> tuple[DipoleSpecies, DipoleSpecies]:
@@ -210,7 +210,7 @@ def _pair_configuration(args, z: float, species=None) -> PairConfiguration:
     p1, p2 = _points(args, geom)
     return PairConfiguration(geom, p1, p2, z, sp1, sp2,
                              epsilon=float(_resolve(args, "epsilon", 1.0)),
-                             conventions=_conventions(args))
+                             conventions=Conventions.from_name(_bundle(args)))
 
 
 def _species_json(sp: DipoleSpecies) -> list[dict]:
@@ -253,18 +253,18 @@ def cmd_coupling(args) -> int:
         raise InputError(f"--orient must be one of {ORIENTATIONS}")
     p1, p2 = _points(args, geom)
     z = float(_resolve(args, "z"))
-    conv = _conventions(args)
+    bundle = _bundle(args)
+    conv = Conventions.from_name(bundle)
     if mode.polarization == "TM":
-        closed = f_tm_closed(geom, mode, orient, p1, p2, z, conv.tm_sign)
+        closed = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
     else:
         if args.energy is None:
             raise InputError("TE couplings require --energy")
-        closed = f_te_closed(geom, mode, orient, p1, p2, z, args.energy,
-                             conv.te_factor, conv.normalization)
+        closed = f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv)
     payload = {
         "inputs": {"mode": mode.label(), "orientation": orient,
                    "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
-                   "energy": args.energy, "convention": conv.tm_sign},
+                   "energy": args.energy, "convention": bundle},
         "closed_form": closed.value,
     }
     if args.check_quadrature:
@@ -272,7 +272,7 @@ def cmd_coupling(args) -> int:
         quad_val = f_quadrature(geom, mode, orient, p1, p2, z,
                                 energy=args.energy or 0.0,
                                 include_energy_factor=args.energy is not None,
-                                spec=spec, normalization=conv.normalization)
+                                spec=spec, conventions=conv)
         payload["quadrature"] = quad_val.value
         scale = max(abs(quad_val.value), 1e-300)
         payload["rel_difference"] = abs(closed.value - quad_val.value) / scale
@@ -334,11 +334,7 @@ def _energy_report(args, z: float) -> dict:
             "z": z, "epsilon": config.epsilon,
             "species1": _species_json(sp1), "species2": _species_json(sp2),
             "orientation": sp1.orientation,
-            "conventions": {
-                "tm_sign": config.conventions.tm_sign,
-                "te_factor": config.conventions.te_factor,
-                "normalization": config.conventions.normalization,
-            },
+            "conventions": vars(config.conventions),  # its three fields, in order
             "truncation": kwargs,
         },
         "total": breakdown.total,
@@ -444,10 +440,8 @@ def cmd_oracle_check(args) -> int:
     from .oracle_checks import run_oracle_checks
 
     seed = int(_resolve(args, "seed", 12345))
-    convention = _resolve(args, "convention", "oracle-consistent")
     cases = int(_resolve(args, "cases", 20))
-    report, ok = run_oracle_checks(seed=seed, convention=convention,
-                                   cases=cases)
+    report, ok = run_oracle_checks(seed=seed, convention=_bundle(args), cases=cases)
     _emit(args, report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -13,14 +13,16 @@ reduce to closed forms:
 
   which is negative (the non-decaying constant part of the integrand
   Fourier-transforms to a delta supported at z = 0 and is dropped for
-  z > 0).  ``sign_convention="oracle-consistent"`` uses that sign;
-  ``"paper-literal"`` reproduces printed prefactors verbatim instead.
+  z > 0).
 
 * TE modes couple only transverse components and decay as the modified
   Bessel function K0(k_mn z).  The contour evaluation of the mode
-  integral produces a factor -2 u_e with u_e = E/(k_mn), kept under
-  ``factor_convention="derivation-consistent"``; ``"paper-literal"``
-  keeps the bare +1 prefactor as printed.
+  integral produces a factor -2 u_e with u_e = E/(k_mn).
+
+Every kernel here computes those oracle-consistent couplings, with
+unit-normalized TE profiles; :func:`wgdisp.conventions.apply` maps them
+to the printed prefactors, and :func:`_paper_cross` and
+:func:`_printed_sums` give the printed cross terms it takes.
 
 Mixed transverse-axial TM couplings (xz, yz against zx, zy) come from an
 integrand odd in the axial wavenumber and are antisymmetric under
@@ -28,10 +30,10 @@ exchanging the roles of the two points; both orders are provided and the
 assembled pair energy is insensitive to the antisymmetry because the
 contraction runs over both index orders.
 
-Both closed forms have one formula, shared with every mode sum: per mode,
-z-independent transverse factor rows (``_tm_rows``, ``_te_rows``) times a
-radial weight, (4 pi / A) k_mn exp(-k_mn z) or the TE factor times
-energy * K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
+Both closed forms have one formula (``_mode_tensors``), shared with every
+mode sum: per mode, z-independent transverse factor rows (``_tm_rows``,
+``_te_rows``) times a radial weight, (4 pi / A) k_mn exp(-k_mn z) or
+-2 energy K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
 rows for many modes at once, and :mod:`wgdisp.quadrature` builds them
 for a batch of cases at points of their own, next to the wavenumber
 oracle; ``transverse_profile`` is the normalized mode profile at one
@@ -55,7 +57,7 @@ import math
 import numpy as np
 from ._special import erfc, erfcx, exp1, k0
 
-from .conventions import Conventions
+from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, Conventions, apply
 from .errors import InputError
 from .waveguide import TM, Geometry, ModeIndex, TransversePoint
 
@@ -65,24 +67,6 @@ ORIENTATIONS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 # ---------------------------------------------------------------------------
 # per-mode factor rows: the one per-mode coupling formula
 # ---------------------------------------------------------------------------
-
-# Sign S[i][j] of each TM coupling relative to the common positive magnitude
-# (4 pi / A) k_mn P_i(p2) P_j(p1) exp(-k_mn z), row i the component at p2 and
-# column j the one at p1, axes ordered x, y, z.  Printed prefactors keep the
-# transverse-transverse couplings positive and the mixed ones symmetric;
-# their xy and yx couplings are the printed cross terms (:func:`_paper_cross`).
-_TM_SIGNS = {
-    "oracle-consistent": np.array([[-1.0, -1.0, -1.0],
-                                   [-1.0, -1.0, -1.0],
-                                   [1.0, 1.0, 1.0]]),
-    "paper-literal": np.array([[1.0, 1.0, -1.0],
-                               [1.0, 1.0, -1.0],
-                               [-1.0, -1.0, 1.0]]),
-}
-
-# Overall factor of the TE coupling, by ``Conventions.te_factor``.
-_TE_FACTORS = {"derivation-consistent": -2.0, "paper-literal": 1.0}
-
 
 def _axis_tables(geom, p2, p1, m_max, n_max):
     """Per-axis tables sx, cx (j = 0..m_max) and sy, cy (j = 0..n_max) of
@@ -119,15 +103,17 @@ def _axis_trig(geom, m, n, p2, p1, tables=None):
     return sx.take(m, axis=1), cx.take(m, axis=1), sy.take(n, axis=1), cy.take(n, axis=1)
 
 
-def _paper_cross(geom, k, trig, decay):
-    """Printed paper-literal TM xy and yx couplings per mode.
+def _paper_cross(geom, m, n, k, p1, p2, z):
+    """Printed paper-literal TM xy and yx couplings per mode, at separation z.
 
     The printed xy prefactor, generalized off the diagonal by splitting
-    the double-angle factors per point.  ``trig`` is the output of
-    :func:`_axis_trig` and ``decay`` the radial factor e^{-kz}.  Their
-    sums over every mode are :func:`_printed_sums`.
+    the double-angle factors per point; the trig factors are
+    :func:`_axis_trig`'s.  Their sums over every mode are
+    :func:`_printed_sums`.
     """
-    sx, cx, sy, cy = trig
+    with np.errstate(over="ignore"):  # k z past the largest double: e^{-kz} = 0
+        decay = np.exp(-k * z)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
     try:
         pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
     except OverflowError:  # A^2 past the largest double
@@ -141,8 +127,7 @@ def _tm_rows(geom, m, n, k, p1, p2, tables=None):
 
     Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
     at p1, so mode by mode the TM coupling is
-    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j], except the printed
-    paper-literal xy and yx couplings (:func:`_paper_cross`).  ``m`` and
+    sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j].  ``m`` and
     ``n`` are integer index arrays; the trig factors come from
     :func:`_axis_trig`, on ``tables`` when given.
     """
@@ -247,7 +232,7 @@ def _tm_split_spectral(geom, k, products, z):
     weights = np.array([tt, 0.5 * k * (a_part - b_part),
                         tt - (2.0 / (math.sqrt(math.pi) * eta)) * g])
     sums = (weights[_SPLIT_CLASS] * products[:, :, None, :]).sum(axis=3)
-    return ((4.0 * np.pi / geom.area) * _TM_SIGNS["oracle-consistent"][:, :, None]
+    return ((4.0 * np.pi / geom.area) * KERNEL_TM_SIGNS[:, :, None]
             * sums).transpose(2, 0, 1)
 
 
@@ -672,19 +657,18 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, edges: tuple[float,
     return spectral + short + images
 
 
-def _te_rows(geom, m, n, k, p1, p2, conventions, tables=None):
-    """z-independent TE profile rows of a mode list, shape (4, N).
+def _te_rows(geom, m, n, k, p1, p2, tables=None):
+    """z-independent unit-normalized TE profile rows of a mode list, shape (4, N).
 
     Rows 0-1 hold the x and y profile components at p2 and rows 2-3 those
     at p1, so mode by mode the TE coupling is
-    factor E K0(kz) rows[i] rows[2 + j]; the z components vanish.  The trig
+    -2 E K0(kz) rows[i] rows[2 + j]; the z components vanish.  The trig
     factors come from :func:`_axis_trig`, on ``tables`` when given.
     """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
-    if conventions.normalization == "unit-normalized":
-        nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
+    nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
     root_a = 2.0 / math.sqrt(geom.area)
     sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1, tables)
     ex = -root_a * nf * (ay / k) * cx * sy
@@ -692,33 +676,33 @@ def _te_rows(geom, m, n, k, p1, p2, conventions, tables=None):
     return np.stack([ex, ey], axis=1).reshape(4, k.size)
 
 
-def _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z, conventions):
-    """Per-mode 3x3 TM couplings, shape (3, 3, N), from :func:`_tm_rows` rows."""
-    with np.errstate(over="ignore"):  # k z past the largest double: e^{-kz} = 0
-        decay = np.exp(-k * z)
-    base = (4.0 * np.pi / geom.area) * k * decay
-    out = _TM_SIGNS[conventions.tm_sign][:, :, None] * base[None, None, :]
-    out *= rows[0:3, None, :]
-    out *= rows[None, 3:6, :]
-    if conventions.tm_sign == "paper-literal":
-        out[0, 1, :], out[1, 0, :] = _paper_cross(
-            geom, k, _axis_trig(geom, m, n, p2, p1), decay)
-    # Adding 0.0 turns the -0.0 of a negative factor times an exact zero
-    # into 0.0 and leaves every other value as it is.
-    out += 0.0
-    return out
-
-
-def _te_mode_tensors(k, rows, z, energy, conventions, k0_kz=None):
-    """Per-mode 3x3 TE couplings, shape (3, 3, N), from :func:`_te_rows` rows;
-    ``k0_kz``, when given, is K0(k z), as :func:`_te_split` hands it on."""
-    with np.errstate(over="ignore"):  # k z past the largest double: K0 = 0
-        radial = _TE_FACTORS[conventions.te_factor] * energy * (
-            k0(k * z) if k0_kz is None else k0_kz)
-    out = np.zeros((3, 3, k.size))
-    out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
-    out += 0.0  # -0.0 to 0.0, as in _tm_mode_tensors
-    return out
+def _mode_tensors(conventions, geom, tm, te, p1, p2, z, energy):
+    """Per-mode couplings under ``conventions``, (3, 3, N) TM and TE stacks,
+    of the mode lists ``tm`` and ``te``, each (m, n, k, factor rows) or None
+    (and its stack then None); the TE list may end in K0(k z), as
+    :func:`_te_split` hands it on.  Arrays and points may hold one entry
+    per case of a batch (:func:`_axis_trig`)."""
+    cross, zero = conventions.printed
+    tm_out = te_out = cross_terms = zero_terms = None
+    # Adding 0.0 turns the -0.0 of a negative factor times an exact zero into 0.0.
+    with np.errstate(over="ignore"):  # k z past the largest double: e^{-kz} = K0 = 0
+        if tm is not None:
+            m, n, k, rows = tm
+            tm_out = KERNEL_TM_SIGNS[:, :, None] * ((4.0 * np.pi / geom.area) * k * np.exp(-k * z))
+            tm_out *= rows[0:3, None, :]
+            tm_out *= rows[None, 3:6, :]
+            tm_out += 0.0
+            if cross:
+                cross_terms = _paper_cross(geom, m, n, k, p1, p2, z)
+        if te is not None:
+            m, n, k, rows, *k0_kz = te
+            radial = KERNEL_TE_FACTOR * energy * (k0_kz[0] if k0_kz else k0(k * z))
+            te_out = np.zeros((3, 3, k.size))
+            te_out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
+            te_out += 0.0
+            if zero:
+                zero_terms = np.where((m == 0) | (n == 0), te_out, 0.0)
+    return apply(conventions, tm_out, te_out, cross_terms, zero_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -814,14 +798,16 @@ def _one_mode(geom: Geometry, mode: ModeIndex):
 
 
 def transverse_profile(geom: Geometry, mode: ModeIndex, k: float, p: TransversePoint,
-                       convention: str = "unit-normalized") -> np.ndarray:
+                       conventions: Conventions = Conventions()) -> np.ndarray:
     """Cartesian components [E_x, E_y, E_z] of the transverse profile.
 
-    The profiles printed in :mod:`wgdisp.waveguide`, with ``convention``
-    the TE normalization.  TM components along x and y are imaginary
-    (proportional to i*k); TE profiles are real and independent of k.
-    The TE components are the ``_te_rows`` entries at ``p``; the TM ones
-    scale the ``_tm_rows`` factors by (2/sqrt(A)) (i k, i k, k_mn)/kappa.
+    The profiles printed in :mod:`wgdisp.waveguide`, with the TE
+    normalization of ``conventions``.  TM components along x and y are
+    imaginary (proportional to i*k); TE profiles are real and independent
+    of k.  The TE components are the ``_te_rows`` entries at ``p``, times
+    sqrt(2) for a zero-index mode where :func:`wgdisp.conventions.apply`
+    takes its coupling twice; the TM ones scale the ``_tm_rows`` factors
+    by (2/sqrt(A)) (i k, i k, k_mn)/kappa.
     """
     if not geom.contains(p):
         raise InputError(f"point ({p.x}, {p.y}) lies outside the cross-section")
@@ -833,8 +819,8 @@ def transverse_profile(geom: Geometry, mode: ModeIndex, k: float, p: TransverseP
         out[:] = (2.0 / math.sqrt(geom.area)) * np.array(
             [1j * k, 1j * k, kmn[0]]) / kappa * rows
     else:
-        conv = Conventions(normalization=convention)
-        out[0:2] = _te_rows(geom, m, n, kmn, p, p, conv)[0:2, 0]
+        twice = conventions.printed[1] and mode.m * mode.n == 0
+        out[0:2] = _te_rows(geom, m, n, kmn, p, p)[0:2, 0] * (math.sqrt(2.0) if twice else 1.0)
     return out
 
 

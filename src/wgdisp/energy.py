@@ -36,13 +36,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 from ._special import k0 as _k0
 
-from .conventions import Conventions
+from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, Conventions, apply
 from .errors import (InputError, ModeCapError, TightConfinementWarning,
                      ValidityDomainWarning)
 from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex,
                         TransversePoint, mode_arrays, mode_count)
 from . import coupling as _coupling
-from .coupling import _power, _tm_continuum_tail
+from .coupling import _power
 
 TWO_PI = 2.0 * math.pi
 _Z_FLOOR = 1e-60  # the splits' z^-5 image terms pass the largest double below ~6e-62
@@ -203,7 +203,7 @@ class FTensorResult:
         """``max_cutoff``, or under ``tail_tol`` the cutoff :func:`f_tensor` describes."""
         if self._detail is None:
             return math.nan
-        table, start, budget, z, energy, tm_tail = self._detail
+        table, _, start, budget, z, energy, tm_tail = self._detail
         return start if budget is None else _grown(
             start, lambda K: tm_tail + _te_tail_bound(K, z, table.key[0], energy) > budget)
 
@@ -223,14 +223,12 @@ class FTensorResult:
         """
         if n <= 0 or self._detail is None:
             return []
-        table, _, budget, z, energy, _ = self._detail
-        geom, _, _, conv = table.key
-        te_weight = abs(_coupling._TE_FACTORS[conv.te_factor]) * energy
-        floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_weight)
+        table, conv, _, budget, z, energy, _ = self._detail
+        te_weight = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
+        floor = max(_envelope(pol, self.tm_cutoff, z, table.key[0], te_weight)
                     for pol in ((TM,) if budget is None else (TM, TE)))
         counts = (self.tm_modes, self.te_modes)
-        tensors = [table._mode_tensors(pol, count, z, energy)
-                   for pol, count in zip((TM, TE), counts)]
+        tensors = table._mode_tensors(counts, z, energy, conv)
         peaks = np.concatenate([np.abs(t).max(axis=(0, 1)) for t in tensors])
         kept = min(n, int(np.count_nonzero(peaks > floor)))
         ms, ns = np.concatenate((table._mn[TM][:, :counts[0]], table._mn[TE][:, :counts[1]]),
@@ -258,24 +256,6 @@ class EnergyBreakdown:
     f_by_level: dict[float, FTensorResult]
 
 
-def _tm_tail_bound(K: float, z: float, geom: Geometry) -> float:
-    """Bound on the TM modes past cutoff K, the mode-sum reference the
-    tests hold the split against.
-
-    Per-mode magnitudes are bounded by (4 pi / A) k e^{-kz}.  The first
-    shell, the modes in (K, K + k_11], is summed mode by mode.  Every
-    lattice cell of area pi^2 / A lies within k_11 below its mode's k, so
-    past the shell the mode density per polarization, ~ A k / (2 pi),
-    gives 2 integral_K^inf k^2 e^{-kz} dk, plus an axis-row allowance.
-    """
-    k = mode_arrays(geom, K + _coupling._k11(geom))[TM]["k"]
-    k = k[k > K * (1.0 + 1e-12)]
-    shell = (4.0 * math.pi / geom.area) * float(np.sum(k * np.exp(-k * z)))
-    axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
-        * math.exp(-K * z) * (K + 1.0 / z) / z
-    return shell + _tm_continuum_tail(K, z) + axis
-
-
 def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
     # |F_TE| <= 2 E (4/A) K0(kz) and K0(x) < sqrt(pi/2x) e^-x.
     ez = math.exp(-K * z)
@@ -297,7 +277,7 @@ _FAR = 1e6
 
 
 class ModeTable:
-    """Cutoff-sorted modes of one guide, pair of points and conventions.
+    """Cutoff-sorted modes of one guide and pair of points.
 
     Per polarization the table holds flat arrays of each mode's cutoff k
     and indices (m, n), and the z-independent factor rows (``_tm_rows``,
@@ -311,14 +291,13 @@ class ModeTable:
     the rows with (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts
     them, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
     first, screened modes and add the image sums, over image offsets, signs
-    and rho^2 that the table takes once, whatever the table's conventions.
+    and rho^2 that the table takes once, all oracle-consistent.
     :meth:`compute_splits` evaluates the splits, with their bounds, at a
     whole sweep's separations, a chunk of them per kernel call.
     """
 
-    def __init__(self, geom: Geometry, p1: TransversePoint,
-                 p2: TransversePoint, conventions: Conventions):
-        self.key = (geom, p1, p2, conventions)
+    def __init__(self, geom: Geometry, p1: TransversePoint, p2: TransversePoint):
+        self.key = (geom, p1, p2)
         # The splits' cutoff and the estimated count of the modes below it,
         # which the mode cap is held against.
         self._split_cutoff = _coupling._split_cutoff(geom)
@@ -334,7 +313,7 @@ class ModeTable:
         # and the screened modes' data of :meth:`_screened`.
         self._splits: dict[str, dict[float, tuple]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._sums: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # see :meth:`sums`
+        self._sums: dict[tuple, tuple | np.ndarray] = {}  # see :meth:`sums`, :meth:`zero_index_sum`
 
     def extend(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
         """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) unless
@@ -352,7 +331,7 @@ class ModeTable:
                 self._k[pol] = listing[pol]["k"]
                 self._mn[pol] = np.array((listing[pol]["m"], listing[pol]["n"]), dtype=np.int32)
             self.cutoff = top
-        geom, p1, p2, conv = self.key
+        geom, p1, p2 = self.key
         counts = self.counts(K, te_cutoff)
         new = [(pol, len(self._rows[pol]), count) for pol, count in zip((TM, TE), counts)
                if count > len(self._rows[pol])]
@@ -361,13 +340,13 @@ class ModeTable:
                               for pol, built, count in new], axis=0)
             tables = _coupling._axis_tables(geom, p2, p1, *largest.tolist())
         for pol, built, count in new:
-            rows_of, *extra = (_coupling._tm_rows,) if pol == TM else (_coupling._te_rows, conv)
+            rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
             rows = np.empty((count, self._rows[pol].shape[1]))
             rows[:built] = self._rows[pol]
             for start in range(built, count, 8192):  # bounds rows_of's temporaries
                 part = slice(start, min(start + 8192, count))
                 rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
-                                     p1, p2, *extra, tables).T
+                                     p1, p2, tables).T
             self._rows[pol] = rows
         return counts
 
@@ -407,9 +386,18 @@ class ModeTable:
             self._sums[z, counts] = tuple(out)
         return self._sums[z, counts]
 
-    def _contract(self, pol: str, part: slice, z: float) -> np.ndarray:
-        """3x3 sum over the modes at table positions ``part`` at separation z."""
-        geom, _, _, conv = self.key
+    def zero_index_sum(self, z: float, count: int) -> np.ndarray:
+        """Unit TE tensor over the zero-index modes among the first ``count``
+        TE modes, kept read-only with :meth:`sums`, keyed by (z, ``count``)."""
+        if (z, count) not in self._sums:
+            zero = np.flatnonzero((self._mn[TE][:, :count] == 0).any(axis=0))
+            self._sums[z, count] = total = self._contract(TE, zero, z)
+            total.flags.writeable = False
+        return self._sums[z, count]
+
+    def _contract(self, pol: str, part, z: float) -> np.ndarray:
+        """3x3 sum over the modes at table positions ``part`` (a slice or an
+        index array) at separation z."""
         k, rows = self._k[pol][part], self._rows[pol][part]
         with np.errstate(over="ignore"):  # k z past the largest double: 0
             radial = np.exp(-(k * z)) if pol == TM else _k0(k * z)
@@ -418,7 +406,7 @@ class ModeTable:
             out[:2, :2] = (rows[:, 0:2] * radial[:, None]).T @ rows[:, 2:4]
             return out
         out[:] = (rows[:, 0:3] * (radial * k)[:, None]).T @ rows[:, 3:6]
-        out *= (4.0 * np.pi / geom.area) * _coupling._TM_SIGNS[conv.tm_sign]
+        out *= (4.0 * np.pi / self.key[0].area) * KERNEL_TM_SIGNS
         return out
 
     def compute_splits(self, zs, pols=(TM, TE)) -> None:
@@ -475,8 +463,7 @@ class ModeTable:
         """Unit TE tensor at separation z and its truncation bound.
 
         The heat-kernel split of :func:`wgdisp.coupling._te_split` (the TE
-        mode sum without its factor * E, for unit-normalized profiles
-        whatever the table's normalization), over the table's first TE modes
+        mode sum without its factor * E), over the table's first TE modes
         up to :func:`wgdisp.coupling._split_cutoff` and the images of the TM
         split.  Read and computed as :meth:`tm_split` is.
         """
@@ -491,9 +478,7 @@ class ModeTable:
 
         The first call takes one pass: :meth:`extend` to the splits' cutoff
         lists the screened modes and builds their rows, and both
-        polarizations' data follow from those rows.  Under paper-literal
-        normalization the unit-normalized TE rows are built when the TE
-        split first asks for them.
+        polarizations' data follow from those rows.
         """
         if not self._screen:
             tm_count, te_count = self.extend(self._split_cutoff)
@@ -501,54 +486,33 @@ class ModeTable:
             self._screen[TM] = (self._k[TM][:tm_count],  # products of the factors at p2 and p1
                                 rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
                                 _coupling._live(rows, 3))
-            if self.key[3].normalization == "unit-normalized":
-                rows = self._rows[TE][:te_count]
-                self._screen[TE] = self._k[TE][:te_count], rows, _coupling._live(rows, 2)
-        if pol not in self._screen:
-            geom, p1, p2, _ = self.key
-            count = self._count(TE, self._split_cutoff)
-            k, (m, n) = self._k[TE][:count], self._mn[TE][:, :count]
-            rows = np.ascontiguousarray(_coupling._te_rows(geom, m, n, k, p1, p2, Conventions()).T)
-            self._screen[TE] = k, rows, _coupling._live(rows, 2)
+            rows = self._rows[TE][:te_count]
+            self._screen[TE] = self._k[TE][:te_count], rows, _coupling._live(rows, 2)
         return self._screen[pol]
 
     @cached_property
     def _images(self):
         """The split's image offsets, signs and rho^2, built once."""
-        geom, p1, p2, _ = self.key
-        return _coupling._split_images(geom, p1, p2)
+        return _coupling._split_images(*self.key)
 
-    def mode_tensors(self, counts: tuple[int, int], z: float,
-                     energy: float) -> tuple[np.ndarray, ...]:
-        """Polarizations, indices m and n, and (3, 3, N) couplings of the
-        first ``counts[0]`` TM modes, then the first ``counts[1]`` TE modes,
-        each in table order.  A mode's coupling does not depend on which
-        others share the call."""
-        pols, mns, tensors = [], [], []
-        for pol, count in zip((TM, TE), counts):
-            pols.append(np.full(count, pol))
-            mns.append(self._mn[pol][:, :count])
-            tensors.append(self._mode_tensors(pol, count, z, energy))
-        m, n = np.concatenate(mns, axis=1)
-        return np.concatenate(pols), m, n, np.concatenate(tensors, axis=2)
-
-    def _mode_tensors(self, pol: str, count: int, z: float, energy: float) -> np.ndarray:
-        """(3, 3, ``count``) couplings of the first ``count`` modes of ``pol``.
+    def _mode_tensors(self, counts: tuple[int, int], z: float, energy: float,
+                      conventions: Conventions) -> tuple[np.ndarray, np.ndarray]:
+        """(3, 3, count) couplings under ``conventions`` of the first
+        ``counts[0]`` TM and ``counts[1]`` TE modes, as a pair.
 
         The TE couplings of the screened modes at a z of the last TE batch
         take the K0(k z) row its record keeps: the same bits, as k z and
         z k are one product and K0 of an argument does not depend on the
         array it sits in.
         """
-        geom, p1, p2, conv = self.key
-        k, rows = self._k[pol][:count], self._rows[pol][:count].T
-        if pol == TM:
-            return _coupling._tm_mode_tensors(geom, *self._mn[pol][:, :count], k, rows,
-                                              p1, p2, z, conv)
+        geom, p1, p2 = self.key
+        tm, te = ((*self._mn[pol][:, :count], self._k[pol][:count], self._rows[pol][:count].T)
+                  for pol, count in zip((TM, TE), counts))
         record = self._splits[TE].get(z)
         k0_kz = record[2] if record else None
-        return _coupling._te_mode_tensors(
-            k, rows, z, energy, conv, k0_kz if k0_kz is not None and k0_kz.size == count else None)
+        if k0_kz is not None and k0_kz.size == counts[1]:
+            te += (k0_kz,)
+        return _coupling._mode_tensors(conventions, geom, tm, te, p1, p2, z, energy)
 
 
 _ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings
@@ -599,19 +563,19 @@ def f_tensor(
 ) -> FTensorResult:
     """Coupling tensor for one transition energy.
 
-    The TM tensor is the Ewald split of :meth:`ModeTable.tm_split`; under
-    paper-literal signs xx, yy, zx and zy change sign, and xy and yx are
-    the printed cross terms of :func:`wgdisp.coupling._printed_sums`.  With
+    The TM tensor is the Ewald split of :meth:`ModeTable.tm_split`.  With
     ``max_cutoff`` the TE tensor is the plain mode sum below it; with
-    ``tail_tol`` the unit split of :meth:`ModeTable.te_split`, plus the
-    printed zero-index terms under paper-literal normalization.  A budget,
+    ``tail_tol`` the unit split of :meth:`ModeTable.te_split`.
+    :func:`wgdisp.conventions.apply` maps both to config's conventions,
+    with the printed sums of :func:`wgdisp.coupling._printed_sums` (under
+    ``max_cutoff``, :meth:`ModeTable.zero_index_sum`).  A budget,
     ``tail_tol`` times the largest entry, below ``tail_bound`` raises
     :class:`InputError`; ``te_cutoff`` is then the least max(3 pi / max(a,
     b), 8 / z) times a power of 1.3 at which tail_TE plus the TM split's
     bound fits it.  The modes come from ``table``, a :class:`ModeTable` of
-    config's guide, points and conventions (or one of the call's own), whose
-    sums the levels share; the mode cap applies to every listing and 1-D
-    sum.  At a corner every profile vanishes: the tensor is zero.
+    config's guide and points (or one of the call's own), whose sums the
+    levels share; the mode cap applies to every listing and 1-D sum.  At a
+    corner every profile vanishes: the tensor is zero.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -628,37 +592,38 @@ def f_tensor(
         zero.te_cutoff = start
         return zero
     if table is None:
-        table = ModeTable(geom, p1, p2, conv)
-    elif table.key != (geom, p1, p2, conv):
-        raise InputError("the mode table belongs to another guide, pair of "
-                         "points or set of conventions")
+        table = ModeTable(geom, p1, p2)
+    elif table.key != (geom, p1, p2):
+        raise InputError("the mode table belongs to another guide or pair of points")
     K_split = table._split_cutoff
     _check_cap(table._split_count, mode_cap)
-    te_weight = _coupling._TE_FACTORS[conv.te_factor] * energy
-    cross = conv.tm_sign == "paper-literal"
-    axis = tail_tol is not None and conv.normalization == "paper-literal"
+    te_weight = KERNEL_TE_FACTOR * energy
+    te_bound = abs(conv.te_scale * te_weight)  # |factor| E, exactly
+    cross, axis = conv.printed
     split, tm_tail = table.tm_split(z)
-    signs = _coupling._TM_SIGNS
-    tm_sum = signs[conv.tm_sign] * signs["oracle-consistent"] * split
     tail = tm_tail
-    if printed := cross or axis:
+    if printed := cross or (axis and tail_tol is not None):
         (xy, yx), (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
             geom, p1, p2, z, mode_cap)
     if cross:
-        tm_sum[0, 1], tm_sum[1, 0] = xy, yx
         tail += cross_tail
-    budget = None
+    budget = zero_terms = None
     if max_cutoff is not None:
         _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
-        te_sum = te_weight * table.sums(z, table.extend(0.0, max_cutoff))[1]
+        counts = table.extend(0.0, max_cutoff)
+        te_sum = te_weight * table.sums(z, counts)[1]
+        if axis:
+            zero_terms = te_weight * table.zero_index_sum(z, counts[1])
         tail += _te_tail_bound(max_cutoff, z, geom, energy)
     else:
         te_unit, te_tail = table.te_split(z)
         te_sum = te_weight * te_unit
-        tail += abs(te_weight) * te_tail
+        tail += te_bound * te_tail
         if axis:
-            te_sum[[0, 1], [0, 1]] += te_weight * np.array([xx, yy])
-            tail += abs(te_weight) * axis_tail
+            zero_terms = te_weight * np.diag([xx, yy, 0.0])
+            tail += te_bound * axis_tail
+    tm_sum, te_sum = apply(conv, split.copy(), te_sum, (xy, yx) if cross else None, zero_terms)
+    if tail_tol is not None:
         scale = float(max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300))
         budget = tail_tol * scale
         if tail > budget:
@@ -670,7 +635,7 @@ def f_tensor(
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
                          te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_split,
                          tm_modes=tm_modes, te_modes=te_modes,
-                         _detail=(table, start, budget, z, energy, tm_tail))
+                         _detail=(table, conv, start, budget, z, energy, tm_tail))
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,
@@ -796,7 +761,7 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     if max_cutoff is not None:
         tail_tol = None
     points = [replace(config, z=z) for z in zs]
-    table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
+    table = ModeTable(config.geom, config.p1, config.p2)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
     if not corner:
         _check_cap(table._split_count, mode_cap)

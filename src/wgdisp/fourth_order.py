@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import _TM_SIGNS, ORIENTATIONS, _one_mode, _te_rows, _tm_rows
+from .conventions import KERNEL_TM_SIGNS, apply
+from .coupling import ORIENTATIONS, _gauss_legendre, _one_mode, _te_rows, _tm_rows
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError
@@ -121,7 +122,7 @@ _DIAGRAMS = tuple(enumerate_diagrams())
 # rotated-contour photon integrals
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
 # Where the nodes sit in a panel, as fractions of its width.
 _GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
 # Head panels start at 1/8 of the narrowest feature and grow by this factor.
@@ -255,15 +256,17 @@ _TM_RADIAL = np.array([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
 def _photon_factor(config: PairConfiguration, mode):
     """Map from the entries of a photon table of ``mode`` to its per-tau 3x3
     photon-exchange tensors (index i at p2, j at p1)."""
-    geom, p1, p2, conventions = config.geom, config.p1, config.p2, config.conventions
+    geom, p1, p2 = config.geom, config.p1, config.p2
     m, n, k = _one_mode(geom, mode)
     if mode.polarization == TE:
-        ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2, conventions)[:, 0]
+        ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2)[:, 0]
         prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))[None, :, :]
+        prof = apply(config.conventions, None, prof, zero=prof * (mode.m * mode.n == 0),
+                     oracle=True)[1]  # printed zero-index profiles: the product twice
         return lambda entries: entries[:, 0, None, None] * prof / (2.0 * config.epsilon)
     kmn = float(k[0])
     pref = 2.0 / (config.epsilon * geom.area)
-    coef = _TM_SIGNS["oracle-consistent"] * pref * np.array([[1.0, 1.0, kmn],
+    coef = KERNEL_TM_SIGNS * pref * np.array([[1.0, 1.0, kmn],
                                                             [1.0, 1.0, kmn],
                                                             [kmn, kmn, kmn ** 2]])
     rows = _tm_rows(geom, m, n, k, p1, p2)[:, 0]
@@ -401,7 +404,7 @@ def weighted_reference_energy(config: PairConfiguration,
     def quadrature(mode: ModeIndex, energy: float) -> np.ndarray:
         cases = _mode_cases(config.geom, mode, config.p1, config.p2, config.z, ORIENTATIONS)
         return _certified(*_quadratures(config.geom, cases, [energy] * 9, [spec],
-                                        config.conventions.normalization)).reshape(3, 3)
+                                        config.conventions)).reshape(3, 3)
 
     return _mode_set_energy(config, modes, quadrature)
 

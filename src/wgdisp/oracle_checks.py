@@ -94,14 +94,13 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
     e_test = 2.0 * math.pi / 100.0
     drawn = _draw_cases(rng, geom, cases)
     values, errors, uncertified = _quadratures(geom, drawn, np.where(drawn.te, e_test, 0.0),
-                                               specs, conv.normalization)
+                                               specs, conv)
     closed = _closed_forms(geom, drawn, e_test, conv)
     oracle, other = values
     live = ~uncertified[0] & (oracle != 0.0)  # zero or uncertified: no relative deviation
-    # The printed paper-literal prefactors of the TM xx, yy, xy, yx, zx and zy
-    # (j at p1 transverse) deviate from the regularized integral by construction.
-    printed = np.where(drawn.te, conv.te_factor == "paper-literal",
-                       (conv.tm_sign == "paper-literal") & (drawn.j < 2))
+    # Printed prefactors deviate from the regularized integral by construction:
+    # the TE factor, and the map's TM xx, yy, xy, yx, zx and zy (j < 2).
+    printed = np.where(drawn.te, conv.te_scale != 1.0, conv.printed[0] & (drawn.j < 2))
 
     def worst(compared, mask):
         return float(np.max(np.abs(compared[mask] - oracle[mask]) / np.abs(oracle[mask]),
@@ -119,7 +118,7 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
             note = (f"(uncertified quadrature: {mode.label()} {comp} z={drawn.z[c]:.6g} "
                     f"scheme={spec.scheme} achieved error {error[c]:.4e})")
         record(family, dev, threshold, note, certified=not bad.any())
-    if convention == "paper-literal":
+    if printed.any():
         lines.append(f"[sign-convention] expected-mismatch of printed "
                      f"prefactors vs oracle: max_dev={worst(closed, live & printed):.3e} "
                      f"(informational)")

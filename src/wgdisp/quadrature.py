@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conventions import Conventions
-from .coupling import _cutoffs, _te_mode_tensors, _te_rows, _tm_mode_tensors, _tm_rows
+from .conventions import Conventions, apply
+from .coupling import _cutoffs, _mode_tensors, _te_rows, _tm_rows
 from .errors import InputError, QuadratureError, TightConfinementWarning
 from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint
 
@@ -125,38 +125,35 @@ def _mode_cases(geom: Geometry, mode: ModeIndex, p1: TransversePoint, p2: Transv
                        [z] * size, orients)
 
 
-def _closed_forms(geom: Geometry, cases: _Cases, energy: float, conventions) -> np.ndarray:
-    """Closed-form couplings of a batch of cases, TE ones at the transition
-    energy ``energy``: one build of factor rows per polarization, each value
-    its mode's tensor entry as a mode table at its points gives it."""
+def _closed_forms(geom: Geometry, cases: _Cases, energy: float,
+                  conventions: Conventions) -> np.ndarray:
+    """Closed-form couplings of a batch of cases under ``conventions``, TE
+    ones at the transition energy ``energy``: one build of factor rows and
+    couplings per polarization, each value its mode's tensor entry as a
+    mode table at its points gives it."""
     te, m, n, k, p1, p2, z, i, j = cases
+    lists = [(m, n, k, rows(geom, m, n, k, p1, p2)) if build else None
+             for rows, build in ((_tm_rows, not te.all()), (_te_rows, te.any()))]
+    tm, te_tensors = _mode_tensors(conventions, geom, *lists, p1, p2, z, energy)
     cols = np.arange(k.size)
-    out = np.zeros(k.size)
-    if te.any():
-        rows = _te_rows(geom, m, n, k, p1, p2, conventions)
-        out = _te_mode_tensors(k, rows, z, energy, conventions)[i, j, cols]
-    if not te.all():
-        rows = _tm_rows(geom, m, n, k, p1, p2)
-        out = np.where(te, out, _tm_mode_tensors(geom, m, n, k, rows, p1, p2, z,
-                                                 conventions)[i, j, cols])
-    return out
+    out = np.zeros(k.size) if te_tensors is None else te_tensors[i, j, cols]
+    return out if tm is None else np.where(te, out, tm[i, j, cols])
 
 
 def f_tm_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
                 p2: TransversePoint, z: float,
-                sign_convention: str = "oracle-consistent") -> CouplingValue:
+                conventions: Conventions = Conventions()) -> CouplingValue:
     """Closed-form TM coupling; index order is (i at p2, j at p1)."""
     cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     if mode.polarization != TM:
         raise InputError(f"f_tm_closed requires a TM mode, got {mode.label()}")
-    value = _closed_forms(geom, cases, 0.0, Conventions(tm_sign=sign_convention))[0]
+    value = _closed_forms(geom, cases, 0.0, conventions)[0]
     return CouplingValue(float(value), mode, orient, "closed-form")
 
 
 def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
                 p2: TransversePoint, z: float, energy: float,
-                factor_convention: str = "derivation-consistent",
-                normalization: str = "unit-normalized") -> CouplingValue:
+                conventions: Conventions = Conventions()) -> CouplingValue:
     """Closed-form TE coupling E_i(p2) E_j(p1) * C * energy * K0(k_mn z).
 
     Orientations involving z return exactly 0 (no longitudinal TE
@@ -168,13 +165,12 @@ def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
         raise InputError(f"f_te_closed requires a TE mode, got {mode.label()}")
     if not (energy > 0.0):
         raise InputError(f"transition energy must be positive, got {energy!r}")
-    conv = Conventions(te_factor=factor_convention, normalization=normalization)
     u_e = energy / cases.k[0]
     if u_e > 0.1 and "z" not in orient:
         warnings.warn(f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
                       f"{mode.label()}; the closed form drops O(u_e^2) corrections",
                       TightConfinementWarning, stacklevel=2)
-    value = _closed_forms(geom, cases, energy, conv)[0]
+    value = _closed_forms(geom, cases, energy, conventions)[0]
     return CouplingValue(float(value), mode, orient, "closed-form")
 
 
@@ -344,7 +340,7 @@ _KERNEL_SIGN = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
 
 
 def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
-                 normalization: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 conventions: Conventions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wavenumber integrals of a batch of cases under each of ``specs``:
     arrays of values, errors and uncertified flags (the values that miss their
     spec's rel_tol), shape (len(specs), number of cases).  ``energies[c]`` is
@@ -352,7 +348,7 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
     omega/(omega + E).  The kernel classes, each class's distinct (u_e, zeta)
     in order of first use (a TE draw's components share theirs) and the
     prefactors are built once; each spec takes one :func:`_kernel_integrals`
-    call per class."""
+    call per class.  Of ``conventions`` only the TE normalization applies."""
     te, m, n, k, p1, p2, z, i, j = cases
     energies = np.asarray(energies, dtype=float)
     weighted = energies > 0.0
@@ -367,7 +363,7 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
     cols = np.arange(k.size)
     rows = np.zeros((6, k.size))  # TE rows in the TM rows' places; z rows zero
     if te.any():
-        rows[[0, 1, 3, 4]] = _te_rows(geom, m, n, k, p1, p2, Conventions(normalization=normalization))
+        rows[[0, 1, 3, 4]] = _te_rows(geom, m, n, k, p1, p2)
     pref = rows[i, cols] * rows[3 + j, cols] * k
     if not te.all():
         tm = _tm_rows(geom, m, n, k, p1, p2)
@@ -384,6 +380,10 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
     # into 0.0, as the closed forms give, and leaves every other value as it is.
     value = pref * value + 0.0
     error *= np.abs(pref)
+    if conventions.printed[1]:  # values and errors of zero-index TE cases once more
+        both = np.array([value, error])
+        value, error = apply(conventions, None, both, zero=np.where(
+            te & ((m == 0) | (n == 0)), both, 0.0), oracle=True)[1]
     tol = np.array([[spec.rel_tol] for spec in specs])
     # A zero prefactor legitimately produces value == error == 0.
     return value, error, (error != 0.0) & (error > tol * np.maximum(np.abs(value), 1e-280 / tol))
@@ -402,7 +402,7 @@ def _certified(values: np.ndarray, errors: np.ndarray, uncertified: np.ndarray) 
 def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
                  p2: TransversePoint, z: float, energy: float = 0.0,
                  include_energy_factor: bool = False, spec: QuadratureSpec | None = None,
-                 normalization: str = "unit-normalized") -> CouplingValue:
+                 conventions: Conventions = Conventions()) -> CouplingValue:
     """Numerical oracle for the per-mode coupling wavenumber integral.
 
     With ``include_energy_factor`` the integrand carries the weight
@@ -410,12 +410,13 @@ def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoi
     unweighted integral is a delta supported at z = 0, hence exactly 0
     for z > 0).  Non-decaying integrand parts are regularized according
     to ``spec.scheme``; for TE modes the kernels keep the leading
-    tight-confinement order, matching the closed-form pipeline.
+    tight-confinement order, matching the closed-form pipeline.  Of
+    ``conventions`` only the TE normalization applies.
     """
     cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     spec = spec or QuadratureSpec()
     if include_energy_factor and not (energy > 0.0):
         raise InputError("include_energy_factor requires a positive energy")
     value = _certified(*_quadratures(geom, cases, [energy if include_energy_factor else 0.0],
-                                     [spec], normalization))[0]
+                                     [spec], conventions))[0]
     return CouplingValue(float(value), mode, orient, "quadrature")

@@ -16,13 +16,14 @@ transverse profiles (with kappa = omega / c) are
     TE:  E_x = -(2/sqrt(A)) (n pi/(k_mn b)) N cos(m pi x/a) sin(n pi y/b)
          E_y = +(2/sqrt(A)) (m pi/(k_mn a)) N sin(m pi x/a) cos(n pi y/b)
 
-with A = a*b.  TE profiles do not depend on k.  N = 1 reproduces the
-printed profiles verbatim ("paper-literal"); under the default
-"unit-normalized" convention N = 1/sqrt(2) whenever m or n is zero, which
-makes the cross-section integral of |E|^2 exactly 1 for every mode (the
-verbatim zero-index TE profiles integrate to 2 instead).
-:func:`wgdisp.coupling.transverse_profile` evaluates them from the
-per-mode factor rows that every coupling is built from.
+with A = a*b.  TE profiles do not depend on k.  N = 1/sqrt(2) whenever m
+or n is zero ("unit-normalized", the default) makes the cross-section
+integral of |E|^2 exactly 1 for every mode; N = 1 reproduces the printed
+profiles ("paper-literal"), whose zero-index TE modes integrate to 2.  The
+per-mode factor rows every coupling is built from are unit-normalized;
+:func:`wgdisp.conventions.apply` takes a zero-index TE coupling twice for
+the printed profiles, and :func:`wgdisp.coupling.transverse_profile`
+evaluates either profile from those rows.
 
 Everything here works in natural units hbar = c = 1 with lengths in
 units of your choice; the default geometry uses a = 1.

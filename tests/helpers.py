@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
-from wgdisp.coupling import _split_cutoff, transverse_profile
+from wgdisp.conventions import Conventions
+from wgdisp.coupling import _k11, _split_cutoff, _tm_continuum_tail, transverse_profile
 from wgdisp.energy import ModeTable, quadratic_contraction
-from wgdisp.waveguide import ModeIndex, TransversePoint
+from wgdisp.waveguide import ModeIndex, TransversePoint, mode_arrays
 
 
 def profile_norm(geom, mode, k, convention="unit-normalized"):
@@ -20,7 +21,7 @@ def profile_norm(geom, mode, k, convention="unit-normalized"):
     xs = (np.arange(points) + 0.5) * geom.a / points
     ys = (np.arange(points) + 0.5) * geom.b / points
     total = sum(np.sum(np.abs(transverse_profile(
-        geom, mode, k, TransversePoint(x, y), convention)) ** 2)
+        geom, mode, k, TransversePoint(x, y), Conventions(normalization=convention))) ** 2)
         for x in xs for y in ys)
     return float(total) * geom.area / points ** 2
 
@@ -43,8 +44,18 @@ def near_field_energy(species1, species2, z, epsilon=1.0):
         for t1 in species1.transitions for t2 in species2.transitions)
 
 
+def mode_tensors(table, counts, z, energy, conventions=Conventions()):
+    """Polarizations, indices m and n, and (3, 3, N) couplings under
+    ``conventions`` of the first ``counts[0]`` TM modes, then the first
+    ``counts[1]`` TE modes of a ``ModeTable``, each in table order."""
+    pols = np.repeat(("TM", "TE"), counts)
+    m, n = np.concatenate([table._mn[pol][:, :count]
+                           for pol, count in zip(("TM", "TE"), counts)], axis=1)
+    return pols, m, n, np.concatenate(table._mode_tensors(counts, z, energy, conventions), axis=2)
+
+
 def ranked_modes(modes, n):
-    """The ``n`` largest couplings of ``ModeTable.mode_tensors`` arrays
+    """The ``n`` largest couplings of :func:`mode_tensors` arrays
     (polarizations, m, n and (3, 3, N) couplings), as (mode, max |F|, 3x3
     coupling), sorted in Python on (-max |F|, polarization, m, n)."""
     pol, ms, ns, tensors = modes
@@ -56,11 +67,29 @@ def ranked_modes(modes, n):
 
 
 def full_ranking(config, energy, te_cutoff=None):
-    """``ModeTable.mode_tensors`` of every mode up to max(3 K_split, 6/z),
+    """:func:`mode_tensors` of every mode up to max(3 K_split, 6/z),
     K_split the splits' cutoff, on a fresh table; TE modes only up to
     ``te_cutoff`` when it is given (a ``max_cutoff`` truncation)."""
     K = max(3.0 * _split_cutoff(config.geom), 6.0 / config.z)
     te = K if te_cutoff is None else te_cutoff
-    table = ModeTable(config.geom, config.p1, config.p2, config.conventions)
+    table = ModeTable(config.geom, config.p1, config.p2)
     table.extend(K, te)
-    return table.mode_tensors(table.counts(K, te), config.z, energy)
+    return mode_tensors(table, table.counts(K, te), config.z, energy, config.conventions)
+
+
+def tm_tail_bound(K, z, geom):
+    """Bound on the TM modes past cutoff K, the mode-sum reference the
+    tests hold the split against.
+
+    Per-mode magnitudes are bounded by (4 pi / A) k e^{-kz}.  The first
+    shell, the modes in (K, K + k_11], is summed mode by mode.  Every
+    lattice cell of area pi^2 / A lies within k_11 below its mode's k, so
+    past the shell the mode density per polarization, ~ A k / (2 pi),
+    gives 2 integral_K^inf k^2 e^{-kz} dk, plus an axis-row allowance.
+    """
+    k = mode_arrays(geom, K + _k11(geom))["TM"]["k"]
+    k = k[k > K * (1.0 + 1e-12)]
+    shell = (4.0 * math.pi / geom.area) * float(np.sum(k * np.exp(-k * z)))
+    axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
+        * math.exp(-K * z) * (K + 1.0 / z) / z
+    return shell + _tm_continuum_tail(K, z) + axis

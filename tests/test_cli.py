@@ -347,7 +347,7 @@ class TestSweep:
 
         def forbidden(*args):
             raise AssertionError("sweep built per-mode couplings")
-        monkeypatch.setattr(energy.ModeTable, "mode_tensors", forbidden)
+        monkeypatch.setattr(energy.ModeTable, "_mode_tensors", forbidden)
         assert cli.main(["sweep", "--z-min", "0.5", "--z-max", "1",
                          "--points", "3", "--species1", species_file]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
@@ -468,15 +468,17 @@ def four_levels(tmp_path_factory):
 @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
 def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
                                                convention):
-    # Under --max-cutoff the unit TE mode sum does not depend on the
-    # transition level: a sweep of a 4-level species contracts each part of
-    # it once per separation.
+    # Under --max-cutoff the unit TE mode sum, and under paper-literal
+    # normalization its zero-index part, do not depend on the transition
+    # level: a sweep of a 4-level species contracts each part of them once
+    # per separation.
     from wgdisp import cli, energy
-    calls = []  # (polarization, first, stop, z) of each ModeTable._contract call
+    calls = []  # (polarization, modes, z) of each ModeTable._contract call
     contract = energy.ModeTable._contract
 
     def counted(self, pol, part, z):
-        calls.append((pol, part.start, part.stop, z))
+        modes = (part.start, part.stop) if isinstance(part, slice) else tuple(part.tolist())
+        calls.append((pol, modes, z))
         return contract(self, pol, part, z)
     monkeypatch.setattr(energy.ModeTable, "_contract", counted)
     assert cli.main(["sweep", "--z-min", "0.02", "--z-max", "0.06", "--points", "8",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import mode_tensors
 from wgdisp.conventions import Conventions
 from wgdisp.coupling import ORIENTATIONS
 from wgdisp.energy import ModeTable
@@ -86,8 +87,8 @@ class TestTmClosed:
 
     def test_paper_literal_flips_transverse_sign(self):
         p = TransversePoint(0.2, 0.3)
-        oracle = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, "oracle-consistent")
-        lit = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, "paper-literal")
+        oracle = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions())
+        lit = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions(tm_sign="paper-literal"))
         assert lit.value == pytest.approx(-oracle.value, rel=1e-14)
 
     def test_paper_literal_xy_prefactor(self):
@@ -98,7 +99,7 @@ class TestTmClosed:
         expected = -(math.pi ** 2 / (2.0 * kmn)) \
             * math.sin(2 * 2 * math.pi * p.x) * math.sin(2 * math.pi * p.y) \
             * math.exp(-kmn * 0.6)
-        got = f_tm_closed(SQ, mode, "xy", p, p, 0.6, "paper-literal").value
+        got = f_tm_closed(SQ, mode, "xy", p, p, 0.6, Conventions(tm_sign="paper-literal")).value
         assert got == pytest.approx(expected, rel=1e-12)
 
     @given(z1=st.floats(0.2, 1.0), dz=st.floats(0.1, 1.0),
@@ -148,12 +149,12 @@ class TestTeClosed:
 
     def test_yy_paper_literal_value(self):
         v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01,
-                        "paper-literal", "paper-literal")
+                        Conventions(te_factor="paper-literal", normalization="paper-literal"))
         assert v.value == pytest.approx(TE10_YY_PAPER, rel=1e-12)
 
     def test_yy_derivation_consistent_value(self):
         v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01,
-                        "derivation-consistent", "paper-literal")
+                        Conventions(normalization="paper-literal"))
         assert v.value == pytest.approx(TE10_YY_DERIVATION, rel=1e-12)
 
     def test_warns_outside_tight_confinement(self):
@@ -180,9 +181,9 @@ class TestOneModeViews:
         p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
         conv = Conventions.from_name(convention)
         z, energy, K = 0.37, 0.0628, 20.0
-        table = ModeTable(geom, p1, p2, conv)
+        table = ModeTable(geom, p1, p2)
         table.extend(K)
-        pol, ms, ns, tensors = table.mode_tensors(table.counts(K), z, energy)
+        pol, ms, ns, tensors = mode_tensors(table, table.counts(K), z, energy, conv)
         assert set(pol.tolist()) == {"TM", "TE"}
         modes = map(ModeIndex, pol.tolist(), ms.tolist(), ns.tolist())
         for mode, tensor in zip(modes, np.moveaxis(tensors, 2, 0)):
@@ -191,11 +192,9 @@ class TestOneModeViews:
             for orient in ORIENTATIONS:
                 want = tensor["xyz".index(orient[0]), "xyz".index(orient[1])]
                 if mode.polarization == "TM":
-                    got = f_tm_closed(geom, mode, orient, p1, p2, z,
-                                      conv.tm_sign).value
+                    got = f_tm_closed(geom, mode, orient, p1, p2, z, conv).value
                 else:
-                    got = f_te_closed(geom, mode, orient, p1, p2, z, energy,
-                                      conv.te_factor, conv.normalization).value
+                    got = f_te_closed(geom, mode, orient, p1, p2, z, energy, conv).value
                 assert np.float64(got).tobytes() == want.tobytes(), (mode, orient)
 
     @pytest.mark.parametrize("mode, orient, z, convention, value",
@@ -207,10 +206,9 @@ class TestOneModeViews:
         conv = Conventions.from_name(convention)
         mode = ModeIndex(*mode)
         if mode.polarization == "TM":
-            got = f_tm_closed(geom, mode, orient, p1, p2, z, conv.tm_sign).value
+            got = f_tm_closed(geom, mode, orient, p1, p2, z, conv).value
         else:
-            got = f_te_closed(geom, mode, orient, p1, p2, z, 0.0628,
-                              conv.te_factor, conv.normalization).value
+            got = f_te_closed(geom, mode, orient, p1, p2, z, 0.0628, conv).value
         assert got == pytest.approx(value, rel=CLOSED_FORM_TOL, abs=0.0)
 
 
@@ -413,11 +411,11 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
-def _batch_bits(geom, cases, energies, spec, normalization):
+def _batch_bits(geom, cases, energies, spec, conventions):
     """:func:`_bits` of each value of one batch of ``cases`` (tuples as
     :func:`_batch_cases` draws them), with the figures of an uncertified one."""
     values, errors, uncertified = (row[0] for row in _quadratures(
-        geom, _record(geom, cases), energies, [spec], normalization))
+        geom, _record(geom, cases), energies, [spec], conventions))
     return [("error", value, error) if bad else _bits(value)
             for value, error, bad in zip(values.tolist(), errors.tolist(), uncertified)]
 
@@ -501,26 +499,24 @@ class TestBatchedOracle:
         geom = Geometry(1.0, b)
         cases = data.draw(_batch_cases(geom))
         spec = QuadratureSpec(scheme=scheme)
-        got = _batch_bits(geom, cases, [energy if weighted else 0.0] * len(cases), spec,
-                          normalization)
         te_factor = "paper-literal" if convention == "paper-literal" else "derivation-consistent"
         conv = Conventions(tm_sign=convention, te_factor=te_factor,
                            normalization=normalization)
+        got = _batch_bits(geom, cases, [energy if weighted else 0.0] * len(cases), spec, conv)
         closed = _closed_forms(geom, _record(geom, cases), energy, conv)
         for value, shut, (orient, mode, p1, p2, z) in zip(got, closed, cases):
             try:
                 want = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
                                     include_energy_factor=weighted, spec=spec,
-                                    normalization=normalization).value
+                                    conventions=conv).value
             except QuadratureError as exc:
                 want = exc
             assert value == _bits(want), (orient, mode, z)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TightConfinementWarning)
-                one = (f_tm_closed(geom, mode, orient, p1, p2, z, convention)
+                one = (f_tm_closed(geom, mode, orient, p1, p2, z, conv)
                        if mode.polarization == "TM" else
-                       f_te_closed(geom, mode, orient, p1, p2, z, energy, te_factor,
-                                   normalization))
+                       f_te_closed(geom, mode, orient, p1, p2, z, energy, conv))
             assert _bits(shut) == _bits(one.value), (orient, mode, z)
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
@@ -534,7 +530,7 @@ class TestBatchedOracle:
         drawn = _draw_cases(np.random.default_rng(12345), geom, 20)
         specs = [QuadratureSpec(scheme=scheme) for scheme in SCHEMES]
         values, _, uncertified = _quadratures(geom, drawn, np.where(drawn.te, energy, 0.0),
-                                              specs, conv.normalization)
+                                              specs, conv)
         closed = _closed_forms(geom, drawn, energy, conv)
         assert drawn.z.size == 200 and not uncertified.any()
         for c in range(drawn.z.size):
@@ -545,11 +541,10 @@ class TestBatchedOracle:
             for spec, value in zip(specs, values[:, c].tolist()):
                 one = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
                                    include_energy_factor=bool(drawn.te[c]), spec=spec,
-                                   normalization=conv.normalization)
+                                   conventions=conv)
                 assert one.value.hex() == value.hex(), (c, spec.scheme)
-            one = (f_te_closed(geom, mode, orient, p1, p2, z, energy, conv.te_factor,
-                               conv.normalization) if drawn.te[c] else
-                   f_tm_closed(geom, mode, orient, p1, p2, z, conv.tm_sign))
+            one = (f_te_closed(geom, mode, orient, p1, p2, z, energy, conv) if drawn.te[c] else
+                   f_tm_closed(geom, mode, orient, p1, p2, z, conv))
             assert one.value.hex() == float(closed[c]).hex(), c
 
     def test_values_pinned_bitwise(self):

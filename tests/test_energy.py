@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from helpers import full_ranking, near_field_energy, ranked_modes
+from helpers import (full_ranking, mode_tensors, near_field_energy, ranked_modes,
+                     tm_tail_bound)
 from wgdisp.conventions import Conventions
 from wgdisp.energy import (DipoleSpecies, DipoleTransition, ModeTable,
                            PairConfiguration, dispersion_energy,
@@ -29,6 +30,13 @@ ISO = DipoleSpecies.single(E100, (1.0, 1.0, 1.0), "isotropic-average")
 # SUM_TOL of the tensor scale, printed energies within ENERGY_TOL of |U|.
 SUM_TOL = 1e-10
 ENERGY_TOL = 1e-9
+# Paper-literal normalization adds each zero-index TE coupling once more to
+# the unit one (wgdisp.conventions.apply) instead of building it from the
+# printed profile.  Against the printed-profile value a term moves by at
+# most 20 unit roundoffs: each profile row takes five rounded products
+# under unit normalization and three under printed, and the coupling two
+# more on each side.
+NORMALIZATION_RTOL = 20 * 2.0 ** -53
 
 # mpmath-frozen evaluations of the regime-ratio formulas
 RATIO_VDW_10_100 = 1.0718428943712478e-23
@@ -167,7 +175,8 @@ class TestFTensor:
         # the same under a fixed cutoff.  Under paper-literal normalization
         # alone ("tm-split") the TM tensor is the default one.  The TE tensor
         # is the TE split, with the zero-index modes added once more.
-        from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _printed_sums, _split_cutoff
+        from wgdisp.conventions import _TE_FACTORS, _TM_SIGNS
+        from wgdisp.coupling import _printed_sums, _split_cutoff
         geom = Geometry(1.0, b)
         conventions = (Conventions(normalization="paper-literal")
                        if convention == "tm-split" else Conventions.paper_literal())
@@ -175,7 +184,7 @@ class TestFTensor:
                                 TransversePoint(*p2), z, ISO, ISO,
                                 conventions=conventions)
         grown = f_tensor(cfg, E100, tail_tol=tol)
-        table = ModeTable(geom, cfg.p1, cfg.p2, Conventions())
+        table = ModeTable(geom, cfg.p1, cfg.p2)
         split, tm_bound = table.tm_split(z)
         te_unit, te_bound = table.te_split(z)
         mask = _TM_SIGNS[conventions.tm_sign] * _TM_SIGNS["oracle-consistent"]
@@ -214,7 +223,7 @@ class TestFTensor:
             monkeypatch.setattr(coupling_mod, name, counted)
         cfg = _config(0.05, geom=Geometry(1.0, 0.7), p1=TransversePoint(0.3, 0.2),
                       p2=TransversePoint(0.6, 0.5), conventions=Conventions.paper_literal())
-        table = ModeTable(cfg.geom, cfg.p1, cfg.p2, cfg.conventions)
+        table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
         for K in (20.0, 45.0, 90.0, 200.0):
             ft = f_tensor(cfg, E100, max_cutoff=K, table=table)
         assert len(calls) > 4  # the table grew at every call
@@ -240,9 +249,9 @@ class TestFTensor:
             conv = Conventions.from_name(name)
             cfg = PairConfiguration(SQ, p1, p2, 0.7, ISO, ISO, conventions=conv)
             bulk = f_tensor(cfg, E100, max_cutoff=11.0)
-            table = ModeTable(SQ, p1, p2, conv)
+            table = ModeTable(SQ, p1, p2)
             table.extend(11.0)
-            per_mode = table.mode_tensors(table.counts(11.0), 0.7, E100)[3]
+            per_mode = mode_tensors(table, table.counts(11.0), 0.7, E100, conv)[3]
             direct_tm = _direct_tm(SQ, tm["m"].astype(float), tm["n"].astype(float),
                                    tm["k"], p1, p2, 0.7, conv).sum(axis=2)
             direct_te = _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
@@ -421,15 +430,17 @@ class TestKernels:
     def test_match_per_mode_trig_bitwise(self, convention, b, p1, p2, z, lower):
         # Per-mode couplings built from a table's factor rows, whose trig
         # factors come from per-axis tables, must be exactly the per-mode
-        # np.sin/np.cos values, also for the modes of a later shell.
+        # np.sin/np.cos values, also for the modes of a later shell.  Under
+        # paper-literal normalization the zero-index TE couplings are held
+        # to NORMALIZATION_RTOL of the printed-profile values instead.
         geom = Geometry(1.0, b)
         p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
         conv = Conventions.from_name(convention)
-        table = ModeTable(geom, p1, p2, conv)
+        table = ModeTable(geom, p1, p2)
         if lower is not None:
             table.extend(lower)
         table.extend(200.0)
-        pol, ms, ns, tensors = table.mode_tensors(table.counts(200.0), z, E100)
+        pol, ms, ns, tensors = mode_tensors(table, table.counts(200.0), z, E100, conv)
         tables = mode_arrays(geom, 200.0)
         start = 0
         for name, direct, extra in (("TM", _direct_tm, ()),
@@ -440,7 +451,14 @@ class TestKernels:
             part = slice(start, start + t["k"].size)
             assert np.all(pol[part] == name)
             assert np.array_equal(ms[part], t["m"]) and np.array_equal(ns[part], t["n"])
-            assert np.ascontiguousarray(tensors[:, :, part]).tobytes() == want.tobytes()
+            got = tensors[:, :, part]
+            printed = (name == "TE" and convention == "paper-literal") \
+                & ((t["m"] == 0) | (t["n"] == 0))
+            assert np.ascontiguousarray(got[:, :, ~printed]).tobytes() \
+                == np.ascontiguousarray(want[:, :, ~printed]).tobytes()
+            assert np.allclose(got[:, :, printed], want[:, :, printed],
+                               rtol=NORMALIZATION_RTOL, atol=0.0)
+            assert not np.signbit(got[got == 0.0]).any()
             start = part.stop
         assert pol.size == ms.size == ns.size == tensors.shape[2] == start
 
@@ -450,25 +468,30 @@ class TestKernels:
         # flat arrays, past the positions at which sums split their
         # contraction.  The rows must be the bits a fresh call on that part
         # of the full listing gives, and rows written earlier must stay as
-        # they were.
+        # they were, also once a tensor under either convention has read
+        # them: the table holds unit-normalized rows alone.
         from wgdisp.coupling import _te_rows, _tm_rows
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
         conv = Conventions.from_name(convention)
-        table = ModeTable(geom, p1, p2, conv)
+        table = ModeTable(geom, p1, p2)
         fresh = {"TM": [], "TE": []}
         for K in (60.0, 400.0, 520.0):
             before = {pol: _table_rows(table, pol).copy() for pol in fresh}
             table.extend(K)
             listing = mode_arrays(geom, K)
-            for pol, rows_of, extra in (("TM", _tm_rows, ()), ("TE", _te_rows, (conv,))):
+            for pol, rows_of in (("TM", _tm_rows), ("TE", _te_rows)):
                 new = slice(before[pol].shape[1], None)
                 t = {key: listing[pol][key][new] for key in ("m", "n", "k")}
-                fresh[pol].append(rows_of(geom, t["m"], t["n"], t["k"], p1, p2, *extra))
+                fresh[pol].append(rows_of(geom, t["m"], t["n"], t["k"], p1, p2))
                 held = _table_rows(table, pol)
                 assert held.tobytes() == np.concatenate(fresh[pol], axis=1).tobytes()
                 assert np.array_equal(held[:, :before[pol].shape[1]], before[pol])
         assert min(table.counts(400.0)) > 8192
+        held = {pol: _table_rows(table, pol).tobytes() for pol in fresh}
+        f_tensor(PairConfiguration(geom, p1, p2, 0.3, ISO, ISO, conventions=conv), E100,
+                 max_cutoff=520.0, table=table)
+        assert {pol: _table_rows(table, pol).tobytes() for pol in fresh} == held
 
 
 # float.hex of ModeTable.sums at z = 0.02 in the 1 x 0.8 guide listed to
@@ -477,7 +500,9 @@ class TestKernels:
 # or over the whole table (count None).  The counts sit on both sides of the
 # edges at which the contraction is split, 1024 and 8192.  Under
 # paper-literal signs xy and yx are the oracle-consistent entries negated:
-# the table holds no printed cross terms.
+# the table holds no printed cross terms.  The paper-literal TE sums are the
+# unit sums plus ModeTable.zero_index_sum; they moved by at most 4.2e-15 of
+# the tensor scale from the sums of rows built with the printed profiles.
 PINNED_SUMS = {
     ("oracle-consistent", 1024): (
         "-0x1.4e38480b2c0cfp+7 0x1.ba817ed12de3ep+3 0x1.f2b337f1abcd4p+6"
@@ -518,36 +543,36 @@ PINNED_SUMS = {
         "0x1.4e38480b2c0cfp+7 -0x1.ba817ed12de3ep+3 0x1.f2b337f1abcd4p+6"
         " 0x1.2d395d3b7e834p+3 -0x1.53b5493e2ecedp+2 0x1.95a48863daa2fp+6"
         " -0x1.cf86a56661b88p+6 -0x1.02602e6939cb4p+8 0x1.57a06df76aab0p+6",
-        "0x1.02ca776eb1922p+2 0x1.cc6f54af368c6p+1 0x0.0p+0"
-        " 0x1.788a2a24ab14fp+1 0x1.1ebd07ecb1b96p+2 0x0.0p+0"
+        "0x1.02ca776eb1934p+2 0x1.cc6f54af368c6p+1 0x0.0p+0"
+        " 0x1.788a2a24ab14fp+1 0x1.1ebd07ecb1b84p+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 1025): (
         "0x1.d9cb0860fd6c6p+6 -0x1.03cc422f73946p+3 0x1.3325a9ca52eddp+7"
         " 0x1.2f81307d438afp+3 -0x1.543e4a4976dc7p+2 0x1.95793186ef5d5p+6"
         " -0x1.c962275387a82p+6 -0x1.028e4ec2ae719p+8 0x1.53fa940e6439fp+6",
-        "0x1.02dde3602c06ep+2 0x1.cf731a83dfb05p+1 0x0.0p+0"
-        " 0x1.78fbff096dedcp+1 0x1.2327e24c7c5dap+2 0x0.0p+0"
+        "0x1.02dde3602c081p+2 0x1.cf731a83dfb05p+1 0x0.0p+0"
+        " 0x1.78fbff096dedcp+1 0x1.2327e24c7c5c9p+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 8192): (
         "-0x1.9060182e88204p+3 -0x1.5d1131414b9e3p+4 -0x1.d6c1ff07e1240p-2"
         " -0x1.f8d334c273ca6p+3 -0x1.8695227a25810p+2 -0x1.1efcde979c2f5p+2"
         " -0x1.4ee1d5641179cp+0 -0x1.18274a36eaca0p+2 -0x1.5985073c2ad57p+1",
-        "0x1.fd11ea7489931p+1 0x1.e2e08c25c3398p+1 0x0.0p+0"
-        " 0x1.91c0228744729p+1 0x1.10f7b06075f99p+2 0x0.0p+0"
+        "0x1.fd11ea7489956p+1 0x1.e2e08c25c3398p+1 0x0.0p+0"
+        " 0x1.91c0228744729p+1 0x1.10f7b06075f86p+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", 8193): (
         "-0x1.942a431e26546p+3 -0x1.5c399faed2a17p+4 -0x1.b617921b5df03p-3"
         " -0x1.dd08ba8972eddp+3 -0x1.9f4867bac4788p+2 -0x1.925ab1716d62ap+2"
         " -0x1.9fe2954d01d32p+0 -0x1.0f27770f55b16p+2 -0x1.057447b851c1ap+1",
-        "0x1.fd1be55af59e2p+1 0x1.e2e2e0bbed888p+1 0x0.0p+0"
-        " 0x1.91bb2ce9477f9p+1 0x1.10f71c2509401p+2 0x0.0p+0"
+        "0x1.fd1be55af5a06p+1 0x1.e2e2e0bbed888p+1 0x0.0p+0"
+        " 0x1.91bb2ce9477f9p+1 0x1.10f71c25093eep+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
     ("paper-literal", None): (
         "-0x1.973f772ccf27bp+3 -0x1.77b75465c2c00p+4 0x1.0e5b11b5160e1p+1"
         " -0x1.5bd97297a3f12p+4 -0x1.1251d07db175dp+3 0x1.ce7db38522ee8p+0"
         " -0x1.0f02e5ed925a3p+1 -0x1.f323d6362493cp+0 -0x1.a69c2c8ec7b0ep+3",
-        "0x1.fd8599b35f78ap+1 0x1.e2c6ec867b7e2p+1 0x0.0p+0"
-        " 0x1.9180de8d86036p+1 0x1.1112843ce935ep+2 0x0.0p+0"
+        "0x1.fd8599b35f7adp+1 0x1.e2c6ec867b7e2p+1 0x0.0p+0"
+        " 0x1.9180de8d86036p+1 0x1.1112843ce934ap+2 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
 }
 
@@ -562,10 +587,10 @@ class TestSummationOrder:
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         for convention in ("oracle-consistent", "paper-literal"):
             conv = Conventions.from_name(convention)
-            whole = ModeTable(geom, p1, p2, conv)
+            whole = ModeTable(geom, p1, p2)
             whole.extend(700.0)
             edges = np.sort(rng.uniform(5.0, 700.0, size=6))
-            pieces = ModeTable(geom, p1, p2, conv)
+            pieces = ModeTable(geom, p1, p2)
             for z in (0.02, 0.3):
                 for K in (*edges, 700.0, *edges[::-1]):
                     pieces.extend(K)
@@ -580,9 +605,10 @@ class TestSummationOrder:
         # Over 3 x 8192 modes per polarization: the split contraction must
         # agree with the pairwise sum of one per-mode kernel call over the
         # whole cutoff-sorted table to the stated tolerance.  The table's TM
-        # sum is the oracle-consistent one with the convention's signs: the
-        # printed cross terms are no table sum.
-        from wgdisp.coupling import _TM_SIGNS
+        # sum is the oracle-consistent one, here with the convention's signs
+        # (the printed cross terms are no table sum); its TE sum is mapped
+        # with the table's zero-index sum.
+        from wgdisp.conventions import _TM_SIGNS, apply
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         conv = Conventions.from_name(convention)
@@ -595,10 +621,14 @@ class TestSummationOrder:
             Conventions()).sum(axis=2)
         want_te = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
                              te["k"], p1, p2, z, E100, conv).sum(axis=2)
-        table = ModeTable(geom, p1, p2, conv)
+        table = ModeTable(geom, p1, p2)
         table.extend(K)
-        tm, te_unit = table.sums(z, table.counts(K))
-        te = (-2.0 if conv.te_factor == "derivation-consistent" else 1.0) * E100 * te_unit
+        counts = table.counts(K)
+        tm, te_unit = table.sums(z, counts)
+        tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * tm
+        weight = -2.0 * E100
+        _, te = apply(conv, None, weight * te_unit,
+                      zero=weight * table.zero_index_sum(z, counts[1]))
         scale = max(np.abs(want_tm).max(), np.abs(want_te).max())
         assert np.abs(tm - want_tm).max() <= SUM_TOL * scale
         assert np.abs(te - want_te).max() <= SUM_TOL * scale
@@ -606,22 +636,28 @@ class TestSummationOrder:
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_sums_pinned(self, convention):
         # The order in which a sum adds its modes is part of its value: the
-        # sums at both conventions' counts must keep their bits.
+        # sums at both conventions' counts must keep their bits.  The table
+        # holds the oracle-consistent sums; under paper-literal conventions
+        # its TM sum takes the printed signs and its TE sum the zero-index
+        # sum once more.
+        from wgdisp.conventions import _TM_SIGNS
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
-        table = ModeTable(geom, p1, p2, Conventions.from_name(convention))
+        table = ModeTable(geom, p1, p2)
         table.extend(1300.0)
         for count in (1024, 1025, 8192, 8193, None):
             counts = table.counts(1300.0) if count is None else (count, count)
-            got = tuple(" ".join(float(v).hex() for v in t.ravel())
-                        for t in table.sums(0.02, counts))
+            tm, te = table.sums(0.02, counts)
+            if convention == "paper-literal":
+                tm = _TM_SIGNS["paper-literal"] * _TM_SIGNS["oracle-consistent"] * tm
+                te = te + table.zero_index_sum(0.02, counts[1])
+            got = tuple(" ".join(float(v).hex() for v in t.ravel()) for t in (tm, te))
             assert got == PINNED_SUMS[convention, count]
 
     def test_sums_kept_read_only_for_the_batch(self):
         # The levels at a separation share one pair of sums, so no caller
         # may write to it; a new batch of splits starts a new set.
-        table = ModeTable(SQ, TransversePoint(0.3, 0.4), TransversePoint(0.6, 0.55),
-                          Conventions.paper_literal())
+        table = ModeTable(SQ, TransversePoint(0.3, 0.4), TransversePoint(0.6, 0.55))
         table.extend(60.0)
         counts = table.counts(60.0)
         tm, te = table.sums(0.3, counts)
@@ -649,11 +685,12 @@ def _reference_f_tensor(cfg, energy, tail_tol):
     tail_TE(K_TE) fit the budget, tail_tol times the largest entry.
     Returns (tm, te, (TM modes, TE modes), (K_TM, K_TE), tail).
     """
-    from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS, _printed_sums, _split_cutoff
+    from wgdisp.conventions import _TE_FACTORS, _TM_SIGNS
+    from wgdisp.coupling import _printed_sums, _split_cutoff
     from wgdisp.energy import _te_tail_bound
     geom, z, conv = cfg.geom, cfg.z, cfg.conventions
     weight = _TE_FACTORS[conv.te_factor] * energy
-    table = ModeTable(geom, cfg.p1, cfg.p2, Conventions())
+    table = ModeTable(geom, cfg.p1, cfg.p2)
     split, tm_tail = table.tm_split(z)
     te_unit, te_tail = table.te_split(z)
     tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * split
@@ -695,7 +732,7 @@ def _listed_printed(geom, p1, p2, z, room):
     drops at most its first term past K plus L / pi times the integral.
     """
     from wgdisp._special import k0
-    from wgdisp.coupling import _axis_trig, _paper_cross
+    from wgdisp.coupling import _paper_cross
     a, b, area = geom.a, geom.b, geom.area
     k11 = math.hypot(math.pi / a, math.pi / b)
 
@@ -707,8 +744,7 @@ def _listed_printed(geom, p1, p2, z, room):
     while envelope(K) > room:
         K *= 1.1
     tm = mode_arrays(geom, K)["TM"]
-    rows = list(_paper_cross(geom, tm["k"], _axis_trig(geom, tm["m"], tm["n"], p2, p1),
-                             np.exp(-tm["k"] * z)))
+    rows = list(_paper_cross(geom, tm["m"], tm["n"], tm["k"], p1, p2, z))
     for length, at2, at1 in ((b, p2.y, p1.y), (a, p2.x, p1.x)):  # xx, then yy
         k = np.arange(1, int(K * length / math.pi) + 1) * (math.pi / length)
         rows.append((2.0 / area) * np.sin(k * at2) * np.sin(k * at1) * k0(k * z))
@@ -856,8 +892,8 @@ def _assert_same_ranking(got, want):
 
 def _listed_modes(ft):
     """mode_tensors of the modes top_modes ranks: those the tensor lists."""
-    table, _, _, z, energy, _ = ft._detail
-    return table.mode_tensors((ft.tm_modes, ft.te_modes), z, energy)
+    table, conv, _, _, z, energy, _ = ft._detail
+    return mode_tensors(table, (ft.tm_modes, ft.te_modes), z, energy, conv)
 
 
 class TestTopModes:
@@ -935,7 +971,7 @@ class TestTopModes:
         if max_cutoff:
             ft = dispersion_energy(cfg, max_cutoff=max_cutoff).f_by_level[E100]
         else:
-            table = ModeTable(cfg.geom, cfg.p1, cfg.p2, cfg.conventions)
+            table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
             ft = f_tensor(cfg, E100, tail_tol=1e-8, table=table)
             f_tensor(replace(cfg, z=1.7), E100, tail_tol=1e-8, table=table)
             assert cfg.z not in table._splits["TE"]
@@ -961,9 +997,108 @@ def _fresh_ranking(cfg, ft, n, max_cutoff=None):
     """The n first modes of a Python ranking of the modes ``ft`` lists, with
     their couplings from ``mode_tensors`` on a fresh table (TE to
     ``max_cutoff`` when given, else to the splits' cutoff)."""
-    table = ModeTable(cfg.geom, cfg.p1, cfg.p2, cfg.conventions)
+    table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
     assert table.extend(ft.tm_cutoff, max_cutoff) == (ft.tm_modes, ft.te_modes)
-    return ranked_modes(table.mode_tensors((ft.tm_modes, ft.te_modes), cfg.z, E100), n)
+    return ranked_modes(mode_tensors(table, (ft.tm_modes, ft.te_modes), cfg.z, E100,
+                                           cfg.conventions), n)
+
+
+@st.composite
+def _bundle_cases(draw):
+    # Any of the eight bundles, points on or off the centre lines (where
+    # entries vanish exactly), and either truncation; the TE modes listed
+    # include the zero-index ones.
+    from wgdisp.conventions import NORMALIZATIONS, TE_FACTORS, TM_SIGNS
+    conv = Conventions(*(draw(st.sampled_from(names))
+                         for names in (TM_SIGNS, TE_FACTORS, NORMALIZATIONS)))
+    b = draw(st.sampled_from([1.0, 0.7, 0.45]))
+
+    def coordinate(length):
+        return length * draw(st.one_of(st.just(0.5), st.floats(0.05, 0.95)))
+    p1, p2 = (TransversePoint(coordinate(1.0), coordinate(b)) for _ in range(2))
+    z = 0.05 * 60.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.05a, 3a]
+    truncation = draw(st.sampled_from([{"tail_tol": 1e-7}, {"max_cutoff": 30.0}]))
+    return PairConfiguration(Geometry(1.0, b), p1, p2, z, ISO, ISO, conventions=conv), truncation
+
+
+def _printed_map(conv, tm, te, cross, zero):
+    """The four changes that take oracle-consistent TM and TE couplings (3x3,
+    or stacks of them along a last axis; either may be None) to ``conv``,
+    written out: xx, yy, zx and zy change sign and xy and yx become
+    ``cross``; ``zero`` is added to TE once more; TE is scaled by 1 / -2."""
+    if tm is not None:
+        tm = tm.copy()
+        if conv.tm_sign == "paper-literal":
+            for i, j in ((0, 0), (1, 1), (2, 0), (2, 1)):
+                tm[i, j] = -tm[i, j]
+            tm[0, 1], tm[1, 0] = cross
+        tm = tm + 0.0
+    if te is not None:
+        if conv.normalization == "paper-literal":
+            te = te + zero
+        if conv.te_factor == "paper-literal":
+            te = te * (1.0 / -2.0)
+        te = te + 0.0
+    return tm, te
+
+
+def _same_bits(got, want):
+    assert (np.asarray(got) + 0.0).tobytes() == (np.asarray(want) + 0.0).tobytes()
+
+
+class TestConventionMap:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_bundle_cases())
+    def test_eight_bundles_are_the_map_of_the_oracle_bundle(self, case):
+        # Each bundle's tensors are the oracle-consistent ones under the
+        # written-out map, bit for bit, with the printed sums (or, under a
+        # fixed cutoff, the table's zero-index sum) as its printed parts.  So
+        # are the per-mode couplings of every mode the tensor lists, the
+        # printed cross terms per mode and the zero-index TE couplings taken
+        # twice, and top_modes lists those couplings.  A printed zero-index
+        # TE coupling is also within NORMALIZATION_RTOL of the printed
+        # profiles' product.
+        from wgdisp.coupling import _paper_cross, _printed_sums
+        cfg, truncation = case
+        conv, geom, z, p1, p2 = cfg.conventions, cfg.geom, cfg.z, cfg.p1, cfg.p2
+        try:
+            ft = f_tensor(cfg, E100, **truncation)
+            oracle = f_tensor(replace(cfg, conventions=Conventions()), E100, **truncation)
+        except InputError:  # the tail tolerance below a bound
+            reject()
+        weight = -2.0 * E100
+        (xy, yx), (xx, yy), *_ = _printed_sums(geom, p1, p2, z, 1_000_000)
+        table = ModeTable(geom, p1, p2)
+        counts = table.extend(ft.tm_cutoff, truncation.get("max_cutoff"))
+        if "max_cutoff" in truncation:
+            zero = weight * table.zero_index_sum(z, counts[1])
+        else:
+            zero = weight * np.diag([xx, yy, 0.0])
+        tm, te = _printed_map(conv, oracle.tm_tensor, oracle.te_tensor, (xy, yx), zero)
+        _same_bits(ft.tm_tensor, tm)
+        _same_bits(ft.te_tensor, te)
+        _same_bits(ft.tensor, tm + te)
+        assert counts == (ft.tm_modes, ft.te_modes)
+        pols, ms, ns, got = mode_tensors(table, counts, z, E100, conv)
+        _, _, _, base = mode_tensors(table, counts, z, E100)
+        tm_part, te_part = slice(0, counts[0]), slice(counts[0], None)
+        k = np.hypot(ms * np.pi / geom.a, ns * np.pi / geom.b)
+        cross = _paper_cross(geom, ms[tm_part], ns[tm_part], k[tm_part], p1, p2, z)
+        zero_index = (ms[te_part] == 0) | (ns[te_part] == 0)
+        assert zero_index.any()
+        tm, _ = _printed_map(conv, base[:, :, tm_part], None, cross, None)
+        _, te = _printed_map(conv, None, base[:, :, te_part], None,
+                             np.where(zero_index, base[:, :, te_part], 0.0))
+        _same_bits(got, np.concatenate([tm, te], axis=2))
+        if conv.normalization == "paper-literal":
+            printed = _direct_te(geom, ms[te_part].astype(float), ns[te_part].astype(float),
+                                 k[te_part], p1, p2, z, E100, conv)
+            assert np.allclose(got[:, :, te_part][:, :, zero_index], printed[:, :, zero_index],
+                               rtol=NORMALIZATION_RTOL, atol=0.0)
+        column = {key: c for c, key in enumerate(zip(pols.tolist(), ms.tolist(), ns.tolist()))}
+        for mode, peak, f in ft.top_modes(10 ** 6):
+            _same_bits(f, got[:, :, column[mode.polarization, mode.m, mode.n]])
+            assert peak == np.abs(f).max()
 
 
 _ONE_SIGN = st.tuples(st.floats(0.05, 2.0), st.floats(0.0, 2.0),
@@ -1001,14 +1136,13 @@ class TestTailBoundProperty:
         # TM reference: the split, independent of the mode sum whose tail
         # bound paper-literal signs rely on.  Checked at the cutoff the
         # growth starts from, where that tail is largest.
-        from wgdisp.energy import _tm_tail_bound
         geom, z = cfg.geom, cfg.z
-        table = ModeTable(geom, cfg.p1, cfg.p2, cfg.conventions)
+        table = ModeTable(geom, cfg.p1, cfg.p2)
         split, split_tail = table.tm_split(z)
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         table.extend(K)
         tm = table.sums(z, table.counts(K))[0]
-        assert np.abs(tm - split).max() <= _tm_tail_bound(K, z, geom) + split_tail
+        assert np.abs(tm - split).max() <= tm_tail_bound(K, z, geom) + split_tail
 
 
 _TWO_LEVELS = DipoleSpecies(
@@ -1135,10 +1269,10 @@ class TestScreenedPass:
         # listed afterwards extends both tables alike.
         from wgdisp.coupling import _live, _split_cutoff, _te_rows
         geom, p1, p2, conv, max_cutoff = case
-        once = ModeTable(geom, p1, p2, conv)
+        once = ModeTable(geom, p1, p2)
         screened = [once._screened(pol) for pol in ("TM", "TE")]
         K = _split_cutoff(geom)
-        steps = ModeTable(geom, p1, p2, conv)
+        steps = ModeTable(geom, p1, p2)
         steps.extend(K, 0.0)
         steps.extend(0.0, K)
         _assert_same_table(once, steps)
@@ -1149,7 +1283,7 @@ class TestScreenedPass:
         k, (m, n) = steps._k["TE"][:te_count], steps._mn["TE"][:, :te_count]
         rows = steps._rows["TE"][:te_count]
         if conv.normalization != "unit-normalized":
-            rows = _te_rows(geom, m, n, k, p1, p2, Conventions()).T
+            rows = _te_rows(geom, m, n, k, p1, p2).T
         want.append((k, rows, _live(rows, 2)))
         for got, ref in zip(screened, want):
             for got_array, ref_array in zip(got, ref):
@@ -1186,13 +1320,12 @@ class TestEwaldSplit:
         # Against the oracle-consistent TM mode sum grown until its tail
         # bound is at most 1e-11 of the scale, within 1e-10 of the scale;
         # entries the mode sum gives as exact zeros are exact zeros.
-        from wgdisp.energy import _tm_tail_bound
         geom, p1, p2, z = case
-        table = ModeTable(geom, p1, p2, Conventions())
+        table = ModeTable(geom, p1, p2)
         split, _ = table.tm_split(z)
         scale = np.abs(split).max()
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-        while _tm_tail_bound(K, z, geom) > 1e-11 * scale:
+        while tm_tail_bound(K, z, geom) > 1e-11 * scale:
             K *= 1.3
         table.extend(K, 0.0)
         summed = table.sums(z, (table.counts(K)[0], 0))[0]
@@ -1206,7 +1339,7 @@ class TestEwaldSplit:
         # The direct image carries the free-space tensor, so z^3 F tends to
         # diag(-1/2, -1/2, 1) like z^3 at any interior point.
         p = TransversePoint(x, y)
-        F, _ = ModeTable(Geometry(1.0, b), p, p, Conventions()).tm_split(z)
+        F, _ = ModeTable(Geometry(1.0, b), p, p).tm_split(z)
         assert np.abs(z ** 3 * F - np.diag([-0.5, -0.5, 1.0])).max() <= tol
 
     @pytest.mark.parametrize("b, p1, p2, z, truncation, frozen", [
@@ -1276,7 +1409,7 @@ class TestPaperLiteral:
         # split plus math.fsum zero-index terms, each listed until the terms
         # left out add at most 1e-3 of the printed tail, every entry is
         # within tail_bound and the listed sums' rounding.
-        from wgdisp.coupling import _TE_FACTORS, _TM_SIGNS
+        from wgdisp.conventions import _TE_FACTORS, _TM_SIGNS
         geom, conv = Geometry(1.0, b), Conventions.paper_literal()
         cfg = PairConfiguration(geom, TransversePoint(*p1), TransversePoint(*p2), z,
                                 ISO, ISO, conventions=conv)
@@ -1284,7 +1417,7 @@ class TestPaperLiteral:
         weight = _TE_FACTORS[conv.te_factor] * E100
         cross, zero, cross_err, zero_err = _listed_printed(geom, cfg.p1, cfg.p2, z,
                                                            1e-3 * ft.tail_bound)
-        table = ModeTable(geom, cfg.p1, cfg.p2, Conventions())
+        table = ModeTable(geom, cfg.p1, cfg.p2)
         tm = _TM_SIGNS["paper-literal"] * _TM_SIGNS["oracle-consistent"] * table.tm_split(z)[0]
         tm[0, 1], tm[1, 0] = cross
         te = weight * table.te_split(z)[0]
@@ -1372,7 +1505,7 @@ def _te_split_points(draw):
 
 def _te_screened(geom, p1, p2, K):
     """Cutoffs and unit-normalized TE rows of the modes up to K."""
-    table = ModeTable(geom, p1, p2, Conventions())
+    table = ModeTable(geom, p1, p2)
     table.extend(0.0, K)
     count = table.counts(0.0, K)[1]
     return table._k["TE"][:count], table._rows["TE"][:count]
@@ -1388,7 +1521,7 @@ class TestTeSplit:
         # zeros in both.
         from wgdisp.energy import _te_tail_bound
         geom, p1, p2, z = case
-        table = ModeTable(geom, p1, p2, Conventions())
+        table = ModeTable(geom, p1, p2)
         split, _ = table.te_split(z)
         scale = np.abs(split).max()
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
@@ -1502,7 +1635,7 @@ class TestTeSplit:
         # The direct image carries the free-space TE tensor, so 4 pi z^2 T
         # tends to the transverse identity, about like z^2 ln z.
         p = TransversePoint(x, y)
-        table = ModeTable(Geometry(1.0, b), p, p, Conventions())
+        table = ModeTable(Geometry(1.0, b), p, p)
         dev = [np.abs(4.0 * math.pi * z * z * table.te_split(z)[0][:2, :2]
                       - np.eye(2)).max() for z in (1e-3, 1e-4)]
         assert dev[0] <= 1e-3 and dev[1] <= 2e-5 and dev[1] <= dev[0] / 30.0
@@ -1613,7 +1746,7 @@ class TestSweep:
             sp1, sp2 = cfg.species1, cfg.species2
             for z, u in zip(zs, dispersion_sweep(cfg, zs, **truncation)):
                 point = replace(cfg, z=z)
-                table = ModeTable(geom, cfg.p1, cfg.p2, conv)
+                table = ModeTable(geom, cfg.p1, cfg.p2)
                 fs = {}
                 for t1 in sp1.transitions:
                     for t in (t1, *sp2.transitions):
@@ -1658,7 +1791,7 @@ class TestSweep:
         # are already exact zeros.
         geom = Geometry(1.0, b)
         for p2 in (TransversePoint(0.3, 0.4 * b), TransversePoint(0.8, 0.1 * b)):
-            table = ModeTable(geom, TransversePoint(0.3, 0.4 * b), p2, Conventions())
+            table = ModeTable(geom, TransversePoint(0.3, 0.4 * b), p2)
             edge = 1e6 * (geom.a + geom.b)
             zs = [0.999 * edge, edge, 2.0 * edge, 1e300]
             table.compute_splits(zs)
@@ -1696,8 +1829,7 @@ class TestSweep:
         from wgdisp.coupling import _tm_split_bound
         from wgdisp.energy import _FAR
         geom = Geometry(1.0, 0.7)
-        table = ModeTable(geom, TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41),
-                          Conventions())
+        table = ModeTable(geom, TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41))
         edge = _FAR * (geom.a + geom.b)
         zs = np.geomspace(0.01, 5.0, 40).tolist() + [edge, 2.0 * edge, 1e300]
         table.compute_splits(zs)

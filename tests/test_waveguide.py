@@ -60,7 +60,7 @@ class TestModeValidation:
 class TestProfiles:
     def test_te10_center_paper_literal(self):
         e = transverse_profile(SQ, ModeIndex("TE", 1, 0), 0.0, SQ.center(),
-                               "paper-literal")
+                               Conventions(normalization="paper-literal"))
         assert np.allclose(e, [0.0, 2.0, 0.0], atol=1e-15)
 
     def test_tm11_center_on_cutoff(self):
@@ -119,7 +119,8 @@ class TestProfiles:
 
     def test_view_matches_printed_formula(self):
         # The profile formulas of the waveguide module docstring, evaluated
-        # here term by term; TE components are the factor-row entries.
+        # here term by term; TE components are the unit factor-row entries,
+        # times sqrt(2) for a printed zero-index profile.
         assert wgdisp.transverse_profile is transverse_profile
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -141,17 +142,17 @@ class TestProfiles:
                 assert np.abs(got - tm).max() < 1e-14
             if m or n:
                 mode = ModeIndex("TE", m, n)
+                rows = _te_rows(g, *_one_mode(g, mode), p, p)
                 for conv, nf in (("paper-literal", 1.0),
                                  ("unit-normalized",
                                   math.sqrt(0.5) if m * n == 0 else 1.0)):
                     te = [-root_a * nf * (ay / kmn) * cx * sy,
                           root_a * nf * (ax / kmn) * sx * cy, 0.0]
-                    got = transverse_profile(g, mode, k, p, conv)
+                    got = transverse_profile(g, mode, k, p, Conventions(normalization=conv))
                     assert np.abs(got - te).max() < 1e-14
-                    rows = _te_rows(g, *_one_mode(g, mode), p, p,
-                                    Conventions(normalization=conv))
-                    assert got[0].real == rows[0, 0]
-                    assert got[1].real == rows[1, 0]
+                    scale = math.sqrt(2.0) if conv == "paper-literal" and m * n == 0 else 1.0
+                    assert got[0].real == rows[0, 0] * scale
+                    assert got[1].real == rows[1, 0] * scale
 
 
 class TestNormalization:
