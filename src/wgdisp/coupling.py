@@ -203,12 +203,6 @@ def _powers(x: np.ndarray, n: float) -> np.ndarray:
     return np.fromiter((_power(v, n) for v in x.tolist()), float, x.size)
 
 
-def _tm_continuum_tail(K: float, z: float) -> float:
-    """2 integral_K^inf k^2 e^{-kz} dk, the continuum bound on the TM modes
-    past K; the powers of z are :func:`_power`'s."""
-    return 2.0 * math.exp(-K * z) * (K * K / z + 2.0 * K / _power(z, 2) + 2.0 / _power(z, 3))
-
-
 def _tm_split_spectral(geom, k, products, z):
     """Screened-mode part of the split over the modes of ``k`` and ``products``,
     shape (nz, 3, 3) for the 1-D array of separations ``z``.
@@ -338,8 +332,9 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     cutoff, low, gauss, _, lattice = _bound_parts(geom)
     screen = math.exp(-(z / eta) ** 2)
     spectral = 2.0 * screen * gauss
-    if 2.0 * z / eta ** 2 > cutoff:
-        spectral += _tm_continuum_tail(low, z)
+    if 2.0 * z / eta ** 2 > cutoff:  # 2 integral_low^inf k^2 e^{-kz} dk
+        spectral += 2.0 * math.exp(-low * z) * (low * low / z + 2.0 * low / _power(z, 2)
+                                               + 2.0 / _power(z, 3))
     reach = _SPLIT_REACH * eta
     rc2 = reach * reach + z * z
     poly = (4.0 / (math.sqrt(math.pi) * eta)) * (1.0 / eta ** 2 + 1.0 / rc2) \

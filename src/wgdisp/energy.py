@@ -7,10 +7,11 @@ The pair energy is assembled from per-mode couplings as
 
 where F^{(e)} sums every TE and TM mode coupling for transition energy
 E_e, index i living at the second dipole's transverse point and j at the
-first.  Its TM part is taken from an Ewald split and, under a tail
-tolerance, its TE part from a heat-kernel split (:mod:`wgdisp.coupling`),
-each over a few dozen modes at any separation; the paper-literal
-additions are 1-D sums under a rule in ln t.  Isotropic orientation averaging replaces the
+first.  Under a tail tolerance its TM part is taken from an Ewald split
+and its TE part from a heat-kernel split (:mod:`wgdisp.coupling`), each
+over a few dozen modes at any separation, and at a fixed cutoff both from
+one reference mode sum; the paper-literal additions are 1-D sums under a
+rule in ln t.  Isotropic orientation averaging replaces the
 dipole products by their second moments <d_i d_j> = delta_ij |d|^2 / 3
 before contraction.
 
@@ -170,15 +171,14 @@ class PairConfiguration:
 class FTensorResult:
     """Coupling tensor for one transition energy.
 
-    The TM tensor is the Ewald split; ``tm_cutoff`` and ``tm_modes`` are
-    the cutoff and count of its screened modes.  Under ``max_cutoff`` the
-    TE tensor sums the ``te_modes`` modes with k <= ``te_cutoff``; under
-    ``tail_tol`` it is the split, ``te_modes`` counts its screened modes, and
-    ``te_cutoff``, found on first read, is the cutoff a plain TE mode sum
-    would need by its continuum tail (the one the split is held against).
-    The paper-literal printed sums list no mode.  ``modes_used`` is
-    ``tm_modes + te_modes`` and ``max_cutoff`` the larger cutoff.
-    ``tail_bound`` bounds what the truncations drop from any tensor entry.
+    Under ``tail_tol`` the tensors are the splits, ``tm_cutoff`` and the
+    counts are their screened modes', and ``te_cutoff``, found on first
+    read, is the cutoff a plain TE mode sum would need by its lattice tail.
+    Under ``max_cutoff`` they are the mode sum (:func:`_mode_sum`) of the
+    ``tm_modes`` TM and ``te_modes`` TE modes with k <= ``tm_cutoff`` =
+    ``te_cutoff``.  The paper-literal printed sums list no mode.
+    ``max_cutoff`` is the larger cutoff.  ``tail_bound`` bounds what the
+    truncations and the mode sum's rounding take from any tensor entry.
     """
 
     tensor: np.ndarray
@@ -203,9 +203,10 @@ class FTensorResult:
         """``max_cutoff``, or under ``tail_tol`` the cutoff :func:`f_tensor` describes."""
         if self._detail is None:
             return math.nan
-        table, _, start, budget, z, energy, tm_tail = self._detail
+        table, conv, start, budget, z, energy, tm_tail = self._detail
+        te_bound = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
         return start if budget is None else _grown(
-            start, lambda K: tm_tail + _te_tail_bound(K, z, table.key[0], energy) > budget)
+            start, lambda K: tm_tail + te_bound * _lattice_tail(table, TE, K, z) > budget)
 
     def top_modes(self, n: int) -> list[tuple[ModeIndex, float, np.ndarray]]:
         """Up to ``n`` of the tensor's listed modes with the largest max |F|,
@@ -256,17 +257,7 @@ class EnergyBreakdown:
     f_by_level: dict[float, FTensorResult]
 
 
-def _te_tail_bound(K: float, z: float, geom: Geometry, energy: float) -> float:
-    # |F_TE| <= 2 E (4/A) K0(kz) and K0(x) < sqrt(pi/2x) e^-x.
-    ez = math.exp(-K * z)
-    pref = 2.0 * energy * (4.0 / geom.area) * (geom.area / TWO_PI)
-    integral = pref * math.sqrt(math.pi / (2.0 * z)) * ez * (math.sqrt(K) / z
-                                                              + 1.0 / _power(z, 2))
-    axis = 2.0 * energy * (4.0 / geom.area) * (geom.a + geom.b) / math.pi \
-        * math.sqrt(math.pi / (2.0 * K * z)) * ez / z
-    return integral + axis
-
-
+_CHUNK = 8192  # modes per block of factor rows built and per mode-sum contraction
 # Separations per pass of the splits' kernels: the TE short-time rule's
 # temporaries hold _SPLIT_CHUNK x (about 70 modes) x 80 nodes doubles.
 _SPLIT_CHUNK = 32
@@ -285,13 +276,12 @@ class ModeTable:
     split asks for them, one pass (:meth:`_screened`) lists every mode up
     to the splits' cutoff and builds the rows of both polarizations there;
     past it, :meth:`extend` lists the table again to the larger cutoff and
-    builds the rows of the new modes, to each polarization's own cutoff.
-    Only the radial factors depend on the separation, so one table serves
-    every separation and transition level of a sweep: :meth:`sums` weights
-    the rows with (4 pi / A) k e^{-kz} (TM) and K0(kz) (TE) and contracts
-    them, and :meth:`tm_split` and :meth:`te_split` weight the rows of the
-    first, screened modes and add the image sums, over image offsets, signs
-    and rho^2 that the table takes once, all oracle-consistent.
+    builds the rows of the new modes.  Only the radial factors depend on
+    the separation, so one table serves every separation and transition
+    level of a sweep: :func:`_mode_sum` weights and contracts the rows, and
+    :meth:`tm_split` and :meth:`te_split` those of the first, screened
+    modes, adding the image sums over image offsets, signs and rho^2 that
+    the table takes once, all oracle-consistent.
     :meth:`compute_splits` evaluates the splits, with their bounds, at a
     whole sweep's separations, a chunk of them per kernel call.
     """
@@ -310,29 +300,28 @@ class ModeTable:
         # Per polarization: the splits of the last batch, keyed by z, as
         # (tensor, bound) for TM and (tensor, bound, K0(k z) row of the
         # screened modes, or None where the kernel took another z) for TE;
-        # and the screened modes' data of :meth:`_screened`.
+        # the screened modes' data of :meth:`_screened`; and the levels'
+        # shared :func:`_mode_sum` results, keyed by (z, K, zero).
         self._splits: dict[str, dict[float, tuple]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._sums: dict[tuple, tuple | np.ndarray] = {}  # see :meth:`sums`, :meth:`zero_index_sum`
+        self._sums: dict[tuple, tuple] = {}
 
-    def extend(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
-        """List the modes with k <= max(K, ``te_cutoff``) (1 + 1e-12) unless
-        the table holds them, and return :meth:`counts` at K and ``te_cutoff``.
-
-        A larger cutoff takes one ``mode_arrays`` call, whose listing
-        replaces the table's: the modes held so far are, bit for bit, its
-        head.  The TM modes up to K and the TE modes up to ``te_cutoff`` (K
-        when omitted) get factor rows, each mode's built once.
-        """
-        top = K if te_cutoff is None else max(K, te_cutoff)
-        if self.cutoff is None or top > self.cutoff:
-            listing = mode_arrays(self.key[0], top)
+    def _list(self, K: float) -> None:
+        """List the modes with k <= K (1 + 1e-12) unless the table holds them, in
+        one ``mode_arrays`` call whose head is the old listing, bit for bit."""
+        if self.cutoff is None or K > self.cutoff:
+            listing = mode_arrays(self.key[0], K)
             for pol in (TM, TE):
                 self._k[pol] = listing[pol]["k"]
                 self._mn[pol] = np.array((listing[pol]["m"], listing[pol]["n"]), dtype=np.int32)
-            self.cutoff = top
+            self.cutoff = K
+
+    def extend(self, K: float) -> tuple[int, int]:
+        """List the modes up to K (:meth:`_list`), give every mode up to K
+        factor rows, each mode's built once, and return :meth:`counts` at K."""
+        self._list(K)
         geom, p1, p2 = self.key
-        counts = self.counts(K, te_cutoff)
+        counts = self.counts(K)
         new = [(pol, len(self._rows[pol]), count) for pol, count in zip((TM, TE), counts)
                if count > len(self._rows[pol])]
         if new:  # one set of per-axis trig tables serves both polarizations
@@ -343,76 +332,23 @@ class ModeTable:
             rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
             rows = np.empty((count, self._rows[pol].shape[1]))
             rows[:built] = self._rows[pol]
-            for start in range(built, count, 8192):  # bounds rows_of's temporaries
-                part = slice(start, min(start + 8192, count))
+            for start in range(built, count, _CHUNK):  # bounds rows_of's temporaries
+                part = slice(start, min(start + _CHUNK, count))
                 rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
                                      p1, p2, tables).T
             self._rows[pol] = rows
         return counts
 
-    def counts(self, K: float, te_cutoff: float | None = None) -> tuple[int, int]:
-        """Numbers of TM modes with k <= K and TE modes with k <= ``te_cutoff``.
-
-        Both edges carry a 1e-12 relative slack and ``te_cutoff`` defaults to
-        K.  With the table listed to a cutoff these are the sizes of the
-        ``mode_arrays`` tables at it, whose modes are the table's first ones.
-        """
-        return self._count(TM, K), self._count(TE, K if te_cutoff is None else te_cutoff)
-
-    def _count(self, pol: str, K: float) -> int:
-        return int(self._k[pol].searchsorted(K * (1.0 + 1e-12), side="right"))
-
-    def sums(self, z: float, counts: tuple[int, int]):
-        """TM tensor and unit-weight TE tensor (without its factor * E) over
-        the first ``counts`` modes.
-
-        The contraction is split at table positions 1024, 2048 and 4096 and
-        then every 8192, and the parts are added in table order from zero:
-        the bits of a sum depend on that order (the pinned sums keep it), and
-        on z and ``counts`` alone.  So the levels at a separation share them:
-        the table keeps each pair, read-only, keyed by (z, ``counts``), until
-        :meth:`compute_splits` starts a new batch.
-        """
-        if (z, counts) not in self._sums:
-            out = []
-            for pol, count in zip((TM, TE), counts):
-                edges = [e for e in (0, 1024, 2048, 4096, *range(8192, count, 8192))
-                         if e < count] + [count]
-                total = np.zeros((3, 3))
-                for part in map(slice, edges[:-1], edges[1:]):
-                    total = total + self._contract(pol, part, z)
-                total.flags.writeable = False
-                out.append(total)
-            self._sums[z, counts] = tuple(out)
-        return self._sums[z, counts]
-
-    def zero_index_sum(self, z: float, count: int) -> np.ndarray:
-        """Unit TE tensor over the zero-index modes among the first ``count``
-        TE modes, kept read-only with :meth:`sums`, keyed by (z, ``count``)."""
-        if (z, count) not in self._sums:
-            zero = np.flatnonzero((self._mn[TE][:, :count] == 0).any(axis=0))
-            self._sums[z, count] = total = self._contract(TE, zero, z)
-            total.flags.writeable = False
-        return self._sums[z, count]
-
-    def _contract(self, pol: str, part, z: float) -> np.ndarray:
-        """3x3 sum over the modes at table positions ``part`` (a slice or an
-        index array) at separation z."""
-        k, rows = self._k[pol][part], self._rows[pol][part]
-        with np.errstate(over="ignore"):  # k z past the largest double: 0
-            radial = np.exp(-(k * z)) if pol == TM else _k0(k * z)
-        out = np.zeros((3, 3))
-        if pol == TE:
-            out[:2, :2] = (rows[:, 0:2] * radial[:, None]).T @ rows[:, 2:4]
-            return out
-        out[:] = (rows[:, 0:3] * (radial * k)[:, None]).T @ rows[:, 3:6]
-        out *= (4.0 * np.pi / self.key[0].area) * KERNEL_TM_SIGNS
-        return out
+    def counts(self, K: float) -> tuple[int, int]:
+        """Numbers of TM and of TE modes with k <= K (1 + 1e-12), the
+        table's first ones once it is listed to K."""
+        return tuple(int(self._k[pol].searchsorted(K * (1.0 + 1e-12), side="right"))
+                     for pol in (TM, TE))
 
     def compute_splits(self, zs, pols=(TM, TE)) -> None:
         """Evaluate the splits of the polarizations ``pols`` at every
         separation of ``zs`` and keep them, keyed by z, in place of the last
-        batch's splits and :meth:`sums`.
+        batch's splits and mode sums.
 
         The separations go through the kernels of :mod:`wgdisp.coupling`
         _SPLIT_CHUNK at a time; a split does not depend on which
@@ -536,6 +472,80 @@ def _envelope(pol: str, k: float, z: float, geom: Geometry, te_weight: float) ->
         * math.sqrt(math.pi / (2.0 * k * z)) * math.exp(-k * z)
 
 
+def _lattice_tail(table: ModeTable, pol: str, K: float, z: float) -> float:
+    """Bound on the envelope of every entry of a mode's TM coupling,
+    (4 pi / A) k e^{-kz}, or unit TE coupling under either normalization,
+    (4/A) K0(kz), summed over the ``pol`` modes past K.
+
+    The shell (K, K + k_11] is summed mode by mode.  Past it every lattice
+    cell, of area pi^2 / A, lies within k_11 below its mode, and so does an
+    interval of pi / a or pi / b on the axis of a zero-index TE mode: with
+    g >= the envelope non-increasing, the rest is at most (A / 2 pi)
+    int_K^inf k g dk + ((a + b) / pi) int_K^inf g dk, for g = (4 pi / A)
+    (k + 1/z) e^{-kz} (TM) and (4/A) sqrt(pi / 2kz) e^{-kz} (TE).
+    """
+    geom, x = table.key[0], K * z
+    k11 = _coupling._k11(geom)
+    table._list(K + k11)
+    k = table._k[pol][table.counts(K)[pol == TE]:table.counts(K + k11)[pol == TE]]
+    with np.errstate(over="ignore"):  # k z past the largest double: 0
+        shell = float((k * np.exp(-(k * z)) if pol == TM else _k0(k * z)).sum())
+    if pol == TM:
+        unit, decay = 4.0 * math.pi / geom.area, math.exp(-x)
+        plane, line = (decay * (K * K / z + 3.0 * K / _power(z, 2) + 3.0 / _power(z, 3)),
+                       decay * (K / z + 2.0 / _power(z, 2))) if decay else (0.0, 0.0)
+    else:
+        unit, line = 4.0 / geom.area, math.pi / math.sqrt(2.0) / z * math.erfc(math.sqrt(x))
+        plane = (math.sqrt(0.5 * math.pi * x) * math.exp(-x) / z + 0.5 * line) / z
+    return _ENVELOPE_SLACK * unit * (shell + geom.area / (2.0 * math.pi) * plane
+                                     + (geom.a + geom.b) / math.pi * line)
+
+
+def _blocks(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over the modes of rows[:, :h] weights rows[:, h:], h half the
+    row width: one contraction per _CHUNK modes, added in table order."""
+    half = rows.shape[1] // 2
+    total = np.zeros((half, half))
+    for start in range(0, len(rows), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        total = total + (rows[part, :half] * weights[part, None]).T @ rows[part, half:]
+    return total
+
+
+def _mode_sum(table: ModeTable, z: float, K: float, zero: bool) -> tuple:
+    """The reference mode sum over the modes with k <= K (1 + 1e-12): the
+    TM tensor, the unit TE tensor (without its factor * E) and, when
+    ``zero``, its part over the zero-index modes (else None), read-only,
+    whose bits depend on z, K, the guide and the points alone; then per
+    channel a bound on what truncation (:func:`_lattice_tail`) and rounding
+    take from any entry, the TE one with that part added once more.  Each
+    entry adds N terms r2 w r1 of at most 32 rounded factors (K0 within 10
+    units of roundoff) and a rounded kz, so it rounds by at most gamma_n
+    sum |r2| |w| |r1|, n = N + 32 + kz per mode (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.1).
+    """
+    geom = table.key[0]
+    table._list(K + _coupling._k11(geom))  # with the first shell of the tails
+    sums, tails = [], []
+    for pol, count in zip((TM, TE), table.extend(K)):
+        k, rows = table._k[pol][:count], table._rows[pol][:count]
+        with np.errstate(over="ignore"):  # k z past the largest double: w = 0
+            kz = k * z
+            w = (4.0 * math.pi / geom.area) * k * np.exp(-kz) if pol == TM else _k0(kz)
+        weights = [w, w * (table._mn[TE][:, :count] == 0).any(axis=0)] \
+            if pol == TE and zero else [w]
+        n = (count + 32.0) + np.minimum(kz, 1e3)  # w is 0 from k z of about 745
+        size = sum(_blocks(np.abs(rows), v * n) for v in weights).max(initial=0.0)
+        tails.append(_lattice_tail(table, pol, K, z)
+                     + 2.0 ** -53 / (1.0 - 2.0 ** -53 * (count + 1032.0)) * float(size))
+        sums.append([_blocks(rows, v) for v in weights])
+    (tm,), (te, *subset) = sums
+    out = (tm * KERNEL_TM_SIGNS, np.pad(te, (0, 1)), np.pad(subset[0], (0, 1)) if zero else None)
+    for t in out[:2 + zero]:  # the levels at a separation share them
+        t.flags.writeable = False
+    return *out, *tails
+
+
 def _grown(K: float, short) -> float:
     """K times the least power of 1.3 at which ``short(K)`` is false,
     multiplied up one factor at a time."""
@@ -563,19 +573,18 @@ def f_tensor(
 ) -> FTensorResult:
     """Coupling tensor for one transition energy.
 
-    The TM tensor is the Ewald split of :meth:`ModeTable.tm_split`.  With
-    ``max_cutoff`` the TE tensor is the plain mode sum below it; with
-    ``tail_tol`` the unit split of :meth:`ModeTable.te_split`.
-    :func:`wgdisp.conventions.apply` maps both to config's conventions,
-    with the printed sums of :func:`wgdisp.coupling._printed_sums` (under
-    ``max_cutoff``, :meth:`ModeTable.zero_index_sum`).  A budget,
-    ``tail_tol`` times the largest entry, below ``tail_bound`` raises
-    :class:`InputError`; ``te_cutoff`` is then the least max(3 pi / max(a,
-    b), 8 / z) times a power of 1.3 at which tail_TE plus the TM split's
-    bound fits it.  The modes come from ``table``, a :class:`ModeTable` of
-    config's guide and points (or one of the call's own), whose sums the
-    levels share; the mode cap applies to every listing and 1-D sum.  At a
-    corner every profile vanishes: the tensor is zero.
+    With ``tail_tol`` the tensors are the splits of :meth:`ModeTable.tm_split`
+    and :meth:`ModeTable.te_split`, with ``max_cutoff`` the mode sum of
+    :func:`_mode_sum` below it; :func:`wgdisp.conventions.apply` maps them
+    to config's conventions with the printed sums of
+    :func:`wgdisp.coupling._printed_sums` (or the mode sum's zero-index
+    part).  A budget, ``tail_tol`` times the largest entry, below
+    ``tail_bound`` raises :class:`InputError`; ``te_cutoff`` is then the
+    least max(3 pi / max(a, b), 8 / z) times a power of 1.3 at which the TE
+    lattice tail plus the TM split's bound fits it.  The modes come from
+    ``table``, a :class:`ModeTable` of config's guide and points (or the
+    call's own), whose splits and mode sums the levels share; the mode cap
+    applies to every listing and 1-D sum.  At a corner the tensor is zero.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -583,8 +592,7 @@ def f_tensor(
         if value is not None and not 0.0 < value < math.inf:
             raise InputError(f"{name} must be positive and finite, got {value!r}")
     geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
-    start = max_cutoff if max_cutoff is not None \
-        else max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+    start = max_cutoff or max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     if geom.is_corner(p1) or geom.is_corner(p2):
         zero = FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
@@ -595,34 +603,30 @@ def f_tensor(
         table = ModeTable(geom, p1, p2)
     elif table.key != (geom, p1, p2):
         raise InputError("the mode table belongs to another guide or pair of points")
-    K_split = table._split_cutoff
     _check_cap(table._split_count, mode_cap)
     te_weight = KERNEL_TE_FACTOR * energy
     te_bound = abs(conv.te_scale * te_weight)  # |factor| E, exactly
     cross, axis = conv.printed
-    split, tm_tail = table.tm_split(z)
+    if max_cutoff is None:
+        (tm_sum, tm_tail), (te_unit, te_tail) = table.tm_split(z), table.te_split(z)
+    else:
+        _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
+        if (z, max_cutoff, axis) not in table._sums:
+            table._sums[z, max_cutoff, axis] = _mode_sum(table, z, max_cutoff, axis)
+        tm_sum, te_unit, zero_unit, tm_tail, te_tail = table._sums[z, max_cutoff, axis]
     tail = tm_tail
     if printed := cross or (axis and tail_tol is not None):
         (xy, yx), (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
             geom, p1, p2, z, mode_cap)
     if cross:
         tail += cross_tail
-    budget = zero_terms = None
-    if max_cutoff is not None:
-        _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
-        counts = table.extend(0.0, max_cutoff)
-        te_sum = te_weight * table.sums(z, counts)[1]
-        if axis:
-            zero_terms = te_weight * table.zero_index_sum(z, counts[1])
-        tail += _te_tail_bound(max_cutoff, z, geom, energy)
-    else:
-        te_unit, te_tail = table.te_split(z)
-        te_sum = te_weight * te_unit
-        tail += te_bound * te_tail
-        if axis:
-            zero_terms = te_weight * np.diag([xx, yy, 0.0])
-            tail += te_bound * axis_tail
-    tm_sum, te_sum = apply(conv, split.copy(), te_sum, (xy, yx) if cross else None, zero_terms)
+    tail += te_bound * te_tail
+    if axis and tail_tol is not None:
+        zero_unit = np.diag([xx, yy, 0.0])
+        tail += te_bound * axis_tail
+    tm_sum, te_sum = apply(conv, tm_sum.copy(), te_weight * te_unit, (xy, yx) if cross else None,
+                           te_weight * zero_unit if axis else None)
+    budget = None
     if tail_tol is not None:
         scale = float(max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300))
         budget = tail_tol * scale
@@ -630,10 +634,10 @@ def f_tensor(
             raise InputError(f"tail_tol={tail_tol!r} is below the truncation bound of the "
                              f"screened TM sum and the TE split{' plus the printed sums' * printed}"
                              f", {tail / scale:.2g} of the tensor scale")
-    tm_modes, te_modes = table.counts(K_split, max_cutoff) if budget is None else (
+    tm_modes, te_modes = table.counts(max_cutoff) if max_cutoff else (
         len(table._screened(TM)[0]), len(table._screened(TE)[0]))
-    return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum,
-                         te_tensor=te_sum, tail_bound=tail, tm_cutoff=K_split,
+    return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum, te_tensor=te_sum,
+                         tail_bound=tail, tm_cutoff=max_cutoff or table._split_cutoff,
                          tm_modes=tm_modes, te_modes=te_modes,
                          _detail=(table, conv, start, budget, z, energy, tm_tail))
 
@@ -763,10 +767,9 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     points = [replace(config, z=z) for z in zs]
     table = ModeTable(config.geom, config.p1, config.p2)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
-    if not corner:
+    if not corner and max_cutoff is None:
         _check_cap(table._split_count, mode_cap)
-        table.compute_splits([point.z for point in points],
-                             (TM, TE) if max_cutoff is None else (TM,))
+        table.compute_splits([point.z for point in points])
     # The levels at each z share the table's splits and mode sums.
     out = _assemble(points, lambda point, e: f_tensor(point, e, max_cutoff, tail_tol,
                                                       mode_cap, table), notes)

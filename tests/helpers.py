@@ -5,9 +5,9 @@ import math
 import numpy as np
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import _k11, _split_cutoff, _tm_continuum_tail, transverse_profile
+from wgdisp.coupling import _split_cutoff, transverse_profile
 from wgdisp.energy import ModeTable, quadratic_contraction
-from wgdisp.waveguide import ModeIndex, TransversePoint, mode_arrays
+from wgdisp.waveguide import ModeIndex, TransversePoint
 
 
 def profile_norm(geom, mode, k, convention="unit-normalized"):
@@ -66,30 +66,10 @@ def ranked_modes(modes, n):
             for i in ranked[:max(n, 0)]]
 
 
-def full_ranking(config, energy, te_cutoff=None):
-    """:func:`mode_tensors` of every mode up to max(3 K_split, 6/z),
-    K_split the splits' cutoff, on a fresh table; TE modes only up to
-    ``te_cutoff`` when it is given (a ``max_cutoff`` truncation)."""
-    K = max(3.0 * _split_cutoff(config.geom), 6.0 / config.z)
-    te = K if te_cutoff is None else te_cutoff
+def full_ranking(config, energy, max_cutoff=None):
+    """:func:`mode_tensors` of every mode up to ``max_cutoff`` when it is
+    given (a ``max_cutoff`` truncation), else up to max(3 K_split, 6/z),
+    K_split the splits' cutoff, on a fresh table."""
+    K = max_cutoff or max(3.0 * _split_cutoff(config.geom), 6.0 / config.z)
     table = ModeTable(config.geom, config.p1, config.p2)
-    table.extend(K, te)
-    return mode_tensors(table, table.counts(K, te), config.z, energy, config.conventions)
-
-
-def tm_tail_bound(K, z, geom):
-    """Bound on the TM modes past cutoff K, the mode-sum reference the
-    tests hold the split against.
-
-    Per-mode magnitudes are bounded by (4 pi / A) k e^{-kz}.  The first
-    shell, the modes in (K, K + k_11], is summed mode by mode.  Every
-    lattice cell of area pi^2 / A lies within k_11 below its mode's k, so
-    past the shell the mode density per polarization, ~ A k / (2 pi),
-    gives 2 integral_K^inf k^2 e^{-kz} dk, plus an axis-row allowance.
-    """
-    k = mode_arrays(geom, K + _k11(geom))["TM"]["k"]
-    k = k[k > K * (1.0 + 1e-12)]
-    shell = (4.0 * math.pi / geom.area) * float(np.sum(k * np.exp(-k * z)))
-    axis = (geom.a + geom.b) / math.pi * (4.0 * math.pi / geom.area) \
-        * math.exp(-K * z) * (K + 1.0 / z) / z
-    return shell + _tm_continuum_tail(K, z) + axis
+    return mode_tensors(table, table.extend(K), config.z, energy, config.conventions)

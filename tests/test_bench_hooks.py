@@ -1,15 +1,18 @@
-"""The benchmark's tracer and the profile tool patch wgdisp functions by name."""
+"""The benchmark's tracer and the profile tool patch wgdisp functions by
+name, and its output checks hold the CLI to the reference mode sum."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
 import sys
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 PROFILE = ROOT / "tools" / "profile_report.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 # The tracer's targets that an ``oracle`` op (``oracle-check``, then
@@ -25,11 +28,16 @@ KNOWN_UNCALLED = ("coupling.f_quadrature", "coupling.f_tm_closed",
                   "coupling.f_te_closed", "bessel.bessel_k0")
 
 
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("wgdisp_bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("wgdisp_bench_tracer", TRACER)
 
 
 def _import_targets(tracer):
@@ -125,3 +133,24 @@ def test_oracle_op_calls_its_traced_layers():
     called = {span["name"] for span in run.dump()}
     for name in ORACLE_OP_CALLS:
         assert name in called, f"{name} is traced but an oracle op does not call it"
+
+
+def test_workload_checks_pass_on_the_first_ops(tmp_path):
+    # The benchmark's output check compares each energy with a reference
+    # mode sum of both channels at 1.5 times the chosen cutoff, within both
+    # tail estimates (bench/workloads.py, _certified).  The first four ops
+    # of the seed-1 point-far and sweep-near pools pass it, so a tail that
+    # no longer bounds that reference fails here before the benchmark.
+    from wgdisp import cli, energy, species_io, waveguide
+
+    workloads = _load("wgdisp_bench_workloads", WORKLOADS)
+    lib = types.SimpleNamespace(energy=energy, species_io=species_io, waveguide=waveguide)
+    for name in ("point-far", "sweep-near"):
+        workload = workloads.WORKLOADS[name]
+        for op in workload.generate(1, tmp_path)[:4]:
+            stdouts = []
+            for argv in op.commands:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert cli.main(argv) == 0
+                stdouts.append(out.getvalue())
+            assert workload.verify(lib, op, stdouts) is None, (name, op.inputs)

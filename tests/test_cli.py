@@ -468,25 +468,23 @@ def four_levels(tmp_path_factory):
 @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
 def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
                                                convention):
-    # Under --max-cutoff the unit TE mode sum, and under paper-literal
-    # normalization its zero-index part, do not depend on the transition
-    # level: a sweep of a 4-level species contracts each part of them once
-    # per separation.
+    # Under --max-cutoff the reference mode sum (its TM and unit TE tensors
+    # and, under paper-literal normalization, its zero-index part) does not
+    # depend on the transition level: a sweep of a 4-level species takes it
+    # once per separation.
     from wgdisp import cli, energy
-    calls = []  # (polarization, modes, z) of each ModeTable._contract call
-    contract = energy.ModeTable._contract
+    calls = []  # (K, zero, z) of each energy._mode_sum call
+    mode_sum = energy._mode_sum
 
-    def counted(self, pol, part, z):
-        modes = (part.start, part.stop) if isinstance(part, slice) else tuple(part.tolist())
-        calls.append((pol, modes, z))
-        return contract(self, pol, part, z)
-    monkeypatch.setattr(energy.ModeTable, "_contract", counted)
+    def counted(table, z, K, zero):
+        calls.append((K, zero, z))
+        return mode_sum(table, z, K, zero)
+    monkeypatch.setattr(energy, "_mode_sum", counted)
     assert cli.main(["sweep", "--z-min", "0.02", "--z-max", "0.06", "--points", "8",
                      "--max-cutoff", "800", "--convention", convention,
                      "--species1", four_levels]) == 0
     capsys.readouterr()
-    assert len(calls) == len(set(calls))
-    assert len({z for *_, z in calls}) == 8
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_levels_share_the_cross_terms(four_levels, capsys):
