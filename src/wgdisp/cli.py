@@ -106,64 +106,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-_REPR = float.__repr__
-
-
-def _json_float(x: float) -> str:
-    """A float as ``json.dumps`` writes it: its repr, or NaN and Infinity."""
-    if x - x == 0.0:  # finite; NaN and the infinities give NaN
-        return _REPR(x)
-    if x != x:
-        return "NaN"
-    return "Infinity" if x > 0.0 else "-Infinity"
-
-
-def _json_text(obj, indent: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, each nested line
-    starting with ``indent`` and two more spaces."""
-    kind = type(obj)
-    if kind is float:
-        return _json_float(obj)
-    if kind is str:
-        return _ESCAPE(obj)
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        # Finite floats, most of a report's values, are written inline.
-        return "[" + inner + ("," + inner).join([
-            _REPR(v) if type(v) is float and v - v == 0.0 else _json_text(v, inner)
-            for v in obj]) + indent + "]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
-            _ESCAPE(k) + ": " + (_REPR(v) if type(v) is float and v - v == 0.0
-                                 else _json_text(v, inner))
-            for k, v in obj.items()]) + indent + "}"
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):  # numpy's scalar arithmetic would warn on inf - inf
-        return _json_float(float.__float__(obj))
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
 def _json_dump(obj) -> str:
-    """``json.dumps(obj, indent=2)`` plus a newline, byte for byte.
-
-    The standard encoder takes its pure-Python path whenever it indents.
-    This writer emits the same text, in about half the time, for nests of
-    dict with str keys, list, tuple, str, int, bool, None and float, the
-    subclasses of int and float included (floats by ``float.__repr__``,
-    with json's NaN and Infinity), and raises TypeError on anything else.
-    """
-    return _json_text(obj, "\n") + "\n"
+    """The one JSON form of every report: ``json.dumps(obj, indent=2)`` and a newline."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _csv(header: list[str], rows: list[list[float]],

@@ -557,7 +557,7 @@ def _te_split_images(geom, images, z, e1, e_images):
     return out
 
 
-def _te_split(geom, k, rows, images, z, k0_out=None):
+def _te_split(geom, k, rows, images, z):
     """Unit TE tensors at the separations of the 1-D array ``z`` (the TE mode
     sum without factor * E), shape (nz, 3, 3), and their
     :func:`_te_split_bound` values, shape (nz,).
@@ -566,13 +566,11 @@ def _te_split(geom, k, rows, images, z, k0_out=None):
     unit-normalized :func:`_te_rows` rows (one mode per row) of the modes up
     to :func:`_split_cutoff`, and ``images`` the :func:`_split_images` of the
     pair.  Entries outside :func:`_live` are left as summed.  The modes are
-    contracted as :meth:`wgdisp.energy.ModeTable.sums` contracts its first
-    1024 modes, so where images and short times add nothing the split
-    equals a TE mode sum bit for bit.  All E1 of the splits and their
-    bounds come from one call and all K0 from another; the bounds share
-    K0(k_0 z).  Each tensor is the same whichever separations share the
-    call.  ``k0_out``, an (nz, N) array when given, receives the K0(z k) of
-    each separation and mode.
+    contracted as :func:`wgdisp.energy._blocks` contracts them, so where
+    images and short times add nothing the split equals that TE mode sum
+    bit for bit.  All E1 of the splits and their bounds come from one call
+    and all K0 from another; the bounds share K0(k_0 z).  Each tensor is
+    the same whichever separations share the call.
     """
     eta = _split_width(geom)
     u0 = 1.0 / (eta * eta)
@@ -584,8 +582,6 @@ def _te_split(geom, k, rows, images, z, k0_out=None):
                              ((images[2] + zz[:, None]) * u0).ravel(),
                              zz * u0, zz / (4.0 * np.minimum(lo, tau))]))
     radial = weight = k0(np.multiply.outer(z, k))
-    if k0_out is not None:
-        k0_out[...] = radial
     if s.size:
         weight = radial.copy()
         weight[ruled] -= _te_short_time_part(k, s, w * e[:s.size].reshape(s.shape))
@@ -674,9 +670,8 @@ def _te_rows(geom, m, n, k, p1, p2, tables=None):
 def _mode_tensors(conventions, geom, tm, te, p1, p2, z, energy):
     """Per-mode couplings under ``conventions``, (3, 3, N) TM and TE stacks,
     of the mode lists ``tm`` and ``te``, each (m, n, k, factor rows) or None
-    (and its stack then None); the TE list may end in K0(k z), as
-    :func:`_te_split` hands it on.  Arrays and points may hold one entry
-    per case of a batch (:func:`_axis_trig`)."""
+    (and its stack then None).  Arrays and points may hold one entry per
+    case of a batch (:func:`_axis_trig`)."""
     cross, zero = conventions.printed
     tm_out = te_out = cross_terms = zero_terms = None
     # Adding 0.0 turns the -0.0 of a negative factor times an exact zero into 0.0.
@@ -690,8 +685,8 @@ def _mode_tensors(conventions, geom, tm, te, p1, p2, z, energy):
             if cross:
                 cross_terms = _paper_cross(geom, m, n, k, p1, p2, z)
         if te is not None:
-            m, n, k, rows, *k0_kz = te
-            radial = KERNEL_TE_FACTOR * energy * (k0_kz[0] if k0_kz else k0(k * z))
+            m, n, k, rows = te
+            radial = KERNEL_TE_FACTOR * energy * k0(k * z)
             te_out = np.zeros((3, 3, k.size))
             te_out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
             te_out += 0.0

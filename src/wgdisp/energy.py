@@ -298,10 +298,9 @@ class ModeTable:
         # Factor rows of the modes built so far (see _tm_rows and _te_rows).
         self._rows = {TM: np.empty((0, 6)), TE: np.empty((0, 4))}
         # Per polarization: the splits of the last batch, keyed by z, as
-        # (tensor, bound) for TM and (tensor, bound, K0(k z) row of the
-        # screened modes, or None where the kernel took another z) for TE;
-        # the screened modes' data of :meth:`_screened`; and the levels'
-        # shared :func:`_mode_sum` results, keyed by (z, K, zero).
+        # (tensor, bound); the screened modes' data of :meth:`_screened`;
+        # and the levels' shared :func:`_mode_sum` results, keyed by
+        # (z, K, zero).
         self._splits: dict[str, dict[float, tuple]] = {TM: {}, TE: {}}
         self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._sums: dict[tuple, tuple] = {}
@@ -370,14 +369,10 @@ class ModeTable:
                     out = np.where(live, out, 0.0) + 0.0
                     records = zip(out, [_coupling._tm_split_bound(geom, w) for w in taken])
                 else:
-                    k0_kz = np.empty((len(taken), k.size))
                     out, bounds = _coupling._te_split(geom, k, factors, self._images,
-                                                      near[part], k0_kz)
+                                                      near[part])
                     out[:, :2, :2] = np.where(live, out[:, :2, :2], 0.0)
-                    # A far z is taken at the far edge, so its row is not K0(k z).
-                    rows = [row if w == v else None
-                            for row, w, v in zip(k0_kz, taken, keys)]
-                    records = zip(out, bounds.tolist(), rows)
+                    records = zip(out, bounds.tolist())
                 store.update(zip(keys, records))
             self._splits[pol] = store
 
@@ -405,7 +400,7 @@ class ModeTable:
         """
         if z not in self._splits[TE]:
             self.compute_splits([z], (TE,))
-        return self._splits[TE][z][:2]
+        return self._splits[TE][z]
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cutoffs of the split's screened modes, the products of their TM
@@ -434,20 +429,10 @@ class ModeTable:
     def _mode_tensors(self, counts: tuple[int, int], z: float, energy: float,
                       conventions: Conventions) -> tuple[np.ndarray, np.ndarray]:
         """(3, 3, count) couplings under ``conventions`` of the first
-        ``counts[0]`` TM and ``counts[1]`` TE modes, as a pair.
-
-        The TE couplings of the screened modes at a z of the last TE batch
-        take the K0(k z) row its record keeps: the same bits, as k z and
-        z k are one product and K0 of an argument does not depend on the
-        array it sits in.
-        """
+        ``counts[0]`` TM and ``counts[1]`` TE modes, as a pair."""
         geom, p1, p2 = self.key
         tm, te = ((*self._mn[pol][:, :count], self._k[pol][:count], self._rows[pol][:count].T)
                   for pol, count in zip((TM, TE), counts))
-        record = self._splits[TE].get(z)
-        k0_kz = record[2] if record else None
-        if k0_kz is not None and k0_kz.size == counts[1]:
-            te += (k0_kz,)
         return _coupling._mode_tensors(conventions, geom, tm, te, p1, p2, z, energy)
 
 

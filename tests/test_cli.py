@@ -1577,40 +1577,3 @@ class TestGoldenStdout:
         labels = [entry["mode"] for entry in json.loads(capsys.readouterr().out)["top_modes"]]
         assert len(labels) == 12
         assert labels.index("TM22") < labels.index("TM31") < labels.index("TE12")
-
-
-# Floats json writes specially or that round-trip oddly, and numpy floats.
-_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                                1e-310, 1.7e308, -1.7e308, 1.7976931348623157e308,
-                                math.nan, math.inf, -math.inf, 1e16, 1e-7, 0.1])
-_JSON_FLOATS = st.one_of(
-    _EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.one_of(_EDGE_FLOATS, st.floats()).map(np.float64))
-_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(), _JSON_FLOATS)
-_JSON_NESTS = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
-    st.lists(inner, max_size=5), st.lists(inner, max_size=4).map(tuple),
-    st.dictionaries(st.text(), inner, max_size=5)), max_leaves=40)
-
-
-class TestJsonWriter:
-    """cli._json_dump writes what json.dumps(obj, indent=2) writes."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(_JSON_NESTS)
-    def test_matches_json_dumps(self, obj):
-        from wgdisp import cli
-        assert cli._json_dump(obj) == json.dumps(obj, indent=2) + "\n"
-
-    @pytest.mark.parametrize("obj", [
-        {"": "\u00e9\u4e2d\U0001f600\n\"\\\x00\x7f"}, [[], {}, [[]], {"a": {}}],
-        [True, False, None, 0, -1, 10 ** 30], {"x": np.float64(-0.0)},
-    ])
-    def test_fixed_cases(self, obj):
-        from wgdisp import cli
-        assert cli._json_dump(obj) == json.dumps(obj, indent=2) + "\n"
-
-    @pytest.mark.parametrize("obj", [{1: 2.0}, [np.int64(3)], {"a": object()}])
-    def test_refuses_what_it_does_not_write(self, obj):
-        from wgdisp import cli
-        with pytest.raises(TypeError):
-            cli._json_dump(obj)

@@ -1002,34 +1002,27 @@ class TestTopModes:
         assert ft.top_modes(8) == []
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
-    @pytest.mark.parametrize("b, z", [(1.0, 0.8), (0.6, 3.0), (0.85, 0.3)])
-    def test_reuses_split_k0_and_equals_fresh_ranking(self, monkeypatch, convention, b, z):
-        # A report's z is in its table's split batch: the TE couplings take
-        # the split's K0(k z) row, with no K0 call of their own, and the
-        # list is, bit for bit, a ranking of a fresh table's mode_tensors.
-        cfg = _config(z, geom=Geometry(1.0, b), p1=TransversePoint(0.3, 0.2 * b),
-                      p2=TransversePoint(0.7, 0.55 * b),
-                      conventions=Conventions.from_name(convention))
-        ft = dispersion_energy(cfg, tail_tol=1e-8).f_by_level[E100]
-        table = ft._detail[0]
-        assert table._splits["TE"][z][2].size == ft.te_modes > 0
-        calls = _count_k0(monkeypatch)
-        got = ft.top_modes(10 ** 6)
-        assert calls == [] and len(got) > 0
-        _assert_same_ranking(got, _fresh_ranking(cfg, ft, len(got)))
-
-    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
-    @pytest.mark.parametrize("truncation", ["max_cutoff", "other batch"])
-    def test_fresh_k0_equals_fresh_ranking(self, monkeypatch, convention, truncation):
-        # Under a fixed cutoff no TE split runs, and a z whose batch the
-        # table has since replaced has no K0 row there: the TE couplings take
-        # one K0 call of their own, with the same ranking bit for bit.
-        cfg = _config(0.9, geom=Geometry(1.0, 0.7), p1=TransversePoint(0.3, 0.2),
-                      p2=TransversePoint(0.65, 0.5),
-                      conventions=Conventions.from_name(convention))
-        max_cutoff = 25.0 if truncation == "max_cutoff" else None
-        if max_cutoff:
-            ft = dispersion_energy(cfg, max_cutoff=max_cutoff).f_by_level[E100]
+    @pytest.mark.parametrize("truncation, b, z, p1, p2", [
+        pytest.param("max_cutoff", 0.7, 0.9, (0.3, 0.2), (0.65, 0.5), id="max_cutoff"),
+        pytest.param("other batch", 0.7, 0.9, (0.3, 0.2), (0.65, 0.5), id="other batch"),
+        *(pytest.param("own batch", b, z, (0.3, 0.2 * b), (0.7, 0.55 * b),
+                       id=f"{b}-{z}")
+          for b, z in [(1.0, 0.8), (0.6, 3.0), (0.85, 0.3)]),
+    ])
+    def test_fresh_k0_equals_fresh_ranking(self, monkeypatch, convention, truncation,
+                                           b, z, p1, p2):
+        # Under a fixed cutoff, at a report's z, which is in its table's
+        # last split batch, and at a z whose batch the table has since
+        # replaced, the TE couplings take one K0 call over the listed TE
+        # modes, and the list is, bit for bit, a ranking of a fresh table's
+        # mode_tensors.
+        cfg = _config(z, geom=Geometry(1.0, b), p1=TransversePoint(*p1),
+                      p2=TransversePoint(*p2), conventions=Conventions.from_name(convention))
+        if truncation == "max_cutoff":
+            ft = dispersion_energy(cfg, max_cutoff=25.0).f_by_level[E100]
+        elif truncation == "own batch":
+            ft = dispersion_energy(cfg, tail_tol=1e-8).f_by_level[E100]
+            assert cfg.z in ft._detail[0]._splits["TE"]
         else:
             table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
             ft = f_tensor(cfg, E100, tail_tol=1e-8, table=table)
@@ -1037,7 +1030,7 @@ class TestTopModes:
             assert cfg.z not in table._splits["TE"]
         calls = _count_k0(monkeypatch)
         got = ft.top_modes(10 ** 6)
-        assert calls == [ft.te_modes] and len(got) > 0
+        assert calls == [ft.te_modes] and ft.te_modes > 0 and len(got) > 0
         _assert_same_ranking(got, _fresh_ranking(cfg, ft, len(got)))
 
 
@@ -1373,10 +1366,15 @@ def _split_points(draw):
 class TestEwaldSplit:
     @settings(max_examples=25, deadline=None)
     @given(case=_split_points())
+    @example(case=(Geometry(1.0, 1.0), TransversePoint(0.5, 0.0),
+                   TransversePoint(0.5, 1.1125369292536007e-308), 0.05))
     def test_matches_converged_mode_sum(self, case):
         # Against the oracle-consistent TM mode sum grown until its lattice
         # tail is at most 1e-11 of the scale, within 1e-10 of the scale;
-        # entries the mode sum gives as exact zeros are exact zeros.
+        # entries the mode sum gives as exact zeros are exact zeros, and so
+        # are the others, except where the mode sum is subnormal: there
+        # rounding decides whether the split's value reaches zero (a point
+        # 1.1e-308 off the wall gives xy = -1.2e-320 against the split's 0).
         geom, p1, p2, z = case
         table = ModeTable(geom, p1, p2)
         split, _ = table.tm_split(z)
@@ -1386,7 +1384,8 @@ class TestEwaldSplit:
             K *= 1.3
         summed = _mode_sum(table, z, K, False)[0]
         assert np.abs(split - summed).max() <= 1e-10 * scale
-        assert np.array_equal(split == 0.0, summed == 0.0)
+        normal = (summed == 0.0) | (np.abs(summed) >= sys.float_info.min)
+        assert np.array_equal((split == 0.0)[normal], (summed == 0.0)[normal])
 
     @pytest.mark.parametrize("b, x, y", [(0.7, 0.3, 0.2), (1.0, 0.4, 0.65),
                                          (0.5, 0.55, 0.3), (2.0, 0.35, 1.2)])
@@ -1595,6 +1594,26 @@ class TestTeSplit:
                 if dead2[i] or dead1[j]:
                     assert split[i, j] == 0.0 == summed[i, j]
         assert not np.any(split[2]) and not np.any(split[:, 2])
+
+    @pytest.mark.parametrize("b, p1, p2", [(1.0, (0.3, 0.2), (0.7, 0.55)),
+                                           (0.3, (0.12, 0.21), (0.85, 0.07)),
+                                           (5.0, (0.6, 1.3), (0.25, 3.9))])
+    def test_equals_block_sum_where_images_and_short_times_vanish(self, b, p1, p2):
+        # From z = 28 eta on, E1(z^2 / eta^2) and every image term underflow
+        # and no short time is summed: each tensor of a batch is, bit for
+        # bit, energy._blocks over the screened modes, weighted by K0(k z).
+        import wgdisp.coupling as coupling_mod
+        from wgdisp._special import k0
+        from wgdisp.energy import _blocks
+        geom = Geometry(1.0, b)
+        table = ModeTable(geom, TransversePoint(*p1), TransversePoint(*p2))
+        k, rows, _ = table._screened("TE")
+        zs = coupling_mod._split_width(geom) * np.geomspace(28.0, 60.0, 9)
+        out, _ = coupling_mod._te_split(geom, k, rows, table._images, zs)
+        for z, tensor in zip(zs, out):
+            summed = np.pad(_blocks(rows, k0(k * z)), (0, 1)) + 0.0
+            assert np.abs(summed).max() > 0.0
+            assert tensor.tobytes() == summed.tobytes()
 
     @pytest.mark.parametrize("b, z", [(1.0, 0.05), (0.5, 0.004), (0.7, 0.8),
                                       (0.2, 1e-4)])
@@ -1878,11 +1897,9 @@ class TestSweep:
             assert (calls.count("exp1"), calls.count("k0")) == (chunks, chunks)
 
     def test_records_hold_what_the_kernels_took(self):
-        # compute_splits stores each separation's splits whole: a TM record
-        # holds its bound, taken at the z the kernel took (the far edge past
-        # it), and a TE record the K0(k z) row of its screened modes where
-        # the kernel took z itself, and None past the far edge.
-        from wgdisp._special import k0
+        # compute_splits stores each separation's splits whole, as a
+        # (tensor, bound) pair per polarization; a TM record's bound is
+        # taken at the z the kernel took (the far edge past it).
         from wgdisp.coupling import _tm_split_bound
         from wgdisp.energy import _FAR
         geom = Geometry(1.0, 0.7)
@@ -1890,15 +1907,11 @@ class TestSweep:
         edge = _FAR * (geom.a + geom.b)
         zs = np.geomspace(0.01, 5.0, 40).tolist() + [edge, 2.0 * edge, 1e300]
         table.compute_splits(zs)
-        k = table._screened("TE")[0]
         for z in zs:
             _, bound = table._splits["TM"][z]
             assert float(bound).hex() == _tm_split_bound(geom, min(z, edge)).hex()
-            _, _, row = table._splits["TE"][z]
-            if z <= edge:
-                assert row.tobytes() == k0(k * z).tobytes()
-            else:
-                assert row is None
+            tensor, bound = table._splits["TE"][z]
+            assert tensor.shape == (3, 3) and type(bound) is float
 
     def test_sweep_builds_each_mode_once(self, monkeypatch):
         from wgdisp.coupling import _k11
