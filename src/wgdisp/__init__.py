@@ -14,7 +14,6 @@ from .errors import (InputError, ModeCapError, QuadratureError,
                      ValidityDomainWarning, WgdispError)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes)
-from .coupling import transverse_profile
 from .energy import (DipoleSpecies, DipoleTransition, EnergyBreakdown,
                      FTensorResult, PairConfiguration, dispersion_energy,
                      dispersion_sweep, f_tensor, polarizability, ratio_to_freespace,
@@ -27,8 +26,7 @@ __all__ = [
     "Conventions", "Geometry", "ModeIndex", "TransversePoint",
     "DipoleSpecies", "DipoleTransition", "PairConfiguration",
     "EnergyBreakdown", "FTensorResult", "bessel_k0",
-    "cutoff_wavenumber", "transverse_profile",
-    "enumerate_modes",
+    "cutoff_wavenumber", "enumerate_modes",
     "f_tensor", "dispersion_energy", "dispersion_sweep", "polarizability",
     "u_retarded_closed", "u_freespace_vdw", "u_freespace_cp",
     "ratio_to_freespace",

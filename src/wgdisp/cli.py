@@ -189,7 +189,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_coupling(args) -> int:
-    from .quadrature import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
+    from .quadrature import f_quadrature, f_te_closed, f_tm_closed
 
     geom = _geometry(args)
     mode = ModeIndex(args.pol, args.m, args.n)
@@ -210,17 +210,13 @@ def cmd_coupling(args) -> int:
         "inputs": {"mode": mode.label(), "orientation": orient,
                    "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
                    "energy": args.energy, "convention": bundle},
-        "closed_form": closed.value,
+        "closed_form": closed,
     }
     if args.check_quadrature:
-        spec = QuadratureSpec(scheme=args.scheme)
-        quad_val = f_quadrature(geom, mode, orient, p1, p2, z,
-                                energy=args.energy or 0.0,
-                                include_energy_factor=args.energy is not None,
-                                spec=spec, conventions=conv)
-        payload["quadrature"] = quad_val.value
-        scale = max(abs(quad_val.value), 1e-300)
-        payload["rel_difference"] = abs(closed.value - quad_val.value) / scale
+        quad = f_quadrature(geom, mode, orient, p1, p2, z, energy=args.energy,
+                            scheme=args.scheme, conventions=conv)
+        payload["quadrature"] = quad
+        payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
     _emit(args, _json_dump(payload))
     return EXIT_OK
 

@@ -36,8 +36,7 @@ mode sum: per mode, z-independent transverse factor rows (``_tm_rows``,
 -2 energy K0(k_mn z).  The mode tables of :mod:`wgdisp.energy` hold these
 rows for many modes at once, and :mod:`wgdisp.quadrature` builds them
 for a batch of cases at points of their own, next to the wavenumber
-oracle; ``transverse_profile`` is the normalized mode profile at one
-point.  ``_tm_split`` sums the oracle-consistent TM couplings of all
+oracle.  ``_tm_split`` sums the oracle-consistent TM couplings of all
 modes at once, from the same rows, by an Ewald split of the tube's Green
 function, and ``_te_split`` sums the unit-normalized TE
 couplings the same way, by a split in time of the tube's heat kernel.
@@ -57,9 +56,8 @@ import math
 import numpy as np
 from ._special import erfc, erfcx, exp1, k0
 
-from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, Conventions, apply
-from .errors import InputError
-from .waveguide import TM, Geometry, ModeIndex, TransversePoint
+from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, apply
+from .waveguide import Geometry, ModeIndex, TransversePoint
 
 ORIENTATIONS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 
@@ -773,7 +771,7 @@ def _printed_sums(geom, p1, p2, z, mode_cap):
 
 
 # ---------------------------------------------------------------------------
-# cutoffs and profiles: one-mode views of the factor rows
+# cutoffs: one-mode views of the factor rows
 # ---------------------------------------------------------------------------
 
 def _cutoffs(geom: Geometry, m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -785,33 +783,6 @@ def _one_mode(geom: Geometry, mode: ModeIndex):
     """Index arrays m, n and cutoff array k of one mode."""
     m, n = np.array([mode.m]), np.array([mode.n])
     return m, n, _cutoffs(geom, m, n)
-
-
-def transverse_profile(geom: Geometry, mode: ModeIndex, k: float, p: TransversePoint,
-                       conventions: Conventions = Conventions()) -> np.ndarray:
-    """Cartesian components [E_x, E_y, E_z] of the transverse profile.
-
-    The profiles printed in :mod:`wgdisp.waveguide`, with the TE
-    normalization of ``conventions``.  TM components along x and y are
-    imaginary (proportional to i*k); TE profiles are real and independent
-    of k.  The TE components are the ``_te_rows`` entries at ``p``, times
-    sqrt(2) for a zero-index mode where :func:`wgdisp.conventions.apply`
-    takes its coupling twice; the TM ones scale the ``_tm_rows`` factors
-    by (2/sqrt(A)) (i k, i k, k_mn)/kappa.
-    """
-    if not geom.contains(p):
-        raise InputError(f"point ({p.x}, {p.y}) lies outside the cross-section")
-    m, n, kmn = _one_mode(geom, mode)
-    out = np.zeros(3, dtype=complex)
-    if mode.polarization == TM:
-        rows = _tm_rows(geom, m, n, kmn, p, p)[0:3, 0]
-        kappa = math.hypot(kmn[0], k)
-        out[:] = (2.0 / math.sqrt(geom.area)) * np.array(
-            [1j * k, 1j * k, kmn[0]]) / kappa * rows
-    else:
-        twice = conventions.printed[1] and mode.m * mode.n == 0
-        out[0:2] = _te_rows(geom, m, n, kmn, p, p)[0:2, 0] * (math.sqrt(2.0) if twice else 1.0)
-    return out
 
 
 def __getattr__(name):

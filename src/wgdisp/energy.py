@@ -68,6 +68,8 @@ class DipoleTransition:
             raise InputError("dipole vector must be three finite components")
         if not any(vec):
             raise InputError("dipole vector must be non-zero")
+        if not math.isfinite(self.d_squared):
+            raise InputError("dipole vector must be short enough that |d|^2 is finite")
 
     @property
     def wavelength(self) -> float:
@@ -79,7 +81,8 @@ class DipoleTransition:
 
     @cached_property
     def d_squared(self) -> float:
-        return float(np.dot(self.d_vec, self.d_vec))
+        with np.errstate(over="ignore"):  # inf: refused by __post_init__
+            return float(np.dot(self.d_vec, self.d_vec))
 
     def confinement_ratio(self, geom: Geometry) -> float:
         return min(self.wavelength / geom.a, self.wavelength / geom.b)
@@ -883,28 +886,21 @@ def _over_power(x: float, c: float, r: float, n: int) -> float:
 
 
 def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
-                    form: str = "isotropic", epsilon: float = 1.0) -> float:
-    """Free-space quasistatic (1/r^6) reference energy.
-
-    ``isotropic`` evaluates the orientation-averaged closed form;
-    ``tensor`` contracts the full near-field tensor (axis along z) with
-    the species' dipole second moments, which reproduces the isotropic
-    form under averaging and handles fixed vectors exactly.
+                    epsilon: float = 1.0) -> float:
+    """Free-space quasistatic (1/r^6) reference energy: the full near-field
+    tensor (axis along z) contracted with the species' dipole second
+    moments, which reproduces the orientation-averaged closed form
+    -sum |d1|^2 |d2|^2 / (E1 + E2) / (24 pi^2 epsilon^2 r^6) under averaging
+    and handles fixed vectors exactly.
     """
     if not (r > 0.0):
         raise InputError(f"separation must be positive, got {r!r}")
-    if form == "isotropic":
-        acc = sum(t1.d_squared * t2.d_squared / (t1.energy + t2.energy)
-                  for t1 in species1.transitions for t2 in species2.transitions)
-        return _over_power(-acc, 24.0 * math.pi ** 2 * epsilon ** 2, r, 6)
-    if form != "tensor":
-        raise InputError(f"form must be 'isotropic' or 'tensor', got {form!r}")
     return _vdw_tensor(species1, species2, [r], epsilon)[0]
 
 
 def _vdw_tensor(species1: DipoleSpecies, species2: DipoleSpecies, rs,
                 epsilon: float = 1.0) -> list[float]:
-    """:func:`u_freespace_vdw` in ``tensor`` form at each r of ``rs``, with
+    """:func:`u_freespace_vdw` at each r of ``rs``, with
     the near-field contraction, which r does not change, taken once."""
     sums = _level_pairs(species2.second_moments, species1.second_moments,
                         _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
@@ -936,8 +932,10 @@ def _cp_energies(species1: DipoleSpecies, species2: DipoleSpecies, rs,
                  epsilon: float = 1.0) -> list[float]:
     """:func:`u_freespace_cp` at each r of ``rs``, without its checks, with
     the level-pair sum, which r does not change, taken once."""
-    acc = sum(t1.d_squared * t2.d_squared / (t1.energy * t2.energy)
-              for t1 in species1.transitions for t2 in species2.transitions)
+    pairs = [(t1.d_squared * t2.d_squared, t1.energy * t2.energy)
+             for t1 in species1.transitions for t2 in species2.transitions]
+    # E1 E2 underflows to 0.0 for energies below about 1e-162: the term is then +inf.
+    acc = sum(d4 / e if e > 0.0 else math.inf for d4, e in pairs)
     return [_over_power(23.0 / (144.0 * math.pi ** 3) * acc, epsilon ** 2, r, 7) for r in rs]
 
 

@@ -50,8 +50,7 @@ from .coupling import ORIENTATIONS, _gauss_legendre, _one_mode, _te_rows, _tm_ro
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError
-from .quadrature import (QuadratureSpec, _certified, _closed_forms, _mode_cases, _quadratures,
-                         _ray_rule)
+from .quadrature import _certified, _closed_forms, _mode_cases, _quadratures, _ray_rule
 from .waveguide import TE, ModeIndex
 
 TWO_PI = 2.0 * math.pi
@@ -399,11 +398,9 @@ def weighted_reference_energy(config: PairConfiguration,
     Each mode's tensor is one batch of integrals; an uncertified one raises
     its QuadratureError.
     """
-    spec = QuadratureSpec(rel_tol=1e-9)
-
     def quadrature(mode: ModeIndex, energy: float) -> np.ndarray:
         cases = _mode_cases(config.geom, mode, config.p1, config.p2, config.z, ORIENTATIONS)
-        return _certified(*_quadratures(config.geom, cases, [energy] * 9, [spec],
+        return _certified(*_quadratures(config.geom, cases, [energy] * 9, ["branch-cut-rotated"],
                                         config.conventions)).reshape(3, 3)
 
     return _mode_set_energy(config, modes, quadrature)

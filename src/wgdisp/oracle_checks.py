@@ -33,7 +33,7 @@ from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
 from .errors import InputError
 from .fourth_order import (closed_form_reference_energy, fourth_order_oracle,
                            weighted_reference_energy)
-from .quadrature import QuadratureSpec, _case_batch, _Cases, _closed_forms, _quadratures
+from .quadrature import _REL_TOL, _case_batch, _Cases, _closed_forms, _quadratures
 from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint, cutoff_wavenumber
 
 _TM_COMPONENTS = ("zz", "xx", "yy", "xy", "xz", "yz")
@@ -70,6 +70,8 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
                       cases: int = 20) -> tuple[str, bool]:
     if cases < 1:
         raise InputError(f"cases must be at least 1, got {cases}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     geom = Geometry(1.0, 1.0)
     conv = Conventions.from_name(convention)
@@ -89,12 +91,11 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
     # 1. closed form vs quadrature, both schemes ------------------------------
     # An uncertified branch-cut value fails the closed forms, an
     # uncertified real-axis value the scheme agreement.
-    specs = (QuadratureSpec(scheme="branch-cut-rotated"),
-             QuadratureSpec(scheme="real-axis-subtracted"))
+    schemes = ("branch-cut-rotated", "real-axis-subtracted")
     e_test = 2.0 * math.pi / 100.0
     drawn = _draw_cases(rng, geom, cases)
     values, errors, uncertified = _quadratures(geom, drawn, np.where(drawn.te, e_test, 0.0),
-                                               specs, conv)
+                                               schemes, conv)
     closed = _closed_forms(geom, drawn, e_test, conv)
     oracle, other = values
     live = ~uncertified[0] & (oracle != 0.0)  # zero or uncertified: no relative deviation
@@ -106,17 +107,17 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
         return float(np.max(np.abs(compared[mask] - oracle[mask]) / np.abs(oracle[mask]),
                             initial=0.0))
 
-    for family, spec, bad, error, dev, threshold in zip(
-            ("closed-vs-quadrature", "scheme-agreement"), specs, uncertified, errors,
+    for family, scheme, bad, error, dev, threshold in zip(
+            ("closed-vs-quadrature", "scheme-agreement"), schemes, uncertified, errors,
             (worst(closed, live & ~printed), worst(other, live & ~uncertified[1])),
-            (1e-6, 10.0 * specs[0].rel_tol)):
+            (1e-6, 10.0 * _REL_TOL)):
         note = ""
         if bad.any():  # the first uncertified case in draw order
             c = int(np.argmax(bad))
             mode = ModeIndex(TE if drawn.te[c] else TM, int(drawn.m[c]), int(drawn.n[c]))
             comp = ORIENTATIONS[3 * drawn.i[c] + drawn.j[c]]
             note = (f"(uncertified quadrature: {mode.label()} {comp} z={drawn.z[c]:.6g} "
-                    f"scheme={spec.scheme} achieved error {error[c]:.4e})")
+                    f"scheme={scheme} achieved error {error[c]:.4e})")
         record(family, dev, threshold, note, certified=not bad.any())
     if printed.any():
         lines.append(f"[sign-convention] expected-mismatch of printed "
@@ -154,7 +155,7 @@ def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",
               abs(z3 * ft.tensor[0, 0] + 0.5),
               abs(z3 * ft.tensor[1, 1] + 0.5))
     record("free-space-recovery/components", dev, 0.02)
-    u_fs = u_freespace_vdw(iso, iso, z_small, form="tensor")
+    u_fs = u_freespace_vdw(iso, iso, z_small)
     record("free-space-recovery/energy", abs(breakdown.total / u_fs - 1.0), 0.02)
 
     lines.append(f"overall: {'PASS' if overall_ok else 'FAIL'}")

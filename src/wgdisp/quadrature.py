@@ -12,12 +12,13 @@ oracle the closed forms are validated against; ``f_quadrature`` is its
 one-case call.  Two independent regularization routes are provided:
 ``real-axis-subtracted`` (the Fourier integral of the decaying remainder)
 and ``branch-cut-rotated`` (a rotated, manifestly decaying contour), each
-by double-exponential rules.  One call takes any number of specs: the
+by double-exponential rules.  One call takes any number of schemes: the
 kernel classes, distinct (u_e, zeta) and prefactors are built once, and
-each spec takes one numpy pass per kernel class and block of cases.  An
+each scheme takes one numpy pass per kernel class and block of cases.  An
 integral's error is the difference between the rules at steps h and 2h
-plus a rounding floor; no term of it comes from a closed form the oracle
-validates.
+plus a rounding floor; a value is certified when that error is within the
+one relative tolerance ``_REL_TOL``, and no term of it comes from a closed
+form the oracle validates.
 
 Only ``coupling --check-quadrature``, ``oracle-check`` and the
 fourth-order oracle import this module.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,36 +44,15 @@ _AXES = {"x": 0, "y": 1, "z": 2}
 SCHEMES = ("real-axis-subtracted", "branch-cut-rotated")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Scheme and accuracy controls for the wavenumber-integral oracle.
-
-    Both schemes sum double-exponential rules at a fixed step and at twice
-    it; the reported error is their difference plus a rounding floor of a
-    few ulps of the sum of the terms' magnitudes.  The kernel integrals are
-    exponentially small against an order-one integrand, so that floor grows
-    like exp(zeta) times machine epsilon for zeta = k_mn z: certifying
-    rel_tol = 1e-9 is possible up to zeta ~ 9 on the real axis and ~ 15 on
-    the rotated ray; beyond that pick a looser tolerance or expect a
-    QuadratureError carrying the best estimate.
-    """
-
-    scheme: str = "branch-cut-rotated"
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise InputError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise InputError(f"rel_tol must lie in (0, 1e-3], got {self.rel_tol!r}")
-
-
-@dataclass(frozen=True)
-class CouplingValue:
-    value: float
-    mode: ModeIndex
-    orientation: str
-    method: str
+# The relative tolerance the oracle certifies.  Both schemes sum
+# double-exponential rules at a fixed step and at twice it; the reported
+# error is their difference plus a rounding floor of a few ulps of the sum of
+# the terms' magnitudes.  The kernel integrals are exponentially small against
+# an order-one integrand, so that floor grows like exp(zeta) times machine
+# epsilon for zeta = k_mn z: 1e-9 is certified up to zeta ~ 9 on the real
+# axis and ~ 15 on the rotated ray; beyond that a QuadratureError carries the
+# best estimate.
+_REL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +121,17 @@ def _closed_forms(geom: Geometry, cases: _Cases, energy: float,
 
 def f_tm_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
                 p2: TransversePoint, z: float,
-                conventions: Conventions = Conventions()) -> CouplingValue:
+                conventions: Conventions = Conventions()) -> float:
     """Closed-form TM coupling; index order is (i at p2, j at p1)."""
     cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     if mode.polarization != TM:
         raise InputError(f"f_tm_closed requires a TM mode, got {mode.label()}")
-    value = _closed_forms(geom, cases, 0.0, conventions)[0]
-    return CouplingValue(float(value), mode, orient, "closed-form")
+    return float(_closed_forms(geom, cases, 0.0, conventions)[0])
 
 
 def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
                 p2: TransversePoint, z: float, energy: float,
-                conventions: Conventions = Conventions()) -> CouplingValue:
+                conventions: Conventions = Conventions()) -> float:
     """Closed-form TE coupling E_i(p2) E_j(p1) * C * energy * K0(k_mn z).
 
     Orientations involving z return exactly 0 (no longitudinal TE
@@ -170,8 +148,7 @@ def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
         warnings.warn(f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
                       f"{mode.label()}; the closed form drops O(u_e^2) corrections",
                       TightConfinementWarning, stacklevel=2)
-    value = _closed_forms(geom, cases, energy, conventions)[0]
-    return CouplingValue(float(value), mode, orient, "closed-form")
+    return float(_closed_forms(geom, cases, energy, conventions)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +316,19 @@ _TM_KIND = np.array([[3, 3, 2], [3, 3, 2], [2, 2, 1]])
 _KERNEL_SIGN = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
 
 
-def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
+def _quadratures(geom: Geometry, cases: _Cases, energies, schemes,
                  conventions: Conventions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wavenumber integrals of a batch of cases under each of ``specs``:
-    arrays of values, errors and uncertified flags (the values that miss their
-    spec's rel_tol), shape (len(specs), number of cases).  ``energies[c]`` is
+    """Wavenumber integrals of a batch of cases under each of ``schemes``:
+    arrays of values, errors and uncertified flags (the values that miss
+    _REL_TOL), shape (len(schemes), number of cases).  ``energies[c]`` is
     case c's transition energy, 0.0 for the integrand without the weight
     omega/(omega + E).  The kernel classes, each class's distinct (u_e, zeta)
     in order of first use (a TE draw's components share theirs) and the
-    prefactors are built once; each spec takes one :func:`_kernel_integrals`
+    prefactors are built once; each scheme takes one :func:`_kernel_integrals`
     call per class.  Of ``conventions`` only the TE normalization applies."""
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise InputError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     te, m, n, k, p1, p2, z, i, j = cases
     energies = np.asarray(energies, dtype=float)
     weighted = energies > 0.0
@@ -369,12 +349,12 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
         tm = _tm_rows(geom, m, n, k, p1, p2)
         pref = np.where(te, pref, (4.0 / geom.area) * k * tm[i, cols] * tm[3 + j, cols])
     pref *= _KERNEL_SIGN[i, j]  # exact: the kernel's sign moved onto its factor
-    kernel = np.zeros((2, len(specs), code.size))  # values and errors per distinct case
-    for s, spec in enumerate(specs):
+    kernel = np.zeros((2, len(schemes), code.size))  # values and errors per distinct case
+    for s, scheme in enumerate(schemes):
         for c, at in members.items():
             kernel[:, s, at] = _kernel_integrals(_KINDS[int(c) // 2], c % 2 == 1, u_e[at],
-                                                 zeta[at], spec.scheme)
-    value, error = np.zeros((2, len(specs), k.size))
+                                                 zeta[at], scheme)
+    value, error = np.zeros((2, len(schemes), k.size))
     value[:, live], error[:, live] = kernel[:, :, slot]
     # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
     # into 0.0, as the closed forms give, and leaves every other value as it is.
@@ -384,13 +364,13 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, specs,
         both = np.array([value, error])
         value, error = apply(conventions, None, both, zero=np.where(
             te & ((m == 0) | (n == 0)), both, 0.0), oracle=True)[1]
-    tol = np.array([[spec.rel_tol] for spec in specs])
     # A zero prefactor legitimately produces value == error == 0.
-    return value, error, (error != 0.0) & (error > tol * np.maximum(np.abs(value), 1e-280 / tol))
+    return value, error, (error != 0.0) & (
+        error > _REL_TOL * np.maximum(np.abs(value), 1e-280 / _REL_TOL))
 
 
 def _certified(values: np.ndarray, errors: np.ndarray, uncertified: np.ndarray) -> np.ndarray:
-    """The values of a one-spec :func:`_quadratures` call, or the
+    """The values of a one-scheme :func:`_quadratures` call, or the
     QuadratureError of its first uncertified one."""
     if uncertified.any():
         c = int(np.argmax(uncertified[0]))
@@ -400,23 +380,21 @@ def _certified(values: np.ndarray, errors: np.ndarray, uncertified: np.ndarray) 
 
 
 def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoint,
-                 p2: TransversePoint, z: float, energy: float = 0.0,
-                 include_energy_factor: bool = False, spec: QuadratureSpec | None = None,
-                 conventions: Conventions = Conventions()) -> CouplingValue:
+                 p2: TransversePoint, z: float, energy: float | None = None,
+                 scheme: str = "branch-cut-rotated",
+                 conventions: Conventions = Conventions()) -> float:
     """Numerical oracle for the per-mode coupling wavenumber integral.
 
-    With ``include_energy_factor`` the integrand carries the weight
-    omega/(omega + energy); without it the weight is 1 (for TE modes the
+    With a transition ``energy`` (positive) the integrand carries the weight
+    omega/(omega + energy); with None the weight is 1 (for TE modes the
     unweighted integral is a delta supported at z = 0, hence exactly 0
     for z > 0).  Non-decaying integrand parts are regularized according
-    to ``spec.scheme``; for TE modes the kernels keep the leading
+    to ``scheme``; for TE modes the kernels keep the leading
     tight-confinement order, matching the closed-form pipeline.  Of
     ``conventions`` only the TE normalization applies.
     """
     cases = _mode_cases(geom, mode, p1, p2, z, [orient])
-    spec = spec or QuadratureSpec()
-    if include_energy_factor and not (energy > 0.0):
-        raise InputError("include_energy_factor requires a positive energy")
-    value = _certified(*_quadratures(geom, cases, [energy if include_energy_factor else 0.0],
-                                     [spec], conventions))[0]
-    return CouplingValue(float(value), mode, orient, "quadrature")
+    if energy is not None and not (energy > 0.0):
+        raise InputError(f"transition energy must be positive, got {energy!r}")
+    return float(_certified(*_quadratures(geom, cases, [energy or 0.0], [scheme],
+                                          conventions))[0])

@@ -20,10 +20,10 @@ with A = a*b.  TE profiles do not depend on k.  N = 1/sqrt(2) whenever m
 or n is zero ("unit-normalized", the default) makes the cross-section
 integral of |E|^2 exactly 1 for every mode; N = 1 reproduces the printed
 profiles ("paper-literal"), whose zero-index TE modes integrate to 2.  The
-per-mode factor rows every coupling is built from are unit-normalized;
+per-mode factor rows every coupling is built from are unit-normalized
+(``wgdisp.coupling._tm_rows`` and ``_te_rows``);
 :func:`wgdisp.conventions.apply` takes a zero-index TE coupling twice for
-the printed profiles, and :func:`wgdisp.coupling.transverse_profile`
-evaluates either profile from those rows.
+the printed profiles.
 
 Everything here works in natural units hbar = c = 1 with lengths in
 units of your choice; the default geometry uses a = 1.
@@ -162,7 +162,8 @@ def mode_arrays(geom: Geometry, max_cutoff: float):
     # Per row m, the counts of the n from 0 on that can hold k <= limit,
     # padded by one index against rounding; the exact test below decides.
     m = np.arange(0, int(limit * geom.a / math.pi) + 2)
-    kx2 = (m * np.pi / geom.a) ** 2
+    with np.errstate(over="ignore"):  # inf: that row holds no mode
+        kx2 = (m * np.pi / geom.a) ** 2
     counts = (np.sqrt(np.maximum(limit * limit - kx2, 0.0)) * (geom.b / np.pi)).astype(int) + 2
     mm = np.repeat(m, counts)
     nn = np.arange(mm.size) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -5,9 +5,37 @@ import math
 import numpy as np
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import _split_cutoff, transverse_profile
+from wgdisp.coupling import _cutoffs, _split_cutoff, _te_rows, _tm_rows
 from wgdisp.energy import ModeTable, quadratic_contraction
-from wgdisp.waveguide import ModeIndex, TransversePoint
+from wgdisp.errors import InputError
+from wgdisp.waveguide import TM, ModeIndex, TransversePoint
+
+
+def mode_profile(geom, mode, k, p, conventions=Conventions()):
+    """Cartesian components [E_x, E_y, E_z] of the transverse profile.
+
+    The profiles printed in :mod:`wgdisp.waveguide`, with the TE
+    normalization of ``conventions``, built from the coupling factor rows.
+    TM components along x and y are imaginary (proportional to i*k); TE
+    profiles are real and independent of k.  The TE components are the
+    ``_te_rows`` entries at ``p``, times sqrt(2) for a zero-index mode where
+    :func:`wgdisp.conventions.apply` takes its coupling twice; the TM ones
+    scale the ``_tm_rows`` factors by (2/sqrt(A)) (i k, i k, k_mn)/kappa.
+    """
+    if not geom.contains(p):
+        raise InputError(f"point ({p.x}, {p.y}) lies outside the cross-section")
+    m, n = np.array([mode.m]), np.array([mode.n])
+    kmn = _cutoffs(geom, m, n)
+    out = np.zeros(3, dtype=complex)
+    if mode.polarization == TM:
+        rows = _tm_rows(geom, m, n, kmn, p, p)[0:3, 0]
+        kappa = math.hypot(kmn[0], k)
+        out[:] = (2.0 / math.sqrt(geom.area)) * np.array(
+            [1j * k, 1j * k, kmn[0]]) / kappa * rows
+    else:
+        twice = conventions.printed[1] and mode.m * mode.n == 0
+        out[0:2] = _te_rows(geom, m, n, kmn, p, p)[0:2, 0] * (math.sqrt(2.0) if twice else 1.0)
+    return out
 
 
 def profile_norm(geom, mode, k, convention="unit-normalized"):
@@ -20,7 +48,7 @@ def profile_norm(geom, mode, k, convention="unit-normalized"):
     points = 8
     xs = (np.arange(points) + 0.5) * geom.a / points
     ys = (np.arange(points) + 0.5) * geom.b / points
-    total = sum(np.sum(np.abs(transverse_profile(
+    total = sum(np.sum(np.abs(mode_profile(
         geom, mode, k, TransversePoint(x, y), Conventions(normalization=convention))) ** 2)
         for x in xs for y in ys)
     return float(total) * geom.area / points ** 2

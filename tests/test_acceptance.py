@@ -30,7 +30,7 @@ from wgdisp.energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
                            f_tensor, ratio_to_freespace, u_freespace_vdw)
 from wgdisp.fourth_order import (closed_form_reference_energy,
                                  fourth_order_oracle, weighted_reference_energy)
-from wgdisp.quadrature import QuadratureSpec, f_quadrature, f_te_closed, f_tm_closed
+from wgdisp.quadrature import _REL_TOL, f_quadrature, f_te_closed, f_tm_closed
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,8 +79,7 @@ def test_criterion_1_mode_normalization():
 
 def test_criterion_2_closed_vs_quadrature():
     rng = np.random.default_rng(20260808)
-    spec_bc = QuadratureSpec(scheme="branch-cut-rotated")
-    spec_ra = QuadratureSpec(scheme="real-axis-subtracted")
+    spec_bc, spec_ra = "branch-cut-rotated", "real-axis-subtracted"
     worst_closed = 0.0
     worst_scheme = 0.0
     for comp in ("zz", "xx", "yy", "xy", "xz", "yz"):
@@ -91,9 +90,9 @@ def test_criterion_2_closed_vs_quadrature():
             p1 = TransversePoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             p2 = TransversePoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
             z = rng.uniform(0.5, 8.0) / kmn
-            closed = f_tm_closed(SQ, mode, comp, p1, p2, z).value
-            oracle = f_quadrature(SQ, mode, comp, p1, p2, z, spec=spec_bc).value
-            other = f_quadrature(SQ, mode, comp, p1, p2, z, spec=spec_ra).value
+            closed = f_tm_closed(SQ, mode, comp, p1, p2, z)
+            oracle = f_quadrature(SQ, mode, comp, p1, p2, z, scheme=spec_bc)
+            other = f_quadrature(SQ, mode, comp, p1, p2, z, scheme=spec_ra)
             if oracle != 0.0:
                 worst_closed = max(worst_closed, abs(closed - oracle) / abs(oracle))
                 worst_scheme = max(worst_scheme, abs(other - oracle) / abs(oracle))
@@ -105,15 +104,13 @@ def test_criterion_2_closed_vs_quadrature():
         p2 = TransversePoint(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
         z = rng.uniform(0.5, 8.0) / kmn
         for comp in ("xx", "xy", "yx", "yy"):
-            closed = f_te_closed(SQ, mode, comp, p1, p2, z, E100).value
-            oracle = f_quadrature(SQ, mode, comp, p1, p2, z, energy=E100,
-                                  include_energy_factor=True, spec=spec_bc).value
-            other = f_quadrature(SQ, mode, comp, p1, p2, z, energy=E100,
-                                 include_energy_factor=True, spec=spec_ra).value
+            closed = f_te_closed(SQ, mode, comp, p1, p2, z, E100)
+            oracle = f_quadrature(SQ, mode, comp, p1, p2, z, energy=E100, scheme=spec_bc)
+            other = f_quadrature(SQ, mode, comp, p1, p2, z, energy=E100, scheme=spec_ra)
             if oracle != 0.0:
                 worst_closed = max(worst_closed, abs(closed - oracle) / abs(oracle))
                 worst_scheme = max(worst_scheme, abs(other - oracle) / abs(oracle))
-    ok = worst_closed <= 1e-6 and worst_scheme <= 10.0 * spec_bc.rel_tol
+    ok = worst_closed <= 1e-6 and worst_scheme <= 10.0 * _REL_TOL
     line = _report("2", ok, f"closed-vs-quadrature dev {worst_closed:.2e} "
                             f"(<=1e-6); scheme agreement {worst_scheme:.2e} "
                             f"(<=1e-8)")
@@ -143,12 +140,12 @@ def test_criterion_4_free_space_recovery():
     dev_xx = abs(z3 * ft.tensor[0, 0] + 0.5)
     off = np.abs(ft.tensor - np.diag(np.diag(ft.tensor))).max() * z3
     u = dispersion_energy(cfg, tail_tol=1e-4).total
-    u_fs = u_freespace_vdw(ISO, ISO, z, form="tensor")
+    u_fs = u_freespace_vdw(ISO, ISO, z)
     dev_u = abs(u / u_fs - 1.0)
     sp1 = DipoleSpecies.single(E100, (0.3, -0.2, 0.8), "fixed-vector")
     sp2 = DipoleSpecies.single(1.3 * E100, (-0.5, 0.1, 0.4), "fixed-vector")
     machine = abs(near_field_energy(sp1, sp2, 0.37)
-                  / u_freespace_vdw(sp1, sp2, 0.37, form="tensor") - 1.0)
+                  / u_freespace_vdw(sp1, sp2, 0.37) - 1.0)
     ok = (dev_zz <= 0.02 and dev_xx <= 0.01 and off <= 1e-3
           and dev_u <= 0.02 and machine <= 1e-14)
     line = _report("4", ok,

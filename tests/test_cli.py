@@ -106,6 +106,13 @@ class TestModes:
             f"error: the cutoff needs ~{waveguide.mode_count(waveguide.Geometry(), 1e5)} "
             f"modes, exceeding the hard cap of {waveguide.MODE_CAP};")
 
+    def test_tiny_guide_lists_without_warnings(self):
+        # (pi / a)^2 overflows to inf for a = 1e-300: that row holds no mode.
+        res = run_cli("modes", "--max-cutoff", "10", "--a", "1e-300")
+        assert (res.returncode, res.stderr) == (0, "")
+        rows = [line.split(",")[:3] for line in res.stdout.splitlines()[1:]]
+        assert rows == [["TE", "0", str(n)] for n in (1, 2, 3)]
+
     def test_infinite_cutoff_exit_2(self):
         res = run_cli("modes", "--max-cutoff", "inf")
         assert res.returncode == 2
@@ -135,6 +142,37 @@ class TestEnergy:
         res = run_cli("energy", "--z", "0.5", "--species1", str(bad))
         assert res.returncode == 3
         assert ":1:" in res.stderr
+
+    def test_dipole_with_overflowing_square_exit_3(self, tmp_path):
+        # |d|^2 of (1e300, 0, 1) passes the largest double.
+        bad = tmp_path / "bad.txt"
+        bad.write_text("E=0.06 d=(1e300,0,1)\n")
+        res = run_cli("energy", "--z", "1", "--species1", str(bad))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr == (f"error: {bad}:1: dipole vector must be short enough "
+                              f"that |d|^2 is finite\n")
+
+    @pytest.mark.parametrize("command", [["energy", "--z", "1"],
+                                         ["sweep", "--z-min", "0.5", "--z-max", "1",
+                                          "--points", "2"]])
+    def test_energy_product_underflow_gives_infinite_cp(self, tmp_path, command):
+        # E1 E2 = 1e-600 underflows to 0.0: the retarded reference is +inf,
+        # named by the warning a tiny separation gets.
+        tiny = tmp_path / "tiny.txt"
+        tiny.write_text("E=1e-300 d=(0,0,1)\n")
+        res = run_cli(*command, "--species1", str(tiny))
+        assert res.returncode == 0
+        zs = ["1"] if command[0] == "energy" else ["0.5", "1"]
+        warned = [f"freespace_cp is not finite at z={z}: inf, its terms pass the "
+                  f"largest double" for z in zs]
+        if command[0] == "energy":
+            assert res.stderr == ""
+            report = json.loads(res.stdout)
+            assert report["freespace_cp"] == math.inf
+            assert report["warnings"] == warned
+        else:
+            assert res.stderr.splitlines() == [f"warning: {w}" for w in warned]
+            assert [line.split(",")[3] for line in res.stdout.splitlines()[1:]] == ["inf"] * 2
 
     def test_missing_species_file_exit_3(self):
         res = run_cli("energy", "--z", "0.5", "--species1", "/nonexistent.txt")
@@ -1109,13 +1147,13 @@ def _uncertify_tm22_yz(monkeypatch, schemes):
     real = oracle_checks._quadratures
     named = []
 
-    def quadratures(geom, cases, energies, specs, normalization):
-        values, errors, uncertified = real(geom, cases, energies, specs, normalization)
+    def quadratures(geom, cases, energies, batch_schemes, normalization):
+        values, errors, uncertified = real(geom, cases, energies, batch_schemes, normalization)
         hits = np.flatnonzero(~cases.te & (cases.m == 2) & (cases.n == 2)
                               & (cases.i == 1) & (cases.j == 2))
-        for s, spec in enumerate(specs):
-            if spec.scheme in schemes and hits.size:
-                named.append(f"TM22 yz z={cases.z[hits[0]]:.6g} scheme={spec.scheme}")
+        for s, scheme in enumerate(batch_schemes):
+            if scheme in schemes and hits.size:
+                named.append(f"TM22 yz z={cases.z[hits[0]]:.6g} scheme={scheme}")
                 values[s, hits], errors[s, hits], uncertified[s, hits] = 0.5, 0.25, True
         return values, errors, uncertified
 
@@ -1243,6 +1281,11 @@ class TestOracleCheck:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == f"error: cases must be at least 1, got {cases}\n"
+
+    def test_negative_seed_exit_2(self):
+        res = run_cli("oracle-check", "--seed", "-1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: seed must be non-negative, got -1\n"
 
     def test_paper_literal_informational(self):
         res = run_cli("oracle-check", "--seed", "7", "--cases", "4",

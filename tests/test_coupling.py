@@ -15,7 +15,7 @@ from wgdisp.conventions import Conventions
 from wgdisp.coupling import ORIENTATIONS
 from wgdisp.energy import ModeTable
 from wgdisp.errors import InputError, QuadratureError, TightConfinementWarning
-from wgdisp.quadrature import (_CASE_NODES, SCHEMES, QuadratureSpec, _case_batch, _closed_forms,
+from wgdisp.quadrature import (_CASE_NODES, _REL_TOL, SCHEMES, _case_batch, _closed_forms,
                                _kernel_integrals, _quadratures, f_quadrature, f_te_closed,
                                f_tm_closed)
 from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
@@ -64,18 +64,18 @@ def _rand_point(rng, geom):
 class TestTmClosed:
     def test_zz_center_value(self):
         v = f_tm_closed(SQ, TM11, "zz", CENTER, CENTER, 1.0)
-        assert v.value == pytest.approx(TM11_ZZ_CENTER_Z1, rel=1e-14)
+        assert v == pytest.approx(TM11_ZZ_CENTER_Z1, rel=1e-14)
 
     def test_zz_vanishes_on_wall(self):
         p = TransversePoint(0.0, 0.3)
-        assert f_tm_closed(SQ, ModeIndex("TM", 2, 3), "zz", p, p, 0.7).value == 0.0
+        assert f_tm_closed(SQ, ModeIndex("TM", 2, 3), "zz", p, p, 0.7) == 0.0
 
     def test_xy_vanishes_at_center(self):
         # cos(pi/2) is ~6e-17 in floating point, not exactly zero.
-        assert abs(f_tm_closed(SQ, TM11, "xy", CENTER, CENTER, 1.0).value) < 1e-30
+        assert abs(f_tm_closed(SQ, TM11, "xy", CENTER, CENTER, 1.0)) < 1e-30
 
     def test_xx_vanishes_at_center(self):
-        assert abs(f_tm_closed(SQ, TM11, "xx", CENTER, CENTER, 1.0).value) < 1e-30
+        assert abs(f_tm_closed(SQ, TM11, "xx", CENTER, CENTER, 1.0)) < 1e-30
 
     def test_rejects_nonpositive_z(self):
         with pytest.raises(InputError):
@@ -89,7 +89,7 @@ class TestTmClosed:
         p = TransversePoint(0.2, 0.3)
         oracle = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions())
         lit = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions(tm_sign="paper-literal"))
-        assert lit.value == pytest.approx(-oracle.value, rel=1e-14)
+        assert lit == pytest.approx(-oracle, rel=1e-14)
 
     def test_paper_literal_xy_prefactor(self):
         # Printed double-angle form for coincident points.
@@ -99,7 +99,7 @@ class TestTmClosed:
         expected = -(math.pi ** 2 / (2.0 * kmn)) \
             * math.sin(2 * 2 * math.pi * p.x) * math.sin(2 * math.pi * p.y) \
             * math.exp(-kmn * 0.6)
-        got = f_tm_closed(SQ, mode, "xy", p, p, 0.6, Conventions(tm_sign="paper-literal")).value
+        got = f_tm_closed(SQ, mode, "xy", p, p, 0.6, Conventions(tm_sign="paper-literal"))
         assert got == pytest.approx(expected, rel=1e-12)
 
     @given(z1=st.floats(0.2, 1.0), dz=st.floats(0.1, 1.0),
@@ -110,8 +110,8 @@ class TestTmClosed:
         kmn = math.hypot(m * math.pi, n * math.pi)
         p = TransversePoint(0.3, 0.8)
         q = TransversePoint(0.6, 0.2)
-        f1 = f_tm_closed(SQ, mode, "zz", p, q, z1).value
-        f2 = f_tm_closed(SQ, mode, "zz", p, q, z1 + dz).value
+        f1 = f_tm_closed(SQ, mode, "zz", p, q, z1)
+        f2 = f_tm_closed(SQ, mode, "zz", p, q, z1 + dz)
         assert math.log(abs(f2)) - math.log(abs(f1)) \
             == pytest.approx(-kmn * dz, abs=1e-9)
 
@@ -132,30 +132,30 @@ class TestTmClosed:
         for o12, o21, sign in (("xy", "yx", 1.0), ("xx", "xx", 1.0),
                                ("zz", "zz", 1.0), ("xz", "zx", -1.0),
                                ("yz", "zy", -1.0)):
-            a = f_tm_closed(SQ, mode, o12, p1, p2, z).value
-            b = f_tm_closed(SQ, mode, o21, p2, p1, z).value
+            a = f_tm_closed(SQ, mode, o12, p1, p2, z)
+            b = f_tm_closed(SQ, mode, o21, p2, p1, z)
             assert a == pytest.approx(sign * b, rel=1e-12, abs=1e-15)
 
 
 class TestTeClosed:
     def test_te10_xx_is_zero(self):
         v = f_te_closed(SQ, TE10, "xx", CENTER, CENTER, 1.0, 0.01)
-        assert v.value == 0.0
+        assert v == 0.0
 
     def test_axial_orientations_zero(self):
         for orient in ("xz", "zx", "zy", "zz"):
             v = f_te_closed(SQ, TE10, orient, CENTER, CENTER, 1.0, 0.01)
-            assert v.value == 0.0
+            assert v == 0.0
 
     def test_yy_paper_literal_value(self):
         v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01,
                         Conventions(te_factor="paper-literal", normalization="paper-literal"))
-        assert v.value == pytest.approx(TE10_YY_PAPER, rel=1e-12)
+        assert v == pytest.approx(TE10_YY_PAPER, rel=1e-12)
 
     def test_yy_derivation_consistent_value(self):
         v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01,
                         Conventions(normalization="paper-literal"))
-        assert v.value == pytest.approx(TE10_YY_DERIVATION, rel=1e-12)
+        assert v == pytest.approx(TE10_YY_DERIVATION, rel=1e-12)
 
     def test_warns_outside_tight_confinement(self):
         with pytest.warns(TightConfinementWarning):
@@ -192,9 +192,9 @@ class TestOneModeViews:
             for orient in ORIENTATIONS:
                 want = tensor["xyz".index(orient[0]), "xyz".index(orient[1])]
                 if mode.polarization == "TM":
-                    got = f_tm_closed(geom, mode, orient, p1, p2, z, conv).value
+                    got = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
                 else:
-                    got = f_te_closed(geom, mode, orient, p1, p2, z, energy, conv).value
+                    got = f_te_closed(geom, mode, orient, p1, p2, z, energy, conv)
                 assert np.float64(got).tobytes() == want.tobytes(), (mode, orient)
 
     @pytest.mark.parametrize("mode, orient, z, convention, value",
@@ -206,16 +206,15 @@ class TestOneModeViews:
         conv = Conventions.from_name(convention)
         mode = ModeIndex(*mode)
         if mode.polarization == "TM":
-            got = f_tm_closed(geom, mode, orient, p1, p2, z, conv).value
+            got = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
         else:
-            got = f_te_closed(geom, mode, orient, p1, p2, z, 0.0628, conv).value
+            got = f_te_closed(geom, mode, orient, p1, p2, z, 0.0628, conv)
         assert got == pytest.approx(value, rel=CLOSED_FORM_TOL, abs=0.0)
 
 
 class TestQuadratureOracle:
     def test_tm_closed_matches_quadrature_randomized(self):
         rng = np.random.default_rng(2024)
-        spec = QuadratureSpec()
         worst = 0.0
         for comp in ("zz", "xx", "yy", "xy", "xz", "yz"):
             for _ in range(20):
@@ -224,15 +223,14 @@ class TestQuadratureOracle:
                 kmn = math.hypot(m * math.pi, n * math.pi)
                 p1, p2 = _rand_point(rng, SQ), _rand_point(rng, SQ)
                 z = rng.uniform(0.5, 8.0) / kmn
-                cl = f_tm_closed(SQ, mode, comp, p1, p2, z).value
-                qd = f_quadrature(SQ, mode, comp, p1, p2, z, spec=spec).value
+                cl = f_tm_closed(SQ, mode, comp, p1, p2, z)
+                qd = f_quadrature(SQ, mode, comp, p1, p2, z)
                 if qd != 0.0:
                     worst = max(worst, abs(cl - qd) / abs(qd))
         assert worst <= 1e-6
 
     def test_te_closed_matches_quadrature_randomized(self):
         rng = np.random.default_rng(2025)
-        spec = QuadratureSpec()
         energy = 2.0 * math.pi / 100.0
         worst = 0.0
         for _ in range(20):
@@ -242,17 +240,15 @@ class TestQuadratureOracle:
             p1, p2 = _rand_point(rng, SQ), _rand_point(rng, SQ)
             z = rng.uniform(0.5, 8.0) / kmn
             for comp in ("xx", "xy", "yx", "yy"):
-                cl = f_te_closed(SQ, mode, comp, p1, p2, z, energy).value
-                qd = f_quadrature(SQ, mode, comp, p1, p2, z, energy=energy,
-                                  include_energy_factor=True, spec=spec).value
+                cl = f_te_closed(SQ, mode, comp, p1, p2, z, energy)
+                qd = f_quadrature(SQ, mode, comp, p1, p2, z, energy=energy)
                 if qd != 0.0:
                     worst = max(worst, abs(cl - qd) / abs(qd))
         assert worst <= 1e-6
 
     def test_schemes_agree(self):
         rng = np.random.default_rng(11)
-        bc = QuadratureSpec(scheme="branch-cut-rotated")
-        ra = QuadratureSpec(scheme="real-axis-subtracted")
+        bc, ra = "branch-cut-rotated", "real-axis-subtracted"
         worst = 0.0
         for _ in range(10):
             m, n = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -261,15 +257,15 @@ class TestQuadratureOracle:
             p1, p2 = _rand_point(rng, SQ), _rand_point(rng, SQ)
             z = rng.uniform(0.5, 7.0) / kmn
             for comp in ("zz", "xx", "xz"):
-                a = f_quadrature(SQ, mode, comp, p1, p2, z, spec=bc).value
-                b = f_quadrature(SQ, mode, comp, p1, p2, z, spec=ra).value
+                a = f_quadrature(SQ, mode, comp, p1, p2, z, scheme=bc)
+                b = f_quadrature(SQ, mode, comp, p1, p2, z, scheme=ra)
                 if b != 0.0:
                     worst = max(worst, abs(a - b) / abs(b))
-        assert worst <= 10.0 * bc.rel_tol
+        assert worst <= 10.0 * _REL_TOL
 
     def test_te_no_weight_is_exactly_zero(self):
         v = f_quadrature(SQ, TE10, "yy", CENTER, CENTER, 0.7)
-        assert v.value == 0.0
+        assert v == 0.0
 
     def test_uncertifiable_tolerance_raises_with_best_estimate(self):
         # Far down the exponential tail the cancellation floor of double
@@ -282,9 +278,8 @@ class TestQuadratureOracle:
         kmn = math.hypot(3 * math.pi, 3 * math.pi)
         z = 25.0 / kmn
         with pytest.raises(QuadratureError) as err:
-            f_quadrature(SQ, mode, "zz", p, p, z,
-                         spec=QuadratureSpec(rel_tol=1e-9))
-        truth = f_tm_closed(SQ, mode, "zz", p, p, z).value
+            f_quadrature(SQ, mode, "zz", p, p, z)
+        truth = f_tm_closed(SQ, mode, "zz", p, p, z)
         assert err.value.best_estimate == pytest.approx(truth, rel=1e-4)
         assert err.value.achieved_error > 0.0
 
@@ -312,8 +307,7 @@ class TestQuadratureOracle:
         zeta = 3.0
         z = zeta / math.pi
         qd = f_quadrature(SQ, TE10, "yy", CENTER, CENTER, z, energy=energy,
-                          include_energy_factor=True,
-                          spec=QuadratureSpec(scheme="branch-cut-rotated")).value
+                          scheme="branch-cut-rotated")
         e_y2 = 2.0  # unit-normalized profile squared at the center
         expected = -2.0 * (energy / math.pi) * bessel_k0(zeta) * e_y2 * math.pi
         assert qd == pytest.approx(expected, rel=1e-6)
@@ -392,12 +386,11 @@ class TestDoubleExponentialRules:
         # TE kernels always carry the weight; zx is the odd class with sign +.
         weighted = weighted or kind == "te"
         u_e = u_e if weighted else 0.0
-        spec = QuadratureSpec(scheme=scheme)
         value, err = _kernel(kind, weighted, u_e, zeta, scheme)
         want, want_err = _quadpack_kernel(kind, u_e, zeta, scheme)
         assert abs(value - want) <= err + want_err
         # zeta <= 8 lies inside the range the default tolerance certifies.
-        assert err <= spec.rel_tol * abs(value)
+        assert err <= _REL_TOL * abs(value)
 
 
 _BATCH_MODES = [("TM", m, n) for m in (1, 2, 3) for n in (1, 2, 3)] + [
@@ -411,11 +404,11 @@ def _bits(value):
     return np.float64(value).tobytes()
 
 
-def _batch_bits(geom, cases, energies, spec, conventions):
+def _batch_bits(geom, cases, energies, scheme, conventions):
     """:func:`_bits` of each value of one batch of ``cases`` (tuples as
     :func:`_batch_cases` draws them), with the figures of an uncertified one."""
     values, errors, uncertified = (row[0] for row in _quadratures(
-        geom, _record(geom, cases), energies, [spec], conventions))
+        geom, _record(geom, cases), energies, [scheme], conventions))
     return [("error", value, error) if bad else _bits(value)
             for value, error, bad in zip(values.tolist(), errors.tolist(), uncertified)]
 
@@ -498,17 +491,16 @@ class TestBatchedOracle:
                                          convention, energy):
         geom = Geometry(1.0, b)
         cases = data.draw(_batch_cases(geom))
-        spec = QuadratureSpec(scheme=scheme)
         te_factor = "paper-literal" if convention == "paper-literal" else "derivation-consistent"
         conv = Conventions(tm_sign=convention, te_factor=te_factor,
                            normalization=normalization)
-        got = _batch_bits(geom, cases, [energy if weighted else 0.0] * len(cases), spec, conv)
+        got = _batch_bits(geom, cases, [energy if weighted else 0.0] * len(cases), scheme, conv)
         closed = _closed_forms(geom, _record(geom, cases), energy, conv)
         for value, shut, (orient, mode, p1, p2, z) in zip(got, closed, cases):
             try:
-                want = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
-                                    include_energy_factor=weighted, spec=spec,
-                                    conventions=conv).value
+                want = f_quadrature(geom, mode, orient, p1, p2, z,
+                                    energy=energy if weighted else None, scheme=scheme,
+                                    conventions=conv)
             except QuadratureError as exc:
                 want = exc
             assert value == _bits(want), (orient, mode, z)
@@ -517,7 +509,7 @@ class TestBatchedOracle:
                 one = (f_tm_closed(geom, mode, orient, p1, p2, z, conv)
                        if mode.polarization == "TM" else
                        f_te_closed(geom, mode, orient, p1, p2, z, energy, conv))
-            assert _bits(shut) == _bits(one.value), (orient, mode, z)
+            assert _bits(shut) == _bits(one), (orient, mode, z)
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_one_case_calls_equal_an_oracle_check_batch(self, convention):
@@ -528,9 +520,8 @@ class TestBatchedOracle:
         geom, energy = Geometry(1.0, 1.0), 2.0 * math.pi / 100.0
         conv = Conventions.from_name(convention)
         drawn = _draw_cases(np.random.default_rng(12345), geom, 20)
-        specs = [QuadratureSpec(scheme=scheme) for scheme in SCHEMES]
         values, _, uncertified = _quadratures(geom, drawn, np.where(drawn.te, energy, 0.0),
-                                              specs, conv)
+                                              SCHEMES, conv)
         closed = _closed_forms(geom, drawn, energy, conv)
         assert drawn.z.size == 200 and not uncertified.any()
         for c in range(drawn.z.size):
@@ -538,14 +529,14 @@ class TestBatchedOracle:
             orient = ORIENTATIONS[3 * drawn.i[c] + drawn.j[c]]
             p1, p2 = (TransversePoint(float(p.x[c]), float(p.y[c])) for p in (drawn.p1, drawn.p2))
             z = float(drawn.z[c])
-            for spec, value in zip(specs, values[:, c].tolist()):
-                one = f_quadrature(geom, mode, orient, p1, p2, z, energy=energy,
-                                   include_energy_factor=bool(drawn.te[c]), spec=spec,
+            for scheme, value in zip(SCHEMES, values[:, c].tolist()):
+                one = f_quadrature(geom, mode, orient, p1, p2, z,
+                                   energy=energy if drawn.te[c] else None, scheme=scheme,
                                    conventions=conv)
-                assert one.value.hex() == value.hex(), (c, spec.scheme)
+                assert one.hex() == value.hex(), (c, scheme)
             one = (f_te_closed(geom, mode, orient, p1, p2, z, energy, conv) if drawn.te[c] else
                    f_tm_closed(geom, mode, orient, p1, p2, z, conv))
-            assert one.value.hex() == float(closed[c]).hex(), c
+            assert one.hex() == float(closed[c]).hex(), c
 
     def test_values_pinned_bitwise(self):
         geom = Geometry(1.0, 0.8)
@@ -559,9 +550,8 @@ class TestBatchedOracle:
                 for zeta, energy in ((0.55, 0.0), (1.7, 0.02), (2.9, 0.0), (3.7, 0.05),
                                      (5.3, 0.0), (7.9, 0.11)):
                     energy = energy or (0.03 if mode.polarization == "TE" else 0.0)
-                    got.append(f_quadrature(geom, mode, orient, p1, p2, zeta / kmn, energy=energy,
-                                            include_energy_factor=energy > 0,
-                                            spec=QuadratureSpec(scheme=scheme)).value.hex())
+                    got.append(f_quadrature(geom, mode, orient, p1, p2, zeta / kmn,
+                                            energy=energy or None, scheme=scheme).hex())
         assert got == QUADRATURE_BITS
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -590,6 +580,4 @@ class TestConventions:
 
     def test_spec_validation(self):
         with pytest.raises(InputError):
-            QuadratureSpec(rel_tol=1e-2)
-        with pytest.raises(InputError):
-            QuadratureSpec(scheme="imaginary")
+            f_quadrature(SQ, TM11, "zz", CENTER, CENTER, 1.0, scheme="imaginary")

@@ -66,11 +66,14 @@ class TestSpecies:
             5.0, "123")),
         ((0.0, -0.0, 0.0), "non-zero"),
         (("0", "-0.0", "0e5"), "non-zero"),
+        ((1e300, 0.0, 1.0), "short enough that |d|^2 is finite"),
+        ((0.0, -1e155, 1e155), "short enough that |d|^2 is finite"),
     ])
     def test_refuses_bad_dipole(self, d, message):
         # Each dipole is refused with the class and message that numpy's
         # float conversion of it met: NaN, +-inf, None, a wrong length, a
-        # number or a string where three components belong, or all zeros.
+        # number or a string where three components belong, or all zeros;
+        # and a dipole whose |d|^2 passes the largest double.
         with pytest.raises(InputError) as refused:
             DipoleTransition(1.0, d)
         assert str(refused.value) == f"dipole vector must be {message}"
@@ -1430,14 +1433,14 @@ class TestEwaldSplit:
             f = u.f_by_level[E100]
             assert f.tm_modes < 100 and f.te_modes < 100
             assert u.tail_estimate <= 1e-3 * abs(u.total)
-            assert u.total / u_freespace_vdw(ISO, ISO, z, form="tensor") \
+            assert u.total / u_freespace_vdw(ISO, ISO, z) \
                 == pytest.approx(1.0, abs=0.02)
         # Paper-literal normalization adds the zero-index TE modes once more,
         # as the printed sums of the ln t rule.
         u = dispersion_energy(replace(cfg, z=0.001,
                                       conventions=Conventions(normalization="paper-literal")),
                               tail_tol=1e-4)
-        assert u.total / u_freespace_vdw(ISO, ISO, 0.001, form="tensor") \
+        assert u.total / u_freespace_vdw(ISO, ISO, 0.001) \
             == pytest.approx(1.0, abs=0.02)
 
     def test_tolerance_below_split_accuracy_is_refused(self):
@@ -2004,13 +2007,13 @@ class TestDispersionEnergy:
     def test_free_space_recovery(self):
         cfg = _config(0.01)
         u = dispersion_energy(cfg, tail_tol=1e-4)
-        u_fs = u_freespace_vdw(ISO, ISO, 0.01, form="tensor")
+        u_fs = u_freespace_vdw(ISO, ISO, 0.01)
         assert u.total / u_fs == pytest.approx(1.0, abs=0.02)
 
     def test_free_space_recovery_at_z002(self):
         cfg = _config(0.02)
         u = dispersion_energy(cfg, tail_tol=1e-4)
-        u_fs = u_freespace_vdw(ISO, ISO, 0.02, form="tensor")
+        u_fs = u_freespace_vdw(ISO, ISO, 0.02)
         assert u.total / u_fs == pytest.approx(1.0, abs=0.02)
 
     def test_negative_for_isotropic(self):
@@ -2230,26 +2233,30 @@ class TestFreeSpaceReferences:
         x_sp = DipoleSpecies.single(1e-2, (1.0, 0, 0), "fixed-vector")
         xz_sp = DipoleSpecies.single(1e-2, (1.0, 0, 1.0), "fixed-vector")
         pref = -1.0 / (2.0 * math.pi) ** 2 / (2e-2)
-        assert u_freespace_vdw(z_sp, z_sp, 1.0, form="tensor") / pref \
+        assert u_freespace_vdw(z_sp, z_sp, 1.0) / pref \
             == pytest.approx(1.0, rel=1e-12)
-        assert u_freespace_vdw(x_sp, x_sp, 1.0, form="tensor") / pref \
+        assert u_freespace_vdw(x_sp, x_sp, 1.0) / pref \
             == pytest.approx(0.25, rel=1e-12)
         # weight sum for d1 = d2 = x+z: (1/4)(M_xx + M_zz)^2 = 1/4
-        assert u_freespace_vdw(xz_sp, xz_sp, 1.0, form="tensor") / pref \
+        assert u_freespace_vdw(xz_sp, xz_sp, 1.0) / pref \
             == pytest.approx(0.25, rel=1e-12)
         # mismatched single-axis pair contracts to zero
-        assert u_freespace_vdw(x_sp, z_sp, 1.0, form="tensor") == 0.0
+        assert u_freespace_vdw(x_sp, z_sp, 1.0) == 0.0
 
     def test_isotropic_equals_tensor_under_averaging(self):
-        a = u_freespace_vdw(ISO, ISO, 0.37, form="isotropic")
-        b = u_freespace_vdw(ISO, ISO, 0.37, form="tensor")
+        # The orientation-averaged closed form -sum |d1|^2 |d2|^2 / (E1 + E2)
+        # / (24 pi^2 r^6).
+        a = -sum(t1.d_squared * t2.d_squared / (t1.energy + t2.energy)
+                 for t1 in ISO.transitions for t2 in ISO.transitions) \
+            / (24.0 * math.pi ** 2 * 0.37 ** 6)
+        b = u_freespace_vdw(ISO, ISO, 0.37)
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_assembled_equals_tensor_for_arbitrary_dipoles(self):
         sp1 = DipoleSpecies.single(E100, (0.3, -0.2, 0.8), "fixed-vector")
         sp2 = DipoleSpecies.single(1.3 * E100, (-0.5, 0.1, 0.4), "fixed-vector")
         a = near_field_energy(sp1, sp2, 0.37)
-        b = u_freespace_vdw(sp1, sp2, 0.37, form="tensor")
+        b = u_freespace_vdw(sp1, sp2, 0.37)
         assert a == pytest.approx(b, rel=5e-16)
 
 
