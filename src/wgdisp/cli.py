@@ -155,7 +155,7 @@ def _pair_configuration(args, z: float, species=None) -> PairConfiguration:
     p1, p2 = _points(args, geom)
     return PairConfiguration(geom, p1, p2, z, sp1, sp2,
                              epsilon=float(_resolve(args, "epsilon", 1.0)),
-                             conventions=Conventions.from_name(_bundle(args)))
+                             conventions=Conventions(_bundle(args)))
 
 
 def _species_json(sp: DipoleSpecies) -> list[dict]:
@@ -199,13 +199,15 @@ def cmd_coupling(args) -> int:
     p1, p2 = _points(args, geom)
     z = float(_resolve(args, "z"))
     bundle = _bundle(args)
-    conv = Conventions.from_name(bundle)
+    conv = Conventions(bundle)
     if mode.polarization == "TM":
         closed = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
     else:
         if args.energy is None:
             raise InputError("TE couplings require --energy")
         closed = f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv)
+    if args.energy is not None and not math.isfinite(args.energy):  # echoed even if unused
+        raise InputError(f"transition energy must be positive and finite, got {args.energy!r}")
     payload = {
         "inputs": {"mode": mode.label(), "orientation": orient,
                    "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
@@ -217,6 +219,9 @@ def cmd_coupling(args) -> int:
                             scheme=args.scheme, conventions=conv)
         payload["quadrature"] = quad
         payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
+    if bad := [v for key, v in payload.items() if key != "inputs" and not math.isfinite(v)]:
+        raise InputError(f"the {mode.label()} coupling is not finite: {bad[0]!r}, its terms "
+                         f"pass the largest double")
     _emit(args, _json_dump(payload))
     return EXIT_OK
 
@@ -275,7 +280,7 @@ def _energy_report(args, z: float) -> dict:
             "z": z, "epsilon": config.epsilon,
             "species1": _species_json(sp1), "species2": _species_json(sp2),
             "orientation": sp1.orientation,
-            "conventions": vars(config.conventions),  # its three fields, in order
+            "conventions": config.conventions.choices,
             "truncation": kwargs,
         },
         "total": breakdown.total,

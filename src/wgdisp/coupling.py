@@ -670,7 +670,6 @@ def _mode_tensors(conventions, geom, tm, te, p1, p2, z, energy):
     of the mode lists ``tm`` and ``te``, each (m, n, k, factor rows) or None
     (and its stack then None).  Arrays and points may hold one entry per
     case of a batch (:func:`_axis_trig`)."""
-    cross, zero = conventions.printed
     tm_out = te_out = cross_terms = zero_terms = None
     # Adding 0.0 turns the -0.0 of a negative factor times an exact zero into 0.0.
     with np.errstate(over="ignore"):  # k z past the largest double: e^{-kz} = K0 = 0
@@ -680,16 +679,14 @@ def _mode_tensors(conventions, geom, tm, te, p1, p2, z, energy):
             tm_out *= rows[0:3, None, :]
             tm_out *= rows[None, 3:6, :]
             tm_out += 0.0
-            if cross:
-                cross_terms = _paper_cross(geom, m, n, k, p1, p2, z)
+            cross_terms = _paper_cross(geom, m, n, k, p1, p2, z) if conventions.printed else None
         if te is not None:
             m, n, k, rows = te
             radial = KERNEL_TE_FACTOR * energy * k0(k * z)
             te_out = np.zeros((3, 3, k.size))
             te_out[:2, :2] = radial * rows[0:2, None, :] * rows[None, 2:4, :]
             te_out += 0.0
-            if zero:
-                zero_terms = np.where((m == 0) | (n == 0), te_out, 0.0)
+            zero_terms = np.where((m == 0) | (n == 0), te_out, 0.0) if conventions.printed else None
     return apply(conventions, tm_out, te_out, cross_terms, zero_terms)
 
 

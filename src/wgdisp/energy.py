@@ -594,26 +594,23 @@ def f_tensor(
     _check_cap(table._split_count, mode_cap)
     te_weight = KERNEL_TE_FACTOR * energy
     te_bound = abs(conv.te_scale * te_weight)  # |factor| E, exactly
-    cross, axis = conv.printed
+    printed = conv.printed
     if max_cutoff is None:
         (tm_sum, tm_tail), (te_unit, te_tail) = table.tm_split(z), table.te_split(z)
     else:
         _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
-        if (z, max_cutoff, axis) not in table._sums:
-            table._sums[z, max_cutoff, axis] = _mode_sum(table, z, max_cutoff, axis)
-        tm_sum, te_unit, zero_unit, tm_tail, te_tail = table._sums[z, max_cutoff, axis]
-    tail = tm_tail
-    if printed := cross or (axis and tail_tol is not None):
-        (xy, yx), (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
-            geom, p1, p2, z, mode_cap)
-    if cross:
+        if (z, max_cutoff, printed) not in table._sums:
+            table._sums[z, max_cutoff, printed] = _mode_sum(table, z, max_cutoff, printed)
+        tm_sum, te_unit, zero_unit, tm_tail, te_tail = table._sums[z, max_cutoff, printed]
+    tail, cross, zero = tm_tail, None, None
+    if printed:
+        cross, (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(geom, p1, p2, z, mode_cap)
         tail += cross_tail
+        zero = te_weight * (zero_unit if tail_tol is None else np.diag([xx, yy, 0.0]))
     tail += te_bound * te_tail
-    if axis and tail_tol is not None:
-        zero_unit = np.diag([xx, yy, 0.0])
+    if printed and tail_tol is not None:
         tail += te_bound * axis_tail
-    tm_sum, te_sum = apply(conv, tm_sum.copy(), te_weight * te_unit, (xy, yx) if cross else None,
-                           te_weight * zero_unit if axis else None)
+    tm_sum, te_sum = apply(conv, tm_sum.copy(), te_weight * te_unit, cross, zero)
     budget = None
     if tail_tol is not None:
         scale = float(max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300))

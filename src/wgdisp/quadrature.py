@@ -87,6 +87,7 @@ def _case_batch(geom: Geometry, te, m, n, p1: TransversePoint, p2: TransversePoi
                   np.asarray(z), i, j)
 
 
+@np.errstate(over="ignore")  # k_mn past the largest double: refused below
 def _mode_cases(geom: Geometry, mode: ModeIndex, p1: TransversePoint, p2: TransversePoint,
                 z: float, orients) -> _Cases:
     """The cases of one mode, pair of points and separation, one per
@@ -99,11 +100,18 @@ def _mode_cases(geom: Geometry, mode: ModeIndex, p1: TransversePoint, p2: Transv
     if not (geom.contains(p1) and geom.contains(p2)):
         raise InputError("dipole points must lie inside the cross-section")
     size = len(orients)
-    return _case_batch(geom, [mode.polarization == TE] * size, [mode.m] * size, [mode.n] * size,
-                       *(TransversePoint([p.x] * size, [p.y] * size) for p in (p1, p2)),
-                       [z] * size, orients)
+    cases = _case_batch(geom, [mode.polarization == TE] * size, [mode.m] * size, [mode.n] * size,
+                        *(TransversePoint([p.x] * size, [p.y] * size) for p in (p1, p2)),
+                        [z] * size, orients)
+    area, k = geom.area, float(cases.k[0])
+    if not (area > 0.0 and (0.0 < k * z and k < math.inf if mode.polarization == TE
+                            else 4.0 * math.pi / area * k < math.inf)):
+        raise InputError(f"{mode.label()} has no finite coupling in the guide a={geom.a!r}, "
+                         f"b={geom.b!r} at z={z!r}: a weight of its rows is not a finite double")
+    return cases
 
 
+@np.errstate(invalid="ignore")  # a TE entry past the largest double times 0: nan
 def _closed_forms(geom: Geometry, cases: _Cases, energy: float,
                   conventions: Conventions) -> np.ndarray:
     """Closed-form couplings of a batch of cases under ``conventions``, TE
@@ -141,9 +149,9 @@ def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
     cases = _mode_cases(geom, mode, p1, p2, z, [orient])
     if mode.polarization != TE:
         raise InputError(f"f_te_closed requires a TE mode, got {mode.label()}")
-    if not (energy > 0.0):
-        raise InputError(f"transition energy must be positive, got {energy!r}")
-    u_e = energy / cases.k[0]
+    if not 0.0 < energy < math.inf:
+        raise InputError(f"transition energy must be positive and finite, got {energy!r}")
+    u_e = energy / float(cases.k[0])
     if u_e > 0.1 and "z" not in orient:
         warnings.warn(f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
                       f"{mode.label()}; the closed form drops O(u_e^2) corrections",
@@ -304,6 +312,9 @@ def _kernel_integrals(kind: str, weighted: bool, u_e: np.ndarray, zeta: np.ndarr
             fine.sum(axis=1), np.abs(fine).sum(axis=1), fine[:, ::2].sum(axis=1))
     err = np.abs(value - (2.0 * half if ray else coarse)) + _DE_ROUNDING * total
     err[(counts == x.size) & ray] = math.inf  # the ray's extent past its last node
+    if not ray:  # u^2 of the last node past the largest double: terms lost to 0
+        err[~((y[-1] / zeta) ** 2 < math.inf)] = math.inf
+    err[np.isnan(err)] = math.inf
     factor = -2.0 * u_e if kind == "te" else 2.0
     return factor * value, np.abs(factor) * err
 
@@ -316,6 +327,9 @@ _TM_KIND = np.array([[3, 3, 2], [3, 3, 2], [2, 2, 1]])
 _KERNEL_SIGN = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
 
 
+# Past the largest double (zeta near 0 or huge, a huge u_e, a TE prefactor) a
+# count, term or value is inf or nan, and its error inf or the value refused.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _quadratures(geom: Geometry, cases: _Cases, energies, schemes,
                  conventions: Conventions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wavenumber integrals of a batch of cases under each of ``schemes``:
@@ -359,8 +373,8 @@ def _quadratures(geom: Geometry, cases: _Cases, energies, schemes,
     # Adding 0.0 turns the -0.0 of a zero prefactor times a negative kernel
     # into 0.0, as the closed forms give, and leaves every other value as it is.
     value = pref * value + 0.0
-    error *= np.abs(pref)
-    if conventions.printed[1]:  # values and errors of zero-index TE cases once more
+    error = np.where(pref == 0.0, 0.0, error * np.abs(pref))  # 0 also past the rule (inf * 0)
+    if conventions.printed:  # values and errors of zero-index TE cases once more
         both = np.array([value, error])
         value, error = apply(conventions, None, both, zero=np.where(
             te & ((m == 0) | (n == 0)), both, 0.0), oracle=True)[1]
@@ -394,7 +408,7 @@ def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoi
     ``conventions`` only the TE normalization applies.
     """
     cases = _mode_cases(geom, mode, p1, p2, z, [orient])
-    if energy is not None and not (energy > 0.0):
-        raise InputError(f"transition energy must be positive, got {energy!r}")
+    if energy is not None and not 0.0 < energy < math.inf:
+        raise InputError(f"transition energy must be positive and finite, got {energy!r}")
     return float(_certified(*_quadratures(geom, cases, [energy or 0.0], [scheme],
                                           conventions))[0])

@@ -17,11 +17,11 @@ transverse profiles (with kappa = omega / c) are
          E_y = +(2/sqrt(A)) (m pi/(k_mn a)) N sin(m pi x/a) cos(n pi y/b)
 
 with A = a*b.  TE profiles do not depend on k.  N = 1/sqrt(2) whenever m
-or n is zero ("unit-normalized", the default) makes the cross-section
-integral of |E|^2 exactly 1 for every mode; N = 1 reproduces the printed
-profiles ("paper-literal"), whose zero-index TE modes integrate to 2.  The
-per-mode factor rows every coupling is built from are unit-normalized
-(``wgdisp.coupling._tm_rows`` and ``_te_rows``);
+or n is zero makes the cross-section integral of |E|^2 exactly 1 for every
+mode, as the default convention bundle takes them; N = 1, the printed
+profiles of the "paper-literal" bundle, makes it 2 for zero-index TE modes.
+Every coupling is built from unit-normalized factor rows
+(``wgdisp.coupling._tm_rows`` and ``_te_rows``), and
 :func:`wgdisp.conventions.apply` takes a zero-index TE coupling twice for
 the printed profiles.
 
@@ -167,7 +167,8 @@ def mode_arrays(geom: Geometry, max_cutoff: float):
     counts = (np.sqrt(np.maximum(limit * limit - kx2, 0.0)) * (geom.b / np.pi)).astype(int) + 2
     mm = np.repeat(m, counts)
     nn = np.arange(mm.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
+    with np.errstate(over="ignore"):  # inf: past any finite cutoff, dropped below
+        kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
     keep = (kk > 0.0) & (kk <= limit)  # k > 0 drops only the (0, 0) pair
     mm, nn, kk = mm[keep], nn[keep], kk[keep]
     order = np.argsort(kk, kind="stable")

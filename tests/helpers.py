@@ -15,7 +15,8 @@ def mode_profile(geom, mode, k, p, conventions=Conventions()):
     """Cartesian components [E_x, E_y, E_z] of the transverse profile.
 
     The profiles printed in :mod:`wgdisp.waveguide`, with the TE
-    normalization of ``conventions``, built from the coupling factor rows.
+    normalization of the bundle ``conventions``, built from the coupling
+    factor rows.
     TM components along x and y are imaginary (proportional to i*k); TE
     profiles are real and independent of k.  The TE components are the
     ``_te_rows`` entries at ``p``, times sqrt(2) for a zero-index mode where
@@ -33,24 +34,28 @@ def mode_profile(geom, mode, k, p, conventions=Conventions()):
         out[:] = (2.0 / math.sqrt(geom.area)) * np.array(
             [1j * k, 1j * k, kmn[0]]) / kappa * rows
     else:
-        twice = conventions.printed[1] and mode.m * mode.n == 0
+        twice = conventions.printed and mode.m * mode.n == 0
         out[0:2] = _te_rows(geom, m, n, kmn, p, p)[0:2, 0] * (math.sqrt(2.0) if twice else 1.0)
     return out
 
 
 def profile_norm(geom, mode, k, convention="unit-normalized"):
-    """Cross-section integral of |E|^2 on an 8 x 8 midpoint grid.
+    """Cross-section integral of |E|^2 on an 8 x 8 midpoint grid, under the
+    normalization ``convention``: "unit-normalized", the oracle-consistent
+    bundle's, or "paper-literal", the printed bundle's.
 
     The midpoint rule over N points sums cos(2 pi j (i + 1/2) / N) to zero
     for 0 < j < N, so it integrates every squared profile exactly (up to
     rounding) while both mode indices stay below N = 8.
     """
+    bundle = {"unit-normalized": "oracle-consistent", "paper-literal": "paper-literal"}
+    conventions = Conventions(bundle[convention])
     points = 8
     xs = (np.arange(points) + 0.5) * geom.a / points
     ys = (np.arange(points) + 0.5) * geom.b / points
-    total = sum(np.sum(np.abs(mode_profile(
-        geom, mode, k, TransversePoint(x, y), Conventions(normalization=convention))) ** 2)
-        for x in xs for y in ys)
+    total = sum(np.sum(np.abs(mode_profile(geom, mode, k, TransversePoint(x, y),
+                                           conventions)) ** 2)
+                for x in xs for y in ys)
     return float(total) * geom.area / points ** 2
 
 

@@ -113,6 +113,13 @@ class TestModes:
         rows = [line.split(",")[:3] for line in res.stdout.splitlines()[1:]]
         assert rows == [["TE", "0", str(n)] for n in (1, 2, 3)]
 
+    def test_subnormal_guide_lists_without_warnings(self):
+        # pi / a overflows to inf for a = 1e-320: k_mn of the m >= 1
+        # candidates is inf, past the cutoff, and no mode lies below it.
+        res = run_cli("modes", "--max-cutoff", "1e-320", "--a", "1e-320")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "polarization,m,n,k_mn,omega_cutoff\n"
+
     def test_infinite_cutoff_exit_2(self):
         res = run_cli("modes", "--max-cutoff", "inf")
         assert res.returncode == 2
@@ -834,6 +841,67 @@ class TestNumericInputs:
             assert "warning: " in err
 
 
+# Edge doubles for every numeric flag: zeros of both signs, a negative
+# value, subnormal, tiny, ordinary, huge and non-finite values.
+_EDGE_DOUBLES = ("0", "-0.0", "-1", "1e-320", "1e-300", "1e-12", "0.3", "1", "2.5", "1e12",
+                 "1e300", "inf", "-inf", "nan")
+
+
+@st.composite
+def _edge_runs(draw):
+    # A modes listing or one coupling, each numeric flag left out or drawn
+    # from _EDGE_DOUBLES as --flag=value (so that argparse takes a leading
+    # minus as a value), mode indices from zero, negative, small and huge
+    # integers, and the coupling with or without the oracle under either
+    # scheme and bundle.
+    edge = st.sampled_from(_EDGE_DOUBLES)
+
+    def optional(*flags):
+        return [f"{flag}={draw(edge)}" for flag in flags if draw(st.booleans())]
+    if draw(st.integers(0, 3)) == 0:
+        return ["modes", f"--max-cutoff={draw(edge)}", *optional("--a", "--b"),
+                *draw(st.sampled_from([[], ["--format", "json"]]))]
+    index = st.sampled_from(["0", "-1", "1", "2", "3", "1000000"])
+    argv = ["coupling", "--pol", draw(st.sampled_from(["TM", "TE"])), "--m", draw(index),
+            "--n", draw(index), "--orient", draw(st.sampled_from([i + j for i in "xyz"
+                                                                  for j in "xyz"])),
+            f"--z={draw(edge)}", *optional("--a", "--b", "--x1", "--y1", "--x2", "--y2",
+                                             "--energy")]
+    if draw(st.booleans()):
+        argv += ["--check-quadrature", "--scheme",
+                 draw(st.sampled_from(["branch-cut-rotated", "real-axis-subtracted"]))]
+    return argv + draw(st.sampled_from([[], ["--convention", "paper-literal"]]))
+
+
+class TestEdgeInputs:
+    @settings(max_examples=1500, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_edge_runs())
+    def test_exit_code_and_output(self, capsys, argv):
+        # Exit 0 or 2, 1 only for an uncertified quadrature and 4 only for
+        # the mode cap, with no traceback and no RuntimeWarning; an error is
+        # one error: line, and exit 0 prints only finite values or carries a
+        # warning.
+        from wgdisp import cli
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in raised if issubclass(w.category, RuntimeWarning)] == []
+        assert code in (0, 1, 2, 4)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert code != 1 or err.startswith("error: wavenumber integral did not reach")
+            assert code != 4 or "exceeding the hard cap" in err
+        elif argv[0] == "coupling" or "json" in argv:
+            constants = []
+            json.loads(out, parse_constant=constants.append)
+            assert not constants or raised
+        else:
+            assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:]
+                       for cell in line.split(",")[3:])
+
+
 class TestHugeCutoffs:
     # The mode count is taken in floats: a cutoff whose count passes the
     # largest double needs ~inf modes, and a count past 1e15 prints in
@@ -1113,6 +1181,69 @@ class TestCoupling:
         assert '"closed_form": 0.0,' in res.stdout
         assert '"quadrature": 0.0,' in res.stdout
         assert "-0.0" not in res.stdout
+
+    @pytest.mark.parametrize("energy", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz"],
+        ["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--check-quadrature"],
+        ["--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy"],
+        ["--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy", "--check-quadrature"],
+    ])
+    def test_non_finite_energy_exit_2(self, capsys, argv, energy):
+        # The closed forms and the oracle take a positive and finite
+        # energy, as DipoleTransition does; a TM closed form, which does
+        # not use it, still echoes it.
+        from wgdisp import cli
+        assert cli.main(["coupling", *argv, "--z", "1", f"--energy={energy}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: transition energy must be positive and finite, got {energy}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # The area underflows to 0, and 4 pi / A with it.
+        (["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--z", "1",
+          "--a", "1e-300", "--b", "1e-320"],
+         "TM11 has no finite coupling in the guide a=1e-300, b=1e-320 at z=1.0"),
+        # (4 pi / A) k_mn overflows, and times e^{-kz} = 0 it is nan.
+        (["--pol", "TM", "--m", "3", "--n", "2", "--orient", "zy", "--z", "2.5",
+          "--b", "1e-300"],
+         "TM32 has no finite coupling in the guide a=1.0, b=1e-300 at z=2.5"),
+        # The cutoff k_mn = 2 pi / b overflows: m pi / (a k_mn) is 0 / inf.
+        (["--pol", "TE", "--m", "0", "--n", "2", "--orient", "xx", "--z", "1",
+          "--b", "1e-308", "--energy", "0.1"],
+         "TE02 has no finite coupling in the guide a=1.0, b=1e-308 at z=1.0"),
+    ], ids=["zero-area", "overflowing-tm-weight", "overflowing-te-cutoff"])
+    def test_overflowing_weight_exit_2(self, capsys, argv, message):
+        from wgdisp import cli
+        assert cli.main(["coupling", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {message}: a weight of its rows is not a finite double\n")
+
+    def test_overflowing_product_exit_2(self, capsys):
+        # Each TE10 row is finite at b = 1e-320, their product is not.
+        from wgdisp import cli
+        assert cli.main(["coupling", "--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy",
+                         "--z", "1", "--b", "1e-320", "--energy", "0.1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: the TE10 coupling is not finite: -inf, its terms pass the largest "
+                "double\n")
+
+    @pytest.mark.parametrize("argv, closed, quadrature", [
+        (["--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy", "--z", "1",
+          "--b", "1e-300", "--energy", "0.1"], -1.1803473452268694e+298, None),
+        (["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--z", "1e-101",
+          "--a", "1e-100", "--b", "1e-100"], 3.580327713435236e+301, None),
+        (["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--z", "1e300",
+          "--energy", "1", "--check-quadrature"], 0.0, -1.84136305e-316),
+    ])
+    def test_extreme_finite_couplings_return(self, capsys, argv, closed, quadrature):
+        # Guides and separations at the edge of the double range whose
+        # couplings are finite print them as before.
+        from wgdisp import cli
+        assert cli.main(["coupling", *argv]) == 0
+        out, err = capsys.readouterr()
+        payload = json.loads(out, parse_constant=_refuse_constant)
+        assert err == "" and payload["closed_form"] == closed
+        assert payload.get("quadrature") == quadrature
 
 
 ORACLE_CHECK_12345 = {

@@ -1,4 +1,4 @@
-"""The convention switches act in one place, the map of wgdisp.conventions."""
+"""The convention switch acts in one place, the map of wgdisp.conventions."""
 
 import ast
 from pathlib import Path
@@ -10,8 +10,8 @@ from wgdisp.energy import DipoleSpecies, ModeTable, PairConfiguration, f_tensor
 from wgdisp.waveguide import Geometry, TransversePoint
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wgdisp"
-SWITCHES = {"tm_sign", "te_factor", "normalization"}
-TABLES = {"_TM_SIGNS", "_TE_FACTORS"}
+FIELD = "bundle"
+TABLE = "_CHOICES"
 
 
 def _constants(node):
@@ -24,21 +24,20 @@ def _constants(node):
 
 
 def switch_reads(source: str) -> list[tuple[int, str]]:
-    """(line, what) of each read of a switch in ``source``: an attribute or
-    getattr of ``tm_sign``, ``te_factor`` or ``normalization``, a name or
-    import of ``_TM_SIGNS`` or ``_TE_FACTORS``, or a comparison with
-    "paper-literal"."""
+    """(line, what) of each read of the switch in ``source``: an attribute
+    or getattr of ``bundle``, a name, attribute or import of the table
+    ``_CHOICES``, or a comparison with "paper-literal"."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in SWITCHES | TABLES:
+        if isinstance(node, ast.Attribute) and node.attr in (FIELD, TABLE):
             found.append((node.lineno, f".{node.attr}"))
-        elif isinstance(node, ast.Name) and node.id in TABLES:
+        elif isinstance(node, ast.Name) and node.id == TABLE:
             found.append((node.lineno, node.id))
         elif isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name in TABLES]
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name == TABLE]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "getattr" and len(node.args) > 1
-              and set(_constants(node.args[1])) & SWITCHES):
+              and FIELD in _constants(node.args[1])):
             found.append((node.lineno, "getattr"))
         elif isinstance(node, ast.Compare) and "paper-literal" in [
                 c for side in (node.left, *node.comparators) for c in _constants(side)]:
@@ -46,22 +45,28 @@ def switch_reads(source: str) -> list[tuple[int, str]]:
     return found
 
 
+# One read and one look-alike that is none, per kind of read.
+KINDS = {
+    "attribute": ("x = conv.bundle", "x = conv.printed"),
+    "getattr": ("x = getattr(c, 'bundle')", "x = getattr(c, 'printed')"),
+    "table": ("x = _CHOICES[name]", "x = CHOICES[name]"),
+    "import": ("from .conventions import _CHOICES", "from .conventions import Conventions"),
+    "comparison": ("ok = name in ('oracle-consistent', 'paper-literal')",
+                   "p.add_argument('--convention', choices=('oracle-consistent', "
+                   "'paper-literal'))"),
+}
+
+
 def test_guard_sees_each_kind_of_read():
-    for source in ("x = conv.tm_sign", "x = c.normalization == 'unit-normalized'",
-                   "from .conventions import _TE_FACTORS", "x = coupling._TM_SIGNS[s]",
-                   "x = getattr(c, 'te_factor')", "ok = name == 'paper-literal'",
-                   "ok = name in ('oracle-consistent', 'paper-literal')"):
-        assert switch_reads(source), source
-    for source in ("p.add_argument('--convention', choices=('oracle-consistent', "
-                   "'paper-literal'))", "x = vars(conv)", "x = conv.printed[0]",
-                   "x = Conventions(tm_sign='paper-literal')"):
-        assert not switch_reads(source), source
+    for kind, (read, other) in KINDS.items():
+        assert switch_reads(read), (kind, read)
+        assert not switch_reads(other), (kind, other)
 
 
 def test_only_conventions_reads_a_switch():
-    # Every other module takes the map's answers (Conventions.printed and
-    # te_scale) and its function apply; argparse lists the bundle names as
-    # choices and the energy report echoes vars(conventions).
+    # Every other module takes the map's answers (Conventions.printed,
+    # te_scale and choices) and its function apply; argparse lists the
+    # bundle names as choices.
     reads = {path.name: switch_reads(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "conventions.py"}
     assert {"coupling.py", "energy.py", "cli.py"} <= reads.keys()
@@ -86,7 +91,7 @@ def test_one_table_and_one_te_row_set_for_every_bundle(monkeypatch, convention):
     table = ModeTable(geom, p1, p2)
     assert table.key == (geom, p1, p2)
     iso = DipoleSpecies.single(0.0628, (1.0, 1.0, 1.0))
-    for conventions in (Conventions.from_name(convention), Conventions()):
+    for conventions in (Conventions(convention), Conventions()):
         f_tensor(PairConfiguration(geom, p1, p2, 0.4, iso, iso, conventions=conventions),
                  0.0628, tail_tol=1e-8, table=table)
     assert len(calls) == 1 and calls[0] == len(table._screened("TE")[0])

@@ -88,7 +88,7 @@ class TestTmClosed:
     def test_paper_literal_flips_transverse_sign(self):
         p = TransversePoint(0.2, 0.3)
         oracle = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions())
-        lit = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions(tm_sign="paper-literal"))
+        lit = f_tm_closed(SQ, TM11, "xx", p, p, 0.5, Conventions("paper-literal"))
         assert lit == pytest.approx(-oracle, rel=1e-14)
 
     def test_paper_literal_xy_prefactor(self):
@@ -99,7 +99,7 @@ class TestTmClosed:
         expected = -(math.pi ** 2 / (2.0 * kmn)) \
             * math.sin(2 * 2 * math.pi * p.x) * math.sin(2 * math.pi * p.y) \
             * math.exp(-kmn * 0.6)
-        got = f_tm_closed(SQ, mode, "xy", p, p, 0.6, Conventions(tm_sign="paper-literal"))
+        got = f_tm_closed(SQ, mode, "xy", p, p, 0.6, Conventions("paper-literal"))
         assert got == pytest.approx(expected, rel=1e-12)
 
     @given(z1=st.floats(0.2, 1.0), dz=st.floats(0.1, 1.0),
@@ -149,13 +149,14 @@ class TestTeClosed:
 
     def test_yy_paper_literal_value(self):
         v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01,
-                        Conventions(te_factor="paper-literal", normalization="paper-literal"))
+                        Conventions("paper-literal"))
         assert v == pytest.approx(TE10_YY_PAPER, rel=1e-12)
 
     def test_yy_derivation_consistent_value(self):
-        v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01,
-                        Conventions(normalization="paper-literal"))
-        assert v == pytest.approx(TE10_YY_DERIVATION, rel=1e-12)
+        # The factor -2 with the unit-normalized profiles, which halve the
+        # printed TE10 product.
+        v = f_te_closed(SQ, TE10, "yy", CENTER, CENTER, 1.0, 0.01, Conventions())
+        assert v == pytest.approx(TE10_YY_DERIVATION / 2.0, rel=1e-12)
 
     def test_warns_outside_tight_confinement(self):
         with pytest.warns(TightConfinementWarning):
@@ -179,7 +180,7 @@ class TestOneModeViews:
     def test_equal_mode_table_entries_bitwise(self, convention, b, p1, p2):
         geom = Geometry(1.0, b)
         p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
-        conv = Conventions.from_name(convention)
+        conv = Conventions(convention)
         z, energy, K = 0.37, 0.0628, 20.0
         table = ModeTable(geom, p1, p2)
         table.extend(K)
@@ -203,7 +204,7 @@ class TestOneModeViews:
                                              value):
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
-        conv = Conventions.from_name(convention)
+        conv = Conventions(convention)
         mode = ModeIndex(*mode)
         if mode.polarization == "TM":
             got = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
@@ -483,17 +484,14 @@ class TestBatchedOracle:
 
     @given(data=st.data(), b=st.sampled_from([1.0, 0.7]),
            scheme=st.sampled_from(SCHEMES), weighted=st.booleans(),
-           normalization=st.sampled_from(["unit-normalized", "paper-literal"]),
            convention=st.sampled_from(["oracle-consistent", "paper-literal"]),
            energy=st.floats(1e-3, 0.3))
     @settings(max_examples=80, deadline=None)
-    def test_batch_equals_one_case_calls(self, data, b, scheme, weighted, normalization,
-                                         convention, energy):
+    def test_batch_equals_one_case_calls(self, data, b, scheme, weighted, convention,
+                                         energy):
         geom = Geometry(1.0, b)
         cases = data.draw(_batch_cases(geom))
-        te_factor = "paper-literal" if convention == "paper-literal" else "derivation-consistent"
-        conv = Conventions(tm_sign=convention, te_factor=te_factor,
-                           normalization=normalization)
+        conv = Conventions(convention)
         got = _batch_bits(geom, cases, [energy if weighted else 0.0] * len(cases), scheme, conv)
         closed = _closed_forms(geom, _record(geom, cases), energy, conv)
         for value, shut, (orient, mode, p1, p2, z) in zip(got, closed, cases):
@@ -518,7 +516,7 @@ class TestBatchedOracle:
         # entries in the one batch the report takes.
         from wgdisp.oracle_checks import _draw_cases
         geom, energy = Geometry(1.0, 1.0), 2.0 * math.pi / 100.0
-        conv = Conventions.from_name(convention)
+        conv = Conventions(convention)
         drawn = _draw_cases(np.random.default_rng(12345), geom, 20)
         values, _, uncertified = _quadratures(geom, drawn, np.where(drawn.te, energy, 0.0),
                                               SCHEMES, conv)
@@ -572,11 +570,18 @@ class TestBatchedOracle:
 
 class TestConventions:
     def test_bundles(self):
-        assert Conventions.from_name("paper-literal").te_factor == "paper-literal"
-        assert Conventions.from_name("oracle-consistent").normalization \
-            == "unit-normalized"
-        with pytest.raises(InputError):
-            Conventions.from_name("bogus")
+        assert Conventions("paper-literal").printed
+        assert not Conventions("oracle-consistent").printed
+        assert Conventions() == Conventions("oracle-consistent")
+        assert Conventions().choices == {"tm_sign": "oracle-consistent",
+                                         "te_factor": "derivation-consistent",
+                                         "normalization": "unit-normalized"}
+        assert Conventions("paper-literal").choices == dict.fromkeys(
+            ("tm_sign", "te_factor", "normalization"), "paper-literal")
+        # Only the two bundle names: no field's own choice, nothing else.
+        for name in ("bogus", "unit-normalized", "derivation-consistent", "Paper-Literal", ""):
+            with pytest.raises(InputError, match="unknown convention bundle"):
+                Conventions(name)
 
     def test_spec_validation(self):
         with pytest.raises(InputError):

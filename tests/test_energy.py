@@ -36,6 +36,16 @@ ENERGY_TOL = 1e-9
 # under unit normalization and three under printed, and the coupling two
 # more on each side.
 NORMALIZATION_RTOL = 20 * 2.0 ** -53
+# Each bundle's sign S[i][j] of a TM coupling relative to the common positive
+# magnitude (4 pi / A) k_mn P_i(p2) P_j(p1) exp(-k_mn z), row i the component
+# at p2 and column j the one at p1, and its TE factor, written out: printed
+# prefactors keep the transverse-transverse couplings positive and the mixed
+# ones symmetric, and the printed TE factor is +1.
+TM_SIGNS = {"oracle-consistent": np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0],
+                                           [1.0, 1.0, 1.0]]),
+            "paper-literal": np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0],
+                                       [-1.0, -1.0, 1.0]])}
+TE_FACTORS = {"oracle-consistent": -2.0, "paper-literal": 1.0}
 
 # mpmath-frozen evaluations of the regime-ratio formulas
 RATIO_VDW_10_100 = 1.0718428943712478e-23
@@ -153,11 +163,11 @@ class TestFTensor:
         # paper-literal printed sums list none, off the centre lines and at
         # small separations too.
         cfg = _config(0.002, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.6, 0.55),
-                      conventions=Conventions.paper_literal())
+                      conventions=Conventions("paper-literal"))
         with pytest.raises(ModeCapError) as err:
             f_tensor(cfg, E100, max_cutoff=2000.0, mode_cap=100_000)
         assert "u_freespace_vdw" in str(err.value)
-        for conventions in (Conventions(), Conventions.paper_literal()):
+        for conventions in (Conventions(), Conventions("paper-literal")):
             ft = f_tensor(replace(cfg, conventions=conventions), E100, tail_tol=1e-6,
                           mode_cap=100_000)
             assert ft.modes_used < 200
@@ -168,21 +178,18 @@ class TestFTensor:
         (1.0, (0.5, 0.5), (0.5, 0.5), 0.3, "paper-literal", 1e-8),
         (0.5, (0.12, 0.33), (0.85, 0.07), 1.1, "paper-literal", 1e-10),
         (0.9, (0.63, 0.18), (0.27, 0.71), 5.0, "paper-literal", 1e-9),
-        (0.75, (0.4, 0.3), (0.45, 0.28), 0.05, "tm-split", 1e-6),
+        (0.75, (0.4, 0.3), (0.45, 0.28), 0.05, "oracle-consistent", 1e-6),
     ])
     def test_growth_equals_fixed_cutoff_bitwise(self, b, p1, p2, z, convention, tol):
-        # The TM tensor is the split under every convention: under
-        # paper-literal signs its seven entries other than xy and yx are the
-        # split's, masked, bit for bit, and xy and yx are the printed sums,
-        # the same under a fixed cutoff, whose other entries, the mode sum's,
-        # lie within both tails of the split's.  Under paper-literal normalization
-        # alone ("tm-split") the TM tensor is the default one.  The TE tensor
-        # is the TE split, with the zero-index modes added once more.
-        from wgdisp.conventions import _TE_FACTORS, _TM_SIGNS
+        # The TM tensor is the split under both bundles: under the printed
+        # one its seven entries other than xy and yx are the split's,
+        # masked, bit for bit, and xy and yx are the printed sums, the same
+        # under a fixed cutoff, whose other entries, the mode sum's, lie
+        # within both tails of the split's.  The TE tensor is the TE split,
+        # under the printed bundle with the zero-index modes added once more.
         from wgdisp.coupling import _printed_sums, _split_cutoff
         geom = Geometry(1.0, b)
-        conventions = (Conventions(normalization="paper-literal")
-                       if convention == "tm-split" else Conventions.paper_literal())
+        conventions = Conventions(convention)
         cfg = PairConfiguration(geom, TransversePoint(*p1),
                                 TransversePoint(*p2), z, ISO, ISO,
                                 conventions=conventions)
@@ -190,7 +197,7 @@ class TestFTensor:
         table = ModeTable(geom, cfg.p1, cfg.p2)
         split, tm_bound = table.tm_split(z)
         te_unit, te_bound = table.te_split(z)
-        mask = _TM_SIGNS[conventions.tm_sign] * _TM_SIGNS["oracle-consistent"]
+        mask = TM_SIGNS[convention] * TM_SIGNS["oracle-consistent"]
         seven = np.ones((3, 3), dtype=bool)
         seven[0, 1] = seven[1, 0] = convention != "paper-literal"
         assert np.array_equal(grown.tm_tensor[seven], (mask * split)[seven])
@@ -202,14 +209,15 @@ class TestFTensor:
             assert (at_fixed.tm_tensor[0, 1], at_fixed.tm_tensor[1, 0]) == (xy, yx)
             assert np.abs(grown.tm_tensor - at_fixed.tm_tensor).max() \
                 <= grown.tail_bound + at_fixed.tail_bound
-        weight = _TE_FACTORS[conventions.te_factor] * E100
-        assert np.array_equal(np.diag(grown.te_tensor)[:2],
-                              [weight * te_unit[0, 0] + weight * xx,
-                               weight * te_unit[1, 1] + weight * yy])
-        rest = grown.te_tensor - weight * te_unit  # the zero-index modes once more
-        assert rest[0, 0] != 0.0 and rest[1, 1] != 0.0
-        assert not np.any(rest[[0, 1, 2, 2, 2], [1, 0, 0, 1, 2]])
-        assert grown.tail_bound > tm_bound + abs(weight) * te_bound
+        weight = TE_FACTORS[convention] * E100
+        want = weight * te_unit
+        if conventions.printed:  # the zero-index modes once more
+            want[[0, 1], [0, 1]] = [want[0, 0] + weight * xx, want[1, 1] + weight * yy]
+            assert want[0, 0] != weight * te_unit[0, 0] and want[1, 1] != weight * te_unit[1, 1]
+            assert grown.tail_bound > tm_bound + abs(weight) * te_bound
+        else:
+            assert grown.tail_bound == tm_bound + abs(weight) * te_bound
+        assert np.array_equal(grown.te_tensor, want)
         assert grown.modes_used == grown.tm_modes + grown.te_modes
         assert grown.max_cutoff == max(grown.tm_cutoff, grown.te_cutoff)
 
@@ -227,7 +235,7 @@ class TestFTensor:
                 return _kernel(geom, m, n, k, *rest)
             monkeypatch.setattr(coupling_mod, name, counted)
         cfg = _config(0.05, geom=Geometry(1.0, 0.7), p1=TransversePoint(0.3, 0.2),
-                      p2=TransversePoint(0.6, 0.5), conventions=Conventions.paper_literal())
+                      p2=TransversePoint(0.6, 0.5), conventions=Conventions("paper-literal"))
         table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
         for K in (20.0, 45.0, 90.0, 200.0):
             ft = f_tensor(cfg, E100, max_cutoff=K, table=table)
@@ -251,7 +259,7 @@ class TestFTensor:
         tables = mode_arrays(SQ, 11.0)
         tm, te = tables["TM"], tables["TE"]
         for name in ("oracle-consistent", "paper-literal"):
-            conv = Conventions.from_name(name)
+            conv = Conventions(name)
             cfg = PairConfiguration(SQ, p1, p2, 0.7, ISO, ISO, conventions=conv)
             bulk = f_tensor(cfg, E100, max_cutoff=11.0)
             table = ModeTable(SQ, p1, p2)
@@ -371,9 +379,7 @@ class TestPinnedTensors:
 
 def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
     """Reference TM kernel: np.sin/np.cos evaluated per mode."""
-    signs = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
-    if conventions.tm_sign == "paper-literal":
-        signs = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    signs = TM_SIGNS[conventions.bundle]
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     decay = np.exp(-k * z)
@@ -387,7 +393,7 @@ def _direct_tm(geom, m, n, k, p1, p2, z, conventions):
     f2 = factors(p2)
     f1 = factors(p1)
     out = signs[:, :, None] * base[None, None, :] * f2[:, None, :] * f1[None, :, :]
-    if conventions.tm_sign == "paper-literal":
+    if conventions.printed:
         pref = -(np.pi ** 2 / (2.0 * geom.area ** 2 * k)) * 4.0 * decay
         out[0, 1, :] = pref * np.cos(ax * p2.x) * np.sin(ay * p2.y) \
             * np.sin(ax * p1.x) * np.cos(ay * p1.y)
@@ -402,9 +408,9 @@ def _direct_te(geom, m, n, k, p1, p2, z, energy, conventions):
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
-    if conventions.normalization == "unit-normalized":
+    if not conventions.printed:
         nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
-    factor = -2.0 if conventions.te_factor == "derivation-consistent" else 1.0
+    factor = TE_FACTORS[conventions.bundle]
     root_a = 2.0 / math.sqrt(geom.area)
 
     def profile(p):
@@ -440,7 +446,7 @@ class TestKernels:
         # to NORMALIZATION_RTOL of the printed-profile values instead.
         geom = Geometry(1.0, b)
         p1, p2 = TransversePoint(*p1), TransversePoint(*p2)
-        conv = Conventions.from_name(convention)
+        conv = Conventions(convention)
         table = ModeTable(geom, p1, p2)
         if lower is not None:
             table.extend(lower)
@@ -478,7 +484,7 @@ class TestKernels:
         from wgdisp.coupling import _te_rows, _tm_rows
         geom = Geometry(1.0, 0.7)
         p1, p2 = TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41)
-        conv = Conventions.from_name(convention)
+        conv = Conventions(convention)
         table = ModeTable(geom, p1, p2)
         fresh = {"TM": [], "TE": []}
         for K in (60.0, 400.0, 520.0):
@@ -555,10 +561,9 @@ PINNED_SUMS = {
 
 def _pinned_sums(table, convention, K):
     """The entries PINNED_SUMS holds for ``convention`` and K."""
-    from wgdisp.conventions import _TM_SIGNS
     tm, te, zero, *_ = _mode_sum(table, 0.02, K, True)
     if convention == "paper-literal":
-        tm = _TM_SIGNS["paper-literal"] * _TM_SIGNS["oracle-consistent"] * tm
+        tm = TM_SIGNS["paper-literal"] * TM_SIGNS["oracle-consistent"] * tm
         te = te + zero
     return tuple(" ".join(float(v).hex() for v in t.ravel()) for t in (tm, te))
 
@@ -592,21 +597,21 @@ class TestSummationOrder:
         # mode sum's rounding bound.  The TM sum is the oracle-consistent
         # one, here with the convention's signs (the printed cross terms are
         # no mode sum); its TE sum is mapped with its zero-index modes.
-        from wgdisp.conventions import _TM_SIGNS, apply
+        from wgdisp.conventions import apply
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
-        conv = Conventions.from_name(convention)
+        conv = Conventions(convention)
         K, z = 1300.0, 0.02
         tables = mode_arrays(geom, K)
         assert tables["TM"]["k"].size > 3 * 8192
         tm, te = tables["TM"], tables["TE"]
-        want_tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * _direct_tm(
+        want_tm = TM_SIGNS[convention] * TM_SIGNS["oracle-consistent"] * _direct_tm(
             geom, tm["m"].astype(float), tm["n"].astype(float), tm["k"], p1, p2, z,
             Conventions()).sum(axis=2)
         want_te = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
                              te["k"], p1, p2, z, E100, conv).sum(axis=2)
         tm, te_unit, zero, tm_tail, te_tail = _mode_sum(ModeTable(geom, p1, p2), z, K, True)
-        tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * tm
+        tm = TM_SIGNS[convention] * TM_SIGNS["oracle-consistent"] * tm
         weight = -2.0 * E100
         _, te = apply(conv, None, weight * te_unit, zero=weight * zero)
         scale = max(np.abs(want_tm).max(), np.abs(want_te).max())
@@ -738,9 +743,9 @@ def _reference_f_tensor(cfg, energy, tail_tol):
     for the printed parts (:func:`_listed_printed`).
 
     The TM tensor is the split of a fresh mode table, its signs masked and
-    xy and yx the listed cross terms under paper-literal signs; the TE
-    tensor is the TE split plus, under paper-literal normalization, the
-    listed zero-index terms times factor E.  The terms left out of the
+    xy and yx the listed cross terms under the printed bundle; the TE
+    tensor is the TE split plus, under the printed bundle, the listed
+    zero-index terms, times factor E.  The terms left out of the
     listings add below 1e-3 SUM_TOL of the splits' scale.  The tail adds
     the splits' bounds and the bounds of
     :func:`wgdisp.coupling._printed_sums`, and K_TE grows by 1.3 from
@@ -749,24 +754,23 @@ def _reference_f_tensor(cfg, energy, tail_tol):
     entry.
     Returns (tm, te, (TM modes, TE modes), (K_TM, K_TE), tail).
     """
-    from wgdisp.conventions import _TE_FACTORS, _TM_SIGNS
     from wgdisp.coupling import _printed_sums, _split_cutoff
     geom, z, conv = cfg.geom, cfg.z, cfg.conventions
-    weight = _TE_FACTORS[conv.te_factor] * energy
+    weight = TE_FACTORS[conv.bundle] * energy
     table = ModeTable(geom, cfg.p1, cfg.p2)
     split, tm_tail = table.tm_split(z)
     te_unit, te_tail = table.te_split(z)
-    tm = _TM_SIGNS[conv.tm_sign] * _TM_SIGNS["oracle-consistent"] * split
+    tm = TM_SIGNS[conv.bundle] * TM_SIGNS["oracle-consistent"] * split
     te = weight * te_unit
     room = 1e-3 * SUM_TOL * max(np.abs(tm).max(), np.abs(te).max())
     cross, zero, _, _ = _listed_printed(geom, cfg.p1, cfg.p2, z, room)
     *_, cross_tail, axis_tail = _printed_sums(geom, cfg.p1, cfg.p2, z, 1_000_000)
     tail = tm_tail
-    if conv.tm_sign == "paper-literal":
+    if conv.printed:
         tm[0, 1], tm[1, 0] = cross
         tail += cross_tail
     tail += abs(weight) * te_tail
-    if conv.normalization == "paper-literal":
+    if conv.printed:
         te[0, 0] += weight * zero[0]
         te[1, 1] += weight * zero[1]
         tail += abs(weight) * axis_tail
@@ -824,9 +828,9 @@ def _seeded_cases(n):
         p1 = TransversePoint(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * b)
         p2 = TransversePoint(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9) * b)
         z = 0.02 * 250.0 ** (i / (n - 1))  # log-spaced over [0.02a, 5a]
-        # Both conventions with a part summed over modes under tail_tol.
-        conv = (Conventions(normalization="paper-literal"),
-                Conventions.paper_literal())[i % 2]
+        # Both bundles, the printed one with parts summed over modes under
+        # tail_tol.
+        conv = (Conventions(), Conventions("paper-literal"))[i % 2]
         yield PairConfiguration(Geometry(1.0, b), p1, p2, z, ISO, ISO,
                                 conventions=conv)
 
@@ -905,7 +909,7 @@ def _top_mode_cases(draw):
         b = 1.0
         points = {"mirrored": ((x, y), (y, x)), "diagonal": ((x, x), (y, y)),
                   "centre": ((0.5, 0.5), (0.5, 0.5))}[shape]
-    conv = Conventions.from_name(draw(st.sampled_from(["oracle-consistent",
+    conv = Conventions(draw(st.sampled_from(["oracle-consistent",
                                                        "paper-literal"])))
     z = 0.1 * 50.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.1a, 5a]
     cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*points[0]),
@@ -931,7 +935,7 @@ def _envelope_cases(draw):
         b = 1.0
         points = {"mirrored": ((x, y), (y, x)), "diagonal": ((x, x), (y, y)),
                   "centre": ((0.5, 0.5), (0.5, 0.5))}[shape]
-    conv = Conventions.from_name(draw(st.sampled_from(["oracle-consistent",
+    conv = Conventions(draw(st.sampled_from(["oracle-consistent",
                                                        "paper-literal"])))
     z = 0.05 * 160.0 ** draw(st.floats(0.0, 1.0))  # log-uniform in [0.05a, 8a]
     cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*points[0]),
@@ -1020,7 +1024,7 @@ class TestTopModes:
         # modes, and the list is, bit for bit, a ranking of a fresh table's
         # mode_tensors.
         cfg = _config(z, geom=Geometry(1.0, b), p1=TransversePoint(*p1),
-                      p2=TransversePoint(*p2), conventions=Conventions.from_name(convention))
+                      p2=TransversePoint(*p2), conventions=Conventions(convention))
         if truncation == "max_cutoff":
             ft = dispersion_energy(cfg, max_cutoff=25.0).f_by_level[E100]
         elif truncation == "own batch":
@@ -1061,12 +1065,10 @@ def _fresh_ranking(cfg, ft, n):
 
 @st.composite
 def _bundle_cases(draw):
-    # Any of the eight bundles, points on or off the centre lines (where
-    # entries vanish exactly), and either truncation; the TE modes listed
-    # include the zero-index ones.
-    from wgdisp.conventions import NORMALIZATIONS, TE_FACTORS, TM_SIGNS
-    conv = Conventions(*(draw(st.sampled_from(names))
-                         for names in (TM_SIGNS, TE_FACTORS, NORMALIZATIONS)))
+    # Either bundle, points on or off the centre lines (where entries
+    # vanish exactly), and either truncation; the TE modes listed include
+    # the zero-index ones.
+    conv = Conventions(draw(st.sampled_from(["oracle-consistent", "paper-literal"])))
     b = draw(st.sampled_from([1.0, 0.7, 0.45]))
 
     def coordinate(length):
@@ -1080,20 +1082,19 @@ def _bundle_cases(draw):
 def _printed_map(conv, tm, te, cross, zero):
     """The four changes that take oracle-consistent TM and TE couplings (3x3,
     or stacks of them along a last axis; either may be None) to ``conv``,
-    written out: xx, yy, zx and zy change sign and xy and yx become
-    ``cross``; ``zero`` is added to TE once more; TE is scaled by 1 / -2."""
+    written out: under the printed bundle xx, yy, zx and zy change sign and
+    xy and yx become ``cross``; ``zero`` is added to TE once more; TE is
+    scaled by 1 / -2."""
     if tm is not None:
         tm = tm.copy()
-        if conv.tm_sign == "paper-literal":
+        if conv.printed:
             for i, j in ((0, 0), (1, 1), (2, 0), (2, 1)):
                 tm[i, j] = -tm[i, j]
             tm[0, 1], tm[1, 0] = cross
         tm = tm + 0.0
     if te is not None:
-        if conv.normalization == "paper-literal":
-            te = te + zero
-        if conv.te_factor == "paper-literal":
-            te = te * (1.0 / -2.0)
+        if conv.printed:
+            te = (te + zero) * (1.0 / -2.0)
         te = te + 0.0
     return tm, te
 
@@ -1105,7 +1106,7 @@ def _same_bits(got, want):
 class TestConventionMap:
     @settings(max_examples=150, deadline=None)
     @given(case=_bundle_cases())
-    def test_eight_bundles_are_the_map_of_the_oracle_bundle(self, case):
+    def test_both_bundles_are_the_map_of_the_oracle_bundle(self, case):
         # Each bundle's tensors are the oracle-consistent ones under the
         # written-out map, bit for bit, with the printed sums (or, under a
         # fixed cutoff, the mode sum's zero-index TE modes) as its printed parts.  So
@@ -1146,7 +1147,7 @@ class TestConventionMap:
         _, te = _printed_map(conv, None, base[:, :, te_part], None,
                              np.where(zero_index, base[:, :, te_part], 0.0))
         _same_bits(got, np.concatenate([tm, te], axis=2))
-        if conv.normalization == "paper-literal":
+        if conv.printed:
             printed = _direct_te(geom, ms[te_part].astype(float), ns[te_part].astype(float),
                                  k[te_part], p1, p2, z, E100, conv)
             assert np.allclose(got[:, :, te_part][:, :, zero_index], printed[:, :, zero_index],
@@ -1224,7 +1225,7 @@ def _split_cases(draw):
                            unique_by=lambda level: level[0]))
     species = DipoleSpecies(tuple(DipoleTransition(2.0 * math.pi / lam, d)
                                   for lam, d in levels), orientation)
-    conv = Conventions.from_name(draw(st.sampled_from(["oracle-consistent",
+    conv = Conventions(draw(st.sampled_from(["oracle-consistent",
                                                        "paper-literal"])))
     cfg = PairConfiguration(Geometry(1.0, b), p1, p2, z, species, species,
                             conventions=conv)
@@ -1295,8 +1296,7 @@ def _table_cases(draw):
     geom = Geometry(1.0, 0.05 * 400.0 ** draw(st.floats(0.0, 1.0)))
     p1, p2 = (TransversePoint(_split_coordinate(draw, geom.a), _split_coordinate(draw, geom.b))
               for _ in range(2))
-    conv = Conventions(normalization=draw(st.sampled_from(["unit-normalized",
-                                                           "paper-literal"])))
+    conv = Conventions(draw(st.sampled_from(["oracle-consistent", "paper-literal"])))
     return geom, p1, p2, conv, draw(st.floats(0.5, 3.0)) * _split_cutoff(geom)
 
 
@@ -1335,7 +1335,7 @@ class TestScreenedPass:
                  _live(rows, 3))]
         k, (m, n) = steps._k["TE"][:te_count], steps._mn["TE"][:, :te_count]
         rows = steps._rows["TE"][:te_count]
-        if conv.normalization != "unit-normalized":
+        if conv.printed:
             rows = _te_rows(geom, m, n, k, p1, p2).T
         want.append((k, rows, _live(rows, 2)))
         for got, ref in zip(screened, want):
@@ -1416,7 +1416,7 @@ class TestEwaldSplit:
         # within the two tail estimates.
         cfg = PairConfiguration(Geometry(1.0, b), TransversePoint(*p1),
                                 TransversePoint(*p2), z, _TWO_LEVELS, _TWO_LEVELS,
-                                conventions=Conventions.paper_literal())
+                                conventions=Conventions("paper-literal"))
         u = dispersion_energy(cfg, **truncation)
         total, tm_only, tail = (float(v) for v in frozen)
         assert abs(u.total - total) <= u.tail_estimate + tail
@@ -1435,10 +1435,9 @@ class TestEwaldSplit:
             assert u.tail_estimate <= 1e-3 * abs(u.total)
             assert u.total / u_freespace_vdw(ISO, ISO, z) \
                 == pytest.approx(1.0, abs=0.02)
-        # Paper-literal normalization adds the zero-index TE modes once more,
-        # as the printed sums of the ln t rule.
-        u = dispersion_energy(replace(cfg, z=0.001,
-                                      conventions=Conventions(normalization="paper-literal")),
+        # The printed bundle adds the zero-index TE modes once more, as the
+        # printed sums of the ln t rule, and the printed TM cross terms.
+        u = dispersion_energy(replace(cfg, z=0.001, conventions=Conventions("paper-literal")),
                               tail_tol=1e-4)
         assert u.total / u_freespace_vdw(ISO, ISO, 0.001) \
             == pytest.approx(1.0, abs=0.02)
@@ -1467,16 +1466,15 @@ class TestPaperLiteral:
         # split plus math.fsum zero-index terms, each listed until the terms
         # left out add at most 1e-3 of the printed tail, every entry is
         # within tail_bound and the listed sums' rounding.
-        from wgdisp.conventions import _TE_FACTORS, _TM_SIGNS
-        geom, conv = Geometry(1.0, b), Conventions.paper_literal()
+        geom, conv = Geometry(1.0, b), Conventions("paper-literal")
         cfg = PairConfiguration(geom, TransversePoint(*p1), TransversePoint(*p2), z,
                                 ISO, ISO, conventions=conv)
         ft = f_tensor(cfg, E100, tail_tol=tol)
-        weight = _TE_FACTORS[conv.te_factor] * E100
+        weight = TE_FACTORS["paper-literal"] * E100
         cross, zero, cross_err, zero_err = _listed_printed(geom, cfg.p1, cfg.p2, z,
                                                            1e-3 * ft.tail_bound)
         table = ModeTable(geom, cfg.p1, cfg.p2)
-        tm = _TM_SIGNS["paper-literal"] * _TM_SIGNS["oracle-consistent"] * table.tm_split(z)[0]
+        tm = TM_SIGNS["paper-literal"] * TM_SIGNS["oracle-consistent"] * table.tm_split(z)[0]
         tm[0, 1], tm[1, 0] = cross
         te = weight * table.te_split(z)[0]
         te[0, 0] += weight * zero[0]
@@ -1529,13 +1527,13 @@ class TestPaperLiteral:
         (0.6, (0.0, 0.3), (0.45, 0.1), 0.15),
     ])
     def test_normalization_te_against_plain_sum(self, b, p1, p2, z):
-        # Paper-literal normalization: the TE tensor is the unit split plus
-        # the zero-index modes once more; against the math.fsum plain TE
-        # mode sum with the printed profiles, whose own tail is at most
-        # 1e-3 of the printed tail, it is within tail_bound and the plain
-        # sum's rounding.
+        # The printed bundle: the TE tensor is the unit split plus the
+        # zero-index modes once more, times the printed factor; against the
+        # math.fsum plain TE mode sum with the printed profiles and factor,
+        # whose own tail is at most 1e-3 of the printed tail, it is within
+        # tail_bound and the plain sum's rounding.
         geom = Geometry(1.0, b)
-        conv = Conventions(normalization="paper-literal")
+        conv = Conventions("paper-literal")
         cfg = PairConfiguration(geom, TransversePoint(*p1), TransversePoint(*p2), z,
                                 ISO, ISO, conventions=conv)
         ft = f_tensor(cfg, E100, tail_tol=1e-9)
@@ -1773,7 +1771,7 @@ class TestSweep:
                            (TransversePoint(0.33, 0.23), np.geomspace(0.08, 2.0, 9).tolist()),
                            (p2, across), (p1, across), (p2, longer)):
             cfg = PairConfiguration(geom, p1, second, 0.05, _TWO_LEVELS, ISO,
-                                    conventions=Conventions.from_name(convention))
+                                    conventions=Conventions(convention))
             ones = {z: dispersion_energy(replace(cfg, z=z), **truncation) for z in zs}
             for order in (zs, zs[::-1], rng.permutation(zs).tolist()):
                 for z, u in zip(order, dispersion_sweep(cfg, order, **truncation)):
@@ -1800,7 +1798,7 @@ class TestSweep:
         # corner; and a sweep longer than one chunk of the splits.
         from wgdisp.energy import _SPLIT_CHUNK
         rng = np.random.default_rng(30)
-        geom, conv = Geometry(1.0, 0.7), Conventions.from_name(convention)
+        geom, conv = Geometry(1.0, 0.7), Conventions(convention)
 
         def species(n, orientation, shared=()):
             levels = [*shared, *(2.0 * math.pi / rng.uniform(40.0, 200.0)

@@ -402,7 +402,7 @@ class TestGoldenValues:
         return PairConfiguration(Geometry(1.0, 0.8), TransversePoint(0.3, 0.5),
                                  TransversePoint(0.62, 0.21), 0.45, self.SPECIES1,
                                  self.SPECIES2,
-                                 conventions=Conventions.from_name(convention))
+                                 conventions=Conventions(convention))
 
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     @pytest.mark.parametrize("diagrams", ["dominant", "all"])
@@ -436,7 +436,7 @@ class TestPinnedBits:
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_oracle_check_dominant_value(self, convention):
         config = PairConfiguration(SQ, CENTER, CENTER, 0.6, AXIAL, AXIAL,
-                                   conventions=Conventions.from_name(convention))
+                                   conventions=Conventions(convention))
         value = fourth_order_oracle(config, TM11, diagrams="dominant")
         assert value.hex() == "-0x1.754a9553e61dep+1"
 

@@ -59,7 +59,7 @@ class TestModeValidation:
 class TestProfiles:
     def test_te10_center_paper_literal(self):
         e = mode_profile(SQ, ModeIndex("TE", 1, 0), 0.0, SQ.center(),
-                         Conventions(normalization="paper-literal"))
+                         Conventions("paper-literal"))
         assert np.allclose(e, [0.0, 2.0, 0.0], atol=1e-15)
 
     def test_tm11_center_on_cutoff(self):
@@ -142,11 +142,11 @@ class TestProfiles:
                 mode = ModeIndex("TE", m, n)
                 rows = _te_rows(g, *_one_mode(g, mode), p, p)
                 for conv, nf in (("paper-literal", 1.0),
-                                 ("unit-normalized",
+                                 ("oracle-consistent",
                                   math.sqrt(0.5) if m * n == 0 else 1.0)):
                     te = [-root_a * nf * (ay / kmn) * cx * sy,
                           root_a * nf * (ax / kmn) * sx * cy, 0.0]
-                    got = mode_profile(g, mode, k, p, Conventions(normalization=conv))
+                    got = mode_profile(g, mode, k, p, Conventions(conv))
                     assert np.abs(got - te).max() < 1e-14
                     scale = math.sqrt(2.0) if conv == "paper-literal" and m * n == 0 else 1.0
                     assert got[0].real == rows[0, 0] * scale
