@@ -47,7 +47,7 @@ def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:
     for z in zs if np.ndim(z_over_a) else [z_over_a]:
         _check(z)
     _TABLE.compute_splits(zs, (TM,))
-    sums = np.array([_TABLE.tm_split(z)[0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
+    sums = np.array([_TABLE.split(TM, z)[0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
     return sums if np.ndim(z_over_a) else float(sums[0])
 
 

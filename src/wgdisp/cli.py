@@ -53,6 +53,16 @@ _CONFIG_TYPES = {
 }
 
 
+# The largest count of sweep points or oracle cases a run takes.  A sweep
+# point holds about 4 KB and an oracle case about 6 KB, each taking 0.1 to
+# 0.3 ms, so a run at the cap peaks near 0.3 GB within about 15 s.
+_COUNT_CAP = 50_000
+
+
+class _CountCapError(WgdispError):
+    """A count past _COUNT_CAP: a resource cap, refused as the mode cap is."""
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -96,6 +106,16 @@ def _resolve(args, key: str, default=None):
     if getattr(args, "_config", None) and key in args._config:
         return args._config[key]
     return default
+
+
+def _count(args, key: str, default: int) -> int:
+    """The count ``key`` (flag or config value), refused past _COUNT_CAP
+    before anything is allocated for it."""
+    count = int(_resolve(args, key, default))
+    if count > _COUNT_CAP:
+        raise _CountCapError(f"{args.command} needs {count} {key}, exceeding the hard cap "
+                             f"of {_COUNT_CAP}; use fewer {key}")
+    return count
 
 
 def _emit(args, text: str) -> None:
@@ -200,28 +220,33 @@ def cmd_coupling(args) -> int:
     z = float(_resolve(args, "z"))
     bundle = _bundle(args)
     conv = Conventions(bundle)
-    if mode.polarization == "TM":
-        closed = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
-    else:
-        if args.energy is None:
-            raise InputError("TE couplings require --energy")
-        closed = f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv)
-    if args.energy is not None and not math.isfinite(args.energy):  # echoed even if unused
-        raise InputError(f"transition energy must be positive and finite, got {args.energy!r}")
-    payload = {
-        "inputs": {"mode": mode.label(), "orientation": orient,
-                   "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
-                   "energy": args.energy, "convention": bundle},
-        "closed_form": closed,
-    }
-    if args.check_quadrature:
-        quad = f_quadrature(geom, mode, orient, p1, p2, z, energy=args.energy,
-                            scheme=args.scheme, conventions=conv)
-        payload["quadrature"] = quad
-        payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
+    # Warnings are shown once the run returns: a refused run prints one line.
+    with warnings.catch_warnings(record=True) as raised:
+        if mode.polarization == "TM":
+            closed = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
+        else:
+            if args.energy is None:
+                raise InputError("TE couplings require --energy")
+            closed = f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv)
+        if args.energy is not None and not math.isfinite(args.energy):  # echoed even if unused
+            raise InputError(f"transition energy must be positive and finite, "
+                             f"got {args.energy!r}")
+        payload = {
+            "inputs": {"mode": mode.label(), "orientation": orient,
+                       "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
+                       "energy": args.energy, "convention": bundle},
+            "closed_form": closed,
+        }
+        if args.check_quadrature:
+            quad = f_quadrature(geom, mode, orient, p1, p2, z, energy=args.energy,
+                                scheme=args.scheme, conventions=conv)
+            payload["quadrature"] = quad
+            payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
     if bad := [v for key, v in payload.items() if key != "inputs" and not math.isfinite(v)]:
         raise InputError(f"the {mode.label()} coupling is not finite: {bad[0]!r}, its terms "
                          f"pass the largest double")
+    for w in raised:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _emit(args, _json_dump(payload))
     return EXIT_OK
 
@@ -316,7 +341,7 @@ def cmd_energy(args) -> int:
 def cmd_sweep(args) -> int:
     z_min = _resolve(args, "z_min")
     z_max = _resolve(args, "z_max")
-    points = int(_resolve(args, "points", 0))
+    points = _count(args, "points", 0)
     if z_min is None or z_max is None:
         raise InputError("--z-min and --z-max are required")
     z_min, z_max = float(z_min), float(z_max)
@@ -386,7 +411,7 @@ def cmd_oracle_check(args) -> int:
     from .oracle_checks import run_oracle_checks
 
     seed = int(_resolve(args, "seed", 12345))
-    cases = int(_resolve(args, "cases", 20))
+    cases = _count(args, "cases", 20)
     report, ok = run_oracle_checks(seed=seed, convention=_bundle(args), cases=cases)
     _emit(args, report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -495,7 +520,7 @@ def main(argv=None) -> int:
     except SpeciesFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FILE
-    except ModeCapError as exc:
+    except (ModeCapError, _CountCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InputError as exc:

@@ -40,10 +40,10 @@ oracle.  ``_tm_split`` sums the oracle-consistent TM couplings of all
 modes at once, from the same rows, by an Ewald split of the tube's Green
 function, and ``_te_split`` sums the unit-normalized TE
 couplings the same way, by a split in time of the tube's heat kernel.
-Both need the rows of a few dozen screened modes and about a hundred
-images at any separation, and each has a derived truncation bound
-(``_tm_split_bound``, ``_te_split_bound``); ``_printed_sums`` takes the
-paper-literal sums no split covers by a rule in ln t, with its own bound.
+Both take the rows of a few dozen screened modes and about a hundred
+images at any separation, and return their tensors with derived truncation
+bounds (``_tm_split_bound``, ``_te_split_bound``); ``_printed_sums`` takes
+the paper-literal sums no split covers by a rule in ln t, with its own bound.
 
 Natural units hbar = c = 1 throughout.
 """
@@ -201,12 +201,12 @@ def _powers(x: np.ndarray, n: float) -> np.ndarray:
     return np.fromiter((_power(v, n) for v in x.tolist()), float, x.size)
 
 
-def _tm_split_spectral(geom, k, products, z):
-    """Screened-mode part of the split over the modes of ``k`` and ``products``,
+def _tm_split_spectral(geom, k, rows, z):
+    """Screened-mode part of the split over the modes of ``k`` and ``rows``,
     shape (nz, 3, 3) for the 1-D array of separations ``z``.
 
-    ``products[i, j]`` holds the per-mode products of the :func:`_tm_rows`
-    factors i at p2 and j at p1, shape (3, 3, N).  The radial weight
+    Entry (i, j) sums the products of the :func:`_tm_rows` factors i at p2
+    and j at p1 of each mode of ``rows``.  The radial weight
     k e^{-kz} of the mode sum becomes k (A + B) / 2 for the
     transverse-transverse entries, k (A - B) / 2 for the mixed ones and
     k (A + B) / 2 - 2 g / (sqrt(pi) eta) for zz, with
@@ -223,6 +223,7 @@ def _tm_split_spectral(geom, k, products, z):
     tt = 0.5 * k * (a_part + b_part)
     weights = np.array([tt, 0.5 * k * (a_part - b_part),
                         tt - (2.0 / (math.sqrt(math.pi) * eta)) * g])
+    products = rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None]
     sums = (weights[_SPLIT_CLASS] * products[:, :, None, :]).sum(axis=3)
     return ((4.0 * np.pi / geom.area) * KERNEL_TM_SIGNS[:, :, None]
             * sums).transpose(2, 0, 1)
@@ -289,24 +290,27 @@ def _tm_split_images(geom, images, z):
     return out
 
 
-def _live(rows, width):
-    """Entries whose profile factors at p2 and at p1 do not vanish for every
-    mode; the mode tables zero the splits' rounding residue in the others."""
-    live = (rows != 0.0).any(axis=0)
-    return live[0:width, None] & live[None, width:2 * width]
+def _live(rows):
+    """Entries whose profile factors at p2 (the first half of each row of
+    ``rows``) and at p1 (the second) do not vanish for every mode; the mode
+    tables zero the splits' rounding residue in the others."""
+    at_p2, at_p1 = (rows != 0.0).any(axis=0).reshape(2, -1)
+    return at_p2[:, None] & at_p1
 
 
-def _tm_split(geom, k, products, images, z):
+def _tm_split(geom, k, rows, images, z):
     """Oracle-consistent TM tensors at the separations of the 1-D array ``z``
-    from the Ewald split, shape (nz, 3, 3).
+    from the Ewald split, shape (nz, 3, 3), and their
+    :func:`_tm_split_bound` values, shape (nz,).
 
-    ``k`` and ``products`` are the cutoffs and the :func:`_tm_split_spectral`
-    products of the modes up to :func:`_split_cutoff`, and
-    ``images`` the :func:`_split_images` of the pair.  Entries outside
-    :func:`_live` are left as summed.  Each tensor is the same whichever
-    separations share the call.
+    ``k`` and ``rows`` are the cutoffs and :func:`_tm_rows` rows (one mode
+    per row) of the modes up to :func:`_split_cutoff`, and ``images`` the
+    :func:`_split_images` of the pair, as :func:`_te_split` takes them.
+    Entries outside :func:`_live` are left as summed.  Each tensor is the
+    same whichever separations share the call.
     """
-    return _tm_split_spectral(geom, k, products, z) + _tm_split_images(geom, images, z)
+    out = _tm_split_spectral(geom, k, rows, z) + _tm_split_images(geom, images, z)
+    return out + 0.0, np.array([_tm_split_bound(geom, v) for v in z.tolist()])
 
 
 def _tm_split_bound(geom: Geometry, z: float) -> float:

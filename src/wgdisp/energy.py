@@ -282,11 +282,12 @@ class ModeTable:
     builds the rows of the new modes.  Only the radial factors depend on
     the separation, so one table serves every separation and transition
     level of a sweep: :func:`_mode_sum` weights and contracts the rows, and
-    :meth:`tm_split` and :meth:`te_split` those of the first, screened
-    modes, adding the image sums over image offsets, signs and rho^2 that
-    the table takes once, all oracle-consistent.
-    :meth:`compute_splits` evaluates the splits, with their bounds, at a
-    whole sweep's separations, a chunk of them per kernel call.
+    the splits those of the first, screened modes, adding the image sums
+    over image offsets, signs and rho^2 that the table takes once, all
+    oracle-consistent.  Both splits' kernels take rows and return tensors
+    with their bounds, so one loop (:meth:`compute_splits`) evaluates
+    either at a whole sweep's separations, a chunk of them per kernel
+    call, and one accessor (:meth:`split`) reads them.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint, p2: TransversePoint):
@@ -353,75 +354,52 @@ class ModeTable:
         batch's splits and mode sums.
 
         The separations go through the kernels of :mod:`wgdisp.coupling`
-        _SPLIT_CHUNK at a time; a split does not depend on which
-        separations share its chunk.  Each TM bound is taken with its
-        tensor, at the z the kernel took.
+        (``_tm_split``, ``_te_split``) _SPLIT_CHUNK at a time; a split does
+        not depend on which separations share its chunk.  Each bound is
+        taken with its tensor, at the z the kernel took.
         """
         geom = self.key[0]
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
         near = np.minimum(z, _FAR * (geom.a + geom.b))
         self._sums = {}
         for pol in pols:
-            k, factors, live = self._screened(pol)
+            k, rows, live = self._screened(pol)
+            kernel = _coupling._tm_split if pol == TM else _coupling._te_split
+            n = len(live)
             store = {}
             for start in range(0, z.size, _SPLIT_CHUNK):
                 part = slice(start, start + _SPLIT_CHUNK)
-                keys, taken = z[part].tolist(), near[part].tolist()
-                if pol == TM:
-                    out = _coupling._tm_split(geom, k, factors, self._images, near[part])
-                    out = np.where(live, out, 0.0) + 0.0
-                    records = zip(out, [_coupling._tm_split_bound(geom, w) for w in taken])
-                else:
-                    out, bounds = _coupling._te_split(geom, k, factors, self._images,
-                                                      near[part])
-                    out[:, :2, :2] = np.where(live, out[:, :2, :2], 0.0)
-                    records = zip(out, bounds.tolist())
-                store.update(zip(keys, records))
+                out, bounds = kernel(geom, k, rows, self._images, near[part])
+                out[:, :n, :n] = np.where(live, out[:, :n, :n], 0.0)
+                store.update(zip(z[part].tolist(), zip(out, bounds.tolist())))
             self._splits[pol] = store
 
-    def tm_split(self, z: float) -> tuple[np.ndarray, float]:
-        """Oracle-consistent TM tensor at separation z and its truncation bound.
-
-        The Ewald split of :func:`wgdisp.coupling._tm_split`, whose screened
-        modes are the table's first TM modes, up to
-        :func:`wgdisp.coupling._split_cutoff`.  It does not depend on the
+    def split(self, pol: str, z: float) -> tuple[np.ndarray, float]:
+        """The ``pol`` split at separation z and its truncation bound: the
+        oracle-consistent TM tensor of :func:`wgdisp.coupling._tm_split` or the
+        unit TE tensor (the TE mode sum without its factor * E) of
+        :func:`wgdisp.coupling._te_split`, over the table's first modes up to
+        :func:`wgdisp.coupling._split_cutoff`.  Neither depends on the
         transition energy, so the levels at one separation share it.  Read
-        from the batch of :meth:`compute_splits`; a z outside it is
-        computed as a batch of its own.
+        from the batch of :meth:`compute_splits`; a z outside it is computed
+        as a batch of its own.
         """
-        if z not in self._splits[TM]:
-            self.compute_splits([z], (TM,))
-        return self._splits[TM][z]
-
-    def te_split(self, z: float) -> tuple[np.ndarray, float]:
-        """Unit TE tensor at separation z and its truncation bound.
-
-        The heat-kernel split of :func:`wgdisp.coupling._te_split` (the TE
-        mode sum without its factor * E), over the table's first TE modes
-        up to :func:`wgdisp.coupling._split_cutoff` and the images of the TM
-        split.  Read and computed as :meth:`tm_split` is.
-        """
-        if z not in self._splits[TE]:
-            self.compute_splits([z], (TE,))
-        return self._splits[TE][z]
+        if z not in self._splits[pol]:
+            self.compute_splits([z], (pol,))
+        return self._splits[pol][z]
 
     def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cutoffs of the split's screened modes, the products of their TM
-        factors at p2 and at p1 or their unit-normalized TE factor rows, and
-        the :func:`wgdisp.coupling._live` entries of the split's tensor.
+        """Cutoffs of the split's screened modes of ``pol``, their factor
+        rows (one mode per row) and the :func:`wgdisp.coupling._live`
+        entries of the split's tensor.
 
         The first call takes one pass: :meth:`extend` to the splits' cutoff
-        lists the screened modes and builds their rows, and both
-        polarizations' data follow from those rows.
+        lists the screened modes of both polarizations and builds their rows.
         """
         if not self._screen:
-            tm_count, te_count = self.extend(self._split_cutoff)
-            rows = self._rows[TM][:tm_count]
-            self._screen[TM] = (self._k[TM][:tm_count],  # products of the factors at p2 and p1
-                                rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
-                                _coupling._live(rows, 3))
-            rows = self._rows[TE][:te_count]
-            self._screen[TE] = self._k[TE][:te_count], rows, _coupling._live(rows, 2)
+            for each, count in zip((TM, TE), self.extend(self._split_cutoff)):
+                rows = self._rows[each][:count]
+                self._screen[each] = self._k[each][:count], rows, _coupling._live(rows)
         return self._screen[pol]
 
     @cached_property
@@ -548,7 +526,8 @@ def _check_cap(count: int | float, mode_cap: int,
     """Refuse a listing of ``count`` modes past the cap, before it is made;
     by default the listing is the splits', whose count grows with a/b and b/a."""
     if count > mode_cap:
-        raise ModeCapError(count, mode_cap, remedy)
+        raise ModeCapError(count, mode_cap, f"{remedy} or, at very small separations, the "
+                           "free-space quasistatic form wgdisp.u_freespace_vdw")
 
 
 def f_tensor(
@@ -561,8 +540,8 @@ def f_tensor(
 ) -> FTensorResult:
     """Coupling tensor for one transition energy.
 
-    With ``tail_tol`` the tensors are the splits of :meth:`ModeTable.tm_split`
-    and :meth:`ModeTable.te_split`, with ``max_cutoff`` the mode sum of
+    With ``tail_tol`` the tensors are the TM and TE splits of
+    :meth:`ModeTable.split`, with ``max_cutoff`` the mode sum of
     :func:`_mode_sum` below it; :func:`wgdisp.conventions.apply` maps them
     to config's conventions with the printed sums of
     :func:`wgdisp.coupling._printed_sums` (or the mode sum's zero-index
@@ -596,7 +575,7 @@ def f_tensor(
     te_bound = abs(conv.te_scale * te_weight)  # |factor| E, exactly
     printed = conv.printed
     if max_cutoff is None:
-        (tm_sum, tm_tail), (te_unit, te_tail) = table.tm_split(z), table.te_split(z)
+        (tm_sum, tm_tail), (te_unit, te_tail) = table.split(TM, z), table.split(TE, z)
     else:
         _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
         if (z, max_cutoff, printed) not in table._sums:

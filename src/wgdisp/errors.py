@@ -24,11 +24,8 @@ class ModeCapError(WgdispError, RuntimeError):
     """A mode sum or mode listing would exceed the configured hard cap."""
 
     def __init__(self, needed: int | float, cap: int, remedy: str = "use a lower cutoff"):
-        super().__init__(
-            f"the cutoff needs ~{needed:.15g} modes, exceeding the hard cap of {cap}; "
-            f"{remedy} or, at very small separations, the free-space "
-            "quasistatic form wgdisp.u_freespace_vdw"
-        )
+        super().__init__(f"the cutoff needs ~{needed:.15g} modes, exceeding the hard cap "
+                         f"of {cap}; {remedy}")
         self.needed = needed
         self.cap = cap
 

@@ -84,9 +84,9 @@ class TestBatch:
         sizes = []
         split = coupling._tm_split
 
-        def counted(geom, k, products, images, z):
+        def counted(geom, k, rows, images, z):
             sizes.append(z.size)
-            return split(geom, k, products, images, z)
+            return split(geom, k, rows, images, z)
 
         monkeypatch.setattr(coupling, "_tm_split", counted)
         for _ in range(2):

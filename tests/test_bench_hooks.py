@@ -2,6 +2,7 @@
 name, and its output checks hold the CLI to the reference mode sum."""
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -154,3 +155,31 @@ def test_workload_checks_pass_on_the_first_ops(tmp_path):
                     assert cli.main(argv) == 0
                 stdouts.append(out.getvalue())
             assert workload.verify(lib, op, stdouts) is None, (name, op.inputs)
+
+
+# The stdout digests bench/run.py prints for the seed-1 pools: any change
+# to a printed byte of a benchmark op shows here before the benchmark.
+POOL_DIGESTS = {
+    "sweep-near": "cb7027660adc5bf37a93c51edbd0b9e34d071967f85b7461fa199978049160c6",
+    "point-far": "f8251c282ba57453782dc4e0cc978a78f3371c1c943a281e0363282c1d1e0c67",
+    "oracle": "d4356d3602ab76fa9594ee7ad90e28c13a72c50d584542d5556fa3351220a553",
+}
+
+
+def test_seed_1_pool_digests(tmp_path):
+    # Each op runs once through cli.main, and its stdouts are hashed as
+    # bench/run.py hashes them (timed_loop, output_digest).
+    from wgdisp import cli
+
+    workloads = _load("wgdisp_bench_workloads", WORKLOADS)
+    for name, digest in POOL_DIGESTS.items():
+        shas = []
+        for op in workloads.WORKLOADS[name].generate(1, tmp_path):
+            outs = []
+            for argv in op.commands:
+                with contextlib.redirect_stdout(io.StringIO()) as out, \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert cli.main(argv) == 0, (name, argv)
+                outs.append(out.getvalue())
+            shas.append(hashlib.sha256("\0".join(outs).encode()).hexdigest())
+        assert hashlib.sha256("".join(shas).encode()).hexdigest() == digest, name

@@ -100,11 +100,11 @@ class TestModes:
             raise AssertionError("modes listed past the cap")
         monkeypatch.setattr(waveguide, "mode_arrays", forbidden)
         assert cli.main(["modes", "--max-cutoff", "1e5"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            f"error: the cutoff needs ~{waveguide.mode_count(waveguide.Geometry(), 1e5)} "
-            f"modes, exceeding the hard cap of {waveguide.MODE_CAP};")
+        # The listing's own remedy: no energy is taken, so the free-space
+        # form that energy and sweep point to is no remedy here.
+        assert capsys.readouterr() == ("", "error: the cutoff needs ~1591613096 modes, "
+                                           "exceeding the hard cap of 1000000; use a lower "
+                                           "cutoff\n")
 
     def test_tiny_guide_lists_without_warnings(self):
         # (pi / a)^2 overflows to inf for a = 1e-300: that row holds no mode.
@@ -873,18 +873,78 @@ def _edge_runs(draw):
     return argv + draw(st.sampled_from([[], ["--convention", "paper-literal"]]))
 
 
+# The count cap on sweep points and oracle cases, and edge counts for
+# --points and --top-modes: invalid, small, one past the cap and far past it.
+COUNT_CAP = 50_000
+_EDGE_COUNTS = ("-1", "0", "1", "3", str(COUNT_CAP + 1), "999999999")
+
+
+@st.composite
+def _edge_pair_runs(draw, command):
+    # An energy report or a sweep, each numeric flag left out (three times
+    # in four) or drawn from _EDGE_DOUBLES as --flag=value, --points and
+    # --top-modes from _EDGE_COUNTS, under either bundle, orientation and
+    # spacing; half of the sweeps take their two separations in order.
+    edge = st.sampled_from(_EDGE_DOUBLES)
+
+    def optional(*flags):
+        return [f"{flag}={draw(edge)}" for flag in flags if draw(st.integers(0, 3)) == 0]
+    argv = [command, *optional("--a", "--b", "--x1", "--y1", "--x2", "--y2", "--epsilon",
+                               "--tail-tol", "--max-cutoff")]
+    if command == "energy":
+        argv += [f"--z={draw(edge)}", *optional("--si-a-meters")]
+        if draw(st.booleans()):
+            argv.append(f"--top-modes={draw(st.sampled_from(_EDGE_COUNTS))}")
+    else:
+        z_min, z_max = draw(edge), draw(edge)
+        if draw(st.booleans()):
+            z_min, z_max = sorted((z_min, z_max), key=lambda v: (v == "nan", float(v)))
+        argv += [f"--z-min={z_min}", f"--z-max={z_max}",
+                 f"--points={draw(st.sampled_from(_EDGE_COUNTS))}",
+                 *draw(st.sampled_from([[], ["--spacing", "linear"]]))]
+    return argv + draw(st.sampled_from([[], ["--convention", "paper-literal"]])) \
+        + draw(st.sampled_from([[], ["--orientation", "fixed-vector"]]))
+
+
 class TestEdgeInputs:
     @settings(max_examples=1500, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(argv=_edge_runs())
     def test_exit_code_and_output(self, capsys, argv):
+        self._check(capsys, argv)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_edge_pair_runs("energy"))
+    def test_energy(self, species_file, capsys, argv):
+        self._check(capsys, [*argv, "--species1", species_file])
+
+    # Most sweeps are refused at once; about one in 250 runs.
+    @settings(max_examples=3000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_edge_pair_runs("sweep"))
+    def test_sweep(self, species_file, capsys, argv):
+        # A sweep grid past the count cap fails here instead of allocating.
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("geomspace", "linspace"):
+                def bounded(start, stop, num, *rest, _space=getattr(np, name), **kwargs):
+                    assert num <= COUNT_CAP, "a sweep grid past the count cap"
+                    return _space(start, stop, num, *rest, **kwargs)
+                patch.setattr(np, name, bounded)
+            self._check(capsys, [*argv, "--species1", species_file])
+
+    @staticmethod
+    def _check(capsys, argv):
         # Exit 0 or 2, 1 only for an uncertified quadrature and 4 only for
-        # the mode cap, with no traceback and no RuntimeWarning; an error is
-        # one error: line, and exit 0 prints only finite values or carries a
-        # warning.
+        # the mode or count cap, with no traceback and no RuntimeWarning; an
+        # error is one error: line, and exit 0 prints only finite values or
+        # carries a warning.
         from wgdisp import cli
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
+            # Raised as errors, RuntimeWarnings fail here also where a
+            # refused run drops the warnings it recorded.
+            warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(argv)
         out, err = capsys.readouterr()
         assert [str(w.message) for w in raised if issubclass(w.category, RuntimeWarning)] == []
@@ -893,13 +953,62 @@ class TestEdgeInputs:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
             assert code != 1 or err.startswith("error: wavenumber integral did not reach")
             assert code != 4 or "exceeding the hard cap" in err
+        elif argv[0] == "energy":
+            _finite_or_warned(out)
         elif argv[0] == "coupling" or "json" in argv:
             constants = []
             json.loads(out, parse_constant=constants.append)
             assert not constants or raised
+        elif argv[0] == "sweep":
+            # The ratio to a free-space energy of exactly 0 (fixed dipoles
+            # at the magic angle) prints as nan, as the energy report's
+            # prints as null.
+            rows = [[float(cell) for cell in line.split(",")] for line in out.splitlines()[1:]]
+            assert raised or "warning: " in err or all(
+                math.isfinite(v) for row in rows for i, v in enumerate(row)
+                if not (i == 4 and row[2] == 0.0))
         else:
             assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:]
                        for cell in line.split(",")[3:])
+
+
+class TestCountCaps:
+    # A sweep's points and an oracle check's cases are refused past the
+    # count cap with one error line and exit 4, from the flag or a config
+    # file, before anything is allocated for them; the cap itself passes.
+    def _refused(self, capsys, argv, message, tmp_path):
+        from wgdisp import cli
+        key, count = argv[-2].lstrip("-"), argv[-1]
+        config = tmp_path / "counts.cfg"
+        config.write_text(f"{key} = {count}\n")
+        for run in (argv, [*argv[:-2], "--config", str(config)]):
+            assert cli.main(run) == 4
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("points", ["50001", "999999999"])
+    def test_sweep_points(self, species_file, monkeypatch, capsys, tmp_path, points):
+        from wgdisp import cli
+
+        def grid(*args):
+            raise AssertionError("sweep grid built")
+        monkeypatch.setattr(np, "geomspace", grid)
+        argv = ["sweep", "--z-min", "0.1", "--z-max", "1", "--species1", species_file]
+        self._refused(capsys, [*argv, "--points", points], f"sweep needs {points} points, "
+                      "exceeding the hard cap of 50000; use fewer points", tmp_path)
+        with pytest.raises(AssertionError, match="sweep grid built"):
+            cli.main([*argv, "--points", "50000"])
+
+    @pytest.mark.parametrize("cases", ["50001", "999999999"])
+    def test_oracle_cases(self, monkeypatch, capsys, tmp_path, cases):
+        from wgdisp import cli, oracle_checks
+
+        def draw(*args):
+            raise AssertionError("oracle cases drawn")
+        monkeypatch.setattr(oracle_checks, "_draw_cases", draw)
+        self._refused(capsys, ["oracle-check", "--cases", cases], f"oracle-check needs {cases} "
+                      "cases, exceeding the hard cap of 50000; use fewer cases", tmp_path)
+        with pytest.raises(AssertionError, match="oracle cases drawn"):
+            cli.main(["oracle-check", "--cases", "50000"])
 
 
 class TestHugeCutoffs:
@@ -1226,6 +1335,19 @@ class TestCoupling:
         assert capsys.readouterr() == (
             "", "error: the TE10 coupling is not finite: -inf, its terms pass the largest "
                 "double\n")
+
+    def test_refused_run_prints_its_error_alone(self):
+        # A run's warnings are shown once it returns: a refused run prints
+        # its error line alone, and one that returns still warns.
+        argv = ["coupling", "--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy",
+                "--z", "1", "--energy", "1"]
+        refused = run_cli(*argv, "--b", "1e-320")
+        assert (refused.returncode, refused.stdout, refused.stderr) == (
+            2, "", "error: the TE10 coupling is not finite: -inf, its terms pass the largest "
+                   "double\n")
+        returned = run_cli(*argv, "--b", "0.5")
+        assert returned.returncode == 0 and json.loads(returned.stdout)["closed_form"] < 0.0
+        assert "TightConfinementWarning: tight-confinement parameter" in returned.stderr
 
     @pytest.mark.parametrize("argv, closed, quadrature", [
         (["--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy", "--z", "1",

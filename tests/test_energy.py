@@ -195,8 +195,8 @@ class TestFTensor:
                                 conventions=conventions)
         grown = f_tensor(cfg, E100, tail_tol=tol)
         table = ModeTable(geom, cfg.p1, cfg.p2)
-        split, tm_bound = table.tm_split(z)
-        te_unit, te_bound = table.te_split(z)
+        split, tm_bound = table.split("TM", z)
+        te_unit, te_bound = table.split("TE", z)
         mask = TM_SIGNS[convention] * TM_SIGNS["oracle-consistent"]
         seven = np.ones((3, 3), dtype=bool)
         seven[0, 1] = seven[1, 0] = convention != "paper-literal"
@@ -713,8 +713,8 @@ class TestReferenceModeSum:
         assume(not (cfg.geom.is_corner(cfg.p1) or cfg.geom.is_corner(cfg.p2)))
         fixed = f_tensor(cfg, E100, max_cutoff=K)
         table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
-        tm, tm_bound = table.tm_split(cfg.z)
-        te, te_bound = table.te_split(cfg.z)
+        tm, tm_bound = table.split("TM", cfg.z)
+        te, te_bound = table.split("TE", cfg.z)
         weight = -2.0 * E100
         assert np.abs(fixed.tm_tensor - tm).max() <= fixed.tail_bound + tm_bound
         assert np.abs(fixed.te_tensor - weight * te).max() \
@@ -758,8 +758,8 @@ def _reference_f_tensor(cfg, energy, tail_tol):
     geom, z, conv = cfg.geom, cfg.z, cfg.conventions
     weight = TE_FACTORS[conv.bundle] * energy
     table = ModeTable(geom, cfg.p1, cfg.p2)
-    split, tm_tail = table.tm_split(z)
-    te_unit, te_tail = table.te_split(z)
+    split, tm_tail = table.split("TM", z)
+    te_unit, te_tail = table.split("TE", z)
     tm = TM_SIGNS[conv.bundle] * TM_SIGNS["oracle-consistent"] * split
     te = weight * te_unit
     room = 1e-3 * SUM_TOL * max(np.abs(tm).max(), np.abs(te).max())
@@ -1194,7 +1194,7 @@ class TestTailBoundProperty:
         # growth starts from, where that sum's tail is largest.
         geom, z = cfg.geom, cfg.z
         table = ModeTable(geom, cfg.p1, cfg.p2)
-        split, split_tail = table.tm_split(z)
+        split, split_tail = table.split("TM", z)
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         tm, _, _, tm_tail, _ = _mode_sum(table, z, K, False)
         assert np.abs(tm - split).max() <= tm_tail + split_tail
@@ -1331,13 +1331,12 @@ class TestScreenedPass:
         _assert_same_table(once, steps)
         tm_count, te_count = steps.counts(K)
         rows = steps._rows["TM"][:tm_count]
-        want = [(steps._k["TM"][:tm_count], rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None],
-                 _live(rows, 3))]
+        want = [(steps._k["TM"][:tm_count], rows, _live(rows))]
         k, (m, n) = steps._k["TE"][:te_count], steps._mn["TE"][:, :te_count]
         rows = steps._rows["TE"][:te_count]
         if conv.printed:
             rows = _te_rows(geom, m, n, k, p1, p2).T
-        want.append((k, rows, _live(rows, 2)))
+        want.append((k, rows, _live(rows)))
         for got, ref in zip(screened, want):
             for got_array, ref_array in zip(got, ref):
                 _assert_same_array(got_array, ref_array)
@@ -1380,7 +1379,7 @@ class TestEwaldSplit:
         # 1.1e-308 off the wall gives xy = -1.2e-320 against the split's 0).
         geom, p1, p2, z = case
         table = ModeTable(geom, p1, p2)
-        split, _ = table.tm_split(z)
+        split, _ = table.split("TM", z)
         scale = np.abs(split).max()
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         while _lattice_tail(table, "TM", K, z) > 1e-11 * scale:
@@ -1397,7 +1396,7 @@ class TestEwaldSplit:
         # The direct image carries the free-space tensor, so z^3 F tends to
         # diag(-1/2, -1/2, 1) like z^3 at any interior point.
         p = TransversePoint(x, y)
-        F, _ = ModeTable(Geometry(1.0, b), p, p).tm_split(z)
+        F, _ = ModeTable(Geometry(1.0, b), p, p).split("TM", z)
         assert np.abs(z ** 3 * F - np.diag([-0.5, -0.5, 1.0])).max() <= tol
 
     @pytest.mark.parametrize("b, p1, p2, z, truncation, frozen", [
@@ -1474,9 +1473,9 @@ class TestPaperLiteral:
         cross, zero, cross_err, zero_err = _listed_printed(geom, cfg.p1, cfg.p2, z,
                                                            1e-3 * ft.tail_bound)
         table = ModeTable(geom, cfg.p1, cfg.p2)
-        tm = TM_SIGNS["paper-literal"] * TM_SIGNS["oracle-consistent"] * table.tm_split(z)[0]
+        tm = TM_SIGNS["paper-literal"] * TM_SIGNS["oracle-consistent"] * table.split("TM", z)[0]
         tm[0, 1], tm[1, 0] = cross
-        te = weight * table.te_split(z)[0]
+        te = weight * table.split("TE", z)[0]
         te[0, 0] += weight * zero[0]
         te[1, 1] += weight * zero[1]
         allowed = ft.tail_bound + max(cross_err.max(), abs(weight) * zero_err.max())
@@ -1485,7 +1484,7 @@ class TestPaperLiteral:
         assert np.abs(ft.tensor - (tm + te)).max() <= allowed
         cross = abs(tm[0, 1]) + abs(tm[1, 0])
         if b == 0.1:
-            assert cross > 1e4 * np.abs(table.tm_split(z)[0]).max()
+            assert cross > 1e4 * np.abs(table.split("TM", z)[0]).max()
         else:
             assert cross <= 1e-12 * np.abs(tm).max()
 
@@ -1580,7 +1579,7 @@ class TestTeSplit:
         # vanishes on the wall x = 0 or y = 0 gives exact zeros in both.
         geom, p1, p2, z = case
         table = ModeTable(geom, p1, p2)
-        split, split_bound = table.te_split(z)
+        split, split_bound = table.split("TE", z)
         scale = np.abs(split).max()
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         while _lattice_tail(table, "TE", K, z) > 1e-11 * scale:
@@ -1713,7 +1712,7 @@ class TestTeSplit:
         # tends to the transverse identity, about like z^2 ln z.
         p = TransversePoint(x, y)
         table = ModeTable(Geometry(1.0, b), p, p)
-        dev = [np.abs(4.0 * math.pi * z * z * table.te_split(z)[0][:2, :2]
+        dev = [np.abs(4.0 * math.pi * z * z * table.split("TE", z)[0][:2, :2]
                       - np.eye(2)).max() for z in (1e-3, 1e-4)]
         assert dev[0] <= 1e-3 and dev[1] <= 2e-5 and dev[1] <= dev[0] / 30.0
 
@@ -1873,7 +1872,7 @@ class TestSweep:
             zs = [0.999 * edge, edge, 2.0 * edge, 1e300]
             table.compute_splits(zs)
             for z in zs:
-                for split in (table.tm_split(z), table.te_split(z)):
+                for split in (table.split("TM", z), table.split("TE", z)):
                     assert not split[0].any() and split[1] == 0.0
 
     def test_splits_call_each_kernel_once_per_chunk(self, monkeypatch):
