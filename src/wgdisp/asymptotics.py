@@ -18,13 +18,8 @@ import math
 import numpy as np
 
 from .energy import ModeTable
-from .errors import InputError
+from .errors import _require_positive
 from .waveguide import TM, Geometry
-
-
-def _check(z_over_a: float) -> None:
-    if not (z_over_a > 0.0 and math.isfinite(z_over_a)):
-        raise InputError(f"z_over_a must be positive and finite, got {z_over_a!r}")
 
 
 # One table serves every call: its screened modes are listed and built once.
@@ -45,7 +40,7 @@ def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:
     """
     zs = np.ravel(z_over_a).tolist()
     for z in zs if np.ndim(z_over_a) else [z_over_a]:
-        _check(z)
+        _require_positive("z_over_a", z)
     _TABLE.compute_splits(zs, (TM,))
     sums = np.array([_TABLE.split(TM, z)[0][2, 2] for z in zs]) / (4.0 * math.pi ** 2)
     return sums if np.ndim(z_over_a) else float(sums[0])
@@ -53,5 +48,5 @@ def reduced_zz_sum_direct(z_over_a: float | np.ndarray) -> float | np.ndarray:
 
 def reduced_zz_sum_integral(z_over_a: float) -> float:
     """Continuum approximation of the reduced axial-axial sum."""
-    _check(z_over_a)
+    _require_positive("z_over_a", z_over_a)
     return 1.0 / (4.0 * math.pi ** 2 * z_over_a ** 3)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .conventions import Conventions
 from .errors import (InputError, ModeCapError, QuadratureError,
-                     SpeciesFileError, WgdispError)
+                     SpeciesFileError, WgdispError, _require_positive)
 from .waveguide import (Geometry, ModeIndex, TransversePoint,
                         cutoff_wavenumber, enumerate_modes)
 from .coupling import ORIENTATIONS
@@ -282,8 +282,8 @@ def _energy_report(args, z: float) -> dict:
     if top_n < 0:
         raise InputError(f"top_modes must be non-negative, got {top_n}")
     si_a = _resolve(args, "si_a_meters")
-    if si_a is not None and not (float(si_a) > 0.0 and math.isfinite(float(si_a))):
-        raise InputError(f"si_a_meters must be positive and finite, got {float(si_a)!r}")
+    if si_a is not None:
+        _require_positive("si_a_meters", float(si_a))
     config = _pair_configuration(args, z)
     kwargs = _truncation(args)
     breakdown = dispersion_energy(config, **kwargs)

@@ -57,7 +57,7 @@ import numpy as np
 from ._special import erfc, erfcx, exp1, k0
 
 from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, apply
-from .waveguide import Geometry, ModeIndex, TransversePoint
+from .waveguide import Geometry, TransversePoint
 
 ORIENTATIONS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 
@@ -154,8 +154,9 @@ def _tm_rows(geom, m, n, k, p1, p2, tables=None):
 
 _SPLIT_EPS = 1e-17
 _SPLIT_REACH = math.sqrt(-math.log(_SPLIT_EPS))  # image reach in units of eta
-# Weight class of each TM entry: 0 transverse-transverse, 1 mixed, 2 zz.
-_SPLIT_CLASS = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2]])
+# Class of each TM entry, which picks its split weight and its oracle kernels:
+# 0 transverse-transverse, 1 mixed, 2 zz.
+_TM_CLASS = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 2]])
 
 
 def _diagonals(out: np.ndarray) -> np.ndarray:
@@ -224,7 +225,7 @@ def _tm_split_spectral(geom, k, rows, z):
     weights = np.array([tt, 0.5 * k * (a_part - b_part),
                         tt - (2.0 / (math.sqrt(math.pi) * eta)) * g])
     products = rows[:, 0:3].T[:, None] * rows[:, 3:6].T[None]
-    sums = (weights[_SPLIT_CLASS] * products[:, :, None, :]).sum(axis=3)
+    sums = (weights[_TM_CLASS] * products[:, :, None, :]).sum(axis=3)
     return ((4.0 * np.pi / geom.area) * KERNEL_TM_SIGNS[:, :, None]
             * sums).transpose(2, 0, 1)
 
@@ -592,18 +593,21 @@ def _te_split(geom, k, rows, images, z):
     out = np.zeros((z.size, 3, 3))
     out[:, :2, :2] = (rows[:, 0:2] * weight[:, :, None]).transpose(0, 2, 1) \
         @ rows[:, 2:4] + _ROTATE @ near @ _ROTATE.T
-    bounds = [_te_split_bound(geom, k, v, (edge, tau), *args) for v, edge, *args in zip(
+    # Blocks of 8192 added in order: OpenBLAS threads a dot product past 10,000
+    # elements, and its bits then depend on the thread count.
+    k2 = sum(float(block @ block) for block in np.split(k, range(8192, k.size, 8192)))
+    bounds = [_te_split_bound(geom, k2, k.size, v, (edge, tau), *args) for v, edge, *args in zip(
         z.tolist(), lo.tolist(), radial[:, 0].tolist(), e1.tolist(), e_edge.tolist())]
     return out + 0.0, np.array(bounds)
 
 
-def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, edges: tuple[float, float],
+def _te_split_bound(geom: Geometry, k2: float, count: int, z: float, edges: tuple[float, float],
                     k0_first: float, e1: float, e_edge: float) -> float:
     """Bound on what the TE split drops from any entry of the unit tensor.
 
-    ``k`` holds the sorted cutoffs of the screened modes; ``edges`` are
-    the :func:`_te_short_times` edges lo and tau at z, and ``k0_first``,
-    ``e1`` and ``e_edge`` are the split's K0(k[0] z), E1(z^2 / eta^2) and
+    ``k2`` sums k^2 over the ``count`` screened modes; ``edges`` are the
+    :func:`_te_short_times` edges lo and tau at z, and ``k0_first``, ``e1``
+    and ``e_edge`` are the split's K0(k_0 z), E1(z^2 / eta^2) and
     E1(z^2 / 4m) (see below).  Each profile product is at most 4 / A.
 
     Screened modes past K = :func:`_split_cutoff`: k^2 W is at most
@@ -638,10 +642,10 @@ def _te_split_bound(geom: Geometry, k: np.ndarray, z: float, edges: tuple[float,
     spectral = rows * min(gauss, tail)
     lo, tau = edges
     m = min(lo, tau)
-    short = rows * 0.5 * float(k @ k) * m * e_edge
+    short = rows * 0.5 * k2 * m * e_edge
     if lo < tau:  # k is sorted, so K0(k_0 z) is the largest K0
         tol = _TE_RULE_TOL[math.log(tau / lo) > 16.0]
-        short += rows * tol * k.size * k0_first
+        short += rows * tol * count * k0_first
     reach = _SPLIT_REACH * eta
     p = e1 * (1.0 / (4.0 * math.pi * reach ** 2)
               + (u0 + 1.0 / reach ** 2) / (2.0 * math.pi))
@@ -772,18 +776,12 @@ def _printed_sums(geom, p1, p2, z, mode_cap):
 
 
 # ---------------------------------------------------------------------------
-# cutoffs: one-mode views of the factor rows
+# cutoffs of index arrays
 # ---------------------------------------------------------------------------
 
 def _cutoffs(geom: Geometry, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cutoffs k_mn of the index arrays m and n, as ``mode_arrays`` takes them."""
     return np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
-
-
-def _one_mode(geom: Geometry, mode: ModeIndex):
-    """Index arrays m, n and cutoff array k of one mode."""
-    m, n = np.array([mode.m]), np.array([mode.n])
-    return m, n, _cutoffs(geom, m, n)
 
 
 def __getattr__(name):

@@ -32,14 +32,14 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from ._special import k0 as _k0
 
 from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, Conventions, apply
 from .errors import (InputError, ModeCapError, TightConfinementWarning,
-                     ValidityDomainWarning)
+                     ValidityDomainWarning, _require_positive)
 from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex,
                         TransversePoint, mode_arrays, mode_count)
 from . import coupling as _coupling
@@ -57,9 +57,7 @@ class DipoleTransition:
     d: tuple[float, float, float]
 
     def __post_init__(self):
-        if not (self.energy > 0.0 and math.isfinite(self.energy)):
-            raise InputError(f"transition energy must be positive and finite, "
-                             f"got {self.energy!r}")
+        _require_positive("transition energy", self.energy)
         try:
             vec = [float(c) for c in self.d]
         except TypeError:  # not a sequence of numbers
@@ -102,14 +100,14 @@ class DipoleSpecies:
             raise InputError(f"orientation must be 'fixed-vector' or "
                              f"'isotropic-average', got {self.orientation!r}")
 
-    def second_moment(self, t: DipoleTransition) -> np.ndarray:
-        """<d_i d_j> of transition ``t``, a read-only array shared between calls."""
-        return _second_moment(self.orientation, t.d)
-
     @cached_property
     def second_moments(self) -> np.ndarray:
-        """:meth:`second_moment` of every transition, stacked (L, 3, 3), read-only."""
-        out = np.array([self.second_moment(t) for t in self.transitions])
+        """<d_i d_j> of every transition, stacked (L, 3, 3), read-only: d d^T
+        for fixed vectors, delta_ij |d|^2 / 3 for the isotropic average."""
+        if self.orientation == "fixed-vector":
+            out = np.array([np.outer(t.d_vec, t.d_vec) for t in self.transitions])
+        else:
+            out = np.array([np.eye(3) * (t.d_squared / 3.0) for t in self.transitions])
         out.flags.writeable = False
         return out
 
@@ -125,15 +123,6 @@ class DipoleSpecies:
         return cls((DipoleTransition(energy, tuple(d)),), orientation)
 
 
-@lru_cache(maxsize=256)
-def _second_moment(orientation: str, d: tuple[float, float, float]) -> np.ndarray:
-    vec = np.asarray(d, dtype=float)
-    out = np.outer(vec, vec) if orientation == "fixed-vector" \
-        else np.eye(3) * (float(np.dot(vec, vec)) / 3.0)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class PairConfiguration:
     geom: Geometry
@@ -146,15 +135,11 @@ class PairConfiguration:
     conventions: Conventions = field(default_factory=Conventions)
 
     def __post_init__(self):
-        if not (self.z > 0.0 and math.isfinite(self.z)):
-            raise InputError(f"axial separation must be positive and finite, "
-                             f"got z={self.z!r}")
+        _require_positive("axial separation", self.z, "z=")
         if self.z < _Z_FLOOR:
             raise InputError(f"axial separation z={self.z!r} is below {_Z_FLOOR:g}; the "
                              f"splits' z^-5 near-field terms overflow from about 6e-62")
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InputError(f"permittivity must be positive and finite, "
-                             f"got {self.epsilon!r}")
+        _require_positive("permittivity", self.epsilon)
         if not sys.float_info.min <= _power(TWO_PI * self.epsilon, 2) < math.inf:
             raise InputError(f"permittivity {self.epsilon!r} is out of range: the energies' "
                              f"prefactor needs (2 pi epsilon)^2 to be a normal double")
@@ -556,8 +541,8 @@ def f_tensor(
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
     for name, value in (("max_cutoff", max_cutoff), ("tail_tol", tail_tol)):
-        if value is not None and not 0.0 < value < math.inf:
-            raise InputError(f"{name} must be positive and finite, got {value!r}")
+        if value is not None:
+            _require_positive(name, value)
     geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
     start = max_cutoff or max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     if geom.is_corner(p1) or geom.is_corner(p2):

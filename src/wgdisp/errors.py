@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class WgdispError(Exception):
     """Base class for all package errors."""
@@ -9,6 +11,13 @@ class WgdispError(Exception):
 
 class InputError(WgdispError, ValueError):
     """Invalid argument, geometry, mode index or configuration."""
+
+
+def _require_positive(name: str, value, shown: str = "") -> None:
+    """Refuse ``value``, named ``name`` and shown after ``shown``, unless it
+    is positive and finite: zero, negative values, NaN and +-inf are refused."""
+    if not 0.0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {shown}{value!r}")
 
 
 class SpeciesFileError(InputError):

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conventions import KERNEL_TM_SIGNS, apply
-from .coupling import ORIENTATIONS, _gauss_legendre, _one_mode, _te_rows, _tm_rows
+from .coupling import ORIENTATIONS, _TM_CLASS, _gauss_legendre, _te_rows, _tm_rows
 from .energy import (FTensorResult, PairConfiguration, _assemble,
                      _confinement_guard, quadratic_contraction)
 from .errors import InputError
@@ -135,11 +135,6 @@ _TAIL_END = math.log(42.0) + 0.1
 # Closest approach of a ray to the branch point i k_mn, in k_mn: the rule's error
 # from it is then about e^{-2 pi 0.3 / step} = e^{-22} of the integrand there.
 _BRANCH_GAP = 0.3
-
-
-def _cutoff(geom, mode: ModeIndex) -> float:
-    """k_mn of ``mode`` as the factor rows and mode sums take it."""
-    return float(_one_mode(geom, mode)[2][0])
 
 
 def _lorentzian(w, kappa, measure, z, Ws):
@@ -249,28 +244,29 @@ def _ray_tail(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
 
 # Which tau integral of :func:`_photon_integrals` (0: r0, 1: r1, 2: r2) each TM
 # component takes, row i at p2 and column j at p1.
-_TM_RADIAL = np.array([[2, 2, 1], [2, 2, 1], [1, 1, 0]])
+_TM_RADIAL = 2 - _TM_CLASS
 
 
-def _photon_factor(config: PairConfiguration, mode):
-    """Map from the entries of a photon table of ``mode`` to its per-tau 3x3
-    photon-exchange tensors (index i at p2, j at p1)."""
-    geom, p1, p2 = config.geom, config.p1, config.p2
-    m, n, k = _one_mode(geom, mode)
-    if mode.polarization == TE:
-        ex2, ey2, ex1, ey1 = _te_rows(geom, m, n, k, p1, p2)[:, 0]
-        prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))[None, :, :]
-        prof = apply(config.conventions, None, prof, zero=prof * (mode.m * mode.n == 0),
-                     oracle=True)[1]  # printed zero-index profiles: the product twice
-        return lambda entries: entries[:, 0, None, None] * prof / (2.0 * config.epsilon)
-    kmn = float(k[0])
-    pref = 2.0 / (config.epsilon * geom.area)
-    coef = KERNEL_TM_SIGNS * pref * np.array([[1.0, 1.0, kmn],
-                                                            [1.0, 1.0, kmn],
-                                                            [kmn, kmn, kmn ** 2]])
-    rows = _tm_rows(geom, m, n, k, p1, p2)[:, 0]
-    factor = coef * np.outer(rows[0:3], rows[3:6])
-    return lambda entries: factor * entries[:, _TM_RADIAL]
+def _photon_factors(config: PairConfiguration, modes: list[ModeIndex]):
+    """Cutoffs k_mn of ``modes`` and maps from the entries of each one's
+    photon table to its per-tau 3x3 photon-exchange tensors (index i at p2,
+    j at p1): two dicts keyed by mode, read from one batch, a case per mode."""
+    geom, eps = config.geom, config.epsilon
+    _, m, n, k, p1, p2 = _mode_cases(geom, modes, config.p1, config.p2, config.z, ["zz"])[:6]
+    kmn, factors = dict(zip(modes, k.tolist())), {}
+    for mode, (ex2, ey2, ex1, ey1), tm in zip(modes, *(
+            rows(geom, m, n, k, p1, p2).T.tolist() for rows in (_te_rows, _tm_rows))):
+        if mode.polarization == TE:
+            prof = np.outer((ex2, ey2, 0.0), (ex1, ey1, 0.0))[None, :, :]
+            prof = apply(config.conventions, None, prof, zero=prof * (mode.m * mode.n == 0),
+                         oracle=True)[1]  # printed zero-index profiles: the product twice
+            factors[mode] = lambda entries, prof=prof: \
+                entries[:, 0, None, None] * prof / (2.0 * eps)
+        else:  # the powers 1, k, k^2 of the entries' classes
+            tensor = KERNEL_TM_SIGNS * (2.0 / (eps * geom.area)) * np.array(
+                [1.0, kmn[mode], kmn[mode] ** 2])[_TM_CLASS] * np.outer(tm[0:3], tm[3:6])
+            factors[mode] = lambda entries, tensor=tensor: tensor * entries[:, _TM_RADIAL]
+    return kmn, factors
 
 
 # Most modes one oracle call takes: its cost grows as their number squared.
@@ -297,7 +293,8 @@ def fourth_order_oracle(
     ``diagrams="dominant"`` keeps only the four orderings with the small
     denominator; ``"all"`` sums every ordering.  The double mode sum is
     quadratic in ``len(modes)``, capped at ``_MODE_CAP``.  The diagrams are
-    built once per process, each mode's :func:`_photon_factor` once per call.
+    built once per process, and every mode's cutoff and photon factor come
+    from one batch per call (:func:`_photon_factors`).
     """
     if len(modes) == 0:
         raise InputError("oracle needs at least one mode")
@@ -314,15 +311,12 @@ def fourth_order_oracle(
         diags = [d for d in diags if d.is_dominant]
 
     lag_x, lag_w = _laguerre_rule(n_tau)
-    kmn = {mode: _cutoff(config.geom, mode) for mode in modes}
-    factors = {mode: _photon_factor(config, mode) for mode in modes}
+    kmn, factors = _photon_factors(config, modes)
 
     total = 0.0
-    for t1 in config.species1.transitions:
-        for t2 in config.species2.transitions:
+    for t1, p1m in zip(config.species1.transitions, config.species1.second_moments):
+        for t2, p2m in zip(config.species2.transitions, config.species2.second_moments):
             E = {1: t1.energy, 2: t2.energy}
-            p1m = config.species1.second_moment(t1)
-            p2m = config.species2.second_moment(t2)
             # Every photon key (mode, energies, grid: tau = 0 if lam is None, else
             # the Laguerre grid over lam), grouped by mode and grid, with the
             # energies in the order of the first diagram that asks.
@@ -365,22 +359,24 @@ def fourth_order_oracle(
 
 
 def _mode_set_energy(config: PairConfiguration, modes: list[ModeIndex],
-                     mode_tensor) -> float:
+                     couplings) -> float:
     """Pair energy with each level's couplings summed over ``modes`` only.
 
-    ``mode_tensor(mode, energy)`` is one mode's 3x3 coupling; the TM and
-    TE ones are added up in list order and assembled by
+    One batch holds the nine orientations of every mode, in list order, and
+    ``couplings(cases, energy)`` evaluates it at one level; the TM and TE
+    tensors are added up in list order and assembled by
     :func:`wgdisp.energy._assemble`.
     """
+    cases = _mode_cases(config.geom, modes, config.p1, config.p2, config.z, ORIENTATIONS)
     n_te = sum(mode.polarization == TE for mode in modes)
 
     def tensor_for(_, energy: float) -> FTensorResult:
         tm, te = np.zeros((3, 3)), np.zeros((3, 3))
-        for mode in modes:
+        for mode, tensor in zip(modes, couplings(cases, energy).reshape(-1, 3, 3)):
             if mode.polarization == TE:
-                te += mode_tensor(mode, energy)
+                te += tensor
             else:
-                tm += mode_tensor(mode, energy)
+                tm += tensor
         return FTensorResult(tensor=tm + te, tm_tensor=tm, te_tensor=te,
                              tail_bound=0.0, tm_cutoff=math.nan,
                              tm_modes=len(modes) - n_te, te_modes=n_te)
@@ -395,26 +391,19 @@ def weighted_reference_energy(config: PairConfiguration,
     Assembles the dominant-denominator energy formula using the
     quadrature couplings that keep the omega/(omega + E) weight, for
     comparison against the dominant-diagram restriction of the oracle.
-    Each mode's tensor is one batch of integrals; an uncertified one raises
-    its QuadratureError.
+    Each level's tensors are one batch of integrals; an uncertified one
+    raises its QuadratureError.
     """
-    def quadrature(mode: ModeIndex, energy: float) -> np.ndarray:
-        cases = _mode_cases(config.geom, mode, config.p1, config.p2, config.z, ORIENTATIONS)
-        return _certified(*_quadratures(config.geom, cases, [energy] * 9, ["branch-cut-rotated"],
-                                        config.conventions)).reshape(3, 3)
-
-    return _mode_set_energy(config, modes, quadrature)
+    return _mode_set_energy(config, modes, lambda cases, energy: _certified(*_quadratures(
+        config.geom, cases, [energy] * cases.k.size, ["branch-cut-rotated"], config.conventions)))
 
 
 def closed_form_reference_energy(config: PairConfiguration,
                                  modes: list[ModeIndex]) -> float:
     """Closed-form pair energy restricted to the same mode set.
 
-    Each mode's coupling is its closed-form tensor, one batch of nine
-    closed forms from the factor rows that every mode sum is built from.
+    Each level's couplings are one batch of closed forms, nine per mode,
+    from the factor rows that every mode sum is built from.
     """
-    def closed(mode: ModeIndex, energy: float) -> np.ndarray:
-        cases = _mode_cases(config.geom, mode, config.p1, config.p2, config.z, ORIENTATIONS)
-        return _closed_forms(config.geom, cases, energy, config.conventions).reshape(3, 3)
-
-    return _mode_set_energy(config, modes, closed)
+    return _mode_set_energy(config, modes, lambda cases, energy: _closed_forms(
+        config.geom, cases, energy, config.conventions))

@@ -34,7 +34,7 @@ from .errors import InputError
 from .fourth_order import (closed_form_reference_energy, fourth_order_oracle,
                            weighted_reference_energy)
 from .quadrature import _REL_TOL, _case_batch, _Cases, _closed_forms, _quadratures
-from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint, cutoff_wavenumber
+from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint
 
 _TM_COMPONENTS = ("zz", "xx", "yy", "xy", "xz", "yz")
 _TE_MODES = [(1, 0), (0, 1), (1, 1), (2, 1)]
@@ -50,20 +50,19 @@ def _draw_cases(rng, geom, cases: int) -> _Cases:
     transverse components each, with points and a separation with k_mn z in
     [0.5, 8].  A TM draw takes two ``rng.integers(1, 4)`` for its mode, a TE
     draw one ``rng.integers(0, 4)``, and each then one ``rng.random(5)``,
-    mapped to low + (high - low) u as ``rng.uniform`` maps; k_mn is
-    :func:`cutoff_wavenumber`'s."""
+    mapped to low + (high - low) u as ``rng.uniform`` maps; z is k_mn z over
+    the batch's own k_mn."""
     draws = [(TM, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng.random(5))
              for _ in range(len(_TM_COMPONENTS) * cases)]
     for _ in range(cases):
         draws += [(TE, *_TE_MODES[int(rng.integers(0, 4))], rng.random(5))] * 4
     pols, m, n, u = zip(*draws)
-    kmn = {mode: cutoff_wavenumber(geom, ModeIndex(*mode)) for mode in set(zip(pols, m, n))}
     x1, y1, x2, y2, zeta = (_CASE_LOW + _CASE_RANGE * np.array(u)).T
     orients = [c for c in _TM_COMPONENTS for _ in range(cases)] + ["xx", "xy", "yx", "yy"] * cases
-    return _case_batch(geom, np.array(pols) == TE, np.array(m), np.array(n),
-                       TransversePoint(x1 * geom.a, y1 * geom.b),
-                       TransversePoint(x2 * geom.a, y2 * geom.b),
-                       zeta / np.array([kmn[mode] for mode in zip(pols, m, n)]), orients)
+    drawn = _case_batch(geom, np.array(pols) == TE, np.array(m), np.array(n),
+                        TransversePoint(x1 * geom.a, y1 * geom.b),
+                        TransversePoint(x2 * geom.a, y2 * geom.b), zeta, orients)
+    return drawn._replace(z=zeta / drawn.k)
 
 
 def run_oracle_checks(seed: int = 12345, convention: str = "oracle-consistent",

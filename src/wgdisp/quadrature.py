@@ -2,9 +2,10 @@
 wavenumber-integral oracle they are validated against.
 
 A batch is one ``_Cases`` record, an array per field (each case its own
-mode, points, separation and orientation).  ``_closed_forms`` takes their
-closed forms from the factor rows of :mod:`wgdisp.coupling`, one build per
-polarization; ``f_tm_closed`` and ``f_te_closed`` are its one-case calls.
+mode, points, separation and orientation); every oracle takes its modes as
+one, which ``_mode_cases`` builds of a list of modes.  ``_closed_forms`` takes
+their closed forms from the factor rows of :mod:`wgdisp.coupling`, one build
+per polarization; ``f_tm_closed`` and ``f_te_closed`` are its one-case calls.
 
 ``_quadratures`` evaluates the same couplings for a batch of cases by
 direct numerical integration of the defining wavenumber integrals, the
@@ -36,8 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .conventions import Conventions, apply
-from .coupling import _cutoffs, _mode_tensors, _te_rows, _tm_rows
-from .errors import InputError, QuadratureError, TightConfinementWarning
+from .coupling import _TM_CLASS, _cutoffs, _mode_tensors, _te_rows, _tm_rows
+from .errors import InputError, QuadratureError, TightConfinementWarning, _require_positive
 from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint
 
 _AXES = {"x": 0, "y": 1, "z": 2}
@@ -80,34 +81,36 @@ def _case_batch(geom: Geometry, te, m, n, p1: TransversePoint, p2: TransversePoi
     """:class:`_Cases` of one case per orientation in ``orients``, from the
     sequences ``te``, ``m``, ``n``, the coordinates of ``p1`` and ``p2``, and
     ``z`` with one entry per case."""
-    i, j = np.array([[_AXES[o[0]], _AXES[o[1]]] for o in orients]).reshape(-1, 2).T
-    m, n = np.asarray(m), np.asarray(n)
-    return _Cases(np.asarray(te), m, n, _cutoffs(geom, m, n),
+    i, j = np.array([[_AXES[o[0]], _AXES[o[1]]] for o in orients], dtype=int).reshape(-1, 2).T
+    m, n = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
+    return _Cases(np.asarray(te, dtype=bool), m, n, _cutoffs(geom, m, n),
                   *(TransversePoint(np.asarray(p.x), np.asarray(p.y)) for p in (p1, p2)),
                   np.asarray(z), i, j)
 
 
 @np.errstate(over="ignore")  # k_mn past the largest double: refused below
-def _mode_cases(geom: Geometry, mode: ModeIndex, p1: TransversePoint, p2: TransversePoint,
-                z: float, orients) -> _Cases:
-    """The cases of one mode, pair of points and separation, one per
-    orientation in ``orients``, once the arguments are checked."""
+def _mode_cases(geom: Geometry, modes: list[ModeIndex], p1: TransversePoint,
+                p2: TransversePoint, z: float, orients) -> _Cases:
+    """The cases of ``modes`` at one pair of points and separation, one per
+    orientation in ``orients`` mode by mode, once the arguments are checked."""
     for orient in orients:
         if len(orient) != 2 or orient[0] not in _AXES or orient[1] not in _AXES:
             raise InputError(f"orientation must be two of 'xyz', got {orient!r}")
-    if not (z > 0.0 and math.isfinite(z)):
-        raise InputError(f"axial separation must be positive and finite, got z={z!r}")
+    _require_positive("axial separation", z, "z=")
     if not (geom.contains(p1) and geom.contains(p2)):
         raise InputError("dipole points must lie inside the cross-section")
-    size = len(orients)
-    cases = _case_batch(geom, [mode.polarization == TE] * size, [mode.m] * size, [mode.n] * size,
+    listed = [mode for mode in modes for _ in orients]
+    size = len(listed)
+    cases = _case_batch(geom, [mode.polarization == TE for mode in listed],
+                        [mode.m for mode in listed], [mode.n for mode in listed],
                         *(TransversePoint([p.x] * size, [p.y] * size) for p in (p1, p2)),
-                        [z] * size, orients)
-    area, k = geom.area, float(cases.k[0])
-    if not (area > 0.0 and (0.0 < k * z and k < math.inf if mode.polarization == TE
-                            else 4.0 * math.pi / area * k < math.inf)):
-        raise InputError(f"{mode.label()} has no finite coupling in the guide a={geom.a!r}, "
-                         f"b={geom.b!r} at z={z!r}: a weight of its rows is not a finite double")
+                        [z] * size, list(orients) * len(modes))
+    for mode, k in zip(modes, cases.k[::len(orients)].tolist()):
+        if not (geom.area > 0.0 and (0.0 < k * z and k < math.inf if mode.polarization == TE
+                                     else 4.0 * math.pi / geom.area * k < math.inf)):
+            raise InputError(f"{mode.label()} has no finite coupling in the guide a={geom.a!r}, "
+                             f"b={geom.b!r} at z={z!r}: a weight of its rows is not a finite "
+                             f"double")
     return cases
 
 
@@ -131,7 +134,7 @@ def f_tm_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
                 p2: TransversePoint, z: float,
                 conventions: Conventions = Conventions()) -> float:
     """Closed-form TM coupling; index order is (i at p2, j at p1)."""
-    cases = _mode_cases(geom, mode, p1, p2, z, [orient])
+    cases = _mode_cases(geom, [mode], p1, p2, z, [orient])
     if mode.polarization != TM:
         raise InputError(f"f_tm_closed requires a TM mode, got {mode.label()}")
     return float(_closed_forms(geom, cases, 0.0, conventions)[0])
@@ -146,11 +149,10 @@ def f_te_closed(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoin
     electric field).  ``energy`` is the transition energy in units of
     hbar c / length.
     """
-    cases = _mode_cases(geom, mode, p1, p2, z, [orient])
+    cases = _mode_cases(geom, [mode], p1, p2, z, [orient])
     if mode.polarization != TE:
         raise InputError(f"f_te_closed requires a TE mode, got {mode.label()}")
-    if not 0.0 < energy < math.inf:
-        raise InputError(f"transition energy must be positive and finite, got {energy!r}")
+    _require_positive("transition energy", energy)
     u_e = energy / float(cases.k[0])
     if u_e > 0.1 and "z" not in orient:
         warnings.warn(f"tight-confinement parameter E/k_mn = {u_e:.3g} exceeds 0.1 for "
@@ -323,7 +325,7 @@ def _kernel_integrals(kind: str, weighted: bool, u_e: np.ndarray, zeta: np.ndarr
 # the index in _KINDS: 0 for TE, _TM_KIND[i, j] for TM.  _KERNEL_SIGN[i, j]
 # is the sign of a kernel: xz and yz take the odd kernel reversed.
 _KINDS = ("te", "zz", "odd", "tt")
-_TM_KIND = np.array([[3, 3, 2], [3, 3, 2], [2, 2, 1]])
+_TM_KIND = 3 - _TM_CLASS
 _KERNEL_SIGN = np.array([[1.0, 1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
 
 
@@ -407,8 +409,8 @@ def f_quadrature(geom: Geometry, mode: ModeIndex, orient: str, p1: TransversePoi
     tight-confinement order, matching the closed-form pipeline.  Of
     ``conventions`` only the TE normalization applies.
     """
-    cases = _mode_cases(geom, mode, p1, p2, z, [orient])
-    if energy is not None and not 0.0 < energy < math.inf:
-        raise InputError(f"transition energy must be positive and finite, got {energy!r}")
+    cases = _mode_cases(geom, [mode], p1, p2, z, [orient])
+    if energy is not None:
+        _require_positive("transition energy", energy)
     return float(_certified(*_quadratures(geom, cases, [energy or 0.0], [scheme],
                                           conventions))[0])

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModeCapError
+from .errors import InputError, ModeCapError, _require_positive
 
 TE = "TE"
 TM = "TM"
@@ -112,7 +112,7 @@ def cutoff_wavenumber(geom: Geometry, mode: ModeIndex) -> float:
     """Cutoff wavenumber k_mn; strictly positive for every valid mode.
 
     This is the value the ``modes`` table prints and sorts by.  Mode sums,
-    closed forms and the fourth-order oracle take k_mn from the vectorized
+    closed forms and every oracle take k_mn from the vectorized
     ``np.hypot`` of :func:`mode_arrays` instead, which differs from this
     ``math.hypot`` by one ulp on about half a percent of modes, square
     guides included.
@@ -155,9 +155,7 @@ def mode_arrays(geom: Geometry, max_cutoff: float):
     that can reach the cutoff, so a call costs about as many modes as it
     returns.
     """
-    if not 0.0 < max_cutoff < math.inf:
-        raise InputError(f"max_cutoff must be positive and finite, "
-                         f"got {max_cutoff!r}")
+    _require_positive("max_cutoff", max_cutoff)
     limit = max_cutoff * (1.0 + 1e-12)
     # Per row m, the counts of the n from 0 on that can hold k <= limit,
     # padded by one index against rounding; the exact test below decides.

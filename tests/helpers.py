@@ -72,9 +72,9 @@ def near_field_energy(species1, species2, z, epsilon=1.0):
     """
     f = np.diag([-0.5, -0.5, 1.0]) / z ** 3
     pref = -1.0 / (2.0 * math.pi * epsilon) ** 2
-    return sum(pref / (t1.energy + t2.energy) * quadratic_contraction(
-        species2.second_moment(t2), species1.second_moment(t1), f, f)
-        for t1 in species1.transitions for t2 in species2.transitions)
+    return sum(pref / (t1.energy + t2.energy) * quadratic_contraction(p2, p1, f, f)
+               for t1, p1 in zip(species1.transitions, species1.second_moments)
+               for t2, p2 in zip(species2.transitions, species2.second_moments))
 
 
 def mode_tensors(table, counts, z, energy, conventions=Conventions()):

@@ -688,7 +688,7 @@ class TestExtremeGuides:
     # report names the retarded reference it prints as Infinity.
     RETURNED = {
         ("1e-5", "1"): "ebf483fdf12a4f1b2eb6781f1ebe7db84d4d3661a246e06fc3bdd4593ce9c35d",
-        ("1e-5", "1e-50"): "19c6df0a1ee946e7f96c2ce4858fbe4a1fced89b2c79fa3ea9ae991899d2c293",
+        ("1e-5", "1e-50"): "902fa4ca7a52a5b8abeb751f61c222ddf41fc24dc485a300dc4013c502c267f7",
         ("1e-4", "1"): "91b309566f1ca9c0cdb629fb3a19a9b05bd924332b67bd75195735393b397eaa",
         ("1e-4", "1e-50"): "b17b65bf355ab4ef9bed7a67cfbafc017d4724ccff304e4714e70c20bd63f1d9",
     }
@@ -1873,3 +1873,41 @@ class TestGoldenStdout:
         labels = [entry["mode"] for entry in json.loads(capsys.readouterr().out)["top_modes"]]
         assert len(labels) == 12
         assert labels.index("TM22") < labels.index("TM31") < labels.index("TE12")
+
+
+# Runs commands through cli.main in one interpreter and prints, as JSON, the
+# exit code and stdout sha256 of each; the argv lists come as JSON on stdin.
+_DIGEST_RUNNER = """
+import contextlib, hashlib, io, json, sys
+from wgdisp import cli
+digests = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    digests.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(digests))
+"""
+
+
+def test_pins_hold_on_one_thread(tmp_path):
+    # The benchmark pins BLAS and OpenMP to one thread.  A thread count is
+    # read when numpy loads, so the golden and thin-guide pins are checked
+    # again in a fresh interpreter started with one thread.
+    paths = {}
+    for name, text in GOLDEN_SPECIES.items():
+        paths[f"@{name}"] = str(tmp_path / f"{name}.species")
+        Path(paths[f"@{name}"]).write_text(text)
+    cases = [([paths.get(arg, arg) for arg in argv], digest) for argv, digest in GOLDEN_STDOUT]
+    thin = tmp_path / "thin.species"
+    thin.write_text(f"E={2.0 * math.pi / 100.0!r} d=(1,1,1)\n")
+    cases += [(["energy", "--a", "1", "--b", b, "--z", z, "--species1", str(thin)], digest)
+              for (b, z), digest in TestExtremeGuides.RETURNED.items()]
+    one_thread = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    res = subprocess.run([sys.executable, "-c", _DIGEST_RUNNER],
+                         input=json.dumps([argv for argv, _ in cases]), capture_output=True,
+                         text=True, env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
+                                         "PYTHONHASHSEED": "0", **one_thread})
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    assert got == [[0, digest] for _, digest in cases]

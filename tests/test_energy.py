@@ -96,12 +96,12 @@ class TestSpecies:
 
     def test_isotropic_second_moment(self):
         t = DipoleTransition(1.0, (1.0, 2.0, 2.0))
-        m = DipoleSpecies((t,), "isotropic-average").second_moment(t)
+        m, = DipoleSpecies((t,), "isotropic-average").second_moments
         assert np.allclose(m, np.eye(3) * 3.0)
 
     def test_fixed_second_moment(self):
         t = DipoleTransition(1.0, (0.0, 1.0, 1.0))
-        m = DipoleSpecies((t,), "fixed-vector").second_moment(t)
+        m, = DipoleSpecies((t,), "fixed-vector").second_moments
         assert np.allclose(m, np.outer([0, 1, 1], [0, 1, 1]))
 
 
@@ -851,7 +851,7 @@ class TestAgainstPairwiseSum:
         assert np.abs(ft.tensor - (tm + te)).max() <= SUM_TOL * scale
         # The printed energies, assembled as dispersion_energy does.
         u = dispersion_energy(cfg, tail_tol=1e-6)
-        p = ISO.second_moment(ISO.transitions[0])
+        p, = ISO.second_moments
         w = -1.0 / (2.0 * math.pi) ** 2 / (2.0 * E100)
         want = {"total": w * quadratic_contraction(p, p, tm + te, tm + te),
                 "u_tm_only": w * quadratic_contraction(p, p, tm, tm),
@@ -1834,7 +1834,7 @@ class TestSweep:
                 for i1, t1 in enumerate(sp1.transitions):
                     for i2, t2 in enumerate(sp2.transitions):
                         f1, f2 = fs[t1.energy], fs[t2.energy]
-                        P1, P2 = sp1.second_moment(t1), sp2.second_moment(t2)
+                        P1, P2 = sp1.second_moments[i1], sp2.second_moments[i2]
                         w = w0 / (t1.energy + t2.energy)
                         pairs[i1, i2] = w * quadratic_contraction(P2, P1, f2.tensor,
                                                                   f1.tensor) + 0.0

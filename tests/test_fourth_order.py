@@ -9,7 +9,8 @@ import pytest
 from wgdisp.conventions import Conventions
 from wgdisp.energy import DipoleSpecies, DipoleTransition, PairConfiguration
 from wgdisp.errors import InputError
-from wgdisp.fourth_order import (Diagram, _cutoff, _photon_integrals,
+from wgdisp.coupling import _cutoffs
+from wgdisp.fourth_order import (Diagram, _photon_integrals,
                                  closed_form_reference_energy,
                                  enumerate_diagrams, fourth_order_oracle,
                                  weighted_reference_energy)
@@ -26,6 +27,11 @@ ISO = DipoleSpecies.single(E100, (1.0, 1.0, 1.0), "isotropic-average")
 
 def _cfg(z=0.6, sp=AXIAL):
     return PairConfiguration(SQ, CENTER, CENTER, z, sp, sp)
+
+
+def _cutoff(geom, mode):
+    """k_mn of ``mode`` as the factor rows and the oracle take it."""
+    return float(_cutoffs(geom, np.array([mode.m]), np.array([mode.n]))[0])
 
 
 class TestDiagramGenerator:
@@ -374,6 +380,12 @@ class TestOracle:
     def test_attractive(self):
         assert fourth_order_oracle(_cfg(), TM11, diagrams="all") < 0.0
 
+    @pytest.mark.parametrize("reference", [closed_form_reference_energy,
+                                           weighted_reference_energy])
+    def test_reference_over_no_mode_is_zero(self, reference):
+        # An empty mode set is an empty batch of cases.
+        assert reference(_cfg(), []) == 0.0
+
 
 class TestGoldenValues:
     """Pinned values on an off-centre pair in a rectangular guide, with two
@@ -419,6 +431,30 @@ class TestGoldenValues:
             expected["closed"], rel=1e-13)
         assert weighted_reference_energy(config, self.MODES) == pytest.approx(
             expected["weighted"], rel=1e-13)
+
+    @pytest.mark.parametrize("reference, couplings", [
+        (closed_form_reference_energy, "_closed_forms"),
+        (weighted_reference_energy, "_quadratures")])
+    def test_reference_energy_takes_one_batch(self, monkeypatch, reference, couplings):
+        # Every mode of a call is one batch of cases, built once, and each of
+        # the three levels evaluates the whole batch in one call.
+        from wgdisp import fourth_order
+        built, evaluated = [], []
+
+        def spy(name, record):
+            original = getattr(fourth_order, name)
+
+            def wrapper(*args):
+                record.append(args)
+                return original(*args)
+            monkeypatch.setattr(fourth_order, name, wrapper)
+
+        spy("_mode_cases", built)
+        spy(couplings, evaluated)
+        reference(self._config("oracle-consistent"), self.MODES)
+        assert [args[1] for args in built] == [self.MODES]
+        assert len(evaluated) == 3
+        assert all(args[1].k.size == 9 * len(self.MODES) for args in evaluated)
 
 
 class TestPinnedBits:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import mode_profile, profile_norm
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import _one_mode, _te_rows
+from wgdisp.coupling import _cutoffs, _te_rows
 from wgdisp.errors import InputError
 from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint,
                               cutoff_wavenumber, enumerate_modes,
@@ -140,7 +140,8 @@ class TestProfiles:
                 assert np.abs(got - tm).max() < 1e-14
             if m or n:
                 mode = ModeIndex("TE", m, n)
-                rows = _te_rows(g, *_one_mode(g, mode), p, p)
+                index = np.array([m]), np.array([n])
+                rows = _te_rows(g, *index, _cutoffs(g, *index), p, p)
                 for conv, nf in (("paper-literal", 1.0),
                                  ("oracle-consistent",
                                   math.sqrt(0.5) if m * n == 0 else 1.0)):

@@ -28,7 +28,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from wgdisp.fourth_order import _cutoff, _photon_integrals
+from wgdisp.coupling import _cutoffs
+from wgdisp.fourth_order import _photon_integrals
 from wgdisp.waveguide import Geometry, ModeIndex
 
 mp.mp.dps = 30
@@ -106,7 +107,7 @@ def main():
     lag_x = np.polynomial.laguerre.laggauss(48)[0]
     worst, ref_err = {}, 0.0
     for mode in MODES:
-        kmn = _cutoff(GEOM, mode)
+        kmn = float(_cutoffs(GEOM, np.array([mode.m]), np.array([mode.n]))[0])
         grids = {"tau = 0": np.array([0.0]), "48-point grid": lag_x / (2.0 * kmn)}
         for z in ZS:
             for Ws in ENERGIES:
