@@ -334,7 +334,12 @@ def cmd_energy(args) -> int:
     z = _resolve(args, "z")
     if z is None:
         raise InputError("--z is required")
-    _emit(args, _json_dump(_energy_report(args, float(z))))
+    # Warnings are shown once the report returns: a refused run prints one line.
+    with warnings.catch_warnings(record=True) as raised:
+        report = _energy_report(args, float(z))
+    for w in raised:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    _emit(args, _json_dump(report))
     return EXIT_OK
 
 

@@ -66,39 +66,28 @@ ORIENTATIONS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 # per-mode factor rows: the one per-mode coupling formula
 # ---------------------------------------------------------------------------
 
-def _axis_tables(geom, p2, p1, m_max, n_max):
-    """Per-axis tables sx, cx (j = 0..m_max) and sy, cy (j = 0..n_max) of
-    sin and cos of (j pi/a) x and (j pi/b) y, row 0 at p2 and row 1 at p1;
-    an entry does not depend on the length of its table."""
-    def axis(c2, c1, top, length):
-        t = np.multiply.outer((c2, c1), np.arange(top + 1) * np.pi / length)
-        return np.sin(t), np.cos(t)
-
-    return (*axis(p2.x, p1.x, m_max, geom.a), *axis(p2.y, p1.y, n_max, geom.b))
-
-
-def _axis_trig(geom, m, n, p2, p1, tables=None):
+def _axis_trig(geom, m, n, p2, p1):
     """Per-mode sin and cos of (m pi/a) x and (n pi/b) y at p2 and p1.
 
     Returns arrays sx, cx, sy, cy of shape (2, n_modes), row 0 at p2 and
     row 1 at p1.  At points with float coordinates the transcendentals are
-    taken once per distinct index on the per-axis :func:`_axis_tables`
-    (``tables``, when given, reach at least the largest m and n) and
-    gathered with the integer m and n; each table entry is the same float
-    operation as the per-mode one, so the values match
+    taken once per index from 0 to the largest m (or n), on a per-axis
+    table built for the call, and gathered with the integer m and n; each
+    table entry is the same float operation as the per-mode one and does
+    not depend on the length of its table, so the values match
     ``np.sin(m * np.pi / geom.a * p.x)`` and its kin bit for bit.  Points
     may instead hold arrays with one coordinate per mode (as
     :class:`wgdisp.quadrature._Cases` holds them), each taken with its own
     mode's index.
     """
-    def axis(c2, c1, index, length):  # one coordinate per mode
-        t = np.array([c2, c1]) * (index * np.pi / length)
-        return np.sin(t), np.cos(t)
+    def axis(c2, c1, index, length):
+        if np.ndim(c2):  # one coordinate per mode
+            t = np.array([c2, c1]) * (index * np.pi / length)
+            return np.sin(t), np.cos(t)
+        t = np.multiply.outer((c2, c1), np.arange(index.max(initial=0) + 1) * np.pi / length)
+        return np.sin(t).take(index, axis=1), np.cos(t).take(index, axis=1)
 
-    if np.ndim(p2.x):
-        return (*axis(p2.x, p1.x, m, geom.a), *axis(p2.y, p1.y, n, geom.b))
-    sx, cx, sy, cy = tables or _axis_tables(geom, p2, p1, m.max(initial=0), n.max(initial=0))
-    return sx.take(m, axis=1), cx.take(m, axis=1), sy.take(n, axis=1), cy.take(n, axis=1)
+    return (*axis(p2.x, p1.x, m, geom.a), *axis(p2.y, p1.y, n, geom.b))
 
 
 def _paper_cross(geom, m, n, k, p1, p2, z):
@@ -120,18 +109,18 @@ def _paper_cross(geom, m, n, k, p1, p2, z):
             pref * sx[0] * cy[0] * cx[1] * sy[1])
 
 
-def _tm_rows(geom, m, n, k, p1, p2, tables=None):
+def _tm_rows(geom, m, n, k, p1, p2):
     """z-independent TM factor rows of a mode list, shape (6, N).
 
     Rows 0-2 hold the x, y and z profile factors at p2 and rows 3-5 those
     at p1, so mode by mode the TM coupling is
     sign_ij (4 pi / A) k e^{-kz} rows[i] rows[3 + j].  ``m`` and
     ``n`` are integer index arrays; the trig factors come from
-    :func:`_axis_trig`, on ``tables`` when given.
+    :func:`_axis_trig`.
     """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
-    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1, tables)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
     return np.stack([(ax / k) * cx * sy, (ay / k) * sx * cy, sx * sy],
                     axis=1).reshape(6, k.size)
 
@@ -654,20 +643,20 @@ def _te_split_bound(geom: Geometry, k2: float, count: int, z: float, edges: tupl
     return spectral + short + images
 
 
-def _te_rows(geom, m, n, k, p1, p2, tables=None):
+def _te_rows(geom, m, n, k, p1, p2):
     """z-independent unit-normalized TE profile rows of a mode list, shape (4, N).
 
     Rows 0-1 hold the x and y profile components at p2 and rows 2-3 those
     at p1, so mode by mode the TE coupling is
     -2 E K0(kz) rows[i] rows[2 + j]; the z components vanish.  The trig
-    factors come from :func:`_axis_trig`, on ``tables`` when given.
+    factors come from :func:`_axis_trig`.
     """
     ax = m * np.pi / geom.a
     ay = n * np.pi / geom.b
     nf = np.ones_like(k)
     nf[(m == 0) | (n == 0)] = 1.0 / math.sqrt(2.0)
     root_a = 2.0 / math.sqrt(geom.area)
-    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1, tables)
+    sx, cx, sy, cy = _axis_trig(geom, m, n, p2, p1)
     ex = -root_a * nf * (ay / k) * cx * sy
     ey = root_a * nf * (ax / k) * sx * cy
     return np.stack([ex, ey], axis=1).reshape(4, k.size)
@@ -773,15 +762,6 @@ def _printed_sums(geom, p1, p2, z, mode_cap):
                   + (2.0 / area) * np.max((cut + gamma * e) @ damp)
                   + np.max(grow * np.exp(-s) / s) / area)
     return tuple(cross.tolist()), tuple(zero.tolist()), float(cross_bound), float(zero_bound)
-
-
-# ---------------------------------------------------------------------------
-# cutoffs of index arrays
-# ---------------------------------------------------------------------------
-
-def _cutoffs(geom: Geometry, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Cutoffs k_mn of the index arrays m and n, as ``mode_arrays`` takes them."""
-    return np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
 
 
 def __getattr__(name):

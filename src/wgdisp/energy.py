@@ -193,8 +193,10 @@ class FTensorResult:
             return math.nan
         table, conv, start, budget, z, energy, tm_tail = self._detail
         te_bound = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
-        return start if budget is None else _grown(
-            start, lambda K: tm_tail + te_bound * _lattice_tail(table, TE, K, z) > budget)
+        K = start
+        while budget is not None and tm_tail + te_bound * _lattice_tail(table, TE, K, z) > budget:
+            K *= 1.3
+        return K
 
     def top_modes(self, n: int) -> list[tuple[ModeIndex, float, np.ndarray]]:
         """Up to ``n`` of the tensor's listed modes with the largest max |F|,
@@ -213,11 +215,14 @@ class FTensorResult:
         if n <= 0 or self._detail is None:
             return []
         table, conv, _, budget, z, energy, _ = self._detail
+        geom, p1, p2 = table.key
         te_weight = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
-        floor = max(_envelope(pol, self.tm_cutoff, z, table.key[0], te_weight)
+        floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_weight)
                     for pol in ((TM,) if budget is None else (TM, TE)))
         counts = (self.tm_modes, self.te_modes)
-        tensors = table._mode_tensors(counts, z, energy, conv)
+        tm, te = ((*table._mn[pol][:, :count], table._k[pol][:count], table._rows[pol][:count].T)
+                  for pol, count in zip((TM, TE), counts))
+        tensors = _coupling._mode_tensors(conv, geom, tm, te, p1, p2, z, energy)
         peaks = np.concatenate([np.abs(t).max(axis=(0, 1)) for t in tensors])
         kept = min(n, int(np.count_nonzero(peaks > floor)))
         ms, ns = np.concatenate((table._mn[TM][:, :counts[0]], table._mn[TE][:, :counts[1]]),
@@ -260,19 +265,20 @@ class ModeTable:
 
     Per polarization the table holds flat arrays of each mode's cutoff k
     and indices (m, n), and the z-independent factor rows (``_tm_rows``,
-    ``_te_rows``, one mode per row) of its first modes.  The first time a
-    split asks for them, one pass (:meth:`_screened`) lists every mode up
-    to the splits' cutoff and builds the rows of both polarizations there;
-    past it, :meth:`extend` lists the table again to the larger cutoff and
-    builds the rows of the new modes.  Only the radial factors depend on
-    the separation, so one table serves every separation and transition
-    level of a sweep: :func:`_mode_sum` weights and contracts the rows, and
-    the splits those of the first, screened modes, adding the image sums
-    over image offsets, signs and rho^2 that the table takes once, all
-    oracle-consistent.  Both splits' kernels take rows and return tensors
-    with their bounds, so one loop (:meth:`compute_splits`) evaluates
-    either at a whole sweep's separations, a chunk of them per kernel
-    call, and one accessor (:meth:`split`) reads them.
+    ``_te_rows``, one mode per row) of its first modes.  Its listing is the
+    one way to them: :meth:`extend` lists the table to a cutoff, in one
+    pass for both polarizations, and builds the rows of the modes it has
+    not built, and :meth:`counts` says how many of the first modes of
+    ``_k``, ``_mn`` and ``_rows`` lie below a cutoff.  Only the radial
+    factors depend on the separation, so one table serves every separation
+    and transition level of a sweep: :func:`_mode_sum` weights and
+    contracts the rows, and the splits those of the first, screened modes
+    up to the splits' cutoff, adding the image sums over image offsets,
+    signs and rho^2 that the table takes once, all oracle-consistent.  Both
+    splits' kernels take rows and return tensors with their bounds, so one
+    loop (:meth:`compute_splits`) evaluates either at a whole sweep's
+    separations, a chunk of them per kernel call, and one accessor
+    (:meth:`split`) reads them.
     """
 
     def __init__(self, geom: Geometry, p1: TransversePoint, p2: TransversePoint):
@@ -287,11 +293,9 @@ class ModeTable:
         # Factor rows of the modes built so far (see _tm_rows and _te_rows).
         self._rows = {TM: np.empty((0, 6)), TE: np.empty((0, 4))}
         # Per polarization: the splits of the last batch, keyed by z, as
-        # (tensor, bound); the screened modes' data of :meth:`_screened`;
-        # and the levels' shared :func:`_mode_sum` results, keyed by
-        # (z, K, zero).
+        # (tensor, bound); and the levels' shared :func:`_mode_sum` results,
+        # keyed by (z, K, zero).
         self._splits: dict[str, dict[float, tuple]] = {TM: {}, TE: {}}
-        self._screen: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._sums: dict[tuple, tuple] = {}
 
     def _list(self, K: float) -> None:
@@ -310,20 +314,17 @@ class ModeTable:
         self._list(K)
         geom, p1, p2 = self.key
         counts = self.counts(K)
-        new = [(pol, len(self._rows[pol]), count) for pol, count in zip((TM, TE), counts)
-               if count > len(self._rows[pol])]
-        if new:  # one set of per-axis trig tables serves both polarizations
-            largest = np.max([self._mn[pol][:, built:count].max(axis=1)
-                              for pol, built, count in new], axis=0)
-            tables = _coupling._axis_tables(geom, p2, p1, *largest.tolist())
-        for pol, built, count in new:
+        for pol, count in zip((TM, TE), counts):
+            built = len(self._rows[pol])
+            if count <= built:
+                continue
             rows_of = _coupling._tm_rows if pol == TM else _coupling._te_rows
             rows = np.empty((count, self._rows[pol].shape[1]))
             rows[:built] = self._rows[pol]
             for start in range(built, count, _CHUNK):  # bounds rows_of's temporaries
                 part = slice(start, min(start + _CHUNK, count))
                 rows[part] = rows_of(geom, *self._mn[pol][:, part], self._k[pol][part],
-                                     p1, p2, tables).T
+                                     p1, p2).T
             self._rows[pol] = rows
         return counts
 
@@ -338,7 +339,10 @@ class ModeTable:
         separation of ``zs`` and keep them, keyed by z, in place of the last
         batch's splits and mode sums.
 
-        The separations go through the kernels of :mod:`wgdisp.coupling`
+        The kernels take the cutoffs and rows of the modes up to the splits'
+        cutoff, which :meth:`extend` lists for both polarizations on the
+        first call, and :func:`wgdisp.coupling._live` of those rows.  The
+        separations go through the kernels of :mod:`wgdisp.coupling`
         (``_tm_split``, ``_te_split``) _SPLIT_CHUNK at a time; a split does
         not depend on which separations share its chunk.  Each bound is
         taken with its tensor, at the z the kernel took.
@@ -347,8 +351,10 @@ class ModeTable:
         z = np.array(list(dict.fromkeys(zs)), dtype=float)
         near = np.minimum(z, _FAR * (geom.a + geom.b))
         self._sums = {}
+        counts = dict(zip((TM, TE), self.extend(self._split_cutoff)))
         for pol in pols:
-            k, rows, live = self._screened(pol)
+            k, rows = self._k[pol][:counts[pol]], self._rows[pol][:counts[pol]]
+            live = _coupling._live(rows)
             kernel = _coupling._tm_split if pol == TM else _coupling._te_split
             n = len(live)
             store = {}
@@ -373,33 +379,10 @@ class ModeTable:
             self.compute_splits([z], (pol,))
         return self._splits[pol][z]
 
-    def _screened(self, pol: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cutoffs of the split's screened modes of ``pol``, their factor
-        rows (one mode per row) and the :func:`wgdisp.coupling._live`
-        entries of the split's tensor.
-
-        The first call takes one pass: :meth:`extend` to the splits' cutoff
-        lists the screened modes of both polarizations and builds their rows.
-        """
-        if not self._screen:
-            for each, count in zip((TM, TE), self.extend(self._split_cutoff)):
-                rows = self._rows[each][:count]
-                self._screen[each] = self._k[each][:count], rows, _coupling._live(rows)
-        return self._screen[pol]
-
     @cached_property
     def _images(self):
         """The split's image offsets, signs and rho^2, built once."""
         return _coupling._split_images(*self.key)
-
-    def _mode_tensors(self, counts: tuple[int, int], z: float, energy: float,
-                      conventions: Conventions) -> tuple[np.ndarray, np.ndarray]:
-        """(3, 3, count) couplings under ``conventions`` of the first
-        ``counts[0]`` TM and ``counts[1]`` TE modes, as a pair."""
-        geom, p1, p2 = self.key
-        tm, te = ((*self._mn[pol][:, :count], self._k[pol][:count], self._rows[pol][:count].T)
-                  for pol, count in zip((TM, TE), counts))
-        return _coupling._mode_tensors(conventions, geom, tm, te, p1, p2, z, energy)
 
 
 _ENVELOPE_SLACK = 1.0 + 1e-12  # covers the rounding of the envelopes and couplings
@@ -497,14 +480,6 @@ def _mode_sum(table: ModeTable, z: float, K: float, zero: bool) -> tuple:
     return *out, *tails
 
 
-def _grown(K: float, short) -> float:
-    """K times the least power of 1.3 at which ``short(K)`` is false,
-    multiplied up one factor at a time."""
-    while short(K):
-        K *= 1.3
-    return K
-
-
 def _check_cap(count: int | float, mode_cap: int,
                remedy: str = "the splits list them at any separation, so use a/b nearer 1"
                ) -> None:
@@ -583,8 +558,7 @@ def f_tensor(
             raise InputError(f"tail_tol={tail_tol!r} is below the truncation bound of the "
                              f"screened TM sum and the TE split{' plus the printed sums' * printed}"
                              f", {tail / scale:.2g} of the tensor scale")
-    tm_modes, te_modes = table.counts(max_cutoff) if max_cutoff else (
-        len(table._screened(TM)[0]), len(table._screened(TE)[0]))
+    tm_modes, te_modes = table.counts(max_cutoff or table._split_cutoff)
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum, te_tensor=te_sum,
                          tail_bound=tail, tm_cutoff=max_cutoff or table._split_cutoff,
                          tm_modes=tm_modes, te_modes=te_modes,

@@ -271,13 +271,15 @@ def _photon_factors(config: PairConfiguration, modes: list[ModeIndex]):
 
 # Most modes one oracle call takes: its cost grows as their number squared.
 _MODE_CAP = 8
+# Points of the Gauss-Laguerre rule over the photons' imaginary times.
+_N_TAU = 48
 
 
 @functools.cache
-def _laguerre_rule(n_tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n_tau-point Gauss-Laguerre rule, read-only
+def _laguerre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``count``-point Gauss-Laguerre rule, read-only
     arrays shared by every call."""
-    nodes, weights = np.polynomial.laguerre.laggauss(n_tau)
+    nodes, weights = np.polynomial.laguerre.laggauss(count)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -286,13 +288,13 @@ def fourth_order_oracle(
     config: PairConfiguration,
     modes: list[ModeIndex],
     diagrams: str = "all",
-    n_tau: int = 48,
 ) -> float:
     """Full fourth-order energy restricted to an explicit mode set.
 
     ``diagrams="dominant"`` keeps only the four orderings with the small
     denominator; ``"all"`` sums every ordering.  The double mode sum is
-    quadratic in ``len(modes)``, capped at ``_MODE_CAP``.  The diagrams are
+    quadratic in ``len(modes)``, capped at ``_MODE_CAP``.  The Schwinger
+    times take the ``_N_TAU``-point Gauss-Laguerre rule.  The diagrams are
     built once per process, and every mode's cutoff and photon factor come
     from one batch per call (:func:`_photon_factors`).
     """
@@ -303,14 +305,11 @@ def fourth_order_oracle(
                          f"got {len(modes)}")
     if diagrams not in ("all", "dominant"):
         raise InputError(f"diagrams must be 'all' or 'dominant', got {diagrams!r}")
-    if not (4 <= n_tau <= 170):
-        # Gauss-Laguerre weights underflow past ~180 points.
-        raise InputError(f"n_tau must lie in [4, 170], got {n_tau}")
     diags = _DIAGRAMS
     if diagrams == "dominant":
         diags = [d for d in diags if d.is_dominant]
 
-    lag_x, lag_w = _laguerre_rule(n_tau)
+    lag_x, lag_w = _laguerre_rule(_N_TAU)
     kmn, factors = _photon_factors(config, modes)
 
     total = 0.0

@@ -37,9 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .conventions import Conventions, apply
-from .coupling import _TM_CLASS, _cutoffs, _mode_tensors, _te_rows, _tm_rows
+from .coupling import _TM_CLASS, _mode_tensors, _te_rows, _tm_rows
 from .errors import InputError, QuadratureError, TightConfinementWarning, _require_positive
-from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint
+from .waveguide import TE, TM, Geometry, ModeIndex, TransversePoint, _cutoffs
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 SCHEMES = ("real-axis-subtracted", "branch-cut-rotated")

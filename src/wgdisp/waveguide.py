@@ -113,9 +113,9 @@ def cutoff_wavenumber(geom: Geometry, mode: ModeIndex) -> float:
 
     This is the value the ``modes`` table prints and sorts by.  Mode sums,
     closed forms and every oracle take k_mn from the vectorized
-    ``np.hypot`` of :func:`mode_arrays` instead, which differs from this
-    ``math.hypot`` by one ulp on about half a percent of modes, square
-    guides included.
+    ``np.hypot`` of :func:`_cutoffs` instead, as :func:`mode_arrays` does,
+    which differs from this ``math.hypot`` by one ulp on about half a
+    percent of modes, square guides included.
     """
     return math.hypot(mode.m * math.pi / geom.a, mode.n * math.pi / geom.b)
 
@@ -166,7 +166,7 @@ def mode_arrays(geom: Geometry, max_cutoff: float):
     mm = np.repeat(m, counts)
     nn = np.arange(mm.size) - np.repeat(np.cumsum(counts) - counts, counts)
     with np.errstate(over="ignore"):  # inf: past any finite cutoff, dropped below
-        kk = np.hypot(mm * np.pi / geom.a, nn * np.pi / geom.b)
+        kk = _cutoffs(geom, mm, nn)
     keep = (kk > 0.0) & (kk <= limit)  # k > 0 drops only the (0, 0) pair
     mm, nn, kk = mm[keep], nn[keep], kk[keep]
     order = np.argsort(kk, kind="stable")
@@ -176,6 +176,12 @@ def mode_arrays(geom: Geometry, max_cutoff: float):
         TM: {"m": mm[tm], "n": nn[tm], "k": kk[tm]},
         TE: {"m": mm, "n": nn, "k": kk},
     }
+
+
+def _cutoffs(geom: Geometry, m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Cutoffs k_mn of the index arrays m and n: the one ``np.hypot`` of
+    :func:`mode_arrays`, mode sums, closed forms and oracles."""
+    return np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
 
 
 def mode_count(geom: Geometry, max_cutoff: float) -> int | float:

@@ -5,10 +5,11 @@ import math
 import numpy as np
 
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import _cutoffs, _split_cutoff, _te_rows, _tm_rows
+from wgdisp import coupling
+from wgdisp.coupling import _split_cutoff, _te_rows, _tm_rows
 from wgdisp.energy import ModeTable, quadratic_contraction
 from wgdisp.errors import InputError
-from wgdisp.waveguide import TM, ModeIndex, TransversePoint
+from wgdisp.waveguide import TM, ModeIndex, TransversePoint, _cutoffs
 
 
 def mode_profile(geom, mode, k, p, conventions=Conventions()):
@@ -84,7 +85,11 @@ def mode_tensors(table, counts, z, energy, conventions=Conventions()):
     pols = np.repeat(("TM", "TE"), counts)
     m, n = np.concatenate([table._mn[pol][:, :count]
                            for pol, count in zip(("TM", "TE"), counts)], axis=1)
-    return pols, m, n, np.concatenate(table._mode_tensors(counts, z, energy, conventions), axis=2)
+    geom, p1, p2 = table.key
+    tm, te = ((*table._mn[pol][:, :count], table._k[pol][:count], table._rows[pol][:count].T)
+              for pol, count in zip(("TM", "TE"), counts))
+    return pols, m, n, np.concatenate(
+        coupling._mode_tensors(conventions, geom, tm, te, p1, p2, z, energy), axis=2)
 
 
 def ranked_modes(modes, n):

@@ -139,6 +139,30 @@ class TestEnergy:
         assert payload["tail_estimate"] >= 0.0
         assert payload["inputs"]["conventions"]["tm_sign"] == "oracle-consistent"
 
+    def test_refused_report_prints_no_warning(self, tmp_path, capsys):
+        # The warnings of a report are shown once it returns, so a refused
+        # report prints its one error line.  Warning filters are per
+        # process: each run is a process of its own.
+        from wgdisp import cli
+        from wgdisp.errors import TightConfinementWarning
+        path = tmp_path / "five.species"
+        path.write_text("E=1.2566370614359172 d=(1,1,1)\n")  # wavelength 5 a
+        argv = ["energy", "--z", "0.01", "--species1", str(path)]
+        refused = run_cli(*argv, "--tail-tol", "1e-18")
+        assert (refused.returncode, refused.stdout) == (2, "")
+        assert refused.stderr.startswith("error: tail_tol=1e-18 is below the truncation bound")
+        assert refused.stderr.count("\n") == 1
+        kept = run_cli(*argv, "--tail-tol", "1e-6")
+        notes = [f"{label} transition E=1.25664: wavelength/confinement ratio 5.00 < 10; "
+                 f"tight-confinement accuracy degrades" for label in ("species1", "species2")]
+        shown = [line.partition(": TightConfinementWarning: ")[2]
+                 for line in kept.stderr.splitlines()[::2]]
+        assert kept.returncode == 0 and shown == notes and kept.stderr.count("\n") == 4
+        assert json.loads(kept.stdout)["warnings"] == notes
+        with pytest.warns(TightConfinementWarning):
+            assert cli.main([*argv, "--tail-tol", "1e-6"]) == 0
+        assert capsys.readouterr().out == kept.stdout
+
     def test_missing_species_exit_2(self):
         res = run_cli("energy", "--z", "0.5")
         assert res.returncode == 2
@@ -388,11 +412,11 @@ class TestSweep:
         assert "tail_tol must be positive and finite" in res.stderr
 
     def test_never_builds_per_mode(self, species_file, monkeypatch, capsys):
-        from wgdisp import cli, energy
+        from wgdisp import cli, coupling
 
         def forbidden(*args):
             raise AssertionError("sweep built per-mode couplings")
-        monkeypatch.setattr(energy.ModeTable, "_mode_tensors", forbidden)
+        monkeypatch.setattr(coupling, "_mode_tensors", forbidden)
         assert cli.main(["sweep", "--z-min", "0.5", "--z-max", "1",
                          "--points", "3", "--species1", species_file]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4
@@ -906,6 +930,60 @@ def _edge_pair_runs(draw, command):
         + draw(st.sampled_from([[], ["--orientation", "fixed-vector"]]))
 
 
+@st.composite
+def _species_lines(draw):
+    # One or two transition lines, the energy and each dipole component
+    # drawn from _EDGE_DOUBLES or, as often, an ordinary value (an energy
+    # at wavelength 100 a, a unit component).
+    energy, component = (st.sampled_from(_EDGE_DOUBLES) | st.just(v)
+                         for v in ("0.06283185307179587", "1"))
+    return [f"E={draw(energy)} d=({draw(component)},{draw(component)},{draw(component)})"
+            for _ in range(draw(st.integers(1, 2)))]
+
+
+# The choices of the config keys read as text, each with a value refused.
+_CONFIG_TEXT = {"spacing": ("log", "linear", "cubic"), "format": ("csv", "json", "xml"),
+                "orientation": ("fixed-vector", "isotropic-average", "random"),
+                "convention": ("oracle-consistent", "paper-literal", "literal")}
+
+
+# The config keys each command needs, with an ordinary value of each.
+_CONFIG_NEEDED = {"modes": {"max_cutoff": "10"}, "energy": {"z": "0.5"},
+                  "sweep": {"z_min": "0.1", "z_max": "1", "points": "3"},
+                  "oracle-check": {"cases": "2"}}
+
+
+@st.composite
+def _config_runs(draw, species, missing):
+    # A modes listing, an energy report, a sweep or an oracle check, with no
+    # flag but --config.  A report or a sweep first names a species file
+    # that exists.  Each key the command needs is written, and every
+    # other config key it takes (output paths aside) one time in four: a
+    # number from _EDGE_DOUBLES or _EDGE_COUNTS (a double for an integer key
+    # is refused) or, as often, an ordinary value; a species path that
+    # exists or one that does not; or one of _CONFIG_TEXT.
+    from wgdisp import cli
+    command = draw(st.sampled_from(sorted(_CONFIG_NEEDED)))
+    args = vars(cli._parser().parse_args([command]))
+    needed = _CONFIG_NEEDED[command]
+    lines = [] if command in ("modes", "oracle-check") else [f"species1 = {species}"]
+    for key, cast in cli._CONFIG_TYPES.items():
+        if key not in args or key == "out" or not (key in needed
+                                                    or draw(st.integers(0, 3)) == 0):
+            continue
+        if key in ("species1", "species2"):
+            value = draw(st.sampled_from([species, missing]))
+        elif key in _CONFIG_TEXT:
+            value = draw(st.sampled_from(_CONFIG_TEXT[key]))
+        elif cast is int:
+            value = draw(st.sampled_from(_EDGE_COUNTS[:4] + _EDGE_DOUBLES[6:9])
+                         | st.just(needed.get(key, "3")))
+        else:
+            value = draw(st.sampled_from(_EDGE_DOUBLES) | st.just(needed.get(key, "0.3")))
+        lines.append(f"{key} = {value}")
+    return command, lines
+
+
 class TestEdgeInputs:
     @settings(max_examples=1500, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -933,12 +1011,39 @@ class TestEdgeInputs:
                 patch.setattr(np, name, bounded)
             self._check(capsys, [*argv, "--species1", species_file])
 
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_species_lines())
+    def test_species_lines(self, tmp_path, capsys, lines):
+        path = tmp_path / "edge.species"
+        path.write_text("\n".join(lines) + "\n")
+        for orientation in ("isotropic-average", "fixed-vector"):
+            self._check(capsys, ["energy", "--z", "0.5", "--species1", str(path),
+                                 "--orientation", orientation], files=[str(path)])
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_config_lines(self, species_file, tmp_path, capsys, data):
+        missing = str(tmp_path / "missing.species")
+        command, lines = data.draw(_config_runs(species_file, missing))
+        config = tmp_path / "edge.cfg"
+        config.write_text("".join(f"{line}\n" for line in lines))
+        self._check(capsys, [command, "--config", str(config)],
+                    files=[str(config), missing])
+
+    @pytest.mark.parametrize("seed", ["0", "1", str(2 ** 63), str(10 ** 30)])
+    @pytest.mark.parametrize("cases", ["-1", "0", "1", str(COUNT_CAP + 1)])
+    def test_oracle_check(self, capsys, seed, cases):
+        self._check(capsys, ["oracle-check", f"--seed={seed}", f"--cases={cases}"])
+
     @staticmethod
-    def _check(capsys, argv):
-        # Exit 0 or 2, 1 only for an uncertified quadrature and 4 only for
-        # the mode or count cap, with no traceback and no RuntimeWarning; an
-        # error is one error: line, and exit 0 prints only finite values or
-        # carries a warning.
+    def _check(capsys, argv, files=()):
+        # Exit 0 or 2, 1 only for an uncertified quadrature or an oracle
+        # check that fails, 3 only for an error that names a line of one of
+        # ``files`` and 4 only for the mode or count cap, with no traceback
+        # and no RuntimeWarning; an error is one error: line, and exit 0
+        # prints only finite values or carries a warning.
         from wgdisp import cli
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
@@ -948,14 +1053,20 @@ class TestEdgeInputs:
             code = cli.main(argv)
         out, err = capsys.readouterr()
         assert [str(w.message) for w in raised if issubclass(w.category, RuntimeWarning)] == []
-        assert code in (0, 1, 2, 4)
-        if code:
+        assert code in (0, 1, 2, 3, 4)
+        if code == 1 and argv[0] == "oracle-check":  # a full report with a FAIL line
+            assert out.splitlines()[-1] == "overall: FAIL" and err == ""
+        elif code:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
             assert code != 1 or err.startswith("error: wavenumber integral did not reach")
+            assert code != 3 or any(re.match(rf"error: {re.escape(path)}:\d+: ", err)
+                                    for path in files)
             assert code != 4 or "exceeding the hard cap" in err
         elif argv[0] == "energy":
             _finite_or_warned(out)
-        elif argv[0] == "coupling" or "json" in argv:
+        elif argv[0] == "oracle-check":
+            assert out.splitlines()[-1] == "overall: PASS"
+        elif argv[0] == "coupling" or "json" in argv or out.startswith("["):
             constants = []
             json.loads(out, parse_constant=constants.append)
             assert not constants or raised

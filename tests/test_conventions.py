@@ -94,4 +94,4 @@ def test_one_table_and_one_te_row_set_for_every_bundle(monkeypatch, convention):
     for conventions in (Conventions(convention), Conventions()):
         f_tensor(PairConfiguration(geom, p1, p2, 0.4, iso, iso, conventions=conventions),
                  0.0628, tail_tol=1e-8, table=table)
-    assert len(calls) == 1 and calls[0] == len(table._screened("TE")[0])
+    assert len(calls) == 1 and calls[0] == table.counts(table._split_cutoff)[1]

@@ -1,7 +1,9 @@
+import ast
 import math
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1312,6 +1314,58 @@ def _assert_same_table(got, want):
             _assert_same_array(getattr(got, name)[pol], getattr(want, name)[pol])
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "wgdisp"
+
+
+def _table_privates() -> set[str]:
+    """The private names of ModeTable: its methods and the attributes its
+    methods set on self, dunders aside."""
+    tree = ast.parse((SRC / "energy.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "ModeTable")
+    names = {node.name for node in ast.walk(table) if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(table)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def table_private_reads(source: str, private: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of each attribute or getattr of a name in ``private`` in
+    ``source``, except attributes of a name an import binds to a module."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or (isinstance(node, ast.ImportFrom) and node.module is None)
+               for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in private and not (
+                isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f".{node.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in private):
+            found.append((node.lineno, f"getattr {node.args[1].value}"))
+    return found
+
+
+def test_only_energy_reads_the_tables_privates():
+    # Outside energy.py the mode table is read through its listing (extend,
+    # counts, split, compute_splits and key) alone.
+    private = _table_privates()
+    assert {"_k", "_mn", "_rows", "_list", "_split_cutoff", "_images"} <= private
+    for read, other in (("k = table._k[pol][:count]", "count = table.counts(K)[1]"),
+                        ("rows = getattr(table, '_rows')", "rows = getattr(table, 'key')"),
+                        ("x = t._images", "from . import coupling as c\nx = c._split_cutoff")):
+        assert table_private_reads(read, private), read
+        assert not table_private_reads(other, private), other
+    reads = {path.name: table_private_reads(path.read_text(encoding="utf-8"), private)
+             for path in sorted(SRC.glob("*.py")) if path.name != "energy.py"}
+    assert {"coupling.py", "quadrature.py", "cli.py"} <= reads.keys()
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
 class TestScreenedPass:
     @settings(max_examples=60, deadline=None)
     @given(case=_table_cases())
@@ -1323,8 +1377,11 @@ class TestScreenedPass:
         from wgdisp.coupling import _live, _split_cutoff, _te_rows
         geom, p1, p2, conv, max_cutoff = case
         once = ModeTable(geom, p1, p2)
-        screened = [once._screened(pol) for pol in ("TM", "TE")]
         K = _split_cutoff(geom)
+        once.compute_splits([1.0])
+        screened = [(once._k[pol][:count], once._rows[pol][:count],
+                     _live(once._rows[pol][:count]))
+                    for pol, count in zip(("TM", "TE"), once.counts(K))]
         steps = ModeTable(geom, p1, p2)
         steps.extend(0.5 * K)
         steps.extend(K)
@@ -1607,7 +1664,7 @@ class TestTeSplit:
         from wgdisp.energy import _blocks
         geom = Geometry(1.0, b)
         table = ModeTable(geom, TransversePoint(*p1), TransversePoint(*p2))
-        k, rows, _ = table._screened("TE")
+        k, rows = _te_screened(geom, *table.key[1:], coupling_mod._split_cutoff(geom))
         zs = coupling_mod._split_width(geom) * np.geomspace(28.0, 60.0, 9)
         out, _ = coupling_mod._te_split(geom, k, rows, table._images, zs)
         for z, tensor in zip(zs, out):

@@ -9,12 +9,11 @@ import pytest
 from wgdisp.conventions import Conventions
 from wgdisp.energy import DipoleSpecies, DipoleTransition, PairConfiguration
 from wgdisp.errors import InputError
-from wgdisp.coupling import _cutoffs
 from wgdisp.fourth_order import (Diagram, _photon_integrals,
                                  closed_form_reference_energy,
                                  enumerate_diagrams, fourth_order_oracle,
                                  weighted_reference_energy)
-from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint
+from wgdisp.waveguide import Geometry, ModeIndex, TransversePoint, _cutoffs
 
 SQ = Geometry(1.0, 1.0)
 CENTER = SQ.center()
@@ -360,10 +359,13 @@ class TestOracle:
             devs.append(abs(full - closed) / abs(full))
         assert devs[0] > devs[1] > devs[2]
 
-    def test_tau_grid_converged(self):
+    def test_tau_grid_converged(self, monkeypatch):
+        import wgdisp.fourth_order as fo
         cfg = _cfg()
-        a = fourth_order_oracle(cfg, TM11, diagrams="all", n_tau=48)
-        b = fourth_order_oracle(cfg, TM11, diagrams="all", n_tau=96)
+        monkeypatch.setattr(fo, "_N_TAU", 48)
+        a = fourth_order_oracle(cfg, TM11, diagrams="all")
+        monkeypatch.setattr(fo, "_N_TAU", 96)
+        b = fourth_order_oracle(cfg, TM11, diagrams="all")
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_isotropic_species_supported(self):
@@ -479,8 +481,8 @@ class TestPinnedBits:
 
 class TestLaguerreRule:
     def test_nodes_built_once_per_count(self, monkeypatch):
-        # The Gauss-Laguerre rule depends on n_tau alone: every oracle call
-        # with the same n_tau shares one read-only pair of arrays.
+        # The Gauss-Laguerre rule depends on its point count alone: every
+        # oracle call with the same _N_TAU shares one read-only pair of arrays.
         import wgdisp.fourth_order as fo
         calls = []
         laggauss = np.polynomial.laguerre.laggauss
@@ -490,10 +492,11 @@ class TestLaguerreRule:
             return laggauss(n)
 
         monkeypatch.setattr(np.polynomial.laguerre, "laggauss", counted)
+        monkeypatch.setattr(fo, "_N_TAU", 40)
         fo._laguerre_rule.cache_clear()
         try:
-            first = fourth_order_oracle(_cfg(), TM11, diagrams="all", n_tau=40)
-            assert fourth_order_oracle(_cfg(), TM11, diagrams="all", n_tau=40) == first
+            first = fourth_order_oracle(_cfg(), TM11, diagrams="all")
+            assert fourth_order_oracle(_cfg(), TM11, diagrams="all") == first
             assert calls == [40]
             nodes, weights = fo._laguerre_rule(40)
             assert not nodes.flags.writeable and not weights.flags.writeable

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import mode_profile, profile_norm
 from wgdisp.conventions import Conventions
-from wgdisp.coupling import _cutoffs, _te_rows
+from wgdisp.coupling import _te_rows
 from wgdisp.errors import InputError
-from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint,
+from wgdisp.waveguide import (Geometry, ModeIndex, TransversePoint, _cutoffs,
                               cutoff_wavenumber, enumerate_modes,
                               mode_arrays)
 

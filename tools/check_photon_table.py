@@ -28,9 +28,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from wgdisp.coupling import _cutoffs
 from wgdisp.fourth_order import _photon_integrals
-from wgdisp.waveguide import Geometry, ModeIndex
+from wgdisp.waveguide import Geometry, ModeIndex, _cutoffs
 
 mp.mp.dps = 30
 

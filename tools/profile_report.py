@@ -38,14 +38,14 @@ from workloads import WORKLOADS  # noqa: E402
 # which takes the near-field contraction once) are one call per sweep or
 # report: every separation's level pairs are one batch, and the f_tensor
 # calls made inside the batch count under "f_tensor".  "screened listing" is
-# the table's one pass over the splits' modes (ModeTable._screened, which
-# lists and builds their rows through ModeTable.extend); "top_modes" ranks
-# per-mode couplings that ModeTable._mode_tensors builds.
+# the table's one pass over the splits' modes (ModeTable.extend, which lists
+# them and builds their rows); "top_modes" ranks per-mode couplings that
+# coupling._mode_tensors builds.
 STAGES = {
     "sweep-near": {
         "parse": [(argparse.ArgumentParser, "parse_args")],
         "species/config": [(cli, "_species_pair"), (cli, "_pair_configuration")],
-        "screened listing": [(energy.ModeTable, "_screened")],
+        "screened listing": [(energy.ModeTable, "extend")],
         "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
         "TE split": [(coupling, "_te_split")],
         "f_tensor": [(energy, "f_tensor")],
@@ -56,12 +56,12 @@ STAGES = {
     "point-far": {
         "parse": [(argparse.ArgumentParser, "parse_args")],
         "species/config": [(cli, "_pair_configuration")],
-        "screened listing": [(energy.ModeTable, "_screened")],
+        "screened listing": [(energy.ModeTable, "extend")],
         "TM split": [(coupling, "_tm_split"), (coupling, "_tm_split_bound")],
         "TE split": [(coupling, "_te_split")],
         "f_tensor": [(energy, "f_tensor")],
         "assembly": [(energy, "_assemble")],
-        "top_modes": [(energy.FTensorResult, "top_modes"), (energy.ModeTable, "_mode_tensors")],
+        "top_modes": [(energy.FTensorResult, "top_modes"), (coupling, "_mode_tensors")],
         "free-space": [(cli, "_freespace")],
         "JSON": [(cli, "_json_dump")],
     },
