@@ -103,8 +103,8 @@ def _resolve(args, key: str, default=None):
     val = getattr(args, key, None)
     if val is not None:
         return val
-    if getattr(args, "_config", None) and key in args._config:
-        return args._config[key]
+    if key in getattr(args, "_from_file", {}):  # the --config file's values
+        return args._from_file[key]
     return default
 
 
@@ -121,7 +121,10 @@ def _count(args, key: str, default: int) -> int:
 def _emit(args, text: str) -> None:
     out = _resolve(args, "out")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a directory, a missing parent directory, no permission
+            raise InputError(f"cannot write the output file: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -510,6 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 # One parser per process: building one costs far more than a parse.
 _parser = functools.cache(build_parser)
 
+# The exit code of each refusal, that of the first class it is an instance
+# of: a species file's error ahead of the InputError it is a kind of, and
+# last any other file or stream error, such as a closed stdout.
+_EXIT_CODES = {SpeciesFileError: EXIT_INPUT_FILE, ModeCapError: EXIT_RESOURCE,
+               _CountCapError: EXIT_RESOURCE, InputError: EXIT_USAGE,
+               QuadratureError: EXIT_CHECK_FAILED, OSError: EXIT_INPUT_FILE}
+
 
 def main(argv=None) -> int:
     try:
@@ -517,26 +527,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.config:
-            args._config = _load_config(args.config, args.command, vars(args))
-        else:
-            args._config = {}
+        args._from_file = _load_config(args.config, args.command, vars(args)) \
+            if args.config else {}
         return args.func(args)
-    except SpeciesFileError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_FILE
-    except (ModeCapError, _CountCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_FILE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

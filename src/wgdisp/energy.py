@@ -159,14 +159,14 @@ class PairConfiguration:
 class FTensorResult:
     """Coupling tensor for one transition energy.
 
-    Under ``tail_tol`` the tensors are the splits, ``tm_cutoff`` and the
-    counts are their screened modes', and ``te_cutoff``, found on first
-    read, is the cutoff a plain TE mode sum would need by its lattice tail.
-    Under ``max_cutoff`` they are the mode sum (:func:`_mode_sum`) of the
-    ``tm_modes`` TM and ``te_modes`` TE modes with k <= ``tm_cutoff`` =
-    ``te_cutoff``.  The paper-literal printed sums list no mode.
-    ``max_cutoff`` is the larger cutoff.  ``tail_bound`` bounds what the
-    truncations and the mode sum's rounding take from any tensor entry.
+    Under ``tail_tol`` the tensors are the splits, and ``tm_cutoff`` and the
+    counts are their screened modes'.  Under ``max_cutoff`` they are the
+    mode sum (:func:`_mode_sum`) of the ``tm_modes`` TM and ``te_modes`` TE
+    modes with k <= ``tm_cutoff``, that cutoff, also at a corner.  The
+    paper-literal printed sums list no mode.  ``tail_bound`` bounds what
+    the truncations and the mode sum's rounding take from any tensor entry.
+    The private fields are what :meth:`top_modes` and ``max_cutoff`` read;
+    ``_budget`` is None under ``max_cutoff``.
     """
 
     tensor: np.ndarray
@@ -176,27 +176,30 @@ class FTensorResult:
     tm_cutoff: float
     tm_modes: int
     te_modes: int
-    _detail: tuple | None = field(default=None, repr=False, compare=False)
+    _table: ModeTable | None = field(default=None, repr=False, compare=False)
+    _config: PairConfiguration | None = field(default=None, repr=False, compare=False)
+    _energy: float = field(default=0.0, repr=False, compare=False)
+    _budget: float | None = field(default=None, repr=False, compare=False)
+    _tm_tail: float = field(default=0.0, repr=False, compare=False)
 
-    @property
+    @cached_property
     def max_cutoff(self) -> float:
-        return max(self.tm_cutoff, self.te_cutoff)
+        """``tm_cutoff``, or under ``tail_tol`` the larger of it and the cutoff
+        a plain TE mode sum would need: the least max(3 pi / max(a, b), 8 / z)
+        times a power of 1.3 at which the TE lattice tail plus the TM split's
+        bound fits the budget."""
+        if self._budget is None:
+            return self.tm_cutoff
+        geom, z = self._config.geom, self._config.z
+        te_bound = abs(self._config.conventions.te_scale * KERNEL_TE_FACTOR) * self._energy
+        K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
+        while self._tm_tail + te_bound * _lattice_tail(self._table, TE, K, z) > self._budget:
+            K *= 1.3
+        return max(self.tm_cutoff, K)
 
     @property
     def modes_used(self) -> int:
         return self.tm_modes + self.te_modes
-
-    @cached_property
-    def te_cutoff(self) -> float:
-        """``max_cutoff``, or under ``tail_tol`` the cutoff :func:`f_tensor` describes."""
-        if self._detail is None:
-            return math.nan
-        table, conv, start, budget, z, energy, tm_tail = self._detail
-        te_bound = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
-        K = start
-        while budget is not None and tm_tail + te_bound * _lattice_tail(table, TE, K, z) > budget:
-            K *= 1.3
-        return K
 
     def top_modes(self, n: int) -> list[tuple[ModeIndex, float, np.ndarray]]:
         """Up to ``n`` of the tensor's listed modes with the largest max |F|,
@@ -212,13 +215,13 @@ class FTensorResult:
         or empty where few or no listed modes clear that bound, and empty at
         a corner.
         """
-        if n <= 0 or self._detail is None:
+        if n <= 0 or self._table is None:
             return []
-        table, conv, _, budget, z, energy, _ = self._detail
+        table, conv, z, energy = self._table, self._config.conventions, self._config.z, self._energy
         geom, p1, p2 = table.key
         te_weight = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
         floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_weight)
-                    for pol in ((TM,) if budget is None else (TM, TE)))
+                    for pol in ((TM,) if self._budget is None else (TM, TE)))
         counts = (self.tm_modes, self.te_modes)
         tm, te = ((*table._mn[pol][:, :count], table._k[pol][:count], table._rows[pol][:count].T)
                   for pol, count in zip((TM, TE), counts))
@@ -506,12 +509,11 @@ def f_tensor(
     to config's conventions with the printed sums of
     :func:`wgdisp.coupling._printed_sums` (or the mode sum's zero-index
     part).  A budget, ``tail_tol`` times the largest entry, below
-    ``tail_bound`` raises :class:`InputError`; ``te_cutoff`` is then the
-    least max(3 pi / max(a, b), 8 / z) times a power of 1.3 at which the TE
-    lattice tail plus the TM split's bound fits it.  The modes come from
-    ``table``, a :class:`ModeTable` of config's guide and points (or the
-    call's own), whose splits and mode sums the levels share; the mode cap
-    applies to every listing and 1-D sum.  At a corner the tensor is zero.
+    ``tail_bound`` raises :class:`InputError`; the result's ``max_cutoff``
+    is then the cutoff a plain mode sum would need to fit it.  The modes
+    come from ``table``, a :class:`ModeTable` of config's guide and points
+    (or the call's own), whose splits and mode sums the levels share; the
+    mode cap applies to every listing and 1-D sum.  At a corner the tensor is zero.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -519,13 +521,11 @@ def f_tensor(
         if value is not None:
             _require_positive(name, value)
     geom, z, conv, p1, p2 = config.geom, config.z, config.conventions, config.p1, config.p2
-    start = max_cutoff or max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
     if geom.is_corner(p1) or geom.is_corner(p2):
-        zero = FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
+        return FTensorResult(tensor=np.zeros((3, 3)), tm_tensor=np.zeros((3, 3)),
                              te_tensor=np.zeros((3, 3)), tail_bound=0.0,
-                             tm_cutoff=_coupling._split_cutoff(geom), tm_modes=0, te_modes=0)
-        zero.te_cutoff = start
-        return zero
+                             tm_cutoff=max_cutoff or _coupling._split_cutoff(geom),
+                             tm_modes=0, te_modes=0)
     if table is None:
         table = ModeTable(geom, p1, p2)
     elif table.key != (geom, p1, p2):
@@ -561,8 +561,8 @@ def f_tensor(
     tm_modes, te_modes = table.counts(max_cutoff or table._split_cutoff)
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum, te_tensor=te_sum,
                          tail_bound=tail, tm_cutoff=max_cutoff or table._split_cutoff,
-                         tm_modes=tm_modes, te_modes=te_modes,
-                         _detail=(table, conv, start, budget, z, energy, tm_tail))
+                         tm_modes=tm_modes, te_modes=te_modes, _table=table,
+                         _config=config, _energy=energy, _budget=budget, _tm_tail=tm_tail)
 
 
 def quadratic_contraction(P2: np.ndarray, P1: np.ndarray,

@@ -1,5 +1,8 @@
 """End-to-end CLI behavior: flags, file formats, exit codes, determinism."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import re
@@ -984,6 +987,22 @@ def _config_runs(draw, species, missing):
     return command, lines
 
 
+# The figures reproduce takes, and where an --out path points: a file, a
+# directory or a file in a missing directory.
+FIGURES = ("fig3a", "fig3b", "fig4")
+_OUT_PATHS = {"file": "fig.csv", "directory": ".", "missing parent": "missing/fig.csv"}
+
+
+@functools.cache
+def _figure_csv(figure):
+    """What ``reproduce figure`` prints to stdout."""
+    from wgdisp import cli
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(["reproduce", figure]) == 0
+    return buffer.getvalue()
+
+
 class TestEdgeInputs:
     @settings(max_examples=1500, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1037,13 +1056,56 @@ class TestEdgeInputs:
     def test_oracle_check(self, capsys, seed, cases):
         self._check(capsys, ["oracle-check", f"--seed={seed}", f"--cases={cases}"])
 
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(figure=st.sampled_from([*FIGURES, "fig9", "FIG4", "fig4 ", ""]),
+           out=st.sampled_from([None, *_OUT_PATHS]), out_key=st.booleans(),
+           config=st.sampled_from([None, [], ["figure = fig4"], ["format = csv"], "missing"]))
+    def test_reproduce(self, tmp_path_factory, capsys, figure, out, out_key, config):
+        # A figure name, valid or not, with --out left out or naming a file,
+        # a directory or a file in a missing directory, given as the flag or
+        # as the config file's out key; the config file, if any, is empty,
+        # names a key reproduce does not take, or does not exist.  Besides
+        # _check's contract: an invalid name is refused by the parser with
+        # exit 2, a run that returns writes its figure's CSV, byte for byte,
+        # to --out or else to stdout, and a refused run writes no file.
+        from wgdisp import cli
+        root = tmp_path_factory.mktemp("reproduce")
+        path = None if out is None else root / _OUT_PATHS[out]
+        argv, lines, cfg = ["reproduce", figure], [], root / "run.cfg"
+        if path is not None and out_key and config not in (None, "missing"):
+            lines.append(f"out = {path}")
+        elif path is not None:
+            argv += ["--out", str(path)]
+        if config is not None:
+            argv += ["--config", str(cfg)]
+            if config != "missing":
+                cfg.write_text("".join(f"{line}\n" for line in [*config, *lines]))
+        before = sorted(root.rglob("*"))
+        if figure not in FIGURES:
+            assert cli.main(argv) == 2
+            printed, err = capsys.readouterr()
+            assert printed == "" and "Traceback" not in err
+            assert err.splitlines()[-1].startswith(
+                "wgdisp reproduce: error: argument figure: invalid choice: ")
+            code = 2
+        else:
+            code, printed = self._check(capsys, argv, files=[str(cfg)])
+        if code:
+            assert sorted(root.rglob("*")) == before
+        elif path is None:
+            assert printed == _figure_csv(figure)
+        else:
+            assert printed == "" and path.read_text(encoding="utf-8") == _figure_csv(figure)
+
     @staticmethod
     def _check(capsys, argv, files=()):
         # Exit 0 or 2, 1 only for an uncertified quadrature or an oracle
         # check that fails, 3 only for an error that names a line of one of
         # ``files`` and 4 only for the mode or count cap, with no traceback
         # and no RuntimeWarning; an error is one error: line, and exit 0
-        # prints only finite values or carries a warning.
+        # prints only finite values or carries a warning.  Returns the exit
+        # code and stdout.
         from wgdisp import cli
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
@@ -1070,6 +1132,9 @@ class TestEdgeInputs:
             constants = []
             json.loads(out, parse_constant=constants.append)
             assert not constants or raised
+        elif argv[0] == "reproduce":
+            rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+            assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
         elif argv[0] == "sweep":
             # The ratio to a free-space energy of exactly 0 (fixed dipoles
             # at the magic angle) prints as nan, as the energy report's
@@ -1081,6 +1146,7 @@ class TestEdgeInputs:
         else:
             assert all(math.isfinite(float(cell)) for line in out.splitlines()[1:]
                        for cell in line.split(",")[3:])
+        return code, out
 
 
 class TestCountCaps:
@@ -1380,6 +1446,18 @@ class TestReproduce:
     def test_unknown_figure_exit_2(self):
         res = run_cli("reproduce", "fig9")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("out", [".", "missing/fig4.csv"])
+    def test_unwritable_out_exit_2(self, tmp_path, out):
+        # An --out path that cannot be written, a directory or a file in a
+        # missing directory, is refused as an argument with one error line,
+        # and nothing is created.
+        path = tmp_path / out
+        res = run_cli("reproduce", "fig4", "--out", str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert re.fullmatch(rf"error: cannot write the output file: \[Errno \d+\] "
+                            rf"[^\n]*: '{re.escape(str(path))}'\n", res.stderr)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCoupling:

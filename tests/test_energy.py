@@ -221,7 +221,7 @@ class TestFTensor:
             assert grown.tail_bound == tm_bound + abs(weight) * te_bound
         assert np.array_equal(grown.te_tensor, want)
         assert grown.modes_used == grown.tm_modes + grown.te_modes
-        assert grown.max_cutoff == max(grown.tm_cutoff, grown.te_cutoff)
+        assert grown.max_cutoff >= grown.tm_cutoff
 
     def test_each_mode_kernel_runs_once(self, monkeypatch):
         # The transverse factor rows of each mode are built once per mode
@@ -282,7 +282,7 @@ class TestFTensor:
 
 
 # float.hex of default-convention f_tensor results: tensor, tm_tensor and
-# te_tensor (row-major), tail_bound, tm_cutoff, te_cutoff, tm_modes and
+# te_tensor (row-major), tail_bound, tm_cutoff, max_cutoff, tm_modes and
 # te_modes, first under tail_tol and then under max_cutoff at 1.5 times the
 # max_cutoff chosen, the reference bench/workloads.py's _certified sums.
 # Keyed by (b, p1, p2, z, wavelength, tail_tol) in a guide of width 1.
@@ -374,7 +374,7 @@ class TestPinnedTensors:
         for f, want in zip((chosen, ref), PINNED_F_TENSOR[case]):
             got = tuple(" ".join(float(v).hex() for v in t.ravel())
                         for t in (f.tensor, f.tm_tensor, f.te_tensor))
-            got += (f.tail_bound.hex(), f.tm_cutoff.hex(), f.te_cutoff.hex(),
+            got += (f.tail_bound.hex(), f.tm_cutoff.hex(), f.max_cutoff.hex(),
                     f.tm_modes, f.te_modes)
             assert got == want
 
@@ -843,7 +843,7 @@ class TestAgainstPairwiseSum:
     def test_same_cutoff_and_sums_within_tolerance(self, cfg):
         tm, te, modes, cutoffs, tail = _reference_f_tensor(cfg, E100, 1e-6)
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
-        assert (ft.tm_cutoff, ft.te_cutoff) == cutoffs
+        assert ft.tm_cutoff == cutoffs[0]
         assert (ft.tm_modes, ft.te_modes) == modes
         assert ft.max_cutoff == max(cutoffs) and ft.modes_used == sum(modes)
         assert ft.tail_bound == tail
@@ -887,8 +887,11 @@ class TestCornerDipole:
         assert len(u.warnings) == len(corners)
         for note, (x, y) in zip(u.warnings, corners):
             assert f"corner ({x:g}, {y:g})" in note
-        fixed = f_tensor(cfg, E100, max_cutoff=50.0)
+        grown = f_tensor(cfg, E100, tail_tol=1e-6)
+        assert grown.max_cutoff == grown.tm_cutoff
+        fixed = f_tensor(cfg, E100, max_cutoff=5.0)
         assert not np.any(fixed.tensor) and fixed.modes_used == 0
+        assert fixed.tm_cutoff == fixed.max_cutoff == 5.0
 
     def test_edge_is_not_a_corner(self):
         cfg = PairConfiguration(SQ, TransversePoint(0.0, 0.4),
@@ -961,8 +964,8 @@ def _assert_same_ranking(got, want):
 
 def _listed_modes(ft):
     """mode_tensors of the modes top_modes ranks: those the tensor lists."""
-    table, conv, _, _, z, energy, _ = ft._detail
-    return mode_tensors(table, (ft.tm_modes, ft.te_modes), z, energy, conv)
+    return mode_tensors(ft._table, (ft.tm_modes, ft.te_modes), ft._config.z, ft._energy,
+                        ft._config.conventions)
 
 
 class TestTopModes:
@@ -1031,7 +1034,7 @@ class TestTopModes:
             ft = dispersion_energy(cfg, max_cutoff=25.0).f_by_level[E100]
         elif truncation == "own batch":
             ft = dispersion_energy(cfg, tail_tol=1e-8).f_by_level[E100]
-            assert cfg.z in ft._detail[0]._splits["TE"]
+            assert cfg.z in ft._table._splits["TE"]
         else:
             table = ModeTable(cfg.geom, cfg.p1, cfg.p2)
             ft = f_tensor(cfg, E100, tail_tol=1e-8, table=table)
@@ -1275,7 +1278,7 @@ class TestPolarizationCutoffs:
         levels = [f for u in sweep for f in u.f_by_level.values()]
         assert built["TE"] == max(f.te_modes for f in levels)
         assert built["TM"] == max(f.tm_modes for f in levels)
-        assert max(f.tm_cutoff for f in levels) < max(f.te_cutoff for f in levels)
+        assert max(f.tm_cutoff for f in levels) < max(f.max_cutoff for f in levels)
         assert built["TM"] < 100 and built["TE"] < 100
 
 
@@ -1317,20 +1320,22 @@ def _assert_same_table(got, want):
 SRC = Path(__file__).resolve().parents[1] / "src" / "wgdisp"
 
 
-def _table_privates() -> set[str]:
-    """The private names of ModeTable: its methods and the attributes its
-    methods set on self, dunders aside."""
+def _privates(cls: str) -> set[str]:
+    """The private names of energy.py's class ``cls``: its methods, its
+    fields and the attributes its methods set on self, dunders aside."""
     tree = ast.parse((SRC / "energy.py").read_text(encoding="utf-8"))
-    table = next(node for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "ModeTable")
-    names = {node.name for node in ast.walk(table) if isinstance(node, ast.FunctionDef)}
-    names |= {node.attr for node in ast.walk(table)
+    body = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    names = {node.name for node in ast.walk(body) if isinstance(node, ast.FunctionDef)}
+    names |= {node.target.id for node in body.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    names |= {node.attr for node in ast.walk(body)
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and isinstance(node.value, ast.Name) and node.value.id == "self"}
     return {name for name in names if name.startswith("_") and not name.endswith("__")}
 
 
-def table_private_reads(source: str, private: set[str]) -> list[tuple[int, str]]:
+def private_reads(source: str, private: set[str]) -> list[tuple[int, str]]:
     """(line, name) of each attribute or getattr of a name in ``private`` in
     ``source``, except attributes of a name an import binds to a module."""
     tree = ast.parse(source)
@@ -1353,16 +1358,28 @@ def table_private_reads(source: str, private: set[str]) -> list[tuple[int, str]]
 def test_only_energy_reads_the_tables_privates():
     # Outside energy.py the mode table is read through its listing (extend,
     # counts, split, compute_splits and key) alone.
-    private = _table_privates()
+    private = _privates("ModeTable")
     assert {"_k", "_mn", "_rows", "_list", "_split_cutoff", "_images"} <= private
     for read, other in (("k = table._k[pol][:count]", "count = table.counts(K)[1]"),
                         ("rows = getattr(table, '_rows')", "rows = getattr(table, 'key')"),
                         ("x = t._images", "from . import coupling as c\nx = c._split_cutoff")):
-        assert table_private_reads(read, private), read
-        assert not table_private_reads(other, private), other
-    reads = {path.name: table_private_reads(path.read_text(encoding="utf-8"), private)
+        assert private_reads(read, private), read
+        assert not private_reads(other, private), other
+    reads = {path.name: private_reads(path.read_text(encoding="utf-8"), private)
              for path in sorted(SRC.glob("*.py")) if path.name != "energy.py"}
     assert {"coupling.py", "quadrature.py", "cli.py"} <= reads.keys()
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_only_energy_reads_the_results_privates():
+    # Outside energy.py a level's record is read through its public fields,
+    # max_cutoff, modes_used and top_modes alone.
+    private = _privates("FTensorResult")
+    assert private == {"_table", "_config", "_energy", "_budget", "_tm_tail"}
+    assert private_reads("cutoff = ft._config.z", private)
+    reads = {path.name: private_reads(path.read_text(encoding="utf-8"), private)
+             for path in sorted(SRC.glob("*.py")) if path.name != "energy.py"}
+    assert {"fourth_order.py", "cli.py"} <= reads.keys()
     assert {name: found for name, found in reads.items() if found} == {}
 
 
