@@ -9,9 +9,11 @@ unless --a is given).  Exit codes: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -118,12 +120,25 @@ def _count(args, key: str, default: int) -> int:
     return count
 
 
+def _check_out(args) -> None:
+    """Refuse, before the run and creating nothing, an --out path that is a
+    directory or lies in no directory, with the error writing it would give."""
+    out = _resolve(args, "out")
+    try:
+        if out and Path(out).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if out and not Path(out).parent.is_dir():
+            os.listdir(Path(out).parent)  # the parent's error: missing or not a directory
+    except OSError as exc:
+        raise InputError(f"cannot write the output file: {OSError(exc.errno, exc.strerror, out)}")
+
+
 def _emit(args, text: str) -> None:
     out = _resolve(args, "out")
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:  # a directory, a missing parent directory, no permission
+        except OSError as exc:  # no permission, a full disk
             raise InputError(f"cannot write the output file: {exc}")
     else:
         sys.stdout.write(text)
@@ -223,33 +238,27 @@ def cmd_coupling(args) -> int:
     z = float(_resolve(args, "z"))
     bundle = _bundle(args)
     conv = Conventions(bundle)
-    # Warnings are shown once the run returns: a refused run prints one line.
-    with warnings.catch_warnings(record=True) as raised:
-        if mode.polarization == "TM":
-            closed = f_tm_closed(geom, mode, orient, p1, p2, z, conv)
-        else:
-            if args.energy is None:
-                raise InputError("TE couplings require --energy")
-            closed = f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv)
-        if args.energy is not None and not math.isfinite(args.energy):  # echoed even if unused
-            raise InputError(f"transition energy must be positive and finite, "
-                             f"got {args.energy!r}")
-        payload = {
-            "inputs": {"mode": mode.label(), "orientation": orient,
-                       "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
-                       "energy": args.energy, "convention": bundle},
-            "closed_form": closed,
-        }
-        if args.check_quadrature:
-            quad = f_quadrature(geom, mode, orient, p1, p2, z, energy=args.energy,
-                                scheme=args.scheme, conventions=conv)
-            payload["quadrature"] = quad
-            payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
+    if mode.polarization == "TE" and args.energy is None:
+        raise InputError("TE couplings require --energy")
+    closed = (f_tm_closed(geom, mode, orient, p1, p2, z, conv) if mode.polarization == "TM"
+              else f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv))
+    if args.energy is not None and not math.isfinite(args.energy):  # echoed even if unused
+        raise InputError(f"transition energy must be positive and finite, "
+                         f"got {args.energy!r}")
+    payload = {
+        "inputs": {"mode": mode.label(), "orientation": orient,
+                   "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
+                   "energy": args.energy, "convention": bundle},
+        "closed_form": closed,
+    }
+    if args.check_quadrature:
+        quad = f_quadrature(geom, mode, orient, p1, p2, z, energy=args.energy,
+                            scheme=args.scheme, conventions=conv)
+        payload["quadrature"] = quad
+        payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
     if bad := [v for key, v in payload.items() if key != "inputs" and not math.isfinite(v)]:
         raise InputError(f"the {mode.label()} coupling is not finite: {bad[0]!r}, its terms "
                          f"pass the largest double")
-    for w in raised:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _emit(args, _json_dump(payload))
     return EXIT_OK
 
@@ -280,7 +289,10 @@ def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float, list[st
                      if not math.isfinite(value)]) for z, pair in zip(zs, pairs)]
 
 
-def _energy_report(args, z: float) -> dict:
+def cmd_energy(args) -> int:
+    if (z := _resolve(args, "z")) is None:
+        raise InputError("--z is required")
+    z = float(z)
     top_n = int(_resolve(args, "top_modes", 8))
     if top_n < 0:
         raise InputError(f"top_modes must be non-negative, got {top_n}")
@@ -330,18 +342,6 @@ def _energy_report(args, z: float) -> dict:
             "z_meters": z * float(si_a),
             "note": "lengths scale with a; energies are hbar*c/a",
         }
-    return report
-
-
-def cmd_energy(args) -> int:
-    z = _resolve(args, "z")
-    if z is None:
-        raise InputError("--z is required")
-    # Warnings are shown once the report returns: a refused run prints one line.
-    with warnings.catch_warnings(record=True) as raised:
-        report = _energy_report(args, float(z))
-    for w in raised:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     _emit(args, _json_dump(report))
     return EXIT_OK
 
@@ -371,22 +371,17 @@ def cmd_sweep(args) -> int:
     zs = [float(z) for z in grid]
     sp1, sp2 = _species_pair(args)
     config = _pair_configuration(args, zs[0], species=(sp1, sp2))
-    rows = []
-    # Python prints the warnings it is given; the notes that only reach
-    # the breakdowns (corners, underflow) are written here, each once.
-    with warnings.catch_warnings(record=True) as raised:
-        breakdowns = dispersion_sweep(config, zs, **_truncation(args))
-    for w in raised:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    written = {str(w.message) for w in raised}
+    breakdowns = dispersion_sweep(config, zs, **_truncation(args))
+    # main shows the warnings raised; the notes that only reach the
+    # breakdowns (corners, underflow) are written here, each once.
+    written = {str(w.message) for w in args._raised}
     freespace = _freespace(sp1, sp2, zs, config.epsilon)
     for note in (note for b, fs in zip(breakdowns, freespace) for note in b.warnings + fs[2]):
         if note not in written:
             print(f"warning: {note}", file=sys.stderr)
             written.add(note)
-    for z, breakdown, (fs_vdw, fs_cp, _) in zip(zs, breakdowns, freespace):
-        rows.append([z, breakdown.total, fs_vdw, fs_cp,
-                     _ratio(breakdown.total, fs_vdw), breakdown.tail_estimate])
+    rows = [[z, u.total, fs_vdw, fs_cp, _ratio(u.total, fs_vdw), u.tail_estimate]
+            for z, u, (fs_vdw, fs_cp, _) in zip(zs, breakdowns, freespace)]
     _emit(args, _csv(["z_over_a", "U", "U_freespace_vdw", "U_freespace_cp",
                       "ratio", "tail_estimate"], rows))
     return EXIT_OK
@@ -429,8 +424,15 @@ def cmd_oracle_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are InputErrors, one error: line as any other."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgdisp",
         description="Dispersion energy of dipole pairs in a rectangular "
                     "hollow metallic waveguide (natural units).")
@@ -524,15 +526,20 @@ _EXIT_CODES = {SpeciesFileError: EXIT_INPUT_FILE, ModeCapError: EXIT_RESOURCE,
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         args._from_file = _load_config(args.config, args.command, vars(args)) \
             if args.config else {}
-        return args.func(args)
+        _check_out(args)
+        # Warnings are shown once the run returns: a refused run prints one line.
+        with warnings.catch_warnings(record=True) as args._raised:
+            code = args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    for w in args._raised:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -187,7 +187,7 @@ class FTensorResult:
         """``tm_cutoff``, or under ``tail_tol`` the larger of it and the cutoff
         a plain TE mode sum would need: the least max(3 pi / max(a, b), 8 / z)
         times a power of 1.3 at which the TE lattice tail plus the TM split's
-        bound fits the budget."""
+        bound fits the budget.  Each step's listing meets the mode cap."""
         if self._budget is None:
             return self.tm_cutoff
         geom, z = self._config.geom, self._config.z
@@ -249,7 +249,6 @@ class EnergyBreakdown:
     tail_estimate: float
     modes_used: int
     warnings: list[str]
-    conventions: Conventions
     f_by_level: dict[float, FTensorResult]
 
 
@@ -266,30 +265,29 @@ _FAR = 1e6
 class ModeTable:
     """Cutoff-sorted modes of one guide and pair of points.
 
-    Per polarization the table holds flat arrays of each mode's cutoff k
-    and indices (m, n), and the z-independent factor rows (``_tm_rows``,
+    Per polarization the table holds flat arrays of each mode's cutoff k and
+    indices (m, n), and the z-independent factor rows (``_tm_rows``,
     ``_te_rows``, one mode per row) of its first modes.  Its listing is the
-    one way to them: :meth:`extend` lists the table to a cutoff, in one
-    pass for both polarizations, and builds the rows of the modes it has
-    not built, and :meth:`counts` says how many of the first modes of
-    ``_k``, ``_mn`` and ``_rows`` lie below a cutoff.  Only the radial
-    factors depend on the separation, so one table serves every separation
-    and transition level of a sweep: :func:`_mode_sum` weights and
-    contracts the rows, and the splits those of the first, screened modes
-    up to the splits' cutoff, adding the image sums over image offsets,
-    signs and rho^2 that the table takes once, all oracle-consistent.  Both
-    splits' kernels take rows and return tensors with their bounds, so one
-    loop (:meth:`compute_splits`) evaluates either at a whole sweep's
-    separations, a chunk of them per kernel call, and one accessor
-    (:meth:`split`) reads them.
+    one way to them, and holds the mode cap: :meth:`extend` lists the table
+    to a cutoff within ``mode_cap`` modes, in one pass for both
+    polarizations, and builds the rows of the modes it has not built, and
+    :meth:`counts` says how many of the first modes of ``_k``, ``_mn`` and
+    ``_rows`` lie below a cutoff.  Only the radial factors depend on the
+    separation, so one table serves every separation and transition level of
+    a sweep: :func:`_mode_sum` weights and contracts the rows, and the
+    splits those of the first, screened modes up to the splits' cutoff,
+    adding the image sums over image offsets, signs and rho^2 that the table
+    takes once, all oracle-consistent.  Both splits' kernels take rows and
+    return tensors with their bounds, so one loop (:meth:`compute_splits`)
+    evaluates either at a whole sweep's separations, a chunk of them per
+    kernel call, and one accessor (:meth:`split`) reads them.
     """
 
-    def __init__(self, geom: Geometry, p1: TransversePoint, p2: TransversePoint):
+    def __init__(self, geom: Geometry, p1: TransversePoint, p2: TransversePoint,
+                 mode_cap: int = MODE_CAP):
         self.key = (geom, p1, p2)
-        # The splits' cutoff and the estimated count of the modes below it,
-        # which the mode cap is held against.
+        self._mode_cap = mode_cap
         self._split_cutoff = _coupling._split_cutoff(geom)
-        self._split_count = mode_count(geom, self._split_cutoff)
         self.cutoff: float | None = None
         self._k = {pol: np.empty(0) for pol in (TM, TE)}
         self._mn = {pol: np.empty((2, 0), dtype=np.int32) for pol in (TM, TE)}
@@ -303,8 +301,14 @@ class ModeTable:
 
     def _list(self, K: float) -> None:
         """List the modes with k <= K (1 + 1e-12) unless the table holds them, in
-        one ``mode_arrays`` call whose head is the old listing, bit for bit."""
+        one ``mode_arrays`` call whose head is the old listing, bit for bit,
+        after refusing a K whose :func:`mode_count` passes the mode cap."""
         if self.cutoff is None or K > self.cutoff:
+            if (count := mode_count(self.key[0], K)) > self._mode_cap:
+                raise ModeCapError(count, self._mode_cap, (
+                    "use a lower cutoff" if K > self._split_cutoff else "the splits list them "
+                    "at any separation, so use a/b nearer 1") + " or, at very small "
+                    "separations, the free-space quasistatic form wgdisp.u_freespace_vdw")
             listing = mode_arrays(self.key[0], K)
             for pol in (TM, TE):
                 self._k[pol] = listing[pol]["k"]
@@ -483,16 +487,6 @@ def _mode_sum(table: ModeTable, z: float, K: float, zero: bool) -> tuple:
     return *out, *tails
 
 
-def _check_cap(count: int | float, mode_cap: int,
-               remedy: str = "the splits list them at any separation, so use a/b nearer 1"
-               ) -> None:
-    """Refuse a listing of ``count`` modes past the cap, before it is made;
-    by default the listing is the splits', whose count grows with a/b and b/a."""
-    if count > mode_cap:
-        raise ModeCapError(count, mode_cap, f"{remedy} or, at very small separations, the "
-                           "free-space quasistatic form wgdisp.u_freespace_vdw")
-
-
 def f_tensor(
     config: PairConfiguration,
     energy: float,
@@ -512,8 +506,9 @@ def f_tensor(
     ``tail_bound`` raises :class:`InputError`; the result's ``max_cutoff``
     is then the cutoff a plain mode sum would need to fit it.  The modes
     come from ``table``, a :class:`ModeTable` of config's guide and points
-    (or the call's own), whose splits and mode sums the levels share; the
-    mode cap applies to every listing and 1-D sum.  At a corner the tensor is zero.
+    (or the call's own, capped at ``mode_cap``), whose splits and mode sums
+    the levels share; its cap holds every listing and 1-D sum.  At a corner
+    the tensor is zero.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -527,23 +522,22 @@ def f_tensor(
                              tm_cutoff=max_cutoff or _coupling._split_cutoff(geom),
                              tm_modes=0, te_modes=0)
     if table is None:
-        table = ModeTable(geom, p1, p2)
+        table = ModeTable(geom, p1, p2, mode_cap)
     elif table.key != (geom, p1, p2):
         raise InputError("the mode table belongs to another guide or pair of points")
-    _check_cap(table._split_count, mode_cap)
     te_weight = KERNEL_TE_FACTOR * energy
     te_bound = abs(conv.te_scale * te_weight)  # |factor| E, exactly
     printed = conv.printed
     if max_cutoff is None:
         (tm_sum, tm_tail), (te_unit, te_tail) = table.split(TM, z), table.split(TE, z)
     else:
-        _check_cap(mode_count(geom, max_cutoff), mode_cap, "use a lower cutoff")
         if (z, max_cutoff, printed) not in table._sums:
             table._sums[z, max_cutoff, printed] = _mode_sum(table, z, max_cutoff, printed)
         tm_sum, te_unit, zero_unit, tm_tail, te_tail = table._sums[z, max_cutoff, printed]
     tail, cross, zero = tm_tail, None, None
     if printed:
-        cross, (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(geom, p1, p2, z, mode_cap)
+        cross, (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
+            geom, p1, p2, z, table._mode_cap)
         tail += cross_tail
         zero = te_weight * (zero_unit if tail_tol is None else np.diag([xx, yy, 0.0]))
     tail += te_bound * te_tail
@@ -663,7 +657,7 @@ def _assemble(points: list[PairConfiguration], make_tensor,
         out.append(EnergyBreakdown(
             total=total, per_level_pair=per_pair, u_tm_only=tm_only, u_te_only=te_only,
             tail_estimate=tail_total, modes_used=max(f.modes_used for f in f_cache.values()),
-            warnings=list(notes), conventions=config.conventions, f_by_level=f_cache))
+            warnings=list(notes), f_by_level=f_cache))
     return out
 
 
@@ -688,10 +682,9 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     if max_cutoff is not None:
         tail_tol = None
     points = [replace(config, z=z) for z in zs]
-    table = ModeTable(config.geom, config.p1, config.p2)
+    table = ModeTable(config.geom, config.p1, config.p2, mode_cap)
     corner = config.geom.is_corner(config.p1) or config.geom.is_corner(config.p2)
     if not corner and max_cutoff is None:
-        _check_cap(table._split_count, mode_cap)
         table.compute_splits([point.z for point in points])
     # The levels at each z share the table's splits and mode sums.
     out = _assemble(points, lambda point, e: f_tensor(point, e, max_cutoff, tail_tol,

@@ -1069,7 +1069,6 @@ class TestEdgeInputs:
         # _check's contract: an invalid name is refused by the parser with
         # exit 2, a run that returns writes its figure's CSV, byte for byte,
         # to --out or else to stdout, and a refused run writes no file.
-        from wgdisp import cli
         root = tmp_path_factory.mktemp("reproduce")
         path = None if out is None else root / _OUT_PATHS[out]
         argv, lines, cfg = ["reproduce", figure], [], root / "run.cfg"
@@ -1082,15 +1081,9 @@ class TestEdgeInputs:
             if config != "missing":
                 cfg.write_text("".join(f"{line}\n" for line in [*config, *lines]))
         before = sorted(root.rglob("*"))
+        code, printed = self._check(capsys, argv, files=[str(cfg)])
         if figure not in FIGURES:
-            assert cli.main(argv) == 2
-            printed, err = capsys.readouterr()
-            assert printed == "" and "Traceback" not in err
-            assert err.splitlines()[-1].startswith(
-                "wgdisp reproduce: error: argument figure: invalid choice: ")
-            code = 2
-        else:
-            code, printed = self._check(capsys, argv, files=[str(cfg)])
+            assert code == 2
         if code:
             assert sorted(root.rglob("*")) == before
         elif path is None:
@@ -1194,8 +1187,9 @@ class TestHugeCutoffs:
     # exponent form instead of as an integer of up to 300 digits.
     @pytest.mark.parametrize("cutoff, count", [("1e200", "inf"),
                                                ("1e100", "1.59154943091895e+199"),
-                                               ("1e5", "1591613096")])
+                                               ("1e5", "1591754524")])
     def test_energy_exit_4(self, species_file, capsys, cutoff, count):
+        # The count is that of the listing to the cutoff plus k_11.
         from wgdisp import cli
         assert cli.main(["energy", "--z", "0.5", "--max-cutoff", cutoff,
                          "--species1", species_file]) == 4
@@ -1203,6 +1197,32 @@ class TestHugeCutoffs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: the cutoff needs ~{count} modes, "
                                        "exceeding the hard cap of 1000000;")
+
+    def test_listing_to_the_first_shell_meets_the_cap(self, species_file, capsys,
+                                                       monkeypatch):
+        # --max-cutoff K sums the modes up to K and lists them to K + k_11,
+        # the first shell of its tails, and the cap holds that listing.  On
+        # a 1 x 1e-3 guide ~999982 modes lie below K = 78271, within the
+        # cap, and ~1080824 below K + k_11, refused before any listing.
+        from wgdisp import cli, energy
+
+        def unlisted(*args):
+            raise AssertionError("listed modes past the cap")
+        monkeypatch.setattr(energy, "mode_arrays", unlisted)
+        assert cli.main(["energy", "--b", "1e-3", "--z", "0.5", "--max-cutoff", "78271",
+                         "--species1", species_file]) == 4
+        assert capsys.readouterr() == ("", "error: the cutoff needs ~1080824 modes, exceeding "
+                                           "the hard cap of 1000000; use a lower cutoff or, at "
+                                           "very small separations, the free-space "
+                                           "quasistatic form wgdisp.u_freespace_vdw\n")
+
+    def test_fixed_cutoff_lists_no_split(self, species_file, capsys):
+        # On a 1 x 2.6e-6 guide the splits would list ~1007455 modes, past
+        # the cap; K = 10 and its first shell list ~988786, within it.
+        from wgdisp import cli
+        assert cli.main(["energy", "--b", "2.6e-6", "--z", "0.5", "--max-cutoff", "10",
+                         "--species1", species_file]) == 0
+        assert json.loads(capsys.readouterr().out)["modes_used"] == 3
 
     def test_mode_count(self):
         from wgdisp.waveguide import Geometry, mode_count
@@ -1457,6 +1477,25 @@ class TestReproduce:
         assert (res.returncode, res.stdout) == (2, "")
         assert re.fullmatch(rf"error: cannot write the output file: \[Errno \d+\] "
                             rf"[^\n]*: '{re.escape(str(path))}'\n", res.stderr)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", [".", "missing/sweep.csv"])
+    def test_unwritable_out_refused_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                   species_file, out):
+        # The --out path is checked before the run: a long sweep that could
+        # not write its CSV takes no energy.
+        from wgdisp import cli
+
+        def unrun(*args, **kwargs):
+            raise AssertionError("swept before the --out path was checked")
+        monkeypatch.setattr(cli, "dispersion_sweep", unrun)
+        path = tmp_path / out
+        assert cli.main(["sweep", "--points", "20000", "--z-min", "0.05", "--z-max", "1",
+                         "--species1", species_file, "--out", str(path)]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and re.fullmatch(
+            rf"error: cannot write the output file: \[Errno \d+\] [^\n]*: "
+            rf"'{re.escape(str(path))}'\n", err)
         assert list(tmp_path.iterdir()) == []
 
 

@@ -174,6 +174,28 @@ class TestFTensor:
                           mode_cap=100_000)
             assert ft.modes_used < 200
 
+    def test_table_refuses_every_listing_past_its_cap(self, monkeypatch):
+        # The cap is the table's: capped at the splits' own count, it lists
+        # the splits, but neither a lattice tail nor the growth behind
+        # max_cutoff, each refused before mode_arrays is called.
+        from wgdisp import energy as energy_mod
+        from wgdisp.coupling import _split_cutoff
+        from wgdisp.energy import _lattice_tail
+        from wgdisp.waveguide import mode_count
+        cfg = _config(0.05, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.6, 0.55))
+        assert f_tensor(cfg, E100, tail_tol=1e-6).max_cutoff == pytest.approx(351.52)
+        K = _split_cutoff(SQ)
+        table = ModeTable(SQ, cfg.p1, cfg.p2, mode_count(SQ, K))
+        ft = f_tensor(cfg, E100, tail_tol=1e-6, table=table)
+
+        def unlisted(*args):
+            raise AssertionError("listed modes past the cap")
+        monkeypatch.setattr(energy_mod, "mode_arrays", unlisted)
+        for refused in (lambda: _lattice_tail(table, "TE", K, cfg.z), lambda: ft.max_cutoff):
+            with pytest.raises(ModeCapError, match="; use a lower cutoff or"):
+                refused()
+        assert table.cutoff == K
+
     @pytest.mark.parametrize("b, p1, p2, z, convention, tol", [
         (0.75, (0.4, 0.3), (0.4, 0.3), 0.02, "paper-literal", 1e-6),
         (0.6, (0.31, 0.22), (0.72, 0.41), 0.07, "paper-literal", 1e-6),
@@ -1383,6 +1405,35 @@ def test_only_energy_reads_the_results_privates():
     assert {name: found for name, found in reads.items() if found} == {}
 
 
+def references(source: str, name: str) -> set[str]:
+    """Qualified names of the functions of ``source`` that use ``name``, as
+    a name or an attribute; a use outside any function is "<module>"."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif name in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.add(scope or "<module>")
+            visit(child, inner)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_listings_call_mode_arrays():
+    # The mode cap is held where modes are listed: in src/ only the mode
+    # table's listing and the modes command's, enumerate_modes, reach
+    # mode_arrays.
+    assert references("class T:\n    def f(self):\n        return w.mode_arrays(g, 1)\n"
+                      "x = mode_arrays\n", "mode_arrays") == {"T.f", "<module>"}
+    assert not references('def f():\n    "mode_arrays"\n', "mode_arrays")
+    found = {f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in references(path.read_text(encoding="utf-8"), "mode_arrays")}
+    assert found == {"energy.ModeTable._list", "waveguide.enumerate_modes"}
+
+
 class TestScreenedPass:
     @settings(max_examples=60, deadline=None)
     @given(case=_table_cases())
@@ -1444,6 +1495,8 @@ class TestEwaldSplit:
     @given(case=_split_points())
     @example(case=(Geometry(1.0, 1.0), TransversePoint(0.5, 0.0),
                    TransversePoint(0.5, 1.1125369292536007e-308), 0.05))
+    @example(case=(Geometry(1.0, 10.0), TransversePoint(0.5, 5.0),
+                   TransversePoint(0.5, 5.5), 0.05))
     def test_matches_converged_mode_sum(self, case):
         # Against the oracle-consistent TM mode sum grown until its lattice
         # tail is at most 1e-11 of the scale, within 1e-10 of the scale;
@@ -1451,8 +1504,10 @@ class TestEwaldSplit:
         # are the others, except where the mode sum is subnormal: there
         # rounding decides whether the split's value reaches zero (a point
         # 1.1e-308 off the wall gives xy = -1.2e-320 against the split's 0).
+        # The reference's listing may pass the default mode cap (~1.6e6
+        # modes for b = 10a at z = 0.05a); its table allows four times that.
         geom, p1, p2, z = case
-        table = ModeTable(geom, p1, p2)
+        table = ModeTable(geom, p1, p2, 4_000_000)
         split, _ = table.split("TM", z)
         scale = np.abs(split).max()
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
@@ -1651,8 +1706,9 @@ class TestTeSplit:
         # most 1e-11 of the scale, within 1e-10 of the scale or within the
         # split's bound plus the sum's tail.  A profile component that
         # vanishes on the wall x = 0 or y = 0 gives exact zeros in both.
+        # As for the TM sum, the reference's table allows 4e6 modes.
         geom, p1, p2, z = case
-        table = ModeTable(geom, p1, p2)
+        table = ModeTable(geom, p1, p2, 4_000_000)
         split, split_bound = table.split("TE", z)
         scale = np.abs(split).max()
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
