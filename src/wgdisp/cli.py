@@ -44,17 +44,6 @@ FIG3_RATIOS = {"fig3a": (100.0, "vdw-reference", "quasistatic"),
                "fig3b": (10.0, "cp-reference", "retarded")}
 _FREESPACE_KEYS = ("freespace_vdw_tensor", "freespace_cp")  # as the energy report names them
 
-# Configuration keys accepted in a flat "key = value" file, with casts.
-_CONFIG_TYPES = {
-    "a": float, "b": float, "x1": float, "y1": float, "x2": float, "y2": float,
-    "z": float, "z_min": float, "z_max": float, "points": int,
-    "spacing": str, "species1": str, "species2": str, "orientation": str,
-    "epsilon": float, "tail_tol": float, "max_cutoff": float,
-    "top_modes": int, "convention": str, "format": str, "out": str,
-    "seed": int, "cases": int, "si_a_meters": float,
-}
-
-
 # The largest count of sweep points or oracle cases a run takes.  A sweep
 # point holds about 4 KB and an oracle case about 6 KB, each taking 0.1 to
 # 0.3 ms, so a run at the cap peaks near 0.3 GB within about 15 s.
@@ -69,51 +58,45 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path: str, command: str, options) -> dict:
-    """Typed values of a flat config file for ``command``.
+def _config_flags(path: str, argv, options) -> list[str]:
+    """The lines of a flat config file as flags of the command line ``argv``.
 
-    A key must be one of ``_CONFIG_TYPES`` and one of ``options``, the
-    option names the subcommand takes; any other key is refused, naming it.
+    Each ``key = value`` line is the flag ``--key=value``, parsed once with
+    ``argv``, so a file's value meets the flag's type and choices.  A key
+    must name a flag among ``options``, the parsed command line's names;
+    every refusal names its line.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpeciesFileError(f"cannot read config file: {exc}", path, 0)
-    out = {}
+    flags = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
+        where = f"{path}:{lineno}: "
+        key, equals, value = line.partition("=")
+        if not equals:
+            raise InputError(f"{where}expected 'key = value'")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
-            raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key not in options:
-            raise InputError(f"{path}:{lineno}: config key {key!r} is not an "
-                             f"option of {command}")
+        flag = f"--{key.replace('_', '-')}={value.strip()}"
         try:
-            out[key] = _CONFIG_TYPES[key](value.strip())
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: bad value for {key!r}")
-    return out
+            # A file names no other file, and a subcommand or positional
+            # argument is no flag: parse_known_args leaves it unknown.
+            if key not in options or key == "config" or \
+                    _parser().parse_known_args([*argv, flag])[1]:
+                raise InputError(f"config key {key!r} is not an option of {argv[0]}")
+        except InputError as exc:
+            raise InputError(f"{where}{exc}") from None
+        flags.append(flag)
+    return flags
 
 
-def _resolve(args, key: str, default=None):
-    """CLI flag if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in getattr(args, "_from_file", {}):  # the --config file's values
-        return args._from_file[key]
-    return default
-
-
-def _count(args, key: str, default: int) -> int:
-    """The count ``key`` (flag or config value), refused past _COUNT_CAP
-    before anything is allocated for it."""
-    count = int(_resolve(args, key, default))
+def _count(args, key: str) -> int:
+    """The count ``key``, refused past _COUNT_CAP before anything is
+    allocated for it."""
+    count = getattr(args, key)
     if count > _COUNT_CAP:
         raise _CountCapError(f"{args.command} needs {count} {key}, exceeding the hard cap "
                              f"of {_COUNT_CAP}; use fewer {key}")
@@ -123,7 +106,7 @@ def _count(args, key: str, default: int) -> int:
 def _check_out(args) -> None:
     """Refuse, before the run and creating nothing, an --out path that is a
     directory or lies in no directory, with the error writing it would give."""
-    out = _resolve(args, "out")
+    out = args.out
     try:
         if out and Path(out).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -134,10 +117,9 @@ def _check_out(args) -> None:
 
 
 def _emit(args, text: str) -> None:
-    out = _resolve(args, "out")
-    if out:
+    if args.out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:  # no permission, a full disk
             raise InputError(f"cannot write the output file: {exc}")
     else:
@@ -158,42 +140,27 @@ def _csv(header: list[str], rows: list[list[float]],
     return "\n".join(lines) + "\n"
 
 
-def _geometry(args) -> Geometry:
-    return Geometry(float(_resolve(args, "a", 1.0)),
-                    float(_resolve(args, "b", 1.0)))
-
-
-def _bundle(args) -> str:
-    return _resolve(args, "convention", "oracle-consistent")
-
-
 def _species_pair(args) -> tuple[DipoleSpecies, DipoleSpecies]:
-    orientation = _resolve(args, "orientation", "isotropic-average")
-    sp1_path = _resolve(args, "species1")
-    if not sp1_path:
+    if not args.species1:
         raise InputError("a species file is required (--species1)")
-    sp1 = parse_species_file(sp1_path, orientation)
-    sp2_path = _resolve(args, "species2")
-    sp2 = parse_species_file(sp2_path, orientation) if sp2_path else sp1
+    sp1 = parse_species_file(args.species1, args.orientation)
+    sp2 = parse_species_file(args.species2, args.orientation) if args.species2 else sp1
     return sp1, sp2
 
 
 def _points(args, geom: Geometry) -> tuple[TransversePoint, TransversePoint]:
     """Dipole points from --x1/--y1/--x2/--y2, each defaulting to the centre."""
-    cx, cy = 0.5 * geom.a, 0.5 * geom.b
-    return (TransversePoint(float(_resolve(args, "x1", cx)),
-                            float(_resolve(args, "y1", cy))),
-            TransversePoint(float(_resolve(args, "x2", cx)),
-                            float(_resolve(args, "y2", cy))))
+    def point(x, y):
+        return TransversePoint(0.5 * geom.a if x is None else x, 0.5 * geom.b if y is None else y)
+    return point(args.x1, args.y1), point(args.x2, args.y2)
 
 
 def _pair_configuration(args, z: float, species=None) -> PairConfiguration:
-    geom = _geometry(args)
+    geom = Geometry(args.a, args.b)
     sp1, sp2 = species if species is not None else _species_pair(args)
     p1, p2 = _points(args, geom)
-    return PairConfiguration(geom, p1, p2, z, sp1, sp2,
-                             epsilon=float(_resolve(args, "epsilon", 1.0)),
-                             conventions=Conventions(_bundle(args)))
+    return PairConfiguration(geom, p1, p2, z, sp1, sp2, epsilon=args.epsilon,
+                             conventions=Conventions(args.convention))
 
 
 def _species_json(sp: DipoleSpecies) -> list[dict]:
@@ -205,13 +172,11 @@ def _species_json(sp: DipoleSpecies) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_modes(args) -> int:
-    geom = _geometry(args)
-    max_cutoff = _resolve(args, "max_cutoff")
-    if max_cutoff is None:
+    geom = Geometry(args.a, args.b)
+    if args.max_cutoff is None:
         raise InputError("--max-cutoff is required")
-    modes = enumerate_modes(geom, float(max_cutoff))
-    fmt = _resolve(args, "format", "csv")
-    if fmt == "json":
+    modes = enumerate_modes(geom, args.max_cutoff)
+    if args.format == "json":
         payload = [{"polarization": m.polarization, "m": m.m, "n": m.n,
                     "k_mn": cutoff_wavenumber(geom, m),
                     "omega_cutoff": cutoff_wavenumber(geom, m)}
@@ -229,14 +194,10 @@ def cmd_modes(args) -> int:
 def cmd_coupling(args) -> int:
     from .quadrature import f_quadrature, f_te_closed, f_tm_closed
 
-    geom = _geometry(args)
+    geom = Geometry(args.a, args.b)
     mode = ModeIndex(args.pol, args.m, args.n)
-    orient = args.orient
-    if orient not in ORIENTATIONS:
-        raise InputError(f"--orient must be one of {ORIENTATIONS}")
+    orient, z, bundle = args.orient, args.z, args.convention
     p1, p2 = _points(args, geom)
-    z = float(_resolve(args, "z"))
-    bundle = _bundle(args)
     conv = Conventions(bundle)
     if mode.polarization == "TE" and args.energy is None:
         raise InputError("TE couplings require --energy")
@@ -265,10 +226,9 @@ def cmd_coupling(args) -> int:
 
 def _truncation(args) -> dict:
     """Truncation keyword: --max-cutoff if given, else --tail-tol."""
-    max_cutoff = _resolve(args, "max_cutoff")
-    if max_cutoff is not None:
-        return {"max_cutoff": float(max_cutoff)}
-    return {"tail_tol": float(_resolve(args, "tail_tol", 1e-6))}
+    if args.max_cutoff is not None:
+        return {"max_cutoff": args.max_cutoff}
+    return {"tail_tol": args.tail_tol}
 
 
 def _ratio(u: float, reference: float) -> float:
@@ -290,15 +250,12 @@ def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float, list[st
 
 
 def cmd_energy(args) -> int:
-    if (z := _resolve(args, "z")) is None:
+    if (z := args.z) is None:
         raise InputError("--z is required")
-    z = float(z)
-    top_n = int(_resolve(args, "top_modes", 8))
-    if top_n < 0:
+    if (top_n := args.top_modes) < 0:
         raise InputError(f"top_modes must be non-negative, got {top_n}")
-    si_a = _resolve(args, "si_a_meters")
-    if si_a is not None:
-        _require_positive("si_a_meters", float(si_a))
+    if (si_a := args.si_a_meters) is not None:
+        _require_positive("si_a_meters", si_a)
     config = _pair_configuration(args, z)
     kwargs = _truncation(args)
     breakdown = dispersion_energy(config, **kwargs)
@@ -338,8 +295,8 @@ def cmd_energy(args) -> int:
     }
     if si_a is not None:
         report["si_annotation"] = {
-            "a_meters": float(si_a),
-            "z_meters": z * float(si_a),
+            "a_meters": si_a,
+            "z_meters": z * si_a,
             "note": "lengths scale with a; energies are hbar*c/a",
         }
     _emit(args, _json_dump(report))
@@ -347,12 +304,10 @@ def cmd_energy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    z_min = _resolve(args, "z_min")
-    z_max = _resolve(args, "z_max")
-    points = _count(args, "points", 0)
+    z_min, z_max = args.z_min, args.z_max
+    points = _count(args, "points")
     if z_min is None or z_max is None:
         raise InputError("--z-min and --z-max are required")
-    z_min, z_max = float(z_min), float(z_max)
     if points < 2:
         raise InputError("sweep needs at least 2 points")
     if not (math.isfinite(z_min) and math.isfinite(z_max)):
@@ -360,15 +315,8 @@ def cmd_sweep(args) -> int:
                          f"z-max={z_max!r}")
     if not (0.0 < z_min < z_max):
         raise InputError("need 0 < z-min < z-max")
-    spacing = _resolve(args, "spacing", "log")
-    if spacing == "log":
-        grid = np.geomspace(z_min, z_max, points)
-    elif spacing == "linear":
-        grid = np.linspace(z_min, z_max, points)
-    else:
-        raise InputError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-
-    zs = [float(z) for z in grid]
+    space = np.geomspace if args.spacing == "log" else np.linspace
+    zs = [float(z) for z in space(z_min, z_max, points)]
     sp1, sp2 = _species_pair(args)
     config = _pair_configuration(args, zs[0], species=(sp1, sp2))
     breakdowns = dispersion_sweep(config, zs, **_truncation(args))
@@ -413,9 +361,8 @@ def cmd_reproduce(args) -> int:
 def cmd_oracle_check(args) -> int:
     from .oracle_checks import run_oracle_checks
 
-    seed = int(_resolve(args, "seed", 12345))
-    cases = _count(args, "cases", 20)
-    report, ok = run_oracle_checks(seed=seed, convention=_bundle(args), cases=cases)
+    report, ok = run_oracle_checks(seed=args.seed, convention=args.convention,
+                                   cases=_count(args, "cases"))
     _emit(args, report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -441,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to this path instead of stdout")
 
     convention = argparse.ArgumentParser(add_help=False)
-    convention.add_argument("--convention",
-                            choices=("oracle-consistent", "paper-literal"))
+    convention.add_argument("--convention", choices=("oracle-consistent", "paper-literal"),
+                            default="oracle-consistent")
 
     geo = argparse.ArgumentParser(add_help=False)
-    geo.add_argument("--a", type=float)
-    geo.add_argument("--b", type=float)
+    geo.add_argument("--a", type=float, default=1.0)
+    geo.add_argument("--b", type=float, default=1.0)
 
     points = argparse.ArgumentParser(add_help=False)
     for name in ("--x1", "--y1", "--x2", "--y2"):
@@ -455,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False, parents=[points])
     pair.add_argument("--species1")
     pair.add_argument("--species2")
-    pair.add_argument("--orientation",
-                      choices=("fixed-vector", "isotropic-average"))
-    pair.add_argument("--epsilon", type=float)
-    pair.add_argument("--tail-tol", dest="tail_tol", type=float)
+    pair.add_argument("--orientation", choices=("fixed-vector", "isotropic-average"),
+                      default="isotropic-average")
+    pair.add_argument("--epsilon", type=float, default=1.0)
+    pair.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-6)
     pair.add_argument("--max-cutoff", dest="max_cutoff", type=float)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -466,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modes", parents=[common, geo],
                        help="cutoff table of guided modes")
     p.add_argument("--max-cutoff", dest="max_cutoff", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("coupling", parents=[common, convention, geo, points],
@@ -474,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pol", choices=("TE", "TM"), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--orient", required=True)
+    p.add_argument("--orient", choices=ORIENTATIONS, required=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--energy", type=float)
     p.add_argument("--check-quadrature", action="store_true")
@@ -486,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("energy", parents=[common, convention, geo, pair],
                        help="single-point dispersion energy report")
     p.add_argument("--z", type=float)
-    p.add_argument("--top-modes", dest="top_modes", type=int)
+    p.add_argument("--top-modes", dest="top_modes", type=int, default=8)
     p.add_argument("--si-a-meters", dest="si_a_meters", type=float)
     p.set_defaults(func=cmd_energy)
 
@@ -494,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV sweep of the energy over a z range")
     p.add_argument("--z-min", dest="z_min", type=float)
     p.add_argument("--z-max", dest="z_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--spacing", choices=("log", "linear"))
+    p.add_argument("--points", type=int, default=0)
+    p.add_argument("--spacing", choices=("log", "linear"), default="log")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", parents=[common],
@@ -505,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", parents=[common, convention],
                        help="cross-validation suite: closed forms vs oracles")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cases", type=int)
+    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--cases", type=int, default=20)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -524,10 +471,12 @@ _EXIT_CODES = {SpeciesFileError: EXIT_INPUT_FILE, ModeCapError: EXIT_RESOURCE,
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parser().parse_args(argv)
-        args._from_file = _load_config(args.config, args.command, vars(args)) \
-            if args.config else {}
+        if args.config:  # the file's flags first, so the command line's win
+            args = _parser().parse_args([argv[0], *_config_flags(args.config, argv, vars(args)),
+                                         *argv[1:]])
         _check_out(args)
         # Warnings are shown once the run returns: a refused run prints one line.
         with warnings.catch_warnings(record=True) as args._raised:

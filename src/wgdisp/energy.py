@@ -302,14 +302,20 @@ class ModeTable:
     def _list(self, K: float) -> None:
         """List the modes with k <= K (1 + 1e-12) unless the table holds them, in
         one ``mode_arrays`` call whose head is the old listing, bit for bit,
-        after refusing a K whose :func:`mode_count` passes the mode cap."""
+        after refusing a K whose :func:`mode_count` passes the mode cap.  The
+        refusal names a lower cutoff only where one fits: a listing other than
+        the splits' reaches past the lowest cutoff k11."""
+        geom = self.key[0]
         if self.cutoff is None or K > self.cutoff:
-            if (count := mode_count(self.key[0], K)) > self._mode_cap:
-                raise ModeCapError(count, self._mode_cap, (
-                    "use a lower cutoff" if K > self._split_cutoff else "the splits list them "
-                    "at any separation, so use a/b nearer 1") + " or, at very small "
-                    "separations, the free-space quasistatic form wgdisp.u_freespace_vdw")
-            listing = mode_arrays(self.key[0], K)
+            if (count := mode_count(geom, K)) > self._mode_cap:
+                remedy = ("the splits list them at any separation, so use a/b nearer 1"
+                          if K == self._split_cutoff else "use a lower cutoff"
+                          if mode_count(geom, _coupling._k11(geom)) <= self._mode_cap
+                          else "no cutoff fits the cap, so use a/b nearer 1")
+                raise ModeCapError(count, self._mode_cap, f"{remedy} or, at very small "
+                                   "separations, the free-space quasistatic form "
+                                   "wgdisp.u_freespace_vdw")
+            listing = mode_arrays(geom, K)
             for pol in (TM, TE):
                 self._k[pol] = listing[pol]["k"]
                 self._mn[pol] = np.array((listing[pol]["m"], listing[pol]["n"]), dtype=np.int32)
@@ -492,7 +498,6 @@ def f_tensor(
     energy: float,
     max_cutoff: float | None = None,
     tail_tol: float | None = None,
-    mode_cap: int = MODE_CAP,
     table: ModeTable | None = None,
 ) -> FTensorResult:
     """Coupling tensor for one transition energy.
@@ -506,7 +511,7 @@ def f_tensor(
     ``tail_bound`` raises :class:`InputError`; the result's ``max_cutoff``
     is then the cutoff a plain mode sum would need to fit it.  The modes
     come from ``table``, a :class:`ModeTable` of config's guide and points
-    (or the call's own, capped at ``mode_cap``), whose splits and mode sums
+    (or the call's own, capped at ``MODE_CAP``), whose splits and mode sums
     the levels share; its cap holds every listing and 1-D sum.  At a corner
     the tensor is zero.
     """
@@ -522,7 +527,7 @@ def f_tensor(
                              tm_cutoff=max_cutoff or _coupling._split_cutoff(geom),
                              tm_modes=0, te_modes=0)
     if table is None:
-        table = ModeTable(geom, p1, p2, mode_cap)
+        table = ModeTable(geom, p1, p2)
     elif table.key != (geom, p1, p2):
         raise InputError("the mode table belongs to another guide or pair of points")
     te_weight = KERNEL_TE_FACTOR * energy
@@ -687,8 +692,8 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
     if not corner and max_cutoff is None:
         table.compute_splits([point.z for point in points])
     # The levels at each z share the table's splits and mode sums.
-    out = _assemble(points, lambda point, e: f_tensor(point, e, max_cutoff, tail_tol,
-                                                      mode_cap, table), notes)
+    out = _assemble(points, lambda point, e: f_tensor(point, e, max_cutoff, tail_tol, table),
+                    notes)
     for point, u in zip(points, out):
         z = point.z
         # Below the smallest normal double a value keeps fewer digits, and

@@ -223,10 +223,12 @@ class TestEnergy:
     @pytest.mark.parametrize("truncation, remedy", [
         (["--b", "1e-6"], "the splits list them at any separation, so use a/b nearer 1"),
         (["--max-cutoff", "1e5"], "use a lower cutoff"),
+        (["--b", "1e-5", "--max-cutoff", "1e7"], "use a lower cutoff"),
     ])
     def test_mode_cap_names_the_option(self, species_file, capsys, truncation, remedy):
         # The cap message names what set the cutoff: the splits' screened
-        # modes in a thin guide, or --max-cutoff.
+        # modes in a thin guide, or --max-cutoff, where a guide whose count
+        # at k11 fits the cap has a lower cutoff that fits.
         from wgdisp import cli
         assert cli.main(["energy", "--z", "0.002", "--species1", species_file,
                          "--convention", "paper-literal", *truncation]) == 4
@@ -260,6 +262,7 @@ class TestEnergy:
         res = run_cli("energy", "--config", str(conf), "--z", "0.5",
                       "--species1", species_file)
         assert res.returncode == 2
+        assert res.stderr == f"error: {conf}:1: config key 'zz_top' is not an option of energy\n"
 
     def test_corner_prints_positive_zeros(self, species_file, capsys):
         from wgdisp import cli
@@ -751,8 +754,12 @@ class TestExtremeGuides:
         ("1e-8", ()), ("1e-8", ("--max-cutoff", "10")),
         ("1e-8", ("--convention", "paper-literal")),
         ("1e-12", ()), ("1e-40", ()), ("1e-6", ()), ("1e-300", ()),
+        ("1e-6", ("--max-cutoff", "10")), ("1e-6", ("--max-cutoff", "1e7")),
     ])
     def test_thin_meets_the_cap_first(self, tmp_path, capsys, monkeypatch, b, extra, z):
+        # The splits' own listing names the aspect ratio; so does a mode
+        # sum's listing to K + k11, where even the count at k11 passes the
+        # cap, so that no lower cutoff fits.
         from wgdisp import energy
 
         def unlisted(*args):
@@ -761,7 +768,9 @@ class TestExtremeGuides:
         code, _, err = self._run(tmp_path, capsys, "1", b, z, *extra)
         assert code == 4
         assert err.startswith("error: the cutoff needs ~")
-        assert "the splits list them at any separation, so use a/b nearer 1" in err
+        remedy = ("no cutoff fits the cap" if "--max-cutoff" in extra
+                  else "the splits list them at any separation")
+        assert f"; {remedy}, so use a/b nearer 1 or, at very small separations," in err
 
     @pytest.mark.parametrize("z", ["1", "1e-50"])
     @pytest.mark.parametrize("b", ["1e-5", "1e-4"])
@@ -961,24 +970,25 @@ def _config_runs(draw, species, missing):
     # A modes listing, an energy report, a sweep or an oracle check, with no
     # flag but --config.  A report or a sweep first names a species file
     # that exists.  Each key the command needs is written, and every
-    # other config key it takes (output paths aside) one time in four: a
-    # number from _EDGE_DOUBLES or _EDGE_COUNTS (a double for an integer key
-    # is refused) or, as often, an ordinary value; a species path that
-    # exists or one that does not; or one of _CONFIG_TEXT.
+    # other option it takes (output paths aside) one time in four: a
+    # number from _EDGE_DOUBLES or _EDGE_COUNTS (a double for an integer key,
+    # one the parser defaults to an int, is refused) or, as often, an
+    # ordinary value; a species path that exists or one that does not; or
+    # one of _CONFIG_TEXT.
     from wgdisp import cli
     command = draw(st.sampled_from(sorted(_CONFIG_NEEDED)))
     args = vars(cli._parser().parse_args([command]))
     needed = _CONFIG_NEEDED[command]
     lines = [] if command in ("modes", "oracle-check") else [f"species1 = {species}"]
-    for key, cast in cli._CONFIG_TYPES.items():
-        if key not in args or key == "out" or not (key in needed
-                                                    or draw(st.integers(0, 3)) == 0):
+    for key, default in args.items():
+        if key in ("command", "func", "config", "out") or not (
+                key in needed or draw(st.integers(0, 3)) == 0):
             continue
         if key in ("species1", "species2"):
             value = draw(st.sampled_from([species, missing]))
         elif key in _CONFIG_TEXT:
             value = draw(st.sampled_from(_CONFIG_TEXT[key]))
-        elif cast is int:
+        elif isinstance(default, int):
             value = draw(st.sampled_from(_EDGE_COUNTS[:4] + _EDGE_DOUBLES[6:9])
                          | st.just(needed.get(key, "3")))
         else:
@@ -1908,6 +1918,78 @@ class TestConfigKeysPerSubcommand:
             "oracle-check report (seed=7, convention=oracle-consistent, cases=3)\n")
         assert cli.main(["oracle-check", "--seed", "7", "--cases", "3"]) == 0
         assert capsys.readouterr() == from_config
+
+
+class TestOneOptionTable:
+    """The parser is the one table of options: a config line is parsed as
+    its flag, and the program reads no option the parser does not define."""
+
+    def test_config_choice_refused_with_its_line(self, tmp_path, capsys):
+        # A config value meets the flag's choices, where it printed CSV.
+        from wgdisp import cli
+        conf = tmp_path / "run.conf"
+        conf.write_text("max_cutoff = 5\nformat = xml\n")
+        assert cli.main(["modes", "--config", str(conf)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {conf}:2: wgdisp modes: argument --format: "
+                              f"invalid choice: 'xml'")
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_config_line_is_its_flag(self, species_file, tmp_path, capsys, data):
+        # One option of modes, energy, sweep or oracle-check, set to a value
+        # from _EDGE_DOUBLES, _EDGE_COUNTS (an integer option) or
+        # _CONFIG_TEXT, or a species path that exists or does not, as
+        # "key = value" in a config file or as --key=value: both give the
+        # same exit code and stdout, and the same error, a config line's
+        # parser refusal behind its path:line: prefix.
+        from wgdisp import cli
+        command = data.draw(st.sampled_from(sorted(_CONFIG_NEEDED)))
+        defaults = vars(cli._parser().parse_args([command]))
+        key = data.draw(st.sampled_from(
+            [k for k in defaults if k not in ("command", "func", "config", "out")]))
+        if key in ("species1", "species2"):
+            values = [species_file, str(tmp_path / "missing.species")]
+        elif key in _CONFIG_TEXT:
+            values = _CONFIG_TEXT[key]
+        elif isinstance(defaults[key], int):
+            values = _EDGE_COUNTS + _EDGE_DOUBLES[6:9]
+        else:
+            values = _EDGE_DOUBLES
+        value = data.draw(st.sampled_from(values))
+        flag = f"--{key.replace('_', '-')}"
+        argv = [command, *(f"--{k.replace('_', '-')}={v}"
+                           for k, v in _CONFIG_NEEDED[command].items() if k != key)]
+        if command in ("energy", "sweep") and key != "species1":
+            argv += ["--species1", species_file]
+        conf = tmp_path / "one.conf"
+        conf.write_text(f"{key} = {value}\n")
+        runs = []
+        for run in ([*argv, f"{flag}={value}"], [*argv, "--config", str(conf)]):
+            runs.append((cli.main(run), *capsys.readouterr()))
+        (code, out, err), by_line = runs
+        assert by_line == (code, out, err.replace("error: wgdisp ", f"error: {conf}:1: wgdisp ", 1))
+
+    def test_every_args_read_is_a_parser_dest(self):
+        # Each args.<name> that cli.py reads, and each count it reads by
+        # name, is a destination build_parser defines, or one main sets.
+        import ast
+        from wgdisp import cli
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        reads |= {node.args[1].value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_count"}
+        required = {"coupling": ["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+                                 "--z", "1"], "reproduce": ["fig4"]}
+        dests = set()
+        for command in ("modes", "coupling", "energy", "sweep", "reproduce", "oracle-check"):
+            dests |= set(vars(cli.build_parser().parse_args([command,
+                                                             *required.get(command, [])])))
+        assert {"max_cutoff", "points", "cases", "func"} <= reads
+        assert reads - dests == {"_raised"}
 
 
 class TestParserReuse:

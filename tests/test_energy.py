@@ -166,12 +166,14 @@ class TestFTensor:
         # small separations too.
         cfg = _config(0.002, p1=TransversePoint(0.3, 0.4), p2=TransversePoint(0.6, 0.55),
                       conventions=Conventions("paper-literal"))
+        def table():
+            return ModeTable(cfg.geom, cfg.p1, cfg.p2, 100_000)
         with pytest.raises(ModeCapError) as err:
-            f_tensor(cfg, E100, max_cutoff=2000.0, mode_cap=100_000)
+            f_tensor(cfg, E100, max_cutoff=2000.0, table=table())
         assert "u_freespace_vdw" in str(err.value)
         for conventions in (Conventions(), Conventions("paper-literal")):
             ft = f_tensor(replace(cfg, conventions=conventions), E100, tail_tol=1e-6,
-                          mode_cap=100_000)
+                          table=table())
             assert ft.modes_used < 200
 
     def test_table_refuses_every_listing_past_its_cap(self, monkeypatch):
