@@ -23,8 +23,7 @@ import numpy as np
 from .conventions import Conventions
 from .errors import (InputError, ModeCapError, QuadratureError,
                      SpeciesFileError, WgdispError, _require_positive)
-from .waveguide import (Geometry, ModeIndex, TransversePoint,
-                        cutoff_wavenumber, enumerate_modes)
+from .waveguide import Geometry, ModeIndex, TransversePoint, _cutoffs, enumerate_modes
 from .coupling import ORIENTATIONS
 from .energy import (DipoleSpecies, PairConfiguration, _cp_energies, _vdw_tensor,
                      dispersion_energy, dispersion_sweep, ratio_to_freespace)
@@ -176,17 +175,14 @@ def cmd_modes(args) -> int:
     if args.max_cutoff is None:
         raise InputError("--max-cutoff is required")
     modes = enumerate_modes(geom, args.max_cutoff)
+    ks = _cutoffs(geom, np.array([m.m for m in modes]), np.array([m.n for m in modes])).tolist()
     if args.format == "json":
         payload = [{"polarization": m.polarization, "m": m.m, "n": m.n,
-                    "k_mn": cutoff_wavenumber(geom, m),
-                    "omega_cutoff": cutoff_wavenumber(geom, m)}
-                   for m in modes]
+                    "k_mn": k, "omega_cutoff": k} for m, k in zip(modes, ks)]
         _emit(args, _json_dump(payload))
     else:
         lines = ["polarization,m,n,k_mn,omega_cutoff"]
-        for m in modes:
-            k = cutoff_wavenumber(geom, m)
-            lines.append(f"{m.polarization},{m.m},{m.n},{_fmt(k)},{_fmt(k)}")
+        lines += [f"{m.polarization},{m.m},{m.n},{_fmt(k)},{_fmt(k)}" for m, k in zip(modes, ks)]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -336,7 +336,7 @@ def _tm_split_bound(geom: Geometry, z: float) -> float:
     return spectral + images
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)  # a kernel batch holds one guide
 def _bound_parts(geom: Geometry) -> tuple[float, float, float, float, float]:
     """The z-independent parts of :func:`_tm_split_bound` and
     :func:`_te_split_bound`: the cutoff K, low = K - k_11, the TM and TE

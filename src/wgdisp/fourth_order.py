@@ -236,10 +236,9 @@ def _ray_tail(kmn: float, z: float, energy_sets: list[tuple[float, ...]],
     x, weights = _ray_rule(_TAIL_STEP, _TAIL_END)
     w = w_start[:, None] + step * x
     kappa = np.sqrt(kmn * kmn + w * w)
-    base = _columns(w, kappa, te) * (step * weights * np.exp(1j * taus[:, None] * w
-                                                             - z * kappa) / kappa)
-    return np.stack([(base / np.prod([W - 1j * w for W in Ws], axis=0)).sum(axis=-1).real.T
-                     for Ws in energy_sets])
+    base = step * weights * np.exp(1j * taus[:, None] * w - z * kappa) / kappa
+    sets = np.stack([base / np.prod([W - 1j * w for W in Ws], axis=0) for Ws in energy_sets])
+    return np.einsum("ctx,stx->stc", _columns(w, kappa, te), sets).real
 
 
 # Which tau integral of :func:`_photon_integrals` (0: r0, 1: r1, 2: r2) each TM

@@ -109,37 +109,29 @@ class ModeIndex:
 
 
 def cutoff_wavenumber(geom: Geometry, mode: ModeIndex) -> float:
-    """Cutoff wavenumber k_mn; strictly positive for every valid mode.
-
-    This is the value the ``modes`` table prints and sorts by.  Mode sums,
-    closed forms and every oracle take k_mn from the vectorized
-    ``np.hypot`` of :func:`_cutoffs` instead, as :func:`mode_arrays` does,
-    which differs from this ``math.hypot`` by one ulp on about half a
-    percent of modes, square guides included.
-    """
-    return math.hypot(mode.m * math.pi / geom.a, mode.n * math.pi / geom.b)
+    """Cutoff wavenumber k_mn of ``mode``, strictly positive: the value of
+    :func:`_cutoffs`, so the k of every mode sum and of the ``modes`` table."""
+    with np.errstate(over="ignore"):  # inf past the largest double, as in mode_arrays
+        return float(_cutoffs(geom, np.array([mode.m], float), np.array([mode.n], float))[0])
 
 
 def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
-    """All TE and TM modes with k_mn <= max_cutoff, sorted by cutoff.
+    """All TE and TM modes of :func:`mode_arrays` with k_mn <= max_cutoff,
+    sorted by their k_mn there, the k of every mode sum.
 
     Degenerate cutoffs are ordered TM before TE, then by descending m,
     then ascending n (so the square-guide fundamental pair lists as
-    TE10, TE01).  The modes are those of :func:`mode_arrays`; the sort
-    key uses :func:`cutoff_wavenumber`, the value the ``modes`` table prints.
-    A cutoff with more than ``MODE_CAP`` modes by :func:`mode_count` raises
-    ModeCapError before any mode is listed.
+    TE10, TE01).  A cutoff with more than ``MODE_CAP`` modes by
+    :func:`mode_count` raises ModeCapError before any mode is listed.
     """
     if 0.0 < max_cutoff < math.inf and mode_count(geom, max_cutoff) > MODE_CAP:
         raise ModeCapError(mode_count(geom, max_cutoff), MODE_CAP)
     tables = mode_arrays(geom, max_cutoff)
-    found: list[tuple[float, int, int, int, ModeIndex]] = []
-    for rank, pol in ((0, TM), (1, TE)):
-        for m, n in zip(tables[pol]["m"].tolist(), tables[pol]["n"].tolist()):
-            mode = ModeIndex(pol, m, n)
-            found.append((cutoff_wavenumber(geom, mode), rank, -m, n, mode))
-    found.sort(key=lambda row: row[:4])
-    return [row[4] for row in found]
+    m, n, k = (np.concatenate((tables[TM][key], tables[TE][key])) for key in ("m", "n", "k"))
+    te = np.arange(k.size) >= tables[TM]["k"].size
+    order = np.lexsort((n, -m, te, k))
+    return [ModeIndex(TE if t else TM, mi, ni) for t, mi, ni in
+            zip(te[order].tolist(), m[order].tolist(), n[order].tolist())]
 
 
 def mode_arrays(geom: Geometry, max_cutoff: float):
@@ -180,7 +172,7 @@ def mode_arrays(geom: Geometry, max_cutoff: float):
 
 def _cutoffs(geom: Geometry, m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cutoffs k_mn of the index arrays m and n: the one ``np.hypot`` of
-    :func:`mode_arrays`, mode sums, closed forms and oracles."""
+    :func:`mode_arrays`, mode sums, closed forms, oracles and listings."""
     return np.hypot(m * np.pi / geom.a, n * np.pi / geom.b)
 
 

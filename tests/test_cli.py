@@ -123,6 +123,43 @@ class TestModes:
         assert (res.returncode, res.stderr) == (0, "")
         assert res.stdout == "polarization,m,n,k_mn,omega_cutoff\n"
 
+    def test_listing_prints_the_k_of_the_mode_sums(self, capsys):
+        # Random guides, square and rational-ratio ones among them: each
+        # printed k_mn is mode_arrays' k, the k of every mode sum, bit for
+        # bit, in the documented order.  Rows whose math.hypot cutoffs (the
+        # formula the listing once sorted by) differ by more than one ulp
+        # keep that order; equal exact cutoffs such as TM41,33 and TM51,13 of
+        # the 1 x 1 guide may swap.
+        from wgdisp import cli
+        from wgdisp.waveguide import Geometry, mode_arrays
+
+        rng = np.random.default_rng(49)
+        guides = [(1.0, 1.0, 300.0), (2.0, 1.0, 200.0), (3.0, 1.5, 150.0)]
+        for trial in range(30):
+            a = float(rng.uniform(0.3, 3.0))
+            b = [a, a * int(rng.integers(1, 6)) / int(rng.integers(1, 6)),
+                 float(rng.uniform(0.3, 3.0))][trial % 3]
+            guides.append((a, b, float(rng.uniform(5.0, 40.0)) * math.pi / min(a, b)))
+        for a, b, cutoff in guides:
+            tables = mode_arrays(Geometry(a, b), cutoff)
+            k_of = {(pol, m, n): k for pol in ("TM", "TE") for m, n, k in zip(
+                *(tables[pol][key].tolist() for key in ("m", "n", "k")))}
+            argv = ["modes", f"--a={a!r}", f"--b={b!r}", f"--max-cutoff={cutoff!r}"]
+            assert cli.main(argv) == 0
+            csv_rows = [(pol, int(m), int(n), float(k), float(w)) for pol, m, n, k, w in
+                        (line.split(",") for line in capsys.readouterr().out.splitlines()[1:])]
+            assert cli.main([*argv, "--format=json"]) == 0
+            json_rows = [(row["polarization"], row["m"], row["n"], row["k_mn"],
+                          row["omega_cutoff"]) for row in json.loads(capsys.readouterr().out)]
+            assert csv_rows == json_rows and len(csv_rows) == len(k_of)
+            assert all(k == w == k_of[pol, m, n] for pol, m, n, k, w in csv_rows)
+            assert csv_rows == sorted(csv_rows, key=lambda r: (r[3], r[0] == "TE", -r[1], r[2]))
+            highest = 0.0
+            for _, m, n, _, _ in csv_rows:
+                hyp = math.hypot(m * math.pi / a, n * math.pi / b)
+                assert hyp >= highest - math.ulp(highest), (a, b, m, n)
+                highest = max(highest, hyp)
+
     def test_infinite_cutoff_exit_2(self):
         res = run_cli("modes", "--max-cutoff", "inf")
         assert res.returncode == 2

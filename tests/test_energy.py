@@ -2045,6 +2045,18 @@ class TestSweep:
             tensor, bound = table._splits["TE"][z]
             assert tensor.shape == (3, 3) and type(bound) is float
 
+    def test_bound_parts_kept_for_one_guide(self):
+        # The z-independent parts of both split bounds are taken once per
+        # kernel batch, and only the last guide's are kept.
+        from wgdisp.coupling import _bound_parts
+        _bound_parts.cache_clear()
+        for i in range(500):
+            table = ModeTable(Geometry(1.0, 0.5 + i / 1000.0),
+                              TransversePoint(0.31, 0.22), TransversePoint(0.68, 0.41))
+            table.compute_splits([0.1, 0.5, 2.0])
+        info = _bound_parts.cache_info()
+        assert (info.currsize, info.misses) == (1, 500)
+
     def test_sweep_builds_each_mode_once(self, monkeypatch):
         from wgdisp.coupling import _k11
         import wgdisp.coupling as coupling_mod

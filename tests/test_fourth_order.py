@@ -425,6 +425,23 @@ class TestGoldenValues:
                                     diagrams=diagrams)
         assert value == pytest.approx(self.VALUES[convention][diagrams], rel=1e-13)
 
+    # The top eight modes of a whole report: 1 x 0.7 guide, p1 = (0.3, 0.2),
+    # p2 = (0.62, 0.45), z = a, one isotropic level at lambda = 100a.
+    REPORT_MODES = [ModeIndex(*mode) for mode in (
+        ("TM", 1, 1), ("TM", 2, 1), ("TE", 1, 0), ("TM", 1, 2), ("TM", 3, 1),
+        ("TM", 2, 2), ("TE", 0, 1), ("TE", 2, 0))]
+    REPORT_VALUES = {"oracle-consistent": -0.0157599090106546,
+                     "paper-literal": -0.01575471522851648}
+
+    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
+    def test_whole_report_all_diagrams(self, convention):
+        species = DipoleSpecies.single(2.0 * math.pi / 100.0, (1.0, 1.0, 1.0))
+        config = PairConfiguration(Geometry(1.0, 0.7), TransversePoint(0.3, 0.2),
+                                   TransversePoint(0.62, 0.45), 1.0, species, species,
+                                   conventions=Conventions(convention))
+        value = fourth_order_oracle(config, self.REPORT_MODES, diagrams="all")
+        assert value == pytest.approx(self.REPORT_VALUES[convention], rel=1e-13)
+
     @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
     def test_reference_energies(self, convention):
         config = self._config(convention)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,29 @@ class TestEnumeration:
         ks = [cutoff_wavenumber(Geometry(1.0, 0.7), m) for m in modes]
         assert ks == sorted(ks)
 
+    def test_cutoff_is_the_listings_k(self, monkeypatch):
+        # cutoff_wavenumber gives mode_arrays' k bit for bit, and the
+        # enumeration sorts by that k without asking it mode by mode.
+        import wgdisp.waveguide as waveguide
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            geom = Geometry(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0)))
+            tables = mode_arrays(geom, 30.0 * math.pi / min(geom.a, geom.b))
+            for pol in ("TM", "TE"):
+                m, n, k = (tables[pol][key].tolist() for key in ("m", "n", "k"))
+                assert [cutoff_wavenumber(geom, ModeIndex(pol, *mn))
+                        for mn in zip(m, n)] == k
+        # Past the largest double the cutoff is inf, as mode_arrays takes
+        # it, with no warning; an index past int64 is still a cutoff.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cutoff_wavenumber(Geometry(1e-308, 1.0), ModeIndex("TE", 10**10, 0)) \
+                == math.inf
+            assert cutoff_wavenumber(SQ, ModeIndex("TE", 10**20, 0)) == 1e20 * math.pi
+        monkeypatch.setattr(waveguide, "cutoff_wavenumber", None)
+        assert len(enumerate_modes(SQ, 40.0)) == sum(
+            t["k"].size for t in mode_arrays(SQ, 40.0).values())
+
     def test_mode_arrays_consistent_with_enumeration(self):
         tables = mode_arrays(SQ, 12.0)
         n_total = tables["TM"]["k"].size + tables["TE"]["k"].size
@@ -239,7 +263,7 @@ def _loop_enumeration(geom, max_cutoff):
         for n in range(0, int(limit * geom.b / math.pi) + 2):
             if m == 0 and n == 0:
                 continue
-            kmn = math.hypot(m * math.pi / geom.a, n * math.pi / geom.b)
+            kmn = float(np.hypot(m * math.pi / geom.a, n * math.pi / geom.b))
             if kmn > limit:
                 continue
             found.append((kmn, 1, -m, n, ModeIndex("TE", m, n)))
@@ -315,8 +339,10 @@ class TestModeShells:
         assert list(zip(shell["TM"]["m"], shell["TM"]["n"])) == [(1, 1)]
 
     def test_enumeration_matches_loop_reference(self):
+        # The 1 x 1 guide to K = 300 holds equal exact cutoffs whose
+        # np.hypot and math.hypot values order differently.
         for geom, cutoff in ((SQ, 25.0), (Geometry(1.0, 0.7), 30.0),
-                             (Geometry(1.7, 0.9), 21.0)):
+                             (Geometry(1.7, 0.9), 21.0), (SQ, 300.0)):
             assert enumerate_modes(geom, cutoff) == _loop_enumeration(geom, cutoff)
 
     @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.0, -1.0])
