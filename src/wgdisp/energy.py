@@ -295,7 +295,7 @@ class ModeTable:
         self._rows = {TM: np.empty((0, 6)), TE: np.empty((0, 4))}
         # Per polarization: the splits of the last batch, keyed by z, as
         # (tensor, bound); and the levels' shared :func:`_mode_sum` results,
-        # keyed by (z, K, zero).
+        # keyed by (z, K), which no convention changes.
         self._splits: dict[str, dict[float, tuple]] = {TM: {}, TE: {}}
         self._sums: dict[tuple, tuple] = {}
 
@@ -459,17 +459,16 @@ def _blocks(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mode_sum(table: ModeTable, z: float, K: float, zero: bool) -> tuple:
+def _mode_sum(table: ModeTable, z: float, K: float) -> tuple:
     """The reference mode sum over the modes with k <= K (1 + 1e-12): the
-    TM tensor, the unit TE tensor (without its factor * E) and, when
-    ``zero``, its part over the zero-index modes (else None), read-only,
+    TM tensor and the unit TE tensor (without its factor * E), read-only,
     whose bits depend on z, K, the guide and the points alone; then per
     channel a bound on what truncation (:func:`_lattice_tail`) and rounding
-    take from any entry, the TE one with that part added once more.  Each
-    entry adds N terms r2 w r1 of at most 32 rounded factors (K0 within 10
-    units of roundoff) and a rounded kz, so it rounds by at most gamma_n
-    sum |r2| |w| |r1|, n = N + 32 + kz per mode (N. J. Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., sec. 3.1).
+    take from any entry.  Each entry adds N terms r2 w r1 of at most 32
+    rounded factors (K0 within 10 units of roundoff) and a rounded kz, so it
+    rounds by at most gamma_n sum |r2| |w| |r1|, n = N + 32 + kz per mode
+    (N. J. Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.1).
     """
     geom = table.key[0]
     table._list(K + _coupling._k11(geom))  # with the first shell of the tails
@@ -479,16 +478,13 @@ def _mode_sum(table: ModeTable, z: float, K: float, zero: bool) -> tuple:
         with np.errstate(over="ignore"):  # k z past the largest double: w = 0
             kz = k * z
             w = (4.0 * math.pi / geom.area) * k * np.exp(-kz) if pol == TM else _k0(kz)
-        weights = [w, w * (table._mn[TE][:, :count] == 0).any(axis=0)] \
-            if pol == TE and zero else [w]
         n = (count + 32.0) + np.minimum(kz, 1e3)  # w is 0 from k z of about 745
-        size = sum(_blocks(np.abs(rows), v * n) for v in weights).max(initial=0.0)
+        size = _blocks(np.abs(rows), w * n).max(initial=0.0)
         tails.append(_lattice_tail(table, pol, K, z)
                      + 2.0 ** -53 / (1.0 - 2.0 ** -53 * (count + 1032.0)) * float(size))
-        sums.append([_blocks(rows, v) for v in weights])
-    (tm,), (te, *subset) = sums
-    out = (tm * KERNEL_TM_SIGNS, np.pad(te, (0, 1)), np.pad(subset[0], (0, 1)) if zero else None)
-    for t in out[:2 + zero]:  # the levels at a separation share them
+        sums.append(_blocks(rows, w))
+    out = (sums[0] * KERNEL_TM_SIGNS, np.pad(sums[1], (0, 1)))
+    for t in out:  # the levels at a separation share them
         t.flags.writeable = False
     return *out, *tails
 
@@ -506,14 +502,14 @@ def f_tensor(
     :meth:`ModeTable.split`, with ``max_cutoff`` the mode sum of
     :func:`_mode_sum` below it; :func:`wgdisp.conventions.apply` maps them
     to config's conventions with the printed sums of
-    :func:`wgdisp.coupling._printed_sums` (or the mode sum's zero-index
-    part).  A budget, ``tail_tol`` times the largest entry, below
-    ``tail_bound`` raises :class:`InputError`; the result's ``max_cutoff``
-    is then the cutoff a plain mode sum would need to fit it.  The modes
-    come from ``table``, a :class:`ModeTable` of config's guide and points
-    (or the call's own, capped at ``MODE_CAP``), whose splits and mode sums
-    the levels share; its cap holds every listing and 1-D sum.  At a corner
-    the tensor is zero.
+    :func:`wgdisp.coupling._printed_sums` under either truncation, whose
+    bounds join ``tail_bound``.  A budget, ``tail_tol`` times the largest
+    entry, below ``tail_bound`` raises :class:`InputError`; the result's
+    ``max_cutoff`` is then the cutoff a plain mode sum would need to fit
+    it.  The modes come from ``table``, a :class:`ModeTable` of config's
+    guide and points (or the call's own, capped at ``MODE_CAP``), whose
+    splits and mode sums the levels share; its cap holds every listing and
+    1-D sum.  At a corner the tensor is zero.
     """
     if (max_cutoff is None) == (tail_tol is None):
         raise InputError("specify exactly one of max_cutoff or tail_tol")
@@ -536,17 +532,17 @@ def f_tensor(
     if max_cutoff is None:
         (tm_sum, tm_tail), (te_unit, te_tail) = table.split(TM, z), table.split(TE, z)
     else:
-        if (z, max_cutoff, printed) not in table._sums:
-            table._sums[z, max_cutoff, printed] = _mode_sum(table, z, max_cutoff, printed)
-        tm_sum, te_unit, zero_unit, tm_tail, te_tail = table._sums[z, max_cutoff, printed]
+        if (z, max_cutoff) not in table._sums:
+            table._sums[z, max_cutoff] = _mode_sum(table, z, max_cutoff)
+        tm_sum, te_unit, tm_tail, te_tail = table._sums[z, max_cutoff]
     tail, cross, zero = tm_tail, None, None
     if printed:
         cross, (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
             geom, p1, p2, z, table._mode_cap)
         tail += cross_tail
-        zero = te_weight * (zero_unit if tail_tol is None else np.diag([xx, yy, 0.0]))
+        zero = te_weight * np.diag([xx, yy, 0.0])
     tail += te_bound * te_tail
-    if printed and tail_tol is not None:
+    if printed:
         tail += te_bound * axis_tail
     tm_sum, te_sum = apply(conv, tm_sum.copy(), te_weight * te_unit, cross, zero)
     budget = None

@@ -21,8 +21,8 @@ plus a rounding floor; a value is certified when that error is within the
 one relative tolerance ``_REL_TOL``, and no term of it comes from a closed
 form the oracle validates.
 
-Only ``coupling --check-quadrature``, ``oracle-check`` and the
-fourth-order oracle import this module.
+Only the ``coupling`` command, ``oracle-check`` and the fourth-order
+oracle import this module.
 
 Natural units hbar = c = 1 throughout.
 """

@@ -580,17 +580,16 @@ def four_levels(tmp_path_factory):
 @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
 def test_fixed_cutoff_sums_once_per_separation(four_levels, monkeypatch, capsys,
                                                convention):
-    # Under --max-cutoff the reference mode sum (its TM and unit TE tensors
-    # and, under paper-literal normalization, its zero-index part) does not
-    # depend on the transition level: a sweep of a 4-level species takes it
-    # once per separation.
+    # Under --max-cutoff the reference mode sum (its TM and unit TE tensors)
+    # depends on neither the transition level nor the convention: a sweep of
+    # a 4-level species takes it once per separation.
     from wgdisp import cli, energy
-    calls = []  # (K, zero, z) of each energy._mode_sum call
+    calls = []  # (K, z) of each energy._mode_sum call
     mode_sum = energy._mode_sum
 
-    def counted(table, z, K, zero):
-        calls.append((K, zero, z))
-        return mode_sum(table, z, K, zero)
+    def counted(table, z, K):
+        calls.append((K, z))
+        return mode_sum(table, z, K)
     monkeypatch.setattr(energy, "_mode_sum", counted)
     assert cli.main(["sweep", "--z-min", "0.02", "--z-max", "0.06", "--points", "8",
                      "--max-cutoff", "800", "--convention", convention,

@@ -280,6 +280,10 @@ class TestFTensor:
     def test_vectorized_path_matches_scalar_closed_forms(self):
         # The bulk mode-sum path must agree with the independent per-mode
         # references, under both sign conventions, at off-center points.
+        # Its printed parts sum every mode: the cross terms, and the
+        # zero-index TE modes taken once more, where the per-mode references
+        # take the listed ones twice.
+        from wgdisp.coupling import _printed_sums
         p1 = TransversePoint(0.31, 0.67)
         p2 = TransversePoint(0.52, 0.18)
         tables = mode_arrays(SQ, 11.0)
@@ -293,16 +297,19 @@ class TestFTensor:
             per_mode = mode_tensors(table, table.counts(11.0), 0.7, E100, conv)[3]
             direct_tm = _direct_tm(SQ, tm["m"].astype(float), tm["n"].astype(float),
                                    tm["k"], p1, p2, 0.7, conv).sum(axis=2)
-            direct_te = _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
-                                   te["k"], p1, p2, 0.7, E100, conv).sum(axis=2)
+            te_modes = _direct_te(SQ, te["m"].astype(float), te["n"].astype(float),
+                                  te["k"], p1, p2, 0.7, E100, conv)
+            direct_te = te_modes.sum(axis=2)
             assert per_mode.shape[2] == tm["k"].size + te["k"].size
             assert np.allclose(per_mode.sum(axis=2), direct_tm + direct_te,
                                rtol=1e-11, atol=1e-13)
-            assert np.allclose(bulk.te_tensor, direct_te, rtol=1e-11, atol=1e-13)
-            if name == "paper-literal":  # the cross terms sum every mode
-                from wgdisp.coupling import _printed_sums
-                cross = _printed_sums(SQ, p1, p2, 0.7, 1_000_000)[0]
+            if name == "paper-literal":
+                cross, (xx, yy), *_ = _printed_sums(SQ, p1, p2, 0.7, 1_000_000)
                 assert np.array_equal(bulk.tm_tensor[[0, 1], [1, 0]], cross)
+                zero_index = (te["m"] == 0) | (te["n"] == 0)
+                direct_te += E100 * np.diag([xx, yy, 0.0]) \
+                    - 0.5 * te_modes[:, :, zero_index].sum(axis=2)
+            assert np.allclose(bulk.te_tensor, direct_te, rtol=1e-11, atol=1e-13)
 
 
 # float.hex of default-convention f_tensor results: tensor, tm_tensor and
@@ -536,61 +543,35 @@ class TestKernels:
 # and the unit TE tensor (row-major) over the modes with k <= K.  The first
 # two cutoffs are those of the 8192nd and 8193rd TM modes, on both sides of
 # the edge at which the TM contraction is split; 1300 lists over 1e5 modes
-# per polarization.  Under paper-literal conventions xy and yx are the
-# oracle-consistent entries negated (the mode sum holds no printed cross
-# terms), and the TE sum takes the zero-index TE modes once more.
+# per polarization.  No convention changes the mode sum.
 PINNED_SUMS = {
-    ("oracle-consistent", 361.0790647332873): (
+    361.0790647332873: (
         "0x1.9060182e881eap+3 0x1.5d1131414b963p+4 -0x1.d6c1ff07de47dp-2"
         " 0x1.f8d334c273cd8p+3 0x1.8695227a257cep+2 -0x1.1efcde979c255p+2"
         " 0x1.4ee1d564109e8p+0 0x1.18274a36eabfdp+2 -0x1.5985073c2adbbp+1",
         "0x1.402c3ab861654p+1 0x1.e2b1259d91f5bp+1 0x0.0p+0"
         " 0x1.91323081a26a8p+1 0x1.43eda114d8351p+1 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
-    ("oracle-consistent", 361.08162725274553): (
+    361.08162725274553: (
         "0x1.942a431e2652cp+3 0x1.5c399faed2997p+4 -0x1.b617921b5837cp-3"
         " 0x1.dd08ba8972f0fp+3 0x1.9f4867bac4746p+2 -0x1.925ab1716d58ap+2"
         " 0x1.9fe2954d00f7ep+0 0x1.0f27770f55a73p+2 -0x1.057447b851c7ep+1",
         "0x1.4026215093b83p+1 0x1.e2b07307f97c3p+1 0x0.0p+0"
         " 0x1.9126ad91c72fcp+1 0x1.43ec500734617p+1 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
-    ("oracle-consistent", 1300.0): (
+    1300.0: (
         "0x1.973f772ccf26ep+3 0x1.77b75465c2b83p+4 0x1.0e5b11b5166f3p+1"
         " 0x1.5bd97297a3f31p+4 0x1.1251d07db174ap+3 0x1.ce7db38523151p+0"
         " 0x1.0f02e5ed91eecp+1 0x1.f323d63624727p+0 -0x1.a69c2c8ec7b07p+3",
         "0x1.3fdc5ddd286d5p+1 0x1.e2c6ec867b7e7p+1 0x0.0p+0"
         " 0x1.9180de8d86035p+1 0x1.4380bc1083ed4p+1 0x0.0p+0"
         " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
-    ("paper-literal", 361.0790647332873): (
-        "-0x1.9060182e881eap+3 -0x1.5d1131414b963p+4 -0x1.d6c1ff07de47dp-2"
-        " -0x1.f8d334c273cd8p+3 -0x1.8695227a257cep+2 -0x1.1efcde979c255p+2"
-        " -0x1.4ee1d564109e8p+0 -0x1.18274a36eabfdp+2 -0x1.5985073c2adbbp+1",
-        "0x1.fdce0a6b2ff10p+1 0x1.e2b1259d91f5bp+1 0x0.0p+0"
-        " 0x1.91323081a26a8p+1 0x1.113d5791a9228p+2 0x0.0p+0"
-        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
-    ("paper-literal", 361.08162725274553): (
-        "-0x1.942a431e2652cp+3 -0x1.5c399faed2997p+4 -0x1.b617921b5837cp-3"
-        " -0x1.dd08ba8972f0fp+3 -0x1.9f4867bac4746p+2 -0x1.925ab1716d58ap+2"
-        " -0x1.9fe2954d00f7ep+0 -0x1.0f27770f55a73p+2 -0x1.057447b851c7ep+1",
-        "0x1.fdc7f10362440p+1 0x1.e2b07307f97c3p+1 0x0.0p+0"
-        " 0x1.9126ad91c72fcp+1 0x1.113caf0ad738bp+2 0x0.0p+0"
-        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
-    ("paper-literal", 1300.0): (
-        "-0x1.973f772ccf26ep+3 -0x1.77b75465c2b83p+4 0x1.0e5b11b5166f3p+1"
-        " -0x1.5bd97297a3f31p+4 -0x1.1251d07db174ap+3 0x1.ce7db38523151p+0"
-        " -0x1.0f02e5ed91eecp+1 -0x1.f323d63624727p+0 -0x1.a69c2c8ec7b07p+3",
-        "0x1.fd8599b35f7a0p+1 0x1.e2c6ec867b7e7p+1 0x0.0p+0"
-        " 0x1.9180de8d86035p+1 0x1.1112843ce933bp+2 0x0.0p+0"
-        " 0x0.0p+0 0x0.0p+0 0x0.0p+0"),
 }
 
 
-def _pinned_sums(table, convention, K):
-    """The entries PINNED_SUMS holds for ``convention`` and K."""
-    tm, te, zero, *_ = _mode_sum(table, 0.02, K, True)
-    if convention == "paper-literal":
-        tm = TM_SIGNS["paper-literal"] * TM_SIGNS["oracle-consistent"] * tm
-        te = te + zero
+def _pinned_sums(table, K):
+    """The entries PINNED_SUMS holds for K."""
+    tm, te, *_ = _mode_sum(table, 0.02, K)
     return tuple(" ".join(float(v).hex() for v in t.ravel()) for t in (tm, te))
 
 
@@ -610,8 +591,8 @@ class TestSummationOrder:
             for K in (*edges, 700.0, *edges[::-1]):
                 pieces.extend(K)
                 assert pieces.counts(K) == whole.counts(K)
-                got = _mode_sum(pieces, z, K, True)
-                want = _mode_sum(whole, z, K, True)
+                got = _mode_sum(pieces, z, K)
+                want = _mode_sum(whole, z, K)
                 for g, w in zip(got, want):
                     assert np.float64(g).tobytes() == np.float64(w).tobytes()
 
@@ -622,8 +603,10 @@ class TestSummationOrder:
         # whole cutoff-sorted table to the stated tolerance, and within the
         # mode sum's rounding bound.  The TM sum is the oracle-consistent
         # one, here with the convention's signs (the printed cross terms are
-        # no mode sum); its TE sum is mapped with its zero-index modes.
+        # no mode sum).  Both TE sums are mapped with the same printed
+        # zero-index sum, which is no mode sum either.
         from wgdisp.conventions import apply
+        from wgdisp.coupling import _printed_sums
         geom = Geometry(1.0, 0.8)
         p1, p2 = TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44)
         conv = Conventions(convention)
@@ -635,23 +618,25 @@ class TestSummationOrder:
             geom, tm["m"].astype(float), tm["n"].astype(float), tm["k"], p1, p2, z,
             Conventions()).sum(axis=2)
         want_te = _direct_te(geom, te["m"].astype(float), te["n"].astype(float),
-                             te["k"], p1, p2, z, E100, conv).sum(axis=2)
-        tm, te_unit, zero, tm_tail, te_tail = _mode_sum(ModeTable(geom, p1, p2), z, K, True)
+                             te["k"], p1, p2, z, E100, Conventions()).sum(axis=2)
+        tm, te_unit, tm_tail, te_tail = _mode_sum(ModeTable(geom, p1, p2), z, K)
         tm = TM_SIGNS[convention] * TM_SIGNS["oracle-consistent"] * tm
         weight = -2.0 * E100
-        _, te = apply(conv, None, weight * te_unit, zero=weight * zero)
+        _, (xx, yy), *_ = _printed_sums(geom, p1, p2, z, 1_000_000)
+        zero = weight * np.diag([xx, yy, 0.0]) if conv.printed else None
+        _, want_te = apply(conv, None, want_te, zero=zero)
+        _, te = apply(conv, None, weight * te_unit, zero=zero)
         scale = max(np.abs(want_tm).max(), np.abs(want_te).max())
         assert np.abs(tm - want_tm).max() <= min(SUM_TOL * scale, tm_tail)
         assert np.abs(te - want_te).max() <= min(SUM_TOL * scale, abs(weight) * te_tail)
 
-    @pytest.mark.parametrize("convention", ["oracle-consistent", "paper-literal"])
-    def test_sums_pinned(self, convention):
+    def test_sums_pinned(self):
         # The order in which the mode sum adds its modes is part of its
-        # value: the sums at both conventions' cutoffs must keep their bits.
+        # value: the sums at each cutoff must keep their bits.
         geom = Geometry(1.0, 0.8)
         table = ModeTable(geom, TransversePoint(0.37, 0.23), TransversePoint(0.61, 0.44))
-        for K in (361.0790647332873, 361.08162725274553, 1300.0):
-            assert _pinned_sums(table, convention, K) == PINNED_SUMS[convention, K]
+        for K, pinned in PINNED_SUMS.items():
+            assert _pinned_sums(table, K) == pinned
 
     def test_sums_kept_read_only_for_the_batch(self):
         # The levels at a separation share one mode sum, so no caller may
@@ -701,7 +686,8 @@ def _fixed_cutoff_cases(draw):
 # the 1 x 0.1 guide, p1 = (0, 0.03), p2 = (0.7, 0.05), z = 0.05, summed by
 # mpmath at 40 digits from exact trig factors, exp and K0.  At p1's wall
 # x = 0 only the first column (components x at p1) survives: the TM xx, yx
-# and zx entries, the unit TE xx and yx, and the xx of its zero-index part.
+# and zx entries, the unit TE xx and yx, and the xx of its zero-index part,
+# whose modes past K add below 1e-30: the printed zero-index sum's xx.
 MPMATH_THIN_SUM = {"tm": (2.3480289107599389e-6, 2.0188642397898346e-15,
                           1.7518905947071151e-7),
                    "te": (1.7030240011275887e-7, 8.0953849953643353e-17),
@@ -751,17 +737,20 @@ class TestReferenceModeSum:
         # terms it adds, and the rounding part of the tail, not the
         # truncation part, covers the distance to an exact sum of the same
         # modes.
+        from wgdisp.coupling import _printed_sums
         geom = Geometry(1.0, 0.1)
         table = ModeTable(geom, TransversePoint(0.0, 0.03), TransversePoint(0.7, 0.05))
         K, z = 1500.0, 0.05
-        tm, te, zero, tm_tail, te_tail = _mode_sum(table, z, K, True)
+        tm, te, tm_tail, te_tail = _mode_sum(table, z, K)
         exact = MPMATH_THIN_SUM
-        assert not np.any(tm[:, 1:]) and not np.any(te[:, 1:]) and not np.any(zero[1:])
+        assert not np.any(tm[:, 1:]) and not np.any(te[:, 1:])
         tm_err = np.abs(tm[:, 0] - exact["tm"]).max()
-        te_err = max(np.abs(te[:2, 0] - exact["te"]).max(), abs(zero[0, 0] - exact["zero"]))
+        te_err = np.abs(te[:2, 0] - exact["te"]).max()
         assert _lattice_tail(table, "TM", K, z) < 1e-3 * tm_err
         assert tm_err > 1e-7 * np.abs(tm).max()  # rounding far above truncation
         assert tm_err <= tm_tail and te_err <= te_tail
+        _, (xx, _), _, zero_bound = _printed_sums(geom, *table.key[1:], z, 1_000_000)
+        assert abs(xx - exact["zero"]) <= zero_bound
 
 
 def _reference_f_tensor(cfg, energy, tail_tol):
@@ -1137,13 +1126,12 @@ class TestConventionMap:
     @given(case=_bundle_cases())
     def test_both_bundles_are_the_map_of_the_oracle_bundle(self, case):
         # Each bundle's tensors are the oracle-consistent ones under the
-        # written-out map, bit for bit, with the printed sums (or, under a
-        # fixed cutoff, the mode sum's zero-index TE modes) as its printed parts.  So
-        # are the per-mode couplings of every mode the tensor lists, the
-        # printed cross terms per mode and the zero-index TE couplings taken
-        # twice, and top_modes lists those couplings.  A printed zero-index
-        # TE coupling is also within NORMALIZATION_RTOL of the printed
-        # profiles' product.
+        # written-out map, bit for bit, with the printed sums as its printed
+        # parts under either truncation.  So are the per-mode couplings of
+        # every mode the tensor lists, the printed cross terms per mode and
+        # the zero-index TE couplings taken twice, and top_modes lists those
+        # couplings.  A printed zero-index TE coupling is also within
+        # NORMALIZATION_RTOL of the printed profiles' product.
         from wgdisp.coupling import _paper_cross, _printed_sums
         cfg, truncation = case
         conv, geom, z, p1, p2 = cfg.conventions, cfg.geom, cfg.z, cfg.p1, cfg.p2
@@ -1156,10 +1144,7 @@ class TestConventionMap:
         (xy, yx), (xx, yy), *_ = _printed_sums(geom, p1, p2, z, 1_000_000)
         table = ModeTable(geom, p1, p2)
         counts = table.extend(ft.tm_cutoff)
-        if "max_cutoff" in truncation:
-            zero = weight * _mode_sum(table, z, ft.tm_cutoff, True)[2]
-        else:
-            zero = weight * np.diag([xx, yy, 0.0])
+        zero = weight * np.diag([xx, yy, 0.0])
         tm, te = _printed_map(conv, oracle.tm_tensor, oracle.te_tensor, (xy, yx), zero)
         _same_bits(ft.tm_tensor, tm)
         _same_bits(ft.te_tensor, te)
@@ -1225,7 +1210,7 @@ class TestTailBoundProperty:
         table = ModeTable(geom, cfg.p1, cfg.p2)
         split, split_tail = table.split("TM", z)
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
-        tm, _, _, tm_tail, _ = _mode_sum(table, z, K, False)
+        tm, _, tm_tail, _ = _mode_sum(table, z, K)
         assert np.abs(tm - split).max() <= tm_tail + split_tail
 
 
@@ -1515,7 +1500,7 @@ class TestEwaldSplit:
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         while _lattice_tail(table, "TM", K, z) > 1e-11 * scale:
             K *= 1.3
-        summed = _mode_sum(table, z, K, False)[0]
+        summed = _mode_sum(table, z, K)[0]
         assert np.abs(split - summed).max() <= 1e-10 * scale
         normal = (summed == 0.0) | (np.abs(summed) >= sys.float_info.min)
         assert np.array_equal((split == 0.0)[normal], (summed == 0.0)[normal])
@@ -1716,7 +1701,7 @@ class TestTeSplit:
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         while _lattice_tail(table, "TE", K, z) > 1e-11 * scale:
             K *= 1.3
-        _, summed, _, _, tail = _mode_sum(table, z, K, False)
+        _, summed, _, tail = _mode_sum(table, z, K)
         assert np.abs(split - summed).max() <= max(1e-10 * scale, split_bound + tail)
         # Row i lives at p2 and column j at p1; e_x vanishes at y = 0 and
         # e_y at x = 0.
@@ -2421,3 +2406,71 @@ class TestRatioFormulas:
     def test_rejects_unknown_regime(self):
         with pytest.raises(InputError):
             ratio_to_freespace(1.0, 10.0, 1.0, "other")
+
+
+# Refusals of the library calls that no command reaches, with their messages.
+_REFUSALS = {
+    "f_tensor-both-truncations": (
+        lambda: f_tensor(_config(0.5), E100, max_cutoff=10.0, tail_tol=1e-6),
+        "specify exactly one of max_cutoff or tail_tol"),
+    "f_tensor-no-truncation": (
+        lambda: f_tensor(_config(0.5), E100),
+        "specify exactly one of max_cutoff or tail_tol"),
+    "f_tensor-table-of-another-guide": (
+        lambda: f_tensor(_config(0.5), E100, tail_tol=1e-6,
+                         table=ModeTable(Geometry(1.0, 0.7), CENTER, CENTER)),
+        "the mode table belongs to another guide or pair of points"),
+    "fourth-order-no-mode": (
+        lambda: _fourth_order()(_config(0.5), []),
+        "oracle needs at least one mode"),
+    "fourth-order-unknown-diagrams": (
+        lambda: _fourth_order()(_config(0.5), [ModeIndex("TM", 1, 1)], diagrams="some"),
+        "diagrams must be 'all' or 'dominant', got 'some'"),
+    "tm-closed-bad-orientation": (
+        lambda: _quadrature().f_tm_closed(SQ, ModeIndex("TM", 1, 1), "xw", CENTER, CENTER, 0.5),
+        "orientation must be two of 'xyz', got 'xw'"),
+    "te-closed-tm-mode": (
+        lambda: _quadrature().f_te_closed(SQ, ModeIndex("TM", 1, 1), "xx", CENTER, CENTER,
+                                          0.5, E100),
+        "f_te_closed requires a TE mode, got TM11"),
+    "polarizability-negative-frequency": (
+        lambda: polarizability(ISO, -1.0),
+        "imaginary-frequency magnitude must be >= 0, got -1.0"),
+    "ratio-at-zero-separation": (
+        lambda: ratio_to_freespace(0.0, 100.0, 1.0),
+        "z, lambda_e and a must all be positive"),
+    "vdw-at-zero-separation": (
+        lambda: u_freespace_vdw(ISO, ISO, 0.0),
+        "separation must be positive, got 0.0"),
+    "cp-at-zero-separation": (
+        lambda: u_freespace_cp(ISO, ISO, 0.0),
+        "separation must be positive, got 0.0"),
+    "species-unknown-orientation": (
+        lambda: DipoleSpecies(ISO.transitions, "random"),
+        "orientation must be 'fixed-vector' or 'isotropic-average', got 'random'"),
+    "mode-unknown-polarization": (
+        lambda: ModeIndex("XX", 1, 1),
+        "polarization must be 'TE' or 'TM', got 'XX'"),
+    "retarded-closed-fixed-vectors": (
+        lambda: u_retarded_closed(_config(3.0, DipoleSpecies.single(E100, (1.0, 0.0, 0.0),
+                                                                    "fixed-vector"))),
+        "retarded closed form assumes isotropic orientation"),
+}
+
+
+def _fourth_order():
+    from wgdisp.fourth_order import fourth_order_oracle
+    return fourth_order_oracle
+
+
+def _quadrature():
+    from wgdisp import quadrature
+    return quadrature
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_library_refusals(case):
+    call, message = _REFUSALS[case]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
