@@ -27,7 +27,7 @@ from .waveguide import Geometry, ModeIndex, TransversePoint, _cutoffs, enumerate
 from .coupling import ORIENTATIONS
 from .energy import (DipoleSpecies, PairConfiguration, _cp_energies, _vdw_tensor,
                      dispersion_energy, dispersion_sweep, ratio_to_freespace)
-from .species_io import parse_species_file
+from .species_io import _lines, parse_species_file
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,15 +65,8 @@ def _config_flags(path: str, argv, options) -> list[str]:
     must name a flag among ``options``, the parsed command line's names;
     every refusal names its line.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpeciesFileError(f"cannot read config file: {exc}", path, 0)
     flags = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path, "config"):
         where = f"{path}:{lineno}: "
         key, equals, value = line.partition("=")
         if not equals:
@@ -154,9 +147,9 @@ def _points(args, geom: Geometry) -> tuple[TransversePoint, TransversePoint]:
     return point(args.x1, args.y1), point(args.x2, args.y2)
 
 
-def _pair_configuration(args, z: float, species=None) -> PairConfiguration:
+def _pair_configuration(args, z: float) -> PairConfiguration:
     geom = Geometry(args.a, args.b)
-    sp1, sp2 = species if species is not None else _species_pair(args)
+    sp1, sp2 = _species_pair(args)
     p1, p2 = _points(args, geom)
     return PairConfiguration(geom, p1, p2, z, sp1, sp2, epsilon=args.epsilon,
                              conventions=Conventions(args.convention))
@@ -212,8 +205,10 @@ def cmd_coupling(args) -> int:
         quad = f_quadrature(geom, mode, orient, p1, p2, z, energy=args.energy,
                             scheme=args.scheme, conventions=conv)
         payload["quadrature"] = quad
-        payload["rel_difference"] = abs(closed - quad) / max(abs(quad), 1e-300)
-    if bad := [v for key, v in payload.items() if key != "inputs" and not math.isfinite(v)]:
+        # RFC 8259 has no Infinity: an infinite relative difference is written as null.
+        rel = abs(closed - quad) / abs(quad) if quad else math.inf if closed else 0.0
+        payload["rel_difference"] = None if rel == math.inf else rel
+    if bad := [v for v in (closed, payload.get("quadrature", 0.0)) if not math.isfinite(v)]:
         raise InputError(f"the {mode.label()} coupling is not finite: {bad[0]!r}, its terms "
                          f"pass the largest double")
     _emit(args, _json_dump(payload))
@@ -313,13 +308,12 @@ def cmd_sweep(args) -> int:
         raise InputError("need 0 < z-min < z-max")
     space = np.geomspace if args.spacing == "log" else np.linspace
     zs = [float(z) for z in space(z_min, z_max, points)]
-    sp1, sp2 = _species_pair(args)
-    config = _pair_configuration(args, zs[0], species=(sp1, sp2))
+    config = _pair_configuration(args, zs[0])
     breakdowns = dispersion_sweep(config, zs, **_truncation(args))
     # main shows the warnings raised; the notes that only reach the
     # breakdowns (corners, underflow) are written here, each once.
     written = {str(w.message) for w in args._raised}
-    freespace = _freespace(sp1, sp2, zs, config.epsilon)
+    freespace = _freespace(config.species1, config.species2, zs, config.epsilon)
     for note in (note for b, fs in zip(breakdowns, freespace) for note in b.warnings + fs[2]):
         if note not in written:
             print(f"warning: {note}", file=sys.stderr)

@@ -53,10 +53,10 @@ class Conventions:
     def choices(self) -> dict[str, str]:
         return dict(zip(("tm_sign", "te_factor", "normalization"), _CHOICES[self.bundle]))
 
-    @property
-    def te_scale(self) -> float:
-        """The factor :func:`apply` puts on TE, 1 or -1/2; its size scales TE bounds."""
-        return _PRINTED_TE_SCALE if self.printed else 1.0
+    def te_bound(self, energy: float) -> float:
+        """|factor| E, the size of the TE weight :func:`apply` leaves at transition
+        energy ``energy``, exactly: the factor of every TE bound."""
+        return abs((_PRINTED_TE_SCALE if self.printed else 1.0) * (KERNEL_TE_FACTOR * energy))
 
 
 def apply(conventions: Conventions, tm, te, cross=None, zero=None, oracle: bool = False):

@@ -191,7 +191,7 @@ class FTensorResult:
         if self._budget is None:
             return self.tm_cutoff
         geom, z = self._config.geom, self._config.z
-        te_bound = abs(self._config.conventions.te_scale * KERNEL_TE_FACTOR) * self._energy
+        te_bound = self._config.conventions.te_bound(self._energy)
         K = max(3.0 * math.pi / max(geom.a, geom.b), 8.0 / z)
         while self._tm_tail + te_bound * _lattice_tail(self._table, TE, K, z) > self._budget:
             K *= 1.3
@@ -219,8 +219,7 @@ class FTensorResult:
             return []
         table, conv, z, energy = self._table, self._config.conventions, self._config.z, self._energy
         geom, p1, p2 = table.key
-        te_weight = abs(conv.te_scale * KERNEL_TE_FACTOR) * energy
-        floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_weight)
+        floor = max(_envelope(pol, self.tm_cutoff, z, geom, conv.te_bound(energy))
                     for pol in ((TM,) if self._budget is None else (TM, TE)))
         counts = (self.tm_modes, self.te_modes)
         tm, te = ((*table._mn[pol][:, :count], table._k[pol][:count], table._rows[pol][:count].T)
@@ -526,33 +525,28 @@ def f_tensor(
         table = ModeTable(geom, p1, p2)
     elif table.key != (geom, p1, p2):
         raise InputError("the mode table belongs to another guide or pair of points")
-    te_weight = KERNEL_TE_FACTOR * energy
-    te_bound = abs(conv.te_scale * te_weight)  # |factor| E, exactly
-    printed = conv.printed
+    te_weight, te_bound = KERNEL_TE_FACTOR * energy, conv.te_bound(energy)
     if max_cutoff is None:
         (tm_sum, tm_tail), (te_unit, te_tail) = table.split(TM, z), table.split(TE, z)
     else:
         if (z, max_cutoff) not in table._sums:
             table._sums[z, max_cutoff] = _mode_sum(table, z, max_cutoff)
         tm_sum, te_unit, tm_tail, te_tail = table._sums[z, max_cutoff]
-    tail, cross, zero = tm_tail, None, None
-    if printed:
+    cross, zero, cross_tail, axis_part = None, None, 0.0, 0.0
+    if conv.printed:
         cross, (xx, yy), cross_tail, axis_tail = _coupling._printed_sums(
             geom, p1, p2, z, table._mode_cap)
-        tail += cross_tail
-        zero = te_weight * np.diag([xx, yy, 0.0])
-    tail += te_bound * te_tail
-    if printed:
-        tail += te_bound * axis_tail
+        zero, axis_part = te_weight * np.diag([xx, yy, 0.0]), te_bound * axis_tail
+    tail = tm_tail + cross_tail + te_bound * te_tail + axis_part
     tm_sum, te_sum = apply(conv, tm_sum.copy(), te_weight * te_unit, cross, zero)
     budget = None
     if tail_tol is not None:
         scale = float(max(np.abs(tm_sum).max(), np.abs(te_sum).max(), 1e-300))
         budget = tail_tol * scale
         if tail > budget:
-            raise InputError(f"tail_tol={tail_tol!r} is below the truncation bound of the "
-                             f"screened TM sum and the TE split{' plus the printed sums' * printed}"
-                             f", {tail / scale:.2g} of the tensor scale")
+            raise InputError(f"tail_tol={tail_tol!r} is below the truncation bound of the screened "
+                             f"TM sum and the TE split{' plus the printed sums' * conv.printed}, "
+                             f"{tail / scale:.2g} of the tensor scale")
     tm_modes, te_modes = table.counts(max_cutoff or table._split_cutoff)
     return FTensorResult(tensor=tm_sum + te_sum, tm_tensor=tm_sum, te_tensor=te_sum,
                          tail_bound=tail, tm_cutoff=max_cutoff or table._split_cutoff,
@@ -669,8 +663,10 @@ def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
     """True when an exact 0.0 energy stands for a non-zero one that underflowed.
 
     The contraction is repeated on tensors scaled to unit size; a tensor
-    that is zero away from the corners has underflowed as a whole.
+    that summed modes and is zero away from the corners has underflowed.
     """
+    if not (u.modes_used or config.conventions.printed):  # printed sums take modes
+        return False  # a cutoff below every mode's: the energy is exactly 0
     F1, F2 = (np.array([[u.f_by_level[t.energy].tensor for t in sp.transitions]])
               for sp in (config.species1, config.species2))
     s1, s2 = (np.abs(F).max(axis=(2, 3), keepdims=True) for F in (F1, F2))

@@ -99,6 +99,9 @@ def _mode_cases(geom: Geometry, modes: list[ModeIndex], p1: TransversePoint,
     _require_positive("axial separation", z, "z=")
     if not (geom.contains(p1) and geom.contains(p2)):
         raise InputError("dipole points must lie inside the cross-section")
+    if big := [mode for mode in modes if max(mode.m, mode.n) >= 2 ** 63]:  # int64 batches
+        raise InputError(f"{big[0].polarization} mode index (m, n) = ({big[0].m}, {big[0].n}) "
+                         f"passes 2**63 - 1, the largest the couplings take")
     listed = [mode for mode in modes for _ in orients]
     size = len(listed)
     cases = _case_batch(geom, [mode.polarization == TE for mode in listed],

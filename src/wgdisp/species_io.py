@@ -20,18 +20,22 @@ _LINE_RE = re.compile(
     r"\s*(?P<dy>[^,\s]+)\s*,\s*(?P<dz>[^,)\s]+)\s*\)\s*$")
 
 
+def _lines(path: str | Path, kind: str):
+    """The numbered lines of the ``kind`` file ``path``, stripped, that are
+    neither blank nor '#' comments; an unreadable file is refused at line 0."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SpeciesFileError(f"cannot read {kind} file: {exc}", str(path), 0)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if (line := raw.strip()) and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_species_file(path: str | Path,
                        orientation: str = "isotropic-average") -> DipoleSpecies:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpeciesFileError(f"cannot read species file: {exc}", str(path), 0)
-    transitions = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    path, transitions = Path(path), []
+    for lineno, line in _lines(path, "species"):
         match = _LINE_RE.match(line)
         if match is None:
             raise SpeciesFileError(

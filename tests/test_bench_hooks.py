@@ -159,22 +159,27 @@ def test_workload_checks_pass_on_the_first_ops(tmp_path):
 
 # The stdout digests bench/run.py prints for the seed-1 pools: any change
 # to a printed byte of a benchmark op shows here before the benchmark.
+# bench/run.py's output digest of each workload's pool, by seed: seed 1 and
+# the held-out seed 7001.
 POOL_DIGESTS = {
-    "sweep-near": "cb7027660adc5bf37a93c51edbd0b9e34d071967f85b7461fa199978049160c6",
-    "point-far": "f8251c282ba57453782dc4e0cc978a78f3371c1c943a281e0363282c1d1e0c67",
-    "oracle": "d4356d3602ab76fa9594ee7ad90e28c13a72c50d584542d5556fa3351220a553",
+    1: {"sweep-near": "cb7027660adc5bf37a93c51edbd0b9e34d071967f85b7461fa199978049160c6",
+        "point-far": "f8251c282ba57453782dc4e0cc978a78f3371c1c943a281e0363282c1d1e0c67",
+        "oracle": "d4356d3602ab76fa9594ee7ad90e28c13a72c50d584542d5556fa3351220a553"},
+    7001: {"sweep-near": "874d728fd99d631e5a876fa0109c82494dc5f96fdfc8b30424cc494165b2669b",
+           "point-far": "e31e37df796414430c1f62049c41644bd9325656fa225acd19a0c3b4fcb212ce",
+           "oracle": "38fd32e6a9a3e09cb8c1f5b3847cc93bfd1966d5bc37ba19823463f3719fbb08"},
 }
 
 
-def test_seed_1_pool_digests(tmp_path):
+def _check_pool_digests(seed, tmp_path):
     # Each op runs once through cli.main, and its stdouts are hashed as
     # bench/run.py hashes them (timed_loop, output_digest).
     from wgdisp import cli
 
     workloads = _load("wgdisp_bench_workloads", WORKLOADS)
-    for name, digest in POOL_DIGESTS.items():
+    for name, digest in POOL_DIGESTS[seed].items():
         shas = []
-        for op in workloads.WORKLOADS[name].generate(1, tmp_path):
+        for op in workloads.WORKLOADS[name].generate(seed, tmp_path):
             outs = []
             for argv in op.commands:
                 with contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -182,4 +187,12 @@ def test_seed_1_pool_digests(tmp_path):
                     assert cli.main(argv) == 0, (name, argv)
                 outs.append(out.getvalue())
             shas.append(hashlib.sha256("\0".join(outs).encode()).hexdigest())
-        assert hashlib.sha256("".join(shas).encode()).hexdigest() == digest, name
+        assert hashlib.sha256("".join(shas).encode()).hexdigest() == digest, (seed, name)
+
+
+def test_seed_1_pool_digests(tmp_path):
+    _check_pool_digests(1, tmp_path)
+
+
+def test_seed_7001_pool_digests(tmp_path):
+    _check_pool_digests(7001, tmp_path)

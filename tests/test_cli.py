@@ -249,6 +249,22 @@ class TestEnergy:
         res = run_cli("energy", "--z", "0.5", "--species1", "/nonexistent.txt")
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("flag, kind, bad, code", [("--species1", "species", "E=1", 3),
+                                                       ("--config", "config", "z 0.5", 2)])
+    def test_input_files_share_one_line_reader(self, tmp_path, capsys, flag, kind, bad, code):
+        # Both files skip blank and '#' lines alike, number the rest from 1,
+        # and refuse an unreadable file at line 0 with exit 3.
+        from wgdisp import cli
+
+        path = tmp_path / "input.txt"
+        argv = ["energy", "--z", "0.5", flag, str(path)]
+        assert cli.main(argv) == 3
+        assert re.fullmatch(rf"error: {re.escape(str(path))}:0: cannot read {kind} file: "
+                            rf"\[Errno 2\] [^\n]*\n", capsys.readouterr().err)
+        path.write_text(f"# a comment\n\n   \n  # indented\n{bad}\n")
+        assert cli.main(argv) == code
+        assert capsys.readouterr().err.startswith(f"error: {path}:5: ")
+
     def test_mode_cap_exit_4(self, species_file):
         # A fixed cutoff lists the TE modes below it: ~1.6e9 below k = 1e5.
         res = run_cli("energy", "--z", "0.002", "--species1", species_file,
@@ -388,6 +404,17 @@ class TestEnergy:
         assert cli.main(["energy", "--z", "0.5", "--species1", species_file,
                          "--top-modes", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["top_modes"] == []
+
+    def test_cutoff_below_every_mode_warns_of_nothing(self, species_file, capsys):
+        # k_10 = pi > 1: nothing is summed, and an exact zero is no underflow.
+        from wgdisp import cli
+
+        assert cli.main(["energy", "--z", "0.5", "--species1", species_file,
+                         "--max-cutoff", "1"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["total"], report["modes_used"], report["warnings"]) == (0.0, 0, [])
+        assert report["tail_estimate"] > 0.0 and err == ""
 
     def test_si_annotation_block(self, species_file):
         res = run_cli("energy", "--z", "0.5", "--species1", species_file,
@@ -531,6 +558,16 @@ class TestSweep:
         assert res.stderr.count("sits at the corner (0, 0)") == 1
         assert res.stderr.count("wavelength/confinement ratio 6.98 < 10") == 2
         assert "warning: species1 transition" not in res.stderr
+
+    def test_bad_guide_refused_before_the_species_file(self, capsys):
+        # sweep builds its pair as energy does: the guide first.
+        from wgdisp import cli
+
+        for argv in (["energy", "--z", "0.5"], ["sweep", "--z-min", "0.1", "--z-max", "1",
+                                                "--points", "3"]):
+            assert cli.main([*argv, "--a", "0", "--species1", "missing.txt"]) == 2
+            assert capsys.readouterr() == ("", "error: geometry requires a positive and "
+                                           "finite a, got a=0.0\n")
 
     def test_single_point_exit_2(self, species_file):
         res = run_cli("sweep", "--z-min", "3", "--z-max", "6", "--points",
@@ -1554,6 +1591,46 @@ class TestCoupling:
         assert payload["closed_form"] == pytest.approx(0.6566821187788882,
                                                        rel=1e-12)
         assert payload["rel_difference"] < 1e-9
+
+    @pytest.mark.parametrize("argv, closed, quadrature, rel", [
+        (["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--z", "1e300",
+          "--energy", "1"], 0.0, -1.84136305e-316, 1.0),
+        (["--pol", "TE", "--m", "1", "--n", "0", "--orient", "yy", "--z", "0.5",
+          "--energy", "1e-320"], -7.806e-321, -7.79e-321, 0.0019023462270133164)])
+    def test_rel_difference_of_subnormal_quadrature(self, capsys, argv, closed, quadrature,
+                                                    rel):
+        # The difference is relative to |quadrature| however small it is.
+        from wgdisp import cli
+
+        assert cli.main(["coupling", *argv, "--check-quadrature"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert (payload["closed_form"], payload["quadrature"]) == (closed, quadrature)
+        assert payload["rel_difference"] == abs(closed - quadrature) / abs(quadrature)
+        assert payload["rel_difference"] == pytest.approx(rel, rel=1e-12)
+
+    @pytest.mark.parametrize("argv, rel", [
+        (["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz"], None),
+        (["--pol", "TE", "--m", "1", "--n", "0", "--orient", "xx", "--energy", "0.0628"], 0.0)])
+    def test_rel_difference_to_zero_quadrature(self, capsys, monkeypatch, argv, rel):
+        # At the centre TM11 couples zz and TE10 not xx: against a zero
+        # quadrature the first has no finite relative difference (null, as
+        # RFC 8259 has no Infinity) and the second none at all.
+        from wgdisp import cli, quadrature
+
+        monkeypatch.setattr(quadrature, "f_quadrature", lambda *args, **kwargs: 0.0)
+        assert cli.main(["coupling", *argv, "--z", "0.5", "--check-quadrature"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        assert (payload["closed_form"] != 0.0) == (rel is None)
+        assert payload["quadrature"] == 0.0 and payload["rel_difference"] == rel
+
+    def test_index_past_int64_exit_2(self, capsys):
+        from wgdisp import cli
+
+        assert cli.main(["coupling", "--pol", "TM", "--m", "100000000000000000000000", "--n",
+                         "1", "--orient", "zz", "--z", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: TM mode index (m, n) = "
+                                       "(100000000000000000000000, 1) passes 2**63 - 1, the "
+                                       "largest the couplings take\n")
 
     def test_exact_zero_prints_positive_zero(self):
         # TE10 has no x component on the guide's midline y = b/2.

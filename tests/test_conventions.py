@@ -65,7 +65,7 @@ def test_guard_sees_each_kind_of_read():
 
 def test_only_conventions_reads_a_switch():
     # Every other module takes the map's answers (Conventions.printed,
-    # te_scale and choices) and its function apply; argparse lists the
+    # te_bound and choices) and its function apply; argparse lists the
     # bundle names as choices.
     reads = {path.name: switch_reads(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "conventions.py"}

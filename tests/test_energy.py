@@ -2112,6 +2112,19 @@ class TestUnderflow:
         assert u.total == 0.0 and u.tail_estimate > 0.0
         assert u.warnings == []
 
+    def test_cutoff_below_every_mode_is_not_underflow(self):
+        # k_10 = pi > 1: a cutoff of 1 sums no mode, so U is exactly zero,
+        # while the printed sums, which take every zero-index TE mode, still
+        # underflow far out.
+        u = dispersion_energy(_config(0.5), max_cutoff=1.0)
+        assert (u.total, u.modes_used, u.warnings) == (0.0, 0, [])
+        assert u.tail_estimate > 0.0
+        printed = dispersion_energy(_config(200.0, conventions=Conventions("paper-literal")),
+                                    max_cutoff=1.0)
+        assert (printed.total, printed.modes_used) == (0.0, 0)
+        assert printed.warnings == ["total underflows at z=200: the pair energy 0.0 "
+                                    "is below the smallest normal double"]
+
     def test_no_warning_in_point_far_range(self):
         rng = np.random.default_rng(11)
         for z in (0.3, 0.9, 2.5, 6.0, 8.0):
@@ -2451,6 +2464,25 @@ _REFUSALS = {
     "mode-unknown-polarization": (
         lambda: ModeIndex("XX", 1, 1),
         "polarization must be 'TE' or 'TM', got 'XX'"),
+    "tm-closed-index-past-int64": (
+        lambda: _quadrature().f_tm_closed(SQ, ModeIndex("TM", 10**23, 1), "zz", CENTER,
+                                          CENTER, 0.5),
+        "TM mode index (m, n) = (100000000000000000000000, 1) passes 2**63 - 1, the largest "
+        "the couplings take"),
+    "te-closed-index-past-int64": (
+        lambda: _quadrature().f_te_closed(SQ, ModeIndex("TE", 1, 2**63), "xx", CENTER, CENTER,
+                                          0.5, E100),
+        "TE mode index (m, n) = (1, 9223372036854775808) passes 2**63 - 1, the largest "
+        "the couplings take"),
+    "quadrature-index-past-int64": (
+        lambda: _quadrature().f_quadrature(SQ, ModeIndex("TM", 10**23, 1), "zz", CENTER,
+                                           CENTER, 0.5),
+        "TM mode index (m, n) = (100000000000000000000000, 1) passes 2**63 - 1, the largest "
+        "the couplings take"),
+    "fourth-order-index-past-int64": (
+        lambda: _fourth_order()(_config(0.5), [ModeIndex("TM", 1, 1), ModeIndex("TE", 2**64, 0)]),
+        "TE mode index (m, n) = (18446744073709551616, 0) passes 2**63 - 1, the largest "
+        "the couplings take"),
     "retarded-closed-fixed-vectors": (
         lambda: u_retarded_closed(_config(3.0, DipoleSpecies.single(E100, (1.0, 0.0, 0.0),
                                                                     "fixed-vector"))),
