@@ -23,7 +23,7 @@ import numpy as np
 from .conventions import Conventions
 from .errors import (InputError, ModeCapError, QuadratureError,
                      SpeciesFileError, WgdispError, _require_positive)
-from .waveguide import Geometry, ModeIndex, TransversePoint, _cutoffs, enumerate_modes
+from .waveguide import Geometry, ModeIndex, TransversePoint, _sorted_modes
 from .coupling import ORIENTATIONS
 from .energy import (DipoleSpecies, PairConfiguration, _cp_energies, _vdw_tensor,
                      dispersion_energy, dispersion_sweep, ratio_to_freespace)
@@ -167,15 +167,15 @@ def cmd_modes(args) -> int:
     geom = Geometry(args.a, args.b)
     if args.max_cutoff is None:
         raise InputError("--max-cutoff is required")
-    modes = enumerate_modes(geom, args.max_cutoff)
-    ks = _cutoffs(geom, np.array([m.m for m in modes]), np.array([m.n for m in modes])).tolist()
+    te, *columns = (column.tolist() for column in _sorted_modes(geom, args.max_cutoff))
+    rows = [("TE" if t else "TM", m, n, k) for t, m, n, k in zip(te, *columns)]
     if args.format == "json":
-        payload = [{"polarization": m.polarization, "m": m.m, "n": m.n,
-                    "k_mn": k, "omega_cutoff": k} for m, k in zip(modes, ks)]
+        payload = [{"polarization": pol, "m": m, "n": n, "k_mn": k, "omega_cutoff": k}
+                   for pol, m, n, k in rows]
         _emit(args, _json_dump(payload))
     else:
         lines = ["polarization,m,n,k_mn,omega_cutoff"]
-        lines += [f"{m.polarization},{m.m},{m.n},{_fmt(k)},{_fmt(k)}" for m, k in zip(modes, ks)]
+        lines += [f"{pol},{m},{n},{_fmt(k)},{_fmt(k)}" for pol, m, n, k in rows]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -57,7 +57,7 @@ import numpy as np
 from ._special import erfc, erfcx, exp1, k0
 
 from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, apply
-from .waveguide import Geometry, TransversePoint
+from .waveguide import Geometry, TransversePoint, _cutoffs
 
 ORIENTATIONS = ("xx", "xy", "xz", "yx", "yy", "yz", "zx", "zy", "zz")
 
@@ -160,7 +160,7 @@ def _split_width(geom: Geometry) -> float:
 
 def _k11(geom: Geometry) -> float:
     """Cutoff k_11 of the lowest TM mode, the diagonal of a lattice cell."""
-    return math.hypot(math.pi / geom.a, math.pi / geom.b)
+    return float(_cutoffs(geom, 1, 1))
 
 
 def _split_cutoff(geom: Geometry) -> float:

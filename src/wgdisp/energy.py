@@ -28,6 +28,8 @@ hbar = c = 1; energies are in units of hbar c / length.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import sys
 import warnings
@@ -38,10 +40,10 @@ import numpy as np
 from ._special import k0 as _k0
 
 from .conventions import KERNEL_TE_FACTOR, KERNEL_TM_SIGNS, Conventions, apply
-from .errors import (InputError, ModeCapError, TightConfinementWarning,
-                     ValidityDomainWarning, _require_positive)
-from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex,
-                        TransversePoint, mode_arrays, mode_count)
+from .errors import (InputError, TightConfinementWarning, ValidityDomainWarning,
+                     _require_positive)
+from .waveguide import (MODE_CAP, TE, TM, Geometry, ModeIndex, TransversePoint,
+                        _check_cap, mode_arrays, mode_count)
 from . import coupling as _coupling
 from .coupling import _power
 
@@ -213,29 +215,49 @@ class FTensorResult:
         past them and, under ``tail_tol``, every such TE mode.  So the list
         is the head of a ranking of every mode the tensor takes; it is short
         or empty where few or no listed modes clear that bound, and empty at
-        a corner.
+        a corner.  The couplings are built _TOP_BLOCK modes per polarization
+        at a time, in cutoff order, until the envelope at each polarization's
+        next cutoff lies at or below that bound or strictly below the n-th
+        largest max |F| built, so no mode left unbuilt could enter the list.
         """
         if n <= 0 or self._table is None:
             return []
         table, conv, z, energy = self._table, self._config.conventions, self._config.z, self._energy
         geom, p1, p2 = table.key
-        floor = max(_envelope(pol, self.tm_cutoff, z, geom, conv.te_bound(energy))
+        te_bound = conv.te_bound(energy)
+        floor = max(_envelope(pol, self.tm_cutoff, z, geom, te_bound)
                     for pol in ((TM,) if self._budget is None else (TM, TE)))
         counts = (self.tm_modes, self.te_modes)
-        tm, te = ((*table._mn[pol][:, :count], table._k[pol][:count], table._rows[pol][:count].T)
-                  for pol, count in zip((TM, TE), counts))
-        tensors = _coupling._mode_tensors(conv, geom, tm, te, p1, p2, z, energy)
-        peaks = np.concatenate([np.abs(t).max(axis=(0, 1)) for t in tensors])
-        kept = min(n, int(np.count_nonzero(peaks > floor)))
-        ms, ns = np.concatenate((table._mn[TM][:, :counts[0]], table._mn[TE][:, :counts[1]]),
-                                axis=1)
+        stacks, peaks, mns, best, start = [], [], [], np.empty(0), 0  # per block and polarization
+        while True:
+            parts = [slice(start, min(start + _TOP_BLOCK, count)) for count in counts]
+            lists = [(*table._mn[pol][:, part], table._k[pol][part], table._rows[pol][part].T)
+                     for pol, part in zip((TM, TE), parts)]
+            stacks += _coupling._mode_tensors(conv, geom, *lists, p1, p2, z, energy)
+            peaks += [np.abs(stack).max(axis=(0, 1)) for stack in stacks[-2:]]
+            mns += [table._mn[pol][:, part] for pol, part in zip((TM, TE), parts)]
+            start += _TOP_BLOCK
+            if start >= max(counts):
+                break
+            best = np.sort(np.concatenate((best, *peaks[-2:])))[-n:]
+            nth = best[0] if best.size == n else -math.inf
+            nexts = [_envelope(pol, table._k[pol][start], z, geom, te_bound)
+                     for pol, count in zip((TM, TE), counts) if start < count]
+            if not any(bound > floor and bound >= nth for bound in nexts):
+                break
+        sizes = [stack.shape[2] for stack in stacks]
+        peaks, (ms, ns) = np.concatenate(peaks), np.concatenate(mns, axis=1)
         # Polarization codes in label order: TE (0) ranks before TM (1).
-        top = np.lexsort((ns, ms, np.repeat((1, 0), counts), -peaks))[:kept]
-        keys = zip(ms[top].tolist(), ns[top].tolist())
+        codes = np.repeat((1, 0) * (len(stacks) // 2), sizes)
+        kept = min(n, int(np.count_nonzero(peaks > floor)))
+        top = np.lexsort((ns, ms, codes, -peaks))[:kept]
+        offsets = list(itertools.accumulate(sizes, initial=0))
         out = []
-        for i, key, peak in zip(top.tolist(), keys, peaks[top].tolist()):
-            pol, j = (TM, i) if i < counts[0] else (TE, i - counts[0])
-            out.append((ModeIndex(pol, *key), peak, tensors[pol == TE][:, :, j].copy()))
+        for i, code, *mn, peak in zip(top.tolist(), codes[top].tolist(), ms[top].tolist(),
+                                      ns[top].tolist(), peaks[top].tolist()):
+            s = bisect.bisect_right(offsets, i) - 1
+            out.append((ModeIndex(TM if code else TE, *mn), peak,
+                        stacks[s][:, :, i - offsets[s]].copy()))
         return out
 
 
@@ -252,6 +274,7 @@ class EnergyBreakdown:
 
 
 _CHUNK = 8192  # modes per block of factor rows built and per mode-sum contraction
+_TOP_BLOCK = 16384  # modes per polarization per coupling build of FTensorResult.top_modes
 # Separations per pass of the splits' kernels: the TE short-time rule's
 # temporaries hold _SPLIT_CHUNK x (about 70 modes) x 80 nodes doubles.
 _SPLIT_CHUNK = 32
@@ -306,14 +329,12 @@ class ModeTable:
         the splits' reaches past the lowest cutoff k11."""
         geom = self.key[0]
         if self.cutoff is None or K > self.cutoff:
-            if (count := mode_count(geom, K)) > self._mode_cap:
-                remedy = ("the splits list them at any separation, so use a/b nearer 1"
-                          if K == self._split_cutoff else "use a lower cutoff"
-                          if mode_count(geom, _coupling._k11(geom)) <= self._mode_cap
-                          else "no cutoff fits the cap, so use a/b nearer 1")
-                raise ModeCapError(count, self._mode_cap, f"{remedy} or, at very small "
-                                   "separations, the free-space quasistatic form "
-                                   "wgdisp.u_freespace_vdw")
+            remedy = ("the splits list them at any separation, so use a/b nearer 1"
+                      if K == self._split_cutoff else "use a lower cutoff"
+                      if mode_count(geom, _coupling._k11(geom)) <= self._mode_cap
+                      else "no cutoff fits the cap, so use a/b nearer 1")
+            _check_cap(geom, K, self._mode_cap, f"{remedy} or, at very small separations, "
+                       "the free-space quasistatic form wgdisp.u_freespace_vdw")
             listing = mode_arrays(geom, K)
             for pol in (TM, TE):
                 self._k[pol] = listing[pol]["k"]
@@ -696,6 +717,12 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
                     f"tail_estimate underflows at z={z:g}: the truncation error "
                     f"bound {float(u.tail_estimate)!r} is below the smallest normal "
                     f"double")
+            # An exact zero (a sum of no modes, or crossed dipoles) has no digit to certify.
+            if max_cutoff is not None and 0.0 < abs(u.total) <= u.tail_estimate:
+                u.warnings.append(
+                    f"total is uncertified at z={z:g}: the truncation error bound "
+                    f"{float(u.tail_estimate)!r} at max_cutoff={max_cutoff:g} is "
+                    f"{u.tail_estimate / abs(u.total):.2g} times |total|")
             for name, value in (("total", u.total), ("tail_estimate", u.tail_estimate)):
                 if not math.isfinite(value):
                     u.warnings.append(f"{name} is not finite at z={z:g}: {float(value)!r}, "

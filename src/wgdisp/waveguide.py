@@ -100,19 +100,21 @@ class ModeIndex:
                              f"got (m, n) = ({self.m}, {self.n})")
         if self.polarization == TM and (self.m < 1 or self.n < 1):
             raise InputError(f"TM modes require m >= 1 and n >= 1, "
-                             f"got TM{self.m}{self.n}")
+                             f"got {self.label()}")
         if self.polarization == TE and self.m == 0 and self.n == 0:
             raise InputError("TE00 does not exist")
 
     def label(self) -> str:
-        return f"{self.polarization}{self.m}{self.n}"
+        """Polarization, m and n, as TM11; an index of two or more digits
+        puts "_" between m and n (TM1_11), so no two modes share a label."""
+        sep = "_" if max(self.m, self.n) > 9 else ""
+        return f"{self.polarization}{self.m}{sep}{self.n}"
 
 
 def cutoff_wavenumber(geom: Geometry, mode: ModeIndex) -> float:
     """Cutoff wavenumber k_mn of ``mode``, strictly positive: the value of
     :func:`_cutoffs`, so the k of every mode sum and of the ``modes`` table."""
-    with np.errstate(over="ignore"):  # inf past the largest double, as in mode_arrays
-        return float(_cutoffs(geom, np.array([mode.m], float), np.array([mode.n], float))[0])
+    return float(_cutoffs(geom, mode.m, mode.n))  # inf past the largest double, no warning
 
 
 def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
@@ -124,14 +126,26 @@ def enumerate_modes(geom: Geometry, max_cutoff: float) -> list[ModeIndex]:
     TE10, TE01).  A cutoff with more than ``MODE_CAP`` modes by
     :func:`mode_count` raises ModeCapError before any mode is listed.
     """
-    if 0.0 < max_cutoff < math.inf and mode_count(geom, max_cutoff) > MODE_CAP:
-        raise ModeCapError(mode_count(geom, max_cutoff), MODE_CAP)
+    te, m, n, _ = _sorted_modes(geom, max_cutoff)
+    return [ModeIndex(TE if t else TM, *mn) for t, *mn in zip(te.tolist(), m.tolist(), n.tolist())]
+
+
+def _check_cap(geom: Geometry, max_cutoff: float, cap: int, *remedy: str) -> None:
+    """The one mode cap check: refuse a listing to ``max_cutoff`` whose
+    :func:`mode_count` passes ``cap``, by ModeCapError (with ``remedy``, if given)."""
+    if (count := mode_count(geom, max_cutoff)) > cap:
+        raise ModeCapError(count, cap, *remedy)
+
+
+def _sorted_modes(geom: Geometry, max_cutoff: float):
+    """TE mask, m, n and k of the modes of :func:`enumerate_modes`, in its order."""
+    _require_positive("max_cutoff", max_cutoff)
+    _check_cap(geom, max_cutoff, MODE_CAP)
     tables = mode_arrays(geom, max_cutoff)
     m, n, k = (np.concatenate((tables[TM][key], tables[TE][key])) for key in ("m", "n", "k"))
     te = np.arange(k.size) >= tables[TM]["k"].size
     order = np.lexsort((n, -m, te, k))
-    return [ModeIndex(TE if t else TM, mi, ni) for t, mi, ni in
-            zip(te[order].tolist(), m[order].tolist(), n[order].tolist())]
+    return te[order], m[order], n[order], k[order]
 
 
 def mode_arrays(geom: Geometry, max_cutoff: float):

@@ -166,7 +166,7 @@ POOL_DIGESTS = {
         "point-far": "f8251c282ba57453782dc4e0cc978a78f3371c1c943a281e0363282c1d1e0c67",
         "oracle": "d4356d3602ab76fa9594ee7ad90e28c13a72c50d584542d5556fa3351220a553"},
     7001: {"sweep-near": "874d728fd99d631e5a876fa0109c82494dc5f96fdfc8b30424cc494165b2669b",
-           "point-far": "e31e37df796414430c1f62049c41644bd9325656fa225acd19a0c3b4fcb212ce",
+           "point-far": "50e73895832a925f9fd31ba37b907accbab14632c81381a877cc68fb0aa6820e",
            "oracle": "38fd32e6a9a3e09cb8c1f5b3847cc93bfd1966d5bc37ba19823463f3719fbb08"},
 }
 

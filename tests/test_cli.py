@@ -416,6 +416,38 @@ class TestEnergy:
         assert (report["total"], report["modes_used"], report["warnings"]) == (0.0, 0, [])
         assert report["tail_estimate"] > 0.0 and err == ""
 
+    def test_fixed_cutoff_that_certifies_nothing_warns(self, species_file, capsys):
+        # At z = 0.01a a cutoff of 100 leaves a tail bound 2.2e9 times |total|
+        # (the tail tolerance gives -208.44); the tolerance's report warns of
+        # nothing, and neither does a cutoff whose bound is below |total|.
+        from wgdisp import cli
+        pair = ["--x1", "0.3", "--y1", "0.4", "--x2", "0.6", "--y2", "0.55",
+                "--species1", species_file]
+        reports = []
+        for extra in (["--z", "0.01", "--max-cutoff", "100"], ["--z", "0.01"],
+                      ["--z", "0.3", "--max-cutoff", "60"]):
+            assert cli.main(["energy", *pair, *extra]) == 0
+            out, err = capsys.readouterr()
+            reports.append(json.loads(out))
+            assert err == ""
+        assert reports[0]["total"] == pytest.approx(-2.1008e5, rel=1e-4)
+        assert reports[0]["warnings"] == [
+            "total is uncertified at z=0.01: the truncation error bound 454116406327290.4 "
+            "at max_cutoff=100 is 2.2e+09 times |total|"]
+        assert reports[1]["total"] == pytest.approx(-208.44, rel=1e-4)
+        assert reports[1]["warnings"] == reports[2]["warnings"] == []
+
+    def test_top_mode_labels_are_distinct(self, species_file, capsys):
+        # 290 modes of the 1 x 1 guide clear the envelope, TM1_11 and TM11_1
+        # among them; joined without a separator both read TM111.
+        from wgdisp import cli
+        assert cli.main(["energy", "--z", "0.3", "--x1", "0.3", "--y1", "0.4", "--x2", "0.6",
+                         "--y2", "0.55", "--max-cutoff", "60", "--top-modes", "400",
+                         "--species1", species_file]) == 0
+        labels = [entry["mode"] for entry in json.loads(capsys.readouterr().out)["top_modes"]]
+        assert len(labels) == len(set(labels)) == 290
+        assert {"TM1_11", "TM11_1", "TM11"} <= set(labels)
+
     def test_si_annotation_block(self, species_file):
         res = run_cli("energy", "--z", "0.5", "--species1", species_file,
                       "--tail-tol", "1e-6", "--si-a-meters", "1e-6")
@@ -790,9 +822,9 @@ class TestExtremeGuides:
     # sha256 of the stdout of the thin guides that return.  At z = 1e-50 the
     # report names the retarded reference it prints as Infinity.
     RETURNED = {
-        ("1e-5", "1"): "ebf483fdf12a4f1b2eb6781f1ebe7db84d4d3661a246e06fc3bdd4593ce9c35d",
+        ("1e-5", "1"): "e879785cfa00e3733b84365f5f8453f9dd15c61acf3a45138de27426cf2a1aeb",
         ("1e-5", "1e-50"): "902fa4ca7a52a5b8abeb751f61c222ddf41fc24dc485a300dc4013c502c267f7",
-        ("1e-4", "1"): "91b309566f1ca9c0cdb629fb3a19a9b05bd924332b67bd75195735393b397eaa",
+        ("1e-4", "1"): "41d7cd93e978b2fbad37def5f47cabc5b3694f62aadde2343c0f628834d41210",
         ("1e-4", "1e-50"): "b17b65bf355ab4ef9bed7a67cfbafc017d4724ccff304e4714e70c20bd63f1d9",
     }
 
@@ -2250,6 +2282,9 @@ GOLDEN_STDOUT = [
     # The other subcommands that print JSON.
     (["modes", "--max-cutoff", "14", "--a", "1", "--b", "0.7", "--format", "json"],
      "7aa14011ce3b3ea1786b63cdf0bee19fa38acf487ebec7ee828a8d2e5ff40894"),
+    # Degenerate cutoffs: rows of equal k_mn in the listing's tie order.
+    (["modes", "--max-cutoff", "40", "--a", "1", "--b", "0.7"],
+     "3be0146754dbe18e841b28c420261fcf6271e174a2210a7205b84a69b7b42aa2"),
     (["coupling", "--pol", "TM", "--m", "2", "--n", "1", "--orient", "xz", "--z", "0.7",
       "--b", "0.8", "--x1", "0.3", "--y1", "0.2", "--x2", "0.6", "--y2", "0.5",
       "--check-quadrature"],

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -1021,6 +1022,39 @@ class TestTopModes:
         full = full_ranking(cfg, energy, truncation.get("max_cutoff"))
         _assert_same_ranking(got, ranked_modes(full, len(got)))
 
+    @settings(max_examples=12, deadline=None)
+    @given(b=st.floats(0.1, 1.0), cutoff=st.floats(0.0, 1.0), z=st.floats(-2.0, 0.5),
+           points=st.tuples(*[st.floats(0.0, 1.0)] * 4), wavelength=st.floats(20.0, 200.0),
+           bundle=st.sampled_from(["oracle-consistent", "paper-literal"]),
+           n=st.sampled_from([1, 8, 50, 400]), block=st.sampled_from([64, 1024, 8192]))
+    # Cases whose list changes if the blocks stop at 1.5 times the n-th peak.
+    @example(b=0.89, cutoff=0.45, z=-1.45, points=(0.62, 0.26, 0.27, 0.47), wavelength=99.0,
+             bundle="oracle-consistent", n=8, block=64)
+    @example(b=0.91, cutoff=0.54, z=-1.76, points=(0.4, 0.01, 0.14, 0.38), wavelength=192.2,
+             bundle="oracle-consistent", n=8, block=64)
+    @example(b=0.45, cutoff=0.99, z=-0.89, points=(0.27, 0.78, 0.15, 0.5), wavelength=94.4,
+             bundle="paper-literal", n=400, block=64)
+    def test_blocks_equal_one_block(self, b, cutoff, z, points, wavelength, bundle, n, block):
+        # Built _TOP_BLOCK modes at a time and stopped once no unbuilt mode
+        # could enter it, the list is, mode, peak and tensor bit for bit,
+        # that of one block over every listed mode, for cutoffs from 10 to
+        # about 3e3 (as far as the mode cap lets the guide go).
+        import wgdisp.energy as energy_mod
+        x1, y1, x2, y2 = points
+        cfg = _config(10.0 ** z, geom=Geometry(1.0, b), p1=TransversePoint(x1, y1 * b),
+                      p2=TransversePoint(x2, y2 * b), conventions=Conventions(bundle))
+        ft = f_tensor(cfg, 2.0 * math.pi / wavelength,
+                      max_cutoff=min(10.0 * 300.0 ** cutoff, 2400.0 / math.sqrt(b)))
+        saved = energy_mod._TOP_BLOCK
+        try:
+            energy_mod._TOP_BLOCK = block
+            blocks = ft.top_modes(n)
+            energy_mod._TOP_BLOCK = ft.modes_used + 1
+            one = ft.top_modes(n)
+        finally:
+            energy_mod._TOP_BLOCK = saved
+        _assert_same_ranking(blocks, one)
+
     def test_corner_dipole_lists_nothing(self):
         cfg = _config(0.5, p1=TransversePoint(0.0, 0.0))
         ft = f_tensor(cfg, E100, tail_tol=1e-6)
@@ -1411,14 +1445,17 @@ def references(source: str, name: str) -> set[str]:
 
 def test_only_the_listings_call_mode_arrays():
     # The mode cap is held where modes are listed: in src/ only the mode
-    # table's listing and the modes command's, enumerate_modes, reach
-    # mode_arrays.
+    # table's listing and the sorted listing of enumerate_modes and the
+    # modes command reach mode_arrays, both through the one cap check.
     assert references("class T:\n    def f(self):\n        return w.mode_arrays(g, 1)\n"
                       "x = mode_arrays\n", "mode_arrays") == {"T.f", "<module>"}
     assert not references('def f():\n    "mode_arrays"\n', "mode_arrays")
-    found = {f"{path.stem}.{scope}" for path in sorted(SRC.glob("*.py"))
-             for scope in references(path.read_text(encoding="utf-8"), "mode_arrays")}
-    assert found == {"energy.ModeTable._list", "waveguide.enumerate_modes"}
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    for name in ("mode_arrays", "_check_cap"):
+        found = {f"{stem}.{scope}" for stem, source in sources.items()
+                 for scope in references(source, name)}
+        assert found == {"energy.ModeTable._list", "waveguide._sorted_modes"}
+    assert sum(len(re.findall(r"mode_count\(.*\) > ", s)) for s in sources.values()) == 1
 
 
 class TestScreenedPass:

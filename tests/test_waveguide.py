@@ -38,6 +38,26 @@ class TestCutoff:
         assert cutoff_wavenumber(g, ModeIndex("TM", m + 1, n)) > k
         assert cutoff_wavenumber(g, ModeIndex("TM", m, n + 1)) > k
 
+    def test_k11_is_the_tables_tm11_cutoff(self):
+        # The split cutoff, the tails' first shell and the printed sums take
+        # k_11 from the one k_mn formula: bit for bit the TM11 k of the mode
+        # table, also on guides whose k_11 overflows, with no warning.
+        from wgdisp.coupling import _k11
+        rng = np.random.default_rng(52)
+        guides = [Geometry(float(a), float(b)) for a, b in
+                  10.0 ** rng.uniform(-2.0, 2.0, size=(20_000, 2))]
+        guides += [Geometry(a, b) for a in (1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)
+                   for b in (1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for geom in guides:
+                assert _k11(geom) == float(_cutoffs(geom, 1, 1))
+            with np.errstate(over="ignore"):  # the table's inf past the largest double
+                table = [float(_cutoffs(geom, np.array([1]), np.array([1]))[0])
+                         for geom in guides]
+        assert [_k11(geom) for geom in guides] == table
+        assert _k11(Geometry(1e-310, 1.0)) == math.inf
+
 
 class TestModeValidation:
     def test_tm_requires_both_indices(self):
@@ -49,6 +69,17 @@ class TestModeValidation:
     def test_te00_rejected(self):
         with pytest.raises(InputError):
             ModeIndex("TE", 0, 0)
+
+    def test_labels_are_distinct(self):
+        # Single-digit indices keep their four-character labels; an index of
+        # two or more digits puts "_" between m and n.
+        assert [ModeIndex("TM", m, n).label() for m, n in ((1, 2), (9, 9), (1, 11), (11, 1),
+                                                           (1, 10), (10, 1))] \
+            == ["TM12", "TM99", "TM1_11", "TM11_1", "TM1_10", "TM10_1"]
+        labels = {mode.label() for mode in enumerate_modes(SQ, 150.0)}
+        assert len(labels) == len(enumerate_modes(SQ, 150.0))
+        with pytest.raises(InputError, match="got TM0_10$"):
+            ModeIndex("TM", 0, 10)
 
     def test_bad_geometry(self):
         with pytest.raises(InputError):
@@ -344,6 +375,26 @@ class TestModeShells:
         for geom, cutoff in ((SQ, 25.0), (Geometry(1.0, 0.7), 30.0),
                              (Geometry(1.7, 0.9), 21.0), (SQ, 300.0)):
             assert enumerate_modes(geom, cutoff) == _loop_enumeration(geom, cutoff)
+
+    @pytest.mark.parametrize("geom, cutoff", [(SQ, 1e5), (Geometry(1.0, 1e-6), 1e7),
+                                              (Geometry(1.0, 0.5), 1e300)])
+    def test_listings_refuse_one_cap_alike(self, monkeypatch, geom, cutoff):
+        # The modes command's listing and the mode table's meet one cap check:
+        # the same count and cap, before any mode is listed.
+        import wgdisp.energy as energy
+        import wgdisp.waveguide as waveguide
+        from wgdisp.errors import ModeCapError
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("modes listed past the cap")
+        for module in (waveguide, energy):
+            monkeypatch.setattr(module, "mode_arrays", forbidden)
+        with pytest.raises(ModeCapError) as listing:
+            enumerate_modes(geom, cutoff)
+        with pytest.raises(ModeCapError) as table:
+            energy.ModeTable(geom, geom.center(), geom.center()).extend(cutoff)
+        assert (listing.value.needed, listing.value.cap) == (table.value.needed, table.value.cap)
+        assert listing.value.cap == waveguide.MODE_CAP < listing.value.needed
 
     @pytest.mark.parametrize("cutoff", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_bad_cutoff(self, cutoff):
