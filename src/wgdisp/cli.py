@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ from .errors import (InputError, ModeCapError, QuadratureError,
                      SpeciesFileError, WgdispError, _require_positive)
 from .waveguide import Geometry, ModeIndex, TransversePoint, _sorted_modes
 from .coupling import ORIENTATIONS
-from .energy import (DipoleSpecies, PairConfiguration, _cp_energies, _vdw_tensor,
-                     dispersion_energy, dispersion_sweep, ratio_to_freespace)
+from .energy import (DipoleSpecies, PairConfiguration, dispersion_energy,
+                     dispersion_sweep, ratio_to_freespace)
 from .species_io import _lines, parse_species_file
 
 EXIT_OK = 0
@@ -41,7 +42,8 @@ FIGURE_GRIDS = {"fig3a": (2.0, 90.0, 25), "fig3b": (10.0, 40.0, 25),
                 "fig4": (0.01, 1.0, 25)}
 FIG3_RATIOS = {"fig3a": (100.0, "vdw-reference", "quasistatic"),
                "fig3b": (10.0, "cp-reference", "retarded")}
-_FREESPACE_KEYS = ("freespace_vdw_tensor", "freespace_cp")  # as the energy report names them
+
+_CSV_BLOCK = 65536  # rows of the modes listing formatted and written at a time
 
 # The largest count of sweep points or oracle cases a run takes.  A sweep
 # point holds about 4 KB and an oracle case about 6 KB, each taking 0.1 to
@@ -108,14 +110,17 @@ def _check_out(args) -> None:
         raise InputError(f"cannot write the output file: {OSError(exc.errno, exc.strerror, out)}")
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or strings written in turn, to --out or stdout."""
+    blocks = [text] if isinstance(text, str) else text
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.writelines(blocks)
         except OSError as exc:  # no permission, a full disk
             raise InputError(f"cannot write the output file: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _json_dump(obj) -> str:
@@ -167,17 +172,24 @@ def cmd_modes(args) -> int:
     geom = Geometry(args.a, args.b)
     if args.max_cutoff is None:
         raise InputError("--max-cutoff is required")
-    te, *columns = (column.tolist() for column in _sorted_modes(geom, args.max_cutoff))
-    rows = [("TE" if t else "TM", m, n, k) for t, m, n, k in zip(te, *columns)]
+    columns = _sorted_modes(geom, args.max_cutoff)
     if args.format == "json":
-        payload = [{"polarization": pol, "m": m, "n": n, "k_mn": k, "omega_cutoff": k}
-                   for pol, m, n, k in rows]
+        payload = [{"polarization": "TE" if t else "TM", "m": m, "n": n, "k_mn": k,
+                    "omega_cutoff": k} for t, m, n, k in zip(*(c.tolist() for c in columns))]
         _emit(args, _json_dump(payload))
     else:
-        lines = ["polarization,m,n,k_mn,omega_cutoff"]
-        lines += [f"{pol},{m},{n},{_fmt(k)},{_fmt(k)}" for pol, m, n, k in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _modes_csv(columns))
     return EXIT_OK
+
+
+def _modes_csv(columns) -> Iterator[str]:
+    """The CSV listing of ``columns`` (TE mask, m, n, k), _CSV_BLOCK rows at a
+    time, so a listing near the mode cap is never held whole as text."""
+    yield "polarization,m,n,k_mn,omega_cutoff\n"
+    for start in range(0, columns[0].size, _CSV_BLOCK):
+        te, m, n, k = (c[start:start + _CSV_BLOCK].tolist() for c in columns)
+        yield "".join(f"{'TE' if t else 'TM'},{mi},{ni},{s},{s}\n"
+                      for t, mi, ni, s in zip(te, m, n, map(_fmt, k)))
 
 
 def cmd_coupling(args) -> int:
@@ -227,19 +239,6 @@ def _ratio(u: float, reference: float) -> float:
     return u / reference + 0.0 if reference else math.nan
 
 
-def _freespace(sp1, sp2, zs, epsilon: float) -> list[tuple[float, float, list[str]]]:
-    """Free-space van der Waals (tensor form) and Casimir-Polder energies at
-    each z of ``zs``, each form's level-pair sum taken once, with a warning
-    for each that is not finite.
-
-    The Casimir-Polder formula's validity warnings are not raised.
-    """
-    pairs = list(zip(_vdw_tensor(sp1, sp2, zs, epsilon), _cp_energies(sp1, sp2, zs, epsilon)))
-    return [(*pair, [f"{name} is not finite at z={z:g}: {value!r}, its terms pass the "
-                     f"largest double" for name, value in zip(_FREESPACE_KEYS, pair)
-                     if not math.isfinite(value)]) for z, pair in zip(zs, pairs)]
-
-
 def cmd_energy(args) -> int:
     if (z := args.z) is None:
         raise InputError("--z is required")
@@ -252,14 +251,12 @@ def cmd_energy(args) -> int:
     breakdown = dispersion_energy(config, **kwargs)
 
     sp1, sp2 = config.species1, config.species2
-    (fs_vdw, fs_cp, fs_notes), = _freespace(sp1, sp2, [z], config.epsilon)
-
     lowest_e = min(t.energy for t in sp1.transitions)
     top_modes = [{"mode": mode.label(), "max_abs_f": peak, "f": f.tolist()}
                  for mode, peak, f in breakdown.f_by_level[lowest_e].top_modes(top_n)]
     # RFC 8259 has no NaN: the ratio to a reference that underflowed to 0
     # is written as null.
-    ratio = _ratio(breakdown.total, fs_vdw)
+    ratio = _ratio(breakdown.total, breakdown.freespace_vdw)
 
     report = {
         "inputs": {
@@ -279,10 +276,10 @@ def cmd_energy(args) -> int:
         "per_level_pair": {f"{i},{j}": v
                            for (i, j), v in sorted(breakdown.per_level_pair.items())},
         "top_modes": top_modes,
-        "freespace_vdw_tensor": fs_vdw,
-        "freespace_cp": fs_cp,
+        "freespace_vdw_tensor": breakdown.freespace_vdw,
+        "freespace_cp": breakdown.freespace_cp,
         "ratio_to_freespace_vdw": None if math.isnan(ratio) else ratio,
-        "warnings": breakdown.warnings + fs_notes,
+        "warnings": breakdown.warnings,
     }
     if si_a is not None:
         report["si_annotation"] = {
@@ -313,13 +310,12 @@ def cmd_sweep(args) -> int:
     # main shows the warnings raised; the notes that only reach the
     # breakdowns (corners, underflow) are written here, each once.
     written = {str(w.message) for w in args._raised}
-    freespace = _freespace(config.species1, config.species2, zs, config.epsilon)
-    for note in (note for b, fs in zip(breakdowns, freespace) for note in b.warnings + fs[2]):
+    for note in (note for u in breakdowns for note in u.warnings):
         if note not in written:
             print(f"warning: {note}", file=sys.stderr)
             written.add(note)
-    rows = [[z, u.total, fs_vdw, fs_cp, _ratio(u.total, fs_vdw), u.tail_estimate]
-            for z, u, (fs_vdw, fs_cp, _) in zip(zs, breakdowns, freespace)]
+    rows = [[z, u.total, u.freespace_vdw, u.freespace_cp, _ratio(u.total, u.freespace_vdw),
+             u.tail_estimate] for z, u in zip(zs, breakdowns)]
     _emit(args, _csv(["z_over_a", "U", "U_freespace_vdw", "U_freespace_cp",
                       "ratio", "tail_estimate"], rows))
     return EXIT_OK

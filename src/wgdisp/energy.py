@@ -18,12 +18,14 @@ before contraction.
 That level-pair sum lives in one place, ``_assemble``, which contracts
 every level pair at every separation of a sweep in one einsum; the
 mode-set reference energies of :mod:`wgdisp.fourth_order` are its
-one-point case.  The module also carries the free-space reference
-energies (quasistatic 1/r^6, whose tensor form is the one contraction of
-the free-space near-field tensor, taken once per sweep, and retarded
-1/r^7), the retarded in-guide closed form, the regime ratio formulas,
-and the dynamic polarizability at imaginary frequency.  Natural units
-hbar = c = 1; energies are in units of hbar c / length.
+one-point case.  The free-space reference energies (quasistatic 1/r^6,
+whose tensor form is the one contraction of the free-space near-field
+tensor, and retarded 1/r^7) are one function, ``_freespace``, that
+``_assemble`` calls once per sweep at r = z, so each breakdown carries
+them.  The module also carries the retarded in-guide closed form, the
+regime ratio formulas, and the dynamic polarizability at imaginary
+frequency.  Natural units hbar = c = 1; energies are in units of
+hbar c / length.
 """
 
 from __future__ import annotations
@@ -271,6 +273,8 @@ class EnergyBreakdown:
     modes_used: int
     warnings: list[str]
     f_by_level: dict[float, FTensorResult]
+    freespace_vdw: float  # u_freespace_vdw and u_freespace_cp at r = z
+    freespace_cp: float
 
 
 _CHUNK = 8192  # modes per block of factor rows built and per mode-sum contraction
@@ -653,9 +657,10 @@ def _assemble(points: list[PairConfiguration], make_tensor,
     ones = np.ones((3, 3))
     crosses = (_level_pairs(abs2, abs1, abs_f2, ones)
                + _level_pairs(abs2, abs1, ones, abs_f1)).tolist()
+    freespace = _freespace(sp1, sp2, [point.z for point in points], config.epsilon)
     out = []
-    for f_cache, fs1, fs2, (u_sums, tm_sums, te_sums), cross in zip(
-            f_caches, f1s, f2s, sums, crosses):
+    for f_cache, fs1, fs2, (u_sums, tm_sums, te_sums), cross, (vdw, cp) in zip(
+            f_caches, f1s, f2s, sums, crosses, freespace):
         total = tm_only = te_only = tail_total = 0.0
         per_pair: dict[tuple[int, int], float] = {}
         for i1, (t1, f1) in enumerate(zip(sp1.transitions, fs1)):
@@ -673,7 +678,7 @@ def _assemble(points: list[PairConfiguration], make_tensor,
         out.append(EnergyBreakdown(
             total=total, per_level_pair=per_pair, u_tm_only=tm_only, u_te_only=te_only,
             tail_estimate=tail_total, modes_used=max(f.modes_used for f in f_cache.values()),
-            warnings=list(notes), f_by_level=f_cache))
+            warnings=list(notes), f_by_level=f_cache, freespace_vdw=vdw, freespace_cp=cp))
     return out
 
 
@@ -693,6 +698,12 @@ def _energy_underflows(config: PairConfiguration, u: EnergyBreakdown) -> bool:
     s1, s2 = (np.abs(F).max(axis=(2, 3), keepdims=True) for F in (F1, F2))
     return not (s1.all() and s2.all()) or bool(_level_pairs(
         config.species2.second_moments, config.species1.second_moments, F2 / s2, F1 / s1).any())
+
+
+def _not_finite(z: float, **values: float) -> list[str]:
+    """A note for each of ``values``, named as the energy report names it, that is not finite."""
+    return [f"{name} is not finite at z={z:g}: {float(value)!r}, its terms pass the "
+            f"largest double" for name, value in values.items() if not math.isfinite(value)]
 
 
 def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | None,
@@ -723,15 +734,14 @@ def _sweep(config: PairConfiguration, zs, tail_tol: float, max_cutoff: float | N
                     f"total is uncertified at z={z:g}: the truncation error bound "
                     f"{float(u.tail_estimate)!r} at max_cutoff={max_cutoff:g} is "
                     f"{u.tail_estimate / abs(u.total):.2g} times |total|")
-            for name, value in (("total", u.total), ("tail_estimate", u.tail_estimate)):
-                if not math.isfinite(value):
-                    u.warnings.append(f"{name} is not finite at z={z:g}: {float(value)!r}, "
-                                      f"its terms pass the largest double")
+            u.warnings += _not_finite(z, total=u.total, tail_estimate=u.tail_estimate)
             if abs(u.total) < _TINY and (u.total != 0.0
                                          or _energy_underflows(point, u)):
                 u.warnings.append(
                     f"total underflows at z={z:g}: the pair energy "
                     f"{float(u.total)!r} is below the smallest normal double")
+        u.warnings += _not_finite(z, freespace_vdw_tensor=u.freespace_vdw,
+                                  freespace_cp=u.freespace_cp)
     return out
 
 
@@ -847,24 +857,7 @@ def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
     """
     if not (r > 0.0):
         raise InputError(f"separation must be positive, got {r!r}")
-    return _vdw_tensor(species1, species2, [r], epsilon)[0]
-
-
-def _vdw_tensor(species1: DipoleSpecies, species2: DipoleSpecies, rs,
-                epsilon: float = 1.0) -> list[float]:
-    """:func:`u_freespace_vdw` at each r of ``rs``, with
-    the near-field contraction, which r does not change, taken once."""
-    sums = _level_pairs(species2.second_moments, species1.second_moments,
-                        _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
-    pairs = [(t1.energy + t2.energy, value) for t1, row in zip(species1.transitions, sums)
-             for t2, value in zip(species2.transitions, row)]
-    out = []
-    for r in rs:
-        pref, total = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6), 0.0
-        for e, value in pairs:
-            total += pref / e * 0.25 * value
-        out.append(total)
-    return out
+    return _freespace(species1, species2, [r], epsilon)[0][0]
 
 
 def u_freespace_cp(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
@@ -877,18 +870,31 @@ def u_freespace_cp(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
     if r < lam_max:
         warnings.warn("retarded free-space form assumes r >> every transition "
                       "wavelength", ValidityDomainWarning, stacklevel=2)
-    return _cp_energies(species1, species2, [r], epsilon)[0]
+    return _freespace(species1, species2, [r], epsilon)[0][1]
 
 
-def _cp_energies(species1: DipoleSpecies, species2: DipoleSpecies, rs,
-                 epsilon: float = 1.0) -> list[float]:
-    """:func:`u_freespace_cp` at each r of ``rs``, without its checks, with
-    the level-pair sum, which r does not change, taken once."""
-    pairs = [(t1.d_squared * t2.d_squared, t1.energy * t2.energy)
-             for t1 in species1.transitions for t2 in species2.transitions]
+def _freespace(species1: DipoleSpecies, species2: DipoleSpecies, rs,
+               epsilon: float) -> list[tuple[float, float]]:
+    """(:func:`u_freespace_vdw`, :func:`u_freespace_cp`) at each r of ``rs``,
+    without their checks or the Casimir-Polder validity warning, with the
+    near-field contraction and both level-pair sums, which r does not
+    change, taken once."""
+    sums = _level_pairs(species2.second_moments, species1.second_moments,
+                        _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
+    pairs = [(t1.energy + t2.energy, value) for t1, row in zip(species1.transitions, sums)
+             for t2, value in zip(species2.transitions, row)]
     # E1 E2 underflows to 0.0 for energies below about 1e-162: the term is then +inf.
-    acc = sum(d4 / e if e > 0.0 else math.inf for d4, e in pairs)
-    return [_over_power(23.0 / (144.0 * math.pi ** 3) * acc, epsilon ** 2, r, 7) for r in rs]
+    acc = sum(d4 / e if e > 0.0 else math.inf
+              for d4, e in ((t1.d_squared * t2.d_squared, t1.energy * t2.energy)
+                            for t1 in species1.transitions for t2 in species2.transitions))
+    cp = 23.0 / (144.0 * math.pi ** 3) * acc
+    out = []
+    for r in rs:
+        pref, vdw = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6), 0.0
+        for e, value in pairs:
+            vdw += pref / e * 0.25 * value
+        out.append((vdw, _over_power(cp, epsilon ** 2, r, 7)))
+    return out
 
 
 def ratio_to_freespace(z: float, lambda_e: float, a: float,
@@ -902,6 +908,9 @@ def ratio_to_freespace(z: float, lambda_e: float, a: float,
     """
     if not (z > 0.0 and lambda_e > 0.0 and a > 0.0):
         raise InputError("z, lambda_e and a must all be positive")
+    if not all(map(math.isfinite, (z, lambda_e, a))):
+        raise InputError(f"z, lambda_e and a must all be finite, got z={z!r}, "
+                         f"lambda_e={lambda_e!r}, a={a!r}")
     damp = math.exp(-TWO_PI * z / a)
     if regime == "vdw-reference":
         return (64.0 * math.pi ** 4 / 3.0) * z ** 5 / (lambda_e ** 2 * a ** 3) * damp

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -159,6 +160,36 @@ class TestModes:
                 hyp = math.hypot(m * math.pi / a, n * math.pi / b)
                 assert hyp >= highest - math.ulp(highest), (a, b, m, n)
                 highest = max(highest, hyp)
+
+    # Digests of the listings as printed when each was built whole, before
+    # they were written in blocks: 159,174 rows take three blocks of 65,536,
+    # and 404 rows 58 blocks of 7.
+    @pytest.mark.parametrize("argv, block, digest", [
+        (["modes", "--max-cutoff", "1000"], None,
+         "10667426f7b73de95d0bb6f635146db9c6eabd319c8fd3a9883a084666637e19"),
+        (["modes", "--max-cutoff", "60", "--a", "1", "--b", "0.7"], 7,
+         "f661390d07902420a05d4b0c6d1e3aee404de60b9dc4cada125875d05a0c17bf"),
+    ], ids=["three-blocks", "blocks-of-7"])
+    def test_listing_in_blocks_keeps_its_bytes(self, tmp_path, capsys, monkeypatch, argv,
+                                               block, digest):
+        from wgdisp import cli
+        block = block or cli._CSV_BLOCK
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+
+        class Writes(io.StringIO):
+            rows = []
+
+            def write(self, text):
+                self.rows.append(text.count("\n"))
+                return super().write(text)
+        with contextlib.redirect_stdout(Writes()) as out:
+            assert cli.main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+        assert len(Writes.rows) > 2 and max(Writes.rows) == block
+        path = tmp_path / "modes.csv"
+        assert cli.main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_infinite_cutoff_exit_2(self):
         res = run_cli("modes", "--max-cutoff", "inf")

@@ -2435,6 +2435,50 @@ class TestFreeSpaceReferences:
         b = u_freespace_vdw(sp1, sp2, 0.37)
         assert a == pytest.approx(b, rel=5e-16)
 
+    @pytest.mark.parametrize("p1, p2, levels, orientation, epsilon", [
+        ((0.5, 0.5), (0.5, 0.5), 1, "isotropic-average", 1.0),
+        ((0.5, 0.5), (0.5, 0.5), 3, "fixed-vector", 0.7),
+        ((0.3, 0.4), (0.6, 0.55), 3, "fixed-vector", 1.0),
+        ((0.2, 0.7), (0.8, 0.1), 3, "isotropic-average", 2.5),
+        ((0.3, 0.4), (0.6, 0.55), 1, "fixed-vector", 1.7),
+        ((0.0, 0.0), (0.6, 0.55), 3, "isotropic-average", 1.3),
+    ], ids=["coaxial-1-iso", "coaxial-3-fixed-eps0.7", "off-axis-3-fixed",
+            "off-axis-3-iso-eps2.5", "off-axis-1-fixed-eps1.7", "corner-3-iso-eps1.3"])
+    def test_breakdowns_carry_the_references(self, p1, p2, levels, orientation, epsilon):
+        # A point's breakdown and each of a sweep's carry u_freespace_vdw and
+        # u_freespace_cp at their z and epsilon, bit for bit, and taking them
+        # raises no Casimir-Polder validity warning.
+        rng = np.random.default_rng(53)
+        sp1, sp2 = (DipoleSpecies(tuple(
+            DipoleTransition(2.0 * math.pi / rng.uniform(40.0, 200.0), tuple(rng.normal(size=3)))
+            for _ in range(levels)), orientation) for _ in range(2))
+        cfg = _config(0.3, sp1, sp2, TransversePoint(*p1), TransversePoint(*p2),
+                      epsilon=epsilon)
+        zs = [0.02, 0.3, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            breakdowns = [dispersion_energy(cfg), *dispersion_sweep(cfg, zs)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityDomainWarning)
+            for z, u in zip([0.3, *zs], breakdowns):
+                assert u.freespace_vdw == u_freespace_vdw(sp1, sp2, z, epsilon)
+                assert u.freespace_cp == u_freespace_cp(sp1, sp2, z, epsilon)
+
+    @pytest.mark.parametrize("p1, notes", [
+        (CENTER, ["total is not finite at z=1e-59: -inf, its terms pass the largest double"]),
+        (TransversePoint(0.0, 1.0), ["species1 dipole sits at the corner (0, 1) of the "
+                                     "cross-section, where every TE and TM mode profile "
+                                     "vanishes; the pair energy is zero"]),
+    ], ids=["centre", "corner"])
+    def test_non_finite_references_are_noted_last(self, p1, notes):
+        # After the run's own notes, in the order energy prints them, at a
+        # corner too.
+        u = dispersion_energy(_config(1e-59, p1=p1))
+        assert u.warnings == notes + [
+            "freespace_vdw_tensor is not finite at z=1e-59: -inf, its terms pass the "
+            "largest double",
+            "freespace_cp is not finite at z=1e-59: inf, its terms pass the largest double"]
+
 
 class TestRatioFormulas:
     def test_vdw_reference_frozen_value(self):
@@ -2489,6 +2533,12 @@ _REFUSALS = {
     "ratio-at-zero-separation": (
         lambda: ratio_to_freespace(0.0, 100.0, 1.0),
         "z, lambda_e and a must all be positive"),
+    "ratio-at-infinite-separation": (
+        lambda: ratio_to_freespace(math.inf, 100.0, 1.0),
+        "z, lambda_e and a must all be finite, got z=inf, lambda_e=100.0, a=1.0"),
+    "ratio-in-an-infinite-guide": (
+        lambda: ratio_to_freespace(1.0, 100.0, math.inf),
+        "z, lambda_e and a must all be finite, got z=1.0, lambda_e=100.0, a=inf"),
     "vdw-at-zero-separation": (
         lambda: u_freespace_vdw(ISO, ISO, 0.0),
         "separation must be positive, got 0.0"),

@@ -34,12 +34,13 @@ from wgdisp import asymptotics, cli, coupling, energy, fourth_order, oracle_chec
 from workloads import WORKLOADS  # noqa: E402
 
 # Per workload, stage name: (owner, attribute) pairs whose calls make up the
-# stage.  "assembly" (energy._assemble) and "free-space" (cli._freespace,
-# which takes the near-field contraction once) are one call per sweep or
-# report: every separation's level pairs are one batch, and the f_tensor
-# calls made inside the batch count under "f_tensor".  "screened listing" is
-# the table's one pass over the splits' modes (ModeTable.extend, which lists
-# them and builds their rows); "top_modes" ranks per-mode couplings that
+# stage.  "assembly" (energy._assemble) and "free-space" (energy._freespace,
+# which _assemble calls once and which takes the near-field contraction
+# once) are one call per sweep or report: every separation's level pairs
+# are one batch, and the f_tensor and _freespace calls made inside the
+# batch count under their own stages.  "screened listing" is the table's
+# one pass over the splits' modes (ModeTable.extend, which lists them and
+# builds their rows); "top_modes" ranks per-mode couplings that
 # coupling._mode_tensors builds.
 STAGES = {
     "sweep-near": {
@@ -50,7 +51,7 @@ STAGES = {
         "TE split": [(coupling, "_te_split")],
         "f_tensor": [(energy, "f_tensor")],
         "assembly": [(energy, "_assemble")],
-        "free-space": [(cli, "_freespace")],
+        "free-space": [(energy, "_freespace")],
         "CSV": [(cli, "_csv")],
     },
     "point-far": {
@@ -62,7 +63,7 @@ STAGES = {
         "f_tensor": [(energy, "f_tensor")],
         "assembly": [(energy, "_assemble")],
         "top_modes": [(energy.FTensorResult, "top_modes"), (coupling, "_mode_tensors")],
-        "free-space": [(cli, "_freespace")],
+        "free-space": [(energy, "_freespace")],
         "JSON": [(cli, "_json_dump")],
     },
     "oracle": {
@@ -74,8 +75,7 @@ STAGES = {
         "fourth-order rest": [(oracle_checks, "fourth_order_oracle"),
                               (oracle_checks, "weighted_reference_energy"),
                               (oracle_checks, "closed_form_reference_energy")],
-        "free-space recovery": [(oracle_checks, "dispersion_energy"),
-                                (oracle_checks, "u_freespace_vdw")],
+        "free-space recovery": [(oracle_checks, "dispersion_energy")],
         "fig4": [(asymptotics, "reduced_zz_sum_direct"), (asymptotics, "reduced_zz_sum_integral")],
     },
 }
