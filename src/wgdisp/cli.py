@@ -173,23 +173,35 @@ def cmd_modes(args) -> int:
     if args.max_cutoff is None:
         raise InputError("--max-cutoff is required")
     columns = _sorted_modes(geom, args.max_cutoff)
-    if args.format == "json":
-        payload = [{"polarization": "TE" if t else "TM", "m": m, "n": n, "k_mn": k,
-                    "omega_cutoff": k} for t, m, n, k in zip(*(c.tolist() for c in columns))]
-        _emit(args, _json_dump(payload))
-    else:
-        _emit(args, _modes_csv(columns))
+    _emit(args, (_modes_json if args.format == "json" else _modes_csv)(columns))
     return EXIT_OK
 
 
-def _modes_csv(columns) -> Iterator[str]:
-    """The CSV listing of ``columns`` (TE mask, m, n, k), _CSV_BLOCK rows at a
-    time, so a listing near the mode cap is never held whole as text."""
-    yield "polarization,m,n,k_mn,omega_cutoff\n"
+def _mode_blocks(columns, number) -> Iterator[Iterator[tuple]]:
+    """The rows of ``columns`` (TE mask, m, n, k), _CSV_BLOCK at a time, as
+    (polarization, m, n, k written by ``number``): so a listing near the mode
+    cap is never held whole as text."""
     for start in range(0, columns[0].size, _CSV_BLOCK):
         te, m, n, k = (c[start:start + _CSV_BLOCK].tolist() for c in columns)
-        yield "".join(f"{'TE' if t else 'TM'},{mi},{ni},{s},{s}\n"
-                      for t, mi, ni, s in zip(te, m, n, map(_fmt, k)))
+        yield zip(("TE" if t else "TM" for t in te), m, n, map(number, k))
+
+
+def _modes_csv(columns) -> Iterator[str]:
+    """The CSV listing of ``columns``, written a block at a time."""
+    yield "polarization,m,n,k_mn,omega_cutoff\n"
+    for rows in _mode_blocks(columns, _fmt):
+        yield "".join(f"{pol},{m},{n},{k},{k}\n" for pol, m, n, k in rows)
+
+
+def _modes_json(columns) -> Iterator[str]:
+    """The JSON listing of ``columns``, one record per mode, written a block at
+    a time: byte for byte the :func:`_json_dump` of the list of records."""
+    yield "["
+    for i, rows in enumerate(_mode_blocks(columns, repr)):  # repr: json's float form
+        yield "," * bool(i) + ",".join(
+            f'\n  {{\n    "polarization": "{pol}",\n    "m": {m},\n    "n": {n},\n'
+            f'    "k_mn": {k},\n    "omega_cutoff": {k}\n  }}' for pol, m, n, k in rows)
+    yield "\n]\n" if columns[0].size else "]\n"
 
 
 def cmd_coupling(args) -> int:
@@ -204,9 +216,8 @@ def cmd_coupling(args) -> int:
         raise InputError("TE couplings require --energy")
     closed = (f_tm_closed(geom, mode, orient, p1, p2, z, conv) if mode.polarization == "TM"
               else f_te_closed(geom, mode, orient, p1, p2, z, args.energy, conv))
-    if args.energy is not None and not math.isfinite(args.energy):  # echoed even if unused
-        raise InputError(f"transition energy must be positive and finite, "
-                         f"got {args.energy!r}")
+    if args.energy is not None:  # echoed even if unused
+        _require_positive("transition energy", args.energy)
     payload = {
         "inputs": {"mode": mode.label(), "orientation": orient,
                    "p1": [p1.x, p1.y], "p2": [p2.x, p2.y], "z": z,
@@ -298,10 +309,9 @@ def cmd_sweep(args) -> int:
         raise InputError("--z-min and --z-max are required")
     if points < 2:
         raise InputError("sweep needs at least 2 points")
-    if not (math.isfinite(z_min) and math.isfinite(z_max)):
-        raise InputError(f"z-min and z-max must be finite, got z-min={z_min!r}, "
-                         f"z-max={z_max!r}")
-    if not (0.0 < z_min < z_max):
+    _require_positive("z-min", z_min)
+    _require_positive("z-max", z_max)
+    if not z_min < z_max:
         raise InputError("need 0 < z-min < z-max")
     space = np.geomspace if args.spacing == "log" else np.linspace
     zs = [float(z) for z in space(z_min, z_max, points)]

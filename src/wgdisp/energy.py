@@ -21,8 +21,8 @@ mode-set reference energies of :mod:`wgdisp.fourth_order` are its
 one-point case.  The free-space reference energies (quasistatic 1/r^6,
 whose tensor form is the one contraction of the free-space near-field
 tensor, and retarded 1/r^7) are one function, ``_freespace``, that
-``_assemble`` calls once per sweep at r = z, so each breakdown carries
-them.  The module also carries the retarded in-guide closed form, the
+``_assemble`` calls once per sweep at the pair's true separation, so each
+breakdown carries them.  The module also carries the retarded in-guide closed form, the
 regime ratio formulas, and the dynamic polarizability at imaginary
 frequency.  Natural units hbar = c = 1; energies are in units of
 hbar c / length.
@@ -148,10 +148,10 @@ class PairConfiguration:
             raise InputError(f"permittivity {self.epsilon!r} is out of range: the energies' "
                              f"prefactor needs (2 pi epsilon)^2 to be a normal double")
         a, b = self.geom.a, self.geom.b
-        if not (a * b > 0.0 and _FAR * (a + b) >= _Z_FLOOR):
+        if _FAR * (a + b) < _Z_FLOOR:
             raise InputError(f"guide a={a!r}, b={b!r} is too small for the splits: they need "
-                             f"a*b > 0, and {_FAR:g} (a + b), the largest z they take, "
-                             f"at least {_Z_FLOOR:g}")
+                             f"{_FAR:g} (a + b), the largest z they take, at least "
+                             f"{_Z_FLOOR:g}")
         if _power(_FAR * (a + b), 3) == math.inf:
             raise InputError(f"guide a={a!r}, b={b!r} is too large for the splits: the cube "
                              f"of {_FAR:g} (a + b), the largest z they take, is not a double")
@@ -273,7 +273,8 @@ class EnergyBreakdown:
     modes_used: int
     warnings: list[str]
     f_by_level: dict[float, FTensorResult]
-    freespace_vdw: float  # u_freespace_vdw and u_freespace_cp at r = z
+    # The free-space references at the pair's separation (see _freespace).
+    freespace_vdw: float
     freespace_cp: float
 
 
@@ -657,7 +658,8 @@ def _assemble(points: list[PairConfiguration], make_tensor,
     ones = np.ones((3, 3))
     crosses = (_level_pairs(abs2, abs1, abs_f2, ones)
                + _level_pairs(abs2, abs1, ones, abs_f1)).tolist()
-    freespace = _freespace(sp1, sp2, [point.z for point in points], config.epsilon)
+    dx, dy = config.p2.x - config.p1.x, config.p2.y - config.p1.y
+    freespace = _freespace(sp1, sp2, [(dx, dy, point.z) for point in points], config.epsilon)
     out = []
     for f_cache, fs1, fs2, (u_sums, tm_sums, te_sums), cross, (vdw, cp) in zip(
             f_caches, f1s, f2s, sums, crosses, freespace):
@@ -830,9 +832,6 @@ def u_retarded_closed(config: PairConfiguration) -> float:
             * acc / a ** 3 * math.exp(-TWO_PI * config.z / a) / config.z)
 
 
-_NEAR_FIELD_M = np.diag([1.0, 1.0, -2.0])
-
-
 def _over_power(x: float, c: float, r: float, n: int) -> float:
     """x / (c r^n), also where c r^n passes the largest double or falls below
     the smallest normal one: then through the binary exponent of r, r = m 2^e,
@@ -855,46 +854,58 @@ def u_freespace_vdw(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
     -sum |d1|^2 |d2|^2 / (E1 + E2) / (24 pi^2 epsilon^2 r^6) under averaging
     and handles fixed vectors exactly.
     """
-    if not (r > 0.0):
-        raise InputError(f"separation must be positive, got {r!r}")
-    return _freespace(species1, species2, [r], epsilon)[0][0]
+    _require_positive("separation", r)
+    return _freespace(species1, species2, [(0.0, 0.0, r)], epsilon)[0][0]
 
 
 def u_freespace_cp(species1: DipoleSpecies, species2: DipoleSpecies, r: float,
                    epsilon: float = 1.0) -> float:
     """Free-space retarded (1/r^7) reference; printed overall sign kept."""
-    if not (r > 0.0):
-        raise InputError(f"separation must be positive, got {r!r}")
+    _require_positive("separation", r)
     lam_max = max(t.wavelength for sp in (species1, species2)
                   for t in sp.transitions)
     if r < lam_max:
         warnings.warn("retarded free-space form assumes r >> every transition "
                       "wavelength", ValidityDomainWarning, stacklevel=2)
-    return _freespace(species1, species2, [r], epsilon)[0][1]
+    return _freespace(species1, species2, [(0.0, 0.0, r)], epsilon)[0][1]
 
 
-def _freespace(species1: DipoleSpecies, species2: DipoleSpecies, rs,
+def _freespace(species1: DipoleSpecies, species2: DipoleSpecies, separations,
                epsilon: float) -> list[tuple[float, float]]:
-    """(:func:`u_freespace_vdw`, :func:`u_freespace_cp`) at each r of ``rs``,
-    without their checks or the Casimir-Polder validity warning, with the
-    near-field contraction and both level-pair sums, which r does not
-    change, taken once."""
-    sums = _level_pairs(species2.second_moments, species1.second_moments,
-                        _NEAR_FIELD_M, _NEAR_FIELD_M).tolist()
-    pairs = [(t1.energy + t2.energy, value) for t1, row in zip(species1.transitions, sums)
-             for t2, value in zip(species2.transitions, row)]
+    """(:func:`u_freespace_vdw`, :func:`u_freespace_cp`) at each separation
+    vector (dx, dy, z) of ``separations``, at r = hypot(dx, dy, z) and with
+    the near-field tensor I - 3 r^ r^T of its direction r^, without their
+    checks or the Casimir-Polder validity warning.  On the axis, (0, 0, z),
+    r is z and the tensor diag(1, 1, -2), bit for bit.  The level-pair sums
+    are taken once, and the near-field contraction once per direction."""
+    energies = [t1.energy + t2.energy for t1 in species1.transitions
+                for t2 in species2.transitions]
     # E1 E2 underflows to 0.0 for energies below about 1e-162: the term is then +inf.
     acc = sum(d4 / e if e > 0.0 else math.inf
               for d4, e in ((t1.d_squared * t2.d_squared, t1.energy * t2.energy)
                             for t1 in species1.transitions for t2 in species2.transitions))
     cp = 23.0 / (144.0 * math.pi ** 3) * acc
+    contractions: dict[tuple[float, float, float], list[float]] = {}
     out = []
-    for r in rs:
+    for dx, dy, z in separations:
+        r = math.hypot(dx, dy, z)
+        unit = (dx / r, dy / r, z / r)
+        if unit not in contractions:
+            near = np.eye(3) - 3.0 * np.outer(unit, unit)
+            contractions[unit] = _level_pairs(species2.second_moments, species1.second_moments,
+                                              near, near).ravel().tolist()
         pref, vdw = _over_power(-1.0 / (TWO_PI * epsilon) ** 2, 1.0, r, 6), 0.0
-        for e, value in pairs:
+        for e, value in zip(energies, contractions[unit]):
             vdw += pref / e * 0.25 * value
         out.append((vdw, _over_power(cp, epsilon ** 2, r, 7)))
     return out
+
+
+# Per regime of ratio_to_freespace: its prefactor c and the power p of lambda_e.
+_RATIO_FORMS = {"vdw-reference": (64.0 * math.pi ** 4 / 3.0, 2),
+                "cp-reference": (128.0 * math.pi ** 6 / 23.0, 3)}
+# Bounds on the logarithm of a normal double, 1e-6 inside for its rounding.
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min) + 1e-6, math.log(sys.float_info.max) - 1e-6
 
 
 def ratio_to_freespace(z: float, lambda_e: float, a: float,
@@ -905,16 +916,28 @@ def ratio_to_freespace(z: float, lambda_e: float, a: float,
         (64 pi^4 / 3) z^5 / (lambda^2 a^3) exp(-2 pi z / a)
     ``cp-reference`` against the retarded 1/r^7 form:
         (128 pi^6 / 23) z^6 / (lambda^3 a^3) exp(-2 pi z / a)
+
+    Where a power, product, quotient or the damping of that formula leaves
+    the normal doubles, the ratio is the exponential of its logarithm
+    instead (to about 1e-12): 0.0 below the smallest double, and refused
+    past the largest.
     """
-    if not (z > 0.0 and lambda_e > 0.0 and a > 0.0):
-        raise InputError("z, lambda_e and a must all be positive")
-    if not all(map(math.isfinite, (z, lambda_e, a))):
-        raise InputError(f"z, lambda_e and a must all be finite, got z={z!r}, "
-                         f"lambda_e={lambda_e!r}, a={a!r}")
-    damp = math.exp(-TWO_PI * z / a)
-    if regime == "vdw-reference":
-        return (64.0 * math.pi ** 4 / 3.0) * z ** 5 / (lambda_e ** 2 * a ** 3) * damp
-    if regime == "cp-reference":
-        return (128.0 * math.pi ** 6 / 23.0) * z ** 6 / (lambda_e ** 3 * a ** 3) * damp
-    raise InputError(f"regime must be 'vdw-reference' or 'cp-reference', "
-                     f"got {regime!r}")
+    for name, value in (("z", z), ("lambda_e", lambda_e), ("a", a)):
+        _require_positive(name, value)
+    if regime not in _RATIO_FORMS:
+        raise InputError(f"regime must be 'vdw-reference' or 'cp-reference', "
+                         f"got {regime!r}")
+    c, p = _RATIO_FORMS[regime]
+    x = TWO_PI * z / a  # inf past the largest double: the ratio is 0.0
+    # The logarithms of z^(p+3), lambda_e^p and a^3, of the numerator and the
+    # denominator, and of the ratio; -x is that of the damping.
+    powers = ((p + 3) * math.log(z), p * math.log(lambda_e), 3.0 * math.log(a))
+    num, den = math.log(c) + powers[0], powers[1] + powers[2]
+    log_ratio = num - den - x
+    if all(_LOG_MIN < v < _LOG_MAX for v in (*powers, num, den, num - den, -x, log_ratio)):
+        return c * z ** (p + 3) / (lambda_e ** p * a ** 3) * math.exp(-x)
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        raise InputError(f"the {regime} ratio at z={z!r}, lambda_e={lambda_e!r}, a={a!r} "
+                         f"passes the largest double") from None

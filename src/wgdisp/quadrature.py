@@ -99,9 +99,6 @@ def _mode_cases(geom: Geometry, modes: list[ModeIndex], p1: TransversePoint,
     _require_positive("axial separation", z, "z=")
     if not (geom.contains(p1) and geom.contains(p2)):
         raise InputError("dipole points must lie inside the cross-section")
-    if big := [mode for mode in modes if max(mode.m, mode.n) >= 2 ** 63]:  # int64 batches
-        raise InputError(f"{big[0].polarization} mode index (m, n) = ({big[0].m}, {big[0].n}) "
-                         f"passes 2**63 - 1, the largest the couplings take")
     listed = [mode for mode in modes for _ in orients]
     size = len(listed)
     cases = _case_batch(geom, [mode.polarization == TE for mode in listed],
@@ -109,8 +106,8 @@ def _mode_cases(geom: Geometry, modes: list[ModeIndex], p1: TransversePoint,
                         *(TransversePoint([p.x] * size, [p.y] * size) for p in (p1, p2)),
                         [z] * size, list(orients) * len(modes))
     for mode, k in zip(modes, cases.k[::len(orients)].tolist()):
-        if not (geom.area > 0.0 and (0.0 < k * z and k < math.inf if mode.polarization == TE
-                                     else 4.0 * math.pi / geom.area * k < math.inf)):
+        if not (0.0 < k * z and k < math.inf if mode.polarization == TE
+                else 4.0 * math.pi / geom.area * k < math.inf):
             raise InputError(f"{mode.label()} has no finite coupling in the guide a={geom.a!r}, "
                              f"b={geom.b!r} at z={z!r}: a weight of its rows is not a finite "
                              f"double")

@@ -53,10 +53,11 @@ class Geometry:
     b: float = 1.0
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise InputError(f"geometry requires a positive and finite a, got a={self.a!r}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise InputError(f"geometry requires a positive and finite b, got b={self.b!r}")
+        _require_positive("guide width a", self.a, "a=")
+        _require_positive("guide height b", self.b, "b=")
+        if self.a * self.b == 0.0:  # no mode profile is a finite double
+            raise InputError(f"guide a={self.a!r}, b={self.b!r} is too small: its area a*b "
+                             f"underflows to 0")
 
     @property
     def area(self) -> float:
@@ -84,7 +85,7 @@ class ModeIndex:
     """One guided mode family: polarization plus transverse integers.
 
     TM requires m >= 1 and n >= 1; TE allows a single zero index but not
-    both.
+    both.  No index may pass 2**63 - 1.
     """
 
     polarization: str
@@ -98,6 +99,9 @@ class ModeIndex:
         if self.m < 0 or self.n < 0:
             raise InputError(f"mode indices must be non-negative, "
                              f"got (m, n) = ({self.m}, {self.n})")
+        if max(self.m, self.n) >= 2 ** 63:  # the couplings batch indices as int64
+            raise InputError(f"{self.polarization} mode index (m, n) = ({self.m}, {self.n}) "
+                             f"passes 2**63 - 1, the largest the couplings take")
         if self.polarization == TM and (self.m < 1 or self.n < 1):
             raise InputError(f"TM modes require m >= 1 and n >= 1, "
                              f"got {self.label()}")

@@ -65,13 +65,20 @@ def k0_small_argument(x):
     return -(np.log(0.5 * np.asarray(x, dtype=float)) + np.euler_gamma)
 
 
-def near_field_energy(species1, species2, z, epsilon=1.0):
+def near_field_energy(species1, species2, z, epsilon=1.0, offset=None):
     """Pair energy contracted from the near-field component table.
 
     At short separations the mode sums collapse to the free-space
-    quasistatic dipole tensor diag(-1/2, -1/2, 1) / z^3.
+    quasistatic dipole tensor diag(-1/2, -1/2, 1) / z^3.  With the
+    transverse ``offset`` (dx, dy) of the pair, the tensor is that of the
+    separation r = (dx, dy, z): (3 r r^T / r^2 - I) / (2 |r|^3).
     """
-    f = np.diag([-0.5, -0.5, 1.0]) / z ** 3
+    if offset is None:
+        f = np.diag([-0.5, -0.5, 1.0]) / z ** 3
+    else:
+        r = np.array([*offset, z])
+        size = np.sqrt(r @ r)
+        f = (3.0 * np.outer(r, r) / size ** 2 - np.eye(3)) / (2.0 * size ** 3)
     pref = -1.0 / (2.0 * math.pi * epsilon) ** 2
     return sum(pref / (t1.energy + t2.energy) * quadratic_contraction(p2, p1, f, f)
                for t1, p1 in zip(species1.transitions, species1.second_moments)

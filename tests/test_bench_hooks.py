@@ -163,10 +163,10 @@ def test_workload_checks_pass_on_the_first_ops(tmp_path):
 # the held-out seed 7001.
 POOL_DIGESTS = {
     1: {"sweep-near": "cb7027660adc5bf37a93c51edbd0b9e34d071967f85b7461fa199978049160c6",
-        "point-far": "f8251c282ba57453782dc4e0cc978a78f3371c1c943a281e0363282c1d1e0c67",
+        "point-far": "1e7b9358bd54b8859863a6a8f36734905786cea6331a1eb8820a97ba9c94c97f",
         "oracle": "d4356d3602ab76fa9594ee7ad90e28c13a72c50d584542d5556fa3351220a553"},
     7001: {"sweep-near": "874d728fd99d631e5a876fa0109c82494dc5f96fdfc8b30424cc494165b2669b",
-           "point-far": "50e73895832a925f9fd31ba37b907accbab14632c81381a877cc68fb0aa6820e",
+           "point-far": "7d62e0008b59142f56c91a06f6f585465ba86b235ec73aa1714b8d14c70fb5d5",
            "oracle": "38fd32e6a9a3e09cb8c1f5b3847cc93bfd1966d5bc37ba19823463f3719fbb08"},
 }
 

@@ -93,7 +93,7 @@ class TestModes:
     def test_invalid_geometry_exit_2(self):
         res = run_cli("modes", "--a", "0", "--max-cutoff", "3")
         assert res.returncode == 2
-        assert res.stderr == "error: geometry requires a positive and finite a, got a=0.0\n"
+        assert res.stderr == "error: guide width a must be positive and finite, got a=0.0\n"
 
     def test_mode_cap_exit_4_before_listing(self, monkeypatch, capsys):
         # About 1.6e9 modes lie below k = 1e5 in the unit square; the cap
@@ -175,21 +175,47 @@ class TestModes:
         from wgdisp import cli
         block = block or cli._CSV_BLOCK
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        lines = self._written(tmp_path, capsys, argv, digest)
+        assert len(lines) > 2 and max(lines) == block
+
+    # Digests of the JSON listings as json.dumps printed them whole, before
+    # they were written in blocks: the same 159,174 and 404 modes, seven
+    # lines each, and the empty listing.
+    @pytest.mark.parametrize("argv, block, digest", [
+        (["modes", "--max-cutoff", "1000"], None,
+         "b56a610d5ac95dd435ee515ff5f2d3b1a43bce9a134905aaada69cc1d86ec7d4"),
+        (["modes", "--max-cutoff", "60", "--a", "1", "--b", "0.7"], 7,
+         "3850972aecac2ad487ac6138b7900411928d323bf6f4d342f04c8fa6a713df9d"),
+        (["modes", "--max-cutoff", "1"], None, hashlib.sha256(b"[]\n").hexdigest()),
+    ], ids=["three-blocks", "blocks-of-7", "empty"])
+    def test_json_listing_in_blocks_keeps_its_bytes(self, tmp_path, capsys, monkeypatch, argv,
+                                                    block, digest):
+        from wgdisp import cli
+        block = block or cli._CSV_BLOCK
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        lines = self._written(tmp_path, capsys, [*argv, "--format", "json"], digest)
+        assert max(lines) == (7 * block if len(lines) > 2 else 1)
+
+    @staticmethod
+    def _written(tmp_path, capsys, argv, digest) -> list[int]:
+        """Check that ``argv`` prints the text of sha256 ``digest`` to stdout
+        and through --out, and return the number of lines of each write."""
+        from wgdisp import cli
 
         class Writes(io.StringIO):
-            rows = []
+            lines = []
 
             def write(self, text):
-                self.rows.append(text.count("\n"))
+                self.lines.append(text.count("\n"))
                 return super().write(text)
         with contextlib.redirect_stdout(Writes()) as out:
             assert cli.main(argv) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
-        assert len(Writes.rows) > 2 and max(Writes.rows) == block
-        path = tmp_path / "modes.csv"
+        path = tmp_path / "modes.out"
         assert cli.main([*argv, "--out", str(path)]) == 0
         assert capsys.readouterr() == ("", "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        return Writes.lines
 
     def test_infinite_cutoff_exit_2(self):
         res = run_cli("modes", "--max-cutoff", "inf")
@@ -209,6 +235,27 @@ class TestEnergy:
         assert payload["total"] < 0.0
         assert payload["tail_estimate"] >= 0.0
         assert payload["inputs"]["conventions"]["tm_sign"] == "oracle-consistent"
+
+    def test_off_axis_pair_recovers_free_space(self, species_file, capsys):
+        # The references are taken at the pair's true separation
+        # r = |(x2 - x1, y2 - y1, z)|: a pair 0.0034a apart across the guide
+        # at z = 0.001a reads a ratio near 1, where the references at r = z
+        # gave 5.4e-4.  For isotropic species every direction's near-field
+        # contraction is that of the axis, so the references are the library's at r.
+        from wgdisp import cli, energy, species_io
+        from wgdisp.errors import ValidityDomainWarning
+        p1, p2, z = (0.498, 0.499), (0.501, 0.5005), 0.001
+        assert cli.main(["energy", "--z", repr(z), "--species1", species_file,
+                         "--x1", repr(p1[0]), "--y1", repr(p1[1]),
+                         "--x2", repr(p2[0]), "--y2", repr(p2[1])]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["ratio_to_freespace_vdw"] - 1.0) < 1e-3
+        sp = species_io.parse_species_file(species_file)
+        r = math.hypot(p2[0] - p1[0], p2[1] - p1[1], z)
+        assert report["freespace_vdw_tensor"] == pytest.approx(
+            energy.u_freespace_vdw(sp, sp, r), rel=1e-14)
+        with pytest.warns(ValidityDomainWarning):  # r is far below the wavelength
+            assert report["freespace_cp"] == energy.u_freespace_cp(sp, sp, r)
 
     def test_refused_report_prints_no_warning(self, tmp_path, capsys):
         # The warnings of a report are shown once it returns, so a refused
@@ -353,7 +400,7 @@ class TestEnergy:
         assert cli.main(["energy", "--z", "0.5", "--x1", "0", "--y1", "0",
                          "--x2", "1", "--y2", "1", "--species1", species_file]) == 0
         out = capsys.readouterr().out
-        assert "-0.0" not in out
+        assert not re.search(r"-0\.0(?![0-9])", out)  # no negative zero, whatever else is negative
         report = json.loads(out)
         for value in (report["total"], report["per_level_pair"]["0,0"],
                       report["ratio_to_freespace_vdw"]):
@@ -500,8 +547,8 @@ class TestEnergy:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--z", "inf", "axial separation must be positive and finite, got z=inf"),
-        ("--a", "inf", "geometry requires a positive and finite a, got a=inf"),
-        ("--b", "nan", "geometry requires a positive and finite b, got b=nan"),
+        ("--a", "inf", "guide width a must be positive and finite, got a=inf"),
+        ("--b", "nan", "guide height b must be positive and finite, got b=nan"),
     ])
     def test_non_finite_input_is_named(self, species_file, flag, value, message):
         args = {"--z": "0.5", flag: value}
@@ -629,8 +676,8 @@ class TestSweep:
         for argv in (["energy", "--z", "0.5"], ["sweep", "--z-min", "0.1", "--z-max", "1",
                                                 "--points", "3"]):
             assert cli.main([*argv, "--a", "0", "--species1", "missing.txt"]) == 2
-            assert capsys.readouterr() == ("", "error: geometry requires a positive and "
-                                           "finite a, got a=0.0\n")
+            assert capsys.readouterr() == ("", "error: guide width a must be positive and "
+                                           "finite, got a=0.0\n")
 
     def test_single_point_exit_2(self, species_file):
         res = run_cli("sweep", "--z-min", "3", "--z-max", "6", "--points",
@@ -644,8 +691,8 @@ class TestSweep:
                       "3", "--species1", species_file)
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr == (f"error: z-min and z-max must be finite, got "
-                              f"z-min={float(z_min)!r}, z-max={float(z_max)!r}\n")
+        name, value = ("z-max", z_max) if math.isfinite(float(z_min)) else ("z-min", z_min)
+        assert res.stderr == f"error: {name} must be positive and finite, got {float(value)!r}\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -877,13 +924,33 @@ class TestExtremeGuides:
     @pytest.mark.parametrize("size", ["1e-300", "1e-200", "1e-155", "1e-150", "1e-140",
                                       "1e-130", "1e-120", "1e-100"])
     def test_too_small_refused(self, tmp_path, capsys, size, z):
+        # Below 1e-162 a side's square underflows: Geometry refuses the guide.
         code, _, err = self._run(tmp_path, capsys, size, size, z)
         assert code == 2
-        assert err.startswith(f"error: guide a={size}, b={size} is too small for the splits")
+        assert err == (f"error: guide a={size}, b={size} is too small: its area a*b "
+                       f"underflows to 0\n" if float(size) ** 2 == 0.0 else
+                       f"error: guide a={size}, b={size} is too small for the splits: they "
+                       f"need 1e+06 (a + b), the largest z they take, at least 1e-60\n")
 
     def test_underflowing_area_refused(self, tmp_path, capsys):
         code, _, err = self._run(tmp_path, capsys, "1e-30", "1e-300", "1")
-        assert code == 2 and "need a*b > 0" in err
+        assert (code, err) == (2, "error: guide a=1e-30, b=1e-300 is too small: its area a*b "
+                                  "underflows to 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--max-cutoff", "10"],
+        ["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--z", "1"],
+        ["energy", "--z", "1", "--species1", "missing.txt"],
+        ["sweep", "--z-min", "1", "--z-max", "2", "--points", "3", "--species1", "missing.txt"],
+    ], ids=lambda argv: argv[0])
+    def test_zero_area_refused_by_every_command(self, capsys, argv):
+        # One rule, in Geometry, before anything else is read: coupling
+        # refused per mode, energy and sweep named the splits, and modes
+        # printed an empty listing.
+        from wgdisp import cli
+        assert cli.main([*argv, "--a", "1e-300", "--b", "1e-320"]) == 2
+        assert capsys.readouterr() == ("", "error: guide a=1e-300, b=1e-320 is too small: its "
+                                           "area a*b underflows to 0\n")
 
     @pytest.mark.parametrize("z", ["1", "1e-50"])
     @pytest.mark.parametrize("b, extra", [
@@ -1722,10 +1789,6 @@ class TestCoupling:
             "", f"error: transition energy must be positive and finite, got {energy}\n")
 
     @pytest.mark.parametrize("argv, message", [
-        # The area underflows to 0, and 4 pi / A with it.
-        (["--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz", "--z", "1",
-          "--a", "1e-300", "--b", "1e-320"],
-         "TM11 has no finite coupling in the guide a=1e-300, b=1e-320 at z=1.0"),
         # (4 pi / A) k_mn overflows, and times e^{-kz} = 0 it is nan.
         (["--pol", "TM", "--m", "3", "--n", "2", "--orient", "zy", "--z", "2.5",
           "--b", "1e-300"],
@@ -1734,12 +1797,20 @@ class TestCoupling:
         (["--pol", "TE", "--m", "0", "--n", "2", "--orient", "xx", "--z", "1",
           "--b", "1e-308", "--energy", "0.1"],
          "TE02 has no finite coupling in the guide a=1.0, b=1e-308 at z=1.0"),
-    ], ids=["zero-area", "overflowing-tm-weight", "overflowing-te-cutoff"])
+    ], ids=["overflowing-tm-weight", "overflowing-te-cutoff"])
     def test_overflowing_weight_exit_2(self, capsys, argv, message):
         from wgdisp import cli
         assert cli.main(["coupling", *argv]) == 2
         assert capsys.readouterr() == (
             "", f"error: {message}: a weight of its rows is not a finite double\n")
+
+    def test_negative_energy_exit_2(self, capsys):
+        # A TM closed form does not use the energy, and echoed -1 with exit 0.
+        from wgdisp import cli
+        assert cli.main(["coupling", "--pol", "TM", "--m", "1", "--n", "1", "--orient", "zz",
+                         "--z", "1", "--energy", "-1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: transition energy must be positive and finite, got -1.0\n")
 
     def test_overflowing_product_exit_2(self, capsys):
         # Each TE10 row is finite at b = 1e-320, their product is not.
@@ -2264,52 +2335,53 @@ GOLDEN_SPECIES = {
 }
 
 # sha256 of the stdout of each command; "@name" stands for the path of
-# GOLDEN_SPECIES[name], which the output does not contain.
+# GOLDEN_SPECIES[name], which the output does not contain.  The off-axis
+# reports carry the free-space references at the pair's true separation.
 GOLDEN_STDOUT = [
     (["energy", "--z", "0.3", "--species1", "@four", "--tail-tol", "1e-8"],
      "28be22603ba10cc6de6f4323936ec78e2ab2f2ee8d89c9e2ae27470e15c6f62f"),
     (["energy", "--z", "0.45", "--species1", "@three", "--orientation", "fixed-vector",
       "--b", "0.7", "--x1", "0.2", "--y1", "0.3", "--x2", "0.65", "--y2", "0.5"],
-     "a87357c057fe6cd4316ba7c1ff3003ffc856643d28c334d8cca8577c76f89aa5"),
+     "f627aff220f42f7a3d59b20e94231975987797fb482590057c3df7b1089bae4e"),
     (["energy", "--z", "0.8", "--species1", "@two", "--b", "0.6", "--x1", "0.2",
       "--y1", "0.35", "--x2", "0.7", "--y2", "0.1", "--tail-tol", "1e-8"],
-     "044db9df966440e4d2798f246d67885d8c673552de3889db12d1521dcf40e3fd"),
+     "7685c8377a7cf7ed32e8814131f0a7733ab973dc231497a28c6d810f894db7aa"),
     (["energy", "--z", "1.3", "--species1", "@four", "--orientation", "fixed-vector",
       "--b", "0.55", "--x1", "0.8", "--y1", "0.1", "--x2", "0.3", "--y2", "0.4",
       "--tail-tol", "1e-8"],
-     "9d50079261678b6c8027dec6434cdb7040e826e0ce3a3727cf3a3c7de5d6f4bc"),
+     "78a7f61ba21126c5847755036618f35613b351e0c1c9700dbff0e333d22f93ec"),
     (["energy", "--z", "2.0", "--species1", "@three", "--species2", "@two",
       "--b", "0.9", "--x1", "0.15", "--y1", "0.7", "--x2", "0.5", "--y2", "0.2"],
-     "a3c4ce669a24ccdebcb09b716854b1eb72486806347c2520136a6720a69fbaa7"),
+     "443d83683d2082e68ce9898a92d950a30fe2e84a978c402ffc0ec7e21f22a3e3"),
     (["energy", "--z", "3.5", "--species1", "@two", "--orientation", "fixed-vector",
       "--b", "0.75", "--x1", "0.6", "--y1", "0.6", "--x2", "0.25", "--y2", "0.15",
       "--tail-tol", "1e-8"],
-     "3946ecc27603f036653ebcce4f5d6d81ba49ddce3c875b576df57244da1222f6"),
+     "1bd1b0257d30c5a82817c216d0f37a9ba8ae16310a66a14c30c3f0d0b95881c7"),
     (["energy", "--z", "5.0", "--species1", "@four", "--b", "0.8", "--x1", "0.45",
       "--y1", "0.2", "--x2", "0.9", "--y2", "0.65", "--top-modes", "12"],
-     "6c3d27c73eb0967bc5dc624ef0db8df347b84fa33bd357b2ce7dd1657b4b4dc7"),
+     "d6612c9d9ccc2e0112fbfd3d64c4c04898cd4b709d8a3cc32660eb8389d91c5c"),
     (["energy", "--z", "8.0", "--species1", "@three", "--orientation", "fixed-vector",
       "--b", "0.5", "--x1", "0.3", "--y1", "0.25", "--x2", "0.7", "--y2", "0.3",
       "--tail-tol", "1e-8"],
-     "e70443f213ef5a1109d51adf637ae95b36b6f03f95bef9e9b254910aa05d69fd"),
+     "20a0f0224eccb36ee20f81cc0ce5ce31941665ad75626cfa3a0ce525b81f9178"),
     (["energy", "--z", "1.0", "--species1", "@two", "--si-a-meters", "1e-6",
       "--x1", "0.35", "--y1", "0.55"],
-     "726bda772645ac9d261a961ae065dd15e081429ba1f8d03a1ae3be210f19b67c"),
+     "cf70e4d1795e32d6a7339a648a8ee910ac04b7f52c442202be291e92e676949f"),
     (["energy", "--z", "0.6", "--species1", "@three", "--convention", "paper-literal",
       "--orientation", "fixed-vector", "--b", "0.65", "--x1", "0.25", "--y1", "0.2",
       "--x2", "0.55", "--y2", "0.45", "--tail-tol", "1e-8"],
-     "c452b9215df0b54a12a2ec0a3c4b21f9b69f3f5f247c055d2426fbb82b13a481"),
-    # A corner dipole and crossed dipoles: zero energy, zero free-space
-    # reference, ratio null.
+     "43a948b30d2e6d166ef6dfb425685b3368210209226fc4db7fb067d47b856e90"),
+    # A corner dipole and crossed dipoles: zero energy.  Off the axis the
+    # crossed dipoles couple in free space, so the ratio is 0.0.
     (["energy", "--z", "0.7", "--species1", "@x", "--species2", "@y",
       "--orientation", "fixed-vector", "--x1", "0", "--y1", "0", "--x2", "0.4",
       "--y2", "0.6"],
-     "fb72e808665b25e956d6b80357a6b1023d28a3a006a4f39653a43374def1d2e3"),
+     "c957270445555735358c161d9881af48e26bc8360010d4d479b482bc0a932458"),
     (["energy", "--z", "0.35", "--species1", "@four", "--species2", "@three",
       "--orientation", "fixed-vector", "--a", "1.5", "--b", "1", "--x1", "0.9",
       "--y1", "0.3", "--x2", "0.4", "--y2", "0.75", "--top-modes", "0",
       "--epsilon", "1.7"],
-     "162e629d3bf43f1f8c08d5cfddd13288be8efdd00b9cfa8a0abbb09a489c2146"),
+     "ebd8b0ad9662cd477b745344751d33e807c459980abbada5fc4528d73a29423f"),
     # The other subcommands that print JSON.
     (["modes", "--max-cutoff", "14", "--a", "1", "--b", "0.7", "--format", "json"],
      "7aa14011ce3b3ea1786b63cdf0bee19fa38acf487ebec7ee828a8d2e5ff40894"),

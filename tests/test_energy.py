@@ -1443,6 +1443,14 @@ def references(source: str, name: str) -> set[str]:
     return found
 
 
+def test_one_positive_and_finite_rule():
+    # errors._require_positive is the one test of a positive and finite
+    # input: no other module of src/ words that refusal itself.
+    worded = [path.name for path in sorted(SRC.glob("*.py"))
+              if "must be positive" in path.read_text(encoding="utf-8")]
+    assert worded == ["errors.py"]
+
+
 def test_only_the_listings_call_mode_arrays():
     # The mode cap is held where modes are listed: in src/ only the mode
     # table's listing and the sorted listing of enumerate_modes and the
@@ -2445,9 +2453,11 @@ class TestFreeSpaceReferences:
     ], ids=["coaxial-1-iso", "coaxial-3-fixed-eps0.7", "off-axis-3-fixed",
             "off-axis-3-iso-eps2.5", "off-axis-1-fixed-eps1.7", "corner-3-iso-eps1.3"])
     def test_breakdowns_carry_the_references(self, p1, p2, levels, orientation, epsilon):
-        # A point's breakdown and each of a sweep's carry u_freespace_vdw and
-        # u_freespace_cp at their z and epsilon, bit for bit, and taking them
-        # raises no Casimir-Polder validity warning.
+        # A point's breakdown and each of a sweep's carry the references at
+        # the pair's separation r = |(x2 - x1, y2 - y1, z)| and epsilon, and
+        # taking them raises no Casimir-Polder validity warning: u_freespace_cp
+        # at r bit for bit, and u_freespace_vdw at z bit for bit on the axis;
+        # off it, the contraction with the dipole tensor of the separation.
         rng = np.random.default_rng(53)
         sp1, sp2 = (DipoleSpecies(tuple(
             DipoleTransition(2.0 * math.pi / rng.uniform(40.0, 200.0), tuple(rng.normal(size=3)))
@@ -2461,19 +2471,25 @@ class TestFreeSpaceReferences:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityDomainWarning)
             for z, u in zip([0.3, *zs], breakdowns):
-                assert u.freespace_vdw == u_freespace_vdw(sp1, sp2, z, epsilon)
-                assert u.freespace_cp == u_freespace_cp(sp1, sp2, z, epsilon)
+                offset = (p2[0] - p1[0], p2[1] - p1[1])
+                assert u.freespace_cp == u_freespace_cp(sp1, sp2, math.hypot(*offset, z),
+                                                        epsilon)
+                if p1 == p2:
+                    assert u.freespace_vdw == u_freespace_vdw(sp1, sp2, z, epsilon)
+                else:
+                    assert u.freespace_vdw == pytest.approx(
+                        near_field_energy(sp1, sp2, z, epsilon, offset), rel=1e-13)
 
     @pytest.mark.parametrize("p1, notes", [
         (CENTER, ["total is not finite at z=1e-59: -inf, its terms pass the largest double"]),
-        (TransversePoint(0.0, 1.0), ["species1 dipole sits at the corner (0, 1) of the "
-                                     "cross-section, where every TE and TM mode profile "
-                                     "vanishes; the pair energy is zero"]),
+        (TransversePoint(0.0, 1.0), [f"species{i} dipole sits at the corner (0, 1) of the "
+                                     f"cross-section, where every TE and TM mode profile "
+                                     f"vanishes; the pair energy is zero" for i in (1, 2)]),
     ], ids=["centre", "corner"])
     def test_non_finite_references_are_noted_last(self, p1, notes):
         # After the run's own notes, in the order energy prints them, at a
-        # corner too.
-        u = dispersion_energy(_config(1e-59, p1=p1))
+        # corner too; both dipoles share the point, so r = z.
+        u = dispersion_energy(_config(1e-59, p1=p1, p2=p1))
         assert u.warnings == notes + [
             "freespace_vdw_tensor is not finite at z=1e-59: -inf, its terms pass the "
             "largest double",
@@ -2500,6 +2516,21 @@ class TestRatioFormulas:
     def test_rejects_unknown_regime(self):
         with pytest.raises(InputError):
             ratio_to_freespace(1.0, 10.0, 1.0, "other")
+
+    @pytest.mark.parametrize("regime", ["vdw-reference", "cp-reference"])
+    @pytest.mark.parametrize("args", [(1e70, 100.0, 1.0), (1e-300, 1e300, 1.0),
+                                      (1.0, 1e-200, 1e-200)])
+    def test_underflowing_ratio_is_zero(self, args, regime):
+        # A power past the largest double (z^5, lambda^2) or a denominator
+        # that underflows to 0 raised OverflowError or ZeroDivisionError; the
+        # ratio itself lies far below the smallest double.
+        assert ratio_to_freespace(*args, regime) == 0.0
+
+    def test_subnormal_damping_keeps_its_digits(self):
+        # exp(-2 pi z / a) ~ 1e-546 underflows to 0 although the ratio is a
+        # double: it is taken from its logarithm.  Reference: 40-digit mpmath.
+        assert ratio_to_freespace(200.0, 1e-150, 1.0) \
+            == pytest.approx(1.1810455609477428e-231, rel=1e-12)
 
 
 # Refusals of the library calls that no command reaches, with their messages.
@@ -2532,19 +2563,32 @@ _REFUSALS = {
         "imaginary-frequency magnitude must be >= 0, got -1.0"),
     "ratio-at-zero-separation": (
         lambda: ratio_to_freespace(0.0, 100.0, 1.0),
-        "z, lambda_e and a must all be positive"),
+        "z must be positive and finite, got 0.0"),
     "ratio-at-infinite-separation": (
         lambda: ratio_to_freespace(math.inf, 100.0, 1.0),
-        "z, lambda_e and a must all be finite, got z=inf, lambda_e=100.0, a=1.0"),
+        "z must be positive and finite, got inf"),
     "ratio-in-an-infinite-guide": (
         lambda: ratio_to_freespace(1.0, 100.0, math.inf),
-        "z, lambda_e and a must all be finite, got z=1.0, lambda_e=100.0, a=inf"),
+        "a must be positive and finite, got inf"),
+    "ratio-past-the-largest-double": (
+        lambda: ratio_to_freespace(1.0, 1e-200, 1.0),
+        "the vdw-reference ratio at z=1.0, lambda_e=1e-200, a=1.0 passes the largest double"),
     "vdw-at-zero-separation": (
         lambda: u_freespace_vdw(ISO, ISO, 0.0),
-        "separation must be positive, got 0.0"),
+        "separation must be positive and finite, got 0.0"),
+    "vdw-at-infinite-separation": (
+        lambda: u_freespace_vdw(ISO, ISO, math.inf),
+        "separation must be positive and finite, got inf"),
     "cp-at-zero-separation": (
         lambda: u_freespace_cp(ISO, ISO, 0.0),
-        "separation must be positive, got 0.0"),
+        "separation must be positive and finite, got 0.0"),
+    "geometry-without-area": (
+        lambda: Geometry(1e-300, 1e-320),
+        "guide a=1e-300, b=1e-320 is too small: its area a*b underflows to 0"),
+    "mode-index-past-int64": (
+        lambda: ModeIndex("TE", 1, 2**63),
+        "TE mode index (m, n) = (1, 9223372036854775808) passes 2**63 - 1, the largest "
+        "the couplings take"),
     "species-unknown-orientation": (
         lambda: DipoleSpecies(ISO.transitions, "random"),
         "orientation must be 'fixed-vector' or 'isotropic-average', got 'random'"),

@@ -46,8 +46,10 @@ class TestCutoff:
         rng = np.random.default_rng(52)
         guides = [Geometry(float(a), float(b)) for a, b in
                   10.0 ** rng.uniform(-2.0, 2.0, size=(20_000, 2))]
-        guides += [Geometry(a, b) for a in (1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)
-                   for b in (1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)]
+        # Every pair of extreme sides whose area a*b is a double: Geometry
+        # refuses one whose area underflows to 0.
+        sides = (1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)
+        guides += [Geometry(a, b) for a in sides for b in sides if a * b > 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for geom in guides:
@@ -252,12 +254,15 @@ class TestEnumeration:
                 assert [cutoff_wavenumber(geom, ModeIndex(pol, *mn))
                         for mn in zip(m, n)] == k
         # Past the largest double the cutoff is inf, as mode_arrays takes
-        # it, with no warning; an index past int64 is still a cutoff.
+        # it, with no warning; the largest index a mode takes is still a
+        # cutoff, and one past int64 is no mode.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cutoff_wavenumber(Geometry(1e-308, 1.0), ModeIndex("TE", 10**10, 0)) \
                 == math.inf
-            assert cutoff_wavenumber(SQ, ModeIndex("TE", 10**20, 0)) == 1e20 * math.pi
+            assert cutoff_wavenumber(SQ, ModeIndex("TE", 2**63 - 1, 0)) == 2.0 ** 63 * math.pi
+        with pytest.raises(InputError, match="passes 2\\*\\*63 - 1"):
+            ModeIndex("TE", 10**20, 0)
         monkeypatch.setattr(waveguide, "cutoff_wavenumber", None)
         assert len(enumerate_modes(SQ, 40.0)) == sum(
             t["k"].size for t in mode_arrays(SQ, 40.0).values())
